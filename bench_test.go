@@ -619,23 +619,31 @@ func BenchmarkOLAPQuery_FastPath(b *testing.B) {
 // benchDiskWarehouse builds the SF 5 disk-backed deployed warehouse
 // the disk serving benchmarks share.
 func benchDiskWarehouse(b *testing.B) (*quarry.Platform, *quarry.DB) {
+	return benchDiskWarehouseAt(b, 5, quarry.RevenueRequirement())
+}
+
+// benchDiskWarehouseAt generates the TPC-H sources at sf into a fresh
+// disk store, deploys the requirements and runs the ETL.
+func benchDiskWarehouseAt(b *testing.B, sf float64, reqs ...*quarry.Requirement) (*quarry.Platform, *quarry.DB) {
 	b.Helper()
 	db, err := quarry.OpenDB(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := tpch.Generate(db, 5, 42); err != nil {
+	if _, err := tpch.Generate(db, sf, 42); err != nil {
 		b.Fatal(err)
 	}
 	onto, _ := tpch.Ontology()
 	mapg, _ := tpch.Mapping()
-	cat, _ := tpch.Catalog(5)
+	cat, _ := tpch.Catalog(sf)
 	p, err := quarry.New(quarry.Config{Ontology: onto, Mapping: mapg, Catalog: cat, DB: db})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := p.AddRequirement(quarry.RevenueRequirement()); err != nil {
-		b.Fatal(err)
+	for _, r := range reqs {
+		if _, err := p.AddRequirement(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if _, err := p.Run(); err != nil {
 		b.Fatal(err)
@@ -661,6 +669,58 @@ func BenchmarkOLAPQuery_FastPath_Disk(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchScanQuery runs q against the SF 200 disk warehouse of the four
+// canonical requirements — the setting of the repository benchmark's
+// adhoc_scan workload, where the 30 000-row quantity fact and its
+// 30 000-row dim_orders make scan/join/aggregate work dominate the
+// ~200 µs of fixed cost that is all an SF 5 query shows. No MatAgg is
+// attached, so every query rebuilds its dimension sides.
+func benchScanQuery(b *testing.B, q olap.CubeQuery) {
+	p, _ := benchDiskWarehouseAt(b, 200, quarry.CanonicalRequirements()...)
+	oe, err := p.OLAP()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := oe.Query(q); err != nil { // first touch decodes the pages
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := oe.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchScanGroupQuery is adhoc_scan's scan_group shape: the whole
+// quantity fact through two joins into 25 groups.
+func benchScanGroupQuery() olap.CubeQuery {
+	return olap.CubeQuery{
+		Fact:    "fact_table_quantity",
+		GroupBy: []string{"c_mktsegment", "o_orderpriority"},
+		Measures: []olap.MeasureSpec{
+			{Out: "total", Func: "SUM", Col: "quantity"},
+			{Out: "n", Func: "COUNT", Col: ""},
+		},
+	}
+}
+
+// BenchmarkOLAPQuery_ScanGroup_SF200 is the scan-bound tier of the
+// serving benchmarks. Gated in CI.
+func BenchmarkOLAPQuery_ScanGroup_SF200(b *testing.B) {
+	benchScanQuery(b, benchScanGroupQuery())
+}
+
+// BenchmarkOLAPQuery_ScanFilter_SF200 is scan_group behind an
+// expr-evaluated predicate over a dimension and a fact column
+// (adhoc_scan's scan_filter shape). Gated in CI.
+func BenchmarkOLAPQuery_ScanFilter_SF200(b *testing.B) {
+	q := benchScanGroupQuery()
+	q.Filter = "c_mktsegment = 'BUILDING' AND quantity > 20"
+	benchScanQuery(b, q)
 }
 
 // BenchmarkDiskFootprint_SF5 measures the on-disk size of the

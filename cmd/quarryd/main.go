@@ -11,7 +11,11 @@
 //	        [-slo-target 0] [-shed-policy expensive-first] [-default-deadline 0]
 //	        [-matagg] [-matagg-top-k 8] [-matagg-budget-bytes 0]
 //	        [-replica-of URL] [-replica-dir DIR] [-replica-interval 1s]
-//	        [-shards N] [-shard-index I]
+//	        [-shards N] [-shard-index I] [-debug-addr ADDR]
+//
+// -debug-addr serves net/http/pprof on a listener of its own (off by
+// default; the serving port never exposes it), e.g.
+// go tool pprof http://ADDR/debug/pprof/profile?seconds=10.
 //
 // With -slo-target the serving tier defends a latency budget instead
 // of melting under overload: per-class service times (cache hit /
@@ -63,6 +67,7 @@ import (
 	"time"
 
 	"quarry/internal/core"
+	"quarry/internal/debugsrv"
 	"quarry/internal/engine"
 	"quarry/internal/replication"
 	"quarry/internal/server"
@@ -94,7 +99,9 @@ func main() {
 	replicaInterval := flag.Duration("replica-interval", time.Second, "with -replica-of: how often to poll the primary for new commits")
 	shards := flag.Int("shards", 0, "total shard count of a hash-partitioned warehouse (0: not sharded)")
 	shardIndex := flag.Int("shard-index", 0, "this node's shard index in [0,shards)")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 (empty: off)")
 	flag.Parse()
+	debugsrv.Start("quarryd", *debugAddr)
 
 	if err := server.ValidateShedPolicy(*shedPolicy); err != nil {
 		log.Fatalf("quarryd: -shed-policy: %v", err)

@@ -35,6 +35,9 @@
 //	             [-shard-attempts 2] [-shard-skew-retries 2]
 //	             [-shard-timeout 30s] [-busy-retries 1]
 //	             [-max-retry-after 2s]
+//
+// Either mode takes -debug-addr ADDR: net/http/pprof on a listener of
+// its own (off by default; never on the serving port).
 package main
 
 import (
@@ -45,6 +48,7 @@ import (
 	"strings"
 	"time"
 
+	"quarry/internal/debugsrv"
 	"quarry/internal/router"
 )
 
@@ -59,7 +63,9 @@ func main() {
 	retryBudget := flag.Int("retry-budget", 2, "replica mode: extra all-busy passes per query before answering 429 (0 disables busy retries)")
 	busyRetries := flag.Int("busy-retries", 1, "shard-gather mode: whole-scatter retries while some (not all) shards answer busy")
 	maxRetryAfter := flag.Duration("max-retry-after", 2*time.Second, "cap on backend Retry-After suggestions used for backoff")
+	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6061 (empty: off)")
 	flag.Parse()
+	debugsrv.Start("quarryrouter", *debugAddr)
 
 	if *shardOf != "" && *replicas != "" {
 		log.Fatalf("quarryrouter: -replicas and -shard-of are mutually exclusive")

@@ -230,3 +230,51 @@ func TestAggregatorPartialsAbsorb(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregatorDoesNotRetainRows holds Add to its contract: it copies
+// the values it keeps (group keys, MIN/MAX) and never the row slice, so
+// a caller may overwrite a batch's rows once Add returns. The OLAP fast
+// path relies on it: its probe refills one slab for every batch.
+func TestAggregatorDoesNotRetainRows(t *testing.T) {
+	aggs := []xlm.AggSpec{
+		{Func: "COUNT", Out: "n"}, {Func: "SUM", Col: "f", Out: "s"},
+		{Func: "MIN", Col: "s", Out: "lo"}, {Func: "MAX", Col: "s", Out: "hi"},
+	}
+	batches := [][][]expr.Value{
+		{{expr.Str("g1"), expr.Float(1.5), expr.Str("m")}, {expr.Str("g2"), expr.Float(2), expr.Str("a")}},
+		{{expr.Str("g1"), expr.Float(4), expr.Str("z")}, {expr.Null(), expr.Float(8), expr.Str("k")}},
+	}
+	run := func(reuse bool) [][]expr.Value {
+		a, err := NewHashAggregator([]int{0}, aggs, []int{-1, 1, 2, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab := [][]expr.Value{make([]expr.Value, 3), make([]expr.Value, 3)}
+		for _, batch := range batches {
+			rows := batch
+			if reuse {
+				for i, row := range batch {
+					copy(slab[i], row)
+				}
+				rows = slab
+			}
+			if err := a.Add(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, row := range slab {
+			for i := range row {
+				row[i] = expr.Str("overwritten")
+			}
+		}
+		return a.Result()
+	}
+	want, got := run(false), run(true)
+	for i := range want {
+		for j := range want[i] {
+			if !valuesIdentical(want[i][j], got[i][j]) || want[i][j].Kind() != got[i][j].Kind() {
+				t.Fatalf("row %d col %d: %s over a reused slab, %s over fresh rows", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}

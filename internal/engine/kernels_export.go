@@ -84,8 +84,11 @@ func NewHashAggregator(groupIdx []int, aggs []xlm.AggSpec, aggIdx []int) (*HashA
 	}}, nil
 }
 
-// Add folds a batch of rows into the running group states. Rows are
-// not retained.
+// Add folds a batch of rows into the running group states. It copies
+// the values it keeps (group keys, MIN/MAX candidates) and never
+// retains a row, so the caller may overwrite the rows once Add returns
+// — the OLAP fast path refills one slab for every batch
+// (TestAggregatorDoesNotRetainRows).
 func (a *HashAggregator) Add(rows [][]expr.Value) error { return a.op.add(rows) }
 
 // Result finalises the aggregation: one row per group (group values

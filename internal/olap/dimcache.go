@@ -4,22 +4,20 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"quarry/internal/engine"
 )
 
-// dimCache caches dimension build-side hash tables across queries (the
-// ROADMAP's "per-dimension build-side caching" item). The fast path
-// rebuilds one hash table per joined dimension on every query; under
-// concurrent serving traffic the same few dimensions are rebuilt over
-// and over. The cache keys each built engine.HashJoin by the DB
-// version, the dimension's snapshotted row count and the exact join
-// shape (probe position, reference column, build projection) — every
-// input that determines the built table. A republish bumps the version
+// dimCache caches dimension build sides across queries (the ROADMAP's
+// "per-dimension build-side caching" item). The fast path rebuilds one
+// dimSide per joined dimension on every query; under concurrent
+// serving traffic the same few dimensions are rebuilt over and over.
+// The cache keys each built dimSide by the DB version, the dimension's
+// snapshotted row count and the exact join shape (reference column,
+// build projection, pushed-down predicates) — every input that
+// determines the built side. A republish bumps the version
 // and implicitly drops every entry (same invalidation lifecycle as the
 // materialized aggregates, which is why MatAgg owns the cache); a
 // direct append outside a run changes the snapshotted row count and
-// misses instead. Built HashJoins are immutable once published, so any
+// misses instead. Built sides are immutable once published, so any
 // number of queries probe one concurrently.
 type dimCache struct {
 	mu sync.Mutex
@@ -35,7 +33,7 @@ type dimCache struct {
 }
 
 type dimCacheEntry struct {
-	hj      *engine.HashJoin
+	side    *dimSide
 	version uint64
 }
 
@@ -53,8 +51,6 @@ func dimKey(sj *starJoin, nrows int64) string {
 	b.WriteString(sj.def.Name)
 	b.WriteByte(0)
 	b.WriteString(strconv.FormatInt(nrows, 10))
-	b.WriteByte(0)
-	b.WriteString(strconv.Itoa(sj.probeIdx))
 	b.WriteByte(0)
 	b.WriteString(sj.refCol)
 	b.WriteByte(0)
@@ -83,7 +79,7 @@ func (c *dimCache) advanceLocked(version uint64) {
 }
 
 // get returns the cached build side for the key at the given version.
-func (c *dimCache) get(version uint64, key string) (*engine.HashJoin, bool) {
+func (c *dimCache) get(version uint64, key string) (*dimSide, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -96,7 +92,7 @@ func (c *dimCache) get(version uint64, key string) (*engine.HashJoin, bool) {
 	} else {
 		c.misses++
 	}
-	return en.hj, ok
+	return en.side, ok
 }
 
 // versionedKey namespaces a join-shape key by version so straggler
@@ -106,8 +102,8 @@ func versionedKey(version uint64, key string) string {
 	return strconv.FormatUint(version, 10) + "\x00" + key
 }
 
-// put publishes a fully built hash join for the key at the version.
-func (c *dimCache) put(version uint64, key string, hj *engine.HashJoin) {
+// put publishes a fully built side for the key at the version.
+func (c *dimCache) put(version uint64, key string, side *dimSide) {
 	if c == nil {
 		return
 	}
@@ -117,7 +113,7 @@ func (c *dimCache) put(version uint64, key string, hj *engine.HashJoin) {
 	if len(c.entries) >= dimCacheCap {
 		c.entries = map[string]dimCacheEntry{}
 	}
-	c.entries[versionedKey(version, key)] = dimCacheEntry{hj: hj, version: version}
+	c.entries[versionedKey(version, key)] = dimCacheEntry{side: side, version: version}
 }
 
 // purge drops everything (design changes).

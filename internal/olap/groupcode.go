@@ -59,7 +59,7 @@ func (in *strInterner) code(v expr.Value) int32 {
 // interner per column — codes are per-column bijections, which is all
 // tuple identity needs).
 type groupCoder struct {
-	positions []int // layout positions of the coded group columns
+	positions []int // row positions of the coded group columns
 	resultIdx []int // their positions in the aggregator's output rows
 	interns   []*strInterner
 }
@@ -74,26 +74,17 @@ func newGroupCoder(p *starPlan) *groupCoder {
 	return g
 }
 
-// encode replaces the coded columns' string values with Int codes
-// (NULLs stay NULL and keep grouping with NULLs). When owned, rows
-// are mutated in place — they were allocated by this query's probe or
-// remap step; otherwise each row is copied first, because rows shared
-// with the page cache or a memory table must never be written.
-func (g *groupCoder) encode(rows [][]expr.Value, owned bool) [][]expr.Value {
-	for ri, row := range rows {
-		if !owned {
-			nr := make([]expr.Value, len(row))
-			copy(nr, row)
-			row = nr
-			rows[ri] = row
-		}
+// encode replaces the coded columns' string values with Int codes in
+// place (NULLs stay NULL and keep grouping with NULLs). The rows are
+// the probe's own slab, never page-cache or table memory.
+func (g *groupCoder) encode(rows [][]expr.Value) {
+	for _, row := range rows {
 		for i, pos := range g.positions {
 			if v := row[pos]; v.Kind() == expr.KindString {
 				row[pos] = expr.Int(int64(g.interns[i].code(v)))
 			}
 		}
 	}
-	return rows
 }
 
 // decode restores the original string values on the aggregated result

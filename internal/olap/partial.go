@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"quarry/internal/engine"
-	"quarry/internal/expr"
 	"quarry/internal/xlm"
 )
 
@@ -62,7 +61,7 @@ func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial
 	if err != nil {
 		return nil, err
 	}
-	joins, err := e.buildStarJoins(ctx, p, snap)
+	sides, err := e.buildDimSides(ctx, p, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -70,9 +69,7 @@ func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial
 	if err != nil {
 		return nil, err
 	}
-	if err := e.probeStar(ctx, p, snap, joins, func(cur [][]expr.Value, owned bool) error {
-		return agg.Add(cur)
-	}); err != nil {
+	if err := e.probeStar(ctx, p, snap, sides, agg.Add); err != nil {
 		return nil, err
 	}
 	return &Partial{

@@ -14,12 +14,13 @@ import (
 
 // The planner resolves a CubeQuery into a physical star plan shared by
 // both executors: which dimension tables to join (in the fact's
-// foreign-key order), which columns each join contributes, the final
-// row layout, and the positions of group keys, measures, filter
-// identifiers and dice columns within it. Because both executors
-// consume the same plan — same join order, same build projections,
-// same filter placement (after all joins), same aggregation input
-// order — their results are byte-identical by construction.
+// foreign-key order), which columns each join contributes, and the
+// columns the query actually reads — group keys, aggregate inputs,
+// filter identifiers, the dice carat — with their positions in the
+// fast path's rows. Because both executors consume the same plan —
+// same join order, same build projections, same filter placement
+// (after all joins), same aggregation input order — their results are
+// byte-identical by construction.
 
 // starJoin is one fact ⋈ dimension hash join of the plan.
 type starJoin struct {
@@ -30,10 +31,9 @@ type starJoin struct {
 	// never collides with the fact column of the same name.
 	keyAlias string
 	// buildCols are the dimension columns the join contributes, in
-	// dimension column order.
+	// dimension column order: exactly the columns of this dimension
+	// the query reads.
 	buildCols []string
-	// probeIdx is the position of fkCol in the probe-side layout.
-	probeIdx int
 	// preds are the filter conjuncts on this dimension's buildCols,
 	// pushed into the build-side scan as zone-map prune predicates.
 	// Pruned dimension rows only suppress joined rows the filter would
@@ -45,26 +45,57 @@ type starJoin struct {
 	predKey string
 }
 
-// dicePlan is the resolved diamond dice.
+// dicePlan is the resolved diamond dice. Its positions address the
+// rows it is handed: the planner resolves them against the oracle's
+// joined detail rows, the fast path re-addresses a copy to its own
+// narrower rows (at).
 type dicePlan struct {
 	fn         string // COUNT or SUM
 	caratCol   string // "" for COUNT
-	caratIdx   int    // position in layout; -1 for COUNT
+	caratIdx   int    // row position; -1 for COUNT
 	cols       []string
-	colIdx     []int // positions in layout
+	colIdx     []int // row positions
 	thresholds []float64
+}
+
+// at returns the dice addressed to rows whose columns sit at the
+// positions index gives them.
+func (d *dicePlan) at(index map[string]int) *dicePlan {
+	c := *d
+	c.colIdx = make([]int, len(d.cols))
+	for i, name := range d.cols {
+		c.colIdx[i] = index[name]
+	}
+	c.caratIdx = -1
+	if d.caratCol != "" {
+		c.caratIdx = index[d.caratCol]
+	}
+	return &c
+}
+
+// planCol locates one column the query reads.
+type planCol struct {
+	join int // index into starPlan.joins; -1 for a fact column
+	col  int // index into the join's buildCols, or into fact.Columns
 }
 
 // starPlan is the resolved physical plan of one cube query.
 type starPlan struct {
-	fact     *sqlgen.TableDef
-	joins    []*starJoin
-	layout   []string       // column names after all joins
-	index    map[string]int // name → first position in layout
+	fact  *sqlgen.TableDef
+	joins []*starJoin
+	// cols is the needed-column set: the fact columns the query reads
+	// (in fact order), then every join's buildCols (in join order).
+	// The fast path's rows hold exactly these — never the full joined
+	// layout, whose unread fact columns and key aliases only the
+	// oracle materialises. index, groupIdx and aggIdx are positions in
+	// such a row. Join keys are fact columns, read off the fact row
+	// itself, so they need no place in it.
+	cols     []planCol
+	index    map[string]int // name → position in cols
 	groupBy  []string       // resolved group columns (incl. roll-up keys)
 	groupIdx []int
 	aggs     []xlm.AggSpec
-	aggIdx   []int // layout positions; -1 for COUNT(*)
+	aggIdx   []int // -1 for COUNT(*)
 	filter   expr.Node
 	dice     *dicePlan
 	tables   []string // fact + joined dimension table names
@@ -214,11 +245,21 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		}
 		p.dice = d
 	}
-	// Layout starts as the fact columns; join every referenced
-	// dimension table, in foreign-key order.
+	// layout is the oracle's joined row (fact columns, then per join the
+	// key alias and the build columns); the fast path's narrower row
+	// (p.cols) is resolved beside it. Join every referenced dimension
+	// table, in foreign-key order.
+	var layout []string
 	available := map[string]bool{}
-	for _, c := range fact.Columns {
-		p.layout = append(p.layout, c.Name)
+	p.index = map[string]int{}
+	factCol := map[string]bool{}
+	for i, c := range fact.Columns {
+		layout = append(layout, c.Name)
+		factCol[c.Name] = true
+		if needed[c.Name] {
+			p.index[c.Name] = len(p.cols)
+			p.cols = append(p.cols, planCol{join: -1, col: i})
+		}
 		available[c.Name] = true
 	}
 	joined := map[string]bool{}
@@ -246,22 +287,16 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 			refCol:   fk.RefColumn,
 			keyAlias: "__key_" + fk.RefTable,
 		}
-		probeIdx := -1
-		for i, name := range p.layout {
-			if name == j.fkCol {
-				probeIdx = i
-				break
-			}
-		}
-		if probeIdx == -1 {
+		if !factCol[j.fkCol] {
 			return nil, fmt.Errorf("olap: fact %q lacks foreign-key column %q", fact.Name, j.fkCol)
 		}
-		j.probeIdx = probeIdx
-		p.layout = append(p.layout, j.keyAlias)
+		layout = append(layout, j.keyAlias)
 		for _, c := range dim.Columns {
 			if needed[c.Name] && !available[c.Name] {
+				p.index[c.Name] = len(p.cols)
+				p.cols = append(p.cols, planCol{join: len(p.joins), col: len(j.buildCols)})
 				j.buildCols = append(j.buildCols, c.Name)
-				p.layout = append(p.layout, c.Name)
+				layout = append(layout, c.Name)
 				available[c.Name] = true
 			}
 		}
@@ -279,14 +314,6 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		sort.Strings(missing)
 		return nil, fmt.Errorf("olap: columns %v not reachable from fact %q", missing, q.Fact)
 	}
-	// Position resolution over the final layout (first occurrence
-	// wins; layout names are unique by construction).
-	p.index = make(map[string]int, len(p.layout))
-	for i, name := range p.layout {
-		if _, dup := p.index[name]; !dup {
-			p.index[name] = i
-		}
-	}
 	p.groupIdx = make([]int, len(p.groupBy))
 	for i, g := range p.groupBy {
 		p.groupIdx[i] = p.index[g]
@@ -300,21 +327,17 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		p.aggIdx[i] = p.index[a.Col]
 	}
 	if p.dice != nil {
-		p.dice.colIdx = make([]int, len(p.dice.cols))
-		for i, c := range p.dice.cols {
-			p.dice.colIdx[i] = p.index[c]
+		// Layout names are unique by construction.
+		layoutIdx := make(map[string]int, len(layout))
+		for i, name := range layout {
+			layoutIdx[name] = i
 		}
-		p.dice.caratIdx = -1
-		if p.dice.caratCol != "" {
-			p.dice.caratIdx = p.index[p.dice.caratCol]
-		}
+		p.dice = p.dice.at(layoutIdx)
 	}
 	// Column types by name, scoped to the tables that physically hold
 	// each layout column (fact columns first, mirroring p.index).
 	colType := map[string]string{}
-	factCol := map[string]bool{}
 	for _, c := range fact.Columns {
-		factCol[c.Name] = true
 		colType[c.Name] = c.Type
 	}
 	owner := map[string]*starJoin{}

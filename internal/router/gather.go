@@ -212,10 +212,17 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "router: request body too large", http.StatusRequestEntityTooLarge)
 		return
 	}
+	ctx, cancel := withBudget(req)
+	defer cancel()
 	var lastSkew error
 	skewLeft, busyLeft := g.skewRetries, g.busyRetries
 	for {
-		results := g.scatter(req.Context(), body)
+		results := g.scatter(ctx, body, req.Header.Get(deadlineHeader))
+		// A spent budget first: the shards it cut off are not dead.
+		if budgetSpent(ctx) {
+			writeDeadlineExceeded(w, "shard gather")
+			return
+		}
 		// Dead shards first: a hole in the topology is an outage no
 		// amount of backoff fixes, so it wins over busyness elsewhere.
 		for i, r := range results {
@@ -248,8 +255,11 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 				return
 			}
 			busyLeft--
-			if !g.sleep(req.Context(), jittered(busyAfter)) {
-				// Client gone mid-backoff; nothing left to answer.
+			if !g.sleep(ctx, jittered(busyAfter)) {
+				if budgetSpent(ctx) {
+					writeDeadlineExceeded(w, "shard gather")
+				}
+				// Otherwise the client is gone; nothing left to answer.
 				return
 			}
 			continue
@@ -300,22 +310,25 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 // scatter fans the request body to every shard's partial endpoint
 // concurrently, retrying each shard up to g.attempts times on
 // transport errors and 5xx answers.
-func (g *ShardRouter) scatter(ctx context.Context, body []byte) []shardAttempt {
+func (g *ShardRouter) scatter(ctx context.Context, body []byte, budget string) []shardAttempt {
 	results := make([]shardAttempt, len(g.shards))
 	var wg sync.WaitGroup
 	for i, base := range g.shards {
 		wg.Add(1)
 		go func(i int, base string) {
 			defer wg.Done()
-			results[i] = g.askShard(ctx, base, body)
+			results[i] = g.askShard(ctx, base, body, budget)
 		}(i, base)
 	}
 	wg.Wait()
 	return results
 }
 
-// askShard posts the query body verbatim to one shard, with retries.
-func (g *ShardRouter) askShard(ctx context.Context, base string, body []byte) shardAttempt {
+// askShard posts the query body verbatim to one shard, with retries;
+// every attempt carries what is left of ctx's deadline as its budget
+// (or, when ctx has none, the client's deadline header as it came — a
+// malformed one is the shard's to refuse).
+func (g *ShardRouter) askShard(ctx context.Context, base string, body []byte, budget string) shardAttempt {
 	var last shardAttempt
 	for try := 0; try < g.attempts; try++ {
 		if err := ctx.Err(); err != nil {
@@ -326,6 +339,12 @@ func (g *ShardRouter) askShard(ctx context.Context, base string, body []byte) sh
 			return shardAttempt{err: err}
 		}
 		req.Header.Set("Content-Type", "application/json")
+		if budget != "" {
+			req.Header.Set(deadlineHeader, budget)
+		}
+		if !setRemainingBudget(ctx, req) {
+			return shardAttempt{err: context.DeadlineExceeded}
+		}
 		resp, err := g.client.Do(req)
 		if err != nil {
 			last = shardAttempt{err: err}
@@ -343,10 +362,13 @@ func (g *ShardRouter) askShard(ctx context.Context, base string, body []byte) sh
 			// an overloaded shard only deepens its backlog; the scatter
 			// loop decides whether to back off and retry the whole fleet.
 			return shardAttempt{busy: true, retryAfter: retryAfterOf(resp.Header), status: resp.StatusCode, body: respBody}
-		case resp.StatusCode >= 500:
+		case resp.StatusCode >= 500 && resp.StatusCode != http.StatusGatewayTimeout:
 			last = shardAttempt{err: fmt.Errorf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(respBody)))}
 			continue
 		case resp.StatusCode >= 400:
+			// The shard's own verdict on the query — a 504 included:
+			// the budget it was sent is spent, and retrying cannot
+			// bring it back.
 			return shardAttempt{status: resp.StatusCode, body: respBody}
 		}
 		var pr shard.PartialResponse

@@ -83,6 +83,59 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// deadlineHeader carries a client's latency budget for one query (a Go
+// duration or integer milliseconds; quarryd answers 504 once it is
+// spent). Both routers hold the budget to the moment THEY received the
+// request and send each attempt only what is left of it, so a backoff
+// sleep or a failed attempt spends the client's budget instead of
+// restarting it at the next backend.
+const deadlineHeader = "X-Quarry-Deadline"
+
+// withBudget bounds the request's context by its deadline header. A
+// header quarryd would refuse bounds nothing: it travels on verbatim
+// and the backend's 400 is the answer.
+func withBudget(req *http.Request) (context.Context, context.CancelFunc) {
+	h := strings.TrimSpace(req.Header.Get(deadlineHeader))
+	d, err := time.ParseDuration(h)
+	if ms, errMs := strconv.ParseInt(h, 10, 64); errMs == nil {
+		d, err = time.Duration(ms)*time.Millisecond, nil
+	}
+	if err != nil || d <= 0 {
+		return context.WithCancel(req.Context())
+	}
+	return context.WithTimeout(req.Context(), d)
+}
+
+// setRemainingBudget stamps an outgoing attempt with what is left of
+// ctx's deadline, in whole milliseconds rounded up (quarryd refuses a
+// zero budget); false means none is left.
+func setRemainingBudget(ctx context.Context, out *http.Request) bool {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		return true
+	}
+	left := time.Until(deadline)
+	if left <= 0 {
+		return false
+	}
+	ms := (left + time.Millisecond - 1) / time.Millisecond
+	out.Header.Set(deadlineHeader, strconv.FormatInt(int64(ms), 10))
+	return true
+}
+
+// budgetSpent reports whether ctx's deadline has passed — asked of the
+// clock, because ctx.Err() lags it by a timer.
+func budgetSpent(ctx context.Context) bool {
+	deadline, ok := ctx.Deadline()
+	return ok && time.Until(deadline) <= 0
+}
+
+// writeDeadlineExceeded answers a query whose budget ran out at the
+// router with the status quarryd uses for the same condition.
+func writeDeadlineExceeded(w http.ResponseWriter, who string) {
+	http.Error(w, who+": deadline exceeded: the "+deadlineHeader+" budget was spent before a backend answered", http.StatusGatewayTimeout)
+}
+
 // backend is one replica the router scatters over.
 type backend struct {
 	base    string
@@ -289,12 +342,19 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 	}
+	ctx, cancel := withBudget(req)
+	defer cancel()
 	var lastErr string
 	for pass := 0; ; pass++ {
 		sawBusy := false
 		busyAfter := defaultRetryAfter
 		for _, b := range r.candidates() {
-			status, hdr, respBody, err := r.forward(req, b, body)
+			status, hdr, respBody, err := r.forward(ctx, req, b, body)
+			if budgetSpent(ctx) || ctx.Err() != nil {
+				// The budget ran out (or the client left) mid-attempt:
+				// that says nothing about the backend's health.
+				break
+			}
 			if err != nil {
 				// Network-level failure: demote and try the next replica.
 				b.healthy.Store(false)
@@ -314,9 +374,10 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 				lastErr = fmt.Sprintf("%s: HTTP %d (busy)", b.base, status)
 				continue
 			}
-			if status >= 500 {
+			if status >= 500 && status != http.StatusGatewayTimeout {
 				// The replica answered but is unwell (e.g. mid-restart).
 				// Its response is not the query's answer — demote, retry.
+				// (A 504 is: the query's budget is spent.)
 				b.healthy.Store(false)
 				lastErr = fmt.Sprintf("%s: HTTP %d", b.base, status)
 				continue
@@ -328,6 +389,10 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			}
 			w.WriteHeader(status)
 			w.Write(respBody)
+			return
+		}
+		if budgetSpent(ctx) {
+			writeDeadlineExceeded(w, "router")
 			return
 		}
 		if !sawBusy {
@@ -346,8 +411,11 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, "router: all replicas busy (shedding), retry later: "+lastErr, http.StatusTooManyRequests)
 			return
 		}
-		if !r.sleep(req.Context(), jittered(busyAfter)) {
-			// Client gone mid-backoff; nothing left to answer.
+		if !r.sleep(ctx, jittered(busyAfter)) {
+			if budgetSpent(ctx) {
+				writeDeadlineExceeded(w, "router")
+			}
+			// Otherwise the client is gone; nothing left to answer.
 			return
 		}
 	}
@@ -357,8 +425,8 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request) {
 // forward sends one attempt to one backend and returns the full
 // response (buffered: a response we cannot finish reading must not be
 // half-streamed to the client, or the retry would corrupt it).
-func (r *Router) forward(req *http.Request, b *backend, body []byte) (int, http.Header, []byte, error) {
-	out, err := http.NewRequestWithContext(req.Context(), req.Method, b.base+req.URL.RequestURI(), strings.NewReader(string(body)))
+func (r *Router) forward(ctx context.Context, req *http.Request, b *backend, body []byte) (int, http.Header, []byte, error) {
+	out, err := http.NewRequestWithContext(ctx, req.Method, b.base+req.URL.RequestURI(), strings.NewReader(string(body)))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -366,6 +434,9 @@ func (r *Router) forward(req *http.Request, b *backend, body []byte) (int, http.
 		for _, v := range vs {
 			out.Header.Add(k, v)
 		}
+	}
+	if !setRemainingBudget(ctx, out) {
+		return 0, nil, nil, context.DeadlineExceeded
 	}
 	resp, err := r.client.Do(out)
 	if err != nil {
