@@ -4,18 +4,20 @@ import (
 	"fmt"
 
 	"quarry/internal/expr"
+	"quarry/internal/xlm"
 )
 
-// Partial aggregation: the scatter-gather path runs the normal
-// aggregation kernel on every shard, exports each shard's pre-
-// finalisation group states (AggPartial), ships them, and Absorbs
-// them into a fresh kernel on the gather side. Finalisation
-// (aggregationOp.result) then runs exactly once, over merged states
-// that are value-identical to what a single node folding all rows
-// would hold — COUNT/int-SUM by integer addition, float SUM by exact
-// expansion merge (FloatSum), MIN/MAX by the same Compare the fold
-// uses — so the gathered answer is byte-identical to the single-node
-// one by construction.
+// Partial aggregation: the normal aggregation kernel runs over some
+// partition of the rows — a shard's fact partition on the
+// scatter-gather path, the groups of a finer materialized aggregate in
+// the OLAP store — and exports its pre-finalisation group states
+// (AggPartial). FinalizePartials Absorbs any number of such exports
+// into a fresh kernel and finalises (aggregationOp.result) exactly
+// once, over merged states that are value-identical to what a single
+// node folding all rows would hold — COUNT/int-SUM by integer
+// addition, float SUM by exact expansion merge (FloatSum), MIN/MAX by
+// the same Compare the fold uses — so the merged answer is
+// byte-identical to the single-node one by construction.
 
 // MeasurePartial is one aggregate's mergeable state for one group.
 type MeasurePartial struct {
@@ -136,4 +138,32 @@ func (o *aggregationOp) findOrCreate(group []expr.Value) *aggState {
 	}
 	o.states[h] = append(o.states[h], st)
 	return st
+}
+
+// FinalizePartials merges exported partial states and finalises them
+// once: a fresh kernel Absorbs every batch in argument order, Result
+// finalises, and the rows are sorted by their group columns exactly
+// like the single-node executors sort theirs. Each partial carries
+// groupCols group values followed by one state per aggregate of aggs
+// (only Func is read). It is the one place partial states become an
+// answer — the shard gather and the materialized-aggregate store both
+// end here. A global aggregate (groupCols == 0) over no partials still
+// yields its single COUNT 0 / NULL row.
+func FinalizePartials(groupCols int, aggs []xlm.AggSpec, parts ...[]AggPartial) ([][]expr.Value, error) {
+	groupIdx := make([]int, groupCols)
+	for i := range groupIdx {
+		groupIdx[i] = i
+	}
+	// Aggregate input positions are unused on the absorb path, so 0
+	// stands in for every one of them.
+	agg, err := NewHashAggregator(groupIdx, aggs, make([]int, len(aggs)))
+	if err != nil {
+		return nil, err
+	}
+	for _, ps := range parts {
+		if err := agg.Absorb(ps); err != nil {
+			return nil, err
+		}
+	}
+	return SortRowsBy(agg.Result(), groupIdx), nil
 }

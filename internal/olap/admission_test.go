@@ -10,6 +10,7 @@ package olap
 import (
 	"testing"
 
+	"quarry/internal/engine"
 	"quarry/internal/expr"
 )
 
@@ -17,7 +18,7 @@ import (
 func entry(key string, rows int, bytes int64, benefit float64) *matEntry {
 	return &matEntry{
 		pat:     &aggPattern{key: key},
-		rows:    rows,
+		rows:    make([][]expr.Value, rows),
 		bytes:   bytes,
 		benefit: benefit,
 	}
@@ -100,17 +101,39 @@ func TestAdmitDeterministicTieBreak(t *testing.T) {
 	assertKeys(t, keep, "x")
 }
 
-// TestEstimateBytesCharging: rows are charged per value plus string
-// content, so a wide string row costs more than a numeric one — the
-// property benefit-per-byte ranking relies on.
+// TestEstimateBytesCharging: an entry is charged for both halves of
+// its representation — the partial states and the rows finalised from
+// them — per value plus string content (group keys and MIN/MAX states
+// alike) plus float-sum expansion words, so a wide string entry costs
+// more than a numeric one: the property benefit-per-byte ranking relies
+// on.
 func TestEstimateBytesCharging(t *testing.T) {
-	numeric := [][]expr.Value{{expr.Int(1), expr.Float(2)}}
-	stringy := [][]expr.Value{{expr.Str("a-rather-long-group-key"), expr.Float(2)}}
-	n, s := estimateBytes(numeric), estimateBytes(stringy)
+	entryOf := func(key expr.Value, m engine.MeasurePartial, final expr.Value) ([]engine.AggPartial, [][]expr.Value) {
+		return []engine.AggPartial{{Group: []expr.Value{key}, Measures: []engine.MeasurePartial{m}}},
+			[][]expr.Value{{key, final}}
+	}
+	sum := engine.MeasurePartial{Count: 2, SumParts: []float64{2}}
+	numParts, numRows := entryOf(expr.Int(1), sum, expr.Float(2))
+	strParts, strRows := entryOf(expr.Str("a-rather-long-group-key"), sum, expr.Float(2))
+	n, s := estimateBytes(numParts, numRows), estimateBytes(strParts, strRows)
 	if n <= 0 || s <= n {
 		t.Fatalf("estimateBytes: numeric=%d stringy=%d, want 0 < numeric < stringy", n, s)
 	}
-	if got := estimateBytes(nil); got != 0 {
-		t.Fatalf("estimateBytes(nil) = %d, want 0", got)
+	if rowsOnly, partsOnly := estimateBytes(nil, numRows), estimateBytes(numParts, nil); rowsOnly <= 0 || partsOnly <= 0 || rowsOnly+partsOnly != n {
+		t.Fatalf("estimateBytes: rows=%d + partials=%d, want both charged and summing to %d", rowsOnly, partsOnly, n)
+	}
+	wide := sum
+	wide.SumParts = []float64{1e100, 1, 1e-100}
+	wideParts, _ := entryOf(expr.Int(1), wide, expr.Float(2))
+	if w := estimateBytes(wideParts, numRows); w <= n {
+		t.Fatalf("estimateBytes: a 3-word expansion costs %d, no more than the 1-word %d", w, n)
+	}
+	minStr := engine.MeasurePartial{Count: 2, Min: expr.Str("a-rather-long-minimum")}
+	minParts, _ := entryOf(expr.Int(1), minStr, expr.Float(2))
+	if got, bare := estimateBytes(minParts, nil), estimateBytes(numParts, nil); got <= bare-8 {
+		t.Fatalf("estimateBytes: string MIN state costs %d, numeric state %d: string content not charged", got, bare)
+	}
+	if got := estimateBytes(nil, nil); got != 0 {
+		t.Fatalf("estimateBytes(nil, nil) = %d, want 0", got)
 	}
 }

@@ -41,81 +41,57 @@ func TestQueryContextCancelled(t *testing.T) {
 	}
 }
 
-// TestMatAggUnservablePatternRejectedAtAdmission pins the admission
-// gate: a pattern widened by filter identifiers whose measures cannot
-// be re-aggregated exactly (float SUM) can never answer the query
-// that logged it, so it must not burn a top-K materialization slot —
-// and the freed slot must go to a servable pattern instead, even a
-// much colder one.
-func TestMatAggUnservablePatternRejectedAtAdmission(t *testing.T) {
+// TestMatAggFilterWidenedFloatSumServed inverts the PR 6 admission
+// gate. A float SUM whose filter reads a column it does not group by
+// logs a pattern finer than the query, so its own entry can only
+// answer it by merging groups — which the store once could not do
+// exactly for float sums, and therefore refused to log at all. Entries
+// now hold the kernel's partial states and merge them with the exact
+// algebra the shard gather uses: the pattern is logged, takes the only
+// slot, and serves its generating query — and the same query under
+// another literal — byte-identically to the oracle.
+func TestMatAggFilterWidenedFloatSumServed(t *testing.T) {
 	p, _ := platformWith(t, 3, 42, tpch.RevenueRequirement())
 	e, err := p.OLAP()
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := olap.NewMatAgg(1) // a single slot: admission decides everything
+	m := olap.NewMatAgg(1)
 	e = e.WithMatAgg(m)
-
-	// Unservable: the filter identifier (n_name) widens the pattern
-	// beyond the query's group-by, so the entry could only serve its
-	// generating query by re-aggregation — which float SUM forbids.
-	unservable := olap.CubeQuery{
+	widened := olap.CubeQuery{
 		Fact:     "fact_table_revenue",
 		GroupBy:  []string{"p_brand"},
 		Filter:   "n_name = 'SPAIN'",
 		Measures: []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "revenue"}},
 	}
-	// Servable: exact granularity, no widening — a projection answer.
-	servable := olap.CubeQuery{
-		Fact:     "fact_table_revenue",
-		GroupBy:  []string{"n_name"},
-		Measures: []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "revenue"}},
-	}
-	// Make the unservable pattern by far the hottest.
 	for i := 0; i < 8; i++ {
-		if _, err := e.Query(unservable); err != nil {
+		if _, err := e.Query(widened); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := e.Query(servable); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := m.Refresh(e); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.UnservableRejected == 0 {
-		t.Fatalf("unservable pattern was admitted to the log: %+v", st)
+	if st.Patterns == 0 || st.Materialized != 1 {
+		t.Fatalf("filter-widened float-SUM pattern not logged and materialized: %+v", st)
 	}
-	if st.Materialized == 0 {
-		t.Fatalf("nothing materialized — the freed slot went unused: %+v", st)
+	for _, filter := range []string{"n_name = 'SPAIN'", "n_name != 'SPAIN'", "n_name = 'SPAIN' AND p_brand > 'Brand#3'"} {
+		q := widened
+		q.Filter = filter
+		before := m.Stats()
+		fast, err := e.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, err := e.QueryStarFlow(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, "filter-widened float SUM ("+filter+")", fast, oracle)
+		after := m.Stats()
+		if after.Rewrites != before.Rewrites+1 || after.Misses != before.Misses {
+			t.Fatalf("filter %q not served by merging the finer entry: %+v → %+v", filter, before, after)
+		}
 	}
-
-	// The single slot must hold the SERVABLE pattern: repeating its
-	// query is an aggregate hit, byte-identical to the oracle.
-	before := m.Stats()
-	fast, err := e.Query(servable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := e.QueryStarFlow(servable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "servable pattern in freed slot", fast, oracle)
-	if after := m.Stats(); after.Hits != before.Hits+1 {
-		t.Fatalf("servable pattern did not take the freed slot: hits %d → %d (stats %+v)",
-			before.Hits, after.Hits, after)
-	}
-
-	// And the unservable query keeps its correct base-path answer.
-	fast, err = e.Query(unservable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err = e.QueryStarFlow(unservable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "unservable query on base path", fast, oracle)
 }

@@ -372,11 +372,7 @@ func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapsh
 	if coder != nil {
 		coder.decode(rows)
 	}
-	sortIdx := make([]int, len(p.groupBy))
-	for i := range sortIdx {
-		sortIdx[i] = i
-	}
-	rows = engine.SortRowsBy(rows, sortIdx)
+	rows = engine.SortRowsBy(rows, leading(len(p.groupBy)))
 	class := ClassFast
 	if p.dice != nil {
 		class = ClassDice

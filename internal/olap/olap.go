@@ -34,12 +34,12 @@
 //
 // A third answer source sits in front of both when enabled: the
 // adaptive materialized-aggregate store (matagg.go) observes the
-// query log, materializes the hottest granularities into detached
-// DB-version-keyed tables, and rewrites covered queries onto the
-// coarsest usable aggregate — still byte-identical, because rewrites
-// are pure projections or exactness-gated re-aggregations through
-// the same kernels. Every republish bumps the DB version and thereby
-// invalidates all of it implicitly.
+// query log, materializes the hottest granularities as DB-version-keyed
+// partial aggregation states, and rewrites covered queries onto the
+// coarsest usable aggregate — still byte-identical, because a rewrite
+// merges the kernel's own states with the exact algebra the shard
+// gather uses (engine.FinalizePartials). Every republish bumps the DB
+// version and thereby invalidates all of it implicitly.
 //
 // The layer reads the warehouse exclusively through
 // storage.Snapshot/TableView cursors, so it is oblivious to the

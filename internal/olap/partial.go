@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"quarry/internal/engine"
+	"quarry/internal/storage"
 	"quarry/internal/xlm"
 )
 
@@ -61,6 +62,25 @@ func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial
 	if err != nil {
 		return nil, err
 	}
+	groups, err := e.partialOn(ctx, p, snap)
+	if err != nil {
+		return nil, err
+	}
+	return &Partial{
+		Columns:   p.resultColumns(),
+		GroupCols: len(p.groupBy),
+		Aggs:      p.aggs,
+		Groups:    groups,
+		Version:   snap.Version(),
+	}, nil
+}
+
+// partialOn runs a dice-free plan's build and probe phases over a
+// snapshot and returns the aggregation kernel's pre-finalisation group
+// states, in first-seen order. The shard partial answer and every
+// materialized aggregate are made here, so both hold the same states a
+// single node folding the same rows would finalise.
+func (e *Engine) partialOn(ctx context.Context, p *starPlan, snap *storage.Snapshot) ([]engine.AggPartial, error) {
 	sides, err := e.buildDimSides(ctx, p, snap)
 	if err != nil {
 		return nil, err
@@ -72,11 +92,5 @@ func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial
 	if err := e.probeStar(ctx, p, snap, sides, agg.Add); err != nil {
 		return nil, err
 	}
-	return &Partial{
-		Columns:   p.resultColumns(),
-		GroupCols: len(p.groupBy),
-		Aggs:      p.aggs,
-		Groups:    agg.Partials(),
-		Version:   snap.Version(),
-	}, nil
+	return agg.Partials(), nil
 }

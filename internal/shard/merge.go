@@ -25,11 +25,12 @@ var ErrEpochSkew = errors.New("shard: partial answers disagree on epoch or topol
 // determinism everywhere keeps debugging sane.
 //
 // Correctness: each shard's partial states are the kernel's own
-// pre-finalisation states over its partition; Absorb merges them with
-// the kernel's own algebra (exact float expansions included), and
-// Result + sort finalise once. The output is therefore byte-identical
-// to a single node that folded every row — see the property suite in
-// internal/olap and the e2e battery in internal/server.
+// pre-finalisation states over its partition; engine.FinalizePartials
+// merges them with the kernel's own algebra (exact float expansions
+// included) and finalises and sorts once. The output is therefore
+// byte-identical to a single node that folded every row — see the
+// property suite in internal/olap and the e2e battery in
+// internal/server.
 func Merge(resps []*PartialResponse) (columns []string, rows [][]expr.Value, epoch uint64, err error) {
 	if len(resps) == 0 {
 		return nil, nil, 0, fmt.Errorf("shard: no partial answers to merge")
@@ -52,32 +53,19 @@ func Merge(resps []*PartialResponse) (columns []string, rows [][]expr.Value, epo
 			return nil, nil, 0, err
 		}
 	}
-	// Merge aggregator: group keys are the first GroupCols positions of
-	// the (virtual) partial rows; aggregate input positions are unused
-	// on the absorb path, so 0 stands in.
-	groupIdx := make([]int, first.GroupCols)
-	for i := range groupIdx {
-		groupIdx[i] = i
-	}
 	aggs := make([]xlm.AggSpec, len(first.Aggs))
-	aggIdx := make([]int, len(first.Aggs))
 	for i, a := range first.Aggs {
 		aggs[i] = xlm.AggSpec{Func: a.Func, Out: a.Out}
 	}
-	agg, err := engine.NewHashAggregator(groupIdx, aggs, aggIdx)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("shard: building merge aggregator: %w", err)
-	}
-	for _, r := range resps {
-		groups, err := r.DecodeGroups()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if err := agg.Absorb(groups); err != nil {
+	parts := make([][]engine.AggPartial, len(resps))
+	for i, r := range resps {
+		if parts[i], err = r.DecodeGroups(); err != nil {
 			return nil, nil, 0, err
 		}
 	}
-	rows = engine.SortRowsBy(agg.Result(), groupIdx)
+	if rows, err = engine.FinalizePartials(first.GroupCols, aggs, parts...); err != nil {
+		return nil, nil, 0, fmt.Errorf("shard: merging partial answers: %w", err)
+	}
 	return first.Columns, rows, first.Epoch, nil
 }
 

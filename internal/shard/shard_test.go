@@ -332,7 +332,10 @@ func TestMergeByteIdentity(t *testing.T) {
 
 // Global aggregate (no GROUP BY) over zero rows: every shard exports
 // zero groups and the merge must inject the single zero-row exactly
-// once — not once per shard, not zero times.
+// once — not once per shard, not zero times. The same holds one level
+// down, where the materialized-aggregate store hands
+// engine.FinalizePartials the groups its filter loop kept: a global
+// aggregate whose every group was filtered out is one empty batch.
 func TestMergeGlobalAggregateZeroRows(t *testing.T) {
 	columns := []string{"n", "total"}
 	aggs := []xlm.AggSpec{{Out: "n", Func: "COUNT"}, {Out: "total", Func: "SUM"}}
@@ -347,15 +350,21 @@ func TestMergeGlobalAggregateZeroRows(t *testing.T) {
 			t.Fatalf("shard %d exported %d groups for zero rows", s, len(resps[s].Groups))
 		}
 	}
-	_, rows, _, err := Merge(resps)
+	_, merged, _, err := Merge(resps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("global aggregate over zero rows: %d rows, want 1", len(rows))
+	filteredOut, err := engine.FinalizePartials(0, aggs, []engine.AggPartial{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rows[0][0].String() != "0" || !rows[0][1].IsNull() {
-		t.Fatalf("zero-row result = %v, want [0 NULL]", rows[0])
+	for name, rows := range map[string][][]expr.Value{"three empty shards": merged, "every group filtered out": filteredOut} {
+		if len(rows) != 1 {
+			t.Fatalf("%s: global aggregate over zero rows: %d rows, want 1", name, len(rows))
+		}
+		if rows[0][0].String() != "0" || !rows[0][1].IsNull() {
+			t.Fatalf("%s: zero-row result = %v, want [0 NULL]", name, rows[0])
+		}
 	}
 }
 
