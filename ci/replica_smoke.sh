@@ -102,6 +102,17 @@ primary: $ref
 
 check_identity "initial fleet"
 
+# The routers do not judge a deadline header: one quarryd cannot read
+# travels on, and the replica's 400 is the answer — whether or not the
+# replica holds the query's result (a cached answer used to win).
+log "checking a malformed X-Quarry-Deadline is refused through the router, result cached or not"
+UNCACHED_BODY='{"fact":"fact_table_revenue","group_by":["n_name"],"measures":[{"out":"n","func":"COUNT"}]}'
+for body in "$UNCACHED_BODY" "$OLAP_BODY"; do # never asked; then cached on both replicas by check_identity
+    code="$(curl -s -o /dev/null -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+        -H 'X-Quarry-Deadline: banana' -d "$body" "http://localhost:$ROUTER_PORT/api/olap")"
+    [ "$code" = "400" ] || die "malformed deadline through the router = $code, want 400 (body: $body)"
+done
+
 log "republishing on the primary (second ETL run) and waiting for the replicas to follow"
 curl -fsS -X POST "http://localhost:$PRIMARY_PORT/api/run" >/dev/null
 NEW_VERSION="$(curl -fsS "http://localhost:$PRIMARY_PORT/api/health" |

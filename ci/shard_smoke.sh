@@ -135,6 +135,12 @@ code="$(curl -s -o /tmp/dice_body -w '%{http_code}' -X POST -H 'Content-Type: ap
 [ "$code" = "422" ] || die "diced query through the gather = $code, want 422 ($(cat /tmp/dice_body))"
 grep -q "not distributive" /tmp/dice_body || die "dice rejection reason missing: $(cat /tmp/dice_body)"
 
+log "checking a malformed X-Quarry-Deadline comes back as the shard's own 400"
+code="$(curl -s -o /tmp/deadline_body -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    -H 'X-Quarry-Deadline: banana' -d "${QUERIES[0]}" "http://localhost:$GATHER_PORT/api/olap")"
+[ "$code" = "400" ] || die "malformed deadline through the gather = $code, want 400 ($(cat /tmp/deadline_body))"
+grep -q "X-Quarry-Deadline" /tmp/deadline_body || die "the shard's refusal was not forwarded verbatim: $(cat /tmp/deadline_body)"
+
 log "checking design/load operations are refused at the gather"
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://localhost:$GATHER_PORT/api/run")"
 [ "$code" = "403" ] || die "POST /api/run on the gather = $code, want 403"

@@ -77,29 +77,33 @@ import (
 	"quarry/internal/xrq"
 )
 
+// The flag set, shared by both roles (primary/shard and replica).
+var (
+	addr            = flag.String("addr", ":8080", "listen address")
+	sf              = flag.Float64("sf", 10, "micro-TPC-H scale factor")
+	seed            = flag.Int64("seed", 42, "data generator seed")
+	store           = flag.String("store", "", "metadata repository directory (empty: in-memory)")
+	dataDir         = flag.String("data-dir", "", "disk-backed warehouse directory (empty: in-memory); reopening recovers the committed tables and skips generation")
+	compact         = flag.Bool("compact", false, "compact the recovered warehouse before serving (merges delta segments; rewrites legacy format-1 segments into compressed format 2)")
+	parallelism     = flag.Int("parallelism", 0, "ETL engine worker pool size (0: GOMAXPROCS)")
+	batchSize       = flag.Int("batch-size", 0, "ETL engine rows per batch (0: engine default)")
+	olapConc        = flag.Int("olap-concurrency", 0, "max concurrent OLAP queries (0: 2×GOMAXPROCS)")
+	olapCache       = flag.Int("olap-cache", 256, "OLAP result cache capacity (negative disables)")
+	sloTarget       = flag.Duration("slo-target", 0, "latency SLO the admission controller defends: requests whose projected queue wait blows it are shed with 429 + Retry-After (0 disables shedding)")
+	shedPolicy      = flag.String("shed-policy", server.PolicyExpensiveFirst, "how to refuse work past the SLO: expensive-first (costly classes shed at lower backlog), fair (class-blind), off")
+	defaultDeadline = flag.Duration("default-deadline", 0, "per-query deadline when the client sends no X-Quarry-Deadline header; expiry answers 504 (0: no server-side deadline)")
+	matagg          = flag.Bool("matagg", true, "materialize hot OLAP aggregates (adaptive, version-keyed)")
+	mataggTopK      = flag.Int("matagg-top-k", 8, "materialized aggregates kept per refresh")
+	mataggBudget    = flag.Int64("matagg-budget-bytes", 0, "byte budget for materialized aggregates; candidates admitted by benefit per byte (0: unlimited, benefit-ranked)")
+	replicaOf       = flag.String("replica-of", "", "primary base URL (e.g. http://primary:8080); start as a read replica of it")
+	replicaDir      = flag.String("replica-dir", "", "with -replica-of: ship segments by reading this shared directory (the primary's -data-dir) instead of the primary's HTTP replication endpoints")
+	replicaInterval = flag.Duration("replica-interval", time.Second, "with -replica-of: how often to poll the primary for new commits")
+	shards          = flag.Int("shards", 0, "total shard count of a hash-partitioned warehouse (0: not sharded)")
+	shardIndex      = flag.Int("shard-index", 0, "this node's shard index in [0,shards)")
+	debugAddr       = flag.String("debug-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 (empty: off)")
+)
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	sf := flag.Float64("sf", 10, "micro-TPC-H scale factor")
-	seed := flag.Int64("seed", 42, "data generator seed")
-	store := flag.String("store", "", "metadata repository directory (empty: in-memory)")
-	dataDir := flag.String("data-dir", "", "disk-backed warehouse directory (empty: in-memory); reopening recovers the committed tables and skips generation")
-	compact := flag.Bool("compact", false, "compact the recovered warehouse before serving (merges delta segments; rewrites legacy format-1 segments into compressed format 2)")
-	parallelism := flag.Int("parallelism", 0, "ETL engine worker pool size (0: GOMAXPROCS)")
-	batchSize := flag.Int("batch-size", 0, "ETL engine rows per batch (0: engine default)")
-	olapConc := flag.Int("olap-concurrency", 0, "max concurrent OLAP queries (0: 2×GOMAXPROCS)")
-	olapCache := flag.Int("olap-cache", 256, "OLAP result cache capacity (negative disables)")
-	sloTarget := flag.Duration("slo-target", 0, "latency SLO the admission controller defends: requests whose projected queue wait blows it are shed with 429 + Retry-After (0 disables shedding)")
-	shedPolicy := flag.String("shed-policy", server.PolicyExpensiveFirst, "how to refuse work past the SLO: expensive-first (costly classes shed at lower backlog), fair (class-blind), off")
-	defaultDeadline := flag.Duration("default-deadline", 0, "per-query deadline when the client sends no X-Quarry-Deadline header; expiry answers 504 (0: no server-side deadline)")
-	matagg := flag.Bool("matagg", true, "materialize hot OLAP aggregates (adaptive, version-keyed)")
-	mataggTopK := flag.Int("matagg-top-k", 8, "materialized aggregates kept per refresh")
-	mataggBudget := flag.Int64("matagg-budget-bytes", 0, "byte budget for materialized aggregates; candidates admitted by benefit per byte (0: unlimited, benefit-ranked)")
-	replicaOf := flag.String("replica-of", "", "primary base URL (e.g. http://primary:8080); start as a read replica of it")
-	replicaDir := flag.String("replica-dir", "", "with -replica-of: ship segments by reading this shared directory (the primary's -data-dir) instead of the primary's HTTP replication endpoints")
-	replicaInterval := flag.Duration("replica-interval", time.Second, "with -replica-of: how often to poll the primary for new commits")
-	shards := flag.Int("shards", 0, "total shard count of a hash-partitioned warehouse (0: not sharded)")
-	shardIndex := flag.Int("shard-index", 0, "this node's shard index in [0,shards)")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 (empty: off)")
 	flag.Parse()
 	debugsrv.Start("quarryd", *debugAddr)
 
@@ -118,29 +122,13 @@ func main() {
 	}
 
 	if *replicaOf != "" {
-		runReplica(*addr, *dataDir, *replicaOf, *replicaDir, *replicaInterval, replicaConfig{
-			store: *store, sf: *sf, parallelism: *parallelism, batchSize: *batchSize,
-			olapConc: *olapConc, olapCache: *olapCache, matagg: *matagg, mataggTopK: *mataggTopK,
-			mataggBudget: *mataggBudget,
-			sloTarget:    *sloTarget, shedPolicy: *shedPolicy, defaultDeadline: *defaultDeadline,
-		})
+		runReplica()
 		return
 	}
 
-	onto, err := tpch.Ontology()
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
-	mapg, err := tpch.Mapping()
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
-	cat, err := tpch.Catalog(*sf)
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
 	var db *storage.DB
 	if *dataDir != "" {
+		var err error
 		if db, err = storage.Open(*dataDir); err != nil {
 			log.Fatalf("quarryd: %v", err)
 		}
@@ -171,27 +159,7 @@ func main() {
 			log.Fatalf("quarryd: checkpointing %s: %v", *dataDir, err)
 		}
 	}
-	topK := 0
-	if *matagg {
-		topK = *mataggTopK
-	}
-	p, err := core.New(core.Config{
-		Ontology: onto, Mapping: mapg, Catalog: cat, DB: db, StoreDir: *store,
-		Engine:            engine.Options{Parallelism: *parallelism, BatchSize: *batchSize},
-		MatAggTopK:        topK,
-		MatAggBudgetBytes: *mataggBudget,
-		Shard:             shardSpec,
-	})
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
-	srv := server.NewWithOptions(p, server.Options{
-		OLAPConcurrency: *olapConc,
-		OLAPCacheSize:   *olapCache,
-		SLOTarget:       *sloTarget,
-		ShedPolicy:      *shedPolicy,
-		DefaultDeadline: *defaultDeadline,
-	})
+	srv := server.NewWithOptions(newPlatform(db, shardSpec), serverOptions())
 	if *sloTarget > 0 {
 		log.Printf("quarryd: admission control on: SLO %s, policy %s", *sloTarget, *shedPolicy)
 	}
@@ -216,40 +184,70 @@ func main() {
 	}
 }
 
-// replicaConfig carries the serving knobs a replica shares with a
-// primary (engine sizing, OLAP concurrency/cache, matagg).
-type replicaConfig struct {
-	store           string
-	sf              float64
-	parallelism     int
-	batchSize       int
-	olapConc        int
-	olapCache       int
-	matagg          bool
-	mataggTopK      int
-	mataggBudget    int64
-	sloTarget       time.Duration
-	shedPolicy      string
-	defaultDeadline time.Duration
+// newPlatform builds the platform of either role over its warehouse:
+// the micro-TPC-H domain (ontology, mapping, catalog at -sf) and the
+// engine and materialized-aggregate sizing from the flags.
+func newPlatform(db *storage.DB, shardSpec shard.Spec) *core.Platform {
+	onto, err := tpch.Ontology()
+	if err != nil {
+		log.Fatalf("quarryd: %v", err)
+	}
+	mapg, err := tpch.Mapping()
+	if err != nil {
+		log.Fatalf("quarryd: %v", err)
+	}
+	cat, err := tpch.Catalog(*sf)
+	if err != nil {
+		log.Fatalf("quarryd: %v", err)
+	}
+	topK := 0
+	if *matagg {
+		topK = *mataggTopK
+	}
+	p, err := core.New(core.Config{
+		Ontology: onto, Mapping: mapg, Catalog: cat, DB: db, StoreDir: *store,
+		Engine:            engine.Options{Parallelism: *parallelism, BatchSize: *batchSize},
+		MatAggTopK:        topK,
+		MatAggBudgetBytes: *mataggBudget,
+		Shard:             shardSpec,
+	})
+	if err != nil {
+		log.Fatalf("quarryd: %v", err)
+	}
+	return p
+}
+
+// serverOptions is the serving posture both roles share (OLAP
+// concurrency/cache, admission control, deadline); a replica adds its
+// read-only half on top.
+func serverOptions() server.Options {
+	return server.Options{
+		OLAPConcurrency: *olapConc,
+		OLAPCacheSize:   *olapCache,
+		SLOTarget:       *sloTarget,
+		ShedPolicy:      *shedPolicy,
+		DefaultDeadline: *defaultDeadline,
+	}
 }
 
 // runReplica starts quarryd as a read replica: ship the primary's
-// committed segments into dataDir, replay its requirement designs to
+// committed segments into -data-dir, replay its requirement designs to
 // rebuild the unified OLAP view, and serve reads from the local
 // snapshot stack. The node never generates data, never deploys, and
 // never runs ETL — every byte of warehouse state arrives through the
 // manifest-shipping protocol, and every write endpoint answers 403.
-func runReplica(addr, dataDir, primary, sharedDir string, interval time.Duration, cfg replicaConfig) {
-	if dataDir == "" {
+func runReplica() {
+	primary, interval := *replicaOf, *replicaInterval
+	if *dataDir == "" {
 		log.Fatalf("quarryd: -replica-of requires -data-dir (replicas keep a local disk copy of the shipped segments)")
 	}
-	db, err := storage.Open(dataDir)
+	db, err := storage.Open(*dataDir)
 	if err != nil {
 		log.Fatalf("quarryd: %v", err)
 	}
 	var src replication.Source
-	if sharedDir != "" {
-		src = &replication.DirSource{Dir: sharedDir}
+	if *replicaDir != "" {
+		src = &replication.DirSource{Dir: *replicaDir}
 	} else {
 		src = &replication.HTTPSource{Base: primary}
 	}
@@ -262,56 +260,19 @@ func runReplica(addr, dataDir, primary, sharedDir string, interval time.Duration
 	// data (segments + manifest), then the designs. Both retry until the
 	// primary is reachable — a replica is typically started while the
 	// primary is still warming up.
-	for {
-		if _, err := syncer.Sync(ctx); err != nil {
-			log.Printf("quarryd: initial sync from %s: %v (retrying)", primary, err)
+	untilDone := func(what string, step func() error) {
+		for err := step(); err != nil; err = step() {
+			log.Printf("quarryd: %s from %s: %v (retrying)", what, primary, err)
 			time.Sleep(interval)
-			continue
 		}
-		break
 	}
-	onto, err := tpch.Ontology()
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
-	mapg, err := tpch.Mapping()
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
-	cat, err := tpch.Catalog(cfg.sf)
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
-	topK := 0
-	if cfg.matagg {
-		topK = cfg.mataggTopK
-	}
-	p, err := core.New(core.Config{
-		Ontology: onto, Mapping: mapg, Catalog: cat, DB: db, StoreDir: cfg.store,
-		Engine:            engine.Options{Parallelism: cfg.parallelism, BatchSize: cfg.batchSize},
-		MatAggTopK:        topK,
-		MatAggBudgetBytes: cfg.mataggBudget,
-	})
-	if err != nil {
-		log.Fatalf("quarryd: %v", err)
-	}
-	for {
-		if err := reconcileDesigns(ctx, p, primary); err != nil {
-			log.Printf("quarryd: replaying designs from %s: %v (retrying)", primary, err)
-			time.Sleep(interval)
-			continue
-		}
-		break
-	}
-	srv := server.NewWithOptions(p, server.Options{
-		OLAPConcurrency: cfg.olapConc,
-		OLAPCacheSize:   cfg.olapCache,
-		ReadOnly:        true,
-		ReplicaStatus:   syncer.Status,
-		SLOTarget:       cfg.sloTarget,
-		ShedPolicy:      cfg.shedPolicy,
-		DefaultDeadline: cfg.defaultDeadline,
-	})
+	untilDone("initial sync", func() error { _, err := syncer.Sync(ctx); return err })
+	p := newPlatform(db, shard.Spec{})
+	untilDone("replaying designs", func() error { return reconcileDesigns(ctx, p, primary) })
+	opts := serverOptions()
+	opts.ReadOnly = true
+	opts.ReplicaStatus = syncer.Status
+	srv := server.NewWithOptions(p, opts)
 	srv.WarehouseChanged()
 	go syncer.Tail(ctx, interval, func(rep replication.Report) {
 		log.Printf("quarryd: synced to version %d (%d segments, %d bytes)",
@@ -326,8 +287,8 @@ func runReplica(addr, dataDir, primary, sharedDir string, interval time.Duration
 	})
 	st := syncer.Status()
 	log.Printf("quarryd: replica of %s ready at version %d (converged=%v); listening on %s",
-		primary, st.LocalVersion, st.Converged, addr)
-	if err := http.ListenAndServe(addr, srv.Handler()); err != nil {
+		primary, st.LocalVersion, st.Converged, *addr)
+	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
 		log.Fatalf("quarryd: %v", err)
 	}
 }

@@ -25,6 +25,8 @@
 // so the router never amplifies the overload it is routing around.
 // When every candidate is busy the router answers an aggregated 429
 // with a Retry-After — "back off", never a 502 "outage".
+// The retry counts (-retry-budget, -busy-retries, -shard-skew-retries)
+// are literal: 0 switches that kind of retry off.
 //
 // Usage:
 //
@@ -70,14 +72,18 @@ func main() {
 	if *shardOf != "" && *replicas != "" {
 		log.Fatalf("quarryrouter: -replicas and -shard-of are mutually exclusive")
 	}
+	// The flags carry the defaults and router.Options' retry counts are
+	// literal, so the values go through as they are.
+	opts := router.Options{
+		BusyRetries:   *retryBudget,
+		MaxRetryAfter: *maxRetryAfter,
+		Attempts:      *shardAttempts,
+		SkewRetries:   *shardSkewRetries,
+	}
 	if *shardOf != "" {
 		urls := splitURLs(*shardOf)
-		g, err := router.NewShardGatherWithOptions(urls, &http.Client{Timeout: *shardTimeout}, router.GatherOptions{
-			Attempts:      *shardAttempts,
-			SkewRetries:   *shardSkewRetries,
-			BusyRetries:   *busyRetries,
-			MaxRetryAfter: *maxRetryAfter,
-		})
+		opts.BusyRetries = *busyRetries
+		g, err := router.NewShardGather(urls, &http.Client{Timeout: *shardTimeout}, opts)
 		if err != nil {
 			log.Fatalf("quarryrouter: %v", err)
 		}
@@ -89,14 +95,7 @@ func main() {
 	}
 
 	urls := splitURLs(*replicas)
-	budget := *retryBudget
-	if budget <= 0 {
-		budget = -1 // Options treats 0 as "default"; the flag's 0 means off.
-	}
-	rt, err := router.NewWithOptions(urls, nil, router.Options{
-		RetryBudget:   budget,
-		MaxRetryAfter: *maxRetryAfter,
-	})
+	rt, err := router.New(urls, nil, opts)
 	if err != nil {
 		log.Fatalf("quarryrouter: %v (use -replicas or -shard-of)", err)
 	}

@@ -51,6 +51,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
+	"time"
 
 	"quarry/internal/expr"
 	"quarry/internal/sqlgen"
@@ -128,6 +131,35 @@ const (
 	// produce it.
 	ClassCacheHit = "cache_hit"
 )
+
+// DeadlineHeader carries a client's latency budget for one query,
+// end to end: quarryd bounds the query by it (504 once it is spent) and
+// the routers hold every attempt to what is left of it. Its grammar is
+// ParseDeadline's, on both sides of the hop.
+const DeadlineHeader = "X-Quarry-Deadline"
+
+// ParseDeadline reads a DeadlineHeader value: a bare integer is
+// milliseconds, anything else a Go duration ("250ms", "2s");
+// surrounding space is ignored. An absent (empty) header is no budget,
+// (0, nil). A value that is neither form, or not positive, is an
+// error — quarryd answers it with a 400, a router lets it bound
+// nothing and travel on.
+func ParseDeadline(h string) (time.Duration, error) {
+	h = strings.TrimSpace(h)
+	if h == "" {
+		return 0, nil
+	}
+	var d time.Duration
+	if ms, err := strconv.ParseInt(h, 10, 64); err == nil {
+		d = time.Duration(ms) * time.Millisecond
+	} else if d, err = time.ParseDuration(h); err != nil {
+		return 0, fmt.Errorf("invalid %s header %q: want a positive Go duration (e.g. \"250ms\") or integer milliseconds", DeadlineHeader, h)
+	}
+	if d <= 0 {
+		return 0, fmt.Errorf("invalid %s header %q: budget must be positive", DeadlineHeader, h)
+	}
+	return d, nil
+}
 
 // Result is an ordered, in-memory result set.
 type Result struct {

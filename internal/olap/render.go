@@ -23,3 +23,20 @@ func RenderRow(row []expr.Value) []string {
 	}
 	return vals
 }
+
+// Body is the JSON document of a finalised answer: POST /api/olap's
+// 200 body, whichever node renders it — quarryd from its own result,
+// the shard gather from a merge.
+type Body struct {
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
+}
+
+// RenderBody renders a finalised result set. No rows is [], not null.
+func RenderBody(columns []string, rows [][]expr.Value) Body {
+	out := Body{Columns: columns, Rows: make([][]string, 0, len(rows))}
+	for _, row := range rows {
+		out.Rows = append(out.Rows, RenderRow(row))
+	}
+	return out
+}

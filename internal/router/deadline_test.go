@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"quarry/internal/olap"
 )
 
 // A deadline must mean the same thing after a router hop: the budget
@@ -26,7 +28,7 @@ func postWithBudget(t *testing.T, url, budget string) (int, string, time.Duratio
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(deadlineHeader, budget)
+	req.Header.Set(olap.DeadlineHeader, budget)
 	start := time.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -45,7 +47,7 @@ type budgets struct {
 
 func (b *budgets) record(r *http.Request) {
 	b.mu.Lock()
-	b.seen = append(b.seen, r.Header.Get(deadlineHeader))
+	b.seen = append(b.seen, r.Header.Get(olap.DeadlineHeader))
 	b.mu.Unlock()
 }
 
@@ -112,7 +114,7 @@ func TestGatherBudgetShrinksAcrossBackoff(t *testing.T) {
 		writePartial(w, partialFor(t, 0, 2, 7))
 	})
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
-	_, ts := gatherWithOptions(t, shards, GatherOptions{Attempts: 1, BusyRetries: 1}, func() {
+	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 1}, func() {
 		time.Sleep(60 * time.Millisecond) // the backoff spends budget
 		shedding.Store(false)
 	})
@@ -169,7 +171,7 @@ func TestRouterForwardsRemainingBudgetAfterBackoff(t *testing.T) {
 		}
 		fmt.Fprint(w, "answer")
 	})
-	rt, err := NewWithOptions([]string{a.URL}, nil, Options{RetryBudget: 2})
+	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestRouterForwardsRemainingBudgetAfterBackoff(t *testing.T) {
 func TestRouterSlowReplicaPastBudgetIs504(t *testing.T) {
 	var seen budgets
 	a := budgetReplica(t, &seen, sleepyHandler(400*time.Millisecond, func(w http.ResponseWriter) { fmt.Fprint(w, "late") }))
-	rt, err := New([]string{a.URL}, nil)
+	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +218,7 @@ func TestRouterForwardsReplica504WithoutDemotion(t *testing.T) {
 	a := budgetReplica(t, &seen, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"deadline_exceeded":true}`, http.StatusGatewayTimeout)
 	})
-	rt, err := New([]string{a.URL}, nil)
+	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestSubMillisecondBudgetIs504(t *testing.T) {
 
 	var seen budgets
 	a := budgetReplica(t, &seen, sleepyHandler(200*time.Millisecond, func(w http.ResponseWriter) { fmt.Fprint(w, "late") }))
-	rt, err := New([]string{a.URL}, nil)
+	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestGatherPassesMalformedBudgetToShards(t *testing.T) {
 	shards := []*fakeShard{newFakeShard(t, 0, 2, 7), newFakeShard(t, 1, 2, 7)}
 	for _, fs := range shards {
 		fs.serve(func(w http.ResponseWriter, r *http.Request) {
-			if h := r.Header.Get(deadlineHeader); h != "soon" {
+			if h := r.Header.Get(olap.DeadlineHeader); h != "soon" {
 				t.Errorf("shard saw deadline header %q, want it verbatim", h)
 			}
 			http.Error(w, `{"error":"invalid X-Quarry-Deadline"}`, http.StatusBadRequest)
@@ -277,5 +279,44 @@ func TestGatherPassesMalformedBudgetToShards(t *testing.T) {
 	status, body, _ := postWithBudget(t, ts.URL, "soon")
 	if status != http.StatusBadRequest || !strings.Contains(body, "invalid X-Quarry-Deadline") {
 		t.Fatalf("status %d (%s), want the shard's 400", status, body)
+	}
+}
+
+// One grammar for the deadline header on both sides of the hop:
+// olap.ParseDeadline is what quarryd refuses by and what the routers
+// bound by. A value it rejects is quarryd's 400; at a router it bounds
+// nothing and travels on (the test above) — "an unparseable header
+// bounds nothing", by calling the same function.
+func TestDeadlineGrammarAgreesAcrossTheHop(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   time.Duration // 0: no budget
+		bad    bool          // quarryd answers 400
+	}{
+		{"250ms", 250 * time.Millisecond, false},
+		{"30", 30 * time.Millisecond, false}, // a bare integer is milliseconds
+		{"0", 0, true},
+		{"-5", 0, true},
+		{"1e3", 0, true}, // neither an integer nor a Go duration
+		{" 2s ", 2 * time.Second, false},
+		{"banana", 0, true},
+		{"", 0, false}, // absent: no budget, no error
+	} {
+		got, err := olap.ParseDeadline(tc.header)
+		if got != tc.want || (err != nil) != tc.bad {
+			t.Errorf("ParseDeadline(%q) = %v, %v; want %v, error %v", tc.header, got, err, tc.want, tc.bad)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/api/olap", nil)
+		req.Header.Set(olap.DeadlineHeader, tc.header)
+		start := time.Now()
+		ctx, cancel := withBudget(req)
+		deadline, bounded := ctx.Deadline()
+		cancel()
+		if bounded != (tc.want > 0) {
+			t.Errorf("withBudget(%q) bounded = %v, want %v", tc.header, bounded, tc.want > 0)
+		}
+		if bounded && (deadline.Before(start.Add(tc.want)) || deadline.After(time.Now().Add(tc.want))) {
+			t.Errorf("withBudget(%q) deadline is not %v from receipt", tc.header, tc.want)
+		}
 	}
 }

@@ -91,7 +91,7 @@ func gatherOver(t *testing.T, shards []*fakeShard, attempts, skewRetries int) *h
 	for i, s := range shards {
 		urls[i] = s.ts.URL
 	}
-	g, err := NewShardGather(urls, &http.Client{Timeout: 5 * time.Second}, attempts, skewRetries)
+	g, err := NewShardGather(urls, &http.Client{Timeout: 5 * time.Second}, Options{Attempts: attempts, SkewRetries: skewRetries, BusyRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestGatherShardTimeout(t *testing.T) {
 		<-block
 	})
 	urls := []string{shards[0].ts.URL, shards[1].ts.URL}
-	g, err := NewShardGather(urls, &http.Client{Timeout: 150 * time.Millisecond}, 1, 0)
+	g, err := NewShardGather(urls, &http.Client{Timeout: 150 * time.Millisecond}, Options{Attempts: 1, BusyRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,17 @@ func TestGatherStaleEpochNeverMerged(t *testing.T) {
 		newFakeShard(t, 0, 2, 8),
 		newFakeShard(t, 1, 2, 7), // one reload behind
 	}
+	// No skew retries: a single scatter, then 503.
+	resp, body := postGather(t, gatherOver(t, shards, 1, 0).URL)
+	if resp.StatusCode != http.StatusServiceUnavailable || shards[0].hits.Load() != 1 || shards[1].hits.Load() != 1 {
+		t.Fatalf("no skew retries: status %d (%s) after %d/%d hits, want 503 after 1/1",
+			resp.StatusCode, body, shards[0].hits.Load(), shards[1].hits.Load())
+	}
+	shards[0].hits.Store(0)
+	shards[1].hits.Store(0)
+
 	ts := gatherOver(t, shards, 1, 2)
-	resp, body := postGather(t, ts.URL)
+	resp, body = postGather(t, ts.URL)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d (%s), want 503", resp.StatusCode, body)
 	}
@@ -371,13 +380,13 @@ func busyShard(fs *fakeShard, shedding *atomic.Bool, index, count int, epoch uin
 // gatherWithOptions builds a gather whose sleep is stubbed out so
 // busy-backoff tests run instantly; onSleep may mutate fleet state to
 // simulate draining during the backoff.
-func gatherWithOptions(t *testing.T, shards []*fakeShard, opts GatherOptions, onSleep func()) (*ShardRouter, *httptest.Server) {
+func gatherWithOptions(t *testing.T, shards []*fakeShard, opts Options, onSleep func()) (*ShardRouter, *httptest.Server) {
 	t.Helper()
 	urls := make([]string, len(shards))
 	for i, s := range shards {
 		urls[i] = s.ts.URL
 	}
-	g, err := NewShardGatherWithOptions(urls, &http.Client{Timeout: 5 * time.Second}, opts)
+	g, err := NewShardGather(urls, &http.Client{Timeout: 5 * time.Second}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +417,7 @@ func TestGatherWholeFleetBusyFailsFast(t *testing.T) {
 	}
 	busyShard(shards[0], &shedding, 0, 2, 7, t)
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
-	_, ts := gatherWithOptions(t, shards, GatherOptions{Attempts: 1, BusyRetries: 3}, func() {
+	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 3}, func() {
 		t.Error("gather slept on a whole-fleet-busy scatter; it must fail fast")
 	})
 	resp, body := postGather(t, ts.URL)
@@ -435,7 +444,7 @@ func TestGatherPartialBusyRetriesAndSucceeds(t *testing.T) {
 		newFakeShard(t, 1, 2, 7),
 	}
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
-	_, ts := gatherWithOptions(t, shards, GatherOptions{Attempts: 1, BusyRetries: 1}, func() {
+	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 1}, func() {
 		shedding.Store(false) // the shard drains during the backoff
 	})
 	resp, body := postGather(t, ts.URL)
@@ -462,7 +471,7 @@ func TestGatherBusyBudgetExhausts429(t *testing.T) {
 	}
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
 	var slept atomic.Int64
-	_, ts := gatherWithOptions(t, shards, GatherOptions{Attempts: 1, BusyRetries: 1}, func() {
+	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 1}, func() {
 		slept.Add(1)
 	})
 	resp, body := postGather(t, ts.URL)
@@ -477,5 +486,90 @@ func TestGatherBusyBudgetExhausts429(t *testing.T) {
 	}
 	if shards[1].hits.Load() != 2 {
 		t.Fatalf("busy shard hit %d times, want 2 (initial + 1 budgeted retry)", shards[1].hits.Load())
+	}
+}
+
+// TestOutcomeClassification is the fleet core's one table: what a
+// backend did → the outcome do() reports, and what each policy makes of
+// that outcome over a one-backend fleet with busy retries off — the
+// status the client sees and, for the replica router, whether the
+// backend was demoted. The gather has no health state to demote in.
+func TestOutcomeClassification(t *testing.T) {
+	status := func(code int) func(http.ResponseWriter, *http.Request) {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, `{"error":"the backend's own words"}`, code)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		backend func(http.ResponseWriter, *http.Request) // nil: nothing listens
+		want    outcome
+		replica int  // status through the replica router
+		demoted bool // ...and whether it demoted the backend
+		gather  int  // status through the shard gather
+	}{
+		{"200", func(w http.ResponseWriter, r *http.Request) { writePartial(w, partialFor(t, 0, 1, 7)) },
+			answered, 200, false, 200},
+		{"400", status(400), answered, 400, false, 400},
+		{"422", status(422), answered, 422, false, 422},
+		{"429", status(429), busy, 429, false, 429},
+		{"503", status(503), busy, 429, false, 429},
+		{"500", status(500), unwell, 502, true, 502},
+		{"502", status(502), unwell, 502, true, 502},
+		{"504", status(504), answered, 504, false, 504},
+		{"transport error", nil, unwell, 502, true, 502},
+		{"unreadable body", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", "100") // and then 5 bytes
+			w.Write([]byte("short"))
+		}, unwell, 502, true, 502},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			be := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/api/health" {
+					fmt.Fprint(w, `{"status":"ok"}`)
+					return
+				}
+				tc.backend(w, r)
+			}))
+			t.Cleanup(be.Close)
+			if tc.backend == nil {
+				be.Close()
+			}
+
+			rt, err := New([]string{be.URL}, nil, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rq := request{method: http.MethodPost, uri: "/api/olap", header: http.Header{}, body: []byte("q")}
+			if got := rt.do(context.Background(), rt.backends[0], rq).outcome; got != tc.want {
+				t.Errorf("do() outcome = %d, want %d", got, tc.want)
+			}
+			if !rt.backends[0].healthy.Load() {
+				t.Error("do() itself demoted the backend: demotion is a policy's call")
+			}
+
+			ring := httptest.NewServer(rt.Handler())
+			t.Cleanup(ring.Close)
+			if got, body := postOLAP(t, ring.URL, "q"); got != tc.replica {
+				t.Errorf("replica router = %d (%s), want %d", got, body, tc.replica)
+			} else if tc.want == answered && tc.replica >= 400 && !strings.Contains(body, "the backend's own words") {
+				t.Errorf("replica router did not forward the backend's verdict verbatim: %s", body)
+			}
+			if got := !rt.backends[0].healthy.Load(); got != tc.demoted {
+				t.Errorf("replica router demoted = %v, want %v", got, tc.demoted)
+			}
+
+			_, gather := gatherWithOptions(t, []*fakeShard{{ts: be}}, Options{Attempts: 1}, nil)
+			resp, body := postGather(t, gather.URL)
+			if resp.StatusCode != tc.gather {
+				t.Errorf("shard gather = %d (%s), want %d", resp.StatusCode, body, tc.gather)
+			} else if tc.want == answered && tc.gather >= 400 && !strings.Contains(body, "the backend's own words") {
+				t.Errorf("shard gather did not forward the shard's verdict verbatim: %s", body)
+			}
+			if tc.want == busy && resp.Header.Get("Retry-After") == "" {
+				t.Error("aggregated 429 carries no Retry-After")
+			}
+		})
 	}
 }

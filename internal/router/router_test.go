@@ -53,7 +53,7 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	var aHits, bHits atomic.Int64
 	a := fakeReplica(t, "a", &aHits)
 	b := fakeReplica(t, "b", &bHits)
-	rt, err := New([]string{a.URL, b.URL}, nil)
+	rt, err := New([]string{a.URL, b.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFailoverRetriesAndDemotes(t *testing.T) {
 	var aHits, bHits atomic.Int64
 	a := fakeReplica(t, "a", &aHits)
 	b := fakeReplica(t, "b", &bHits)
-	rt, err := New([]string{a.URL, b.URL}, nil)
+	rt, err := New([]string{a.URL, b.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestServerErrorFailsOver(t *testing.T) {
 	t.Cleanup(bad.Close)
 	var goodHits atomic.Int64
 	good := fakeReplica(t, "g", &goodHits)
-	rt, err := New([]string{bad.URL, good.URL}, nil)
+	rt, err := New([]string{bad.URL, good.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestServerErrorFailsOver(t *testing.T) {
 func TestWritesRejected(t *testing.T) {
 	var hits atomic.Int64
 	a := fakeReplica(t, "a", &hits)
-	rt, err := New([]string{a.URL}, nil)
+	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestProbeRecoversBackend(t *testing.T) {
 	t.Cleanup(backend.Close)
 	var hits atomic.Int64
 	good := fakeReplica(t, "g", &hits)
-	rt, err := New([]string{backend.URL, good.URL}, nil)
+	rt, err := New([]string{backend.URL, good.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSheddingBackendStaysInRotation(t *testing.T) {
 	a := busyReplica(t, "a", &shedding, &sheds)
 	var bHits atomic.Int64
 	b := fakeReplica(t, "b", &bHits)
-	rt, err := New([]string{a.URL, b.URL}, nil)
+	rt, err := New([]string{a.URL, b.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestWholeFleetBusyAggregates429(t *testing.T) {
 	shedding.Store(true)
 	a := busyReplica(t, "a", &shedding, &sheds)
 	b := busyReplica(t, "b", &shedding, &sheds)
-	rt, err := NewWithOptions([]string{a.URL, b.URL}, nil, Options{RetryBudget: -1})
+	rt, err := New([]string{a.URL, b.URL}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestRetryBudgetBoundsBusyRetries(t *testing.T) {
 	var sheds atomic.Int64
 	shedding.Store(true)
 	a := busyReplica(t, "a", &shedding, &sheds)
-	rt, err := NewWithOptions([]string{a.URL}, nil, Options{RetryBudget: 2})
+	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestBusyRetrySucceedsAfterBackoff(t *testing.T) {
 	var sheds atomic.Int64
 	shedding.Store(true)
 	a := busyReplica(t, "a", &shedding, &sheds)
-	rt, err := NewWithOptions([]string{a.URL}, nil, Options{RetryBudget: 2})
+	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestOLAPBodyPreservesApostrophes(t *testing.T) {
 			{expr.Str("'"), expr.Str(""), expr.Int(-1), expr.Float(0)},
 		},
 	}
-	body := olapBody(res)
+	body := olap.RenderBody(res.Columns, res.Rows)
 	want := [][]string{
 		{"'80s rock'", "SPAIN", "7", "1.5"},
 		{"'", "", "-1", "0.0"},

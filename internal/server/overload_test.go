@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -164,81 +165,126 @@ func olapStatsOf(t *testing.T, url string) olapStatsResponse {
 	return st
 }
 
-// TestOLAPShedsUnderBacklogAndAlwaysServesCacheHits: with a
-// vanishingly small SLO, any backlog sheds new work with 429 +
-// Retry-After — but result-cache hits are answered before admission
-// and must keep flowing while the server sheds.
-func TestOLAPShedsUnderBacklogAndAlwaysServesCacheHits(t *testing.T) {
-	p := deployedTestPlatform(t, 1)
-	ts := httptest.NewServer(NewWithOptions(p, Options{
-		OLAPConcurrency: 1,
-		SLOTarget:       time.Nanosecond, // any projected wait sheds
-	}).Handler())
-	t.Cleanup(ts.Close)
+// queryEndpoints are the endpoints that run the serveQuery pipeline;
+// the overload contracts below hold on each of them.
+var queryEndpoints = []string{"/api/olap", "/api/olap/partial"}
 
-	// Prime the cache while the server is idle (idle always admits).
-	if resp, _ := postOLAP(t, http.DefaultClient, ts.URL, revenueOLAPBody); resp.Header.Get("X-Quarry-Cache") != "miss" {
-		t.Fatal("priming request unexpectedly a cache hit")
+// postQuery posts an OLAP body to one query endpoint, with an optional
+// deadline header, and returns the response with its body read.
+func postQuery(t *testing.T, url, path, body, deadline string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", "application/json")
+	if deadline != "" {
+		req.Header.Set("X-Quarry-Deadline", deadline)
+	}
+	resp, err := (&http.Client{Timeout: 30 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
 
-	// Park one admitted query in the executor so the backlog is nonzero.
+// parkQuery sends one query to path in the background and returns once
+// it sits in the executor holding a slot; release lets it finish.
+func parkQuery(t *testing.T, url, path, body string) (release func()) {
+	t.Helper()
 	entered := make(chan struct{})
-	release := make(chan struct{})
+	gate := make(chan struct{})
 	var fired int32
 	testingOLAPBeforeQuery = func() {
 		if atomic.CompareAndSwapInt32(&fired, 0, 1) {
 			close(entered)
-			<-release
+			<-gate
 		}
 	}
 	t.Cleanup(func() { testingOLAPBeforeQuery = nil })
 	go func() {
 		client := &http.Client{Timeout: 30 * time.Second}
-		resp, err := client.Post(ts.URL+"/api/olap", "application/json", strings.NewReader(revenueOLAPBodyAlt))
+		resp, err := client.Post(url+path, "application/json", strings.NewReader(body))
 		if err == nil {
 			resp.Body.Close()
 		}
 	}()
 	<-entered
-	defer close(release)
+	return func() { close(gate) }
+}
 
-	// A fresh (uncached) query must now be shed.
-	resp, err := http.Post(ts.URL+"/api/olap", "application/json",
-		strings.NewReader(`{"fact":"fact_table_revenue","group_by":["c_mktsegment"],"measures":[{"out":"n","func":"COUNT"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shedBody struct {
-		Shed       bool   `json:"shed"`
-		Class      string `json:"class"`
-		RetryAfter int64  `json:"retry_after_ms"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&shedBody); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("backlogged query = %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 carries no Retry-After header")
-	}
-	if !shedBody.Shed || shedBody.Class == "" || shedBody.RetryAfter < 1000 {
-		t.Fatalf("shed body incomplete: %+v", shedBody)
-	}
+// TestOLAPShedsUnderBacklogAndAlwaysServesCacheHits: with a
+// vanishingly small SLO, any backlog sheds new work with 429 +
+// Retry-After — on either query endpoint — but result-cache hits are
+// answered before admission and must keep flowing while the server
+// sheds. Partial traffic is shed by the same controller, yet leaves
+// the /api/olap counters alone.
+func TestOLAPShedsUnderBacklogAndAlwaysServesCacheHits(t *testing.T) {
+	for _, path := range queryEndpoints {
+		t.Run(path, func(t *testing.T) {
+			p := deployedTestPlatform(t, 1)
+			ts := httptest.NewServer(NewWithOptions(p, Options{
+				OLAPConcurrency: 1,
+				SLOTarget:       time.Nanosecond, // any projected wait sheds
+			}).Handler())
+			t.Cleanup(ts.Close)
 
-	// The cached query still answers while the server sheds.
-	resp2, _ := postOLAP(t, http.DefaultClient, ts.URL, revenueOLAPBody)
-	if got := resp2.Header.Get("X-Quarry-Cache"); got != "hit" {
-		t.Fatalf("cache hit during shedding = %q, want hit: hits are always admitted", got)
-	}
+			// Prime the cache while the server is idle (idle always admits).
+			if resp, _ := postOLAP(t, http.DefaultClient, ts.URL, revenueOLAPBody); resp.Header.Get("X-Quarry-Cache") != "miss" {
+				t.Fatal("priming request unexpectedly a cache hit")
+			}
 
-	st := olapStatsOf(t, ts.URL)
-	if st.Shed != 1 {
-		t.Fatalf("stats shed = %d, want 1", st.Shed)
-	}
-	if st.Admission.SLOTargetMs <= 0 || st.Admission.Policy != PolicyExpensiveFirst {
-		t.Fatalf("admission config not exposed: %+v", st.Admission)
+			// Park one admitted query in the executor so the backlog is nonzero.
+			defer parkQuery(t, ts.URL, path, revenueOLAPBodyAlt)()
+
+			// A fresh (uncached) query must now be shed.
+			resp, raw := postQuery(t, ts.URL, path,
+				`{"fact":"fact_table_revenue","group_by":["c_mktsegment"],"measures":[{"out":"n","func":"COUNT"}]}`, "")
+			var shedBody struct {
+				Shed       bool   `json:"shed"`
+				Class      string `json:"class"`
+				RetryAfter int64  `json:"retry_after_ms"`
+			}
+			if err := json.Unmarshal(raw, &shedBody); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("backlogged query = %d, want 429", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra == "" {
+				t.Fatal("429 carries no Retry-After header")
+			}
+			if !shedBody.Shed || shedBody.Class == "" || shedBody.RetryAfter < 1000 {
+				t.Fatalf("shed body incomplete: %+v", shedBody)
+			}
+
+			// The cached query still answers while the server sheds.
+			resp2, _ := postOLAP(t, http.DefaultClient, ts.URL, revenueOLAPBody)
+			if got := resp2.Header.Get("X-Quarry-Cache"); got != "hit" {
+				t.Fatalf("cache hit during shedding = %q, want hit: hits are always admitted", got)
+			}
+
+			st := olapStatsOf(t, ts.URL)
+			if path == "/api/olap" {
+				if st.Shed != 1 {
+					t.Fatalf("stats shed = %d, want 1", st.Shed)
+				}
+			} else if st.Shed != 0 || st.QueryErrors != 0 || st.Queries != 2 || st.Answered != 2 {
+				// Only the priming miss and the hit went to /api/olap.
+				t.Fatalf("partial traffic moved the /api/olap counters: %+v", st)
+			}
+			if fast := st.Admission.Classes["fast"]; fast.Shed != 1 || fast.Inflight != 1 {
+				t.Fatalf("per-class admission stats must see every endpoint's traffic: fast = %+v, want 1 shed, 1 in flight", fast)
+			}
+			if st.Admission.SLOTargetMs <= 0 || st.Admission.Policy != PolicyExpensiveFirst {
+				t.Fatalf("admission config not exposed: %+v", st.Admission)
+			}
+		})
 	}
 }
 
@@ -247,53 +293,57 @@ func TestOLAPShedsUnderBacklogAndAlwaysServesCacheHits(t *testing.T) {
 // the client gets a 504 with partial-progress stats, the pool slot is
 // released, and the expired query never publishes to the result cache.
 func TestOLAPDeadlineMidQuery504(t *testing.T) {
-	p := deployedTestPlatform(t, 1)
-	ts := httptest.NewServer(NewWithOptions(p, Options{OLAPConcurrency: 1}).Handler())
-	t.Cleanup(ts.Close)
+	for _, path := range queryEndpoints {
+		t.Run(path, func(t *testing.T) {
+			p := deployedTestPlatform(t, 1)
+			ts := httptest.NewServer(NewWithOptions(p, Options{OLAPConcurrency: 1}).Handler())
+			t.Cleanup(ts.Close)
 
-	var fired int32
-	testingOLAPBeforeQuery = func() {
-		if atomic.CompareAndSwapInt32(&fired, 0, 1) {
-			time.Sleep(80 * time.Millisecond) // outlive the 25ms budget
-		}
-	}
-	t.Cleanup(func() { testingOLAPBeforeQuery = nil })
+			var fired int32
+			testingOLAPBeforeQuery = func() {
+				if atomic.CompareAndSwapInt32(&fired, 0, 1) {
+					time.Sleep(80 * time.Millisecond) // outlive the 25ms budget
+				}
+			}
+			t.Cleanup(func() { testingOLAPBeforeQuery = nil })
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/olap", strings.NewReader(revenueOLAPBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Quarry-Deadline", "25ms")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dl deadlineResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dl); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired mid-query = %d, want 504", resp.StatusCode)
-	}
-	if !dl.DeadlineExceeded || !dl.Executed || dl.BudgetMs != 25 || dl.ElapsedMs < 25 {
-		t.Fatalf("partial-progress stats wrong: %+v", dl)
-	}
+			resp, raw := postQuery(t, ts.URL, path, revenueOLAPBody, "25ms")
+			var dl deadlineResponse
+			if err := json.Unmarshal(raw, &dl); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("expired mid-query = %d, want 504", resp.StatusCode)
+			}
+			if !dl.DeadlineExceeded || !dl.Executed || dl.BudgetMs != 25 || dl.ElapsedMs < 25 {
+				t.Fatalf("partial-progress stats wrong: %+v", dl)
+			}
 
-	// Slot released and nothing published: the repeat is a MISS that
-	// completes promptly on the single-slot pool.
-	resp2, _ := postOLAP(t, &http.Client{Timeout: 30 * time.Second}, ts.URL, revenueOLAPBody)
-	if got := resp2.Header.Get("X-Quarry-Cache"); got != "miss" {
-		t.Fatalf("repeat after expiry = %q, want miss: expired queries must not publish", got)
-	}
+			// Slot released and nothing published: the repeat completes
+			// promptly on the single-slot pool, and where there is a result
+			// cache it is a MISS.
+			resp2, raw2 := postQuery(t, ts.URL, path, revenueOLAPBody, "")
+			if resp2.StatusCode != http.StatusOK {
+				t.Fatalf("repeat after expiry = %d: %s", resp2.StatusCode, raw2)
+			}
+			if got := resp2.Header.Get("X-Quarry-Cache"); path == "/api/olap" && got != "miss" {
+				t.Fatalf("repeat after expiry = %q, want miss: expired queries must not publish", got)
+			}
 
-	st := olapStatsOf(t, ts.URL)
-	if st.DeadlineExceeded != 1 {
-		t.Fatalf("deadline_exceeded = %d, want 1", st.DeadlineExceeded)
-	}
-	if st.QueryErrors < st.DeadlineExceeded {
-		t.Fatalf("deadline expiries must be a subset of query_errors: %d > %d", st.DeadlineExceeded, st.QueryErrors)
+			st := olapStatsOf(t, ts.URL)
+			if path != "/api/olap" {
+				if st.Queries != 0 || st.DeadlineExceeded != 0 || st.QueryErrors != 0 {
+					t.Fatalf("partial traffic moved the /api/olap counters: %+v", st)
+				}
+				return
+			}
+			if st.DeadlineExceeded != 1 {
+				t.Fatalf("deadline_exceeded = %d, want 1", st.DeadlineExceeded)
+			}
+			if st.QueryErrors < st.DeadlineExceeded {
+				t.Fatalf("deadline expiries must be a subset of query_errors: %d > %d", st.DeadlineExceeded, st.QueryErrors)
+			}
+		})
 	}
 }
 
@@ -302,53 +352,68 @@ func TestOLAPDeadlineMidQuery504(t *testing.T) {
 // 504 reports the query never executed and the whole budget went to
 // queueing.
 func TestOLAPDeadlineWhileQueued504(t *testing.T) {
+	for _, path := range queryEndpoints {
+		t.Run(path, func(t *testing.T) {
+			p := deployedTestPlatform(t, 1)
+			ts := httptest.NewServer(NewWithOptions(p, Options{OLAPConcurrency: 1}).Handler())
+			t.Cleanup(ts.Close)
+
+			defer parkQuery(t, ts.URL, path, revenueOLAPBody)()
+
+			resp, raw := postQuery(t, ts.URL, path, revenueOLAPBodyAlt, "30") // integer = milliseconds
+			var dl deadlineResponse
+			if err := json.Unmarshal(raw, &dl); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("expired in queue = %d, want 504", resp.StatusCode)
+			}
+			if !dl.DeadlineExceeded || dl.Executed {
+				t.Fatalf("queued expiry must report executed=false: %+v", dl)
+			}
+			if dl.QueueWaitMs < 25 {
+				t.Fatalf("queue wait %vms, want ~the whole 30ms budget", dl.QueueWaitMs)
+			}
+		})
+	}
+}
+
+// TestOLAPMalformedDeadlineIs400HitOrMiss: a deadline header quarryd
+// cannot read is the client's error on every query endpoint, whatever
+// the cache holds — the header is judged before the result cache is
+// asked, so the answer to a bad request does not depend on whether
+// someone asked the same question before. (It used to: a result-cache
+// hit answered 200 without ever looking at the header.)
+func TestOLAPMalformedDeadlineIs400HitOrMiss(t *testing.T) {
 	p := deployedTestPlatform(t, 1)
-	ts := httptest.NewServer(NewWithOptions(p, Options{OLAPConcurrency: 1}).Handler())
+	ts := httptest.NewServer(NewWithOptions(p, Options{}).Handler())
 	t.Cleanup(ts.Close)
-
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var fired int32
-	testingOLAPBeforeQuery = func() {
-		if atomic.CompareAndSwapInt32(&fired, 0, 1) {
-			close(entered)
-			<-release
+	for _, path := range queryEndpoints {
+		for _, state := range []string{"miss", "hit"} {
+			for _, bad := range []string{"banana", "0", "-5", "1e3"} {
+				resp, raw := postQuery(t, ts.URL, path, revenueOLAPBody, bad)
+				if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "X-Quarry-Deadline") {
+					t.Fatalf("%s, result cache %s, deadline %q = %d (%s), want a 400 naming the header",
+						path, state, bad, resp.StatusCode, raw)
+				}
+			}
+			// A header quarryd can read is no error; the first pass's
+			// answers make the second pass's /api/olap lookups hits.
+			for _, good := range []string{"", "250ms", "30000", " 2s "} {
+				resp, raw := postQuery(t, ts.URL, path, revenueOLAPBody, good)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s, deadline %q = %d (%s), want 200", path, good, resp.StatusCode, raw)
+				}
+				if got := resp.Header.Get("X-Quarry-Cache"); path == "/api/olap" && state == "hit" && got != "hit" {
+					t.Fatalf("second pass on /api/olap is %q, want a result-cache hit", got)
+				}
+			}
 		}
 	}
-	t.Cleanup(func() { testingOLAPBeforeQuery = nil })
-	go func() {
-		client := &http.Client{Timeout: 30 * time.Second}
-		resp, err := client.Post(ts.URL+"/api/olap", "application/json", strings.NewReader(revenueOLAPBody))
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-	<-entered
-	defer close(release)
-
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/olap", strings.NewReader(revenueOLAPBodyAlt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Quarry-Deadline", "30") // integer = milliseconds
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dl deadlineResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dl); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired in queue = %d, want 504", resp.StatusCode)
-	}
-	if !dl.DeadlineExceeded || dl.Executed {
-		t.Fatalf("queued expiry must report executed=false: %+v", dl)
-	}
-	if dl.QueueWaitMs < 25 {
-		t.Fatalf("queue wait %vms, want ~the whole 30ms budget", dl.QueueWaitMs)
+	// The refusals are /api/olap's query_errors, and only its own.
+	st := olapStatsOf(t, ts.URL)
+	if st.QueryErrors != 8 || st.Answered != 8 || st.Queries != 16 {
+		t.Fatalf("/api/olap counters after 8 refusals and 8 answers of its own: %+v", st)
 	}
 }
 

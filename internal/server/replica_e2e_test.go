@@ -380,7 +380,7 @@ func TestRouterFailoverEndToEnd(t *testing.T) {
 	r1 := newTestReplica(t, primary, "", 3)
 	r2 := newTestReplica(t, primary, primary.dir, 3)
 
-	rt, err := router.New([]string{r1.ts.URL, r2.ts.URL}, nil)
+	rt, err := router.New([]string{r1.ts.URL, r2.ts.URL}, nil, router.Options{BusyRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,21 @@
 // Package server exposes Quarry's components over HTTP-based RESTful
-// APIs, mirroring the paper's service-oriented architecture (§2.6):
-// the Requirements Elicitor's exploration endpoints, the requirement
-// lifecycle (add/change/remove with automatic interpretation,
-// integration and validation), access to the unified and partial
-// design solutions in their logical XML formats, and the Design
-// Deployer. Payloads are xRQ/xMD/xLM XML for designs and JSON for
-// everything else.
+// APIs, mirroring the paper's service-oriented architecture (§2.6).
+//
+// This file is the serving path. Every query endpoint is one trip
+// through the same pipeline, serveQuery — decode → validate budget →
+// result-cache lookup → predict class → admit → queue for a slot →
+// execute → account → write → settle — and differs from the next only
+// in the endpoint value it hands that pipeline: where its traffic is
+// counted, whether its answers are result-cached, and the executor
+// that runs the query and renders the body. POST /api/olap (finalised
+// rows) and POST /api/olap/partial (a shard's partial aggregates) are
+// two such values; the admission controller (admission.go), the
+// executor pool, the deadline and the accounting are shared by
+// construction. Around the pipeline: stats, health, the replication
+// feed and the post-reload cache/aggregate refresh.
+//
+// The design-time endpoints — elicitor, requirement lifecycle, designs,
+// deploy, run, export — are in design.go.
 package server
 
 import (
@@ -19,7 +29,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,9 +38,6 @@ import (
 	"quarry/internal/replication"
 	"quarry/internal/shard"
 	mf "quarry/internal/storage/manifest"
-	"quarry/internal/xlm"
-	"quarry/internal/xmd"
-	"quarry/internal/xrq"
 )
 
 // Options tunes the serving layer.
@@ -78,29 +84,18 @@ type Server struct {
 	// cache holds OLAP results keyed by query + warehouse version; it
 	// is purged whenever /api/run reloads the warehouse.
 	cache *olap.ResultCache
-	// adm is the SLO-driven admission controller shared by /api/olap
-	// and /api/olap/partial; always non-nil (shedding disabled when
+	// adm is the SLO-driven admission controller shared by every query
+	// endpoint; always non-nil (shedding disabled when
 	// SLOTarget is 0, but the per-class service-time tracking runs
 	// regardless so /api/olap/stats can always report class costs).
 	adm *admission
 	// defaultDeadline is Options.DefaultDeadline.
 	defaultDeadline time.Duration
-	// Monotonic POST /api/olap traffic counters for /api/olap/stats.
-	// Every request increments olapQueries and then exactly one of the
-	// other three, so the accounting identity
-	//
-	//	queries = answered + shed + query_errors
-	//
-	// holds exactly whenever no request is in flight — load harnesses
-	// (quarrybench) scrape before and after a drained run and
-	// reconcile their client-side deltas against it.
-	// olapDeadline counts the subset of olapErrors that were 504s
-	// (deadline expiry, queued or mid-query).
-	olapQueries  atomic.Int64
-	olapAnswered atomic.Int64
-	olapShed     atomic.Int64
-	olapErrors   atomic.Int64
-	olapDeadline atomic.Int64
+	// olap is POST /api/olap's traffic, published by /api/olap/stats.
+	// Partial (shard) traffic is not counted there — those counters
+	// cover that endpoint alone — but the per-class admission stats see
+	// it.
+	olap traffic
 	// refreshes tracks the background materialized-aggregate refreshes
 	// kicked off by /api/run, so shutdown/tests can drain them.
 	refreshes sync.WaitGroup
@@ -152,8 +147,11 @@ func NewWithOptions(p *core.Platform, opts Options) *Server {
 	s.mux.HandleFunc("POST /api/deploy", s.mutating(s.handleDeploy))
 	s.mux.HandleFunc("POST /api/run", s.mutating(s.handleRun))
 	s.mux.HandleFunc("GET /api/export/{notation}", s.handleExport)
-	s.mux.HandleFunc("POST /api/olap", s.handleOLAP)
-	s.mux.HandleFunc("POST /api/olap/partial", s.handleOLAPPartial)
+	// The query endpoints: one pipeline (serveQuery), two descriptions.
+	// Both share the admission controller, the executor pool and the
+	// deadline.
+	s.mux.HandleFunc("POST /api/olap", s.serveQuery(&endpoint{traffic: &s.olap, cache: s.cache, execute: executeOLAP}))
+	s.mux.HandleFunc("POST /api/olap/partial", s.serveQuery(&endpoint{execute: s.executePartial}))
 	s.mux.HandleFunc("GET /api/olap/stats", s.handleOLAPStats)
 	// Replication feed (the primary side of segment shipping): any
 	// disk-backed node serves its committed manifest and immutable
@@ -163,19 +161,8 @@ func NewWithOptions(p *core.Platform, opts Options) *Server {
 	return s
 }
 
-// mutating gates a design- or warehouse-mutating handler behind the
-// read-only flag.
-func (s *Server) mutating(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.readOnly {
-			writeErr(w, http.StatusForbidden, fmt.Errorf("this node is a read replica; send writes to the primary"))
-			return
-		}
-		h(w, r)
-	}
-}
-
-// olapRequest is the JSON body of POST /api/olap.
+// olapRequest is the JSON body of POST /api/olap and of
+// POST /api/olap/partial.
 type olapRequest struct {
 	Fact     string   `json:"fact"`
 	GroupBy  []string `json:"group_by"`
@@ -199,34 +186,131 @@ type olapRequest struct {
 	Oracle bool `json:"oracle,omitempty"`
 }
 
-type olapResponse struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
+// cubeQuery is the request as the OLAP engine takes it.
+func (b *olapRequest) cubeQuery() olap.CubeQuery {
+	q := olap.CubeQuery{Fact: b.Fact, GroupBy: b.GroupBy, Filter: b.Filter, RollUp: b.RollUp}
+	for _, m := range b.Measures {
+		q.Measures = append(q.Measures, olap.MeasureSpec{Out: m.Out, Func: m.Func, Col: m.Col})
+	}
+	if b.Dice != nil {
+		q.Dice = &olap.DiceSpec{Func: b.Dice.Func, Col: b.Dice.Col, Thresholds: b.Dice.Thresholds}
+	}
+	return q
 }
 
-// deadlineHeader carries a client's per-request latency budget: a Go
-// duration string ("250ms", "2s") or a bare integer in milliseconds.
-// The server's DefaultDeadline applies when the header is absent.
-const deadlineHeader = "X-Quarry-Deadline"
+// outcome is where one query request lands in its endpoint's traffic
+// counters.
+type outcome int
 
-// queryBudget resolves one request's effective deadline budget:
-// header first, server default second, 0 for none. A malformed
-// header is the client's error.
-func (s *Server) queryBudget(r *http.Request) (time.Duration, error) {
-	h := strings.TrimSpace(r.Header.Get(deadlineHeader))
-	if h == "" {
-		return s.defaultDeadline, nil
+const (
+	answered outcome = iota
+	shed
+	// failed is every non-2xx that is not a shed: bad bodies and
+	// headers, abandoned queued queries, failed executions.
+	failed
+	// expired is a failure by deadline expiry (a 504), queued or
+	// mid-query.
+	expired
+)
+
+// traffic is one endpoint's monotonic request counters. record is the
+// only writer and lands every request in exactly one of answered /
+// shed / errors, so the accounting identity
+//
+//	queries = answered + shed + errors
+//
+// holds by construction — load harnesses (quarrybench) scrape before
+// and after a run and reconcile their client-side deltas against it.
+// deadline counts the expired subset of errors.
+type traffic struct {
+	queries, answered, shed, errors, deadline atomic.Int64
+}
+
+// record counts one request; on a nil receiver (an endpoint whose
+// traffic is not published) it counts nothing.
+func (t *traffic) record(o outcome) {
+	if t == nil {
+		return
 	}
-	var d time.Duration
-	if ms, err := strconv.ParseInt(h, 10, 64); err == nil {
-		d = time.Duration(ms) * time.Millisecond
-	} else if d, err = time.ParseDuration(h); err != nil {
-		return 0, fmt.Errorf("invalid %s header %q: want a positive Go duration (e.g. \"250ms\") or integer milliseconds", deadlineHeader, h)
+	t.queries.Add(1)
+	switch o {
+	case answered:
+		t.answered.Add(1)
+	case shed:
+		t.shed.Add(1)
+	case expired:
+		t.deadline.Add(1)
+		fallthrough
+	case failed:
+		t.errors.Add(1)
 	}
-	if d <= 0 {
-		return 0, fmt.Errorf("invalid %s header %q: budget must be positive", deadlineHeader, h)
-	}
-	return d, nil
+}
+
+// endpoint is what a query endpoint tells serveQuery about itself;
+// everything else about serving a query is the same for all of them.
+type endpoint struct {
+	// traffic counts the endpoint's requests; nil leaves them uncounted.
+	traffic *traffic
+	// cache makes the endpoint result-cached: hits are answered before
+	// admission, completed answers are published. nil: never cached.
+	cache *olap.ResultCache
+	// execute runs the decoded query (oracle: the request asked for the
+	// reference executor) and renders the answer's body. It runs holding
+	// an executor slot, under the request's deadline.
+	execute func(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle bool) (answer, error)
+}
+
+// answer is an executed query, rendered.
+type answer struct {
+	body any
+	// version is the warehouse version of the snapshot the answer
+	// actually came from (X-Quarry-Version), so clients cross-checking
+	// two answers (e.g. quarrybench's oracle spot checks) can tell
+	// version skew from disagreement.
+	version uint64
+	// class is the answer-source class the executor stamped
+	// (X-Quarry-Class); "" when it stamps none, and the class predicted
+	// at admission stands.
+	class string
+	// result is what a result-cached endpoint publishes; nil for an
+	// answer that is not cacheable.
+	result *olap.Result
+}
+
+// statusError is an execution failure that names its own HTTP status
+// instead of the default 422.
+type statusError struct {
+	status int
+	error
+}
+
+// reply is what a trip through the query pipeline comes to: where the
+// request is counted and what is written. A nil body writes nothing —
+// the client is gone.
+type reply struct {
+	outcome outcome
+	status  int
+	body    any
+}
+
+// failure is the reply to a request that failed with err.
+func failure(status int, err error) reply {
+	return reply{outcome: failed, status: status, body: errorBody{Error: err.Error()}}
+}
+
+// hold is what a query took on its way through the pipeline and must
+// give back once its reply is written.
+type hold struct {
+	admitted bool
+	tkt      ticket
+	// class is the class the service time is observed under: the
+	// predicted one until an executor stamps the class that ACTUALLY
+	// answered (a predicted fast-path query may have been served by a
+	// materialized aggregate), keeping the estimates honest per class.
+	class queryClass
+	// execStart is when the query got its executor slot; zero while it
+	// holds none.
+	execStart time.Time
 }
 
 // shedResponse is the body of a 429: the request was refused by the
@@ -238,19 +322,6 @@ type shedResponse struct {
 	Class           string  `json:"class"`
 	ProjectedWaitMs float64 `json:"projected_wait_ms"`
 	RetryAfterMs    int64   `json:"retry_after_ms"`
-}
-
-// writeShed answers a refused request with 429 + Retry-After.
-func writeShed(w http.ResponseWriter, class queryClass, retryAfter, projected time.Duration) {
-	w.Header().Set("Retry-After", strconv.FormatInt(int64(retryAfter.Seconds()+0.5), 10))
-	writeJSON(w, http.StatusTooManyRequests, shedResponse{
-		Error: fmt.Sprintf("overloaded: projected wait %s exceeds the SLO; retry after %s",
-			projected.Round(time.Millisecond), retryAfter),
-		Shed:            true,
-		Class:           classNames[class],
-		ProjectedWaitMs: float64(projected) / float64(time.Millisecond),
-		RetryAfterMs:    retryAfter.Milliseconds(),
-	})
 }
 
 // deadlineResponse is the body of a 504: the query's deadline expired
@@ -268,58 +339,118 @@ type deadlineResponse struct {
 	Executed bool `json:"executed"`
 }
 
-// failOLAP answers a query that did not produce a result, after
-// its admission ticket has been settled: silence for a vanished
-// client, 504 with partial-progress stats when the server-side
-// deadline expired, 422 otherwise. Returns true when the failure was
-// a deadline expiry (the caller's counters differ).
-func failOLAP(w http.ResponseWriter, r *http.Request, ctx context.Context, class queryClass,
-	budget time.Duration, arrival, execStart time.Time, executed bool, err error) (deadline bool) {
-	if r.Context().Err() != nil {
+// queryFailure is the reply to an admitted query that did not produce
+// a result: the status the executor named, if it named one; silence
+// for a vanished client; 504 with partial-progress stats when the
+// server-side deadline expired; 422 otherwise.
+func queryFailure(r *http.Request, ctx context.Context, held hold, budget time.Duration, arrival time.Time, err error) reply {
+	executed := !held.execStart.IsZero()
+	var named statusError
+	switch {
+	case errors.As(err, &named):
+		return failure(named.status, err)
+	case r.Context().Err() != nil:
 		// The CLIENT's context died: it disconnected (or gave up on its
 		// own deadline). If the failure happened while still queued
 		// there is a last-gasp 503 attempt, mirroring the pre-deadline
 		// behaviour; mid-query there is no one left to answer.
 		if !executed {
-			writeErr(w, http.StatusServiceUnavailable, r.Context().Err())
+			return failure(http.StatusServiceUnavailable, r.Context().Err())
 		}
-		return false
-	}
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		return reply{outcome: failed}
+	case errors.Is(ctx.Err(), context.DeadlineExceeded):
 		elapsed := time.Since(arrival)
-		queueWait := execStart.Sub(arrival)
-		if !executed {
-			queueWait = elapsed
+		queueWait := elapsed
+		if executed {
+			queueWait = held.execStart.Sub(arrival)
 		}
-		writeJSON(w, http.StatusGatewayTimeout, deadlineResponse{
+		class := classNames[held.class]
+		return reply{outcome: expired, status: http.StatusGatewayTimeout, body: deadlineResponse{
 			Error: fmt.Sprintf("deadline exceeded: %s budget spent (%s queued) before the %s query finished",
-				budget, queueWait.Round(time.Millisecond), classNames[class]),
+				budget, queueWait.Round(time.Millisecond), class),
 			DeadlineExceeded: true,
-			Class:            classNames[class],
+			Class:            class,
 			BudgetMs:         float64(budget) / float64(time.Millisecond),
 			ElapsedMs:        float64(elapsed) / float64(time.Millisecond),
 			QueueWaitMs:      float64(queueWait) / float64(time.Millisecond),
 			Executed:         executed,
-		})
-		return true
+		}}
 	}
-	writeErr(w, http.StatusUnprocessableEntity, err)
-	return false
+	return failure(http.StatusUnprocessableEntity, err)
 }
 
-func (s *Server) handleOLAP(w http.ResponseWriter, r *http.Request) {
-	s.olapQueries.Add(1)
+// serveQuery is the one pipeline every query endpoint runs:
+//
+//	decode → validate budget → result-cache lookup → predict class →
+//	admit → queue for a slot → execute → account → write → settle
+//
+// answerQuery walks the stages up to execute and may leave at any of
+// them; wherever it leaves, it leaves with a reply, and the rest
+// happens here, once: the request is counted, the reply written, and
+// what the query held given back.
+func (s *Server) serveQuery(ep *endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var held hold
+		// The slot is held until the response is WRITTEN, not just until the
+		// query executes: marshalling a large result is real work, and the
+		// pool is what bounds it (releasing early lets an overloaded node
+		// marshal dozens of multi-megabyte answers at once and collapse).
+		// The admission EWMA must therefore observe the same span the slot
+		// is held for — execution plus serialization — or the backlog
+		// projection promises a drain rate the pool cannot deliver and
+		// admitted requests overshoot the SLO; that is why the ticket is
+		// settled after writeJSON, not after the query. The slot time was
+		// burned even if the query failed (or panicked), so it still feeds
+		// the class's service-time estimate; a query that never got a slot
+		// observes nothing.
+		defer func() {
+			if !held.admitted {
+				return
+			}
+			slotted := !held.execStart.IsZero()
+			execNs := int64(-1)
+			if slotted {
+				execNs = time.Since(held.execStart).Nanoseconds()
+			}
+			s.adm.done(held.tkt, held.class, execNs)
+			if slotted {
+				<-s.pool
+			}
+		}()
+		rep := s.answerQuery(ep, w, r, &held)
+		// Counted before the write: a client holding its answer must find
+		// it in the counters.
+		ep.traffic.record(rep.outcome)
+		if rep.body != nil {
+			writeJSON(w, rep.status, rep.body)
+		}
+	}
+}
+
+// answerQuery is serveQuery's stages from decode to execute. It sets
+// response headers but writes nothing: status and body travel in the
+// reply, and what the query takes on the way is noted in held.
+func (s *Server) answerQuery(ep *endpoint, w http.ResponseWriter, r *http.Request, held *hold) reply {
 	arrival := time.Now()
+	hdr := w.Header()
 	var body olapRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		s.olapErrors.Add(1)
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return failure(http.StatusBadRequest, err)
+	}
+	// The budget: header first, server default second, 0 for none. A
+	// malformed header is the client's error whatever else is true of
+	// the request — so it is judged before the cache is asked.
+	budget, err := olap.ParseDeadline(r.Header.Get(olap.DeadlineHeader))
+	if err != nil {
+		return failure(http.StatusBadRequest, err)
+	}
+	if budget == 0 {
+		budget = s.defaultDeadline
 	}
 	// Cache lookup: canonical request JSON + current warehouse version.
 	// A lookup keyed one version behind is merely a miss; storing is
 	// the dangerous direction, so Put below keys by the version of the
-	// snapshot the query ACTUALLY ran against (res.Version) — reading
+	// snapshot the query ACTUALLY ran against (ans.version) — reading
 	// the version here and reusing it for the Put would, when an ETL
 	// run commits between the two, file a newer-snapshot result under
 	// the older version's key and serve stale-keyed data forever
@@ -328,25 +459,17 @@ func (s *Server) handleOLAP(w http.ResponseWriter, r *http.Request) {
 	// ALWAYS admitted, which is what keeps dashboards alive while the
 	// expensive classes shed.
 	var canonical []byte
-	if db := s.p.DB(); db != nil {
+	if db := s.p.DB(); db != nil && ep.cache != nil {
 		if c, err := json.Marshal(body); err == nil {
 			canonical = c
-			if res, ok := s.cache.Get(fmt.Sprintf("v%d:%s", db.Version(), c)); ok {
-				s.olapAnswered.Add(1)
+			if res, ok := ep.cache.Get(cacheKey(db.Version(), c)); ok {
 				s.adm.observe(classCacheHit, time.Since(arrival).Nanoseconds())
-				w.Header().Set("X-Quarry-Cache", "hit")
-				w.Header().Set("X-Quarry-Class", olap.ClassCacheHit)
-				w.Header().Set("X-Quarry-Version", fmt.Sprintf("%d", res.Version))
-				writeJSON(w, http.StatusOK, olapBody(res))
-				return
+				hdr.Set("X-Quarry-Cache", "hit")
+				hdr.Set("X-Quarry-Class", olap.ClassCacheHit)
+				hdr.Set("X-Quarry-Version", strconv.FormatUint(res.Version, 10))
+				return reply{outcome: answered, status: http.StatusOK, body: olap.RenderBody(res.Columns, res.Rows)}
 			}
 		}
-	}
-	budget, err := s.queryBudget(r)
-	if err != nil {
-		s.olapErrors.Add(1)
-		writeErr(w, http.StatusBadRequest, err)
-		return
 	}
 	// The deadline rides the request context end-to-end: queue wait
 	// below, then the executors' batch-boundary checks, so an expired
@@ -361,13 +484,22 @@ func (s *Server) handleOLAP(w http.ResponseWriter, r *http.Request) {
 	// Admission: project this request's queue wait from the current
 	// backlog and its own class cost; shed with 429 + Retry-After when
 	// the projection blows the SLO. Refusing here costs microseconds —
-	// the whole point is to spend them instead of a timeout.
-	class := predictClass(body.Oracle, body.Dice != nil)
-	tkt, admitted, retryAfter, projected := s.adm.admit(class)
-	if !admitted {
-		s.olapShed.Add(1)
-		writeShed(w, class, retryAfter, projected)
-		return
+	// the whole point is to spend them instead of a timeout. Every
+	// endpoint shares the one controller: an overloaded shard sheds its
+	// partials with 429 too, and the gather router treats that as "busy,
+	// retry later" rather than a dead shard.
+	held.class = predictClass(body.Oracle, body.Dice != nil)
+	var retryAfter, projected time.Duration
+	if held.tkt, held.admitted, retryAfter, projected = s.adm.admit(held.class); !held.admitted {
+		hdr.Set("Retry-After", strconv.FormatInt(int64(retryAfter.Seconds()+0.5), 10))
+		return reply{outcome: shed, status: http.StatusTooManyRequests, body: shedResponse{
+			Error: fmt.Sprintf("overloaded: projected wait %s exceeds the SLO; retry after %s",
+				projected.Round(time.Millisecond), retryAfter),
+			Shed:            true,
+			Class:           classNames[held.class],
+			ProjectedWaitMs: float64(projected) / float64(time.Millisecond),
+			RetryAfterMs:    retryAfter.Milliseconds(),
+		}}
 	}
 	// Bounded-concurrency query pool: at most cap(s.pool) queries
 	// execute at once, the rest queue here. A client that disconnects
@@ -378,171 +510,89 @@ func (s *Server) handleOLAP(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.pool <- struct{}{}:
 	case <-ctx.Done():
-		s.adm.done(tkt, class, -1) // never executed: no service-time observation
-		s.olapErrors.Add(1)
-		if failOLAP(w, r, ctx, class, budget, arrival, arrival, false, ctx.Err()) {
-			s.olapDeadline.Add(1)
-		}
-		return
+		return queryFailure(r, ctx, *held, budget, arrival, ctx.Err())
 	}
-	// The slot is held until the response is WRITTEN, not just until the
-	// query executes: marshalling a large result is real work, and the
-	// pool is what bounds it (releasing early lets an overloaded node
-	// marshal dozens of multi-megabyte answers at once and collapse).
-	// The admission EWMA must therefore observe the same span the slot
-	// is held for — execution plus serialization — or the backlog
-	// projection promises a drain rate the pool cannot deliver and
-	// admitted requests overshoot the SLO; that is why the success path
-	// below settles its ticket after writeJSON, not after the query.
-	defer func() { <-s.pool }()
-	execStart := time.Now()
+	held.execStart = time.Now()
 	if testingOLAPBeforeQuery != nil {
 		testingOLAPBeforeQuery()
 	}
 	oe, err := s.p.OLAP()
 	if err != nil {
-		s.adm.done(tkt, class, time.Since(execStart).Nanoseconds())
-		s.olapErrors.Add(1)
-		writeErr(w, http.StatusUnprocessableEntity, err)
-		return
+		return failure(http.StatusUnprocessableEntity, err)
 	}
-	q := olap.CubeQuery{Fact: body.Fact, GroupBy: body.GroupBy, Filter: body.Filter, RollUp: body.RollUp}
-	for _, m := range body.Measures {
-		q.Measures = append(q.Measures, olap.MeasureSpec{Out: m.Out, Func: m.Func, Col: m.Col})
+	ans, err := ep.execute(ctx, oe, body.cubeQuery(), body.Oracle)
+	if err != nil {
+		return queryFailure(r, ctx, *held, budget, arrival, err)
 	}
-	if body.Dice != nil {
-		q.Dice = &olap.DiceSpec{Func: body.Dice.Func, Col: body.Dice.Col, Thresholds: body.Dice.Thresholds}
+	if canonical != nil {
+		// An expired or failed query never reaches this Put: only
+		// completed answers are published to the result cache.
+		ep.cache.Put(cacheKey(ans.version, canonical), ans.result)
+		hdr.Set("X-Quarry-Cache", "miss")
 	}
+	if ans.class != "" {
+		hdr.Set("X-Quarry-Class", ans.class)
+		held.class = classOf(ans.class)
+	}
+	hdr.Set("X-Quarry-Version", strconv.FormatUint(ans.version, 10))
+	return reply{outcome: answered, status: http.StatusOK, body: ans.body}
+}
+
+// cacheKey keys a result by the warehouse version it was computed at
+// and the canonical request JSON.
+func cacheKey(version uint64, canonical []byte) string {
+	return fmt.Sprintf("v%d:%s", version, canonical)
+}
+
+// executeOLAP is POST /api/olap's executor: the cube query answered in
+// full, by the vectorized fast path or — oracle — the star-flow
+// reference executor.
+func executeOLAP(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle bool) (answer, error) {
 	var res *olap.Result
-	if body.Oracle {
+	var err error
+	if oracle {
 		res, err = oe.QueryStarFlowContext(ctx, q)
 	} else {
 		res, err = oe.QueryContext(ctx, q)
 	}
-	execNs := time.Since(execStart).Nanoseconds()
 	if err != nil {
-		// The slot time was burned even though the query failed, so it
-		// still feeds the class's service-time estimate.
-		s.adm.done(tkt, class, execNs)
-		s.olapErrors.Add(1)
-		if failOLAP(w, r, ctx, class, budget, arrival, execStart, true, err) {
-			s.olapDeadline.Add(1)
-		}
-		return
+		return answer{}, err
 	}
-	s.olapAnswered.Add(1)
-	if canonical != nil {
-		// An expired or failed query never reaches this Put: only
-		// completed answers are published to the result cache.
-		s.cache.Put(fmt.Sprintf("v%d:%s", res.Version, canonical), res)
-		w.Header().Set("X-Quarry-Cache", "miss")
-	}
-	w.Header().Set("X-Quarry-Class", res.Class)
-	// The version of the snapshot the answer actually came from, so
-	// clients cross-checking two answers (e.g. quarrybench's oracle
-	// spot checks) can tell version skew from disagreement.
-	w.Header().Set("X-Quarry-Version", fmt.Sprintf("%d", res.Version))
-	writeJSON(w, http.StatusOK, olapBody(res))
-	// Settled AFTER the write so the observed service time spans the
-	// whole slot-holding: execution plus marshal/write (see the slot
-	// comment above). EWMA attribution uses the class that ACTUALLY
-	// answered (a predicted fast-path query may have been served by a
-	// materialized aggregate), keeping the estimates honest per class.
-	s.adm.done(tkt, classOf(res.Class), time.Since(execStart).Nanoseconds())
+	return answer{body: olap.RenderBody(res.Columns, res.Rows), version: res.Version, class: res.Class, result: res}, nil
 }
 
-// handleOLAPPartial answers a cube query as pre-finalisation partial
-// aggregates — the shard side of scatter-gather (see internal/shard).
-// A non-sharded node answers as the single shard of a 1-way topology,
-// which is also the degenerate case the identity tests pin. Requests
-// share the OLAP query pool with /api/olap.
+// executePartial is POST /api/olap/partial's executor: the cube query
+// answered as pre-finalisation partial aggregates — the shard side of
+// scatter-gather (see internal/shard). A non-sharded node answers as
+// the single shard of a 1-way topology, which is also the degenerate
+// case the identity tests pin.
 //
-// With "oracle": true, the shard self-verifies before answering: it
-// finalises its own partial as a 1-way merge and compares the bytes
-// against its local star-flow reference executor over the same
-// partition; a mismatch is a 500, never a wrong partial.
-func (s *Server) handleOLAPPartial(w http.ResponseWriter, r *http.Request) {
-	arrival := time.Now()
-	var body olapRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	budget, err := s.queryBudget(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx := r.Context()
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, arrival.Add(budget))
-		defer cancel()
-	}
-	// Partials share the admission controller with /api/olap: an
-	// overloaded shard sheds its partials with 429 too, and the gather
-	// router treats that as "busy, retry later" rather than a dead
-	// shard. (Partial traffic is not counted in the /api/olap stats
-	// counters — those cover that endpoint alone — but the per-class
-	// admission stats see it.)
-	class := predictClass(body.Oracle, body.Dice != nil)
-	tkt, admitted, retryAfter, projected := s.adm.admit(class)
-	if !admitted {
-		writeShed(w, class, retryAfter, projected)
-		return
-	}
-	select {
-	case s.pool <- struct{}{}:
-	case <-ctx.Done():
-		s.adm.done(tkt, class, -1)
-		failOLAP(w, r, ctx, class, budget, arrival, arrival, false, ctx.Err())
-		return
-	}
-	defer func() { <-s.pool }()
-	execStart := time.Now()
-	oe, err := s.p.OLAP()
-	if err != nil {
-		s.adm.done(tkt, class, time.Since(execStart).Nanoseconds())
-		writeErr(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	q := olap.CubeQuery{Fact: body.Fact, GroupBy: body.GroupBy, Filter: body.Filter, RollUp: body.RollUp}
-	for _, m := range body.Measures {
-		q.Measures = append(q.Measures, olap.MeasureSpec{Out: m.Out, Func: m.Func, Col: m.Col})
-	}
-	if body.Dice != nil {
-		q.Dice = &olap.DiceSpec{Func: body.Dice.Func, Col: body.Dice.Col, Thresholds: body.Dice.Thresholds}
-	}
+// With oracle, the shard self-verifies before answering: it finalises
+// its own partial as a 1-way merge and compares the bytes against its
+// local star-flow reference executor over the same partition; a
+// mismatch is a 500, never a wrong partial.
+func (s *Server) executePartial(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle bool) (answer, error) {
 	partial, err := oe.QueryPartialContext(ctx, q)
 	if err != nil {
-		s.adm.done(tkt, class, time.Since(execStart).Nanoseconds())
-		failOLAP(w, r, ctx, class, budget, arrival, execStart, true, err)
-		return
+		return answer{}, err
 	}
 	spec := s.p.Shard()
 	if !spec.Enabled() {
 		spec = shard.Spec{Index: 0, Count: 1}
 	}
 	resp := shard.EncodePartial(spec.Index, spec.Count, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups)
-	if body.Oracle {
-		if err := s.selfVerifyPartial(ctx, oe, q, partial); err != nil {
-			s.adm.done(tkt, class, time.Since(execStart).Nanoseconds())
-			writeErr(w, http.StatusInternalServerError, err)
-			return
+	if oracle {
+		if err := selfVerifyPartial(ctx, oe, q, partial); err != nil {
+			return answer{}, statusError{http.StatusInternalServerError, err}
 		}
 	}
-	w.Header().Set("X-Quarry-Version", fmt.Sprintf("%d", partial.Version))
-	writeJSON(w, http.StatusOK, resp)
-	// Settled after the write, as in handleOLAP, so the estimate covers
-	// everything the slot was held for — including the encode and the
-	// oracle self-verify.
-	s.adm.done(tkt, class, time.Since(execStart).Nanoseconds())
+	return answer{body: resp, version: partial.Version}, nil
 }
 
 // selfVerifyPartial finalises the shard's own partial as a 1-way merge
 // and compares the rendered rows byte-for-byte against the star-flow
 // reference executor over the same local partition.
-func (s *Server) selfVerifyPartial(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, partial *olap.Partial) error {
+func selfVerifyPartial(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, partial *olap.Partial) error {
 	solo := shard.EncodePartial(0, 1, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups)
 	cols, rows, _, err := shard.Merge([]*shard.PartialResponse{solo})
 	if err != nil {
@@ -567,8 +617,9 @@ func (s *Server) selfVerifyPartial(ctx context.Context, oe *olap.Engine, q olap.
 	return nil
 }
 
-// testingOLAPBeforeQuery, when set, runs after the cache miss — with
-// the query slot already held — and before query execution: the seam
+// testingOLAPBeforeQuery, when set, runs on every query endpoint after
+// the cache miss — with the query slot already held — and before query
+// execution: the seam
 // race-shaped tests use to commit an ETL run, or cancel the client,
 // inside that window. Never set outside tests.
 var testingOLAPBeforeQuery func()
@@ -645,11 +696,11 @@ func (s *Server) scheduleMatAggRefresh() {
 
 func (s *Server) handleOLAPStats(w http.ResponseWriter, _ *http.Request) {
 	var out olapStatsResponse
-	out.Queries = s.olapQueries.Load()
-	out.Answered = s.olapAnswered.Load()
-	out.Shed = s.olapShed.Load()
-	out.QueryErrors = s.olapErrors.Load()
-	out.DeadlineExceeded = s.olapDeadline.Load()
+	out.Queries = s.olap.queries.Load()
+	out.Answered = s.olap.answered.Load()
+	out.Shed = s.olap.shed.Load()
+	out.QueryErrors = s.olap.errors.Load()
+	out.DeadlineExceeded = s.olap.deadline.Load()
 	out.Admission = s.adm.stats()
 	out.CacheHits, out.CacheMisses = s.cache.Stats()
 	out.CacheEntries = s.cache.Len()
@@ -661,29 +712,6 @@ func (s *Server) handleOLAPStats(w http.ResponseWriter, _ *http.Request) {
 		out.MatAgg = &st
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-func olapBody(res *olap.Result) olapResponse {
-	out := olapResponse{Columns: res.Columns, Rows: [][]string{}}
-	for _, row := range res.Rows {
-		out.Rows = append(out.Rows, olap.RenderRow(row))
-	}
-	return out
-}
-
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	text, err := s.p.ExportFlow(r.PathValue("notation"))
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if strings.Contains(err.Error(), "no exporter") {
-			status = http.StatusNotFound
-		}
-		writeErr(w, status, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, text)
 }
 
 // WarehouseChanged tells the serving layer the warehouse moved to a
@@ -774,12 +802,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeXML(w http.ResponseWriter, status int, text string) {
-	w.Header().Set("Content-Type", "application/xml")
-	w.WriteHeader(status)
-	_, _ = io.WriteString(w, text)
-}
-
 type errorBody struct {
 	Error string `json:"error"`
 }
@@ -802,8 +824,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		resp["slo_target_ms"] = float64(s.adm.slo) / float64(time.Millisecond)
 		resp["shed_policy"] = s.adm.policy
 	}
-	resp["shed"] = s.olapShed.Load()
-	resp["deadline_exceeded"] = s.olapDeadline.Load()
+	resp["shed"] = s.olap.shed.Load()
+	resp["deadline_exceeded"] = s.olap.deadline.Load()
 	if s.replicaStatus != nil {
 		resp["role"] = "replica"
 		resp["replica"] = s.replicaStatus()
@@ -844,292 +866,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleGraph(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.p.Elicitor().Graph())
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing query parameter q"))
-		return
-	}
-	hits := s.p.Elicitor().Search(q)
-	if hits == nil {
-		hits = []string{}
-	}
-	writeJSON(w, http.StatusOK, hits)
-}
-
-func (s *Server) handleFoci(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.p.Elicitor().SuggestFoci())
-}
-
-func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	focus := r.URL.Query().Get("focus")
-	if focus == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing query parameter focus"))
-		return
-	}
-	sg, err := s.p.Elicitor().Suggest(focus)
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, sg)
-}
-
-type requirementSummary struct {
-	ID         string `json:"id"`
-	Name       string `json:"name"`
-	Dimensions int    `json:"dimensions"`
-	Measures   int    `json:"measures"`
-	Slicers    int    `json:"slicers"`
-}
-
-func (s *Server) handleListRequirements(w http.ResponseWriter, _ *http.Request) {
-	out := []requirementSummary{}
-	for _, r := range s.p.Requirements() {
-		out = append(out, requirementSummary{
-			ID: r.ID, Name: r.Name,
-			Dimensions: len(r.Dimensions), Measures: len(r.Measures), Slicers: len(r.Slicers),
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// changeResponse is the JSON body returned by lifecycle mutations.
-type changeResponse struct {
-	RequirementID string  `json:"requirement_id"`
-	Rederived     bool    `json:"rederived"`
-	MDReused      int     `json:"md_matched_elements,omitempty"`
-	ETLReused     int     `json:"etl_reused,omitempty"`
-	ETLAdded      int     `json:"etl_added,omitempty"`
-	ETLCostAfter  float64 `json:"etl_cost_after,omitempty"`
-}
-
-func changeBody(rep *core.ChangeReport) changeResponse {
-	out := changeResponse{RequirementID: rep.RequirementID, Rederived: rep.Rederived}
-	if rep.MD != nil {
-		out.MDReused = len(rep.MD.MatchedFacts) + len(rep.MD.MatchedDimensions)
-	}
-	if rep.ETL != nil {
-		out.ETLReused = rep.ETL.Reused
-		out.ETLAdded = rep.ETL.Added
-		out.ETLCostAfter = rep.ETL.CostAfter
-	}
-	return out
-}
-
-func (s *Server) readRequirement(w http.ResponseWriter, r *http.Request) (*xrq.Requirement, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	req, err := xrq.Unmarshal(string(body))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	return req, true
-}
-
-func (s *Server) handleAddRequirement(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.readRequirement(w, r)
-	if !ok {
-		return
-	}
-	rep, err := s.p.AddRequirement(req)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if strings.Contains(err.Error(), "already registered") {
-			status = http.StatusConflict
-		}
-		writeErr(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, changeBody(rep))
-}
-
-func (s *Server) handleGetRequirement(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	for _, req := range s.p.Requirements() {
-		if req.ID == id {
-			text, err := xrq.Marshal(req)
-			if err != nil {
-				writeErr(w, http.StatusInternalServerError, err)
-				return
-			}
-			writeXML(w, http.StatusOK, text)
-			return
-		}
-	}
-	writeErr(w, http.StatusNotFound, fmt.Errorf("requirement %q not registered", id))
-}
-
-func (s *Server) handleChangeRequirement(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.readRequirement(w, r)
-	if !ok {
-		return
-	}
-	if req.ID != r.PathValue("id") {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("body id %q does not match path id %q", req.ID, r.PathValue("id")))
-		return
-	}
-	rep, err := s.p.ChangeRequirement(req)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if strings.Contains(err.Error(), "not registered") {
-			status = http.StatusNotFound
-		}
-		writeErr(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, changeBody(rep))
-}
-
-func (s *Server) handleRemoveRequirement(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.p.RemoveRequirement(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, changeBody(rep))
-}
-
-func (s *Server) unified(w http.ResponseWriter) (*xmd.Schema, *xlm.Design, bool) {
-	md, etl := s.p.Unified()
-	if md == nil || etl == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no unified design; add requirements first"))
-		return nil, nil, false
-	}
-	return md, etl, true
-}
-
-func (s *Server) handleUnifiedMD(w http.ResponseWriter, _ *http.Request) {
-	md, _, ok := s.unified(w)
-	if !ok {
-		return
-	}
-	text, err := xmd.Marshal(md)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeXML(w, http.StatusOK, text)
-}
-
-func (s *Server) handleUnifiedETL(w http.ResponseWriter, _ *http.Request) {
-	_, etl, ok := s.unified(w)
-	if !ok {
-		return
-	}
-	text, err := xlm.Marshal(etl)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeXML(w, http.StatusOK, text)
-}
-
-func (s *Server) handlePartialMD(w http.ResponseWriter, r *http.Request) {
-	pd, ok := s.p.Partial(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("requirement %q not registered", r.PathValue("id")))
-		return
-	}
-	text, err := xmd.Marshal(pd.MD)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeXML(w, http.StatusOK, text)
-}
-
-func (s *Server) handlePartialETL(w http.ResponseWriter, r *http.Request) {
-	pd, ok := s.p.Partial(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("requirement %q not registered", r.PathValue("id")))
-		return
-	}
-	text, err := xlm.Marshal(pd.ETL)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeXML(w, http.StatusOK, text)
-}
-
-func (s *Server) handleQuality(w http.ResponseWriter, _ *http.Request) {
-	cost, err := s.p.EstimatedETLCost()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	sat := s.p.CheckSatisfiability()
-	body := map[string]any{
-		"etl_estimated_cost": cost,
-		"satisfiable":        sat == nil,
-	}
-	if sat != nil {
-		body["satisfiability_error"] = sat.Error()
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-func (s *Server) handleDeploy(w http.ResponseWriter, r *http.Request) {
-	database := r.URL.Query().Get("database")
-	if database == "" {
-		database = "quarry_dw"
-	}
-	dep, err := s.p.Deploy(database)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, dep)
-}
-
-type runResponse struct {
-	Loaded        map[string]int64 `json:"loaded"`
-	RowsProcessed int64            `json:"rows_processed"`
-	ElapsedMicros int64            `json:"elapsed_us"`
-	Operations    int              `json:"operations"`
-}
-
-// runRequest is the optional JSON body of POST /api/run; absent or
-// zero fields keep the platform's configured engine options.
-type runRequest struct {
-	Parallelism int `json:"parallelism"`
-	BatchSize   int `json:"batch_size"`
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	opts := s.p.EngineOptions()
-	var body runRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil && err != io.EOF {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if body.Parallelism != 0 {
-		opts.Parallelism = body.Parallelism
-	}
-	if body.BatchSize != 0 {
-		opts.BatchSize = body.BatchSize
-	}
-	res, err := s.p.RunWith(opts)
-	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	s.WarehouseChanged()
-	writeJSON(w, http.StatusOK, runResponse{
-		Loaded:        res.Loaded,
-		RowsProcessed: res.RowsProcessed(),
-		ElapsedMicros: res.Elapsed.Microseconds(),
-		Operations:    len(res.Stats),
-	})
 }

@@ -78,7 +78,7 @@ func TestShardGatherE2EByteIdentity(t *testing.T) {
 		t.Cleanup(shardTS[i].Close)
 		urls[i] = shardTS[i].URL
 	}
-	g, err := router.NewShardGather(urls, nil, 2, 1)
+	g, err := router.NewShardGather(urls, nil, router.Options{Attempts: 2, SkewRetries: 1, BusyRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestShardGatherForwardsDiceRejection(t *testing.T) {
 	p := shardedTestPlatform(t, 1, shard.Spec{Index: 0, Count: 1})
 	ts := httptest.NewServer(New(p).Handler())
 	t.Cleanup(ts.Close)
-	g, err := router.NewShardGather([]string{ts.URL}, nil, 1, 0)
+	g, err := router.NewShardGather([]string{ts.URL}, nil, router.Options{Attempts: 1, BusyRetries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
