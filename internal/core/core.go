@@ -279,7 +279,14 @@ func (p *Platform) RemoveRequirement(id string) (*ChangeReport, error) {
 		}
 	}
 	p.repo.DeleteRequirement(id)
+	p.repo.DeleteMD(partialKey(id))
+	p.repo.DeleteETL(partialKey(id))
 	if err := p.rederiveLocked(); err != nil {
+		return nil, err
+	}
+	// Without the flush a restart over the same StoreDir restores the
+	// removed requirement.
+	if err := p.repo.Flush(); err != nil {
 		return nil, err
 	}
 	return &ChangeReport{RequirementID: id, Rederived: true}, nil
@@ -372,14 +379,18 @@ func (p *Platform) checkAllSatisfiedLocked(md *xmd.Schema, incoming *xrq.Require
 	return nil
 }
 
+// partialKey is the repository key of a requirement's partial MD and
+// ETL designs.
+func partialKey(id string) string { return "partial:" + id }
+
 func (p *Platform) persistLocked(r *xrq.Requirement, pd *interpreter.PartialDesign) error {
 	if err := p.repo.SaveRequirement(r); err != nil {
 		return err
 	}
-	if err := p.repo.SaveMD("partial:"+r.ID, pd.MD); err != nil {
+	if err := p.repo.SaveMD(partialKey(r.ID), pd.MD); err != nil {
 		return err
 	}
-	if err := p.repo.SaveETL("partial:"+r.ID, pd.ETL); err != nil {
+	if err := p.repo.SaveETL(partialKey(r.ID), pd.ETL); err != nil {
 		return err
 	}
 	if p.unifiedMD != nil {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"quarry/internal/storage"
 	"quarry/internal/tpch"
+	"quarry/internal/xlm"
+	"quarry/internal/xmd"
 )
 
 // newPersistentPlatform builds a platform over a metadata repository
@@ -102,6 +105,59 @@ func TestRestartAfterRemoval(t *testing.T) {
 	if len(p2.Requirements()) != 3 {
 		t.Errorf("restored %d requirements, want 3", len(p2.Requirements()))
 	}
+}
+
+// TestRemoveRequirementSurvivesRestart: a removal is durable by itself
+// — no caller-side flush — and takes the requirement's partial designs
+// with it, so a platform reopened over the same directory is the live
+// one: same requirements, same unified designs.
+func TestRemoveRequirementSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	live := newPersistentPlatform(t, dir)
+	for _, r := range tpch.CanonicalRequirements() {
+		if _, err := live.AddRequirement(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := live.RemoveRequirement("IR_netprofit"); err != nil {
+		t.Fatal(err)
+	}
+	reopened := newPersistentPlatform(t, dir)
+	ids := func(p *Platform) (out []string) {
+		for _, r := range p.Requirements() {
+			out = append(out, r.ID)
+		}
+		return out
+	}
+	if got, want := ids(reopened), ids(live); len(want) != 3 || !slices.Equal(got, want) {
+		t.Errorf("restored requirements %v, live platform has %v", got, want)
+	}
+	liveMD, liveETL := live.Unified()
+	gotMD, gotETL := reopened.Unified()
+	if gotMD == nil || gotETL == nil {
+		t.Fatal("unified designs not restored")
+	}
+	if got, want := mustXML(t, xmd.Marshal, gotMD), mustXML(t, xmd.Marshal, liveMD); got != want {
+		t.Errorf("restored unified MD (%d bytes of xMD) differs from the live platform's (%d)", len(got), len(want))
+	}
+	if got, want := mustXML(t, xlm.Marshal, gotETL), mustXML(t, xlm.Marshal, liveETL); got != want {
+		t.Errorf("restored unified ETL (%d bytes of xLM) differs from the live platform's (%d)", len(got), len(want))
+	}
+	if _, err := reopened.Repository().MD(partialKey("IR_netprofit")); err == nil {
+		t.Error("partial MD design of the removed requirement still stored")
+	}
+	if _, err := reopened.Repository().ETL(partialKey("IR_netprofit")); err == nil {
+		t.Error("partial ETL design of the removed requirement still stored")
+	}
+}
+
+func mustXML[T any](t *testing.T, marshal func(T) (string, error), v T) string {
+	t.Helper()
+	text, err := marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
 }
 
 // TestEmptyDirRestoresNothing: a fresh directory yields an empty

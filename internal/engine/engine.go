@@ -7,7 +7,11 @@
 // work than separate flows).
 //
 // Two execution strategies share one set of operator kernels
-// (kernels.go):
+// (kernels.go) and differ only in the column layouts they hand them:
+// the pipelined executor plans, per edge, the subsequence of the
+// node's logical Fields that anything downstream reads (planLayouts in
+// pipeline.go) and ships only those columns; the materialising
+// reference passes Fields themselves, deliberately full width.
 //
 //   - Run / RunWithOptions — the default batch-vectorised, pipelined,
 //     DAG-parallel executor (pipeline.go). Operators stream fixed-size
@@ -19,9 +23,9 @@
 //     a worker pool bounded by Options.Parallelism.
 //   - RunMaterializing — the original single-threaded strategy:
 //     operations run in topological order, each consuming its inputs'
-//     fully buffered rows. It is the semantic reference the pipelined
-//     path is tested against, and the baseline its speedup is measured
-//     from.
+//     fully buffered, full-width rows. It is the semantic reference
+//     the pipelined path is tested against, and the baseline its
+//     speedup is measured from.
 //
 // Both strategies produce byte-identical loaded tables, per-operation
 // row counts and Loaded totals. Row counts and per-operation durations
@@ -181,7 +185,7 @@ func execNode(n *xlm.Node, inputs []*mat, db *storage.DB, staged *stagedLoads, r
 	out := &mat{fields: n.Fields}
 	switch n.Type {
 	case xlm.OpDatastore:
-		op, err := newDatastoreOp(n, db)
+		op, err := newDatastoreOp(n, db, n.Fields)
 		if err != nil {
 			return nil, err
 		}
@@ -198,21 +202,21 @@ func execNode(n *xlm.Node, inputs []*mat, db *storage.DB, staged *stagedLoads, r
 		out.rows, err = op.filter(nil, inputs[0].rows)
 		return out, err
 	case xlm.OpProjection:
-		op, err := newProjectionOp(n, inputs[0].fields)
+		op, err := newProjectionOp(n, inputs[0].fields, n.Fields)
 		if err != nil {
 			return nil, err
 		}
 		out.rows = op.apply(nil, inputs[0].rows)
 		return out, nil
 	case xlm.OpFunction:
-		op, err := newFunctionOp(n, inputs[0].fields)
+		op, err := newFunctionOp(n, inputs[0].fields, n.Fields)
 		if err != nil {
 			return nil, err
 		}
 		out.rows, err = op.apply(nil, inputs[0].rows)
 		return out, err
 	case xlm.OpJoin:
-		op, err := newJoinOp(n, inputs[0].fields, inputs[1].fields)
+		op, err := newJoinOp(n, inputs[0].fields, inputs[1].fields, n.Fields)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +247,7 @@ func execNode(n *xlm.Node, inputs []*mat, db *storage.DB, staged *stagedLoads, r
 		out.rows = op.result()
 		return out, nil
 	case xlm.OpSurrogateKey:
-		op, err := newSurrogateKeyOp(n, inputs[0].fields)
+		op, err := newSurrogateKeyOp(n, inputs[0].fields, n.Fields)
 		if err != nil {
 			return nil, err
 		}

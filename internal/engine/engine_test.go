@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"quarry/internal/expr"
@@ -463,6 +464,37 @@ func TestRunErrors(t *testing.T) {
 	sel.Params["predicate"] = "ghost = 1"
 	if _, err := Run(d, db); err == nil {
 		t.Error("invalid design executed")
+	}
+}
+
+// TestDeadFunctionStillFails: a Function whose derived column nothing
+// downstream reads is still evaluated, so a failing expression fails
+// the run — with the same node-named error — in the full-width
+// reference and in the pruning pipelined executor alike.
+func TestDeadFunctionStillFails(t *testing.T) {
+	d := xlm.NewDesign("dead_function")
+	d.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
+		Fields: []xlm.Field{{Name: "l_suppkey", Type: "int"}, {Name: "l_extendedprice", Type: "float"}, {Name: "l_discount", Type: "float"}},
+		Params: map[string]string{"table": "lineitem"}})
+	d.AddNode(&xlm.Node{Name: "F_dead", Type: xlm.OpFunction, Params: map[string]string{"name": "dead", "expr": "l_discount / 0"}})
+	d.AddNode(&xlm.Node{Name: "AGG", Type: xlm.OpAggregation, Params: map[string]string{"group": "l_suppkey", "aggregates": "s:SUM:l_extendedprice"}})
+	d.AddNode(&xlm.Node{Name: "LOAD", Type: xlm.OpLoader, Params: map[string]string{"table": "out"}})
+	d.AddEdge("DS", "F_dead")
+	d.AddEdge("F_dead", "AGG")
+	d.AddEdge("AGG", "LOAD")
+	_, want := RunMaterializing(d, miniDB(t))
+	if want == nil || !strings.Contains(want.Error(), `node "F_dead"`) {
+		t.Fatalf("reference: error = %v, want a failure naming F_dead", want)
+	}
+	for _, o := range []Options{{Parallelism: 1, BatchSize: 7}, {Parallelism: 8, BatchSize: 64}} {
+		db := miniDB(t)
+		_, err := RunWithOptions(d, db, o)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("%+v: error = %v, want %v", o, err, want)
+		}
+		if _, ok := db.Table("out"); ok {
+			t.Errorf("%+v: failed run created its target", o)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"quarry/internal/etlintegrator"
+	"quarry/internal/expr"
 	"quarry/internal/interpreter"
 	"quarry/internal/quality"
 	"quarry/internal/storage"
@@ -55,10 +56,10 @@ func capture(res *Result, db *storage.DB) outcome {
 }
 
 // assertEngineEquivalence runs the design through the materialising
-// reference, the pipelined executor at Parallelism 1, and the
-// pipelined executor at high parallelism with a stress batch size,
-// each against an independently rebuilt database, and requires
-// byte-identical results.
+// reference, the pipelined executor at Parallelism 1, at Parallelism 4
+// with tiny batches (many batches in flight on every edge at once),
+// and at high parallelism with a stress batch size, each against an
+// independently rebuilt database, and requires byte-identical results.
 func assertEngineEquivalence(t *testing.T, mkDB func() *storage.DB, d *xlm.Design) {
 	t.Helper()
 	modes := []struct {
@@ -68,6 +69,9 @@ func assertEngineEquivalence(t *testing.T, mkDB func() *storage.DB, d *xlm.Desig
 		{"materializing", RunMaterializing},
 		{"parallel=1", func(d *xlm.Design, db *storage.DB) (*Result, error) {
 			return RunWithOptions(d, db, Options{Parallelism: 1, BatchSize: 7})
+		}},
+		{"parallel=4,batch=7", func(d *xlm.Design, db *storage.DB) (*Result, error) {
+			return RunWithOptions(d, db, Options{Parallelism: 4, BatchSize: 7})
 		}},
 		{"parallel=N", func(d *xlm.Design, db *storage.DB) (*Result, error) {
 			return RunWithOptions(d, db, Options{Parallelism: 8, BatchSize: 64})
@@ -187,62 +191,173 @@ func TestEquivalenceSharedTargetLoaders(t *testing.T) {
 
 // randomDesign grows a chain off a (k, g, x) datastore, forks it at a
 // random point into two branches, and loads both — exercising every
-// streaming operator plus fan-out, aggregation and sorting under the
-// quick-check style the package's other property tests use.
+// operator plus fan-out under the quick-check style the package's
+// other property tests use. It tracks the schema as it goes, so the
+// shapes the layout pass must get right all occur: a Join against a
+// second datastore whose key nothing downstream reads, a Projection
+// that drops and renames, a Union (where pruning must stop), Functions
+// and SurrogateKeys whose derived column dies, and a fork whose two
+// branches end in readers of disjoint column halves (the shared node
+// must carry their union).
 func randomDesign(r *rand.Rand) *xlm.Design {
 	d := xlm.NewDesign(fmt.Sprintf("rand%d", r.Int63()))
-	d.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
-		Fields: []xlm.Field{{Name: "k", Type: "int"}, {Name: "g", Type: "string"}, {Name: "x", Type: "float"}},
-		Params: map[string]string{"table": "t"}})
+	cols := []xlm.Field{{Name: "k", Type: "int"}, {Name: "g", Type: "string"}, {Name: "x", Type: "float"}}
+	d.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore, Fields: cols, Params: map[string]string{"table": "t"}})
 	seq := 0
-	addOp := func(prev string) string {
+	fresh := func(prefix string) string {
 		seq++
-		name := fmt.Sprintf("OP%d", seq)
-		switch r.Intn(4) {
-		case 0:
-			d.AddNode(&xlm.Node{Name: name, Type: xlm.OpSelection,
-				Params: map[string]string{"predicate": fmt.Sprintf("x > %d", r.Intn(250))}})
-		case 1:
-			d.AddNode(&xlm.Node{Name: name, Type: xlm.OpFunction,
-				Params: map[string]string{"name": fmt.Sprintf("f%d", seq), "expr": fmt.Sprintf("x * %d + k", 1+r.Intn(3))}})
-		case 2:
-			d.AddNode(&xlm.Node{Name: name, Type: xlm.OpSurrogateKey,
-				Params: map[string]string{"key": fmt.Sprintf("sk%d", seq), "on": "g,k"}})
-		case 3:
-			d.AddNode(&xlm.Node{Name: name, Type: xlm.OpSort,
-				Params: map[string]string{"by": "k,g"}})
-		}
+		return fmt.Sprintf("%s%d", prefix, seq)
+	}
+	add := func(prev string, typ xlm.OpType, prefix string, params map[string]string) string {
+		name := fresh(prefix)
+		d.AddNode(&xlm.Node{Name: name, Type: typ, Params: params})
 		d.AddEdge(prev, name)
 		return name
 	}
-	prev := "DS"
-	for i := 0; i < r.Intn(3); i++ {
-		prev = addOp(prev)
+	numeric := func(cols []xlm.Field) []xlm.Field {
+		var out []xlm.Field
+		for _, f := range cols {
+			if f.Type != "string" {
+				out = append(out, f)
+			}
+		}
+		return out
 	}
-	fork := prev // both branches consume this node
+	pick := func(cols []xlm.Field) xlm.Field { return cols[r.Intn(len(cols))] }
+	pickNames := func(cols []xlm.Field) string {
+		names := pick(cols).Name
+		if other := pick(cols).Name; other != names {
+			names += "," + other
+		}
+		return names
+	}
+	allNames := func(cols []xlm.Field) string {
+		names := make([]string, len(cols))
+		for i, f := range cols {
+			names[i] = f.Name
+		}
+		return strings.Join(names, ", ")
+	}
+	has := func(cols []xlm.Field, name string) bool {
+		for _, f := range cols {
+			if f.Name == name {
+				return true
+			}
+		}
+		return false
+	}
+	addOp := func(prev string, cols []xlm.Field) (string, []xlm.Field) {
+		nums := numeric(cols)
+		switch op := r.Intn(7); {
+		case op == 0 && len(nums) > 0:
+			return add(prev, xlm.OpSelection, "SEL", map[string]string{
+				"predicate": fmt.Sprintf("%s > %d", pick(nums).Name, r.Intn(250))}), cols
+		case op == 1 && len(nums) > 0:
+			a, b := pick(nums), pick(nums)
+			typ := "int"
+			if a.Type == "float" || b.Type == "float" {
+				typ = "float"
+			}
+			name := fresh("f")
+			return add(prev, xlm.OpFunction, "FN", map[string]string{
+					"name": name, "expr": fmt.Sprintf("%s * %d + %s", a.Name, 1+r.Intn(3), b.Name)}),
+				append(cols[:len(cols):len(cols)], xlm.Field{Name: name, Type: typ})
+		case op == 2:
+			name := fresh("sk")
+			return add(prev, xlm.OpSurrogateKey, "SK", map[string]string{"key": name, "on": pickNames(cols)}),
+				append(cols[:len(cols):len(cols)], xlm.Field{Name: name, Type: "int"})
+		case op == 3 && len(nums) > 0 && !has(cols, "uy"):
+			// The right key uk is read by the join alone; ug by nothing
+			// unless a later operator happens to pick it.
+			right := []xlm.Field{{Name: "uk", Type: "int"}, {Name: "ug", Type: "string"}, {Name: "uy", Type: "float"}}
+			ds := fresh("DSU")
+			d.AddNode(&xlm.Node{Name: ds, Type: xlm.OpDatastore, Fields: right, Params: map[string]string{"table": "u"}})
+			join := add(prev, xlm.OpJoin, "JOIN", map[string]string{"on": pick(nums).Name + "=uk"})
+			d.AddEdge(ds, join)
+			return join, append(cols[:len(cols):len(cols)], right...)
+		case op == 4:
+			// Keep a random non-empty subset in shuffled order, renaming
+			// about half of what is kept.
+			var specs []string
+			var out []xlm.Field
+			for _, i := range r.Perm(len(cols))[:1+r.Intn(len(cols))] {
+				f := cols[i]
+				if r.Intn(2) == 0 {
+					renamed := fresh("p")
+					specs = append(specs, renamed+"="+f.Name)
+					f.Name = renamed
+				} else {
+					specs = append(specs, f.Name)
+				}
+				out = append(out, f)
+			}
+			return add(prev, xlm.OpProjection, "PROJ", map[string]string{"columns": strings.Join(specs, ", ")}), out
+		case op == 5:
+			// Two schema-preserving branches off prev, reunited: one
+			// rebuilds its rows, the other passes prev's through, so
+			// only an unpruned Union sees the same layout on both.
+			a := add(prev, xlm.OpProjection, "PROJ", map[string]string{"columns": allNames(cols)})
+			b := add(prev, xlm.OpSort, "SORT", map[string]string{"by": pickNames(cols)})
+			if len(nums) > 0 {
+				b = add(b, xlm.OpSelection, "SEL", map[string]string{
+					"predicate": fmt.Sprintf("%s > %d", pick(nums).Name, r.Intn(250))})
+			}
+			u := add(a, xlm.OpUnion, "UNION", nil)
+			d.AddEdge(b, u)
+			return u, cols
+		default:
+			return add(prev, xlm.OpSort, "SORT", map[string]string{"by": pickNames(cols)}), cols
+		}
+	}
+	prev := "DS"
+	for i := r.Intn(4); i > 0; i-- {
+		prev, cols = addOp(prev, cols)
+	}
+	fork, forkCols := prev, cols // both branches consume this node
+	// Each branch's terminal reader sees only its own half of the fork's
+	// columns (when there are enough to split).
+	halves := [2][]xlm.Field{forkCols, forkCols}
+	if len(forkCols) > 1 {
+		perm := r.Perm(len(forkCols))
+		halves = [2][]xlm.Field{nil, nil}
+		for i, j := range perm {
+			halves[i%2] = append(halves[i%2], forkCols[j])
+		}
+	}
 	for b := 0; b < 2; b++ {
-		prev = fork
-		for i := 0; i < r.Intn(3); i++ {
-			prev = addOp(prev)
+		prev, cols = fork, forkCols
+		for i := r.Intn(3); i > 0; i-- {
+			prev, cols = addOp(prev, cols)
 		}
-		if r.Intn(2) == 0 {
-			seq++
-			name := fmt.Sprintf("AGG%d", seq)
-			d.AddNode(&xlm.Node{Name: name, Type: xlm.OpAggregation,
-				Params: map[string]string{"group": "g", "aggregates": "s:SUM:x; c:COUNT:; mn:MIN:x; a:AVG:x"}})
-			d.AddEdge(prev, name)
-			prev = name
+		// Columns of this branch's half that survived its own operators.
+		var mine []xlm.Field
+		for _, f := range halves[b] {
+			if has(cols, f.Name) {
+				mine = append(mine, f)
+			}
 		}
-		load := fmt.Sprintf("LOAD%d", b)
-		d.AddNode(&xlm.Node{Name: load, Type: xlm.OpLoader,
-			Params: map[string]string{"table": fmt.Sprintf("out%d", b)}})
-		d.AddEdge(prev, load)
+		switch {
+		case len(mine) == 0:
+		case r.Intn(2) == 0:
+			aggs := "c:COUNT:; mn:MIN:" + pick(mine).Name
+			if nums := numeric(mine); len(nums) > 0 {
+				aggs += fmt.Sprintf("; s:SUM:%s; a:AVG:%s", pick(nums).Name, pick(nums).Name)
+			}
+			params := map[string]string{"aggregates": aggs}
+			if r.Intn(4) != 0 {
+				params["group"] = pick(mine).Name
+			}
+			prev = add(prev, xlm.OpAggregation, "AGG", params)
+		default:
+			prev = add(prev, xlm.OpProjection, "PROJ", map[string]string{"columns": allNames(mine)})
+		}
+		add(prev, xlm.OpLoader, "LOAD", map[string]string{"table": fmt.Sprintf("out%d", b)})
 	}
 	return d
 }
 
 func TestEquivalenceRandomDesigns(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			d := randomDesign(rand.New(rand.NewSource(seed)))
@@ -250,6 +365,15 @@ func TestEquivalenceRandomDesigns(t *testing.T) {
 				db := storage.NewDB()
 				r := rand.New(rand.NewSource(seed + 1000))
 				randTable(r, db, "t", 200+r.Intn(400))
+				// uk repeats, so the join fans out past its input batch.
+				u, err := db.CreateTable("u", []storage.Column{
+					{Name: "uk", Type: "int"}, {Name: "ug", Type: "string"}, {Name: "uy", Type: "float"}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 60; i++ {
+					u.Insert(storage.Row{expr.Int(int64(r.Intn(25))), expr.Str(fmt.Sprint("u", i%7)), expr.Float(float64(r.Intn(400)) / 8)})
+				}
 				return db
 			}
 			assertEngineEquivalence(t, mkDB, d)

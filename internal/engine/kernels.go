@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,8 +19,21 @@ import (
 // semantic rule (NULL handling, grouping order, surrogate-key
 // assignment order, loader column mapping) therefore lives in exactly
 // one place, which is what makes the two paths byte-identical.
+//
+// The two strategies differ only in the layouts they hand the
+// constructors. Every kernel takes the physical layout of its input
+// edge(s) — the columns actually present in the rows it will receive,
+// in order — and the row-building kernels (Datastore, Projection,
+// Function, SurrogateKey, Join) also take the layout of the rows they
+// must emit, a subsequence of the node's logical Fields. The reference
+// path passes Fields everywhere, so its rows are full width; the
+// pipelined executor passes the layouts planLayouts derived, so dead
+// columns are never copied. Column names are unique within a schema
+// (schema inference rejects ambiguous joins, repeated datastore fields
+// and redefined columns), so kernels resolve columns by name against
+// whatever layout they are given.
 
-// fieldIndex maps column names to positions of a schema.
+// fieldIndex maps column names to positions of a layout.
 func fieldIndex(fields []xlm.Field) map[string]int {
 	idx := make(map[string]int, len(fields))
 	for i, f := range fields {
@@ -28,29 +42,75 @@ func fieldIndex(fields []xlm.Field) map[string]int {
 	return idx
 }
 
+// carried resolves the columns of out that are copied over from in:
+// for each out column, its position in an in row.
+func carried(what string, in, out []xlm.Field) ([]int, error) {
+	index := fieldIndex(in)
+	idx := make([]int, len(out))
+	for i, f := range out {
+		j, ok := index[f.Name]
+		if !ok {
+			return nil, fmt.Errorf("%s input lacks column %q", what, f.Name)
+		}
+		idx[i] = j
+	}
+	return idx, nil
+}
+
+// rowSlab cuts the rows a kernel builds for one batch out of a single
+// backing array instead of one allocation per row. Rows are
+// capacity-capped sub-slices, so appending to one can never run into
+// its neighbour, and when a batch yields more rows than the slab was
+// sized for (a join fanning out) a fresh array is started — rows
+// already handed out are never moved. A row retained beyond its batch
+// pins the whole array it was cut from, so operators that keep a small
+// share of what they see (the Join build side) copy what they keep.
+type rowSlab struct {
+	buf         []expr.Value
+	width, rows int
+}
+
+// take cuts the next row and fills its leading columns from src[idx].
+func (s *rowSlab) take(src []expr.Value, idx []int) []expr.Value {
+	if len(s.buf) < s.width {
+		s.buf = make([]expr.Value, s.rows*s.width)
+	}
+	row := s.buf[:s.width:s.width]
+	s.buf = s.buf[s.width:]
+	for i, j := range idx {
+		row[i] = src[j]
+	}
+	return row
+}
+
 // datastoreOp scans a source table in batches, remapping the physical
-// column order onto the declared xLM schema (extra physical columns
-// are ignored). The row-count limit is snapshotted at construction so
-// loaders appending to the same table mid-run cannot extend the scan.
+// column order onto the out layout (other physical columns are
+// ignored). Every declared field must exist in the table whether or
+// not out keeps it: what a design may read is part of its contract
+// with the source, not of this run's plan. The row-count limit is
+// snapshotted at construction so loaders appending to the same table
+// mid-run cannot extend the scan.
 type datastoreOp struct {
 	t     *storage.Table
-	idx   []int // nil: schema matches physical layout, rows pass through
+	idx   []int // nil: out matches the physical layout, rows pass through
 	limit int
 }
 
-func newDatastoreOp(n *xlm.Node, db *storage.DB) (*datastoreOp, error) {
+func newDatastoreOp(n *xlm.Node, db *storage.DB, out []xlm.Field) (*datastoreOp, error) {
 	table := n.Param("table")
 	t, ok := db.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("source table %q not found", table)
 	}
-	idx := make([]int, len(n.Fields))
-	identity := len(n.Fields) == len(t.Columns)
-	for i, f := range n.Fields {
-		j, ok := t.ColumnIndex(f.Name)
-		if !ok {
+	for _, f := range n.Fields {
+		if _, ok := t.ColumnIndex(f.Name); !ok {
 			return nil, fmt.Errorf("source table %q lacks column %q", table, f.Name)
 		}
+	}
+	idx := make([]int, len(out))
+	identity := len(out) == len(t.Columns)
+	for i, f := range out {
+		j, _ := t.ColumnIndex(f.Name)
 		idx[i] = j
 		if j != i {
 			identity = false
@@ -73,16 +133,13 @@ func (o *datastoreOp) read(start, max int) [][]expr.Value {
 	}
 	rows := o.t.ReadBatch(start, max)
 	out := make([][]expr.Value, len(rows))
+	slab := rowSlab{width: len(o.idx), rows: len(rows)}
 	for i, r := range rows {
 		if o.idx == nil {
 			out[i] = r
-			continue
+		} else {
+			out[i] = slab.take(r, o.idx)
 		}
-		row := make([]expr.Value, len(o.idx))
-		for k, j := range o.idx {
-			row[k] = r[j]
-		}
-		out[i] = row
 	}
 	return out
 }
@@ -118,64 +175,74 @@ func (o *selectionOp) filter(dst, rows [][]expr.Value) ([][]expr.Value, error) {
 	return dst, nil
 }
 
-// projectionOp projects/renames columns.
+// projectionOp projects/renames columns: the specs whose output column
+// out keeps, in spec order.
 type projectionOp struct {
 	idx []int
 }
 
-func newProjectionOp(n *xlm.Node, in []xlm.Field) (*projectionOp, error) {
+func newProjectionOp(n *xlm.Node, in, out []xlm.Field) (*projectionOp, error) {
 	specs, err := n.Projections()
 	if err != nil {
 		return nil, err
 	}
-	index := fieldIndex(in)
-	idx := make([]int, len(specs))
-	for i, sp := range specs {
+	index, kept := fieldIndex(in), fieldIndex(out)
+	idx := make([]int, 0, len(out))
+	for _, sp := range specs {
+		if _, ok := kept[sp.Out]; !ok {
+			continue
+		}
 		j, ok := index[sp.In]
 		if !ok {
 			return nil, fmt.Errorf("projection input lacks column %q", sp.In)
 		}
-		idx[i] = j
+		idx = append(idx, j)
 	}
 	return &projectionOp{idx: idx}, nil
 }
 
 func (o *projectionOp) apply(dst, rows [][]expr.Value) [][]expr.Value {
+	dst = slices.Grow(dst, len(rows))
+	slab := rowSlab{width: len(o.idx), rows: len(rows)}
 	for _, row := range rows {
-		nr := make([]expr.Value, len(o.idx))
-		for i, j := range o.idx {
-			nr[i] = row[j]
-		}
-		dst = append(dst, nr)
+		dst = append(dst, slab.take(row, o.idx))
 	}
 	return dst
 }
 
-// functionOp derives one new attribute per row.
+// functionOp derives one new attribute per row. The derived column is
+// the last column of out in every layout — it is evaluated (and can
+// fail the run) whether or not anything downstream reads it.
 type functionOp struct {
 	e   expr.Node
 	env *expr.SliceEnv
+	cp  []int // input positions carried over, ahead of the derived column
 }
 
-func newFunctionOp(n *xlm.Node, in []xlm.Field) (*functionOp, error) {
+func newFunctionOp(n *xlm.Node, in, out []xlm.Field) (*functionOp, error) {
 	e, err := expr.Parse(n.Param("expr"))
 	if err != nil {
 		return nil, err
 	}
-	return &functionOp{e: e, env: expr.NewSliceEnv(fieldIndex(in))}, nil
+	cp, err := carried("function", in, out[:len(out)-1])
+	if err != nil {
+		return nil, err
+	}
+	return &functionOp{e: e, env: expr.NewSliceEnv(fieldIndex(in)), cp: cp}, nil
 }
 
 func (o *functionOp) apply(dst, rows [][]expr.Value) ([][]expr.Value, error) {
 	env := o.env.Env()
+	dst = slices.Grow(dst, len(rows))
+	slab := rowSlab{width: len(o.cp) + 1, rows: len(rows)}
 	for _, row := range rows {
 		o.env.Bind(row)
 		v, err := expr.Eval(o.e, env)
 		if err != nil {
 			return nil, err
 		}
-		nr := make([]expr.Value, 0, len(row)+1)
-		nr = append(nr, row...)
-		nr = append(nr, v)
+		nr := slab.take(row, o.cp)
+		nr[len(o.cp)] = v
 		dst = append(dst, nr)
 	}
 	return dst, nil
@@ -183,21 +250,38 @@ func (o *functionOp) apply(dst, rows [][]expr.Value) ([][]expr.Value, error) {
 
 // joinOp is a hash join: the build side (right input) is consumed
 // incrementally into the hash table, then probe streams the left
-// input through it. NULL keys never match (SQL semantics).
+// input through it. NULL keys never match (SQL semantics). An output
+// row is the left columns out keeps followed by the right columns it
+// keeps.
 type joinOp struct {
-	lIdx, rIdx []int
-	build      map[uint64][][]expr.Value
+	lIdx []int // key positions in probe rows
+	lCp  []int // probe-row positions copied to the output
+	// The hash table holds its own narrow copy of each build row: the
+	// nR columns the output keeps, then any key column not among them.
+	rKeep []int // build-input positions of those columns
+	nR    int
+	rIdx  []int // key positions in the retained copy
+	build map[uint64][][]expr.Value
 }
 
-func newJoinOp(n *xlm.Node, left, right []xlm.Field) (*joinOp, error) {
+func newJoinOp(n *xlm.Node, left, right, out []xlm.Field) (*joinOp, error) {
 	pairs, err := n.JoinPairs()
 	if err != nil {
 		return nil, err
 	}
 	lIndex, rIndex := fieldIndex(left), fieldIndex(right)
-	lIdx := make([]int, len(pairs))
-	rIdx := make([]int, len(pairs))
-	for i, p := range pairs {
+	o := &joinOp{build: map[uint64][][]expr.Value{}}
+	for _, f := range out {
+		if j, ok := lIndex[f.Name]; ok {
+			o.lCp = append(o.lCp, j)
+		} else if j, ok := rIndex[f.Name]; ok {
+			o.rKeep = append(o.rKeep, j)
+		} else {
+			return nil, fmt.Errorf("join inputs lack column %q", f.Name)
+		}
+	}
+	o.nR = len(o.rKeep)
+	for _, p := range pairs {
 		li, ok := lIndex[p[0]]
 		if !ok {
 			return nil, fmt.Errorf("join left input lacks column %q", p[0])
@@ -206,14 +290,24 @@ func newJoinOp(n *xlm.Node, left, right []xlm.Field) (*joinOp, error) {
 		if !ok {
 			return nil, fmt.Errorf("join right input lacks column %q", p[1])
 		}
-		lIdx[i], rIdx[i] = li, ri
+		k := slices.Index(o.rKeep, ri)
+		if k < 0 {
+			k = len(o.rKeep)
+			o.rKeep = append(o.rKeep, ri)
+		}
+		o.lIdx, o.rIdx = append(o.lIdx, li), append(o.rIdx, k)
 	}
-	return &joinOp{lIdx: lIdx, rIdx: rIdx, build: map[uint64][][]expr.Value{}}, nil
+	return o, nil
 }
 
-// addBuild folds build-side rows into the hash table.
+// addBuild folds build-side rows into the hash table, copying the
+// columns the join keeps into the table's own slab: the build side is
+// retained until the probe ends, and a row that survived a selective
+// upstream filter must not pin the slab of its whole batch.
 func (o *joinOp) addBuild(rows [][]expr.Value) {
-	for _, rr := range rows {
+	slab := rowSlab{width: len(o.rKeep), rows: len(rows)}
+	for _, row := range rows {
+		rr := slab.take(row, o.rKeep)
 		h, null := hashKey(rr, o.rIdx)
 		if null {
 			continue
@@ -225,6 +319,8 @@ func (o *joinOp) addBuild(rows [][]expr.Value) {
 // probe appends the join of the probe rows against the build table to
 // dst, preserving probe order (and build insertion order per key).
 func (o *joinOp) probe(dst, rows [][]expr.Value) [][]expr.Value {
+	dst = slices.Grow(dst, len(rows))
+	slab := rowSlab{width: len(o.lCp) + o.nR, rows: len(rows)}
 	for _, lr := range rows {
 		h, null := hashKey(lr, o.lIdx)
 		if null {
@@ -234,9 +330,8 @@ func (o *joinOp) probe(dst, rows [][]expr.Value) [][]expr.Value {
 			if !keysEqual(lr, rr, o.lIdx, o.rIdx) {
 				continue
 			}
-			nr := make([]expr.Value, 0, len(lr)+len(rr))
-			nr = append(nr, lr...)
-			nr = append(nr, rr...)
+			nr := slab.take(lr, o.lCp)
+			copy(nr[len(o.lCp):], rr[:o.nR])
 			dst = append(dst, nr)
 		}
 	}
@@ -506,9 +601,11 @@ func (o *sortOp) result() [][]expr.Value {
 
 // surrogateKeyOp assigns a dense 1-based integer key per distinct
 // natural key, in first-seen order. Assignment only depends on the
-// prefix already consumed, so it streams.
+// prefix already consumed, so it streams. Like a Function's derived
+// column, the key is the last column of out in every layout.
 type surrogateKeyOp struct {
 	idx      []int
+	cp       []int // input positions carried over, ahead of the key
 	assigned map[uint64]*skBucket
 	next     int64
 }
@@ -518,24 +615,37 @@ type skBucket struct {
 	ids  []int64
 }
 
-func newSurrogateKeyOp(n *xlm.Node, in []xlm.Field) (*surrogateKeyOp, error) {
+// surrogateOn parses a SurrogateKey node's natural-key columns.
+func surrogateOn(n *xlm.Node) []string {
+	var on []string
+	for _, c := range strings.Split(n.Param("on"), ",") {
+		if c = strings.TrimSpace(c); c != "" {
+			on = append(on, c)
+		}
+	}
+	return on
+}
+
+func newSurrogateKeyOp(n *xlm.Node, in, out []xlm.Field) (*surrogateKeyOp, error) {
 	index := fieldIndex(in)
 	var idx []int
-	for _, c := range strings.Split(n.Param("on"), ",") {
-		c = strings.TrimSpace(c)
-		if c == "" {
-			continue
-		}
+	for _, c := range surrogateOn(n) {
 		j, ok := index[c]
 		if !ok {
 			return nil, fmt.Errorf("surrogate key input lacks column %q", c)
 		}
 		idx = append(idx, j)
 	}
-	return &surrogateKeyOp{idx: idx, assigned: map[uint64]*skBucket{}, next: 1}, nil
+	cp, err := carried("surrogate key", in, out[:len(out)-1])
+	if err != nil {
+		return nil, err
+	}
+	return &surrogateKeyOp{idx: idx, cp: cp, assigned: map[uint64]*skBucket{}, next: 1}, nil
 }
 
 func (o *surrogateKeyOp) apply(dst, rows [][]expr.Value) [][]expr.Value {
+	dst = slices.Grow(dst, len(rows))
+	slab := rowSlab{width: len(o.cp) + 1, rows: len(rows)}
 	for _, row := range rows {
 		h := uint64(1469598103934665603)
 		for _, j := range o.idx {
@@ -572,9 +682,8 @@ func (o *surrogateKeyOp) apply(dst, rows [][]expr.Value) [][]expr.Value {
 			b.keys = append(b.keys, key)
 			b.ids = append(b.ids, id)
 		}
-		nr := make([]expr.Value, 0, len(row)+1)
-		nr = append(nr, row...)
-		nr = append(nr, expr.Int(id))
+		nr := slab.take(row, o.cp)
+		nr[len(o.cp)] = expr.Int(id)
 		dst = append(dst, nr)
 	}
 	return dst

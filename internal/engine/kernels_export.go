@@ -19,7 +19,10 @@ import (
 // HashJoin is the streaming hash-join kernel on explicit key
 // positions: build rows are folded into the hash table incrementally,
 // then probe streams batches through it, preserving probe order (and
-// build insertion order per key). NULL keys never match.
+// build insertion order per key). NULL keys never match. It is the
+// xLM Join kernel with the identity layout on both sides — every
+// column of either input is kept — fixed when the first rows arrive,
+// since positions, not schemas, are all the caller declares.
 type HashJoin struct {
 	op *joinOp
 }
@@ -37,13 +40,31 @@ func NewHashJoin(probeIdx, buildIdx []int) (*HashJoin, error) {
 	}}, nil
 }
 
-// Build folds a batch of build-side rows into the hash table. The rows
-// are retained (shared, not copied).
-func (j *HashJoin) Build(rows [][]expr.Value) { j.op.addBuild(rows) }
+// identityLayout is the positions 0..n-1.
+func identityLayout(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// Build folds a batch of build-side rows into the hash table, which
+// keeps its own copy of them.
+func (j *HashJoin) Build(rows [][]expr.Value) {
+	if j.op.rKeep == nil && len(rows) > 0 {
+		j.op.rKeep = identityLayout(len(rows[0]))
+		j.op.nR = len(rows[0])
+	}
+	j.op.addBuild(rows)
+}
 
 // Probe appends the join of the probe rows against the build table to
 // dst and returns it. Output rows are probe row ++ build row.
 func (j *HashJoin) Probe(dst, rows [][]expr.Value) [][]expr.Value {
+	if j.op.lCp == nil && len(rows) > 0 {
+		j.op.lCp = identityLayout(len(rows[0]))
+	}
 	return j.op.probe(dst, rows)
 }
 

@@ -235,7 +235,8 @@ var errAborted = errors.New("engine: run aborted")
 type runner struct {
 	ex    *executor
 	node  *xlm.Node
-	infds [][]xlm.Field // input schemas, in edge order
+	infds [][]xlm.Field // physical layouts of the input edges, in edge order
+	outfd []xlm.Field   // physical layout of the rows this operation emits
 	ins   []source
 	outs  []sink
 	stats *nodeStats
@@ -414,7 +415,7 @@ func (r *runner) runSelection() error {
 }
 
 func (r *runner) runProjection() error {
-	op, err := newProjectionOp(r.node, r.infds[0])
+	op, err := newProjectionOp(r.node, r.infds[0], r.outfd)
 	if err != nil {
 		return err
 	}
@@ -434,7 +435,7 @@ func (r *runner) runProjection() error {
 }
 
 func (r *runner) runFunction() error {
-	op, err := newFunctionOp(r.node, r.infds[0])
+	op, err := newFunctionOp(r.node, r.infds[0], r.outfd)
 	if err != nil {
 		return err
 	}
@@ -455,7 +456,7 @@ func (r *runner) runFunction() error {
 }
 
 func (r *runner) runJoin() error {
-	op, err := newJoinOp(r.node, r.infds[0], r.infds[1])
+	op, err := newJoinOp(r.node, r.infds[0], r.infds[1], r.outfd)
 	if err != nil {
 		return err
 	}
@@ -540,7 +541,7 @@ func (r *runner) runSort() error {
 }
 
 func (r *runner) runSurrogateKey() error {
-	op, err := newSurrogateKeyOp(r.node, r.infds[0])
+	op, err := newSurrogateKeyOp(r.node, r.infds[0], r.outfd)
 	if err != nil {
 		return err
 	}
@@ -616,6 +617,117 @@ func (r *runner) runLoader() error {
 	return nil
 }
 
+// planLayouts is the executor's dead-column elimination: it decides,
+// per node, which columns of the logical schema (Node.Fields, which
+// stays what validation inferred) are physically present in the rows
+// shipped on the node's output edges.
+//
+// A reverse topological walk collects the columns each node's
+// consumers read: a Loader or a Union everything (a Union's inputs must
+// share one layout, so pruning stops there), an Aggregation its group
+// and aggregate columns, a Projection the inputs of the specs still
+// wanted, every other operator what flows through it plus what it
+// reads itself (predicate and expression identifiers, sort, surrogate
+// and join keys). A fan-out node carries the union over its consumers.
+// Names are unique within a schema, so a name offered to an input that
+// does not own it (a join's left columns to its right input, a derived
+// column to the input it is derived from) selects nothing.
+//
+// The forward walk turns the sets into layouts. Row-building operators
+// emit the wanted subsequence of their Fields; a Function or
+// SurrogateKey always includes its derived column, so the expression
+// is evaluated and fails exactly where the full-width reference fails.
+// An Aggregation emits its whole (already narrow) result, and
+// pass-through operators ship whatever layout they receive.
+func planLayouts(d *xlm.Design, order []*xlm.Node) (map[string][]xlm.Field, error) {
+	wanted := make(map[string]map[string]bool, len(order))
+	for _, n := range order {
+		wanted[n.Name] = map[string]bool{}
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		n := order[i]
+		want := wanted[n.Name]
+		flows := true // columns wanted of n come from its inputs under the same name
+		var reads []string
+		var err error
+		switch n.Type {
+		case xlm.OpLoader, xlm.OpUnion:
+			reads = n.FieldNames()
+		case xlm.OpAggregation:
+			flows = false
+			var aggs []xlm.AggSpec
+			aggs, err = n.Aggregates()
+			reads = n.GroupBy()
+			for _, a := range aggs {
+				if a.Col != "" { // COUNT(*) reads no column
+					reads = append(reads, a.Col)
+				}
+			}
+		case xlm.OpProjection:
+			flows = false
+			var specs []xlm.ProjectionSpec
+			specs, err = n.Projections()
+			for _, sp := range specs {
+				if want[sp.Out] {
+					reads = append(reads, sp.In)
+				}
+			}
+		case xlm.OpSelection:
+			var pred expr.Node
+			pred, err = n.Predicate()
+			reads = expr.Idents(pred)
+		case xlm.OpFunction:
+			want[n.Param("name")] = true
+			var e expr.Node
+			e, err = expr.Parse(n.Param("expr"))
+			reads = expr.Idents(e)
+		case xlm.OpSurrogateKey:
+			want[n.Param("key")] = true
+			reads = surrogateOn(n)
+		case xlm.OpSort:
+			reads = n.SortBy()
+		case xlm.OpJoin:
+			var pairs [][2]string
+			pairs, err = n.JoinPairs()
+			for _, p := range pairs {
+				reads = append(reads, p[0], p[1])
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("engine: node %q: %w", n.Name, err)
+		}
+		for _, in := range d.Inputs(n.Name) {
+			from := wanted[in.Name]
+			for _, c := range reads {
+				from[c] = true
+			}
+			if flows {
+				for c := range want {
+					from[c] = true
+				}
+			}
+		}
+	}
+	layouts := make(map[string][]xlm.Field, len(order))
+	for _, n := range order {
+		switch n.Type {
+		case xlm.OpDatastore, xlm.OpProjection, xlm.OpFunction, xlm.OpSurrogateKey, xlm.OpJoin:
+			var out []xlm.Field
+			for _, f := range n.Fields {
+				if wanted[n.Name][f.Name] {
+					out = append(out, f)
+				}
+			}
+			layouts[n.Name] = out
+		case xlm.OpAggregation:
+			layouts[n.Name] = n.Fields
+		default:
+			layouts[n.Name] = layouts[d.Inputs(n.Name)[0].Name]
+		}
+	}
+	return layouts, nil
+}
+
 // RunWithOptions validates and executes the design with the pipelined,
 // DAG-parallel executor. Every operation runs as a batch iterator over
 // its input edges; single-consumer edges are bounded channels
@@ -642,6 +754,10 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 		return nil, err
 	}
 	order, err := d.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	layouts, err := planLayouts(d, order)
 	if err != nil {
 		return nil, err
 	}
@@ -683,10 +799,10 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 	stats := make(map[string]*nodeStats, len(order))
 	loaderChain := map[string]chan struct{}{}
 	for _, n := range order {
-		r := &runner{ex: ex, node: n, stats: &nodeStats{}}
+		r := &runner{ex: ex, node: n, outfd: layouts[n.Name], stats: &nodeStats{}}
 		stats[n.Name] = r.stats
 		for _, in := range d.Inputs(n.Name) {
-			r.infds = append(r.infds, in.Fields)
+			r.infds = append(r.infds, layouts[in.Name])
 			r.ins = append(r.ins, edges[edgeKey{in.Name, n.Name}])
 		}
 		for _, out := range d.Outputs(n.Name) {
@@ -694,7 +810,7 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 		}
 		switch n.Type {
 		case xlm.OpDatastore:
-			if r.ds, err = newDatastoreOp(n, db); err != nil {
+			if r.ds, err = newDatastoreOp(n, db, r.outfd); err != nil {
 				return nil, fmt.Errorf("engine: node %q: %w", n.Name, err)
 			}
 		case xlm.OpLoader:

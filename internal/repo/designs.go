@@ -84,6 +84,11 @@ func (r *Designs) MD(key string) (*xmd.Schema, error) {
 	return xmd.Unmarshal(text)
 }
 
+// DeleteMD removes the MD schema stored under key.
+func (r *Designs) DeleteMD(key string) bool {
+	return r.store.Collection(colMD).Delete(key)
+}
+
 // SaveETL stores an ETL design under the given key.
 func (r *Designs) SaveETL(key string, d *xlm.Design) error {
 	text, err := xlm.Marshal(d)
@@ -100,6 +105,11 @@ func (r *Designs) ETL(key string) (*xlm.Design, error) {
 		return nil, err
 	}
 	return xlm.Unmarshal(text)
+}
+
+// DeleteETL removes the ETL design stored under key.
+func (r *Designs) DeleteETL(key string) bool {
+	return r.store.Collection(colETL).Delete(key)
 }
 
 // saveXML stores the XML text and its JSON projection in one
