@@ -630,6 +630,13 @@ func benchDiskWarehouseAt(b *testing.B, sf float64, reqs ...*quarry.Requirement)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return benchWarehouseIn(b, db, sf, reqs...), db
+}
+
+// benchWarehouseIn generates the TPC-H sources at sf into db, deploys
+// the requirements and runs the ETL.
+func benchWarehouseIn(b *testing.B, db *quarry.DB, sf float64, reqs ...*quarry.Requirement) *quarry.Platform {
+	b.Helper()
 	if _, err := tpch.Generate(db, sf, 42); err != nil {
 		b.Fatal(err)
 	}
@@ -648,7 +655,7 @@ func benchDiskWarehouseAt(b *testing.B, sf float64, reqs ...*quarry.Requirement)
 	if _, err := p.Run(); err != nil {
 		b.Fatal(err)
 	}
-	return p, db
+	return p
 }
 
 // BenchmarkOLAPQuery_FastPath_Disk is the fast-path serving benchmark
@@ -679,6 +686,10 @@ func BenchmarkOLAPQuery_FastPath_Disk(b *testing.B) {
 // attached, so every query rebuilds its dimension sides.
 func benchScanQuery(b *testing.B, q olap.CubeQuery) {
 	p, _ := benchDiskWarehouseAt(b, 200, quarry.CanonicalRequirements()...)
+	benchQueryOn(b, p, q)
+}
+
+func benchQueryOn(b *testing.B, p *quarry.Platform, q olap.CubeQuery) {
 	oe, err := p.OLAP()
 	if err != nil {
 		b.Fatal(err)
@@ -712,6 +723,16 @@ func benchScanGroupQuery() olap.CubeQuery {
 // serving benchmarks. Gated in CI.
 func BenchmarkOLAPQuery_ScanGroup_SF200(b *testing.B) {
 	benchScanQuery(b, benchScanGroupQuery())
+}
+
+// BenchmarkOLAPQuery_ScanGroup_SF200_Mem is ScanGroup_SF200 over the
+// in-memory backend, whose tables hold rows only: every query
+// transposes the rows it reads into vectors, where the disk backend
+// serves decoded vectors from its buffer pool. The gap between the two
+// is the price of that transposition. Not gated.
+func BenchmarkOLAPQuery_ScanGroup_SF200_Mem(b *testing.B) {
+	p := benchWarehouseIn(b, quarry.NewMemDB(), 200, quarry.CanonicalRequirements()...)
+	benchQueryOn(b, p, benchScanGroupQuery())
 }
 
 // BenchmarkOLAPQuery_ScanFilter_SF200 is scan_group behind an

@@ -378,6 +378,11 @@ type aggregationOp struct {
 	aIdx      []int
 	states    map[uint64][]*aggState
 	orderKeys []uint64
+
+	// The vector entry's state (vecagg.go): the code-tuple index over
+	// states, and a scratch slice holding each batch row's state.
+	byCode      *codeIndex
+	batchStates []*aggState
 }
 
 func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
@@ -473,17 +478,9 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 			switch a.Func {
 			case "COUNT":
 			case "MIN":
-				if st.mins[i].IsNull() {
-					st.mins[i] = v
-				} else if c, err := v.Compare(st.mins[i]); err == nil && c < 0 {
-					st.mins[i] = v
-				}
+				keepExtreme(&st.mins[i], v, true)
 			case "MAX":
-				if st.maxs[i].IsNull() {
-					st.maxs[i] = v
-				} else if c, err := v.Compare(st.maxs[i]); err == nil && c > 0 {
-					st.maxs[i] = v
-				}
+				keepExtreme(&st.maxs[i], v, false)
 			default: // SUM, AVG
 				f, ok := v.AsFloat()
 				if !ok {
@@ -499,6 +496,17 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 		}
 	}
 	return nil
+}
+
+// keepExtreme folds the non-NULL v into a running MIN (or MAX): the
+// first value stands until one compares strictly below (above) it, and
+// a value that does not compare with the incumbent leaves it standing.
+func keepExtreme(cur *expr.Value, v expr.Value, min bool) {
+	if cur.IsNull() {
+		*cur = v
+	} else if c, err := v.Compare(*cur); err == nil && (min && c < 0 || !min && c > 0) {
+		*cur = v
+	}
 }
 
 // result finalises the aggregation. A global aggregate over zero rows

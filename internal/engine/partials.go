@@ -92,20 +92,12 @@ func (a *HashAggregator) Absorb(ps []AggPartial) error {
 			st.sumIsInt[i] = st.sumIsInt[i] && m.SumIsInt
 			st.sums[i].Merge(ImportFloatSum(m.SumParts, m.SumSpecial, m.SumHasSpecial))
 			// MIN/MAX merge with the fold's semantics: NULL means "no
-			// value yet", Compare errors keep the incumbent.
+			// value yet".
 			if !m.Min.IsNull() {
-				if st.mins[i].IsNull() {
-					st.mins[i] = m.Min
-				} else if c, err := m.Min.Compare(st.mins[i]); err == nil && c < 0 {
-					st.mins[i] = m.Min
-				}
+				keepExtreme(&st.mins[i], m.Min, true)
 			}
 			if !m.Max.IsNull() {
-				if st.maxs[i].IsNull() {
-					st.maxs[i] = m.Max
-				} else if c, err := m.Max.Compare(st.maxs[i]); err == nil && c > 0 {
-					st.maxs[i] = m.Max
-				}
+				keepExtreme(&st.maxs[i], m.Max, false)
 			}
 		}
 	}

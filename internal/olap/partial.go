@@ -41,9 +41,8 @@ type Partial struct {
 // carats, which no per-shard computation can know, so a diced query is
 // not distributive over fact partitions.
 //
-// The materialized-aggregate store and the group-key dictionary coder
-// are bypassed — partials must be the kernel's own states over base
-// fact rows, not rewritten or recoded forms.
+// The materialized-aggregate store is bypassed — partials must be the
+// kernel's own states over base fact rows, not a rewritten form.
 func (e *Engine) QueryPartial(q CubeQuery) (*Partial, error) {
 	return e.QueryPartialContext(context.Background(), q)
 }
@@ -85,12 +84,12 @@ func (e *Engine) partialOn(ctx context.Context, p *starPlan, snap *storage.Snaps
 	if err != nil {
 		return nil, err
 	}
-	agg, err := engine.NewHashAggregator(p.groupIdx, p.aggs, p.aggIdx)
+	fold, err := newStarFold(p)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.probeStar(ctx, p, snap, sides, agg.Add); err != nil {
+	if err := e.probeStar(ctx, p, snap, sides, fold.add); err != nil {
 		return nil, err
 	}
-	return agg.Partials(), nil
+	return fold.agg.Partials(), nil
 }

@@ -104,11 +104,6 @@ type starPlan struct {
 	// still evaluated after the joins — pushdown only skips pages no
 	// qualifying row can live in.
 	factPreds []storage.PrunePredicate
-	// codedGroup lists the group-by positions (indexes into groupBy)
-	// whose column is string-typed and not consumed by any aggregate:
-	// the fast path aggregates those on dictionary codes
-	// (groupcode.go) instead of materialised strings.
-	codedGroup []int
 }
 
 // resolveGroupBy expands the query's explicit group-by columns with
@@ -371,20 +366,6 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		}
 		for _, j := range p.joins {
 			j.predKey = predFingerprint(j.preds)
-		}
-	}
-	// String group keys aggregate as dictionary codes — except columns
-	// an aggregate also consumes (their measure values must stay
-	// strings at the shared layout position).
-	usedByAgg := map[int]bool{}
-	for _, ai := range p.aggIdx {
-		if ai >= 0 {
-			usedByAgg[ai] = true
-		}
-	}
-	for i, g := range p.groupBy {
-		if colType[g] == "string" && !usedByAgg[p.groupIdx[i]] {
-			p.codedGroup = append(p.codedGroup, i)
 		}
 	}
 	return p, nil

@@ -15,6 +15,12 @@ package storage
 // have contributed. Unlike ReadBatch, Next may return short batches
 // (it never stitches across page boundaries) — callers loop until
 // nil.
+//
+// A cursor is read in one of two forms, over the same pages, with the
+// same pruning and the same Stats: Next hands out rows (the ETL
+// executor, the star-flow oracle, exports), NextVectors hands out a
+// chunk — a page — at a time as typed column vectors, for the asked
+// columns only (the OLAP fast path; see vector.go).
 
 import (
 	"sync/atomic"
@@ -105,6 +111,8 @@ type Cursor struct {
 	off  int // rows of the current page already returned
 	tail int // rows of the in-memory tail already returned
 
+	scratch []*Vector // NextVectors' tail vectors, reused per chunk
+
 	pagesRead    int
 	pagesSkipped int
 }
@@ -139,6 +147,32 @@ func (c *Cursor) skip(pm *pageMeta) bool {
 	return false
 }
 
+// advance moves to the next page the zone maps do not prune, counting
+// it read and every page passed over skipped, and leaves c.seg/c.page
+// on it. It reports false once the segments are exhausted.
+func (c *Cursor) advance() (*segment, bool) {
+	pg := c.view.pg
+	if pg == nil {
+		return nil, false
+	}
+	for c.seg < len(pg.segs) {
+		s := pg.segs[c.seg]
+		if c.page >= len(s.pages) {
+			c.seg++
+			c.page = 0
+			continue
+		}
+		if c.skip(&s.pages[c.page]) {
+			c.pagesSkipped++
+			c.page++
+			continue
+		}
+		c.pagesRead++
+		return s, true
+	}
+	return nil, false
+}
+
 // Next returns the next batch of at most max rows, or nil at the end.
 // Batches may be shorter than max (page remainders are returned as
 // shared subslices, never reassembled); the tail is returned last and
@@ -147,36 +181,26 @@ func (c *Cursor) Next(max int) []Row {
 	if max <= 0 {
 		return nil
 	}
-	if pg := c.view.pg; pg != nil {
-		for c.seg < len(pg.segs) {
-			s := pg.segs[c.seg]
-			if c.page >= len(s.pages) {
-				c.seg++
-				c.page, c.off = 0, 0
-				continue
-			}
-			pm := &s.pages[c.page]
-			if c.off == 0 && c.skip(pm) {
-				c.pagesSkipped++
-				c.page++
-				continue
-			}
-			if c.off == 0 {
-				c.pagesRead++
-			}
-			rows := s.page(c.page)
-			n := len(rows) - c.off
-			if n > max {
-				n = max
-			}
-			out := rows[c.off : c.off+n : c.off+n]
-			c.off += n
-			if c.off >= len(rows) {
-				c.page++
-				c.off = 0
-			}
-			return out
+	var s *segment
+	ok := c.off > 0 // part-way through the page c.seg/c.page name
+	if ok {
+		s = c.view.pg.segs[c.seg]
+	} else {
+		s, ok = c.advance()
+	}
+	if ok {
+		rows := s.page(c.page)
+		n := len(rows) - c.off
+		if n > max {
+			n = max
 		}
+		out := rows[c.off : c.off+n : c.off+n]
+		c.off += n
+		if c.off >= len(rows) {
+			c.page++
+			c.off = 0
+		}
+		return out
 	}
 	if c.tail < len(c.view.rows) {
 		n := len(c.view.rows) - c.tail
@@ -188,6 +212,43 @@ func (c *Cursor) Next(max int) []Row {
 		return out
 	}
 	return nil
+}
+
+// tailChunk is how many tail rows NextVectors transposes at a time.
+const tailChunk = 1024
+
+// NextVectors is the chunk-at-a-time read of the OLAP fast path: it
+// fills out[i] with the vector of column cols[i] (a physical position)
+// over the next unpruned page — whole pages only, so a cursor is read
+// either through Next or through NextVectors, not both — and returns
+// the chunk's row count, 0 at the end. Page vectors are decoded on
+// first use, for the asked columns only, and shared through the buffer
+// pool; the in-memory tail (all of a memory table) holds rows only and
+// is transposed a tailChunk at a time into vectors the cursor reuses.
+// Either way the vectors are read-only and valid until the next call.
+func (c *Cursor) NextVectors(cols []int, out []*Vector) int {
+	if s, ok := c.advance(); ok {
+		s.vectors(c.page, cols, out)
+		n := s.pages[c.page].rows
+		c.page++
+		return n
+	}
+	rows := c.view.rows[c.tail:]
+	if len(rows) > tailChunk {
+		rows = rows[:tailChunk]
+	}
+	if len(rows) == 0 {
+		return 0
+	}
+	c.tail += len(rows)
+	for len(c.scratch) < len(cols) {
+		c.scratch = append(c.scratch, &Vector{})
+	}
+	for i, ci := range cols {
+		out[i] = c.scratch[i]
+		out[i].transposeRows(rows, ci, c.view.cols[ci].Type)
+	}
+	return len(rows)
 }
 
 // Stats reports how many pages the cursor decoded and how many its

@@ -184,6 +184,20 @@ func (s *segment) tryMmap() {
 	runtime.SetFinalizer(s, func(fs *segment) { sysMunmap(fs.data) })
 }
 
+// read returns page i's encoded bytes: a view of the mapping, or a
+// fresh buffer filled by pread.
+func (s *segment) read(i int) []byte {
+	pm := &s.pages[i]
+	if s.data != nil {
+		return s.data[pm.off : pm.off+int64(pm.size)]
+	}
+	buf := make([]byte, pm.size)
+	if _, err := s.file.ReadAt(buf, pm.off); err != nil {
+		panic(fmt.Sprintf("storage: segment %s page %d: %v", s.name, i, err))
+	}
+	return buf
+}
+
 // page returns the decoded rows of page i, through the buffer pool.
 // Segment structure is validated at write/open time, so a decode
 // failure here means on-disk corruption — that is a panic, not an
@@ -191,29 +205,40 @@ func (s *segment) tryMmap() {
 // fewer rows would corrupt results.
 func (s *segment) page(i int) []Row {
 	k := pageKey{seg: s, page: i}
-	if rows, ok := s.cache.get(k); ok {
+	if rows := s.cache.rows(k); rows != nil {
 		return rows
 	}
 	pm := &s.pages[i]
-	var buf []byte
-	if s.data != nil {
-		buf = s.data[pm.off : pm.off+int64(pm.size)]
-	} else {
-		buf = make([]byte, pm.size)
-		if _, err := s.file.ReadAt(buf, pm.off); err != nil {
-			panic(fmt.Sprintf("storage: segment %s page %d: %v", s.name, i, err))
-		}
-	}
-	rows, err := decodePage(s.format, s.cols, buf)
+	rows, err := decodePage(s.format, s.cols, s.read(i), pm.rows)
 	if err != nil {
 		panic(fmt.Sprintf("storage: segment %s page %d corrupt: %v", s.name, i, err))
 	}
-	if len(rows) != pm.rows {
-		panic(fmt.Sprintf("storage: segment %s page %d holds %d rows, manifest says %d",
-			s.name, i, len(rows), pm.rows))
-	}
-	s.cache.put(k, rows, pm.charge())
+	s.cache.putRows(k, rows, pm.charge())
 	return rows
+}
+
+// vectors fills out[j] with the vector form of column cols[j] of page
+// i, through the buffer pool: a column is decoded the first time a
+// reader asks for it, beside the page's other resident forms.
+func (s *segment) vectors(i int, cols []int, out []*Vector) {
+	k := pageKey{seg: s, page: i}
+	if s.cache.vectors(k, cols, out) {
+		return
+	}
+	want := make([]bool, len(s.cols))
+	for j, ci := range cols {
+		want[ci] = out[j] == nil
+	}
+	vecs, err := decodePageVectors(s.format, s.cols, s.read(i), s.pages[i].rows, want)
+	if err != nil {
+		panic(fmt.Sprintf("storage: segment %s page %d corrupt: %v", s.name, i, err))
+	}
+	s.cache.putVectors(k, vecs)
+	for j, ci := range cols {
+		if out[j] == nil {
+			out[j] = vecs[ci]
+		}
+	}
 }
 
 // pageFor returns the index of the page containing segment-local row

@@ -51,7 +51,7 @@ func TestPageRoundTrip(t *testing.T) {
 	if ep.raw <= 0 {
 		t.Fatalf("page raw size %d, want > 0", ep.raw)
 	}
-	got, err := decodePage(manifestFormatV2, mixedCols, ep.buf)
+	got, err := decodePage(manifestFormatV2, mixedCols, ep.buf, len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSplitPagesOversizeRow(t *testing.T) {
 		if len(ep.buf)%pageBlock != 0 {
 			t.Fatalf("oversize page %d not padded to multiple: %d", i, len(ep.buf))
 		}
-		got, err := decodePage(manifestFormatV2, cols, ep.buf)
+		got, err := decodePage(manifestFormatV2, cols, ep.buf, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,6 +25,14 @@ package storage
 // survive), strings by content. Decoding therefore reproduces the
 // stored expr.Values byte-identically, preserving the disk backend's
 // byte-identity oracle against the in-memory backend.
+//
+// There is one set of decoders, and it decodes a chunk to a Vector
+// (vector.go), the form closest to every encoding: a dictionary chunk
+// keeps its codes, a run-length chunk repeats a value, a bit-packed
+// chunk adds its base. A page's rows are transposed from those vectors
+// (decodePage). Chunk bytes are untrusted: every decoder is handed the
+// page's row count from the manifest and produces exactly that many
+// rows or an error — never more, whatever counts the bytes claim.
 
 import (
 	"encoding/binary"
@@ -370,36 +378,43 @@ func appendVal(buf []byte, v expr.Value) []byte {
 	return buf
 }
 
-// readVal decodes one raw value of the column type at body[pos].
-func readVal(body []byte, pos int, typ string) (expr.Value, int, error) {
-	switch typ {
-	case "int":
+// appendRaw decodes the raw value at body[pos] onto the end of v and
+// returns the position after it.
+func (v *Vector) appendRaw(body []byte, pos int, seen map[string]uint32) (int, error) {
+	switch v.Kind {
+	case expr.KindInt:
 		if pos+8 > len(body) {
-			return expr.Value{}, 0, fmt.Errorf("int value truncated")
+			return 0, fmt.Errorf("int value truncated")
 		}
-		return expr.Int(int64(binary.LittleEndian.Uint64(body[pos:]))), pos + 8, nil
-	case "float":
+		v.Ints = append(v.Ints, int64(binary.LittleEndian.Uint64(body[pos:])))
+		return pos + 8, nil
+	case expr.KindFloat:
 		if pos+8 > len(body) {
-			return expr.Value{}, 0, fmt.Errorf("float value truncated")
+			return 0, fmt.Errorf("float value truncated")
 		}
-		return expr.Float(math.Float64frombits(binary.LittleEndian.Uint64(body[pos:]))), pos + 8, nil
-	case "bool":
+		v.Floats = append(v.Floats, math.Float64frombits(binary.LittleEndian.Uint64(body[pos:])))
+		return pos + 8, nil
+	case expr.KindBool:
 		if pos+1 > len(body) {
-			return expr.Value{}, 0, fmt.Errorf("bool value truncated")
+			return 0, fmt.Errorf("bool value truncated")
 		}
-		return expr.Bool(body[pos] != 0), pos + 1, nil
-	case "string":
-		if pos+4 > len(body) {
-			return expr.Value{}, 0, fmt.Errorf("string length truncated")
+		code := uint32(0)
+		if body[pos] != 0 {
+			code = 1
 		}
-		sl := int(binary.LittleEndian.Uint32(body[pos:]))
-		pos += 4
-		if sl < 0 || pos+sl > len(body) {
-			return expr.Value{}, 0, fmt.Errorf("string value truncated")
-		}
-		return expr.Str(string(body[pos : pos+sl])), pos + sl, nil
+		v.Codes = append(v.Codes, code)
+		return pos + 1, nil
 	}
-	return expr.Value{}, 0, fmt.Errorf("unknown column type %q", typ)
+	if pos+4 > len(body) {
+		return 0, fmt.Errorf("string length truncated")
+	}
+	sl := int(binary.LittleEndian.Uint32(body[pos:]))
+	pos += 4
+	if sl > len(body)-pos {
+		return 0, fmt.Errorf("string value truncated")
+	}
+	v.appendString(body[pos:pos+sl], seen)
+	return pos + sl, nil
 }
 
 // appendBitmap appends the presence bitmap of rows at column ci.
@@ -500,7 +515,31 @@ func appendBitPackBody(buf []byte, rows []Row, ci int, st *chunkStats) []byte {
 	return appendPacked(buf, deltas, width)
 }
 
-// ---- chunk body decoders (fill rows[ri][ci] for ri in [0,n)) ----
+// ---- chunk body decoders ----
+//
+// One set, decoding to a Vector: dictionary chunks keep their codes,
+// run-length chunks expand, bit-packed chunks add their base. The row
+// form of a page is built from the same vectors (decodePage). n is the
+// page's row count from the manifest; no decoder appends more than n
+// rows or reads past its chunk, whatever the bytes say.
+
+// decodeChunk decodes one chunk body of the given encoding into v.
+func decodeChunk(enc int, body []byte, n int, typ string, v *Vector) error {
+	if err := v.reset(typ, n); err != nil {
+		return err
+	}
+	switch enc {
+	case encRaw:
+		return v.decodeRaw(body, n)
+	case encDict:
+		return v.decodeDict(body, n, typ)
+	case encRLE:
+		return v.decodeRLE(body, n)
+	case encBitPack:
+		return v.decodeBitPack(body, n)
+	}
+	return fmt.Errorf("unknown encoding tag %d", enc)
+}
 
 // decodeBitmap validates and returns the leading presence bitmap.
 func decodeBitmap(body []byte, n int) ([]byte, []byte, error) {
@@ -511,48 +550,59 @@ func decodeBitmap(body []byte, n int) ([]byte, []byte, error) {
 	return body[:bm], body[bm:], nil
 }
 
-func decodeRawBody(body []byte, n int, typ string, rows []Row, ci int) error {
+func (v *Vector) decodeRaw(body []byte, n int) error {
 	bitmap, rest, err := decodeBitmap(body, n)
 	if err != nil {
 		return err
 	}
+	// A raw string chunk has no dictionary: build one, so equal values
+	// share a code.
+	var seen map[string]uint32
+	if v.Kind == expr.KindString {
+		seen = map[string]uint32{}
+	}
 	pos := 0
 	for ri := 0; ri < n; ri++ {
 		if bitmap[ri/8]&(1<<(ri%8)) == 0 {
-			continue // NULL: the zero Value
+			v.appendNull(n)
+			continue
 		}
-		var v expr.Value
-		v, pos, err = readVal(rest, pos, typ)
-		if err != nil {
+		if pos, err = v.appendRaw(rest, pos, seen); err != nil {
 			return err
 		}
-		rows[ri][ci] = v
 	}
 	return nil
 }
 
-func decodeDictBody(body []byte, n int, typ string, rows []Row, ci int) error {
+func (v *Vector) decodeDict(body []byte, n int, typ string) error {
 	if len(body) < 4 {
 		return fmt.Errorf("dictionary header truncated")
 	}
+	// The encoder's dictionary holds only values the page's rows carry.
 	ndict := int(binary.LittleEndian.Uint32(body))
-	if ndict < 0 || ndict > dictMaxCard {
+	if ndict < 0 || ndict > dictMaxCard || ndict > n {
 		return fmt.Errorf("dictionary cardinality %d out of range", ndict)
 	}
 	pos := 4
-	dict := make([]expr.Value, ndict)
+	var dict Vector
+	if err := dict.reset(typ, ndict); err != nil {
+		return err
+	}
 	var err error
-	for i := range dict {
-		dict[i], pos, err = readVal(body, pos, typ)
-		if err != nil {
+	for i := 0; i < ndict; i++ {
+		if pos, err = dict.appendRaw(body, pos, nil); err != nil {
 			return err
 		}
 	}
+	v.Dict = dict.Dict
 	if pos >= len(body) {
 		return fmt.Errorf("dictionary width truncated")
 	}
 	width := int(body[pos])
 	pos++
+	if width > 32 {
+		return fmt.Errorf("dictionary code width %d out of range", width)
+	}
 	bitmap, rest, err := decodeBitmap(body[pos:], n)
 	if err != nil {
 		return err
@@ -560,6 +610,7 @@ func decodeDictBody(body []byte, n int, typ string, rows []Row, ci int) error {
 	br := &bitReader{buf: rest}
 	for ri := 0; ri < n; ri++ {
 		if bitmap[ri/8]&(1<<(ri%8)) == 0 {
+			v.appendNull(n)
 			continue
 		}
 		code := uint64(0)
@@ -573,12 +624,12 @@ func decodeDictBody(body []byte, n int, typ string, rows []Row, ci int) error {
 		if code >= uint64(ndict) {
 			return fmt.Errorf("dictionary code %d out of range", code)
 		}
-		rows[ri][ci] = dict[code]
+		v.appendFrom(&dict, int(code))
 	}
 	return nil
 }
 
-func decodeRLEBody(body []byte, n int, typ string, rows []Row, ci int) error {
+func (v *Vector) decodeRLE(body []byte, n int) error {
 	pos, ri := 0, 0
 	for ri < n {
 		if pos+5 > len(body) {
@@ -587,34 +638,33 @@ func decodeRLEBody(body []byte, n int, typ string, rows []Row, ci int) error {
 		count := int(binary.LittleEndian.Uint32(body[pos:]))
 		flag := body[pos+4]
 		pos += 5
-		if count <= 0 || ri+count > n {
+		if count <= 0 || count > n-ri {
 			return fmt.Errorf("run of %d rows overflows page", count)
 		}
+		ri += count
 		if flag == 0 {
-			ri += count // NULL run: the zero Value
+			for ; count > 0; count-- {
+				v.appendNull(n)
+			}
 			continue
 		}
-		v, np, err := readVal(body, pos, typ)
-		if err != nil {
+		var err error
+		if pos, err = v.appendRaw(body, pos, nil); err != nil {
 			return err
 		}
-		pos = np
-		for k := 0; k < count; k++ {
-			rows[ri][ci] = v
-			ri++
-		}
+		v.repeatLast(count - 1)
 	}
 	return nil
 }
 
-func decodeBitPackBody(body []byte, n int, typ string, rows []Row, ci int) error {
-	if typ != "int" {
-		return fmt.Errorf("bit-packed chunk on %s column", typ)
+func (v *Vector) decodeBitPack(body []byte, n int) error {
+	if v.Kind != expr.KindInt {
+		return fmt.Errorf("bit-packed chunk on %s column", v.Kind)
 	}
 	if len(body) < 9 {
 		return fmt.Errorf("bit-pack header truncated")
 	}
-	base := int64(binary.LittleEndian.Uint64(body))
+	base := binary.LittleEndian.Uint64(body)
 	width := int(body[8])
 	if width > 64 {
 		return fmt.Errorf("bit width %d out of range", width)
@@ -626,6 +676,7 @@ func decodeBitPackBody(body []byte, n int, typ string, rows []Row, ci int) error
 	br := &bitReader{buf: rest}
 	for ri := 0; ri < n; ri++ {
 		if bitmap[ri/8]&(1<<(ri%8)) == 0 {
+			v.appendNull(n)
 			continue
 		}
 		delta := uint64(0)
@@ -636,7 +687,7 @@ func decodeBitPackBody(body []byte, n int, typ string, rows []Row, ci int) error
 				return fmt.Errorf("bit-packed values truncated")
 			}
 		}
-		rows[ri][ci] = expr.Int(int64(uint64(base) + delta))
+		v.Ints = append(v.Ints, int64(base+delta))
 	}
 	return nil
 }

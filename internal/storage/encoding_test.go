@@ -124,7 +124,7 @@ func TestEncodingQuickCheck(t *testing.T) {
 						if len(ep.buf)%pageBlock != 0 {
 							t.Fatalf("n=%d: page size %d not a pageBlock multiple", n, len(ep.buf))
 						}
-						got, err := decodePage(manifestFormatV2, cols, ep.buf)
+						got, err := decodePage(manifestFormatV2, cols, ep.buf, len(rows))
 						if err != nil {
 							t.Fatalf("n=%d: decode: %v", n, err)
 						}
@@ -173,7 +173,7 @@ func TestEncodingSelection(t *testing.T) {
 			if got := chunkTag(ep.buf); got != tc.want {
 				t.Fatalf("chose encoding %d, want %d", got, tc.want)
 			}
-			got, err := decodePage(manifestFormatV2, cols, ep.buf)
+			got, err := decodePage(manifestFormatV2, cols, ep.buf, len(rows))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestForceRawDisablesCompression(t *testing.T) {
 	if got := chunkTag(ep.buf); got != encRaw {
 		t.Fatalf("forced-raw page used encoding %d", got)
 	}
-	got, err := decodePage(manifestFormatV2, cols, ep.buf)
+	got, err := decodePage(manifestFormatV2, cols, ep.buf, len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}

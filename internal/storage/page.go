@@ -53,10 +53,11 @@ const pageBlock = 4096
 
 // pageCacheBytes bounds the decoded pages kept resident per store
 // (the "buffer pool"); a variable so tests can shrink it to force
-// eviction. Entries are charged their on-disk padded size — a proxy
-// for decoded size that, unlike a page count, keeps oversize pages
-// (single huge rows) from blowing the budget: a warehouse larger than
-// the pool streams instead of residing.
+// eviction. An entry is charged for each decoded form it holds: the
+// row form the page's raw encoded size (pageMeta.charge — a proxy for
+// decoded size that, unlike a page count, keeps oversize pages from
+// blowing the budget), each column vector its own memory size. A
+// warehouse larger than the pool streams instead of residing.
 var pageCacheBytes = 256 << 20
 
 // encodedRowSize returns the value bytes one row contributes to a
@@ -161,57 +162,87 @@ func encodePage(cols []Column, rows []Row) encodedPage {
 	return ep
 }
 
-// decodePage reconstructs a page's rows. format selects the chunk
-// framing: format-1 chunks are a bare raw body, format-2 chunks carry
-// a leading encoding tag.
-func decodePage(format int, cols []Column, buf []byte) ([]Row, error) {
+// pageChunks walks a page's frame: it checks the header's row count
+// against want — the manifest's count for the page, which bounds every
+// allocation made while decoding it — and calls fn with each column's
+// chunk body and encoding tag, in column order. format selects the
+// chunk framing: format-1 chunks are a bare raw body, format-2 chunks
+// carry a leading encoding tag.
+func pageChunks(format int, cols []Column, buf []byte, want int, fn func(ci, enc int, body []byte) error) error {
 	if len(buf) < 4 {
-		return nil, fmt.Errorf("page shorter than header")
+		return fmt.Errorf("page shorter than header")
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
+	if n := binary.LittleEndian.Uint32(buf); uint64(n) != uint64(want) {
+		return fmt.Errorf("page header says %d rows, manifest says %d", n, want)
+	}
 	pos := 4
-	rows := make([]Row, n)
-	backing := make([]expr.Value, n*len(cols))
-	for i := range rows {
-		rows[i] = backing[i*len(cols) : (i+1)*len(cols)]
-	}
 	for ci, c := range cols {
 		if pos+4 > len(buf) {
-			return nil, fmt.Errorf("column %q chunk header truncated", c.Name)
+			return fmt.Errorf("column %q chunk header truncated", c.Name)
 		}
 		chunkLen := int(binary.LittleEndian.Uint32(buf[pos:]))
 		pos += 4
-		if chunkLen < 0 || pos+chunkLen > len(buf) {
-			return nil, fmt.Errorf("column %q chunk truncated", c.Name)
+		if chunkLen > len(buf)-pos {
+			return fmt.Errorf("column %q chunk truncated", c.Name)
 		}
 		chunk := buf[pos : pos+chunkLen]
 		pos += chunkLen
 		enc := encRaw
 		if format >= manifestFormatV2 {
 			if len(chunk) < 1 {
-				return nil, fmt.Errorf("column %q chunk missing encoding tag", c.Name)
+				return fmt.Errorf("column %q chunk missing encoding tag", c.Name)
 			}
 			enc = int(chunk[0])
 			chunk = chunk[1:]
 		}
-		var err error
-		switch enc {
-		case encRaw:
-			err = decodeRawBody(chunk, n, c.Type, rows, ci)
-		case encDict:
-			err = decodeDictBody(chunk, n, c.Type, rows, ci)
-		case encRLE:
-			err = decodeRLEBody(chunk, n, c.Type, rows, ci)
-		case encBitPack:
-			err = decodeBitPackBody(chunk, n, c.Type, rows, ci)
-		default:
-			err = fmt.Errorf("unknown encoding tag %d", enc)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", c.Name, err)
+		if err := fn(ci, enc, chunk); err != nil {
+			return fmt.Errorf("column %q: %w", c.Name, err)
 		}
 	}
+	return nil
+}
+
+// decodePage reconstructs the row form of a page holding n rows: each
+// chunk is decoded to a vector (one scratch vector serves the whole
+// page) and transposed into the rows.
+func decodePage(format int, cols []Column, buf []byte, n int) ([]Row, error) {
+	var rows []Row
+	var scratch Vector
+	err := pageChunks(format, cols, buf, n, func(ci, enc int, body []byte) error {
+		if rows == nil { // the header agreed with n: allocate
+			rows = make([]Row, n)
+			backing := make([]expr.Value, n*len(cols))
+			for i := range rows {
+				rows[i] = backing[i*len(cols) : (i+1)*len(cols)]
+			}
+		}
+		if err := decodeChunk(enc, body, n, cols[ci].Type, &scratch); err != nil {
+			return err
+		}
+		scratch.fillRows(rows, ci)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return rows, nil
+}
+
+// decodePageVectors decodes the chunks of the columns for which
+// want[ci] is set into fresh vectors (the others stay nil).
+func decodePageVectors(format int, cols []Column, buf []byte, n int, want []bool) ([]*Vector, error) {
+	vecs := make([]*Vector, len(cols))
+	err := pageChunks(format, cols, buf, n, func(ci, enc int, body []byte) error {
+		if !want[ci] {
+			return nil
+		}
+		vecs[ci] = &Vector{}
+		return decodeChunk(enc, body, n, cols[ci].Type, vecs[ci])
+	})
+	if err != nil {
+		return nil, err
+	}
+	return vecs, nil
 }
 
 // pageKey identifies a decoded page in the buffer pool. Keying on the
@@ -222,15 +253,21 @@ type pageKey struct {
 	page int
 }
 
+// pageEntry is one page's residency in the buffer pool. A page has two
+// decoded forms, each made the first time a reader asks for it: rows
+// (the ETL executor, the oracle, exports) and one vector per column
+// (the OLAP fast path, which asks only for the columns a query reads).
+// Both forms are immutable once stored and live and die together.
 type pageEntry struct {
 	key  pageKey
-	rows []Row
-	size int // charged bytes (the page's on-disk padded size)
+	rows []Row     // nil until a row reader decodes the page
+	vecs []*Vector // per column; nil until a vector reader decodes it
+	size int       // charged bytes: the sum over the forms present
 }
 
 // pageCache is the store's buffer pool: an LRU of decoded pages under
-// a byte budget. Decoded pages are immutable and shared — an evicted
-// page's rows stay valid for whoever still holds them.
+// a byte budget. Decoded forms are immutable and shared — an evicted
+// page's rows and vectors stay valid for whoever still holds them.
 type pageCache struct {
 	mu   sync.Mutex
 	cap  int // byte budget
@@ -246,39 +283,98 @@ func newPageCache(capacityBytes int) *pageCache {
 	return &pageCache{cap: capacityBytes, m: map[pageKey]*list.Element{}, lru: list.New()}
 }
 
-func (c *pageCache) get(k pageKey) ([]Row, bool) {
+// rows returns the page's row form, or nil when it is not resident.
+func (c *pageCache) rows(k pageKey) []Row {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[k]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*pageEntry).rows, true
+	return el.Value.(*pageEntry).rows
 }
 
-func (c *pageCache) put(k pageKey, rows []Row, size int) {
+// vectors fills out[i] with the resident vector of column cols[i] (nil
+// where there is none) and reports whether every one was resident.
+func (c *pageCache) vectors(k pageKey, cols []int, out []*Vector) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	clear(out)
+	el, ok := c.m[k]
+	if !ok {
+		return false
+	}
+	c.lru.MoveToFront(el)
+	vecs := el.Value.(*pageEntry).vecs
+	if vecs == nil {
+		return false
+	}
+	all := true
+	for i, ci := range cols {
+		out[i] = vecs[ci]
+		all = all && out[i] != nil
+	}
+	return all
+}
+
+// entry returns page k's entry, most recently used, making it when the
+// page is not resident. Callers hold c.mu.
+func (c *pageCache) entry(k pageKey) *pageEntry {
 	if el, ok := c.m[k]; ok {
 		c.lru.MoveToFront(el)
-		ent := el.Value.(*pageEntry)
-		c.used += size - ent.size
-		ent.rows, ent.size = rows, size
-	} else {
-		c.m[k] = c.lru.PushFront(&pageEntry{key: k, rows: rows, size: size})
-		c.used += size
+		return el.Value.(*pageEntry)
 	}
-	// Evict from the cold end until within budget; the most recent
-	// entry always stays (an oversize page larger than the whole
-	// budget would otherwise thrash on every touch).
+	ent := &pageEntry{key: k}
+	c.m[k] = c.lru.PushFront(ent)
+	return ent
+}
+
+// charge adds n bytes to the entry's account, then evicts from the
+// cold end until the pool is within budget; the most recent entry
+// always stays (an oversize page larger than the whole budget would
+// otherwise thrash on every touch). Callers hold c.mu.
+func (c *pageCache) charge(ent *pageEntry, n int) {
+	ent.size += n
+	c.used += n
 	for c.used > c.cap && c.lru.Len() > 1 {
 		el := c.lru.Back()
 		c.lru.Remove(el)
-		ent := el.Value.(*pageEntry)
-		delete(c.m, ent.key)
-		c.used -= ent.size
+		old := el.Value.(*pageEntry)
+		delete(c.m, old.key)
+		c.used -= old.size
 	}
+}
+
+// putRows stores the page's row form, charged size bytes. A form
+// already resident stays (a racing reader decoded the page too) and is
+// not charged twice.
+func (c *pageCache) putRows(k pageKey, rows []Row, size int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ent := c.entry(k); ent.rows == nil {
+		ent.rows = rows
+		c.charge(ent, size)
+	}
+}
+
+// putVectors stores the non-nil vectors (indexed by column) beside
+// whatever forms the page already has, each charged its memory size.
+func (c *pageCache) putVectors(k pageKey, vecs []*Vector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ent := c.entry(k)
+	if ent.vecs == nil {
+		ent.vecs = make([]*Vector, len(vecs))
+	}
+	n := 0
+	for ci, v := range vecs {
+		if v != nil && ent.vecs[ci] == nil {
+			ent.vecs[ci] = v
+			n += v.memSize()
+		}
+	}
+	c.charge(ent, n)
 }
 
 // purge drops every entry whose segment fails keep. Cached entries

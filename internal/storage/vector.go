@@ -1,0 +1,272 @@
+package storage
+
+// Vector is the typed, columnar decoded form of one column chunk: what
+// the OLAP fast path reads instead of rows. An int column is a
+// []int64, a float column a []float64; string and bool columns are a
+// code per row into the chunk's own dictionary. No expr.Value exists
+// per row — only per dictionary entry.
+//
+// Vectors handed out by a Cursor are shared and immutable.
+
+import (
+	"fmt"
+	"slices"
+
+	"quarry/internal/expr"
+)
+
+// Vector holds the values of one column over a run of rows. Exactly
+// one of Ints, Floats and Codes is populated, chosen by Kind; a NULL
+// row holds a zero there and has its bit set in Nulls.
+type Vector struct {
+	Kind   expr.Kind
+	Ints   []int64      // KindInt
+	Floats []float64    // KindFloat
+	Codes  []uint32     // KindString, KindBool: index into Dict
+	Dict   []expr.Value // entries may repeat (a run-length chunk has one per run)
+	Nulls  []uint64     // bit i set = row i is NULL; nil when no row is
+}
+
+// boolDict is the dictionary every bool vector shares.
+var boolDict = []expr.Value{expr.Bool(false), expr.Bool(true)}
+
+// Len is the number of rows.
+func (v *Vector) Len() int {
+	switch v.Kind {
+	case expr.KindInt:
+		return len(v.Ints)
+	case expr.KindFloat:
+		return len(v.Floats)
+	}
+	return len(v.Codes)
+}
+
+// IsNull reports whether row i is NULL.
+func (v *Vector) IsNull(i int) bool {
+	return v.Nulls != nil && v.Nulls[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// Value builds row i's value.
+func (v *Vector) Value(i int) expr.Value {
+	if v.IsNull(i) {
+		return expr.Value{}
+	}
+	switch v.Kind {
+	case expr.KindInt:
+		return expr.Int(v.Ints[i])
+	case expr.KindFloat:
+		return expr.Float(v.Floats[i])
+	}
+	return v.Dict[v.Codes[i]]
+}
+
+// Gather overwrites dst with the rows sel picks from v, in sel's
+// order, reusing dst's buffers. dst shares v's dictionary.
+func (v *Vector) Gather(dst *Vector, sel []int32) {
+	dst.Kind, dst.Dict, dst.Nulls = v.Kind, v.Dict, dst.Nulls[:0]
+	switch v.Kind {
+	case expr.KindInt:
+		dst.Ints = slices.Grow(dst.Ints[:0], len(sel))
+		for _, s := range sel {
+			dst.Ints = append(dst.Ints, v.Ints[s])
+		}
+	case expr.KindFloat:
+		dst.Floats = slices.Grow(dst.Floats[:0], len(sel))
+		for _, s := range sel {
+			dst.Floats = append(dst.Floats, v.Floats[s])
+		}
+	default:
+		dst.Codes = slices.Grow(dst.Codes[:0], len(sel))
+		for _, s := range sel {
+			dst.Codes = append(dst.Codes, v.Codes[s])
+		}
+	}
+	if v.Nulls == nil {
+		dst.Nulls = nil
+		return
+	}
+	if words := (len(sel) + 63) / 64; cap(dst.Nulls) < words {
+		dst.Nulls = make([]uint64, words)
+	} else {
+		dst.Nulls = dst.Nulls[:words]
+		clear(dst.Nulls)
+	}
+	for i, s := range sel {
+		if v.IsNull(int(s)) {
+			dst.Nulls[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+}
+
+// memSize is the vector's buffer-pool charge: its slices plus the
+// dictionary's strings.
+func (v *Vector) memSize() int {
+	n := 8*(len(v.Ints)+len(v.Floats)+len(v.Nulls)) + 4*len(v.Codes)
+	if v.Kind == expr.KindString {
+		for i := range v.Dict {
+			n += 48 + len(v.Dict[i].AsString())
+		}
+	}
+	return n
+}
+
+// reset empties the vector for a column of the given type, keeping
+// its buffers, with room for n rows.
+func (v *Vector) reset(typ string, n int) error {
+	v.Ints, v.Floats, v.Codes, v.Dict, v.Nulls = v.Ints[:0], v.Floats[:0], v.Codes[:0], nil, nil
+	switch typ {
+	case "int":
+		v.Kind = expr.KindInt
+		if cap(v.Ints) < n {
+			v.Ints = make([]int64, 0, n)
+		}
+	case "float":
+		v.Kind = expr.KindFloat
+		if cap(v.Floats) < n {
+			v.Floats = make([]float64, 0, n)
+		}
+	case "string", "bool":
+		v.Kind = expr.KindString
+		if typ == "bool" {
+			v.Kind, v.Dict = expr.KindBool, boolDict
+		}
+		if cap(v.Codes) < n {
+			v.Codes = make([]uint32, 0, n)
+		}
+	default:
+		return fmt.Errorf("unknown column type %q", typ)
+	}
+	return nil
+}
+
+// appendNull appends a NULL row; n is the row count the vector is
+// being filled to (it sizes the bitmap once).
+func (v *Vector) appendNull(n int) {
+	i := v.Len()
+	if v.Nulls == nil {
+		v.Nulls = make([]uint64, (n+63)/64)
+	}
+	v.Nulls[i>>6] |= 1 << (uint(i) & 63)
+	switch v.Kind {
+	case expr.KindInt:
+		v.Ints = append(v.Ints, 0)
+	case expr.KindFloat:
+		v.Floats = append(v.Floats, 0)
+	default:
+		v.Codes = append(v.Codes, 0)
+	}
+}
+
+// repeatLast appends count more copies of the last row.
+func (v *Vector) repeatLast(count int) {
+	switch v.Kind {
+	case expr.KindInt:
+		x := v.Ints[len(v.Ints)-1]
+		for ; count > 0; count-- {
+			v.Ints = append(v.Ints, x)
+		}
+	case expr.KindFloat:
+		x := v.Floats[len(v.Floats)-1]
+		for ; count > 0; count-- {
+			v.Floats = append(v.Floats, x)
+		}
+	default:
+		x := v.Codes[len(v.Codes)-1]
+		for ; count > 0; count-- {
+			v.Codes = append(v.Codes, x)
+		}
+	}
+}
+
+// appendFrom appends row e of d, a vector of the same kind whose
+// dictionary v shares.
+func (v *Vector) appendFrom(d *Vector, e int) {
+	switch v.Kind {
+	case expr.KindInt:
+		v.Ints = append(v.Ints, d.Ints[e])
+	case expr.KindFloat:
+		v.Floats = append(v.Floats, d.Floats[e])
+	default:
+		v.Codes = append(v.Codes, d.Codes[e])
+	}
+}
+
+// appendString appends a string row, coding it through seen when the
+// caller deduplicates (a raw chunk, a row tail) and as a fresh
+// dictionary entry otherwise.
+func (v *Vector) appendString(s []byte, seen map[string]uint32) {
+	if code, ok := seen[string(s)]; ok {
+		v.Codes = append(v.Codes, code)
+		return
+	}
+	code := uint32(len(v.Dict))
+	val := expr.Str(string(s))
+	v.Dict = append(v.Dict, val)
+	if seen != nil {
+		seen[val.AsString()] = code
+	}
+	v.Codes = append(v.Codes, code)
+}
+
+// fillRows writes the vector into column ci of rows, one value per
+// row.
+func (v *Vector) fillRows(rows []Row, ci int) {
+	switch {
+	case v.Nulls != nil:
+		for ri := range rows {
+			rows[ri][ci] = v.Value(ri)
+		}
+	case v.Kind == expr.KindInt:
+		for ri, x := range v.Ints {
+			rows[ri][ci] = expr.Int(x)
+		}
+	case v.Kind == expr.KindFloat:
+		for ri, x := range v.Floats {
+			rows[ri][ci] = expr.Float(x)
+		}
+	default:
+		for ri, c := range v.Codes {
+			rows[ri][ci] = v.Dict[c]
+		}
+	}
+}
+
+// transposeRows fills v with column ci of rows: how the in-memory tail
+// and memory tables, which hold only rows, serve vector reads. Strings
+// are dictionary-coded here, one entry per distinct value.
+func (v *Vector) transposeRows(rows []Row, ci int, typ string) {
+	if err := v.reset(typ, len(rows)); err != nil {
+		panic("storage: " + err.Error()) // column types are validated at table creation
+	}
+	var seen map[string]uint32
+	if v.Kind == expr.KindString {
+		seen = map[string]uint32{}
+	}
+	for _, r := range rows {
+		x := r[ci]
+		switch {
+		case x.IsNull():
+			v.appendNull(len(rows))
+		case v.Kind == expr.KindInt:
+			v.Ints = append(v.Ints, x.AsInt())
+		case v.Kind == expr.KindFloat:
+			f, _ := x.AsFloat()
+			v.Floats = append(v.Floats, f)
+		case v.Kind == expr.KindBool:
+			c := uint32(0)
+			if x.AsBool() {
+				c = 1
+			}
+			v.Codes = append(v.Codes, c)
+		default:
+			s := x.AsString()
+			code, ok := seen[s]
+			if !ok {
+				code = uint32(len(v.Dict))
+				v.Dict = append(v.Dict, x)
+				seen[s] = code
+			}
+			v.Codes = append(v.Codes, code)
+		}
+	}
+}
