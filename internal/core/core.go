@@ -255,7 +255,7 @@ func (p *Platform) AddRequirement(r *xrq.Requirement) (*ChangeReport, error) {
 	p.unifiedETL = newETL
 	p.olapEng = nil
 	p.matAgg.Invalidate()
-	if err := p.persistLocked(r, pd); err != nil {
+	if err := p.persistLocked(r, pd, true); err != nil {
 		return nil, err
 	}
 	return &ChangeReport{RequirementID: r.ID, MD: mdRep, ETL: etlRep}, nil
@@ -318,7 +318,8 @@ func (p *Platform) ChangeRequirement(r *xrq.Requirement) (*ChangeReport, error) 
 		_ = p.rederiveLocked()
 		return nil, err
 	}
-	if err := p.persistLocked(r, pd); err != nil {
+	// rederiveLocked has stored the unified designs already.
+	if err := p.persistLocked(r, pd, false); err != nil {
 		return nil, err
 	}
 	return &ChangeReport{RequirementID: r.ID, Rederived: true}, nil
@@ -352,13 +353,18 @@ func (p *Platform) rederiveLocked() error {
 	p.unifiedETL = etl
 	p.olapEng = nil
 	p.matAgg.Invalidate()
-	if md != nil {
-		if err := p.repo.SaveMD("unified", md); err != nil {
+	return p.saveUnifiedLocked()
+}
+
+// saveUnifiedLocked stores the current unified designs.
+func (p *Platform) saveUnifiedLocked() error {
+	if p.unifiedMD != nil {
+		if err := p.repo.SaveMD("unified", p.unifiedMD); err != nil {
 			return err
 		}
 	}
-	if etl != nil {
-		if err := p.repo.SaveETL("unified", etl); err != nil {
+	if p.unifiedETL != nil {
+		if err := p.repo.SaveETL("unified", p.unifiedETL); err != nil {
 			return err
 		}
 	}
@@ -383,7 +389,10 @@ func (p *Platform) checkAllSatisfiedLocked(md *xmd.Schema, incoming *xrq.Require
 // ETL designs.
 func partialKey(id string) string { return "partial:" + id }
 
-func (p *Platform) persistLocked(r *xrq.Requirement, pd *interpreter.PartialDesign) error {
+// persistLocked stores a requirement with its partial designs — and the
+// unified designs when the caller has not stored them since they last
+// changed — and flushes the repository.
+func (p *Platform) persistLocked(r *xrq.Requirement, pd *interpreter.PartialDesign, unified bool) error {
 	if err := p.repo.SaveRequirement(r); err != nil {
 		return err
 	}
@@ -393,13 +402,8 @@ func (p *Platform) persistLocked(r *xrq.Requirement, pd *interpreter.PartialDesi
 	if err := p.repo.SaveETL(partialKey(r.ID), pd.ETL); err != nil {
 		return err
 	}
-	if p.unifiedMD != nil {
-		if err := p.repo.SaveMD("unified", p.unifiedMD); err != nil {
-			return err
-		}
-	}
-	if p.unifiedETL != nil {
-		if err := p.repo.SaveETL("unified", p.unifiedETL); err != nil {
+	if unified {
+		if err := p.saveUnifiedLocked(); err != nil {
 			return err
 		}
 	}

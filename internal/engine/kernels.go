@@ -788,6 +788,8 @@ type loaderOp struct {
 	remap    []int          // remap[i] = input position of table column i; nil = positional
 	filter   func(row []expr.Value) bool
 	written  int64
+	batch    []storage.Row // write's scratch: one batch's row headers
+	remapped []expr.Value  // write's scratch: one batch's remapped values
 }
 
 // bindFilter resolves the run's load filter (Options.LoadFilter)
@@ -896,24 +898,29 @@ func appendRemap(table string, in []xlm.Field, cols []storage.Column) ([]int, er
 }
 
 // write appends one batch to the target table, dropping rows the
-// bound load filter rejects.
+// bound load filter rejects. The table copies the rows it keeps
+// (AppendBatch), so the row headers — and a remapped batch's values —
+// live in scratch the next batch reuses.
 func (o *loaderOp) write(rows [][]expr.Value) error {
-	batch := make([]storage.Row, 0, len(rows))
+	batch := o.batch[:0]
+	if o.remap != nil {
+		o.remapped = slices.Grow(o.remapped[:0], len(rows)*len(o.remap))
+	}
 	for _, r := range rows {
-		var nr storage.Row
-		if o.remap == nil {
-			nr = r
-		} else {
-			nr = make(storage.Row, len(o.remap))
-			for k, j := range o.remap {
-				nr[k] = r[j]
+		nr := storage.Row(r)
+		if o.remap != nil {
+			at := len(o.remapped)
+			for _, j := range o.remap {
+				o.remapped = append(o.remapped, r[j])
 			}
+			nr = o.remapped[at:]
 		}
 		if o.filter != nil && !o.filter(nr) {
 			continue
 		}
 		batch = append(batch, nr)
 	}
+	o.batch = batch
 	if err := o.t.AppendBatch(batch); err != nil {
 		return err
 	}

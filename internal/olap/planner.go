@@ -349,9 +349,20 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 			}
 		}
 	}
-	// Filter pushdown: conjuncts of the shape `col OP literal` become
-	// prune predicates on the table that physically holds the column.
 	if p.filter != nil {
+		// Type-check the filter here, before any row is read: the oracle's
+		// flow validation rejects an ill-typed predicate outright, while
+		// the evaluator only meets it on a joined row — and an empty
+		// dimension leaves it none.
+		sch := func(name string) (expr.Kind, bool) {
+			k, err := expr.ParseKind(colType[name])
+			return k, err == nil
+		}
+		if err := expr.CheckPredicate(p.filter, sch); err != nil {
+			return nil, fmt.Errorf("olap: filter: %w", err)
+		}
+		// Filter pushdown: conjuncts of the shape `col OP literal` become
+		// prune predicates on the table that physically holds the column.
 		for _, conj := range expr.Conjuncts(p.filter) {
 			col, op, lit, ok := expr.Comparison(conj)
 			if !ok || !pushable(op, colType[col], lit) {

@@ -210,11 +210,7 @@ func handQuery(r *rand.Rand) olap.CubeQuery {
 	for _, i := range r.Perm(len(handGroups))[:1+r.Intn(3)] {
 		q.GroupBy = append(q.GroupBy, handGroups[i])
 	}
-	// Joining the empty dimension leaves the filter no row to fail on,
-	// while the oracle rejects an ill-typed predicate when it validates
-	// its flow, before any row: the two differ on such a query (they did
-	// before the fast path read vectors), so it is not generated.
-	if r.Intn(8) == 0 && q.Filter != "tag > 5" {
+	if r.Intn(8) == 0 {
 		q.GroupBy = append(q.GroupBy, "e_label")
 	}
 	for _, i := range r.Perm(len(handMeasures))[:1+r.Intn(3)] {
@@ -422,6 +418,22 @@ func TestProbeFixedJoinCases(t *testing.T) {
 		assertSameAnswer(t, e, q)
 		if res, err := e.Query(q); err != nil || len(res.Rows) != 0 {
 			t.Fatalf("rows=%v err=%v", res, err)
+		}
+	})
+	t.Run("an ill-typed filter fails before any row", func(t *testing.T) {
+		// Joining the empty dimension leaves the evaluator no row to fail
+		// on: the filter must be refused when the query is planned, as
+		// the oracle refuses it when it validates its flow — on the plain
+		// fast path, the partial route and the dice alike.
+		q := olap.CubeQuery{Fact: "sales", GroupBy: []string{"e_label", "tag"}, Measures: count, Filter: "tag > 5"}
+		for _, dice := range []*olap.DiceSpec{nil, {Func: "COUNT", Thresholds: map[string]float64{"tag": 1}}} {
+			q.Dice = dice
+			if !assertSameAnswer(t, e, q) {
+				t.Fatalf("tag > 5 over an empty join was answered (dice %v)", dice != nil)
+			}
+		}
+		if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "olap: filter: expr:") {
+			t.Fatalf("err = %v, want the planner's type error", err)
 		}
 	})
 	t.Run("coded fact-only group key leaves page-cache rows alone", func(t *testing.T) {

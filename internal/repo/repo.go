@@ -33,10 +33,18 @@ type Collection struct {
 	docs  map[string]Doc
 	order []string
 	next  int
+
+	// What Flush needs to write only what changed: dirty is set by every
+	// mutation and cleared when the collection's file is written; enc
+	// caches each document's indented JSON, filled by Flush (so an
+	// in-memory store never encodes anything) and dropped for a document
+	// when it is replaced or deleted.
+	dirty bool
+	enc   map[string][]byte
 }
 
 func newCollection(name string) *Collection {
-	return &Collection{name: name, docs: map[string]Doc{}}
+	return &Collection{name: name, docs: map[string]Doc{}, enc: map[string][]byte{}, dirty: true}
 }
 
 // Insert stores a document, assigning an "_id" when absent, and
@@ -56,6 +64,7 @@ func (c *Collection) Insert(d Doc) (string, error) {
 	}
 	c.docs[id] = cp
 	c.order = append(c.order, id)
+	c.dirty = true
 	return id, nil
 }
 
@@ -69,6 +78,8 @@ func (c *Collection) Put(id string, d Doc) {
 		c.order = append(c.order, id)
 	}
 	c.docs[id] = cp
+	delete(c.enc, id)
+	c.dirty = true
 }
 
 // Get retrieves a document copy by id.
@@ -90,6 +101,8 @@ func (c *Collection) Delete(id string) bool {
 		return false
 	}
 	delete(c.docs, id)
+	delete(c.enc, id)
+	c.dirty = true
 	for i, oid := range c.order {
 		if oid == id {
 			c.order = append(c.order[:i], c.order[i+1:]...)
@@ -108,6 +121,53 @@ func (c *Collection) All() []Doc {
 		out = append(out, deepCopy(c.docs[id]).(Doc))
 	}
 	return out
+}
+
+// encodeIfDirty renders the collection's file — the bytes of
+// json.MarshalIndent(c.All(), "", "  "), assembled from the cached
+// per-document encodings so only documents stored since the last flush
+// are marshalled — and marks the collection clean. It reports false,
+// with no data, when nothing changed since the file was last written.
+func (c *Collection) encodeIfDirty() ([]byte, bool, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.dirty {
+		return nil, false, nil
+	}
+	if len(c.order) == 0 {
+		c.dirty = false
+		return []byte("[]"), true, nil
+	}
+	size := 2
+	for _, id := range c.order {
+		if c.enc[id] == nil {
+			// One array element: nested one level, so every line after the
+			// first carries the element's own indent as its prefix.
+			b, err := json.MarshalIndent(c.docs[id], "  ", "  ")
+			if err != nil {
+				return nil, false, err
+			}
+			c.enc[id] = b
+		}
+		size += len(c.enc[id]) + 4
+	}
+	out := make([]byte, 0, size)
+	out = append(out, '[')
+	for i, id := range c.order {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(append(out, "\n  "...), c.enc[id]...)
+	}
+	c.dirty = false
+	return append(out, "\n]"...), true, nil
+}
+
+// markDirty makes the next flush write the collection again.
+func (c *Collection) markDirty() {
+	c.mu.Lock()
+	c.dirty = true
+	c.mu.Unlock()
 }
 
 // Count reports the number of documents.
@@ -243,6 +303,7 @@ func Open(dir string) (*Store, error) {
 			}
 		}
 		col.next = len(docs)
+		col.dirty = false // the file just read is the collection
 		s.collections[name] = col
 	}
 	return s, nil
@@ -272,8 +333,8 @@ func (s *Store) CollectionNames() []string {
 	return out
 }
 
-// Flush persists every collection to disk (no-op for in-memory
-// stores).
+// Flush persists every collection that changed since it was last
+// written (no-op for in-memory stores).
 func (s *Store) Flush() error {
 	if s.dir == "" {
 		return nil
@@ -281,17 +342,26 @@ func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, col := range s.collections {
-		data, err := json.MarshalIndent(col.All(), "", "  ")
+		data, dirty, err := col.encodeIfDirty()
 		if err != nil {
 			return fmt.Errorf("repo: %w", err)
 		}
-		tmp := filepath.Join(s.dir, name+".json.tmp")
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return fmt.Errorf("repo: %w", err)
+		if !dirty {
+			continue
 		}
-		if err := os.Rename(tmp, filepath.Join(s.dir, name+".json")); err != nil {
+		if err := writeFile(s.dir, name, data); err != nil {
+			col.markDirty()
 			return fmt.Errorf("repo: %w", err)
 		}
 	}
 	return nil
+}
+
+// writeFile replaces the collection's file through a rename.
+func writeFile(dir, name string, data []byte) error {
+	tmp := filepath.Join(dir, name+".json.tmp")
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, filepath.Join(dir, name+".json"))
 }

@@ -1,8 +1,10 @@
 package repo
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -244,5 +246,202 @@ func TestDesignsJSONFallback(t *testing.T) {
 	}
 	if back.Slicers[0].Value != "SPAIN" {
 		t.Errorf("slicer = %+v", back.Slicers[0])
+	}
+}
+
+// wholeFile is what Flush wrote before it kept per-document encodings:
+// the whole collection through one MarshalIndent.
+func wholeFile(t *testing.T, c *Collection) string {
+	t.Helper()
+	data, err := json.MarshalIndent(c.All(), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func readFile(t *testing.T, dir, name string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestFlushAssemblesTheSameBytes: a file put together from cached
+// per-document encodings is byte for byte the MarshalIndent of the
+// whole collection — through replacements, deletions, nesting, empty
+// containers, characters JSON escapes, and an empty collection.
+func TestFlushAssemblesTheSameBytes(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Collection("things")
+	empty := s.Collection("nothing")
+	check := func(when string) {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range []*Collection{c, empty} {
+			if got, want := readFile(t, dir, col.name), wholeFile(t, col); got != want {
+				t.Fatalf("%s: %s.json is\n%s\nwant\n%s", when, col.name, got, want)
+			}
+		}
+	}
+	check("empty store")
+	c.Put("a", Doc{"xml": "<a b=\"1\">&amp;\n\t</a>", "n": 1.5, "nested": map[string]any{
+		"list": []any{1.0, "two", map[string]any{"three": []any{}}, []any{[]any{nil, true}}},
+		"none": map[string]any{}, "z": nil}})
+	check("one document")
+	if _, err := c.Insert(Doc{"k": "generated id"}); err != nil {
+		t.Fatal(err)
+	}
+	c.Put("b", Doc{"json": map[string]any{"é": "ü   <>&"}})
+	check("three documents")
+	c.Put("a", Doc{"replaced": true})
+	check("first replaced in place")
+	c.Delete("things-000001")
+	check("middle deleted")
+	c.Delete("a")
+	c.Delete("b")
+	check("emptied")
+
+	// The real documents: a requirement, an MD schema and an ETL design
+	// through the typed repository.
+	d := NewDesigns(s)
+	if err := d.SaveRequirement(tpch.RevenueRequirement()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveRequirement(tpch.NetProfitRequirement()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reqs := s.Collection(colRequirements)
+	if got, want := readFile(t, dir, colRequirements), wholeFile(t, reqs); got != want {
+		t.Fatal("requirements.json differs from MarshalIndent of the collection")
+	}
+	// A reopened store reads back what was assembled.
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := wholeFile(t, re.Collection(colRequirements)), wholeFile(t, reqs); got != want {
+		t.Fatal("reopened collection differs")
+	}
+}
+
+// TestFlushWritesOnlyWhatChanged: a collection nothing touched since it
+// was written, or since it was read at Open, is not written again; any
+// Insert, Put or Delete makes it due.
+func TestFlushWritesOnlyWhatChanged(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	a, b := s.Collection("a"), s.Collection("b")
+	a.Put("x", Doc{"v": 1})
+	b.Put("y", Doc{"v": 2})
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Scribble over both files: a flush that rewrites one repairs it.
+	scribble := func() {
+		for _, name := range []string{"a", "b"} {
+			if err := os.WriteFile(filepath.Join(dir, name+".json"), []byte("scribble"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rewritten := func() (out []string) {
+		t.Helper()
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b"} {
+			if readFile(t, dir, name) != "scribble" {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	scribble()
+	if got := rewritten(); got != nil {
+		t.Fatalf("flush with nothing changed rewrote %v", got)
+	}
+	steps := []struct {
+		name string
+		do   func()
+		want []string
+	}{
+		{"Put", func() { a.Put("x", Doc{"v": 3}) }, []string{"a"}},
+		{"Insert", func() { b.Insert(Doc{"v": 4}) }, []string{"b"}},
+		{"Delete", func() { a.Delete("x") }, []string{"a"}},
+		{"Delete of nothing", func() { a.Delete("ghost") }, nil},
+		{"reads", func() { a.All(); b.Get("y"); b.Find(map[string]any{"v": 2}) }, nil},
+		{"a new collection", func() { s.Collection("a"); s.Collection("b") }, nil},
+	}
+	for _, step := range steps {
+		scribble()
+		step.do()
+		if got := rewritten(); !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("after %s the flush rewrote %v, want %v", step.name, got, step.want)
+		}
+	}
+
+	// Collections read at Open are clean; one created afterwards is
+	// written once, empty, as before.
+	a.Put("z", Doc{"v": 5})
+	b.Put("y", Doc{"v": 6})
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readFile(t, dir, "a"), wholeFile(t, a); got != want {
+		t.Fatalf("a.json = %s, want %s", got, want)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b = s.Collection("a"), s.Collection("b")
+	scribble()
+	if got := rewritten(); got != nil {
+		t.Fatalf("first flush after Open rewrote %v", got)
+	}
+	s.Collection("fresh")
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, dir, "fresh"); got != "[]" {
+		t.Fatalf("fresh.json = %q, want []", got)
+	}
+}
+
+// TestFlushFailureStaysDue: a collection whose write failed is written
+// by the next flush.
+func TestFlushFailureStaysDue(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir)
+	c := s.Collection("c")
+	c.Put("x", Doc{"v": 1})
+	// A directory where the temporary file goes makes the write fail.
+	block := filepath.Join(dir, "c.json.tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err == nil {
+		t.Fatal("flush over a blocked path succeeded")
+	}
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := readFile(t, dir, "c"), wholeFile(t, c); got != want {
+		t.Fatalf("c.json = %q, want %q", got, want)
 	}
 }

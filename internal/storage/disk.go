@@ -17,8 +17,9 @@ package storage
 //
 // Commit protocol (the crash-safety story):
 //
-//  1. write + fsync every new segment file (they are orphans until
-//     referenced — a crash here loses nothing), then fsync the
+//  1. encode, write + fsync every new segment file of the commit — all
+//     of them together, in parallel (writeSegments; they are orphans
+//     until referenced — a crash here loses nothing) — then fsync the
 //     directory so their entries are durable before the manifest can
 //     name them,
 //  2. write + fsync manifest.tmp with the complete new catalog,
@@ -50,6 +51,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"quarry/internal/expr"
 	mf "quarry/internal/storage/manifest"
@@ -103,15 +105,27 @@ func compactThreshold() int {
 	return n
 }
 
-// TestingCommitFault is a crash-injection hook for tests: when set,
-// it is consulted at the named commit stages ("segments": all segment
-// files written and synced, manifest untouched; "rename":
-// manifest.tmp written and synced, final rename pending). Returning a
-// non-nil error aborts the commit exactly as a crash at that point
-// would — new segment files are left behind as orphans for recovery
-// to collect, and the in-memory DB is not mutated. Never set outside
-// tests.
+// TestingCommitFault is a fault-injection hook for tests: when set, it
+// is consulted at the named commit stages and a non-nil error aborts
+// the commit there. Two stages simulate a crash — "segments": all
+// segment files written and synced, manifest untouched; "rename":
+// manifest.tmp written and synced, final rename pending — so the files
+// written so far are left behind as orphans for recovery to collect.
+// Two simulate an I/O error on one segment — "write": before the
+// segment's file is created; "sync": its pages written, fsync pending
+// — and are consulted once per new segment, from the goroutines that
+// write the segments concurrently (the hook must be safe for that); the
+// commit fails as it would on the real error, removing every file it
+// created. In all four the in-memory DB is not mutated and no file
+// descriptor stays open. Never set outside tests.
 var TestingCommitFault func(stage string) error
+
+func commitFault(stage string) error {
+	if TestingCommitFault == nil {
+		return nil
+	}
+	return TestingCommitFault(stage)
+}
 
 // diskStore is the per-DB handle on a storage directory.
 type diskStore struct {
@@ -448,37 +462,140 @@ func zonesFromManifest(ms []manifestZone, ncols int) []zone {
 	return out
 }
 
-// writeSegment encodes rows into a fresh segment file (format 2,
-// per-chunk encodings chosen by the stats pass) and fsyncs it.
-func (st *diskStore) writeSegment(cols []Column, rows []Row) (*segment, error) {
-	id := st.nextSeg
+// segmentWrite is one new segment of a commit: the segment object
+// (named, no file yet) and the rows that go into it.
+type segmentWrite struct {
+	seg  *segment
+	rows []Row
+}
+
+// newSegmentWrite names the next segment of this store and pairs it
+// with its rows. Callers hold st.commitMu.
+func (st *diskStore) newSegmentWrite(cols []Column, rows []Row) segmentWrite {
+	name := fmt.Sprintf("%s%08d%s", segPrefix, st.nextSeg, segSuffix)
 	st.nextSeg++
-	name := fmt.Sprintf("%s%08d%s", segPrefix, id, segSuffix)
-	f, err := os.OpenFile(filepath.Join(st.dir, name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return nil, err
+	return segmentWrite{rows: rows, seg: &segment{name: name, dir: st.dir,
+		format: manifestFormatV2, cols: cols, rows: len(rows), cache: st.cache}}
+}
+
+// syncWorkers bounds the segment files one commit writes and fsyncs at
+// a time. That group waits on the device, not on a processor, so it is
+// not sized by GOMAXPROCS the way the encoding group is.
+const syncWorkers = 16
+
+// writeSegments renders and persists every new segment of one commit
+// (format 2, per-chunk encodings chosen by the stats pass). Page
+// boundaries are cut per segment (splitPages); then all pages of all
+// segments are encoded by one worker group sized by GOMAXPROCS — a
+// page's bytes depend on nothing but its rows, so who encodes it
+// changes nothing on disk; then each segment's pages are written in
+// page order at their now-known offsets and the file is fsynced, the
+// segments concurrently. It returns once every goroutine it started has
+// finished. On error the files it created may be incomplete: the
+// caller removes them (abandon).
+func (st *diskStore) writeSegments(ws []segmentWrite) error {
+	workers := runtime.GOMAXPROCS(0)
+	counts := make([][]int, len(ws))
+	_ = parallel(len(ws), workers, func(_, i int) error {
+		counts[i] = splitPages(len(ws[i].seg.cols), ws[i].rows)
+		return nil
+	})
+	type pageTask struct{ seg, page, first, n int }
+	var tasks []pageTask
+	pages := make([][]encodedPage, len(ws))
+	for si, c := range counts {
+		pages[si] = make([]encodedPage, len(c))
+		first := 0
+		for pi, n := range c {
+			tasks = append(tasks, pageTask{seg: si, page: pi, first: first, n: n})
+			first += n
+		}
 	}
-	seg := &segment{file: f, name: name, dir: st.dir, format: manifestFormatV2,
-		cols: cols, rows: len(rows), cache: st.cache}
+	encoders := make([]chunkEncoder, min(workers, len(tasks)))
+	_ = parallel(len(tasks), workers, func(w, i int) error {
+		t := tasks[i]
+		pages[t.seg][t.page] = encoders[w].encodePage(ws[t.seg].seg.cols, ws[t.seg].rows[t.first:t.first+t.n])
+		return nil
+	})
+	return parallel(len(ws), syncWorkers, func(_, i int) error {
+		return ws[i].seg.persist(pages[i], counts[i])
+	})
+}
+
+// persist creates the segment's file, writes the encoded pages in
+// order — filling in the page directory as offsets become known — and
+// fsyncs it. The file stays open for the segment's lifetime.
+func (s *segment) persist(pages []encodedPage, counts []int) error {
+	if err := commitFault("write"); err != nil {
+		return fmt.Errorf("storage: writing %s: %w", s.name, err)
+	}
+	f, err := os.OpenFile(filepath.Join(s.dir, s.name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	s.file = f
+	s.pages = make([]pageMeta, 0, len(pages))
 	var off int64
 	first := 0
-	for _, n := range splitPages(len(cols), rows) {
-		ep := encodePage(cols, rows[first:first+n])
+	for pi, ep := range pages {
 		if _, err := f.WriteAt(ep.buf, off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("storage: writing %s: %w", name, err)
+			return fmt.Errorf("storage: writing %s: %w", s.name, err)
 		}
-		seg.pages = append(seg.pages, pageMeta{off: off, size: len(ep.buf), rows: n,
+		s.pages = append(s.pages, pageMeta{off: off, size: len(ep.buf), rows: counts[pi],
 			first: first, raw: ep.raw, zones: ep.zones})
 		off += int64(len(ep.buf))
-		first += n
+		first += counts[pi]
+	}
+	if err := commitFault("sync"); err != nil {
+		return fmt.Errorf("storage: syncing %s: %w", s.name, err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: syncing %s: %w", name, err)
+		return fmt.Errorf("storage: syncing %s: %w", s.name, err)
 	}
-	seg.tryMmap()
-	return seg, nil
+	return nil
+}
+
+// parallel calls fn(worker, i) for every i in [0, n) from at most
+// workers goroutines — worker numbers them, so each can own scratch —
+// and returns when all of them have finished: no goroutine outlives
+// the call. After the first error no further index is started; the
+// error reported is the first one recorded. With one worker, or one
+// item, fn runs on the caller's goroutine.
+func parallel(n, workers int, fn func(worker, i int) error) error {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next   atomic.Int64
+		once   sync.Once
+		failed atomic.Bool
+		first  error
+		wg     sync.WaitGroup
+	)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := fn(w, i); err != nil {
+					once.Do(func() { first = err })
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return first
 }
 
 // descriptor rebuilds the segment's manifest entry. It is canonical:
@@ -667,9 +784,10 @@ func (st *diskStore) gc(referenced map[string]bool) {
 // map/order/version changes); all segment and manifest I/O happens
 // WITHOUT db.mu, so concurrent snapshots and version reads never
 // wait on a commit's fsyncs. On failure the in-memory DB is
-// untouched and the half-written segment files are removed (unless
-// TestingCommitFault simulated a crash, in which case they are left
-// for Open's recovery to collect). Callers hold st.commitMu — which
+// untouched, the new segments' files are closed and the half-written
+// files are removed (unless TestingCommitFault simulated a crash, in
+// which case they are left for Open's recovery to collect). Callers
+// hold st.commitMu — which
 // is what keeps the tentative catalog stable while unlocked — and
 // must NOT hold db.mu.
 //
@@ -684,25 +802,26 @@ func (st *diskStore) gc(referenced map[string]bool) {
 func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, extra map[*Table][]Row, compact map[string]bool, apply func()) error {
 	st := db.store
 	type pend struct {
+		name  string
 		t     *Table
 		tailN int
 		newPg *pager
 	}
 	var pends []pend
-	var newSegs []*segment
-	cleanup := func() {
-		for _, s := range newSegs {
-			s.file.Close()
-			os.Remove(filepath.Join(st.dir, s.name))
+	var writes []segmentWrite
+	// abandon closes the new segments' files and, unless a simulated
+	// crash wants them left for recovery to find, removes them.
+	abandon := func(remove bool) {
+		for _, w := range writes {
+			if w.seg.file == nil {
+				continue
+			}
+			w.seg.file.Close()
+			if remove {
+				os.Remove(filepath.Join(st.dir, w.seg.name))
+			}
 		}
 	}
-	fault := func(stage string) error {
-		if TestingCommitFault == nil {
-			return nil
-		}
-		return TestingCommitFault(stage)
-	}
-	man := manifest{Format: manifestFormatV2, Version: v}
 	for _, name := range order {
 		t := tables[name]
 		t.mu.RLock()
@@ -742,24 +861,31 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 		}
 		newPg := pg
 		if len(rows) > 0 {
-			seg, err := st.writeSegment(t.Columns, rows)
-			if err != nil {
-				cleanup()
-				return err
-			}
-			newSegs = append(newSegs, seg)
-			newPg = pg.extend(seg)
+			w := st.newSegmentWrite(t.Columns, rows)
+			writes = append(writes, w)
+			newPg = pg.extend(w.seg)
 		}
-		pends = append(pends, pend{t: t, tailN: len(tail), newPg: newPg})
-		mt := manifestTable{Name: name, Columns: t.Columns}
-		if newPg != nil {
-			for _, s := range newPg.segs {
+		pends = append(pends, pend{name: name, t: t, tailN: len(tail), newPg: newPg})
+	}
+	// Every table's new rows are known: render and persist all the new
+	// segments together. Nothing below runs until each is written and
+	// fsynced — the manifest must never name a file that is not durable.
+	if err := st.writeSegments(writes); err != nil {
+		abandon(true)
+		return err
+	}
+	man := manifest{Format: manifestFormatV2, Version: v}
+	for _, p := range pends {
+		mt := manifestTable{Name: p.name, Columns: p.t.Columns}
+		if p.newPg != nil {
+			for _, s := range p.newPg.segs {
 				mt.Segments = append(mt.Segments, s.descriptor())
 			}
 		}
 		man.Tables = append(man.Tables, mt)
 	}
-	if err := fault("segments"); err != nil {
+	if err := commitFault("segments"); err != nil {
+		abandon(false)
 		return err
 	}
 	// Make the new segments' DIRECTORY ENTRIES durable before the
@@ -768,22 +894,23 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 	// loss could persist the renamed manifest while the segment files
 	// it references are gone — an unrecoverable catalog instead of a
 	// clean previous-version recovery.
-	if len(newSegs) > 0 {
+	if len(writes) > 0 {
 		if err := mf.FsyncDir(st.dir); err != nil {
-			cleanup()
+			abandon(true)
 			return fmt.Errorf("storage: syncing %s: %w", st.dir, err)
 		}
 	}
 	data, err := json.MarshalIndent(&man, "", "  ")
 	if err != nil {
-		cleanup()
+		abandon(true)
 		return err
 	}
 	if err := mf.Stage(st.dir, data); err != nil {
-		cleanup()
+		abandon(true)
 		return fmt.Errorf("storage: %w", err)
 	}
-	if err := fault("rename"); err != nil {
+	if err := commitFault("rename"); err != nil {
+		abandon(false)
 		return err
 	}
 	// The rename inside Install IS the commit: once it lands,
@@ -795,12 +922,15 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 	// PREVIOUS version after a crash, which is indistinguishable from
 	// crashing a moment earlier.)
 	if err := mf.Install(st.dir); err != nil {
-		cleanup()
+		abandon(true)
 		return err
 	}
-	// Committed. Swap pagers, drop persisted tails and apply the
-	// caller's catalog changes under db.mu, then collect
+	// Committed. Map the new segments, swap pagers, drop persisted tails
+	// and apply the caller's catalog changes under db.mu, then collect
 	// no-longer-referenced segments.
+	for _, w := range writes {
+		w.seg.tryMmap()
+	}
 	referenced := map[string]bool{}
 	db.mu.Lock()
 	for _, p := range pends {

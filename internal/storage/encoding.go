@@ -13,12 +13,18 @@ package storage
 //	            the base, per-value deltas at the narrowest width
 //
 // The pass also derives the page's zone map: per-column null count
-// and min/max bounds (by expr.Value.Compare, the same ordering the
-// filter evaluator uses, so pruning is conservative by construction).
-// Bounds are withheld for columns whose chunk contains a non-finite
-// float — Compare treats NaN as equal to everything, so no bound
-// excludes it (and NaN/Inf would not survive the JSON manifest) — or
-// an over-long string (manifest bloat).
+// and min/max bounds (in expr.Value.Compare's order, the one the filter
+// evaluator uses, so pruning is conservative by construction). Bounds
+// are withheld for columns whose chunk contains a non-finite float —
+// Compare treats NaN as equal to everything, so no bound excludes it
+// (and NaN/Inf would not survive the JSON manifest) — or an over-long
+// string (manifest bloat).
+//
+// Encoding and decoding meet in the Vector (vector.go), the typed
+// columnar form closest to every encoding. The write side
+// (chunkEncoder) transposes a page's rows into one vector per column —
+// the stats pass is that transposition — and writes the chosen body
+// from it; the read side decodes a body into one.
 //
 // Every encoding round-trips values bit-exactly: floats compare and
 // deduplicate by their IEEE-754 bit pattern (NaN payloads and -0
@@ -39,6 +45,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"quarry/internal/expr"
 )
@@ -68,166 +75,283 @@ type zone struct {
 	min, max  expr.Value
 }
 
-// valKey is a map key distinguishing values bit-exactly within one
-// column (all non-NULL values of a column share its declared kind).
-type valKey struct {
-	bits uint64
-	s    string
-}
-
-func keyOf(v expr.Value) valKey {
-	switch v.Kind() {
-	case expr.KindInt:
-		return valKey{bits: uint64(v.AsInt())}
-	case expr.KindFloat:
-		f, _ := v.AsFloat()
-		return valKey{bits: math.Float64bits(f)}
-	case expr.KindBool:
-		if v.AsBool() {
-			return valKey{bits: 1}
-		}
-		return valKey{}
-	case expr.KindString:
-		return valKey{s: v.AsString()}
-	}
-	return valKey{}
-}
-
-// valIdentical reports bit-exact equality (the run-length equality:
-// NaNs with equal payloads are identical, -0 differs from +0).
-func valIdentical(a, b expr.Value) bool {
-	if a.Kind() != b.Kind() {
-		return false
-	}
-	switch a.Kind() {
-	case expr.KindNull:
-		return true
-	case expr.KindInt:
-		return a.AsInt() == b.AsInt()
-	case expr.KindFloat:
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		return math.Float64bits(af) == math.Float64bits(bf)
-	case expr.KindBool:
-		return a.AsBool() == b.AsBool()
-	case expr.KindString:
-		return a.AsString() == b.AsString()
-	}
-	return false
-}
-
-// rawValSize is the encoded size of one non-NULL value.
-func rawValSize(v expr.Value) int {
-	switch v.Kind() {
-	case expr.KindInt, expr.KindFloat:
-		return 8
-	case expr.KindBool:
-		return 1
-	case expr.KindString:
-		return 4 + len(v.AsString())
-	}
-	return 0
-}
-
-// chunkStats is the single-pass analysis of one column chunk: enough
-// to size every candidate encoding, drive the chosen encoder, and
-// fill the page's zone-map entry.
+// chunkStats is what the single pass over one column chunk learns:
+// enough to size every candidate encoding and to fill the page's
+// zone-map entry.
 type chunkStats struct {
 	n        int
 	nulls    int
 	rawBytes int // value bytes of the present rows
 	runBytes int // exact size of the encRLE body
 
-	dictable  bool
-	dictBytes int              // value bytes of the distinct values
-	codes     map[valKey]int32 // value → dictionary code
-	dict      []expr.Value     // code → value, first-seen order
+	dictable  bool // string and int chunks, until dictMaxCard is passed
+	ndict     int  // distinct values met while dictable
+	dictBytes int  // value bytes of those distinct values
 
 	intMin, intMax int64 // int columns, present rows only
 
 	zone zone
 }
 
-// analyzeChunk scans rows[first:first+n] at column ci in one pass.
-func analyzeChunk(rows []Row, ci int, typ string) *chunkStats {
-	st := &chunkStats{n: len(rows)}
-	st.dictable = typ == "string" || typ == "int"
-	if st.dictable {
-		st.codes = make(map[valKey]int32)
+// chunkEncoder is the write-side mirror of the chunk decoders: build
+// transposes one column of a page's rows into a Vector — ints to
+// []int64, floats to []float64, strings and bools to codes plus a
+// first-seen dictionary, NULLs to the bitmap — and gathers chunkStats
+// in the same typed pass; appendBody then writes whichever encoding was
+// chosen from the vector. Nothing is hashed twice: a dictionary body's
+// codes are the codes the pass assigned.
+//
+// A chunkEncoder is scratch. build reuses its buffers, so one encoder
+// serves every column of every page a commit worker renders; it must
+// not be shared between goroutines.
+type chunkEncoder struct {
+	vec Vector
+	chunkStats
+
+	// The dictionary candidate of an int chunk: a code per row (zero on
+	// NULL rows) and the distinct values in first-seen order. A string
+	// chunk's candidate is vec.Codes and vec.Dict[:ndict] themselves.
+	intCodes []uint32
+	intDict  []int64
+
+	seenInts map[int64]uint32
+	seenStrs map[string]uint32
+	dictBuf  []expr.Value // vec.Dict's backing array between chunks
+	pageBuf  []byte       // where encodePage assembles a page before sizing it
+}
+
+// build scans rows at column ci once, leaving the column in e.vec and
+// its statistics in e.chunkStats.
+func (e *chunkEncoder) build(rows []Row, ci int, typ string) {
+	if err := e.vec.reset(typ, len(rows)); err != nil {
+		panic("storage: " + err.Error()) // column types are validated at table creation
 	}
-	boundsOK := true
-	var prev expr.Value
-	for ri, r := range rows {
-		v := r[ci]
-		if ri == 0 || !valIdentical(v, prev) {
-			st.runBytes += 4 + 1
-			if !v.IsNull() {
-				st.runBytes += rawValSize(v)
-			}
-		}
-		prev = v
-		if v.IsNull() {
-			st.nulls++
+	e.chunkStats = chunkStats{n: len(rows)}
+	switch e.vec.Kind {
+	case expr.KindInt:
+		e.buildInts(rows, ci)
+	case expr.KindFloat:
+		e.buildFloats(rows, ci)
+	case expr.KindString:
+		e.buildStrings(rows, ci)
+	default:
+		e.buildBools(rows, ci)
+	}
+	e.zone.nulls = e.nulls
+}
+
+// A run, for the run-length size, is a maximal stretch of NULLs or of
+// bit-identical values; each costs a u32 count and a flag byte, plus
+// the value when there is one.
+const runHeader = 4 + 1
+
+// null appends a NULL row and accounts for the run it starts or
+// extends. (The builders start with prevNull false, so a leading NULL
+// starts one.)
+func (e *chunkEncoder) null(prevNull bool) {
+	e.vec.appendNull(e.n)
+	e.nulls++
+	if !prevNull {
+		e.runBytes += runHeader
+	}
+}
+
+func (e *chunkEncoder) buildInts(rows []Row, ci int) {
+	v := &e.vec
+	if e.seenInts == nil {
+		e.seenInts = make(map[int64]uint32)
+	}
+	clear(e.seenInts)
+	seen, dict := e.seenInts, e.intDict[:0]
+	codes := slices.Grow(e.intCodes[:0], len(rows))
+	e.dictable = true
+	// Zone bounds order ints the way expr.Value.Compare does — through
+	// float64 — so beyond 2^53 the first of several ints that round to
+	// the same float stays the bound. The bit-packing range is exact.
+	var prev, zmin, zmax int64
+	prevNull := false
+	for ri := range rows {
+		x := &rows[ri][ci]
+		if x.IsNull() {
+			e.null(prevNull)
+			codes = append(codes, 0)
+			prevNull = true
 			continue
 		}
-		vs := rawValSize(v)
-		st.rawBytes += vs
-		if st.dictable {
-			k := keyOf(v)
-			if _, ok := st.codes[k]; !ok {
-				if len(st.dict) >= dictMaxCard {
-					st.dictable = false
-					st.codes = nil
-					st.dict = nil
+		i := x.AsInt()
+		newRun := ri == 0 || prevNull || i != prev
+		if newRun {
+			e.runBytes += runHeader + 8
+		}
+		if len(v.Ints) == e.nulls { // first present value
+			e.intMin, e.intMax, zmin, zmax = i, i, i, i
+		} else {
+			e.intMin, e.intMax = min(e.intMin, i), max(e.intMax, i)
+			if float64(i) < float64(zmin) {
+				zmin = i
+			}
+			if float64(i) > float64(zmax) {
+				zmax = i
+			}
+		}
+		prev, prevNull = i, false
+		v.Ints = append(v.Ints, i)
+		code := uint32(0)
+		if !newRun { // a run shares its first row's code, unhashed
+			code = codes[len(codes)-1]
+		} else if e.dictable {
+			var ok bool
+			if code, ok = seen[i]; !ok {
+				if len(dict) >= dictMaxCard {
+					e.dictable = false
 				} else {
-					st.codes[k] = int32(len(st.dict))
-					st.dict = append(st.dict, v)
-					st.dictBytes += vs
+					code = uint32(len(dict))
+					seen[i] = code
+					dict = append(dict, i)
 				}
 			}
 		}
-		switch v.Kind() {
-		case expr.KindInt:
-			i := v.AsInt()
-			if st.rawBytes == vs { // first present value
-				st.intMin, st.intMax = i, i
-			} else {
-				if i < st.intMin {
-					st.intMin = i
-				}
-				if i > st.intMax {
-					st.intMax = i
-				}
-			}
-		case expr.KindFloat:
-			f, _ := v.AsFloat()
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				boundsOK = false
-			}
-		case expr.KindString:
-			if len(v.AsString()) > zoneMaxStr {
-				boundsOK = false
-			}
-		}
-		if boundsOK {
-			if st.zone.min.IsNull() && st.rawBytes == vs {
-				st.zone.min, st.zone.max = v, v
-			} else {
-				if c, err := v.Compare(st.zone.min); err == nil && c < 0 {
-					st.zone.min = v
-				}
-				if c, err := v.Compare(st.zone.max); err == nil && c > 0 {
-					st.zone.max = v
-				}
-			}
-		}
+		codes = append(codes, code)
 	}
-	st.zone.nulls = st.nulls
-	st.zone.hasBounds = boundsOK && st.nulls < st.n && st.n > 0
-	if !st.zone.hasBounds {
-		st.zone.min, st.zone.max = expr.Value{}, expr.Value{}
+	e.intCodes, e.intDict = codes, dict
+	present := e.n - e.nulls
+	e.rawBytes = 8 * present
+	e.ndict, e.dictBytes = len(dict), 8*len(dict)
+	if present > 0 {
+		e.zone = zone{hasBounds: true, min: expr.Int(zmin), max: expr.Int(zmax)}
 	}
-	return st
+}
+
+func (e *chunkEncoder) buildFloats(rows []Row, ci int) {
+	v := &e.vec
+	var prev uint64
+	var lo, hi float64
+	prevNull, finite := false, true
+	for ri := range rows {
+		x := &rows[ri][ci]
+		if x.IsNull() {
+			e.null(prevNull)
+			prevNull = true
+			continue
+		}
+		f, _ := x.AsFloat()
+		b := math.Float64bits(f)
+		if ri == 0 || prevNull || b != prev {
+			e.runBytes += runHeader + 8
+		}
+		switch {
+		case math.IsNaN(f) || math.IsInf(f, 0):
+			finite = false
+		case len(v.Floats) == e.nulls: // first present value
+			lo, hi = f, f
+		case f < lo: // -0 and +0 compare equal: the first met stays
+			lo = f
+		case f > hi:
+			hi = f
+		}
+		prev, prevNull = b, false
+		v.Floats = append(v.Floats, f)
+	}
+	present := e.n - e.nulls
+	e.rawBytes = 8 * present
+	if finite && present > 0 {
+		e.zone = zone{hasBounds: true, min: expr.Float(lo), max: expr.Float(hi)}
+	}
+}
+
+func (e *chunkEncoder) buildStrings(rows []Row, ci int) {
+	v := &e.vec
+	if e.seenStrs == nil {
+		e.seenStrs = make(map[string]uint32)
+	}
+	clear(e.seenStrs)
+	seen := e.seenStrs
+	v.Dict = e.dictBuf[:0]
+	e.dictable = true
+	var prev, lo, hi string
+	prevNull, short := false, true
+	for ri := range rows {
+		x := &rows[ri][ci]
+		if x.IsNull() {
+			e.null(prevNull)
+			prevNull = true
+			continue
+		}
+		s := x.AsString()
+		size := 4 + len(s)
+		e.rawBytes += size
+		newRun := ri == 0 || prevNull || s != prev
+		if newRun {
+			e.runBytes += runHeader + size
+		}
+		switch {
+		case len(s) > zoneMaxStr:
+			short = false
+		case e.rawBytes == size: // first present value
+			lo, hi = s, s
+		case s < lo:
+			lo = s
+		case s > hi:
+			hi = s
+		}
+		prev, prevNull = s, false
+		// A run shares its first row's code, unhashed. Past dictMaxCard
+		// the chunk is no dictionary candidate and stops deduplicating:
+		// every further run is its own entry (a Vector's dictionary may
+		// repeat), which costs no hash either.
+		code, ok := uint32(0), !newRun
+		if ok {
+			code = v.Codes[len(v.Codes)-1]
+		} else if e.dictable {
+			if code, ok = seen[s]; !ok && len(v.Dict) >= dictMaxCard {
+				e.dictable = false
+			}
+		}
+		if !ok {
+			code = uint32(len(v.Dict))
+			v.Dict = append(v.Dict, *x)
+			if e.dictable {
+				seen[s] = code
+				e.ndict++
+				e.dictBytes += size
+			}
+		}
+		v.Codes = append(v.Codes, code)
+	}
+	e.dictBuf = v.Dict
+	if short && e.nulls < e.n {
+		e.zone = zone{hasBounds: true, min: expr.Str(lo), max: expr.Str(hi)}
+	}
+}
+
+func (e *chunkEncoder) buildBools(rows []Row, ci int) {
+	v := &e.vec
+	var prev bool
+	var met [2]bool
+	prevNull := false
+	for ri := range rows {
+		x := &rows[ri][ci]
+		if x.IsNull() {
+			e.null(prevNull)
+			prevNull = true
+			continue
+		}
+		b := x.AsBool()
+		if ri == 0 || prevNull || b != prev {
+			e.runBytes += runHeader + 1
+		}
+		prev, prevNull = b, false
+		code := uint32(0)
+		if b {
+			code = 1
+		}
+		met[code] = true
+		v.Codes = append(v.Codes, code)
+	}
+	e.rawBytes = e.n - e.nulls
+	if e.nulls < e.n {
+		e.zone = zone{hasBounds: true, min: expr.Bool(!met[0]), max: expr.Bool(met[1])}
+	}
 }
 
 // packedLen is the byte length of count values bit-packed at width.
@@ -256,8 +380,8 @@ func chooseEncoding(typ string, st *chunkStats) int {
 			best, size = encBitPack, s
 		}
 	}
-	if st.dictable && len(st.dict) > 0 {
-		width := bitsFor(len(st.dict))
+	if st.dictable && st.ndict > 0 {
+		width := bitsFor(st.ndict)
 		if s := 4 + st.dictBytes + 1 + bm + packedLen(present, width); s < size {
 			best, size = encDict, s
 		}
@@ -277,35 +401,34 @@ func lowMask(k int) uint64 {
 	return (uint64(1) << k) - 1
 }
 
-// appendPacked appends vals at the given bit width.
-func appendPacked(buf []byte, vals []uint64, width int) []byte {
-	if width <= 0 {
-		return buf
-	}
-	var acc uint64
-	nb := 0
-	for _, v := range vals {
-		rem := width
-		for rem > 0 {
-			take := rem
-			if take > 64-nb {
-				take = 64 - nb
-			}
-			acc |= (v & lowMask(take)) << nb
-			v >>= uint(take)
-			nb += take
-			rem -= take
-			for nb >= 8 {
-				buf = append(buf, byte(acc))
-				acc >>= 8
-				nb -= 8
-			}
+// bitWriter appends values to buf as an LSB-first little-endian bit
+// stream; flush pads the last byte with zero bits.
+type bitWriter struct {
+	buf []byte
+	acc uint64
+	nb  int
+}
+
+func (w *bitWriter) put(v uint64, width int) {
+	for rem := width; rem > 0; {
+		take := min(rem, 64-w.nb)
+		w.acc |= (v & lowMask(take)) << w.nb
+		v >>= uint(take)
+		w.nb += take
+		rem -= take
+		for w.nb >= 8 {
+			w.buf = append(w.buf, byte(w.acc))
+			w.acc >>= 8
+			w.nb -= 8
 		}
 	}
-	if nb > 0 {
-		buf = append(buf, byte(acc))
+}
+
+func (w *bitWriter) flush() []byte {
+	if w.nb > 0 {
+		w.buf = append(w.buf, byte(w.acc))
 	}
-	return buf
+	return w.buf
 }
 
 // bitReader consumes a packed stream produced by appendPacked.
@@ -351,33 +474,6 @@ func (r *bitReader) read(width int) (uint64, bool) {
 
 // ---- shared raw-value helpers ----
 
-// appendVal appends one non-NULL value's raw encoding.
-func appendVal(buf []byte, v expr.Value) []byte {
-	var u64 [8]byte
-	switch v.Kind() {
-	case expr.KindInt:
-		binary.LittleEndian.PutUint64(u64[:], uint64(v.AsInt()))
-		buf = append(buf, u64[:]...)
-	case expr.KindFloat:
-		f, _ := v.AsFloat()
-		binary.LittleEndian.PutUint64(u64[:], math.Float64bits(f))
-		buf = append(buf, u64[:]...)
-	case expr.KindBool:
-		b := byte(0)
-		if v.AsBool() {
-			b = 1
-		}
-		buf = append(buf, b)
-	case expr.KindString:
-		s := v.AsString()
-		var u32 [4]byte
-		binary.LittleEndian.PutUint32(u32[:], uint32(len(s)))
-		buf = append(buf, u32[:]...)
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
 // appendRaw decodes the raw value at body[pos] onto the end of v and
 // returns the position after it.
 func (v *Vector) appendRaw(body []byte, pos int, seen map[string]uint32) (int, error) {
@@ -417,27 +513,88 @@ func (v *Vector) appendRaw(body []byte, pos int, seen map[string]uint32) (int, e
 	return pos + sl, nil
 }
 
-// appendBitmap appends the presence bitmap of rows at column ci.
-func appendBitmap(buf []byte, rows []Row, ci int) []byte {
+// ---- chunk body encoders ----
+//
+// One set, writing from the chunkEncoder's vector; each is the inverse
+// of the decoder of the same name below.
+
+// appendBody writes the chunk's body in the given encoding. Callers
+// pick an encoding the statistics allow: encDict needs dictable,
+// encBitPack an int chunk with a present row.
+func (e *chunkEncoder) appendBody(buf []byte, enc int) []byte {
+	switch enc {
+	case encDict:
+		return e.appendDictBody(buf)
+	case encRLE:
+		return e.appendRLEBody(buf)
+	case encBitPack:
+		return e.appendBitPackBody(buf)
+	}
+	return e.appendRawBody(buf)
+}
+
+// appendPresence appends the presence bitmap: bit i set = row i holds a
+// value (the complement of the vector's NULL bitmap).
+func (v *Vector) appendPresence(buf []byte, n int) []byte {
 	at := len(buf)
-	buf = append(buf, make([]byte, (len(rows)+7)/8)...)
-	for ri, r := range rows {
-		if !r[ci].IsNull() {
-			buf[at+ri/8] |= 1 << (ri % 8)
+	buf = slices.Grow(buf, (n+7)/8)[:at+(n+7)/8]
+	for b := range buf[at:] {
+		nulls := byte(0)
+		if v.Nulls != nil {
+			nulls = byte(v.Nulls[b>>3] >> (8 * uint(b&7)))
 		}
+		buf[at+b] = ^nulls
+	}
+	if n%8 != 0 {
+		buf[len(buf)-1] &= 1<<(n%8) - 1
 	}
 	return buf
 }
 
-// ---- chunk body encoders ----
+// appendValue appends row i's raw encoding; the row is not NULL.
+func (v *Vector) appendValue(buf []byte, i int) []byte {
+	switch v.Kind {
+	case expr.KindInt:
+		return binary.LittleEndian.AppendUint64(buf, uint64(v.Ints[i]))
+	case expr.KindFloat:
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Floats[i]))
+	case expr.KindBool:
+		return append(buf, byte(v.Codes[i]))
+	}
+	return appendStr(buf, v.Dict[v.Codes[i]].AsString())
+}
+
+func appendStr(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+	return append(buf, s...)
+}
+
+// identical reports whether rows i and j are both NULL or hold
+// bit-identical values — the run-length equality: NaNs with equal
+// payloads are one run, -0 and +0 are two.
+func (v *Vector) identical(i, j int) bool {
+	if ni, nj := v.IsNull(i), v.IsNull(j); ni || nj {
+		return ni && nj
+	}
+	switch v.Kind {
+	case expr.KindInt:
+		return v.Ints[i] == v.Ints[j]
+	case expr.KindFloat:
+		return math.Float64bits(v.Floats[i]) == math.Float64bits(v.Floats[j])
+	case expr.KindBool:
+		return v.Codes[i] == v.Codes[j]
+	}
+	return v.Codes[i] == v.Codes[j] || v.Dict[v.Codes[i]].AsString() == v.Dict[v.Codes[j]].AsString()
+}
 
 // appendRawBody writes the encRaw body: bitmap + present values (the
 // format-1 chunk body, bit for bit).
-func appendRawBody(buf []byte, rows []Row, ci int) []byte {
-	buf = appendBitmap(buf, rows, ci)
-	for _, r := range rows {
-		if !r[ci].IsNull() {
-			buf = appendVal(buf, r[ci])
+func (e *chunkEncoder) appendRawBody(buf []byte) []byte {
+	v := &e.vec
+	buf = slices.Grow(v.appendPresence(buf, e.n), e.rawBytes)
+	for i := 0; i < e.n; i++ {
+		if !v.IsNull(i) {
+			buf = v.appendValue(buf, i)
 		}
 	}
 	return buf
@@ -445,74 +602,65 @@ func appendRawBody(buf []byte, rows []Row, ci int) []byte {
 
 // appendDictBody writes u32 ndict, the dictionary values, u8 width,
 // bitmap, and the present rows' codes bit-packed.
-func appendDictBody(buf []byte, rows []Row, ci int, st *chunkStats) []byte {
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(st.dict)))
-	buf = append(buf, u32[:]...)
-	for _, v := range st.dict {
-		buf = appendVal(buf, v)
-	}
-	width := bitsFor(len(st.dict))
-	buf = append(buf, byte(width))
-	buf = appendBitmap(buf, rows, ci)
-	codes := make([]uint64, 0, st.n-st.nulls)
-	for _, r := range rows {
-		if !r[ci].IsNull() {
-			codes = append(codes, uint64(st.codes[keyOf(r[ci])]))
+func (e *chunkEncoder) appendDictBody(buf []byte) []byte {
+	v := &e.vec
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ndict))
+	codes := v.Codes
+	if v.Kind == expr.KindInt {
+		codes = e.intCodes
+		for _, x := range e.intDict {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+		}
+	} else {
+		for _, d := range v.Dict[:e.ndict] {
+			buf = appendStr(buf, d.AsString())
 		}
 	}
-	return appendPacked(buf, codes, width)
+	width := bitsFor(e.ndict)
+	buf = append(buf, byte(width))
+	w := bitWriter{buf: v.appendPresence(buf, e.n)}
+	for i, code := range codes {
+		if !v.IsNull(i) {
+			w.put(uint64(code), width)
+		}
+	}
+	return w.flush()
 }
 
 // appendRLEBody writes runs of bit-identical values: u32 count,
 // u8 flag (1 = value follows, 0 = NULL run), [value].
-func appendRLEBody(buf []byte, rows []Row, ci int) []byte {
-	var u32 [4]byte
-	flush := func(v expr.Value, count int) {
-		binary.LittleEndian.PutUint32(u32[:], uint32(count))
-		buf = append(buf, u32[:]...)
-		if v.IsNull() {
+func (e *chunkEncoder) appendRLEBody(buf []byte) []byte {
+	v := &e.vec
+	for start := 0; start < e.n; {
+		end := start + 1
+		for end < e.n && v.identical(end, start) {
+			end++
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(end-start))
+		if v.IsNull(start) {
 			buf = append(buf, 0)
-			return
+		} else {
+			buf = v.appendValue(append(buf, 1), start)
 		}
-		buf = append(buf, 1)
-		buf = appendVal(buf, v)
-	}
-	var run expr.Value
-	count := 0
-	for _, r := range rows {
-		v := r[ci]
-		if count > 0 && valIdentical(v, run) {
-			count++
-			continue
-		}
-		if count > 0 {
-			flush(run, count)
-		}
-		run, count = v, 1
-	}
-	if count > 0 {
-		flush(run, count)
+		start = end
 	}
 	return buf
 }
 
 // appendBitPackBody writes i64 base (the chunk minimum), u8 width,
 // bitmap, and the present rows' deltas bit-packed.
-func appendBitPackBody(buf []byte, rows []Row, ci int, st *chunkStats) []byte {
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(st.intMin))
-	buf = append(buf, u64[:]...)
-	width := bits.Len64(uint64(st.intMax) - uint64(st.intMin))
+func (e *chunkEncoder) appendBitPackBody(buf []byte) []byte {
+	v := &e.vec
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.intMin))
+	width := bits.Len64(uint64(e.intMax) - uint64(e.intMin))
 	buf = append(buf, byte(width))
-	buf = appendBitmap(buf, rows, ci)
-	deltas := make([]uint64, 0, st.n-st.nulls)
-	for _, r := range rows {
-		if !r[ci].IsNull() {
-			deltas = append(deltas, uint64(r[ci].AsInt())-uint64(st.intMin))
+	w := bitWriter{buf: v.appendPresence(buf, e.n)}
+	for i, x := range v.Ints {
+		if !v.IsNull(i) {
+			w.put(uint64(x)-uint64(e.intMin), width)
 		}
 	}
-	return appendPacked(buf, deltas, width)
+	return w.flush()
 }
 
 // ---- chunk body decoders ----

@@ -16,6 +16,11 @@ import (
 	"quarry/internal/expr"
 )
 
+// encodePage renders one page with a throwaway encoder.
+func encodePage(cols []Column, rows []Row) encodedPage {
+	return new(chunkEncoder).encodePage(cols, rows)
+}
+
 // rowsIdentical compares row sets bit-exactly (reflect.DeepEqual
 // would call NaN ≠ NaN and -0 == +0; the codec's contract is stricter).
 func rowsIdentical(a, b []Row) bool {
@@ -123,6 +128,9 @@ func TestEncodingQuickCheck(t *testing.T) {
 						ep := encodePage(cols, rows)
 						if len(ep.buf)%pageBlock != 0 {
 							t.Fatalf("n=%d: page size %d not a pageBlock multiple", n, len(ep.buf))
+						}
+						if err := samePage(ep, encodePageReference(cols, rows)); err != nil {
+							t.Fatalf("n=%d: %v", n, err)
 						}
 						got, err := decodePage(manifestFormatV2, cols, ep.buf, len(rows))
 						if err != nil {
@@ -442,5 +450,153 @@ func TestCompressionRatio(t *testing.T) {
 	if ratio := 1 - float64(v2)/float64(raw); ratio < 0.30 {
 		t.Fatalf("compression saves only %.1f%% (%d raw → %d encoded); acceptance floor is 30%%",
 			ratio*100, raw, v2)
+	}
+}
+
+// idValue is the id-th distinct value of a type (bool has two).
+func idValue(typ string, id int) expr.Value {
+	switch typ {
+	case "int":
+		return expr.Int(int64(id)*7919 - 1000)
+	case "float":
+		return expr.Float(float64(id)*0.5 - 3)
+	case "string":
+		return expr.Str(fmt.Sprintf("v%05d", id))
+	}
+	return expr.Bool(id%2 == 1)
+}
+
+// TestEncodePageMatchesReference holds the vector encoder to the bytes,
+// zones and raw size of the row-walking encoder it replaced, over the
+// grid the stats pass branches on — type × NULL placement × distinct
+// count (one; exactly dictMaxCard; one more, so the dictionary is
+// abandoned mid-chunk; all distinct) × value order (one run per value;
+// values alternating) — and over random pages.
+func TestEncodePageMatchesReference(t *testing.T) {
+	const n = dictMaxCard + 200
+	var reused chunkEncoder
+	for _, typ := range []string{"int", "float", "string", "bool"} {
+		for _, nulls := range []string{"none", "all", "sparse"} {
+			for _, distinct := range []int{1, dictMaxCard, dictMaxCard + 1, n} {
+				for _, order := range []string{"runs", "alternating"} {
+					rng := rand.New(rand.NewSource(int64(distinct)))
+					rows := make([]Row, n)
+					for i := range rows {
+						id := i % distinct
+						if order == "runs" {
+							id = i * distinct / n
+						}
+						rows[i] = Row{idValue(typ, id)}
+						if nullPatterns[nulls](rng, i, n) {
+							rows[i] = Row{expr.Null()}
+						}
+					}
+					if err := pageMatchesReference([]Column{{Name: "c", Type: typ}}, rows, &reused); err != nil {
+						t.Errorf("%s, nulls %s, %d distinct, %s: %v", typ, nulls, distinct, order, err)
+					}
+				}
+			}
+		}
+	}
+	types := []string{"int", "float", "string", "bool"}
+	rng := rand.New(rand.NewSource(19))
+	for round := 0; round < 120; round++ {
+		cols := make([]Column, 1+rng.Intn(4))
+		distinct := make([]int, len(cols))
+		runLen := make([]int, len(cols))
+		nullOneIn := make([]int, len(cols))
+		for ci := range cols {
+			cols[ci] = Column{Name: fmt.Sprintf("c%d", ci), Type: types[rng.Intn(len(types))]}
+			distinct[ci] = 1 + rng.Intn([]int{2, 40, 6000}[rng.Intn(3)])
+			runLen[ci] = 1 + rng.Intn([]int{1, 5, 400}[rng.Intn(3)])
+			nullOneIn[ci] = []int{0, 1, 3, 50}[rng.Intn(4)]
+		}
+		rows := make([]Row, rng.Intn(7000))
+		for i := range rows {
+			rows[i] = make(Row, len(cols))
+			for ci, c := range cols {
+				if i%runLen[ci] != 0 {
+					rows[i][ci] = rows[i-1][ci]
+				} else if nullOneIn[ci] == 0 || rng.Intn(nullOneIn[ci]) != 0 {
+					rows[i][ci] = idValue(c.Type, rng.Intn(distinct[ci]))
+				}
+			}
+		}
+		if err := pageMatchesReference(cols, rows, &reused); err != nil {
+			t.Fatalf("round %d (%v, %d rows): %v", round, cols, len(rows), err)
+		}
+	}
+}
+
+// TestEncodePageMatchesReferenceEdges pins the values the typed loops
+// could plausibly treat differently from expr.Value.Compare and
+// bit-identity.
+func TestEncodePageMatchesReferenceEdges(t *testing.T) {
+	nan := func(payload uint64) expr.Value { return expr.Float(math.Float64frombits(0x7ff8000000000000 | payload)) }
+	negZero := expr.Float(math.Copysign(0, -1))
+	ints := func(xs ...int64) []expr.Value {
+		out := make([]expr.Value, len(xs))
+		for i, x := range xs {
+			out[i] = expr.Int(x)
+		}
+		return out
+	}
+	str := func(n int) expr.Value { return expr.Str(strings.Repeat("s", n)) }
+	cases := []struct {
+		name string
+		typ  string
+		vals []expr.Value
+	}{
+		{"NaN payloads are distinct runs", "float", []expr.Value{nan(1), nan(1), nan(2), nan(2), nan(1), expr.Float(1)}},
+		{"NaN drops bounds wherever it sits", "float", []expr.Value{expr.Float(1), expr.Float(2), nan(7)}},
+		{"-0 then +0", "float", []expr.Value{negZero, expr.Float(0), negZero, negZero, expr.Float(0)}},
+		{"+0 then -0", "float", []expr.Value{expr.Float(0), negZero, expr.Float(0)}},
+		{"+Inf", "float", []expr.Value{expr.Float(1), expr.Float(math.Inf(1)), expr.Float(2)}},
+		{"-Inf first", "float", []expr.Value{expr.Float(math.Inf(-1)), expr.Float(2)}},
+		{"NULL between equal floats", "float", []expr.Value{expr.Float(4), expr.Null(), expr.Float(4), expr.Null(), expr.Null()}},
+		{"string of zoneMaxStr bytes keeps bounds", "string", []expr.Value{str(3), str(zoneMaxStr), str(5)}},
+		{"string one byte longer drops them", "string", []expr.Value{str(3), str(zoneMaxStr + 1), str(5)}},
+		{"empty strings", "string", []expr.Value{str(0), str(0), expr.Null(), str(0), str(1)}},
+		{"int span 0", "int", ints(-17, -17, -17, -17)},
+		{"int span 2^63-1", "int", ints(0, math.MaxInt64, 5, 0)},
+		{"int span overflows int64", "int", ints(math.MinInt64, math.MaxInt64, -1, 0, 1)},
+		{"ints that round to one float, low first", "int", ints(math.MinInt64, math.MinInt64+1, math.MaxInt64-1, math.MaxInt64)},
+		{"ints that round to one float, high first", "int", ints(math.MinInt64+1, math.MinInt64, math.MaxInt64, math.MaxInt64-1)},
+		{"2^53 neighbours", "int", ints(1<<53+1, 1<<53, 1<<53+2, -(1<<53 + 1), -(1 << 53))},
+		{"bools, only true", "bool", []expr.Value{expr.Bool(true), expr.Null(), expr.Bool(true)}},
+		{"bools, only false", "bool", []expr.Value{expr.Bool(false), expr.Bool(false)}},
+		{"bools, both", "bool", []expr.Value{expr.Bool(true), expr.Bool(false), expr.Bool(true)}},
+		{"no rows", "int", nil},
+	}
+	var reused chunkEncoder
+	for _, tc := range cases {
+		// Once as given and once repeated, so run-length and dictionary
+		// bodies win over raw and their writers are compared too.
+		for _, repeat := range []int{1, 40} {
+			var rows []Row
+			for _, v := range tc.vals {
+				for k := 0; k < repeat; k++ {
+					rows = append(rows, Row{v})
+				}
+			}
+			if err := pageMatchesReference([]Column{{Name: "c", Type: tc.typ}}, rows, &reused); err != nil {
+				t.Errorf("%s (×%d): %v", tc.name, repeat, err)
+			}
+		}
+	}
+	// An oversize row is a page of its own; the rows around it are not.
+	wide := []Column{{Name: "s", Type: "string"}, {Name: "i", Type: "int"}}
+	oversize := []Row{
+		{expr.Str("before"), expr.Int(1)},
+		{expr.Str(strings.Repeat("x", 2*pageSize)), expr.Int(2)},
+		{expr.Str("after"), expr.Null()},
+	}
+	if err := matchesReference(wide, oversize); err != nil {
+		t.Errorf("oversize row: %v", err)
+	}
+	// No table has zero columns (newTable refuses), but the encoder must
+	// not be what breaks on one: the page is its row-count word.
+	if err := pageMatchesReference(nil, []Row{{}, {}, {}}, &reused); err != nil {
+		t.Errorf("empty column list: %v", err)
 	}
 }

@@ -121,44 +121,36 @@ type encodedPage struct {
 // outside tests.
 var TestingForceRaw bool
 
-// encodePage renders one page in format 2, choosing each column
-// chunk's encoding by a stats pass and deriving the page's zone map
-// from the same pass.
-func encodePage(cols []Column, rows []Row) encodedPage {
+// encodePage renders one page in format 2: each column is transposed
+// into the encoder's vector by the pass that also gathers its
+// statistics, the smallest candidate encoding is chosen from them, the
+// body is written from the vector, and the page's zone map is what the
+// same pass saw.
+func (e *chunkEncoder) encodePage(cols []Column, rows []Row) encodedPage {
 	ep := encodedPage{
-		buf:   make([]byte, 0, pageBlock),
 		zones: make([]zone, len(cols)),
 		raw:   pageOverhead(len(cols), len(rows)),
 	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(rows)))
-	ep.buf = append(ep.buf, u32[:]...)
+	// The page is assembled in the encoder's scratch and copied out at
+	// its padded size: a commit holds every page it renders until the
+	// segments are written, so none should carry append's slack.
+	buf := binary.LittleEndian.AppendUint32(e.pageBuf[:0], uint32(len(rows)))
 	for ci, c := range cols {
-		st := analyzeChunk(rows, ci, c.Type)
-		ep.zones[ci] = st.zone
-		ep.raw += st.rawBytes
+		e.build(rows, ci, c.Type)
+		ep.zones[ci] = e.zone
+		ep.raw += e.rawBytes
 		enc := encRaw
 		if !TestingForceRaw {
-			enc = chooseEncoding(c.Type, st)
+			enc = chooseEncoding(c.Type, &e.chunkStats)
 		}
-		chunkAt := len(ep.buf)
-		ep.buf = append(ep.buf, 0, 0, 0, 0) // chunk length, patched below
-		ep.buf = append(ep.buf, byte(enc))
-		switch enc {
-		case encRaw:
-			ep.buf = appendRawBody(ep.buf, rows, ci)
-		case encDict:
-			ep.buf = appendDictBody(ep.buf, rows, ci, st)
-		case encRLE:
-			ep.buf = appendRLEBody(ep.buf, rows, ci)
-		case encBitPack:
-			ep.buf = appendBitPackBody(ep.buf, rows, ci, st)
-		}
-		binary.LittleEndian.PutUint32(ep.buf[chunkAt:], uint32(len(ep.buf)-chunkAt-4))
+		chunkAt := len(buf)
+		buf = append(buf, 0, 0, 0, 0) // chunk length, patched below
+		buf = e.appendBody(append(buf, byte(enc)), enc)
+		binary.LittleEndian.PutUint32(buf[chunkAt:], uint32(len(buf)-chunkAt-4))
 	}
-	if pad := len(ep.buf) % pageBlock; pad != 0 {
-		ep.buf = append(ep.buf, make([]byte, pageBlock-pad)...)
-	}
+	e.pageBuf = buf
+	ep.buf = make([]byte, (len(buf)+pageBlock-1)/pageBlock*pageBlock)
+	copy(ep.buf, buf)
 	return ep
 }
 

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -246,5 +248,50 @@ func TestAppendBatchAtomic(t *testing.T) {
 	}
 	if tbl.NumRows() != 0 {
 		t.Errorf("partial batch inserted: %d rows", tbl.NumRows())
+	}
+}
+
+// TestAppendBatchDoesNotAliasInput: the rows a batch load stores are
+// the table's own — cut from its slab, never the caller's arrays (the
+// pipelined executor reuses its batch slabs) and never each other's.
+func TestAppendBatchDoesNotAliasInput(t *testing.T) {
+	tbl, err := NewStagingTable("t", []Column{{Name: "i", Type: "int"}, {Name: "f", Type: "float"}, {Name: "s", Type: "string"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func() []Row {
+		return []Row{
+			{expr.Int(1), expr.Int(10), expr.Str("a")}, // the int widens into the float column
+			{expr.Int(2), expr.Float(2.5), expr.Null()},
+			{expr.Null(), expr.Float(3.5), expr.Str("c")},
+		}
+	}
+	in := mk()
+	if err := tbl.AppendBatch(in); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range in {
+		for ci := range r {
+			r[ci] = expr.Str("clobbered")
+		}
+	}
+	want := mk()
+	want[0][1] = expr.Float(10)
+	stored := tbl.ReadBatch(0, 3)
+	if !reflect.DeepEqual(stored, want) {
+		t.Fatalf("stored rows changed with the caller's: %v", stored)
+	}
+	// Growing one stored row must not reach into its neighbour.
+	_ = append(stored[0], expr.Str("spill"))
+	if got := tbl.ReadBatch(0, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("appending to a stored row overwrote the next one: %v", got)
+	}
+	// A bad row anywhere inserts nothing, with the row checker's words.
+	err = tbl.AppendBatch([]Row{{expr.Int(4), expr.Float(1), expr.Str("d")}, {expr.Str("x"), expr.Float(1), expr.Str("e")}})
+	if err == nil || !strings.Contains(err.Error(), `column "i" (int) rejects string value 'x'`) {
+		t.Fatalf("bad batch: err = %v", err)
+	}
+	if tbl.NumRows() != 3 {
+		t.Fatalf("failed batch left %d rows", tbl.NumRows())
 	}
 }
