@@ -662,7 +662,8 @@ func benchWarehouseIn(b *testing.B, db *quarry.DB, sf float64, reqs ...*quarry.R
 // over a disk-backed warehouse: the star join streams the fact table
 // through paged snapshot cursors (decoded pages served from the
 // buffer pool after the first touch) instead of resident row slices.
-// Gated in CI against BENCH_baseline.json.
+// Gated in CI against the previous run on the same runner class, and
+// compared (warn only) with the newest checked-in BENCH_pr<N>.json.
 func BenchmarkOLAPQuery_FastPath_Disk(b *testing.B) {
 	p, _ := benchDiskWarehouse(b)
 	oe, err := p.OLAP()

@@ -61,10 +61,11 @@ curl -fsS -X POST "http://localhost:$PORT/api/run" >/dev/null
 # repeated queries cannot hide behind it — the matagg hit floor below
 # is only reachable if the aggregate store itself serves traffic.
 # The floor of 10 is half of what the store serves on this run (SF 1,
-# 50 qps x 10 s, seeded Zipf mix): measured 21 — 15 same-granularity
-# hits + 6 answers merged from a finer entry, the filtered float-SUM
-# drill among them — 20 or 21 in four runs out of four. The old floor
-# of 1 was cleared by a store that refused every filtered float query.
+# 50 qps x 10 s, seeded Zipf mix), re-measured at PR 20 (observed
+# patterns only, hottest first; an entry answers only queries that ran
+# its joins): 21 — 18 same-granularity hits + 3 answers merged from a
+# finer entry, the filtered float-SUM drill among them — in four runs
+# out of four (15 + 6 under the policy before it).
 # -max-error-rate 0 fails the job on ANY non-2xx answer, and
 # quarrybench exits non-zero by itself if an oracle spot check ever
 # diverges from the reference executor.

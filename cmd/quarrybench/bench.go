@@ -64,7 +64,7 @@ type StatsDelta struct {
 	MatAggMisses       int64   `json:"matagg_misses"`
 	MatAggHitRatio     float64 `json:"matagg_hit_ratio"`
 	MatAggMaterialized int     `json:"matagg_materialized"`
-	MatAggBytes        int64   `json:"matagg_bytes"`
+	MatAggRows         int64   `json:"matagg_rows"`
 }
 
 // QueryCount is one mix entry's share of the run.
@@ -377,7 +377,7 @@ func statsDelta(before, after *serverStats) *StatsDelta {
 			d.MatAggHitRatio = float64(d.MatAggHits+d.MatAggRewrites) / float64(tot)
 		}
 		d.MatAggMaterialized = after.MatAgg.Materialized
-		d.MatAggBytes = after.MatAgg.MaterializedBytes
+		d.MatAggRows = after.MatAgg.MaterializedRows
 	}
 	return d
 }

@@ -81,7 +81,7 @@ func (f *fakeOLAP) handler() http.Handler {
 		n, errs, sheds := f.olapRequests.Load(), f.olapFailures.Load(), f.olapSheds.Load()
 		fmt.Fprintf(w, `{"queries":%d,"answered":%d,"shed":%d,"query_errors":%d,"deadline_exceeded":0,`+
 			`"cache_hits":%d,"cache_misses":%d,`+
-			`"matagg":{"hits":%d,"rewrites":0,"misses":0,"materialized":2,"materialized_bytes":4096}}`,
+			`"matagg":{"hits":%d,"rewrites":0,"misses":0,"materialized":2,"materialized_rows":40}}`,
 			n, n-errs-sheds, sheds, errs, n/2, n-n/2, n)
 	})
 	return mux
@@ -177,7 +177,7 @@ func TestBenchSmoke(t *testing.T) {
 	if rep.Stats.QueryErrors != rep.Errors {
 		t.Fatalf("stats delta counts %d errors, report %d", rep.Stats.QueryErrors, rep.Errors)
 	}
-	if rep.Stats.MatAggHits != rep.Requests || rep.Stats.MatAggHitRatio != 1 {
+	if rep.Stats.MatAggHits != rep.Requests || rep.Stats.MatAggHitRatio != 1 || rep.Stats.MatAggRows != 40 {
 		t.Fatalf("matagg delta wrong: %+v", rep.Stats)
 	}
 	if rep.Stats.CacheHitRatio <= 0 || rep.Stats.CacheHitRatio > 1 {

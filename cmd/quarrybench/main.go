@@ -177,8 +177,8 @@ func printReport(r *LoadReport) {
 		s := r.Stats
 		fmt.Printf("server       %d queries = %d answered + %d shed + %d errors (%d deadline), cache %d/%d hit ratio %.2f\n",
 			s.Queries, s.Answered, s.Shed, s.QueryErrors, s.DeadlineExceeded, s.CacheHits, s.CacheHits+s.CacheMisses, s.CacheHitRatio)
-		fmt.Printf("matagg       hits=%d rewrites=%d misses=%d ratio=%.2f materialized=%d (%d bytes)\n",
-			s.MatAggHits, s.MatAggRewrites, s.MatAggMisses, s.MatAggHitRatio, s.MatAggMaterialized, s.MatAggBytes)
+		fmt.Printf("matagg       hits=%d rewrites=%d misses=%d ratio=%.2f materialized=%d (%d rows)\n",
+			s.MatAggHits, s.MatAggRewrites, s.MatAggMisses, s.MatAggHitRatio, s.MatAggMaterialized, s.MatAggRows)
 	} else if r.StatsError != "" {
 		fmt.Printf("server       stats unavailable: %s\n", r.StatsError)
 	}

@@ -84,12 +84,11 @@ type serverStats struct {
 	CacheHits        int64 `json:"cache_hits"`
 	CacheMisses      int64 `json:"cache_misses"`
 	MatAgg           *struct {
-		Hits              int64 `json:"hits"`
-		Rewrites          int64 `json:"rewrites"`
-		Misses            int64 `json:"misses"`
-		Materialized      int   `json:"materialized"`
-		MaterializedBytes int64 `json:"materialized_bytes"`
-		BudgetBytes       int64 `json:"budget_bytes"`
+		Hits             int64 `json:"hits"`
+		Rewrites         int64 `json:"rewrites"`
+		Misses           int64 `json:"misses"`
+		Materialized     int   `json:"materialized"`
+		MaterializedRows int64 `json:"materialized_rows"`
 	} `json:"matagg"`
 }
 

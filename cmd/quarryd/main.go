@@ -9,7 +9,7 @@
 //	        [-parallelism 0] [-batch-size 0]
 //	        [-olap-concurrency 0] [-olap-cache 256]
 //	        [-slo-target 0] [-shed-policy expensive-first] [-default-deadline 0]
-//	        [-matagg] [-matagg-top-k 8] [-matagg-budget-bytes 0]
+//	        [-matagg] [-matagg-top-k 8]
 //	        [-replica-of URL] [-replica-dir DIR] [-replica-interval 1s]
 //	        [-shards N] [-shard-index I] [-debug-addr ADDR]
 //
@@ -94,7 +94,6 @@ var (
 	defaultDeadline = flag.Duration("default-deadline", 0, "per-query deadline when the client sends no X-Quarry-Deadline header; expiry answers 504 (0: no server-side deadline)")
 	matagg          = flag.Bool("matagg", true, "materialize hot OLAP aggregates (adaptive, version-keyed)")
 	mataggTopK      = flag.Int("matagg-top-k", 8, "materialized aggregates kept per refresh")
-	mataggBudget    = flag.Int64("matagg-budget-bytes", 0, "byte budget for materialized aggregates; candidates admitted by benefit per byte (0: unlimited, benefit-ranked)")
 	replicaOf       = flag.String("replica-of", "", "primary base URL (e.g. http://primary:8080); start as a read replica of it")
 	replicaDir      = flag.String("replica-dir", "", "with -replica-of: ship segments by reading this shared directory (the primary's -data-dir) instead of the primary's HTTP replication endpoints")
 	replicaInterval = flag.Duration("replica-interval", time.Second, "with -replica-of: how often to poll the primary for new commits")
@@ -206,10 +205,9 @@ func newPlatform(db *storage.DB, shardSpec shard.Spec) *core.Platform {
 	}
 	p, err := core.New(core.Config{
 		Ontology: onto, Mapping: mapg, Catalog: cat, DB: db, StoreDir: *store,
-		Engine:            engine.Options{Parallelism: *parallelism, BatchSize: *batchSize},
-		MatAggTopK:        topK,
-		MatAggBudgetBytes: *mataggBudget,
-		Shard:             shardSpec,
+		Engine:     engine.Options{Parallelism: *parallelism, BatchSize: *batchSize},
+		MatAggTopK: topK,
+		Shard:      shardSpec,
 	})
 	if err != nil {
 		log.Fatalf("quarryd: %v", err)

@@ -77,10 +77,6 @@ type Config struct {
 	// aggregates per refresh; 0 disables the subsystem. See
 	// internal/olap/matagg.go.
 	MatAggTopK int
-	// MatAggBudgetBytes caps the estimated in-memory footprint of the
-	// installed aggregates; candidates are then admitted by benefit
-	// per byte instead of plain benefit. 0 means unlimited.
-	MatAggBudgetBytes int64
 	// Shard, when enabled (Count > 0), makes this platform one shard of
 	// an N-way hash-partitioned warehouse: ETL runs keep only the fact
 	// rows this shard owns (dimensions load in full), and the serving
@@ -165,7 +161,7 @@ func New(cfg Config) (*Platform, error) {
 		partials:   map[string]*interpreter.PartialDesign{},
 	}
 	if cfg.MatAggTopK > 0 {
-		p.matAgg = olap.NewMatAggBudget(cfg.MatAggTopK, cfg.MatAggBudgetBytes)
+		p.matAgg = olap.NewMatAgg(cfg.MatAggTopK)
 	}
 	// A persistent repository may already hold a lifecycle; restore
 	// it so the platform resumes where the previous session stopped.

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -498,15 +500,62 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 	return nil
 }
 
-// keepExtreme folds the non-NULL v into a running MIN (or MAX): the
-// first value stands until one compares strictly below (above) it, and
-// a value that does not compare with the incumbent leaves it standing.
+// keepExtreme folds the non-NULL v into a running MIN (or MAX). The
+// result must be a function of the multiset folded, not of the order —
+// partial states are merged in whatever order shards or aggregate
+// entries deliver them — so where Compare ties two numbers that differ
+// (−0 and +0, NaN and anything, an int and its float image) extremeTie
+// decides. A value that does not compare with the incumbent leaves it
+// standing.
 func keepExtreme(cur *expr.Value, v expr.Value, min bool) {
 	if cur.IsNull() {
 		*cur = v
-	} else if c, err := v.Compare(*cur); err == nil && (min && c < 0 || !min && c > 0) {
+		return
+	}
+	c, err := v.Compare(*cur)
+	if err != nil {
+		return
+	}
+	if c == 0 && v.IsNumeric() {
+		c = extremeTie(v, *cur)
+	}
+	if min && c < 0 || !min && c > 0 {
 		*cur = v
 	}
+}
+
+// extremeTie orders two numbers Compare calls equal, so that the
+// numeric kinds are totally ordered: NaN above every number; at one
+// float image ints (by value — beyond 2⁵³ several share an image) below
+// floats; −0 below +0 and NaNs among themselves by their bits.
+func extremeTie(a, b expr.Value) int {
+	fa, _ := a.AsFloat()
+	fb, _ := b.AsFloat()
+	if an, bn := math.IsNaN(fa), math.IsNaN(fb); an != bn {
+		if an {
+			return 1
+		}
+		return -1
+	}
+	switch ai, bi := a.Kind() == expr.KindInt, b.Kind() == expr.KindInt; {
+	case ai && bi:
+		return cmp.Compare(a.AsInt(), b.AsInt())
+	case ai:
+		return -1
+	case bi:
+		return 1
+	}
+	return cmp.Compare(floatOrderBits(fa), floatOrderBits(fb))
+}
+
+// floatOrderBits maps a float to bits that order as the floats do, the
+// sign included.
+func floatOrderBits(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 == 0 {
+		return b | 1<<63
+	}
+	return ^b
 }
 
 // result finalises the aggregation. A global aggregate over zero rows

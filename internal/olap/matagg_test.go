@@ -1,11 +1,13 @@
 package olap_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"quarry/internal/olap"
+	"quarry/internal/storage"
 	"quarry/internal/tpch"
 )
 
@@ -127,7 +129,9 @@ func TestMatAggCoarserRewrite(t *testing.T) {
 // TestMatAggFloatSumAndAvgMerged: float SUM and AVG over a finer
 // aggregate are served by merging its partial states — exact float
 // expansions make the merge byte-identical to one fold over the detail
-// rows, so no function falls back to the base path.
+// rows, so no function falls back to the base path. Every query reads a
+// measure of each dimension, so the coarse ones run the entry's joins
+// (an entry answers no query that joined other tables than it did).
 func TestMatAggFloatSumAndAvgMerged(t *testing.T) {
 	e, m := matAggEngine(t, 3, 42)
 	fine := olap.CubeQuery{
@@ -137,6 +141,7 @@ func TestMatAggFloatSumAndAvgMerged(t *testing.T) {
 			{Out: "total", Func: "SUM", Col: "revenue"},
 			{Out: "mean", Func: "AVG", Col: "revenue"},
 			{Out: "mean_price", Func: "AVG", Col: "p_retailprice"},
+			{Out: "mean_bal", Func: "AVG", Col: "s_acctbal"},
 		},
 	}
 	train(t, e, fine)
@@ -156,40 +161,6 @@ func TestMatAggFloatSumAndAvgMerged(t *testing.T) {
 		after := m.Stats()
 		if after.Rewrites != before.Rewrites+1 || after.Misses != before.Misses {
 			t.Fatalf("float SUM/AVG by %v not served from the finer aggregate: %+v → %+v", groupBy, before, after)
-		}
-	}
-}
-
-// TestMatAggHierarchyDerivedLevels: recording a query at one hierarchy
-// level also registers its coarser lattice neighbours (Supplier →
-// Nation → Region), so a later roll-up query finds an aggregate at its
-// exact granularity — float SUM included.
-func TestMatAggHierarchyDerivedLevels(t *testing.T) {
-	e, m := matAggEngine(t, 3, 42)
-	bySupplier := olap.CubeQuery{
-		Fact:     "fact_table_revenue",
-		GroupBy:  []string{"s_name"},
-		Measures: []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "revenue"}},
-	}
-	train(t, e, bySupplier)
-	for _, level := range []string{"Nation", "Region"} {
-		q := olap.CubeQuery{
-			Fact:     "fact_table_revenue",
-			RollUp:   map[string]string{"Supplier": level},
-			Measures: []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "revenue"}},
-		}
-		before := m.Stats()
-		fast, err := e.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle, err := e.QueryStarFlow(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, "derived level "+level, fast, oracle)
-		if got := m.Stats().Hits; got != before.Hits+1 {
-			t.Fatalf("roll-up to %s not served from its derived aggregate (hits %d → %d)", level, before.Hits, got)
 		}
 	}
 }
@@ -316,11 +287,12 @@ func TestMatAggRefreshAdvancesWithNothingToBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := olap.NewMatAgg(8)
-	train(t, base.WithMatAgg(m), olap.CubeQuery{
+	q := olap.CubeQuery{
 		Fact:     "fact_table_quantity",
 		GroupBy:  []string{"c_mktsegment"},
 		Measures: []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "quantity"}},
-	})
+	}
+	train(t, base.WithMatAgg(m), q, q) // asked twice: the refresh's ageing leaves it in the log
 	if st := m.Stats(); st.Materialized == 0 || st.LastRefreshVersion != db.Version() {
 		t.Fatalf("setup: nothing materialized at version %d: %+v", db.Version(), st)
 	}
@@ -354,13 +326,67 @@ func TestMatAggRefreshAdvancesWithNothingToBuild(t *testing.T) {
 	}
 }
 
-// TestMatAggServesDashFamilies replays the filter families of the
-// repository benchmark's dash_zipf workload (shapes copied from
-// bench/workload as literals — bench/ is a module of its own): train on
-// some literals, refresh, replay with others. Every family filters a
-// float SUM on a column it does not group by, so every answer here is
-// merged from a finer entry's partial states; each must be
-// byte-identical to the oracle, a literal no row satisfies included.
+// dashPopulation is the distinct-query population of the repository
+// benchmark's dash_zipf workload (shapes and literals copied from
+// bench/workload — bench/ is a module of its own): four golden
+// roll-ups, seven equality-filter families and a `quantity > k` tail.
+func dashPopulation() []olap.CubeQuery {
+	revenue := []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "revenue"}, {Out: "n", Func: "COUNT"}}
+	quantity := []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "quantity"}, {Out: "n", Func: "COUNT"}}
+	rev := func(groupBy []string, rollUp map[string]string, filter string) olap.CubeQuery {
+		return olap.CubeQuery{Fact: "fact_table_revenue", GroupBy: groupBy, RollUp: rollUp, Measures: revenue, Filter: filter}
+	}
+	qty := func(groupBy []string, filter string) olap.CubeQuery {
+		return olap.CubeQuery{Fact: "fact_table_quantity", GroupBy: groupBy, Measures: quantity, Filter: filter}
+	}
+	var brands []string
+	for a := 1; a <= 5; a++ {
+		for b := 1; b <= 5; b++ {
+			brands = append(brands, fmt.Sprintf("Brand#%d%d", a, b))
+		}
+	}
+	types := []string{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"}
+	out := []olap.CubeQuery{
+		rev(nil, map[string]string{"Supplier": "Nation"}, ""),
+		rev([]string{"s_name"}, nil, ""),
+		rev(nil, map[string]string{"Supplier": "Region"}, ""),
+		rev([]string{"p_brand"}, nil, ""),
+	}
+	for _, b := range brands {
+		for _, g := range [][]string{{"s_name"}, {"p_type"}, {"p_name"}, {"s_name", "p_type"}} {
+			out = append(out, rev(g, nil, "p_brand = '"+b+"'"))
+		}
+		for _, ty := range types {
+			out = append(out, rev([]string{"s_name"}, nil, "p_brand = '"+b+"' AND p_type = '"+ty+"'"))
+		}
+	}
+	for _, ty := range types {
+		for _, g := range [][]string{{"s_name"}, {"p_brand"}, {"p_name"}} {
+			out = append(out, rev(g, nil, "p_type = '"+ty+"'"))
+		}
+	}
+	for _, s := range []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOUSEHOLD"} {
+		out = append(out, qty([]string{"o_orderpriority"}, "c_mktsegment = '"+s+"'"))
+	}
+	for _, p := range []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"} {
+		out = append(out, qty([]string{"c_mktsegment"}, "o_orderpriority = '"+p+"'"))
+	}
+	for k := 1; len(out) < 460; k++ {
+		out = append(out, qty([]string{"c_mktsegment", "o_orderpriority"}, fmt.Sprintf("quantity > %d", k)))
+	}
+	return out
+}
+
+// TestMatAggServesDashFamilies is the admission policy's regression
+// guard outside the benchmark: one pass over the dash_zipf population —
+// what reaches the store behind a result cache — then a refresh, then
+// the population again. Nearly all of it must be answered from the
+// eight aggregates (only the three golden roll-ups over the supplier
+// dimension alone have no entry that ran their joins), and every answer
+// must be byte-identical to the oracle, a literal no row satisfies
+// included. Most families filter a float SUM on a column they do not
+// group by, so most answers are merged from a finer entry's partial
+// states.
 func TestMatAggServesDashFamilies(t *testing.T) {
 	p, _ := platformWith(t, 10, 42, tpch.CanonicalRequirements()...)
 	base, err := p.OLAP()
@@ -369,40 +395,14 @@ func TestMatAggServesDashFamilies(t *testing.T) {
 	}
 	m := olap.NewMatAgg(8)
 	e := base.WithMatAgg(m)
-	revenue := []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "revenue"}, {Out: "n", Func: "COUNT"}}
-	quantity := []olap.MeasureSpec{{Out: "total", Func: "SUM", Col: "quantity"}, {Out: "n", Func: "COUNT"}}
-	// add draws one family: mk's query under the training literals and
-	// under the replayed ones.
-	var training, replay []olap.CubeQuery
-	add := func(trainLits, replayLits []string, mk func(lit string) olap.CubeQuery) {
-		for _, lit := range trainLits {
-			training = append(training, mk(lit))
-		}
-		for _, lit := range replayLits {
-			replay = append(replay, mk(lit))
-		}
-	}
-	for _, g := range [][]string{{"s_name"}, {"p_type"}, {"p_name"}} {
-		add([]string{"Brand#11", "Brand#23"}, []string{"Brand#34", "Brand#52"}, func(b string) olap.CubeQuery {
-			return olap.CubeQuery{Fact: "fact_table_revenue", GroupBy: g, Measures: revenue, Filter: "p_brand = '" + b + "'"}
-		})
-	}
-	for _, g := range [][]string{{"s_name"}, {"p_brand"}, {"p_name"}} {
-		add([]string{"STANDARD", "PROMO"}, []string{"SMALL", "ECONOMY"}, func(ty string) olap.CubeQuery {
-			return olap.CubeQuery{Fact: "fact_table_revenue", GroupBy: g, Measures: revenue, Filter: "p_type = '" + ty + "'"}
-		})
-	}
-	// A fact row's quantity is an order's total (a few hundred at most),
-	// so the last literal keeps no row.
-	add([]string{"5", "20"}, []string{"12", "50", "100000"}, func(k string) olap.CubeQuery {
-		return olap.CubeQuery{Fact: "fact_table_quantity", GroupBy: []string{"c_mktsegment", "o_orderpriority"}, Measures: quantity, Filter: "quantity > " + k}
-	})
-	train(t, e, training...)
+	pop := dashPopulation()
+	train(t, e, pop...)
 	trained := m.Stats()
-	if trained.Patterns == 0 || trained.Materialized == 0 {
-		t.Fatalf("the dash families logged or materialized nothing: %+v", trained)
-	}
-	for _, q := range replay {
+	// A fact row's quantity is an order's total (a few hundred at most),
+	// so the last query keeps no row.
+	empty := pop[len(pop)-1]
+	empty.Filter = "quantity > 100000"
+	for _, q := range append(pop, empty) {
 		fast, err := e.Query(q)
 		if err != nil {
 			t.Fatal(err)
@@ -412,15 +412,97 @@ func TestMatAggServesDashFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertIdentical(t, queryString(q), fast, oracle)
-	}
-	if empty, err := e.Query(replay[len(replay)-1]); err != nil || len(empty.Rows) != 0 {
-		t.Fatalf("%s answered %d rows (err %v), want none: the empty-result case is not exercised", queryString(replay[len(replay)-1]), len(empty.Rows), err)
+		if q.Filter == empty.Filter && len(fast.Rows) != 0 {
+			t.Fatalf("%s answered %d rows, want none: the empty-result case is not exercised", queryString(q), len(fast.Rows))
+		}
 	}
 	st := m.Stats()
-	if st.Rewrites == trained.Rewrites {
+	hits, rewrites, replayed := st.Hits-trained.Hits, st.Rewrites-trained.Rewrites, int64(len(pop)+1)
+	t.Logf("replayed %d queries over %d patterns: %d answered at an entry's granularity, %d merged from finer entries, %d missed",
+		replayed, trained.Patterns, hits, rewrites, st.Misses-trained.Misses)
+	if rewrites == 0 {
 		t.Fatalf("no replayed query was merged from a finer entry: %+v → %+v", trained, st)
 	}
-	t.Logf("replayed %d queries: %d merged from finer entries, %d missed", len(replay)+1, st.Rewrites-trained.Rewrites, st.Misses-trained.Misses)
+	if 100*(hits+rewrites) < 95*replayed {
+		t.Fatalf("%d of %d replayed queries answered from aggregates, want 95 %%: the admission policy lost the dashboard (%+v)", hits+rewrites, replayed, st)
+	}
+}
+
+// TestMatAggLogBoundedAndAges: group-by and measure sets arrive from
+// clients, so the log must stay bounded whatever they send, and ageing
+// — a halving per Refresh, the log's only reader — must both empty it
+// of patterns nobody asks for any more and thereby let in the pattern a
+// full log had to drop.
+func TestMatAggLogBoundedAndAges(t *testing.T) {
+	m := olap.NewMatAgg(4)
+	e := handEngine(t, storage.NewMemDB(), handStar(rand.New(rand.NewSource(5)), 20, "dense")).WithMatAgg(m)
+	// Thirteen measures: ask(i) reads the subset the bits of i+1 name,
+	// a distinct pattern for every i below 2¹³−1.
+	measures := []olap.MeasureSpec{{Out: "n", Func: "COUNT"}}
+	for _, c := range []string{"k_a", "k_b", "k_c", "qty", "tag", "amt"} {
+		measures = append(measures, olap.MeasureSpec{Out: "lo_" + c, Func: "MIN", Col: c}, olap.MeasureSpec{Out: "hi_" + c, Func: "MAX", Col: c})
+	}
+	ask := func(i int) olap.CubeQuery {
+		q := olap.CubeQuery{Fact: "sales", GroupBy: []string{"tag"}}
+		for b, ms := range measures {
+			if (i+1)>>b&1 == 1 {
+				q.Measures = append(q.Measures, ms)
+			}
+		}
+		if _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	for i := 0; i < 10*olap.MaxPatterns; i++ {
+		ask(i)
+		if st := m.Stats(); st.Patterns > olap.MaxPatterns {
+			t.Fatalf("after %d distinct patterns the log holds %d, cap %d", i+1, st.Patterns, olap.MaxPatterns)
+		}
+	}
+	if st := m.Stats(); st.Patterns != olap.MaxPatterns || st.Recorded != 10*olap.MaxPatterns {
+		t.Fatalf("log holds %d patterns of %d recorded queries, want it full (%d) and every query counted", st.Patterns, st.Recorded, olap.MaxPatterns)
+	}
+	// The log holds the first MaxPatterns patterns; two more rounds of
+	// them make every weight 3, which two halvings take below one.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < olap.MaxPatterns; i++ {
+			ask(i)
+		}
+	}
+	const late = 10 * olap.MaxPatterns // a pattern the log has not seen
+	for refresh := 1; refresh <= 2; refresh++ {
+		ask(late)
+		if st := m.Stats(); st.Patterns != olap.MaxPatterns {
+			t.Fatalf("refresh %d: a full log took the newcomer, or aged out too early: %d patterns", refresh, st.Patterns)
+		}
+		if _, err := m.Refresh(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.Patterns != 0 {
+		t.Fatalf("two refreshes after its last traffic the log still holds %d patterns", st.Patterns)
+	}
+	q := ask(late)
+	if st := m.Stats(); st.Patterns != 1 {
+		t.Fatalf("the aged-out log did not take the newcomer: %d patterns", st.Patterns)
+	}
+	if rep, err := m.Refresh(e); err != nil || rep.Materialized != 1 {
+		t.Fatalf("refresh over the newcomer alone: %+v, err %v", rep, err)
+	}
+	before := m.Stats()
+	fast, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := e.QueryStarFlow(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "newcomer after ageing", fast, oracle)
+	if got := m.Stats().Hits; got != before.Hits+1 {
+		t.Fatalf("the newcomer was not served from its aggregate: hits %d → %d", before.Hits, got)
+	}
 }
 
 // TestMatAggDimCache: with a store attached, dimension build sides are

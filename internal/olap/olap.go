@@ -189,11 +189,6 @@ type Engine struct {
 	// per-dimension build-side cache) consulted by the fast path; see
 	// matagg.go. The oracle never uses it.
 	mat *MatAgg
-	// rollupParents maps a level's key descriptor to its direct parent
-	// levels' key descriptors across every xMD hierarchy, precomputed
-	// once (the schema is immutable) for the query-log recorder's
-	// lattice derivation on the serving hot path.
-	rollupParents map[string][]string
 }
 
 // New builds an OLAP engine over the unified design and the database
@@ -206,18 +201,7 @@ func New(md *xmd.Schema, etl *xlm.Design, db *storage.DB) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("olap: deriving deployed tables: %w", err)
 	}
-	parents := map[string][]string{}
-	for _, d := range md.Dimensions {
-		for _, r := range d.Rollups {
-			from, okF := d.Level(r.From)
-			to, okT := d.Level(r.To)
-			if !okF || !okT || from.Key == "" || to.Key == "" {
-				continue
-			}
-			parents[from.Key] = append(parents[from.Key], to.Key)
-		}
-	}
-	return &Engine{md: md, etl: etl, db: db, defs: defs, rollupParents: parents}, nil
+	return &Engine{md: md, etl: etl, db: db, defs: defs}, nil
 }
 
 // tableOf returns the deployed definition of a table.
@@ -287,8 +271,8 @@ func (e *Engine) QuerySnapshot(q CubeQuery, snap *storage.Snapshot) (*Result, er
 // and otherwise falls back to the base-fact fast path.
 func (e *Engine) answerPlanned(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
 	if e.mat != nil {
-		e.mat.record(e, p)
-		res, ok, err := e.mat.answer(e, p, snap)
+		e.mat.record(p)
+		res, ok, err := e.mat.answer(p, snap)
 		if err != nil {
 			return nil, err
 		}
