@@ -47,6 +47,25 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 }
 
+// TestParseBenchmem: the -benchmem columns are metrics like any other
+// extra column, so B/op and allocs/op are recorded in every report; the
+// gate reads ns/op only.
+func TestParseBenchmem(t *testing.T) {
+	rep := parseSample(t, `BenchmarkEngineExec_Disk_SF100-2   	      10	  46360450 ns/op	52202806 B/op	  190215 allocs/op
+BenchmarkEngineExec_Disk_SF100-2   	      10	  45918615 ns/op	52314486 B/op	  190223 allocs/op
+`)
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks, want 1", len(rep.Benchmarks))
+	}
+	b := rep.Benchmarks[0]
+	if b.Metrics["B/op"] != 52314486 || b.Metrics["allocs/op"] != 190223 {
+		t.Fatalf("metrics %v, want the last sample's B/op and allocs/op", b.Metrics)
+	}
+	if b.NsPerOp != (46360450+45918615)/2.0 || len(b.Samples) != 2 {
+		t.Fatalf("ns/op %v over samples %v", b.NsPerOp, b.Samples)
+	}
+}
+
 func TestGatePassesWithinThreshold(t *testing.T) {
 	base := parseSample(t, sampleOutput)
 	cur := parseSample(t, strings.ReplaceAll(sampleOutput, "113000 ns/op", "130000 ns/op")) // +15%

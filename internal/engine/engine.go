@@ -6,30 +6,36 @@
 // measure the demo's headline claim (integrated flows do less total
 // work than separate flows).
 //
-// Two execution strategies share one set of operator kernels
-// (kernels.go) and differ only in the column layouts they hand them:
-// the pipelined executor plans, per edge, the subsequence of the
-// node's logical Fields that anything downstream reads (planLayouts in
-// pipeline.go) and ships only those columns; the materialising
-// reference passes Fields themselves, deliberately full width.
+// Vector kernels run in production, row kernels are the reference:
 //
-//   - Run / RunWithOptions — the default batch-vectorised, pipelined,
-//     DAG-parallel executor (pipeline.go). Operators stream fixed-size
-//     row batches along the design's edges; streaming operators
-//     (Extraction, Selection, Projection, Function, Union, Loader and
-//     the probe side of Join) pipeline without buffering, blocking
+//   - Run / RunWithOptions — the production executor (pipeline.go):
+//     pipelined, DAG-parallel, on typed column vectors. Storage pages
+//     flow as batches of storage.Vector, one vector per column of the
+//     edge's planned layout (planLayouts ships only the columns
+//     something downstream reads); Selection, Projection, Function,
+//     Join and Aggregation run the vector kernels of vkernels.go — the
+//     join index (JoinIndex), the vector filter (VectorFilter) and the
+//     aggregation's vector entry (AddVectors) are the ones the OLAP
+//     fast path runs too. Rows exist only where an operator is defined
+//     on them: the Loader, which hands storage rows, and Sort and
+//     SurrogateKey, which transpose a batch to rows and back.
+//     Streaming operators pipeline without buffering, blocking
 //     operators (Join build, Aggregation, Sort) consume their input
 //     incrementally, and independent DAG branches run concurrently on
 //     a worker pool bounded by Options.Parallelism.
-//   - RunMaterializing — the original single-threaded strategy:
-//     operations run in topological order, each consuming its inputs'
-//     fully buffered, full-width rows. It is the semantic reference
-//     the pipelined path is tested against, and the baseline its
-//     speedup is measured from.
+//   - RunMaterializing — the reference: single-threaded, operations in
+//     topological order, each consuming its inputs' fully buffered,
+//     full-width rows through the row kernels of kernels.go
+//     (hashKey/keysEqual join, row aggregation fold, row slabs). No
+//     production path calls it; it is what the executor is tested
+//     against, and the star-flow oracle of the OLAP layer runs on it
+//     so that no oracle shares a join, filter or aggregate entry point
+//     with the paths it checks.
 //
-// Both strategies produce byte-identical loaded tables, per-operation
-// row counts and Loaded totals. Row counts and per-operation durations
-// are recorded in either mode.
+// Both produce byte-identical loaded tables (value kinds included),
+// per-operation row counts and Loaded totals, and fail with the same
+// error. Row counts and per-operation durations are recorded in either
+// mode.
 //
 // Loads are transactional in both strategies: loaders stream into
 // detached staging tables (replace mode) or delta tables (append
@@ -39,7 +45,7 @@
 // to its pre-run state. Against a disk-backed database that same
 // commit is one crash-safe manifest rename, so durability rides on
 // the existing commit point: the engine reads sources through the
-// same ReadBatch cursors either way and needs no disk-specific code.
+// same storage cursors either way and needs no disk-specific code.
 package engine
 
 import (
@@ -121,6 +127,13 @@ type mat struct {
 // is the reference implementation the pipelined executor is verified
 // against and benchmarked from; production callers should prefer Run.
 func RunMaterializing(d *xlm.Design, db *storage.DB) (*Result, error) {
+	return RunMaterializingContext(context.Background(), d, db)
+}
+
+// RunMaterializingContext is RunMaterializing under a context, checked
+// between operations and every refChunk rows inside one: cancellation
+// returns the context's error and commits nothing.
+func RunMaterializingContext(ctx context.Context, d *xlm.Design, db *storage.DB) (*Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,6 +146,9 @@ func RunMaterializing(d *xlm.Design, db *storage.DB) (*Result, error) {
 	staged := newStagedLoads()
 	start := time.Now()
 	for _, n := range order {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		opStart := time.Now()
 		inputs := d.Inputs(n.Name)
 		inMats := make([]*mat, len(inputs))
@@ -141,8 +157,11 @@ func RunMaterializing(d *xlm.Design, db *storage.DB) (*Result, error) {
 			inMats[i] = mats[in.Name]
 			rowsIn += int64(len(inMats[i].rows))
 		}
-		out, err := execNode(n, inMats, db, staged, res)
+		out, err := execNode(ctx, n, inMats, db, staged, res)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			return nil, fmt.Errorf("engine: node %q: %w", n.Name, err)
 		}
 		mats[n.Name] = out
@@ -181,58 +200,90 @@ func allConsumed(d *xlm.Design, name string, mats map[string]*mat) bool {
 	return true
 }
 
-func execNode(n *xlm.Node, inputs []*mat, db *storage.DB, staged *stagedLoads, res *Result) (*mat, error) {
+// refChunk is how many rows the reference hands a kernel between
+// context checks.
+const refChunk = 4096
+
+// inChunks calls fn on the rows a refChunk at a time, checking ctx
+// before each. The kernels are incremental, so the chunking shows in
+// nothing but how soon a cancelled run stops.
+func inChunks(ctx context.Context, rows [][]expr.Value, fn func([][]expr.Value) error) error {
+	for start := 0; start < len(rows); start += refChunk {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := fn(rows[start:min(start+refChunk, len(rows))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func execNode(ctx context.Context, n *xlm.Node, inputs []*mat, db *storage.DB, staged *stagedLoads, res *Result) (*mat, error) {
 	out := &mat{fields: n.Fields}
+	var in [][]expr.Value
+	if len(inputs) > 0 {
+		in = inputs[0].rows
+	}
+	// A streaming kernel is a step appending the rows it makes of a run
+	// of its input; the chunks of input 0 go through it at the end.
+	var step func(dst, part [][]expr.Value) ([][]expr.Value, error)
 	switch n.Type {
 	case xlm.OpDatastore:
 		op, err := newDatastoreOp(n, db, n.Fields)
 		if err != nil {
 			return nil, err
 		}
-		out.rows = op.read(0, op.limit)
+		for start := 0; start < op.limit; start += refChunk {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			out.rows = append(out.rows, op.read(start, refChunk)...)
+		}
 		return out, nil
 	case xlm.OpExtraction:
-		out.rows = inputs[0].rows
+		out.rows = in
 		return out, nil
 	case xlm.OpSelection:
 		op, err := newSelectionOp(n, inputs[0].fields)
 		if err != nil {
 			return nil, err
 		}
-		out.rows, err = op.filter(nil, inputs[0].rows)
-		return out, err
+		step = op.filter
 	case xlm.OpProjection:
 		op, err := newProjectionOp(n, inputs[0].fields, n.Fields)
 		if err != nil {
 			return nil, err
 		}
-		out.rows = op.apply(nil, inputs[0].rows)
-		return out, nil
+		step = func(dst, part [][]expr.Value) ([][]expr.Value, error) { return op.apply(dst, part), nil }
 	case xlm.OpFunction:
 		op, err := newFunctionOp(n, inputs[0].fields, n.Fields)
 		if err != nil {
 			return nil, err
 		}
-		out.rows, err = op.apply(nil, inputs[0].rows)
-		return out, err
+		step = op.apply
 	case xlm.OpJoin:
 		op, err := newJoinOp(n, inputs[0].fields, inputs[1].fields, n.Fields)
 		if err != nil {
 			return nil, err
 		}
-		op.addBuild(inputs[1].rows)
-		out.rows = op.probe(nil, inputs[0].rows)
-		return out, nil
+		if err := inChunks(ctx, inputs[1].rows, func(part [][]expr.Value) error {
+			op.addBuild(part)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		step = func(dst, part [][]expr.Value) ([][]expr.Value, error) { return op.probe(dst, part), nil }
 	case xlm.OpAggregation:
 		op, err := newAggregationOp(n, inputs[0].fields)
 		if err != nil {
 			return nil, err
 		}
-		if err := op.add(inputs[0].rows); err != nil {
+		if err := inChunks(ctx, in, op.add); err != nil {
 			return nil, err
 		}
-		out.rows = op.result()
-		return out, nil
+		out.rows, err = op.result()
+		return out, err
 	case xlm.OpUnion:
 		for _, in := range inputs {
 			out.rows = append(out.rows, in.rows...)
@@ -243,7 +294,7 @@ func execNode(n *xlm.Node, inputs []*mat, db *storage.DB, staged *stagedLoads, r
 		if err != nil {
 			return nil, err
 		}
-		op.add(inputs[0].rows)
+		op.add(in)
 		out.rows = op.result()
 		return out, nil
 	case xlm.OpSurrogateKey:
@@ -251,19 +302,23 @@ func execNode(n *xlm.Node, inputs []*mat, db *storage.DB, staged *stagedLoads, r
 		if err != nil {
 			return nil, err
 		}
-		out.rows = op.apply(nil, inputs[0].rows)
-		return out, nil
+		step = func(dst, part [][]expr.Value) ([][]expr.Value, error) { return op.apply(dst, part), nil }
 	case xlm.OpLoader:
 		op, err := newLoaderOp(n, inputs[0].fields, db, staged)
 		if err != nil {
 			return nil, err
 		}
-		if err := op.write(inputs[0].rows); err != nil {
+		if err := inChunks(ctx, in, op.write); err != nil {
 			return nil, err
 		}
 		op.finish()
 		res.Loaded[op.table] += op.written
 		return out, nil
+	default:
+		return nil, fmt.Errorf("unsupported operation type %q", n.Type)
 	}
-	return nil, fmt.Errorf("unsupported operation type %q", n.Type)
+	return out, inChunks(ctx, in, func(part [][]expr.Value) (err error) {
+		out.rows, err = step(out.rows, part)
+		return err
+	})
 }

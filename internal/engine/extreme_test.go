@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"quarry/internal/expr"
-	"quarry/internal/storage"
 	"quarry/internal/xlm"
 )
 
@@ -44,7 +43,7 @@ func extremesOf(t *testing.T, rows [][]expr.Value, kind expr.Kind, vectors bool,
 		a, err := NewHashAggregator(nil, extremeAggs, []int{0, 0})
 		if err == nil && vectors {
 			col := columnOf(rows, 0, kind)
-			err = a.AddVectors(len(rows), nil, []*storage.Vector{col, col})
+			err = a.AddVectors(len(rows), nil, []Column{{Vec: col}, {Vec: col}})
 		} else if err == nil {
 			err = a.Add(rows)
 		}

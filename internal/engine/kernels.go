@@ -14,26 +14,24 @@ import (
 	"quarry/internal/xlm"
 )
 
-// This file holds the per-operation kernels shared by both execution
-// strategies: the materialising reference path (RunMaterializing)
-// calls each kernel once over a node's full input, the pipelined
-// executor calls the same kernel incrementally, batch by batch. Any
-// semantic rule (NULL handling, grouping order, surrogate-key
-// assignment order, loader column mapping) therefore lives in exactly
-// one place, which is what makes the two paths byte-identical.
+// This file holds the row kernels: the materialising reference
+// (RunMaterializing) calls each once over a node's full input, at full
+// width (every layout it passes is the node's Fields). The pipelined
+// executor runs the vector kernels of vkernels.go instead, and shares
+// with the reference only what has one definition for both: the
+// aggregation states and their finalisation (aggregationOp, which the
+// vector entry of vecagg.go folds into), Sort and SurrogateKey (which
+// the executor feeds rows transposed from its batches), the loader, and
+// the layout resolution below.
 //
-// The two strategies differ only in the layouts they hand the
-// constructors. Every kernel takes the physical layout of its input
-// edge(s) — the columns actually present in the rows it will receive,
-// in order — and the row-building kernels (Datastore, Projection,
-// Function, SurrogateKey, Join) also take the layout of the rows they
-// must emit, a subsequence of the node's logical Fields. The reference
-// path passes Fields everywhere, so its rows are full width; the
-// pipelined executor passes the layouts planLayouts derived, so dead
-// columns are never copied. Column names are unique within a schema
-// (schema inference rejects ambiguous joins, repeated datastore fields
-// and redefined columns), so kernels resolve columns by name against
-// whatever layout they are given.
+// Every kernel takes the physical layout of its input edge(s) — the
+// columns actually present in the rows it will receive, in order — and
+// the row-building kernels (Datastore, Projection, Function,
+// SurrogateKey, Join) also take the layout of the rows they must emit,
+// a subsequence of the node's logical Fields. Column names are unique
+// within a schema (schema inference rejects ambiguous joins, repeated
+// datastore fields and redefined columns), so kernels resolve columns
+// by name against whatever layout they are given.
 
 // fieldIndex maps column names to positions of a layout.
 func fieldIndex(fields []xlm.Field) map[string]int {
@@ -87,11 +85,9 @@ func (s *rowSlab) take(src []expr.Value, idx []int) []expr.Value {
 
 // datastoreOp scans a source table in batches, remapping the physical
 // column order onto the out layout (other physical columns are
-// ignored). Every declared field must exist in the table whether or
-// not out keeps it: what a design may read is part of its contract
-// with the source, not of this run's plan. The row-count limit is
-// snapshotted at construction so loaders appending to the same table
-// mid-run cannot extend the scan.
+// ignored; every declared one must exist, see checkSource). The
+// row-count limit is snapshotted at construction so loaders appending
+// to the same table mid-run cannot extend the scan.
 type datastoreOp struct {
 	t     *storage.Table
 	idx   []int // nil: out matches the physical layout, rows pass through
@@ -104,10 +100,8 @@ func newDatastoreOp(n *xlm.Node, db *storage.DB, out []xlm.Field) (*datastoreOp,
 	if !ok {
 		return nil, fmt.Errorf("source table %q not found", table)
 	}
-	for _, f := range n.Fields {
-		if _, ok := t.ColumnIndex(f.Name); !ok {
-			return nil, fmt.Errorf("source table %q lacks column %q", table, f.Name)
-		}
+	if err := checkSource(n, t.ColumnIndex); err != nil {
+		return nil, err
 	}
 	idx := make([]int, len(out))
 	identity := len(out) == len(t.Columns)
@@ -368,23 +362,44 @@ type aggState struct {
 	intSums   []int64
 	mins      []expr.Value
 	maxs      []expr.Value
-	counts    []int64 // non-null count per aggregate
+	counts    []int64   // non-null count per aggregate
+	next      *aggState // the next group under the same hash, in first-seen order
 }
 
 // aggregationOp groups and aggregates incrementally; result emits
-// groups in first-seen order (NULLs group together).
+// groups in first-seen order of their hash, then of the group (NULLs
+// group together).
 type aggregationOp struct {
 	group     []string
 	aggs      []xlm.AggSpec
 	gIdx      []int
 	aIdx      []int
-	states    map[uint64][]*aggState
+	states    map[uint64]*aggState // by group hash: the first of its chain
 	orderKeys []uint64
+	slab      stateSlab
 
-	// The vector entry's state (vecagg.go): the code-tuple index over
-	// states, and a scratch slice holding each batch row's state.
-	byCode      *codeIndex
-	batchStates []*aggState
+	vec vecState // the vector entry's (vecagg.go)
+}
+
+// stateSlab is where group states are cut from: every array a state
+// holds, for a run of states at a time — doubling up to a few hundred —
+// instead of eight allocations per group.
+type stateSlab struct {
+	per    int
+	states []aggState
+	vals   []expr.Value // group values, MIN and MAX
+	sums   []FloatSum
+	flags  []bool
+	ints   []int64 // int sums and counts
+}
+
+const maxStatesPerSlab = 256
+
+// take cuts the next n elements off a slab.
+func take[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
@@ -416,22 +431,42 @@ func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
 	}
 	return &aggregationOp{
 		group: group, aggs: aggs, gIdx: gIdx, aIdx: aIdx,
-		states: map[uint64][]*aggState{},
+		states: map[uint64]*aggState{},
 	}, nil
 }
 
-func (o *aggregationOp) newState() *aggState {
-	st := &aggState{
-		sums:     make([]FloatSum, len(o.aggs)),
-		sumIsInt: make([]bool, len(o.aggs)),
-		intSums:  make([]int64, len(o.aggs)),
-		mins:     make([]expr.Value, len(o.aggs)),
-		maxs:     make([]expr.Value, len(o.aggs)),
-		counts:   make([]int64, len(o.aggs)),
+// newState registers a group first met, with these values, under its
+// hash h.
+func (o *aggregationOp) newState(h uint64, group func(k int) expr.Value) *aggState {
+	s, n := &o.slab, len(o.aggs)
+	if len(s.states) == 0 {
+		s.per = min(max(2*s.per, 1), maxStatesPerSlab)
+		s.states = make([]aggState, s.per)
+		s.vals = make([]expr.Value, s.per*(len(o.gIdx)+2*n))
+		s.sums = make([]FloatSum, s.per*n)
+		s.flags = make([]bool, s.per*n)
+		s.ints = make([]int64, s.per*2*n)
 	}
+	st := &take(&s.states, 1)[0]
+	st.groupVals, st.mins, st.maxs = take(&s.vals, len(o.gIdx)), take(&s.vals, n), take(&s.vals, n)
+	st.sums, st.sumIsInt = take(&s.sums, n), take(&s.flags, n)
+	st.intSums, st.counts = take(&s.ints, n), take(&s.ints, n)
 	for i := range st.sumIsInt {
 		st.sumIsInt[i] = true
 	}
+	for k := range st.groupVals {
+		st.groupVals[k] = group(k)
+	}
+	tail := o.states[h]
+	if tail == nil {
+		o.states[h] = st
+		o.orderKeys = append(o.orderKeys, h)
+		return st
+	}
+	for tail.next != nil {
+		tail = tail.next
+	}
+	tail.next = st
 	return st
 }
 
@@ -442,30 +477,18 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 		for _, i := range o.gIdx {
 			h = h*1099511628211 ^ row[i].Hash()
 		}
-		var st *aggState
-		for _, cand := range o.states[h] {
-			match := true
+		st := o.states[h]
+	chain:
+		for ; st != nil; st = st.next {
 			for k, i := range o.gIdx {
-				if !valuesIdentical(cand.groupVals[k], row[i]) {
-					match = false
-					break
+				if !valuesIdentical(st.groupVals[k], row[i]) {
+					continue chain
 				}
 			}
-			if match {
-				st = cand
-				break
-			}
+			break
 		}
 		if st == nil {
-			st = o.newState()
-			st.groupVals = make([]expr.Value, len(o.gIdx))
-			for k, i := range o.gIdx {
-				st.groupVals[k] = row[i]
-			}
-			if len(o.states[h]) == 0 {
-				o.orderKeys = append(o.orderKeys, h)
-			}
-			o.states[h] = append(o.states[h], st)
+			st = o.newState(h, func(k int) expr.Value { return row[o.gIdx[k]] })
 		}
 		for i, a := range o.aggs {
 			if o.aIdx[i] == -1 { // COUNT(*)
@@ -560,14 +583,21 @@ func floatOrderBits(f float64) uint64 {
 
 // result finalises the aggregation. A global aggregate over zero rows
 // still emits one row of zero counts / NULLs, like SQL.
-func (o *aggregationOp) result() [][]expr.Value {
+//
+// An integer SUM fails here if its true sum left int64. The fold adds
+// with wrap-around, so the int sum is exact modulo 2⁶⁴, and the exact
+// float sum of the same values is within a few ulps of the true sum:
+// the two differ by about 2⁶⁴ exactly when it overflowed. Both are
+// functions of the multiset folded, so the verdict is too — {MaxInt64,
+// 1, −1} sums to MaxInt64 in every order and partition although a
+// prefix overflows.
+func (o *aggregationOp) result() ([][]expr.Value, error) {
 	if len(o.group) == 0 && len(o.states) == 0 {
-		o.states[0] = []*aggState{o.newState()}
-		o.orderKeys = append(o.orderKeys, 0)
+		o.newState(0, nil)
 	}
 	var out [][]expr.Value
 	for _, h := range o.orderKeys {
-		for _, st := range o.states[h] {
+		for st := o.states[h]; st != nil; st = st.next {
 			row := make([]expr.Value, 0, len(o.gIdx)+len(o.aggs))
 			row = append(row, st.groupVals...)
 			for i, a := range o.aggs {
@@ -582,6 +612,9 @@ func (o *aggregationOp) result() [][]expr.Value {
 					if st.counts[i] == 0 {
 						row = append(row, expr.Null())
 					} else if st.sumIsInt[i] {
+						if math.Abs(float64(st.intSums[i])-st.sums[i].Round()) >= 1<<63 {
+							return nil, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
+						}
 						row = append(row, expr.Int(st.intSums[i]))
 					} else {
 						row = append(row, expr.Float(st.sums[i].Round()))
@@ -597,7 +630,7 @@ func (o *aggregationOp) result() [][]expr.Value {
 			out = append(out, row)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // valuesIdentical groups NULLs together (unlike Value.Equal, which is

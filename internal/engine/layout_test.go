@@ -66,11 +66,13 @@ func TestLayoutsTPCHCanonical(t *testing.T) {
 	}
 }
 
-// TestPipelinedAllocatesHalfOfMaterializing: same kernels, same
-// input, and the only difference is the layouts — so the bytes a run
-// allocates are a direct, deterministic reading of how much narrower
-// the shipped rows are.
-func TestPipelinedAllocatesHalfOfMaterializing(t *testing.T) {
+// TestPipelinedAllocatesUnderAQuarterOfMaterializing: same input, same
+// loaded tables, and the bytes a run allocates are a deterministic
+// reading of what the executor carries per row — the reference's
+// full-width 48-byte values against typed vectors of the planned columns,
+// shared where an operator passes them on. Measured at 6.7× (7.1× on
+// disk); the bound leaves 1.5× of that as headroom.
+func TestPipelinedAllocatesUnderAQuarterOfMaterializing(t *testing.T) {
 	d, db := benchIntegratedDesign(t, 5)
 	allocated := func(run func(*xlm.Design) (*Result, error)) uint64 {
 		if _, err := run(d); err != nil { // warm: first run creates the targets
@@ -87,16 +89,17 @@ func TestPipelinedAllocatesHalfOfMaterializing(t *testing.T) {
 	full := allocated(func(d *xlm.Design) (*Result, error) { return RunMaterializing(d, db) })
 	narrow := allocated(func(d *xlm.Design) (*Result, error) { return Run(d, db) })
 	t.Logf("bytes per run: materializing %d, pipelined %d (%.2fx)", full, narrow, float64(full)/float64(narrow))
-	if narrow*2 > full {
-		t.Errorf("pipelined run allocates %d bytes, more than half of the full-width reference's %d", narrow, full)
+	if narrow*9 > full*2 {
+		t.Errorf("pipelined run allocates %d bytes, more than 1/4.5 of the full-width reference's %d", narrow, full)
 	}
 }
 
 // TestSlabRowsSharedAcrossConsumers gives the race detector something
-// to find: a Function's slab-backed batches fan out to a Join build
-// side (which copies what it keeps) and to a Selection → Aggregation
-// (which reads in place), on different goroutines at once. It is safe
-// only because no operator mutates a received row (see Batch).
+// to find: a Function's batches — the datastore's page vectors passed
+// on, plus the derived vector — fan out to a Join build side (which
+// copies what it keeps) and to a Selection → Aggregation (which reads
+// in place), on different goroutines at once. It is safe only because
+// no operator mutates a received vector (see Batch).
 func TestSlabRowsSharedAcrossConsumers(t *testing.T) {
 	d := xlm.NewDesign("shared_slabs")
 	d.AddNode(&xlm.Node{Name: "DS_li", Type: xlm.OpDatastore,

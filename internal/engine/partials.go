@@ -15,9 +15,11 @@ import (
 // into a fresh kernel and finalises (aggregationOp.result) exactly
 // once, over merged states that are value-identical to what a single
 // node folding all rows would hold — COUNT/int-SUM by integer
-// addition, float SUM by exact expansion merge (FloatSum), MIN/MAX by
-// the same Compare the fold uses — so the merged answer is
-// byte-identical to the single-node one by construction.
+// addition (wrapping, like the fold: whether an int SUM overflowed is
+// decided at finalisation, from the whole multiset), float SUM by exact
+// expansion merge (FloatSum), MIN/MAX by the same Compare the fold uses
+// — so the merged answer is byte-identical to the single-node one by
+// construction.
 
 // MeasurePartial is one aggregate's mergeable state for one group.
 type MeasurePartial struct {
@@ -48,7 +50,7 @@ func (a *HashAggregator) Partials() []AggPartial {
 	o := a.op
 	out := make([]AggPartial, 0, len(o.orderKeys))
 	for _, h := range o.orderKeys {
-		for _, st := range o.states[h] {
+		for st := o.states[h]; st != nil; st = st.next {
 			p := AggPartial{
 				Group:    append([]expr.Value(nil), st.groupVals...),
 				Measures: make([]MeasurePartial, len(o.aggs)),
@@ -111,25 +113,16 @@ func (o *aggregationOp) findOrCreate(group []expr.Value) *aggState {
 	for _, v := range group {
 		h = h*1099511628211 ^ v.Hash()
 	}
-	for _, cand := range o.states[h] {
-		match := true
+chain:
+	for st := o.states[h]; st != nil; st = st.next {
 		for k := range group {
-			if !valuesIdentical(cand.groupVals[k], group[k]) {
-				match = false
-				break
+			if !valuesIdentical(st.groupVals[k], group[k]) {
+				continue chain
 			}
 		}
-		if match {
-			return cand
-		}
+		return st
 	}
-	st := o.newState()
-	st.groupVals = append([]expr.Value(nil), group...)
-	if len(o.states[h]) == 0 {
-		o.orderKeys = append(o.orderKeys, h)
-	}
-	o.states[h] = append(o.states[h], st)
-	return st
+	return o.newState(h, func(k int) expr.Value { return group[k] })
 }
 
 // FinalizePartials merges exported partial states and finalises them
@@ -157,5 +150,9 @@ func FinalizePartials(groupCols int, aggs []xlm.AggSpec, parts ...[]AggPartial) 
 			return nil, err
 		}
 	}
-	return SortRowsBy(agg.Result(), groupIdx), nil
+	rows, err := agg.Finalize()
+	if err != nil {
+		return nil, err
+	}
+	return SortRowsBy(rows, groupIdx), nil
 }

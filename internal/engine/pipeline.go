@@ -31,7 +31,10 @@ type Options struct {
 	// never changes results, only wall-clock time.
 	Parallelism int
 	// BatchSize is the number of rows per batch streamed between
-	// operators. Zero or negative uses DefaultBatchSize.
+	// operators: a Datastore cuts each page into batches of at most this
+	// many, and a blocking operator cuts its result likewise (a
+	// Selection passes on fewer, a fanning-out Join more). Zero or
+	// negative uses DefaultBatchSize.
 	BatchSize int
 	// LoadFilter, when non-nil, is consulted once per loader target
 	// with the table name and its column names (in table layout
@@ -53,13 +56,6 @@ func (o Options) withDefaults() Options {
 		o.BatchSize = DefaultBatchSize
 	}
 	return o
-}
-
-// Batch is a run of rows streamed along one design edge. Batches are
-// immutable once emitted: a batch may be shared by every consumer of a
-// fan-out node, so operators must never mutate received rows.
-type Batch struct {
-	Rows [][]expr.Value
 }
 
 // source is the consumer side of an edge: next returns the following
@@ -248,7 +244,9 @@ type runner struct {
 	// Loader targets, in contrast, are bound lazily (see runLoader):
 	// a run that fails upstream must not have replaced its target
 	// tables with empty ones.
-	ds *datastoreOp
+	ds *vecDatastore
+
+	vals []expr.Value // batchOf's scratch
 
 	// Loaders sharing one target table are chained in topological
 	// order — each waits for loadAfter and closes loadDone on success
@@ -275,10 +273,10 @@ func (r *runner) work(fn func() error) error {
 
 // emit forwards a batch to every consumer, counting its rows once.
 func (r *runner) emit(b *Batch) bool {
-	if len(b.Rows) == 0 {
+	if b.N == 0 {
 		return true
 	}
-	r.stats.rowsOut.Add(int64(len(b.Rows)))
+	r.stats.rowsOut.Add(int64(b.N))
 	for _, o := range r.outs {
 		if !o.send(b) {
 			return false
@@ -287,27 +285,23 @@ func (r *runner) emit(b *Batch) bool {
 	return true
 }
 
-func (r *runner) emitRows(rows [][]expr.Value) bool {
-	if len(rows) == 0 {
-		return true
-	}
-	return r.emit(&Batch{Rows: rows})
-}
-
-// emitAll chunks a blocking operator's materialised result into
-// batches.
-func (r *runner) emitAll(rows [][]expr.Value) bool {
+// emitAll transposes a blocking operator's materialised rows into
+// batches and emits them.
+func (r *runner) emitAll(rows [][]expr.Value) error {
 	bs := r.ex.opts.BatchSize
 	for start := 0; start < len(rows); start += bs {
-		end := start + bs
-		if end > len(rows) {
-			end = len(rows)
+		var b *Batch
+		if err := r.work(func() error {
+			b, r.vals = batchOf(rows[start:min(start+bs, len(rows))], len(r.outfd), r.vals)
+			return nil
+		}); err != nil {
+			return err
 		}
-		if !r.emitRows(rows[start:end]) {
-			return false
+		if !r.emit(b) {
+			return errAborted
 		}
 	}
-	return true
+	return nil
 }
 
 // drain consumes input i to end-of-stream, counting rows in.
@@ -317,11 +311,29 @@ func (r *runner) drain(i int, fn func(*Batch) error) error {
 		if !ok {
 			return nil
 		}
-		r.stats.rowsIn.Add(int64(len(b.Rows)))
+		r.stats.rowsIn.Add(int64(b.N))
 		if err := fn(b); err != nil {
 			return err
 		}
 	}
+}
+
+// stream runs a streaming operator: every batch of input 0 through fn,
+// whose result is emitted.
+func (r *runner) stream(fn func(*Batch) (*Batch, error)) error {
+	return r.drain(0, func(b *Batch) error {
+		var out *Batch
+		if err := r.work(func() (err error) {
+			out, err = fn(b)
+			return err
+		}); err != nil {
+			return err
+		}
+		if !r.emit(out) {
+			return errAborted
+		}
+		return nil
+	})
 }
 
 func (r *runner) run() {
@@ -361,20 +373,25 @@ func (r *runner) run() {
 }
 
 func (r *runner) runDatastore() error {
-	bs := r.ex.opts.BatchSize
-	for start := 0; start < r.ds.limit; start += bs {
-		var rows [][]expr.Value
+	cur := r.ds.view.Cursor(nil)
+	vecs := make([]*storage.Vector, len(r.ds.cols))
+	for {
+		var batches []*Batch
 		if err := r.work(func() error {
-			rows = r.ds.read(start, bs)
+			batches = r.ds.next(cur, vecs, r.ex.opts.BatchSize)
 			return nil
 		}); err != nil {
 			return err
 		}
-		if !r.emitRows(rows) {
-			return errAborted
+		if batches == nil {
+			return nil
+		}
+		for _, b := range batches {
+			if !r.emit(b) {
+				return errAborted
+			}
 		}
 	}
-	return nil
 }
 
 // runPassthrough forwards batches unchanged: Extraction (one input)
@@ -394,24 +411,11 @@ func (r *runner) runPassthrough() error {
 }
 
 func (r *runner) runSelection() error {
-	op, err := newSelectionOp(r.node, r.infds[0])
+	op, err := newVecSelection(r.node, r.infds[0])
 	if err != nil {
 		return err
 	}
-	return r.drain(0, func(b *Batch) error {
-		var out [][]expr.Value
-		if err := r.work(func() error {
-			var err error
-			out, err = op.filter(nil, b.Rows)
-			return err
-		}); err != nil {
-			return err
-		}
-		if !r.emitRows(out) {
-			return errAborted
-		}
-		return nil
-	})
+	return r.stream(op.filter)
 }
 
 func (r *runner) runProjection() error {
@@ -419,70 +423,39 @@ func (r *runner) runProjection() error {
 	if err != nil {
 		return err
 	}
-	return r.drain(0, func(b *Batch) error {
-		var out [][]expr.Value
-		if err := r.work(func() error {
-			out = op.apply(nil, b.Rows)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if !r.emitRows(out) {
-			return errAborted
-		}
-		return nil
-	})
+	return r.stream(func(b *Batch) (*Batch, error) { return pick(b, op.idx, 0), nil })
 }
 
 func (r *runner) runFunction() error {
-	op, err := newFunctionOp(r.node, r.infds[0], r.outfd)
+	op, err := newVecFunction(r.node, r.infds[0], r.outfd)
 	if err != nil {
 		return err
 	}
-	return r.drain(0, func(b *Batch) error {
-		var out [][]expr.Value
-		if err := r.work(func() error {
-			var err error
-			out, err = op.apply(nil, b.Rows)
-			return err
-		}); err != nil {
-			return err
-		}
-		if !r.emitRows(out) {
-			return errAborted
-		}
-		return nil
-	})
+	return r.stream(op.apply)
 }
 
 func (r *runner) runJoin() error {
-	op, err := newJoinOp(r.node, r.infds[0], r.infds[1], r.outfd)
+	op, err := newVecJoin(r.node, r.infds[0], r.infds[1], r.outfd)
 	if err != nil {
 		return err
 	}
 	// Build incrementally from the right input...
 	if err := r.drain(1, func(b *Batch) error {
 		return r.work(func() error {
-			op.addBuild(b.Rows)
+			op.addBuild(b)
 			return nil
 		})
 	}); err != nil {
 		return err
 	}
+	if r.ex.failed() {
+		return errAborted
+	}
+	if err := r.work(op.finishBuild); err != nil {
+		return err
+	}
 	// ...then stream the left input through the probe.
-	return r.drain(0, func(b *Batch) error {
-		var out [][]expr.Value
-		if err := r.work(func() error {
-			out = op.probe(nil, b.Rows)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if !r.emitRows(out) {
-			return errAborted
-		}
-		return nil
-	})
+	return r.stream(func(b *Batch) (*Batch, error) { return op.probeBatch(b), nil })
 }
 
 func (r *runner) runAggregation() error {
@@ -490,8 +463,19 @@ func (r *runner) runAggregation() error {
 	if err != nil {
 		return err
 	}
+	groups, measures := make([]Column, len(op.gIdx)), make([]Column, len(op.aggs))
 	if err := r.drain(0, func(b *Batch) error {
-		return r.work(func() error { return op.add(b.Rows) })
+		return r.work(func() error {
+			for g, p := range op.gIdx {
+				groups[g] = Column{Vec: b.Cols[p]}
+			}
+			for i, p := range op.aIdx {
+				if p >= 0 {
+					measures[i] = Column{Vec: b.Cols[p]}
+				}
+			}
+			return op.addVectors(b.N, groups, measures)
+		})
 	}); err != nil {
 		return err
 	}
@@ -499,16 +483,13 @@ func (r *runner) runAggregation() error {
 		return errAborted
 	}
 	var rows [][]expr.Value
-	if err := r.work(func() error {
-		rows = op.result()
-		return nil
+	if err := r.work(func() (err error) {
+		rows, err = op.result()
+		return err
 	}); err != nil {
 		return err
 	}
-	if !r.emitAll(rows) {
-		return errAborted
-	}
-	return nil
+	return r.emitAll(rows)
 }
 
 func (r *runner) runSort() error {
@@ -518,7 +499,7 @@ func (r *runner) runSort() error {
 	}
 	if err := r.drain(0, func(b *Batch) error {
 		return r.work(func() error {
-			op.add(b.Rows)
+			op.add(new(rowBuffer).of(b)) // kept: rows of their own
 			return nil
 		})
 	}); err != nil {
@@ -534,10 +515,7 @@ func (r *runner) runSort() error {
 	}); err != nil {
 		return err
 	}
-	if !r.emitAll(rows) {
-		return errAborted
-	}
-	return nil
+	return r.emitAll(rows)
 }
 
 func (r *runner) runSurrogateKey() error {
@@ -545,18 +523,11 @@ func (r *runner) runSurrogateKey() error {
 	if err != nil {
 		return err
 	}
-	return r.drain(0, func(b *Batch) error {
-		var out [][]expr.Value
-		if err := r.work(func() error {
-			out = op.apply(nil, b.Rows)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if !r.emitRows(out) {
-			return errAborted
-		}
-		return nil
+	var in rowBuffer
+	return r.stream(func(b *Batch) (*Batch, error) {
+		var out *Batch
+		out, r.vals = batchOf(op.apply(nil, in.of(b)), len(r.outfd), r.vals)
+		return out, nil
 	})
 }
 
@@ -589,12 +560,15 @@ func (r *runner) runLoader() error {
 		}
 		return err
 	}
+	// The batch's rows are built here, into scratch: the table copies
+	// what it keeps.
+	var rows rowBuffer
 	if err := r.drain(0, func(b *Batch) error {
 		return r.work(func() error {
 			if err := bind(); err != nil {
 				return err
 			}
-			return op.write(b.Rows)
+			return op.write(rows.of(b))
 		})
 	}); err != nil {
 		return err
@@ -619,7 +593,7 @@ func (r *runner) runLoader() error {
 
 // planLayouts is the executor's dead-column elimination: it decides,
 // per node, which columns of the logical schema (Node.Fields, which
-// stays what validation inferred) are physically present in the rows
+// stays what validation inferred) travel as vectors in the batches
 // shipped on the node's output edges.
 //
 // A reverse topological walk collects the columns each node's
@@ -633,8 +607,8 @@ func (r *runner) runLoader() error {
 // does not own it (a join's left columns to its right input, a derived
 // column to the input it is derived from) selects nothing.
 //
-// The forward walk turns the sets into layouts. Row-building operators
-// emit the wanted subsequence of their Fields; a Function or
+// The forward walk turns the sets into layouts. Column-building
+// operators emit the wanted subsequence of their Fields; a Function or
 // SurrogateKey always includes its derived column, so the expression
 // is evaluated and fails exactly where the full-width reference fails.
 // An Aggregation emits its whole (already narrow) result, and
@@ -810,7 +784,7 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 		}
 		switch n.Type {
 		case xlm.OpDatastore:
-			if r.ds, err = newDatastoreOp(n, db, r.outfd); err != nil {
+			if r.ds, err = newVecDatastore(n, db, r.outfd); err != nil {
 				return nil, fmt.Errorf("engine: node %q: %w", n.Name, err)
 			}
 		case xlm.OpLoader:

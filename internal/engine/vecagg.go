@@ -8,24 +8,36 @@ import (
 	"quarry/internal/storage"
 )
 
-// The aggregation kernel's vector entry: the OLAP fast path hands
-// HashAggregator.AddVectors a batch column by column — a dictionary
-// code per row for every group column, a typed vector for every
-// aggregate input — and the kernel folds it into the same aggStates
-// Add(rows) folds into. A row's state is found from its code tuple
-// (codeIndex), so no group value is hashed or compared per row; the
-// value-keyed table behind findOrCreate is consulted once per distinct
-// tuple, which keeps every grouping rule (NULLs group together, Int 3
-// groups with Float 3.0, -0 with +0, a NaN key with nothing) exactly
-// where Add has it. Result, Partials and Absorb see no difference.
+// The aggregation kernel's vector entry: the ETL executor and the OLAP
+// fast path hand HashAggregator.AddVectors a batch column by column,
+// and the kernel folds it into the same aggStates Add(rows) folds into.
+// Each group column is numbered by a dictCoder of the aggregator's own —
+// so codes mean the same value on every batch, whatever dictionaries
+// the batches arrive with — and a row's state is found from its code
+// tuple (codeIndex), so no group value is hashed or compared per row;
+// the value-keyed table behind findOrCreate is consulted once per
+// distinct tuple, which keeps every grouping rule (NULLs group together,
+// Int 3 groups with Float 3.0, -0 with +0, a NaN key with nothing)
+// exactly where Add has it. Result, Partials and Absorb see no
+// difference.
 
-// GroupVector is one group-by column of a vector batch: a code per row
-// and the value each code stands for (NULL is a value like any other).
-// Across the calls made on one aggregator a column's Dict may grow,
-// but an entry never changes; equal codes mean the identical value.
-type GroupVector struct {
+// groupCodes is one group column of a batch as the code index reads
+// it: a code per row and the value each code stands for. Across the
+// batches folded into one aggregator Dict may grow, but an entry never
+// changes; equal codes mean the identical value.
+type groupCodes struct {
 	Codes []uint32
 	Dict  []expr.Value
+}
+
+// vecState is the vector entry's scratch on an aggregationOp.
+type vecState struct {
+	byCode      *codeIndex // the code-tuple index over states
+	coders      []dictCoder
+	groups      []groupCodes
+	batchStates []*aggState       // each batch row's state
+	measures    []*storage.Vector // per aggregate: its input rows
+	gathered    []*storage.Vector // per aggregate: its selected input rows
 }
 
 // flatIndexBits is the widest packed key the codeIndex serves from a
@@ -51,7 +63,7 @@ type codeIndex struct {
 }
 
 // fits reports whether every dictionary still fits its bit field.
-func (x *codeIndex) fits(groups []GroupVector) bool {
+func (x *codeIndex) fits(groups []groupCodes) bool {
 	if x.width == nil {
 		return false
 	}
@@ -65,7 +77,7 @@ func (x *codeIndex) fits(groups []GroupVector) bool {
 
 // layout sizes the bit fields for the dictionaries as they are now and
 // re-registers every known tuple under the new keys.
-func (x *codeIndex) layout(groups []GroupVector) {
+func (x *codeIndex) layout(groups []groupCodes) {
 	x.width = make([]uint, len(groups))
 	x.shift = make([]uint, len(groups))
 	total := uint(0)
@@ -104,8 +116,8 @@ func (x *codeIndex) set(key uint64, entry int32) {
 // resolve fills sts with the group state of every batch row, creating
 // states — in first-seen order, through the value-keyed table — for
 // tuples not met before.
-func (o *aggregationOp) resolve(n int, groups []GroupVector, sts []*aggState) {
-	x := o.byCode
+func (o *aggregationOp) resolve(n int, groups []groupCodes, sts []*aggState) {
+	x := o.vec.byCode
 	if !x.fits(groups) {
 		x.layout(groups)
 	}
@@ -153,31 +165,70 @@ func (o *aggregationOp) resolve(n int, groups []GroupVector, sts []*aggState) {
 }
 
 // AddVectors folds a batch of n rows given column-wise: groups holds
-// one GroupVector per group column, measures one vector per aggregate
-// (nil for COUNT(*)), every one n rows long. It is Add for callers
-// that hold columns rather than rows and folds into the same states,
-// so the two may be mixed on one aggregator. Nothing passed in is
-// retained: the caller may overwrite the vectors once it returns
-// (TestAggregatorDoesNotRetainVectors).
-func (a *HashAggregator) AddVectors(n int, groups []GroupVector, measures []*storage.Vector) error {
+// one column per group column, measures one per aggregate (ignored for
+// COUNT(*)). It is Add for callers that hold columns rather than rows
+// and folds into the same states, so the two may be mixed on one
+// aggregator. Nothing passed in is retained but dictionaries, which no
+// vector ever changes: the caller may overwrite a vector's rows once
+// AddVectors returns (TestAggregatorDoesNotRetainVectors).
+func (a *HashAggregator) AddVectors(n int, groups, measures []Column) error {
 	o := a.op
 	if len(groups) != len(o.gIdx) || len(measures) != len(o.aggs) {
 		return fmt.Errorf("engine: vector batch has %d group and %d measure columns, aggregator expects %d and %d",
 			len(groups), len(measures), len(o.gIdx), len(o.aggs))
 	}
-	if err := o.checkSummable(n, measures); err != nil {
+	return o.addVectors(n, groups, measures)
+}
+
+func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
+	v := &o.vec
+	if v.byCode == nil {
+		v.byCode = &codeIndex{}
+		v.coders = make([]dictCoder, len(o.gIdx))
+		v.groups = make([]groupCodes, len(o.gIdx))
+		v.measures = make([]*storage.Vector, len(o.aggs))
+		v.gathered = make([]*storage.Vector, len(o.aggs))
+	}
+	// Measures are read whole: a selected column is gathered first, once
+	// for all the aggregates over it.
+	ms := v.measures
+	for i, m := range measures {
+		if o.aIdx[i] == -1 {
+			continue
+		}
+		if m.Sel == nil {
+			ms[i] = m.Vec
+			continue
+		}
+		ms[i] = nil
+		for j := range i {
+			if o.aIdx[j] != -1 && measures[j].same(m) {
+				ms[i] = ms[j]
+				break
+			}
+		}
+		if ms[i] == nil {
+			if v.gathered[i] == nil {
+				v.gathered[i] = &storage.Vector{}
+			}
+			m.Vec.Gather(v.gathered[i], m.Sel)
+			ms[i] = v.gathered[i]
+		}
+	}
+	if err := o.checkSummable(n, ms); err != nil {
 		return err
 	}
-	if o.byCode == nil {
-		o.byCode = &codeIndex{}
+	for g, col := range groups {
+		v.groups[g].Codes = v.coders[g].code(col, n, v.groups[g].Codes[:0])
+		v.groups[g].Dict = v.coders[g].dict
 	}
-	if cap(o.batchStates) < n {
-		o.batchStates = make([]*aggState, n)
+	if cap(v.batchStates) < n {
+		v.batchStates = make([]*aggState, n)
 	}
-	sts := o.batchStates[:n]
-	o.resolve(n, groups, sts)
+	sts := v.batchStates[:n]
+	o.resolve(n, v.groups, sts)
 	for i, spec := range o.aggs {
-		m := measures[i]
+		m := ms[i]
 		if o.aIdx[i] == -1 { // COUNT(*)
 			for _, st := range sts {
 				st.counts[i]++
@@ -194,23 +245,7 @@ func (a *HashAggregator) AddVectors(n int, groups []GroupVector, measures []*sto
 		case "MIN", "MAX":
 			foldExtreme(sts, i, m, spec.Func == "MIN")
 		default: // SUM, AVG
-			if m.Kind == expr.KindInt {
-				for r, st := range sts {
-					if !m.IsNull(r) {
-						st.counts[i]++
-						st.sums[i].Add(float64(m.Ints[r]))
-						st.intSums[i] += m.Ints[r]
-					}
-				}
-				continue
-			}
-			for r, st := range sts {
-				if !m.IsNull(r) {
-					st.counts[i]++
-					st.sums[i].Add(m.Floats[r])
-					st.sumIsInt[i] = false
-				}
-			}
+			foldSum(sts, i, m)
 		}
 	}
 	return nil
@@ -223,11 +258,11 @@ func (o *aggregationOp) checkSummable(n int, measures []*storage.Vector) error {
 	row, agg := n, -1
 	for i, spec := range o.aggs {
 		m := measures[i]
-		if spec.Func != "SUM" && spec.Func != "AVG" || m.Kind == expr.KindInt || m.Kind == expr.KindFloat {
+		if spec.Func != "SUM" && spec.Func != "AVG" || !m.Coded() {
 			continue
 		}
 		for r := 0; r < row; r++ {
-			if !m.IsNull(r) {
+			if !m.IsNull(r) && !m.Value(r).IsNumeric() {
 				row, agg = r, i
 			}
 		}
@@ -236,6 +271,44 @@ func (o *aggregationOp) checkSummable(n int, measures []*storage.Vector) error {
 		return nil
 	}
 	return fmt.Errorf("aggregation %s over non-numeric value %s", o.aggs[agg].Func, measures[agg].Value(row))
+}
+
+// foldSum folds one SUM (or AVG) input column, numeric by checkSummable,
+// into the states' running sums, by the row fold's rule.
+func foldSum(sts []*aggState, i int, m *storage.Vector) {
+	switch m.Kind {
+	case expr.KindInt:
+		for r, st := range sts {
+			if !m.IsNull(r) {
+				st.counts[i]++
+				st.sums[i].Add(float64(m.Ints[r]))
+				st.intSums[i] += m.Ints[r]
+			}
+		}
+	case expr.KindFloat:
+		for r, st := range sts {
+			if !m.IsNull(r) {
+				st.counts[i]++
+				st.sums[i].Add(m.Floats[r])
+				st.sumIsInt[i] = false
+			}
+		}
+	default: // mixed ints and floats
+		for r, st := range sts {
+			if m.IsNull(r) {
+				continue
+			}
+			v := m.Value(r)
+			f, _ := v.AsFloat()
+			st.counts[i]++
+			st.sums[i].Add(f)
+			if v.Kind() == expr.KindInt {
+				st.intSums[i] += v.AsInt()
+			} else {
+				st.sumIsInt[i] = false
+			}
+		}
+	}
 }
 
 // foldExtreme folds one MIN (or MAX) input column into the states'

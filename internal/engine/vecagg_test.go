@@ -79,6 +79,15 @@ func columnOf(rows [][]expr.Value, ci int, kind expr.Kind) *storage.Vector {
 	return v
 }
 
+// valuesAt is column ci of rows.
+func valuesAt(rows [][]expr.Value, ci int) []expr.Value {
+	vals := make([]expr.Value, len(rows))
+	for r, row := range rows {
+		vals[r] = row[ci]
+	}
+	return vals
+}
+
 // vectorCase is one aggregation both entries must answer alike: rows
 // hold the group columns first, then one column per measure kind.
 type vectorCase struct {
@@ -103,7 +112,6 @@ func (tc *vectorCase) run(t *testing.T, vectors bool) ([][]expr.Value, []AggPart
 	if err != nil {
 		t.Fatal(err)
 	}
-	coders := make([]testCoder, tc.groupCols)
 	for _, rows := range tc.batches {
 		if !vectors {
 			if err := a.Add(rows); err != nil {
@@ -111,17 +119,14 @@ func (tc *vectorCase) run(t *testing.T, vectors bool) ([][]expr.Value, []AggPart
 			}
 			continue
 		}
-		groups := make([]GroupVector, tc.groupCols)
+		groups := make([]Column, tc.groupCols)
 		for g := range groups {
-			for _, row := range rows {
-				groups[g].Codes = append(groups[g].Codes, coders[g].code(row[g]))
-			}
-			groups[g].Dict = coders[g].dict
+			groups[g] = Column{Vec: storage.VectorOf(valuesAt(rows, g))}
 		}
-		measures := make([]*storage.Vector, len(tc.aggs))
+		measures := make([]Column, len(tc.aggs))
 		for i, ci := range tc.aggIdx {
 			if ci >= 0 {
-				measures[i] = columnOf(rows, ci, tc.kinds[ci])
+				measures[i] = Column{Vec: columnOf(rows, ci, tc.kinds[ci])}
 			}
 		}
 		if err := a.AddVectors(len(rows), groups, measures); err != nil {
@@ -257,8 +262,8 @@ func TestAddVectorsMatchesAddRandom(t *testing.T) {
 				tc.batches = append(tc.batches, rows)
 			}
 			tc.check(t)
-			if !reached[name](tc.last.op.byCode) {
-				x := tc.last.op.byCode
+			if !reached[name](tc.last.op.vec.byCode) {
+				x := tc.last.op.vec.byCode
 				t.Fatalf("the %s index was not the one used: widths %v, flat %d, table %d, wide %v", name, x.width, len(x.flat), len(x.table), x.wide)
 			}
 		})
@@ -272,11 +277,9 @@ func TestAddVectorsSumOverStrings(t *testing.T) {
 	aggs := []xlm.AggSpec{{Func: "SUM", Col: "s", Out: "x"}}
 	byRows, _ := NewHashAggregator([]int{0}, aggs, []int{1})
 	byVecs, _ := NewHashAggregator([]int{0}, aggs, []int{1})
-	var coder testCoder
-	groups := []GroupVector{{Codes: []uint32{coder.code(rows[0][0]), coder.code(rows[1][0])}}}
-	groups[0].Dict = coder.dict
+	groups := []Column{{Vec: storage.VectorOf(valuesAt(rows, 0))}}
 	errRows := byRows.Add(rows)
-	errVecs := byVecs.AddVectors(2, groups, []*storage.Vector{columnOf(rows, 1, expr.KindString)})
+	errVecs := byVecs.AddVectors(2, groups, []Column{{Vec: columnOf(rows, 1, expr.KindString)}})
 	if errRows == nil || errVecs == nil || errRows.Error() != errVecs.Error() {
 		t.Fatalf("rows: %v; vectors: %v", errRows, errVecs)
 	}
@@ -303,16 +306,21 @@ func TestAggregatorDoesNotRetainVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coder testCoder
-	group := GroupVector{}
-	measures := make([]*storage.Vector, len(aggs))
+	group := &storage.Vector{}
+	measures := make([]Column, len(aggs))
 	scratch := map[int]*storage.Vector{}
-	for _, rows := range batches {
-		group.Codes = group.Codes[:0]
-		for _, row := range rows {
-			group.Codes = append(group.Codes, coder.code(row[0]))
+	refill := func(dst, fresh *storage.Vector) {
+		dst.Kind, dst.Dict = fresh.Kind, fresh.Dict // dictionaries are immutable
+		dst.Ints = append(dst.Ints[:0], fresh.Ints...)
+		dst.Floats = append(dst.Floats[:0], fresh.Floats...)
+		dst.Codes = append(dst.Codes[:0], fresh.Codes...)
+		dst.Nulls = append(dst.Nulls[:0], fresh.Nulls...)
+		if fresh.Nulls == nil {
+			dst.Nulls = nil
 		}
-		group.Dict = coder.dict
+	}
+	for _, rows := range batches {
+		refill(group, storage.VectorOf(valuesAt(rows, 0)))
 		for i, ci := range idx {
 			if ci < 0 {
 				continue
@@ -321,26 +329,18 @@ func TestAggregatorDoesNotRetainVectors(t *testing.T) {
 				scratch[ci] = &storage.Vector{}
 			}
 			// Refill the one vector per column in place.
-			fresh := columnOf(rows, ci, kinds[ci])
-			dst := scratch[ci]
-			dst.Kind, dst.Dict = fresh.Kind, fresh.Dict
-			dst.Ints = append(dst.Ints[:0], fresh.Ints...)
-			dst.Floats = append(dst.Floats[:0], fresh.Floats...)
-			dst.Codes = append(dst.Codes[:0], fresh.Codes...)
-			dst.Nulls = append(dst.Nulls[:0], fresh.Nulls...)
-			if fresh.Nulls == nil {
-				dst.Nulls = nil
-			}
-			measures[i] = dst
+			refill(scratch[ci], columnOf(rows, ci, kinds[ci]))
+			measures[i] = Column{Vec: scratch[ci]}
 		}
-		if err := a.AddVectors(len(rows), []GroupVector{group}, measures); err != nil {
+		if err := a.AddVectors(len(rows), []Column{{Vec: group}}, measures); err != nil {
 			t.Fatal(err)
 		}
 		// Scribble over everything handed in.
-		for i := range group.Codes {
-			group.Codes[i] = 0
-		}
+		scribbled := []*storage.Vector{group}
 		for _, v := range scratch {
+			scribbled = append(scribbled, v)
+		}
+		for _, v := range scribbled {
 			for i := range v.Ints {
 				v.Ints[i] = -99
 			}

@@ -4,13 +4,15 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"quarry/internal/engine"
 )
 
 // dimCache caches dimension build sides across queries (the ROADMAP's
 // "per-dimension build-side caching" item). The fast path rebuilds one
-// dimSide per joined dimension on every query; under concurrent
+// join index per joined dimension on every query; under concurrent
 // serving traffic the same few dimensions are rebuilt over and over.
-// The cache keys each built dimSide by the DB version, the dimension's
+// The cache keys each built side by the DB version, the dimension's
 // snapshotted row count and the exact join shape (reference column,
 // build projection, pushed-down predicates) — every input that
 // determines the built side. A republish bumps the version
@@ -33,7 +35,7 @@ type dimCache struct {
 }
 
 type dimCacheEntry struct {
-	side    *dimSide
+	side    *engine.JoinIndex
 	version uint64
 }
 
@@ -79,7 +81,7 @@ func (c *dimCache) advanceLocked(version uint64) {
 }
 
 // get returns the cached build side for the key at the given version.
-func (c *dimCache) get(version uint64, key string) (*dimSide, bool) {
+func (c *dimCache) get(version uint64, key string) (*engine.JoinIndex, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -103,7 +105,7 @@ func versionedKey(version uint64, key string) string {
 }
 
 // put publishes a fully built side for the key at the version.
-func (c *dimCache) put(version uint64, key string, side *dimSide) {
+func (c *dimCache) put(version uint64, key string, side *engine.JoinIndex) {
 	if c == nil {
 		return
 	}

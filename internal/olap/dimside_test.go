@@ -6,13 +6,14 @@ import (
 	"math"
 	"testing"
 
+	"quarry/internal/engine"
 	"quarry/internal/expr"
 	"quarry/internal/storage"
 )
 
-// sideOver builds the dimSide of a one-attribute dimension holding the
-// given keys, on a memory table or on checkpointed disk pages.
-func sideOver(t *testing.T, disk bool, keyType string, keys []expr.Value) *dimSide {
+// sideOver builds the build side of a one-attribute dimension holding
+// the given keys, on a memory table or on checkpointed disk pages.
+func sideOver(t *testing.T, disk bool, keyType string, keys []expr.Value) *engine.JoinIndex {
 	t.Helper()
 	db := storage.NewMemDB()
 	if disk {
@@ -45,13 +46,27 @@ func sideOver(t *testing.T, disk bool, keyType string, keys []expr.Value) *dimSi
 	return d
 }
 
-// matches walks a key's chain.
-func (d *dimSide) matches(k expr.Value) []int32 {
+// matches looks one key up and walks its chain.
+func matches(d *engine.JoinIndex, k expr.Value) []int32 {
+	first := make([]int32, 1)
+	d.Probe().Lookup(1, []*storage.Vector{storage.VectorOf([]expr.Value{k})}, first)
 	var rows []int32
-	for r := d.first(k); r >= 0; r = d.after(r) {
+	for r := first[0]; r >= 0; r = d.After(r) {
 		rows = append(rows, r)
 	}
 	return rows
+}
+
+// joined is the rule every index stands in for: the rows whose key is
+// Value.Equal to k, in insertion order (NULL joins nothing).
+func joined(keys []expr.Value, k expr.Value) []int32 {
+	var want []int32
+	for r, key := range keys {
+		if key.Equal(k) && !key.IsNull() {
+			want = append(want, int32(r))
+		}
+	}
+	return want
 }
 
 // TestDimSideIndexKinds holds each key index representation to the one
@@ -83,6 +98,8 @@ func TestDimSideIndexKinds(t *testing.T) {
 		{"dense int", "int", append(ints(105, 103, 100, 105, 139, 103, 105), expr.Null()), true},
 		{"dense int around zero", "int", ints(-7, 0, 3, 3, -7), true},
 		{"sparse int", "int", ints(5_000_000, 0, 3, 10_000_000, 3), false},
+		{"sparse int with NULL", "int", append(ints(5_000_000, 7), expr.Null()), false},
+		{"float with NULL", "float", []expr.Value{expr.Float(2.5), expr.Null()}, false},
 		{"int at 2^53", "int", ints(1<<53-1, 1<<53, 1<<53+1, 1<<53-2), false},
 		{"int at -2^53", "int", ints(-(1 << 53), -(1<<53 - 1)), false},
 		{"int extremes", "int", ints(math.MinInt64, math.MaxInt64, 0), false},
@@ -96,17 +113,12 @@ func TestDimSideIndexKinds(t *testing.T) {
 		for _, disk := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/disk=%v", tc.name, disk), func(t *testing.T) {
 				d := sideOver(t, disk, tc.keyType, tc.keys)
-				if (d.dense != nil) != tc.dense || (d.heads != nil) == tc.dense {
-					t.Fatalf("dense index: %v, code map: %v; want dense=%v", d.dense != nil, d.heads != nil, tc.dense)
+				if d.Dense() != tc.dense {
+					t.Fatalf("dense index: %v, want %v", d.Dense(), tc.dense)
 				}
 				for _, probe := range append(probes, tc.keys...) {
-					var want []int32
-					for r, k := range tc.keys {
-						if k.Equal(probe) && !k.IsNull() {
-							want = append(want, int32(r))
-						}
-					}
-					if got := d.matches(probe); fmt.Sprint(got) != fmt.Sprint(want) {
+					want := joined(tc.keys, probe)
+					if got := matches(d, probe); fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Fatalf("key %s joins rows %v, want %v", probe, got, want)
 					}
 				}
@@ -117,17 +129,18 @@ func TestDimSideIndexKinds(t *testing.T) {
 
 // TestDimSideLookupVectors runs the vector form of the lookup — typed
 // loops for int and float foreign keys, one lookup per dictionary entry
-// for strings and bools, NULLs matching nothing — against the per-value
-// lookup, for every pairing of foreign-key type and key index.
+// for strings and bools, NULLs matching nothing — against the rule, for
+// every pairing of foreign-key type and key index.
 func TestDimSideLookupVectors(t *testing.T) {
-	sides := map[string]*dimSide{
-		"dense":  sideOver(t, true, "int", []expr.Value{expr.Int(3), expr.Int(0), expr.Int(5), expr.Int(3)}),
-		"sparse": sideOver(t, true, "int", []expr.Value{expr.Int(3), expr.Int(0), expr.Int(1 << 40)}),
-		"float":  sideOver(t, true, "float", []expr.Value{expr.Float(3), expr.Float(0.5), expr.Float(0)}),
-		"string": sideOver(t, true, "string", []expr.Value{expr.Str("3"), expr.Str("a"), expr.Str("a")}),
-		"bool":   sideOver(t, true, "bool", []expr.Value{expr.Bool(false), expr.Bool(true)}),
-		"empty":  sideOver(t, true, "int", nil),
+	keys := map[string][]expr.Value{
+		"dense":  {expr.Int(3), expr.Int(0), expr.Int(5), expr.Int(3)},
+		"sparse": {expr.Int(3), expr.Int(0), expr.Int(1 << 40)},
+		"float":  {expr.Float(3), expr.Float(0.5), expr.Float(0)},
+		"string": {expr.Str("3"), expr.Str("a"), expr.Str("a")},
+		"bool":   {expr.Bool(false), expr.Bool(true)},
+		"empty":  nil,
 	}
+	types := map[string]string{"dense": "int", "sparse": "int", "float": "float", "string": "string", "bool": "bool", "empty": "int"}
 	fks := map[string][]expr.Value{
 		"int":    {expr.Int(3), expr.Null(), expr.Int(0), expr.Int(1 << 40), expr.Int(7), expr.Int(-1), expr.Int(5)},
 		"float":  {expr.Float(3), expr.Float(0.5), expr.Null(), expr.Float(math.NaN()), expr.Float(math.Copysign(0, -1)), expr.Float(1 << 40)},
@@ -156,13 +169,16 @@ func TestDimSideLookupVectors(t *testing.T) {
 		if n := view.Cursor(nil).NextVectors([]int{0}, vecs); n != len(vals) {
 			t.Fatalf("%d rows in the chunk, want %d", n, len(vals))
 		}
-		for name, d := range sides {
+		for name, ks := range keys {
 			out := make([]int32, len(vals))
-			var scratch []int32
-			d.lookup(vecs[0], out, &scratch)
+			sideOver(t, true, types[name], ks).Probe().Lookup(len(vals), vecs, out)
 			for i, v := range vals {
-				if want := d.first(v); out[i] != want {
-					t.Errorf("%s key index, %s foreign key %s: vector lookup says row %d, value lookup %d", name, fkType, v, out[i], want)
+				want := int32(-1)
+				if rows := joined(ks, v); rows != nil {
+					want = rows[0]
+				}
+				if out[i] != want {
+					t.Errorf("%s key index, %s foreign key %s: vector lookup says row %d, want %d", name, fkType, v, out[i], want)
 				}
 			}
 		}

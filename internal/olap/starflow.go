@@ -14,10 +14,12 @@ import (
 
 // The star-flow oracle answers the same cube queries by compiling the
 // shared plan to a throwaway xLM star flow and executing it with the
-// full ETL engine — the RunMaterializing pattern of PR 1: a second,
-// independent execution strategy kept as the correctness reference
-// the fast path is tested against (and the baseline its speedup is
-// measured from).
+// ETL engine's reference executor (engine.RunMaterializingContext): a
+// second, independent execution strategy kept as the correctness
+// reference the fast path is tested against (and the baseline its
+// speedup is measured from). The production executor and the fast path
+// share one join index, one vector filter and one aggregate entry
+// point; the reference runs the row kernels, so it shares none of them.
 //
 // Unlike the pre-PR-2 implementation, the flow never touches the
 // warehouse: it runs against a private scratch database holding
@@ -64,7 +66,7 @@ func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result
 		if err != nil {
 			return nil, err
 		}
-		if _, err := engine.RunContext(ctx, d, scratch); err != nil {
+		if _, err := engine.RunMaterializingContext(ctx, d, scratch); err != nil {
 			return nil, err
 		}
 		return readResult(scratch, p, snap.Version())
@@ -76,7 +78,7 @@ func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result
 	if err != nil {
 		return nil, err
 	}
-	if _, err := engine.RunContext(ctx, d1, scratch); err != nil {
+	if _, err := engine.RunMaterializingContext(ctx, d1, scratch); err != nil {
 		return nil, err
 	}
 	detail, ok := scratch.Table(detailTable)
@@ -106,7 +108,7 @@ func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result
 	if err != nil {
 		return nil, err
 	}
-	if _, err := engine.RunContext(ctx, d2, scratch); err != nil {
+	if _, err := engine.RunMaterializingContext(ctx, d2, scratch); err != nil {
 		return nil, err
 	}
 	return readResult(scratch, p, snap.Version())

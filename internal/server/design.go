@@ -265,6 +265,20 @@ type runResponse struct {
 	RowsProcessed int64            `json:"rows_processed"`
 	ElapsedMicros int64            `json:"elapsed_us"`
 	Operations    int              `json:"operations"`
+	// OperationsDetail is where the run's time went: one entry per
+	// operation, in topological order (engine.Result.Stats).
+	OperationsDetail []operationDetail `json:"operations_detail"`
+}
+
+// operationDetail is one operation of a run: its rows and its busy
+// time — the time it spent computing batches, waits on its inputs
+// excluded.
+type operationDetail struct {
+	Node    string  `json:"node"`
+	Type    string  `json:"type"`
+	RowsIn  int64   `json:"rows_in"`
+	RowsOut int64   `json:"rows_out"`
+	BusyMs  float64 `json:"busy_ms"`
 }
 
 // runRequest is the optional JSON body of POST /api/run; absent or
@@ -293,11 +307,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.WarehouseChanged()
+	detail := make([]operationDetail, len(res.Stats))
+	for i, st := range res.Stats {
+		detail[i] = operationDetail{Node: st.Node, Type: string(st.Type), RowsIn: st.RowsIn, RowsOut: st.RowsOut,
+			BusyMs: float64(st.Duration.Microseconds()) / 1e3}
+	}
 	writeJSON(w, http.StatusOK, runResponse{
-		Loaded:        res.Loaded,
-		RowsProcessed: res.RowsProcessed(),
-		ElapsedMicros: res.Elapsed.Microseconds(),
-		Operations:    len(res.Stats),
+		Loaded:           res.Loaded,
+		RowsProcessed:    res.RowsProcessed(),
+		ElapsedMicros:    res.Elapsed.Microseconds(),
+		Operations:       len(res.Stats),
+		OperationsDetail: detail,
 	})
 }
 

@@ -284,13 +284,34 @@ func TestRequirementLifecycleOverHTTP(t *testing.T) {
 	// Run.
 	run := postXML(t, ts, "/api/run", "", http.StatusOK)
 	var runBody struct {
-		Loaded map[string]int64 `json:"loaded"`
+		Loaded        map[string]int64 `json:"loaded"`
+		RowsProcessed int64            `json:"rows_processed"`
+		Operations    int              `json:"operations"`
+		Detail        []struct {
+			Node    string  `json:"node"`
+			Type    string  `json:"type"`
+			RowsIn  int64   `json:"rows_in"`
+			RowsOut int64   `json:"rows_out"`
+			BusyMs  float64 `json:"busy_ms"`
+		} `json:"operations_detail"`
 	}
 	if err := json.Unmarshal(run, &runBody); err != nil {
 		t.Fatal(err)
 	}
 	if runBody.Loaded["fact_table_revenue"] == 0 {
 		t.Errorf("run = %+v", runBody)
+	}
+	// The operator detail accounts for every operation and every row.
+	var rowsOut int64
+	for _, op := range runBody.Detail {
+		if op.Node == "" || op.Type == "" || op.BusyMs < 0 {
+			t.Errorf("operation detail %+v", op)
+		}
+		rowsOut += op.RowsOut
+	}
+	if len(runBody.Detail) != runBody.Operations || rowsOut != runBody.RowsProcessed {
+		t.Errorf("%d operations detailed with %d rows out, run reports %d operations and %d rows",
+			len(runBody.Detail), rowsOut, runBody.Operations, runBody.RowsProcessed)
 	}
 
 	// Run first, then ask an OLAP question over the deployed DW.

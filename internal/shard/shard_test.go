@@ -368,6 +368,40 @@ func TestMergeGlobalAggregateZeroRows(t *testing.T) {
 	}
 }
 
+// TestMergeIntSumOverflow: the gather decides an int SUM's overflow on
+// the merged multiset, through the wire's wrapped partial sums — a
+// shard whose own sum wrapped does not fail a merge whose total fits,
+// and a total that leaves int64 fails the merge instead of wrapping.
+func TestMergeIntSumOverflow(t *testing.T) {
+	aggs := []xlm.AggSpec{{Out: "total", Func: "SUM"}}
+	merge := func(shards ...[]int64) ([][]expr.Value, error) {
+		resps := make([]*PartialResponse, len(shards))
+		for s, vals := range shards {
+			agg, err := engine.NewHashAggregator(nil, aggs, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := make([][]expr.Value, len(vals))
+			for i, v := range vals {
+				rows[i] = []expr.Value{expr.Int(v)}
+			}
+			if err := agg.Add(rows); err != nil {
+				t.Fatal(err)
+			}
+			resps[s] = wireTrip(t, EncodePartial(s, len(shards), 1, []string{"total"}, 0, aggs, agg.Partials()))
+		}
+		_, rows, _, err := Merge(resps)
+		return rows, err
+	}
+	if _, err := merge([]int64{math.MaxInt64}, []int64{1}); err == nil || !strings.Contains(err.Error(), `aggregation SUM "total" overflows int64`) {
+		t.Fatalf("MaxInt64 + 1 across two shards: %v, want the overflow error", err)
+	}
+	rows, err := merge([]int64{math.MaxInt64, 1}, []int64{-1})
+	if err != nil || rows[0][0].Kind() != expr.KindInt || rows[0][0].AsInt() != math.MaxInt64 {
+		t.Fatalf("MaxInt64 + 1 - 1 with the first shard wrapped: %v, %v; want MaxInt64", rows, err)
+	}
+}
+
 func validResps(t *testing.T, count int, epoch uint64) []*PartialResponse {
 	t.Helper()
 	rows := testRows(60)

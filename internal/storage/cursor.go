@@ -17,10 +17,10 @@ package storage
 // nil.
 //
 // A cursor is read in one of two forms, over the same pages, with the
-// same pruning and the same Stats: Next hands out rows (the ETL
-// executor, the star-flow oracle, exports), NextVectors hands out a
-// chunk — a page — at a time as typed column vectors, for the asked
-// columns only (the OLAP fast path; see vector.go).
+// same pruning and the same Stats: Next hands out rows (exports and
+// the tools outside the engine), NextVectors hands out a chunk — a
+// page — at a time as typed column vectors, for the asked columns only
+// (the OLAP fast path and the ETL executor; see vector.go).
 
 import (
 	"sync/atomic"
@@ -112,6 +112,7 @@ type Cursor struct {
 	tail int // rows of the in-memory tail already returned
 
 	scratch []*Vector // NextVectors' tail vectors, reused per chunk
+	reused  bool      // the last NextVectors call handed out scratch
 
 	pagesRead    int
 	pagesSkipped int
@@ -217,7 +218,7 @@ func (c *Cursor) Next(max int) []Row {
 // tailChunk is how many tail rows NextVectors transposes at a time.
 const tailChunk = 1024
 
-// NextVectors is the chunk-at-a-time read of the OLAP fast path: it
+// NextVectors is the chunk-at-a-time read of the vector readers: it
 // fills out[i] with the vector of column cols[i] (a physical position)
 // over the next unpruned page — whole pages only, so a cursor is read
 // either through Next or through NextVectors, not both — and returns
@@ -227,6 +228,7 @@ const tailChunk = 1024
 // is transposed a tailChunk at a time into vectors the cursor reuses.
 // Either way the vectors are read-only and valid until the next call.
 func (c *Cursor) NextVectors(cols []int, out []*Vector) int {
+	c.reused = false
 	if s, ok := c.advance(); ok {
 		s.vectors(c.page, cols, out)
 		n := s.pages[c.page].rows
@@ -241,6 +243,7 @@ func (c *Cursor) NextVectors(cols []int, out []*Vector) int {
 		return 0
 	}
 	c.tail += len(rows)
+	c.reused = true
 	for len(c.scratch) < len(cols) {
 		c.scratch = append(c.scratch, &Vector{})
 	}
@@ -250,6 +253,11 @@ func (c *Cursor) NextVectors(cols []int, out []*Vector) int {
 	}
 	return len(rows)
 }
+
+// Reused reports whether the vectors of the last NextVectors call are
+// the cursor's own tail vectors, which the next call refills, rather
+// than page vectors that stay valid.
+func (c *Cursor) Reused() bool { return c.reused }
 
 // Stats reports how many pages the cursor decoded and how many its
 // zone maps pruned (so far).

@@ -1,10 +1,10 @@
 package storage
 
 // Vector is the typed, columnar decoded form of one column chunk: what
-// the OLAP fast path reads instead of rows. An int column is a
-// []int64, a float column a []float64; string and bool columns are a
-// code per row into the chunk's own dictionary. No expr.Value exists
-// per row — only per dictionary entry.
+// the OLAP fast path and the ETL executor read instead of rows. An int
+// column is a []int64, a float column a []float64; string and bool
+// columns are a code per row into the chunk's own dictionary. No
+// expr.Value exists per row — only per dictionary entry.
 //
 // Vectors handed out by a Cursor are shared and immutable.
 
@@ -18,17 +18,106 @@ import (
 // Vector holds the values of one column over a run of rows. Exactly
 // one of Ints, Floats and Codes is populated, chosen by Kind; a NULL
 // row holds a zero there and has its bit set in Nulls.
+//
+// Kind is KindNull for a column whose values are not all of one kind:
+// Codes then index a Dict whose entries keep each value's own kind.
+// Storage never makes one; the ETL executor does, from expression and
+// aggregate results (a Function that is Int on some rows and Float on
+// others).
 type Vector struct {
 	Kind   expr.Kind
 	Ints   []int64      // KindInt
 	Floats []float64    // KindFloat
-	Codes  []uint32     // KindString, KindBool: index into Dict
+	Codes  []uint32     // KindString, KindBool, KindNull: index into Dict
 	Dict   []expr.Value // entries may repeat (a run-length chunk has one per run)
 	Nulls  []uint64     // bit i set = row i is NULL; nil when no row is
 }
 
 // boolDict is the dictionary every bool vector shares.
 var boolDict = []expr.Value{expr.Bool(false), expr.Bool(true)}
+
+// Coded reports whether rows are codes into Dict rather than numbers.
+func (v *Vector) Coded() bool { return v.Kind != expr.KindInt && v.Kind != expr.KindFloat }
+
+// VectorOf builds the vector of a column from its values: the typed
+// form when every non-NULL value is of one kind (a string gets a
+// dictionary entry per row), the mixed form (KindNull) otherwise.
+func VectorOf(vals []expr.Value) *Vector {
+	v := &Vector{}
+	for _, x := range vals {
+		if x.IsNull() {
+			continue
+		}
+		if v.Kind == expr.KindNull {
+			v.Kind = x.Kind()
+		} else if x.Kind() != v.Kind {
+			v.Kind = expr.KindNull
+			break
+		}
+	}
+	n := len(vals)
+	switch v.Kind {
+	case expr.KindInt:
+		v.Ints = make([]int64, n)
+	case expr.KindFloat:
+		v.Floats = make([]float64, n)
+	case expr.KindBool:
+		v.Codes, v.Dict = make([]uint32, n), boolDict
+	default:
+		v.Codes, v.Dict = make([]uint32, n), make([]expr.Value, 0, n)
+	}
+	for i, x := range vals {
+		switch {
+		case x.IsNull():
+			if v.Nulls == nil {
+				v.Nulls = make([]uint64, (n+63)/64)
+			}
+			v.Nulls[i>>6] |= 1 << (uint(i) & 63)
+		case v.Kind == expr.KindInt:
+			v.Ints[i] = x.AsInt()
+		case v.Kind == expr.KindFloat:
+			v.Floats[i], _ = x.AsFloat()
+		case v.Kind == expr.KindBool:
+			if x.AsBool() {
+				v.Codes[i] = 1
+			}
+		default:
+			v.Codes[i] = uint32(len(v.Dict))
+			v.Dict = append(v.Dict, x)
+		}
+	}
+	return v
+}
+
+// Slice returns rows [lo, hi) of v as a vector sharing its buffers (the
+// NULL bitmap, which must start at row lo, excepted).
+func (v *Vector) Slice(lo, hi int) *Vector {
+	s := &Vector{Kind: v.Kind, Dict: v.Dict}
+	switch v.Kind {
+	case expr.KindInt:
+		s.Ints = v.Ints[lo:hi:hi]
+	case expr.KindFloat:
+		s.Floats = v.Floats[lo:hi:hi]
+	default:
+		s.Codes = v.Codes[lo:hi:hi]
+	}
+	for i := lo; v.Nulls != nil && i < hi; i++ {
+		if v.IsNull(i) {
+			if s.Nulls == nil {
+				s.Nulls = make([]uint64, (hi-lo+63)/64)
+			}
+			s.Nulls[(i-lo)>>6] |= 1 << (uint(i-lo) & 63)
+		}
+	}
+	return s
+}
+
+// Clone copies v's rows into buffers of its own; the dictionary, which
+// no vector ever changes, is shared.
+func (v *Vector) Clone() *Vector {
+	return &Vector{Kind: v.Kind, Dict: v.Dict, Ints: slices.Clone(v.Ints), Floats: slices.Clone(v.Floats),
+		Codes: slices.Clone(v.Codes), Nulls: slices.Clone(v.Nulls)}
+}
 
 // Len is the number of rows.
 func (v *Vector) Len() int {
