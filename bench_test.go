@@ -326,7 +326,7 @@ func BenchmarkScenarioB_IntegratedETLExecution(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			db := storage.NewDB()
+			db := storage.NewMemDB()
 			if _, err := tpch.Generate(db, sf, 42); err != nil {
 				b.Fatal(err)
 			}
@@ -726,11 +726,10 @@ func BenchmarkOLAPQuery_ScanGroup_SF200(b *testing.B) {
 	benchScanQuery(b, benchScanGroupQuery())
 }
 
-// BenchmarkOLAPQuery_ScanGroup_SF200_Mem is ScanGroup_SF200 over the
-// in-memory backend, whose tables hold rows only: every query
-// transposes the rows it reads into vectors, where the disk backend
-// serves decoded vectors from its buffer pool. The gap between the two
-// is the price of that transposition. Not gated.
+// BenchmarkOLAPQuery_ScanGroup_SF200_Mem is ScanGroup_SF200 over a
+// database without a directory: the same pages, kept on the heap
+// instead of mapped from files, so the two should read alike. Not
+// gated.
 func BenchmarkOLAPQuery_ScanGroup_SF200_Mem(b *testing.B) {
 	p := benchWarehouseIn(b, quarry.NewMemDB(), 200, quarry.CanonicalRequirements()...)
 	benchQueryOn(b, p, benchScanGroupQuery())

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	quarryd [-addr :8080] [-sf 10] [-seed 42] [-store DIR]
-//	        [-data-dir DIR] [-compact]
+//	        [-data-dir DIR]
 //	        [-parallelism 0] [-batch-size 0]
 //	        [-olap-concurrency 0] [-olap-cache 256]
 //	        [-slo-target 0] [-shed-policy expensive-first] [-default-deadline 0]
@@ -31,10 +31,8 @@
 // With -data-dir the warehouse lives in a paged on-disk store: the
 // first start generates and checkpoints the micro-TPC-H sources, a
 // restart recovers the last committed version — sources and any
-// deployed DW tables — and skips regeneration. -compact folds each
-// recovered table into a single freshly encoded segment before
-// serving, which also rewrites legacy format-1 directories into the
-// compressed format-2 encodings.
+// deployed DW tables — and skips regeneration. Without it the same
+// paged store keeps its segments in memory.
 //
 // With -replica-of the node starts as a read replica of the named
 // primary: it ships committed segments from the primary into its own
@@ -84,7 +82,6 @@ var (
 	seed            = flag.Int64("seed", 42, "data generator seed")
 	store           = flag.String("store", "", "metadata repository directory (empty: in-memory)")
 	dataDir         = flag.String("data-dir", "", "disk-backed warehouse directory (empty: in-memory); reopening recovers the committed tables and skips generation")
-	compact         = flag.Bool("compact", false, "compact the recovered warehouse before serving (merges delta segments; rewrites legacy format-1 segments into compressed format 2)")
 	parallelism     = flag.Int("parallelism", 0, "ETL engine worker pool size (0: GOMAXPROCS)")
 	batchSize       = flag.Int("batch-size", 0, "ETL engine rows per batch (0: engine default)")
 	olapConc        = flag.Int("olap-concurrency", 0, "max concurrent OLAP queries (0: 2×GOMAXPROCS)")
@@ -132,7 +129,7 @@ func main() {
 			log.Fatalf("quarryd: %v", err)
 		}
 	} else {
-		db = storage.NewDB()
+		db = storage.NewMemDB()
 	}
 	// A directory counts as recovered only when it holds committed
 	// DATA, not just schema: a crash during a previous start's
@@ -143,17 +140,12 @@ func main() {
 	if li, ok := db.Table("lineitem"); ok && li.NumRows() > 0 {
 		log.Printf("quarryd: recovered %d tables at version %d from %s; skipping generation (-sf/-seed ignored: the warehouse keeps the scale it was generated at)",
 			len(db.TableNames()), db.Version(), *dataDir)
-		if *compact {
-			if err := db.Compact(); err != nil {
-				log.Fatalf("quarryd: compacting %s: %v", *dataDir, err)
-			}
-		}
 	} else {
 		if _, err := tpch.Generate(db, *sf, *seed); err != nil {
 			log.Fatalf("quarryd: %v", err)
 		}
-		// Commit the generated sources so a restart recovers them
-		// (no-op for the in-memory backend).
+		// Commit the generated sources — encoded into pages, and with
+		// -data-dir persisted so a restart recovers them.
 		if err := db.Checkpoint(); err != nil {
 			log.Fatalf("quarryd: checkpointing %s: %v", *dataDir, err)
 		}

@@ -103,7 +103,7 @@ func answers(t *testing.T, p *quarry.Platform, label string) []*olap.Result {
 }
 
 func TestDiskRestartByteIdenticalToMemory(t *testing.T) {
-	// Oracle run: the in-memory backend end to end.
+	// Oracle run: a database without a directory, end to end.
 	memDB := quarry.NewMemDB()
 	if _, err := tpch.Generate(memDB, 5, 42); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func newPlatform(t *testing.T, sf float64) *Platform {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, sf, 42); err != nil {
 		t.Fatal(err)
 	}

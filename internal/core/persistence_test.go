@@ -26,7 +26,7 @@ func newPersistentPlatform(t *testing.T, dir string) *Platform {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, 1, 42); err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestAppendModeFailedRunLeavesLiveTableUntouched(t *testing.T) {
 	}
 	for mode, run := range runs {
 		t.Run(mode, func(t *testing.T) {
-			db := storage.NewDB()
+			db := storage.NewMemDB()
 			src, err := db.CreateTable("src", []storage.Column{{Name: "a", Type: "int"}})
 			if err != nil {
 				t.Fatal(err)
@@ -189,7 +189,7 @@ func TestDiskRunCrashAtCommitRecoversPreviousVersion(t *testing.T) {
 // contract directly at the storage layer: rows staged in a delta are
 // invisible to the live table until CommitRun merges them.
 func TestAppendDeltaInvisibleBeforeCommit(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	live, err := db.CreateTable("t", []storage.Column{{Name: "x", Type: "int"}})
 	if err != nil {
 		t.Fatal(err)

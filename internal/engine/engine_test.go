@@ -13,7 +13,7 @@ import (
 // miniDB populates a three-table source: lineitem / supplier / nation.
 func miniDB(t *testing.T) *storage.DB {
 	t.Helper()
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	sup, err := db.CreateTable("supplier", []storage.Column{
 		{Name: "s_suppkey", Type: "int"},
 		{Name: "s_name", Type: "string"},
@@ -130,7 +130,7 @@ func TestRunRevenueFlow(t *testing.T) {
 }
 
 func TestProjectionUnionSortSK(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	a, _ := db.CreateTable("a", []storage.Column{{Name: "k", Type: "int"}, {Name: "v", Type: "string"}})
 	b, _ := db.CreateTable("b", []storage.Column{{Name: "k", Type: "int"}, {Name: "v", Type: "string"}})
 	a.InsertAll([]storage.Row{{expr.Int(2), expr.Str("x")}, {expr.Int(1), expr.Str("y")}})
@@ -175,7 +175,7 @@ func TestProjectionUnionSortSK(t *testing.T) {
 }
 
 func TestAggregationSemantics(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	tb, _ := db.CreateTable("t", []storage.Column{{Name: "g", Type: "string"}, {Name: "x", Type: "int"}})
 	tb.InsertAll([]storage.Row{
 		{expr.Str("a"), expr.Int(1)},
@@ -223,7 +223,7 @@ func TestAggregationSemantics(t *testing.T) {
 }
 
 func TestGlobalAggregateOverEmptyInput(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	db.CreateTable("t", []storage.Column{{Name: "x", Type: "int"}})
 	d := xlm.NewDesign("agg0")
 	d.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
@@ -246,7 +246,7 @@ func TestGlobalAggregateOverEmptyInput(t *testing.T) {
 }
 
 func TestJoinNullKeysNeverMatch(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	l, _ := db.CreateTable("l", []storage.Column{{Name: "k", Type: "int"}})
 	r, _ := db.CreateTable("r", []storage.Column{{Name: "rk", Type: "int"}, {Name: "v", Type: "string"}})
 	l.InsertAll([]storage.Row{{expr.Null()}, {expr.Int(1)}})
@@ -269,7 +269,7 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 }
 
 func TestLoaderAppendMode(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	tb, _ := db.CreateTable("t", []storage.Column{{Name: "x", Type: "int"}})
 	tb.Insert(storage.Row{expr.Int(1)})
 	mk := func(mode string) *xlm.Design {
@@ -309,7 +309,7 @@ func TestLoaderAppendMode(t *testing.T) {
 func TestLoaderAppendRemapsByName(t *testing.T) {
 	for _, mode := range []string{"materializing", "pipelined"} {
 		t.Run(mode, func(t *testing.T) {
-			db := storage.NewDB()
+			db := storage.NewMemDB()
 			sink, _ := db.CreateTable("sink", []storage.Column{
 				{Name: "x", Type: "int"}, {Name: "y", Type: "int"},
 			})
@@ -348,7 +348,7 @@ func TestLoaderAppendRemapsByName(t *testing.T) {
 
 func TestLoaderAppendSchemaMismatch(t *testing.T) {
 	mk := func(srcCols []storage.Column, sinkCols []storage.Column, fields []xlm.Field) (*xlm.Design, *storage.DB) {
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		db.CreateTable("t", srcCols)
 		db.CreateTable("sink", sinkCols)
 		d := xlm.NewDesign("append_mismatch")
@@ -403,7 +403,7 @@ func TestLoaderAppendSchemaMismatch(t *testing.T) {
 // pre-existing target table with an empty one.
 func TestFailedRunLeavesTargetsUntouched(t *testing.T) {
 	mkDB := func() *storage.DB {
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		src, _ := db.CreateTable("t", []storage.Column{{Name: "k", Type: "int"}})
 		src.Insert(storage.Row{expr.Int(1)})
 		out, _ := db.CreateTable("out", []storage.Column{{Name: "old", Type: "int"}})
@@ -501,7 +501,7 @@ func TestDeadFunctionStillFails(t *testing.T) {
 func TestSourceColumnOrderIndependence(t *testing.T) {
 	// The xLM datastore schema may list columns in a different order
 	// than the physical table; extraction must map by name.
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	tb, _ := db.CreateTable("t", []storage.Column{
 		{Name: "a", Type: "int"}, {Name: "b", Type: "string"},
 	})
@@ -559,7 +559,7 @@ func TestSharedPrefixForkExecutesOnce(t *testing.T) {
 }
 
 func BenchmarkJoinAggregate(b *testing.B) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	li, _ := db.CreateTable("lineitem", []storage.Column{
 		{Name: "l_suppkey", Type: "int"},
 		{Name: "l_extendedprice", Type: "float"},
@@ -597,7 +597,7 @@ func BenchmarkJoinAggregate(b *testing.B) {
 // every run — even one that reloads identical data — is observable to
 // version-keyed caches.
 func TestRunCommitsAtomically(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	src, err := db.CreateTable("src", []storage.Column{{Name: "k", Type: "int"}, {Name: "v", Type: "int"}})
 	if err != nil {
 		t.Fatal(err)

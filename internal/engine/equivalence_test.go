@@ -138,7 +138,7 @@ func TestEquivalenceSharedPrefixFork(t *testing.T) {
 
 func TestEquivalenceUnionSortSurrogate(t *testing.T) {
 	mkDB := func() *storage.DB {
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		r := rand.New(rand.NewSource(7))
 		randTable(r, db, "a", 300)
 		randTable(r, db, "b", 150)
@@ -170,7 +170,7 @@ func TestEquivalenceSharedTargetLoaders(t *testing.T) {
 	for _, mode := range []string{"append", "replace"} {
 		t.Run(mode, func(t *testing.T) {
 			mkDB := func() *storage.DB {
-				db := storage.NewDB()
+				db := storage.NewMemDB()
 				r := rand.New(rand.NewSource(11))
 				randTable(r, db, "a", 400)
 				randTable(r, db, "b", 250)
@@ -362,7 +362,7 @@ func TestEquivalenceRandomDesigns(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			d := randomDesign(rand.New(rand.NewSource(seed)))
 			mkDB := func() *storage.DB {
-				db := storage.NewDB()
+				db := storage.NewMemDB()
 				r := rand.New(rand.NewSource(seed + 1000))
 				randTable(r, db, "t", 200+r.Intn(400))
 				// uk repeats, so the join fans out past its input batch.
@@ -402,7 +402,7 @@ func TestEquivalenceTPCHCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mkDB := func() *storage.DB {
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		if _, err := tpch.Generate(db, 1, 42); err != nil {
 			t.Fatal(err)
 		}

@@ -122,7 +122,7 @@ func TestSlabRowsSharedAcrossConsumers(t *testing.T) {
 	d.AddEdge("J", "L_join")
 	d.AddEdge("AGG", "L_agg")
 	mkDB := func() *storage.DB {
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		if _, err := tpch.Generate(db, 5, 42); err != nil {
 			t.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func TestIntSumOverflowFailsTheRun(t *testing.T) {
 		d.AddEdge("DS", "AGG")
 		d.AddEdge("AGG", "OUT")
 		for name, run := range map[string]func(*xlm.Design, *storage.DB) (*Result, error){"reference": RunMaterializing, "pipelined": Run} {
-			db := storage.NewDB()
+			db := storage.NewMemDB()
 			src, _ := db.CreateTable("src", []storage.Column{{Name: "v", Type: "int"}})
 			for _, v := range tc.vals {
 				src.Insert(storage.Row{expr.Int(v)})

@@ -17,7 +17,7 @@ import (
 // materializing-vs-pipelined speedup is tracked on.
 func benchIntegratedDesign(b testing.TB, sf float64) (*xlm.Design, *storage.DB) {
 	b.Helper()
-	return benchIntegratedDesignIn(b, sf, storage.NewDB())
+	return benchIntegratedDesignIn(b, sf, storage.NewMemDB())
 }
 
 // benchIntegratedDesignIn generates the workload into a

@@ -74,7 +74,7 @@ func runFlow(db *storage.DB, mid ...*xlm.Node) (*storage.Table, error) {
 func TestQuickSelectionMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		src := randTable(r, db, "t", 50+r.Intn(100))
 		threshold := float64(r.Intn(250))
 		pred := fmt.Sprintf("x > %g", threshold)
@@ -105,7 +105,7 @@ func TestQuickSelectionMatchesReference(t *testing.T) {
 func TestQuickAggregationMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		src := randTable(r, db, "t", 80+r.Intn(120))
 		out, err := runFlow(db, &xlm.Node{Name: "AGG", Type: xlm.OpAggregation,
 			Params: map[string]string{"group": "g", "aggregates": "s:SUM:x; c:COUNT:x; a:AVG:x"}})
@@ -162,7 +162,7 @@ func approxEq(a, b float64) bool {
 func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		l, _ := db.CreateOrReplaceTable("l", []storage.Column{{Name: "lk", Type: "int"}, {Name: "lv", Type: "float"}})
 		rt, _ := db.CreateOrReplaceTable("r", []storage.Column{{Name: "rk", Type: "int"}, {Name: "rv", Type: "string"}})
 		for i := 0; i < 30+r.Intn(50); i++ {
@@ -236,7 +236,7 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 func TestQuickSelectionFunctionCommute(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		randTable(r, db, "t", 60+r.Intn(60))
 		threshold := float64(r.Intn(200))
 		sel := func(name string) *xlm.Node {
@@ -285,7 +285,7 @@ func sumCol(t *storage.Table, col string) float64 {
 func TestQuickSurrogateKeyDense(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		randTable(r, db, "t", 50+r.Intn(100))
 		out, err := runFlow(db, &xlm.Node{Name: "SK", Type: xlm.OpSurrogateKey,
 			Params: map[string]string{"key": "sk", "on": "g"}})

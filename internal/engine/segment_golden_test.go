@@ -35,37 +35,66 @@ func segmentDigests(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// TestSegmentBytesGolden pins the bytes the disk backend writes: the
-// SF 5 canonical warehouse — the generated sources checkpointed, then
-// the unified flow of the four canonical requirements run and
-// committed, the path POST /api/run takes — must leave segment files
-// whose digests equal the ones recorded before the page encoder was
-// rebuilt on vectors and the commit made parallel. Page boundaries,
+// heapDigests is segmentDigests of a database without a directory: the
+// sha-256 of each table's heap segments, in segment order.
+func heapDigests(t *testing.T, db *storage.DB) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, name := range db.TableNames() {
+		segs, _ := db.SegmentBytes(name)
+		h := sha256.New()
+		for _, b := range segs {
+			h.Write(b)
+		}
+		out[name] = fmt.Sprintf("%x", h.Sum(nil))
+	}
+	return out
+}
+
+// TestSegmentBytesGolden pins the bytes the store writes: the SF 5
+// canonical warehouse — the generated sources checkpointed, then the
+// unified flow of the four canonical requirements run and committed,
+// the path POST /api/run takes — must leave segment files whose
+// digests equal the ones recorded before the page encoder was rebuilt
+// on vectors and the commit made parallel, and a database without a
+// directory must hold the same bytes on its heap. Page boundaries,
 // encoding choices, dictionary order and padding all show here; the
 // benchmark's disk_mb must stay bit-equal, and this says so first. (A
 // failure prints each table's new digest, should a format change ever
 // be deliberate.)
 func TestSegmentBytesGolden(t *testing.T) {
 	dir := t.TempDir()
-	db, err := storage.Open(dir)
+	disk, err := storage.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := benchIntegratedDesignIn(t, 5, db)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(d, db); err != nil {
-		t.Fatal(err)
-	}
-	got := segmentDigests(t, dir)
-	if len(got) != len(goldenSegments) {
-		t.Errorf("%d tables on disk, golden has %d", len(got), len(goldenSegments))
-	}
-	for name, want := range goldenSegments {
-		if got[name] != want {
-			t.Errorf("table %s: segment sha-256 %s, golden %s", name, got[name], want)
-		}
+	heap := storage.NewMemDB()
+	for _, st := range []struct {
+		name    string
+		db      *storage.DB
+		digests func() map[string]string
+	}{
+		{"files", disk, func() map[string]string { return segmentDigests(t, dir) }},
+		{"heap", heap, func() map[string]string { return heapDigests(t, heap) }},
+	} {
+		t.Run(st.name, func(t *testing.T) {
+			d, _ := benchIntegratedDesignIn(t, 5, st.db)
+			if err := st.db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(d, st.db); err != nil {
+				t.Fatal(err)
+			}
+			got := st.digests()
+			if len(got) != len(goldenSegments) {
+				t.Errorf("%d tables committed, golden has %d", len(got), len(goldenSegments))
+			}
+			for name, want := range goldenSegments {
+				if got[name] != want {
+					t.Errorf("table %s: segment sha-256 %s, golden %s", name, got[name], want)
+				}
+			}
+		})
 	}
 }
 

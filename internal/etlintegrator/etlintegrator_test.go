@@ -276,7 +276,7 @@ func TestReorderingHoistsSelection(t *testing.T) {
 // TestHoistPreservesSemantics executes the flows before and after a
 // hoisting integration and compares loaded results.
 func TestHoistPreservesSemantics(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	tb, _ := db.CreateTable("t", []storage.Column{
 		{Name: "a", Type: "int"}, {Name: "b", Type: "float"}, {Name: "g", Type: "string"},
 	})

@@ -219,7 +219,7 @@ func TestEndToEndExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, 1, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestDimensionTableContents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	sz, err := tpch.Generate(db, 1, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func TestCrossStoreRequirement(t *testing.T) {
 		t.Fatalf("flow stores = %v, want both", stores)
 	}
 	// And executes end to end.
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.GenerateMultiStore(db, 2, 42); err != nil {
 		t.Fatal(err)
 	}

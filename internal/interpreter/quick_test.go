@@ -56,7 +56,7 @@ func TestQuickInterpretationDeterministic(t *testing.T) {
 // shrink).
 func TestGeneratedRequirementsExecute(t *testing.T) {
 	in := newTPCH(t)
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	sz, err := tpch.Generate(db, 1, 42)
 	if err != nil {
 		t.Fatal(err)

@@ -106,7 +106,7 @@ func diceFixture(t *testing.T) *olap.Engine {
 		}
 	}
 
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	stores, err := db.CreateTable("stores", []storage.Column{{Name: "sid", Type: "int"}, {Name: "store_name", Type: "string"}})
 	if err != nil {
 		t.Fatal(err)

@@ -42,9 +42,9 @@
 // version and thereby invalidates all of it implicitly.
 //
 // The layer reads the warehouse exclusively through
-// storage.Snapshot/TableView cursors, so it is oblivious to the
-// storage backend: in-memory and paged disk-backed warehouses serve
-// identically (the cursors page through the disk store's buffer pool).
+// storage.Snapshot/TableView cursors, so it is oblivious to where the
+// store keeps its segments: in memory or in a directory, the cursors
+// page through the store's buffer pool.
 package olap
 
 import (

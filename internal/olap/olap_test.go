@@ -27,7 +27,7 @@ func deployedPlatform(t *testing.T) (*core.Platform, *storage.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, 5, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestOLAPRequiresDesign(t *testing.T) {
 	o, _ := tpch.Ontology()
 	m, _ := tpch.Mapping()
 	c, _ := tpch.Catalog(1)
-	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: storage.NewDB()})
+	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: storage.NewMemDB()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package olap_test
 // Byte-identity suite for the storage-v2 fast-path machinery: filter
 // pushdown into zone-map-pruning cursors and dictionary-coded group
 // keys must leave every answer byte-identical — fast path vs star-flow
-// oracle, disk vs memory backend, pruning on vs off, and across a cold
+// oracle, with vs without a directory, pruning on vs off, and across a cold
 // restart of the disk warehouse.
 
 import (

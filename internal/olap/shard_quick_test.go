@@ -39,7 +39,7 @@ func shardedPlatforms(t *testing.T, sf float64, seed int64, count int, reqs ...*
 	}
 	out := make([]*core.Platform, count)
 	for i := 0; i < count; i++ {
-		db := storage.NewDB()
+		db := storage.NewMemDB()
 		if _, err := tpch.Generate(db, sf, seed); err != nil {
 			t.Fatal(err)
 		}

@@ -51,15 +51,17 @@ func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result
 	if err != nil {
 		return nil, err
 	}
-	// Private scratch DB sharing frozen views of the deployed tables.
-	// Always in-memory, even under QUARRY_STORAGE=disk: the scratch DB
-	// lives for one query and only re-reads frozen snapshot views.
+	// Private scratch DB sharing frozen views of the deployed tables,
+	// published in one commit. It has no directory, so it keeps
+	// referring to the warehouse's segments instead of copying them.
 	scratch := storage.NewMemDB()
-	for _, name := range p.tables {
+	views := make([]*storage.Table, len(p.tables))
+	for i, name := range p.tables {
 		view, _ := snap.Table(name)
-		if err := scratch.Attach(view.Freeze()); err != nil {
-			return nil, err
-		}
+		views[i] = view.Freeze()
+	}
+	if err := scratch.PublishAll(views); err != nil {
+		return nil, err
 	}
 	if p.dice == nil {
 		d, err := buildStarFlow(p, true)

@@ -29,7 +29,7 @@ func platformWith(t testing.TB, sf float64, seed int64, reqs ...*xrq.Requirement
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, sf, seed); err != nil {
 		t.Fatal(err)
 	}

@@ -141,12 +141,21 @@ func TestSyncerConverges(t *testing.T) {
 	}
 	assertTablesEqual(t, pdb, rdb)
 
-	// Same-version compaction: the manifest bytes change but not the
-	// version; byte-equality (not version equality) must drive the
-	// adoption, or the replica would keep referencing segments the
-	// primary GC'd.
-	if err := pdb.Compact(); err != nil {
-		t.Fatal(err)
+	// Same-version compaction: checkpoints add a segment each at the
+	// same version until the one past the threshold folds them all. The
+	// manifest bytes change but not the version; byte-equality (not
+	// version equality) must drive the adoption, or the replica would
+	// keep referencing segments the primary GC'd.
+	for i := 300; pdb.DiskStats()["alpha"].Segments > 1; i++ {
+		if err := tbl.Insert(testRow(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := pdb.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if i > 400 {
+			t.Fatal("checkpoints never compacted alpha")
+		}
 	}
 	rep, err = sy.Sync(t.Context())
 	if err != nil {
@@ -297,10 +306,26 @@ func TestSyncerEmptyPrimary(t *testing.T) {
 // the manifest protocol IS the disk layout, so an in-memory replica is
 // rejected up front.
 func TestSyncerRequiresDiskBackedReplica(t *testing.T) {
-	// NewMemDB, not NewDB: the point is a genuinely memory-backed
-	// replica even when QUARRY_STORAGE=disk redirects NewDB.
 	if _, err := replication.NewSyncer(storage.NewMemDB(), &replication.DirSource{Dir: t.TempDir()}, "x"); err == nil {
 		t.Fatal("in-memory replica accepted")
+	}
+}
+
+// TestSyncerRejectsFormat1: a primary directory in the format-1 layout
+// of earlier releases fails the pass with an error naming the format,
+// and the replica keeps its (empty) catalog.
+func TestSyncerRejectsFormat1(t *testing.T) {
+	pdir := t.TempDir()
+	man := `{"format":1,"version":3,"tables":[]}`
+	if err := os.WriteFile(filepath.Join(pdir, "manifest.json"), []byte(man), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rdb, sy := newReplica(t, pdir)
+	if _, err := sy.Sync(t.Context()); err == nil || !strings.Contains(err.Error(), "format 1") {
+		t.Fatalf("sync of a format-1 primary: err = %v", err)
+	}
+	if rdb.Version() != 0 || len(rdb.TableNames()) != 0 {
+		t.Fatalf("a refused sync installed version %d, tables %v", rdb.Version(), rdb.TableNames())
 	}
 }
 

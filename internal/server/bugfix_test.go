@@ -60,7 +60,7 @@ func deployedTestPlatform(t *testing.T, sf float64) *core.Platform {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, sf, 42); err != nil {
 		t.Fatal(err)
 	}

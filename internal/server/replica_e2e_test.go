@@ -346,9 +346,7 @@ func TestReplicationEndpoints(t *testing.T) {
 	get(t, primary.ts, "/api/replication/segment/..%2Fmanifest.json", http.StatusBadRequest)
 	get(t, primary.ts, "/api/replication/segment/not-a-segment", http.StatusBadRequest)
 
-	// An in-memory primary has no feed. NewMemDB, not NewDB: this
-	// must stay memory-backed even when QUARRY_STORAGE=disk redirects
-	// NewDB to a disk store.
+	// A primary without a directory has no feed.
 	o, err := tpch.Ontology()
 	if err != nil {
 		t.Fatal(err)

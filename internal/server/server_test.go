@@ -27,7 +27,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, 1, 42); err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func shardedTestPlatform(t *testing.T, sf float64, spec shard.Spec) *core.Platfo
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, sf, 42); err != nil {
 		t.Fatal(err)
 	}

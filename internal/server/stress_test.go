@@ -32,7 +32,7 @@ func stressServer(t *testing.T, opts Options, mataggTopK int) (*httptest.Server,
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, 2, 42); err != nil {
 		t.Fatal(err)
 	}

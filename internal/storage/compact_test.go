@@ -10,8 +10,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-
-	"quarry/internal/expr"
 )
 
 // appendMixed commits n rows onto the live table via an append delta.
@@ -35,11 +33,11 @@ func appendMixed(t *testing.T, db *DB, base, n int) {
 	}
 }
 
-// TestAutoCompactionBoundsSegments: with QUARRY_COMPACT_SEGMENTS=2,
-// repeated append commits must never leave more than 2 segments, and
-// the compacted table stays byte-identical to the append history.
+// TestAutoCompactionBoundsSegments: with the threshold at 2, repeated
+// append commits must never leave more than 2 segments, and the
+// compacted table stays byte-identical to the append history.
 func TestAutoCompactionBoundsSegments(t *testing.T) {
-	t.Setenv("QUARRY_COMPACT_SEGMENTS", "2")
+	setCompactSegments(t, 2)
 	dir := t.TempDir()
 	db := openDisk(t, dir)
 	tbl, err := db.CreateTable("t", mixedCols)
@@ -79,135 +77,100 @@ func TestAutoCompactionBoundsSegments(t *testing.T) {
 	}
 }
 
-// TestExplicitCompact: DB.Compact folds every table to one segment at
-// the SAME version (content is unchanged — caches keyed on version
-// must stay valid), and a snapshot taken before the compaction keeps
-// reading its old segments.
-func TestExplicitCompact(t *testing.T) {
-	t.Setenv("QUARRY_COMPACT_SEGMENTS", "0") // no auto-compaction
-	dir := t.TempDir()
-	db := openDisk(t, dir)
+// seedSegments commits table t as a base of n rows plus rounds append
+// deltas of 60 rows — 1+rounds segments at the default threshold — and
+// returns its rows.
+func seedSegments(t *testing.T, db *DB, n, rounds int) []Row {
+	t.Helper()
 	tbl, err := db.CreateTable("t", mixedCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillMixed(t, tbl, 200)
+	fillMixed(t, tbl, n)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 4; round++ {
-		appendMixed(t, db, 10000*(round+1), 80)
+	for round := 0; round < rounds; round++ {
+		appendMixed(t, db, 10000*(round+1), 60)
 	}
-	if st := db.DiskStats()["t"]; st.Segments != 5 {
-		t.Fatalf("seeded %d segments, want 5", st.Segments)
+	if st := db.DiskStats()["t"]; st.Segments != 1+rounds {
+		t.Fatalf("seeded %d segments, want %d", st.Segments, 1+rounds)
 	}
+	return tbl.Rows()
+}
+
+// TestCheckpointCompactsAtSameVersion: a Checkpoint that finds a table
+// past the threshold folds it to one segment at the SAME version
+// (content is unchanged — caches keyed on version must stay valid),
+// and a snapshot taken before the compaction keeps reading its old
+// segments.
+func TestCheckpointCompactsAtSameVersion(t *testing.T) {
+	dir := t.TempDir()
+	db := openDisk(t, dir)
+	want := seedSegments(t, db, 200, 4)
 	live, _ := db.Table("t")
-	want := live.Rows()
 	v := db.Version()
 
 	snap, err := db.Snapshot("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Compact(); err != nil {
+	setCompactSegments(t, 4)
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Version() != v {
-		t.Fatalf("Compact bumped version %d → %d; content did not change", v, db.Version())
+		t.Fatalf("compaction bumped version %d → %d; content did not change", v, db.Version())
 	}
 	if st := db.DiskStats()["t"]; st.Segments != 1 {
-		t.Fatalf("%d segments after Compact, want 1", st.Segments)
+		t.Fatalf("%d segments after compaction, want 1", st.Segments)
 	}
 	if !reflect.DeepEqual(live.Rows(), want) {
-		t.Fatal("Compact changed table content")
+		t.Fatal("compaction changed table content")
 	}
 	// The pre-compaction snapshot still reads (its segments' handles
 	// outlive the unlink).
 	view, _ := snap.Table("t")
-	got := collect(view.Cursor(nil))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("pre-compaction snapshot unreadable after Compact")
+	if got := collect(view.Cursor(nil)); !reflect.DeepEqual(got, want) {
+		t.Fatal("pre-compaction snapshot unreadable after compaction")
 	}
 	re := openDisk(t, dir)
 	rt, _ := re.Table("t")
 	if !reflect.DeepEqual(rt.Rows(), want) {
-		t.Fatal("reopened table content diverged after Compact")
+		t.Fatal("reopened table content diverged after compaction")
 	}
 	if got := countSegs(t, dir); got != 1 {
-		t.Fatalf("%d segment files after Compact, want 1 (old ones not collected)", got)
+		t.Fatalf("%d segment files after compaction, want 1 (old ones not collected)", got)
 	}
 }
 
-// TestCompactRewritesLegacyFormat: Compact must rewrite even a
-// single-segment table when that segment predates format 2, so a
-// migrated warehouse picks up encodings and zone maps.
-func TestCompactRewritesLegacyFormat(t *testing.T) {
-	t.Setenv("QUARRY_COMPACT_SEGMENTS", "0")
-	dir := t.TempDir()
-	rows := writeV1Store(t, dir, 300)
-	db := openDisk(t, dir)
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := db.Table("t")
-	if !reflect.DeepEqual(tbl.Rows(), rows) {
-		t.Fatal("Compact of a v1 store changed content")
-	}
-	re := openDisk(t, dir)
-	rt, _ := re.Table("t")
-	if !reflect.DeepEqual(rt.Rows(), rows) {
-		t.Fatal("reopened rewritten store diverged")
-	}
-	// The rewritten segment is format 2: its manifest pages carry zone
-	// maps, so a prune-capable cursor now skips.
-	snap, err := re.Snapshot("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	view, _ := snap.Table("t")
-	cur := view.Cursor([]PrunePredicate{{Col: "i", Op: ">", Val: expr.Int(1 << 40)}})
-	if got := collect(cur); len(got) != 0 {
-		t.Fatalf("impossible predicate returned %d rows", len(got))
-	}
-	if _, skipped := cur.Stats(); skipped == 0 {
-		t.Fatal("rewritten segment still has no zone maps (nothing skipped)")
-	}
-}
-
-// TestCrashDuringCompaction kills a compacting commit at both fault
+// TestCrashDuringCompaction kills a compacting Checkpoint at both fault
 // stages; recovery must restore the pre-compaction catalog — same
 // version, same rows, same segment files — with the half-written
 // merged segment collected as an orphan.
 func TestCrashDuringCompaction(t *testing.T) {
 	for _, stage := range []string{"segments", "rename"} {
 		t.Run(stage, func(t *testing.T) {
-			t.Setenv("QUARRY_COMPACT_SEGMENTS", "0")
 			dir := t.TempDir()
-			rows, _ := seedCommitted(t, dir, 400)
 			db := openDisk(t, dir)
-			for round := 0; round < 3; round++ {
-				base := 20000 * (round + 1)
-				appendMixed(t, db, base, 60)
-				for i := 0; i < 60; i++ {
-					rows = append(rows, mixedRow(base+i))
-				}
-			}
+			rows := seedSegments(t, db, 400, 3)
 			v := db.Version()
 			segs := countSegs(t, dir)
-			if segs != 4 {
-				t.Fatalf("seeded %d segments, want 4", segs)
-			}
+			setCompactSegments(t, 3)
 			crashAt(t, stage)
-			if err := db.Compact(); !errors.Is(err, errCrash) {
-				t.Fatalf("Compact error = %v, want injected crash", err)
+			if err := db.Checkpoint(); !errors.Is(err, errCrash) {
+				t.Fatalf("Checkpoint error = %v, want injected crash", err)
 			}
 			// Live DB untouched.
 			if db.Version() != v {
-				t.Fatalf("failed Compact bumped version to %d", db.Version())
+				t.Fatalf("failed compaction bumped version to %d", db.Version())
 			}
 			live, _ := db.Table("t")
 			if !reflect.DeepEqual(live.Rows(), rows) {
-				t.Fatal("failed Compact mutated the live table")
+				t.Fatal("failed compaction mutated the live table")
+			}
+			if st := db.DiskStats()["t"]; st.Segments != segs {
+				t.Fatalf("failed compaction left %d segments live, want %d", st.Segments, segs)
 			}
 			TestingCommitFault = nil
 			assertRecovered(t, dir, rows, v, segs)
@@ -222,7 +185,7 @@ func TestCrashDuringCompaction(t *testing.T) {
 func TestCrashDuringAutoCompactingAppend(t *testing.T) {
 	for _, stage := range []string{"segments", "rename"} {
 		t.Run(stage, func(t *testing.T) {
-			t.Setenv("QUARRY_COMPACT_SEGMENTS", "1")
+			setCompactSegments(t, 1)
 			dir := t.TempDir()
 			rows, v := seedCommitted(t, dir, 300)
 			db := openDisk(t, dir)

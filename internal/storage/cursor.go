@@ -9,12 +9,11 @@ package storage
 // predicate can match NONE of its rows under the evaluator's own
 // semantics (expr.Value.Compare / Equal — the zone bounds were
 // computed with the same Compare, so float-vs-int coercion agrees),
-// and pages with no zone map (format-1 segments, the in-memory tail)
-// are never skipped. Callers therefore still evaluate the full filter
-// on every returned row; the cursor only removes pages that could not
-// have contributed. Unlike ReadBatch, Next may return short batches
-// (it never stitches across page boundaries) — callers loop until
-// nil.
+// and the uncommitted tail, which has no zone map, is never skipped.
+// Callers therefore still evaluate the full filter on every returned
+// row; the cursor only removes pages that could not have contributed.
+// Unlike ReadBatch, Next may return short batches (it never stitches
+// across page boundaries) — callers loop until nil.
 //
 // A cursor is read in one of two forms, over the same pages, with the
 // same pruning and the same Stats: Next hands out rows (exports and
@@ -109,7 +108,7 @@ type Cursor struct {
 	seg  int // current segment index in view.pg
 	page int // current page within the segment
 	off  int // rows of the current page already returned
-	tail int // rows of the in-memory tail already returned
+	tail int // rows of the uncommitted tail already returned
 
 	scratch []*Vector // NextVectors' tail vectors, reused per chunk
 	reused  bool      // the last NextVectors call handed out scratch
@@ -224,8 +223,8 @@ const tailChunk = 1024
 // either through Next or through NextVectors, not both — and returns
 // the chunk's row count, 0 at the end. Page vectors are decoded on
 // first use, for the asked columns only, and shared through the buffer
-// pool; the in-memory tail (all of a memory table) holds rows only and
-// is transposed a tailChunk at a time into vectors the cursor reuses.
+// pool; the uncommitted tail holds rows only and is transposed a
+// tailChunk at a time into vectors the cursor reuses.
 // Either way the vectors are read-only and valid until the next call.
 func (c *Cursor) NextVectors(cols []int, out []*Vector) int {
 	c.reused = false

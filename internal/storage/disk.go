@@ -1,7 +1,8 @@
 package storage
 
-// Disk backend: a paged columnar layout behind the existing
-// DB/Table/Snapshot API.
+// The segment store: a paged columnar layout behind the
+// DB/Table/Snapshot API, with a directory (Open) or without one
+// (NewMemDB).
 //
 // Layout of a storage directory:
 //
@@ -11,7 +12,7 @@ package storage
 //	seg-NNNNNNNN.qseg  immutable segment files (see page.go)
 //
 // A table's rows are the concatenation of its manifest segments
-// followed by its in-memory tail (rows inserted since the last
+// followed by its uncommitted tail (rows inserted since the last
 // commit). Replace-mode publishes write whole new segments; appends
 // become delta segments — segments are never rewritten in place.
 //
@@ -41,6 +42,12 @@ package storage
 //
 // One process per directory: the store takes no lock file; opening
 // the same directory from two processes is unsupported.
+//
+// A store without a directory runs the same commit. Its segments are
+// heap segments — the bytes a segment file would hold, padding
+// included, kept in memory — and it skips only what means nothing
+// without a directory: the files and their fsyncs, the manifest, and
+// the directory scan of the garbage collector.
 
 import (
 	"encoding/json"
@@ -49,7 +56,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -61,16 +67,10 @@ import (
 // transport-agnostic internal/storage/manifest package (shared with
 // internal/replication, which ships catalogs between machines through
 // the same primitives). The aliases below keep this file — and the
-// format-compatibility tests — reading naturally.
+// format tests — reading naturally.
 const (
-	manifestName = mf.FileName
-	manifestTmp  = mf.TmpName
-	// manifestFormatV1 is the legacy raw-page format (fixed 64 KiB
-	// pages, untagged raw chunks, no zone maps); this build still reads
-	// it. manifestFormatV2 adds per-chunk compressed encodings, 4 KiB
-	// page blocks and zone maps (see page.go/encoding.go) and is what
-	// every commit writes.
-	manifestFormatV1 = mf.FormatV1
+	manifestName     = mf.FileName
+	manifestTmp      = mf.TmpName
 	manifestFormatV2 = mf.FormatV2
 	segPrefix        = mf.SegPrefix
 	segSuffix        = mf.SegSuffix
@@ -85,25 +85,10 @@ type (
 	manifestValue   = mf.Value
 )
 
-// mmapEnabled gates the mmap page source (QUARRY_MMAP=off falls back
-// to pread); evaluated once at startup.
-var mmapEnabled = os.Getenv("QUARRY_MMAP") != "off"
-
-// compactThreshold reads QUARRY_COMPACT_SEGMENTS: when a commit would
-// leave a table with more than this many segments, the commit folds
-// the table's existing segments into its new one (0 disables
-// auto-compaction; default 16).
-func compactThreshold() int {
-	s := os.Getenv("QUARRY_COMPACT_SEGMENTS")
-	if s == "" {
-		return 16
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 16
-	}
-	return n
-}
+// compactSegments bounds a table's segment count: when a commit would
+// leave a table with more, it folds the table's segments and new rows
+// into one freshly encoded segment. A variable so tests can lower it.
+var compactSegments = 16
 
 // TestingCommitFault is a fault-injection hook for tests: when set, it
 // is consulted at the named commit stages and a non-nil error aborts
@@ -117,7 +102,8 @@ func compactThreshold() int {
 // write the segments concurrently (the hook must be safe for that); the
 // commit fails as it would on the real error, removing every file it
 // created. In all four the in-memory DB is not mutated and no file
-// descriptor stays open. Never set outside tests.
+// descriptor stays open. Only stores with a directory consult it.
+// Never set outside tests.
 var TestingCommitFault func(stage string) error
 
 func commitFault(stage string) error {
@@ -127,66 +113,58 @@ func commitFault(stage string) error {
 	return TestingCommitFault(stage)
 }
 
-// diskStore is the per-DB handle on a storage directory.
-type diskStore struct {
+// store is a database's segment store: its directory ("" for a store
+// that keeps its segments on the heap), its buffer pool, and the lock
+// that serializes its commits.
+type store struct {
 	dir string
 	// commitMu serializes every commit (and therefore every catalog
-	// mutation of a disk-backed DB: all mutators commit). Holding it
-	// through the segment and manifest I/O keeps db.mu free for
-	// readers — a Snapshot never waits on a commit's fsyncs, only on
-	// the brief pointer-swap apply step. Lock order: commitMu before
+	// mutation: all mutators commit). Holding it through the encoding
+	// and the segment and manifest I/O keeps db.mu free for readers — a
+	// Snapshot never waits on a commit's fsyncs, only on the brief
+	// pointer-swap apply step. Lock order: commitMu before
 	// db.mu before Table.mu; nothing acquires commitMu while holding
 	// db.mu. nextSeg is guarded by commitMu.
 	commitMu sync.Mutex
 	nextSeg  uint64
 	cache    *pageCache
-	// compactSegs is the auto-compaction threshold (see
-	// compactThreshold); guarded by nothing — set once at Open.
-	compactSegs int
 }
 
-// segment is one immutable on-disk run of rows. The open file handle
+func newStore(dir string) *store {
+	return &store{dir: dir, cache: newPageCache(pageCacheBytes)}
+}
+
+// segment is one immutable run of rows. A file segment's open handle
 // lives as long as the segment object: readers holding a pager keep
 // their data readable even after a republish unlinks the file (the
-// runtime closes the descriptor when the segment is collected).
+// runtime closes the descriptor when the segment is collected). A heap
+// segment has no file; its data is the bytes the file would hold.
 type segment struct {
-	file   *os.File
-	name   string // base file name
-	dir    string // owning store's directory
-	format int    // page format (manifestFormatV1 or V2)
-	cols   []Column
-	rows   int
-	pages  []pageMeta
-	cache  *pageCache
-	data   []byte // mmap of the whole file, nil when unavailable
+	st    *store   // owning store
+	file  *os.File // nil for heap segments
+	name  string   // base file name
+	cols  []Column
+	rows  int
+	pages []pageMeta
+	data  []byte // the heap bytes or the file's mapping; nil when read by pread
 }
 
 // pageMeta locates one page inside a segment.
 type pageMeta struct {
 	off   int64
-	size  int // padded size: a pageSize (v1) or pageBlock (v2) multiple
+	size  int // padded size: a pageBlock multiple
 	rows  int
 	first int    // index of the page's first row within the segment
-	raw   int    // raw encoded size: the buffer-pool charge (0 in v1)
-	zones []zone // per-column zone map (nil in v1: never prune)
+	raw   int    // raw encoded size: the buffer-pool charge of the row form
+	zones []zone // per-column zone map
 }
 
-// charge is the buffer-pool cost of the decoded page: its raw encoded
-// size when known (compressed on-disk sizes badly undercount decoded
-// memory), else its on-disk size (v1 pages, where the two coincide).
-func (p *pageMeta) charge() int {
-	if p.raw > 0 {
-		return p.raw
-	}
-	return p.size
-}
-
-// tryMmap maps the segment file read-only as the page source; on any
-// failure the segment falls back to pread. Decoded pages copy every
-// value out of the buffer, so nothing aliases the mapping; it is
-// unmapped when the segment object is collected.
+// tryMmap maps a file segment read-only as the page source; where the
+// platform does not map, or mapping fails, the segment reads by pread.
+// Decoded pages copy every value out of the buffer, so nothing aliases
+// the mapping; it is unmapped when the segment object is collected.
 func (s *segment) tryMmap() {
-	if !mmapEnabled || len(s.pages) == 0 {
+	if s.file == nil || len(s.pages) == 0 {
 		return
 	}
 	last := s.pages[len(s.pages)-1]
@@ -198,8 +176,8 @@ func (s *segment) tryMmap() {
 	runtime.SetFinalizer(s, func(fs *segment) { sysMunmap(fs.data) })
 }
 
-// read returns page i's encoded bytes: a view of the mapping, or a
-// fresh buffer filled by pread.
+// read returns page i's encoded bytes: a view of the heap bytes or the
+// mapping, or a fresh buffer filled by pread.
 func (s *segment) read(i int) []byte {
 	pm := &s.pages[i]
 	if s.data != nil {
@@ -219,15 +197,15 @@ func (s *segment) read(i int) []byte {
 // fewer rows would corrupt results.
 func (s *segment) page(i int) []Row {
 	k := pageKey{seg: s, page: i}
-	if rows := s.cache.rows(k); rows != nil {
+	if rows := s.st.cache.rows(k); rows != nil {
 		return rows
 	}
 	pm := &s.pages[i]
-	rows, err := decodePage(s.format, s.cols, s.read(i), pm.rows)
+	rows, err := decodePage(s.cols, s.read(i), pm.rows)
 	if err != nil {
 		panic(fmt.Sprintf("storage: segment %s page %d corrupt: %v", s.name, i, err))
 	}
-	s.cache.putRows(k, rows, pm.charge())
+	s.st.cache.putRows(k, rows, pm.raw)
 	return rows
 }
 
@@ -236,18 +214,18 @@ func (s *segment) page(i int) []Row {
 // reader asks for it, beside the page's other resident forms.
 func (s *segment) vectors(i int, cols []int, out []*Vector) {
 	k := pageKey{seg: s, page: i}
-	if s.cache.vectors(k, cols, out) {
+	if s.st.cache.vectors(k, cols, out) {
 		return
 	}
 	want := make([]bool, len(s.cols))
 	for j, ci := range cols {
 		want[ci] = out[j] == nil
 	}
-	vecs, err := decodePageVectors(s.format, s.cols, s.read(i), s.pages[i].rows, want)
+	vecs, err := decodePageVectors(s.cols, s.read(i), s.pages[i].rows, want)
 	if err != nil {
 		panic(fmt.Sprintf("storage: segment %s page %d corrupt: %v", s.name, i, err))
 	}
-	s.cache.putVectors(k, vecs)
+	s.st.cache.putVectors(k, vecs)
 	for j, ci := range cols {
 		if out[j] == nil {
 			out[j] = vecs[ci]
@@ -336,26 +314,29 @@ func (p *pager) readBatch(start, max int) []Row {
 }
 
 // foreignTo reports whether any of the pager's segments belongs to a
-// store other than the one rooted at dir.
-func (p *pager) foreignTo(dir string) bool {
+// store other than st.
+func (p *pager) foreignTo(st *store) bool {
 	if p == nil {
 		return false
 	}
 	for _, s := range p.segs {
-		if s.dir != dir {
+		if s.st != st {
 			return true
 		}
 	}
 	return false
 }
 
-// referencedFiles lists the segment file names a pager references.
-func (p *pager) referencedFiles(into map[string]bool) {
+// referencedFiles lists the names of st's segments the pager
+// references.
+func (p *pager) referencedFiles(st *store, into map[string]bool) {
 	if p == nil {
 		return
 	}
 	for _, s := range p.segs {
-		into[s.name] = true
+		if s.st == st {
+			into[s.name] = true
+		}
 	}
 }
 
@@ -372,27 +353,9 @@ func (p *pager) readAll(into []Row) []Row {
 	return into
 }
 
-// needsRewrite reports whether any segment predates the current page
-// format — compaction re-encodes such tables even when they are a
-// single segment.
-func (p *pager) needsRewrite() bool {
-	if p == nil {
-		return false
-	}
-	for _, s := range p.segs {
-		if s.format != manifestFormatV2 {
-			return true
-		}
-	}
-	return false
-}
-
-// Format-1 manifests (no per-segment format, no zone maps) are still
-// read; every commit writes format 2, tagging retained legacy
-// segments "format": 1 so a mixed catalog decodes each segment
-// correctly. The expr.Value ↔ manifest.Value conversions below stay
-// here: the manifest package is pure catalog data, oblivious to the
-// value representation.
+// The expr.Value ↔ manifest.Value conversions below stay here: the
+// manifest package is pure catalog data, oblivious to the value
+// representation.
 
 func valueToManifest(v expr.Value) *manifestValue {
 	switch v.Kind() {
@@ -412,22 +375,6 @@ func valueToManifest(v expr.Value) *manifestValue {
 	return nil
 }
 
-func manifestToValue(mv *manifestValue) expr.Value {
-	switch {
-	case mv == nil:
-		return expr.Value{}
-	case mv.I != nil:
-		return expr.Int(*mv.I)
-	case mv.F != nil:
-		return expr.Float(*mv.F)
-	case mv.S != nil:
-		return expr.Str(*mv.S)
-	case mv.B != nil:
-		return expr.Bool(*mv.B)
-	}
-	return expr.Value{}
-}
-
 func zonesToManifest(zs []zone) []manifestZone {
 	if len(zs) == 0 {
 		return nil
@@ -443,27 +390,87 @@ func zonesToManifest(zs []zone) []manifestZone {
 	return out
 }
 
-// zonesFromManifest rehydrates a page's zone map; a malformed entry
-// (wrong arity) yields nil — the page is simply never pruned.
-func zonesFromManifest(ms []manifestZone, ncols int) []zone {
-	if len(ms) != ncols {
-		return nil
+// pageFromManifest rehydrates one page-directory entry of a segment
+// of cols, failing on anything this build could not have written. The
+// entry is trusted from then on: its row count sizes every decode of
+// the page, and its zone map decides which pages a cursor skips, so a
+// wrong bound would drop qualifying rows without a word.
+func pageFromManifest(mp manifestPage, cols []Column) (pageMeta, error) {
+	pm := pageMeta{off: mp.Off, size: mp.Size, rows: mp.Rows, raw: mp.Raw}
+	// Every page splitPages cuts holds its overhead, and a page of more
+	// than one row fits pageSize — which also caps the row count (a
+	// presence bit per row and column).
+	if mp.Rows <= 0 || mp.Rows > 8*pageSize || mp.Raw < pageOverhead(len(cols), mp.Rows) ||
+		(mp.Rows > 1 && mp.Raw > pageSize) {
+		return pm, fmt.Errorf("%d rows in %d raw bytes is no page this build writes", mp.Rows, mp.Raw)
 	}
-	out := make([]zone, ncols)
-	for i, mz := range ms {
-		z := zone{nulls: mz.Nulls}
-		if mz.Min != nil && mz.Max != nil {
-			z.min = manifestToValue(mz.Min)
-			z.max = manifestToValue(mz.Max)
-			z.hasBounds = !z.min.IsNull() && !z.max.IsNull()
+	if len(mp.Zones) != len(cols) {
+		return pm, fmt.Errorf("zone map has %d entries for %d columns", len(mp.Zones), len(cols))
+	}
+	pm.zones = make([]zone, len(cols))
+	for ci, mz := range mp.Zones {
+		z, err := zoneFromManifest(mz, cols[ci].Type, mp.Rows)
+		if err != nil {
+			return pm, fmt.Errorf("column %q: %w", cols[ci].Name, err)
 		}
-		out[i] = z
+		pm.zones[ci] = z
 	}
-	return out
+	return pm, nil
+}
+
+// zoneFromManifest rehydrates the zone-map entry of a column of type
+// typ in a page of rows rows: a null count within the page, and either
+// no bounds or both, each one value of the column's type, min not
+// above max.
+func zoneFromManifest(mz manifestZone, typ string, rows int) (zone, error) {
+	z := zone{nulls: mz.Nulls}
+	if mz.Nulls < 0 || mz.Nulls > rows {
+		return z, fmt.Errorf("%d nulls in %d rows", mz.Nulls, rows)
+	}
+	if mz.Min == nil && mz.Max == nil {
+		return z, nil
+	}
+	var err error
+	if z.min, err = boundFromManifest(mz.Min, typ); err != nil {
+		return z, fmt.Errorf("min: %w", err)
+	}
+	if z.max, err = boundFromManifest(mz.Max, typ); err != nil {
+		return z, fmt.Errorf("max: %w", err)
+	}
+	if cmp, err := z.min.Compare(z.max); err != nil || cmp > 0 {
+		return z, fmt.Errorf("min %s above max %s", z.min, z.max)
+	}
+	z.hasBounds = true
+	return z, nil
+}
+
+// boundFromManifest converts a zone bound, which must hold exactly one
+// value, of the column's type.
+func boundFromManifest(mv *manifestValue, typ string) (expr.Value, error) {
+	var v expr.Value
+	n := 0
+	if mv != nil {
+		if mv.I != nil {
+			v, n = expr.Int(*mv.I), n+1
+		}
+		if mv.F != nil {
+			v, n = expr.Float(*mv.F), n+1
+		}
+		if mv.S != nil {
+			v, n = expr.Str(*mv.S), n+1
+		}
+		if mv.B != nil {
+			v, n = expr.Bool(*mv.B), n+1
+		}
+	}
+	if n != 1 || v.Kind().String() != typ {
+		return v, fmt.Errorf("bound is not one %s value", typ)
+	}
+	return v, nil
 }
 
 // segmentWrite is one new segment of a commit: the segment object
-// (named, no file yet) and the rows that go into it.
+// (named, no bytes yet) and the rows that go into it.
 type segmentWrite struct {
 	seg  *segment
 	rows []Row
@@ -471,11 +478,10 @@ type segmentWrite struct {
 
 // newSegmentWrite names the next segment of this store and pairs it
 // with its rows. Callers hold st.commitMu.
-func (st *diskStore) newSegmentWrite(cols []Column, rows []Row) segmentWrite {
+func (st *store) newSegmentWrite(cols []Column, rows []Row) segmentWrite {
 	name := fmt.Sprintf("%s%08d%s", segPrefix, st.nextSeg, segSuffix)
 	st.nextSeg++
-	return segmentWrite{rows: rows, seg: &segment{name: name, dir: st.dir,
-		format: manifestFormatV2, cols: cols, rows: len(rows), cache: st.cache}}
+	return segmentWrite{rows: rows, seg: &segment{st: st, name: name, cols: cols, rows: len(rows)}}
 }
 
 // syncWorkers bounds the segment files one commit writes and fsyncs at
@@ -488,12 +494,12 @@ const syncWorkers = 16
 // boundaries are cut per segment (splitPages); then all pages of all
 // segments are encoded by one worker group sized by GOMAXPROCS — a
 // page's bytes depend on nothing but its rows, so who encodes it
-// changes nothing on disk; then each segment's pages are written in
-// page order at their now-known offsets and the file is fsynced, the
-// segments concurrently. It returns once every goroutine it started has
-// finished. On error the files it created may be incomplete: the
-// caller removes them (abandon).
-func (st *diskStore) writeSegments(ws []segmentWrite) error {
+// changes nothing on disk; then each segment's pages are laid out in
+// page order at their now-known offsets — written and fsynced, the
+// segments concurrently, or kept on the heap. It returns once every
+// goroutine it started has finished. On error the files it created may
+// be incomplete: the caller removes them (abandon).
+func (st *store) writeSegments(ws []segmentWrite) error {
 	workers := runtime.GOMAXPROCS(0)
 	counts := make([][]int, len(ws))
 	_ = parallel(len(ws), workers, func(_, i int) error {
@@ -522,29 +528,39 @@ func (st *diskStore) writeSegments(ws []segmentWrite) error {
 	})
 }
 
-// persist creates the segment's file, writes the encoded pages in
-// order — filling in the page directory as offsets become known — and
-// fsyncs it. The file stays open for the segment's lifetime.
+// persist fills in the segment's page directory and stores the encoded
+// pages in order: on the heap for a store without a directory,
+// otherwise in a new file — fsynced, and open for the segment's
+// lifetime.
 func (s *segment) persist(pages []encodedPage, counts []int) error {
-	if err := commitFault("write"); err != nil {
-		return fmt.Errorf("storage: writing %s: %w", s.name, err)
-	}
-	f, err := os.OpenFile(filepath.Join(s.dir, s.name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	s.file = f
 	s.pages = make([]pageMeta, 0, len(pages))
 	var off int64
 	first := 0
 	for pi, ep := range pages {
-		if _, err := f.WriteAt(ep.buf, off); err != nil {
-			return fmt.Errorf("storage: writing %s: %w", s.name, err)
-		}
 		s.pages = append(s.pages, pageMeta{off: off, size: len(ep.buf), rows: counts[pi],
 			first: first, raw: ep.raw, zones: ep.zones})
 		off += int64(len(ep.buf))
 		first += counts[pi]
+	}
+	if s.st.dir == "" {
+		s.data = make([]byte, 0, off)
+		for _, ep := range pages {
+			s.data = append(s.data, ep.buf...)
+		}
+		return nil
+	}
+	if err := commitFault("write"); err != nil {
+		return fmt.Errorf("storage: writing %s: %w", s.name, err)
+	}
+	f, err := os.OpenFile(filepath.Join(s.st.dir, s.name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	s.file = f
+	for pi, ep := range pages {
+		if _, err := f.WriteAt(ep.buf, s.pages[pi].off); err != nil {
+			return fmt.Errorf("storage: writing %s: %w", s.name, err)
+		}
 	}
 	if err := commitFault("sync"); err != nil {
 		return fmt.Errorf("storage: syncing %s: %w", s.name, err)
@@ -604,7 +620,7 @@ func parallel(n, workers int, fn func(worker, i int) error) error {
 // replication diff — compare descriptors to decide whether the
 // on-disk file under a name is the one a new catalog means.
 func (s *segment) descriptor() manifestSegment {
-	ms := manifestSegment{File: s.name, Rows: s.rows, Format: s.format}
+	ms := manifestSegment{File: s.name, Rows: s.rows, Format: manifestFormatV2}
 	for _, p := range s.pages {
 		ms.Pages = append(ms.Pages, manifestPage{Off: p.off, Size: p.size,
 			Rows: p.rows, Raw: p.raw, Zones: zonesToManifest(p.zones)})
@@ -612,9 +628,10 @@ func (s *segment) descriptor() manifestSegment {
 	return ms
 }
 
-// openSegment rehydrates a manifest-described segment of the given
-// page format.
-func (st *diskStore) openSegment(ms manifestSegment, cols []Column, format int) (*segment, error) {
+// openSegment rehydrates a manifest-described segment file, checking
+// its page directory against the file and against what this build
+// writes (pageFromManifest).
+func (st *store) openSegment(ms manifestSegment, cols []Column) (*segment, error) {
 	f, err := os.Open(filepath.Join(st.dir, ms.File))
 	if err != nil {
 		return nil, err
@@ -624,20 +641,21 @@ func (st *diskStore) openSegment(ms manifestSegment, cols []Column, format int) 
 		f.Close()
 		return nil, err
 	}
-	align := pageSize
-	if format >= manifestFormatV2 {
-		align = pageBlock
-	}
-	seg := &segment{file: f, name: ms.File, dir: st.dir, format: format,
-		cols: cols, rows: ms.Rows, cache: st.cache}
+	seg := &segment{st: st, file: f, name: ms.File, cols: cols, rows: ms.Rows}
 	first, want := 0, int64(0)
-	for _, mp := range ms.Pages {
-		if mp.Off != want || mp.Size <= 0 || mp.Size%align != 0 || mp.Rows <= 0 {
+	for pi, mp := range ms.Pages {
+		if mp.Off != want || mp.Size <= 0 || mp.Size%pageBlock != 0 || int64(mp.Size) > info.Size()-want {
 			f.Close()
-			return nil, fmt.Errorf("segment %s has an inconsistent page directory", ms.File)
+			return nil, fmt.Errorf("segment %s page %d: offset %d, size %d do not fit the %d-byte file",
+				ms.File, pi, mp.Off, mp.Size, info.Size())
 		}
-		seg.pages = append(seg.pages, pageMeta{off: mp.Off, size: mp.Size, rows: mp.Rows,
-			first: first, raw: mp.Raw, zones: zonesFromManifest(mp.Zones, len(cols))})
+		pm, err := pageFromManifest(mp, cols)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("segment %s page %d: %w", ms.File, pi, err)
+		}
+		pm.first = first
+		seg.pages = append(seg.pages, pm)
 		first += mp.Rows
 		want += int64(mp.Size)
 	}
@@ -645,24 +663,20 @@ func (st *diskStore) openSegment(ms manifestSegment, cols []Column, format int) 
 		f.Close()
 		return nil, fmt.Errorf("segment %s pages sum to %d rows, manifest says %d", ms.File, first, ms.Rows)
 	}
-	if info.Size() < want {
-		f.Close()
-		return nil, fmt.Errorf("segment %s truncated: %d bytes on disk, %d expected", ms.File, info.Size(), want)
-	}
 	seg.tryMmap()
 	return seg, nil
 }
 
-// rehydrate builds the in-memory catalog a (validated) manifest
+// rehydrate builds the in-memory catalog a (parsed) manifest
 // describes, in manifest order, returning the tables, the order, and
 // the referenced segment file set, and bumping st.nextSeg past every
 // referenced id. An existing segment object from reuse is carried
 // over — open handle, decoded pages, mmap — when its descriptor and
 // columns match the manifest entry exactly; a name whose descriptor
 // differs (a recycled segment id: same file name, different content)
-// is re-opened from disk instead. Callers hold st.commitMu, or run
-// before the DB is published (Open).
-func (st *diskStore) rehydrate(man *manifest, reuse map[string]*segment) (map[string]*Table, []string, map[string]bool, error) {
+// is re-opened from disk instead, its page directory checked. Callers
+// hold st.commitMu, or run before the DB is published (Open).
+func (st *store) rehydrate(man *manifest, reuse map[string]*segment) (map[string]*Table, []string, map[string]bool, error) {
 	tables := map[string]*Table{}
 	var order []string
 	referenced := map[string]bool{}
@@ -671,16 +685,14 @@ func (st *diskStore) rehydrate(man *manifest, reuse map[string]*segment) (map[st
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("manifest table %q: %w", mt.Name, err)
 		}
+		if _, dup := tables[mt.Name]; dup {
+			return nil, nil, nil, fmt.Errorf("manifest names table %q twice", mt.Name)
+		}
 		var segs []*segment
 		for _, ms := range mt.Segments {
-			format := ms.Format
-			if format == 0 {
-				format = man.Format
-			}
 			seg := reuse[ms.File]
-			if seg == nil || seg.format != format || !columnsEqual(seg.cols, t.Columns) ||
-				!sameDescriptor(seg.descriptor(), ms) {
-				if seg, err = st.openSegment(ms, t.Columns, format); err != nil {
+			if seg == nil || !columnsEqual(seg.cols, t.Columns) || !sameDescriptor(seg.descriptor(), ms) {
+				if seg, err = st.openSegment(ms, t.Columns); err != nil {
 					return nil, nil, nil, fmt.Errorf("table %q: %w", mt.Name, err)
 				}
 			}
@@ -699,7 +711,7 @@ func (st *diskStore) rehydrate(man *manifest, reuse map[string]*segment) (map[st
 	return tables, order, referenced, nil
 }
 
-// Open opens (or initialises) a disk-backed database rooted at dir.
+// Open opens (or initialises) a database rooted at directory dir.
 // Recovery is part of opening: the latest committed manifest is
 // rehydrated and every file it does not reference — segments written
 // by a run that crashed before its manifest rename, a stray
@@ -708,7 +720,7 @@ func Open(dir string) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", dir, err)
 	}
-	st := &diskStore{dir: dir, cache: newPageCache(pageCacheBytes), compactSegs: compactThreshold()}
+	st := newStore(dir)
 	db := &DB{tables: map[string]*Table{}, store: st}
 	referenced := map[string]bool{}
 	man, _, err := mf.Read(dir)
@@ -750,15 +762,19 @@ func columnsEqual(a, b []Column) bool {
 	return true
 }
 
-// gc deletes every segment file not in referenced, plus any stale
-// manifest.tmp, and purges dead segments' pages (which pin open file
-// descriptors) from the buffer pool. Errors are ignored: a leftover
-// orphan is collected by the next gc, and never read (the manifest
-// does not name it).
-func (st *diskStore) gc(referenced map[string]bool) {
+// gc purges the pages of st's segments not in referenced from the
+// buffer pool — cached pages pin their segment, and a file segment's
+// descriptor with it — and, with a directory, deletes every segment
+// file not in referenced plus any stale manifest.tmp. Errors are
+// ignored: a leftover orphan is collected by the next gc, and never
+// read (the manifest does not name it).
+func (st *store) gc(referenced map[string]bool) {
 	st.cache.purge(func(s *segment) bool {
-		return s.dir != st.dir || referenced[s.name]
+		return s.st != st || referenced[s.name]
 	})
+	if st.dir == "" {
+		return
+	}
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return
@@ -775,31 +791,31 @@ func (st *diskStore) gc(referenced map[string]bool) {
 	}
 }
 
-// commitDisk persists the tentative catalog (order + tables, which
-// may include tables not yet registered in db.tables) at manifest
-// version v, appending extra[t] (staged append-delta rows) after t's
-// unpersisted tail. Once the manifest rename lands it takes db.mu
-// just long enough to swap the affected tables' pagers, drop their
-// persisted tail prefixes and run the caller's apply step (catalog
-// map/order/version changes); all segment and manifest I/O happens
-// WITHOUT db.mu, so concurrent snapshots and version reads never
-// wait on a commit's fsyncs. On failure the in-memory DB is
-// untouched, the new segments' files are closed and the half-written
-// files are removed (unless TestingCommitFault simulated a crash, in
-// which case they are left for Open's recovery to collect). Callers
-// hold st.commitMu — which
-// is what keeps the tentative catalog stable while unlocked — and
-// must NOT hold db.mu.
+// commitDisk commits the tentative catalog (order + tables, which may
+// include tables not yet registered in db.tables) at version v,
+// appending extra[t] (staged append-delta rows) after t's uncommitted
+// tail. With a directory the catalog is persisted as manifest version
+// v. Once that rename lands (at once without a directory) it takes
+// db.mu just long enough to swap the affected tables' pagers, drop
+// their committed tail prefixes and run the caller's apply step
+// (catalog map/order/version changes); all encoding and I/O happens
+// WITHOUT db.mu, so concurrent snapshots and version reads never wait
+// on a commit's fsyncs. On failure the in-memory DB is untouched, the
+// new segments' files are closed and the half-written files are
+// removed (unless TestingCommitFault simulated a crash, in which case
+// they are left for Open's recovery to collect). Callers hold
+// st.commitMu — which is what keeps the tentative catalog stable while
+// unlocked — and must NOT hold db.mu.
 //
-// Compaction rides the same commit point: a table named in compact
-// (or one that auto-compaction's segment-count threshold trips on)
-// has its committed segments folded together with its tail into ONE
-// freshly encoded segment — same rows, same order, re-run encoding
-// selection — referenced by the same atomic manifest rename. A crash
-// anywhere before the rename recovers the pre-compaction segment
-// list; the old segments are deleted only after the rename (readers
-// holding pre-compaction snapshots keep their open handles).
-func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, extra map[*Table][]Row, compact map[string]bool, apply func()) error {
+// Compaction rides the same commit point: a table the commit would
+// leave with more than compactSegments segments has its committed
+// segments folded together with its new rows into ONE freshly encoded
+// segment — same rows, same order, re-run encoding selection —
+// referenced by the same atomic manifest rename. A crash anywhere
+// before the rename recovers the pre-compaction segment list; the old
+// segments are deleted only after the rename (readers holding
+// pre-compaction snapshots keep their open handles).
+func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, extra map[*Table][]Row, apply func()) error {
 	st := db.store
 	type pend struct {
 		name  string
@@ -829,13 +845,14 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 		tail := t.rows[:len(t.rows):len(t.rows)]
 		t.mu.RUnlock()
 		rows := tail
-		// A pager holding another store's segments (a frozen view from
-		// a different disk-backed DB, attached here) cannot be
-		// referenced by this directory's manifest — the files live
-		// elsewhere, and recovery would fail (or, on a name collision,
-		// silently read the wrong bytes). Materialize such tables into
-		// local segments instead.
-		if pg.foreignTo(st.dir) {
+		// A pager holding another store's segments (a frozen view of a
+		// different database, attached here) cannot be named by this
+		// directory's manifest — the files live elsewhere, and recovery
+		// would fail (or, on a name collision, silently read the wrong
+		// bytes). Materialize such tables into local segments instead. A
+		// store without a directory writes no manifest: it keeps the
+		// reference.
+		if st.dir != "" && pg.foreignTo(st) {
 			rows = append(pg.readAll(make([]Row, 0, pg.rows+len(tail))), tail...)
 			pg = nil
 		}
@@ -845,17 +862,7 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 			merged = append(merged, ex...)
 			rows = merged
 		}
-		// Compaction decision: forced by the caller, or the committed
-		// catalog would exceed the per-table segment bound.
-		doCompact := compact[name]
-		if !doCompact && st.compactSegs > 0 && pg != nil {
-			segs := len(pg.segs)
-			if len(rows) > 0 {
-				segs++
-			}
-			doCompact = segs > st.compactSegs
-		}
-		if doCompact && pg != nil && (len(pg.segs) > 1 || len(rows) > 0 || pg.needsRewrite()) {
+		if pg != nil && len(pg.segs)+min(len(rows), 1) > compactSegments {
 			rows = append(pg.readAll(make([]Row, 0, pg.rows+len(rows))), rows...)
 			pg = nil
 		}
@@ -874,44 +881,73 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 		abandon(true)
 		return err
 	}
-	man := manifest{Format: manifestFormatV2, Version: v}
-	for _, p := range pends {
-		mt := manifestTable{Name: p.name, Columns: p.t.Columns}
-		if p.newPg != nil {
-			for _, s := range p.newPg.segs {
-				mt.Segments = append(mt.Segments, s.descriptor())
+	if st.dir != "" {
+		man := manifest{Format: manifestFormatV2, Version: v}
+		for _, p := range pends {
+			mt := manifestTable{Name: p.name, Columns: p.t.Columns}
+			if p.newPg != nil {
+				for _, s := range p.newPg.segs {
+					mt.Segments = append(mt.Segments, s.descriptor())
+				}
 			}
+			man.Tables = append(man.Tables, mt)
 		}
-		man.Tables = append(man.Tables, mt)
+		if crashed, err := st.install(&man, len(writes) > 0); err != nil {
+			abandon(!crashed)
+			return err
+		}
+		for _, w := range writes {
+			w.seg.tryMmap()
+		}
 	}
+	// Committed. Swap pagers, drop committed tails and apply the
+	// caller's catalog changes under db.mu, then collect no-longer-
+	// referenced segments.
+	referenced := map[string]bool{}
+	db.mu.Lock()
+	for _, p := range pends {
+		p.t.mu.Lock()
+		p.t.pg = p.newPg
+		p.t.rows = p.t.rows[p.tailN:]
+		p.t.mu.Unlock()
+		p.newPg.referencedFiles(st, referenced)
+	}
+	if apply != nil {
+		apply()
+	}
+	db.mu.Unlock()
+	st.gc(referenced)
+	return nil
+}
+
+// install makes a commit's new segment files durable as directory
+// entries (when it wrote any), then stages man and renames it into
+// place — the commit point. It reports whether a failure was a crash
+// TestingCommitFault simulated, whose files stay for recovery to find.
+func (st *store) install(man *manifest, wrote bool) (crashed bool, err error) {
 	if err := commitFault("segments"); err != nil {
-		abandon(false)
-		return err
+		return true, err
 	}
 	// Make the new segments' DIRECTORY ENTRIES durable before the
 	// manifest can name them: f.Sync persists a file's data and inode
-	// but not its entry in the directory, so without this a power
-	// loss could persist the renamed manifest while the segment files
-	// it references are gone — an unrecoverable catalog instead of a
-	// clean previous-version recovery.
-	if len(writes) > 0 {
+	// but not its entry in the directory, so without this a power loss
+	// could persist the renamed manifest while the segment files it
+	// references are gone — an unrecoverable catalog instead of a clean
+	// previous-version recovery.
+	if wrote {
 		if err := mf.FsyncDir(st.dir); err != nil {
-			abandon(true)
-			return fmt.Errorf("storage: syncing %s: %w", st.dir, err)
+			return false, fmt.Errorf("storage: syncing %s: %w", st.dir, err)
 		}
 	}
-	data, err := json.MarshalIndent(&man, "", "  ")
+	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
-		abandon(true)
-		return err
+		return false, err
 	}
 	if err := mf.Stage(st.dir, data); err != nil {
-		abandon(true)
-		return fmt.Errorf("storage: %w", err)
+		return false, fmt.Errorf("storage: %w", err)
 	}
 	if err := commitFault("rename"); err != nil {
-		abandon(false)
-		return err
+		return true, err
 	}
 	// The rename inside Install IS the commit: once it lands,
 	// manifest.json names the new catalog and the in-memory state must
@@ -921,31 +957,7 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 	// reason: its failure only weakens durability, recovering the
 	// PREVIOUS version after a crash, which is indistinguishable from
 	// crashing a moment earlier.)
-	if err := mf.Install(st.dir); err != nil {
-		abandon(true)
-		return err
-	}
-	// Committed. Map the new segments, swap pagers, drop persisted tails
-	// and apply the caller's catalog changes under db.mu, then collect
-	// no-longer-referenced segments.
-	for _, w := range writes {
-		w.seg.tryMmap()
-	}
-	referenced := map[string]bool{}
-	db.mu.Lock()
-	for _, p := range pends {
-		p.t.mu.Lock()
-		p.t.pg = p.newPg
-		p.t.rows = p.t.rows[p.tailN:]
-		p.t.mu.Unlock()
-		p.newPg.referencedFiles(referenced)
-	}
-	if apply != nil {
-		apply()
-	}
-	db.mu.Unlock()
-	st.gc(referenced)
-	return nil
+	return false, mf.Install(st.dir)
 }
 
 // catalogWith builds the tentative (order, tables) catalog of the
@@ -970,49 +982,18 @@ func (db *DB) catalogWith(add []*Table) ([]string, map[string]*Table) {
 	return order, tables
 }
 
-// Checkpoint persists every table's unpersisted tail rows and commits
-// a fresh manifest at the current version. It is a no-op for
-// in-memory databases. Rows loaded through an ETL run are committed
-// by the run itself (CommitRun); Checkpoint covers rows inserted
-// directly — e.g. a generated source dataset — before any run has
-// happened.
+// Checkpoint commits every table's uncommitted tail at the current
+// version (persisting it, with a directory). Rows loaded through an
+// ETL run are committed by the run itself (CommitRun); Checkpoint
+// covers rows inserted directly — e.g. a generated source dataset —
+// before any run has happened. A table past compactSegments segments
+// is compacted, at the same version: the content does not change.
 func (db *DB) Checkpoint() error {
 	st := db.store
-	if st == nil {
-		return nil
-	}
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	order, tables := db.catalogWith(nil)
-	return db.commitDisk(db.Version(), order, tables, nil, nil, nil)
-}
-
-// Compact folds every disk table's segments (and any unpersisted tail
-// rows) into a single freshly encoded segment per table, re-running
-// encoding selection over the merged data, through the same atomic
-// manifest commit as every other mutation. The DB version does not
-// change — the content is byte-identical, so version-keyed caches
-// stay valid — and snapshots taken before the call keep reading their
-// old segments through their open handles. Tables already compact
-// (one current-format segment, no tail) are left untouched. A no-op
-// for in-memory databases.
-//
-// Commits also compact automatically whenever a table would exceed
-// the QUARRY_COMPACT_SEGMENTS bound (default 16); Compact is the
-// explicit, compact-everything form.
-func (db *DB) Compact() error {
-	st := db.store
-	if st == nil {
-		return nil
-	}
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
-	order, tables := db.catalogWith(nil)
-	force := make(map[string]bool, len(order))
-	for _, name := range order {
-		force[name] = true
-	}
-	return db.commitDisk(db.Version(), order, tables, nil, force, nil)
+	return db.commitDisk(db.Version(), order, tables, nil, nil)
 }
 
 // TableDiskStats is one table's committed on-disk footprint.
@@ -1023,10 +1004,10 @@ type TableDiskStats struct {
 }
 
 // DiskStats reports each table's segment count, page count and byte
-// size (committed segments only — unpersisted tail rows have no disk
-// footprint). Nil for in-memory databases.
+// size (committed segments only — uncommitted tail rows have no disk
+// footprint). Nil for a database without a directory.
 func (db *DB) DiskStats() map[string]TableDiskStats {
-	if db.store == nil {
+	if db.store.dir == "" {
 		return nil
 	}
 	db.mu.RLock()
@@ -1054,11 +1035,27 @@ func (db *DB) DiskStats() map[string]TableDiskStats {
 	return out
 }
 
-// StorageDir reports the backing directory of a disk-backed database
-// ("" for in-memory).
-func (db *DB) StorageDir() string {
-	if db.store == nil {
-		return ""
+// SegmentBytes returns the encoded bytes of each committed segment of
+// the named table, in segment order: what the files hold with a
+// directory, what the heap holds without one. Tests pin them.
+func (db *DB) SegmentBytes(name string) ([][]byte, bool) {
+	t, ok := db.Table(name)
+	if !ok {
+		return nil, false
 	}
-	return db.store.dir
+	pg, _ := t.capture()
+	var out [][]byte
+	if pg != nil {
+		for _, s := range pg.segs {
+			var b []byte
+			for i := range s.pages {
+				b = append(b, s.read(i)...)
+			}
+			out = append(out, b)
+		}
+	}
+	return out, true
 }
+
+// StorageDir reports the database's directory ("" for one without).
+func (db *DB) StorageDir() string { return db.store.dir }

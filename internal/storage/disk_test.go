@@ -51,7 +51,7 @@ func TestPageRoundTrip(t *testing.T) {
 	if ep.raw <= 0 {
 		t.Fatalf("page raw size %d, want > 0", ep.raw)
 	}
-	got, err := decodePage(manifestFormatV2, mixedCols, ep.buf, len(rows))
+	got, err := decodePage(mixedCols, ep.buf, len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,16 @@ func TestSplitPagesOversizeRow(t *testing.T) {
 		if len(ep.buf)%pageBlock != 0 {
 			t.Fatalf("oversize page %d not padded to multiple: %d", i, len(ep.buf))
 		}
-		got, err := decodePage(manifestFormatV2, cols, ep.buf, n)
+		got, err := decodePage(cols, ep.buf, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, rows[i:i+n]) {
 			t.Fatalf("page %d round-trip mismatch", i)
 		}
+	}
+	if err := directoryReadable(cols, rows); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -344,7 +347,8 @@ func TestDiskDropAndTruncatePersist(t *testing.T) {
 // whose pager belongs to ANOTHER store's directory must copy the rows
 // into local segments — a manifest naming foreign files would make
 // the database unrecoverable (or, on a name collision, silently read
-// the wrong bytes).
+// the wrong bytes). A database without a directory writes no manifest:
+// it refers to the view's segments and writes none of its own.
 func TestAttachForeignPagerTableIsMaterialized(t *testing.T) {
 	db1 := openDisk(t, t.TempDir())
 	src, err := db1.CreateTable("src", mixedCols)
@@ -377,6 +381,56 @@ func TestAttachForeignPagerTableIsMaterialized(t *testing.T) {
 		t.Fatal("attached table lost on reopen")
 	}
 	assertTableEqual(t, got, src)
+
+	heap := NewMemDB()
+	if err := heap.Attach(view.Freeze()); err != nil {
+		t.Fatal(err)
+	}
+	attached, _ := heap.Table("src")
+	if attached.pg != view.pg || heap.store.nextSeg != 0 {
+		t.Fatalf("a store without a directory copied the view: pager %p (view %p), %d segments written",
+			attached.pg, view.pg, heap.store.nextSeg)
+	}
+	assertTableEqual(t, attached, src)
+}
+
+// TestPreadMatchesMmap reads a table whose segments lost their mapping
+// — the path of a platform that does not map — cold, through both page
+// forms.
+func TestPreadMatchesMmap(t *testing.T) {
+	dir := t.TempDir()
+	db := openDisk(t, dir)
+	tbl, _ := db.CreateTable("t", mixedCols)
+	fillMixed(t, tbl, 3000)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re := openDisk(t, dir)
+	dropMappings(re)
+	view := viewOf(t, re, "t")
+	for _, s := range view.pg.segs {
+		if s.data != nil {
+			t.Fatal("segment still mapped")
+		}
+	}
+	got, _ := re.Table("t")
+	assertTableEqual(t, got, tbl)
+	vecs := make([]*Vector, len(mixedCols))
+	at := 0
+	cur := view.Cursor(nil)
+	for n := cur.NextVectors([]int{0, 1, 2, 3}, vecs); n > 0; n = cur.NextVectors([]int{0, 1, 2, 3}, vecs) {
+		for r := 0; r < n; r++ {
+			for ci, v := range vecs {
+				if w := mixedRow(at + r)[ci]; !valIdentical(w, v.Value(r)) {
+					t.Fatalf("row %d column %d: pread vector says %s, want %s", at+r, ci, v.Value(r), w)
+				}
+			}
+		}
+		at += n
+	}
+	if at != 3000 {
+		t.Fatalf("vectors covered %d rows, want 3000", at)
+	}
 }
 
 // TestRepublishPurgesDeadSegmentPages: after a republish

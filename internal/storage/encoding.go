@@ -5,7 +5,7 @@ package storage
 // chunk of a page is encoded independently, picked by a single stats
 // pass over the chunk's values at write time:
 //
-//	encRaw      presence bitmap + raw values (the format-1 body)
+//	encRaw      presence bitmap + raw values
 //	encDict     dictionary: distinct values once + bit-packed codes
 //	            (string and int columns)
 //	encRLE      run-length: exact-equality runs of values or NULLs
@@ -29,8 +29,7 @@ package storage
 // Every encoding round-trips values bit-exactly: floats compare and
 // deduplicate by their IEEE-754 bit pattern (NaN payloads and -0
 // survive), strings by content. Decoding therefore reproduces the
-// stored expr.Values byte-identically, preserving the disk backend's
-// byte-identity oracle against the in-memory backend.
+// stored expr.Values byte-identically.
 //
 // There is one set of decoders, and it decodes a chunk to a Vector
 // (vector.go), the form closest to every encoding: a dictionary chunk
@@ -587,8 +586,7 @@ func (v *Vector) identical(i, j int) bool {
 	return v.Codes[i] == v.Codes[j] || v.Dict[v.Codes[i]].AsString() == v.Dict[v.Codes[j]].AsString()
 }
 
-// appendRawBody writes the encRaw body: bitmap + present values (the
-// format-1 chunk body, bit for bit).
+// appendRawBody writes the encRaw body: bitmap + present values.
 func (e *chunkEncoder) appendRawBody(buf []byte) []byte {
 	v := &e.vec
 	buf = slices.Grow(v.appendPresence(buf, e.n), e.rawBytes)

@@ -447,13 +447,33 @@ func pageMatchesReference(cols []Column, page []Row, reused *chunkEncoder) error
 }
 
 // matchesReference cuts rows into pages as a commit does and checks
-// each against the reference.
+// each against the reference, and its page-directory entry against
+// what a reader accepts.
 func matchesReference(cols []Column, rows []Row) error {
 	var reused chunkEncoder
 	first := 0
 	for pi, n := range splitPages(len(cols), rows) {
 		if err := pageMatchesReference(cols, rows[first:first+n], &reused); err != nil {
 			return fmt.Errorf("page %d: %w", pi, err)
+		}
+		first += n
+	}
+	return directoryReadable(cols, rows)
+}
+
+// directoryReadable cuts rows into pages as a commit does and holds
+// each page's directory entry — row count, raw size, zone map — to the
+// checks a manifest's entries meet when a store opens
+// (pageFromManifest): the reader must accept every page the writer
+// writes.
+func directoryReadable(cols []Column, rows []Row) error {
+	var e chunkEncoder
+	first := 0
+	for pi, n := range splitPages(len(cols), rows) {
+		ep := e.encodePage(cols, rows[first:first+n])
+		mp := manifestPage{Size: len(ep.buf), Rows: n, Raw: ep.raw, Zones: zonesToManifest(ep.zones)}
+		if _, err := pageFromManifest(mp, cols); err != nil {
+			return fmt.Errorf("page %d (%d rows, %d raw bytes): %w", pi, n, ep.raw, err)
 		}
 		first += n
 	}

@@ -132,7 +132,7 @@ func TestEncodingQuickCheck(t *testing.T) {
 						if err := samePage(ep, encodePageReference(cols, rows)); err != nil {
 							t.Fatalf("n=%d: %v", n, err)
 						}
-						got, err := decodePage(manifestFormatV2, cols, ep.buf, len(rows))
+						got, err := decodePage(cols, ep.buf, len(rows))
 						if err != nil {
 							t.Fatalf("n=%d: decode: %v", n, err)
 						}
@@ -181,7 +181,7 @@ func TestEncodingSelection(t *testing.T) {
 			if got := chunkTag(ep.buf); got != tc.want {
 				t.Fatalf("chose encoding %d, want %d", got, tc.want)
 			}
-			got, err := decodePage(manifestFormatV2, cols, ep.buf, len(rows))
+			got, err := decodePage(cols, ep.buf, len(rows))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +207,7 @@ func TestForceRawDisablesCompression(t *testing.T) {
 	if got := chunkTag(ep.buf); got != encRaw {
 		t.Fatalf("forced-raw page used encoding %d", got)
 	}
-	got, err := decodePage(manifestFormatV2, cols, ep.buf, len(rows))
+	got, err := decodePage(cols, ep.buf, len(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,6 +523,9 @@ func TestEncodePageMatchesReference(t *testing.T) {
 			}
 		}
 		if err := pageMatchesReference(cols, rows, &reused); err != nil {
+			t.Fatalf("round %d (%v, %d rows): %v", round, cols, len(rows), err)
+		}
+		if err := directoryReadable(cols, rows); err != nil {
 			t.Fatalf("round %d (%v, %d rows): %v", round, cols, len(rows), err)
 		}
 	}

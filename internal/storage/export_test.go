@@ -1,6 +1,10 @@
 package storage
 
-import "time"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // EncodeSerial renders rows into pages on the calling goroutine, the
 // way one commit worker would, and reports how long that took: the
@@ -14,4 +18,32 @@ func EncodeSerial(cols []Column, rows []Row) time.Duration {
 		first += n
 	}
 	return time.Since(start)
+}
+
+// setCompactSegments lowers (or raises) the auto-compaction threshold
+// for the rest of the test.
+func setCompactSegments(t testing.TB, n int) {
+	old := compactSegments
+	compactSegments = n
+	t.Cleanup(func() { compactSegments = old })
+}
+
+// dropMappings unmaps the file segments of db's tables: their pages are
+// read by pread from then on, the path a platform that does not map
+// takes.
+func dropMappings(db *DB) {
+	for _, name := range db.TableNames() {
+		t, _ := db.Table(name)
+		pg, _ := t.capture()
+		if pg == nil {
+			continue
+		}
+		for _, s := range pg.segs {
+			if s.file != nil && s.data != nil {
+				runtime.SetFinalizer(s, nil)
+				sysMunmap(s.data)
+				s.data = nil
+			}
+		}
+	}
 }

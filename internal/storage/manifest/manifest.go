@@ -33,11 +33,10 @@ const (
 	// renamed over FileName at the commit point.
 	FileName = "manifest.json"
 	TmpName  = "manifest.tmp"
-	// FormatV1 is the legacy raw-page format (fixed 64 KiB pages,
-	// untagged raw chunks, no zone maps); still readable. FormatV2 adds
-	// per-chunk compressed encodings, 4 KiB page blocks and zone maps,
-	// and is what every commit writes.
-	FormatV1 = 1
+	// FormatV2 — per-chunk compressed encodings, 4 KiB page blocks and
+	// zone maps — is the one format this build reads and writes, on the
+	// manifest and on every segment. Format 1, the raw-page format of
+	// earlier releases, is refused.
 	FormatV2 = 2
 	// SegPrefix/SegSuffix frame segment file names: seg-NNNNNNNN.qseg.
 	SegPrefix = "seg-"
@@ -69,11 +68,9 @@ type Column struct {
 
 // Segment describes one immutable on-disk run of rows.
 type Segment struct {
-	File string `json:"file"`
-	Rows int    `json:"rows"`
-	// Format is the segment's page format; 0 (absent, in pre-v2
-	// manifests) inherits the manifest's format.
-	Format int    `json:"format,omitempty"`
+	File   string `json:"file"`
+	Rows   int    `json:"rows"`
+	Format int    `json:"format,omitempty"` // the segment's page format: FormatV2
 	Pages  []Page `json:"pages"`
 }
 
@@ -94,7 +91,7 @@ type Page struct {
 	Rows int   `json:"rows"`
 	// Raw is the page's raw (uncompressed) encoded size — the buffer
 	// pool's charge for the decoded page. Zones is the page's
-	// per-column zone map. Both absent in format-1 manifests.
+	// per-column zone map.
 	Raw   int    `json:"raw,omitempty"`
 	Zones []Zone `json:"zones,omitempty"`
 }
@@ -118,30 +115,39 @@ type Value struct {
 	B *bool    `json:"b,omitempty"`
 }
 
-// Parse decodes and validates manifest bytes: the format must be one
-// this build reads (a segment may override the manifest format, so
-// segment formats are checked too).
+// Parse decodes and validates manifest bytes: the manifest and every
+// segment must be format 2, and every segment file name well-formed.
 func Parse(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("manifest corrupt: %w", err)
 	}
-	if m.Format != FormatV1 && m.Format != FormatV2 {
-		return nil, fmt.Errorf("manifest has format %d; this build reads formats %d and %d",
-			m.Format, FormatV1, FormatV2)
+	if err := checkFormat(m.Format); err != nil {
+		return nil, fmt.Errorf("manifest %w", err)
 	}
 	for _, t := range m.Tables {
 		for _, s := range t.Segments {
-			f := s.Format
-			if f == 0 {
-				f = m.Format
+			if !IsSegmentName(s.File) {
+				return nil, fmt.Errorf("table %q: %q is no segment file name", t.Name, s.File)
 			}
-			if f != FormatV1 && f != FormatV2 {
-				return nil, fmt.Errorf("table %q: segment %s has unknown format %d", t.Name, s.File, f)
+			if err := checkFormat(s.Format); err != nil {
+				return nil, fmt.Errorf("table %q: segment %s %w", t.Name, s.File, err)
 			}
 		}
 	}
 	return &m, nil
+}
+
+// checkFormat refuses every format but FormatV2, telling the owner of
+// a format-1 directory how to migrate it.
+func checkFormat(f int) error {
+	switch f {
+	case FormatV2:
+		return nil
+	case 1:
+		return fmt.Errorf("has format 1, which this build no longer reads: rewrite the directory with `quarryd -compact` from a build that still has that flag")
+	}
+	return fmt.Errorf("has format %d; this build reads format %d only", f, FormatV2)
 }
 
 // Read loads the committed manifest of a directory, returning both

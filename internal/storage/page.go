@@ -1,26 +1,19 @@
 package storage
 
-// Paged columnar encoding for the disk backend (see disk.go for the
+// Paged columnar encoding of the segment store (see disk.go for the
 // segment/manifest machinery and docs/ARCHITECTURE.md for the format
 // spec).
 //
-// A segment file is an array of pages. Each page holds a run of whole
-// rows laid out column-by-column. Two page formats exist, selected by
-// the manifest's format field:
+// A segment is an array of pages. Each page holds a run of whole rows
+// laid out column-by-column, in format 2 (the manifest's format field):
 //
-//	format 1 (read-only legacy):
-//	  page  := u32 rowCount, chunk[0], ..., chunk[ncols-1], padding
-//	  chunk := u32 chunkLen, presence bitmap, raw values of the
-//	           present rows in row order
-//	  pages are zero-padded to the fixed pageSize (64 KiB)
+//	page  := u32 rowCount, chunk[0], ..., chunk[ncols-1], padding
+//	chunk := u32 chunkLen, u8 encoding tag, body (see encoding.go:
+//	         raw, dictionary, run-length or bit-packed)
 //
-//	format 2 (written by this build):
-//	  page  := u32 rowCount, chunk[0], ..., chunk[ncols-1], padding
-//	  chunk := u32 chunkLen, u8 encoding tag, body (see encoding.go:
-//	           raw, dictionary, run-length or bit-packed)
-//	  pages are variable-size, zero-padded to a pageBlock (4 KiB)
-//	  multiple so compression actually shrinks the file while offsets
-//	  stay block-aligned (mmap-friendly)
+// Pages are variable-size, zero-padded to a pageBlock (4 KiB) multiple
+// so compression actually shrinks the file while offsets stay
+// block-aligned (mmap-friendly).
 //
 // Raw values encode by column type: int as 8-byte little-endian two's
 // complement, float as the 8-byte little-endian IEEE-754 bit pattern
@@ -30,8 +23,7 @@ package storage
 // memory no matter how well it compressed. Because the engine's type
 // checker normalises values on the way into a table (ints widen to
 // float in float columns), decoding reproduces the stored expr.Values
-// byte-identically — the disk backend shares the in-memory backend's
-// byte-identity oracle.
+// byte-identically.
 
 import (
 	"container/list"
@@ -43,18 +35,17 @@ import (
 )
 
 // pageSize is the decoded page capacity: splitPages bounds each
-// page's RAW encoding to it, and format-1 files use it as the fixed
-// on-disk page size and alignment.
+// page's RAW encoding to it.
 const pageSize = 64 << 10
 
-// pageBlock is the on-disk alignment of format-2 pages: each encoded
+// pageBlock is the alignment of pages within a segment: each encoded
 // page is zero-padded to a pageBlock multiple.
 const pageBlock = 4096
 
 // pageCacheBytes bounds the decoded pages kept resident per store
 // (the "buffer pool"); a variable so tests can shrink it to force
 // eviction. An entry is charged for each decoded form it holds: the
-// row form the page's raw encoded size (pageMeta.charge — a proxy for
+// row form the page's raw encoded size (pageMeta.raw — a proxy for
 // decoded size that, unlike a page count, keeps oversize pages from
 // blowing the budget), each column vector its own memory size. A
 // warehouse larger than the pool streams instead of residing.
@@ -113,7 +104,7 @@ func splitPages(ncols int, rows []Row) []int {
 type encodedPage struct {
 	buf   []byte // padded to a pageBlock multiple
 	zones []zone // one per column
-	raw   int    // raw (format-1) encoded size: the decoded-memory proxy
+	raw   int    // raw encoded size (every chunk raw): the decoded-memory proxy
 }
 
 // TestingForceRaw disables compressed encodings (every chunk encodes
@@ -157,10 +148,8 @@ func (e *chunkEncoder) encodePage(cols []Column, rows []Row) encodedPage {
 // pageChunks walks a page's frame: it checks the header's row count
 // against want — the manifest's count for the page, which bounds every
 // allocation made while decoding it — and calls fn with each column's
-// chunk body and encoding tag, in column order. format selects the
-// chunk framing: format-1 chunks are a bare raw body, format-2 chunks
-// carry a leading encoding tag.
-func pageChunks(format int, cols []Column, buf []byte, want int, fn func(ci, enc int, body []byte) error) error {
+// chunk body and encoding tag, in column order.
+func pageChunks(cols []Column, buf []byte, want int, fn func(ci, enc int, body []byte) error) error {
 	if len(buf) < 4 {
 		return fmt.Errorf("page shorter than header")
 	}
@@ -179,15 +168,10 @@ func pageChunks(format int, cols []Column, buf []byte, want int, fn func(ci, enc
 		}
 		chunk := buf[pos : pos+chunkLen]
 		pos += chunkLen
-		enc := encRaw
-		if format >= manifestFormatV2 {
-			if len(chunk) < 1 {
-				return fmt.Errorf("column %q chunk missing encoding tag", c.Name)
-			}
-			enc = int(chunk[0])
-			chunk = chunk[1:]
+		if len(chunk) < 1 {
+			return fmt.Errorf("column %q chunk missing encoding tag", c.Name)
 		}
-		if err := fn(ci, enc, chunk); err != nil {
+		if err := fn(ci, int(chunk[0]), chunk[1:]); err != nil {
 			return fmt.Errorf("column %q: %w", c.Name, err)
 		}
 	}
@@ -197,10 +181,10 @@ func pageChunks(format int, cols []Column, buf []byte, want int, fn func(ci, enc
 // decodePage reconstructs the row form of a page holding n rows: each
 // chunk is decoded to a vector (one scratch vector serves the whole
 // page) and transposed into the rows.
-func decodePage(format int, cols []Column, buf []byte, n int) ([]Row, error) {
+func decodePage(cols []Column, buf []byte, n int) ([]Row, error) {
 	var rows []Row
 	var scratch Vector
-	err := pageChunks(format, cols, buf, n, func(ci, enc int, body []byte) error {
+	err := pageChunks(cols, buf, n, func(ci, enc int, body []byte) error {
 		if rows == nil { // the header agreed with n: allocate
 			rows = make([]Row, n)
 			backing := make([]expr.Value, n*len(cols))
@@ -222,9 +206,9 @@ func decodePage(format int, cols []Column, buf []byte, n int) ([]Row, error) {
 
 // decodePageVectors decodes the chunks of the columns for which
 // want[ci] is set into fresh vectors (the others stay nil).
-func decodePageVectors(format int, cols []Column, buf []byte, n int, want []bool) ([]*Vector, error) {
+func decodePageVectors(cols []Column, buf []byte, n int, want []bool) ([]*Vector, error) {
 	vecs := make([]*Vector, len(cols))
-	err := pageChunks(format, cols, buf, n, func(ci, enc int, body []byte) error {
+	err := pageChunks(cols, buf, n, func(ci, enc int, body []byte) error {
 		if !want[ci] {
 			return nil
 		}

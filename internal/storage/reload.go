@@ -7,7 +7,7 @@ import (
 	mf "quarry/internal/storage/manifest"
 )
 
-// Reload re-reads the committed manifest of a disk-backed database and
+// Reload re-reads the committed manifest of a database's directory and
 // swaps the in-memory catalog to match — the in-process half of
 // replication: after internal/replication fetches a primary's missing
 // segments and installs its manifest through the commit point, Reload
@@ -27,8 +27,8 @@ import (
 // recovery at Open.
 func (db *DB) Reload() error {
 	st := db.store
-	if st == nil {
-		return fmt.Errorf("storage: Reload requires a disk-backed database")
+	if st.dir == "" {
+		return fmt.Errorf("storage: Reload requires a database with a directory")
 	}
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
@@ -47,7 +47,7 @@ func (db *DB) Reload() error {
 			continue
 		}
 		for _, s := range pg.segs {
-			if s.dir == st.dir {
+			if s.st == st {
 				reuse[s.name] = s
 			}
 		}

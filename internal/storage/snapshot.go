@@ -10,12 +10,11 @@ import "fmt"
 // replace-mode loads swap whole table objects in the DB map (the
 // snapshot keeps the old object alive), and append-mode loads only add
 // rows past the clamped prefix (appends never move existing rows, so
-// the captured slice view stays valid). Disk-backed tables snapshot
-// the same way: the captured pager is immutable (commits install a
-// new pager object rather than mutating the old one), its segment
-// files stay readable through their open handles even after a
-// republish unlinks them, and the in-memory tail is clamped exactly
-// like a memory table's rows.
+// the captured slice view stays valid). The captured pager is
+// immutable (commits install a new pager object rather than mutating
+// the old one), its segment files stay readable through their open
+// handles even after a republish unlinks them, and the uncommitted
+// tail is clamped to its length at that instant.
 
 // TableView is one table of a Snapshot: an immutable, lock-free view
 // of the rows that existed when the snapshot was taken. Callers must
@@ -24,8 +23,8 @@ type TableView struct {
 	name string
 	cols []Column
 	by   map[string]int
-	pg   *pager // captured paged base (disk-backed tables)
-	rows []Row  // captured in-memory tail
+	pg   *pager // captured committed pages
+	rows []Row  // captured uncommitted tail
 }
 
 // Name returns the table name.
@@ -46,9 +45,7 @@ func (v *TableView) NumRows() int64 { return int64(v.pg.numRows() + len(v.rows))
 
 // ReadBatch returns exactly min(max, NumRows-start) rows starting at
 // position start, or nil once start is past the end. Unlike
-// Table.ReadBatch it takes no lock: the view is immutable. On
-// disk-backed views this is the paged cursor the engine and the OLAP
-// fast path stream over.
+// Table.ReadBatch it takes no lock: the view is immutable.
 func (v *TableView) ReadBatch(start, max int) []Row {
 	return combinedRead(v.pg, v.rows, start, max)
 }

@@ -23,7 +23,7 @@ func mkTable(t *testing.T, db *DB, name string, n int) *Table {
 }
 
 func TestSnapshotIgnoresLaterAppends(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tb := mkTable(t, db, "t", 3)
 	snap, err := db.Snapshot("t")
 	if err != nil {
@@ -51,7 +51,7 @@ func TestSnapshotIgnoresLaterAppends(t *testing.T) {
 }
 
 func TestSnapshotSurvivesReplace(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	mkTable(t, db, "t", 2)
 	snap, err := db.Snapshot("t")
 	if err != nil {
@@ -70,14 +70,14 @@ func TestSnapshotSurvivesReplace(t *testing.T) {
 }
 
 func TestSnapshotUnknownTable(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	if _, err := db.Snapshot("ghost"); err == nil {
 		t.Fatal("snapshot of missing table succeeded")
 	}
 }
 
 func TestFreezeSharesRowsWithoutCopy(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	mkTable(t, db, "t", 5)
 	snap, err := db.Snapshot("t")
 	if err != nil {
@@ -89,7 +89,7 @@ func TestFreezeSharesRowsWithoutCopy(t *testing.T) {
 		t.Fatalf("frozen rows = %d", frozen.NumRows())
 	}
 	// Attach into a scratch DB and read through the normal API.
-	scratch := NewDB()
+	scratch := NewMemDB()
 	if err := scratch.Attach(frozen); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestFreezeSharesRowsWithoutCopy(t *testing.T) {
 }
 
 func TestVersionBumpsOnStructuralChanges(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	v0 := db.Version()
 	mkTable(t, db, "a", 1)
 	if db.Version() == v0 {
@@ -134,7 +134,7 @@ func TestVersionBumpsOnStructuralChanges(t *testing.T) {
 }
 
 func TestPublishSwapsAtomically(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	mkTable(t, db, "t", 2)
 	staged, err := NewStagingTable("t", []Column{{Name: "id", Type: "int"}, {Name: "v", Type: "string"}})
 	if err != nil {
@@ -168,7 +168,7 @@ func TestPublishSwapsAtomically(t *testing.T) {
 // TestSnapshotConcurrentWithWrites races snapshots against appends and
 // replaces; run under -race this checks the locking discipline.
 func TestSnapshotConcurrentWithWrites(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	mkTable(t, db, "t", 10)
 	var readers sync.WaitGroup
 	stop := make(chan struct{})

@@ -5,40 +5,31 @@
 // demonstration (the Design Deployer additionally emits real
 // PostgreSQL DDL text via internal/sqlgen).
 //
-// Two backends share one API:
+// There is one store. A table's committed rows live in immutable
+// segments of encoded, compressed, zone-mapped pages, read on demand
+// through a bounded buffer pool; rows inserted since the last commit
+// form the table's uncommitted tail. A database opened on a directory
+// (Open) keeps each segment in a file named by a manifest and
+// survives process restarts; a database without one (NewMemDB) runs
+// the same commit and keeps the same segment bytes on the heap. See
+// disk.go and docs/ARCHITECTURE.md for the format and the
+// crash-safety protocol.
 //
-//   - In-memory (NewDB/NewMemDB): a typed, mutex-guarded table heap —
-//     the default, and the byte-identity oracle the disk backend is
-//     tested against.
-//   - Disk-backed (Open): tables live in a paged columnar layout on
-//     disk — immutable fixed-page segment files named by a manifest —
-//     and survive process restarts. Readers pull pages on demand
-//     through a bounded buffer pool, so a warehouse larger than
-//     memory streams instead of residing. See disk.go and
-//     docs/ARCHITECTURE.md for the format and the crash-safety
-//     protocol.
-//
-// The concurrency contract is identical in both modes. Writers stage
-// and commit: replace-mode loads build detached tables
+// Writers stage and commit: replace-mode loads build detached tables
 // (NewStagingTable) and an ETL run's loads — replace tables and
 // append deltas alike — are published in ONE critical section
-// (CommitRun), which on disk is also exactly one manifest fsync+
-// rename. Readers take Snapshots: immutable, lock-free views that
-// stay stable across concurrent publishes. A run that fails before
-// its commit leaves every live table byte-identical to its pre-run
-// state — in memory because nothing was merged, on disk because the
-// previous manifest still names the previous segments (recovery at
-// Open discards whatever the failed run wrote).
-//
-// Setting QUARRY_STORAGE=disk redirects every NewDB call to a
-// disk-backed database in a fresh temporary directory — the CI lever
-// that runs the whole test suite against the disk backend.
+// (CommitRun), which with a directory is also exactly one manifest
+// fsync+rename. Readers take Snapshots: immutable, lock-free views
+// that stay stable across concurrent publishes. A run that fails
+// before its commit leaves every live table byte-identical to its
+// pre-run state: nothing was merged in memory, and the previous
+// manifest still names the previous segments (recovery at Open
+// discards whatever the failed run wrote).
 package storage
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -55,17 +46,16 @@ type Column = mf.Column
 // Row is one tuple; positions match the table's columns.
 type Row []expr.Value
 
-// Table is a typed row heap. In-memory tables hold all rows in the
-// tail slice; disk-backed tables hold committed rows in an immutable
-// pager (swapped copy-on-write at commit points) with only
-// not-yet-committed rows in the tail.
+// Table is a typed relation: committed rows in an immutable pager
+// (swapped copy-on-write at commit points), followed by the rows
+// inserted since, its uncommitted tail.
 type Table struct {
 	Name    string
 	Columns []Column
 
 	mu   sync.RWMutex
-	pg   *pager // committed on-disk rows; nil for pure in-memory tables
-	rows []Row  // in-memory tail, appended after the pager's rows
+	pg   *pager // committed rows; nil before the first commit that holds any
+	rows []Row  // uncommitted tail, appended after the pager's rows
 	by   map[string]int
 }
 
@@ -219,16 +209,16 @@ func (t *Table) Scan(fn func(Row) error) error {
 // the rows it holds. (Appends past the view never move existing rows,
 // so the view stays valid while the table grows.) Cursor-style batch
 // reads amortise one lock acquisition over max rows, where Scan pays
-// one callback per row; on disk-backed tables they are the paged
-// cursor — each call touches only the pages covering its range,
-// decoded through the buffer pool.
+// one callback per row; over committed rows they are the paged cursor
+// — each call touches only the pages covering its range, decoded
+// through the buffer pool.
 func (t *Table) ReadBatch(start, max int) []Row {
 	pg, tail := t.capture()
 	return combinedRead(pg, tail, start, max)
 }
 
 // combinedRead reads the [start, start+max) row range of a paged base
-// followed by an in-memory tail, clamping to the total count.
+// followed by an uncommitted tail, clamping to the total count.
 func combinedRead(pg *pager, tail []Row, start, max int) []Row {
 	base := pg.numRows()
 	total := base + len(tail)
@@ -276,8 +266,8 @@ func (t *Table) Rows() []Row {
 	}
 }
 
-// Truncate deletes all rows. On disk-backed tables the truncation is
-// made durable by the next commit (Checkpoint or an ETL run).
+// Truncate deletes all rows at once; with a directory, the next commit
+// (Checkpoint or an ETL run) makes that durable.
 func (t *Table) Truncate() {
 	t.mu.Lock()
 	t.pg = nil
@@ -285,13 +275,13 @@ func (t *Table) Truncate() {
 	t.mu.Unlock()
 }
 
-// DB is a named collection of tables, optionally backed by a paged
-// on-disk store (Open).
+// DB is a named collection of tables over one segment store, with a
+// directory (Open) or without (NewMemDB).
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	order  []string
-	store  *diskStore // nil for in-memory databases
+	store  *store
 	// version counts structural changes (create/replace/drop/attach);
 	// result caches key on it to detect reloads of the warehouse.
 	version uint64
@@ -301,48 +291,21 @@ type DB struct {
 // table is created, replaced, dropped or attached, and once per ETL
 // run commit (CommitRun — which append-only runs also reach), so
 // version-keyed caches observe every load. Direct row appends outside
-// an engine run do not bump it. For disk-backed databases the version
-// is committed in the manifest and survives restarts.
+// an engine run do not bump it. With a directory the version is
+// committed in the manifest and survives restarts.
 func (db *DB) Version() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.version
 }
 
-// NewDB creates an execution database: in-memory by default, or
-// disk-backed in a fresh temporary directory when the QUARRY_STORAGE
-// environment variable is "disk" (the CI matrix lever that runs every
-// test that constructs a DB against the disk backend; it panics on
-// setup failure so a misconfigured matrix leg cannot silently test
-// the wrong backend). The leg is meant for ephemeral runners: the
-// per-DB directories — grouped under <tmp>/quarry-disk-tests so one
-// `rm -rf` clears them — are not removed (there is no DB close
-// lifecycle to hang cleanup on). Production disk databases name
-// their directory explicitly via Open.
-func NewDB() *DB {
-	if os.Getenv("QUARRY_STORAGE") == "disk" {
-		root := filepath.Join(os.TempDir(), "quarry-disk-tests")
-		if err := os.MkdirAll(root, 0o755); err != nil {
-			panic(fmt.Sprintf("storage: QUARRY_STORAGE=disk: %v", err))
-		}
-		dir, err := os.MkdirTemp(root, "db-")
-		if err != nil {
-			panic(fmt.Sprintf("storage: QUARRY_STORAGE=disk: %v", err))
-		}
-		db, err := Open(dir)
-		if err != nil {
-			panic(fmt.Sprintf("storage: QUARRY_STORAGE=disk: %v", err))
-		}
-		return db
-	}
-	return NewMemDB()
-}
-
-// NewMemDB creates an empty in-memory database regardless of
-// QUARRY_STORAGE — for scratch work that must stay off disk (the OLAP
-// oracle's per-query scratch databases, tests of the memory backend).
+// NewMemDB creates an empty database without a directory: its
+// commits encode the pages a disk store writes and keep each segment's
+// bytes on the heap, so nothing outlives the process. Tests and the
+// OLAP oracle's per-query scratch databases use it; Open names a
+// directory.
 func NewMemDB() *DB {
-	return &DB{tables: map[string]*Table{}}
+	return &DB{tables: map[string]*Table{}, store: newStore("")}
 }
 
 // CreateTable creates a table; it fails if the name exists.
@@ -351,38 +314,17 @@ func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	install := func() {
-		db.tables[name] = t
-		db.order = append(db.order, name)
-		db.version++
+	if err := db.Attach(t); err != nil {
+		return nil, err
 	}
-	if st := db.store; st != nil {
-		st.commitMu.Lock()
-		defer st.commitMu.Unlock()
-		if _, dup := db.Table(name); dup {
-			return nil, fmt.Errorf("storage: table %q already exists", name)
-		}
-		order, tables := db.catalogWith([]*Table{t})
-		if err := db.commitDisk(db.Version()+1, order, tables, nil, nil, install); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.tables[name]; dup {
-		return nil, fmt.Errorf("storage: table %q already exists", name)
-	}
-	install()
 	return t, nil
 }
 
 // NewStagingTable creates a detached table registered in no database:
 // loaders build replace-mode loads in one, then swap the finished
 // table in atomically with Publish, so concurrent readers never
-// observe a half-loaded table. Staging tables are always in-memory;
-// publishing into a disk-backed database writes their rows out as
-// fresh segments at the commit.
+// observe a half-loaded table. A staging table holds only a tail;
+// publishing it encodes its rows into fresh segments at the commit.
 func NewStagingTable(name string, cols []Column) (*Table, error) {
 	return newTable(name, cols)
 }
@@ -414,98 +356,66 @@ type AppendDelta struct {
 // replace-mode table and merges every staged append delta into its
 // live target in one critical section, then bumps the version once. A
 // concurrent Snapshot therefore sees either none or all of the run's
-// loads — replace and append alike. On a disk-backed database the
-// same call writes the staged tables and deltas as new segments and
-// commits them with one manifest fsync+rename; an error (or a crash)
-// anywhere before that rename leaves both the live in-memory tables
-// and the on-disk warehouse byte-identical to their pre-run state,
-// with no version bump.
+// loads — replace and append alike. The same call encodes the staged
+// tables and deltas as new segments and, with a directory, commits
+// them with one manifest fsync+rename; an error (or a crash) anywhere
+// before that rename leaves both the live tables and the on-disk
+// warehouse byte-identical to their pre-run state, with no version
+// bump.
 func (db *DB) CommitRun(tables []*Table, appends []AppendDelta) error {
-	if st := db.store; st != nil {
-		st.commitMu.Lock()
-		defer st.commitMu.Unlock()
-		order, catalog := db.catalogWith(tables)
-		var extra map[*Table][]Row
-		for _, a := range appends {
-			a.Delta.mu.RLock()
-			rows := a.Delta.rows[:len(a.Delta.rows):len(a.Delta.rows)]
-			a.Delta.mu.RUnlock()
-			// A target replaced by this same run's staged tables keeps
-			// the memory backend's semantics: the delta lands in the
-			// dead object, invisible either way.
-			if len(rows) == 0 || catalog[a.Target.Name] != a.Target {
-				continue
-			}
-			if extra == nil {
-				extra = map[*Table][]Row{}
-			}
-			extra[a.Target] = append(extra[a.Target], rows...)
-		}
-		return db.commitDisk(db.Version()+1, order, catalog, extra, nil, func() {
-			for _, t := range tables {
-				if _, exists := db.tables[t.Name]; !exists {
-					db.order = append(db.order, t.Name)
-				}
-				db.tables[t.Name] = t
-			}
-			db.version++
-		})
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, t := range tables {
-		if _, exists := db.tables[t.Name]; !exists {
-			db.order = append(db.order, t.Name)
-		}
-		db.tables[t.Name] = t
-	}
+	st := db.store
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	order, catalog := db.catalogWith(tables)
+	var extra map[*Table][]Row
 	for _, a := range appends {
 		a.Delta.mu.RLock()
-		rows := a.Delta.rows
+		rows := a.Delta.rows[:len(a.Delta.rows):len(a.Delta.rows)]
 		a.Delta.mu.RUnlock()
-		if len(rows) == 0 {
+		// A target this same run replaces (or one no longer in the
+		// catalog) is dead: its delta has nowhere to land.
+		if len(rows) == 0 || catalog[a.Target.Name] != a.Target {
 			continue
 		}
-		// Delta rows were validated against the delta's columns, which
-		// are a copy of the target's, so they merge without re-checking.
-		a.Target.mu.Lock()
-		a.Target.rows = append(a.Target.rows, rows...)
-		a.Target.mu.Unlock()
+		if extra == nil {
+			extra = map[*Table][]Row{}
+		}
+		extra[a.Target] = append(extra[a.Target], rows...)
 	}
-	db.version++
-	return nil
+	return db.commitDisk(db.Version()+1, order, catalog, extra, func() {
+		for _, t := range tables {
+			if _, exists := db.tables[t.Name]; !exists {
+				db.order = append(db.order, t.Name)
+			}
+			db.tables[t.Name] = t
+		}
+		db.version++
+	})
 }
 
 // Attach registers an existing table object under its own name without
 // copying rows; it fails if the name is taken. Scratch databases use it
 // to share source tables (typically frozen snapshot views) with a main
-// database while keeping their own writes private. Attaching to a
-// disk-backed database persists the table like any other.
+// database while keeping their own writes private. The commit encodes
+// the table's tail; a database with a directory also copies segments
+// that belong to another database into its own files, while one
+// without keeps referring to them.
 func (db *DB) Attach(t *Table) error {
 	if t == nil {
 		return fmt.Errorf("storage: cannot attach nil table")
 	}
-	install := func() {
+	st := db.store
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	if _, dup := db.Table(t.Name); dup {
+		return fmt.Errorf("storage: table %q already exists", t.Name)
+	}
+	order, tables := db.catalogWith([]*Table{t})
+	return db.commitDisk(db.Version()+1, order, tables, nil, func() {
 		db.tables[t.Name] = t
 		db.order = append(db.order, t.Name)
 		db.version++
-	}
-	if st := db.store; st != nil {
-		st.commitMu.Lock()
-		defer st.commitMu.Unlock()
-		if _, dup := db.Table(t.Name); dup {
-			return fmt.Errorf("storage: table %q already exists", t.Name)
-		}
-		order, tables := db.catalogWith([]*Table{t})
-		return db.commitDisk(db.Version()+1, order, tables, nil, nil, install)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.tables[t.Name]; dup {
-		return fmt.Errorf("storage: table %q already exists", t.Name)
-	}
-	install()
-	return nil
+	})
 }
 
 // CreateOrReplaceTable creates the table, dropping any previous
@@ -515,67 +425,37 @@ func (db *DB) CreateOrReplaceTable(name string, cols []Column) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	install := func() {
-		if _, exists := db.tables[name]; !exists {
-			db.order = append(db.order, name)
-		}
-		db.tables[name] = t
-		db.version++
+	if err := db.Publish(t); err != nil {
+		return nil, err
 	}
-	if st := db.store; st != nil {
-		st.commitMu.Lock()
-		defer st.commitMu.Unlock()
-		order, tables := db.catalogWith([]*Table{t})
-		if err := db.commitDisk(db.Version()+1, order, tables, nil, nil, install); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	install()
 	return t, nil
 }
 
 // Drop removes a table.
 func (db *DB) Drop(name string) error {
-	remove := func() {
-		delete(db.tables, name)
-		for i, n := range db.order {
-			if n == name {
-				db.order = append(db.order[:i], db.order[i+1:]...)
-				break
-			}
+	st := db.store
+	st.commitMu.Lock()
+	defer st.commitMu.Unlock()
+	db.mu.RLock()
+	_, ok := db.tables[name]
+	order := make([]string, 0, len(db.order))
+	tables := make(map[string]*Table, len(db.tables))
+	for _, n := range db.order {
+		if n == name {
+			continue
 		}
-		db.version++
+		order = append(order, n)
+		tables[n] = db.tables[n]
 	}
-	if st := db.store; st != nil {
-		st.commitMu.Lock()
-		defer st.commitMu.Unlock()
-		db.mu.RLock()
-		_, ok := db.tables[name]
-		order := make([]string, 0, len(db.order))
-		tables := make(map[string]*Table, len(db.tables))
-		for _, n := range db.order {
-			if n == name {
-				continue
-			}
-			order = append(order, n)
-			tables[n] = db.tables[n]
-		}
-		db.mu.RUnlock()
-		if !ok {
-			return fmt.Errorf("storage: table %q does not exist", name)
-		}
-		return db.commitDisk(db.Version()+1, order, tables, nil, nil, remove)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.tables[name]; !ok {
+	db.mu.RUnlock()
+	if !ok {
 		return fmt.Errorf("storage: table %q does not exist", name)
 	}
-	remove()
-	return nil
+	return db.commitDisk(db.Version()+1, order, tables, nil, func() {
+		delete(db.tables, name)
+		db.order = slices.DeleteFunc(db.order, func(n string) bool { return n == name })
+		db.version++
+	})
 }
 
 // Table looks a table up by name.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCreateAndInsert(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tbl, err := db.CreateTable("nation", []Column{
 		{Name: "n_nationkey", Type: "int"},
 		{Name: "n_name", Type: "string"},
@@ -40,7 +40,7 @@ func TestCreateAndInsert(t *testing.T) {
 }
 
 func TestInsertTypeErrors(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{
 		{Name: "i", Type: "int"}, {Name: "s", Type: "string"}, {Name: "b", Type: "bool"},
 	})
@@ -63,7 +63,7 @@ func TestInsertTypeErrors(t *testing.T) {
 }
 
 func TestInsertAllAtomic(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{{Name: "i", Type: "int"}})
 	err := tbl.InsertAll([]Row{
 		{expr.Int(1)},
@@ -79,7 +79,7 @@ func TestInsertAllAtomic(t *testing.T) {
 }
 
 func TestCreateErrors(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	if _, err := db.CreateTable("", []Column{{Name: "a", Type: "int"}}); err == nil {
 		t.Error("empty name accepted")
 	}
@@ -104,7 +104,7 @@ func TestCreateErrors(t *testing.T) {
 }
 
 func TestCreateOrReplace(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	t1, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
 	t1.Insert(Row{expr.Int(1)})
 	t2, err := db.CreateOrReplaceTable("t", []Column{{Name: "b", Type: "string"}})
@@ -124,7 +124,7 @@ func TestCreateOrReplace(t *testing.T) {
 }
 
 func TestDrop(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	db.CreateTable("a", []Column{{Name: "x", Type: "int"}})
 	db.CreateTable("b", []Column{{Name: "x", Type: "int"}})
 	if err := db.Drop("a"); err != nil {
@@ -143,7 +143,7 @@ func TestDrop(t *testing.T) {
 }
 
 func TestScanAndTruncate(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
 	for i := 0; i < 10; i++ {
 		tbl.Insert(Row{expr.Int(int64(i))})
@@ -169,7 +169,7 @@ func TestScanAndTruncate(t *testing.T) {
 }
 
 func TestConcurrentInsertAndScan(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -199,7 +199,7 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 }
 
 func TestReadBatch(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
 	for i := 0; i < 10; i++ {
 		tbl.Insert(Row{expr.Int(int64(i))})
@@ -240,7 +240,7 @@ func TestReadBatch(t *testing.T) {
 }
 
 func TestAppendBatchAtomic(t *testing.T) {
-	db := NewDB()
+	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
 	err := tbl.AppendBatch([]Row{{expr.Int(1)}, {expr.Str("bad")}})
 	if err == nil {

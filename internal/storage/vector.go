@@ -320,8 +320,8 @@ func (v *Vector) fillRows(rows []Row, ci int) {
 	}
 }
 
-// transposeRows fills v with column ci of rows: how the in-memory tail
-// and memory tables, which hold only rows, serve vector reads. Strings
+// transposeRows fills v with column ci of rows: how the uncommitted
+// tail, which holds only rows, serves vector reads. Strings
 // are dictionary-coded here, one entry per distinct value.
 func (v *Vector) transposeRows(rows []Row, ci int, typ string) {
 	if err := v.reset(typ, len(rows)); err != nil {

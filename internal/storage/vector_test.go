@@ -54,7 +54,7 @@ func TestDecodeRejectsCorruptPages(t *testing.T) {
 	rawCols, rawPage := threeRowPage("string", encRaw, expr.Str("x"), expr.Str("y"), expr.Str("z"))
 	for i, page := range [][]byte{dictPage, rlePage, rawPage} {
 		cols := [][]Column{dictCols, rleCols, rawCols}[i]
-		if _, err := decodePage(manifestFormatV2, cols, page, 3); err != nil {
+		if _, err := decodePage(cols, page, 3); err != nil {
 			t.Fatalf("uncorrupted page %d: %v", i, err)
 		}
 	}
@@ -87,8 +87,8 @@ func TestDecodeRejectsCorruptPages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var errRows, errVecs error
 			spent := allocatedBy(func() {
-				_, errRows = decodePage(manifestFormatV2, tc.cols, tc.page, 3)
-				_, errVecs = decodePageVectors(manifestFormatV2, tc.cols, tc.page, 3, []bool{true})
+				_, errRows = decodePage(tc.cols, tc.page, 3)
+				_, errVecs = decodePageVectors(tc.cols, tc.page, 3, []bool{true})
 			})
 			for form, err := range map[string]error{"rows": errRows, "vectors": errVecs} {
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -198,7 +198,7 @@ func encodingsOf(t *testing.T, view *TableView) map[int]bool {
 	tags := map[int]bool{}
 	for _, seg := range view.pg.segs {
 		for i, pm := range seg.pages {
-			err := pageChunks(seg.format, seg.cols, seg.read(i), pm.rows, func(ci, enc int, body []byte) error {
+			err := pageChunks(seg.cols, seg.read(i), pm.rows, func(ci, enc int, body []byte) error {
 				tags[enc] = true
 				return nil
 			})
@@ -211,8 +211,8 @@ func encodingsOf(t *testing.T, view *TableView) map[int]bool {
 }
 
 // TestVectorsMatchRows reads the same table through Next and through
-// NextVectors — on a memory table, a checkpointed disk table, and a
-// disk table with committed segments plus an unpersisted tail — and
+// NextVectors — all of it an uncommitted tail ("mem"), committed to
+// heap segments, checkpointed to files, and files plus a tail — and
 // demands the same values, the same chunking of pages, and the same
 // pruning statistics.
 func TestVectorsMatchRows(t *testing.T) {
@@ -230,6 +230,7 @@ func TestVectorsMatchRows(t *testing.T) {
 			}
 			return db
 		},
+		"heap": func(t *testing.T) *DB { return tableWithTail(t, NewMemDB(), cols, rows, len(rows)) },
 		"disk": func(t *testing.T) *DB { return diskTableWithTail(t, cols, rows, len(rows)) },
 		"tail": func(t *testing.T) *DB { return diskTableWithTail(t, cols, rows, 2000) },
 	}
@@ -241,7 +242,7 @@ func TestVectorsMatchRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			view, _ := snap.Table("t")
-			if name == "disk" {
+			if name == "disk" || name == "heap" {
 				if tags := encodingsOf(t, view); len(tags) != 4 {
 					t.Fatalf("the pages use encodings %v, want raw, dictionary, run-length and bit-packed", tags)
 				}
@@ -287,7 +288,7 @@ func TestVectorsMatchRows(t *testing.T) {
 }
 
 // diskTableWithTail opens a disk DB holding table t: the first
-// committed rows in checkpointed segments, the rest as an in-memory
+// committed rows in checkpointed segments, the rest as an uncommitted
 // tail.
 func diskTableWithTail(t *testing.T, cols []Column, rows []Row, committed int) *DB {
 	t.Helper()
@@ -295,6 +296,13 @@ func diskTableWithTail(t *testing.T, cols []Column, rows []Row, committed int) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tableWithTail(t, db, cols, rows, committed)
+}
+
+// tableWithTail creates table t in db: the first committed rows in
+// checkpointed segments, the rest as an uncommitted tail.
+func tableWithTail(t *testing.T, db *DB, cols []Column, rows []Row, committed int) *DB {
+	t.Helper()
 	tbl, err := db.CreateTable("t", cols)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +396,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		page := binary.LittleEndian.AppendUint32(nil, uint32(rowCount))
 		page = binary.LittleEndian.AppendUint32(page, uint32(len(body)+1))
 		page = append(append(page, enc), body...)
-		rows, errRows := decodePage(manifestFormatV2, []Column{{Name: "c", Type: typ}}, page, rowCount)
+		rows, errRows := decodePage([]Column{{Name: "c", Type: typ}}, page, rowCount)
 		if (errVec == nil) != (errRows == nil) {
 			t.Fatalf("vector decode: %v; row decode: %v", errVec, errRows)
 		}
@@ -477,7 +485,7 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 		if err := samePage(ep, encodePageReference(cols, rows)); err != nil {
 			t.Fatal(err)
 		}
-		vecs, err := decodePageVectors(manifestFormatV2, cols, ep.buf, len(rows), []bool{true})
+		vecs, err := decodePageVectors(cols, ep.buf, len(rows), []bool{true})
 		if err != nil {
 			t.Fatalf("the encoder's page does not decode: %v", err)
 		}

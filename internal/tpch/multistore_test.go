@@ -70,7 +70,7 @@ func TestMultiStoreMappingValidates(t *testing.T) {
 }
 
 func TestGenerateMultiStore(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	sz, err := GenerateMultiStore(db, 1, 42)
 	if err != nil {
 		t.Fatal(err)

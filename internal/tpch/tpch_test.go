@@ -73,12 +73,12 @@ func TestMappingValidates(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	db1 := storage.NewDB()
+	db1 := storage.NewMemDB()
 	sz1, err := Generate(db1, 1, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2 := storage.NewDB()
+	db2 := storage.NewMemDB()
 	sz2, err := Generate(db2, 1, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	// Different seed differs somewhere in supplier account balances.
-	db3 := storage.NewDB()
+	db3 := storage.NewMemDB()
 	if _, err := Generate(db3, 1, 43); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateSizesAndIntegrity(t *testing.T) {
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	sz, err := Generate(db, 2, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -29,13 +29,12 @@
 // Config.Engine, or per run with Platform.RunWith. Results are
 // identical for every setting; only wall-clock time changes.
 //
-// The execution database comes in two flavours behind one API: the
-// default in-memory store, and a paged, disk-backed store (OpenDB or
-// Config.StorageDir) whose tables survive process restarts — segment
-// files of fixed 64 KiB columnar pages named by a manifest, with
-// every ETL run committed by a single atomic manifest rename and
-// recovery discarding whatever a crashed run left behind. Both
-// backends answer every query byte-identically; see
+// The execution database is one paged columnar store: committed rows
+// live in segments of compressed, zone-mapped pages. NewMemDB keeps the
+// segments in memory; OpenDB (or Config.StorageDir) keeps them in
+// files named by a manifest, so tables survive process restarts —
+// every ETL run committed by a single atomic manifest rename, recovery
+// discarding whatever a crashed run left behind. See
 // docs/ARCHITECTURE.md for the storage-format spec.
 //
 // Quickstart:
@@ -101,9 +100,9 @@ type Catalog = sources.Catalog
 // DB is the embedded execution database.
 type DB = storage.DB
 
-// NewMemDB creates an empty in-memory execution database — the
-// default backend, and the byte-identity oracle the disk backend is
-// verified against.
+// NewMemDB creates an empty in-memory execution database: the same
+// paged store as OpenDB, its segments kept on the heap instead of in a
+// directory, so nothing survives the process.
 func NewMemDB() *DB { return storage.NewMemDB() }
 
 // OpenDB opens (or initialises) a paged, disk-backed execution
@@ -185,7 +184,7 @@ func NewTPCHPlatform(sf float64, seed int64) (*Platform, *DB, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	db := storage.NewDB()
+	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, sf, seed); err != nil {
 		return nil, nil, err
 	}
