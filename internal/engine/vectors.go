@@ -62,9 +62,9 @@ func zeroed[T any](s []T, n int) []T {
 
 // sized returns s with length n, reallocated only when it is too small
 // (its contents are about to be overwritten).
-func sized(s []int32, n int) []int32 {
+func sized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -163,7 +163,7 @@ func (v Value) Equal(o Value) bool {
 	if v.IsNumeric() && o.IsNumeric() {
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()
-		return a == b
+		return NumberOrder(a, b) == Same
 	}
 	if v.kind != o.kind {
 		return false
@@ -177,6 +177,34 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
+// Order is how one number stands to another.
+type Order uint8
+
+// The four orders of two numbers; Unordered is a NaN on either side.
+const (
+	Less Order = iota
+	Same
+	Greater
+	Unordered
+)
+
+// NumberOrder orders two numbers — ints are compared as their float64 —
+// and is the arithmetic of both Equal (Same and nothing else is equal)
+// and Compare (Unordered compares as 0, like Same). Vectorised
+// comparisons call it too, so that they cannot drift from the
+// evaluator.
+func NumberOrder(a, b float64) Order {
+	switch {
+	case a < b:
+		return Less
+	case a > b:
+		return Greater
+	case a == b:
+		return Same
+	}
+	return Unordered
+}
+
 // Compare orders two values: -1, 0, +1. Numerics compare numerically,
 // strings lexicographically, bools false<true. Comparing NULL or
 // mismatched kinds yields an error.
@@ -187,12 +215,12 @@ func (v Value) Compare(o Value) (int, error) {
 	if v.IsNumeric() && o.IsNumeric() {
 		a, _ := v.AsFloat()
 		b, _ := o.AsFloat()
-		switch {
-		case a < b:
+		switch NumberOrder(a, b) {
+		case Less:
 			return -1, nil
-		case a > b:
+		case Greater:
 			return 1, nil
-		default:
+		default: // Same, or Unordered: NaN compares as 0
 			return 0, nil
 		}
 	}

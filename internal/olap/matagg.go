@@ -46,6 +46,7 @@ import (
 
 	"quarry/internal/engine"
 	"quarry/internal/expr"
+	"quarry/internal/storage"
 )
 
 // maxPatterns bounds the query-log pattern map; a full log drops
@@ -92,9 +93,12 @@ type matEntry struct {
 	// rows are those states finalised once at build (group values in
 	// pat.groupBy order, then one value per pat.measures), in sorted
 	// group order.
-	parts   []engine.AggPartial
-	rows    [][]expr.Value
-	version uint64
+	parts []engine.AggPartial
+	rows  [][]expr.Value
+	// partKeys and rowKeys are the group keys of parts and of rows, in
+	// their order, one column per group column: what serve filters.
+	partKeys, rowKeys []engine.Column
+	version           uint64
 	// srcRows records the row count of every source table the entry
 	// was built from: the fact and the dimensions its plan joined. The
 	// key set is the entry's join set — answer() serves only queries
@@ -373,13 +377,15 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 		return nil, err
 	}
 	en := &matEntry{
-		pat:     pat,
-		parts:   parts,
-		rows:    rows,
-		version: snap.Version(),
-		srcRows: make(map[string]int64, len(p.tables)),
-		gIdx:    make(map[string]int, len(pat.groupBy)),
-		mIdx:    make(map[string]int, len(pat.measures)),
+		pat:      pat,
+		parts:    parts,
+		rows:     rows,
+		partKeys: keyColumns(len(pat.groupBy), len(parts), func(i int) []expr.Value { return parts[i].Group }),
+		rowKeys:  keyColumns(len(pat.groupBy), len(rows), func(i int) []expr.Value { return rows[i] }),
+		version:  snap.Version(),
+		srcRows:  make(map[string]int64, len(p.tables)),
+		gIdx:     make(map[string]int, len(pat.groupBy)),
+		mIdx:     make(map[string]int, len(pat.measures)),
 	}
 	for _, name := range p.tables {
 		view, ok := snap.Table(name)
@@ -395,4 +401,18 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 		en.mIdx[am.key()] = i
 	}
 	return en, nil
+}
+
+// keyColumns builds the vectors of the first width values of n group
+// keys.
+func keyColumns(width, n int, key func(i int) []expr.Value) []engine.Column {
+	cols := make([]engine.Column, width)
+	vals := make([]expr.Value, n)
+	for c := range cols {
+		for i := range vals {
+			vals[i] = key(i)[c]
+		}
+		cols[c] = engine.Column{Vec: storage.VectorOf(vals)}
+	}
+	return cols
 }

@@ -13,9 +13,10 @@ package olap
 // answer picks the COARSEST — fewest groups — whose group-by set covers
 // the query's group-by and filter columns and which stores every
 // measure the query asks for. The query's filter reads group keys only,
-// so it commutes with aggregation: one loop keeps the entry's groups
-// that pass it. The kept groups are then merged with the one algebra
-// the tree has for partial states, engine.FinalizePartials — each kept
+// so it commutes with aggregation: engine.VectorFilter keeps the
+// entry's groups that pass it. The kept groups are then merged with
+// the one algebra the tree has for partial states,
+// engine.FinalizePartials — each kept
 // partial projected onto the query's group-by and measures, absorbed
 // into a fresh kernel, finalised and sorted once. That is what a shard
 // gather does with per-shard partials, and it is byte-identical to one
@@ -29,8 +30,8 @@ package olap
 // skips it and projects the rows finalised at build instead
 // (BenchmarkOLAPQuery_Materialized, a 25-group cube: ≈ 20 µs per query
 // against ≈ 65 µs through the kernel, outside the CI gate's 25 %). The
-// filter loop is the same either way; it reads the group keys from the
-// half the chosen arm consumes.
+// filter is the same either way; it reads the group keys of the half
+// the chosen arm consumes, as vectors built with the entry.
 
 import (
 	"quarry/internal/engine"
@@ -120,8 +121,8 @@ entries:
 	return &Result{Columns: p.resultColumns(), Rows: rows}, true, nil
 }
 
-// serve answers the planned query from the entry. One loop keeps the
-// groups passing the filter (group-key predicates commute with
+// serve answers the planned query from the entry. The VectorFilter
+// keeps the groups passing the filter (group-key predicates commute with
 // aggregation); the kept groups, projected onto the query's group-by
 // and measures, are merged by engine.FinalizePartials — the merge a
 // shard gather runs, exact for every aggregate function. At the entry's
@@ -129,26 +130,22 @@ entries:
 // its own, so the rows finalised at build are projected and sorted
 // instead.
 func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
-	// The loop reads group keys from whichever half the chosen arm
+	// The filter reads group keys in the order of the half the chosen arm
 	// consumes, so neither arm depends on the other's order.
-	n, key := len(en.parts), func(i int) []expr.Value { return en.parts[i].Group }
+	n, keys := len(en.parts), en.partKeys
 	if same {
-		n, key = len(en.rows), func(i int) []expr.Value { return en.rows[i][:len(en.gIdx)] }
+		n, keys = len(en.rows), en.rowKeys
 	}
-	kept := make([]int, 0, n)
-	env := expr.NewSliceEnv(en.gIdx)
-	for i := 0; i < n; i++ {
-		if p.filter != nil {
-			env.Bind(key(i))
-			ok, err := expr.EvalBool(p.filter, env.Env())
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+	kept := make([]int32, 0, n)
+	if p.filter == nil {
+		for i := 0; i < n; i++ {
+			kept = append(kept, int32(i))
 		}
-		kept = append(kept, i)
+	} else {
+		var err error
+		if kept, err = engine.NewVectorFilter(p.filter, en.gIdx).Apply(n, keys, kept); err != nil {
+			return nil, err
+		}
 	}
 	gPos := make([]int, len(p.groupBy))
 	for i, g := range p.groupBy {
