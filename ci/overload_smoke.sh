@@ -78,7 +78,7 @@ go build -o "$BIN" ./cmd/quarryd ./cmd/quarry ./cmd/quarrybench
 log "starting quarryd (sf=$SF, 2 executor slots, slo $SLO, cache off)"
 "$BIN/quarryd" -addr ":$PORT" -sf "$SF" -data-dir "$WORK/primary" \
     -olap-concurrency 2 -olap-cache -1 -matagg=false \
-    -slo-target "$SLO" -shed-policy expensive-first -default-deadline 8s &
+    -slo-target "$SLO" -default-deadline 8s &
 PIDS+=($!)
 wait_until "quarryd up" "http://localhost:$PORT/api/health" '"role":"primary"'
 

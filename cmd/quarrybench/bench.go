@@ -29,9 +29,10 @@ type benchConfig struct {
 	// exercise warehouse churn (cache purges + aggregate refreshes)
 	// under load.
 	ReloadInterval time.Duration
-	Timeout        time.Duration
-	Fact           string
 }
+
+// requestTimeout bounds every request of a run.
+const requestTimeout = 10 * time.Second
 
 // Percentiles reports latency in microseconds.
 type Percentiles struct {
@@ -75,7 +76,6 @@ type QueryCount struct {
 
 // LoadReport is the run artifact (BENCH_load_<sha>.json).
 type LoadReport struct {
-	SHA             string  `json:"sha,omitempty"`
 	Target          string  `json:"target"`
 	OfferedQPS      float64 `json:"offered_qps"`
 	ZipfS           float64 `json:"zipf_s"`
@@ -130,10 +130,7 @@ func runBench(cfg benchConfig) (*LoadReport, error) {
 	if cfg.ZipfS <= 1 {
 		return nil, fmt.Errorf("zipf skew must be > 1 (got %g)", cfg.ZipfS)
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	queries := goldenWorkload(cfg.Fact)
+	queries := goldenWorkload()
 	bodies := make([][]byte, len(queries))
 	oracleBodies := make([][]byte, len(queries))
 	for i, q := range queries {
@@ -151,7 +148,7 @@ func runBench(cfg benchConfig) (*LoadReport, error) {
 			return nil, fmt.Errorf("marshal %s oracle: %w", q.Name, err)
 		}
 	}
-	client := &http.Client{Timeout: cfg.Timeout}
+	client := &http.Client{Timeout: requestTimeout}
 	target := strings.TrimRight(cfg.Target, "/")
 	statsBefore, statsErr := scrapeStats(client, cfg.Target)
 

@@ -105,8 +105,6 @@ func TestBenchSmoke(t *testing.T) {
 		Seed:           42,
 		OracleEvery:    5,
 		ReloadInterval: 200 * time.Millisecond,
-		Timeout:        5 * time.Second,
-		Fact:           "fact_table_revenue",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,8 +198,6 @@ func TestBenchOracleMismatchDetected(t *testing.T) {
 		ZipfS:       1.3,
 		Seed:        1,
 		OracleEvery: 2,
-		Timeout:     5 * time.Second,
-		Fact:        "fact_table_revenue",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,8 +230,6 @@ func TestBenchOracleSkipOnVersionSkew(t *testing.T) {
 		ZipfS:       1.3,
 		Seed:        7,
 		OracleEvery: 2,
-		Timeout:     5 * time.Second,
-		Fact:        "fact_table_revenue",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +259,6 @@ func TestBenchOracleChecksWhenVersionStable(t *testing.T) {
 		ZipfS:       1.3,
 		Seed:        7,
 		OracleEvery: 2,
-		Timeout:     5 * time.Second,
-		Fact:        "fact_table_revenue",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,8 +311,6 @@ func TestBenchShedAccounting(t *testing.T) {
 		ZipfS:       1.3,
 		Seed:        42,
 		OracleEvery: 5,
-		Timeout:     5 * time.Second,
-		Fact:        "fact_table_revenue",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,12 @@
 // Usage:
 //
 //	quarrybench -target http://localhost:8080 [-qps 100] [-duration 30s]
-//	    [-zipf 1.3] [-seed 42] [-oracle-every 50] [-reload-interval 0]
-//	    [-timeout 10s] [-fact fact_table_revenue] [-sha abc123] [-out FILE]
-//	    [-max-error-rate -1] [-min-matagg-hits -1] [-max-shed-rate -1]
+//	    [-seed 42] [-oracle-every 50] [-reload-interval 0] [-out FILE]
+//	    [-max-error-rate -1] [-min-matagg-hits -1]
 //	    [-min-shed -1] [-max-p99 0] [-expect-reconcile]
+//
+// The mix is Zipf-skewed with s = 1.3 over fact_table_revenue, and
+// every request times out after 10 s.
 //
 // A 429 is a shed — the server's admission control refusing work to
 // protect its SLO — and is accounted separately from errors: the
@@ -32,8 +34,7 @@
 // The run fails (exit 1) when any oracle spot check mismatches, when
 // -max-error-rate ≥ 0 and the observed error rate exceeds it, when
 // -min-matagg-hits ≥ 0 and the server's materialized-aggregate store
-// served fewer hits+rewrites than that over the run, when
-// -max-shed-rate ≥ 0 and the shed rate exceeds it, when -min-shed ≥ 0
+// served fewer hits+rewrites than that over the run, when -min-shed ≥ 0
 // and fewer requests were shed (overload smoke tests use this to
 // prove the server actually shed), when -max-p99 > 0 and the admitted
 // p99 exceeds it, or when -expect-reconcile is set and the server's
@@ -52,23 +53,18 @@ import (
 
 func main() {
 	var (
-		target      = flag.String("target", "http://localhost:8080", "base URL of the quarryd/quarryrouter endpoint")
-		qps         = flag.Float64("qps", 100, "offered request rate (open-loop schedule)")
-		duration    = flag.Duration("duration", 30*time.Second, "length of the request schedule")
-		zipfS       = flag.Float64("zipf", 1.3, "Zipf skew of the query mix (must be > 1)")
-		seed        = flag.Int64("seed", 42, "seed for the query-mix sequence (same seed, same sequence)")
-		oracleEach  = flag.Int("oracle-every", 50, "every Nth request is an oracle spot check (0 disables)")
-		reloadInt   = flag.Duration("reload-interval", 0, "POST /api/run at this interval during the run (0 disables)")
-		timeout     = flag.Duration("timeout", 10*time.Second, "per-request HTTP timeout")
-		fact        = flag.String("fact", "fact_table_revenue", "deployed fact table the mix queries")
-		sha         = flag.String("sha", "", "commit SHA recorded in the artifact")
-		out         = flag.String("out", "", "write the JSON artifact here (e.g. BENCH_load_<sha>.json)")
-		maxErrRate  = flag.Float64("max-error-rate", -1, "fail if the error rate exceeds this (-1 disables)")
-		minMatHits  = flag.Int64("min-matagg-hits", -1, "fail if matagg hits+rewrites over the run fall below this (-1 disables)")
-		maxShedRate = flag.Float64("max-shed-rate", -1, "fail if the shed (429) rate exceeds this (-1 disables)")
-		minShed     = flag.Int64("min-shed", -1, "fail if fewer than this many requests were shed (-1 disables; overload smokes use it to prove shedding happened)")
-		maxP99      = flag.Duration("max-p99", 0, "fail if the admitted-request p99 latency exceeds this (0 disables)")
-		reconcile   = flag.Bool("expect-reconcile", false, "fail unless server counter deltas satisfy queries = answered + shed + query_errors and match the client-observed shed count")
+		target     = flag.String("target", "http://localhost:8080", "base URL of the quarryd/quarryrouter endpoint")
+		qps        = flag.Float64("qps", 100, "offered request rate (open-loop schedule)")
+		duration   = flag.Duration("duration", 30*time.Second, "length of the request schedule")
+		seed       = flag.Int64("seed", 42, "seed for the query-mix sequence (same seed, same sequence)")
+		oracleEach = flag.Int("oracle-every", 50, "every Nth request is an oracle spot check (0 disables)")
+		reloadInt  = flag.Duration("reload-interval", 0, "POST /api/run at this interval during the run (0 disables)")
+		out        = flag.String("out", "", "write the JSON artifact here (e.g. BENCH_load_<sha>.json)")
+		maxErrRate = flag.Float64("max-error-rate", -1, "fail if the error rate exceeds this (-1 disables)")
+		minMatHits = flag.Int64("min-matagg-hits", -1, "fail if matagg hits+rewrites over the run fall below this (-1 disables)")
+		minShed    = flag.Int64("min-shed", -1, "fail if fewer than this many requests were shed (-1 disables; overload smokes use it to prove shedding happened)")
+		maxP99     = flag.Duration("max-p99", 0, "fail if the admitted-request p99 latency exceeds this (0 disables)")
+		reconcile  = flag.Bool("expect-reconcile", false, "fail unless server counter deltas satisfy queries = answered + shed + query_errors and match the client-observed shed count")
 	)
 	flag.Parse()
 
@@ -76,18 +72,15 @@ func main() {
 		Target:         *target,
 		QPS:            *qps,
 		Duration:       *duration,
-		ZipfS:          *zipfS,
+		ZipfS:          1.3,
 		Seed:           *seed,
 		OracleEvery:    *oracleEach,
 		ReloadInterval: *reloadInt,
-		Timeout:        *timeout,
-		Fact:           *fact,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "quarrybench:", err)
 		os.Exit(2)
 	}
-	rep.SHA = *sha
 	printReport(rep)
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -120,11 +113,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "FAIL: matagg served %d hit(s) over the run, need ≥ %d\n", got, *minMatHits)
 			failed = true
 		}
-	}
-	if *maxShedRate >= 0 && rep.ShedRate > *maxShedRate {
-		fmt.Fprintf(os.Stderr, "FAIL: shed rate %.4f exceeds limit %.4f (%d/%d requests)\n",
-			rep.ShedRate, *maxShedRate, rep.Shed, rep.Requests)
-		failed = true
 	}
 	if *minShed >= 0 && rep.Shed < *minShed {
 		fmt.Fprintf(os.Stderr, "FAIL: %d request(s) shed, need ≥ %d (the server never hit its admission limit)\n",

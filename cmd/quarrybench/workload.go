@@ -22,8 +22,9 @@ type workQuery struct {
 // brand slices, a diamond dice, and a filtered drill. Order matters —
 // the Zipf picker makes earlier entries hotter — so the list leads
 // with the cheap aggregate shapes a real dashboard hammers and trails
-// off into ad-hoc drill-downs.
-func goldenWorkload(fact string) []workQuery {
+// off into ad-hoc drill-downs. Every query reads the revenue fact.
+func goldenWorkload() []workQuery {
+	const fact = "fact_table_revenue"
 	revenue := []any{
 		map[string]any{"out": "total", "func": "SUM", "col": "revenue"},
 		map[string]any{"out": "n", "func": "COUNT", "col": ""},

@@ -6,12 +6,15 @@
 //
 //	quarryd [-addr :8080] [-sf 10] [-seed 42] [-store DIR]
 //	        [-data-dir DIR]
-//	        [-parallelism 0] [-batch-size 0]
 //	        [-olap-concurrency 0] [-olap-cache 256]
-//	        [-slo-target 0] [-shed-policy expensive-first] [-default-deadline 0]
-//	        [-matagg] [-matagg-top-k 8]
+//	        [-slo-target 0] [-default-deadline 0] [-matagg]
 //	        [-replica-of URL] [-replica-dir DIR] [-replica-interval 1s]
 //	        [-shards N] [-shard-index I] [-debug-addr ADDR]
+//
+// A flag the node would ignore or misread — a negative -shards,
+// -shard-index without -shards, -replica-dir or -replica-interval
+// without -replica-of, a -replica-interval that is not positive — is
+// refused at startup with exit status 2, like a malformed flag.
 //
 // -debug-addr serves net/http/pprof on a listener of its own (off by
 // default; the serving port never exposes it), e.g.
@@ -21,9 +24,9 @@
 // of melting under overload: per-class service times (cache hit /
 // materialized aggregate / fast path / dice / oracle) are tracked as
 // EWMAs, each arriving query's queue wait is projected from the
-// current backlog, and requests whose projection blows the SLO are
-// shed with 429 + Retry-After — most expensive class first under the
-// default -shed-policy, with result-cache hits always admitted.
+// current backlog, and requests whose projection plus their own class
+// cost blows the SLO are shed with 429 + Retry-After — most expensive
+// class first, with result-cache hits always admitted.
 // -default-deadline (or a client's X-Quarry-Deadline header) bounds
 // each query end-to-end; expiry frees the executor slot at the next
 // batch boundary and answers 504 with partial-progress stats.
@@ -58,15 +61,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"time"
 
 	"quarry/internal/core"
 	"quarry/internal/debugsrv"
-	"quarry/internal/engine"
 	"quarry/internal/replication"
 	"quarry/internal/server"
 	"quarry/internal/shard"
@@ -82,40 +86,26 @@ var (
 	seed            = flag.Int64("seed", 42, "data generator seed")
 	store           = flag.String("store", "", "metadata repository directory (empty: in-memory)")
 	dataDir         = flag.String("data-dir", "", "disk-backed warehouse directory (empty: in-memory); reopening recovers the committed tables and skips generation")
-	parallelism     = flag.Int("parallelism", 0, "ETL engine worker pool size (0: GOMAXPROCS)")
-	batchSize       = flag.Int("batch-size", 0, "ETL engine rows per batch (0: engine default)")
 	olapConc        = flag.Int("olap-concurrency", 0, "max concurrent OLAP queries (0: 2×GOMAXPROCS)")
 	olapCache       = flag.Int("olap-cache", 256, "OLAP result cache capacity (negative disables)")
-	sloTarget       = flag.Duration("slo-target", 0, "latency SLO the admission controller defends: requests whose projected queue wait blows it are shed with 429 + Retry-After (0 disables shedding)")
-	shedPolicy      = flag.String("shed-policy", server.PolicyExpensiveFirst, "how to refuse work past the SLO: expensive-first (costly classes shed at lower backlog), fair (class-blind), off")
+	sloTarget       = flag.Duration("slo-target", 0, "latency SLO the admission controller defends: requests whose projected queue wait plus own class cost blows it are shed with 429 + Retry-After, most expensive class first (0 disables shedding)")
 	defaultDeadline = flag.Duration("default-deadline", 0, "per-query deadline when the client sends no X-Quarry-Deadline header; expiry answers 504 (0: no server-side deadline)")
-	matagg          = flag.Bool("matagg", true, "materialize hot OLAP aggregates (adaptive, version-keyed)")
-	mataggTopK      = flag.Int("matagg-top-k", 8, "materialized aggregates kept per refresh")
+	matagg          = flag.Bool("matagg", true, "materialize the 8 most-asked OLAP aggregates at every refresh (version-keyed)")
 	replicaOf       = flag.String("replica-of", "", "primary base URL (e.g. http://primary:8080); start as a read replica of it")
 	replicaDir      = flag.String("replica-dir", "", "with -replica-of: ship segments by reading this shared directory (the primary's -data-dir) instead of the primary's HTTP replication endpoints")
 	replicaInterval = flag.Duration("replica-interval", time.Second, "with -replica-of: how often to poll the primary for new commits")
 	shards          = flag.Int("shards", 0, "total shard count of a hash-partitioned warehouse (0: not sharded)")
-	shardIndex      = flag.Int("shard-index", 0, "this node's shard index in [0,shards)")
+	shardIndex      = flag.Int("shard-index", 0, "with -shards: this node's shard index in [0,shards)")
 	debugAddr       = flag.String("debug-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 (empty: off)")
 )
 
 func main() {
 	flag.Parse()
+	if err := checkFlags(); err != nil {
+		fmt.Fprintf(os.Stderr, "quarryd: %v\n", err)
+		os.Exit(2)
+	}
 	debugsrv.Start("quarryd", *debugAddr)
-
-	if err := server.ValidateShedPolicy(*shedPolicy); err != nil {
-		log.Fatalf("quarryd: -shed-policy: %v", err)
-	}
-
-	shardSpec := shard.Spec{Index: *shardIndex, Count: *shards}
-	if shardSpec.Enabled() {
-		if err := shardSpec.Validate(); err != nil {
-			log.Fatalf("quarryd: %v", err)
-		}
-		if *replicaOf != "" {
-			log.Fatalf("quarryd: -shards and -replica-of are mutually exclusive (a shard owns a partition; a replica mirrors all of one node)")
-		}
-	}
 
 	if *replicaOf != "" {
 		runReplica()
@@ -150,9 +140,10 @@ func main() {
 			log.Fatalf("quarryd: checkpointing %s: %v", *dataDir, err)
 		}
 	}
+	shardSpec := shard.Spec{Index: *shardIndex, Count: *shards}
 	srv := server.NewWithOptions(newPlatform(db, shardSpec), serverOptions())
 	if *sloTarget > 0 {
-		log.Printf("quarryd: admission control on: SLO %s, policy %s", *sloTarget, *shedPolicy)
+		log.Printf("quarryd: admission control on: SLO %s", *sloTarget)
 	}
 	if shardSpec.Enabled() {
 		log.Printf("quarryd: serving as shard %s of a hash-partitioned warehouse", shardSpec)
@@ -175,9 +166,35 @@ func main() {
 	}
 }
 
+// checkFlags refuses the flag values and combinations the node would
+// otherwise ignore or misread, naming the flag.
+func checkFlags() error {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case *shards < 0:
+		return fmt.Errorf("-shards %d: want a shard count, or 0 for an unsharded node", *shards)
+	case *shards == 0 && set["shard-index"]:
+		return errors.New("-shard-index needs -shards")
+	case *shards > 0 && *replicaOf != "":
+		return errors.New("-shards and -replica-of are mutually exclusive (a shard owns a partition; a replica mirrors all of one node)")
+	case *shards > 0 && (*shardIndex < 0 || *shardIndex >= *shards):
+		return fmt.Errorf("-shard-index %d: want an index in [0,%d)", *shardIndex, *shards)
+	case *replicaOf == "" && set["replica-dir"]:
+		return errors.New("-replica-dir needs -replica-of")
+	case *replicaOf == "" && set["replica-interval"]:
+		return errors.New("-replica-interval needs -replica-of")
+	case *replicaOf != "" && *replicaInterval <= 0:
+		return fmt.Errorf("-replica-interval %s: want a positive poll cadence", *replicaInterval)
+	case *replicaOf != "" && *dataDir == "":
+		return errors.New("-replica-of requires -data-dir (replicas keep a local disk copy of the shipped segments)")
+	}
+	return nil
+}
+
 // newPlatform builds the platform of either role over its warehouse:
 // the micro-TPC-H domain (ontology, mapping, catalog at -sf) and the
-// engine and materialized-aggregate sizing from the flags.
+// materialized-aggregate store when -matagg is on.
 func newPlatform(db *storage.DB, shardSpec shard.Spec) *core.Platform {
 	onto, err := tpch.Ontology()
 	if err != nil {
@@ -191,16 +208,11 @@ func newPlatform(db *storage.DB, shardSpec shard.Spec) *core.Platform {
 	if err != nil {
 		log.Fatalf("quarryd: %v", err)
 	}
-	topK := 0
+	cfg := core.Config{Ontology: onto, Mapping: mapg, Catalog: cat, DB: db, StoreDir: *store, Shard: shardSpec}
 	if *matagg {
-		topK = *mataggTopK
+		cfg.MatAggTopK = 8
 	}
-	p, err := core.New(core.Config{
-		Ontology: onto, Mapping: mapg, Catalog: cat, DB: db, StoreDir: *store,
-		Engine:     engine.Options{Parallelism: *parallelism, BatchSize: *batchSize},
-		MatAggTopK: topK,
-		Shard:      shardSpec,
-	})
+	p, err := core.New(cfg)
 	if err != nil {
 		log.Fatalf("quarryd: %v", err)
 	}
@@ -215,7 +227,6 @@ func serverOptions() server.Options {
 		OLAPConcurrency: *olapConc,
 		OLAPCacheSize:   *olapCache,
 		SLOTarget:       *sloTarget,
-		ShedPolicy:      *shedPolicy,
 		DefaultDeadline: *defaultDeadline,
 	}
 }
@@ -228,9 +239,6 @@ func serverOptions() server.Options {
 // manifest-shipping protocol, and every write endpoint answers 403.
 func runReplica() {
 	primary, interval := *replicaOf, *replicaInterval
-	if *dataDir == "" {
-		log.Fatalf("quarryd: -replica-of requires -data-dir (replicas keep a local disk copy of the shipped segments)")
-	}
 	db, err := storage.Open(*dataDir)
 	if err != nil {
 		log.Fatalf("quarryd: %v", err)

@@ -21,32 +21,31 @@
 // Both modes distinguish busy from dead. A backend answering 429 or
 // 503 is shedding load, not failing: it stays in rotation (no
 // demotion), its Retry-After is honored with jittered backoff, and
-// retries stop at a per-query budget (-retry-budget / -busy-retries)
-// so the router never amplifies the overload it is routing around.
-// When every candidate is busy the router answers an aggregated 429
-// with a Retry-After — "back off", never a 502 "outage".
-// The retry counts (-retry-budget, -busy-retries, -shard-skew-retries)
-// are literal: 0 switches that kind of retry off.
+// retries stop at a per-query budget (two extra passes over the ring,
+// one extra scatter) so the router never amplifies the overload it is
+// routing around. When every candidate is busy the router answers an
+// aggregated 429 with a Retry-After — "back off", never a 502
+// "outage". The retry counts are internal/router's constants.
 //
 // Usage:
 //
 //	quarryrouter -replicas http://r1:8081,http://r2:8082 [-addr :8090]
-//	             [-health-interval 2s] [-retry-budget 2]
-//	             [-max-retry-after 2s]
+//	             [-health-interval 2s]
 //	quarryrouter -shard-of http://s0:8080,http://s1:8081 [-addr :8090]
-//	             [-shard-attempts 2] [-shard-skew-retries 2]
-//	             [-shard-timeout 30s] [-busy-retries 1]
-//	             [-max-retry-after 2s]
 //
 // Either mode takes -debug-addr ADDR: net/http/pprof on a listener of
-// its own (off by default; never on the serving port).
+// its own (off by default; never on the serving port). A flag set the
+// router cannot serve with is refused at startup with exit status 2.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
+	"os"
 	"strings"
 	"time"
 
@@ -54,36 +53,25 @@ import (
 	"quarry/internal/router"
 )
 
+var (
+	addr           = flag.String("addr", ":8090", "listen address")
+	replicas       = flag.String("replicas", "", "comma-separated replica base URLs (replica mode)")
+	healthInterval = flag.Duration("health-interval", 2*time.Second, "replica health probe cadence")
+	shardOf        = flag.String("shard-of", "", "comma-separated shard base URLs in shard-index order (shard-gather mode)")
+	debugAddr      = flag.String("debug-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6061 (empty: off)")
+)
+
 func main() {
-	addr := flag.String("addr", ":8090", "listen address")
-	replicas := flag.String("replicas", "", "comma-separated replica base URLs (replica mode)")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "replica health probe cadence")
-	shardOf := flag.String("shard-of", "", "comma-separated shard base URLs in shard-index order (shard-gather mode)")
-	shardAttempts := flag.Int("shard-attempts", 2, "attempts per shard per scatter (transport errors and 5xx retry)")
-	shardSkewRetries := flag.Int("shard-skew-retries", 2, "whole-scatter retries when shards answer at different epochs")
-	shardTimeout := flag.Duration("shard-timeout", 30*time.Second, "per-request timeout towards one shard")
-	retryBudget := flag.Int("retry-budget", 2, "replica mode: extra all-busy passes per query before answering 429 (0 disables busy retries)")
-	busyRetries := flag.Int("busy-retries", 1, "shard-gather mode: whole-scatter retries while some (not all) shards answer busy")
-	maxRetryAfter := flag.Duration("max-retry-after", 2*time.Second, "cap on backend Retry-After suggestions used for backoff")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6061 (empty: off)")
 	flag.Parse()
+	if err := checkFlags(); err != nil {
+		fmt.Fprintf(os.Stderr, "quarryrouter: %v\n", err)
+		os.Exit(2)
+	}
 	debugsrv.Start("quarryrouter", *debugAddr)
 
-	if *shardOf != "" && *replicas != "" {
-		log.Fatalf("quarryrouter: -replicas and -shard-of are mutually exclusive")
-	}
-	// The flags carry the defaults and router.Options' retry counts are
-	// literal, so the values go through as they are.
-	opts := router.Options{
-		BusyRetries:   *retryBudget,
-		MaxRetryAfter: *maxRetryAfter,
-		Attempts:      *shardAttempts,
-		SkewRetries:   *shardSkewRetries,
-	}
 	if *shardOf != "" {
 		urls := splitURLs(*shardOf)
-		opts.BusyRetries = *busyRetries
-		g, err := router.NewShardGather(urls, &http.Client{Timeout: *shardTimeout}, opts)
+		g, err := router.NewShardGather(urls, nil)
 		if err != nil {
 			log.Fatalf("quarryrouter: %v", err)
 		}
@@ -95,15 +83,29 @@ func main() {
 	}
 
 	urls := splitURLs(*replicas)
-	rt, err := router.New(urls, nil, opts)
+	rt, err := router.New(urls, nil)
 	if err != nil {
-		log.Fatalf("quarryrouter: %v (use -replicas or -shard-of)", err)
+		log.Fatalf("quarryrouter: %v", err)
 	}
 	go rt.HealthLoop(context.Background(), *healthInterval)
 	log.Printf("quarryrouter: scattering over %d replicas; listening on %s", len(urls), *addr)
 	if err := http.ListenAndServe(*addr, rt.Handler()); err != nil {
 		log.Fatalf("quarryrouter: %v", err)
 	}
+}
+
+// checkFlags refuses a flag set the router cannot serve with, naming
+// the flag.
+func checkFlags() error {
+	switch {
+	case *shardOf != "" && *replicas != "":
+		return errors.New("-replicas and -shard-of are mutually exclusive")
+	case *shardOf == "" && *replicas == "":
+		return errors.New("one of -replicas or -shard-of is required")
+	case *healthInterval <= 0:
+		return fmt.Errorf("-health-interval %s: want a positive probe cadence", *healthInterval)
+	}
+	return nil
 }
 
 func splitURLs(csv string) []string {

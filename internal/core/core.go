@@ -49,29 +49,9 @@ type Config struct {
 	// DB is the execution platform holding source data and receiving
 	// the deployed DW tables; optional (required only for Run).
 	DB *storage.DB
-	// StorageDir opens a paged, disk-backed execution platform rooted
-	// at the given directory (storage.Open) when DB is nil: warehouse
-	// tables survive process restarts, every ETL run commits
-	// crash-safely, and reopening recovers the last committed version.
-	// Ignored when DB is set; empty with a nil DB leaves the platform
-	// without an execution database.
-	StorageDir string
 	// StoreDir persists the metadata repository; empty keeps it in
 	// memory.
 	StoreDir string
-	// MDCost / ETLCost override the default quality factors.
-	MDCost  quality.MDCostModel
-	ETLCost quality.ETLCostModel
-	// Resolver overrides the end-user feedback hook (default:
-	// auto-approve).
-	Resolver mdintegrator.Resolver
-	// DisableReordering turns off the ETL integrator's
-	// equivalence-rule alignment (ablation).
-	DisableReordering bool
-	// Engine tunes native ETL execution (DAG parallelism, batch
-	// size); the zero value uses the engine defaults (GOMAXPROCS
-	// workers, 1024-row batches).
-	Engine engine.Options
 	// MatAggTopK enables the OLAP materialized-aggregate store (plus
 	// the per-dimension build-side cache), materializing up to K hot
 	// aggregates per refresh; 0 disables the subsystem. See
@@ -92,14 +72,13 @@ type Platform struct {
 	cat  *sources.Catalog
 	db   *storage.DB
 
-	elic       *elicitor.Elicitor
-	interp     *interpreter.Interpreter
-	mdInt      *mdintegrator.Integrator
-	etlInt     *etlintegrator.Integrator
-	repo       *repo.Designs
-	etlCost    quality.ETLCostModel
-	engineOpts engine.Options
-	shardSpec  shard.Spec
+	elic      *elicitor.Elicitor
+	interp    *interpreter.Interpreter
+	mdInt     *mdintegrator.Integrator
+	etlInt    *etlintegrator.Integrator
+	repo      *repo.Designs
+	etlCost   quality.ETLCostModel
+	shardSpec shard.Spec
 
 	mu         sync.Mutex
 	order      []string // requirement ids in registration order
@@ -130,35 +109,25 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := cfg.DB
-	if db == nil && cfg.StorageDir != "" {
-		if db, err = storage.Open(cfg.StorageDir); err != nil {
-			return nil, fmt.Errorf("core: opening warehouse at %s: %w", cfg.StorageDir, err)
-		}
-	}
 	store, err := repo.Open(cfg.StoreDir)
 	if err != nil {
 		return nil, err
 	}
-	etlCost := cfg.ETLCost
-	if etlCost == nil {
-		etlCost = quality.DefaultETLCost(cfg.Catalog)
-	}
+	etlCost := quality.DefaultETLCost(cfg.Catalog)
 	p := &Platform{
-		onto:       cfg.Ontology,
-		mapg:       cfg.Mapping,
-		cat:        cfg.Catalog,
-		db:         db,
-		elic:       elicitor.New(cfg.Ontology, cfg.Mapping),
-		interp:     interp,
-		mdInt:      mdintegrator.New(cfg.MDCost, cfg.Resolver),
-		etlInt:     etlintegrator.New(etlCost, !cfg.DisableReordering),
-		repo:       repo.NewDesigns(store),
-		etlCost:    etlCost,
-		engineOpts: cfg.Engine,
-		shardSpec:  cfg.Shard,
-		reqs:       map[string]*xrq.Requirement{},
-		partials:   map[string]*interpreter.PartialDesign{},
+		onto:      cfg.Ontology,
+		mapg:      cfg.Mapping,
+		cat:       cfg.Catalog,
+		db:        cfg.DB,
+		elic:      elicitor.New(cfg.Ontology, cfg.Mapping),
+		interp:    interp,
+		mdInt:     mdintegrator.New(nil, nil),
+		etlInt:    etlintegrator.New(etlCost, true),
+		repo:      repo.NewDesigns(store),
+		etlCost:   etlCost,
+		shardSpec: cfg.Shard,
+		reqs:      map[string]*xrq.Requirement{},
+		partials:  map[string]*interpreter.PartialDesign{},
 	}
 	if cfg.MatAggTopK > 0 {
 		p.matAgg = olap.NewMatAgg(cfg.MatAggTopK)
@@ -545,23 +514,15 @@ func (p *Platform) Deploy(database string) (*Deployment, error) {
 }
 
 // Run executes the unified ETL natively against the platform's
-// database with the configured engine options, creating and
-// populating the deployed DW tables.
-func (p *Platform) Run() (*engine.Result, error) {
-	return p.RunWith(p.EngineOptions())
-}
-
-// RunWith executes the unified ETL natively with explicit engine
-// options (overriding the configured defaults for this run only).
-// The design is cloned for the run, so concurrent runs — and
-// concurrent OLAP queries — never share mutable design state
-// (validation caches inferred schemas on the design's nodes).
+// database, creating and populating the deployed DW tables. The
+// design is cloned for the run, so concurrent runs — and concurrent
+// OLAP queries — never share mutable design state (validation caches
+// inferred schemas on the design's nodes).
 //
 // On a sharded platform (Config.Shard enabled) the run loads only
 // this shard's partition of each fact table — dimensions load in
-// full — via the engine's load-filter hook, unless the caller set a
-// LoadFilter of its own.
-func (p *Platform) RunWith(opts engine.Options) (*engine.Result, error) {
+// full — via the engine's load-filter hook.
+func (p *Platform) Run() (*engine.Result, error) {
 	p.mu.Lock()
 	var etl *xlm.Design
 	if p.unifiedETL != nil {
@@ -575,7 +536,8 @@ func (p *Platform) RunWith(opts engine.Options) (*engine.Result, error) {
 	if db == nil {
 		return nil, fmt.Errorf("core: platform has no execution database")
 	}
-	if p.shardSpec.Enabled() && opts.LoadFilter == nil {
+	var opts engine.Options
+	if p.shardSpec.Enabled() {
 		defs, err := sqlgen.Tables(etl)
 		if err != nil {
 			return nil, fmt.Errorf("core: deriving shard partition keys: %w", err)
@@ -588,13 +550,6 @@ func (p *Platform) RunWith(opts engine.Options) (*engine.Result, error) {
 // Shard returns the platform's shard identity (zero value when not
 // sharded).
 func (p *Platform) Shard() shard.Spec { return p.shardSpec }
-
-// EngineOptions returns the configured native execution options.
-func (p *Platform) EngineOptions() engine.Options {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.engineOpts
-}
 
 // OLAP returns a query engine over the deployed DW (after Run). The
 // engine is immutable and safe for concurrent use; it is built once
@@ -646,7 +601,7 @@ func (p *Platform) RunSeparately() (*engine.Result, error) {
 	}
 	total := &engine.Result{Loaded: map[string]int64{}}
 	for _, etl := range flows {
-		res, err := engine.RunWithOptions(etl, db, p.EngineOptions())
+		res, err := engine.Run(etl, db)
 		if err != nil {
 			return nil, err
 		}

@@ -65,8 +65,11 @@ func diskPlatform(t *testing.T, whDir, metaDir string, sf float64, seed int64) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c,
-		StorageDir: whDir, StoreDir: metaDir})
+	db, err := storage.Open(whDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: db, StoreDir: metaDir})
 	if err != nil {
 		t.Fatal(err)
 	}

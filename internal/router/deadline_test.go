@@ -114,7 +114,7 @@ func TestGatherBudgetShrinksAcrossBackoff(t *testing.T) {
 		writePartial(w, partialFor(t, 0, 2, 7))
 	})
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
-	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 1}, func() {
+	_, ts := sleeplessGather(t, shards, 1, func() {
 		time.Sleep(60 * time.Millisecond) // the backoff spends budget
 		shedding.Store(false)
 	})
@@ -171,7 +171,7 @@ func TestRouterForwardsRemainingBudgetAfterBackoff(t *testing.T) {
 		}
 		fmt.Fprint(w, "answer")
 	})
-	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
+	rt, err := New([]string{a.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestRouterForwardsRemainingBudgetAfterBackoff(t *testing.T) {
 func TestRouterSlowReplicaPastBudgetIs504(t *testing.T) {
 	var seen budgets
 	a := budgetReplica(t, &seen, sleepyHandler(400*time.Millisecond, func(w http.ResponseWriter) { fmt.Fprint(w, "late") }))
-	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
+	rt, err := New([]string{a.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRouterForwardsReplica504WithoutDemotion(t *testing.T) {
 	a := budgetReplica(t, &seen, func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"deadline_exceeded":true}`, http.StatusGatewayTimeout)
 	})
-	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
+	rt, err := New([]string{a.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSubMillisecondBudgetIs504(t *testing.T) {
 
 	var seen budgets
 	a := budgetReplica(t, &seen, sleepyHandler(200*time.Millisecond, func(w http.ResponseWriter) { fmt.Fprint(w, "late") }))
-	rt, err := New([]string{a.URL}, nil, Options{BusyRetries: 2})
+	rt, err := New([]string{a.URL}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,30 +42,13 @@ const maxBodyBytes = 1 << 20
 // (parseable) Retry-After header.
 const defaultRetryAfter = time.Second
 
-// Options tunes a router. One convention throughout: the retry counts
-// are literal (0 or less means none — quarryrouter's flags carry the
-// defaults), and the two fields for which zero means nothing, Attempts
-// and MaxRetryAfter, take their documented default at zero.
-type Options struct {
-	// BusyRetries is how many extra rounds one query may spend waiting
-	// out busy (429/503) backends before it is answered with an
-	// aggregated 429. A round is a pass over the ring for the replica
-	// router and a whole scatter for the shard gather. Bounded so
-	// retries cannot multiply offered load during the very overload
-	// that caused them.
-	BusyRetries int
-	// MaxRetryAfter caps the backoff honored from a backend's
-	// Retry-After header (default 2s), so one absurd header cannot park
-	// requests.
-	MaxRetryAfter time.Duration
-	// Attempts is how many times the gather tries one shard per scatter
-	// when it is unwell — transport errors and non-busy 5xx (default 2;
-	// the replica router tries the next replica instead).
-	Attempts int
-	// SkewRetries bounds the gather's whole-scatter retries when shards
-	// answer at different epochs.
-	SkewRetries int
-}
+// maxRetryAfter caps the backoff honored from a backend's Retry-After
+// header, so one absurd header cannot park requests.
+const maxRetryAfter = 2 * time.Second
+
+// backendTimeout bounds one request to one backend when the caller
+// passes no client of its own.
+const backendTimeout = 30 * time.Second
 
 // backend is one quarryd behind a router.
 type backend struct {
@@ -79,10 +62,13 @@ type fleet struct {
 	who      string
 	backends []*backend
 	client   *http.Client
-	// busyRetries is Options.BusyRetries, maxRetryAfter the resolved
-	// Options.MaxRetryAfter.
-	busyRetries   int
-	maxRetryAfter time.Duration
+	// busyRetries is how many extra rounds one query may spend waiting
+	// out busy (429/503) backends before it is answered with an
+	// aggregated 429. A round is a pass over the ring for the replica
+	// router and a whole scatter for the shard gather. Bounded so
+	// retries cannot multiply offered load during the very overload
+	// that caused them.
+	busyRetries int
 	// sleep is the backoff primitive (seam for tests; sleepCtx
 	// otherwise): false means ctx ended first.
 	sleep func(ctx context.Context, d time.Duration) bool
@@ -91,22 +77,18 @@ type fleet struct {
 // newFleet builds the core over the given base URLs (kind names them
 // in errors). All backends start healthy — the first failed request or
 // health probe demotes them.
-func newFleet(who, kind string, urls []string, client *http.Client, opts Options) (fleet, error) {
+func newFleet(who, kind string, urls []string, client *http.Client, busyRetries int) (fleet, error) {
 	if len(urls) == 0 {
 		return fleet{}, fmt.Errorf("router: no %ss configured", kind)
 	}
 	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if opts.MaxRetryAfter <= 0 {
-		opts.MaxRetryAfter = 2 * time.Second
+		client = &http.Client{Timeout: backendTimeout}
 	}
 	f := fleet{
-		who:           who,
-		client:        client,
-		busyRetries:   opts.BusyRetries,
-		maxRetryAfter: opts.MaxRetryAfter,
-		sleep:         sleepCtx,
+		who:         who,
+		client:      client,
+		busyRetries: busyRetries,
+		sleep:       sleepCtx,
 	}
 	for _, raw := range urls {
 		base := strings.TrimRight(strings.TrimSpace(raw), "/")
@@ -289,9 +271,7 @@ func retryAfterOf(hdr http.Header) time.Duration {
 // that caused the shedding), a 504 when the deadline budget ran out
 // during the sleep, nothing when the client left.
 func (f *fleet) backoff(ctx context.Context, w http.ResponseWriter, busyAfter time.Duration, exhausted bool, why string) bool {
-	if busyAfter > f.maxRetryAfter {
-		busyAfter = f.maxRetryAfter
-	}
+	busyAfter = min(busyAfter, maxRetryAfter)
 	if exhausted {
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(busyAfter.Seconds()+0.5), 10))
 		http.Error(w, f.who+": "+why, http.StatusTooManyRequests)

@@ -31,6 +31,18 @@ import (
 	"quarry/internal/shard"
 )
 
+const (
+	// gatherBusyRetries is how many whole scatters a query may redo
+	// while some (not all) shards answer busy.
+	gatherBusyRetries = 1
+	// shardAttempts is how many times one unwell shard — transport
+	// error or non-busy 5xx — is tried per scatter.
+	shardAttempts = 2
+	// skewRetries is how many whole scatters a query may redo while
+	// shards answer at different epochs.
+	skewRetries = 2
+)
+
 // ShardRouter scatters cube queries over the shards of a partitioned
 // warehouse and gathers their partial aggregates into one answer. Its
 // backends are the shards in index order — the order IS the topology.
@@ -49,15 +61,12 @@ type ShardRouter struct {
 // every answer's self-reported identity against this order, so a
 // miswired fleet fails queries instead of silently double- or
 // zero-counting a partition. A nil client gets a 30 s timeout.
-func NewShardGather(shards []string, client *http.Client, opts Options) (*ShardRouter, error) {
-	f, err := newFleet("shard gather", "shard", shards, client, opts)
+func NewShardGather(shards []string, client *http.Client) (*ShardRouter, error) {
+	f, err := newFleet("shard gather", "shard", shards, client, gatherBusyRetries)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Attempts <= 0 {
-		opts.Attempts = 2
-	}
-	return &ShardRouter{fleet: f, attempts: opts.Attempts, skewRetries: opts.SkewRetries}, nil
+	return &ShardRouter{fleet: f, attempts: shardAttempts, skewRetries: skewRetries}, nil
 }
 
 // Handler returns the gather's HTTP interface: POST /api/olap and

@@ -91,10 +91,11 @@ func gatherOver(t *testing.T, shards []*fakeShard, attempts, skewRetries int) *h
 	for i, s := range shards {
 		urls[i] = s.ts.URL
 	}
-	g, err := NewShardGather(urls, &http.Client{Timeout: 5 * time.Second}, Options{Attempts: attempts, SkewRetries: skewRetries, BusyRetries: 1})
+	g, err := NewShardGather(urls, &http.Client{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.attempts, g.skewRetries = attempts, skewRetries
 	ts := httptest.NewServer(g.Handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -219,10 +220,11 @@ func TestGatherShardTimeout(t *testing.T) {
 		<-block
 	})
 	urls := []string{shards[0].ts.URL, shards[1].ts.URL}
-	g, err := NewShardGather(urls, &http.Client{Timeout: 150 * time.Millisecond}, Options{Attempts: 1, BusyRetries: 1})
+	g, err := NewShardGather(urls, &http.Client{Timeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.attempts = 1
 	ts := httptest.NewServer(g.Handler())
 	t.Cleanup(ts.Close)
 	resp, body := postGather(t, ts.URL)
@@ -377,22 +379,24 @@ func busyShard(fs *fakeShard, shedding *atomic.Bool, index, count int, epoch uin
 	})
 }
 
-// gatherWithOptions builds a gather whose sleep is stubbed out so
+// sleeplessGather builds a gather that tries each shard once and
+// allows busyRetries busy rounds, with its sleep stubbed out so
 // busy-backoff tests run instantly; onSleep may mutate fleet state to
 // simulate draining during the backoff.
-func gatherWithOptions(t *testing.T, shards []*fakeShard, opts Options, onSleep func()) (*ShardRouter, *httptest.Server) {
+func sleeplessGather(t *testing.T, shards []*fakeShard, busyRetries int, onSleep func()) (*ShardRouter, *httptest.Server) {
 	t.Helper()
 	urls := make([]string, len(shards))
 	for i, s := range shards {
 		urls[i] = s.ts.URL
 	}
-	g, err := NewShardGather(urls, &http.Client{Timeout: 5 * time.Second}, opts)
+	g, err := NewShardGather(urls, &http.Client{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.attempts, g.busyRetries = 1, busyRetries
 	g.sleep = func(ctx context.Context, d time.Duration) bool {
-		if d <= 0 || d > g.maxRetryAfter {
-			t.Errorf("backoff %v outside (0, %v]", d, g.maxRetryAfter)
+		if d <= 0 || d > maxRetryAfter {
+			t.Errorf("backoff %v outside (0, %v]", d, maxRetryAfter)
 		}
 		if onSleep != nil {
 			onSleep()
@@ -417,7 +421,7 @@ func TestGatherWholeFleetBusyFailsFast(t *testing.T) {
 	}
 	busyShard(shards[0], &shedding, 0, 2, 7, t)
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
-	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 3}, func() {
+	_, ts := sleeplessGather(t, shards, 3, func() {
 		t.Error("gather slept on a whole-fleet-busy scatter; it must fail fast")
 	})
 	resp, body := postGather(t, ts.URL)
@@ -444,7 +448,7 @@ func TestGatherPartialBusyRetriesAndSucceeds(t *testing.T) {
 		newFakeShard(t, 1, 2, 7),
 	}
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
-	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 1}, func() {
+	_, ts := sleeplessGather(t, shards, 1, func() {
 		shedding.Store(false) // the shard drains during the backoff
 	})
 	resp, body := postGather(t, ts.URL)
@@ -471,7 +475,7 @@ func TestGatherBusyBudgetExhausts429(t *testing.T) {
 	}
 	busyShard(shards[1], &shedding, 1, 2, 7, t)
 	var slept atomic.Int64
-	_, ts := gatherWithOptions(t, shards, Options{Attempts: 1, BusyRetries: 1}, func() {
+	_, ts := sleeplessGather(t, shards, 1, func() {
 		slept.Add(1)
 	})
 	resp, body := postGather(t, ts.URL)
@@ -537,10 +541,11 @@ func TestOutcomeClassification(t *testing.T) {
 				be.Close()
 			}
 
-			rt, err := New([]string{be.URL}, nil, Options{})
+			rt, err := New([]string{be.URL}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			rt.busyRetries = 0
 			rq := request{method: http.MethodPost, uri: "/api/olap", header: http.Header{}, body: []byte("q")}
 			if got := rt.do(context.Background(), rt.backends[0], rq).outcome; got != tc.want {
 				t.Errorf("do() outcome = %d, want %d", got, tc.want)
@@ -560,7 +565,7 @@ func TestOutcomeClassification(t *testing.T) {
 				t.Errorf("replica router demoted = %v, want %v", got, tc.demoted)
 			}
 
-			_, gather := gatherWithOptions(t, []*fakeShard{{ts: be}}, Options{Attempts: 1}, nil)
+			_, gather := sleeplessGather(t, []*fakeShard{{ts: be}}, 0, nil)
 			resp, body := postGather(t, gather.URL)
 			if resp.StatusCode != tc.gather {
 				t.Errorf("shard gather = %d (%s), want %d", resp.StatusCode, body, tc.gather)

@@ -50,10 +50,14 @@ type Router struct {
 	probeMu sync.Mutex
 }
 
+// replicaBusyRetries is how many extra passes over the ring a query
+// may spend waiting out busy replicas.
+const replicaBusyRetries = 2
+
 // New builds a router over the given replica base URLs (e.g.
 // "http://replica1:8081"); a nil client gets a 30 s timeout.
-func New(replicas []string, client *http.Client, opts Options) (*Router, error) {
-	f, err := newFleet("router", "replica", replicas, client, opts)
+func New(replicas []string, client *http.Client) (*Router, error) {
+	f, err := newFleet("router", "replica", replicas, client, replicaBusyRetries)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,8 @@
 // shape is hot) and a running "backlog" — the summed predicted cost
 // of every admitted but unfinished query. An arriving request's queue
 // wait is projected as backlog spread over the executor width; when
-// that projection (plus, under the default expensive-first policy,
-// the request's own per-class cost) blows the configured SLO, the
-// request is shed.
+// that projection plus the request's own per-class cost blows the
+// configured SLO, the request is shed.
 // Because the projection includes the arriving class's own cost,
 // expensive classes blow the budget at a lower backlog than cheap
 // ones — the most expensive class is refused first as load rises,
@@ -23,7 +22,6 @@
 package server
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -77,19 +75,6 @@ func predictClass(oracle bool, dice bool) queryClass {
 	}
 }
 
-// Shed policies.
-const (
-	// PolicyExpensiveFirst projects queue wait + the arriving class's
-	// own EWMA cost against the SLO, so expensive classes are refused
-	// at a lower backlog than cheap ones (the default).
-	PolicyExpensiveFirst = "expensive-first"
-	// PolicyFair projects queue wait alone: every class is shed at the
-	// same backlog.
-	PolicyFair = "fair"
-	// PolicyOff never sheds (deadlines still apply).
-	PolicyOff = "off"
-)
-
 // ewmaAlpha is the per-observation weight of the service-time EWMA:
 // heavy enough to track a warming cache or a republish-induced cost
 // shift within tens of queries, light enough that one outlier does
@@ -110,9 +95,8 @@ var ewmaPriorNs = [numClasses]float64{
 // admission is the controller. All state sits under one short-held
 // mutex: admit/done do a handful of float ops, never I/O.
 type admission struct {
-	slo    time.Duration // 0 disables shedding
-	policy string
-	width  int // executor parallelism (the OLAP pool size)
+	slo   time.Duration // 0 disables shedding
+	width int           // executor parallelism (the OLAP pool size)
 
 	mu        sync.Mutex
 	ewmaNs    [numClasses]float64
@@ -144,34 +128,13 @@ type ticket struct {
 	chargeNs float64
 }
 
-// ValidateShedPolicy rejects unknown policy names with a usable
-// error; "" is accepted as the default. Callers turning user input
-// into Options (quarryd's -shed-policy flag) check here so a typo
-// fails startup instead of silently running the default.
-func ValidateShedPolicy(policy string) error {
-	switch policy {
-	case "", PolicyExpensiveFirst, PolicyFair, PolicyOff:
-		return nil
-	}
-	return fmt.Errorf("unknown shed policy %q (want %s, %s or %s)",
-		policy, PolicyExpensiveFirst, PolicyFair, PolicyOff)
-}
-
-func newAdmission(slo time.Duration, policy string, width int) *admission {
-	if ValidateShedPolicy(policy) != nil || policy == "" {
-		policy = PolicyExpensiveFirst
-	}
+func newAdmission(slo time.Duration, width int) *admission {
 	if width < 1 {
 		width = 1
 	}
-	a := &admission{slo: slo, policy: policy, width: width}
+	a := &admission{slo: slo, width: width}
 	a.ewmaNs = ewmaPriorNs
 	return a
-}
-
-// shedding reports whether this controller can ever refuse work.
-func (a *admission) shedding() bool {
-	return a.slo > 0 && a.policy != PolicyOff
 }
 
 // admit decides one arriving request. Admitted requests get a ticket
@@ -182,22 +145,16 @@ func (a *admission) admit(c queryClass) (t ticket, ok bool, retryAfter, projecte
 	defer a.mu.Unlock()
 	wait := a.backlogNs / float64(a.width)
 	cost := a.chargeLocked(c)
-	if a.shedding() && wait > 0 {
-		proj := wait
-		if a.policy == PolicyExpensiveFirst {
-			proj += cost
+	if proj := wait + cost; a.slo > 0 && wait > 0 && proj > float64(a.slo) {
+		a.shed[c]++
+		// Suggest coming back once the excess backlog should have
+		// drained; HTTP Retry-After is whole seconds, so floor at 1.
+		excess := time.Duration(proj - float64(a.slo))
+		ra := time.Duration(math.Ceil(excess.Seconds())) * time.Second
+		if ra < time.Second {
+			ra = time.Second
 		}
-		if proj > float64(a.slo) {
-			a.shed[c]++
-			// Suggest coming back once the excess backlog should have
-			// drained; HTTP Retry-After is whole seconds, so floor at 1.
-			excess := time.Duration(proj - float64(a.slo))
-			ra := time.Duration(math.Ceil(excess.Seconds())) * time.Second
-			if ra < time.Second {
-				ra = time.Second
-			}
-			return ticket{}, false, ra, time.Duration(proj)
-		}
+		return ticket{}, false, ra, time.Duration(proj)
 	}
 	a.backlogNs += cost
 	a.inflight[c]++
@@ -267,7 +224,6 @@ type classStats struct {
 // admissionStats is the admin view (GET /api/olap/stats).
 type admissionStats struct {
 	SLOTargetMs     float64               `json:"slo_target_ms"`
-	Policy          string                `json:"policy"`
 	Width           int                   `json:"width"`
 	ProjectedWaitMs float64               `json:"projected_wait_ms"`
 	Classes         map[string]classStats `json:"classes"`
@@ -278,7 +234,6 @@ func (a *admission) stats() admissionStats {
 	defer a.mu.Unlock()
 	out := admissionStats{
 		SLOTargetMs:     float64(a.slo) / float64(time.Millisecond),
-		Policy:          a.policy,
 		Width:           a.width,
 		ProjectedWaitMs: a.backlogNs / float64(a.width) / float64(time.Millisecond),
 		Classes:         make(map[string]classStats, numClasses),

@@ -9,7 +9,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -281,27 +280,8 @@ type operationDetail struct {
 	BusyMs  float64 `json:"busy_ms"`
 }
 
-// runRequest is the optional JSON body of POST /api/run; absent or
-// zero fields keep the platform's configured engine options.
-type runRequest struct {
-	Parallelism int `json:"parallelism"`
-	BatchSize   int `json:"batch_size"`
-}
-
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	opts := s.p.EngineOptions()
-	var body runRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil && err != io.EOF {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if body.Parallelism != 0 {
-		opts.Parallelism = body.Parallelism
-	}
-	if body.BatchSize != 0 {
-		opts.BatchSize = body.BatchSize
-	}
-	res, err := s.p.RunWith(opts)
+func (s *Server) handleRun(w http.ResponseWriter, _ *http.Request) {
+	res, err := s.p.Run()
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, err)
 		return

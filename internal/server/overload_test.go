@@ -19,7 +19,7 @@ import (
 // admitted — a huge oracle EWMA must never starve oracle queries on
 // an idle server.
 func TestAdmissionIdleAlwaysAdmits(t *testing.T) {
-	a := newAdmission(time.Millisecond, PolicyExpensiveFirst, 1)
+	a := newAdmission(time.Millisecond, 1)
 	a.ewmaNs[classOracle] = float64(10 * time.Second)
 	tkt, ok, _, _ := a.admit(classOracle)
 	if !ok {
@@ -28,13 +28,11 @@ func TestAdmissionIdleAlwaysAdmits(t *testing.T) {
 	a.done(tkt, classOracle, int64(time.Millisecond))
 }
 
-// TestAdmissionExpensiveFirstShedsExpensiveClassFirst: under the
-// default policy the projection includes the arriving class's own
-// cost, so at the same backlog the expensive class is refused while
-// the cheap one still fits the SLO; under the fair policy both see
-// only the queue wait and both are admitted.
+// TestAdmissionExpensiveFirstShedsExpensiveClassFirst: the projection
+// includes the arriving class's own cost, so at the same backlog the
+// expensive class is refused while the cheap one still fits the SLO.
 func TestAdmissionExpensiveFirstShedsExpensiveClassFirst(t *testing.T) {
-	a := newAdmission(time.Millisecond, PolicyExpensiveFirst, 1)
+	a := newAdmission(time.Millisecond, 1)
 	a.ewmaNs[classOracle] = float64(2 * time.Millisecond)
 	// One inflight fast query: backlog 250µs, projected wait 250µs.
 	tkt, ok, _, _ := a.admit(classFast)
@@ -52,26 +50,13 @@ func TestAdmissionExpensiveFirstShedsExpensiveClassFirst(t *testing.T) {
 	}
 	a.done(tkt, classFast, int64(200*time.Microsecond))
 	a.done(tkt2, classFast, int64(200*time.Microsecond))
-
-	// Fair policy: class-blind — the same oracle request is admitted
-	// because the queue wait alone is under the SLO.
-	f := newAdmission(time.Millisecond, PolicyFair, 1)
-	f.ewmaNs[classOracle] = float64(2 * time.Millisecond)
-	tkt, ok, _, _ = f.admit(classFast)
-	if !ok {
-		t.Fatal("fair: first fast query shed")
-	}
-	if _, ok, _, _ := f.admit(classOracle); !ok {
-		t.Fatal("fair policy shed the oracle: it must project queue wait alone")
-	}
-	_ = tkt
 }
 
 // TestAdmissionSettlement: a settled ticket releases its backlog
 // charge, decrements occupancy, and feeds the EWMA of the class that
 // ACTUALLY answered.
 func TestAdmissionSettlement(t *testing.T) {
-	a := newAdmission(time.Millisecond, PolicyExpensiveFirst, 2)
+	a := newAdmission(time.Millisecond, 2)
 	tkt, ok, _, _ := a.admit(classFast)
 	if !ok {
 		t.Fatal("shed on idle")
@@ -97,7 +82,7 @@ func TestAdmissionSettlement(t *testing.T) {
 // charge exceeds the SLO would then be locked out even on an idle
 // server.
 func TestAdmissionIdleAfterDrainAdmits(t *testing.T) {
-	a := newAdmission(time.Millisecond, PolicyExpensiveFirst, 1)
+	a := newAdmission(time.Millisecond, 1)
 	a.mu.Lock()
 	a.ewmaNs[classFast] = float64(100*time.Microsecond) / 3 // repeating binary fraction
 	a.ewmaVar[classFast] = 2e7                              // sqrt is irrational: more dust
@@ -130,19 +115,6 @@ func TestAdmissionIdleAfterDrainAdmits(t *testing.T) {
 	}
 	if _, ok, _, _ := a.admit(classOracle); !ok {
 		t.Fatal("idle server refused an expensive request: backlog dust lockout")
-	}
-}
-
-// TestValidateShedPolicy: typos fail fast, valid names (and the empty
-// default) pass.
-func TestValidateShedPolicy(t *testing.T) {
-	for _, p := range []string{"", PolicyExpensiveFirst, PolicyFair, PolicyOff} {
-		if err := ValidateShedPolicy(p); err != nil {
-			t.Fatalf("ValidateShedPolicy(%q) = %v", p, err)
-		}
-	}
-	if err := ValidateShedPolicy("cheapest-first"); err == nil {
-		t.Fatal("unknown policy accepted")
 	}
 }
 
@@ -281,7 +253,7 @@ func TestOLAPShedsUnderBacklogAndAlwaysServesCacheHits(t *testing.T) {
 			if fast := st.Admission.Classes["fast"]; fast.Shed != 1 || fast.Inflight != 1 {
 				t.Fatalf("per-class admission stats must see every endpoint's traffic: fast = %+v, want 1 shed, 1 in flight", fast)
 			}
-			if st.Admission.SLOTargetMs <= 0 || st.Admission.Policy != PolicyExpensiveFirst {
+			if st.Admission.SLOTargetMs <= 0 {
 				t.Fatalf("admission config not exposed: %+v", st.Admission)
 			}
 		})

@@ -57,16 +57,11 @@ type Options struct {
 	// /api/health and reports its replication lag there.
 	ReplicaStatus func() replication.Status
 	// SLOTarget is the latency budget the admission controller defends:
-	// when an arriving OLAP request's projected queue wait (plus, under
-	// the expensive-first policy, its own per-class cost estimate)
-	// exceeds it, the request is shed with 429 + Retry-After. 0
-	// disables shedding entirely.
+	// when an arriving OLAP request's projected queue wait plus its own
+	// per-class cost estimate exceeds it, the request is shed with 429 +
+	// Retry-After, so costly classes are refused at a lower backlog than
+	// cheap ones. 0 disables shedding entirely.
 	SLOTarget time.Duration
-	// ShedPolicy picks how the controller refuses work once SLOTarget
-	// is blown: PolicyExpensiveFirst (default — costly classes are
-	// refused at a lower backlog than cheap ones), PolicyFair
-	// (class-blind), or PolicyOff.
-	ShedPolicy string
 	// DefaultDeadline bounds every OLAP query's end-to-end time when
 	// the client sends no X-Quarry-Deadline header; expiry answers 504
 	// instead of holding the connection. 0 means no server-side
@@ -126,7 +121,7 @@ func NewWithOptions(p *core.Platform, opts Options) *Server {
 		readOnly:        opts.ReadOnly,
 		replicaStatus:   opts.ReplicaStatus,
 		cache:           olap.NewResultCache(opts.OLAPCacheSize),
-		adm:             newAdmission(opts.SLOTarget, opts.ShedPolicy, opts.OLAPConcurrency),
+		adm:             newAdmission(opts.SLOTarget, opts.OLAPConcurrency),
 		defaultDeadline: opts.DefaultDeadline,
 	}
 	s.mux.HandleFunc("GET /api/health", s.handleHealth)
@@ -820,9 +815,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	// Overload posture: whether this node sheds, and the lifetime
 	// shed/deadline counters — the first numbers to look at when
 	// clients report 429s or 504s.
-	if s.adm.shedding() {
+	if s.adm.slo > 0 {
 		resp["slo_target_ms"] = float64(s.adm.slo) / float64(time.Millisecond)
-		resp["shed_policy"] = s.adm.policy
 	}
 	resp["shed"] = s.olap.shed.Load()
 	resp["deadline_exceeded"] = s.olap.deadline.Load()

@@ -23,16 +23,11 @@
 // Native execution uses a batch-vectorised, pipelined, DAG-parallel
 // engine: operators stream fixed-size row batches and independent
 // branches of the unified flow run concurrently on a bounded worker
-// pool. Tune it with EngineOptions — Parallelism bounds concurrently
-// executing operators (default GOMAXPROCS; 1 gives single-threaded
-// execution), BatchSize sets rows per batch (default 1024) — via
-// Config.Engine, or per run with Platform.RunWith. Results are
-// identical for every setting; only wall-clock time changes.
+// pool of GOMAXPROCS workers.
 //
 // The execution database is one paged columnar store: committed rows
 // live in segments of compressed, zone-mapped pages. NewMemDB keeps the
-// segments in memory; OpenDB (or Config.StorageDir) keeps them in
-// files named by a manifest, so tables survive process restarts —
+// segments in memory; OpenDB keeps them in files named by a manifest, so tables survive process restarts —
 // every ETL run committed by a single atomic manifest rename, recovery
 // discarding whatever a crashed run left behind. See
 // docs/ARCHITECTURE.md for the storage-format spec.
@@ -109,8 +104,7 @@ func NewMemDB() *DB { return storage.NewMemDB() }
 // database rooted at dir. Tables survive process restarts; every ETL
 // run commits atomically (one manifest fsync+rename) and reopening
 // recovers the last committed version, discarding segments a crashed
-// run left behind. Pass the result via Config.DB — or let the
-// platform open it for you with Config.StorageDir.
+// run left behind. Pass the result via Config.DB.
 func OpenDB(dir string) (*DB, error) { return storage.Open(dir) }
 
 // Elicitor is the Requirements Elicitor backend.
@@ -118,10 +112,6 @@ type Elicitor = elicitor.Elicitor
 
 // RunResult is the outcome of executing an ETL design.
 type RunResult = engine.Result
-
-// EngineOptions tunes native ETL execution (DAG parallelism, rows per
-// batch); see Config.Engine and Platform.RunWith.
-type EngineOptions = engine.Options
 
 // OLAPEngine answers analytical cube queries over the deployed DW
 // (obtain one with Platform.OLAP after Run). Query is the vectorized
