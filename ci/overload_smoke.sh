@@ -21,8 +21,12 @@
 # time; cache-hit fast-pathing under overload is covered by the unit
 # tests (hits bypass admission entirely).
 #
+# The gated run offers max(QPS, 3 x the warm-up's goodput): a fixed
+# rate that overloads one host is idle load for a faster host or a
+# faster build, and a run that sheds nothing proves nothing.
+#
 # CI runs this as-is; locally plain `./ci/overload_smoke.sh` works too
-# (tunables: SF, QPS, DURATION, SLO, OUT). Only bash + curl + go.
+# (tunables: SF, QPS, DURATION, SLO, OUT). Only bash + curl + jq + go.
 set -euo pipefail
 
 SF="${SF:-1000}"
@@ -97,13 +101,16 @@ curl -fsS -X POST "http://localhost:$PORT/api/run" >/dev/null
 # pointing SLO-gated traffic at it.
 log "warming the admission cost model (ungated ${WARMUP:-3s} burst)"
 "$BIN/quarrybench" -target "http://localhost:$PORT" \
-    -qps "$QPS" -duration "${WARMUP:-3s}" -oracle-every 3 >/dev/null 2>&1 || true
+    -qps "$QPS" -duration "${WARMUP:-3s}" -oracle-every 3 \
+    -out "$WORK/warmup.json" >/dev/null 2>&1 || true
 sleep 1 # let warmup stragglers settle so the gated run's counter deltas reconcile
 
-log "driving overload: $QPS qps for $DURATION (oracle every 3rd request)"
+WARM_GOODPUT="$(jq -r '.goodput_rps // 0' "$WORK/warmup.json" 2>/dev/null || echo 0)"
+DRIVE_QPS="$(awk -v q="$QPS" -v g="$WARM_GOODPUT" 'BEGIN{d = 3 * g; if (d < q) d = q; printf "%d", d}')"
+log "driving overload: $DRIVE_QPS qps (warm-up goodput ${WARM_GOODPUT} rps) for $DURATION (oracle every 3rd request)"
 "$BIN/quarrybench" \
     -target "http://localhost:$PORT" \
-    -qps "$QPS" -duration "$DURATION" \
+    -qps "$DRIVE_QPS" -duration "$DURATION" \
     -oracle-every 3 \
     -max-error-rate 0 -min-shed 1 -max-p99 "$MAX_P99" -expect-reconcile \
     -out "$OUT" || die "quarrybench gate tripped"

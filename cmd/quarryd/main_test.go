@@ -34,7 +34,9 @@ func TestRefusesFlagsItWouldIgnore(t *testing.T) {
 		{[]string{"-shards", "-1"}, "-shards"},
 		{[]string{"-shard-index", "3"}, "-shard-index"},
 		{[]string{"-shards", "2", "-shard-index", "2"}, "-shard-index"},
-		{[]string{"-replica-dir", dir}, "-replica-dir"},
+		// The directory is never read: the flag is refused first. A fixed
+		// path keeps the subtest name the same from run to run.
+		{[]string{"-replica-dir", "/srv/quarry"}, "-replica-dir"},
 		{[]string{"-replica-interval", "5s"}, "-replica-interval"},
 		{[]string{"-replica-of", primary, "-data-dir", dir, "-replica-interval", "0"}, "-replica-interval"},
 		{[]string{"-replica-of", primary, "-data-dir", dir, "-replica-interval", "-1s"}, "-replica-interval"},

@@ -93,6 +93,9 @@ type Platform struct {
 	// matAgg outlives engine rebuilds (entries are DB-version-keyed);
 	// design changes invalidate it wholesale. Nil when disabled.
 	matAgg *olap.MatAgg
+	// dimCounts counts the dimension-cache lookups of every engine the
+	// platform builds.
+	dimCounts olap.DimCacheCounts
 }
 
 // New builds a Platform from the configuration.
@@ -562,7 +565,7 @@ func (p *Platform) OLAP() (*olap.Engine, error) {
 		return nil, fmt.Errorf("core: no unified design; add requirements first")
 	}
 	if p.olapEng == nil {
-		eng, err := olap.New(p.unifiedMD.Clone(), p.unifiedETL.Clone(), p.db)
+		eng, err := olap.New(p.unifiedMD.Clone(), p.unifiedETL.Clone(), p.db, &p.dimCounts)
 		if err != nil {
 			return nil, err
 		}
@@ -573,6 +576,10 @@ func (p *Platform) OLAP() (*olap.Engine, error) {
 	}
 	return p.olapEng, nil
 }
+
+// DimCacheStats reports the dimension-cache hits and misses of every
+// engine the platform has built, old and current.
+func (p *Platform) DimCacheStats() (hits, misses int64) { return p.dimCounts.Load() }
 
 // MatAgg exposes the materialized-aggregate store, or nil when the
 // subsystem is disabled (Config.MatAggTopK == 0). Serving layers call

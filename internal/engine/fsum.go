@@ -1,6 +1,9 @@
 package engine
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // FloatSum is an exactly-rounded, order-independent float accumulator:
 // it tracks the running sum as a non-overlapping expansion of floats
@@ -134,6 +137,60 @@ func (s *FloatSum) Round() float64 {
 // The parts slice is a copy.
 func (s *FloatSum) Export() (parts []float64, special float64, hasSpecial bool) {
 	return append([]float64(nil), s.parts...), s.special, s.hasSpecial
+}
+
+// imageSum is how a SUM (or AVG) folds the inputs whose float64 image
+// is an integer without growing an expansion per row: it adds each such
+// image — an int strictly inside ±2⁵³ as it is, past that its rounding,
+// a float with no fraction inside ±2⁶³ as it is — into a two's-complement
+// 128-bit integer. addTo hands the total to a FloatSum exactly, so
+// Round, AVG and the overflow verdict see the sum the expansion would
+// have held.
+type imageSum struct{ hi, lo uint64 }
+
+// add adds the integer v.
+func (s *imageSum) add(v int64) {
+	var c uint64
+	s.lo, c = bits.Add64(s.lo, uint64(v), 0)
+	s.hi += uint64(v>>63) + c // v's sign extension, plus the carry
+}
+
+// addInt adds the float64 image of the int v.
+func (s *imageSum) addInt(v int64) {
+	if v >= maxExactInt || v <= -maxExactInt {
+		f := float64(v)
+		if f == 0x1p63 { // MaxInt64's neighbours round to 2⁶³, one past int64
+			s.add(math.MaxInt64)
+			s.add(1)
+			return
+		}
+		v = int64(f)
+	}
+	s.add(v)
+}
+
+// addFloat adds f if it is an integer strictly inside ±2⁶³ and reports
+// whether it was; a fraction, an infinity or a NaN is left to the
+// expansion.
+func (s *imageSum) addFloat(f float64) bool {
+	if !(f > -0x1p63 && f < 0x1p63) {
+		return false
+	}
+	v := int64(f)
+	if float64(v) != f {
+		return false
+	}
+	s.add(v)
+	return true
+}
+
+// addTo adds the sum to f as at most three parts, each exactly a
+// float64 while |hi| < 2⁵³ — one add moves hi by at most one, so that
+// holds for any fold of fewer than 2⁵³ rows.
+func (s imageSum) addTo(f *FloatSum) {
+	f.Add(float64(int64(s.hi)) * 0x1p64)
+	f.Add(float64(s.lo>>32) * 0x1p32)
+	f.Add(float64(s.lo & (1<<32 - 1)))
 }
 
 // ImportFloatSum rebuilds a sum from its wire representation. It only

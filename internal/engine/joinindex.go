@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"quarry/internal/expr"
 	"quarry/internal/storage"
@@ -44,13 +45,21 @@ type JoinIndex struct {
 	// with 0 ending the chain (nil when no key repeats — surrogate keys).
 	next []int32
 	last []int32 // while indexing: per key number, the end of its chain + 1
+
+	groups []lazyGroupCodes // per column: GroupCodes, made on first use
+}
+
+type lazyGroupCodes struct {
+	once  sync.Once
+	codes GroupCodes
 }
 
 // NewJoinIndex starts a build side of width columns and keys key
 // columns; rows, when known, sizes the columns.
 func NewJoinIndex(width, keys, rows int) *JoinIndex {
 	x := &JoinIndex{Cols: make([]*storage.Vector, width), acc: make([]accumulator, width),
-		keys: make([][]*storage.Vector, keys), coders: make([]keyCoder, keys), pairs: make([]map[uint64]uint32, keys-1)}
+		keys: make([][]*storage.Vector, keys), coders: make([]keyCoder, keys), pairs: make([]map[uint64]uint32, keys-1),
+		groups: make([]lazyGroupCodes, width)}
 	for i := range x.Cols {
 		x.Cols[i] = &storage.Vector{}
 		x.acc[i] = accumulator{vec: x.Cols[i], rows: rows}
@@ -141,6 +150,22 @@ func (x *JoinIndex) Finish() error {
 	}
 	x.keys, x.last = nil, nil
 	return nil
+}
+
+// GroupCodes returns column c of the finished index numbered for
+// grouping: a code per build row by the aggregation kernel's rules. A
+// probe hands it to AddVectors with the column (Column.Group), so a
+// build column grouped by is coded once per build row rather than once
+// per probe row joined to it. It is made on the first call and shared
+// by every later one, from any goroutine.
+func (x *JoinIndex) GroupCodes(c int) *GroupCodes {
+	g := &x.groups[c]
+	g.once.Do(func() {
+		var coder dictCoder
+		col := x.Cols[c]
+		g.codes = GroupCodes{Codes: coder.code(Column{Vec: col}, col.Len(), nil), Dict: coder.dict}
+	})
+	return &g.codes
 }
 
 // enter appends row r to the chain of key number t.

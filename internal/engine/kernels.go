@@ -357,13 +357,18 @@ func keysEqual(l, r []expr.Value, lIdx, rIdx []int) bool {
 
 type aggState struct {
 	groupVals []expr.Value
-	sums      []FloatSum
-	sumIsInt  []bool
-	intSums   []int64
-	mins      []expr.Value
-	maxs      []expr.Value
-	counts    []int64   // non-null count per aggregate
-	next      *aggState // the next group under the same hash, in first-seen order
+	// A SUM or AVG's exact sum of its inputs' float images is sums plus
+	// images: inputs with integer images go to the 128-bit imageSum until
+	// settle moves them over, fractions and absorbed partials to the
+	// expansion.
+	sums     []FloatSum
+	images   []imageSum
+	sumIsInt []bool
+	intSums  []int64 // the int inputs' sum, wrapping
+	mins     []expr.Value
+	maxs     []expr.Value
+	counts   []int64   // non-null count per aggregate
+	next     *aggState // the next group under the same hash, in first-seen order
 }
 
 // aggregationOp groups and aggregates incrementally; result emits
@@ -389,6 +394,7 @@ type stateSlab struct {
 	states []aggState
 	vals   []expr.Value // group values, MIN and MAX
 	sums   []FloatSum
+	images []imageSum
 	flags  []bool
 	ints   []int64 // int sums and counts
 }
@@ -444,12 +450,13 @@ func (o *aggregationOp) newState(h uint64, group func(k int) expr.Value) *aggSta
 		s.states = make([]aggState, s.per)
 		s.vals = make([]expr.Value, s.per*(len(o.gIdx)+2*n))
 		s.sums = make([]FloatSum, s.per*n)
+		s.images = make([]imageSum, s.per*n)
 		s.flags = make([]bool, s.per*n)
 		s.ints = make([]int64, s.per*2*n)
 	}
 	st := &take(&s.states, 1)[0]
 	st.groupVals, st.mins, st.maxs = take(&s.vals, len(o.gIdx)), take(&s.vals, n), take(&s.vals, n)
-	st.sums, st.sumIsInt = take(&s.sums, n), take(&s.flags, n)
+	st.sums, st.images, st.sumIsInt = take(&s.sums, n), take(&s.images, n), take(&s.flags, n)
 	st.intSums, st.counts = take(&s.ints, n), take(&s.ints, n)
 	for i := range st.sumIsInt {
 		st.sumIsInt[i] = true
@@ -508,19 +515,42 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 				keepExtreme(&st.maxs[i], v, false)
 			default: // SUM, AVG
 				f, ok := v.AsFloat()
-				if !ok {
+				switch {
+				case !ok:
 					return fmt.Errorf("aggregation %s over non-numeric value %s", a.Func, v)
-				}
-				st.sums[i].Add(f)
-				if v.Kind() == expr.KindInt {
-					st.intSums[i] += v.AsInt()
-				} else {
-					st.sumIsInt[i] = false
+				case v.Kind() == expr.KindInt:
+					st.addInt(i, v.AsInt())
+				default:
+					st.addFloat(i, f)
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// addInt folds the int v into SUM (or AVG) i.
+func (st *aggState) addInt(i int, v int64) {
+	st.intSums[i] += v
+	st.images[i].addInt(v)
+}
+
+// addFloat folds the float f into SUM (or AVG) i.
+func (st *aggState) addFloat(i int, f float64) {
+	if !st.images[i].addFloat(f) {
+		st.sums[i].Add(f)
+	}
+	st.sumIsInt[i] = false
+}
+
+// settle moves SUM (or AVG) i's 128-bit sum into its expansion and
+// returns the expansion, which then holds the whole exact sum.
+func (st *aggState) settle(i int) *FloatSum {
+	if st.images[i] != (imageSum{}) {
+		st.images[i].addTo(&st.sums[i])
+		st.images[i] = imageSum{}
+	}
+	return &st.sums[i]
 }
 
 // keepExtreme folds the non-NULL v into a running MIN (or MAX). The
@@ -611,19 +641,19 @@ func (o *aggregationOp) result() ([][]expr.Value, error) {
 				case "SUM":
 					if st.counts[i] == 0 {
 						row = append(row, expr.Null())
-					} else if st.sumIsInt[i] {
-						if math.Abs(float64(st.intSums[i])-st.sums[i].Round()) >= 1<<63 {
+					} else if sum := st.settle(i).Round(); st.sumIsInt[i] {
+						if math.Abs(float64(st.intSums[i])-sum) >= 1<<63 {
 							return nil, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
 						}
 						row = append(row, expr.Int(st.intSums[i]))
 					} else {
-						row = append(row, expr.Float(st.sums[i].Round()))
+						row = append(row, expr.Float(sum))
 					}
 				case "AVG":
 					if st.counts[i] == 0 {
 						row = append(row, expr.Null())
 					} else {
-						row = append(row, expr.Float(st.sums[i].Round()/float64(st.counts[i])))
+						row = append(row, expr.Float(st.settle(i).Round()/float64(st.counts[i])))
 					}
 				}
 			}

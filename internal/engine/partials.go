@@ -60,7 +60,7 @@ func (a *HashAggregator) Partials() []AggPartial {
 				m.Count = st.counts[i]
 				m.IntSum = st.intSums[i]
 				m.SumIsInt = st.sumIsInt[i]
-				m.SumParts, m.SumSpecial, m.SumHasSpecial = st.sums[i].Export()
+				m.SumParts, m.SumSpecial, m.SumHasSpecial = st.settle(i).Export()
 				m.Min = st.mins[i]
 				m.Max = st.maxs[i]
 			}

@@ -13,7 +13,9 @@ import (
 // and the kernel folds it into the same aggStates Add(rows) folds into.
 // Each group column is numbered by a dictCoder of the aggregator's own —
 // so codes mean the same value on every batch, whatever dictionaries
-// the batches arrive with — and a row's state is found from its code
+// the batches arrive with — unless it comes numbered already
+// (Column.Group: a join index's build column, coded once per build
+// row by the same rules), and a row's state is found from its code
 // tuple (codeIndex), so no group value is hashed or compared per row;
 // the value-keyed table behind findOrCreate is consulted once per
 // distinct tuple, which keeps every grouping rule (NULLs group together,
@@ -21,20 +23,36 @@ import (
 // exactly where Add has it. Result, Partials and Absorb see no
 // difference.
 
-// groupCodes is one group column of a batch as the code index reads
-// it: a code per row and the value each code stands for. Across the
-// batches folded into one aggregator Dict may grow, but an entry never
-// changes; equal codes mean the identical value.
-type groupCodes struct {
+// GroupCodes is a group column numbered for the code index: a code per
+// row and the value each code stands for, by dictCoder's bit-exact
+// rules. Across the batches folded into one aggregator Dict may grow,
+// but an entry never changes; equal codes mean the identical value.
+type GroupCodes struct {
 	Codes []uint32
 	Dict  []expr.Value
+}
+
+// groupCol is one group column of a batch as the code index reads it:
+// row r's code is Codes[sel[r]], or Codes[r] when sel is nil.
+type groupCol struct {
+	GroupCodes
+	sel []int32
+}
+
+func (c *groupCol) code(r int) uint32 {
+	if c.sel == nil {
+		return c.Codes[r]
+	}
+	return c.Codes[c.sel[r]]
 }
 
 // vecState is the vector entry's scratch on an aggregationOp.
 type vecState struct {
 	byCode      *codeIndex // the code-tuple index over states
 	coders      []dictCoder
-	groups      []groupCodes
+	coded       [][]uint32    // per group column: its coder's codes for the batch
+	numbering   []*GroupCodes // per group column: the Column.Group its codes came from, nil for coders
+	groups      []groupCol
 	batchStates []*aggState       // each batch row's state
 	measures    []*storage.Vector // per aggregate: its input rows
 	gathered    []*storage.Vector // per aggregate: its selected input rows
@@ -59,11 +77,12 @@ type codeIndex struct {
 	tuples []uint32    // registered tuples, one code per group column each
 	states []*aggState // state of each registered tuple
 
+	keys  []uint64     // scratch: each batch row's packed key
 	group []expr.Value // scratch: the values of a tuple met for the first time
 }
 
 // fits reports whether every dictionary still fits its bit field.
-func (x *codeIndex) fits(groups []groupCodes) bool {
+func (x *codeIndex) fits(groups []groupCol) bool {
 	if x.width == nil {
 		return false
 	}
@@ -77,7 +96,7 @@ func (x *codeIndex) fits(groups []groupCodes) bool {
 
 // layout sizes the bit fields for the dictionaries as they are now and
 // re-registers every known tuple under the new keys.
-func (x *codeIndex) layout(groups []groupCodes) {
+func (x *codeIndex) layout(groups []groupCol) {
 	x.width = make([]uint, len(groups))
 	x.shift = make([]uint, len(groups))
 	total := uint(0)
@@ -113,21 +132,37 @@ func (x *codeIndex) set(key uint64, entry int32) {
 	}
 }
 
+// pack returns each of the n batch rows' code tuple packed into its
+// key, a group column at a time.
+func (x *codeIndex) pack(n int, groups []groupCol) []uint64 {
+	x.keys = zeroed(x.keys, n)
+	if x.wide {
+		return x.keys
+	}
+	for g := range groups {
+		c, shift := &groups[g], x.shift[g]
+		if c.sel == nil {
+			for r, code := range c.Codes[:n] {
+				x.keys[r] |= uint64(code) << shift
+			}
+			continue
+		}
+		for r, s := range c.sel[:n] {
+			x.keys[r] |= uint64(c.Codes[s]) << shift
+		}
+	}
+	return x.keys
+}
+
 // resolve fills sts with the group state of every batch row, creating
 // states — in first-seen order, through the value-keyed table — for
 // tuples not met before.
-func (o *aggregationOp) resolve(n int, groups []groupCodes, sts []*aggState) {
+func (o *aggregationOp) resolve(n int, groups []groupCol, sts []*aggState) {
 	x := o.vec.byCode
 	if !x.fits(groups) {
 		x.layout(groups)
 	}
-	for r := 0; r < n; r++ {
-		var key uint64 // the row's code tuple, packed
-		if !x.wide {
-			for g := range groups {
-				key |= uint64(groups[g].Codes[r]) << x.shift[g]
-			}
-		}
+	for r, key := range x.pack(n, groups) {
 		entry := int32(-1)
 		switch {
 		case x.flat != nil:
@@ -146,7 +181,7 @@ func (o *aggregationOp) resolve(n int, groups []groupCodes, sts []*aggState) {
 		x.group = x.group[:0]
 		unmatchable := false
 		for g := range groups {
-			v := groups[g].Dict[groups[g].Codes[r]]
+			v := groups[g].Dict[groups[g].code(r)]
 			if f, isFloat := v.AsFloat(); isFloat && f != f {
 				unmatchable = true // a NaN key equals nothing, itself included
 			}
@@ -157,7 +192,7 @@ func (o *aggregationOp) resolve(n int, groups []groupCodes, sts []*aggState) {
 			continue
 		}
 		for g := range groups {
-			x.tuples = append(x.tuples, groups[g].Codes[r])
+			x.tuples = append(x.tuples, groups[g].code(r))
 		}
 		x.states = append(x.states, sts[r])
 		x.set(key, int32(len(x.states)-1))
@@ -185,7 +220,9 @@ func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
 	if v.byCode == nil {
 		v.byCode = &codeIndex{}
 		v.coders = make([]dictCoder, len(o.gIdx))
-		v.groups = make([]groupCodes, len(o.gIdx))
+		v.coded = make([][]uint32, len(o.gIdx))
+		v.numbering = make([]*GroupCodes, len(o.gIdx))
+		v.groups = make([]groupCol, len(o.gIdx))
 		v.measures = make([]*storage.Vector, len(o.aggs))
 		v.gathered = make([]*storage.Vector, len(o.aggs))
 	}
@@ -219,8 +256,18 @@ func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
 		return err
 	}
 	for g, col := range groups {
-		v.groups[g].Codes = v.coders[g].code(col, n, v.groups[g].Codes[:0])
-		v.groups[g].Dict = v.coders[g].dict
+		if col.Group != v.numbering[g] {
+			// Codes of another numbering mean other values: the tuples
+			// indexed so far no longer apply (findOrCreate still finds
+			// their states by value).
+			v.numbering[g], v.byCode = col.Group, &codeIndex{}
+		}
+		if col.Group != nil {
+			v.groups[g] = groupCol{*col.Group, col.Sel}
+			continue
+		}
+		v.coded[g] = v.coders[g].code(col, n, v.coded[g][:0])
+		v.groups[g] = groupCol{GroupCodes{v.coded[g], v.coders[g].dict}, nil}
 	}
 	if cap(v.batchStates) < n {
 		v.batchStates = make([]*aggState, n)
@@ -281,16 +328,14 @@ func foldSum(sts []*aggState, i int, m *storage.Vector) {
 		for r, st := range sts {
 			if !m.IsNull(r) {
 				st.counts[i]++
-				st.sums[i].Add(float64(m.Ints[r]))
-				st.intSums[i] += m.Ints[r]
+				st.addInt(i, m.Ints[r])
 			}
 		}
 	case expr.KindFloat:
 		for r, st := range sts {
 			if !m.IsNull(r) {
 				st.counts[i]++
-				st.sums[i].Add(m.Floats[r])
-				st.sumIsInt[i] = false
+				st.addFloat(i, m.Floats[r])
 			}
 		}
 	default: // mixed ints and floats
@@ -299,13 +344,12 @@ func foldSum(sts []*aggState, i int, m *storage.Vector) {
 				continue
 			}
 			v := m.Value(r)
-			f, _ := v.AsFloat()
 			st.counts[i]++
-			st.sums[i].Add(f)
 			if v.Kind() == expr.KindInt {
-				st.intSums[i] += v.AsInt()
+				st.addInt(i, v.AsInt())
 			} else {
-				st.sumIsInt[i] = false
+				f, _ := v.AsFloat()
+				st.addFloat(i, f)
 			}
 		}
 	}

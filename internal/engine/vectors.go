@@ -26,6 +26,10 @@ const maxExactInt = 1 << 53
 type Column struct {
 	Vec *storage.Vector
 	Sel []int32
+	// Group, when set, numbers Vec's rows for grouping
+	// (JoinIndex.GroupCodes): AddVectors reads a group column's codes
+	// from it instead of coding the column's values.
+	Group *GroupCodes
 }
 
 func (c *Column) row(r int) int {

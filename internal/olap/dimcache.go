@@ -4,23 +4,24 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"quarry/internal/engine"
 )
 
-// dimCache caches dimension build sides across queries (the ROADMAP's
-// "per-dimension build-side caching" item). The fast path rebuilds one
-// join index per joined dimension on every query; under concurrent
-// serving traffic the same few dimensions are rebuilt over and over.
-// The cache keys each built side by the DB version, the dimension's
-// snapshotted row count and the exact join shape (reference column,
-// build projection, pushed-down predicates) — every input that
-// determines the built side. A republish bumps the version
-// and implicitly drops every entry (same invalidation lifecycle as the
-// materialized aggregates, which is why MatAgg owns the cache); a
-// direct append outside a run changes the snapshotted row count and
-// misses instead. Built sides are immutable once published, so any
-// number of queries probe one concurrently.
+// dimCache caches dimension build sides across queries. Each Engine
+// owns one, so every fast-path query — the partial answer and the
+// aggregate refresh included — builds a dimension's join index (and,
+// on first use, its group codes: engine.JoinIndex.GroupCodes) once per
+// warehouse version instead of once per query. The cache keys each
+// built side by the DB version, the dimension's snapshotted row count
+// and the exact join shape (reference column, build projection,
+// pushed-down predicates) — every input that determines the built
+// side. A republish bumps the version and implicitly drops every
+// entry; a direct append outside a run changes the snapshotted row
+// count and misses instead; a design change builds a new Engine, which
+// starts cold. Built sides are immutable once published, so any number
+// of queries probe one concurrently.
 type dimCache struct {
 	mu sync.Mutex
 	// version is the newest version observed; entries older than it
@@ -30,8 +31,17 @@ type dimCache struct {
 	// windows must not thrash the freshly built build sides.
 	version uint64
 	entries map[string]dimCacheEntry
+	counts  *DimCacheCounts
+}
 
-	hits, misses int64
+// DimCacheCounts counts dimension-cache lookups. A platform passes one
+// to every Engine it builds, so the counts run for the life of the
+// process across engine rebuilds.
+type DimCacheCounts struct{ hits, misses atomic.Int64 }
+
+// Load returns the hits and misses counted so far.
+func (c *DimCacheCounts) Load() (hits, misses int64) {
+	return c.hits.Load(), c.misses.Load()
 }
 
 type dimCacheEntry struct {
@@ -43,8 +53,11 @@ type dimCacheEntry struct {
 // dimensions, so blowing past it signals key churn and drops the lot.
 const dimCacheCap = 128
 
-func newDimCache() *dimCache {
-	return &dimCache{entries: map[string]dimCacheEntry{}}
+func newDimCache(counts *DimCacheCounts) *dimCache {
+	if counts == nil {
+		counts = &DimCacheCounts{}
+	}
+	return &dimCache{entries: map[string]dimCacheEntry{}, counts: counts}
 }
 
 // dimKey identifies one build side.
@@ -82,17 +95,14 @@ func (c *dimCache) advanceLocked(version uint64) {
 
 // get returns the cached build side for the key at the given version.
 func (c *dimCache) get(version uint64, key string) (*engine.JoinIndex, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.advanceLocked(version)
 	en, ok := c.entries[versionedKey(version, key)]
 	if ok {
-		c.hits++
+		c.counts.hits.Add(1)
 	} else {
-		c.misses++
+		c.counts.misses.Add(1)
 	}
 	return en.side, ok
 }
@@ -106,9 +116,6 @@ func versionedKey(version uint64, key string) string {
 
 // put publishes a fully built side for the key at the version.
 func (c *dimCache) put(version uint64, key string, side *engine.JoinIndex) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.advanceLocked(version)
@@ -116,24 +123,4 @@ func (c *dimCache) put(version uint64, key string, side *engine.JoinIndex) {
 		c.entries = map[string]dimCacheEntry{}
 	}
 	c.entries[versionedKey(version, key)] = dimCacheEntry{side: side, version: version}
-}
-
-// purge drops everything (design changes).
-func (c *dimCache) purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.entries = map[string]dimCacheEntry{}
-	c.mu.Unlock()
-}
-
-// stats reports cumulative hit/miss counts.
-func (c *dimCache) stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

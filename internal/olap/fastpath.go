@@ -10,15 +10,18 @@ package olap
 //	       the join index the ETL executor builds too: its attribute
 //	       columns as vectors, and an index from join key to row number
 //	       (an array when the keys are dense integers, as surrogate keys
-//	       are; a hash map otherwise).
+//	       are; a hash map otherwise). The engine's dimCache keeps it for
+//	       every later query at the same warehouse version, with the
+//	       group codes of the columns queries group by (GroupCodes).
 //	probe  the fact streams a chunk (a page) at a time through
 //	       probeStar: foreign-key vectors → per join, a vector of
 //	       dimension row numbers → the selection of joined rows (fan-out
 //	       expanded) → filter (engine.VectorFilter) → a starChunk of
 //	       (fact position, dimension row numbers), which the consumer
 //	       reads columns out of: the aggregate fold as the selected
-//	       columns engine.HashAggregator.AddVectors takes, the dice as
-//	       the narrow rows it must buffer.
+//	       columns engine.HashAggregator.AddVectors takes (a dimension's
+//	       group column with its codes), the dice as the narrow rows it
+//	       must buffer.
 
 import (
 	"context"
@@ -75,36 +78,26 @@ func buildDimSide(ctx context.Context, view *storage.TableView, sj *starJoin) (*
 	return d, nil
 }
 
-// buildDimSides runs the build phase: one side per joined dimension.
-// With a MatAgg attached, built sides are cached per (version,
-// dimension rows, join shape) and reused across concurrent queries
-// until the next republish.
+// buildDimSides runs the build phase: one side per joined dimension,
+// taken from the engine's dimCache when a query at the same version
+// built it already.
 func (e *Engine) buildDimSides(ctx context.Context, p *starPlan, snap *storage.Snapshot) ([]*engine.JoinIndex, error) {
-	var cache *dimCache
-	if e.mat != nil {
-		cache = e.mat.dims
-	}
 	sides := make([]*engine.JoinIndex, len(p.joins))
 	for i, sj := range p.joins {
 		view, ok := snap.Table(sj.def.Name)
 		if !ok {
 			return nil, fmt.Errorf("olap: snapshot lacks dimension table %q", sj.def.Name)
 		}
-		key := ""
-		if cache != nil {
-			key = dimKey(sj, view.NumRows())
-			if d, ok := cache.get(snap.Version(), key); ok {
-				sides[i] = d
-				continue
-			}
+		key := dimKey(sj, view.NumRows())
+		if d, ok := e.dims.get(snap.Version(), key); ok {
+			sides[i] = d
+			continue
 		}
 		d, err := buildDimSide(ctx, view, sj)
 		if err != nil {
 			return nil, err
 		}
-		if cache != nil {
-			cache.put(snap.Version(), key, d)
-		}
+		e.dims.put(snap.Version(), key, d)
 		sides[i] = d
 	}
 	return sides, nil
@@ -240,8 +233,14 @@ func (e *Engine) probeStar(ctx context.Context, p *starPlan, snap *storage.Snaps
 		}
 		sel.pos = sized(sel.pos, n)
 		kept := 0
+		if everyRowMatched(sel.dim, n) { // as foreign keys do: nothing to drop
+			for i := range sel.pos {
+				sel.pos[i] = int32(i)
+			}
+			kept = n
+		}
 	rows:
-		for i := 0; i < n; i++ {
+		for i := kept; i < n; i++ {
 			for _, matched := range sel.dim {
 				if matched[i] < 0 {
 					continue rows
@@ -304,6 +303,19 @@ func (e *Engine) probeStar(ctx context.Context, p *starPlan, snap *storage.Snaps
 	}
 }
 
+// everyRowMatched reports whether each of the n fact rows found a
+// dimension row in every join.
+func everyRowMatched(matches [][]int32, n int) bool {
+	for _, matched := range matches {
+		for _, m := range matched[:n] {
+			if m < 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // compact keeps the chunk's rows kept names, in order.
 func (c *starChunk) compact(kept []int32) {
 	for i, j := range kept {
@@ -337,6 +349,9 @@ func newStarFold(p *starPlan) (*starFold, error) {
 func (f *starFold) add(c *starChunk) error {
 	for g, ci := range f.p.groupIdx {
 		f.groups[g] = c.column(ci)
+		if pc := f.p.cols[ci]; pc.join >= 0 { // coded once per dimension row
+			f.groups[g].Group = c.sides[pc.join].GroupCodes(pc.col)
+		}
 	}
 	for i, ci := range f.p.aggIdx {
 		if ci >= 0 {

@@ -127,20 +127,20 @@ type MatAggStats struct {
 	Misses             int64  `json:"misses"`
 	LastRefreshVersion uint64 `json:"last_refresh_version"`
 	LastRefreshError   string `json:"last_refresh_error,omitempty"`
-	DimCacheHits       int64  `json:"dim_cache_hits"`
-	DimCacheMisses     int64  `json:"dim_cache_misses"`
+	// The dimension cache's counts (DimCacheCounts): the cache belongs to
+	// the engine, and the serving layer repeats its counts here.
+	DimCacheHits   int64 `json:"dim_cache_hits"`
+	DimCacheMisses int64 `json:"dim_cache_misses"`
 }
 
-// MatAgg is a materialized-aggregate store plus the per-dimension
-// build-side cache (both invalidated by the same DB-version
-// lifecycle). It is safe for concurrent use and shared across engine
-// rebuilds: attach it with Engine.WithMatAgg.
+// MatAgg is a materialized-aggregate store. It is safe for concurrent
+// use and shared across engine rebuilds: attach it with
+// Engine.WithMatAgg.
 type MatAgg struct {
 	mu       sync.Mutex
 	topK     int
 	patterns map[string]*aggPattern
 	entries  map[string]*matEntry
-	dims     *dimCache
 
 	recorded, hits, rewrites, misses int64
 	lastRefreshVersion               uint64
@@ -160,13 +160,12 @@ func NewMatAgg(topK int) *MatAgg {
 		topK:     topK,
 		patterns: map[string]*aggPattern{},
 		entries:  map[string]*matEntry{},
-		dims:     newDimCache(),
 	}
 }
 
-// Invalidate drops every materialized aggregate, recorded pattern and
-// cached build side. Call it when the unified design changes (a data
-// republish needs nothing: versions diverge by themselves).
+// Invalidate drops every materialized aggregate and recorded pattern.
+// Call it when the unified design changes (a data republish needs
+// nothing: versions diverge by themselves).
 func (m *MatAgg) Invalidate() {
 	if m == nil {
 		return
@@ -176,7 +175,6 @@ func (m *MatAgg) Invalidate() {
 	m.entries = map[string]*matEntry{}
 	m.gen++
 	m.mu.Unlock()
-	m.dims.purge()
 }
 
 // Stats reports the store's counters.
@@ -200,7 +198,6 @@ func (m *MatAgg) Stats() MatAggStats {
 		st.MaterializedRows += int64(len(en.rows))
 	}
 	m.mu.Unlock()
-	st.DimCacheHits, st.DimCacheMisses = m.dims.stats()
 	return st
 }
 

@@ -505,60 +505,6 @@ func TestMatAggLogBoundedAndAges(t *testing.T) {
 	}
 }
 
-// TestMatAggDimCache: with a store attached, dimension build sides are
-// cached across queries at the same version and dropped on republish.
-func TestMatAggDimCache(t *testing.T) {
-	p, _ := platformWith(t, 3, 42, tpch.RevenueRequirement())
-	base, err := p.OLAP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := olap.NewMatAgg(8)
-	e := base.WithMatAgg(m)
-	// Dicing keeps the query off the aggregate path, so every run
-	// exercises the join build phase.
-	q := olap.CubeQuery{
-		Fact:     "fact_table_revenue",
-		GroupBy:  []string{"p_brand"},
-		Measures: []olap.MeasureSpec{{Out: "n", Func: "COUNT", Col: ""}},
-		Dice:     &olap.DiceSpec{Func: "COUNT", Thresholds: map[string]float64{"p_brand": 1}},
-	}
-	if _, err := e.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.DimCacheMisses == 0 {
-		t.Fatalf("first query should miss the build-side cache: %+v", st)
-	}
-	if _, err := e.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	st2 := m.Stats()
-	if st2.DimCacheHits <= st.DimCacheHits {
-		t.Fatalf("second query did not reuse the build side: %+v → %+v", st, st2)
-	}
-	oracle, err := e.QueryStarFlow(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "cached build side", cached, oracle)
-	// Republish drops the cached build sides (version mismatch).
-	if _, err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	st3 := m.Stats()
-	if st3.DimCacheMisses <= st2.DimCacheMisses {
-		t.Fatalf("post-republish query did not rebuild the build side: %+v → %+v", st2, st3)
-	}
-}
-
 // TestQuickMatAggMatchesOracle is the acceptance quick-check: random
 // cube queries against a store trained on the same workload must be
 // byte-identical to QueryStarFlow, whether they were served from a

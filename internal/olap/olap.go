@@ -185,15 +185,17 @@ type Engine struct {
 	etl  *xlm.Design
 	db   *storage.DB
 	defs []sqlgen.TableDef
-	// mat, when set, is the materialized-aggregate store (plus the
-	// per-dimension build-side cache) consulted by the fast path; see
-	// matagg.go. The oracle never uses it.
+	// dims caches the fast path's dimension build sides (dimcache.go).
+	dims *dimCache
+	// mat, when set, is the materialized-aggregate store consulted by
+	// the fast path; see matagg.go. The oracle never uses either.
 	mat *MatAgg
 }
 
 // New builds an OLAP engine over the unified design and the database
-// that Platform.Run populated.
-func New(md *xmd.Schema, etl *xlm.Design, db *storage.DB) (*Engine, error) {
+// that Platform.Run populated. Its dimension cache counts lookups into
+// counts, or into counts of its own when counts is nil.
+func New(md *xmd.Schema, etl *xlm.Design, db *storage.DB, counts *DimCacheCounts) (*Engine, error) {
 	if md == nil || etl == nil || db == nil {
 		return nil, fmt.Errorf("olap: md, etl and db are required")
 	}
@@ -201,7 +203,7 @@ func New(md *xmd.Schema, etl *xlm.Design, db *storage.DB) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("olap: deriving deployed tables: %w", err)
 	}
-	return &Engine{md: md, etl: etl, db: db, defs: defs}, nil
+	return &Engine{md: md, etl: etl, db: db, defs: defs, dims: newDimCache(counts)}, nil
 }
 
 // tableOf returns the deployed definition of a table.

@@ -86,7 +86,7 @@ func handEngineWithTail(t *testing.T, db *storage.DB, tables []handTable, tail f
 			t.Fatal(err)
 		}
 	}
-	e, err := olap.New(&xmd.Schema{Name: "hand"}, d, db)
+	e, err := olap.New(&xmd.Schema{Name: "hand"}, d, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -642,6 +642,10 @@ type olapStatsResponse struct {
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
+	// Dimension build-side cache: lookups by every engine this process
+	// built (matagg repeats them as dim_cache_*).
+	DimCacheHits   int64 `json:"dim_cache_hits"`
+	DimCacheMisses int64 `json:"dim_cache_misses"`
 	// Warehouse structural version (bumped once per ETL run commit).
 	WarehouseVersion uint64 `json:"warehouse_version"`
 	// Admission controller: SLO config, projected wait, and per-class
@@ -699,11 +703,13 @@ func (s *Server) handleOLAPStats(w http.ResponseWriter, _ *http.Request) {
 	out.Admission = s.adm.stats()
 	out.CacheHits, out.CacheMisses = s.cache.Stats()
 	out.CacheEntries = s.cache.Len()
+	out.DimCacheHits, out.DimCacheMisses = s.p.DimCacheStats()
 	if db := s.p.DB(); db != nil {
 		out.WarehouseVersion = db.Version()
 	}
 	if mat := s.p.MatAgg(); mat != nil {
 		st := mat.Stats()
+		st.DimCacheHits, st.DimCacheMisses = out.DimCacheHits, out.DimCacheMisses
 		out.MatAgg = &st
 	}
 	writeJSON(w, http.StatusOK, out)

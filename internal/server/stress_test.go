@@ -356,3 +356,52 @@ func TestOLAPStaleAggregateNeverServed(t *testing.T) {
 		t.Fatalf("refreshed aggregate was not served: hits %d → %d", hitsBefore, got)
 	}
 }
+
+// TestOLAPStatsDimCacheCounts: /api/olap/stats reports the dimension
+// cache's hits and misses at the top level whether or not a MatAgg is
+// attached, matagg repeats the same two numbers, and they never go
+// back when a design change rebuilds the engine.
+func TestOLAPStatsDimCacheCounts(t *testing.T) {
+	// A dice is never answered from an aggregate: each one runs the
+	// fast path's build phase.
+	dice := `{"fact":"fact_table_revenue","group_by":["p_brand"],` +
+		`"measures":[{"out":"n","func":"COUNT","col":""}],` +
+		`"dice":{"func":"COUNT","thresholds":{"p_brand":1}}}`
+	for _, topK := range []int{0, 8} {
+		ts, _, p := stressServer(t, Options{OLAPCacheSize: -1}, topK)
+		ask := func() olapStatsResponse {
+			t.Helper()
+			if resp, body := postJSON(t, ts.URL+"/api/olap", dice); resp.StatusCode != http.StatusOK {
+				t.Fatalf("topK %d: dice = %d: %s", topK, resp.StatusCode, body)
+			}
+			st := olapStats(t, ts.URL)
+			if (st.MatAgg != nil) != (topK > 0) {
+				t.Fatalf("topK %d: matagg block present = %v", topK, st.MatAgg != nil)
+			}
+			if st.MatAgg != nil && (st.MatAgg.DimCacheHits != st.DimCacheHits || st.MatAgg.DimCacheMisses != st.DimCacheMisses) {
+				t.Fatalf("topK %d: matagg reports %d/%d, the top level %d/%d", topK,
+					st.MatAgg.DimCacheHits, st.MatAgg.DimCacheMisses, st.DimCacheHits, st.DimCacheMisses)
+			}
+			return st
+		}
+		first := ask()
+		second := ask()
+		if first.DimCacheMisses == 0 || second.DimCacheHits <= first.DimCacheHits || second.DimCacheMisses != first.DimCacheMisses {
+			t.Fatalf("topK %d: a repeated query did not hit: %d/%d → %d/%d", topK,
+				first.DimCacheHits, first.DimCacheMisses, second.DimCacheHits, second.DimCacheMisses)
+		}
+		if _, err := p.AddRequirement(tpch.QuantityByMarketRequirement()); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt := olapStats(t, ts.URL)
+		if rebuilt.DimCacheHits != second.DimCacheHits || rebuilt.DimCacheMisses != second.DimCacheMisses {
+			t.Fatalf("topK %d: the counts moved with the engine rebuild: %d/%d → %d/%d", topK,
+				second.DimCacheHits, second.DimCacheMisses, rebuilt.DimCacheHits, rebuilt.DimCacheMisses)
+		}
+		cold := ask()
+		if cold.DimCacheMisses <= second.DimCacheMisses || cold.DimCacheHits != second.DimCacheHits {
+			t.Fatalf("topK %d: the rebuilt engine did not start cold: %d/%d → %d/%d", topK,
+				second.DimCacheHits, second.DimCacheMisses, cold.DimCacheHits, cold.DimCacheMisses)
+		}
+	}
+}
