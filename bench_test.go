@@ -29,7 +29,6 @@ import (
 	"quarry/internal/tpch"
 	"quarry/internal/xlm"
 	"quarry/internal/xmd"
-	"quarry/internal/xmljson"
 	"quarry/internal/xrq"
 )
 
@@ -504,8 +503,8 @@ func BenchmarkAblation_OLAPFromDWvsSources(b *testing.B) {
 }
 
 // BenchmarkAblation_MetadataLayer measures the Communication &
-// Metadata layer: XML↔JSON conversion and repository save/load of a
-// unified ETL design of realistic size.
+// Metadata layer: repository save/load of a unified ETL design of
+// realistic size.
 func BenchmarkAblation_MetadataLayer(b *testing.B) {
 	in, cost := tpchInterp(b, 1)
 	etlInt := etlintegrator.New(cost, true)
@@ -520,28 +519,11 @@ func BenchmarkAblation_MetadataLayer(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	text, err := xlm.Marshal(unified)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("xml_json_roundtrip", func(b *testing.B) {
-		b.SetBytes(int64(len(text)))
-		for i := 0; i < b.N; i++ {
-			doc, err := xmljson.DecodeString(text)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := xmljson.EncodeString(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("repository_save_load", func(b *testing.B) {
-		store, err := repo.Open("")
+		designs, err := repo.Open("")
 		if err != nil {
 			b.Fatal(err)
 		}
-		designs := repo.NewDesigns(store)
 		for i := 0; i < b.N; i++ {
 			if err := designs.SaveETL("unified", unified); err != nil {
 				b.Fatal(err)

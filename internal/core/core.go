@@ -112,7 +112,7 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := repo.Open(cfg.StoreDir)
+	designs, err := repo.Open(cfg.StoreDir)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ func New(cfg Config) (*Platform, error) {
 		interp:    interp,
 		mdInt:     mdintegrator.New(nil, nil),
 		etlInt:    etlintegrator.New(etlCost, true),
-		repo:      repo.NewDesigns(store),
+		repo:      designs,
 		etlCost:   etlCost,
 		shardSpec: cfg.Shard,
 		reqs:      map[string]*xrq.Requirement{},

@@ -1,151 +1,260 @@
 // Package repo implements the storage half of Quarry's Communication
-// & Metadata layer (§2.5–2.6): the repository holding every artifact
-// produced and used during the DW design lifecycle — information
-// requirements (xRQ), partial and unified MD schemata (xMD), partial
-// and unified ETL designs (xLM), domain ontologies and source schema
-// mappings.
+// & Metadata layer (§2.5–2.6): the repository holding the artifacts of
+// the DW design lifecycle — information requirements (xRQ) and the
+// partial and unified MD schemata (xMD) and ETL designs (xLM).
 //
-// The paper backs this layer with a MongoDB instance plus a generic
-// XML-JSON-XML parser; this package provides the equivalent embedded
-// substrate: a mutex-guarded JSON document store with collections,
-// auto-generated ids, dotted-path equality queries, and optional disk
-// persistence (one JSON file per collection).
+// Each artifact is kept once, as its canonical XML text, in one of three
+// collections: an insertion-ordered id → text map. With a directory,
+// Flush writes each collection that changed to "<collection>.json", an
+// indented JSON array of {"_id", "format", "xml"} documents, through a
+// temporary file and a rename. The paper backs this layer with MongoDB
+// and a generic XML-JSON-XML parser; nothing here ever read the JSON
+// form, so none is kept. Files that still carry a "json" key beside the
+// text read unchanged: the key is ignored and is gone after the next
+// write of that collection.
 package repo
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
+
+	"quarry/internal/xlm"
+	"quarry/internal/xmd"
+	"quarry/internal/xrq"
 )
 
-// Doc is one stored document.
-type Doc = map[string]any
+// Designs is the metadata repository.
+type Designs struct {
+	dir string
 
-// Collection is a named set of documents.
-type Collection struct {
-	name string
-
-	mu    sync.RWMutex
-	docs  map[string]Doc
-	order []string
-	next  int
-
-	// What Flush needs to write only what changed: dirty is set by every
-	// mutation and cleared when the collection's file is written; enc
-	// caches each document's indented JSON, filled by Flush (so an
-	// in-memory store never encodes anything) and dropped for a document
-	// when it is replaced or deleted.
-	dirty bool
-	enc   map[string][]byte
+	mu            sync.Mutex
+	reqs, md, etl *collection
 }
 
-func newCollection(name string) *Collection {
-	return &Collection{name: name, docs: map[string]Doc{}, enc: map[string][]byte{}, dirty: true}
+// collection is one ordered id → XML text map, plus what Flush needs
+// to write only what changed: dirty is set by every mutation and
+// cleared when the collection's file is written; enc caches each
+// document's indented JSON, filled by Flush (so an in-memory repository
+// never encodes anything) and dropped for a document when it is
+// replaced or deleted.
+type collection struct {
+	name, format string
+	ids          []string
+	text         map[string]string
+	dirty        bool
+	enc          map[string][]byte
 }
 
-// Insert stores a document, assigning an "_id" when absent, and
-// returns the id. The document is deep-copied on the way in.
-func (c *Collection) Insert(d Doc) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cp := deepCopy(d).(Doc)
-	id, _ := cp["_id"].(string)
-	if id == "" {
-		c.next++
-		id = fmt.Sprintf("%s-%06d", c.name, c.next)
-		cp["_id"] = id
-	}
-	if _, dup := c.docs[id]; dup {
-		return "", fmt.Errorf("repo: duplicate _id %q in %s", id, c.name)
-	}
-	c.docs[id] = cp
-	c.order = append(c.order, id)
-	c.dirty = true
-	return id, nil
+// document is one element of a collection's file.
+type document struct {
+	ID     string `json:"_id"`
+	Format string `json:"format"`
+	XML    string `json:"xml"`
 }
 
-// Put stores or replaces the document under the id.
-func (c *Collection) Put(id string, d Doc) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cp := deepCopy(d).(Doc)
-	cp["_id"] = id
-	if _, exists := c.docs[id]; !exists {
-		c.order = append(c.order, id)
-	}
-	c.docs[id] = cp
-	delete(c.enc, id)
-	c.dirty = true
+func newCollection(name, format string) *collection {
+	return &collection{name: name, format: format, text: map[string]string{}, enc: map[string][]byte{}, dirty: true}
 }
 
-// Get retrieves a document copy by id.
-func (c *Collection) Get(id string) (Doc, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return nil, false
+// Open creates a repository. With a non-empty dir the collection files
+// found there are loaded and Flush writes changes back; a document with
+// no "_id" or no "xml", or a repeated "_id", fails the open.
+func Open(dir string) (*Designs, error) {
+	r := &Designs{
+		dir:  dir,
+		reqs: newCollection("requirements", "xRQ"),
+		md:   newCollection("md_designs", "xMD"),
+		etl:  newCollection("etl_designs", "xLM"),
 	}
-	return deepCopy(d).(Doc), true
-}
-
-// Delete removes a document; it reports whether it existed.
-func (c *Collection) Delete(id string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.docs[id]; !ok {
-		return false
+	if dir == "" {
+		return r, nil
 	}
-	delete(c.docs, id)
-	delete(c.enc, id)
-	c.dirty = true
-	for i, oid := range c.order {
-		if oid == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("repo: %w", err)
+	}
+	for _, c := range r.collections() {
+		data, err := os.ReadFile(filepath.Join(dir, c.name+".json"))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("repo: %w", err)
+		}
+		if err := c.decode(data); err != nil {
+			return nil, err
 		}
 	}
+	return r, nil
+}
+
+func (r *Designs) collections() []*collection { return []*collection{r.reqs, r.md, r.etl} }
+
+// decode fills the collection from its file; the file just read is the
+// collection, so it is clean.
+func (c *collection) decode(data []byte) error {
+	var docs []document
+	if err := json.Unmarshal(data, &docs); err != nil {
+		return fmt.Errorf("repo: collection %s corrupt: %w", c.name, err)
+	}
+	for i, d := range docs {
+		switch _, dup := c.text[d.ID]; {
+		case d.ID == "":
+			return fmt.Errorf("repo: collection %s: document %d has no _id", c.name, i)
+		case d.XML == "":
+			return fmt.Errorf("repo: collection %s: %s has no xml", c.name, d.ID)
+		case dup:
+			return fmt.Errorf("repo: collection %s: duplicate _id %q", c.name, d.ID)
+		}
+		c.ids = append(c.ids, d.ID)
+		c.text[d.ID] = d.XML
+	}
+	c.dirty = false
+	return nil
+}
+
+// save stores or replaces the text under the id.
+func (r *Designs) save(c *collection, id, text string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := c.text[id]; !ok {
+		c.ids = append(c.ids, id)
+	}
+	c.text[id] = text
+	delete(c.enc, id)
+	c.dirty = true
+}
+
+// load parses the text stored under the id.
+func load[T any](r *Designs, c *collection, id string, unmarshal func(string) (T, error)) (T, error) {
+	r.mu.Lock()
+	text, ok := c.text[id]
+	r.mu.Unlock()
+	if !ok {
+		var zero T
+		return zero, fmt.Errorf("repo: %s/%s not found", c.name, id)
+	}
+	return unmarshal(text)
+}
+
+// remove deletes the id; it reports whether it was stored.
+func (r *Designs) remove(c *collection, id string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := c.text[id]; !ok {
+		return false
+	}
+	delete(c.text, id)
+	delete(c.enc, id)
+	c.ids = slices.DeleteFunc(c.ids, func(s string) bool { return s == id })
+	c.dirty = true
 	return true
 }
 
-// All returns copies of every document in insertion order.
-func (c *Collection) All() []Doc {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Doc, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, deepCopy(c.docs[id]).(Doc))
+// SaveRequirement stores a requirement keyed by its ID.
+func (r *Designs) SaveRequirement(req *xrq.Requirement) error {
+	text, err := xrq.Marshal(req)
+	if err != nil {
+		return err
 	}
-	return out
+	r.save(r.reqs, req.ID, text)
+	return nil
 }
 
-// encodeIfDirty renders the collection's file — the bytes of
-// json.MarshalIndent(c.All(), "", "  "), assembled from the cached
-// per-document encodings so only documents stored since the last flush
-// are marshalled — and marks the collection clean. It reports false,
-// with no data, when nothing changed since the file was last written.
-func (c *Collection) encodeIfDirty() ([]byte, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.dirty {
-		return nil, false, nil
+// Requirement loads a requirement by ID.
+func (r *Designs) Requirement(id string) (*xrq.Requirement, error) {
+	return load(r, r.reqs, id, xrq.Unmarshal)
+}
+
+// Requirements lists all stored requirement IDs in insertion order.
+func (r *Designs) Requirements() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.reqs.ids)
+}
+
+// DeleteRequirement removes a requirement (requirement evolution).
+func (r *Designs) DeleteRequirement(id string) bool { return r.remove(r.reqs, id) }
+
+// SaveMD stores an MD schema under the given key ("unified" or a
+// requirement-scoped key for partial designs).
+func (r *Designs) SaveMD(key string, s *xmd.Schema) error {
+	text, err := xmd.Marshal(s)
+	if err != nil {
+		return err
 	}
-	if len(c.order) == 0 {
+	r.save(r.md, key, text)
+	return nil
+}
+
+// MD loads an MD schema by key.
+func (r *Designs) MD(key string) (*xmd.Schema, error) { return load(r, r.md, key, xmd.Unmarshal) }
+
+// DeleteMD removes the MD schema stored under key.
+func (r *Designs) DeleteMD(key string) bool { return r.remove(r.md, key) }
+
+// SaveETL stores an ETL design under the given key.
+func (r *Designs) SaveETL(key string, d *xlm.Design) error {
+	text, err := xlm.Marshal(d)
+	if err != nil {
+		return err
+	}
+	r.save(r.etl, key, text)
+	return nil
+}
+
+// ETL loads an ETL design by key.
+func (r *Designs) ETL(key string) (*xlm.Design, error) { return load(r, r.etl, key, xlm.Unmarshal) }
+
+// DeleteETL removes the ETL design stored under key.
+func (r *Designs) DeleteETL(key string) bool { return r.remove(r.etl, key) }
+
+// Flush writes every collection that changed since its file was last
+// written (no-op without a directory). A collection whose write failed
+// stays due.
+func (r *Designs) Flush() error {
+	if r.dir == "" {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.collections() {
+		if !c.dirty {
+			continue
+		}
+		data, err := c.encode()
+		if err == nil {
+			err = writeFile(r.dir, c.name, data)
+		}
+		if err != nil {
+			return fmt.Errorf("repo: %w", err)
+		}
 		c.dirty = false
-		return []byte("[]"), true, nil
+	}
+	return nil
+}
+
+// encode renders the collection's file — the bytes of
+// json.MarshalIndent of its documents in order, indented by two spaces —
+// assembled from the cached per-document encodings, so only documents
+// stored since the last flush are marshalled.
+func (c *collection) encode() ([]byte, error) {
+	if len(c.ids) == 0 {
+		return []byte("[]"), nil
 	}
 	size := 2
-	for _, id := range c.order {
+	for _, id := range c.ids {
 		if c.enc[id] == nil {
 			// One array element: nested one level, so every line after the
 			// first carries the element's own indent as its prefix.
-			b, err := json.MarshalIndent(c.docs[id], "  ", "  ")
+			b, err := json.MarshalIndent(document{ID: id, Format: c.format, XML: c.text[id]}, "  ", "  ")
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 			c.enc[id] = b
 		}
@@ -153,208 +262,13 @@ func (c *Collection) encodeIfDirty() ([]byte, bool, error) {
 	}
 	out := make([]byte, 0, size)
 	out = append(out, '[')
-	for i, id := range c.order {
+	for i, id := range c.ids {
 		if i > 0 {
 			out = append(out, ',')
 		}
 		out = append(append(out, "\n  "...), c.enc[id]...)
 	}
-	c.dirty = false
-	return append(out, "\n]"...), true, nil
-}
-
-// markDirty makes the next flush write the collection again.
-func (c *Collection) markDirty() {
-	c.mu.Lock()
-	c.dirty = true
-	c.mu.Unlock()
-}
-
-// Count reports the number of documents.
-func (c *Collection) Count() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.docs)
-}
-
-// Find returns documents whose fields equal every filter entry.
-// Filter keys may be dotted paths ("design.metadata.requirement").
-func (c *Collection) Find(filter map[string]any) []Doc {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []Doc
-	for _, id := range c.order {
-		d := c.docs[id]
-		match := true
-		for path, want := range filter {
-			got, ok := lookupPath(d, path)
-			if !ok || !looseEqual(got, want) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, deepCopy(d).(Doc))
-		}
-	}
-	return out
-}
-
-// lookupPath resolves a dotted path within a document.
-func lookupPath(d Doc, path string) (any, bool) {
-	var cur any = d
-	for _, part := range strings.Split(path, ".") {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[part]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
-// looseEqual compares scalars with JSON-style numeric laxity (an
-// int64 written to disk comes back float64).
-func looseEqual(a, b any) bool {
-	if a == b {
-		return true
-	}
-	af, aok := toFloat(a)
-	bf, bok := toFloat(b)
-	return aok && bok && af == bf
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	case float32:
-		return float64(x), true
-	default:
-		return 0, false
-	}
-}
-
-func deepCopy(v any) any {
-	switch x := v.(type) {
-	case map[string]any:
-		out := make(map[string]any, len(x))
-		for k, vv := range x {
-			out[k] = deepCopy(vv)
-		}
-		return out
-	case []any:
-		out := make([]any, len(x))
-		for i, vv := range x {
-			out[i] = deepCopy(vv)
-		}
-		return out
-	default:
-		return v
-	}
-}
-
-// Store is a set of collections with optional disk persistence.
-type Store struct {
-	dir string
-
-	mu          sync.Mutex
-	collections map[string]*Collection
-}
-
-// Open creates a store. With a non-empty dir, existing collection
-// files ("<name>.json") are loaded and Flush persists state back.
-func Open(dir string) (*Store, error) {
-	s := &Store{dir: dir, collections: map[string]*Collection{}}
-	if dir == "" {
-		return s, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("repo: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("repo: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".json")
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("repo: %w", err)
-		}
-		var docs []Doc
-		if err := json.Unmarshal(data, &docs); err != nil {
-			return nil, fmt.Errorf("repo: collection %s corrupt: %w", name, err)
-		}
-		col := newCollection(name)
-		for _, d := range docs {
-			if _, err := col.Insert(d); err != nil {
-				return nil, err
-			}
-		}
-		col.next = len(docs)
-		col.dirty = false // the file just read is the collection
-		s.collections[name] = col
-	}
-	return s, nil
-}
-
-// Collection returns (creating if needed) a named collection.
-func (s *Store) Collection(name string) *Collection {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.collections[name]
-	if !ok {
-		c = newCollection(name)
-		s.collections[name] = c
-	}
-	return c
-}
-
-// CollectionNames lists existing collections, sorted.
-func (s *Store) CollectionNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.collections))
-	for n := range s.collections {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Flush persists every collection that changed since it was last
-// written (no-op for in-memory stores).
-func (s *Store) Flush() error {
-	if s.dir == "" {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, col := range s.collections {
-		data, dirty, err := col.encodeIfDirty()
-		if err != nil {
-			return fmt.Errorf("repo: %w", err)
-		}
-		if !dirty {
-			continue
-		}
-		if err := writeFile(s.dir, name, data); err != nil {
-			col.markDirty()
-			return fmt.Errorf("repo: %w", err)
-		}
-	}
-	return nil
+	return append(out, "\n]"...), nil
 }
 
 // writeFile replaces the collection's file through a rename.

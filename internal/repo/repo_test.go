@@ -2,165 +2,51 @@ package repo
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"quarry/internal/tpch"
 	"quarry/internal/xlm"
 	"quarry/internal/xmd"
+	"quarry/internal/xrq"
 )
 
-func TestInsertGetDelete(t *testing.T) {
-	s, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Collection("things")
-	id, err := c.Insert(Doc{"name": "a", "n": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id == "" {
-		t.Fatal("no id assigned")
-	}
-	d, ok := c.Get(id)
-	if !ok || d["name"] != "a" {
-		t.Fatalf("Get = %v, %v", d, ok)
-	}
-	// Returned docs are copies.
-	d["name"] = "mutated"
-	d2, _ := c.Get(id)
-	if d2["name"] != "a" {
-		t.Error("Get returned shared state")
-	}
-	if !c.Delete(id) {
-		t.Error("Delete failed")
-	}
-	if c.Delete(id) {
-		t.Error("double delete succeeded")
-	}
-	if c.Count() != 0 {
-		t.Errorf("count = %d", c.Count())
+// smallMD and smallETL are the smallest designs the formats accept.
+func smallMD(name string) *xmd.Schema {
+	return &xmd.Schema{
+		Name: name,
+		Facts: []*xmd.Fact{{Name: "f", Measures: []xmd.Measure{{Name: "x", Type: "float", Additivity: xmd.AdditivityFlow}},
+			Uses: []xmd.DimensionUse{{Dimension: "D", Level: "L"}}}},
+		Dimensions: []*xmd.Dimension{{Name: "D", Levels: []*xmd.Level{{Name: "L"}}}},
 	}
 }
 
-func TestExplicitIDsAndDuplicates(t *testing.T) {
-	s, _ := Open("")
-	c := s.Collection("x")
-	if _, err := c.Insert(Doc{"_id": "custom"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Insert(Doc{"_id": "custom"}); err == nil {
-		t.Error("duplicate id accepted")
-	}
-	c.Put("custom", Doc{"v": 2}) // replace
-	d, _ := c.Get("custom")
-	if v, _ := toFloat(d["v"]); v != 2 {
-		t.Errorf("Put did not replace: %v", d)
-	}
-	if c.Count() != 1 {
-		t.Errorf("count = %d", c.Count())
-	}
+func smallETL(name string) *xlm.Design {
+	etl := xlm.NewDesign(name)
+	etl.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
+		Fields: []xlm.Field{{Name: "a", Type: "int"}}, Params: map[string]string{"table": "t"}})
+	etl.AddNode(&xlm.Node{Name: "L", Type: xlm.OpLoader, Params: map[string]string{"table": "out"}})
+	etl.AddEdge("DS", "L")
+	return etl
 }
 
-func TestFindDottedPaths(t *testing.T) {
-	s, _ := Open("")
-	c := s.Collection("designs")
-	c.Insert(Doc{"design": map[string]any{"metadata": map[string]any{"requirement": "IR1"}}, "kind": "etl"})
-	c.Insert(Doc{"design": map[string]any{"metadata": map[string]any{"requirement": "IR2"}}, "kind": "etl"})
-	c.Insert(Doc{"kind": "md"})
-	got := c.Find(map[string]any{"design.metadata.requirement": "IR1"})
-	if len(got) != 1 {
-		t.Fatalf("Find = %d docs", len(got))
-	}
-	if len(c.Find(map[string]any{"kind": "etl"})) != 2 {
-		t.Error("Find by kind failed")
-	}
-	if len(c.Find(map[string]any{"kind": "etl", "design.metadata.requirement": "IR2"})) != 1 {
-		t.Error("conjunctive Find failed")
-	}
-	if len(c.Find(map[string]any{"ghost.path": 1})) != 0 {
-		t.Error("Find on missing path matched")
-	}
-}
-
-func TestNumericLaxity(t *testing.T) {
-	s, _ := Open("")
-	c := s.Collection("n")
-	c.Insert(Doc{"v": 42})
-	if len(c.Find(map[string]any{"v": float64(42)})) != 1 {
-		t.Error("int/float equality failed")
-	}
-}
-
-func TestPersistenceRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s1.Collection("artifacts")
-	c.Insert(Doc{"name": "a", "nested": map[string]any{"k": "v"}})
-	c.Insert(Doc{"name": "b"})
-	if err := s1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "artifacts.json")); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := s2.Collection("artifacts")
-	if c2.Count() != 2 {
-		t.Fatalf("reloaded count = %d", c2.Count())
-	}
-	got := c2.Find(map[string]any{"nested.k": "v"})
-	if len(got) != 1 || got[0]["name"] != "a" {
-		t.Errorf("reloaded find = %v", got)
-	}
-	// New inserts after reload do not collide with loaded ids.
-	if _, err := c2.Insert(Doc{"name": "c"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOpenCorruptCollection(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "bad.json"), []byte("not json"), 0o644)
-	if _, err := Open(dir); err == nil {
-		t.Error("corrupt collection accepted")
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	s, _ := Open("")
-	c := s.Collection("conc")
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				c.Insert(Doc{"w": i})
-				c.Find(map[string]any{"w": i})
-				c.All()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Count() != 400 {
-		t.Errorf("count = %d", c.Count())
-	}
+// requirement is the revenue requirement under another id.
+func requirement(id string) *xrq.Requirement {
+	r := tpch.RevenueRequirement().Clone()
+	r.ID = id
+	return r
 }
 
 func TestDesignsRepository(t *testing.T) {
-	s, _ := Open("")
-	d := NewDesigns(s)
+	d, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Requirement round trip.
 	r := tpch.RevenueRequirement()
 	if err := d.SaveRequirement(r); err != nil {
@@ -177,12 +63,7 @@ func TestDesignsRepository(t *testing.T) {
 		t.Errorf("Requirements = %v", ids)
 	}
 	// MD round trip.
-	md := &xmd.Schema{
-		Name: "m",
-		Facts: []*xmd.Fact{{Name: "f", Measures: []xmd.Measure{{Name: "x", Type: "float", Additivity: xmd.AdditivityFlow}},
-			Uses: []xmd.DimensionUse{{Dimension: "D", Level: "L"}}}},
-		Dimensions: []*xmd.Dimension{{Name: "D", Levels: []*xmd.Level{{Name: "L"}}}},
-	}
+	md := smallMD("m")
 	if err := d.SaveMD("unified", md); err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +75,7 @@ func TestDesignsRepository(t *testing.T) {
 		t.Error("MD schema changed through repository")
 	}
 	// ETL round trip.
-	etl := xlm.NewDesign("e")
-	etl.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
-		Fields: []xlm.Field{{Name: "a", Type: "int"}}, Params: map[string]string{"table": "t"}})
-	etl.AddNode(&xlm.Node{Name: "L", Type: xlm.OpLoader, Params: map[string]string{"table": "out"}})
-	etl.AddEdge("DS", "L")
-	if err := d.SaveETL("unified", etl); err != nil {
+	if err := d.SaveETL("unified", smallETL("e")); err != nil {
 		t.Fatal(err)
 	}
 	etl2, err := d.ETL("unified")
@@ -213,6 +89,9 @@ func TestDesignsRepository(t *testing.T) {
 	if !d.DeleteRequirement(r.ID) {
 		t.Error("DeleteRequirement failed")
 	}
+	if d.DeleteRequirement(r.ID) {
+		t.Error("double delete succeeded")
+	}
 	if _, err := d.Requirement(r.ID); err == nil {
 		t.Error("deleted requirement still loads")
 	}
@@ -220,44 +99,6 @@ func TestDesignsRepository(t *testing.T) {
 	if _, err := d.MD("ghost"); err == nil {
 		t.Error("missing MD loaded")
 	}
-}
-
-// TestDesignsJSONFallback verifies the XML-JSON-XML path: when the
-// raw XML payload is dropped, the design is regenerated from its JSON
-// projection.
-func TestDesignsJSONFallback(t *testing.T) {
-	s, _ := Open("")
-	d := NewDesigns(s)
-	r := tpch.RevenueRequirement()
-	if err := d.SaveRequirement(r); err != nil {
-		t.Fatal(err)
-	}
-	// Strip the xml field, leaving only the JSON projection.
-	col := s.Collection("requirements")
-	doc, _ := col.Get(r.ID)
-	delete(doc, "xml")
-	col.Put(r.ID, doc)
-	back, err := d.Requirement(r.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != r.ID || len(back.Measures) != 1 {
-		t.Errorf("JSON-regenerated requirement = %+v", back)
-	}
-	if back.Slicers[0].Value != "SPAIN" {
-		t.Errorf("slicer = %+v", back.Slicers[0])
-	}
-}
-
-// wholeFile is what Flush wrote before it kept per-document encodings:
-// the whole collection through one MarshalIndent.
-func wholeFile(t *testing.T, c *Collection) string {
-	t.Helper()
-	data, err := json.MarshalIndent(c.All(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
 }
 
 func readFile(t *testing.T, dir, name string) string {
@@ -269,88 +110,137 @@ func readFile(t *testing.T, dir, name string) string {
 	return string(data)
 }
 
-// TestFlushAssemblesTheSameBytes: a file put together from cached
-// per-document encodings is byte for byte the MarshalIndent of the
-// whole collection — through replacements, deletions, nesting, empty
-// containers, characters JSON escapes, and an empty collection.
+// TestFlushAssemblesTheSameBytes: a collection's file, put together
+// from cached per-document encodings, is byte for byte the
+// MarshalIndent of its documents in order — through replacements,
+// deletions, characters JSON escapes and empty collections — and a
+// reopened repository writes the same bytes again.
 func TestFlushAssemblesTheSameBytes(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := s.Collection("things")
-	empty := s.Collection("nothing")
-	check := func(when string) {
-		t.Helper()
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
+	// want holds each collection's documents in order, kept beside the
+	// repository by the test.
+	want := map[string][]document{"requirements": {}, "md_designs": {}, "etl_designs": {}}
+	put := func(col, format, id, text string) {
+		for i, doc := range want[col] {
+			if doc.ID == id {
+				want[col][i].XML = text
+				return
+			}
 		}
-		for _, col := range []*Collection{c, empty} {
-			if got, want := readFile(t, dir, col.name), wholeFile(t, col); got != want {
-				t.Fatalf("%s: %s.json is\n%s\nwant\n%s", when, col.name, got, want)
+		want[col] = append(want[col], document{ID: id, Format: format, XML: text})
+	}
+	drop := func(col, id string) {
+		for i, doc := range want[col] {
+			if doc.ID == id {
+				want[col] = append(want[col][:i], want[col][i+1:]...)
+				return
 			}
 		}
 	}
-	check("empty store")
-	c.Put("a", Doc{"xml": "<a b=\"1\">&amp;\n\t</a>", "n": 1.5, "nested": map[string]any{
-		"list": []any{1.0, "two", map[string]any{"three": []any{}}, []any{[]any{nil, true}}},
-		"none": map[string]any{}, "z": nil}})
-	check("one document")
-	if _, err := c.Insert(Doc{"k": "generated id"}); err != nil {
-		t.Fatal(err)
+	check := func(d *Designs, when string) {
+		t.Helper()
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for col, docs := range want {
+			data, err := json.MarshalIndent(docs, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := readFile(t, dir, col); got != string(data) {
+				t.Fatalf("%s: %s.json is\n%s\nwant\n%s", when, col, got, data)
+			}
+		}
 	}
-	c.Put("b", Doc{"json": map[string]any{"é": "ü   <>&"}})
-	check("three documents")
-	c.Put("a", Doc{"replaced": true})
-	check("first replaced in place")
-	c.Delete("things-000001")
-	check("middle deleted")
-	c.Delete("a")
-	c.Delete("b")
-	check("emptied")
+	saveReq := func(r *xrq.Requirement) {
+		t.Helper()
+		if err := d.SaveRequirement(r); err != nil {
+			t.Fatal(err)
+		}
+		text, _ := xrq.Marshal(r)
+		put("requirements", "xRQ", r.ID, text)
+	}
+	saveMD := func(key string, s *xmd.Schema) {
+		t.Helper()
+		if err := d.SaveMD(key, s); err != nil {
+			t.Fatal(err)
+		}
+		text, _ := xmd.Marshal(s)
+		put("md_designs", "xMD", key, text)
+	}
+	saveETL := func(key string, e *xlm.Design) {
+		t.Helper()
+		if err := d.SaveETL(key, e); err != nil {
+			t.Fatal(err)
+		}
+		text, _ := xlm.Marshal(e)
+		put("etl_designs", "xLM", key, text)
+	}
 
-	// The real documents: a requirement, an MD schema and an ETL design
-	// through the typed repository.
-	d := NewDesigns(s)
-	if err := d.SaveRequirement(tpch.RevenueRequirement()); err != nil {
-		t.Fatal(err)
+	check(d, "empty repository")
+	odd := requirement("IR_odd")
+	odd.Name = "quotes \" and <tags> & ümlauts é\n\ttabs,   and \x7f"
+	saveReq(tpch.RevenueRequirement())
+	saveReq(odd)
+	saveReq(tpch.NetProfitRequirement())
+	saveMD("unified", smallMD("m"))
+	saveETL("unified", smallETL("e"))
+	check(d, "one of each")
+	saveMD("partial:IR_odd", smallMD("p"))
+	saveETL("partial:IR_odd", smallETL("p"))
+	saveMD("unified", smallMD("m2"))
+	check(d, "unified replaced in place")
+	d.DeleteRequirement("IR_odd")
+	drop("requirements", "IR_odd")
+	check(d, "middle deleted")
+	for _, key := range []string{"unified", "partial:IR_odd"} {
+		d.DeleteMD(key)
+		drop("md_designs", key)
 	}
-	if err := d.SaveRequirement(tpch.NetProfitRequirement()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	reqs := s.Collection(colRequirements)
-	if got, want := readFile(t, dir, colRequirements), wholeFile(t, reqs); got != want {
-		t.Fatal("requirements.json differs from MarshalIndent of the collection")
-	}
-	// A reopened store reads back what was assembled.
+	check(d, "md emptied")
+
+	// A reopened repository holds what was assembled, and writes it again
+	// byte for byte once a change makes every collection due.
 	re, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := wholeFile(t, re.Collection(colRequirements)), wholeFile(t, reqs); got != want {
-		t.Fatal("reopened collection differs")
+	if got, want := re.Requirements(), []string{"IR_revenue", "IR_netprofit"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened requirements %v, want %v", got, want)
 	}
+	d = re // the save helpers write to the reopened repository from here on
+	saveReq(tpch.RevenueRequirement())
+	saveMD("unified", smallMD("m3"))
+	saveETL("unified", smallETL("e3"))
+	check(re, "reopened and changed")
 }
 
 // TestFlushWritesOnlyWhatChanged: a collection nothing touched since it
 // was written, or since it was read at Open, is not written again; any
-// Insert, Put or Delete makes it due.
+// save or delete makes it due.
 func TestFlushWritesOnlyWhatChanged(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Open(dir)
-	a, b := s.Collection("a"), s.Collection("b")
-	a.Put("x", Doc{"v": 1})
-	b.Put("y", Doc{"v": 2})
-	if err := s.Flush(); err != nil {
+	d, _ := Open(dir)
+	if err := d.SaveRequirement(requirement("IR_a")); err != nil {
 		t.Fatal(err)
 	}
-	// Scribble over both files: a flush that rewrites one repairs it.
+	if err := d.SaveMD("m", smallMD("m")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveETL("e", smallETL("e")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"requirements", "md_designs", "etl_designs"}
+	// Scribble over every file: a flush that rewrites one repairs it.
 	scribble := func() {
-		for _, name := range []string{"a", "b"} {
+		for _, name := range names {
 			if err := os.WriteFile(filepath.Join(dir, name+".json"), []byte("scribble"), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -358,10 +248,10 @@ func TestFlushWritesOnlyWhatChanged(t *testing.T) {
 	}
 	rewritten := func() (out []string) {
 		t.Helper()
-		if err := s.Flush(); err != nil {
+		if err := d.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{"a", "b"} {
+		for _, name := range names {
 			if readFile(t, dir, name) != "scribble" {
 				out = append(out, name)
 			}
@@ -377,12 +267,11 @@ func TestFlushWritesOnlyWhatChanged(t *testing.T) {
 		do   func()
 		want []string
 	}{
-		{"Put", func() { a.Put("x", Doc{"v": 3}) }, []string{"a"}},
-		{"Insert", func() { b.Insert(Doc{"v": 4}) }, []string{"b"}},
-		{"Delete", func() { a.Delete("x") }, []string{"a"}},
-		{"Delete of nothing", func() { a.Delete("ghost") }, nil},
-		{"reads", func() { a.All(); b.Get("y"); b.Find(map[string]any{"v": 2}) }, nil},
-		{"a new collection", func() { s.Collection("a"); s.Collection("b") }, nil},
+		{"SaveRequirement", func() { d.SaveRequirement(requirement("IR_a")) }, []string{"requirements"}},
+		{"SaveMD", func() { d.SaveMD("m2", smallMD("m2")) }, []string{"md_designs"}},
+		{"DeleteETL", func() { d.DeleteETL("e") }, []string{"etl_designs"}},
+		{"Delete of nothing", func() { d.DeleteMD("ghost"); d.DeleteRequirement("ghost") }, nil},
+		{"reads", func() { d.Requirement("IR_a"); d.MD("m"); d.ETL("ghost"); d.Requirements() }, nil},
 	}
 	for _, step := range steps {
 		scribble()
@@ -392,31 +281,27 @@ func TestFlushWritesOnlyWhatChanged(t *testing.T) {
 		}
 	}
 
-	// Collections read at Open are clean; one created afterwards is
-	// written once, empty, as before.
-	a.Put("z", Doc{"v": 5})
-	b.Put("y", Doc{"v": 6})
-	if err := s.Flush(); err != nil {
+	// Collections read at Open are clean; one whose file is missing is
+	// written once, empty.
+	d.SaveRequirement(requirement("IR_b"))
+	d.SaveMD("m", smallMD("m3"))
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := readFile(t, dir, "a"), wholeFile(t, a); got != want {
-		t.Fatalf("a.json = %s, want %s", got, want)
-	}
-	s, err := Open(dir)
-	if err != nil {
+	if err := os.Remove(filepath.Join(dir, "etl_designs.json")); err != nil {
 		t.Fatal(err)
 	}
-	a, b = s.Collection("a"), s.Collection("b")
+	var err error
+	if d, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	names = names[:2]
 	scribble()
 	if got := rewritten(); got != nil {
 		t.Fatalf("first flush after Open rewrote %v", got)
 	}
-	s.Collection("fresh")
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readFile(t, dir, "fresh"); got != "[]" {
-		t.Fatalf("fresh.json = %q, want []", got)
+	if got := readFile(t, dir, "etl_designs"); got != "[]" {
+		t.Fatalf("etl_designs.json = %q, want []", got)
 	}
 }
 
@@ -424,24 +309,114 @@ func TestFlushWritesOnlyWhatChanged(t *testing.T) {
 // by the next flush.
 func TestFlushFailureStaysDue(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Open(dir)
-	c := s.Collection("c")
-	c.Put("x", Doc{"v": 1})
+	d, _ := Open(dir)
+	if err := d.SaveRequirement(requirement("IR_a")); err != nil {
+		t.Fatal(err)
+	}
 	// A directory where the temporary file goes makes the write fail.
-	block := filepath.Join(dir, "c.json.tmp")
+	block := filepath.Join(dir, "requirements.json.tmp")
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err == nil {
+	if err := d.Flush(); err == nil {
 		t.Fatal("flush over a blocked path succeeded")
 	}
 	if err := os.Remove(block); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := readFile(t, dir, "c"), wholeFile(t, c); got != want {
-		t.Fatalf("c.json = %q, want %q", got, want)
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Requirements(); !reflect.DeepEqual(got, []string{"IR_a"}) {
+		t.Fatalf("after the second flush the file holds %v, want [IR_a]", got)
+	}
+}
+
+// TestOpenCorruptCollection: a collection file that is not an array of
+// documents, or holds a document without an id or text or a repeated
+// id, fails Open naming the collection (and the document).
+func TestOpenCorruptCollection(t *testing.T) {
+	for _, c := range []struct{ file, data, want string }{
+		{"requirements", "not json", "collection requirements corrupt"},
+		{"md_designs", `{"_id": "m"}`, "collection md_designs corrupt"},
+		{"etl_designs", `[{"format": "xLM", "xml": "<etl/>"}]`, "etl_designs: document 0 has no _id"},
+		{"requirements", `[{"_id": "IR_a", "format": "xRQ", "json": {}}]`, "requirements: IR_a has no xml"},
+		{"md_designs", `[{"_id": "m", "xml": "<a/>"}, {"_id": "m", "xml": "<b/>"}]`, `md_designs: duplicate _id "m"`},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, c.file+".json"), []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Open over %s.json = %s: error %v, want one containing %q", c.file, c.data, err, c.want)
+		}
+	}
+}
+
+// TestConcurrentSaveLoadDeleteFlush: eight goroutines save, load,
+// delete and flush at once (run it under -race); the directory then
+// holds exactly what the repository holds.
+func TestConcurrentSaveLoadDeleteFlush(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				id := fmt.Sprintf("IR_w%d_%d", w, i)
+				if err := d.SaveRequirement(requirement(id)); err != nil {
+					errs <- err
+					return
+				}
+				if err := d.SaveMD("unified", smallMD(id)); err != nil {
+					errs <- err
+					return
+				}
+				if err := d.SaveETL("partial:"+id, smallETL(id)); err != nil {
+					errs <- err
+					return
+				}
+				if r, err := d.Requirement(id); err != nil || r.ID != id {
+					errs <- fmt.Errorf("load %s: %v, %v", id, r, err)
+					return
+				}
+				d.MD("unified")
+				d.Requirements()
+				if i%2 == 1 && (!d.DeleteRequirement(id) || !d.DeleteETL("partial:"+id)) {
+					errs <- fmt.Errorf("delete %s failed", id)
+					return
+				}
+				if err := d.Flush(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := len(d.Requirements()); got != 80 {
+		t.Fatalf("%d requirements, want 80", got)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := re.Requirements(), d.Requirements(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened requirements %v, want %v", got, want)
 	}
 }

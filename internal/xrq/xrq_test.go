@@ -1,6 +1,7 @@
 package xrq
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -207,33 +208,11 @@ func TestXMLRoundTrip(t *testing.T) {
 func TestReadPaperStyleDocument(t *testing.T) {
 	// A document spelled like the paper's snippet (AVERAGE spelling,
 	// whitespace in function).
-	src := `<cube id="IR1">
-	  <dimensions>
-	    <concept id="Part.p_name"/>
-	    <concept id="Supplier.s_name"/>
-	  </dimensions>
-	  <measures>
-	    <concept id="revenue">
-	      <function> Lineitem.l_extendedprice
-	          * Lineitem.l_discount</function>
-	    </concept>
-	  </measures>
-	  <slicers>
-	    <comparison>
-	      <concept id="Nation.n_name"/>
-	      <operator>=</operator>
-	      <value>Spain</value>
-	    </comparison>
-	  </slicers>
-	  <aggregations>
-	    <aggregation order="1">
-	      <dimension refID="Part.p_name"/>
-	      <measure refID="revenue"/>
-	      <function>AVERAGE</function>
-	    </aggregation>
-	  </aggregations>
-	</cube>`
-	r, err := Unmarshal(src)
+	src, err := os.ReadFile("testdata/paper_style.xrq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Unmarshal(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}
