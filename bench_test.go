@@ -756,6 +756,18 @@ func BenchmarkOLAPQuery_ScanFilter_SF200(b *testing.B) {
 	benchScanQuery(b, q)
 }
 
+// BenchmarkOLAPQuery_Dice_SF200 is adhoc_scan's dice shape: COUNT
+// carats 3 / 3 over the brand × supplier cube of the revenue fact.
+// Gated in CI.
+func BenchmarkOLAPQuery_Dice_SF200(b *testing.B) {
+	benchScanQuery(b, olap.CubeQuery{
+		Fact:     "fact_table_revenue",
+		GroupBy:  []string{"p_brand", "s_name"},
+		Measures: []olap.MeasureSpec{{Out: "n", Func: "COUNT"}},
+		Dice:     &olap.DiceSpec{Func: "COUNT", Thresholds: map[string]float64{"p_brand": 3, "s_name": 3}},
+	})
+}
+
 // BenchmarkDiskFootprint_SF5 measures the on-disk size of the
 // complete SF 5 warehouse (sources + deployed star schema) under the
 // format-2 encodings, and reports it against the raw baseline

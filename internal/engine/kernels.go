@@ -464,17 +464,22 @@ func (o *aggregationOp) newState(h uint64, group func(k int) expr.Value) *aggSta
 	for k := range st.groupVals {
 		st.groupVals[k] = group(k)
 	}
+	o.link(h, st)
+	return st
+}
+
+// link appends st to the states under hash h, in first-seen order.
+func (o *aggregationOp) link(h uint64, st *aggState) {
 	tail := o.states[h]
 	if tail == nil {
 		o.states[h] = st
 		o.orderKeys = append(o.orderKeys, h)
-		return st
+		return
 	}
 	for tail.next != nil {
 		tail = tail.next
 	}
 	tail.next = st
-	return st
 }
 
 // add folds rows into the running group states.

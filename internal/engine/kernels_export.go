@@ -152,6 +152,26 @@ func (a *HashAggregator) Add(rows [][]expr.Value) error { return a.op.add(rows) 
 // integer SUM left int64.
 func (a *HashAggregator) Finalize() ([][]expr.Value, error) { return a.op.result() }
 
+// Retain keeps the groups keep marks, one entry per group in Partials
+// order, and drops the rest as if their rows had never been folded:
+// Finalize sees only the kept ones, so a dropped group's int SUM can no
+// longer overflow.
+func (a *HashAggregator) Retain(keep []bool) {
+	o, g := a.op, 0
+	states, order := o.states, o.orderKeys
+	o.states, o.orderKeys = map[uint64]*aggState{}, nil
+	o.vec = vecState{} // its code index points at dropped states
+	for _, h := range order {
+		for st := states[h]; st != nil; g++ {
+			next := st.next
+			if st.next = nil; keep[g] {
+				o.link(h, st)
+			}
+			st = next
+		}
+	}
+}
+
 // Result is Finalize for callers whose integer SUMs cannot leave int64;
 // it panics if one did.
 func (a *HashAggregator) Result() [][]expr.Value {

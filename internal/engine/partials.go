@@ -48,13 +48,19 @@ type AggPartial struct {
 // side's Result.
 func (a *HashAggregator) Partials() []AggPartial {
 	o := a.op
-	out := make([]AggPartial, 0, len(o.orderKeys))
+	n := 0
 	for _, h := range o.orderKeys {
 		for st := o.states[h]; st != nil; st = st.next {
-			p := AggPartial{
-				Group:    append([]expr.Value(nil), st.groupVals...),
-				Measures: make([]MeasurePartial, len(o.aggs)),
-			}
+			n++
+		}
+	}
+	out := make([]AggPartial, 0, n)
+	vals := make([]expr.Value, n*len(o.gIdx))
+	measures := make([]MeasurePartial, n*len(o.aggs))
+	for _, h := range o.orderKeys {
+		for st := o.states[h]; st != nil; st = st.next {
+			p := AggPartial{Group: take(&vals, len(o.gIdx)), Measures: take(&measures, len(o.aggs))}
+			copy(p.Group, st.groupVals)
 			for i := range o.aggs {
 				m := &p.Measures[i]
 				m.Count = st.counts[i]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"quarry/internal/expr"
@@ -361,6 +362,84 @@ func TestAggregatorDoesNotRetainVectors(t *testing.T) {
 			if !identical(want[i][j], got[i][j]) {
 				t.Fatalf("row %d col %d: %s over reused vectors, %s over fresh ones", i, j, got[i][j], want[i][j])
 			}
+		}
+	}
+}
+
+// TestRetainDropsGroups: the dropped groups leave Partials and
+// Finalize — an int SUM that overflows only in one of them fails
+// nothing — and the kept ones fold on, through either entry.
+func TestRetainDropsGroups(t *testing.T) {
+	a, err := NewHashAggregator([]int{0}, []xlm.AggSpec{{Out: "s", Func: "SUM", Col: "v"}}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := func(keys []string, vals []int64) {
+		t.Helper()
+		ks := make([]expr.Value, len(keys))
+		for i, k := range keys {
+			ks[i] = expr.Str(k)
+		}
+		if err := a.AddVectors(len(keys), []Column{{Vec: storage.VectorOf(ks)}}, []Column{{Vec: storage.VectorOf(intValues(vals))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render := func(rows [][]expr.Value) string {
+		var out []string
+		for _, row := range rows {
+			out = append(out, row[0].AsString()+"="+row[1].String())
+		}
+		return strings.Join(out, " ")
+	}
+	fold([]string{"a", "b", "c", "d", "b"}, []int64{1, math.MaxInt64, 3, 4, 1})
+	if _, err := a.Finalize(); err == nil {
+		t.Fatal("b's SUM left int64 and nothing failed")
+	}
+	a.Retain([]bool{true, false, true, false})
+	if got := len(a.Partials()); got != 2 {
+		t.Fatalf("%d partials after Retain, want 2", got)
+	}
+	rows, err := a.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render(rows), "a=1 c=3"; got != want {
+		t.Fatalf("retained %q, want %q", got, want)
+	}
+	fold([]string{"c", "b", "a"}, []int64{10, 2, 20})
+	if err := a.Add([][]expr.Value{{expr.Str("d"), expr.Int(5)}, {expr.Str("a"), expr.Int(100)}}); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err = a.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := render(rows), "a=121 c=13 b=2 d=5"; got != want {
+		t.Fatalf("after more rows %q, want %q", got, want)
+	}
+}
+
+// TestRetainWithinAHashChain: NaN keys group with nothing, so each NaN
+// row is a group of its own under the one hash NaN has.
+func TestRetainWithinAHashChain(t *testing.T) {
+	a, err := NewHashAggregator([]int{0}, []xlm.AggSpec{{Out: "n", Func: "COUNT"}}, []int{-1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := expr.Float(math.NaN())
+	keys := []expr.Value{nan, nan, expr.Float(1), nan, nan}
+	if err := a.AddVectors(len(keys), []Column{{Vec: storage.VectorOf(keys)}}, []Column{{}}); err != nil {
+		t.Fatal(err)
+	}
+	// Partials order: the NaN chain (rows 0, 1, 3, 4), then 1.
+	a.Retain([]bool{false, true, true, false, true})
+	rows := a.Result()
+	if len(rows) != 3 {
+		t.Fatalf("%d groups after Retain, want 3", len(rows))
+	}
+	for i, want := range []float64{math.NaN(), math.NaN(), 1} {
+		f, _ := rows[i][0].AsFloat()
+		if math.IsNaN(want) != math.IsNaN(f) || !math.IsNaN(want) && f != want {
+			t.Fatalf("group %d is %s", i, rows[i][0])
 		}
 	}
 }

@@ -3,194 +3,190 @@ package olap
 import (
 	"fmt"
 	"math"
-	"strconv"
 
+	"quarry/internal/engine"
 	"quarry/internal/expr"
+	"quarry/internal/xlm"
 )
 
 // Diamond dicing (Webb, Kaser, Lemire: "Diamond Dicing"; and "Pruning
 // Attribute Values From Data Cubes with Diamond Dicing"): given
 // per-dimension carat thresholds k_d, the diamond is the maximal
-// subcube in which every remaining attribute value of every diced
-// dimension has carat (COUNT of rows, or SUM of a non-negative
-// measure) at least k_d. It is computed by iteratively pruning
-// attribute values whose carat falls below threshold until a
-// fixpoint: with a monotone carat (pruning rows can only lower other
-// values' carats) the fixpoint is unique and independent of pruning
-// order, which is why the two implementations below — a vectorized
-// worklist algorithm for the fast path and a naive recompute loop for
-// the oracle — agree row-for-row.
+// subcube in which every remaining attribute value (slice) of every
+// diced dimension has carat (COUNT of rows, or SUM of a non-negative
+// measure) at least k_d. It is computed by iteratively pruning slices
+// whose carat falls below threshold until a fixpoint: with a monotone
+// carat (pruning rows can only lower other slices' carats) the
+// fixpoint is unique and independent of pruning order. A carat is the
+// exact sum (engine.FloatSum) of its rows' contributions, rounded once,
+// so the diamond is a function of the cube, not of its row order.
 //
-// Both implementations preserve the input row order of the surviving
-// rows, so downstream aggregation folds measures in the same order.
+// Every diced column is grouped by, so a row's fate is decided by its
+// group alone. The fast path dices the folded cube's cells (diceCells)
+// with a worklist; the oracle dices its detail rows (diceReference)
+// with the textbook recompute-from-scratch loop — two independent
+// implementations of one fixpoint.
 
-// caratKey encodes a value as an exact map key (hex float bits keep
-// distinct floats distinct even when their decimal rendering
-// collides).
-func caratKey(v expr.Value) string {
-	switch v.Kind() {
-	case expr.KindNull:
-		return "n"
-	case expr.KindInt:
-		return "i" + strconv.FormatInt(v.AsInt(), 10)
-	case expr.KindFloat:
-		f, _ := v.AsFloat()
-		return "f" + strconv.FormatUint(math.Float64bits(f), 16)
-	case expr.KindBool:
-		if v.AsBool() {
-			return "bt"
-		}
-		return "bf"
-	default:
-		return "s" + v.AsString()
-	}
+// sliceID names the slice a value belongs to (caratKey).
+type sliceID struct {
+	kind expr.Kind // KindFloat for every number
+	bits uint64    // a number's float image
+	s    string
+	b    bool
 }
 
-// caratOf returns a row's contribution to its values' carats.
-func caratOf(row []expr.Value, d *dicePlan) (float64, error) {
-	if d.caratIdx == -1 {
-		return 1, nil
+// caratKey names the slice a value belongs to. Numbers are keyed by
+// their float image with −0 read as +0: the group-by's identity
+// (expr.Value.Equal), so no group spans two slices.
+func caratKey(v expr.Value) sliceID {
+	if f, ok := v.AsFloat(); ok {
+		return sliceID{kind: expr.KindFloat, bits: math.Float64bits(f + 0)}
 	}
-	v := row[d.caratIdx]
-	if v.IsNull() {
-		return 0, nil
-	}
+	return sliceID{kind: v.Kind(), s: v.AsString(), b: v.AsBool()}
+}
+
+// negativeCarat is the error of a SUM carat over a column holding a
+// negative value or NaN: pruning a row could raise such a carat, so
+// the fixpoint would depend on the pruning order.
+func negativeCarat(d *dicePlan) error {
+	return fmt.Errorf("olap: dice SUM carat over %q requires non-negative values", d.caratCol)
+}
+
+// badCarat reports whether v is a number below zero, or NaN.
+func badCarat(v expr.Value) bool {
 	f, ok := v.AsFloat()
-	if !ok {
-		return 0, fmt.Errorf("olap: dice SUM carat over non-numeric value %s", v)
-	}
-	if f < 0 {
-		return 0, fmt.Errorf("olap: dice SUM carat requires non-negative values, got %s", v)
-	}
-	return f, nil
+	return ok && !(f >= 0)
 }
 
-// sliceState tracks one attribute value of one diced dimension in the
-// worklist algorithm.
-type sliceState struct {
-	rows   []int // indexes (global row order) of rows carrying the value
-	dead   bool
-	queued bool
+// caratAggs is the plan's aggregates followed by the hidden ones the
+// dice reads its cells' carats from: COUNT(*) for a COUNT carat; for a
+// SUM carat AVG of the column, whose state holds the exact sum (NaN
+// when a value is NaN) and never fails finalisation, and MIN, negative
+// exactly when some value is (NaN when every value is).
+func caratAggs(p *starPlan) ([]xlm.AggSpec, []int) {
+	aggs := append([]xlm.AggSpec(nil), p.aggs...)
+	idx := append([]int(nil), p.aggIdx...)
+	col := p.dice.caratCol
+	if col == "" {
+		return append(aggs, xlm.AggSpec{Func: "COUNT"}), append(idx, -1)
+	}
+	i := p.index[col]
+	return append(aggs, xlm.AggSpec{Func: "AVG", Col: col}, xlm.AggSpec{Func: "MIN", Col: col}), append(idx, i, i)
 }
 
-// diceFast computes the diamond with a dirty-revalidation worklist:
-// only attribute values that lost rows since their last check are
-// re-examined, and each check recomputes the carat over the value's
-// surviving rows in global row order — the exact floating-point
-// summation diceReference performs for the same subset, so the two
-// implementations never diverge by accumulated subtraction drift.
-// (In exact arithmetic the diamond fixpoint is unique regardless of
-// pruning order; carats here are independent row-order subset sums,
-// never running differences, which keeps the FP behaviour matched to
-// the reference.)
-func diceFast(rows [][]expr.Value, d *dicePlan) ([][]expr.Value, error) {
-	nd := len(d.colIdx)
-	states := make([]map[string]*sliceState, nd)
-	for i := range states {
-		states[i] = map[string]*sliceState{}
+// diceCells cuts the diamond out of the folded cube: agg's groups,
+// folded over caratAggs, are its cells, and a slice is the cells that
+// share a diced column's value. It returns which cells survive, in
+// Partials order. A worklist re-examines only the slices that lost a
+// cell since their last check, each time summing its live cells'
+// exact carats afresh, never by subtraction.
+func diceCells(agg *engine.HashAggregator, p *starPlan) ([]bool, error) {
+	type slice struct {
+		dim          int // position in p.dice.cols
+		cells        []int
+		dead, queued bool
 	}
-	carats := make([]float64, len(rows))
-	keys := make([][]string, len(rows))
-	for r, row := range rows {
-		c, err := caratOf(row, d)
-		if err != nil {
-			return nil, err
+	d, cells := p.dice, agg.Partials()
+	nd, hidden := len(d.cols), len(p.aggs)
+	carats := make([]engine.FloatSum, len(cells))
+	var all []slice
+	var queue []int                  // every slice starts due for a check
+	of := make([]int, len(cells)*nd) // cell c's slice in diced column i is all[of[c*nd+i]]
+	byKey := make([]map[sliceID]int, nd)
+	for i := range byKey {
+		byKey[i] = map[sliceID]int{}
+	}
+	for c := range cells {
+		cell := &cells[c]
+		m := &cell.Measures[hidden]
+		if d.caratCol == "" {
+			carats[c].Add(float64(m.Count))
+		} else if badCarat(cell.Measures[hidden+1].Min) || math.IsNaN(m.SumSpecial) {
+			return nil, negativeCarat(d)
+		} else {
+			carats[c] = engine.ImportFloatSum(m.SumParts, m.SumSpecial, m.SumHasSpecial)
 		}
-		carats[r] = c
-		ks := make([]string, nd)
-		for i, ci := range d.colIdx {
-			k := caratKey(row[ci])
-			ks[i] = k
-			st := states[i][k]
-			if st == nil {
-				st = &sliceState{}
-				states[i][k] = st
+		for i, g := range d.groupPos {
+			k := caratKey(cell.Group[g])
+			s, ok := byKey[i][k]
+			if !ok {
+				s = len(all)
+				byKey[i][k] = s
+				all = append(all, slice{dim: i, queued: true})
+				queue = append(queue, s)
 			}
-			st.rows = append(st.rows, r)
+			all[s].cells = append(all[s].cells, c)
+			of[c*nd+i] = s
 		}
-		keys[r] = ks
 	}
-	alive := make([]bool, len(rows))
-	for i := range alive {
-		alive[i] = true
-	}
-	type ref struct {
-		dim int
-		key string
-	}
-	// Every value starts dirty; values re-enter the queue when they
-	// lose rows.
-	var queue []ref
-	for i, m := range states {
-		for k, st := range m {
-			st.queued = true
-			queue = append(queue, ref{i, k})
-		}
+	live := make([]bool, len(cells))
+	for c := range live {
+		live[c] = true
 	}
 	for len(queue) > 0 {
-		cur := queue[0]
+		s := &all[queue[0]]
 		queue = queue[1:]
-		st := states[cur.dim][cur.key]
-		st.queued = false
-		if st.dead {
-			continue
-		}
-		// Recompute the carat over surviving rows, in row order.
-		var carat float64
-		for _, r := range st.rows {
-			if alive[r] {
-				carat += carats[r]
+		s.queued = false
+		var carat engine.FloatSum
+		for _, c := range s.cells {
+			if live[c] {
+				carat.Merge(carats[c])
 			}
 		}
-		if carat >= d.thresholds[cur.dim] {
+		if carat.Round() >= d.thresholds[s.dim] {
 			continue
 		}
-		st.dead = true
-		for _, r := range st.rows {
-			if !alive[r] {
+		s.dead = true
+		for _, c := range s.cells {
+			if !live[c] {
 				continue
 			}
-			alive[r] = false
-			for i, k := range keys[r] {
-				other := states[i][k]
-				if other.dead || other.queued {
-					continue
+			live[c] = false
+			for _, o := range of[c*nd : (c+1)*nd] {
+				if !all[o].dead && !all[o].queued {
+					all[o].queued = true
+					queue = append(queue, o)
 				}
-				other.queued = true
-				queue = append(queue, ref{i, k})
 			}
 		}
 	}
-	var out [][]expr.Value
-	for r, row := range rows {
-		if alive[r] {
-			out = append(out, row)
-		}
-	}
-	return out, nil
+	return live, nil
 }
 
-// diceReference computes the same diamond with the textbook fixpoint
-// loop: recompute every value's carat from scratch each pass, drop
-// below-threshold values, repeat until a pass removes nothing. It is
-// the independent implementation the fast algorithm is verified
-// against.
+// diceReference computes the same diamond over the detail rows with
+// the textbook fixpoint loop: recompute every slice's carat from
+// scratch each pass, drop the rows of below-threshold slices, repeat
+// until a pass removes nothing. It is the independent implementation
+// diceCells is verified against, and keeps the survivors in row order.
 func diceReference(rows [][]expr.Value, d *dicePlan) ([][]expr.Value, error) {
+	if d.caratIdx >= 0 {
+		for _, row := range rows {
+			if badCarat(row[d.caratIdx]) {
+				return nil, negativeCarat(d)
+			}
+		}
+	}
 	cur := rows
 	for {
 		removed := false
 		for i, ci := range d.colIdx {
-			carat := map[string]float64{}
+			carat := map[sliceID]*engine.FloatSum{}
 			for _, row := range cur {
-				c, err := caratOf(row, d)
-				if err != nil {
-					return nil, err
+				k := caratKey(row[ci])
+				s := carat[k]
+				if s == nil {
+					s = &engine.FloatSum{}
+					carat[k] = s
 				}
-				carat[caratKey(row[ci])] += c
+				if d.caratIdx < 0 {
+					s.Add(1)
+				} else if f, ok := row[d.caratIdx].AsFloat(); ok {
+					s.Add(f)
+				}
 			}
 			var kept [][]expr.Value
 			for _, row := range cur {
-				if carat[caratKey(row[ci])] >= d.thresholds[i] {
+				if carat[caratKey(row[ci])].Round() >= d.thresholds[i] {
 					kept = append(kept, row)
 				}
 			}

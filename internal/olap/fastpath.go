@@ -3,8 +3,8 @@ package olap
 // The vectorized fast path. A query runs in two phases over one
 // storage snapshot, on typed column vectors throughout (storage.Vector:
 // []int64, []float64, dictionary codes) — an expr.Value is built per
-// dictionary entry, per group, per filter scratch row and per dice row,
-// never per fact row on the way to an aggregate:
+// dictionary entry, per group and per filter scratch row, never per
+// fact row on the way to an aggregate:
 //
 //	build  each joined dimension is scanned into an engine.JoinIndex —
 //	       the join index the ETL executor builds too: its attribute
@@ -17,18 +17,16 @@ package olap
 //	       probeStar: foreign-key vectors → per join, a vector of
 //	       dimension row numbers → the selection of joined rows (fan-out
 //	       expanded) → filter (engine.VectorFilter) → a starChunk of
-//	       (fact position, dimension row numbers), which the consumer
-//	       reads columns out of: the aggregate fold as the selected
-//	       columns engine.HashAggregator.AddVectors takes (a dimension's
-//	       group column with its codes), the dice as the narrow rows it
-//	       must buffer.
+//	       (fact position, dimension row numbers), whose selected
+//	       columns the aggregate fold hands engine.HashAggregator.AddVectors
+//	       (a dimension's group column with its codes). Every query folds
+//	       this way; a dice then prunes the folded cells (diceCells).
 
 import (
 	"context"
 	"fmt"
 
 	"quarry/internal/engine"
-	"quarry/internal/expr"
 	"quarry/internal/storage"
 )
 
@@ -123,23 +121,6 @@ func (c *starChunk) column(i int) engine.Column {
 		return engine.Column{Vec: c.fact[i], Sel: c.pos}
 	}
 	return engine.Column{Vec: c.sides[pc.join].Cols[pc.col], Sel: c.dim[pc.join]}
-}
-
-// appendRows materialises the chunk as narrow rows (p.cols wide, cut
-// from one slab) appended to dst: the form the dice buffers.
-func (c *starChunk) appendRows(dst [][]expr.Value) [][]expr.Value {
-	width, n := len(c.p.cols), len(c.pos)
-	slab := make([]expr.Value, n*width)
-	for i := 0; i < width; i++ {
-		col := c.column(i)
-		for j, s := range col.Sel {
-			slab[j*width+i] = col.Vec.Value(int(s))
-		}
-	}
-	for j := 0; j < n; j++ {
-		dst = append(dst, slab[j*width:(j+1)*width:(j+1)*width])
-	}
-	return dst
 }
 
 // sized returns s with length n, reallocated only when it is too small
@@ -332,18 +313,24 @@ func (c *starChunk) compact(kept []int32) {
 
 // starFold is the aggregating consumer of the probe: it hands each
 // chunk's group and aggregate columns to the kernel's vector entry.
+// A dice's fold also carries the hidden carat aggregates (caratAggs).
 type starFold struct {
 	p                *starPlan
 	agg              *engine.HashAggregator
+	aggIdx           []int
 	groups, measures []engine.Column
 }
 
 func newStarFold(p *starPlan) (*starFold, error) {
-	agg, err := engine.NewHashAggregator(p.groupIdx, p.aggs, p.aggIdx)
+	aggs, aggIdx := p.aggs, p.aggIdx
+	if p.dice != nil {
+		aggs, aggIdx = caratAggs(p)
+	}
+	agg, err := engine.NewHashAggregator(p.groupIdx, aggs, aggIdx)
 	if err != nil {
 		return nil, err
 	}
-	return &starFold{p: p, agg: agg, groups: make([]engine.Column, len(p.groupIdx)), measures: make([]engine.Column, len(p.aggs))}, nil
+	return &starFold{p: p, agg: agg, aggIdx: aggIdx, groups: make([]engine.Column, len(p.groupIdx)), measures: make([]engine.Column, len(aggs))}, nil
 }
 
 func (f *starFold) add(c *starChunk) error {
@@ -353,7 +340,7 @@ func (f *starFold) add(c *starChunk) error {
 			f.groups[g].Group = c.sides[pc.join].GroupCodes(pc.col)
 		}
 	}
-	for i, ci := range f.p.aggIdx {
+	for i, ci := range f.aggIdx {
 		if ci >= 0 {
 			f.measures[i] = c.column(ci)
 		}
@@ -363,8 +350,9 @@ func (f *starFold) add(c *starChunk) error {
 
 // execFast runs the plan on the vectorized fast path over a snapshot:
 // build per-dimension sides (buildDimSides), stream the fact through
-// join → filter → (dice) → aggregation (probeStar), sort, and return
-// the in-memory result. Nothing is written to any database.
+// join → filter → aggregation (probeStar), cut a dice's diamond out of
+// the folded cells (diceCells), finalise the survivors, sort, and
+// return the in-memory result. Nothing is written to any database.
 func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
 	sides, err := e.buildDimSides(ctx, p, snap)
 	if err != nil {
@@ -374,30 +362,25 @@ func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapsh
 	if err != nil {
 		return nil, err
 	}
-	class := ClassFast
-	if p.dice == nil {
-		err = e.probeStar(ctx, p, snap, sides, fold.add)
-	} else {
-		// The dice reads detail rows and keeps them: buffer the joined
-		// rows, cut the diamond, aggregate the survivors.
-		class = ClassDice
-		var detail [][]expr.Value
-		err = e.probeStar(ctx, p, snap, sides, func(c *starChunk) error {
-			detail = c.appendRows(detail)
-			return nil
-		})
-		if err == nil {
-			if detail, err = diceFast(detail, p.dice.at(p.index)); err == nil {
-				err = fold.agg.Add(detail)
-			}
-		}
-	}
-	if err != nil {
+	if err := e.probeStar(ctx, p, snap, sides, fold.add); err != nil {
 		return nil, err
+	}
+	class := ClassFast
+	if p.dice != nil {
+		class = ClassDice
+		keep, err := diceCells(fold.agg, p)
+		if err != nil {
+			return nil, err
+		}
+		fold.agg.Retain(keep)
 	}
 	rows, err := fold.agg.Finalize()
 	if err != nil {
 		return nil, err
+	}
+	width := len(p.groupBy) + len(p.aggs)
+	for i, row := range rows { // a dice's hidden carat columns go
+		rows[i] = row[:width:width]
 	}
 	rows = engine.SortRowsBy(rows, leading(len(p.groupBy)))
 	return &Result{Columns: p.resultColumns(), Rows: rows, Version: snap.Version(), Class: class}, nil

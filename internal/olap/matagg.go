@@ -203,8 +203,9 @@ func (m *MatAgg) Stats() MatAggStats {
 
 // patternOf canonicalizes a plan into its query-log pattern: the
 // resolved group-by set widened by the filter identifiers, plus the
-// deduplicated measure set. Dice queries have no pattern (a dice needs
-// the detail rows).
+// deduplicated measure set. Dice queries have no pattern: an entry
+// answers with finalised rows, and a dice cuts its cells (diceCells)
+// before finalisation.
 func patternOf(p *starPlan) (groupBy []string, measures []aggMeasure, ok bool) {
 	if p.dice != nil {
 		return nil, nil, false

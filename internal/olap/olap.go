@@ -83,9 +83,10 @@ type CubeQuery struct {
 	// Engine.DrillDown navigate a query along the hierarchy.
 	RollUp map[string]string
 	// Dice, when non-nil, applies a diamond dice (Webb, Kaser,
-	// Lemire) to the detail rows before aggregation: attribute values
-	// whose carat falls below their threshold are iteratively pruned
-	// until the remaining subcube is stable.
+	// Lemire) to the cube before its measures are finalised: attribute
+	// values whose carat falls below their threshold are iteratively
+	// pruned, with every cell that carries them, until the remaining
+	// subcube is stable.
 	Dice *DiceSpec
 }
 
@@ -98,11 +99,15 @@ type MeasureSpec struct {
 
 // DiceSpec configures a diamond dice. The carat of an attribute value
 // is the aggregate (COUNT of rows, or SUM of a non-negative measure
-// column) over the detail rows currently carrying that value.
+// column) over the rows of the remaining cells that carry that value,
+// summed exactly and rounded once, so row order never moves the
+// diamond. Numbers are one value when the group-by makes them one
+// group (−0 and +0 are).
 type DiceSpec struct {
 	// Func is the carat aggregate: "COUNT" or "SUM". Diamond dicing
 	// requires a monotone carat (deleting rows must never raise
-	// another value's carat), hence SUM demands non-negative values.
+	// another value's carat), hence SUM demands a numeric column whose
+	// values are non-negative (a NaN fails the query too).
 	Func string
 	// Col is the measure column for SUM carats ("" for COUNT).
 	Col string
@@ -121,8 +126,8 @@ const (
 	ClassFast = "fast"
 	// ClassMatAgg is a rewrite onto a materialized aggregate.
 	ClassMatAgg = "matagg"
-	// ClassDice is a diamond-dice query (iterative fixpoint over
-	// buffered detail rows — the expensive shape).
+	// ClassDice is a diamond-dice query (the fold, then an iterative
+	// fixpoint over the cube's cells).
 	ClassDice = "dice"
 	// ClassOracle is the star-flow reference executor.
 	ClassOracle = "oracle"

@@ -37,9 +37,10 @@ type Partial struct {
 // AVG division, no zero-row injection for global aggregates, no sort.
 // Those happen exactly once, after the merge.
 //
-// Diamond dicing is refused: a dice prunes detail rows by global
-// carats, which no per-shard computation can know, so a diced query is
-// not distributive over fact partitions.
+// Diamond dicing is refused: a slice's carat sums cells over the whole
+// fact, so the diamond can only be cut after every shard's states are
+// merged, and the gather does not run that step — a diced query is not
+// distributive over fact partitions.
 //
 // The materialized-aggregate store is bypassed — partials must be the
 // kernel's own states over base fact rows, not a rewritten form.

@@ -2,6 +2,7 @@ package olap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,32 +46,16 @@ type starJoin struct {
 	predKey string
 }
 
-// dicePlan is the resolved diamond dice. Its positions address the
-// rows it is handed: the planner resolves them against the oracle's
-// joined detail rows, the fast path re-addresses a copy to its own
-// narrower rows (at).
+// dicePlan is the resolved diamond dice. The oracle dices its joined
+// detail rows, which caratIdx and colIdx address; the fast path dices
+// the folded cells, whose group values groupPos addresses.
 type dicePlan struct {
-	fn         string // COUNT or SUM
 	caratCol   string // "" for COUNT
-	caratIdx   int    // row position; -1 for COUNT
+	caratIdx   int    // detail row position; -1 for COUNT
 	cols       []string
-	colIdx     []int // row positions
+	colIdx     []int // detail row positions
+	groupPos   []int // positions in the group-by
 	thresholds []float64
-}
-
-// at returns the dice addressed to rows whose columns sit at the
-// positions index gives them.
-func (d *dicePlan) at(index map[string]int) *dicePlan {
-	c := *d
-	c.colIdx = make([]int, len(d.cols))
-	for i, name := range d.cols {
-		c.colIdx[i] = index[name]
-	}
-	c.caratIdx = -1
-	if d.caratCol != "" {
-		c.caratIdx = index[d.caratCol]
-	}
-	return &c
 }
 
 // planCol locates one column the query reads.
@@ -204,8 +189,7 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		}
 	}
 	if q.Dice != nil {
-		fn := strings.ToUpper(q.Dice.Func)
-		switch fn {
+		switch strings.ToUpper(q.Dice.Func) {
 		case "COUNT":
 			if q.Dice.Col != "" {
 				return nil, fmt.Errorf("olap: dice COUNT carat takes no column")
@@ -221,21 +205,19 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		if len(q.Dice.Thresholds) == 0 {
 			return nil, fmt.Errorf("olap: dice needs at least one threshold")
 		}
-		d := &dicePlan{fn: fn, caratCol: q.Dice.Col}
+		d := &dicePlan{caratCol: q.Dice.Col}
 		cols := make([]string, 0, len(q.Dice.Thresholds))
 		for c := range q.Dice.Thresholds {
 			cols = append(cols, c)
 		}
 		sort.Strings(cols)
-		inGroup := map[string]bool{}
-		for _, g := range groupBy {
-			inGroup[g] = true
-		}
 		for _, c := range cols {
-			if !inGroup[c] {
+			pos := slices.Index(groupBy, c)
+			if pos < 0 {
 				return nil, fmt.Errorf("olap: dice threshold column %q is not grouped by", c)
 			}
 			d.cols = append(d.cols, c)
+			d.groupPos = append(d.groupPos, pos)
 			d.thresholds = append(d.thresholds, q.Dice.Thresholds[c])
 		}
 		p.dice = d
@@ -321,13 +303,15 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		}
 		p.aggIdx[i] = p.index[a.Col]
 	}
-	if p.dice != nil {
+	if d := p.dice; d != nil {
 		// Layout names are unique by construction.
-		layoutIdx := make(map[string]int, len(layout))
-		for i, name := range layout {
-			layoutIdx[name] = i
+		d.caratIdx = -1
+		if d.caratCol != "" {
+			d.caratIdx = slices.Index(layout, d.caratCol)
 		}
-		p.dice = p.dice.at(layoutIdx)
+		for _, c := range d.cols {
+			d.colIdx = append(d.colIdx, slices.Index(layout, c))
+		}
 	}
 	// Column types by name, scoped to the tables that physically hold
 	// each layout column (fact columns first, mirroring p.index).
@@ -348,6 +332,19 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 				}
 			}
 		}
+	}
+	// SUM and AVG fold numbers, which is all an int or float column
+	// holds (besides NULL). Checked here, a non-numeric input fails the
+	// query whichever rows reach the fold: the fast path folds cells a
+	// dice then prunes, the oracle only the survivors.
+	numeric := func(col string) bool { return colType[col] == "int" || colType[col] == "float" }
+	for _, a := range p.aggs {
+		if (a.Func == "SUM" || a.Func == "AVG") && !numeric(a.Col) {
+			return nil, fmt.Errorf("olap: %s over non-numeric column %q (%s)", a.Func, a.Col, colType[a.Col])
+		}
+	}
+	if p.dice != nil && p.dice.caratCol != "" && !numeric(p.dice.caratCol) {
+		return nil, fmt.Errorf("olap: dice SUM carat over non-numeric column %q (%s)", p.dice.caratCol, colType[p.dice.caratCol])
 	}
 	if p.filter != nil {
 		// Type-check the filter here, before any row is read: the oracle's
