@@ -109,12 +109,6 @@ func Run(d *xlm.Design, db *storage.DB) (*Result, error) {
 	return RunWithOptions(d, db, Options{})
 }
 
-// RunContext is Run under a context: cancellation aborts the run
-// through the executor's first-error path and commits nothing.
-func RunContext(ctx context.Context, d *xlm.Design, db *storage.DB) (*Result, error) {
-	return RunWithOptionsContext(ctx, d, db, Options{})
-}
-
 // materialised rows of one operation.
 type mat struct {
 	fields []xlm.Field
@@ -234,13 +228,17 @@ func execNode(ctx context.Context, n *xlm.Node, inputs []*mat, db *storage.DB, s
 		if err != nil {
 			return nil, err
 		}
-		for start := 0; start < op.limit; start += refChunk {
+		cur := op.view.Cursor(nil)
+		for {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			out.rows = append(out.rows, op.read(start, refChunk)...)
+			rows := op.read(cur, refChunk)
+			if rows == nil {
+				return out, nil
+			}
+			out.rows = append(out.rows, rows...)
 		}
-		return out, nil
 	case xlm.OpExtraction:
 		out.rows = in
 		return out, nil

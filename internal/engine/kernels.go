@@ -83,51 +83,49 @@ func (s *rowSlab) take(src []expr.Value, idx []int) []expr.Value {
 	return row
 }
 
-// datastoreOp scans a source table in batches, remapping the physical
-// column order onto the out layout (other physical columns are
-// ignored; every declared one must exist, see checkSource). The
-// row-count limit is snapshotted at construction so loaders appending
-// to the same table mid-run cannot extend the scan.
+// datastoreOp reads a source table's rows through a cursor,
+// remapping the physical column order onto the out layout (other
+// physical columns are ignored; every declared one must exist, see
+// checkSource). The table version is bound at construction (a snapshot
+// view), so loaders replacing or appending to the same table mid-run
+// are not seen.
 type datastoreOp struct {
-	t     *storage.Table
-	idx   []int // nil: out matches the physical layout, rows pass through
-	limit int
+	view *storage.TableView
+	idx  []int // nil: out matches the physical layout, rows pass through
 }
 
 func newDatastoreOp(n *xlm.Node, db *storage.DB, out []xlm.Field) (*datastoreOp, error) {
 	table := n.Param("table")
-	t, ok := db.Table(table)
-	if !ok {
+	snap, err := db.Snapshot(table)
+	if err != nil {
 		return nil, fmt.Errorf("source table %q not found", table)
 	}
-	if err := checkSource(n, t.ColumnIndex); err != nil {
+	view, _ := snap.Table(table)
+	if err := checkSource(n, view.ColumnIndex); err != nil {
 		return nil, err
 	}
 	idx := make([]int, len(out))
-	identity := len(out) == len(t.Columns)
+	identity := len(out) == len(view.Columns())
 	for i, f := range out {
-		j, _ := t.ColumnIndex(f.Name)
+		j, _ := view.ColumnIndex(f.Name)
 		idx[i] = j
 		if j != i {
 			identity = false
 		}
 	}
-	op := &datastoreOp{t: t, idx: idx, limit: int(t.NumRows())}
+	op := &datastoreOp{view: view, idx: idx}
 	if identity {
 		op.idx = nil
 	}
 	return op, nil
 }
 
-// read returns up to max rows starting at start, nil at the end.
-func (o *datastoreOp) read(start, max int) [][]expr.Value {
-	if start >= o.limit {
+// read returns the next rows of cur, at most max, nil at the end.
+func (o *datastoreOp) read(cur *storage.Cursor, max int) [][]expr.Value {
+	rows := cur.Next(max)
+	if rows == nil {
 		return nil
 	}
-	if start+max > o.limit {
-		max = o.limit - start
-	}
-	rows := o.t.ReadBatch(start, max)
 	out := make([][]expr.Value, len(rows))
 	slab := rowSlab{width: len(o.idx), rows: len(rows)}
 	for i, r := range rows {
@@ -1016,7 +1014,7 @@ func appendRemap(table string, in []xlm.Field, cols []storage.Column) ([]int, er
 
 // write appends one batch to the target table, dropping rows the
 // bound load filter rejects. The table copies the rows it keeps
-// (AppendBatch), so the row headers — and a remapped batch's values —
+// (InsertAll), so the row headers — and a remapped batch's values —
 // live in scratch the next batch reuses.
 func (o *loaderOp) write(rows [][]expr.Value) error {
 	batch := o.batch[:0]
@@ -1038,7 +1036,7 @@ func (o *loaderOp) write(rows [][]expr.Value) error {
 		batch = append(batch, nr)
 	}
 	o.batch = batch
-	if err := o.t.AppendBatch(batch); err != nil {
+	if err := o.t.InsertAll(batch); err != nil {
 		return err
 	}
 	o.written += int64(len(batch))

@@ -85,14 +85,13 @@ func TestQuickSelectionMatchesReference(t *testing.T) {
 		}
 		// Reference: NULL x never passes.
 		var want int64
-		src.Scan(func(row storage.Row) error {
+		for _, row := range src.Rows() {
 			if !row[2].IsNull() {
 				if v, _ := row[2].AsFloat(); v > threshold {
 					want++
 				}
 			}
-			return nil
-		})
+		}
 		return out.NumRows() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -115,7 +114,7 @@ func TestQuickAggregationMatchesReference(t *testing.T) {
 		sums := map[string]float64{}
 		counts := map[string]int64{}
 		groups := map[string]bool{}
-		src.Scan(func(row storage.Row) error {
+		for _, row := range src.Rows() {
 			g := row[1].AsString()
 			groups[g] = true
 			if !row[2].IsNull() {
@@ -123,27 +122,25 @@ func TestQuickAggregationMatchesReference(t *testing.T) {
 				sums[g] += v
 				counts[g]++
 			}
-			return nil
-		})
+		}
 		if int(out.NumRows()) != len(groups) {
 			return false
 		}
 		ok := true
-		out.Scan(func(row storage.Row) error {
+		for _, row := range out.Rows() {
 			g := row[0].AsString()
 			if counts[g] == 0 {
 				if !row[1].IsNull() || row[2].AsInt() != 0 || !row[3].IsNull() {
 					ok = false
 				}
-				return nil
+				continue
 			}
 			s, _ := row[1].AsFloat()
 			a, _ := row[3].AsFloat()
 			if !approxEq(s, sums[g]) || row[2].AsInt() != counts[g] || !approxEq(a, sums[g]/float64(counts[g])) {
 				ok = false
 			}
-			return nil
-		})
+		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -211,18 +208,17 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 		}
 		// Reference nested loop.
 		var want int64
-		l.Scan(func(lr storage.Row) error {
+		right := rt.Rows()
+		for _, lr := range l.Rows() {
 			if lr[0].IsNull() {
-				return nil
+				continue
 			}
-			rt.Scan(func(rr storage.Row) error {
+			for _, rr := range right {
 				if !rr[0].IsNull() && lr[0].Equal(rr[0]) {
 					want++
 				}
-				return nil
-			})
-			return nil
-		})
+			}
+		}
 		return n1 == want && n2 == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -270,13 +266,12 @@ func sumCol(t *storage.Table, col string) float64 {
 		return -1
 	}
 	var s float64
-	t.Scan(func(r storage.Row) error {
+	for _, r := range t.Rows() {
 		if !r[i].IsNull() {
 			v, _ := r[i].AsFloat()
 			s += v
 		}
-		return nil
-	})
+	}
 	return s
 }
 
@@ -297,7 +292,7 @@ func TestQuickSurrogateKeyDense(t *testing.T) {
 		byGroup := map[string]int64{}
 		seen := map[int64]bool{}
 		ok := true
-		out.Scan(func(row storage.Row) error {
+		for _, row := range out.Rows() {
 			g := row[gIdx].AsString()
 			sk := row[skIdx].AsInt()
 			if prev, has := byGroup[g]; has && prev != sk {
@@ -305,8 +300,7 @@ func TestQuickSurrogateKeyDense(t *testing.T) {
 			}
 			byGroup[g] = sk
 			seen[sk] = true
-			return nil
-		})
+		}
 		if !ok {
 			return false
 		}

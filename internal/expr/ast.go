@@ -280,12 +280,6 @@ func Comparison(n Node) (col string, op string, lit Value, ok bool) {
 	return id.Name, op, l.Val, true
 }
 
-// Eq builds the comparison `left = right-literal`, a convenience used
-// by generators.
-func Eq(name string, v Value) Node {
-	return &Binary{Op: tokEq, L: &Ident{Name: name}, R: &Literal{Val: v}}
-}
-
 // CompareOp builds a comparison node from an operator spelled as in
 // xRQ (`=`, `!=`, `<>`, `<`, `<=`, `>`, `>=`).
 func CompareOp(op string, l, r Node) (Node, error) {

@@ -258,16 +258,6 @@ func (o *Ontology) ObjectProperties() []*ObjectProperty {
 	return out
 }
 
-// PropertiesFrom returns associations whose domain is the concept.
-func (o *Ontology) PropertiesFrom(conceptID string) []*ObjectProperty {
-	return append([]*ObjectProperty(nil), o.byDomain[conceptID]...)
-}
-
-// PropertiesTo returns associations whose range is the concept.
-func (o *Ontology) PropertiesTo(conceptID string) []*ObjectProperty {
-	return append([]*ObjectProperty(nil), o.byRange[conceptID]...)
-}
-
 // Parent returns the direct superclass of a concept, if any.
 func (o *Ontology) Parent(conceptID string) (string, bool) {
 	p, ok := o.parent[conceptID]

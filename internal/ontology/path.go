@@ -72,25 +72,6 @@ func (o *Ontology) toOneNeighbors(conceptID string) []Step {
 	return out
 }
 
-// Neighbors enumerates all hops (functional or not) from a concept;
-// used by the elicitor's graph exploration.
-func (o *Ontology) Neighbors(conceptID string) []Step {
-	var out []Step
-	for _, p := range o.byDomain[conceptID] {
-		out = append(out, Step{Prop: p, From: conceptID, To: p.Range, Reverse: false})
-	}
-	for _, p := range o.byRange[conceptID] {
-		out = append(out, Step{Prop: p, From: conceptID, To: p.Domain, Reverse: true})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].To != out[j].To {
-			return out[i].To < out[j].To
-		}
-		return out[i].Prop.ID < out[j].Prop.ID
-	})
-	return out
-}
-
 // ShortestToOnePath returns the shortest functional path from→to
 // (BFS), or nil when none exists. A nil path with ok==true is
 // returned when from==to (the empty path).

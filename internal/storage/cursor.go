@@ -1,9 +1,9 @@
 package storage
 
 // Zone-map pruning cursors: a Cursor streams a TableView's rows in
-// position order like ReadBatch, but takes a set of pushed-down
-// filter conjuncts (column OP literal) and skips — without decoding —
-// every page whose zone map proves no row in it can satisfy them all.
+// position order, but takes a set of pushed-down filter conjuncts
+// (column OP literal) and skips — without decoding — every page whose
+// zone map proves no row in it can satisfy them all.
 //
 // Pruning is strictly conservative: a page is skipped only when the
 // predicate can match NONE of its rows under the evaluator's own
@@ -12,14 +12,14 @@ package storage
 // and the uncommitted tail, which has no zone map, is never skipped.
 // Callers therefore still evaluate the full filter on every returned
 // row; the cursor only removes pages that could not have contributed.
-// Unlike ReadBatch, Next may return short batches (it never stitches
-// across page boundaries) — callers loop until nil.
 //
 // A cursor is read in one of two forms, over the same pages, with the
-// same pruning and the same Stats: Next hands out rows (exports and
-// the tools outside the engine), NextVectors hands out a chunk — a
+// same pruning and the same Stats. NextVectors hands out a chunk — a
 // page — at a time as typed column vectors, for the asked columns only
-// (the OLAP fast path and the ETL executor; see vector.go).
+// (the OLAP fast path and the ETL executor; see vector.go). Next hands
+// out rows (the oracle, commits that re-encode rows, Table.Rows): it
+// builds each page's rows from the page's vectors, every column, so
+// the buffer pool holds one decoded form whoever reads it.
 
 import (
 	"sync/atomic"
@@ -105,10 +105,11 @@ type Cursor struct {
 	view  *TableView
 	preds []resolvedPred
 
-	seg  int // current segment index in view.pg
-	page int // current page within the segment
-	off  int // rows of the current page already returned
-	tail int // rows of the uncommitted tail already returned
+	seg  int   // current segment index in view.pg
+	page int   // current page within the segment
+	rows []Row // Next's rows of the page before c.page
+	off  int   // of them already returned
+	tail int   // rows of the uncommitted tail already returned
 
 	scratch []*Vector // NextVectors' tail vectors, reused per chunk
 	reused  bool      // the last NextVectors call handed out scratch
@@ -174,44 +175,55 @@ func (c *Cursor) advance() (*segment, bool) {
 }
 
 // Next returns the next batch of at most max rows, or nil at the end.
-// Batches may be shorter than max (page remainders are returned as
-// shared subslices, never reassembled); the tail is returned last and
-// is never pruned. The returned slice is an immutable shared view.
+// Batches may be shorter than max (a page's rows are returned as
+// subslices, never stitched across pages); the tail is returned last
+// and is never pruned. Page rows are built fresh from the page's
+// pooled vectors and never reused, so a batch stays valid and
+// unchanged after later calls and after its page leaves the pool;
+// tail rows are the table's own. Callers must not mutate either.
 func (c *Cursor) Next(max int) []Row {
 	if max <= 0 {
 		return nil
 	}
-	var s *segment
-	ok := c.off > 0 // part-way through the page c.seg/c.page name
-	if ok {
-		s = c.view.pg.segs[c.seg]
-	} else {
-		s, ok = c.advance()
-	}
-	if ok {
-		rows := s.page(c.page)
-		n := len(rows) - c.off
-		if n > max {
-			n = max
-		}
-		out := rows[c.off : c.off+n : c.off+n]
-		c.off += n
-		if c.off >= len(rows) {
+	if c.off == len(c.rows) {
+		c.rows, c.off = nil, 0
+		if s, ok := c.advance(); ok {
+			all := make([]int, len(s.cols))
+			for ci := range all {
+				all[ci] = ci
+			}
+			vecs := make([]*Vector, len(all))
+			s.vectors(c.page, all, vecs)
+			c.rows = pageRows(vecs, s.pages[c.page].rows)
 			c.page++
-			c.off = 0
 		}
-		return out
 	}
-	if c.tail < len(c.view.rows) {
-		n := len(c.view.rows) - c.tail
-		if n > max {
-			n = max
-		}
-		out := c.view.rows[c.tail : c.tail+n : c.tail+n]
-		c.tail += n
-		return out
+	rows, at := c.rows, &c.off
+	if rows == nil {
+		rows, at = c.view.rows, &c.tail
 	}
-	return nil
+	n := min(max, len(rows)-*at)
+	if n == 0 {
+		return nil
+	}
+	out := rows[*at : *at+n : *at+n]
+	*at += n
+	return out
+}
+
+// pageRows builds n rows from one vector per column: fresh rows, cut
+// from one slab, that no later read touches.
+func pageRows(vecs []*Vector, n int) []Row {
+	w := len(vecs)
+	slab := make([]expr.Value, n*w)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	for ci, v := range vecs {
+		v.fillRows(rows, ci)
+	}
+	return rows
 }
 
 // tailChunk is how many tail rows NextVectors transposes at a time.

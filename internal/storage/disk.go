@@ -55,7 +55,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -154,8 +153,7 @@ type pageMeta struct {
 	off   int64
 	size  int // padded size: a pageBlock multiple
 	rows  int
-	first int    // index of the page's first row within the segment
-	raw   int    // raw encoded size: the buffer-pool charge of the row form
+	raw   int    // raw encoded size, recorded in the manifest
 	zones []zone // per-column zone map
 }
 
@@ -190,28 +188,13 @@ func (s *segment) read(i int) []byte {
 	return buf
 }
 
-// page returns the decoded rows of page i, through the buffer pool.
-// Segment structure is validated at write/open time, so a decode
-// failure here means on-disk corruption — that is a panic, not an
-// error: the read API has no error channel and silently returning
-// fewer rows would corrupt results.
-func (s *segment) page(i int) []Row {
-	k := pageKey{seg: s, page: i}
-	if rows := s.st.cache.rows(k); rows != nil {
-		return rows
-	}
-	pm := &s.pages[i]
-	rows, err := decodePage(s.cols, s.read(i), pm.rows)
-	if err != nil {
-		panic(fmt.Sprintf("storage: segment %s page %d corrupt: %v", s.name, i, err))
-	}
-	s.st.cache.putRows(k, rows, pm.raw)
-	return rows
-}
-
-// vectors fills out[j] with the vector form of column cols[j] of page
-// i, through the buffer pool: a column is decoded the first time a
-// reader asks for it, beside the page's other resident forms.
+// vectors fills out[j] with the vector of column cols[j] of page i,
+// through the buffer pool: a column is decoded the first time a reader
+// asks for it, beside the page's other resident columns. Segment
+// structure is validated at write/open time, so a decode failure here
+// means on-disk corruption — that is a panic, not an error: the read
+// API has no error channel and silently returning fewer rows would
+// corrupt results.
 func (s *segment) vectors(i int, cols []int, out []*Vector) {
 	k := pageKey{seg: s, page: i}
 	if s.st.cache.vectors(k, cols, out) {
@@ -233,26 +216,18 @@ func (s *segment) vectors(i int, cols []int, out []*Vector) {
 	}
 }
 
-// pageFor returns the index of the page containing segment-local row
-// r.
-func (s *segment) pageFor(r int) int {
-	return sort.Search(len(s.pages), func(i int) bool { return s.pages[i].first > r }) - 1
-}
-
 // pager is an immutable view over an ordered segment list. Appends
 // never mutate a pager — commits build an extended copy and swap it
 // under the table lock — so snapshots and frozen views capture a
 // pager pointer and are done.
 type pager struct {
-	segs   []*segment
-	starts []int // starts[i] = global index of segs[i]'s first row
-	rows   int
+	segs []*segment
+	rows int
 }
 
 func newPager(segs []*segment) *pager {
-	p := &pager{segs: segs, starts: make([]int, len(segs))}
-	for i, s := range segs {
-		p.starts[i] = p.rows
+	p := &pager{segs: segs}
+	for _, s := range segs {
 		p.rows += s.rows
 	}
 	return p
@@ -273,44 +248,6 @@ func (p *pager) numRows() int {
 		return 0
 	}
 	return p.rows
-}
-
-// readBatch returns exactly min(max, rows-start) rows (callers step
-// cursors by a fixed batch size, so short reads are not an option).
-// A range satisfied by one decoded page is returned as a shared
-// subslice; ranges crossing page or segment boundaries are assembled
-// into a fresh slice.
-func (p *pager) readBatch(start, max int) []Row {
-	if start < 0 || p == nil || start >= p.rows || max <= 0 {
-		return nil
-	}
-	if start+max > p.rows {
-		max = p.rows - start
-	}
-	var out []Row
-	pos, remaining := start, max
-	for remaining > 0 {
-		si := sort.Search(len(p.starts), func(i int) bool { return p.starts[i] > pos }) - 1
-		seg := p.segs[si]
-		local := pos - p.starts[si]
-		pi := seg.pageFor(local)
-		rows := seg.page(pi)
-		ps := local - seg.pages[pi].first
-		n := len(rows) - ps
-		if n > remaining {
-			n = remaining
-		}
-		if out == nil && n == max {
-			return rows[ps : ps+n : ps+n]
-		}
-		if out == nil {
-			out = make([]Row, 0, max)
-		}
-		out = append(out, rows[ps:ps+n]...)
-		pos += n
-		remaining -= n
-	}
-	return out
 }
 
 // foreignTo reports whether any of the pager's segments belongs to a
@@ -340,15 +277,12 @@ func (p *pager) referencedFiles(st *store, into map[string]bool) {
 	}
 }
 
-// readAll materialises every row of the pager, in order.
+// readAll appends every row of the pager to into, in order: a walk of
+// a cursor, whose page rows are fresh.
 func (p *pager) readAll(into []Row) []Row {
-	if p == nil {
-		return into
-	}
-	for start := 0; start < p.rows; {
-		batch := p.readBatch(start, 4096)
-		into = append(into, batch...)
-		start += len(batch)
+	cur := (&TableView{pg: p}).Cursor(nil)
+	for b := cur.Next(p.numRows()); b != nil; b = cur.Next(p.numRows()) {
+		into = append(into, b...)
 	}
 	return into
 }
@@ -535,12 +469,10 @@ func (st *store) writeSegments(ws []segmentWrite) error {
 func (s *segment) persist(pages []encodedPage, counts []int) error {
 	s.pages = make([]pageMeta, 0, len(pages))
 	var off int64
-	first := 0
 	for pi, ep := range pages {
 		s.pages = append(s.pages, pageMeta{off: off, size: len(ep.buf), rows: counts[pi],
-			first: first, raw: ep.raw, zones: ep.zones})
+			raw: ep.raw, zones: ep.zones})
 		off += int64(len(ep.buf))
-		first += counts[pi]
 	}
 	if s.st.dir == "" {
 		s.data = make([]byte, 0, off)
@@ -654,7 +586,6 @@ func (st *store) openSegment(ms manifestSegment, cols []Column) (*segment, error
 			f.Close()
 			return nil, fmt.Errorf("segment %s page %d: %w", ms.File, pi, err)
 		}
-		pm.first = first
 		seg.pages = append(seg.pages, pm)
 		first += mp.Rows
 		want += int64(mp.Size)

@@ -154,11 +154,26 @@ func TestDiskReopenRoundTrip(t *testing.T) {
 	assertTableEqual(t, got, tbl)
 }
 
-func TestDiskPagedReadBatchExactCounts(t *testing.T) {
+// TestDiskPagedNextExactCounts walks a reopened table of two segments
+// plus an unpersisted tail with Next at every batch size: each batch is
+// exactly min(max, rows left in its page or the tail) — batches never
+// cross a page, segment or tail boundary — and the walk returns every
+// row once, in order, with the tail last.
+func TestDiskPagedNextExactCounts(t *testing.T) {
 	dir := t.TempDir()
 	db := openDisk(t, dir)
 	tbl, _ := db.CreateTable("t", mixedCols)
-	fillMixed(t, tbl, 3000)
+	fillMixed(t, tbl, 2500)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var more, want []Row
+	for i := 2500; i < 3000; i++ {
+		more = append(more, mixedRow(i))
+	}
+	if err := tbl.InsertAll(more); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -167,34 +182,49 @@ func TestDiskPagedReadBatchExactCounts(t *testing.T) {
 	if got.NumRows() != 3000 {
 		t.Fatalf("NumRows = %d", got.NumRows())
 	}
-	// Unpersisted tail on top of the paged base.
 	if err := got.Insert(mixedRow(9001)); err != nil {
 		t.Fatal(err)
 	}
-	// Exact batch lengths at every offset, including ranges crossing
-	// page boundaries and the paged-base/tail boundary.
-	for _, bs := range []int{1, 7, 512, 1024, 2999, 3001, 10000} {
-		pos := 0
-		for {
-			b := got.ReadBatch(pos, bs)
-			if b == nil {
-				break
-			}
-			wantLen := bs
-			if pos+bs > 3001 {
-				wantLen = 3001 - pos
-			}
-			if len(b) != wantLen {
-				t.Fatalf("ReadBatch(%d, %d) returned %d rows, want %d", pos, bs, len(b), wantLen)
-			}
-			pos += len(b)
-		}
-		if pos != 3001 {
-			t.Fatalf("batch size %d walked %d rows, want 3001", bs, pos)
+	for i := 0; i < 3000; i++ {
+		want = append(want, mixedRow(i))
+	}
+	want = append(want, mixedRow(9001))
+	snap, err := re.Snapshot("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _ := snap.Table("t")
+	// The runs no batch may cross: every page of both segments, then
+	// the tail.
+	var runs []int
+	for _, s := range view.pg.segs {
+		for _, pm := range s.pages {
+			runs = append(runs, pm.rows)
 		}
 	}
-	if !reflect.DeepEqual(got.ReadBatch(2999, 2)[1], Row(mixedRow(9001))) {
-		t.Fatal("tail row not readable past the paged base")
+	if len(view.pg.segs) != 2 || len(runs) < 3 {
+		t.Fatalf("setup: %d segments, %d pages", len(view.pg.segs), len(runs))
+	}
+	runs = append(runs, len(view.rows))
+	for _, bs := range []int{1, 7, 512, 1024, 2999, 3001, 10000} {
+		cur := view.Cursor(nil)
+		var rows []Row
+		for ri, run := range runs {
+			for left := run; left > 0; {
+				b := cur.Next(bs)
+				if len(b) != min(bs, left) {
+					t.Fatalf("max %d, run %d with %d rows left: Next returned %d rows", bs, ri, left, len(b))
+				}
+				rows = append(rows, b...)
+				left -= len(b)
+			}
+		}
+		if b := cur.Next(bs); b != nil {
+			t.Fatalf("max %d: %d rows past the end", bs, len(b))
+		}
+		if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("max %d: the walk differs from the rows written", bs)
+		}
 	}
 }
 
@@ -214,19 +244,14 @@ func TestDiskPageCacheEviction(t *testing.T) {
 	got, _ := re.Table("t")
 	// Two full walks: the second re-decodes evicted pages.
 	for walk := 0; walk < 2; walk++ {
-		i := 0
-		err := got.Scan(func(r Row) error {
+		rows := got.Rows()
+		for i, r := range rows {
 			if !reflect.DeepEqual(r, Row(mixedRow(i))) {
 				t.Fatalf("walk %d row %d mismatch", walk, i)
 			}
-			i++
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if i != 20000 {
-			t.Fatalf("walk %d saw %d rows", walk, i)
+		if len(rows) != 20000 {
+			t.Fatalf("walk %d saw %d rows", walk, len(rows))
 		}
 	}
 }
@@ -298,7 +323,7 @@ func TestDiskSnapshotSurvivesRepublishAndGC(t *testing.T) {
 	if view.NumRows() != 2000 {
 		t.Fatalf("snapshot sees %d rows", view.NumRows())
 	}
-	for i, r := range view.ReadBatch(0, 2000) {
+	for i, r := range collect(view.Cursor(nil)) {
 		if !reflect.DeepEqual(r, Row(mixedRow(i))) {
 			t.Fatalf("snapshot row %d differs after republish GC", i)
 		}
@@ -447,7 +472,7 @@ func TestRepublishPurgesDeadSegmentPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Populate the pool and note the now-live segment names.
-	tbl.ReadBatch(0, 2000)
+	tbl.Rows()
 	tbl.mu.RLock()
 	old := map[string]bool{}
 	for _, s := range tbl.pg.segs {

@@ -34,8 +34,8 @@ package storage
 // There is one set of decoders, and it decodes a chunk to a Vector
 // (vector.go), the form closest to every encoding: a dictionary chunk
 // keeps its codes, a run-length chunk repeats a value, a bit-packed
-// chunk adds its base. A page's rows are transposed from those vectors
-// (decodePage). Chunk bytes are untrusted: every decoder is handed the
+// chunk adds its base. A page's rows are built from those vectors
+// (pageRows, for Cursor.Next). Chunk bytes are untrusted: every decoder is handed the
 // page's row count from the manifest and produces exactly that many
 // rows or an error — never more, whatever counts the bytes claim.
 
@@ -664,8 +664,8 @@ func (e *chunkEncoder) appendBitPackBody(buf []byte) []byte {
 // ---- chunk body decoders ----
 //
 // One set, decoding to a Vector: dictionary chunks keep their codes,
-// run-length chunks expand, bit-packed chunks add their base. The row
-// form of a page is built from the same vectors (decodePage). n is the
+// run-length chunks expand, bit-packed chunks add their base. A page's
+// rows are built from the same vectors (pageRows). n is the
 // page's row count from the manifest; no decoder appends more than n
 // rows or reads past its chunk, whatever the bytes say.
 

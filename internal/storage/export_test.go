@@ -20,6 +20,39 @@ func EncodeSerial(cols []Column, rows []Row) time.Duration {
 	return time.Since(start)
 }
 
+// decodePage decodes every column of a page and builds its rows with
+// the cursor's row builder: the row form Cursor.Next hands out, for the
+// round-trip, corruption and fuzz tests.
+func decodePage(cols []Column, buf []byte, n int) ([]Row, error) {
+	all := make([]bool, len(cols))
+	for ci := range all {
+		all[ci] = true
+	}
+	vecs, err := decodePageVectors(cols, buf, n, all)
+	if err != nil {
+		return nil, err
+	}
+	return pageRows(vecs, n), nil
+}
+
+// ReadBatch returns the n rows from position start (fewer at the end,
+// nil past it), read through a cursor over the table's current rows:
+// the positional read the model checks hold the cursor to, at random
+// batch sizes.
+func (t *Table) ReadBatch(start, n int) []Row {
+	if start < 0 || n <= 0 {
+		return nil
+	}
+	pg, tail := t.capture()
+	cur := (&TableView{pg: pg, rows: tail}).Cursor(nil)
+	var out []Row
+	for pos, b := 0, cur.Next(start+n); b != nil; b = cur.Next(start + n - pos) {
+		out = append(out, b[min(max(start-pos, 0), len(b)):]...)
+		pos += len(b)
+	}
+	return out
+}
+
 // setCompactSegments lowers (or raises) the auto-compaction threshold
 // for the rest of the test.
 func setCompactSegments(t testing.TB, n int) {

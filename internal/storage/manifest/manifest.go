@@ -89,9 +89,9 @@ type Page struct {
 	Off  int64 `json:"off"`
 	Size int   `json:"size"`
 	Rows int   `json:"rows"`
-	// Raw is the page's raw (uncompressed) encoded size — the buffer
-	// pool's charge for the decoded page. Zones is the page's
-	// per-column zone map.
+	// Raw is the page's raw (uncompressed) encoded size, the size the
+	// writer bounds each page by; Open checks it against the row count.
+	// Zones is the page's per-column zone map.
 	Raw   int    `json:"raw,omitempty"`
 	Zones []Zone `json:"zones,omitempty"`
 }

@@ -3,8 +3,8 @@
 package storage
 
 // mmap page source (unix): segment files are immutable once written,
-// so a read-only shared mapping is always coherent. Decoded pages
-// copy every value out of the mapping (see decodePage), so nothing
+// so a read-only shared mapping is always coherent. Decoded vectors
+// copy every value out of the mapping (see decodeChunk), so nothing
 // outlives the segment's munmap.
 
 import (

@@ -19,11 +19,11 @@ package storage
 // complement, float as the 8-byte little-endian IEEE-754 bit pattern
 // (NaNs, infinities and -0 round-trip exactly), bool as one byte,
 // string as u32 length + UTF-8 bytes. Pages are still split by their
-// RAW encoded size (splitPages), so a decoded page costs ~pageSize of
-// memory no matter how well it compressed. Because the engine's type
-// checker normalises values on the way into a table (ints widen to
-// float in float columns), decoding reproduces the stored expr.Values
-// byte-identically.
+// RAW encoded size (splitPages), so a page's decoded vectors cost about
+// pageSize of memory no matter how well it compressed. Because the
+// engine's type checker normalises values on the way into a table (ints
+// widen to float in float columns), decoding reproduces the stored
+// expr.Values byte-identically.
 
 import (
 	"container/list"
@@ -44,11 +44,9 @@ const pageBlock = 4096
 
 // pageCacheBytes bounds the decoded pages kept resident per store
 // (the "buffer pool"); a variable so tests can shrink it to force
-// eviction. An entry is charged for each decoded form it holds: the
-// row form the page's raw encoded size (pageMeta.raw — a proxy for
-// decoded size that, unlike a page count, keeps oversize pages from
-// blowing the budget), each column vector its own memory size. A
-// warehouse larger than the pool streams instead of residing.
+// eviction. An entry is charged the memory of the column vectors it
+// holds (Vector.memSize) — what the pool keeps, whoever reads it — so
+// a warehouse larger than the pool streams instead of residing.
 var pageCacheBytes = 256 << 20
 
 // encodedRowSize returns the value bytes one row contributes to a
@@ -104,7 +102,7 @@ func splitPages(ncols int, rows []Row) []int {
 type encodedPage struct {
 	buf   []byte // padded to a pageBlock multiple
 	zones []zone // one per column
-	raw   int    // raw encoded size (every chunk raw): the decoded-memory proxy
+	raw   int    // raw encoded size (every chunk raw), recorded in the manifest
 }
 
 // TestingForceRaw disables compressed encodings (every chunk encodes
@@ -178,32 +176,6 @@ func pageChunks(cols []Column, buf []byte, want int, fn func(ci, enc int, body [
 	return nil
 }
 
-// decodePage reconstructs the row form of a page holding n rows: each
-// chunk is decoded to a vector (one scratch vector serves the whole
-// page) and transposed into the rows.
-func decodePage(cols []Column, buf []byte, n int) ([]Row, error) {
-	var rows []Row
-	var scratch Vector
-	err := pageChunks(cols, buf, n, func(ci, enc int, body []byte) error {
-		if rows == nil { // the header agreed with n: allocate
-			rows = make([]Row, n)
-			backing := make([]expr.Value, n*len(cols))
-			for i := range rows {
-				rows[i] = backing[i*len(cols) : (i+1)*len(cols)]
-			}
-		}
-		if err := decodeChunk(enc, body, n, cols[ci].Type, &scratch); err != nil {
-			return err
-		}
-		scratch.fillRows(rows, ci)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // decodePageVectors decodes the chunks of the columns for which
 // want[ci] is set into fresh vectors (the others stay nil).
 func decodePageVectors(cols []Column, buf []byte, n int, want []bool) ([]*Vector, error) {
@@ -229,21 +201,20 @@ type pageKey struct {
 	page int
 }
 
-// pageEntry is one page's residency in the buffer pool. A page has two
-// decoded forms, each made the first time a reader asks for it: rows
-// (the ETL executor, the oracle, exports) and one vector per column
-// (the OLAP fast path, which asks only for the columns a query reads).
-// Both forms are immutable once stored and live and die together.
+// pageEntry is one page's residency in the buffer pool: one vector
+// per column, each decoded the first time a reader asks for it (the
+// vector readers ask only for the columns a query reads; Cursor.Next
+// asks for all of them and builds its rows from them). Vectors are
+// immutable once stored.
 type pageEntry struct {
 	key  pageKey
-	rows []Row     // nil until a row reader decodes the page
-	vecs []*Vector // per column; nil until a vector reader decodes it
-	size int       // charged bytes: the sum over the forms present
+	vecs []*Vector // per column; nil where no reader asked yet
+	size int       // charged bytes: the sum of the vectors' memSize
 }
 
 // pageCache is the store's buffer pool: an LRU of decoded pages under
-// a byte budget. Decoded forms are immutable and shared — an evicted
-// page's rows and vectors stay valid for whoever still holds them.
+// a byte budget. Vectors are shared — an evicted page's vectors stay
+// valid for whoever still holds them.
 type pageCache struct {
 	mu   sync.Mutex
 	cap  int // byte budget
@@ -259,18 +230,6 @@ func newPageCache(capacityBytes int) *pageCache {
 	return &pageCache{cap: capacityBytes, m: map[pageKey]*list.Element{}, lru: list.New()}
 }
 
-// rows returns the page's row form, or nil when it is not resident.
-func (c *pageCache) rows(k pageKey) []Row {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*pageEntry).rows
-}
-
 // vectors fills out[i] with the resident vector of column cols[i] (nil
 // where there is none) and reports whether every one was resident.
 func (c *pageCache) vectors(k pageKey, cols []int, out []*Vector) bool {
@@ -283,9 +242,6 @@ func (c *pageCache) vectors(k pageKey, cols []int, out []*Vector) bool {
 	}
 	c.lru.MoveToFront(el)
 	vecs := el.Value.(*pageEntry).vecs
-	if vecs == nil {
-		return false
-	}
 	all := true
 	for i, ci := range cols {
 		out[i] = vecs[ci]
@@ -294,25 +250,30 @@ func (c *pageCache) vectors(k pageKey, cols []int, out []*Vector) bool {
 	return all
 }
 
-// entry returns page k's entry, most recently used, making it when the
-// page is not resident. Callers hold c.mu.
-func (c *pageCache) entry(k pageKey) *pageEntry {
+// putVectors stores the non-nil vectors (indexed by column) beside
+// the page's resident ones, each charged its memory size; a vector
+// already resident stays (a racing reader decoded it too) and is not
+// charged twice. It then evicts from the cold end until the pool is
+// within budget; the most recent entry always stays (an oversize page
+// larger than the whole budget would otherwise thrash on every touch).
+func (c *pageCache) putVectors(k pageKey, vecs []*Vector) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var ent *pageEntry
 	if el, ok := c.m[k]; ok {
 		c.lru.MoveToFront(el)
-		return el.Value.(*pageEntry)
+		ent = el.Value.(*pageEntry)
+	} else {
+		ent = &pageEntry{key: k, vecs: make([]*Vector, len(vecs))}
+		c.m[k] = c.lru.PushFront(ent)
 	}
-	ent := &pageEntry{key: k}
-	c.m[k] = c.lru.PushFront(ent)
-	return ent
-}
-
-// charge adds n bytes to the entry's account, then evicts from the
-// cold end until the pool is within budget; the most recent entry
-// always stays (an oversize page larger than the whole budget would
-// otherwise thrash on every touch). Callers hold c.mu.
-func (c *pageCache) charge(ent *pageEntry, n int) {
-	ent.size += n
-	c.used += n
+	for ci, v := range vecs {
+		if v != nil && ent.vecs[ci] == nil {
+			ent.vecs[ci] = v
+			ent.size += v.memSize()
+			c.used += v.memSize()
+		}
+	}
 	for c.used > c.cap && c.lru.Len() > 1 {
 		el := c.lru.Back()
 		c.lru.Remove(el)
@@ -320,37 +281,6 @@ func (c *pageCache) charge(ent *pageEntry, n int) {
 		delete(c.m, old.key)
 		c.used -= old.size
 	}
-}
-
-// putRows stores the page's row form, charged size bytes. A form
-// already resident stays (a racing reader decoded the page too) and is
-// not charged twice.
-func (c *pageCache) putRows(k pageKey, rows []Row, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ent := c.entry(k); ent.rows == nil {
-		ent.rows = rows
-		c.charge(ent, size)
-	}
-}
-
-// putVectors stores the non-nil vectors (indexed by column) beside
-// whatever forms the page already has, each charged its memory size.
-func (c *pageCache) putVectors(k pageKey, vecs []*Vector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ent := c.entry(k)
-	if ent.vecs == nil {
-		ent.vecs = make([]*Vector, len(vecs))
-	}
-	n := 0
-	for ci, v := range vecs {
-		if v != nil && ent.vecs[ci] == nil {
-			ent.vecs[ci] = v
-			n += v.memSize()
-		}
-	}
-	c.charge(ent, n)
 }
 
 // purge drops every entry whose segment fails keep. Cached entries

@@ -43,13 +43,6 @@ func (v *TableView) ColumnIndex(name string) (int, bool) {
 // NumRows reports the snapshotted row count.
 func (v *TableView) NumRows() int64 { return int64(v.pg.numRows() + len(v.rows)) }
 
-// ReadBatch returns exactly min(max, NumRows-start) rows starting at
-// position start, or nil once start is past the end. Unlike
-// Table.ReadBatch it takes no lock: the view is immutable.
-func (v *TableView) ReadBatch(start, max int) []Row {
-	return combinedRead(v.pg, v.rows, start, max)
-}
-
 // Freeze materialises the view as a standalone read-only Table sharing
 // the snapshotted rows (no copy). Appending to a frozen table never
 // disturbs the shared backing array (the row slice is capacity-capped

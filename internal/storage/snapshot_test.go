@@ -39,11 +39,8 @@ func TestSnapshotIgnoresLaterAppends(t *testing.T) {
 	if v.NumRows() != 3 {
 		t.Fatalf("snapshot rows = %d, want 3", v.NumRows())
 	}
-	if got := v.ReadBatch(0, 10); len(got) != 3 {
-		t.Fatalf("batch = %d rows, want 3", len(got))
-	}
-	if v.ReadBatch(3, 10) != nil {
-		t.Fatal("read past snapshot end returned rows")
+	if got := collect(v.Cursor(nil)); len(got) != 3 {
+		t.Fatalf("cursor read %d rows, want 3", len(got))
 	}
 	if tb.NumRows() != 4 {
 		t.Fatalf("live table rows = %d, want 4", tb.NumRows())
@@ -206,11 +203,8 @@ func TestSnapshotConcurrentWithWrites(t *testing.T) {
 				v, _ := snap.Table("t")
 				n := int(v.NumRows())
 				seen := 0
-				for start := 0; ; start += 3 {
-					b := v.ReadBatch(start, 3)
-					if b == nil {
-						break
-					}
+				cur := v.Cursor(nil)
+				for b := cur.Next(3); b != nil; b = cur.Next(3) {
 					seen += len(b)
 				}
 				if seen != n {

@@ -184,86 +184,15 @@ func (t *Table) NumRows() int64 {
 	return int64(pg.numRows() + len(tail))
 }
 
-// Scan calls fn for every row. The row slice must not be retained or
-// mutated. Scanning observes the rows present when it starts; fn must
-// not write to the same table.
-func (t *Table) Scan(fn func(Row) error) error {
-	pg, tail := t.capture()
-	for start := 0; ; {
-		batch := combinedRead(pg, tail, start, 1024)
-		if batch == nil {
-			return nil
-		}
-		for _, r := range batch {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-		start += len(batch)
-	}
-}
-
-// ReadBatch returns exactly min(max, NumRows-start) rows starting at
-// position start, or nil once start is past the end. The returned
-// slice is a shared, immutable view: callers must not mutate it or
-// the rows it holds. (Appends past the view never move existing rows,
-// so the view stays valid while the table grows.) Cursor-style batch
-// reads amortise one lock acquisition over max rows, where Scan pays
-// one callback per row; over committed rows they are the paged cursor
-// — each call touches only the pages covering its range, decoded
-// through the buffer pool.
-func (t *Table) ReadBatch(start, max int) []Row {
-	pg, tail := t.capture()
-	return combinedRead(pg, tail, start, max)
-}
-
-// combinedRead reads the [start, start+max) row range of a paged base
-// followed by an uncommitted tail, clamping to the total count.
-func combinedRead(pg *pager, tail []Row, start, max int) []Row {
-	base := pg.numRows()
-	total := base + len(tail)
-	if start < 0 || start >= total || max <= 0 {
-		return nil
-	}
-	if start+max > total {
-		max = total - start
-	}
-	if start >= base {
-		s := start - base
-		return tail[s : s+max : s+max]
-	}
-	if start+max <= base {
-		return pg.readBatch(start, max)
-	}
-	out := make([]Row, 0, max)
-	out = append(out, pg.readBatch(start, base-start)...)
-	out = append(out, tail[:max-(base-start)]...)
-	return out
-}
-
-// AppendBatch validates and appends a batch of rows under a single
-// lock acquisition, failing atomically per batch (nothing from a bad
-// batch is inserted). It is the write-side counterpart of ReadBatch:
-// streaming loaders push fixed-size batches through it instead of
-// buffering an entire load for InsertAll.
-func (t *Table) AppendBatch(rows []Row) error {
-	return t.InsertAll(rows)
-}
-
-// Rows returns a copy of all rows; for tests and small results.
+// Rows returns a copy of all rows, read through a cursor; for tests,
+// the oracle and small results.
 func (t *Table) Rows() []Row {
 	pg, tail := t.capture()
-	out := make([]Row, 0, pg.numRows()+len(tail))
-	for start := 0; ; {
-		batch := combinedRead(pg, tail, start, 1024)
-		if batch == nil {
-			return out
-		}
-		for _, r := range batch {
-			out = append(out, append(Row(nil), r...))
-		}
-		start += len(batch)
+	out := pg.readAll(make([]Row, 0, pg.numRows()+len(tail)))
+	for _, r := range tail {
+		out = append(out, slices.Clone(r))
 	}
+	return out
 }
 
 // Truncate deletes all rows at once; with a directory, the next commit

@@ -149,12 +149,11 @@ func TestScanAndTruncate(t *testing.T) {
 		tbl.Insert(Row{expr.Int(int64(i))})
 	}
 	var sum int64
-	err := tbl.Scan(func(r Row) error {
+	for _, r := range tbl.Rows() {
 		sum += r[0].AsInt()
-		return nil
-	})
-	if err != nil || sum != 45 {
-		t.Errorf("scan sum = %d, %v", sum, err)
+	}
+	if sum != 45 {
+		t.Errorf("scan sum = %d", sum)
 	}
 	tbl.Truncate()
 	if tbl.NumRows() != 0 {
@@ -188,7 +187,7 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			tbl.Scan(func(Row) error { return nil })
+			tbl.Rows()
 		}
 	}()
 	wg.Wait()
@@ -198,63 +197,62 @@ func TestConcurrentInsertAndScan(t *testing.T) {
 	}
 }
 
-func TestReadBatch(t *testing.T) {
+// TestCursorNextBatches walks committed pages and then the tail in
+// batches of at most three: every row once, in order, a short batch at
+// the end of each run, and batches handed out before an append
+// unchanged by it.
+func TestCursorNextBatches(t *testing.T) {
 	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
 	for i := 0; i < 10; i++ {
 		tbl.Insert(Row{expr.Int(int64(i))})
-	}
-	var got []int64
-	for start := 0; ; start += 3 {
-		batch := tbl.ReadBatch(start, 3)
-		if batch == nil {
-			break
+		if i == 6 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, r := range batch {
+	}
+	snap, err := db.Snapshot("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _ := snap.Table("t")
+	cur := view.Cursor(nil)
+	var got []int64
+	var sizes []int
+	var batches [][]Row
+	for b := cur.Next(3); b != nil; b = cur.Next(3) {
+		sizes = append(sizes, len(b))
+		batches = append(batches, b)
+		for _, r := range b {
 			got = append(got, r[0].AsInt())
 		}
 	}
-	if len(got) != 10 {
-		t.Fatalf("cursor read %d rows, want 10", len(got))
+	if !reflect.DeepEqual(sizes, []int{3, 3, 1, 3}) {
+		t.Fatalf("batch sizes %v, want [3 3 1 3]: seven committed rows, then three in the tail", sizes)
 	}
 	for i, v := range got {
 		if v != int64(i) {
 			t.Errorf("row %d = %d", i, v)
 		}
 	}
-	if tbl.ReadBatch(10, 3) != nil || tbl.ReadBatch(-1, 3) != nil || tbl.ReadBatch(0, 0) != nil {
-		t.Error("out-of-range ReadBatch not nil")
+	if cur.Next(3) != nil || view.Cursor(nil).Next(0) != nil {
+		t.Error("a cursor past its end, or asked for no rows, returned some")
 	}
-	// A view taken before appends must not see them.
-	view := tbl.ReadBatch(8, 100)
-	if len(view) != 2 {
-		t.Fatalf("tail view = %d rows", len(view))
-	}
-	tbl.AppendBatch([]Row{{expr.Int(100)}, {expr.Int(101)}})
-	if len(view) != 2 || view[1][0].AsInt() != 9 {
-		t.Error("append mutated an existing batch view")
+	// Batches taken before appends must not see them.
+	tbl.InsertAll([]Row{{expr.Int(100)}, {expr.Int(101)}})
+	if last := batches[len(batches)-1]; len(last) != 3 || last[2][0].AsInt() != 9 {
+		t.Error("append mutated an existing batch")
 	}
 	if tbl.NumRows() != 12 {
-		t.Errorf("rows after AppendBatch = %d", tbl.NumRows())
+		t.Errorf("rows after InsertAll = %d", tbl.NumRows())
 	}
 }
 
-func TestAppendBatchAtomic(t *testing.T) {
-	db := NewMemDB()
-	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
-	err := tbl.AppendBatch([]Row{{expr.Int(1)}, {expr.Str("bad")}})
-	if err == nil {
-		t.Fatal("typed batch accepted")
-	}
-	if tbl.NumRows() != 0 {
-		t.Errorf("partial batch inserted: %d rows", tbl.NumRows())
-	}
-}
-
-// TestAppendBatchDoesNotAliasInput: the rows a batch load stores are
+// TestInsertAllDoesNotAliasInput: the rows a batch load stores are
 // the table's own — cut from its slab, never the caller's arrays (the
 // pipelined executor reuses its batch slabs) and never each other's.
-func TestAppendBatchDoesNotAliasInput(t *testing.T) {
+func TestInsertAllDoesNotAliasInput(t *testing.T) {
 	tbl, err := NewStagingTable("t", []Column{{Name: "i", Type: "int"}, {Name: "f", Type: "float"}, {Name: "s", Type: "string"}})
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +265,7 @@ func TestAppendBatchDoesNotAliasInput(t *testing.T) {
 		}
 	}
 	in := mk()
-	if err := tbl.AppendBatch(in); err != nil {
+	if err := tbl.InsertAll(in); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range in {
@@ -277,17 +275,17 @@ func TestAppendBatchDoesNotAliasInput(t *testing.T) {
 	}
 	want := mk()
 	want[0][1] = expr.Float(10)
-	stored := tbl.ReadBatch(0, 3)
+	_, stored := tbl.capture()
 	if !reflect.DeepEqual(stored, want) {
 		t.Fatalf("stored rows changed with the caller's: %v", stored)
 	}
 	// Growing one stored row must not reach into its neighbour.
 	_ = append(stored[0], expr.Str("spill"))
-	if got := tbl.ReadBatch(0, 3); !reflect.DeepEqual(got, want) {
+	if _, got := tbl.capture(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("appending to a stored row overwrote the next one: %v", got)
 	}
 	// A bad row anywhere inserts nothing, with the row checker's words.
-	err = tbl.AppendBatch([]Row{{expr.Int(4), expr.Float(1), expr.Str("d")}, {expr.Str("x"), expr.Float(1), expr.Str("e")}})
+	err = tbl.InsertAll([]Row{{expr.Int(4), expr.Float(1), expr.Str("d")}, {expr.Str("x"), expr.Float(1), expr.Str("e")}})
 	if err == nil || !strings.Contains(err.Error(), `column "i" (int) rejects string value 'x'`) {
 		t.Fatalf("bad batch: err = %v", err)
 	}

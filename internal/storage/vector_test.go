@@ -319,42 +319,58 @@ func tableWithTail(t *testing.T, db *DB, cols []Column, rows []Row, committed in
 	return db
 }
 
-// TestVectorsShareThePool holds the two decoded forms of a page to one
-// pool entry and one budget: vectors are charged beside the rows, and
-// evicting the entry drops both.
+// TestVectorsShareThePool holds row and vector readers to one pool
+// entry per page and one decoded form. A row walk decodes every
+// column's vector; a vector read then finds them resident — no new
+// entry, no new charge, no second decode. Read the other way round, a
+// row walk adds only the columns the vector reader left undecoded.
 func TestVectorsShareThePool(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cols, rows := vectorTestRows(rng, 1200, 300)
-	db := diskTableWithTail(t, cols, rows, len(rows))
-	snap, err := db.Snapshot("t")
-	if err != nil {
-		t.Fatal(err)
+	open := func() (*TableView, *pageCache) {
+		db := diskTableWithTail(t, cols, rows, len(rows))
+		snap, err := db.Snapshot("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, _ := snap.Table("t")
+		return view, db.store.cache
 	}
-	view, _ := snap.Table("t")
-	pool := db.store.cache
+	view, pool := open()
 	for cur := view.Cursor(nil); cur.Next(1<<20) != nil; {
 	}
-	entries, rowsOnly := len(pool.m), pool.used
+	entries, charged := len(pool.m), pool.used
+	if entries == 0 || charged == 0 {
+		t.Fatalf("a row walk left %d entries charged %d bytes", entries, charged)
+	}
 	vecs := make([]*Vector, 2)
 	for cur := view.Cursor(nil); cur.NextVectors([]int{0, 3}, vecs) > 0; {
 	}
-	if len(pool.m) != entries {
-		t.Fatalf("vector reads made %d pool entries out of %d", len(pool.m), entries)
-	}
-	if pool.used <= rowsOnly {
-		t.Fatalf("vectors were not charged: %d bytes before, %d after", rowsOnly, pool.used)
-	}
-	charged := pool.used
-	for cur := view.Cursor(nil); cur.NextVectors([]int{0, 3}, vecs) > 0; {
-	}
-	if pool.used != charged {
-		t.Fatalf("a second read of resident vectors changed the charge: %d to %d", charged, pool.used)
+	if len(pool.m) != entries || pool.used != charged {
+		t.Fatalf("vector reads after a row walk: %d entries charged %d, want %d charged %d",
+			len(pool.m), pool.used, entries, charged)
 	}
 	first := vecs[0]
 	for cur := view.Cursor(nil); cur.NextVectors([]int{0}, vecs) > 0; {
 	}
 	if vecs[0] != first {
 		t.Fatal("a resident vector was decoded again")
+	}
+
+	view, pool = open()
+	for cur := view.Cursor(nil); cur.NextVectors([]int{0, 3}, vecs) > 0; {
+	}
+	entries, partial := len(pool.m), pool.used
+	last := vecs[1]
+	for cur := view.Cursor(nil); cur.Next(1<<20) != nil; {
+	}
+	if len(pool.m) != entries || pool.used != charged {
+		t.Fatalf("a row walk after vector reads: %d entries charged %d, want %d charged %d (%d before)",
+			len(pool.m), pool.used, entries, charged, partial)
+	}
+	ent := pool.lru.Front().Value.(*pageEntry)
+	if ent.vecs[3] != last {
+		t.Fatal("the row walk decoded a resident column again")
 	}
 }
 
