@@ -768,6 +768,21 @@ func BenchmarkOLAPQuery_Dice_SF200(b *testing.B) {
 	})
 }
 
+// BenchmarkOLAPQuery_StarWide_SF200 is adhoc_scan's star_wide shape:
+// the revenue fact through the supplier and part dimensions into the
+// supplier × brand cube, about 600 groups — a result wide enough that
+// sorting it shows. Gated in CI.
+func BenchmarkOLAPQuery_StarWide_SF200(b *testing.B) {
+	benchScanQuery(b, olap.CubeQuery{
+		Fact:    "fact_table_revenue",
+		GroupBy: []string{"s_name", "p_brand"},
+		Measures: []olap.MeasureSpec{
+			{Out: "total", Func: "SUM", Col: "revenue"},
+			{Out: "n", Func: "COUNT"},
+		},
+	})
+}
+
 // BenchmarkDiskFootprint_SF5 measures the on-disk size of the
 // complete SF 5 warehouse (sources + deployed star schema) under the
 // format-2 encodings, and reports it against the raw baseline

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -700,26 +699,31 @@ func (o *sortOp) add(rows [][]expr.Value) {
 }
 
 func (o *sortOp) result() [][]expr.Value {
-	sort.SliceStable(o.rows, func(a, b int) bool {
-		ra, rb := o.rows[a], o.rows[b]
-		for _, j := range o.idx {
-			va, vb := ra[j], rb[j]
-			// NULLs first.
-			if va.IsNull() || vb.IsNull() {
-				if va.IsNull() && vb.IsNull() {
-					continue
-				}
-				return va.IsNull()
-			}
-			c, err := va.Compare(vb)
-			if err != nil || c == 0 {
+	slices.SortStableFunc(o.rows, o.compare)
+	return o.rows
+}
+
+// compare orders two rows by the sort columns: NULLs first, then by
+// Value.Compare. Values Compare cannot order (mixed kinds) tie, as do
+// rows equal on every sort column; the stable sort keeps ties in input
+// order.
+func (o *sortOp) compare(ra, rb []expr.Value) int {
+	for _, j := range o.idx {
+		va, vb := ra[j], rb[j]
+		if va.IsNull() || vb.IsNull() {
+			if va.IsNull() && vb.IsNull() {
 				continue
 			}
-			return c < 0
+			if va.IsNull() {
+				return -1
+			}
+			return 1
 		}
-		return false
-	})
-	return o.rows
+		if c, err := va.Compare(vb); err == nil && c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // surrogateKeyOp assigns a dense 1-based integer key per distinct
@@ -903,8 +907,11 @@ type loaderOp struct {
 	remap    []int          // remap[i] = input position of table column i; nil = positional
 	filter   func(row []expr.Value) bool
 	written  int64
-	batch    []storage.Row // write's scratch: one batch's row headers
-	remapped []expr.Value  // write's scratch: one batch's remapped values
+	batch    []storage.Row     // write's scratch: one batch's row headers
+	remapped []expr.Value      // write's scratch: one batch's remapped values
+	cols     []*storage.Vector // writeVectors' scratch: one batch's columns in table order
+	row      []expr.Value      // writeVectors' scratch: the row the load filter sees
+	kept     []int32           // writeVectors' scratch: the rows the load filter keeps
 }
 
 // bindFilter resolves the run's load filter (Options.LoadFilter)
@@ -1012,8 +1019,50 @@ func appendRemap(table string, in []xlm.Field, cols []storage.Column) ([]int, er
 	return remap, nil
 }
 
-// write appends one batch to the target table, dropping rows the
-// bound load filter rejects. The table copies the rows it keeps
+// writeVectors appends one batch of the pipelined executor to the
+// target table, column by column: an append-mode remap picks the
+// batch's vectors in table order, and the table keeps them (or typed
+// copies) as a chunk of its tail. No row is built, but for the bound
+// load filter, which sees each row in a reused scratch row; the batch's
+// rows it rejects are dropped by a gather first.
+func (o *loaderOp) writeVectors(b *Batch) error {
+	cols := b.Cols
+	if o.remap != nil {
+		o.cols = o.cols[:0]
+		for _, j := range o.remap {
+			o.cols = append(o.cols, b.Cols[j])
+		}
+		cols = o.cols
+	}
+	n := b.N
+	if o.filter != nil {
+		o.row = sized(o.row, len(cols))
+		o.kept = o.kept[:0]
+		for r := 0; r < b.N; r++ {
+			for i, v := range cols {
+				o.row[i] = v.Value(r)
+			}
+			if o.filter(o.row) {
+				o.kept = append(o.kept, int32(r))
+			}
+		}
+		if n = len(o.kept); n < b.N {
+			kept := make([]*storage.Vector, len(cols))
+			for i, v := range cols {
+				kept[i] = gathered(v, o.kept)
+			}
+			cols = kept
+		}
+	}
+	if err := o.t.AppendVectors(n, cols); err != nil {
+		return err
+	}
+	o.written += int64(n)
+	return nil
+}
+
+// write appends one batch of rows — the materialising executor's — to
+// the target table, dropping rows the bound load filter rejects. The table copies the rows it keeps
 // (InsertAll), so the row headers — and a remapped batch's values —
 // live in scratch the next batch reuses.
 func (o *loaderOp) write(rows [][]expr.Value) error {

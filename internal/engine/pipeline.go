@@ -531,15 +531,16 @@ func (r *runner) runSurrogateKey() error {
 	})
 }
 
-// runLoader streams batches into the target table. The table is bound
-// (staged for replace, or delta-staged and remapped for append) on the
-// first batch — or at a clean end-of-stream for zero-row loads, which
-// still create their target like the materialising path. Replace-mode
-// loads stream into a detached staging table published atomically on
-// success; append-mode loads stream into a detached delta table merged
-// into the live target at the same commit point. Concurrent readers
-// therefore never see a half-loaded table or a partial append, and
-// failed runs leave every live table untouched.
+// runLoader streams batches into the target table, vectors and all
+// (loaderOp.writeVectors). The table is bound (staged for replace, or
+// delta-staged and remapped for append) on the first batch — or at a
+// clean end-of-stream for zero-row loads, which still create their
+// target like the materialising path. Replace-mode loads stream into a
+// detached staging table published atomically on success; append-mode
+// loads stream into a detached delta table merged into the live target
+// at the same commit point. Concurrent readers therefore never see a
+// half-loaded table or a partial append, and failed runs leave every
+// live table untouched.
 func (r *runner) runLoader() error {
 	if r.loadAfter != nil {
 		select {
@@ -560,15 +561,12 @@ func (r *runner) runLoader() error {
 		}
 		return err
 	}
-	// The batch's rows are built here, into scratch: the table copies
-	// what it keeps.
-	var rows rowBuffer
 	if err := r.drain(0, func(b *Batch) error {
 		return r.work(func() error {
 			if err := bind(); err != nil {
 				return err
 			}
-			return op.write(rows.of(b))
+			return op.writeVectors(b)
 		})
 	}); err != nil {
 		return err

@@ -44,7 +44,7 @@ func gathered(v *storage.Vector, sel []int32) *storage.Vector {
 }
 
 // rowBuffer transposes batches into rows where an operator is defined on
-// rows: the Loader, Sort and SurrogateKey.
+// rows: Sort and SurrogateKey.
 type rowBuffer struct {
 	rows [][]expr.Value
 	vals []expr.Value
@@ -122,18 +122,12 @@ func newVecDatastore(n *xlm.Node, db *storage.DB, out []xlm.Field) (*vecDatastor
 }
 
 // next reads the next page (or tail chunk) through cur and cuts it into
-// batches of at most max rows; nil at the end. Page vectors are the
-// buffer pool's and stay valid, so batches share them; the in-memory
-// tail's, which the cursor refills, are copied first.
+// batches of at most max rows; nil at the end. Page and tail vectors
+// are immutable and stay valid, so batches share them.
 func (o *vecDatastore) next(cur *storage.Cursor, vecs []*storage.Vector, max int) []*Batch {
 	n := cur.NextVectors(o.cols, vecs)
 	if n == 0 {
 		return nil
-	}
-	if cur.Reused() {
-		for i, v := range vecs {
-			vecs[i] = v.Clone()
-		}
 	}
 	var out []*Batch
 	for lo := 0; lo < n; lo += max {

@@ -64,11 +64,7 @@ func buildDimSide(ctx context.Context, view *storage.TableView, sj *starJoin) (*
 		if n == 0 {
 			break
 		}
-		key := vecs[len(sj.buildCols)]
-		if cur.Reused() { // the index keeps its key vectors until it is built
-			key = key.Clone()
-		}
-		d.Add(n, vecs[:len(sj.buildCols)], []*storage.Vector{key})
+		d.Add(n, vecs[:len(sj.buildCols)], []*storage.Vector{vecs[len(sj.buildCols)]})
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("olap: dimension table %q: %w", view.Name(), err)

@@ -250,9 +250,7 @@ func (c *collection) encode() ([]byte, error) {
 	size := 2
 	for _, id := range c.ids {
 		if c.enc[id] == nil {
-			// One array element: nested one level, so every line after the
-			// first carries the element's own indent as its prefix.
-			b, err := json.MarshalIndent(document{ID: id, Format: c.format, XML: c.text[id]}, "  ", "  ")
+			b, err := encodeDocument(document{ID: id, Format: c.format, XML: c.text[id]})
 			if err != nil {
 				return nil, err
 			}
@@ -269,6 +267,28 @@ func (c *collection) encode() ([]byte, error) {
 		out = append(append(out, "\n  "...), c.enc[id]...)
 	}
 	return append(out, "\n]"...), nil
+}
+
+// encodeDocument renders one array element of a collection's file: the
+// bytes of json.MarshalIndent(doc, "  ", "  ") — nested one level, so
+// every line after the first carries the element's own indent as its
+// prefix. Each field is marshalled alone; re-indenting the whole
+// document would scan its long escaped XML text a second time.
+func encodeDocument(doc document) ([]byte, error) {
+	out := make([]byte, 0, len(doc.XML)+len(doc.ID)+len(doc.Format)+64)
+	for i, f := range [...]struct{ key, val string }{{"_id", doc.ID}, {"format", doc.Format}, {"xml", doc.XML}} {
+		b, err := json.Marshal(f.val)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 {
+			out = append(out, '{')
+		} else {
+			out = append(out, ',')
+		}
+		out = append(append(append(append(out, "\n    \""...), f.key...), "\": "...), b...)
+	}
+	return append(out, "\n  }"...), nil
 }
 
 // writeFile replaces the collection's file through a rename.

@@ -13,13 +13,14 @@ package storage
 // Callers therefore still evaluate the full filter on every returned
 // row; the cursor only removes pages that could not have contributed.
 //
-// A cursor is read in one of two forms, over the same pages, with the
-// same pruning and the same Stats. NextVectors hands out a chunk — a
-// page — at a time as typed column vectors, for the asked columns only
-// (the OLAP fast path and the ETL executor; see vector.go). Next hands
-// out rows (the oracle, commits that re-encode rows, Table.Rows): it
-// builds each page's rows from the page's vectors, every column, so
-// the buffer pool holds one decoded form whoever reads it.
+// A cursor is read in one of two forms, over the same pages and tail
+// chunks, with the same pruning and the same Stats. NextVectors hands
+// out a chunk — a page, then a tail chunk — at a time as typed column
+// vectors, for the asked columns only (the OLAP fast path and the ETL
+// executor; see vector.go). Next hands out rows (the oracle, Table.Rows):
+// it builds each page's or tail chunk's rows from its vectors, every
+// column, so the buffer pool holds one decoded form whoever reads it
+// and the tail holds none but vectors.
 
 import (
 	"sync/atomic"
@@ -107,12 +108,9 @@ type Cursor struct {
 
 	seg  int   // current segment index in view.pg
 	page int   // current page within the segment
-	rows []Row // Next's rows of the page before c.page
+	tail int   // tail chunks already read
+	rows []Row // Next's rows of the page or tail chunk read last
 	off  int   // of them already returned
-	tail int   // rows of the uncommitted tail already returned
-
-	scratch []*Vector // NextVectors' tail vectors, reused per chunk
-	reused  bool      // the last NextVectors call handed out scratch
 
 	pagesRead    int
 	pagesSkipped int
@@ -175,39 +173,33 @@ func (c *Cursor) advance() (*segment, bool) {
 }
 
 // Next returns the next batch of at most max rows, or nil at the end.
-// Batches may be shorter than max (a page's rows are returned as
-// subslices, never stitched across pages); the tail is returned last
-// and is never pruned. Page rows are built fresh from the page's
-// pooled vectors and never reused, so a batch stays valid and
-// unchanged after later calls and after its page leaves the pool;
-// tail rows are the table's own. Callers must not mutate either.
+// Batches may be shorter than max (a page's or tail chunk's rows are
+// returned as subslices, never stitched across them); the tail is
+// returned last and is never pruned. Rows are built fresh from the
+// page's pooled vectors or the chunk's and never reused, so a batch
+// stays valid and unchanged after later calls and after its page
+// leaves the pool. Callers must not mutate it.
 func (c *Cursor) Next(max int) []Row {
 	if max <= 0 {
 		return nil
 	}
 	if c.off == len(c.rows) {
 		c.rows, c.off = nil, 0
-		if s, ok := c.advance(); ok {
-			all := make([]int, len(s.cols))
-			for ci := range all {
-				all[ci] = ci
-			}
-			vecs := make([]*Vector, len(all))
-			s.vectors(c.page, all, vecs)
-			c.rows = pageRows(vecs, s.pages[c.page].rows)
-			c.page++
+		all := make([]int, len(c.view.cols))
+		for ci := range all {
+			all[ci] = ci
+		}
+		vecs := make([]*Vector, len(all))
+		if n := c.NextVectors(all, vecs); n > 0 {
+			c.rows = pageRows(vecs, n)
 		}
 	}
-	rows, at := c.rows, &c.off
-	if rows == nil {
-		rows, at = c.view.rows, &c.tail
-	}
-	n := min(max, len(rows)-*at)
+	n := min(max, len(c.rows)-c.off)
 	if n == 0 {
 		return nil
 	}
-	out := rows[*at : *at+n : *at+n]
-	*at += n
+	out := c.rows[c.off : c.off+n : c.off+n]
+	c.off += n
 	return out
 }
 
@@ -226,49 +218,31 @@ func pageRows(vecs []*Vector, n int) []Row {
 	return rows
 }
 
-// tailChunk is how many tail rows NextVectors transposes at a time.
-const tailChunk = 1024
-
 // NextVectors is the chunk-at-a-time read of the vector readers: it
 // fills out[i] with the vector of column cols[i] (a physical position)
-// over the next unpruned page — whole pages only, so a cursor is read
-// either through Next or through NextVectors, not both — and returns
-// the chunk's row count, 0 at the end. Page vectors are decoded on
-// first use, for the asked columns only, and shared through the buffer
-// pool; the uncommitted tail holds rows only and is transposed a
-// tailChunk at a time into vectors the cursor reuses.
-// Either way the vectors are read-only and valid until the next call.
+// over the next unpruned page, then over the next tail chunk — whole
+// ones only, so a cursor is read either through Next or through
+// NextVectors, not both — and returns the chunk's row count, 0 at the
+// end. Page vectors are decoded on first use, for the asked columns
+// only, and shared through the buffer pool; tail vectors are the
+// chunk's own. Either way they are immutable and stay valid.
 func (c *Cursor) NextVectors(cols []int, out []*Vector) int {
-	c.reused = false
 	if s, ok := c.advance(); ok {
 		s.vectors(c.page, cols, out)
 		n := s.pages[c.page].rows
 		c.page++
 		return n
 	}
-	rows := c.view.rows[c.tail:]
-	if len(rows) > tailChunk {
-		rows = rows[:tailChunk]
-	}
-	if len(rows) == 0 {
+	if c.tail == len(c.view.tail) {
 		return 0
 	}
-	c.tail += len(rows)
-	c.reused = true
-	for len(c.scratch) < len(cols) {
-		c.scratch = append(c.scratch, &Vector{})
-	}
+	ch := c.view.tail[c.tail]
+	c.tail++
 	for i, ci := range cols {
-		out[i] = c.scratch[i]
-		out[i].transposeRows(rows, ci, c.view.cols[ci].Type)
+		out[i] = ch.cols[ci]
 	}
-	return len(rows)
+	return ch.n
 }
-
-// Reused reports whether the vectors of the last NextVectors call are
-// the cursor's own tail vectors, which the next call refills, rather
-// than page vectors that stay valid.
-func (c *Cursor) Reused() bool { return c.reused }
 
 // Stats reports how many pages the cursor decoded and how many its
 // zone maps pruned (so far).

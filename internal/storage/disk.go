@@ -12,9 +12,11 @@ package storage
 //	seg-NNNNNNNN.qseg  immutable segment files (see page.go)
 //
 // A table's rows are the concatenation of its manifest segments
-// followed by its uncommitted tail (rows inserted since the last
-// commit). Replace-mode publishes write whole new segments; appends
-// become delta segments — segments are never rewritten in place.
+// followed by its uncommitted tail (the column-vector chunks appended
+// since the last commit, tail.go). A commit cuts and encodes pages
+// straight from those chunks. Replace-mode publishes write whole new
+// segments; appends become delta segments — segments are never
+// rewritten in place.
 //
 // Commit protocol (the crash-safety story):
 //
@@ -277,14 +279,26 @@ func (p *pager) referencedFiles(st *store, into map[string]bool) {
 	}
 }
 
-// readAll appends every row of the pager to into, in order: a walk of
-// a cursor, whose page rows are fresh.
-func (p *pager) readAll(into []Row) []Row {
-	cur := (&TableView{pg: p}).Cursor(nil)
-	for b := cur.Next(p.numRows()); b != nil; b = cur.Next(p.numRows()) {
-		into = append(into, b...)
+// chunks returns the pager's rows as chunks, a page each: the pages'
+// vectors, every column, shared through the buffer pool.
+func (p *pager) chunks() []*chunk {
+	if p == nil {
+		return nil
 	}
-	return into
+	cols := p.segs[0].cols
+	all := make([]int, len(cols))
+	for ci := range all {
+		all[ci] = ci
+	}
+	var out []*chunk
+	cur := (&TableView{cols: cols, pg: p}).Cursor(nil)
+	for {
+		c := &chunk{cols: make([]*Vector, len(cols))}
+		if c.n = cur.NextVectors(all, c.cols); c.n == 0 {
+			return out
+		}
+		out = append(out, c)
+	}
 }
 
 // The expr.Value ↔ manifest.Value conversions below stay here: the
@@ -331,7 +345,7 @@ func zonesToManifest(zs []zone) []manifestZone {
 // wrong bound would drop qualifying rows without a word.
 func pageFromManifest(mp manifestPage, cols []Column) (pageMeta, error) {
 	pm := pageMeta{off: mp.Off, size: mp.Size, rows: mp.Rows, raw: mp.Raw}
-	// Every page splitPages cuts holds its overhead, and a page of more
+	// Every page cutPages cuts holds its overhead, and a page of more
 	// than one row fits pageSize — which also caps the row count (a
 	// presence bit per row and column).
 	if mp.Rows <= 0 || mp.Rows > 8*pageSize || mp.Raw < pageOverhead(len(cols), mp.Rows) ||
@@ -404,18 +418,18 @@ func boundFromManifest(mv *manifestValue, typ string) (expr.Value, error) {
 }
 
 // segmentWrite is one new segment of a commit: the segment object
-// (named, no bytes yet) and the rows that go into it.
+// (named, no bytes yet) and the chunks whose rows go into it.
 type segmentWrite struct {
-	seg  *segment
-	rows []Row
+	seg    *segment
+	chunks []*chunk
 }
 
 // newSegmentWrite names the next segment of this store and pairs it
-// with its rows. Callers hold st.commitMu.
-func (st *store) newSegmentWrite(cols []Column, rows []Row) segmentWrite {
+// with its chunks. Callers hold st.commitMu.
+func (st *store) newSegmentWrite(cols []Column, chunks []*chunk) segmentWrite {
 	name := fmt.Sprintf("%s%08d%s", segPrefix, st.nextSeg, segSuffix)
 	st.nextSeg++
-	return segmentWrite{rows: rows, seg: &segment{st: st, name: name, cols: cols, rows: len(rows)}}
+	return segmentWrite{chunks: chunks, seg: &segment{st: st, name: name, cols: cols, rows: chunksRows(chunks)}}
 }
 
 // syncWorkers bounds the segment files one commit writes and fsyncs at
@@ -425,40 +439,39 @@ const syncWorkers = 16
 
 // writeSegments renders and persists every new segment of one commit
 // (format 2, per-chunk encodings chosen by the stats pass). Page
-// boundaries are cut per segment (splitPages); then all pages of all
-// segments are encoded by one worker group sized by GOMAXPROCS — a
-// page's bytes depend on nothing but its rows, so who encodes it
-// changes nothing on disk; then each segment's pages are laid out in
-// page order at their now-known offsets — written and fsynced, the
-// segments concurrently, or kept on the heap. It returns once every
-// goroutine it started has finished. On error the files it created may
-// be incomplete: the caller removes them (abandon).
+// boundaries are cut per segment (cutPages), straight from the tail
+// chunks; then all pages of all segments are encoded by one worker
+// group sized by GOMAXPROCS — a page's bytes depend on nothing but its
+// rows, so who encodes it changes nothing on disk; then each segment's
+// pages are laid out in page order at their now-known offsets — written
+// and fsynced, the segments concurrently, or kept on the heap. It
+// returns once every goroutine it started has finished. On error the
+// files it created may be incomplete: the caller removes them
+// (abandon).
 func (st *store) writeSegments(ws []segmentWrite) error {
 	workers := runtime.GOMAXPROCS(0)
-	counts := make([][]int, len(ws))
+	cuts := make([][][]span, len(ws))
 	_ = parallel(len(ws), workers, func(_, i int) error {
-		counts[i] = splitPages(len(ws[i].seg.cols), ws[i].rows)
+		cuts[i] = cutPages(len(ws[i].seg.cols), ws[i].chunks)
 		return nil
 	})
-	type pageTask struct{ seg, page, first, n int }
+	type pageTask struct{ seg, page int }
 	var tasks []pageTask
 	pages := make([][]encodedPage, len(ws))
-	for si, c := range counts {
+	for si, c := range cuts {
 		pages[si] = make([]encodedPage, len(c))
-		first := 0
-		for pi, n := range c {
-			tasks = append(tasks, pageTask{seg: si, page: pi, first: first, n: n})
-			first += n
+		for pi := range c {
+			tasks = append(tasks, pageTask{seg: si, page: pi})
 		}
 	}
 	encoders := make([]chunkEncoder, min(workers, len(tasks)))
 	_ = parallel(len(tasks), workers, func(w, i int) error {
 		t := tasks[i]
-		pages[t.seg][t.page] = encoders[w].encodePage(ws[t.seg].seg.cols, ws[t.seg].rows[t.first:t.first+t.n])
+		pages[t.seg][t.page] = encoders[w].encode(ws[t.seg].seg.cols, cuts[t.seg][t.page])
 		return nil
 	})
 	return parallel(len(ws), syncWorkers, func(_, i int) error {
-		return ws[i].seg.persist(pages[i], counts[i])
+		return ws[i].seg.persist(pages[i], cuts[i])
 	})
 }
 
@@ -466,11 +479,11 @@ func (st *store) writeSegments(ws []segmentWrite) error {
 // pages in order: on the heap for a store without a directory,
 // otherwise in a new file — fsynced, and open for the segment's
 // lifetime.
-func (s *segment) persist(pages []encodedPage, counts []int) error {
+func (s *segment) persist(pages []encodedPage, cuts [][]span) error {
 	s.pages = make([]pageMeta, 0, len(pages))
 	var off int64
 	for pi, ep := range pages {
-		s.pages = append(s.pages, pageMeta{off: off, size: len(ep.buf), rows: counts[pi],
+		s.pages = append(s.pages, pageMeta{off: off, size: len(ep.buf), rows: spanRows(cuts[pi]),
 			raw: ep.raw, zones: ep.zones})
 		off += int64(len(ep.buf))
 	}
@@ -724,7 +737,7 @@ func (st *store) gc(referenced map[string]bool) {
 
 // commitDisk commits the tentative catalog (order + tables, which may
 // include tables not yet registered in db.tables) at version v,
-// appending extra[t] (staged append-delta rows) after t's uncommitted
+// appending extra[t] (staged append-delta chunks) after t's uncommitted
 // tail. With a directory the catalog is persisted as manifest version
 // v. Once that rename lands (at once without a directory) it takes
 // db.mu just long enough to swap the affected tables' pagers, drop
@@ -746,12 +759,12 @@ func (st *store) gc(referenced map[string]bool) {
 // before the rename recovers the pre-compaction segment list; the old
 // segments are deleted only after the rename (readers holding
 // pre-compaction snapshots keep their open handles).
-func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, extra map[*Table][]Row, apply func()) error {
+func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, extra map[*Table][]*chunk, apply func()) error {
 	st := db.store
 	type pend struct {
 		name  string
 		t     *Table
-		tailN int
+		tailN int // chunks of t's tail the commit encodes
 		newPg *pager
 	}
 	var pends []pend
@@ -771,11 +784,8 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 	}
 	for _, name := range order {
 		t := tables[name]
-		t.mu.RLock()
-		pg := t.pg
-		tail := t.rows[:len(t.rows):len(t.rows)]
-		t.mu.RUnlock()
-		rows := tail
+		pg, tail := t.capture()
+		chunks := tail
 		// A pager holding another store's segments (a frozen view of a
 		// different database, attached here) cannot be named by this
 		// directory's manifest — the files live elsewhere, and recovery
@@ -784,22 +794,17 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 		// store without a directory writes no manifest: it keeps the
 		// reference.
 		if st.dir != "" && pg.foreignTo(st) {
-			rows = append(pg.readAll(make([]Row, 0, pg.rows+len(tail))), tail...)
+			chunks = append(pg.chunks(), tail...)
 			pg = nil
 		}
-		if ex := extra[t]; len(ex) > 0 {
-			merged := make([]Row, 0, len(rows)+len(ex))
-			merged = append(merged, rows...)
-			merged = append(merged, ex...)
-			rows = merged
-		}
-		if pg != nil && len(pg.segs)+min(len(rows), 1) > compactSegments {
-			rows = append(pg.readAll(make([]Row, 0, pg.rows+len(rows))), rows...)
+		chunks = append(chunks, extra[t]...) // tail is capacity-capped: no write reaches t's list
+		if pg != nil && len(pg.segs)+min(len(chunks), 1) > compactSegments {
+			chunks = append(pg.chunks(), chunks...)
 			pg = nil
 		}
 		newPg := pg
-		if len(rows) > 0 {
-			w := st.newSegmentWrite(t.Columns, rows)
+		if len(chunks) > 0 {
+			w := st.newSegmentWrite(t.Columns, chunks)
 			writes = append(writes, w)
 			newPg = pg.extend(w.seg)
 		}
@@ -839,7 +844,7 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 	for _, p := range pends {
 		p.t.mu.Lock()
 		p.t.pg = p.newPg
-		p.t.rows = p.t.rows[p.tailN:]
+		p.t.tail = p.t.tail[p.tailN:]
 		p.t.mu.Unlock()
 		p.newPg.referencedFiles(st, referenced)
 	}

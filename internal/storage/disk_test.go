@@ -195,7 +195,7 @@ func TestDiskPagedNextExactCounts(t *testing.T) {
 	}
 	view, _ := snap.Table("t")
 	// The runs no batch may cross: every page of both segments, then
-	// the tail.
+	// every chunk of the tail.
 	var runs []int
 	for _, s := range view.pg.segs {
 		for _, pm := range s.pages {
@@ -205,7 +205,9 @@ func TestDiskPagedNextExactCounts(t *testing.T) {
 	if len(view.pg.segs) != 2 || len(runs) < 3 {
 		t.Fatalf("setup: %d segments, %d pages", len(view.pg.segs), len(runs))
 	}
-	runs = append(runs, len(view.rows))
+	for _, c := range view.tail {
+		runs = append(runs, c.n)
+	}
 	for _, bs := range []int{1, 7, 512, 1024, 2999, 3001, 10000} {
 		cur := view.Cursor(nil)
 		var rows []Row

@@ -22,9 +22,9 @@ package storage
 //
 // Encoding and decoding meet in the Vector (vector.go), the typed
 // columnar form closest to every encoding. The write side
-// (chunkEncoder) transposes a page's rows into one vector per column —
-// the stats pass is that transposition — and writes the chosen body
-// from it; the read side decodes a body into one.
+// (chunkEncoder) reads a page's column out of the tail chunks it was
+// cut from into one vector — the stats pass is that read — and writes
+// the chosen body from it; the read side decodes a body into one.
 //
 // Every encoding round-trips values bit-exactly: floats compare and
 // deduplicate by their IEEE-754 bit pattern (NaN payloads and -0
@@ -93,12 +93,14 @@ type chunkStats struct {
 }
 
 // chunkEncoder is the write-side mirror of the chunk decoders: build
-// transposes one column of a page's rows into a Vector — ints to
-// []int64, floats to []float64, strings and bools to codes plus a
-// first-seen dictionary, NULLs to the bitmap — and gathers chunkStats
-// in the same typed pass; appendBody then writes whichever encoding was
-// chosen from the vector. Nothing is hashed twice: a dictionary body's
-// codes are the codes the pass assigned.
+// reads one column of a page — a run of spans of tail chunks, typed
+// vectors all — into a Vector of the page's own (ints to []int64,
+// floats to []float64, strings and bools to codes plus a first-seen
+// dictionary, NULLs to the bitmap) and gathers chunkStats in the same
+// typed pass; appendBody then writes whichever encoding was chosen from
+// the vector. Nothing is hashed twice: a dictionary body's codes are
+// the codes the pass assigned, and a string is hashed once per entry of
+// a source dictionary the page refers to, not once per row.
 //
 // A chunkEncoder is scratch. build reuses its buffers, so one encoder
 // serves every column of every page a commit worker renders; it must
@@ -115,26 +117,34 @@ type chunkEncoder struct {
 
 	seenInts map[int64]uint32
 	seenStrs map[string]uint32
-	dictBuf  []expr.Value // vec.Dict's backing array between chunks
-	pageBuf  []byte       // where encodePage assembles a page before sizing it
+	// remap translates the codes of the source dictionary being read
+	// into page codes: entry c holds the page code + 1, 0 until the page
+	// first meets c. Entries are cleared after each source dictionary
+	// through touched, so the array is all zero between uses.
+	remap   []uint32
+	touched []uint32
+	dictBuf []expr.Value // vec.Dict's backing array between chunks
+	pageBuf []byte       // where encode assembles a page before sizing it
 }
 
-// build scans rows at column ci once, leaving the column in e.vec and
-// its statistics in e.chunkStats.
-func (e *chunkEncoder) build(rows []Row, ci int, typ string) {
-	if err := e.vec.reset(typ, len(rows)); err != nil {
+// build scans column ci of the page's spans once, leaving the column in
+// e.vec and its statistics in e.chunkStats. The spans' vectors are in
+// the column's stored form (tail.go).
+func (e *chunkEncoder) build(page []span, ci int, typ string) {
+	n := spanRows(page)
+	if err := e.vec.reset(typ, n); err != nil {
 		panic("storage: " + err.Error()) // column types are validated at table creation
 	}
-	e.chunkStats = chunkStats{n: len(rows)}
+	e.chunkStats = chunkStats{n: n}
 	switch e.vec.Kind {
 	case expr.KindInt:
-		e.buildInts(rows, ci)
+		e.buildInts(page, ci)
 	case expr.KindFloat:
-		e.buildFloats(rows, ci)
+		e.buildFloats(page, ci)
 	case expr.KindString:
-		e.buildStrings(rows, ci)
+		e.buildStrings(page, ci)
 	default:
-		e.buildBools(rows, ci)
+		e.buildBools(page, ci)
 	}
 	e.zone.nulls = e.nulls
 }
@@ -155,62 +165,64 @@ func (e *chunkEncoder) null(prevNull bool) {
 	}
 }
 
-func (e *chunkEncoder) buildInts(rows []Row, ci int) {
+func (e *chunkEncoder) buildInts(page []span, ci int) {
 	v := &e.vec
 	if e.seenInts == nil {
 		e.seenInts = make(map[int64]uint32)
 	}
 	clear(e.seenInts)
 	seen, dict := e.seenInts, e.intDict[:0]
-	codes := slices.Grow(e.intCodes[:0], len(rows))
+	codes := slices.Grow(e.intCodes[:0], e.n)
 	e.dictable = true
 	// Zone bounds order ints the way expr.Value.Compare does — through
 	// float64 — so beyond 2^53 the first of several ints that round to
 	// the same float stays the bound. The bit-packing range is exact.
 	var prev, zmin, zmax int64
 	prevNull := false
-	for ri := range rows {
-		x := &rows[ri][ci]
-		if x.IsNull() {
-			e.null(prevNull)
-			codes = append(codes, 0)
-			prevNull = true
-			continue
-		}
-		i := x.AsInt()
-		newRun := ri == 0 || prevNull || i != prev
-		if newRun {
-			e.runBytes += runHeader + 8
-		}
-		if len(v.Ints) == e.nulls { // first present value
-			e.intMin, e.intMax, zmin, zmax = i, i, i, i
-		} else {
-			e.intMin, e.intMax = min(e.intMin, i), max(e.intMax, i)
-			if float64(i) < float64(zmin) {
-				zmin = i
+	for _, s := range page {
+		src := s.c.cols[ci]
+		for r := s.lo; r < s.hi; r++ {
+			if src.IsNull(r) {
+				e.null(prevNull)
+				codes = append(codes, 0)
+				prevNull = true
+				continue
 			}
-			if float64(i) > float64(zmax) {
-				zmax = i
+			i := src.Ints[r]
+			newRun := len(codes) == 0 || prevNull || i != prev
+			if newRun {
+				e.runBytes += runHeader + 8
 			}
-		}
-		prev, prevNull = i, false
-		v.Ints = append(v.Ints, i)
-		code := uint32(0)
-		if !newRun { // a run shares its first row's code, unhashed
-			code = codes[len(codes)-1]
-		} else if e.dictable {
-			var ok bool
-			if code, ok = seen[i]; !ok {
-				if len(dict) >= dictMaxCard {
-					e.dictable = false
-				} else {
-					code = uint32(len(dict))
-					seen[i] = code
-					dict = append(dict, i)
+			if len(v.Ints) == e.nulls { // first present value
+				e.intMin, e.intMax, zmin, zmax = i, i, i, i
+			} else {
+				e.intMin, e.intMax = min(e.intMin, i), max(e.intMax, i)
+				if float64(i) < float64(zmin) {
+					zmin = i
+				}
+				if float64(i) > float64(zmax) {
+					zmax = i
 				}
 			}
+			prev, prevNull = i, false
+			v.Ints = append(v.Ints, i)
+			code := uint32(0)
+			if !newRun { // a run shares its first row's code, unhashed
+				code = codes[len(codes)-1]
+			} else if e.dictable {
+				var ok bool
+				if code, ok = seen[i]; !ok {
+					if len(dict) >= dictMaxCard {
+						e.dictable = false
+					} else {
+						code = uint32(len(dict))
+						seen[i] = code
+						dict = append(dict, i)
+					}
+				}
+			}
+			codes = append(codes, code)
 		}
-		codes = append(codes, code)
 	}
 	e.intCodes, e.intDict = codes, dict
 	present := e.n - e.nulls
@@ -221,35 +233,37 @@ func (e *chunkEncoder) buildInts(rows []Row, ci int) {
 	}
 }
 
-func (e *chunkEncoder) buildFloats(rows []Row, ci int) {
+func (e *chunkEncoder) buildFloats(page []span, ci int) {
 	v := &e.vec
 	var prev uint64
 	var lo, hi float64
 	prevNull, finite := false, true
-	for ri := range rows {
-		x := &rows[ri][ci]
-		if x.IsNull() {
-			e.null(prevNull)
-			prevNull = true
-			continue
+	for _, s := range page {
+		src := s.c.cols[ci]
+		for r := s.lo; r < s.hi; r++ {
+			if src.IsNull(r) {
+				e.null(prevNull)
+				prevNull = true
+				continue
+			}
+			f := src.Floats[r]
+			b := math.Float64bits(f)
+			if len(v.Floats) == 0 || prevNull || b != prev {
+				e.runBytes += runHeader + 8
+			}
+			switch {
+			case math.IsNaN(f) || math.IsInf(f, 0):
+				finite = false
+			case len(v.Floats) == e.nulls: // first present value
+				lo, hi = f, f
+			case f < lo: // -0 and +0 compare equal: the first met stays
+				lo = f
+			case f > hi:
+				hi = f
+			}
+			prev, prevNull = b, false
+			v.Floats = append(v.Floats, f)
 		}
-		f, _ := x.AsFloat()
-		b := math.Float64bits(f)
-		if ri == 0 || prevNull || b != prev {
-			e.runBytes += runHeader + 8
-		}
-		switch {
-		case math.IsNaN(f) || math.IsInf(f, 0):
-			finite = false
-		case len(v.Floats) == e.nulls: // first present value
-			lo, hi = f, f
-		case f < lo: // -0 and +0 compare equal: the first met stays
-			lo = f
-		case f > hi:
-			hi = f
-		}
-		prev, prevNull = b, false
-		v.Floats = append(v.Floats, f)
 	}
 	present := e.n - e.nulls
 	e.rawBytes = 8 * present
@@ -258,94 +272,138 @@ func (e *chunkEncoder) buildFloats(rows []Row, ci int) {
 	}
 }
 
-func (e *chunkEncoder) buildStrings(rows []Row, ci int) {
+// buildStrings codes the page's strings in first-seen order. While the
+// chunk is a dictionary candidate, page codes stand for distinct
+// strings, so a run is a stretch of one code; a source code is
+// translated through remap, and only its first meeting hashes the
+// string (dictCode). Past dictMaxCard distinct strings the chunk is no
+// candidate and stops deduplicating: every further run is its own entry
+// (a Vector's dictionary may repeat), found by comparing each row with
+// the one before. Either way every present value is in the dictionary
+// and every entry is present, so the zone bounds are the dictionary's.
+func (e *chunkEncoder) buildStrings(page []span, ci int) {
 	v := &e.vec
 	if e.seenStrs == nil {
 		e.seenStrs = make(map[string]uint32)
 	}
 	clear(e.seenStrs)
-	seen := e.seenStrs
 	v.Dict = e.dictBuf[:0]
 	e.dictable = true
-	var prev, lo, hi string
-	prevNull, short := false, true
-	for ri := range rows {
-		x := &rows[ri][ci]
-		if x.IsNull() {
-			e.null(prevNull)
-			prevNull = true
-			continue
+	prevNull := false
+	var from []expr.Value // the source dictionary remap translates
+	for _, sp := range page {
+		src := sp.c.cols[ci]
+		if !sameDict(src.Dict, from) {
+			e.forget()
+			from = src.Dict
+			if len(e.remap) < len(from) {
+				e.remap = make([]uint32, len(from))
+			}
 		}
-		s := x.AsString()
-		size := 4 + len(s)
-		e.rawBytes += size
-		newRun := ri == 0 || prevNull || s != prev
-		if newRun {
+		for r := sp.lo; r < sp.hi; r++ {
+			if src.IsNull(r) {
+				e.null(prevNull)
+				prevNull = true
+				continue
+			}
+			x := &from[src.Codes[r]]
+			size := 4 + len(x.AsString())
+			e.rawBytes += size
+			last := len(v.Codes) - 1
+			if e.dictable {
+				if code, ok := e.dictCode(src.Codes[r], x, size); ok {
+					if last < 0 || prevNull || code != v.Codes[last] {
+						e.runBytes += runHeader + size
+					}
+					v.Codes = append(v.Codes, code)
+					prevNull = false
+					continue
+				}
+			}
+			if last >= 0 && !prevNull && x.AsString() == v.Dict[v.Codes[last]].AsString() {
+				v.Codes = append(v.Codes, v.Codes[last]) // a run shares its first row's code
+				continue
+			}
 			e.runBytes += runHeader + size
+			v.Codes = append(v.Codes, uint32(len(v.Dict)))
+			v.Dict = append(v.Dict, *x)
+			prevNull = false
 		}
-		switch {
-		case len(s) > zoneMaxStr:
-			short = false
-		case e.rawBytes == size: // first present value
-			lo, hi = s, s
-		case s < lo:
+	}
+	e.forget()
+	e.dictBuf = v.Dict
+	var lo, hi string
+	short := true
+	for i := range v.Dict {
+		s := v.Dict[i].AsString()
+		short = short && len(s) <= zoneMaxStr
+		if i == 0 || s < lo {
 			lo = s
-		case s > hi:
+		}
+		if i == 0 || s > hi {
 			hi = s
 		}
-		prev, prevNull = s, false
-		// A run shares its first row's code, unhashed. Past dictMaxCard
-		// the chunk is no dictionary candidate and stops deduplicating:
-		// every further run is its own entry (a Vector's dictionary may
-		// repeat), which costs no hash either.
-		code, ok := uint32(0), !newRun
-		if ok {
-			code = v.Codes[len(v.Codes)-1]
-		} else if e.dictable {
-			if code, ok = seen[s]; !ok && len(v.Dict) >= dictMaxCard {
-				e.dictable = false
-			}
-		}
-		if !ok {
-			code = uint32(len(v.Dict))
-			v.Dict = append(v.Dict, *x)
-			if e.dictable {
-				seen[s] = code
-				e.ndict++
-				e.dictBytes += size
-			}
-		}
-		v.Codes = append(v.Codes, code)
 	}
-	e.dictBuf = v.Dict
-	if short && e.nulls < e.n {
+	if short && len(v.Dict) > 0 {
 		e.zone = zone{hasBounds: true, min: expr.Str(lo), max: expr.Str(hi)}
 	}
 }
 
-func (e *chunkEncoder) buildBools(rows []Row, ci int) {
+// dictCode returns the page code of entry c of the source dictionary
+// being read, whose value is x: a remap read, or at the first meeting a
+// lookup by content and, for a string the page has not met, a new
+// entry. It reports false — ending the page's dictionary candidacy —
+// for a string past dictMaxCard distinct ones.
+func (e *chunkEncoder) dictCode(c uint32, x *expr.Value, size int) (uint32, bool) {
+	if m := e.remap[c]; m != 0 {
+		return m - 1, true
+	}
+	code, ok := e.seenStrs[x.AsString()]
+	if !ok {
+		if len(e.vec.Dict) >= dictMaxCard {
+			e.dictable = false
+			return 0, false
+		}
+		code = uint32(len(e.vec.Dict))
+		e.vec.Dict = append(e.vec.Dict, *x)
+		e.seenStrs[x.AsString()] = code
+		e.ndict++
+		e.dictBytes += size
+	}
+	e.remap[c] = code + 1
+	e.touched = append(e.touched, c)
+	return code, true
+}
+
+// forget clears the remap entries the last source dictionary set.
+func (e *chunkEncoder) forget() {
+	for _, c := range e.touched {
+		e.remap[c] = 0
+	}
+	e.touched = e.touched[:0]
+}
+
+func (e *chunkEncoder) buildBools(page []span, ci int) {
 	v := &e.vec
-	var prev bool
+	var prev uint32
 	var met [2]bool
 	prevNull := false
-	for ri := range rows {
-		x := &rows[ri][ci]
-		if x.IsNull() {
-			e.null(prevNull)
-			prevNull = true
-			continue
+	for _, s := range page {
+		src := s.c.cols[ci]
+		for r := s.lo; r < s.hi; r++ {
+			if src.IsNull(r) {
+				e.null(prevNull)
+				prevNull = true
+				continue
+			}
+			code := src.Codes[r]
+			if len(v.Codes) == 0 || prevNull || code != prev {
+				e.runBytes += runHeader + 1
+			}
+			prev, prevNull = code, false
+			met[code] = true
+			v.Codes = append(v.Codes, code)
 		}
-		b := x.AsBool()
-		if ri == 0 || prevNull || b != prev {
-			e.runBytes += runHeader + 1
-		}
-		prev, prevNull = b, false
-		code := uint32(0)
-		if b {
-			code = 1
-		}
-		met[code] = true
-		v.Codes = append(v.Codes, code)
 	}
 	e.rawBytes = e.n - e.nulls
 	if e.nulls < e.n {

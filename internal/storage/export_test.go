@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -8,16 +9,60 @@ import (
 
 // EncodeSerial renders rows into pages on the calling goroutine, the
 // way one commit worker would, and reports how long that took: the
-// write-side benchmark's measure of what encoding alone costs.
+// write-side benchmark's measure of what cutting and encoding alone
+// cost. The rows are stored as a tail first, untimed.
 func EncodeSerial(cols []Column, rows []Row) time.Duration {
+	chunks := tailOf(cols, rows)
 	start := time.Now()
 	var e chunkEncoder
-	first := 0
-	for _, n := range splitPages(len(cols), rows) {
-		e.encodePage(cols, rows[first:first+n])
-		first += n
+	for _, page := range cutPages(len(cols), chunks) {
+		e.encode(cols, page)
 	}
 	return time.Since(start)
+}
+
+// tailOf stores rows as InsertAll does and returns the tail's chunks.
+// It panics on a row the columns reject. (The table is made by hand:
+// the encoder's edge cases include a page of no columns, which newTable
+// refuses.)
+func tailOf(cols []Column, rows []Row) []*chunk {
+	t := &Table{Name: "t", Columns: cols}
+	if err := t.InsertAll(rows); err != nil {
+		panic(err)
+	}
+	_, tail := t.capture()
+	return tail
+}
+
+// encodePage renders rows as one page, stored first as InsertAll
+// stores them: a page cut across the tail's chunks.
+func (e *chunkEncoder) encodePage(cols []Column, rows []Row) encodedPage {
+	var page []span
+	for _, c := range tailOf(cols, rows) {
+		page = append(page, span{c: c, hi: c.n})
+	}
+	return e.encode(cols, page)
+}
+
+// splitPages cuts rows into pages as a commit cuts a tail holding them
+// and returns each page's row count. Each column's type is read off its
+// first non-NULL value.
+func splitPages(ncols int, rows []Row) []int {
+	cols := make([]Column, ncols)
+	for ci := range cols {
+		cols[ci] = Column{Name: fmt.Sprint("c", ci), Type: "int"}
+		for _, r := range rows {
+			if !r[ci].IsNull() {
+				cols[ci].Type = r[ci].Kind().String()
+				break
+			}
+		}
+	}
+	var counts []int
+	for _, page := range cutPages(ncols, tailOf(cols, rows)) {
+		counts = append(counts, spanRows(page))
+	}
+	return counts
 }
 
 // decodePage decodes every column of a page and builds its rows with
@@ -44,7 +89,7 @@ func (t *Table) ReadBatch(start, n int) []Row {
 		return nil
 	}
 	pg, tail := t.capture()
-	cur := (&TableView{pg: pg, rows: tail}).Cursor(nil)
+	cur := (&TableView{cols: t.Columns, pg: pg, tail: tail}).Cursor(nil)
 	var out []Row
 	for pos, b := 0, cur.Next(start+n); b != nil; b = cur.Next(start + n - pos) {
 		out = append(out, b[min(max(start-pos, 0), len(b)):]...)

@@ -19,7 +19,7 @@ package storage
 // complement, float as the 8-byte little-endian IEEE-754 bit pattern
 // (NaNs, infinities and -0 round-trip exactly), bool as one byte,
 // string as u32 length + UTF-8 bytes. Pages are still split by their
-// RAW encoded size (splitPages), so a page's decoded vectors cost about
+// RAW encoded size (cutPages), so a page's decoded vectors cost about
 // pageSize of memory no matter how well it compressed. Because the
 // engine's type checker normalises values on the way into a table (ints
 // widen to float in float columns), decoding reproduces the stored
@@ -30,11 +30,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-
-	"quarry/internal/expr"
 )
 
-// pageSize is the decoded page capacity: splitPages bounds each
+// pageSize is the decoded page capacity: cutPages bounds each
 // page's RAW encoding to it.
 const pageSize = 64 << 10
 
@@ -49,52 +47,11 @@ const pageBlock = 4096
 // a warehouse larger than the pool streams instead of residing.
 var pageCacheBytes = 256 << 20
 
-// encodedRowSize returns the value bytes one row contributes to a
-// page (excluding its per-column presence bits).
-func encodedRowSize(r Row) int {
-	n := 0
-	for _, v := range r {
-		if v.IsNull() {
-			continue
-		}
-		switch v.Kind() {
-		case expr.KindInt, expr.KindFloat:
-			n += 8
-		case expr.KindBool:
-			n++
-		case expr.KindString:
-			n += 4 + len(v.AsString())
-		}
-	}
-	return n
-}
-
 // pageOverhead is the fixed cost of a page holding n rows of ncols
 // columns: the row-count word plus each chunk's length word and
 // presence bitmap.
 func pageOverhead(ncols, n int) int {
 	return 4 + ncols*(4+(n+7)/8)
-}
-
-// splitPages partitions rows into page-sized runs: each run's encoded
-// size fits pageSize except when a single row alone exceeds it (an
-// oversize page). Returns the row count of each page.
-func splitPages(ncols int, rows []Row) []int {
-	var counts []int
-	n, bytes := 0, 0
-	for _, r := range rows {
-		rs := encodedRowSize(r)
-		if n > 0 && pageOverhead(ncols, n+1)+bytes+rs > pageSize {
-			counts = append(counts, n)
-			n, bytes = 0, 0
-		}
-		n++
-		bytes += rs
-	}
-	if n > 0 {
-		counts = append(counts, n)
-	}
-	return counts
 }
 
 // encodedPage is one rendered format-2 page plus the write-time
@@ -110,22 +67,23 @@ type encodedPage struct {
 // outside tests.
 var TestingForceRaw bool
 
-// encodePage renders one page in format 2: each column is transposed
-// into the encoder's vector by the pass that also gathers its
-// statistics, the smallest candidate encoding is chosen from them, the
-// body is written from the vector, and the page's zone map is what the
-// same pass saw.
-func (e *chunkEncoder) encodePage(cols []Column, rows []Row) encodedPage {
+// encode renders one page — the rows of a run of tail-chunk spans — in
+// format 2: each column is read into the encoder's vector by the pass
+// that also gathers its statistics, the smallest candidate encoding is
+// chosen from them, the body is written from the vector, and the page's
+// zone map is what the same pass saw.
+func (e *chunkEncoder) encode(cols []Column, page []span) encodedPage {
+	n := spanRows(page)
 	ep := encodedPage{
 		zones: make([]zone, len(cols)),
-		raw:   pageOverhead(len(cols), len(rows)),
+		raw:   pageOverhead(len(cols), n),
 	}
 	// The page is assembled in the encoder's scratch and copied out at
 	// its padded size: a commit holds every page it renders until the
 	// segments are written, so none should carry append's slack.
-	buf := binary.LittleEndian.AppendUint32(e.pageBuf[:0], uint32(len(rows)))
+	buf := binary.LittleEndian.AppendUint32(e.pageBuf[:0], uint32(n))
 	for ci, c := range cols {
-		e.build(rows, ci, c.Type)
+		e.build(page, ci, c.Type)
 		ep.zones[ci] = e.zone
 		ep.raw += e.rawBytes
 		enc := encRaw

@@ -8,13 +8,14 @@ import "fmt"
 // their row counts at that instant). Queries that read only through
 // the snapshot see a stable state while ETL runs concurrently:
 // replace-mode loads swap whole table objects in the DB map (the
-// snapshot keeps the old object alive), and append-mode loads only add
-// rows past the clamped prefix (appends never move existing rows, so
-// the captured slice view stays valid). The captured pager is
-// immutable (commits install a new pager object rather than mutating
-// the old one), its segment files stay readable through their open
-// handles even after a republish unlinks them, and the uncommitted
-// tail is clamped to its length at that instant.
+// snapshot keeps the old object alive), and appends only add chunks
+// past the captured ones. The captured pager is immutable (commits
+// install a new pager object rather than mutating the old one), its
+// segment files stay readable through their open handles even after a
+// republish unlinks them, and the uncommitted tail is the list of
+// chunks at that instant — immutable, the open chunk sealed by the
+// capture (tail.go), the list capacity-capped so appends never reach
+// into it.
 
 // TableView is one table of a Snapshot: an immutable, lock-free view
 // of the rows that existed when the snapshot was taken. Callers must
@@ -23,8 +24,8 @@ type TableView struct {
 	name string
 	cols []Column
 	by   map[string]int
-	pg   *pager // captured committed pages
-	rows []Row  // captured uncommitted tail
+	pg   *pager   // captured committed pages
+	tail []*chunk // captured uncommitted tail
 }
 
 // Name returns the table name.
@@ -41,14 +42,14 @@ func (v *TableView) ColumnIndex(name string) (int, bool) {
 }
 
 // NumRows reports the snapshotted row count.
-func (v *TableView) NumRows() int64 { return int64(v.pg.numRows() + len(v.rows)) }
+func (v *TableView) NumRows() int64 { return int64(v.pg.numRows() + chunksRows(v.tail)) }
 
 // Freeze materialises the view as a standalone read-only Table sharing
-// the snapshotted rows (no copy). Appending to a frozen table never
-// disturbs the shared backing array (the row slice is capacity-capped
-// and the pager immutable), but frozen tables are meant for read-only
-// use, e.g. attaching a consistent source set to a scratch DB for
-// engine execution.
+// the snapshotted pages and chunks (no copy). Appending to a frozen
+// table never disturbs what it shares (the chunk list is
+// capacity-capped, chunks and pager immutable), but frozen tables are
+// meant for read-only use, e.g. attaching a consistent source set to a
+// scratch DB for engine execution.
 func (v *TableView) Freeze() *Table {
 	by := make(map[string]int, len(v.by))
 	for k, i := range v.by {
@@ -59,7 +60,7 @@ func (v *TableView) Freeze() *Table {
 		Columns: append([]Column(nil), v.cols...),
 		by:      by,
 		pg:      v.pg,
-		rows:    v.rows,
+		tail:    v.tail,
 	}
 }
 
@@ -84,11 +85,8 @@ func (db *DB) Snapshot(names ...string) (*Snapshot, error) {
 		if !ok {
 			return nil, fmt.Errorf("storage: snapshot: table %q does not exist", name)
 		}
-		t.mu.RLock()
-		pg := t.pg
-		rows := t.rows[:len(t.rows):len(t.rows)]
-		t.mu.RUnlock()
-		s.views[name] = &TableView{name: name, cols: t.Columns, by: t.by, pg: pg, rows: rows}
+		pg, tail := t.capture()
+		s.views[name] = &TableView{name: name, cols: t.Columns, by: t.by, pg: pg, tail: tail}
 	}
 	return s, nil
 }

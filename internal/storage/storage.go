@@ -7,8 +7,10 @@
 //
 // There is one store. A table's committed rows live in immutable
 // segments of encoded, compressed, zone-mapped pages, read on demand
-// through a bounded buffer pool; rows inserted since the last commit
-// form the table's uncommitted tail. A database opened on a directory
+// through a bounded buffer pool; rows appended since the last commit
+// form the table's uncommitted tail, immutable column-vector chunks
+// that readers take as they take the pages and a commit encodes pages
+// from (tail.go). A database opened on a directory
 // (Open) keeps each segment in a file named by a manifest and
 // survives process restarts; a database without one (NewMemDB) runs
 // the same commit and keeps the same segment bytes on the heap. See
@@ -48,14 +50,16 @@ type Row []expr.Value
 
 // Table is a typed relation: committed rows in an immutable pager
 // (swapped copy-on-write at commit points), followed by the rows
-// inserted since, its uncommitted tail.
+// appended since, its uncommitted tail — immutable column-vector chunks
+// (tail.go).
 type Table struct {
 	Name    string
 	Columns []Column
 
 	mu   sync.RWMutex
-	pg   *pager // committed rows; nil before the first commit that holds any
-	rows []Row  // uncommitted tail, appended after the pager's rows
+	pg   *pager     // committed rows; nil before the first commit that holds any
+	tail []*chunk   // sealed chunks of the uncommitted tail, after the pager's rows
+	open *openChunk // rows inserted since the last seal, after tail; nil when none
 	by   map[string]int
 }
 
@@ -90,107 +94,43 @@ func (t *Table) ColumnIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// checkRow verifies arity and value kinds against column types and
-// writes the row as the table stores it into out (len(t.Columns)
-// values the table will own). Integers are accepted into float columns
-// (widened on the way in).
-func (t *Table) checkRow(r, out Row) error {
-	if len(r) != len(t.Columns) {
-		return fmt.Errorf("storage: table %q expects %d values, got %d", t.Name, len(t.Columns), len(r))
-	}
-	for i, v := range r {
-		c := t.Columns[i]
-		if v.IsNull() {
-			out[i] = v
-			continue
-		}
-		switch c.Type {
-		case "int":
-			if v.Kind() != expr.KindInt {
-				return typeErr(t.Name, c, v)
-			}
-		case "float":
-			switch v.Kind() {
-			case expr.KindFloat:
-			case expr.KindInt:
-				f, _ := v.AsFloat()
-				v = expr.Float(f)
-			default:
-				return typeErr(t.Name, c, v)
-			}
-		case "string":
-			if v.Kind() != expr.KindString {
-				return typeErr(t.Name, c, v)
-			}
-		case "bool":
-			if v.Kind() != expr.KindBool {
-				return typeErr(t.Name, c, v)
-			}
-		}
-		out[i] = v
-	}
-	return nil
-}
-
-func typeErr(table string, c Column, v expr.Value) error {
-	return fmt.Errorf("storage: table %q column %q (%s) rejects %s value %s", table, c.Name, c.Type, v.Kind(), v)
-}
-
-// Insert appends one row.
-func (t *Table) Insert(r Row) error {
-	checked := make(Row, len(t.Columns))
-	if err := t.checkRow(r, checked); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	t.rows = append(t.rows, checked)
-	t.mu.Unlock()
-	return nil
-}
-
-// InsertAll appends many rows, failing atomically on the first bad
-// row (nothing is inserted). The stored rows are copies cut from one
-// slab per call — the caller's rows are never aliased, and a load pays
-// two allocations per batch, not one per row.
-func (t *Table) InsertAll(rows []Row) error {
-	ncols := len(t.Columns)
-	slab := make([]expr.Value, len(rows)*ncols)
-	checked := make([]Row, len(rows))
-	for i, r := range rows {
-		checked[i] = slab[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		if err := t.checkRow(r, checked[i]); err != nil {
-			return err
-		}
-	}
-	t.mu.Lock()
-	t.rows = append(t.rows, checked...)
-	t.mu.Unlock()
-	return nil
-}
-
-// capture returns the table's current (pager, tail) pair under one
-// lock acquisition: a consistent row source, since commits swap both
-// together.
-func (t *Table) capture() (*pager, []Row) {
+// capture returns the table's current (pager, tail) pair: a consistent
+// row source, since commits swap both together. The open chunk is
+// sealed first, so the tail is immutable chunks only; the returned
+// slice is capacity-capped, so later appends never reach into it.
+func (t *Table) capture() (*pager, []*chunk) {
 	t.mu.RLock()
-	pg, tail := t.pg, t.rows[:len(t.rows):len(t.rows)]
+	pg, tail, open := t.pg, t.tail[:len(t.tail):len(t.tail)], t.open
 	t.mu.RUnlock()
+	if open == nil {
+		return pg, tail
+	}
+	t.mu.Lock()
+	t.seal()
+	pg, tail = t.pg, t.tail[:len(t.tail):len(t.tail)]
+	t.mu.Unlock()
 	return pg, tail
 }
 
 // NumRows reports the row count.
 func (t *Table) NumRows() int64 {
-	pg, tail := t.capture()
-	return int64(pg.numRows() + len(tail))
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n := t.pg.numRows() + chunksRows(t.tail)
+	if t.open != nil {
+		n += t.open.n
+	}
+	return int64(n)
 }
 
 // Rows returns a copy of all rows, read through a cursor; for tests,
 // the oracle and small results.
 func (t *Table) Rows() []Row {
 	pg, tail := t.capture()
-	out := pg.readAll(make([]Row, 0, pg.numRows()+len(tail)))
-	for _, r := range tail {
-		out = append(out, slices.Clone(r))
+	out := make([]Row, 0, pg.numRows()+chunksRows(tail))
+	cur := (&TableView{cols: t.Columns, pg: pg, tail: tail}).Cursor(nil)
+	for b := cur.Next(pageSize); b != nil; b = cur.Next(pageSize) {
+		out = append(out, b...)
 	}
 	return out
 }
@@ -199,8 +139,7 @@ func (t *Table) Rows() []Row {
 // (Checkpoint or an ETL run) makes that durable.
 func (t *Table) Truncate() {
 	t.mu.Lock()
-	t.pg = nil
-	t.rows = nil
+	t.pg, t.tail, t.open = nil, nil, nil
 	t.mu.Unlock()
 }
 
@@ -296,20 +235,18 @@ func (db *DB) CommitRun(tables []*Table, appends []AppendDelta) error {
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	order, catalog := db.catalogWith(tables)
-	var extra map[*Table][]Row
+	var extra map[*Table][]*chunk
 	for _, a := range appends {
-		a.Delta.mu.RLock()
-		rows := a.Delta.rows[:len(a.Delta.rows):len(a.Delta.rows)]
-		a.Delta.mu.RUnlock()
+		_, chunks := a.Delta.capture()
 		// A target this same run replaces (or one no longer in the
 		// catalog) is dead: its delta has nowhere to land.
-		if len(rows) == 0 || catalog[a.Target.Name] != a.Target {
+		if len(chunks) == 0 || catalog[a.Target.Name] != a.Target {
 			continue
 		}
 		if extra == nil {
-			extra = map[*Table][]Row{}
+			extra = map[*Table][]*chunk{}
 		}
-		extra[a.Target] = append(extra[a.Target], rows...)
+		extra[a.Target] = append(extra[a.Target], chunks...)
 	}
 	return db.commitDisk(db.Version()+1, order, catalog, extra, func() {
 		for _, t := range tables {

@@ -112,13 +112,6 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 	return s
 }
 
-// Clone copies v's rows into buffers of its own; the dictionary, which
-// no vector ever changes, is shared.
-func (v *Vector) Clone() *Vector {
-	return &Vector{Kind: v.Kind, Dict: v.Dict, Ints: slices.Clone(v.Ints), Floats: slices.Clone(v.Floats),
-		Codes: slices.Clone(v.Codes), Nulls: slices.Clone(v.Nulls)}
-}
-
 // Len is the number of rows.
 func (v *Vector) Len() int {
 	switch v.Kind {
@@ -316,46 +309,6 @@ func (v *Vector) fillRows(rows []Row, ci int) {
 	default:
 		for ri, c := range v.Codes {
 			rows[ri][ci] = v.Dict[c]
-		}
-	}
-}
-
-// transposeRows fills v with column ci of rows: how the uncommitted
-// tail, which holds only rows, serves vector reads. Strings
-// are dictionary-coded here, one entry per distinct value.
-func (v *Vector) transposeRows(rows []Row, ci int, typ string) {
-	if err := v.reset(typ, len(rows)); err != nil {
-		panic("storage: " + err.Error()) // column types are validated at table creation
-	}
-	var seen map[string]uint32
-	if v.Kind == expr.KindString {
-		seen = map[string]uint32{}
-	}
-	for _, r := range rows {
-		x := r[ci]
-		switch {
-		case x.IsNull():
-			v.appendNull(len(rows))
-		case v.Kind == expr.KindInt:
-			v.Ints = append(v.Ints, x.AsInt())
-		case v.Kind == expr.KindFloat:
-			f, _ := x.AsFloat()
-			v.Floats = append(v.Floats, f)
-		case v.Kind == expr.KindBool:
-			c := uint32(0)
-			if x.AsBool() {
-				c = 1
-			}
-			v.Codes = append(v.Codes, c)
-		default:
-			s := x.AsString()
-			code, ok := seen[s]
-			if !ok {
-				code = uint32(len(v.Dict))
-				v.Dict = append(v.Dict, x)
-				seen[s] = code
-			}
-			v.Codes = append(v.Codes, code)
 		}
 	}
 }

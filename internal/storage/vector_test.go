@@ -37,7 +37,7 @@ func threeRowPage(typ string, enc int, vals ...expr.Value) ([]Column, []byte) {
 		rows[i] = Row{v}
 	}
 	var e chunkEncoder
-	e.build(rows, 0, typ)
+	e.build(wholeTail(tailOf(cols, rows)), 0, typ)
 	body := e.appendBody([]byte{byte(enc)}, enc)
 	page := binary.LittleEndian.AppendUint32(nil, uint32(len(rows)))
 	page = binary.LittleEndian.AppendUint32(page, uint32(len(body)))
@@ -470,11 +470,51 @@ func fuzzChunk(typ string, data []byte) []Row {
 	return rows
 }
 
-// FuzzEncodeRoundTrip builds a typed chunk from the fuzzer's bytes and
-// holds the encoder to three things at once: the page is the reference
-// encoder's, byte for byte and zone for zone; the chunk decodes back to
-// the vector the encoder built from the rows; and that vector is the
-// rows.
+// wholeTail is every row of chunks as one page.
+func wholeTail(chunks []*chunk) []span {
+	var page []span
+	for _, c := range chunks {
+		page = append(page, span{c: c, hi: c.n})
+	}
+	return page
+}
+
+// vectorTail appends rows to a table of cols the way the ETL Loader
+// does — column vectors, each batch with dictionaries of its own, in
+// batches of uneven sizes — and returns the table's tail chunks.
+func vectorTail(t testing.TB, cols []Column, rows []Row) []*chunk {
+	t.Helper()
+	tbl, err := newTable("t", cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int{1, 700, 3, 1024, 64, 2500}
+	vals := make([]expr.Value, 0, len(rows))
+	for lo, k := 0, 0; lo < len(rows); k++ {
+		hi := min(lo+sizes[k%len(sizes)], len(rows))
+		vecs := make([]*Vector, len(cols))
+		for ci := range cols {
+			vals = vals[:0]
+			for _, r := range rows[lo:hi] {
+				vals = append(vals, r[ci])
+			}
+			vecs[ci] = VectorOf(vals)
+		}
+		if err := tbl.AppendVectors(hi-lo, vecs); err != nil {
+			t.Fatal(err)
+		}
+		lo = hi
+	}
+	_, tail := tbl.capture()
+	return tail
+}
+
+// FuzzEncodeRoundTrip builds a typed column from the fuzzer's bytes,
+// appends it to a table's tail as vector batches, and holds the encoder
+// to three things at once: the page it renders from the tail is the
+// reference encoder's from the rows, byte for byte and zone for zone;
+// the chunk decodes back to the vector the encoder built; and that
+// vector is the rows.
 func FuzzEncodeRoundTrip(f *testing.F) {
 	types := []string{"int", "float", "string", "bool"}
 	rng := rand.New(rand.NewSource(5))
@@ -497,7 +537,7 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 		cols := []Column{{Name: "c", Type: typ}}
 		rows := fuzzChunk(typ, data)
 		var e chunkEncoder
-		ep := e.encodePage(cols, rows)
+		ep := e.encode(cols, wholeTail(vectorTail(t, cols, rows)))
 		if err := samePage(ep, encodePageReference(cols, rows)); err != nil {
 			t.Fatal(err)
 		}
