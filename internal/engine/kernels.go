@@ -352,57 +352,41 @@ func keysEqual(l, r []expr.Value, lIdx, rIdx []int) bool {
 	return true
 }
 
-type aggState struct {
-	groupVals []expr.Value
-	// A SUM or AVG's exact sum of its inputs' float images is sums plus
-	// images: inputs with integer images go to the 128-bit imageSum until
-	// settle moves them over, fractions and absorbed partials to the
-	// expansion.
-	sums     []FloatSum
-	images   []imageSum
-	sumIsInt []bool
-	intSums  []int64 // the int inputs' sum, wrapping
-	mins     []expr.Value
-	maxs     []expr.Value
-	counts   []int64   // non-null count per aggregate
-	next     *aggState // the next group under the same hash, in first-seen order
-}
-
-// aggregationOp groups and aggregates incrementally; result emits
-// groups in first-seen order of their hash, then of the group (NULLs
-// group together).
+// aggregationOp groups and aggregates incrementally. A group is an
+// index: groups are numbered 0, 1, … in first-seen order, and group g
+// is entry g of every column below — its key values, its hash and each
+// aggregate's states. result, Partials and Retain's keep mask all walk
+// the groups in that order, so groups emit in first-seen order (NULLs
+// group together, a NaN key with nothing, itself included).
 type aggregationOp struct {
-	group     []string
-	aggs      []xlm.AggSpec
-	gIdx      []int
-	aIdx      []int
-	states    map[uint64]*aggState // by group hash: the first of its chain
-	orderKeys []uint64
-	slab      stateSlab
+	aggs []xlm.AggSpec
+	gIdx []int
+	aIdx []int
+
+	keys   []expr.Value     // group g's values: keys[g*k : (g+1)*k], k = len(gIdx)
+	hashes []uint64         // group g's key hash
+	first  map[uint64]int32 // by key hash: the newest group under it, where its chain starts
+	next   []int32          // the group after g in its hash's chain, -1 at the end
+	cols   []stateCols      // per aggregate: its states, one entry per group
+	key    []expr.Value     // add's scratch: a row's group values
 
 	vec vecState // the vector entry's (vecagg.go)
 }
 
-// stateSlab is where group states are cut from: every array a state
-// holds, for a run of states at a time — doubling up to a few hundred —
-// instead of eight allocations per group.
-type stateSlab struct {
-	per    int
-	states []aggState
-	vals   []expr.Value // group values, MIN and MAX
-	sums   []FloatSum
-	images []imageSum
-	flags  []bool
-	ints   []int64 // int sums and counts
-}
-
-const maxStatesPerSlab = 256
-
-// take cuts the next n elements off a slab.
-func take[T any](slab *[]T, n int) []T {
-	s := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return s
+// stateCols is one aggregate's states, entry g for group g. Only the
+// columns its function reads are allocated: counts always, mins for a
+// MIN, maxs for a MAX, and the sum columns for a SUM or AVG. Its exact
+// sum of the inputs' float images is sums plus images: inputs with
+// integer images go to the 128-bit imageSum until settle moves them
+// over, fractions and absorbed partials to the expansion.
+type stateCols struct {
+	counts   []int64 // non-null inputs
+	intSums  []int64 // the int inputs' sum, wrapping
+	images   []imageSum
+	sums     []FloatSum
+	sumIsInt []bool // no input was a float
+	mins     []expr.Value
+	maxs     []expr.Value
 }
 
 func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
@@ -432,98 +416,137 @@ func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
 		}
 		aIdx[i] = j
 	}
-	return &aggregationOp{
-		group: group, aggs: aggs, gIdx: gIdx, aIdx: aIdx,
-		states: map[uint64]*aggState{},
-	}, nil
+	return newAggOp(aggs, gIdx, aIdx), nil
 }
 
-// newState registers a group first met, with these values, under its
-// hash h.
-func (o *aggregationOp) newState(h uint64, group func(k int) expr.Value) *aggState {
-	s, n := &o.slab, len(o.aggs)
-	if len(s.states) == 0 {
-		s.per = min(max(2*s.per, 1), maxStatesPerSlab)
-		s.states = make([]aggState, s.per)
-		s.vals = make([]expr.Value, s.per*(len(o.gIdx)+2*n))
-		s.sums = make([]FloatSum, s.per*n)
-		s.images = make([]imageSum, s.per*n)
-		s.flags = make([]bool, s.per*n)
-		s.ints = make([]int64, s.per*2*n)
-	}
-	st := &take(&s.states, 1)[0]
-	st.groupVals, st.mins, st.maxs = take(&s.vals, len(o.gIdx)), take(&s.vals, n), take(&s.vals, n)
-	st.sums, st.images, st.sumIsInt = take(&s.sums, n), take(&s.images, n), take(&s.flags, n)
-	st.intSums, st.counts = take(&s.ints, n), take(&s.ints, n)
-	for i := range st.sumIsInt {
-		st.sumIsInt[i] = true
-	}
-	for k := range st.groupVals {
-		st.groupVals[k] = group(k)
-	}
-	o.link(h, st)
-	return st
+// newAggOp is an aggregation with no group yet; it keeps the slices.
+func newAggOp(aggs []xlm.AggSpec, gIdx, aIdx []int) *aggregationOp {
+	return &aggregationOp{aggs: aggs, gIdx: gIdx, aIdx: aIdx, first: map[uint64]int32{}, cols: make([]stateCols, len(aggs))}
 }
 
-// link appends st to the states under hash h, in first-seen order.
-func (o *aggregationOp) link(h uint64, st *aggState) {
-	tail := o.states[h]
-	if tail == nil {
-		o.states[h] = st
-		o.orderKeys = append(o.orderKeys, h)
-		return
+// findOrCreate returns the group of these key values, by the grouping
+// rule (valuesIdentical), registering a group first met with a copy of
+// them.
+func (o *aggregationOp) findOrCreate(key []expr.Value) int32 {
+	h := uint64(1469598103934665603)
+	for _, v := range key {
+		h = h*1099511628211 ^ v.Hash()
 	}
-	for tail.next != nil {
-		tail = tail.next
+	k := len(key)
+	head := o.chain(h)
+walk:
+	for g := head; g >= 0; g = o.next[g] {
+		for j, v := range o.keys[int(g)*k : int(g+1)*k] {
+			if !valuesIdentical(v, key[j]) {
+				continue walk
+			}
+		}
+		return g
 	}
-	tail.next = st
+	g := int32(len(o.hashes))
+	o.keys = push(o.keys, key...)
+	o.hashes = push(o.hashes, h)
+	o.next = push(o.next, head)
+	o.first[h] = g
+	for i := range o.cols {
+		o.cols[i].grow(o.aggs[i].Func)
+	}
+	return g
+}
+
+// chain returns the group the chain of hash h starts at, -1 if none.
+func (o *aggregationOp) chain(h uint64) int32 {
+	if g, ok := o.first[h]; ok {
+		return g
+	}
+	return -1
+}
+
+// grow appends a new group's states: zero counts and sums, NULL
+// extremes.
+func (c *stateCols) grow(fn string) {
+	c.counts = push(c.counts, 0)
+	switch fn {
+	case "SUM", "AVG":
+		c.intSums = push(c.intSums, 0)
+		c.images = push(c.images, imageSum{})
+		c.sums = push(c.sums, FloatSum{})
+		c.sumIsInt = push(c.sumIsInt, true)
+	case "MIN":
+		c.mins = push(c.mins, expr.Null())
+	case "MAX":
+		c.maxs = push(c.maxs, expr.Null())
+	}
+}
+
+// push appends vs to a group column, doubling its capacity when full:
+// append grows a long slice by a quarter, which would copy each entry
+// some four times over.
+func push[T any](s []T, vs ...T) []T {
+	if cap(s)-len(s) < len(vs) {
+		s = slices.Grow(s, max(len(s), 8*len(vs)))
+	}
+	return append(s, vs...)
+}
+
+// retain keeps the entries keep marks, in order.
+func (c *stateCols) retain(keep []bool) {
+	c.counts, c.intSums = kept(c.counts, keep), kept(c.intSums, keep)
+	c.images, c.sums, c.sumIsInt = kept(c.images, keep), kept(c.sums, keep), kept(c.sumIsInt, keep)
+	c.mins, c.maxs = kept(c.mins, keep), kept(c.maxs, keep)
+}
+
+// kept compacts a state column to the entries keep marks; a column
+// the aggregate does not read stays nil.
+func kept[T any](s []T, keep []bool) []T {
+	if s == nil {
+		return nil
+	}
+	n := 0
+	for g, k := range keep {
+		if k {
+			s[n] = s[g]
+			n++
+		}
+	}
+	clear(s[n:])
+	return s[:n]
 }
 
 // add folds rows into the running group states.
 func (o *aggregationOp) add(rows [][]expr.Value) error {
 	for _, row := range rows {
-		h := uint64(1469598103934665603)
+		o.key = o.key[:0]
 		for _, i := range o.gIdx {
-			h = h*1099511628211 ^ row[i].Hash()
+			o.key = append(o.key, row[i])
 		}
-		st := o.states[h]
-	chain:
-		for ; st != nil; st = st.next {
-			for k, i := range o.gIdx {
-				if !valuesIdentical(st.groupVals[k], row[i]) {
-					continue chain
-				}
-			}
-			break
-		}
-		if st == nil {
-			st = o.newState(h, func(k int) expr.Value { return row[o.gIdx[k]] })
-		}
+		g := o.findOrCreate(o.key)
 		for i, a := range o.aggs {
+			c := &o.cols[i]
 			if o.aIdx[i] == -1 { // COUNT(*)
-				st.counts[i]++
+				c.counts[g]++
 				continue
 			}
 			v := row[o.aIdx[i]]
 			if v.IsNull() {
 				continue
 			}
-			st.counts[i]++
+			c.counts[g]++
 			switch a.Func {
 			case "COUNT":
 			case "MIN":
-				keepExtreme(&st.mins[i], v, true)
+				keepExtreme(&c.mins[g], v, true)
 			case "MAX":
-				keepExtreme(&st.maxs[i], v, false)
+				keepExtreme(&c.maxs[g], v, false)
 			default: // SUM, AVG
 				f, ok := v.AsFloat()
 				switch {
 				case !ok:
 					return fmt.Errorf("aggregation %s over non-numeric value %s", a.Func, v)
 				case v.Kind() == expr.KindInt:
-					st.addInt(i, v.AsInt())
+					c.addInt(g, v.AsInt())
 				default:
-					st.addFloat(i, f)
+					c.addFloat(g, f)
 				}
 			}
 		}
@@ -531,28 +554,28 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 	return nil
 }
 
-// addInt folds the int v into SUM (or AVG) i.
-func (st *aggState) addInt(i int, v int64) {
-	st.intSums[i] += v
-	st.images[i].addInt(v)
+// addInt folds the int v into group g's SUM (or AVG).
+func (c *stateCols) addInt(g int32, v int64) {
+	c.intSums[g] += v
+	c.images[g].addInt(v)
 }
 
-// addFloat folds the float f into SUM (or AVG) i.
-func (st *aggState) addFloat(i int, f float64) {
-	if !st.images[i].addFloat(f) {
-		st.sums[i].Add(f)
+// addFloat folds the float f into group g's SUM (or AVG).
+func (c *stateCols) addFloat(g int32, f float64) {
+	if !c.images[g].addFloat(f) {
+		c.sums[g].Add(f)
 	}
-	st.sumIsInt[i] = false
+	c.sumIsInt[g] = false
 }
 
-// settle moves SUM (or AVG) i's 128-bit sum into its expansion and
-// returns the expansion, which then holds the whole exact sum.
-func (st *aggState) settle(i int) *FloatSum {
-	if st.images[i] != (imageSum{}) {
-		st.images[i].addTo(&st.sums[i])
-		st.images[i] = imageSum{}
+// settle moves group g's 128-bit sum into its expansion and returns the
+// expansion, which then holds the whole exact sum.
+func (c *stateCols) settle(g int32) *FloatSum {
+	if c.images[g] != (imageSum{}) {
+		c.images[g].addTo(&c.sums[g])
+		c.images[g] = imageSum{}
 	}
-	return &st.sums[i]
+	return &c.sums[g]
 }
 
 // keepExtreme folds the non-NULL v into a running MIN (or MAX). The
@@ -613,8 +636,9 @@ func floatOrderBits(f float64) uint64 {
 	return ^b
 }
 
-// result finalises the aggregation. A global aggregate over zero rows
-// still emits one row of zero counts / NULLs, like SQL.
+// result finalises the aggregation: one row per group, in group order.
+// A global aggregate over zero rows still emits one row of zero counts /
+// NULLs, like SQL.
 //
 // An integer SUM fails here if its true sum left int64. The fold adds
 // with wrap-around, so the int sum is exact modulo 2⁶⁴, and the exact
@@ -624,43 +648,44 @@ func floatOrderBits(f float64) uint64 {
 // 1, −1} sums to MaxInt64 in every order and partition although a
 // prefix overflows.
 func (o *aggregationOp) result() ([][]expr.Value, error) {
-	if len(o.group) == 0 && len(o.states) == 0 {
-		o.newState(0, nil)
+	if len(o.gIdx) == 0 && len(o.hashes) == 0 {
+		o.findOrCreate(nil)
 	}
-	var out [][]expr.Value
-	for _, h := range o.orderKeys {
-		for st := o.states[h]; st != nil; st = st.next {
-			row := make([]expr.Value, 0, len(o.gIdx)+len(o.aggs))
-			row = append(row, st.groupVals...)
-			for i, a := range o.aggs {
-				switch a.Func {
-				case "COUNT":
-					row = append(row, expr.Int(st.counts[i]))
-				case "MIN":
-					row = append(row, st.mins[i])
-				case "MAX":
-					row = append(row, st.maxs[i])
-				case "SUM":
-					if st.counts[i] == 0 {
-						row = append(row, expr.Null())
-					} else if sum := st.settle(i).Round(); st.sumIsInt[i] {
-						if math.Abs(float64(st.intSums[i])-sum) >= 1<<63 {
-							return nil, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
-						}
-						row = append(row, expr.Int(st.intSums[i]))
-					} else {
-						row = append(row, expr.Float(sum))
+	k, w := len(o.gIdx), len(o.gIdx)+len(o.aggs)
+	out := make([][]expr.Value, len(o.hashes))
+	vals := make([]expr.Value, len(out)*w) // one array for every row
+	for g := range int32(len(out)) {
+		row := vals[int(g)*w : int(g+1)*w : int(g+1)*w]
+		copy(row, o.keys[int(g)*k:int(g+1)*k])
+		for i, a := range o.aggs {
+			c := &o.cols[i]
+			switch a.Func {
+			case "COUNT":
+				row[k+i] = expr.Int(c.counts[g])
+			case "MIN":
+				row[k+i] = c.mins[g]
+			case "MAX":
+				row[k+i] = c.maxs[g]
+			case "SUM":
+				if c.counts[g] == 0 {
+					row[k+i] = expr.Null()
+				} else if sum := c.settle(g).Round(); c.sumIsInt[g] {
+					if math.Abs(float64(c.intSums[g])-sum) >= 1<<63 {
+						return nil, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
 					}
-				case "AVG":
-					if st.counts[i] == 0 {
-						row = append(row, expr.Null())
-					} else {
-						row = append(row, expr.Float(st.settle(i).Round()/float64(st.counts[i])))
-					}
+					row[k+i] = expr.Int(c.intSums[g])
+				} else {
+					row[k+i] = expr.Float(sum)
+				}
+			case "AVG":
+				if c.counts[g] == 0 {
+					row[k+i] = expr.Null()
+				} else {
+					row[k+i] = expr.Float(c.settle(g).Round() / float64(c.counts[g]))
 				}
 			}
-			out = append(out, row)
 		}
+		out[g] = row
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"quarry/internal/expr"
 	"quarry/internal/storage"
@@ -104,8 +105,11 @@ func columnOfRows(rows [][]expr.Value, c int) *storage.Vector {
 	return storage.VectorOf(vals)
 }
 
-// HashAggregator is the incremental grouping/aggregation kernel:
-// groups emit in first-seen order (NULLs group together). Float sums
+// HashAggregator is the incremental grouping/aggregation kernel. Its
+// one order rule: Finalize, Result and Partials list the groups in the
+// order they were first met, through Add, AddVectors or Absorb alike
+// (NULLs group together; a NaN key groups with nothing, so every NaN
+// row is a group of its own, in its place). Float sums
 // fold through an exact expansion (FloatSum), so SUM/AVG bits depend
 // only on the multiset of input values — not arrival order and not
 // how rows were partitioned across aggregators merged via
@@ -132,13 +136,7 @@ func NewHashAggregator(groupIdx []int, aggs []xlm.AggSpec, aggIdx []int) (*HashA
 			return nil, fmt.Errorf("engine: aggregate %s requires an input column", a.Func)
 		}
 	}
-	return &HashAggregator{op: &aggregationOp{
-		group:  make([]string, len(groupIdx)),
-		aggs:   append([]xlm.AggSpec(nil), aggs...),
-		gIdx:   append([]int(nil), groupIdx...),
-		aIdx:   append([]int(nil), aggIdx...),
-		states: map[uint64]*aggState{},
-	}}, nil
+	return &HashAggregator{op: newAggOp(slices.Clone(aggs), slices.Clone(groupIdx), slices.Clone(aggIdx))}, nil
 }
 
 // Add folds a batch of rows into the running group states. It copies
@@ -155,21 +153,28 @@ func (a *HashAggregator) Finalize() ([][]expr.Value, error) { return a.op.result
 // Retain keeps the groups keep marks, one entry per group in Partials
 // order, and drops the rest as if their rows had never been folded:
 // Finalize sees only the kept ones, so a dropped group's int SUM can no
-// longer overflow.
+// longer overflow. The kept groups keep their order; the hash chains
+// are rebuilt from the stored hashes.
 func (a *HashAggregator) Retain(keep []bool) {
-	o, g := a.op, 0
-	states, order := o.states, o.orderKeys
-	o.states, o.orderKeys = map[uint64]*aggState{}, nil
-	o.vec = vecState{} // its code index points at dropped states
-	for _, h := range order {
-		for st := states[h]; st != nil; g++ {
-			next := st.next
-			if st.next = nil; keep[g] {
-				o.link(h, st)
-			}
-			st = next
+	o, k, n := a.op, len(a.op.gIdx), 0
+	for g, kept := range keep {
+		if kept {
+			copy(o.keys[n*k:(n+1)*k], o.keys[g*k:(g+1)*k])
+			o.hashes[n] = o.hashes[g]
+			n++
 		}
 	}
+	clear(o.keys[n*k:])
+	o.keys, o.hashes, o.next = o.keys[:n*k], o.hashes[:n], o.next[:n]
+	for i := range o.cols {
+		o.cols[i].retain(keep)
+	}
+	clear(o.first)
+	for g, h := range o.hashes {
+		o.next[g] = o.chain(h)
+		o.first[h] = int32(g)
+	}
+	o.vec = vecState{} // its code index maps tuples to the old numbering
 }
 
 // Result is Finalize for callers whose integer SUMs cannot leave int64;

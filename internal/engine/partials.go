@@ -41,36 +41,34 @@ type AggPartial struct {
 	Measures []MeasurePartial
 }
 
-// Partials exports the aggregator's current group states in
-// first-seen order. A global aggregate that saw zero rows exports
+// Partials exports the aggregator's current group states in group
+// (first-seen) order. A global aggregate that saw zero rows exports
 // zero partials: the zero-rows row (COUNT 0, NULL sums) is a
 // finalisation artifact and is injected exactly once, by the merge
-// side's Result.
+// side's Result. A measure exports what its function keeps; the rest
+// of its MeasurePartial is zero, with SumIsInt true.
 func (a *HashAggregator) Partials() []AggPartial {
 	o := a.op
-	n := 0
-	for _, h := range o.orderKeys {
-		for st := o.states[h]; st != nil; st = st.next {
-			n++
-		}
-	}
-	out := make([]AggPartial, 0, n)
-	vals := make([]expr.Value, n*len(o.gIdx))
-	measures := make([]MeasurePartial, n*len(o.aggs))
-	for _, h := range o.orderKeys {
-		for st := o.states[h]; st != nil; st = st.next {
-			p := AggPartial{Group: take(&vals, len(o.gIdx)), Measures: take(&measures, len(o.aggs))}
-			copy(p.Group, st.groupVals)
-			for i := range o.aggs {
-				m := &p.Measures[i]
-				m.Count = st.counts[i]
-				m.IntSum = st.intSums[i]
-				m.SumIsInt = st.sumIsInt[i]
-				m.SumParts, m.SumSpecial, m.SumHasSpecial = st.settle(i).Export()
-				m.Min = st.mins[i]
-				m.Max = st.maxs[i]
+	n, k, w := len(o.hashes), len(o.gIdx), len(o.aggs)
+	out := make([]AggPartial, n)
+	vals := append(make([]expr.Value, 0, len(o.keys)), o.keys...)
+	measures := make([]MeasurePartial, n*w)
+	for g := range int32(n) {
+		p := &out[g]
+		p.Group = vals[int(g)*k : int(g+1)*k : int(g+1)*k]
+		p.Measures = measures[int(g)*w : int(g+1)*w : int(g+1)*w]
+		for i, spec := range o.aggs {
+			c, m := &o.cols[i], &p.Measures[i]
+			m.Count, m.SumIsInt = c.counts[g], true
+			switch spec.Func {
+			case "SUM", "AVG":
+				m.IntSum, m.SumIsInt = c.intSums[g], c.sumIsInt[g]
+				m.SumParts, m.SumSpecial, m.SumHasSpecial = c.settle(g).Export()
+			case "MIN":
+				m.Min = c.mins[g]
+			case "MAX":
+				m.Max = c.maxs[g]
 			}
-			out = append(out, p)
 		}
 	}
 	return out
@@ -92,43 +90,29 @@ func (a *HashAggregator) Absorb(ps []AggPartial) error {
 		if len(p.Measures) != len(o.aggs) {
 			return fmt.Errorf("engine: partial has %d measures, aggregator expects %d", len(p.Measures), len(o.aggs))
 		}
-		st := o.findOrCreate(p.Group)
-		for i := range o.aggs {
-			m := &p.Measures[i]
-			st.counts[i] += m.Count
-			st.intSums[i] += m.IntSum
-			st.sumIsInt[i] = st.sumIsInt[i] && m.SumIsInt
-			st.sums[i].Merge(ImportFloatSum(m.SumParts, m.SumSpecial, m.SumHasSpecial))
+		g := o.findOrCreate(p.Group)
+		for i, spec := range o.aggs {
+			c, m := &o.cols[i], &p.Measures[i]
+			c.counts[g] += m.Count
+			switch spec.Func {
+			case "SUM", "AVG":
+				c.intSums[g] += m.IntSum
+				c.sumIsInt[g] = c.sumIsInt[g] && m.SumIsInt
+				c.sums[g].Merge(ImportFloatSum(m.SumParts, m.SumSpecial, m.SumHasSpecial))
 			// MIN/MAX merge with the fold's semantics: NULL means "no
 			// value yet".
-			if !m.Min.IsNull() {
-				keepExtreme(&st.mins[i], m.Min, true)
-			}
-			if !m.Max.IsNull() {
-				keepExtreme(&st.maxs[i], m.Max, false)
+			case "MIN":
+				if !m.Min.IsNull() {
+					keepExtreme(&c.mins[g], m.Min, true)
+				}
+			case "MAX":
+				if !m.Max.IsNull() {
+					keepExtreme(&c.maxs[g], m.Max, false)
+				}
 			}
 		}
 	}
 	return nil
-}
-
-// findOrCreate locates the state for a group key (same FNV hash and
-// identity rules as the add fold), creating it in first-seen order.
-func (o *aggregationOp) findOrCreate(group []expr.Value) *aggState {
-	h := uint64(1469598103934665603)
-	for _, v := range group {
-		h = h*1099511628211 ^ v.Hash()
-	}
-chain:
-	for st := o.states[h]; st != nil; st = st.next {
-		for k := range group {
-			if !valuesIdentical(st.groupVals[k], group[k]) {
-				continue chain
-			}
-		}
-		return st
-	}
-	return o.newState(h, func(k int) expr.Value { return group[k] })
 }
 
 // FinalizePartials merges exported partial states and finalises them

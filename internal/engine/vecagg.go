@@ -10,18 +10,20 @@ import (
 
 // The aggregation kernel's vector entry: the ETL executor and the OLAP
 // fast path hand HashAggregator.AddVectors a batch column by column,
-// and the kernel folds it into the same aggStates Add(rows) folds into.
-// Each group column is numbered by a dictCoder of the aggregator's own —
-// so codes mean the same value on every batch, whatever dictionaries
-// the batches arrive with — unless it comes numbered already
-// (Column.Group: a join index's build column, coded once per build
-// row by the same rules), and a row's state is found from its code
-// tuple (codeIndex), so no group value is hashed or compared per row;
-// the value-keyed table behind findOrCreate is consulted once per
-// distinct tuple, which keeps every grouping rule (NULLs group together,
-// Int 3 groups with Float 3.0, -0 with +0, a NaN key with nothing)
-// exactly where Add has it. Result, Partials and Absorb see no
-// difference.
+// and the kernel folds it into the same state columns Add(rows) folds
+// into. Each group column is numbered by a dictCoder of the
+// aggregator's own — so codes mean the same value on every batch,
+// whatever dictionaries the batches arrive with — unless it comes
+// numbered already (Column.Group: a join index's build column, coded
+// once per build row by the same rules), and a row's group is found
+// from its code tuple (codeIndex), so no group value is hashed or
+// compared per row. findOrCreate, the row fold's lookup, is consulted
+// once per distinct tuple, which keeps every grouping rule (NULLs
+// group together, Int 3 groups with Float 3.0, -0 with +0, a NaN key
+// with nothing) and the numbering of groups in first-seen order exactly
+// where Add has them. Then each aggregate folds its input column into
+// its state columns at the rows' group indexes. Result, Partials and
+// Absorb see no difference.
 
 // GroupCodes is a group column numbered for the code index: a code per
 // row and the value each code stands for, by dictCoder's bit-exact
@@ -48,21 +50,21 @@ func (c *groupCol) code(r int) uint32 {
 
 // vecState is the vector entry's scratch on an aggregationOp.
 type vecState struct {
-	byCode      *codeIndex // the code-tuple index over states
-	coders      []dictCoder
-	coded       [][]uint32    // per group column: its coder's codes for the batch
-	numbering   []*GroupCodes // per group column: the Column.Group its codes came from, nil for coders
-	groups      []groupCol
-	batchStates []*aggState       // each batch row's state
-	measures    []*storage.Vector // per aggregate: its input rows
-	gathered    []*storage.Vector // per aggregate: its selected input rows
+	byCode    *codeIndex // the code-tuple index over groups
+	coders    []dictCoder
+	coded     [][]uint32    // per group column: its coder's codes for the batch
+	numbering []*GroupCodes // per group column: the Column.Group its codes came from, nil for coders
+	groups    []groupCol
+	rowGroups []int32           // each batch row's group
+	measures  []*storage.Vector // per aggregate: its input rows
+	gathered  []*storage.Vector // per aggregate: its selected input rows
 }
 
 // flatIndexBits is the widest packed key the codeIndex serves from a
 // flat array (256 KiB of int32s); wider keys go through a map.
 const flatIndexBits = 16
 
-// codeIndex maps a code tuple to its group state. The tuple's codes
+// codeIndex maps a code tuple to its group. The tuple's codes
 // are packed into one integer key, each column in a bit field sized
 // for twice its dictionary; when a dictionary outgrows its field the
 // index is laid out again from the tuples it has registered, so the
@@ -71,11 +73,11 @@ type codeIndex struct {
 	width []uint // bits per group column; nil until the first layout
 	shift []uint
 	wide  bool             // the packed key does not fit 62 bits: nothing is indexed
-	flat  []int32          // key → entry + 1, when the key space is small
-	table map[uint64]int32 // key → entry, otherwise
+	flat  []int32          // key → group + 1, when the key space is small
+	table map[uint64]int32 // key → group, otherwise
 
-	tuples []uint32    // registered tuples, one code per group column each
-	states []*aggState // state of each registered tuple
+	tuples []uint32 // registered tuples, one code per group column each
+	states []int32  // the group of each registered tuple
 
 	keys  []uint64     // scratch: each batch row's packed key
 	group []expr.Value // scratch: the values of a tuple met for the first time
@@ -115,20 +117,20 @@ func (x *codeIndex) layout(groups []groupCol) {
 		x.table = make(map[uint64]int32, len(x.states))
 	}
 	k := len(groups)
-	for e := range x.states {
+	for e, group := range x.states {
 		var key uint64
 		for g, code := range x.tuples[e*k : (e+1)*k] {
 			key |= uint64(code) << x.shift[g]
 		}
-		x.set(key, int32(e))
+		x.set(key, group)
 	}
 }
 
-func (x *codeIndex) set(key uint64, entry int32) {
+func (x *codeIndex) set(key uint64, group int32) {
 	if x.flat != nil {
-		x.flat[key] = entry + 1
+		x.flat[key] = group + 1
 	} else {
-		x.table[key] = entry
+		x.table[key] = group
 	}
 }
 
@@ -154,26 +156,26 @@ func (x *codeIndex) pack(n int, groups []groupCol) []uint64 {
 	return x.keys
 }
 
-// resolve fills sts with the group state of every batch row, creating
-// states — in first-seen order, through the value-keyed table — for
-// tuples not met before.
-func (o *aggregationOp) resolve(n int, groups []groupCol, sts []*aggState) {
+// resolve fills gs with the group of every batch row, registering
+// groups — in first-seen order, through findOrCreate — for tuples not
+// met before.
+func (o *aggregationOp) resolve(n int, groups []groupCol, gs []int32) {
 	x := o.vec.byCode
 	if !x.fits(groups) {
 		x.layout(groups)
 	}
 	for r, key := range x.pack(n, groups) {
-		entry := int32(-1)
+		group := int32(-1)
 		switch {
 		case x.flat != nil:
-			entry = x.flat[key] - 1
+			group = x.flat[key] - 1
 		case x.table != nil:
 			if e, ok := x.table[key]; ok {
-				entry = e
+				group = e
 			}
 		}
-		if entry >= 0 {
-			sts[r] = x.states[entry]
+		if group >= 0 {
+			gs[r] = group
 			continue
 		}
 		// A tuple not met before: its values decide the group, by the
@@ -187,15 +189,15 @@ func (o *aggregationOp) resolve(n int, groups []groupCol, sts []*aggState) {
 			}
 			x.group = append(x.group, v)
 		}
-		sts[r] = o.findOrCreate(x.group)
+		gs[r] = o.findOrCreate(x.group)
 		if x.wide || unmatchable {
 			continue
 		}
 		for g := range groups {
 			x.tuples = append(x.tuples, groups[g].code(r))
 		}
-		x.states = append(x.states, sts[r])
-		x.set(key, int32(len(x.states)-1))
+		x.states = append(x.states, gs[r])
+		x.set(key, gs[r])
 	}
 }
 
@@ -269,30 +271,28 @@ func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
 		v.coded[g] = v.coders[g].code(col, n, v.coded[g][:0])
 		v.groups[g] = groupCol{GroupCodes{v.coded[g], v.coders[g].dict}, nil}
 	}
-	if cap(v.batchStates) < n {
-		v.batchStates = make([]*aggState, n)
-	}
-	sts := v.batchStates[:n]
-	o.resolve(n, v.groups, sts)
+	v.rowGroups = sized(v.rowGroups, n)
+	gs := v.rowGroups
+	o.resolve(n, v.groups, gs)
 	for i, spec := range o.aggs {
-		m := ms[i]
+		c, m := &o.cols[i], ms[i]
 		if o.aIdx[i] == -1 { // COUNT(*)
-			for _, st := range sts {
-				st.counts[i]++
+			for _, g := range gs {
+				c.counts[g]++
 			}
 			continue
 		}
 		switch spec.Func {
 		case "COUNT":
-			for r, st := range sts {
+			for r, g := range gs {
 				if !m.IsNull(r) {
-					st.counts[i]++
+					c.counts[g]++
 				}
 			}
 		case "MIN", "MAX":
-			foldExtreme(sts, i, m, spec.Func == "MIN")
+			c.foldExtreme(gs, m, spec.Func == "MIN")
 		default: // SUM, AVG
-			foldSum(sts, i, m)
+			c.foldSum(gs, m)
 		}
 	}
 	return nil
@@ -321,52 +321,51 @@ func (o *aggregationOp) checkSummable(n int, measures []*storage.Vector) error {
 }
 
 // foldSum folds one SUM (or AVG) input column, numeric by checkSummable,
-// into the states' running sums, by the row fold's rule.
-func foldSum(sts []*aggState, i int, m *storage.Vector) {
+// into the running sums of the rows' groups gs, by the row fold's rule.
+func (c *stateCols) foldSum(gs []int32, m *storage.Vector) {
 	switch m.Kind {
 	case expr.KindInt:
-		for r, st := range sts {
+		for r, g := range gs {
 			if !m.IsNull(r) {
-				st.counts[i]++
-				st.addInt(i, m.Ints[r])
+				c.counts[g]++
+				c.addInt(g, m.Ints[r])
 			}
 		}
 	case expr.KindFloat:
-		for r, st := range sts {
+		for r, g := range gs {
 			if !m.IsNull(r) {
-				st.counts[i]++
-				st.addFloat(i, m.Floats[r])
+				c.counts[g]++
+				c.addFloat(g, m.Floats[r])
 			}
 		}
 	default: // mixed ints and floats
-		for r, st := range sts {
+		for r, g := range gs {
 			if m.IsNull(r) {
 				continue
 			}
 			v := m.Value(r)
-			st.counts[i]++
+			c.counts[g]++
 			if v.Kind() == expr.KindInt {
-				st.addInt(i, v.AsInt())
+				c.addInt(g, v.AsInt())
 			} else {
 				f, _ := v.AsFloat()
-				st.addFloat(i, f)
+				c.addFloat(g, f)
 			}
 		}
 	}
 }
 
-// foldExtreme folds one MIN (or MAX) input column into the states'
-// running extremes, by the row fold's rule (keepExtreme).
-func foldExtreme(sts []*aggState, i int, m *storage.Vector, min bool) {
-	for r, st := range sts {
-		if m.IsNull(r) {
-			continue
-		}
-		st.counts[i]++
-		if min {
-			keepExtreme(&st.mins[i], m.Value(r), true)
-		} else {
-			keepExtreme(&st.maxs[i], m.Value(r), false)
+// foldExtreme folds one MIN (or MAX) input column into the running
+// extremes of the rows' groups gs, by the row fold's rule (keepExtreme).
+func (c *stateCols) foldExtreme(gs []int32, m *storage.Vector, min bool) {
+	cur := c.maxs
+	if min {
+		cur = c.mins
+	}
+	for r, g := range gs {
+		if !m.IsNull(r) {
+			c.counts[g]++
+			keepExtreme(&cur[g], m.Value(r), min)
 		}
 	}
 }

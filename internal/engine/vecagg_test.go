@@ -430,13 +430,13 @@ func TestRetainWithinAHashChain(t *testing.T) {
 	if err := a.AddVectors(len(keys), []Column{{Vec: storage.VectorOf(keys)}}, []Column{{}}); err != nil {
 		t.Fatal(err)
 	}
-	// Partials order: the NaN chain (rows 0, 1, 3, 4), then 1.
+	// Partials order: first seen, so rows 0 to 4.
 	a.Retain([]bool{false, true, true, false, true})
 	rows := a.Result()
 	if len(rows) != 3 {
 		t.Fatalf("%d groups after Retain, want 3", len(rows))
 	}
-	for i, want := range []float64{math.NaN(), math.NaN(), 1} {
+	for i, want := range []float64{math.NaN(), 1, math.NaN()} {
 		f, _ := rows[i][0].AsFloat()
 		if math.IsNaN(want) != math.IsNaN(f) || !math.IsNaN(want) && f != want {
 			t.Fatalf("group %d is %s", i, rows[i][0])
