@@ -55,7 +55,7 @@ func extremesOf(t *testing.T, rows [][]expr.Value, kind expr.Kind, vectors bool,
 	if cut < 0 {
 		return fold(rows).Result()[0]
 	}
-	var parts [][]AggPartial
+	var parts []Cells
 	for start, i := 0, 1; i <= len(rows); i++ {
 		if i == len(rows) || cut>>(i-1)&1 == 1 {
 			parts = append(parts, fold(rows[start:i]).Partials())

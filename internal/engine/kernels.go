@@ -367,26 +367,27 @@ type aggregationOp struct {
 	hashes []uint64         // group g's key hash
 	first  map[uint64]int32 // by key hash: the newest group under it, where its chain starts
 	next   []int32          // the group after g in its hash's chain, -1 at the end
-	cols   []stateCols      // per aggregate: its states, one entry per group
+	cols   []StateCols      // per aggregate: its states, one entry per group
 	key    []expr.Value     // add's scratch: a row's group values
 
 	vec vecState // the vector entry's (vecagg.go)
 }
 
-// stateCols is one aggregate's states, entry g for group g. Only the
-// columns its function reads are allocated: counts always, mins for a
-// MIN, maxs for a MAX, and the sum columns for a SUM or AVG. Its exact
-// sum of the inputs' float images is sums plus images: inputs with
+// StateCols is one aggregate's states, entry g for group g — the
+// aggregator's own and, through Cells, every partial answer's. Only the
+// columns its function reads are allocated: Counts always, Mins for a
+// MIN, Maxs for a MAX, and the sum columns for a SUM or AVG. Its exact
+// sum of the inputs' float images is Sums plus images: inputs with
 // integer images go to the 128-bit imageSum until settle moves them
 // over, fractions and absorbed partials to the expansion.
-type stateCols struct {
-	counts   []int64 // non-null inputs
-	intSums  []int64 // the int inputs' sum, wrapping
+type StateCols struct {
+	Counts   []int64 // non-null inputs
+	IntSums  []int64 // the int inputs' sum, wrapping
 	images   []imageSum
-	sums     []FloatSum
-	sumIsInt []bool // no input was a float
-	mins     []expr.Value
-	maxs     []expr.Value
+	Sums     []FloatSum
+	SumIsInt []bool // no input was a float
+	Mins     []expr.Value
+	Maxs     []expr.Value
 }
 
 func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
@@ -421,7 +422,10 @@ func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
 
 // newAggOp is an aggregation with no group yet; it keeps the slices.
 func newAggOp(aggs []xlm.AggSpec, gIdx, aIdx []int) *aggregationOp {
-	return &aggregationOp{aggs: aggs, gIdx: gIdx, aIdx: aIdx, first: map[uint64]int32{}, cols: make([]stateCols, len(aggs))}
+	k, w := len(gIdx), len(aggs)
+	return &aggregationOp{aggs: aggs, gIdx: gIdx, aIdx: aIdx, first: map[uint64]int32{}, cols: make([]StateCols, w),
+		vec: vecState{byCode: &codeIndex{}, coders: make([]dictCoder, k), coded: make([][]uint32, k), numbering: make([]*GroupCodes, k),
+			groups: make([]groupCol, k), measures: make([]*storage.Vector, w), gathered: make([]*storage.Vector, w)}}
 }
 
 // findOrCreate returns the group of these key values, by the grouping
@@ -464,18 +468,18 @@ func (o *aggregationOp) chain(h uint64) int32 {
 
 // grow appends a new group's states: zero counts and sums, NULL
 // extremes.
-func (c *stateCols) grow(fn string) {
-	c.counts = push(c.counts, 0)
+func (c *StateCols) grow(fn string) {
+	c.Counts = push(c.Counts, 0)
 	switch fn {
 	case "SUM", "AVG":
-		c.intSums = push(c.intSums, 0)
+		c.IntSums = push(c.IntSums, 0)
 		c.images = push(c.images, imageSum{})
-		c.sums = push(c.sums, FloatSum{})
-		c.sumIsInt = push(c.sumIsInt, true)
+		c.Sums = push(c.Sums, FloatSum{})
+		c.SumIsInt = push(c.SumIsInt, true)
 	case "MIN":
-		c.mins = push(c.mins, expr.Null())
+		c.Mins = push(c.Mins, expr.Null())
 	case "MAX":
-		c.maxs = push(c.maxs, expr.Null())
+		c.Maxs = push(c.Maxs, expr.Null())
 	}
 }
 
@@ -489,28 +493,22 @@ func push[T any](s []T, vs ...T) []T {
 	return append(s, vs...)
 }
 
-// retain keeps the entries keep marks, in order.
-func (c *stateCols) retain(keep []bool) {
-	c.counts, c.intSums = kept(c.counts, keep), kept(c.intSums, keep)
-	c.images, c.sums, c.sumIsInt = kept(c.images, keep), kept(c.sums, keep), kept(c.sumIsInt, keep)
-	c.mins, c.maxs = kept(c.mins, keep), kept(c.maxs, keep)
+// pick returns the entries sel picks, in sel's order; a column the
+// aggregate does not read stays nil.
+func (c *StateCols) pick(sel []int32) StateCols {
+	return StateCols{Counts: picked(c.Counts, sel), IntSums: picked(c.IntSums, sel), images: picked(c.images, sel),
+		Sums: picked(c.Sums, sel), SumIsInt: picked(c.SumIsInt, sel), Mins: picked(c.Mins, sel), Maxs: picked(c.Maxs, sel)}
 }
 
-// kept compacts a state column to the entries keep marks; a column
-// the aggregate does not read stays nil.
-func kept[T any](s []T, keep []bool) []T {
+func picked[T any](s []T, sel []int32) []T {
 	if s == nil {
 		return nil
 	}
-	n := 0
-	for g, k := range keep {
-		if k {
-			s[n] = s[g]
-			n++
-		}
+	out := make([]T, len(sel))
+	for i, g := range sel {
+		out[i] = s[g]
 	}
-	clear(s[n:])
-	return s[:n]
+	return out
 }
 
 // add folds rows into the running group states.
@@ -524,20 +522,20 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 		for i, a := range o.aggs {
 			c := &o.cols[i]
 			if o.aIdx[i] == -1 { // COUNT(*)
-				c.counts[g]++
+				c.Counts[g]++
 				continue
 			}
 			v := row[o.aIdx[i]]
 			if v.IsNull() {
 				continue
 			}
-			c.counts[g]++
+			c.Counts[g]++
 			switch a.Func {
 			case "COUNT":
 			case "MIN":
-				keepExtreme(&c.mins[g], v, true)
+				keepExtreme(&c.Mins[g], v, true)
 			case "MAX":
-				keepExtreme(&c.maxs[g], v, false)
+				keepExtreme(&c.Maxs[g], v, false)
 			default: // SUM, AVG
 				f, ok := v.AsFloat()
 				switch {
@@ -555,27 +553,27 @@ func (o *aggregationOp) add(rows [][]expr.Value) error {
 }
 
 // addInt folds the int v into group g's SUM (or AVG).
-func (c *stateCols) addInt(g int32, v int64) {
-	c.intSums[g] += v
+func (c *StateCols) addInt(g int32, v int64) {
+	c.IntSums[g] += v
 	c.images[g].addInt(v)
 }
 
 // addFloat folds the float f into group g's SUM (or AVG).
-func (c *stateCols) addFloat(g int32, f float64) {
+func (c *StateCols) addFloat(g int32, f float64) {
 	if !c.images[g].addFloat(f) {
-		c.sums[g].Add(f)
+		c.Sums[g].Add(f)
 	}
-	c.sumIsInt[g] = false
+	c.SumIsInt[g] = false
 }
 
 // settle moves group g's 128-bit sum into its expansion and returns the
 // expansion, which then holds the whole exact sum.
-func (c *stateCols) settle(g int32) *FloatSum {
+func (c *StateCols) settle(g int32) *FloatSum {
 	if c.images[g] != (imageSum{}) {
-		c.images[g].addTo(&c.sums[g])
+		c.images[g].addTo(&c.Sums[g])
 		c.images[g] = imageSum{}
 	}
-	return &c.sums[g]
+	return &c.Sums[g]
 }
 
 // keepExtreme folds the non-NULL v into a running MIN (or MAX). The
@@ -661,27 +659,27 @@ func (o *aggregationOp) result() ([][]expr.Value, error) {
 			c := &o.cols[i]
 			switch a.Func {
 			case "COUNT":
-				row[k+i] = expr.Int(c.counts[g])
+				row[k+i] = expr.Int(c.Counts[g])
 			case "MIN":
-				row[k+i] = c.mins[g]
+				row[k+i] = c.Mins[g]
 			case "MAX":
-				row[k+i] = c.maxs[g]
+				row[k+i] = c.Maxs[g]
 			case "SUM":
-				if c.counts[g] == 0 {
+				if c.Counts[g] == 0 {
 					row[k+i] = expr.Null()
-				} else if sum := c.settle(g).Round(); c.sumIsInt[g] {
-					if math.Abs(float64(c.intSums[g])-sum) >= 1<<63 {
+				} else if sum := c.settle(g).Round(); c.SumIsInt[g] {
+					if math.Abs(float64(c.IntSums[g])-sum) >= 1<<63 {
 						return nil, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
 					}
-					row[k+i] = expr.Int(c.intSums[g])
+					row[k+i] = expr.Int(c.IntSums[g])
 				} else {
 					row[k+i] = expr.Float(sum)
 				}
 			case "AVG":
-				if c.counts[g] == 0 {
+				if c.Counts[g] == 0 {
 					row[k+i] = expr.Null()
 				} else {
-					row[k+i] = expr.Float(c.settle(g).Round() / float64(c.counts[g]))
+					row[k+i] = expr.Float(c.settle(g).Round() / float64(c.Counts[g]))
 				}
 			}
 		}

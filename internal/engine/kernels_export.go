@@ -156,25 +156,26 @@ func (a *HashAggregator) Finalize() ([][]expr.Value, error) { return a.op.result
 // longer overflow. The kept groups keep their order; the hash chains
 // are rebuilt from the stored hashes.
 func (a *HashAggregator) Retain(keep []bool) {
-	o, k, n := a.op, len(a.op.gIdx), 0
+	o, k := a.op, len(a.op.gIdx)
+	var sel []int32
+	keys := o.keys[:0] // compacted in place: a kept key moves down or stays
 	for g, kept := range keep {
 		if kept {
-			copy(o.keys[n*k:(n+1)*k], o.keys[g*k:(g+1)*k])
-			o.hashes[n] = o.hashes[g]
-			n++
+			keys = append(keys, o.keys[g*k:(g+1)*k]...)
+			sel = append(sel, int32(g))
 		}
 	}
-	clear(o.keys[n*k:])
-	o.keys, o.hashes, o.next = o.keys[:n*k], o.hashes[:n], o.next[:n]
+	clear(o.keys[len(keys):])
+	o.keys, o.hashes, o.next = keys, picked(o.hashes, sel), o.next[:len(sel)]
 	for i := range o.cols {
-		o.cols[i].retain(keep)
+		o.cols[i] = o.cols[i].pick(sel)
 	}
 	clear(o.first)
 	for g, h := range o.hashes {
 		o.next[g] = o.chain(h)
 		o.first[h] = int32(g)
 	}
-	o.vec = vecState{} // its code index maps tuples to the old numbering
+	o.vec.byCode = &codeIndex{} // it maps tuples to the old numbering
 }
 
 // Result is Finalize for callers whose integer SUMs cannot leave int64;

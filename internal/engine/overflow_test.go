@@ -77,7 +77,7 @@ func foldOf(t *testing.T, agg xlm.AggSpec, vals []expr.Value, vectors bool, cut 
 	if cut < 0 {
 		rows, err = fold(vals).Finalize()
 	} else {
-		var parts [][]AggPartial
+		var parts []Cells
 		for start, i := 0, 1; i <= len(vals); i++ {
 			if i == len(vals) || cut>>(i-1)&1 == 1 {
 				parts = append(parts, fold(vals[start:i]).Partials())

@@ -4,110 +4,122 @@ import (
 	"fmt"
 
 	"quarry/internal/expr"
+	"quarry/internal/storage"
 	"quarry/internal/xlm"
 )
 
 // Partial aggregation: the normal aggregation kernel runs over some
 // partition of the rows — a shard's fact partition on the
 // scatter-gather path, the groups of a finer materialized aggregate in
-// the OLAP store — and exports its pre-finalisation group states
-// (AggPartial). FinalizePartials Absorbs any number of such exports
-// into a fresh kernel and finalises (aggregationOp.result) exactly
-// once, over merged states that are value-identical to what a single
-// node folding all rows would hold — COUNT/int-SUM by integer
+// the OLAP store — and exports its pre-finalisation group states as
+// columns (Cells): a key vector per group column and the aggregator's
+// own state columns. FinalizePartials Absorbs any number of such
+// exports into a fresh kernel and finalises (aggregationOp.result)
+// exactly once, over merged states that are value-identical to what a
+// single node folding all rows would hold — COUNT/int-SUM by integer
 // addition (wrapping, like the fold: whether an int SUM overflowed is
 // decided at finalisation, from the whole multiset), float SUM by exact
 // expansion merge (FloatSum), MIN/MAX by the same Compare the fold uses
 // — so the merged answer is byte-identical to the single-node one by
-// construction.
+// construction. Absorb finds a cell's group the way AddVectors finds a
+// row's (groupsOf), so the fold and the merge share every grouping
+// rule.
 
-// MeasurePartial is one aggregate's mergeable state for one group.
-type MeasurePartial struct {
-	Count    int64
-	IntSum   int64
-	SumIsInt bool
-	// Float-sum expansion (see FloatSum.Export).
-	SumParts      []float64
-	SumSpecial    float64
-	SumHasSpecial bool
-	Min           expr.Value
-	Max           expr.Value
-}
-
-// AggPartial is one group's mergeable aggregation state: the group key
-// values and one MeasurePartial per declared aggregate.
-type AggPartial struct {
-	Group    []expr.Value
-	Measures []MeasurePartial
+// Cells is a set of group states in columns: cell g's key is row g of
+// every key vector, and its states are entry g of each aggregate's
+// StateCols. A state column the aggregate's function does not read is
+// nil, and the float sums are settled into Sums.
+type Cells struct {
+	N      int
+	Keys   []*storage.Vector // one per group column
+	States []StateCols       // one per aggregate
 }
 
 // Partials exports the aggregator's current group states in group
 // (first-seen) order. A global aggregate that saw zero rows exports
-// zero partials: the zero-rows row (COUNT 0, NULL sums) is a
-// finalisation artifact and is injected exactly once, by the merge
-// side's Result. A measure exports what its function keeps; the rest
-// of its MeasurePartial is zero, with SumIsInt true.
-func (a *HashAggregator) Partials() []AggPartial {
+// zero cells: the zero-rows row (COUNT 0, NULL sums) is a finalisation
+// artifact and is injected exactly once, by the merge side's Result.
+// The state columns are the aggregator's own, not a copy: the result
+// is valid until the aggregator next changes.
+func (a *HashAggregator) Partials() Cells {
 	o := a.op
-	n, k, w := len(o.hashes), len(o.gIdx), len(o.aggs)
-	out := make([]AggPartial, n)
-	vals := append(make([]expr.Value, 0, len(o.keys)), o.keys...)
-	measures := make([]MeasurePartial, n*w)
-	for g := range int32(n) {
-		p := &out[g]
-		p.Group = vals[int(g)*k : int(g+1)*k : int(g+1)*k]
-		p.Measures = measures[int(g)*w : int(g+1)*w : int(g+1)*w]
-		for i, spec := range o.aggs {
-			c, m := &o.cols[i], &p.Measures[i]
-			m.Count, m.SumIsInt = c.counts[g], true
-			switch spec.Func {
-			case "SUM", "AVG":
-				m.IntSum, m.SumIsInt = c.intSums[g], c.sumIsInt[g]
-				m.SumParts, m.SumSpecial, m.SumHasSpecial = c.settle(g).Export()
-			case "MIN":
-				m.Min = c.mins[g]
-			case "MAX":
-				m.Max = c.maxs[g]
-			}
+	n, k := len(o.hashes), len(o.gIdx)
+	for i := range o.cols {
+		for g := range o.cols[i].images {
+			o.cols[i].settle(int32(g))
 		}
+	}
+	keys := make([]*storage.Vector, k)
+	vals := make([]expr.Value, n)
+	for j := range keys {
+		for g := range vals {
+			vals[g] = o.keys[g*k+j]
+		}
+		keys[j] = storage.VectorOf(vals)
+	}
+	return Cells{N: n, Keys: keys, States: o.cols}
+}
+
+// Select returns the cells sel picks, in sel's order: the key vectors
+// gathered, the state columns holding the picked entries.
+func (c Cells) Select(sel []int32) Cells {
+	out := Cells{N: len(sel), States: make([]StateCols, len(c.States))}
+	for _, k := range c.Keys {
+		out.Keys = append(out.Keys, &storage.Vector{})
+		k.Gather(out.Keys[len(out.Keys)-1], sel)
+	}
+	for i := range c.States {
+		out.States[i] = c.States[i].pick(sel)
 	}
 	return out
 }
 
-// Absorb merges exported partials into this aggregator's running
-// states, as if the rows behind them had been Added here. New groups
-// are created in absorption order, so absorbing shard partials in
-// shard-index order gives a deterministic (if arbitrary) pre-sort
-// emission order; callers that need a canonical order sort the
-// finalised rows, exactly like the single-node paths do.
-func (a *HashAggregator) Absorb(ps []AggPartial) error {
+// Absorb merges exported cells into this aggregator's running states,
+// as if the rows behind them had been Added here. It refuses cells
+// whose key or state columns, among those the aggregates read, do not
+// all hold N entries; then it resolves the cells' key tuples to groups
+// the way AddVectors resolves rows — new groups are created in
+// absorption order, so absorbing shard partials in shard-index order
+// gives a deterministic (if arbitrary) pre-sort emission order; callers
+// that need a canonical order sort the finalised rows, exactly like the
+// single-node paths do.
+func (a *HashAggregator) Absorb(c Cells) error {
 	o := a.op
-	for pi := range ps {
-		p := &ps[pi]
-		if len(p.Group) != len(o.gIdx) {
-			return fmt.Errorf("engine: partial has %d group values, aggregator expects %d", len(p.Group), len(o.gIdx))
+	fits := c.N >= 0 && len(c.Keys) == len(o.gIdx) && len(c.States) == len(o.aggs)
+	keys := make([]Column, len(c.Keys))
+	for j, k := range c.Keys {
+		fits, keys[j] = fits && k.Len() == c.N, Column{Vec: k}
+	}
+	for i := 0; fits && i < len(o.aggs); i++ {
+		fits = c.States[i].fits(o.aggs[i].Func, c.N)
+	}
+	if !fits {
+		return fmt.Errorf("engine: partial of %d cells in %d key and %d state columns does not fit an aggregator of %d and %d, %d entries each",
+			c.N, len(c.Keys), len(c.States), len(o.gIdx), len(o.aggs), c.N)
+	}
+	gs := o.groupsOf(c.N, keys)
+	for i, spec := range o.aggs {
+		dst, src := &o.cols[i], &c.States[i]
+		for j, g := range gs {
+			dst.Counts[g] += src.Counts[j]
 		}
-		if len(p.Measures) != len(o.aggs) {
-			return fmt.Errorf("engine: partial has %d measures, aggregator expects %d", len(p.Measures), len(o.aggs))
-		}
-		g := o.findOrCreate(p.Group)
-		for i, spec := range o.aggs {
-			c, m := &o.cols[i], &p.Measures[i]
-			c.counts[g] += m.Count
-			switch spec.Func {
-			case "SUM", "AVG":
-				c.intSums[g] += m.IntSum
-				c.sumIsInt[g] = c.sumIsInt[g] && m.SumIsInt
-				c.sums[g].Merge(ImportFloatSum(m.SumParts, m.SumSpecial, m.SumHasSpecial))
-			// MIN/MAX merge with the fold's semantics: NULL means "no
-			// value yet".
-			case "MIN":
-				if !m.Min.IsNull() {
-					keepExtreme(&c.mins[g], m.Min, true)
-				}
-			case "MAX":
-				if !m.Max.IsNull() {
-					keepExtreme(&c.maxs[g], m.Max, false)
+		switch spec.Func {
+		case "SUM", "AVG":
+			for j, g := range gs {
+				dst.IntSums[g] += src.IntSums[j]
+				dst.SumIsInt[g] = dst.SumIsInt[g] && src.SumIsInt[j]
+				dst.Sums[g].Merge(src.Sums[j])
+			}
+		// MIN/MAX merge with the fold's semantics: NULL means "no value
+		// yet".
+		case "MIN", "MAX":
+			cur, in := dst.Maxs, src.Maxs
+			if spec.Func == "MIN" {
+				cur, in = dst.Mins, src.Mins
+			}
+			for j, g := range gs {
+				if !in[j].IsNull() {
+					keepExtreme(&cur[g], in[j], spec.Func == "MIN")
 				}
 			}
 		}
@@ -115,16 +127,23 @@ func (a *HashAggregator) Absorb(ps []AggPartial) error {
 	return nil
 }
 
+// fits reports whether every state column fn reads has n entries.
+func (c *StateCols) fits(fn string, n int) bool {
+	sum := fn == "SUM" || fn == "AVG"
+	return len(c.Counts) == n && (!sum || len(c.IntSums) == n && len(c.SumIsInt) == n && len(c.Sums) == n) &&
+		(fn != "MIN" || len(c.Mins) == n) && (fn != "MAX" || len(c.Maxs) == n)
+}
+
 // FinalizePartials merges exported partial states and finalises them
 // once: a fresh kernel Absorbs every batch in argument order, Result
 // finalises, and the rows are sorted by their group columns exactly
-// like the single-node executors sort theirs. Each partial carries
-// groupCols group values followed by one state per aggregate of aggs
+// like the single-node executors sort theirs. Each batch carries
+// groupCols key columns and one state-column set per aggregate of aggs
 // (only Func is read). It is the one place partial states become an
 // answer — the shard gather and the materialized-aggregate store both
-// end here. A global aggregate (groupCols == 0) over no partials still
+// end here. A global aggregate (groupCols == 0) over no cells still
 // yields its single COUNT 0 / NULL row.
-func FinalizePartials(groupCols int, aggs []xlm.AggSpec, parts ...[]AggPartial) ([][]expr.Value, error) {
+func FinalizePartials(groupCols int, aggs []xlm.AggSpec, parts ...Cells) ([][]expr.Value, error) {
 	groupIdx := make([]int, groupCols)
 	for i := range groupIdx {
 		groupIdx[i] = i
@@ -135,9 +154,9 @@ func FinalizePartials(groupCols int, aggs []xlm.AggSpec, parts ...[]AggPartial) 
 	if err != nil {
 		return nil, err
 	}
-	for _, ps := range parts {
-		if err := agg.Absorb(ps); err != nil {
-			return nil, err
+	for i, c := range parts {
+		if err := agg.Absorb(c); err != nil {
+			return nil, fmt.Errorf("partial %d: %w", i, err)
 		}
 	}
 	rows, err := agg.Finalize()

@@ -93,7 +93,7 @@ func TestQuickRetainMatchesRefold(t *testing.T) {
 		}
 		rows, groupOf := draw(r.Intn(80))
 		fold(rows)
-		if n := len(a.Partials()); n != len(firsts) {
+		if n := a.Partials().N; n != len(firsts) {
 			t.Errorf("seed %d: %d partials, the scan finds %d groups", seed, n, len(firsts))
 			return false
 		}

@@ -22,8 +22,10 @@ import (
 // group together, Int 3 groups with Float 3.0, -0 with +0, a NaN key
 // with nothing) and the numbering of groups in first-seen order exactly
 // where Add has them. Then each aggregate folds its input column into
-// its state columns at the rows' group indexes. Result, Partials and
-// Absorb see no difference.
+// its state columns at the rows' group indexes. Absorb finds the groups
+// of a partial's cells through the same path (groupsOf), its key
+// vectors standing for a batch's group columns; Result and Partials see
+// no difference.
 
 // GroupCodes is a group column numbered for the code index: a code per
 // row and the value each code stands for, by dictCoder's bit-exact
@@ -156,51 +158,6 @@ func (x *codeIndex) pack(n int, groups []groupCol) []uint64 {
 	return x.keys
 }
 
-// resolve fills gs with the group of every batch row, registering
-// groups — in first-seen order, through findOrCreate — for tuples not
-// met before.
-func (o *aggregationOp) resolve(n int, groups []groupCol, gs []int32) {
-	x := o.vec.byCode
-	if !x.fits(groups) {
-		x.layout(groups)
-	}
-	for r, key := range x.pack(n, groups) {
-		group := int32(-1)
-		switch {
-		case x.flat != nil:
-			group = x.flat[key] - 1
-		case x.table != nil:
-			if e, ok := x.table[key]; ok {
-				group = e
-			}
-		}
-		if group >= 0 {
-			gs[r] = group
-			continue
-		}
-		// A tuple not met before: its values decide the group, by the
-		// rules of the row fold.
-		x.group = x.group[:0]
-		unmatchable := false
-		for g := range groups {
-			v := groups[g].Dict[groups[g].code(r)]
-			if f, isFloat := v.AsFloat(); isFloat && f != f {
-				unmatchable = true // a NaN key equals nothing, itself included
-			}
-			x.group = append(x.group, v)
-		}
-		gs[r] = o.findOrCreate(x.group)
-		if x.wide || unmatchable {
-			continue
-		}
-		for g := range groups {
-			x.tuples = append(x.tuples, groups[g].code(r))
-		}
-		x.states = append(x.states, gs[r])
-		x.set(key, gs[r])
-	}
-}
-
 // AddVectors folds a batch of n rows given column-wise: groups holds
 // one column per group column, measures one per aggregate (ignored for
 // COUNT(*)). It is Add for callers that hold columns rather than rows
@@ -219,15 +176,6 @@ func (a *HashAggregator) AddVectors(n int, groups, measures []Column) error {
 
 func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
 	v := &o.vec
-	if v.byCode == nil {
-		v.byCode = &codeIndex{}
-		v.coders = make([]dictCoder, len(o.gIdx))
-		v.coded = make([][]uint32, len(o.gIdx))
-		v.numbering = make([]*GroupCodes, len(o.gIdx))
-		v.groups = make([]groupCol, len(o.gIdx))
-		v.measures = make([]*storage.Vector, len(o.aggs))
-		v.gathered = make([]*storage.Vector, len(o.aggs))
-	}
 	// Measures are read whole: a selected column is gathered first, once
 	// for all the aggregates over it.
 	ms := v.measures
@@ -257,6 +205,37 @@ func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
 	if err := o.checkSummable(n, ms); err != nil {
 		return err
 	}
+	gs := o.groupsOf(n, groups)
+	for i, spec := range o.aggs {
+		c, m := &o.cols[i], ms[i]
+		if o.aIdx[i] == -1 { // COUNT(*)
+			for _, g := range gs {
+				c.Counts[g]++
+			}
+			continue
+		}
+		switch spec.Func {
+		case "COUNT":
+			for r, g := range gs {
+				if !m.IsNull(r) {
+					c.Counts[g]++
+				}
+			}
+		case "MIN", "MAX":
+			c.foldExtreme(gs, m, spec.Func == "MIN")
+		default: // SUM, AVG
+			c.foldSum(gs, m)
+		}
+	}
+	return nil
+}
+
+// groupsOf returns the group of each of the n rows of the group
+// columns, registering groups for tuples not met before. It is the
+// group half of AddVectors, and Absorb's lookup of a partial's cells:
+// the returned slice is scratch, valid until the next call.
+func (o *aggregationOp) groupsOf(n int, groups []Column) []int32 {
+	v := &o.vec
 	for g, col := range groups {
 		if col.Group != v.numbering[g] {
 			// Codes of another numbering mean other values: the tuples
@@ -271,31 +250,50 @@ func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
 		v.coded[g] = v.coders[g].code(col, n, v.coded[g][:0])
 		v.groups[g] = groupCol{GroupCodes{v.coded[g], v.coders[g].dict}, nil}
 	}
-	v.rowGroups = sized(v.rowGroups, n)
-	gs := v.rowGroups
-	o.resolve(n, v.groups, gs)
-	for i, spec := range o.aggs {
-		c, m := &o.cols[i], ms[i]
-		if o.aIdx[i] == -1 { // COUNT(*)
-			for _, g := range gs {
-				c.counts[g]++
+	// Each row's tuple is looked up in the code index; a tuple not met
+	// before registers its group — in first-seen order, through
+	// findOrCreate.
+	gs, x := sized(v.rowGroups, n), v.byCode
+	v.rowGroups = gs
+	if !x.fits(v.groups) {
+		x.layout(v.groups)
+	}
+	for r, key := range x.pack(n, v.groups) {
+		group := int32(-1)
+		switch {
+		case x.flat != nil:
+			group = x.flat[key] - 1
+		case x.table != nil:
+			if e, ok := x.table[key]; ok {
+				group = e
 			}
+		}
+		if group >= 0 {
+			gs[r] = group
 			continue
 		}
-		switch spec.Func {
-		case "COUNT":
-			for r, g := range gs {
-				if !m.IsNull(r) {
-					c.counts[g]++
-				}
+		// A tuple not met before: its values decide the group, by the
+		// rules of the row fold.
+		x.group = x.group[:0]
+		unmatchable := false
+		for _, c := range v.groups {
+			val := c.Dict[c.code(r)]
+			if f, isFloat := val.AsFloat(); isFloat && f != f {
+				unmatchable = true // a NaN key equals nothing, itself included
 			}
-		case "MIN", "MAX":
-			c.foldExtreme(gs, m, spec.Func == "MIN")
-		default: // SUM, AVG
-			c.foldSum(gs, m)
+			x.group = append(x.group, val)
 		}
+		gs[r] = o.findOrCreate(x.group)
+		if x.wide || unmatchable {
+			continue
+		}
+		for _, c := range v.groups {
+			x.tuples = append(x.tuples, c.code(r))
+		}
+		x.states = append(x.states, gs[r])
+		x.set(key, gs[r])
 	}
-	return nil
+	return gs
 }
 
 // checkSummable reports the error the row fold would stop at: the
@@ -322,19 +320,19 @@ func (o *aggregationOp) checkSummable(n int, measures []*storage.Vector) error {
 
 // foldSum folds one SUM (or AVG) input column, numeric by checkSummable,
 // into the running sums of the rows' groups gs, by the row fold's rule.
-func (c *stateCols) foldSum(gs []int32, m *storage.Vector) {
+func (c *StateCols) foldSum(gs []int32, m *storage.Vector) {
 	switch m.Kind {
 	case expr.KindInt:
 		for r, g := range gs {
 			if !m.IsNull(r) {
-				c.counts[g]++
+				c.Counts[g]++
 				c.addInt(g, m.Ints[r])
 			}
 		}
 	case expr.KindFloat:
 		for r, g := range gs {
 			if !m.IsNull(r) {
-				c.counts[g]++
+				c.Counts[g]++
 				c.addFloat(g, m.Floats[r])
 			}
 		}
@@ -344,7 +342,7 @@ func (c *stateCols) foldSum(gs []int32, m *storage.Vector) {
 				continue
 			}
 			v := m.Value(r)
-			c.counts[g]++
+			c.Counts[g]++
 			if v.Kind() == expr.KindInt {
 				c.addInt(g, v.AsInt())
 			} else {
@@ -357,14 +355,14 @@ func (c *stateCols) foldSum(gs []int32, m *storage.Vector) {
 
 // foldExtreme folds one MIN (or MAX) input column into the running
 // extremes of the rows' groups gs, by the row fold's rule (keepExtreme).
-func (c *stateCols) foldExtreme(gs []int32, m *storage.Vector, min bool) {
-	cur := c.maxs
+func (c *StateCols) foldExtreme(gs []int32, m *storage.Vector, min bool) {
+	cur := c.Maxs
 	if min {
-		cur = c.mins
+		cur = c.Mins
 	}
 	for r, g := range gs {
 		if !m.IsNull(r) {
-			c.counts[g]++
+			c.Counts[g]++
 			keepExtreme(&cur[g], m.Value(r), min)
 		}
 	}

@@ -103,7 +103,7 @@ type vectorCase struct {
 
 // run folds the case through Add (rows) or AddVectors and returns the
 // finalised rows and the exported partials.
-func (tc *vectorCase) run(t *testing.T, vectors bool) ([][]expr.Value, []AggPartial) {
+func (tc *vectorCase) run(t *testing.T, vectors bool) ([][]expr.Value, Cells) {
 	t.Helper()
 	groupIdx := make([]int, tc.groupCols)
 	for i := range groupIdx {
@@ -142,8 +142,8 @@ func (tc *vectorCase) check(t *testing.T) {
 	t.Helper()
 	wantRows, wantParts := tc.run(t, false)
 	gotRows, gotParts := tc.run(t, true)
-	if len(gotRows) != len(wantRows) || len(gotParts) != len(wantParts) {
-		t.Fatalf("vectors made %d rows and %d partials, rows made %d and %d", len(gotRows), len(gotParts), len(wantRows), len(wantParts))
+	if len(gotRows) != len(wantRows) || gotParts.N != wantParts.N {
+		t.Fatalf("vectors made %d rows and %d partials, rows made %d and %d", len(gotRows), gotParts.N, len(wantRows), wantParts.N)
 	}
 	for i := range wantRows {
 		for j := range wantRows[i] {
@@ -152,21 +152,45 @@ func (tc *vectorCase) check(t *testing.T) {
 			}
 		}
 	}
-	for i := range wantParts {
-		for g := range wantParts[i].Group {
-			if !identical(wantParts[i].Group[g], gotParts[i].Group[g]) {
-				t.Fatalf("partial %d group value %d: vectors %s, rows %s", i, g, gotParts[i].Group[g], wantParts[i].Group[g])
+	for i := range wantParts.N {
+		for g := range wantParts.Keys {
+			if w, v := wantParts.Keys[g].Value(i), gotParts.Keys[g].Value(i); !identical(w, v) {
+				t.Fatalf("partial %d group value %d: vectors %s, rows %s", i, g, v, w)
 			}
 		}
-		for m := range wantParts[i].Measures {
-			w, g := wantParts[i].Measures[m], gotParts[i].Measures[m]
+		for m := range wantParts.States {
+			w, g := cellOf(wantParts.States[m], i), cellOf(gotParts.States[m], i)
 			if w.Count != g.Count || w.IntSum != g.IntSum || w.SumIsInt != g.SumIsInt ||
-				!identical(w.Min, g.Min) || !identical(w.Max, g.Max) ||
-				fmt.Sprint(w.SumParts, w.SumSpecial, w.SumHasSpecial) != fmt.Sprint(g.SumParts, g.SumSpecial, g.SumHasSpecial) {
+				!identical(w.Min, g.Min) || !identical(w.Max, g.Max) || w.Sum != g.Sum {
 				t.Fatalf("partial %d measure %d: vectors %+v, rows %+v", i, m, g, w)
 			}
 		}
 	}
+}
+
+// cell is one cell's states of one aggregate, read out of its columns
+// for comparison: what the function does not keep is zero, with
+// SumIsInt true, and Min and Max NULL.
+type cell struct {
+	Count, IntSum int64
+	SumIsInt      bool
+	Sum           string // the settled expansion: parts, special, has-special
+	Min, Max      expr.Value
+}
+
+func cellOf(c StateCols, i int) cell {
+	out := cell{Count: c.Counts[i], SumIsInt: true}
+	if c.Sums != nil {
+		parts, special, has := c.Sums[i].Export()
+		out.IntSum, out.SumIsInt, out.Sum = c.IntSums[i], c.SumIsInt[i], fmt.Sprint(parts, special, has)
+	}
+	if c.Mins != nil {
+		out.Min = c.Mins[i]
+	}
+	if c.Maxs != nil {
+		out.Max = c.Maxs[i]
+	}
+	return out
 }
 
 // allAggs reads an int column at 0+g, a float column at 1+g and a
@@ -396,7 +420,7 @@ func TestRetainDropsGroups(t *testing.T) {
 		t.Fatal("b's SUM left int64 and nothing failed")
 	}
 	a.Retain([]bool{true, false, true, false})
-	if got := len(a.Partials()); got != 2 {
+	if got := a.Partials().N; got != 2 {
 		t.Fatalf("%d partials after Retain, want 2", got)
 	}
 	rows, err := a.Finalize()

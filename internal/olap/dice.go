@@ -77,9 +77,11 @@ func caratAggs(p *starPlan) ([]xlm.AggSpec, []int) {
 // diceCells cuts the diamond out of the folded cube: agg's groups,
 // folded over caratAggs, are its cells, and a slice is the cells that
 // share a diced column's value. It returns which cells survive, in
-// Partials order. A worklist re-examines only the slices that lost a
-// cell since their last check, each time summing its live cells'
-// exact carats afresh, never by subtraction.
+// Partials order. A cell's carat is read from the hidden aggregates'
+// state columns and its slices from the key vectors. A worklist
+// re-examines only the slices that lost a cell since their last check,
+// each time summing its live cells' exact carats afresh, never by
+// subtraction.
 func diceCells(agg *engine.HashAggregator, p *starPlan) ([]bool, error) {
 	type slice struct {
 		dim          int // position in p.dice.cols
@@ -87,27 +89,29 @@ func diceCells(agg *engine.HashAggregator, p *starPlan) ([]bool, error) {
 		dead, queued bool
 	}
 	d, cells := p.dice, agg.Partials()
-	nd, hidden := len(d.cols), len(p.aggs)
-	carats := make([]engine.FloatSum, len(cells))
+	nd, hidden := len(d.cols), &cells.States[len(p.aggs)]
+	// A SUM carat is the exact sum the hidden AVG keeps; a COUNT carat
+	// is the hidden COUNT(*).
+	carats := hidden.Sums
+	if d.caratCol == "" {
+		carats = make([]engine.FloatSum, cells.N)
+		for c, n := range hidden.Counts {
+			carats[c].Add(float64(n))
+		}
+	}
 	var all []slice
-	var queue []int                  // every slice starts due for a check
-	of := make([]int, len(cells)*nd) // cell c's slice in diced column i is all[of[c*nd+i]]
+	var queue []int               // every slice starts due for a check
+	of := make([]int, cells.N*nd) // cell c's slice in diced column i is all[of[c*nd+i]]
 	byKey := make([]map[sliceID]int, nd)
 	for i := range byKey {
 		byKey[i] = map[sliceID]int{}
 	}
-	for c := range cells {
-		cell := &cells[c]
-		m := &cell.Measures[hidden]
-		if d.caratCol == "" {
-			carats[c].Add(float64(m.Count))
-		} else if badCarat(cell.Measures[hidden+1].Min) || math.IsNaN(m.SumSpecial) {
+	for c := range cells.N {
+		if d.caratCol != "" && (badCarat(cells.States[len(p.aggs)+1].Mins[c]) || math.IsNaN(carats[c].Round())) {
 			return nil, negativeCarat(d)
-		} else {
-			carats[c] = engine.ImportFloatSum(m.SumParts, m.SumSpecial, m.SumHasSpecial)
 		}
 		for i, g := range d.groupPos {
-			k := caratKey(cell.Group[g])
+			k := caratKey(cells.Keys[g].Value(c))
 			s, ok := byKey[i][k]
 			if !ok {
 				s = len(all)
@@ -119,7 +123,7 @@ func diceCells(agg *engine.HashAggregator, p *starPlan) ([]bool, error) {
 			of[c*nd+i] = s
 		}
 	}
-	live := make([]bool, len(cells))
+	live := make([]bool, cells.N)
 	for c := range live {
 		live[c] = true
 	}

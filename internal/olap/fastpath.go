@@ -344,12 +344,12 @@ func (f *starFold) add(c *starChunk) error {
 	return f.agg.AddVectors(len(c.pos), f.groups, f.measures)
 }
 
-// execFast runs the plan on the vectorized fast path over a snapshot:
-// build per-dimension sides (buildDimSides), stream the fact through
-// join → filter → aggregation (probeStar), cut a dice's diamond out of
-// the folded cells (diceCells), finalise the survivors, sort, and
-// return the in-memory result. Nothing is written to any database.
-func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
+// foldOn runs a plan's build and probe phases over a snapshot and
+// returns the aggregation kernel holding the folded cube. The fast path
+// dices and finalises it; the shard partial answer and every
+// materialized aggregate export its cells (Partials), so all of them
+// hold the states a single node folding the same rows would finalise.
+func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*engine.HashAggregator, error) {
 	sides, err := e.buildDimSides(ctx, p, snap)
 	if err != nil {
 		return nil, err
@@ -361,16 +361,29 @@ func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapsh
 	if err := e.probeStar(ctx, p, snap, sides, fold.add); err != nil {
 		return nil, err
 	}
+	return fold.agg, nil
+}
+
+// execFast runs the plan on the vectorized fast path over a snapshot:
+// build per-dimension sides (buildDimSides), stream the fact through
+// join → filter → aggregation (probeStar), cut a dice's diamond out of
+// the folded cells (diceCells), finalise the survivors, sort, and
+// return the in-memory result. Nothing is written to any database.
+func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
+	agg, err := e.foldOn(ctx, p, snap)
+	if err != nil {
+		return nil, err
+	}
 	class := ClassFast
 	if p.dice != nil {
 		class = ClassDice
-		keep, err := diceCells(fold.agg, p)
+		keep, err := diceCells(agg, p)
 		if err != nil {
 			return nil, err
 		}
-		fold.agg.Retain(keep)
+		agg.Retain(keep)
 	}
-	rows, err := fold.agg.Finalize()
+	rows, err := agg.Finalize()
 	if err != nil {
 		return nil, err
 	}

@@ -28,9 +28,9 @@ package olap
 // keep a shifted workload out of a full log.
 //
 // Each entry is built by the same build/probe body as a shard's partial
-// answer (partialOn) over its own storage snapshot, and keeps what that
+// answer (foldOn) over its own storage snapshot, and keeps what that
 // body returns — the aggregation kernel's pre-finalisation group states
-// (engine.AggPartial) — plus the rows engine.FinalizePartials makes of
+// as columns (engine.Cells) — plus the rows engine.FinalizePartials makes of
 // them, once, at build. Nothing is written to any database. An entry is
 // keyed by its snapshot's DB version; a republish (every /api/run bumps
 // the version exactly once at PublishAll) therefore invalidates every
@@ -89,16 +89,17 @@ func patternKey(fact string, groupBy []string, measures []aggMeasure) string {
 // to it).
 type matEntry struct {
 	pat *aggPattern
-	// parts are the kernel's pre-finalisation states, one per group;
-	// rows are those states finalised once at build (group values in
-	// pat.groupBy order, then one value per pat.measures), in sorted
+	// cells are the kernel's pre-finalisation states, one cell per
+	// group; rows are those states finalised once at build (group values
+	// in pat.groupBy order, then one value per pat.measures), in sorted
 	// group order.
-	parts []engine.AggPartial
+	cells engine.Cells
 	rows  [][]expr.Value
-	// partKeys and rowKeys are the group keys of parts and of rows, in
-	// their order, one column per group column: what serve filters.
-	partKeys, rowKeys []engine.Column
-	version           uint64
+	// rowKeys are the group keys of rows, in their order, one vector per
+	// group column: what serve filters at the entry's own granularity
+	// (cells.Keys are the rewrite arm's).
+	rowKeys []*storage.Vector
+	version uint64
 	// srcRows records the row count of every source table the entry
 	// was built from: the fact and the dimensions its plan joined. The
 	// key set is the entry's join set — answer() serves only queries
@@ -351,7 +352,7 @@ func (m *MatAgg) Refresh(e *Engine) (RefreshReport, error) {
 }
 
 // build materializes one pattern: plan → snapshot → the partial-answer
-// body (partialOn) → group states keyed by the snapshot version, plus
+// body (foldOn, Partials) → group states keyed by the snapshot version, plus
 // the rows finalised from them.
 func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 	q := CubeQuery{Fact: pat.fact, GroupBy: append([]string(nil), pat.groupBy...)}
@@ -366,24 +367,31 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts, err := e.partialOn(context.Background(), p, snap)
+	agg, err := e.foldOn(context.Background(), p, snap)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := engine.FinalizePartials(len(pat.groupBy), p.aggs, parts)
+	cells := agg.Partials()
+	rows, err := engine.FinalizePartials(len(pat.groupBy), p.aggs, cells)
 	if err != nil {
 		return nil, err
 	}
 	en := &matEntry{
-		pat:      pat,
-		parts:    parts,
-		rows:     rows,
-		partKeys: keyColumns(len(pat.groupBy), len(parts), func(i int) []expr.Value { return parts[i].Group }),
-		rowKeys:  keyColumns(len(pat.groupBy), len(rows), func(i int) []expr.Value { return rows[i] }),
-		version:  snap.Version(),
-		srcRows:  make(map[string]int64, len(p.tables)),
-		gIdx:     make(map[string]int, len(pat.groupBy)),
-		mIdx:     make(map[string]int, len(pat.measures)),
+		pat:     pat,
+		cells:   cells,
+		rows:    rows,
+		rowKeys: make([]*storage.Vector, len(pat.groupBy)),
+		version: snap.Version(),
+		srcRows: make(map[string]int64, len(p.tables)),
+		gIdx:    make(map[string]int, len(pat.groupBy)),
+		mIdx:    make(map[string]int, len(pat.measures)),
+	}
+	vals := make([]expr.Value, len(rows))
+	for c := range en.rowKeys {
+		for i, row := range rows {
+			vals[i] = row[c]
+		}
+		en.rowKeys[c] = storage.VectorOf(vals)
 	}
 	for _, name := range p.tables {
 		view, ok := snap.Table(name)
@@ -399,18 +407,4 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 		en.mIdx[am.key()] = i
 	}
 	return en, nil
-}
-
-// keyColumns builds the vectors of the first width values of n group
-// keys.
-func keyColumns(width, n int, key func(i int) []expr.Value) []engine.Column {
-	cols := make([]engine.Column, width)
-	vals := make([]expr.Value, n)
-	for c := range cols {
-		for i := range vals {
-			vals[i] = key(i)[c]
-		}
-		cols[c] = engine.Column{Vec: storage.VectorOf(vals)}
-	}
-	return cols
 }

@@ -16,9 +16,10 @@ package olap
 // so it commutes with aggregation: engine.VectorFilter keeps the
 // entry's groups that pass it. The kept groups are then merged with
 // the one algebra the tree has for partial states,
-// engine.FinalizePartials — each kept
-// partial projected onto the query's group-by and measures, absorbed
-// into a fresh kernel, finalised and sorted once. That is what a shard
+// engine.FinalizePartials — the entry's cells projected onto the
+// query's group-by and measures by picking their columns, the kept
+// cells selected, absorbed into a fresh kernel, finalised and sorted
+// once. That is what a shard
 // gather does with per-shard partials, and it is byte-identical to one
 // node folding the detail rows for EVERY aggregate function: COUNT and
 // int SUM add, MIN/MAX keep the extreme of a total order, float SUM and
@@ -31,7 +32,8 @@ package olap
 // (BenchmarkOLAPQuery_Materialized, a 25-group cube: ≈ 20 µs per query
 // against ≈ 65 µs through the kernel, outside the CI gate's 25 %). The
 // filter is the same either way; it reads the group keys of the half
-// the chosen arm consumes, as vectors built with the entry.
+// the chosen arm consumes: the cells' key vectors, or the rows' built
+// with the entry.
 
 import (
 	"quarry/internal/engine"
@@ -132,7 +134,7 @@ entries:
 func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 	// The filter reads group keys in the order of the half the chosen arm
 	// consumes, so neither arm depends on the other's order.
-	n, keys := len(en.parts), en.partKeys
+	n, keys := en.cells.N, en.cells.Keys
 	if same {
 		n, keys = len(en.rows), en.rowKeys
 	}
@@ -142,8 +144,12 @@ func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 			kept = append(kept, int32(i))
 		}
 	} else {
+		cols := make([]engine.Column, len(keys))
+		for i, k := range keys {
+			cols[i] = engine.Column{Vec: k}
+		}
 		var err error
-		if kept, err = engine.NewVectorFilter(p.filter, en.gIdx).Apply(n, keys, kept); err != nil {
+		if kept, err = engine.NewVectorFilter(p.filter, en.gIdx).Apply(n, cols, kept); err != nil {
 			return nil, err
 		}
 	}
@@ -169,21 +175,19 @@ func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 		}
 		return engine.SortRowsBy(out, leading(len(gPos))), nil
 	}
-	// One slab per kind instead of two slices per kept group; the kernel
-	// copies the group values it keeps.
-	parts := make([]engine.AggPartial, len(kept))
-	groups := make([]expr.Value, 0, len(kept)*len(gPos))
-	measures := make([]engine.MeasurePartial, 0, len(kept)*len(mPos))
-	for k, i := range kept {
-		for _, j := range gPos {
-			groups = append(groups, en.parts[i].Group[j])
-		}
-		for _, j := range mPos {
-			measures = append(measures, en.parts[i].Measures[j])
-		}
-		parts[k] = engine.AggPartial{Group: groups[len(groups)-len(gPos):], Measures: measures[len(measures)-len(mPos):]}
+	// The projection picks the entry's columns; only the filter's
+	// survivors are copied out.
+	cells := engine.Cells{N: en.cells.N}
+	for _, j := range gPos {
+		cells.Keys = append(cells.Keys, en.cells.Keys[j])
 	}
-	return engine.FinalizePartials(len(gPos), p.aggs, parts)
+	for _, j := range mPos {
+		cells.States = append(cells.States, en.cells.States[j])
+	}
+	if p.filter != nil {
+		cells = cells.Select(kept)
+	}
+	return engine.FinalizePartials(len(gPos), p.aggs, cells)
 }
 
 // leading returns the positions 0..n-1: the group columns of a result

@@ -5,12 +5,11 @@ import (
 	"fmt"
 
 	"quarry/internal/engine"
-	"quarry/internal/storage"
 	"quarry/internal/xlm"
 )
 
 // Partial is a shard-local, pre-finalisation answer to a cube query:
-// the hash aggregator's mergeable per-group states over this node's
+// the hash aggregator's mergeable group states over this node's
 // fact partition, plus the result shape needed to merge and finalise
 // elsewhere (see internal/shard). Because the states carry exact
 // float-sum expansions, merging any partition of the fact's rows and
@@ -24,8 +23,9 @@ type Partial struct {
 	GroupCols int
 	// Aggs are the planned aggregate specs, in output order.
 	Aggs []xlm.AggSpec
-	// Groups are the mergeable per-group states, in first-seen order.
-	Groups []engine.AggPartial
+	// Groups are the mergeable group states, one cell per group in
+	// first-seen order.
+	Groups engine.Cells
 	// Version is the warehouse version of the snapshot answered from
 	// — the shard protocol's epoch.
 	Version uint64
@@ -62,7 +62,7 @@ func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial
 	if err != nil {
 		return nil, err
 	}
-	groups, err := e.partialOn(ctx, p, snap)
+	agg, err := e.foldOn(ctx, p, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -70,27 +70,7 @@ func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial
 		Columns:   p.resultColumns(),
 		GroupCols: len(p.groupBy),
 		Aggs:      p.aggs,
-		Groups:    groups,
+		Groups:    agg.Partials(),
 		Version:   snap.Version(),
 	}, nil
-}
-
-// partialOn runs a dice-free plan's build and probe phases over a
-// snapshot and returns the aggregation kernel's pre-finalisation group
-// states, in first-seen order. The shard partial answer and every
-// materialized aggregate are made here, so both hold the same states a
-// single node folding the same rows would finalise.
-func (e *Engine) partialOn(ctx context.Context, p *starPlan, snap *storage.Snapshot) ([]engine.AggPartial, error) {
-	sides, err := e.buildDimSides(ctx, p, snap)
-	if err != nil {
-		return nil, err
-	}
-	fold, err := newStarFold(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.probeStar(ctx, p, snap, sides, fold.add); err != nil {
-		return nil, err
-	}
-	return fold.agg.Partials(), nil
 }

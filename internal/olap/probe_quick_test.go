@@ -407,8 +407,8 @@ func TestProbeFanOutOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, g := range part.Groups {
-		got = append(got, g.Group[0].AsString()+g.Group[1].AsString())
+	for i := range part.Groups.N {
+		got = append(got, part.Groups.Keys[0].Value(i).AsString()+part.Groups.Keys[1].Value(i).AsString())
 	}
 	if want := "yq yp xq xp"; strings.Join(got, " ") != want {
 		t.Fatalf("fan-out order %q, want %q", strings.Join(got, " "), want)

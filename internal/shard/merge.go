@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"quarry/internal/engine"
 	"quarry/internal/expr"
@@ -49,43 +50,32 @@ func Merge(resps []*PartialResponse) (columns []string, rows [][]expr.Value, epo
 		if r.Epoch != first.Epoch {
 			return nil, nil, 0, fmt.Errorf("%w: shard %d answered at epoch %d, shard 0 at %d", ErrEpochSkew, i, r.Epoch, first.Epoch)
 		}
-		if err := sameShape(first, r, i); err != nil {
-			return nil, nil, 0, err
+		// Shape is what the merge depends on, so it is verified apart
+		// from the epoch, which normally catches version-skewed designs
+		// first.
+		if !slices.Equal(r.Columns, first.Columns) || r.GroupCols != first.GroupCols || !slices.Equal(r.Aggs, first.Aggs) {
+			return nil, nil, 0, fmt.Errorf("%w: shard %d answered columns %q (%d grouped, aggregates %+v), shard 0 %q (%d, %+v)",
+				ErrEpochSkew, i, r.Columns, r.GroupCols, r.Aggs, first.Columns, first.GroupCols, first.Aggs)
 		}
+	}
+	// The shape every shard agreed on must be one a query can have: the
+	// group columns, then one column per aggregate, of which there is at
+	// least one.
+	if first.GroupCols < 0 || len(first.Aggs) == 0 || len(first.Columns) != first.GroupCols+len(first.Aggs) {
+		return nil, nil, 0, fmt.Errorf("shard: shard 0 answered %d columns for %d group columns and %d aggregates", len(first.Columns), first.GroupCols, len(first.Aggs))
 	}
 	aggs := make([]xlm.AggSpec, len(first.Aggs))
 	for i, a := range first.Aggs {
 		aggs[i] = xlm.AggSpec{Func: a.Func, Out: a.Out}
 	}
-	parts := make([][]engine.AggPartial, len(resps))
+	parts := make([]engine.Cells, len(resps))
 	for i, r := range resps {
 		if parts[i], err = r.DecodeGroups(); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, 0, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	if rows, err = engine.FinalizePartials(first.GroupCols, aggs, parts...); err != nil {
 		return nil, nil, 0, fmt.Errorf("shard: merging partial answers: %w", err)
 	}
 	return first.Columns, rows, first.Epoch, nil
-}
-
-// sameShape checks a response declares the same result shape as the
-// first one. A mismatch here means version-skewed designs, which the
-// epoch check normally catches first — but shape is what the merge
-// actually depends on, so it is verified independently.
-func sameShape(a, b *PartialResponse, i int) error {
-	if len(a.Columns) != len(b.Columns) || a.GroupCols != b.GroupCols || len(a.Aggs) != len(b.Aggs) {
-		return fmt.Errorf("%w: shard %d answered a different result shape", ErrEpochSkew, i)
-	}
-	for k := range a.Columns {
-		if a.Columns[k] != b.Columns[k] {
-			return fmt.Errorf("%w: shard %d column %d is %q, shard 0 has %q", ErrEpochSkew, i, k, b.Columns[k], a.Columns[k])
-		}
-	}
-	for k := range a.Aggs {
-		if a.Aggs[k] != b.Aggs[k] {
-			return fmt.Errorf("%w: shard %d aggregate %d is %+v, shard 0 has %+v", ErrEpochSkew, i, k, b.Aggs[k], a.Aggs[k])
-		}
-	}
-	return nil
 }

@@ -219,7 +219,7 @@ func wireTrip(t *testing.T, resp *PartialResponse) *PartialResponse {
 	return &back
 }
 
-func aggOver(t *testing.T, rows [][]expr.Value) *engine.HashAggregator {
+func aggOver(t testing.TB, rows [][]expr.Value) *engine.HashAggregator {
 	t.Helper()
 	aggs := []xlm.AggSpec{
 		{Out: "n", Func: "COUNT"},
@@ -346,15 +346,15 @@ func TestMergeGlobalAggregateZeroRows(t *testing.T) {
 			t.Fatal(err)
 		}
 		resps[s] = wireTrip(t, EncodePartial(s, 3, 7, columns, 0, aggs, agg.Partials()))
-		if len(resps[s].Groups) != 0 {
-			t.Fatalf("shard %d exported %d groups for zero rows", s, len(resps[s].Groups))
+		if resps[s].Groups.N != 0 {
+			t.Fatalf("shard %d exported %d groups for zero rows", s, resps[s].Groups.N)
 		}
 	}
 	_, merged, _, err := Merge(resps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	filteredOut, err := engine.FinalizePartials(0, aggs, []engine.AggPartial{})
+	filteredOut, err := engine.FinalizePartials(0, aggs, engine.Cells{States: make([]engine.StateCols, len(aggs))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestMergeIntSumOverflow(t *testing.T) {
 	}
 }
 
-func validResps(t *testing.T, count int, epoch uint64) []*PartialResponse {
+func validResps(t testing.TB, count int, epoch uint64) []*PartialResponse {
 	t.Helper()
 	rows := testRows(60)
 	columns := []string{"g", "n", "total", "avg_amt", "units", "first", "last"}
@@ -472,16 +472,33 @@ func TestMergeRejectsSkew(t *testing.T) {
 	}
 }
 
-// Malformed wire groups (arity lies) must be decode errors.
+// Malformed wire groups (arity lies) must be errors: a column that
+// does not hold N entries fails the merge, a code past its dictionary
+// the decode.
 func TestDecodeGroupsValidatesArity(t *testing.T) {
 	r := validResps(t, 1, 1)[0]
-	r.Groups[0].Key = append(r.Groups[0].Key, ValueWire{Kind: "int"})
-	if _, err := r.DecodeGroups(); err == nil {
-		t.Fatal("extra key value must be a decode error")
+	r.Groups.Keys[0].Codes = append(r.Groups.Keys[0].Codes, 0)
+	if _, _, _, err := Merge([]*PartialResponse{r}); err == nil {
+		t.Fatal("extra key value must be a merge error")
 	}
 	r = validResps(t, 1, 1)[0]
-	r.Groups[0].Measures = r.Groups[0].Measures[:2]
+	r.Groups.States[1].Counts = r.Groups.States[1].Counts[:2]
+	if _, _, _, err := Merge([]*PartialResponse{r}); err == nil {
+		t.Fatal("missing counts must be a merge error")
+	}
+	r = validResps(t, 1, 1)[0]
+	r.Groups.States = r.Groups.States[:2]
+	if _, _, _, err := Merge([]*PartialResponse{r}); err == nil {
+		t.Fatal("missing measures must be a merge error")
+	}
+	r = validResps(t, 1, 1)[0]
+	r.Groups.N++
+	if _, _, _, err := Merge([]*PartialResponse{r}); err == nil {
+		t.Fatal("a cell count the columns do not hold must be a merge error")
+	}
+	r = validResps(t, 1, 1)[0]
+	r.Groups.Keys[0].Codes[0] = uint32(len(r.Groups.Keys[0].Dict))
 	if _, err := r.DecodeGroups(); err == nil {
-		t.Fatal("missing measures must be a decode error")
+		t.Fatal("a code past its dictionary must be a decode error")
 	}
 }

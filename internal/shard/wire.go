@@ -6,16 +6,23 @@ import (
 
 	"quarry/internal/engine"
 	"quarry/internal/expr"
+	"quarry/internal/storage"
 	"quarry/internal/xlm"
 )
 
 // Wire format of the partial-aggregate protocol: the JSON body a
 // shard returns from POST /api/olap/partial and the router feeds into
-// Merge. Every float64 travels as its IEEE-754 bit pattern in a
-// uint64 — encoding/json round-trips integers up to 2^64 exactly,
-// while float JSON text would mangle NaN/Inf outright and any decimal
-// rendering shorter than bit-exact would break the byte-identity
-// contract the whole protocol exists for.
+// Merge. The groups travel as the kernel exports them (engine.Cells):
+// one vector per group column and one set of state columns per
+// aggregate, never one object per group. Every float64 travels as its
+// IEEE-754 bit pattern in a uint64 — encoding/json round-trips integers
+// up to 2^64 exactly, while float JSON text would mangle NaN/Inf
+// outright and any decimal rendering shorter than bit-exact would break
+// the byte-identity contract the whole protocol exists for.
+//
+// The columns sit under "groups" as an object, where bodies before the
+// columnar form had an array: a router and a shard of the two forms
+// fail each other's decode (a 502), and never merge to an empty answer.
 
 // ValueWire is one expr.Value on the wire. Kind uses the expr kind
 // names ("null", "int", "float", "string", "bool").
@@ -64,24 +71,41 @@ func (w ValueWire) Decode() (expr.Value, error) {
 	}
 }
 
-// MeasureWire is one aggregate's mergeable state for one group
-// (engine.MeasurePartial on the wire).
-type MeasureWire struct {
-	Count    int64 `json:"count"`
-	IntSum   int64 `json:"int_sum,omitempty"`
-	SumIsInt bool  `json:"sum_is_int"`
-	// Float-sum expansion, each part as Float64bits.
-	SumParts      []uint64   `json:"sum_parts,omitempty"`
-	SumSpecial    uint64     `json:"sum_special,omitempty"`
-	SumHasSpecial bool       `json:"sum_has_special,omitempty"`
-	Min           *ValueWire `json:"min,omitempty"`
-	Max           *ValueWire `json:"max,omitempty"`
+// VectorWire is one column on the wire, mirroring storage.Vector: the
+// kind's name ("null" for the mixed form), ints as they are, floats as
+// bits, the other kinds as codes into a dictionary of wire values, and
+// the NULL bitmap (bit i set = row i is NULL).
+type VectorWire struct {
+	Kind   string      `json:"k"`
+	Ints   []int64     `json:"i,omitempty"`
+	Floats []uint64    `json:"f,omitempty"`
+	Codes  []uint32    `json:"c,omitempty"`
+	Dict   []ValueWire `json:"d,omitempty"`
+	Nulls  []uint64    `json:"n,omitempty"`
 }
 
-// GroupWire is one group's partial state: key values + measures.
-type GroupWire struct {
-	Key      []ValueWire   `json:"key"`
-	Measures []MeasureWire `json:"measures"`
+// StatesWire is one aggregate's state columns (engine.StateCols), a
+// column the aggregate does not keep left out: counts as they are, MIN
+// and MAX as vectors. The int sums are an int vector whose NULL bitmap
+// is sum-is-int's complement: a cell that summed a float has no int sum
+// (the kernel reads it only while sum-is-int holds). Sums holds the
+// cells' float sums in turn, each as the bits of its expansion's parts,
+// then, when it saw a non-finite input, its non-finite accumulator
+// (which re-adds as itself), then a zero word — no part is zero and the
+// accumulator is never finite, so the zero ends the cell.
+type StatesWire struct {
+	Counts  []int64     `json:"counts"`
+	IntSums *VectorWire `json:"int_sums,omitempty"`
+	Sums    []uint64    `json:"sums,omitempty"`
+	Mins    *VectorWire `json:"mins,omitempty"`
+	Maxs    *VectorWire `json:"maxs,omitempty"`
+}
+
+// CellsWire is a partial answer's group states (engine.Cells).
+type CellsWire struct {
+	N      int          `json:"n"`
+	Keys   []VectorWire `json:"keys"`
+	States []StatesWire `json:"states"`
 }
 
 // AggWire echoes one declared aggregate so the gather side can build
@@ -100,126 +124,165 @@ type PartialResponse struct {
 	Epoch      uint64 `json:"epoch"`
 	// Result shape: output column names (group columns first), how
 	// many of them are group columns, and the declared aggregates.
-	Columns   []string    `json:"columns"`
-	GroupCols int         `json:"group_cols"`
-	Aggs      []AggWire   `json:"aggs"`
-	Groups    []GroupWire `json:"groups"`
+	Columns   []string  `json:"columns"`
+	GroupCols int       `json:"group_cols"`
+	Aggs      []AggWire `json:"aggs"`
+	Groups    CellsWire `json:"groups"`
 }
 
 // EncodePartial builds the wire body from a shard-local partial
 // aggregation (the olap layer's pre-merge states).
-func EncodePartial(index, count int, epoch uint64, columns []string, groupCols int, aggs []xlm.AggSpec, groups []engine.AggPartial) *PartialResponse {
+func EncodePartial(index, count int, epoch uint64, columns []string, groupCols int, aggs []xlm.AggSpec, groups engine.Cells) *PartialResponse {
 	resp := &PartialResponse{
 		ShardIndex: index,
 		ShardCount: count,
 		Epoch:      epoch,
 		Columns:    append([]string(nil), columns...),
 		GroupCols:  groupCols,
-		Aggs:       make([]AggWire, len(aggs)),
-		Groups:     make([]GroupWire, len(groups)),
+		Groups:     CellsWire{N: groups.N, States: make([]StatesWire, len(groups.States))},
 	}
-	for i, a := range aggs {
-		resp.Aggs[i] = AggWire{Func: a.Func, Out: a.Out}
+	for _, a := range aggs {
+		resp.Aggs = append(resp.Aggs, AggWire{Func: a.Func, Out: a.Out})
 	}
-	for gi := range groups {
-		g := &groups[gi]
-		gw := GroupWire{
-			Key:      make([]ValueWire, len(g.Group)),
-			Measures: make([]MeasureWire, len(g.Measures)),
-		}
-		for i, v := range g.Group {
-			gw.Key[i] = EncodeValue(v)
-		}
-		for i := range g.Measures {
-			m := &g.Measures[i]
-			mw := MeasureWire{
-				Count:         m.Count,
-				IntSum:        m.IntSum,
-				SumIsInt:      m.SumIsInt,
-				SumHasSpecial: m.SumHasSpecial,
-			}
-			if len(m.SumParts) > 0 {
-				mw.SumParts = make([]uint64, len(m.SumParts))
-				for k, p := range m.SumParts {
-					mw.SumParts[k] = math.Float64bits(p)
+	for _, k := range groups.Keys {
+		resp.Groups.Keys = append(resp.Groups.Keys, encodeVector(k))
+	}
+	for i := range groups.States {
+		c, w := &groups.States[i], &resp.Groups.States[i]
+		w.Counts, w.Mins, w.Maxs = c.Counts, encodeValues(c.Mins), encodeValues(c.Maxs)
+		if c.IntSums != nil {
+			ints := make([]expr.Value, len(c.IntSums))
+			for g, sum := range c.IntSums {
+				if c.SumIsInt[g] {
+					ints[g] = expr.Int(sum)
 				}
 			}
-			if m.SumHasSpecial {
-				mw.SumSpecial = math.Float64bits(m.SumSpecial)
-			}
-			if !m.Min.IsNull() {
-				w := EncodeValue(m.Min)
-				mw.Min = &w
-			}
-			if !m.Max.IsNull() {
-				w := EncodeValue(m.Max)
-				mw.Max = &w
-			}
-			gw.Measures[i] = mw
+			w.IntSums = encodeValues(ints)
 		}
-		resp.Groups[gi] = gw
+		for g := range c.Sums {
+			parts, special, has := c.Sums[g].Export()
+			if has {
+				parts = append(parts, special)
+			}
+			for _, p := range parts {
+				w.Sums = append(w.Sums, math.Float64bits(p))
+			}
+			w.Sums = append(w.Sums, 0)
+		}
 	}
 	return resp
 }
 
-// DecodeGroups converts the wire groups back into engine partials.
-func (r *PartialResponse) DecodeGroups() ([]engine.AggPartial, error) {
-	out := make([]engine.AggPartial, len(r.Groups))
-	for gi := range r.Groups {
-		gw := &r.Groups[gi]
-		if len(gw.Key) != r.GroupCols {
-			return nil, fmt.Errorf("shard: group %d has %d key values, response declares %d group columns", gi, len(gw.Key), r.GroupCols)
+func encodeVector(v *storage.Vector) VectorWire {
+	w := VectorWire{Kind: v.Kind.String(), Ints: v.Ints, Floats: make([]uint64, len(v.Floats)), Codes: v.Codes, Dict: make([]ValueWire, len(v.Dict)), Nulls: v.Nulls}
+	for i, f := range v.Floats {
+		w.Floats[i] = math.Float64bits(f)
+	}
+	for i, x := range v.Dict {
+		w.Dict[i] = EncodeValue(x)
+	}
+	return w
+}
+
+// encodeValues is a column of values as a vector; nil when the
+// aggregate keeps none.
+func encodeValues(vals []expr.Value) *VectorWire {
+	if vals == nil {
+		return nil
+	}
+	w := encodeVector(storage.VectorOf(vals))
+	return &w
+}
+
+// DecodeGroups converts the wire columns back into the engine's. It
+// refuses a vector that cannot be read — an unknown kind, a NULL bitmap
+// of the wrong size, a code past its dictionary — and sum parts no zero
+// word ends; that every column holds N entries is checked where the
+// cells are absorbed (engine.HashAggregator.Absorb).
+func (r *PartialResponse) DecodeGroups() (engine.Cells, error) {
+	w := &r.Groups
+	out := engine.Cells{N: w.N, States: make([]engine.StateCols, len(w.States))}
+	for j := range w.Keys {
+		k, err := w.Keys[j].decode()
+		if err != nil {
+			return engine.Cells{}, fmt.Errorf("shard: key column %d: %w", j, err)
 		}
-		if len(gw.Measures) != len(r.Aggs) {
-			return nil, fmt.Errorf("shard: group %d has %d measures, response declares %d aggregates", gi, len(gw.Measures), len(r.Aggs))
+		out.Keys = append(out.Keys, k)
+	}
+	for i := range w.States {
+		if err := w.States[i].decode(&out.States[i]); err != nil {
+			return engine.Cells{}, fmt.Errorf("shard: aggregate %d: %w", i, err)
 		}
-		p := engine.AggPartial{
-			Group:    make([]expr.Value, len(gw.Key)),
-			Measures: make([]engine.MeasurePartial, len(gw.Measures)),
-		}
-		for i, vw := range gw.Key {
-			v, err := vw.Decode()
-			if err != nil {
-				return nil, err
-			}
-			p.Group[i] = v
-		}
-		for i := range gw.Measures {
-			mw := &gw.Measures[i]
-			m := engine.MeasurePartial{
-				Count:         mw.Count,
-				IntSum:        mw.IntSum,
-				SumIsInt:      mw.SumIsInt,
-				SumHasSpecial: mw.SumHasSpecial,
-				Min:           expr.Null(),
-				Max:           expr.Null(),
-			}
-			if len(mw.SumParts) > 0 {
-				m.SumParts = make([]float64, len(mw.SumParts))
-				for k, b := range mw.SumParts {
-					m.SumParts[k] = math.Float64frombits(b)
-				}
-			}
-			if mw.SumHasSpecial {
-				m.SumSpecial = math.Float64frombits(mw.SumSpecial)
-			}
-			if mw.Min != nil {
-				v, err := mw.Min.Decode()
-				if err != nil {
-					return nil, err
-				}
-				m.Min = v
-			}
-			if mw.Max != nil {
-				v, err := mw.Max.Decode()
-				if err != nil {
-					return nil, err
-				}
-				m.Max = v
-			}
-			p.Measures[i] = m
-		}
-		out[gi] = p
 	}
 	return out, nil
+}
+
+// decode fills c with the state columns.
+func (s *StatesWire) decode(c *engine.StateCols) error {
+	ints, err := s.IntSums.values()
+	if err != nil {
+		return err
+	}
+	c.Counts, c.IntSums, c.SumIsInt = s.Counts, make([]int64, len(ints)), make([]bool, len(ints))
+	for g, v := range ints {
+		c.IntSums[g], c.SumIsInt[g] = v.AsInt(), !v.IsNull()
+	}
+	var parts []float64
+	for _, b := range s.Sums {
+		if b != 0 {
+			parts = append(parts, math.Float64frombits(b))
+			continue
+		}
+		c.Sums, parts = append(c.Sums, engine.ImportFloatSum(parts, 0, false)), parts[:0]
+	}
+	if len(parts) != 0 {
+		return fmt.Errorf("%d sum parts after the last cell's", len(parts))
+	}
+	if c.Mins, err = s.Mins.values(); err == nil {
+		c.Maxs, err = s.Maxs.values()
+	}
+	return err
+}
+
+// decode converts a wire vector back, checking that it can be read.
+func (w *VectorWire) decode() (*storage.Vector, error) {
+	kind, err := expr.ParseKind(w.Kind)
+	if err != nil {
+		return nil, err
+	}
+	v := &storage.Vector{Kind: kind, Ints: w.Ints, Floats: make([]float64, len(w.Floats)), Codes: w.Codes, Dict: make([]expr.Value, len(w.Dict)), Nulls: w.Nulls}
+	for i, b := range w.Floats {
+		v.Floats[i] = math.Float64frombits(b)
+	}
+	for i := range w.Dict {
+		if v.Dict[i], err = w.Dict[i].Decode(); err != nil {
+			return nil, err
+		}
+	}
+	if n := v.Len(); v.Nulls != nil && len(v.Nulls) != (n+63)/64 {
+		return nil, fmt.Errorf("NULL bitmap of %d words for %d rows", len(v.Nulls), n)
+	}
+	for i, code := range v.Codes {
+		if v.Coded() && !v.IsNull(i) && int(code) >= len(v.Dict) {
+			return nil, fmt.Errorf("row %d: code %d past a dictionary of %d", i, code, len(v.Dict))
+		}
+	}
+	return v, nil
+}
+
+// values is a value column's values (MIN, MAX, int sums); nil when
+// the column is absent.
+func (w *VectorWire) values() ([]expr.Value, error) {
+	if w == nil {
+		return nil, nil
+	}
+	v, err := w.decode()
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]expr.Value, v.Len())
+	for i := range vals {
+		vals[i] = v.Value(i)
+	}
+	return vals, nil
 }
