@@ -52,8 +52,9 @@
 // With -shards N -shard-index I the node is shard I of an N-way
 // hash-partitioned warehouse: ETL runs load only this shard's
 // partition of each fact table (dimensions load in full), POST
-// /api/olap/partial answers pre-finalisation partial aggregates, and
-// /api/health reports the shard identity and epoch. Front the fleet
+// /api/olap/partial answers pre-finalisation partial aggregates as one
+// checksummed binary frame (internal/shard/wire.go; errors stay JSON),
+// and /api/health reports the shard identity and epoch. Front the fleet
 // with quarryrouter -shard-of. Every shard must run with the same
 // -sf/-seed and receive the same requirement lifecycle (in the same
 // order), so the fleet's warehouse versions advance in lockstep.

@@ -91,7 +91,7 @@ func (a *HashAggregator) Absorb(c Cells) error {
 		fits, keys[j] = fits && k.Len() == c.N, Column{Vec: k}
 	}
 	for i := 0; fits && i < len(o.aggs); i++ {
-		fits = c.States[i].fits(o.aggs[i].Func, c.N)
+		fits = c.States[i].Fits(o.aggs[i].Func, c.N)
 	}
 	if !fits {
 		return fmt.Errorf("engine: partial of %d cells in %d key and %d state columns does not fit an aggregator of %d and %d, %d entries each",
@@ -127,8 +127,8 @@ func (a *HashAggregator) Absorb(c Cells) error {
 	return nil
 }
 
-// fits reports whether every state column fn reads has n entries.
-func (c *StateCols) fits(fn string, n int) bool {
+// Fits reports whether every state column fn reads has n entries.
+func (c *StateCols) Fits(fn string, n int) bool {
 	sum := fn == "SUM" || fn == "AVG"
 	return len(c.Counts) == n && (!sum || len(c.IntSums) == n && len(c.SumIsInt) == n && len(c.Sums) == n) &&
 		(fn != "MIN" || len(c.Mins) == n) && (fn != "MAX" || len(c.Maxs) == n)

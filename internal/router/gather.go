@@ -248,7 +248,7 @@ func (g *ShardRouter) askShard(ctx context.Context, b *backend, rq request) shar
 		last = shardAnswer{attempt: g.do(ctx, b, rq)}
 		if last.outcome == answered && last.status < 400 {
 			last.partial = new(shard.PartialResponse)
-			if err := json.Unmarshal(last.body, last.partial); err != nil {
+			if err := last.partial.UnmarshalBinary(last.body); err != nil {
 				last = shardAnswer{attempt: attempt{outcome: unwell, err: fmt.Errorf("undecodable partial answer: %w", err)}}
 			}
 		}

@@ -2,8 +2,10 @@ package router
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -80,9 +82,15 @@ func (fs *fakeShard) serve(h func(http.ResponseWriter, *http.Request)) {
 	fs.handler.Store(h)
 }
 
+// writePartial answers as a shard does: the partial's frame.
 func writePartial(w http.ResponseWriter, pr *shard.PartialResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(pr)
+	frame, err := pr.MarshalBinary()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(frame)
 }
 
 func gatherOver(t *testing.T, shards []*fakeShard, attempts, skewRetries int) *httptest.Server {
@@ -314,6 +322,76 @@ func TestGatherForwardsShardRejection(t *testing.T) {
 	if shards[0].hits.Load() != 1 {
 		t.Fatalf("4xx was retried: %d hits", shards[0].hits.Load())
 	}
+}
+
+// frameOf is a fake shard's answer as bytes.
+func frameOf(t *testing.T, pr *shard.PartialResponse) []byte {
+	t.Helper()
+	frame, err := pr.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// serveBytes makes a fake shard answer 200 with body.
+func (fs *fakeShard) serveBytes(body []byte) {
+	fs.serve(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(body)
+	})
+}
+
+// wantShard502 posts a query and expects the 502 that names shard 1.
+func wantShard502(t *testing.T, url, what string) string {
+	t.Helper()
+	resp, body := postGather(t, url)
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(body, "shard 1") {
+		t.Fatalf("%s: status %d (%s), want a 502 naming shard 1", what, resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestGatherRefusesCorruptFrames: a partial frame damaged anywhere —
+// every single-byte flip of a real one — fails the query with a 502
+// naming the shard, never a 200 with whatever the damage decoded to.
+func TestGatherRefusesCorruptFrames(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, 0, 2, 7), newFakeShard(t, 1, 2, 7)}
+	ts := gatherOver(t, shards, 1, 0)
+	frame := frameOf(t, partialFor(t, 1, 2, 7))
+	for i := range frame {
+		flipped := append([]byte(nil), frame...)
+		flipped[i] ^= 0xff
+		shards[1].serveBytes(flipped)
+		wantShard502(t, ts.URL, fmt.Sprintf("byte %d of %d flipped", i, len(frame)))
+	}
+	shards[1].serveBytes(frame)
+	if resp, body := postGather(t, ts.URL); resp.StatusCode != http.StatusOK {
+		t.Fatalf("the undamaged frame: status %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestGatherRefusesOtherFrameVersions: a shard of another build — a
+// frame of another version, or the JSON body partial answers had
+// before the frame — is a 502 whose message names both versions, not
+// the epoch skew a rescatter could heal.
+func TestGatherRefusesOtherFrameVersions(t *testing.T) {
+	shards := []*fakeShard{newFakeShard(t, 0, 2, 7), newFakeShard(t, 1, 2, 7)}
+	ts := gatherOver(t, shards, 1, 2)
+	frame := frameOf(t, partialFor(t, 1, 2, 7))
+	frame[4]++ // the version byte, after the four-byte magic
+	body := frame[:len(frame)-4]
+	shards[1].serveBytes(binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))))
+	msg := wantShard502(t, ts.URL, "a frame of the next version")
+	if want := fmt.Sprintf("version %d, this build reads version %d", frame[4], frame[4]-1); !strings.Contains(msg, want) {
+		t.Fatalf("the 502 does not name both versions (%q): %s", want, msg)
+	}
+	if shards[1].hits.Load() != 1 {
+		t.Fatalf("a version mismatch was rescattered: %d hits", shards[1].hits.Load())
+	}
+	shards[1].serveBytes([]byte(`{"shard_index":1,"shard_count":2,"epoch":7,"columns":["g","n","total"],"group_cols":1,` +
+		`"aggs":[{"func":"COUNT","out":"n"},{"func":"SUM","out":"total"}],"groups":{"n":0,"keys":[{"k":"null"}],"states":[{"counts":[]},{"counts":[]}]}}`))
+	wantShard502(t, ts.URL, "a JSON body")
 }
 
 // The gather rejects writes and unrelated endpoints outright.

@@ -257,6 +257,8 @@ type endpoint struct {
 
 // answer is an executed query, rendered.
 type answer struct {
+	// body is written as JSON, or as it is when it is a []byte (a
+	// shard's partial frame).
 	body any
 	// version is the warehouse version of the snapshot the answer
 	// actually came from (X-Quarry-Version), so clients cross-checking
@@ -416,8 +418,14 @@ func (s *Server) serveQuery(ep *endpoint) http.HandlerFunc {
 		// Counted before the write: a client holding its answer must find
 		// it in the counters.
 		ep.traffic.record(rep.outcome)
-		if rep.body != nil {
-			writeJSON(w, rep.status, rep.body)
+		switch body := rep.body.(type) {
+		case nil:
+		case []byte: // a shard's partial answer: the frame as it is
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.WriteHeader(rep.status)
+			_, _ = w.Write(body)
+		default:
+			writeJSON(w, rep.status, body)
 		}
 	}
 }
@@ -558,14 +566,15 @@ func executeOLAP(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle 
 
 // executePartial is POST /api/olap/partial's executor: the cube query
 // answered as pre-finalisation partial aggregates — the shard side of
-// scatter-gather (see internal/shard). A non-sharded node answers as
-// the single shard of a 1-way topology, which is also the degenerate
-// case the identity tests pin.
+// scatter-gather (see internal/shard), as the binary frame the gather
+// decodes. A non-sharded node answers as the single shard of a 1-way
+// topology, which is also the degenerate case the identity tests pin.
 //
-// With oracle, the shard self-verifies before answering: it finalises
-// its own partial as a 1-way merge and compares the bytes against its
-// local star-flow reference executor over the same partition; a
-// mismatch is a 500, never a wrong partial.
+// With oracle, the shard self-verifies before answering: it decodes
+// the frame it is about to send, finalises it as a 1-way merge and
+// compares the bytes against its local star-flow reference executor
+// over the same partition; a mismatch — in the fold or in the codec —
+// is a 500, never a wrong partial.
 func (s *Server) executePartial(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle bool) (answer, error) {
 	partial, err := oe.QueryPartialContext(ctx, q)
 	if err != nil {
@@ -575,20 +584,27 @@ func (s *Server) executePartial(ctx context.Context, oe *olap.Engine, q olap.Cub
 	if !spec.Enabled() {
 		spec = shard.Spec{Index: 0, Count: 1}
 	}
-	resp := shard.EncodePartial(spec.Index, spec.Count, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups)
+	frame, err := shard.EncodePartial(spec.Index, spec.Count, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups).MarshalBinary()
+	if err != nil {
+		return answer{}, statusError{http.StatusInternalServerError, err}
+	}
 	if oracle {
-		if err := selfVerifyPartial(ctx, oe, q, partial); err != nil {
+		if err := selfVerifyPartial(ctx, oe, q, frame); err != nil {
 			return answer{}, statusError{http.StatusInternalServerError, err}
 		}
 	}
-	return answer{body: resp, version: partial.Version}, nil
+	return answer{body: frame, version: partial.Version}, nil
 }
 
-// selfVerifyPartial finalises the shard's own partial as a 1-way merge
-// and compares the rendered rows byte-for-byte against the star-flow
-// reference executor over the same local partition.
-func selfVerifyPartial(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, partial *olap.Partial) error {
-	solo := shard.EncodePartial(0, 1, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups)
+// selfVerifyPartial decodes the shard's own frame, finalises it as a
+// 1-way merge and compares the rendered rows byte-for-byte against the
+// star-flow reference executor over the same local partition.
+func selfVerifyPartial(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, frame []byte) error {
+	solo := new(shard.PartialResponse)
+	if err := solo.UnmarshalBinary(frame); err != nil {
+		return fmt.Errorf("self-verify: decoding own partial: %w", err)
+	}
+	solo.ShardIndex, solo.ShardCount = 0, 1
 	cols, rows, _, err := shard.Merge([]*shard.PartialResponse{solo})
 	if err != nil {
 		return fmt.Errorf("self-verify: finalising own partial: %w", err)

@@ -36,14 +36,16 @@ func Merge(resps []*PartialResponse) (columns []string, rows [][]expr.Value, epo
 	if len(resps) == 0 {
 		return nil, nil, 0, fmt.Errorf("shard: no partial answers to merge")
 	}
+	for i, r := range resps {
+		if r == nil {
+			return nil, nil, 0, fmt.Errorf("shard: missing partial answer for shard %d", i)
+		}
+	}
 	first := resps[0]
 	if first.ShardCount != len(resps) {
 		return nil, nil, 0, fmt.Errorf("%w: %d answers for a %d-shard topology", ErrEpochSkew, len(resps), first.ShardCount)
 	}
 	for i, r := range resps {
-		if r == nil {
-			return nil, nil, 0, fmt.Errorf("shard: missing partial answer for shard %d", i)
-		}
 		if r.ShardIndex != i || r.ShardCount != first.ShardCount {
 			return nil, nil, 0, fmt.Errorf("%w: answer %d identifies as shard %d/%d, want %d/%d", ErrEpochSkew, i, r.ShardIndex, r.ShardCount, i, first.ShardCount)
 		}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -11,6 +10,7 @@ import (
 	"quarry/internal/engine"
 	"quarry/internal/expr"
 	"quarry/internal/sqlgen"
+	"quarry/internal/storage"
 	"quarry/internal/xlm"
 )
 
@@ -148,72 +148,75 @@ func TestLoadFilter(t *testing.T) {
 	}
 }
 
-func TestValueWireRoundTrip(t *testing.T) {
+// TestFrameValueRoundTrip: values of every kind, as key columns typed
+// and mixed and as MIN/MAX states, come through the frame with their
+// kinds and bits — NaN payloads, −0 and infinities included.
+func TestFrameValueRoundTrip(t *testing.T) {
 	vals := []expr.Value{
 		expr.Null(),
 		expr.Int(-42),
 		expr.Float(3.5),
 		expr.Float(math.Inf(-1)),
 		expr.Float(math.Copysign(0, -1)),
+		expr.Float(math.Float64frombits(0x7ff8000000000bad)),
 		expr.Str("FRANCE"),
 		expr.Bool(true),
 		expr.Bool(false),
 	}
-	for _, v := range vals {
-		w := EncodeValue(v)
-		// Through JSON, like the real protocol.
-		b, err := json.Marshal(w)
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var w2 ValueWire
-		if err := json.Unmarshal(b, &w2); err != nil {
-			t.Fatalf("unmarshal %v: %v", v, err)
-		}
-		got, err := w2.Decode()
-		if err != nil {
-			t.Fatalf("decode %v: %v", v, err)
-		}
-		if got.Kind() != v.Kind() {
-			t.Fatalf("kind changed: %v -> %v", v.Kind(), got.Kind())
-		}
-		if v.Kind() == expr.KindFloat {
-			f1, _ := v.AsFloat()
-			f2, _ := got.AsFloat()
-			if math.Float64bits(f1) != math.Float64bits(f2) {
-				t.Fatalf("float bits changed: %x -> %x", math.Float64bits(f1), math.Float64bits(f2))
+	n := len(vals)
+	keys := [][]expr.Value{vals} // the mixed form
+	for _, kind := range []expr.Kind{expr.KindInt, expr.KindFloat, expr.KindString, expr.KindBool} {
+		col := make([]expr.Value, n)
+		for i, v := range vals {
+			if v.Kind() == kind {
+				col[i] = v
 			}
-		} else if got.String() != v.String() {
-			t.Fatalf("value changed: %v -> %v", v, got)
 		}
+		keys = append(keys, col)
 	}
-	// NaN round-trips with its bit pattern intact (JSON float text
-	// could never carry it at all).
-	nan := EncodeValue(expr.Float(math.NaN()))
-	back, err := nan.Decode()
+	r := &PartialResponse{ShardCount: 1, Epoch: 3, GroupCols: len(keys),
+		Aggs: []AggWire{{"COUNT", "n"}, {"MIN", "lo"}, {"MAX", "hi"}}}
+	for j, col := range keys {
+		r.Columns = append(r.Columns, fmt.Sprintf("k%d", j))
+		r.Groups.Keys = append(r.Groups.Keys, storage.VectorOf(col))
+	}
+	r.Columns = append(r.Columns, "n", "lo", "hi")
+	counts := make([]int64, n)
+	r.Groups.N = n
+	r.Groups.States = []engine.StateCols{{Counts: counts}, {Counts: counts, Mins: vals}, {Counts: counts, Maxs: vals}}
+	frame, err := r.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := back.AsFloat()
-	if !math.IsNaN(f) {
-		t.Fatal("NaN did not survive the wire")
+	back := new(PartialResponse)
+	if err := back.UnmarshalBinary(frame); err != nil {
+		t.Fatal(err)
 	}
-
-	if _, err := (ValueWire{Kind: "decimal128"}).Decode(); err == nil {
-		t.Fatal("unknown kind must be a decode error")
+	if back.Groups.Keys[0].Kind != expr.KindNull {
+		t.Fatalf("the mixed key column came back as %s", back.Groups.Keys[0].Kind)
+	}
+	for i := range vals {
+		for j, col := range keys {
+			if got := back.Groups.Keys[j].Value(i); !sameValue(got, col[i]) {
+				t.Fatalf("key column %d row %d: %v came back as %v", j, i, col[i], got)
+			}
+		}
+		if !sameValue(back.Groups.States[1].Mins[i], vals[i]) || !sameValue(back.Groups.States[2].Maxs[i], vals[i]) {
+			t.Fatalf("row %d: %v came back as MIN %v, MAX %v", i, vals[i], back.Groups.States[1].Mins[i], back.Groups.States[2].Maxs[i])
+		}
 	}
 }
 
-// partialFromRows folds rows into an aggregator and exports/imports
-// its states through the wire, returning what a gather would absorb.
+// wireTrip puts a partial answer through the frame, as the gather
+// receives it.
 func wireTrip(t *testing.T, resp *PartialResponse) *PartialResponse {
 	t.Helper()
-	b, err := json.Marshal(resp)
+	b, err := resp.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back PartialResponse
-	if err := json.Unmarshal(b, &back); err != nil {
+	if err := back.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
 	return &back
@@ -278,7 +281,7 @@ func testRows(n int) [][]expr.Value {
 }
 
 // The core protocol property: partition rows any way at all, export
-// each part's partials through JSON, merge — bytes match the
+// each part's partials through the frame, merge — bytes match the
 // single-fold answer.
 func TestMergeByteIdentity(t *testing.T) {
 	rows := testRows(400)
@@ -463,6 +466,9 @@ func TestMergeRejectsSkew(t *testing.T) {
 	r[1] = nil
 	if _, _, _, err := Merge(r); err == nil {
 		t.Fatal("nil response must fail")
+	}
+	if _, _, _, err := Merge([]*PartialResponse{nil}); err == nil || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("a nil first answer: %v, want an error naming shard 0", err)
 	}
 
 	// And the happy path still merges.

@@ -1,14 +1,19 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"quarry/internal/engine"
 	"quarry/internal/expr"
+	"quarry/internal/storage"
 	"quarry/internal/xlm"
 )
 
@@ -35,46 +40,6 @@ func TestMergeRejectsMalformedShape(t *testing.T) {
 	}
 }
 
-// decodeAndMerge is the gather's path for one shard's body: JSON into
-// a PartialResponse, then Merge.
-func decodeAndMerge(body []byte) ([][]expr.Value, error) {
-	r := new(PartialResponse)
-	if err := json.Unmarshal(body, r); err != nil {
-		return nil, err
-	}
-	_, rows, _, err := Merge([]*PartialResponse{r})
-	return rows, err
-}
-
-// TestMixedWireFormsFailClosed: a body of the per-group form (groups as
-// an array of key/measures objects) is refused by this Merge, and this
-// form's body is refused by a decoder of the per-group one — a fleet of
-// mixed builds answers 502, never an empty or a wrong 200.
-func TestMixedWireFormsFailClosed(t *testing.T) {
-	head := `{"shard_index":0,"shard_count":1,"epoch":1,"columns":["g","n"],"group_cols":1,"aggs":[{"func":"COUNT","out":"n"}],`
-	for _, groups := range []string{
-		`"groups":[{"key":[{"k":"string","s":"a"}],"measures":[{"count":2,"sum_is_int":true}]}]}`,
-		`"groups":[]}`,
-	} {
-		if rows, err := decodeAndMerge([]byte(head + groups)); err == nil {
-			t.Fatalf("per-group body %s merged to %v", groups, rows)
-		}
-	}
-	body, err := json.Marshal(validResps(t, 1, 1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var perGroup struct {
-		Groups []struct {
-			Key      []ValueWire       `json:"key"`
-			Measures []json.RawMessage `json:"measures"`
-		} `json:"groups"`
-	}
-	if err := json.Unmarshal(body, &perGroup); err == nil {
-		t.Fatal("a decoder of the per-group form read a columnar body")
-	}
-}
-
 // sameRows compares finalised rows value by value, floats by their
 // bits (NaN included).
 func sameRows(a, b [][]expr.Value) error {
@@ -97,116 +62,222 @@ func sameRows(a, b [][]expr.Value) error {
 	return nil
 }
 
-// readable is the fuzz oracle's own reading of a body: true when every
-// column a declared aggregate reads, and every key column, holds N
-// entries and every code of a non-NULL row is inside its dictionary.
-func readable(r *PartialResponse) bool {
-	w := &r.Groups
-	vec := func(v *VectorWire) bool {
-		if v == nil { // an empty column is left out
-			return w.N == 0
-		}
-		n := len(v.Codes)
-		switch v.Kind {
-		case "int":
-			n = len(v.Ints)
-		case "float":
-			n = len(v.Floats)
-		}
-		if n != w.N || v.Nulls != nil && len(v.Nulls) != (n+63)/64 {
-			return false
-		}
-		for i, c := range v.Codes {
-			null := v.Nulls != nil && v.Nulls[i>>6]&(1<<(uint(i)&63)) != 0
-			if v.Kind != "int" && v.Kind != "float" && !null && int(c) >= len(v.Dict) {
-				return false
-			}
-		}
-		return true
-	}
-	if w.N < 0 || len(w.Keys) != r.GroupCols || len(w.States) != len(r.Aggs) {
-		return false
-	}
-	for j := range w.Keys {
-		if !vec(&w.Keys[j]) {
-			return false
-		}
-	}
-	for i, a := range r.Aggs {
-		s := &w.States[i]
-		ok := len(s.Counts) == w.N
-		switch a.Func {
-		case "SUM", "AVG":
-			cells := 0
-			for _, b := range s.Sums {
-				if b == 0 {
-					cells++
-				}
-			}
-			ended := len(s.Sums) == 0 || s.Sums[len(s.Sums)-1] == 0
-			ok = ok && vec(s.IntSums) && cells == w.N && ended
-		case "MIN":
-			ok = ok && vec(s.Mins)
-		case "MAX":
-			ok = ok && vec(s.Maxs)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+// sameValue compares two values by kind and, for floats, by bits.
+func sameValue(x, y expr.Value) bool {
+	fx, _ := x.AsFloat()
+	fy, _ := y.AsFloat()
+	return x.Kind() == y.Kind() && x.String() == y.String() && (x.Kind() != expr.KindFloat || math.Float64bits(fx) == math.Float64bits(fy))
 }
 
-// FuzzDecodePartial: a shard body from the fuzzer's bytes, merged as a
-// one-shard fleet, never panics; a body whose columns disagree with N
-// or whose codes run past their dictionary is refused; and a body that
-// is accepted finalises to the same rows after one more encode → JSON
-// → decode trip.
-func FuzzDecodePartial(f *testing.F) {
+// reseal replaces a frame's checksum trailer with the one its bytes
+// have, in a copy.
+func reseal(frame []byte) []byte {
+	body := frame[:len(frame)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, castagnoli))
+}
+
+// headerOffsets are where a frame's group-column count and cell count
+// sit.
+func headerOffsets(r *PartialResponse) (groupColsAt, nAt int) {
+	at := len(frameMagic) + 1 + 4 + 4 + 8 + 4
+	for _, c := range r.Columns {
+		at += 4 + len(c)
+	}
+	groupColsAt = at
+	at += 4 + 4
+	for _, a := range r.Aggs {
+		at += 4 + len(a.Func) + 4 + len(a.Out)
+	}
+	return groupColsAt, at
+}
+
+// hostileFrame declares 2³¹ cells of one int key in about a hundred
+// bytes: the key is a single run-length chunk, and the SUM's columns
+// are missing.
+func hostileFrame() []byte {
+	b := append(append([]byte(nil), frameMagic[:]...), frameVersion)
+	b = binary.LittleEndian.AppendUint32(b, 0) // shard index
+	b = binary.LittleEndian.AppendUint32(b, 1) // shard count
+	b = binary.LittleEndian.AppendUint64(b, 1) // epoch
+	b = binary.LittleEndian.AppendUint32(b, 2) // columns
+	b = appendStr(appendStr(b, "g"), "s")
+	b = binary.LittleEndian.AppendUint32(b, 1) // group columns
+	b = binary.LittleEndian.AppendUint32(b, 1) // aggregates
+	b = appendStr(appendStr(b, "SUM"), "s")
+	b = binary.LittleEndian.AppendUint32(b, 1<<31)
+	run := binary.LittleEndian.AppendUint32([]byte{2}, 1<<31) // an RLE chunk: one run of 2³¹ rows
+	run = binary.LittleEndian.AppendUint64(append(run, 1), 7)
+	b = binary.LittleEndian.AppendUint32(append(b, byte(expr.KindInt)), uint32(len(run)))
+	b = append(b, run...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// allocatedBy reports the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFrameRefusals: every way a frame can be wrong is an error that
+// says which, and leaves the answer it was decoded into as it was.
+func TestFrameRefusals(t *testing.T) {
+	valid := validResps(t, 1, 1)[0]
+	frame, err := valid.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupColsAt, nAt := headerOffsets(valid)
+	patched := func(at int, v uint32) []byte {
+		b := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(b[at:], v)
+		return reseal(b)
+	}
+	// Two hundred constant key columns: each a run-length chunk of a few
+	// bytes that decodes to N entries.
+	wide := &PartialResponse{ShardCount: 1, Aggs: []AggWire{{"COUNT", "n"}}, GroupCols: 200}
+	wide.Groups.N = 1000
+	for j := 0; j < wide.GroupCols; j++ {
+		wide.Columns = append(wide.Columns, fmt.Sprintf("k%d", j))
+		wide.Groups.Keys = append(wide.Groups.Keys, &storage.Vector{Kind: expr.KindInt, Ints: make([]int64, wide.Groups.N)})
+	}
+	wide.Columns = append(wide.Columns, "n")
+	wide.Groups.States = []engine.StateCols{{Counts: make([]int64, wide.Groups.N)}}
+	wideFrame, err := wide.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := append([]byte(nil), frame...)
+	version[len(frameMagic)] = frameVersion + 1
+	flipped := append([]byte(nil), frame...)
+	flipped[len(frame)/2] ^= 0x10
+	for name, c := range map[string]struct {
+		frame []byte
+		want  string
+	}{
+		"a JSON body":            {[]byte(`{"shard_index":0,"shard_count":1,"epoch":1}`), "not a partial frame"},
+		"an empty body":          {nil, "not a partial frame"},
+		"another version":        {reseal(version), fmt.Sprintf("version %d, this build reads version %d", frameVersion+1, frameVersion)},
+		"a flipped bit":          {flipped, "checksum"},
+		"a truncated frame":      {reseal(frame[:len(frame)-20]), "truncated"},
+		"trailing bytes":         {reseal(append(append([]byte(nil), frame[:len(frame)-4]...), 0, 0, 0, 0, 0)), "after the last column"},
+		"negative group columns": {patched(groupColsAt, math.MaxUint32), "-1 group columns"},
+		"cells past the frame":   {patched(nAt, uint32(len(frame))), "cells"},
+		"a cell too many":        {patched(nAt, uint32(valid.Groups.N+1)), "shard: partial frame:"},
+		"a hostile count":        {hostileFrame(), "declare 2147483648 cells"},
+		"vectors past the frame": {wideFrame, "more entries than the frame"},
+	} {
+		r := validResps(t, 1, 1)[0]
+		err := r.UnmarshalBinary(c.frame)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: %v, want an error saying %q", name, err, c.want)
+		}
+		if r.Groups.N != valid.Groups.N || r.Epoch != valid.Epoch {
+			t.Fatalf("%s: the refused frame changed the answer", name)
+		}
+	}
+	// Cells that do not fit their shape have no frame.
+	r := validResps(t, 1, 1)[0]
+	r.Groups.States[4].Mins = r.Groups.States[4].Mins[:1]
+	if _, err := r.MarshalBinary(); err == nil {
+		t.Fatal("encoded a MIN column shorter than N")
+	}
+}
+
+// TestJSONEnvelopeIsTheFrame: MarshalJSON is the frame as one base64
+// string, and UnmarshalJSON reads it back to the same frame.
+func TestJSONEnvelopeIsTheFrame(t *testing.T) {
+	r := validResps(t, 2, 5)[1]
+	frame, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s []byte
+	if err := json.Unmarshal(body, &s); err != nil || !bytes.Equal(s, frame) {
+		t.Fatalf("the JSON body is not the frame in base64: %s", body)
+	}
+	back := new(PartialResponse)
+	if err := json.Unmarshal(body, back); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := back.MarshalBinary(); err != nil || !bytes.Equal(again, frame) {
+		t.Fatalf("the envelope did not round-trip: %v", err)
+	}
+}
+
+// FuzzPartialFrame: a frame from the fuzzer's bytes, decoded and merged
+// as a one-shard fleet, never panics; a frame that is accepted
+// re-encodes to a frame that decodes to cells finalising to the same
+// rows, and that second frame is a fixpoint of decode → encode. The
+// checksum would refuse nearly every mutation before the decoder reads
+// it, so each input is decoded as it is and then once more with its
+// trailer corrected: it is the layout behind the checksum that is
+// fuzzed. Seeds: the shards' answers to the server's end-to-end query
+// mix (testdata/fuzz), validResps and a global aggregate's.
+func FuzzPartialFrame(f *testing.F) {
+	// A frame declaring 2³¹ cells in a hundred bytes is refused before
+	// it allocates.
+	hostile := hostileFrame()
+	if spent := allocatedBy(func() { _ = new(PartialResponse).UnmarshalBinary(hostile) }); spent > 64<<10 {
+		f.Fatalf("refusing a %d-byte frame of 2³¹ cells allocated %d bytes", len(hostile), spent)
+	}
+	f.Add(hostile)
 	global, err := engine.NewHashAggregator(nil, []xlm.AggSpec{{Out: "n", Func: "COUNT"}, {Out: "s", Func: "SUM"}}, []int{-1, 0})
 	if err != nil {
 		f.Fatal(err)
 	}
-	seeds := append(validResps(f, 1, 1), EncodePartial(0, 1, 1, []string{"n", "s"}, 0, []xlm.AggSpec{{Out: "n", Func: "COUNT"}, {Out: "s", Func: "SUM"}}, global.Partials()))
+	seeds := append(validResps(f, 1, 1), validResps(f, 3, 10)...)
+	seeds = append(seeds, EncodePartial(0, 1, 1, []string{"n", "s"}, 0, []xlm.AggSpec{{Out: "n", Func: "COUNT"}, {Out: "s", Func: "SUM"}}, global.Partials()))
 	for _, r := range seeds {
-		body, err := json.Marshal(r)
+		frame, err := r.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(body)
+		f.Add(frame)
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		r := new(PartialResponse)
-		if json.Unmarshal(body, r) != nil {
-			return
-		}
-		_, rows, _, err := Merge([]*PartialResponse{r})
-		if err != nil {
-			return
-		}
-		if !readable(r) {
-			t.Fatalf("merged a body whose columns do not hold %d cells: %s", r.Groups.N, body)
-		}
-		cells, err := r.DecodeGroups()
-		if err != nil {
-			t.Fatalf("merged, then failed to decode: %v", err)
-		}
-		aggs := make([]xlm.AggSpec, len(r.Aggs))
-		for i, a := range r.Aggs {
-			aggs[i] = xlm.AggSpec{Func: a.Func, Out: a.Out}
-		}
-		again, err := json.Marshal(EncodePartial(r.ShardIndex, r.ShardCount, r.Epoch, r.Columns, r.GroupCols, aggs, cells))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows2, err := decodeAndMerge(again)
-		if err != nil {
-			t.Fatalf("re-encoded body refused: %v", err)
-		}
-		if err := sameRows(rows, rows2); err != nil {
-			t.Fatalf("re-encoded body finalises differently: %v", err)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		mergeFrame(t, frame)
+		if len(frame) >= 4 {
+			mergeFrame(t, reseal(frame))
 		}
 	})
+}
+
+// mergeFrame is FuzzPartialFrame's check of one input.
+func mergeFrame(t *testing.T, frame []byte) {
+	r := new(PartialResponse)
+	if r.UnmarshalBinary(frame) != nil {
+		return
+	}
+	_, rows, _, err := Merge([]*PartialResponse{r})
+	if err != nil {
+		return
+	}
+	again, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatalf("merged a frame whose cells do not re-encode: %v", err)
+	}
+	back := new(PartialResponse)
+	if err := back.UnmarshalBinary(again); err != nil {
+		t.Fatalf("re-encoded frame refused: %v", err)
+	}
+	_, rows2, _, err := Merge([]*PartialResponse{back})
+	if err != nil {
+		t.Fatalf("re-encoded frame does not merge: %v", err)
+	}
+	if err := sameRows(rows, rows2); err != nil {
+		t.Fatalf("re-encoded frame finalises differently: %v", err)
+	}
+	third, err := back.MarshalBinary()
+	if err != nil || !bytes.Equal(third, again) {
+		t.Fatalf("the re-encoded frame is not a fixpoint: %v", err)
+	}
 }
 
 // BenchmarkGatherMerge is the gather's work on two shards' partial

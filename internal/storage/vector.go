@@ -89,6 +89,33 @@ func VectorOf(vals []expr.Value) *Vector {
 	return v
 }
 
+// AppendVector appends v as a page chunk — the tag byte of the encoding
+// the statistics pick, then the body — so that bytes outside a page (the
+// shard wire) share the pages' layout and decoders. v must be typed:
+// int, float, string or bool, not the mixed form.
+func AppendVector(buf []byte, v *Vector) []byte {
+	n, typ := v.Len(), v.Kind.String()
+	var e chunkEncoder
+	e.build([]span{{c: &chunk{n: n, cols: []*Vector{v}}, hi: n}}, 0, typ)
+	enc := chooseEncoding(typ, &e.chunkStats)
+	return e.appendBody(append(buf, byte(enc)), enc)
+}
+
+// DecodeVector decodes a chunk AppendVector wrote: a vector of the given
+// kind holding n rows. Like a page's chunks, the bytes are untrusted and
+// n bounds every allocation, so the caller must have bounded n by what
+// it was handed.
+func DecodeVector(b []byte, kind expr.Kind, n int) (*Vector, error) {
+	if len(b) == 0 {
+		return nil, fmt.Errorf("chunk missing encoding tag")
+	}
+	v := &Vector{}
+	if err := decodeChunk(int(b[0]), b[1:], n, kind.String(), v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
 // Slice returns rows [lo, hi) of v as a vector sharing its buffers (the
 // NULL bitmap, which must start at row lo, excepted).
 func (v *Vector) Slice(lo, hi int) *Vector {

@@ -555,3 +555,45 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendVectorIsThePageChunk: a vector outside a page is encoded as
+// the chunk a one-column page of its rows holds, byte for byte, and
+// DecodeVector reads it back value for value.
+func TestAppendVectorIsThePageChunk(t *testing.T) {
+	kinds := map[string]expr.Kind{"int": expr.KindInt, "float": expr.KindFloat, "string": expr.KindString, "bool": expr.KindBool}
+	for typ, kind := range kinds {
+		for pat, gen := range genPatterns(typ) {
+			for nulls, isNull := range nullPatterns {
+				rng := rand.New(rand.NewSource(int64(len(pat)*31 + len(nulls))))
+				for _, n := range []int{1, 65, 1000} {
+					cols := []Column{{Name: "c", Type: typ}}
+					rows := make([]Row, n)
+					for i := range rows {
+						rows[i] = Row{gen(rng, i)}
+						if isNull(rng, i, n) {
+							rows[i] = Row{expr.Null()}
+						}
+					}
+					page := encodePage(cols, rows).buf
+					want := page[tagAt : tagAt+int(binary.LittleEndian.Uint32(page[4:]))]
+					got := AppendVector(nil, tailOf(cols, rows)[0].cols[0])
+					if string(got) != string(want) {
+						t.Fatalf("%s/%s/nulls=%s/%d: chunk %x, the page holds %x", typ, pat, nulls, n, got, want)
+					}
+					v, err := DecodeVector(got, kind, n)
+					if err != nil {
+						t.Fatalf("%s/%s/nulls=%s/%d: %v", typ, pat, nulls, n, err)
+					}
+					for i, row := range rows {
+						if !valIdentical(row[0], v.Value(i)) {
+							t.Fatalf("%s/%s/nulls=%s/%d: row %d is %s, decoded %s", typ, pat, nulls, n, i, row[0], v.Value(i))
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, err := DecodeVector(AppendVector(nil, VectorOf([]expr.Value{expr.Int(1)})), expr.KindNull, 1); err == nil {
+		t.Fatal("decoded a chunk as the mixed form")
+	}
+}
