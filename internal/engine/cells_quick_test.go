@@ -11,15 +11,15 @@ import (
 	"quarry/internal/storage"
 )
 
-// TestQuickRetainMatchesRefold: dirty keys (NULL, NaN, −0 and +0, Int 3
-// and Float 3.0, strings) folded in random batches that mix Add and
-// AddVectors, then a random keep mask and a few more rows. Finalize
-// must equal a fresh fold of only the kept groups' rows and the rows
-// after, in the same order, and so must Absorbing the Partials into a
-// fresh aggregator. Which row belongs to which group, and the groups'
-// first-seen order, come from a linear scan by the grouping rule, not
-// from the kernel.
-func TestQuickRetainMatchesRefold(t *testing.T) {
+// TestQuickFinalizeCellsMatchesRefold: dirty keys (NULL, NaN, −0 and
+// +0, Int 3 and Float 3.0, strings) folded in random batches that mix
+// Add and AddVectors, then a random selection of the Partials.
+// FinalizeCells of the selection must equal a fresh fold of only the
+// selected groups' rows, in the same order, and so must Absorbing the
+// selected cells into a fresh aggregator. Which row belongs to which
+// group, and the groups' first-seen order, come from a linear scan by
+// the grouping rule, not from the kernel.
+func TestQuickFinalizeCellsMatchesRefold(t *testing.T) {
 	pool := []expr.Value{
 		expr.Null(), expr.Float(math.NaN()), expr.Float(math.Copysign(0, -1)), expr.Float(0), expr.Int(0),
 		expr.Int(3), expr.Float(3), expr.Str("3"), expr.Str("a"), expr.Str(""), expr.Float(2.5), expr.Int(-7),
@@ -98,31 +98,35 @@ func TestQuickRetainMatchesRefold(t *testing.T) {
 			return false
 		}
 		keep := make([]bool, len(firsts))
+		var sel []int32
 		for g := range keep {
-			keep[g] = r.Intn(3) > 0
+			if keep[g] = r.Intn(3) > 0; keep[g] {
+				sel = append(sel, int32(g))
+			}
 		}
-		a.Retain(keep)
 		var refolded [][]expr.Value
 		for i, row := range rows {
 			if keep[groupOf[i]] {
 				refolded = append(refolded, row)
 			}
 		}
-		// The kept groups fold on, and new ones join them, after Retain.
-		more, _ := draw(r.Intn(30))
-		fold(more)
 		refold := fresh()
-		if err := refold.Add(append(refolded, more...)); err != nil {
+		if err := refold.Add(refolded); err != nil {
+			t.Fatal(err)
+		}
+		cells := a.Partials()
+		finalised, err := FinalizeCells(groupCols, aggs, cells, sel)
+		if err != nil {
 			t.Fatal(err)
 		}
 		absorbed := fresh()
-		if err := absorbed.Absorb(a.Partials()); err != nil {
+		if err := absorbed.Absorb(cells.Select(sel)); err != nil {
 			t.Fatal(err)
 		}
 		want := refold.Result()
-		for name, got := range map[string][][]expr.Value{"Retain": a.Result(), "Absorb": absorbed.Result()} {
+		for name, got := range map[string][][]expr.Value{"FinalizeCells": finalised, "Absorb": absorbed.Result()} {
 			if msg := sameRows(got, want); msg != "" {
-				t.Errorf("seed %d, %d group columns: after %s, %s", seed, groupCols, name, msg)
+				t.Errorf("seed %d, %d group columns: %s of the selection: %s", seed, groupCols, name, msg)
 				return false
 			}
 		}

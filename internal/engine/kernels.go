@@ -355,9 +355,9 @@ func keysEqual(l, r []expr.Value, lIdx, rIdx []int) bool {
 // aggregationOp groups and aggregates incrementally. A group is an
 // index: groups are numbered 0, 1, … in first-seen order, and group g
 // is entry g of every column below — its key values, its hash and each
-// aggregate's states. result, Partials and Retain's keep mask all walk
-// the groups in that order, so groups emit in first-seen order (NULLs
-// group together, a NaN key with nothing, itself included).
+// aggregate's states. result and Partials walk the groups in that
+// order, so groups emit in first-seen order (NULLs group together, a
+// NaN key with nothing, itself included).
 type aggregationOp struct {
 	aggs []xlm.AggSpec
 	gIdx []int
@@ -649,43 +649,66 @@ func (o *aggregationOp) result() ([][]expr.Value, error) {
 	if len(o.gIdx) == 0 && len(o.hashes) == 0 {
 		o.findOrCreate(nil)
 	}
-	k, w := len(o.gIdx), len(o.gIdx)+len(o.aggs)
-	out := make([][]expr.Value, len(o.hashes))
-	vals := make([]expr.Value, len(out)*w) // one array for every row
-	for g := range int32(len(out)) {
-		row := vals[int(g)*w : int(g+1)*w : int(g+1)*w]
+	o.settle()
+	k, every := len(o.gIdx), make([]int32, len(o.hashes))
+	for g := range every {
+		every[g] = int32(g)
+	}
+	return finalRows(k, o.aggs, o.cols, every, func(row []expr.Value, g int32) {
 		copy(row, o.keys[int(g)*k:int(g+1)*k])
-		for i, a := range o.aggs {
-			c := &o.cols[i]
-			switch a.Func {
-			case "COUNT":
-				row[k+i] = expr.Int(c.Counts[g])
-			case "MIN":
-				row[k+i] = c.Mins[g]
-			case "MAX":
-				row[k+i] = c.Maxs[g]
-			case "SUM":
-				if c.Counts[g] == 0 {
-					row[k+i] = expr.Null()
-				} else if sum := c.settle(g).Round(); c.SumIsInt[g] {
-					if math.Abs(float64(c.IntSums[g])-sum) >= 1<<63 {
-						return nil, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
-					}
-					row[k+i] = expr.Int(c.IntSums[g])
-				} else {
-					row[k+i] = expr.Float(sum)
-				}
-			case "AVG":
-				if c.Counts[g] == 0 {
-					row[k+i] = expr.Null()
-				} else {
-					row[k+i] = expr.Float(c.settle(g).Round() / float64(c.Counts[g]))
-				}
+	})
+}
+
+// settle moves every group's 128-bit sums into their expansions.
+func (o *aggregationOp) settle() {
+	for i := range o.cols {
+		for g := range o.cols[i].images {
+			o.cols[i].settle(int32(g))
+		}
+	}
+}
+
+// finalRows is the kernel's finaliser: one row per group sel picks, in
+// sel's order — key fills the row's k group values, then each
+// aggregate's answer from its state columns, whose float sums are
+// settled.
+func finalRows(k int, aggs []xlm.AggSpec, cols []StateCols, sel []int32, key func(row []expr.Value, g int32)) ([][]expr.Value, error) {
+	w := k + len(aggs)
+	out := make([][]expr.Value, len(sel))
+	vals := make([]expr.Value, len(out)*w) // one array for every row
+	for i, g := range sel {
+		row := vals[i*w : (i+1)*w : (i+1)*w]
+		key(row[:k], g)
+		for j, a := range aggs {
+			var err error
+			if row[k+j], err = cols[j].final(a, g); err != nil {
+				return nil, err
 			}
 		}
-		out[g] = row
+		out[i] = row
 	}
 	return out, nil
+}
+
+// final is aggregate a's answer for group g.
+func (c *StateCols) final(a xlm.AggSpec, g int32) (expr.Value, error) {
+	switch {
+	case a.Func == "COUNT":
+		return expr.Int(c.Counts[g]), nil
+	case a.Func == "MIN":
+		return c.Mins[g], nil
+	case a.Func == "MAX":
+		return c.Maxs[g], nil
+	case c.Counts[g] == 0: // SUM and AVG of nothing
+		return expr.Null(), nil
+	case a.Func == "AVG":
+		return expr.Float(c.Sums[g].Round() / float64(c.Counts[g])), nil
+	case !c.SumIsInt[g]:
+		return expr.Float(c.Sums[g].Round()), nil
+	case math.Abs(float64(c.IntSums[g])-c.Sums[g].Round()) >= 1<<63:
+		return expr.Value{}, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
+	}
+	return expr.Int(c.IntSums[g]), nil
 }
 
 // valuesIdentical groups NULLs together (unlike Value.Equal, which is

@@ -150,34 +150,6 @@ func (a *HashAggregator) Add(rows [][]expr.Value) error { return a.op.add(rows) 
 // integer SUM left int64.
 func (a *HashAggregator) Finalize() ([][]expr.Value, error) { return a.op.result() }
 
-// Retain keeps the groups keep marks, one entry per group in Partials
-// order, and drops the rest as if their rows had never been folded:
-// Finalize sees only the kept ones, so a dropped group's int SUM can no
-// longer overflow. The kept groups keep their order; the hash chains
-// are rebuilt from the stored hashes.
-func (a *HashAggregator) Retain(keep []bool) {
-	o, k := a.op, len(a.op.gIdx)
-	var sel []int32
-	keys := o.keys[:0] // compacted in place: a kept key moves down or stays
-	for g, kept := range keep {
-		if kept {
-			keys = append(keys, o.keys[g*k:(g+1)*k]...)
-			sel = append(sel, int32(g))
-		}
-	}
-	clear(o.keys[len(keys):])
-	o.keys, o.hashes, o.next = keys, picked(o.hashes, sel), o.next[:len(sel)]
-	for i := range o.cols {
-		o.cols[i] = o.cols[i].pick(sel)
-	}
-	clear(o.first)
-	for g, h := range o.hashes {
-		o.next[g] = o.chain(h)
-		o.first[h] = int32(g)
-	}
-	o.vec.byCode = &codeIndex{} // it maps tuples to the old numbering
-}
-
 // Result is Finalize for callers whose integer SUMs cannot leave int64;
 // it panics if one did.
 func (a *HashAggregator) Result() [][]expr.Value {

@@ -44,11 +44,7 @@ type Cells struct {
 func (a *HashAggregator) Partials() Cells {
 	o := a.op
 	n, k := len(o.hashes), len(o.gIdx)
-	for i := range o.cols {
-		for g := range o.cols[i].images {
-			o.cols[i].settle(int32(g))
-		}
-	}
+	o.settle()
 	keys := make([]*storage.Vector, k)
 	vals := make([]expr.Value, n)
 	for j := range keys {
@@ -132,6 +128,25 @@ func (c *StateCols) Fits(fn string, n int) bool {
 	sum := fn == "SUM" || fn == "AVG"
 	return len(c.Counts) == n && (!sum || len(c.IntSums) == n && len(c.SumIsInt) == n && len(c.Sums) == n) &&
 		(fn != "MIN" || len(c.Mins) == n) && (fn != "MAX" || len(c.Maxs) == n)
+}
+
+// FinalizeCells finalises the cells sel picks, in sel's order, through
+// the kernel's own finaliser: the first groupCols key vectors and one
+// state-column set per aggregate of aggs. The cells must be distinct
+// groups — a selection of one aggregator's Partials — so nothing is
+// merged; they are read in place, and a cell sel does not pick is never
+// finalised, so its int SUM cannot fail. Like Finalize, a global
+// aggregate (groupCols == 0) over no cells yields its single COUNT 0 /
+// NULL row. The rows are in sel's order, not sorted.
+func FinalizeCells(groupCols int, aggs []xlm.AggSpec, c Cells, sel []int32) ([][]expr.Value, error) {
+	if groupCols == 0 && len(sel) == 0 {
+		return FinalizePartials(0, aggs)
+	}
+	return finalRows(groupCols, aggs, c.States, sel, func(row []expr.Value, g int32) {
+		for j := range row {
+			row[j] = c.Keys[j].Value(int(g))
+		}
+	})
 }
 
 // FinalizePartials merges exported partial states and finalises them

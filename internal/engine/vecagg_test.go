@@ -390,62 +390,51 @@ func TestAggregatorDoesNotRetainVectors(t *testing.T) {
 	}
 }
 
-// TestRetainDropsGroups: the dropped groups leave Partials and
-// Finalize — an int SUM that overflows only in one of them fails
-// nothing — and the kept ones fold on, through either entry.
-func TestRetainDropsGroups(t *testing.T) {
-	a, err := NewHashAggregator([]int{0}, []xlm.AggSpec{{Out: "s", Func: "SUM", Col: "v"}}, []int{1})
+// TestFinalizeCellsDropsGroups: a cell the selection leaves out is
+// never finalised — an int SUM that overflows only in it fails nothing
+// — and the picked ones answer in the selection's order.
+func TestFinalizeCellsDropsGroups(t *testing.T) {
+	aggs := []xlm.AggSpec{{Out: "s", Func: "SUM", Col: "v"}}
+	a, err := NewHashAggregator([]int{0}, aggs, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fold := func(keys []string, vals []int64) {
-		t.Helper()
-		ks := make([]expr.Value, len(keys))
-		for i, k := range keys {
-			ks[i] = expr.Str(k)
-		}
-		if err := a.AddVectors(len(keys), []Column{{Vec: storage.VectorOf(ks)}}, []Column{{Vec: storage.VectorOf(intValues(vals))}}); err != nil {
-			t.Fatal(err)
-		}
+	keys := []expr.Value{expr.Str("a"), expr.Str("b"), expr.Str("c"), expr.Str("d"), expr.Str("b")}
+	vals := intValues([]int64{1, math.MaxInt64, 3, 4, 1})
+	if err := a.AddVectors(len(keys), []Column{{Vec: storage.VectorOf(keys)}}, []Column{{Vec: storage.VectorOf(vals)}}); err != nil {
+		t.Fatal(err)
 	}
-	render := func(rows [][]expr.Value) string {
+	if _, err := a.Finalize(); err == nil {
+		t.Fatal("b's SUM left int64 and nothing failed")
+	}
+	cells := a.Partials()
+	if _, err := FinalizeCells(1, aggs, cells, []int32{0, 1}); err == nil {
+		t.Fatal("b's SUM left int64 and FinalizeCells of b failed nothing")
+	}
+	for _, tc := range []struct {
+		sel  []int32
+		want string
+	}{{[]int32{0, 2}, "a=1 c=3"}, {[]int32{3, 0}, "d=4 a=1"}, {nil, ""}} {
+		rows, err := FinalizeCells(1, aggs, cells, tc.sel)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.sel, err)
+		}
 		var out []string
 		for _, row := range rows {
 			out = append(out, row[0].AsString()+"="+row[1].String())
 		}
-		return strings.Join(out, " ")
-	}
-	fold([]string{"a", "b", "c", "d", "b"}, []int64{1, math.MaxInt64, 3, 4, 1})
-	if _, err := a.Finalize(); err == nil {
-		t.Fatal("b's SUM left int64 and nothing failed")
-	}
-	a.Retain([]bool{true, false, true, false})
-	if got := a.Partials().N; got != 2 {
-		t.Fatalf("%d partials after Retain, want 2", got)
-	}
-	rows, err := a.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := render(rows), "a=1 c=3"; got != want {
-		t.Fatalf("retained %q, want %q", got, want)
-	}
-	fold([]string{"c", "b", "a"}, []int64{10, 2, 20})
-	if err := a.Add([][]expr.Value{{expr.Str("d"), expr.Int(5)}, {expr.Str("a"), expr.Int(100)}}); err != nil {
-		t.Fatal(err)
-	}
-	if rows, err = a.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := render(rows), "a=121 c=13 b=2 d=5"; got != want {
-		t.Fatalf("after more rows %q, want %q", got, want)
+		if got := strings.Join(out, " "); got != tc.want {
+			t.Fatalf("%v finalised %q, want %q", tc.sel, got, tc.want)
+		}
 	}
 }
 
-// TestRetainWithinAHashChain: NaN keys group with nothing, so each NaN
-// row is a group of its own under the one hash NaN has.
-func TestRetainWithinAHashChain(t *testing.T) {
-	a, err := NewHashAggregator([]int{0}, []xlm.AggSpec{{Out: "n", Func: "COUNT"}}, []int{-1})
+// TestFinalizeCellsWithinAHashChain: NaN keys group with nothing, so
+// each NaN row is a group of its own under the one hash NaN has, and a
+// selection of some of them keeps exactly those.
+func TestFinalizeCellsWithinAHashChain(t *testing.T) {
+	aggs := []xlm.AggSpec{{Out: "n", Func: "COUNT"}}
+	a, err := NewHashAggregator([]int{0}, aggs, []int{-1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,15 +444,21 @@ func TestRetainWithinAHashChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Partials order: first seen, so rows 0 to 4.
-	a.Retain([]bool{false, true, true, false, true})
-	rows := a.Result()
+	cells := a.Partials()
+	if cells.N != 5 {
+		t.Fatalf("%d groups, want 5", cells.N)
+	}
+	rows, err := FinalizeCells(1, aggs, cells, []int32{1, 2, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 3 {
-		t.Fatalf("%d groups after Retain, want 3", len(rows))
+		t.Fatalf("%d groups finalised, want 3", len(rows))
 	}
 	for i, want := range []float64{math.NaN(), 1, math.NaN()} {
 		f, _ := rows[i][0].AsFloat()
-		if math.IsNaN(want) != math.IsNaN(f) || !math.IsNaN(want) && f != want {
-			t.Fatalf("group %d is %s", i, rows[i][0])
+		if math.IsNaN(want) != math.IsNaN(f) || !math.IsNaN(want) && f != want || rows[i][1].AsInt() != 1 {
+			t.Fatalf("group %d is %s", i, rows[i])
 		}
 	}
 }

@@ -80,8 +80,21 @@ func (n *Binary) precedence() int {
 	}
 }
 
-func (n *Ident) String() string   { return n.Name }
-func (n *Literal) String() string { return n.Val.String() }
+func (n *Ident) String() string { return n.Name }
+
+// String prints a float in positional notation: the scanner reads no
+// exponent, and an integer literal past int64 parses as the float that
+// Value.String would print as "9.2e+18".
+func (n *Literal) String() string {
+	if n.Val.kind != KindFloat {
+		return n.Val.String()
+	}
+	s := strconv.FormatFloat(n.Val.f, 'f', -1, 64)
+	if !strings.Contains(s, ".") { // "+Inf" and "NaN" too, as Value.String has it
+		s += ".0"
+	}
+	return s
+}
 
 func (n *Unary) String() string {
 	inner := n.X.String()

@@ -124,9 +124,12 @@ func TestDiceErrorsAreTheQuerys(t *testing.T) {
 //   - no removed slice can be re-added without breaking one;
 //   - raising a threshold yields a subset;
 //   - permuting the fact's rows changes nothing;
+//   - permuting the group-by permutes the answer's columns, nothing
+//     else;
 //   - COUNT carats of 1 keep every cell.
 func TestQuickDiamondTheorems(t *testing.T) {
 	r := rand.New(rand.NewSource(28))
+	orders := rand.New(rand.NewSource(29)) // the group-by permutations, off r's sequence
 	var draws, pruned int
 	for star := 0; star < 4; star++ {
 		tables := handStar(r, 150, "dense")
@@ -177,6 +180,27 @@ func TestQuickDiamondTheorems(t *testing.T) {
 			again, err := permuted.Query(q)
 			if err != nil || !slices.Equal(normalised(again), normalised(diamond)) {
 				t.Fatalf("%s: the fact's row order moved the diamond (err %v)", label, err)
+			}
+
+			// The permuted query's group column i is the original's
+			// perm[i]; the first row of a group, which the join order
+			// moves, picks a ±0 key's sign.
+			perm := orders.Perm(len(q.GroupBy))
+			reordered := q
+			reordered.GroupBy = make([]string, len(perm))
+			for i, j := range perm {
+				reordered.GroupBy[i] = q.GroupBy[j]
+			}
+			mapped := &olap.Result{Columns: diamond.Columns}
+			for _, row := range bothAnswer(t, e, reordered).Rows {
+				back := slices.Clone(row)
+				for i, j := range perm {
+					back[j] = row[i]
+				}
+				mapped.Rows = append(mapped.Rows, back)
+			}
+			if !slices.Equal(normalised(mapped), normalised(diamond)) {
+				t.Fatalf("%s: group-by order %v moved the diamond", label, reordered.GroupBy)
 			}
 
 			q.Dice = &olap.DiceSpec{Func: "COUNT", Thresholds: map[string]float64{}}

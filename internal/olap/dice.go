@@ -22,10 +22,12 @@ import (
 // so the diamond is a function of the cube, not of its row order.
 //
 // Every diced column is grouped by, so a row's fate is decided by its
-// group alone. The fast path dices the folded cube's cells (diceCells)
-// with a worklist; the oracle dices its detail rows (diceReference)
-// with the textbook recompute-from-scratch loop — two independent
-// implementations of one fixpoint.
+// group alone. The fast path dices the folded cube's cells (diceCells,
+// over engine.Cells: any fold's cells, not one kernel's) with a
+// worklist and finalises only the live cells (engine.FinalizeCells);
+// the oracle dices its detail rows (diceReference) with the textbook
+// recompute-from-scratch loop — two independent implementations of one
+// fixpoint.
 
 // sliceID names the slice a value belongs to (caratKey).
 type sliceID struct {
@@ -74,30 +76,32 @@ func caratAggs(p *starPlan) ([]xlm.AggSpec, []int) {
 	return append(aggs, xlm.AggSpec{Func: "AVG", Col: col}, xlm.AggSpec{Func: "MIN", Col: col}), append(idx, i, i)
 }
 
-// diceCells cuts the diamond out of the folded cube: agg's groups,
-// folded over caratAggs, are its cells, and a slice is the cells that
-// share a diced column's value. It returns which cells survive, in
-// Partials order. A cell's carat is read from the hidden aggregates'
-// state columns and its slices from the key vectors. A worklist
-// re-examines only the slices that lost a cell since their last check,
-// each time summing its live cells' exact carats afresh, never by
-// subtraction.
-func diceCells(agg *engine.HashAggregator, p *starPlan) ([]bool, error) {
+// diceCells cuts the diamond d out of the folded cube: the cells of a
+// fold over caratAggs, and a slice is the cells that share a diced
+// column's value. It returns the surviving cells, in cell order, for
+// engine.FinalizeCells. A cell's carat is read from the hidden
+// aggregates' state columns and its slices from the key vectors. A
+// worklist re-examines only the slices that lost a cell since their
+// last check, each time summing its live cells' exact carats afresh,
+// never by subtraction.
+func diceCells(cells engine.Cells, d *dicePlan) ([]int32, error) {
 	type slice struct {
-		dim          int // position in p.dice.cols
+		dim          int // position in d.cols
 		cells        []int
 		dead, queued bool
 	}
-	d, cells := p.dice, agg.Partials()
-	nd, hidden := len(d.cols), &cells.States[len(p.aggs)]
-	// A SUM carat is the exact sum the hidden AVG keeps; a COUNT carat
-	// is the hidden COUNT(*).
-	carats := hidden.Sums
+	// The hidden aggregates' states are the last: a COUNT carat is the
+	// hidden COUNT(*); a SUM carat is the exact sum the hidden AVG keeps,
+	// and the hidden MIN after it is negative or NaN when a value is.
+	nd, last := len(d.cols), &cells.States[len(cells.States)-1]
+	var carats []engine.FloatSum
 	if d.caratCol == "" {
 		carats = make([]engine.FloatSum, cells.N)
-		for c, n := range hidden.Counts {
+		for c, n := range last.Counts {
 			carats[c].Add(float64(n))
 		}
+	} else {
+		carats = cells.States[len(cells.States)-2].Sums
 	}
 	var all []slice
 	var queue []int               // every slice starts due for a check
@@ -107,7 +111,7 @@ func diceCells(agg *engine.HashAggregator, p *starPlan) ([]bool, error) {
 		byKey[i] = map[sliceID]int{}
 	}
 	for c := range cells.N {
-		if d.caratCol != "" && (badCarat(cells.States[len(p.aggs)+1].Mins[c]) || math.IsNaN(carats[c].Round())) {
+		if d.caratCol != "" && (badCarat(last.Mins[c]) || math.IsNaN(carats[c].Round())) {
 			return nil, negativeCarat(d)
 		}
 		for i, g := range d.groupPos {
@@ -154,7 +158,13 @@ func diceCells(agg *engine.HashAggregator, p *starPlan) ([]bool, error) {
 			}
 		}
 	}
-	return live, nil
+	var sel []int32
+	for c, ok := range live {
+		if ok {
+			sel = append(sel, int32(c))
+		}
+	}
+	return sel, nil
 }
 
 // diceReference computes the same diamond over the detail rows with

@@ -20,13 +20,16 @@ package olap
 //	       (fact position, dimension row numbers), whose selected
 //	       columns the aggregate fold hands engine.HashAggregator.AddVectors
 //	       (a dimension's group column with its codes). Every query folds
-//	       this way; a dice then prunes the folded cells (diceCells).
+//	       this way; a dice then selects the folded cells its diamond
+//	       keeps (diceCells) and finalises only those
+//	       (engine.FinalizeCells), leaving the kernel as it folded.
 
 import (
 	"context"
 	"fmt"
 
 	"quarry/internal/engine"
+	"quarry/internal/expr"
 	"quarry/internal/storage"
 )
 
@@ -367,29 +370,29 @@ func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot
 // execFast runs the plan on the vectorized fast path over a snapshot:
 // build per-dimension sides (buildDimSides), stream the fact through
 // join → filter → aggregation (probeStar), cut a dice's diamond out of
-// the folded cells (diceCells), finalise the survivors, sort, and
-// return the in-memory result. Nothing is written to any database.
+// the folded cells (diceCells), finalise the survivors' visible
+// aggregates, sort, and return the in-memory result. Nothing is written
+// to any database.
 func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
 	agg, err := e.foldOn(ctx, p, snap)
 	if err != nil {
 		return nil, err
 	}
-	class := ClassFast
-	if p.dice != nil {
+	class, rows := ClassFast, [][]expr.Value(nil)
+	if p.dice == nil {
+		rows, err = agg.Finalize()
+	} else {
+		// Only the live cells' visible aggregates are finalised: a dead
+		// cell's int SUM cannot fail, and the hidden carats make no column.
 		class = ClassDice
-		keep, err := diceCells(agg, p)
-		if err != nil {
-			return nil, err
+		cells := agg.Partials()
+		var live []int32
+		if live, err = diceCells(cells, p.dice); err == nil {
+			rows, err = engine.FinalizeCells(len(p.groupBy), p.aggs, cells, live)
 		}
-		agg.Retain(keep)
 	}
-	rows, err := agg.Finalize()
 	if err != nil {
 		return nil, err
-	}
-	width := len(p.groupBy) + len(p.aggs)
-	for i, row := range rows { // a dice's hidden carat columns go
-		rows[i] = row[:width:width]
 	}
 	rows = engine.SortRowsBy(rows, leading(len(p.groupBy)))
 	return &Result{Columns: p.resultColumns(), Rows: rows, Version: snap.Version(), Class: class}, nil

@@ -30,12 +30,13 @@ package olap
 // Each entry is built by the same build/probe body as a shard's partial
 // answer (foldOn) over its own storage snapshot, and keeps what that
 // body returns — the aggregation kernel's pre-finalisation group states
-// as columns (engine.Cells) — plus the rows engine.FinalizePartials makes of
-// them, once, at build. Nothing is written to any database. An entry is
-// keyed by its snapshot's DB version; a republish (every /api/run bumps
-// the version exactly once at PublishAll) therefore invalidates every
-// aggregate implicitly; queries compare versions and fall back to the
-// base-fact path until the next Refresh.
+// as columns (engine.Cells), in the order the fold met them — plus the
+// order that sorts them by their keys. No finalised row is kept: every
+// answer is finalised from the cells. Nothing is written to any
+// database. An entry is keyed by its snapshot's DB version; a republish
+// (every /api/run bumps the version exactly once at PublishAll)
+// therefore invalidates every aggregate implicitly; queries compare
+// versions and fall back to the base-fact path until the next Refresh.
 
 import (
 	"context"
@@ -85,20 +86,19 @@ func patternKey(fact string, groupBy []string, measures []aggMeasure) string {
 
 // matEntry is one materialized aggregate: the pattern's group states
 // at a specific DB version. Entries are immutable after construction
-// and shared by concurrent queries (absorbing a partial never writes
-// to it).
+// and shared by concurrent queries (absorbing or finalising cells
+// never writes to them).
 type matEntry struct {
 	pat *aggPattern
 	// cells are the kernel's pre-finalisation states, one cell per
-	// group; rows are those states finalised once at build (group values
-	// in pat.groupBy order, then one value per pat.measures), in sorted
-	// group order.
-	cells engine.Cells
-	rows  [][]expr.Value
-	// rowKeys are the group keys of rows, in their order, one vector per
-	// group column: what serve filters at the entry's own granularity
-	// (cells.Keys are the rewrite arm's).
-	rowKeys []*storage.Vector
+	// group (keys in pat.groupBy order, then one state-column set per
+	// pat.measures), in the first-seen order the fold produced: a
+	// rewrite merge keys each group by its first cell (−0 or +0), so
+	// that order is part of the answer. order lists the cells sorted by
+	// their keys, so the entry's own granularity finalises them straight
+	// into sorted order.
+	cells   engine.Cells
+	order   []int32
 	version uint64
 	// srcRows records the row count of every source table the entry
 	// was built from: the fact and the dimensions its plan joined. The
@@ -196,7 +196,7 @@ func (m *MatAgg) Stats() MatAggStats {
 		LastRefreshError:   m.lastRefreshErr,
 	}
 	for _, en := range m.entries {
-		st.MaterializedRows += int64(len(en.rows))
+		st.MaterializedRows += int64(en.cells.N)
 	}
 	m.mu.Unlock()
 	return st
@@ -205,8 +205,8 @@ func (m *MatAgg) Stats() MatAggStats {
 // patternOf canonicalizes a plan into its query-log pattern: the
 // resolved group-by set widened by the filter identifiers, plus the
 // deduplicated measure set. Dice queries have no pattern: an entry
-// answers with finalised rows, and a dice cuts its cells (diceCells)
-// before finalisation.
+// holds no hidden carat aggregates (caratAggs), so the store answers
+// undiced queries only.
 func patternOf(p *starPlan) (groupBy []string, measures []aggMeasure, ok bool) {
 	if p.dice != nil {
 		return nil, nil, false
@@ -260,7 +260,6 @@ func (m *MatAgg) record(p *starPlan) {
 // RefreshReport summarises one Refresh.
 type RefreshReport struct {
 	Materialized int
-	Rows         int64
 	Dropped      int // patterns that no longer plan (dropped from the log)
 }
 
@@ -324,7 +323,6 @@ func (m *MatAgg) Refresh(e *Engine) (RefreshReport, error) {
 			continue
 		}
 		entries[r.pat.key] = en
-		rep.Rows += int64(len(en.rows))
 		maxVersion = max(maxVersion, en.version)
 	}
 	rep.Materialized = len(entries)
@@ -345,15 +343,14 @@ func (m *MatAgg) Refresh(e *Engine) (RefreshReport, error) {
 		}
 	} else {
 		rep.Materialized = 0
-		rep.Rows = 0
 	}
 	m.mu.Unlock()
 	return rep, firstErr
 }
 
 // build materializes one pattern: plan → snapshot → the partial-answer
-// body (foldOn, Partials) → group states keyed by the snapshot version, plus
-// the rows finalised from them.
+// body (foldOn, Partials) → group states keyed by the snapshot version,
+// plus their sort order.
 func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 	q := CubeQuery{Fact: pat.fact, GroupBy: append([]string(nil), pat.groupBy...)}
 	for _, am := range pat.measures {
@@ -372,26 +369,14 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 		return nil, err
 	}
 	cells := agg.Partials()
-	rows, err := engine.FinalizePartials(len(pat.groupBy), p.aggs, cells)
-	if err != nil {
-		return nil, err
-	}
 	en := &matEntry{
 		pat:     pat,
 		cells:   cells,
-		rows:    rows,
-		rowKeys: make([]*storage.Vector, len(pat.groupBy)),
+		order:   sortOrder(cells.Keys, cells.N),
 		version: snap.Version(),
 		srcRows: make(map[string]int64, len(p.tables)),
 		gIdx:    make(map[string]int, len(pat.groupBy)),
 		mIdx:    make(map[string]int, len(pat.measures)),
-	}
-	vals := make([]expr.Value, len(rows))
-	for c := range en.rowKeys {
-		for i, row := range rows {
-			vals[i] = row[c]
-		}
-		en.rowKeys[c] = storage.VectorOf(vals)
 	}
 	for _, name := range p.tables {
 		view, ok := snap.Table(name)
@@ -407,4 +392,22 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 		en.mIdx[am.key()] = i
 	}
 	return en, nil
+}
+
+// sortOrder returns the positions of n keys, one value per key vector,
+// in the order engine.SortRowsBy sorts them: each key becomes a row of
+// its position and its values, sorted by the values.
+func sortOrder(keys []*storage.Vector, n int) []int32 {
+	rows := make([][]expr.Value, n)
+	for i := range rows {
+		rows[i] = []expr.Value{expr.Int(int64(i))}
+		for _, v := range keys {
+			rows[i] = append(rows[i], v.Value(i))
+		}
+	}
+	order := make([]int32, n)
+	for i, row := range engine.SortRowsBy(rows, leading(len(keys) + 1)[1:]) {
+		order[i] = int32(row[0].AsInt())
+	}
+	return order
 }

@@ -5,35 +5,35 @@ package olap
 //
 // An entry answers a query only if its plan ran the query's joins —
 // the same dimension tables (the planner joins a table under one key
-// only, so the table set is the join set). The star join is inner and a
-// dimension key may repeat, so a plan that joins one table more or less
-// aggregates a different row set wherever a foreign key is NULL,
+// only, so the table set is the join set). The star join is inner and
+// a dimension key may repeat, so a plan that joins one table more or
+// less aggregates a different row set wherever a foreign key is NULL,
 // unmatched or matched twice; with equal join sets the entry's groups
 // partition exactly the rows the query would scan. Among such entries
-// answer picks the COARSEST — fewest groups — whose group-by set covers
-// the query's group-by and filter columns and which stores every
-// measure the query asks for. The query's filter reads group keys only,
-// so it commutes with aggregation: engine.VectorFilter keeps the
-// entry's groups that pass it. The kept groups are then merged with
-// the one algebra the tree has for partial states,
-// engine.FinalizePartials — the entry's cells projected onto the
-// query's group-by and measures by picking their columns, the kept
-// cells selected, absorbed into a fresh kernel, finalised and sorted
-// once. That is what a shard
-// gather does with per-shard partials, and it is byte-identical to one
-// node folding the detail rows for EVERY aggregate function: COUNT and
-// int SUM add, MIN/MAX keep the extreme of a total order, float SUM and
+// answer picks the COARSEST — fewest cells — whose group-by set
+// covers the query's group-by and filter columns and which stores
+// every measure the query asks for. The query's filter reads group
+// keys only, so it commutes with aggregation: engine.VectorFilter
+// keeps the entry's cells that pass it, reading the cells' own key
+// vectors. The kept cells are then merged with the one algebra the
+// tree has for partial states, engine.FinalizePartials — the entry's
+// cells projected onto the query's group-by and measures by picking
+// their columns, the kept cells selected, absorbed into a fresh
+// kernel, finalised and sorted once. That is what a shard gather does
+// with per-shard partials, and it is byte-identical to one node
+// folding the detail rows for EVERY aggregate function: COUNT and int
+// SUM add, MIN/MAX keep the extreme of a total order, float SUM and
 // AVG merge exact expansions (engine.FloatSum), so no function and no
 // filter-widened pattern is excluded.
 //
 // When the entry's granularity equals the query's, the merge would
-// absorb each kept group into a group of its own — so that one case
-// skips it and projects the rows finalised at build instead
-// (BenchmarkOLAPQuery_Materialized, a 25-group cube: ≈ 20 µs per query
-// against ≈ 65 µs through the kernel, outside the CI gate's 25 %). The
-// filter is the same either way; it reads the group keys of the half
-// the chosen arm consumes: the cells' key vectors, or the rows' built
-// with the entry.
+// absorb each kept cell into a group of its own, so that one case
+// skips it: engine.FinalizeCells finalises the kept cells in place,
+// read in the order the entry sorted them at build, and the rows are
+// sorted by the query's group-by (BenchmarkOLAPQuery_Materialized, a
+// 25-group cube on 2 vCPUs: ≈ 16 µs per query against ≈ 53 µs through
+// the merge, outside the CI gate's 25 %). An entry keeps no finalised
+// row: both arms start from its cells.
 
 import (
 	"quarry/internal/engine"
@@ -97,7 +97,7 @@ entries:
 		}
 		// Coarsest usable aggregate: fewest groups; deterministic
 		// tie-break on the pattern key.
-		if best == nil || len(en.rows) < len(best.rows) || (len(en.rows) == len(best.rows) && en.pat.key < best.pat.key) {
+		if best == nil || en.cells.N < best.cells.N || (en.cells.N == best.cells.N && en.pat.key < best.pat.key) {
 			best = en
 		}
 	}
@@ -124,70 +124,56 @@ entries:
 }
 
 // serve answers the planned query from the entry. The VectorFilter
-// keeps the groups passing the filter (group-key predicates commute with
-// aggregation); the kept groups, projected onto the query's group-by
+// keeps the cells passing the filter (group-key predicates commute with
+// aggregation); the kept cells, projected onto the query's group-by
 // and measures, are merged by engine.FinalizePartials — the merge a
 // shard gather runs, exact for every aggregate function. At the entry's
-// own granularity (same) every kept group would merge into a group of
-// its own, so the rows finalised at build are projected and sorted
-// instead.
+// own granularity (same) every kept cell is a group of its own, so
+// engine.FinalizeCells finalises them in place, in the entry's sorted
+// order.
 func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
-	// The filter reads group keys in the order of the half the chosen arm
-	// consumes, so neither arm depends on the other's order.
-	n, keys := en.cells.N, en.cells.Keys
-	if same {
-		n, keys = len(en.rows), en.rowKeys
+	// The projection picks the entry's columns.
+	cells := engine.Cells{N: en.cells.N}
+	for _, g := range p.groupBy {
+		cells.Keys = append(cells.Keys, en.cells.Keys[en.gIdx[g]])
 	}
-	kept := make([]int32, 0, n)
-	if p.filter == nil {
-		for i := 0; i < n; i++ {
-			kept = append(kept, int32(i))
-		}
-	} else {
-		cols := make([]engine.Column, len(keys))
-		for i, k := range keys {
-			cols[i] = engine.Column{Vec: k}
+	for _, a := range p.aggs {
+		cells.States = append(cells.States, en.cells.States[en.mIdx[a.Func+":"+a.Col]])
+	}
+	// At the entry's own granularity the filter reads the keys through
+	// the sort order, so the kept cells come out sorted.
+	var order []int32
+	if same {
+		order = en.order
+	}
+	kept := order
+	if p.filter != nil {
+		cols := make([]engine.Column, len(en.cells.Keys))
+		for i, k := range en.cells.Keys {
+			cols[i] = engine.Column{Vec: k, Sel: order}
 		}
 		var err error
-		if kept, err = engine.NewVectorFilter(p.filter, en.gIdx).Apply(n, cols, kept); err != nil {
+		if kept, err = engine.NewVectorFilter(p.filter, en.gIdx).Apply(en.cells.N, cols, make([]int32, 0, en.cells.N)); err != nil {
 			return nil, err
 		}
-	}
-	gPos := make([]int, len(p.groupBy))
-	for i, g := range p.groupBy {
-		gPos[i] = en.gIdx[g]
-	}
-	mPos := make([]int, len(p.aggs))
-	for i, a := range p.aggs {
-		mPos[i] = en.mIdx[a.Func+":"+a.Col]
+		if same {
+			for i, k := range kept {
+				kept[i] = order[k]
+			}
+		}
 	}
 	if same {
-		out := make([][]expr.Value, len(kept))
-		for k, i := range kept {
-			row := make([]expr.Value, 0, len(gPos)+len(mPos))
-			for _, j := range gPos {
-				row = append(row, en.rows[i][j])
-			}
-			for _, j := range mPos {
-				row = append(row, en.rows[i][len(en.gIdx)+j])
-			}
-			out[k] = row
+		rows, err := engine.FinalizeCells(len(p.groupBy), p.aggs, cells, kept)
+		if err != nil {
+			return nil, err
 		}
-		return engine.SortRowsBy(out, leading(len(gPos))), nil
+		return engine.SortRowsBy(rows, leading(len(p.groupBy))), nil
 	}
-	// The projection picks the entry's columns; only the filter's
-	// survivors are copied out.
-	cells := engine.Cells{N: en.cells.N}
-	for _, j := range gPos {
-		cells.Keys = append(cells.Keys, en.cells.Keys[j])
-	}
-	for _, j := range mPos {
-		cells.States = append(cells.States, en.cells.States[j])
-	}
+	// Only the filter's survivors are copied out.
 	if p.filter != nil {
 		cells = cells.Select(kept)
 	}
-	return engine.FinalizePartials(len(gPos), p.aggs, cells)
+	return engine.FinalizePartials(len(p.groupBy), p.aggs, cells)
 }
 
 // leading returns the positions 0..n-1: the group columns of a result

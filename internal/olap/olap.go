@@ -146,9 +146,9 @@ const DeadlineHeader = "X-Quarry-Deadline"
 // ParseDeadline reads a DeadlineHeader value: a bare integer is
 // milliseconds, anything else a Go duration ("250ms", "2s");
 // surrounding space is ignored. An absent (empty) header is no budget,
-// (0, nil). A value that is neither form, or not positive, is an
-// error — quarryd answers it with a 400, a router lets it bound
-// nothing and travel on.
+// (0, nil). A value that is neither form, not positive, or more
+// milliseconds than a Duration holds is an error — quarryd answers it
+// with a 400, a router lets it bound nothing and travel on.
 func ParseDeadline(h string) (time.Duration, error) {
 	h = strings.TrimSpace(h)
 	if h == "" {
@@ -156,7 +156,10 @@ func ParseDeadline(h string) (time.Duration, error) {
 	}
 	var d time.Duration
 	if ms, err := strconv.ParseInt(h, 10, 64); err == nil {
-		d = time.Duration(ms) * time.Millisecond
+		// A product that wraps, to either sign, is more than a Duration holds.
+		if d = time.Duration(ms) * time.Millisecond; d/time.Millisecond != time.Duration(ms) {
+			return 0, fmt.Errorf("invalid %s header %q: more milliseconds than a duration holds", DeadlineHeader, h)
+		}
 	} else if d, err = time.ParseDuration(h); err != nil {
 		return 0, fmt.Errorf("invalid %s header %q: want a positive Go duration (e.g. \"250ms\") or integer milliseconds", DeadlineHeader, h)
 	}

@@ -300,7 +300,10 @@ func TestDeadlineGrammarAgreesAcrossTheHop(t *testing.T) {
 		{"1e3", 0, true}, // neither an integer nor a Go duration
 		{" 2s ", 2 * time.Second, false},
 		{"banana", 0, true},
-		{"", 0, false}, // absent: no budget, no error
+		{"", 0, false},              // absent: no budget, no error
+		{"18446744073710", 0, true}, // ms × 10⁶ wraps int64
+		{"9223372036854", 9223372036854 * time.Millisecond, false}, // the most that fits
+		{"-9223372036855", 0, true},                                // wraps to a positive budget
 	} {
 		got, err := olap.ParseDeadline(tc.header)
 		if got != tc.want || (err != nil) != tc.bad {
