@@ -921,6 +921,50 @@ func BenchmarkOLAPQuery_Materialized(b *testing.B) {
 	}
 }
 
+// BenchmarkOLAPQuery_Rewrite measures the materialized aggregates'
+// rewrite arm, which answers every dash_zipf matagg query: an entry
+// grouped by supplier, brand and type answers the coarser per-supplier
+// cube behind a brand and type equality filter, by filtering the
+// entry's cells and merging the survivors (engine.FinalizePartials).
+// SF 100, as dash_zipf serves it. Gated in CI.
+func BenchmarkOLAPQuery_Rewrite(b *testing.B) {
+	p, _ := benchDiskWarehouseAt(b, 100, quarry.RevenueRequirement())
+	base, err := p.OLAP()
+	if err != nil {
+		b.Fatal(err)
+	}
+	oe := base.WithMatAgg(olap.NewMatAgg(8))
+	q := olap.CubeQuery{
+		Fact:    "fact_table_revenue",
+		GroupBy: []string{"s_name"},
+		Measures: []olap.MeasureSpec{
+			{Out: "total", Func: "SUM", Col: "revenue"},
+			{Out: "n", Func: "COUNT"},
+		},
+		Filter: "p_brand = 'Brand#13' AND p_type = 'PROMO'",
+	}
+	if _, err := oe.Query(q); err != nil { // record the pattern
+		b.Fatal(err)
+	}
+	if _, err := oe.MatAgg().Refresh(oe); err != nil {
+		b.Fatal(err)
+	}
+	if res, err := oe.Query(q); err != nil || len(res.Rows) == 0 {
+		b.Fatalf("the filter keeps no group (%v): nothing would be merged", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := oe.Query(q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := oe.MatAgg().Stats(); st.Rewrites == 0 {
+		b.Fatalf("benchmark never rewrote onto a finer aggregate: %+v", st)
+	}
+}
+
 // BenchmarkOLAPDice measures the diamond-dicing fixpoint (incremental
 // worklist algorithm) on top of the fast path.
 func BenchmarkOLAPDice(b *testing.B) {

@@ -493,22 +493,14 @@ func push[T any](s []T, vs ...T) []T {
 	return append(s, vs...)
 }
 
-// pick returns the entries sel picks, in sel's order; a column the
-// aggregate does not read stays nil.
-func (c *StateCols) pick(sel []int32) StateCols {
-	return StateCols{Counts: picked(c.Counts, sel), IntSums: picked(c.IntSums, sel), images: picked(c.images, sel),
-		Sums: picked(c.Sums, sel), SumIsInt: picked(c.SumIsInt, sel), Mins: picked(c.Mins, sel), Maxs: picked(c.Maxs, sel)}
-}
-
-func picked[T any](s []T, sel []int32) []T {
-	if s == nil {
-		return nil
+// identity returns s holding 0, 1, …, n-1, reallocated only when it is
+// too small.
+func identity(s []int32, n int) []int32 {
+	s = sized(s, n)
+	for i := range s {
+		s[i] = int32(i)
 	}
-	out := make([]T, len(sel))
-	for i, g := range sel {
-		out[i] = s[g]
-	}
-	return out
+	return s
 }
 
 // add folds rows into the running group states.
@@ -650,11 +642,8 @@ func (o *aggregationOp) result() ([][]expr.Value, error) {
 		o.findOrCreate(nil)
 	}
 	o.settle()
-	k, every := len(o.gIdx), make([]int32, len(o.hashes))
-	for g := range every {
-		every[g] = int32(g)
-	}
-	return finalRows(k, o.aggs, o.cols, every, func(row []expr.Value, g int32) {
+	k := len(o.gIdx)
+	return finalRows(k, o.aggs, o.cols, identity(nil, len(o.hashes)), func(row []expr.Value, g int32) {
 		copy(row, o.keys[int(g)*k:int(g+1)*k])
 	})
 }

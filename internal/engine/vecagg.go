@@ -60,6 +60,7 @@ type vecState struct {
 	rowGroups []int32           // each batch row's group
 	measures  []*storage.Vector // per aggregate: its input rows
 	gathered  []*storage.Vector // per aggregate: its selected input rows
+	every     []int32           // Absorb's cell positions when it reads every cell
 }
 
 // flatIndexBits is the widest packed key the codeIndex serves from a

@@ -392,7 +392,8 @@ func TestAggregatorDoesNotRetainVectors(t *testing.T) {
 
 // TestFinalizeCellsDropsGroups: a cell the selection leaves out is
 // never finalised — an int SUM that overflows only in it fails nothing
-// — and the picked ones answer in the selection's order.
+// — and the picked ones answer in the selection's order; a nil or empty
+// selection picks nothing, and cells never picked are every cell.
 func TestFinalizeCellsDropsGroups(t *testing.T) {
 	aggs := []xlm.AggSpec{{Out: "s", Func: "SUM", Col: "v"}}
 	a, err := NewHashAggregator([]int{0}, aggs, []int{1})
@@ -408,14 +409,17 @@ func TestFinalizeCellsDropsGroups(t *testing.T) {
 		t.Fatal("b's SUM left int64 and nothing failed")
 	}
 	cells := a.Partials()
-	if _, err := FinalizeCells(1, aggs, cells, []int32{0, 1}); err == nil {
+	if _, err := FinalizeCells(1, aggs, cells); err == nil {
+		t.Fatal("b's SUM left int64 and FinalizeCells of every cell failed nothing")
+	}
+	if _, err := FinalizeCells(1, aggs, cells.Pick([]int32{0, 1})); err == nil {
 		t.Fatal("b's SUM left int64 and FinalizeCells of b failed nothing")
 	}
 	for _, tc := range []struct {
 		sel  []int32
 		want string
-	}{{[]int32{0, 2}, "a=1 c=3"}, {[]int32{3, 0}, "d=4 a=1"}, {nil, ""}} {
-		rows, err := FinalizeCells(1, aggs, cells, tc.sel)
+	}{{[]int32{0, 2}, "a=1 c=3"}, {[]int32{3, 0}, "d=4 a=1"}, {nil, ""}, {[]int32{}, ""}} {
+		rows, err := FinalizeCells(1, aggs, cells.Pick(tc.sel))
 		if err != nil {
 			t.Fatalf("%v: %v", tc.sel, err)
 		}
@@ -448,7 +452,7 @@ func TestFinalizeCellsWithinAHashChain(t *testing.T) {
 	if cells.N != 5 {
 		t.Fatalf("%d groups, want 5", cells.N)
 	}
-	rows, err := FinalizeCells(1, aggs, cells, []int32{1, 2, 4})
+	rows, err := FinalizeCells(1, aggs, cells.Pick([]int32{1, 2, 4}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,3 +95,46 @@ func TestMatAggFilterWidenedFloatSumServed(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanRefusesResultColumnsTheOracleCannotName: the result's column
+// names are distinct and every measure's survives the star-flow
+// oracle's aggregate list, so both executors refuse the same queries —
+// the fast path used to answer these and the oracle to refuse them.
+// A name with inner white space is an ordinary name on both.
+func TestPlanRefusesResultColumnsTheOracleCannotName(t *testing.T) {
+	p, _ := platformWith(t, 1, 42, tpch.RevenueRequirement())
+	e, err := p.OLAP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(groupBy []string, outs ...string) olap.CubeQuery {
+		q := olap.CubeQuery{Fact: "fact_table_revenue", GroupBy: groupBy}
+		for _, out := range outs {
+			q.Measures = append(q.Measures, olap.MeasureSpec{Out: out, Func: "COUNT"})
+		}
+		return q
+	}
+	for name, q := range map[string]olap.CubeQuery{
+		"no output name":        query([]string{"n_name"}, ""),
+		"padded output name":    query([]string{"n_name"}, " n"),
+		"colon in output name":  query([]string{"n_name"}, "n:COUNT"),
+		"semicolon in name":     query([]string{"n_name"}, "n;m"),
+		"output names repeat":   query([]string{"n_name"}, "n", "n"),
+		"output is a group col": query([]string{"n_name"}, "n_name"),
+		"group column repeats":  query([]string{"n_name", "n_name"}, "n"),
+	} {
+		if _, err := e.Query(q); err == nil {
+			t.Errorf("%s: the fast path answered", name)
+		}
+		if _, err := e.QueryStarFlow(q); err == nil {
+			t.Errorf("%s: the oracle answered", name)
+		}
+	}
+	q := query([]string{"n_name"}, "row count")
+	if _, err := e.Query(q); err != nil {
+		t.Errorf("inner white space: %v", err)
+	}
+	if _, err := e.QueryStarFlow(q); err != nil {
+		t.Errorf("inner white space, oracle: %v", err)
+	}
+}

@@ -78,9 +78,11 @@ func caratAggs(p *starPlan) ([]xlm.AggSpec, []int) {
 
 // diceCells cuts the diamond d out of the folded cube: the cells of a
 // fold over caratAggs, and a slice is the cells that share a diced
-// column's value. It returns the surviving cells, in cell order, for
-// engine.FinalizeCells. A cell's carat is read from the hidden
-// aggregates' state columns and its slices from the key vectors. A
+// column's value. It returns the surviving cells, in cell order, to
+// pick for engine.FinalizeCells. A cell's carat is read from the hidden
+// aggregates' state columns and its slices from the key vectors: a
+// coded key column names a slice once per dictionary entry, not per
+// cell (Partials codes each distinct value once). A
 // worklist re-examines only the slices that lost a cell since their
 // last check, each time summing its live cells' exact carats afresh,
 // never by subtraction.
@@ -110,18 +112,38 @@ func diceCells(cells engine.Cells, d *dicePlan) ([]int32, error) {
 	for i := range byKey {
 		byKey[i] = map[sliceID]int{}
 	}
+	named := func(i int, v expr.Value) int {
+		k := caratKey(v)
+		s, ok := byKey[i][k]
+		if !ok {
+			s = len(all)
+			byKey[i][k] = s
+			all = append(all, slice{dim: i, queued: true})
+			queue = append(queue, s)
+		}
+		return s
+	}
+	entries := make([][]int, nd) // per coded diced column: each dictionary entry's slice + 1, 0 until named
+	for i, g := range d.groupPos {
+		if k := cells.Keys[g]; k.Coded() {
+			entries[i] = make([]int, len(k.Dict))
+		}
+	}
 	for c := range cells.N {
 		if d.caratCol != "" && (badCarat(last.Mins[c]) || math.IsNaN(carats[c].Round())) {
 			return nil, negativeCarat(d)
 		}
 		for i, g := range d.groupPos {
-			k := caratKey(cells.Keys[g].Value(c))
-			s, ok := byKey[i][k]
-			if !ok {
-				s = len(all)
-				byKey[i][k] = s
-				all = append(all, slice{dim: i, queued: true})
-				queue = append(queue, s)
+			var s int
+			switch k := cells.Keys[g]; {
+			case entries[i] != nil && !k.IsNull(c):
+				e := &entries[i][k.Codes[c]]
+				if *e == 0 {
+					*e = named(i, k.Dict[k.Codes[c]]) + 1
+				}
+				s = *e - 1
+			default:
+				s = named(i, k.Value(c))
 			}
 			all[s].cells = append(all[s].cells, c)
 			of[c*nd+i] = s

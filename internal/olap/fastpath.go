@@ -388,7 +388,7 @@ func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapsh
 		cells := agg.Partials()
 		var live []int32
 		if live, err = diceCells(cells, p.dice); err == nil {
-			rows, err = engine.FinalizeCells(len(p.groupBy), p.aggs, cells, live)
+			rows, err = engine.FinalizeCells(len(p.groupBy), p.aggs, cells.Pick(live))
 		}
 	}
 	if err != nil {

@@ -353,8 +353,10 @@ func (m *MatAgg) Refresh(e *Engine) (RefreshReport, error) {
 // plus their sort order.
 func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 	q := CubeQuery{Fact: pat.fact, GroupBy: append([]string(nil), pat.groupBy...)}
-	for _, am := range pat.measures {
-		q.Measures = append(q.Measures, MeasureSpec{Out: am.key(), Func: am.Func, Col: am.Col})
+	// The entry keeps states, not named columns: a measure's output name
+	// is only its position, in a form no schema column takes.
+	for i, am := range pat.measures {
+		q.Measures = append(q.Measures, MeasureSpec{Out: fmt.Sprintf("#%d", i), Func: am.Func, Col: am.Col})
 	}
 	p, err := e.plan(q)
 	if err != nil {

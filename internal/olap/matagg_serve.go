@@ -15,14 +15,16 @@ package olap
 // every measure the query asks for. The query's filter reads group
 // keys only, so it commutes with aggregation: engine.VectorFilter
 // keeps the entry's cells that pass it, reading the cells' own key
-// vectors. The kept cells are then merged with the one algebra the
-// tree has for partial states, engine.FinalizePartials — the entry's
-// cells projected onto the query's group-by and measures by picking
-// their columns, the kept cells selected, absorbed into a fresh
-// kernel, finalised and sorted once. That is what a shard gather does
-// with per-shard partials, and it is byte-identical to one node
-// folding the detail rows for EVERY aggregate function: COUNT and int
-// SUM add, MIN/MAX keep the extreme of a total order, float SUM and
+// vectors — once per dictionary entry, and Partials gave each distinct
+// key value one. The kept cells are then merged with the one algebra
+// the tree has for partial states, engine.FinalizePartials — the
+// entry's cells projected onto the query's group-by and measures by
+// picking their columns, the kept cells picked (engine.Cells.Pick)
+// and absorbed in place into a fresh kernel,
+// finalised and sorted once; no cell is copied. That is what a shard
+// gather does with per-shard partials, and it is byte-identical to one
+// node folding the detail rows for EVERY aggregate function: COUNT and
+// int SUM add, MIN/MAX keep the extreme of a total order, float SUM and
 // AVG merge exact expansions (engine.FloatSum), so no function and no
 // filter-widened pattern is excluded.
 //
@@ -126,11 +128,11 @@ entries:
 // serve answers the planned query from the entry. The VectorFilter
 // keeps the cells passing the filter (group-key predicates commute with
 // aggregation); the kept cells, projected onto the query's group-by
-// and measures, are merged by engine.FinalizePartials — the merge a
-// shard gather runs, exact for every aggregate function. At the entry's
-// own granularity (same) every kept cell is a group of its own, so
-// engine.FinalizeCells finalises them in place, in the entry's sorted
-// order.
+// and measures and read in place through their selection, are merged
+// by engine.FinalizePartials — the merge a shard gather runs, exact
+// for every aggregate function. At the entry's own granularity (same)
+// every kept cell is a group of its own, so engine.FinalizeCells
+// finalises them, in the entry's sorted order.
 func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 	// The projection picks the entry's columns.
 	cells := engine.Cells{N: en.cells.N}
@@ -163,15 +165,15 @@ func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 		}
 	}
 	if same {
-		rows, err := engine.FinalizeCells(len(p.groupBy), p.aggs, cells, kept)
+		rows, err := engine.FinalizeCells(len(p.groupBy), p.aggs, cells.Pick(kept))
 		if err != nil {
 			return nil, err
 		}
 		return engine.SortRowsBy(rows, leading(len(p.groupBy))), nil
 	}
-	// Only the filter's survivors are copied out.
+	// The filter's survivors are read in place.
 	if p.filter != nil {
-		cells = cells.Select(kept)
+		cells = cells.Pick(kept)
 	}
 	return engine.FinalizePartials(len(p.groupBy), p.aggs, cells)
 }

@@ -159,12 +159,24 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		return nil, err
 	}
 	p := &starPlan{fact: fact, groupBy: groupBy, tables: []string{fact.Name}}
-	// Columns the joined layout must provide.
+	// Columns the joined layout must provide. The result's column names
+	// must be distinct, and a measure's must survive the star-flow
+	// oracle's "out:FUNC:col;…" aggregate list, so that both executors
+	// answer the same columns.
 	needed := map[string]bool{}
-	for _, g := range groupBy {
+	for i, g := range groupBy {
+		if slices.Contains(groupBy[:i], g) {
+			return nil, fmt.Errorf("olap: group-by column %q repeats", g)
+		}
 		needed[g] = true
 	}
-	for _, m := range q.Measures {
+	for i, m := range q.Measures {
+		if m.Out == "" || strings.TrimSpace(m.Out) != m.Out || strings.ContainsAny(m.Out, ":;") {
+			return nil, fmt.Errorf("olap: measure output name %q is empty, padded or holds ':' or ';'", m.Out)
+		}
+		if slices.Contains(groupBy, m.Out) || slices.ContainsFunc(q.Measures[:i], func(o MeasureSpec) bool { return o.Out == m.Out }) {
+			return nil, fmt.Errorf("olap: measure output name %q is already a result column", m.Out)
+		}
 		fn := strings.ToUpper(m.Func)
 		switch fn {
 		case "SUM", "AVG", "MIN", "MAX", "COUNT":

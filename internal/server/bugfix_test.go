@@ -16,6 +16,7 @@ import (
 	"quarry/internal/olap"
 	"quarry/internal/storage"
 	"quarry/internal/tpch"
+	"quarry/internal/xrq"
 )
 
 // TestOLAPBodyPreservesApostrophes pins the rendering fix: string
@@ -47,32 +48,40 @@ func TestOLAPBodyPreservesApostrophes(t *testing.T) {
 // deployedTestPlatform builds an in-memory platform with IR_revenue
 // deployed and run once.
 func deployedTestPlatform(t *testing.T, sf float64) *core.Platform {
-	t.Helper()
+	return platformWith(t, sf, tpch.RevenueRequirement())
+}
+
+// platformWith builds an in-memory platform at sf with reqs deployed
+// and run once.
+func platformWith(tb testing.TB, sf float64, reqs ...*xrq.Requirement) *core.Platform {
+	tb.Helper()
 	o, err := tpch.Ontology()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := tpch.Mapping()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	c, err := tpch.Catalog(sf)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	db := storage.NewMemDB()
 	if _, err := tpch.Generate(db, sf, 42); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: db})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	if _, err := p.AddRequirement(tpch.RevenueRequirement()); err != nil {
-		t.Fatal(err)
+	for _, r := range reqs {
+		if _, err := p.AddRequirement(r); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	if _, err := p.Run(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p
 }
@@ -93,6 +102,45 @@ func postOLAP(t *testing.T, client *http.Client, url, body string) (*http.Respon
 		t.Fatalf("POST /api/olap = %d: %s", resp.StatusCode, buf.String())
 	}
 	return resp, buf.String()
+}
+
+// TestOLAPBodyIsOneObject: a query body is exactly one JSON object,
+// white space around it allowed. Bytes after the object — garbage or a
+// second object — and a body that is not an object at all are a 400,
+// which neither asks the cache nor runs a query.
+func TestOLAPBodyIsOneObject(t *testing.T) {
+	ts := httptest.NewServer(New(deployedTestPlatform(t, 1)).Handler())
+	t.Cleanup(ts.Close)
+	_, want := postOLAP(t, ts.Client(), ts.URL, revenueOLAPBody)
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{revenueOLAPBody + "garbage", http.StatusBadRequest},
+		{revenueOLAPBody + `{"fact":"x"}`, http.StatusBadRequest},
+		{revenueOLAPBody + " " + revenueOLAPBody, http.StatusBadRequest},
+		{revenueOLAPBody + "\n}", http.StatusBadRequest},
+		{revenueOLAPBody + "\x00", http.StatusBadRequest},
+		{"null", http.StatusBadRequest},
+		{"[" + revenueOLAPBody + "]", http.StatusBadRequest},
+		{`"fact"`, http.StatusBadRequest},
+		{"  ", http.StatusBadRequest},
+		{"", http.StatusBadRequest},
+		{" \t\r\n" + revenueOLAPBody + " \t\r\n", http.StatusOK},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/api/olap", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		readAll(&buf, resp)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%q: status %d (%s), want %d", tc.body, resp.StatusCode, buf.String(), tc.status)
+		} else if tc.status == http.StatusOK && buf.String() != want {
+			t.Errorf("%q answered %s, want %s", tc.body, buf.String(), want)
+		}
+	}
 }
 
 // TestOLAPCachePutKeyedByExecutedVersion is the race-shaped

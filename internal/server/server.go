@@ -19,6 +19,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -430,6 +431,20 @@ func (s *Server) serveQuery(ep *endpoint) http.HandlerFunc {
 	}
 }
 
+// decodeObject decodes a request body that must be exactly one JSON
+// object: null, an array or a scalar is refused, and so is anything but
+// white space after the object (json.Unmarshal's rule).
+func decodeObject(r io.Reader, v any) error {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	if lead := bytes.TrimLeft(raw, " \t\r\n"); len(lead) == 0 || lead[0] != '{' {
+		return errors.New("request body is not a JSON object")
+	}
+	return json.Unmarshal(raw, v)
+}
+
 // answerQuery is serveQuery's stages from decode to execute. It sets
 // response headers but writes nothing: status and body travel in the
 // reply, and what the query takes on the way is noted in held.
@@ -437,7 +452,7 @@ func (s *Server) answerQuery(ep *endpoint, w http.ResponseWriter, r *http.Reques
 	arrival := time.Now()
 	hdr := w.Header()
 	var body olapRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&body); err != nil {
+	if err := decodeObject(http.MaxBytesReader(w, r.Body, 1<<20), &body); err != nil {
 		return failure(http.StatusBadRequest, err)
 	}
 	// The budget: header first, server default second, 0 for none. A

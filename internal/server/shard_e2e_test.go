@@ -176,3 +176,30 @@ func TestShardGatherForwardsDiceRejection(t *testing.T) {
 		t.Fatalf("rejection reason missing: %s", b)
 	}
 }
+
+// A body with bytes after its object is the shard's 400, and the
+// gather relays it as it came.
+func TestShardGatherRelaysTrailingBytesRejection(t *testing.T) {
+	p := shardedTestPlatform(t, 1, shard.Spec{Index: 0, Count: 1})
+	ts := httptest.NewServer(New(p).Handler())
+	t.Cleanup(ts.Close)
+	g, err := router.NewShardGather([]string{ts.URL}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gatherTS := httptest.NewServer(g.Handler())
+	t.Cleanup(gatherTS.Close)
+
+	resp, err := http.Post(gatherTS.URL+"/api/olap", "application/json", strings.NewReader(shardQueryMix[0]+`{"fact":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, b)
+	}
+	if !strings.Contains(string(b), "after top-level value") {
+		t.Fatalf("rejection reason missing: %s", b)
+	}
+}

@@ -125,11 +125,11 @@ func checkVector(v *storage.Vector) error {
 
 // MarshalBinary writes the frame. It refuses cells that do not fit the
 // shape — a key vector per group column, a state set per aggregate, N
-// entries in every column the aggregate's function reads — since the
-// frame does not repeat N per column.
+// entries in every column the aggregate's function reads, no selection
+// — since the frame does not repeat N per column.
 func (r *PartialResponse) MarshalBinary() ([]byte, error) {
 	c := &r.Groups
-	fits := c.N >= 0 && len(c.Keys) == r.GroupCols && len(c.States) == len(r.Aggs)
+	fits := c.N >= 0 && !c.Picked() && len(c.Keys) == r.GroupCols && len(c.States) == len(r.Aggs)
 	for _, k := range c.Keys {
 		fits = fits && checkVector(k) == nil && k.Len() == c.N
 	}

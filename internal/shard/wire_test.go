@@ -184,6 +184,12 @@ func TestFrameRefusals(t *testing.T) {
 	if _, err := r.MarshalBinary(); err == nil {
 		t.Fatal("encoded a MIN column shorter than N")
 	}
+	// Nor do picked cells: the frame holds every cell of its columns.
+	r = validResps(t, 1, 1)[0]
+	r.Groups = r.Groups.Pick([]int32{0})
+	if _, err := r.MarshalBinary(); err == nil {
+		t.Fatal("encoded picked cells")
+	}
 }
 
 // TestJSONEnvelopeIsTheFrame: MarshalJSON is the frame as one base64

@@ -41,20 +41,13 @@ func (v *Vector) Coded() bool { return v.Kind != expr.KindInt && v.Kind != expr.
 
 // VectorOf builds the vector of a column from its values: the typed
 // form when every non-NULL value is of one kind (a string gets a
-// dictionary entry per row), the mixed form (KindNull) otherwise.
+// dictionary entry per row, nothing is hashed), the mixed form
+// (KindNull) otherwise. The ETL executor's rows-to-vector steps call
+// it once per batch; a column whose values repeat across many reads
+// wants a dictionary of distinct entries instead, as the aggregation
+// kernel's Partials builds for its string and mixed key columns.
 func VectorOf(vals []expr.Value) *Vector {
-	v := &Vector{}
-	for _, x := range vals {
-		if x.IsNull() {
-			continue
-		}
-		if v.Kind == expr.KindNull {
-			v.Kind = x.Kind()
-		} else if x.Kind() != v.Kind {
-			v.Kind = expr.KindNull
-			break
-		}
-	}
+	v := &Vector{Kind: KindOf(vals)}
 	n := len(vals)
 	switch v.Kind {
 	case expr.KindInt:
@@ -87,6 +80,24 @@ func VectorOf(vals []expr.Value) *Vector {
 		}
 	}
 	return v
+}
+
+// KindOf is the kind of the vector VectorOf makes of vals: the one kind
+// of every non-NULL value, or KindNull when they are of several (or
+// there are none).
+func KindOf(vals []expr.Value) expr.Kind {
+	kind := expr.KindNull
+	for _, x := range vals {
+		if x.IsNull() {
+			continue
+		}
+		if kind == expr.KindNull {
+			kind = x.Kind()
+		} else if x.Kind() != kind {
+			return expr.KindNull
+		}
+	}
+	return kind
 }
 
 // AppendVector appends v as a page chunk — the tag byte of the encoding
