@@ -925,7 +925,7 @@ func BenchmarkOLAPQuery_Materialized(b *testing.B) {
 // rewrite arm, which answers every dash_zipf matagg query: an entry
 // grouped by supplier, brand and type answers the coarser per-supplier
 // cube behind a brand and type equality filter, by filtering the
-// entry's cells and merging the survivors (engine.FinalizePartials).
+// entry's cells and merging the survivors (engine.MergeCells).
 // SF 100, as dash_zipf serves it. Gated in CI.
 func BenchmarkOLAPQuery_Rewrite(b *testing.B) {
 	p, _ := benchDiskWarehouseAt(b, 100, quarry.RevenueRequirement())

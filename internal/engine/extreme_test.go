@@ -36,7 +36,7 @@ var extremeAggs = []xlm.AggSpec{{Out: "lo", Func: "MIN", Col: "x"}, {Out: "hi", 
 // extremesOf folds the one-column rows as a global MIN and MAX: through
 // Add or through AddVectors, either in one go (cut < 0) or split after
 // row i for every set bit i of cut into runs that are aggregated apart
-// and merged by FinalizePartials.
+// and merged by MergeCells.
 func extremesOf(t *testing.T, rows [][]expr.Value, kind expr.Kind, vectors bool, cut int) []expr.Value {
 	t.Helper()
 	fold := func(rows [][]expr.Value) *HashAggregator {
@@ -62,7 +62,11 @@ func extremesOf(t *testing.T, rows [][]expr.Value, kind expr.Kind, vectors bool,
 			start = i
 		}
 	}
-	out, err := FinalizePartials(0, extremeAggs, parts...)
+	merged, err := MergeCells(0, extremeAggs, parts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := merged.Answer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -410,7 +410,7 @@ func (p *JoinProbe) Lookup(n int, keys []*storage.Vector, out []int32) {
 	}
 	x.coders[0].number(keys[0], out, &p.entries[0], false)
 	for j := 1; j < len(keys); j++ {
-		p.column = sized(p.column, n)
+		p.column = Sized(p.column, n)
 		x.coders[j].number(keys[j], p.column, &p.entries[j], false)
 		for r, t := range out {
 			if t < 0 {

@@ -496,7 +496,7 @@ func push[T any](s []T, vs ...T) []T {
 // identity returns s holding 0, 1, …, n-1, reallocated only when it is
 // too small.
 func identity(s []int32, n int) []int32 {
-	s = sized(s, n)
+	s = Sized(s, n)
 	for i := range s {
 		s[i] = int32(i)
 	}
@@ -1071,7 +1071,7 @@ func (o *loaderOp) writeVectors(b *Batch) error {
 	}
 	n := b.N
 	if o.filter != nil {
-		o.row = sized(o.row, len(cols))
+		o.row = Sized(o.row, len(cols))
 		o.kept = o.kept[:0]
 		for r := 0; r < b.N; r++ {
 			for i, v := range cols {

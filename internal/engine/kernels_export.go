@@ -80,7 +80,7 @@ func (j *HashJoin) Probe(dst, rows [][]expr.Value) [][]expr.Value {
 	for _, c := range j.probeIdx {
 		j.keys = append(j.keys, columnOfRows(rows, c))
 	}
-	j.first = sized(j.first, len(rows))
+	j.first = Sized(j.first, len(rows))
 	j.probe.Lookup(len(rows), j.keys, j.first)
 	slab := rowSlab{width: len(rows[0]) + len(j.idx.Cols), rows: len(rows)}
 	for r, m := range j.first {

@@ -35,7 +35,7 @@ var sumAggs = []xlm.AggSpec{{Out: "total", Func: "SUM", Col: "v"}}
 
 // sumOf folds the values as a global SUM through Add or AddVectors, in
 // one go (cut < 0) or split after value i for every set bit i of cut into
-// runs aggregated apart and merged by FinalizePartials.
+// runs aggregated apart and merged by MergeCells.
 func sumOf(t *testing.T, vals []int64, vectors bool, cut int) (expr.Value, error) {
 	return foldOf(t, sumAggs[0], intValues(vals), vectors, cut)
 }
@@ -84,7 +84,10 @@ func foldOf(t *testing.T, agg xlm.AggSpec, vals []expr.Value, vectors bool, cut 
 				start = i
 			}
 		}
-		rows, err = FinalizePartials(0, aggs, parts...)
+		var merged *HashAggregator
+		if merged, err = MergeCells(0, aggs, parts...); err == nil {
+			rows, err = merged.Answer(nil)
+		}
 	}
 	if err != nil {
 		return expr.Value{}, err
@@ -164,7 +167,7 @@ func TestIntSumOverflowFailsTheRun(t *testing.T) {
 // the 128-bit image sum has edges — near ±MaxInt64, near ±2⁵³ (where an
 // int's float64 image starts to round) and near 0 — folded in random
 // orders and partitions through Add, AddVectors and Partials →
-// FinalizePartials, SUM's value and overflow verdict are those of the
+// MergeCells, SUM's value and overflow verdict are those of the
 // math/big sum, and AVG is the exactly rounded sum of the float64
 // images over the count, bit for bit.
 func TestQuickIntSumMatchesBig(t *testing.T) {
@@ -212,7 +215,7 @@ func TestQuickIntSumMatchesBig(t *testing.T) {
 // the expansion) — clustered near ±2⁶³, ±2⁵³ and ±0, some of them ints
 // in a mixed column — come out as the math/big sum rounded once, in
 // every order and partition, through Add, AddVectors and Partials →
-// FinalizePartials; AVG is that sum over the count.
+// MergeCells; AVG is that sum over the count.
 func TestQuickFloatSumMatchesBig(t *testing.T) {
 	r := rand.New(rand.NewSource(2626))
 	near := []float64{0x1p63, -0x1p63, 0x1p53, -0x1p53, 0, math.Copysign(0, -1)}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"quarry/internal/expr"
 	"quarry/internal/storage"
@@ -13,17 +14,16 @@ import (
 // scatter-gather path, the groups of a finer materialized aggregate in
 // the OLAP store — and exports its pre-finalisation group states as
 // columns (Cells): a key vector per group column and the aggregator's
-// own state columns. FinalizePartials Absorbs any number of such
-// exports into a fresh kernel and finalises (aggregationOp.result)
-// exactly once, over merged states that are value-identical to what a
-// single node folding all rows would hold — COUNT/int-SUM by integer
-// addition (wrapping, like the fold: whether an int SUM overflowed is
-// decided at finalisation, from the whole multiset), float SUM by exact
-// expansion merge (FloatSum), MIN/MAX by the same Compare the fold uses
-// — so the merged answer is byte-identical to the single-node one by
-// construction. Absorb finds a cell's group the way AddVectors finds a
-// row's (groupsOf), so the fold and the merge share every grouping
-// rule.
+// own state columns. MergeCells Absorbs any number of such exports into
+// a fresh kernel, whose states are value-identical to what a single
+// node folding all rows would hold — COUNT/int-SUM by integer addition
+// (wrapping, like the fold: whether an int SUM overflowed is decided at
+// finalisation, from the whole multiset), float SUM by exact expansion
+// merge (FloatSum), MIN/MAX by the same Compare the fold uses — and
+// Answer finalises them exactly once, so the merged answer is
+// byte-identical to the single-node one by construction. Absorb finds a
+// cell's group the way AddVectors finds a row's (groupsOf), so the fold
+// and the merge share every grouping rule.
 
 // Cells is a set of group states in columns: cell g's key is row g of
 // every key vector, and its states are entry g of each aggregate's
@@ -133,14 +133,8 @@ func (a *HashAggregator) Absorb(c Cells) error {
 		return fmt.Errorf("engine: partial of %d cells in %d key and %d state columns does not fit an aggregator of %d and %d, %d entries each",
 			c.N, len(c.Keys), len(c.States), len(o.gIdx), len(o.aggs), c.N)
 	}
-	n, at := c.N, c.sel
-	if c.picked {
-		n = len(at)
-	} else {
-		o.vec.every = identity(o.vec.every, n)
-		at = o.vec.every
-	}
-	gs := o.groupsOf(n, keys)
+	at := c.at()
+	gs := o.groupsOf(len(at), keys)
 	for i, spec := range o.aggs {
 		dst, src := &o.cols[i], &c.States[i]
 		for j, g := range gs {
@@ -178,6 +172,14 @@ func (c *StateCols) Fits(fn string, n int) bool {
 		(fn != "MIN" || len(c.Mins) == n) && (fn != "MAX" || len(c.Maxs) == n)
 }
 
+// at lists the cells c holds: those Pick picked, or every one.
+func (c Cells) at() []int32 {
+	if c.picked {
+		return c.sel
+	}
+	return identity(nil, c.N)
+}
+
 // FinalizeCells finalises the cells c holds — every cell, or the
 // cells Pick picked, in their order — through the kernel's own
 // finaliser: the first groupCols key vectors and one state-column set
@@ -188,12 +190,9 @@ func (c *StateCols) Fits(fn string, n int) bool {
 // (groupCols == 0) over no cells yields its single COUNT 0 / NULL row.
 // The rows are in cell order, not sorted.
 func FinalizeCells(groupCols int, aggs []xlm.AggSpec, c Cells) ([][]expr.Value, error) {
-	sel := c.sel
-	if !c.picked {
-		sel = identity(nil, c.N)
-	}
+	sel := c.at()
 	if groupCols == 0 && len(sel) == 0 {
-		return FinalizePartials(0, aggs)
+		return newAggOp(aggs, nil, nil).result()
 	}
 	return finalRows(groupCols, aggs, c.States, sel, func(row []expr.Value, g int32) {
 		for j := range row {
@@ -202,23 +201,15 @@ func FinalizeCells(groupCols int, aggs []xlm.AggSpec, c Cells) ([][]expr.Value, 
 	})
 }
 
-// FinalizePartials merges exported partial states and finalises them
-// once: a fresh kernel Absorbs every batch in argument order, Result
-// finalises, and the rows are sorted by their group columns exactly
-// like the single-node executors sort theirs. Each batch carries
-// groupCols key columns and one state-column set per aggregate of aggs
-// (only Func is read). It is the one place partial states become an
-// answer — the shard gather and the materialized-aggregate store both
-// end here. A global aggregate (groupCols == 0) over no cells still
-// yields its single COUNT 0 / NULL row.
-func FinalizePartials(groupCols int, aggs []xlm.AggSpec, parts ...Cells) ([][]expr.Value, error) {
-	groupIdx := make([]int, groupCols)
-	for i := range groupIdx {
-		groupIdx[i] = i
-	}
+// MergeCells absorbs the parts, in argument order, into a fresh
+// aggregator over groupCols key columns and aggs (only Func is read):
+// the merge of partial answers — a fleet's shards, or the cells of a
+// finer materialized aggregate — whose Answer is the one a single node
+// folding every row would give.
+func MergeCells(groupCols int, aggs []xlm.AggSpec, parts ...Cells) (*HashAggregator, error) {
 	// Aggregate input positions are unused on the absorb path, so 0
 	// stands in for every one of them.
-	agg, err := NewHashAggregator(groupIdx, aggs, make([]int, len(aggs)))
+	agg, err := NewHashAggregator(Leading(groupCols), aggs, make([]int, len(aggs)))
 	if err != nil {
 		return nil, err
 	}
@@ -227,9 +218,241 @@ func FinalizePartials(groupCols int, aggs []xlm.AggSpec, parts ...Cells) ([][]ex
 			return nil, fmt.Errorf("partial %d: %w", i, err)
 		}
 	}
-	rows, err := agg.Finalize()
+	return agg, nil
+}
+
+// Answer is the one tail every answer source ends in — the fast path,
+// both arms of the materialized-aggregate store, the shard gather. A
+// dice d cuts its diamond out of the cells; the cells, every one or the
+// diamond's, are finalised (FinalizeCells) through the first aggregates
+// of aggs, without the hidden carat ones a dice reads, and the rows are
+// sorted by their group columns, as every executor sorts its rows.
+// aggs are the aggregates whose states the cells hold.
+func (c Cells) Answer(aggs []xlm.AggSpec, d *Dice) ([][]expr.Value, error) {
+	if d != nil {
+		live, err := d.cut(c)
+		if err != nil {
+			return nil, err
+		}
+		c, aggs = c.Pick(live), aggs[:len(aggs)-len(d.CaratFuncs())]
+	}
+	rows, err := FinalizeCells(len(c.Keys), aggs, c)
+	return sorted(len(c.Keys), rows, err)
+}
+
+// Answer is the aggregator's answer: Cells.Answer over its Partials
+// when d dices it. Undiced, it finalises straight from the groups' key
+// rows (Finalize), which costs no key vector, and sorts alike.
+func (a *HashAggregator) Answer(d *Dice) ([][]expr.Value, error) {
+	if d != nil {
+		return a.Partials().Answer(a.op.aggs, d)
+	}
+	rows, err := a.Finalize()
+	return sorted(len(a.op.gIdx), rows, err)
+}
+
+// sorted sorts rows by their first k columns.
+func sorted(k int, rows [][]expr.Value, err error) ([][]expr.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SortRowsBy(rows, groupIdx), nil
+	return SortRowsBy(rows, Leading(k)), nil
+}
+
+// Leading returns the positions 0..n-1: the group columns of a result
+// row or of a group key.
+func Leading(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// Dice is a diamond dice (Webb, Kaser, Lemire: "Diamond Dicing"; and
+// "Pruning Attribute Values From Data Cubes with Diamond Dicing") over
+// a cube's cells: the diamond is the maximal subcube in which every
+// remaining value (slice) of every diced group column has a carat —
+// COUNT of rows, or SUM of a non-negative column — at least its
+// threshold. It is cut by pruning slices below threshold until a
+// fixpoint, which a monotone carat makes unique and independent of
+// the pruning order. A carat is the exact sum (FloatSum) of its rows'
+// contributions, rounded once, so the diamond is a function of the
+// cells, not of the rows' order or of how they were partitioned before
+// their cells merged.
+type Dice struct {
+	Pos        []int     // the diced group columns' positions
+	Thresholds []float64 // one per position
+	Carat      string    // the SUM carat's column; "" for a COUNT carat
+}
+
+// CaratFuncs are the functions of the hidden aggregates a diced fold
+// carries after the query's own, which the dice reads its carats from:
+// COUNT(*) for a COUNT carat; for a SUM carat AVG of the column, whose
+// state holds the exact sum (NaN when a value is NaN) and never fails
+// finalisation, and MIN, negative exactly when some value is (NaN when
+// every value is).
+func (d *Dice) CaratFuncs() []string {
+	if d.Carat == "" {
+		return []string{"COUNT"}
+	}
+	return []string{"AVG", "MIN"}
+}
+
+// CheckCarat fails the query when v, an input of a SUM carat, is below
+// zero or NaN: pruning a row could raise such a carat, so the fixpoint
+// would depend on the pruning order.
+func (d *Dice) CheckCarat(v expr.Value) error {
+	if f, ok := v.AsFloat(); ok && !(f >= 0) {
+		return fmt.Errorf("olap: dice SUM carat over %q requires non-negative values", d.Carat)
+	}
+	return nil
+}
+
+// Check runs CheckCarat over the inputs of a SUM carat's cells: their
+// hidden MIN, or their exact sum when it is NaN (an input was; the MIN
+// is NaN only when every input is). A cell fails it exactly when a row
+// behind it would, so a fleet's shards, each checking its own cells,
+// fail where a single node does.
+func (d *Dice) Check(c Cells) error {
+	if d.Carat == "" {
+		return nil
+	}
+	sums, mins := &c.States[len(c.States)-2], &c.States[len(c.States)-1]
+	for _, g := range c.at() {
+		v := mins.Mins[g]
+		if s := sums.Sums[g].Round(); s != s {
+			v = expr.Float(s)
+		}
+		if err := d.CheckCarat(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Slice names the slice of a diced column a value belongs to. Numbers
+// are keyed by their float image with −0 read as +0: the group-by's
+// identity (expr.Value.Equal), so no group spans two slices.
+type Slice struct {
+	kind expr.Kind // KindFloat for every number
+	bits uint64    // a number's float image
+	s    string
+	b    bool
+}
+
+// SliceOf names the slice v belongs to.
+func SliceOf(v expr.Value) Slice {
+	if f, ok := v.AsFloat(); ok {
+		return Slice{kind: expr.KindFloat, bits: math.Float64bits(f + 0)}
+	}
+	return Slice{kind: v.Kind(), s: v.AsString(), b: v.AsBool()}
+}
+
+// cut cuts the diamond d out of the cells c holds — every cell, or the
+// cells Pick picked — and returns the survivors, in that order. The
+// cells hold the query's aggregates followed by the hidden ones
+// (CaratFuncs): a cell's carat is read from the hidden states and its
+// slices from the key vectors, where a coded key column names a slice
+// once per dictionary entry, not per cell (Partials codes each distinct
+// value once). A worklist re-examines only the slices that lost a cell
+// since their last check, each time summing its live cells' exact
+// carats afresh, never by subtraction.
+func (d *Dice) cut(c Cells) ([]int32, error) {
+	if err := d.Check(c); err != nil {
+		return nil, err
+	}
+	type slice struct {
+		dim          int   // position in d.Pos
+		cells        []int // positions in at
+		dead, queued bool
+	}
+	// A COUNT carat is the hidden COUNT(*); a SUM carat the exact sum
+	// the hidden AVG keeps.
+	at, nd := c.at(), len(d.Pos)
+	var carats []FloatSum
+	if d.Carat == "" {
+		carats = make([]FloatSum, c.N)
+		for g, n := range c.States[len(c.States)-1].Counts {
+			carats[g].Add(float64(n))
+		}
+	} else {
+		carats = c.States[len(c.States)-2].Sums
+	}
+	var all []slice
+	var queue []int               // every slice starts due for a check
+	of := make([]int, len(at)*nd) // cell at[i]'s slice in diced column j is all[of[i*nd+j]]
+	byKey := make([]map[Slice]int, nd)
+	for j := range byKey {
+		byKey[j] = map[Slice]int{}
+	}
+	named := func(j int, v expr.Value) int {
+		k := SliceOf(v)
+		s, ok := byKey[j][k]
+		if !ok {
+			s = len(all)
+			byKey[j][k] = s
+			all = append(all, slice{dim: j, queued: true})
+			queue = append(queue, s)
+		}
+		return s
+	}
+	entries := make([][]int, nd) // per coded diced column: each dictionary entry's slice + 1, 0 until named
+	for j, p := range d.Pos {
+		if k := c.Keys[p]; k.Coded() {
+			entries[j] = make([]int, len(k.Dict))
+		}
+	}
+	for i, g := range at {
+		for j, p := range d.Pos {
+			var s int
+			switch k := c.Keys[p]; {
+			case entries[j] != nil && !k.IsNull(int(g)):
+				e := &entries[j][k.Codes[g]]
+				if *e == 0 {
+					*e = named(j, k.Dict[k.Codes[g]]) + 1
+				}
+				s = *e - 1
+			default:
+				s = named(j, k.Value(int(g)))
+			}
+			all[s].cells = append(all[s].cells, i)
+			of[i*nd+j] = s
+		}
+	}
+	pruned := make([]bool, len(at))
+	for len(queue) > 0 {
+		s := &all[queue[0]]
+		queue = queue[1:]
+		s.queued = false
+		var carat FloatSum
+		for _, i := range s.cells {
+			if !pruned[i] {
+				carat.Merge(carats[at[i]])
+			}
+		}
+		if carat.Round() >= d.Thresholds[s.dim] {
+			continue
+		}
+		s.dead = true
+		for _, i := range s.cells {
+			if pruned[i] {
+				continue
+			}
+			pruned[i] = true
+			for _, o := range of[i*nd : (i+1)*nd] {
+				if !all[o].dead && !all[o].queued {
+					all[o].queued = true
+					queue = append(queue, o)
+				}
+			}
+		}
+	}
+	var sel []int32
+	for i, g := range at {
+		if !pruned[i] {
+			sel = append(sel, g)
+		}
+	}
+	return sel, nil
 }

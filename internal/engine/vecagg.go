@@ -60,7 +60,6 @@ type vecState struct {
 	rowGroups []int32           // each batch row's group
 	measures  []*storage.Vector // per aggregate: its input rows
 	gathered  []*storage.Vector // per aggregate: its selected input rows
-	every     []int32           // Absorb's cell positions when it reads every cell
 }
 
 // flatIndexBits is the widest packed key the codeIndex serves from a
@@ -254,7 +253,7 @@ func (o *aggregationOp) groupsOf(n int, groups []Column) []int32 {
 	// Each row's tuple is looked up in the code index; a tuple not met
 	// before registers its group — in first-seen order, through
 	// findOrCreate.
-	gs, x := sized(v.rowGroups, n), v.byCode
+	gs, x := Sized(v.rowGroups, n), v.byCode
 	v.rowGroups = gs
 	if !x.fits(v.groups) {
 		x.layout(v.groups)

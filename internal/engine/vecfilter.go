@@ -145,7 +145,7 @@ func verdictOf(v expr.Value, err error) uint8 {
 // columns as NewVectorFilter's index numbers them) the predicate
 // accepts.
 func (f *VectorFilter) Apply(n int, cols []Column, kept []int32) ([]int32, error) {
-	f.open, f.null = sized(f.open, n), zeroed(f.null, n)
+	f.open, f.null = Sized(f.open, n), zeroed(f.null, n)
 	for j := range f.open {
 		f.open[j] = int32(j)
 	}
@@ -153,7 +153,7 @@ func (f *VectorFilter) Apply(n int, cols []Column, kept []int32) ([]int32, error
 		if len(f.open) == 0 {
 			break
 		}
-		f.verdict = sized(f.verdict, len(f.open))
+		f.verdict = Sized(f.verdict, len(f.open))
 		switch {
 		case c.slot >= 0 && cols[f.cols[c.slot]].Vec.Coded():
 			f.byEntry(c, cols[f.cols[c.slot]])

@@ -64,9 +64,9 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// sized returns s with length n, reallocated only when it is too small
+// Sized returns s with length n, reallocated only when it is too small
 // (its contents are about to be overwritten).
-func sized[T any](s []T, n int) []T {
+func Sized[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n)
 	}

@@ -298,7 +298,7 @@ func (o *vecJoin) probeBatch(b *Batch) *Batch {
 	for k, p := range o.lIdx {
 		o.keys[k] = b.Cols[p]
 	}
-	o.first = sized(o.first, b.N)
+	o.first = Sized(o.first, b.N)
 	o.probe.Lookup(b.N, o.keys, o.first)
 	once := true
 	for _, m := range o.first {

@@ -1,7 +1,9 @@
 package olap_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"quarry/internal/expr"
@@ -14,12 +16,22 @@ import (
 // negative numbers, ints at the edge of int64), the query's group
 // columns and measures, the dice's carat and thresholds — and demands
 // the same rows, or the same error, from the fast path and the oracle.
+// Its sharded arm cuts the fact's rows into 1–3 runs, by one more byte,
+// one hand-built engine per run, and gathers their frames through
+// shard.Merge: the single node's rows or its error again.
 func FuzzDiceMatchesOracle(f *testing.F) {
 	for _, seed := range [][]byte{
 		{3, 1, 1, 2, 2, 2, 1, 6, 1, 3, 3, 1, 4, 4, 1, 5, 5, 1, 4, 0, 0, 0, 1, 2, 1, 1, 5},
 		{2, 1, 1, 1, 2, 2, 2, 5, 1, 1, 1, 1, 1, 2, 0, 1, 1, 0, 0, 1, 7, 2, 3, 0, 2},
 		{4, 1, 1, 9, 2, 2, 10, 3, 0, 8, 4, 1, 1, 8, 6, 2, 2, 9, 6, 3, 3, 7, 0, 2, 2, 2, 1, 3, 6},
 		{1, 0, 3, 2, 1, 0, 1, 6, 6, 2, 0, 1, 6, 6, 2, 0, 2, 3, 3, 63, 1, 0, 4, 6},
+		// Three shards: −0 on the first and third, +0 on the second and
+		// third; the ±0 slice alone reaches the threshold.
+		{1, 1, 1, 1, 6, 1, 2, 6, 2, 1, 1, 6, 2, 1, 6, 6, 2, 1, 1, 6, 2, 1, 2, 6, 2, 1, 7, 6, 2, 0, 2, 0, 0, 3, 5},
+		// Two shards, a negative SUM carat value on the second.
+		{2, 1, 1, 1, 2, 2, 1, 4, 1, 6, 6, 2, 2, 6, 6, 2, 1, 6, 6, 2, 2, 6, 8, 2, 1, 1, 1, 0, 2, 10},
+		// Two shards whose int sums, MaxInt64 and 1, overflow once merged.
+		{1, 1, 1, 1, 2, 1, 6, 6, 6, 1, 6, 6, 2, 1, 3, 0, 0, 0, 4},
 	} {
 		f.Add(seed)
 	}
@@ -70,15 +82,29 @@ func FuzzDiceMatchesOracle(f *testing.F) {
 			}
 		}
 		q.Dice = &carat
+		split := pick(256)
+		cuts := []int{0, len(fact.rows)}
+		for k := 1; k <= split%3; k++ {
+			cuts = append(cuts, split/3*(2*k-1)%(len(fact.rows)+1))
+		}
+		slices.Sort(cuts)
+		shards := make([]*olap.Engine, len(cuts)-1)
+		for k := range shards {
+			part := fact
+			part.rows = fact.rows[cuts[k]:cuts[k+1]]
+			shards[k] = handEngine(t, storage.NewMemDB(), []handTable{dim, part})
+		}
 		e := handEngine(t, storage.NewMemDB(), []handTable{dim, fact})
 		fast, errF := e.Query(q)
 		oracle, errO := e.QueryStarFlow(q)
-		if errF != nil || errO != nil {
-			if errF == nil || errO == nil || !sameQueryError(errF, errO) {
-				t.Fatalf("fast err=%v\noracle err=%v\n(%s)", errF, errO, queryString(q))
+		gathered, errG := gatherEngines(t, shards, q)
+		if errF != nil || errO != nil || errG != nil {
+			if errF == nil || errO == nil || errG == nil || !sameQueryError(errF, errO) || errG.Error() != errF.Error() {
+				t.Fatalf("fast err=%v\noracle err=%v\ngather over %d shards err=%v\n(%s)", errF, errO, len(shards), errG, queryString(q))
 			}
 			return
 		}
 		assertIdentical(t, queryString(q), fast, oracle)
+		assertIdentical(t, fmt.Sprintf("gather over %d shards: %s", len(shards), queryString(q)), gathered, oracle)
 	})
 }

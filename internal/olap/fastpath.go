@@ -20,17 +20,17 @@ package olap
 //	       (fact position, dimension row numbers), whose selected
 //	       columns the aggregate fold hands engine.HashAggregator.AddVectors
 //	       (a dimension's group column with its codes). Every query folds
-//	       this way; a dice then selects the folded cells its diamond
-//	       keeps (diceCells) and finalises only those
-//	       (engine.FinalizeCells), leaving the kernel as it folded.
+//	       this way and ends in the answer tail
+//	       (engine.HashAggregator.Answer), which cuts a dice's diamond
+//	       out of the folded cells.
 
 import (
 	"context"
 	"fmt"
 
 	"quarry/internal/engine"
-	"quarry/internal/expr"
 	"quarry/internal/storage"
+	"quarry/internal/xlm"
 )
 
 // columnsOf resolves column names to a view's physical positions.
@@ -122,15 +122,6 @@ func (c *starChunk) column(i int) engine.Column {
 	return engine.Column{Vec: c.sides[pc.join].Cols[pc.col], Sel: c.dim[pc.join]}
 }
 
-// sized returns s with length n, reallocated only when it is too small
-// (its contents are about to be overwritten).
-func sized(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
 // probeStar runs the probe phase, the one loop behind Query,
 // QueryPartial, the aggregate refresh and the dice: stream the fact a
 // chunk at a time, resolve each foreign-key vector to a vector of
@@ -208,10 +199,10 @@ func (e *Engine) probeStar(ctx context.Context, p *starPlan, snap *storage.Snaps
 		// Resolve each join's keys to first matches, then keep, in place,
 		// the fact rows every join matched.
 		for k, probe := range probes {
-			sel.dim[k] = sized(sel.dim[k], n)
+			sel.dim[k] = engine.Sized(sel.dim[k], n)
 			probe.Lookup(n, vecs[k:k+1], sel.dim[k])
 		}
-		sel.pos = sized(sel.pos, n)
+		sel.pos = engine.Sized(sel.pos, n)
 		kept := 0
 		if everyRowMatched(sel.dim, n) { // as foreign keys do: nothing to drop
 			for i := range sel.pos {
@@ -310,90 +301,66 @@ func (c *starChunk) compact(kept []int32) {
 	}
 }
 
-// starFold is the aggregating consumer of the probe: it hands each
-// chunk's group and aggregate columns to the kernel's vector entry.
-// A dice's fold also carries the hidden carat aggregates (caratAggs).
-type starFold struct {
-	p                *starPlan
-	agg              *engine.HashAggregator
-	aggIdx           []int
-	groups, measures []engine.Column
-}
-
-func newStarFold(p *starPlan) (*starFold, error) {
+// foldOn runs a plan's build and probe phases over a snapshot: each
+// chunk's group and aggregate columns go to the kernel's vector entry.
+// It returns the kernel holding the folded cube and the aggregates it
+// folded — the plan's, and after them a dice's hidden carat aggregates
+// (caratAggs). The fast path answers from it; the shard partial answer
+// and every materialized aggregate export its cells (Partials), so all
+// of them hold the states a single node folding the same rows would
+// finalise.
+func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*engine.HashAggregator, []xlm.AggSpec, error) {
+	sides, err := e.buildDimSides(ctx, p, snap)
+	if err != nil {
+		return nil, nil, err
+	}
 	aggs, aggIdx := p.aggs, p.aggIdx
 	if p.dice != nil {
 		aggs, aggIdx = caratAggs(p)
 	}
 	agg, err := engine.NewHashAggregator(p.groupIdx, aggs, aggIdx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &starFold{p: p, agg: agg, aggIdx: aggIdx, groups: make([]engine.Column, len(p.groupIdx)), measures: make([]engine.Column, len(aggs))}, nil
-}
-
-func (f *starFold) add(c *starChunk) error {
-	for g, ci := range f.p.groupIdx {
-		f.groups[g] = c.column(ci)
-		if pc := f.p.cols[ci]; pc.join >= 0 { // coded once per dimension row
-			f.groups[g].Group = c.sides[pc.join].GroupCodes(pc.col)
+	groups, measures := make([]engine.Column, len(p.groupIdx)), make([]engine.Column, len(aggs))
+	err = e.probeStar(ctx, p, snap, sides, func(c *starChunk) error {
+		for g, ci := range p.groupIdx {
+			groups[g] = c.column(ci)
+			if pc := p.cols[ci]; pc.join >= 0 { // coded once per dimension row
+				groups[g].Group = c.sides[pc.join].GroupCodes(pc.col)
+			}
 		}
-	}
-	for i, ci := range f.aggIdx {
-		if ci >= 0 {
-			f.measures[i] = c.column(ci)
+		for i, ci := range aggIdx {
+			if ci >= 0 {
+				measures[i] = c.column(ci)
+			}
 		}
-	}
-	return f.agg.AddVectors(len(c.pos), f.groups, f.measures)
-}
-
-// foldOn runs a plan's build and probe phases over a snapshot and
-// returns the aggregation kernel holding the folded cube. The fast path
-// dices and finalises it; the shard partial answer and every
-// materialized aggregate export its cells (Partials), so all of them
-// hold the states a single node folding the same rows would finalise.
-func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*engine.HashAggregator, error) {
-	sides, err := e.buildDimSides(ctx, p, snap)
+		return agg.AddVectors(len(c.pos), groups, measures)
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fold, err := newStarFold(p)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.probeStar(ctx, p, snap, sides, fold.add); err != nil {
-		return nil, err
-	}
-	return fold.agg, nil
+	return agg, aggs, nil
 }
 
 // execFast runs the plan on the vectorized fast path over a snapshot:
 // build per-dimension sides (buildDimSides), stream the fact through
-// join → filter → aggregation (probeStar), cut a dice's diamond out of
-// the folded cells (diceCells), finalise the survivors' visible
-// aggregates, sort, and return the in-memory result. Nothing is written
-// to any database.
+// join → filter → aggregation (probeStar), and end in the answer tail
+// (engine.HashAggregator.Answer: a dice's diamond cut out of the folded
+// cells, the survivors' visible aggregates finalised, sorted). Nothing
+// is written to any database.
 func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
-	agg, err := e.foldOn(ctx, p, snap)
+	agg, _, err := e.foldOn(ctx, p, snap)
 	if err != nil {
 		return nil, err
 	}
-	class, rows := ClassFast, [][]expr.Value(nil)
-	if p.dice == nil {
-		rows, err = agg.Finalize()
-	} else {
-		// Only the live cells' visible aggregates are finalised: a dead
-		// cell's int SUM cannot fail, and the hidden carats make no column.
-		class = ClassDice
-		cells := agg.Partials()
-		var live []int32
-		if live, err = diceCells(cells, p.dice); err == nil {
-			rows, err = engine.FinalizeCells(len(p.groupBy), p.aggs, cells.Pick(live))
-		}
+	class, dice := ClassFast, (*engine.Dice)(nil)
+	if p.dice != nil {
+		class, dice = ClassDice, &p.dice.Dice
 	}
+	rows, err := agg.Answer(dice)
 	if err != nil {
 		return nil, err
 	}
-	rows = engine.SortRowsBy(rows, leading(len(p.groupBy)))
 	return &Result{Columns: p.resultColumns(), Rows: rows, Version: snap.Version(), Class: class}, nil
 }

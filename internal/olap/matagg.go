@@ -366,7 +366,7 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg, err := e.foldOn(context.Background(), p, snap)
+	agg, _, err := e.foldOn(context.Background(), p, snap)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +408,7 @@ func sortOrder(keys []*storage.Vector, n int) []int32 {
 		}
 	}
 	order := make([]int32, n)
-	for i, row := range engine.SortRowsBy(rows, leading(len(keys) + 1)[1:]) {
+	for i, row := range engine.SortRowsBy(rows, engine.Leading(len(keys) + 1)[1:]) {
 		order[i] = int32(row[0].AsInt())
 	}
 	return order

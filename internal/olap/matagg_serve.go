@@ -16,26 +16,25 @@ package olap
 // keys only, so it commutes with aggregation: engine.VectorFilter
 // keeps the entry's cells that pass it, reading the cells' own key
 // vectors — once per dictionary entry, and Partials gave each distinct
-// key value one. The kept cells are then merged with the one algebra
-// the tree has for partial states, engine.FinalizePartials — the
-// entry's cells projected onto the query's group-by and measures by
-// picking their columns, the kept cells picked (engine.Cells.Pick)
-// and absorbed in place into a fresh kernel,
-// finalised and sorted once; no cell is copied. That is what a shard
-// gather does with per-shard partials, and it is byte-identical to one
-// node folding the detail rows for EVERY aggregate function: COUNT and
-// int SUM add, MIN/MAX keep the extreme of a total order, float SUM and
-// AVG merge exact expansions (engine.FloatSum), so no function and no
-// filter-widened pattern is excluded.
+// key value one. The kept cells, projected onto the query's group-by
+// and measures by picking the entry's columns and read in place
+// (engine.Cells.Pick), end in the one answer tail every source ends in
+// (engine.Cells.Answer / HashAggregator.Answer), with a merge first
+// when the query is coarser: engine.MergeCells absorbs them into a
+// fresh kernel, the merge a shard gather runs. That is byte-identical
+// to one node folding the detail rows for EVERY aggregate function:
+// COUNT and int SUM add, MIN/MAX keep the extreme of a total order,
+// float SUM and AVG merge exact expansions (engine.FloatSum), so no
+// function and no filter-widened pattern is excluded.
 //
 // When the entry's granularity equals the query's, the merge would
 // absorb each kept cell into a group of its own, so that one case
-// skips it: engine.FinalizeCells finalises the kept cells in place,
-// read in the order the entry sorted them at build, and the rows are
-// sorted by the query's group-by (BenchmarkOLAPQuery_Materialized, a
-// 25-group cube on 2 vCPUs: ≈ 16 µs per query against ≈ 53 µs through
-// the merge, outside the CI gate's 25 %). An entry keeps no finalised
-// row: both arms start from its cells.
+// skips it: the tail finalises the kept cells in place, read in the
+// order the entry sorted them at build, so its sort finds them sorted
+// (BenchmarkOLAPQuery_Materialized, a 25-group cube on 2 vCPUs:
+// ≈ 16 µs per query against ≈ 53 µs through the merge, outside the CI
+// gate's 25 %). An entry keeps no finalised row: both arms start from
+// its cells.
 
 import (
 	"quarry/internal/engine"
@@ -128,11 +127,10 @@ entries:
 // serve answers the planned query from the entry. The VectorFilter
 // keeps the cells passing the filter (group-key predicates commute with
 // aggregation); the kept cells, projected onto the query's group-by
-// and measures and read in place through their selection, are merged
-// by engine.FinalizePartials — the merge a shard gather runs, exact
-// for every aggregate function. At the entry's own granularity (same)
-// every kept cell is a group of its own, so engine.FinalizeCells
-// finalises them, in the entry's sorted order.
+// and measures and read in place through their selection, end in the
+// answer tail — merged first into a fresh kernel unless the query is at
+// the entry's own granularity (same), where every kept cell is a group
+// of its own, read in the entry's sorted order.
 func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 	// The projection picks the entry's columns.
 	cells := engine.Cells{N: en.cells.N}
@@ -164,26 +162,15 @@ func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 			}
 		}
 	}
-	if same {
-		rows, err := engine.FinalizeCells(len(p.groupBy), p.aggs, cells.Pick(kept))
-		if err != nil {
-			return nil, err
-		}
-		return engine.SortRowsBy(rows, leading(len(p.groupBy))), nil
-	}
-	// The filter's survivors are read in place.
-	if p.filter != nil {
+	if same || p.filter != nil {
 		cells = cells.Pick(kept)
 	}
-	return engine.FinalizePartials(len(p.groupBy), p.aggs, cells)
-}
-
-// leading returns the positions 0..n-1: the group columns of a result
-// row or a group key.
-func leading(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if same {
+		return cells.Answer(p.aggs, nil)
 	}
-	return idx
+	merged, err := engine.MergeCells(len(p.groupBy), p.aggs, cells)
+	if err != nil {
+		return nil, err
+	}
+	return merged.Answer(nil)
 }

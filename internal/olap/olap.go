@@ -38,7 +38,8 @@
 // partial aggregation states, and rewrites covered queries onto the
 // coarsest usable aggregate — still byte-identical, because a rewrite
 // merges the kernel's own states with the exact algebra the shard
-// gather uses (engine.FinalizePartials). Every republish bumps the DB
+// gather uses (engine.MergeCells) and ends in the same answer tail
+// (engine.Cells.Answer). Every republish bumps the DB
 // version and thereby invalidates all of it implicitly.
 //
 // The layer reads the warehouse exclusively through

@@ -2,7 +2,6 @@ package olap
 
 import (
 	"context"
-	"fmt"
 
 	"quarry/internal/engine"
 	"quarry/internal/xlm"
@@ -21,11 +20,14 @@ type Partial struct {
 	Columns []string
 	// GroupCols is how many leading Columns are group keys.
 	GroupCols int
-	// Aggs are the planned aggregate specs, in output order.
+	// Aggs are the planned aggregate specs, in output order, and for a
+	// dice the hidden carat aggregates after them.
 	Aggs []xlm.AggSpec
 	// Groups are the mergeable group states, one cell per group in
 	// first-seen order.
 	Groups engine.Cells
+	// Dice is the query's dice, cut after the merge; nil when undiced.
+	Dice *engine.Dice
 	// Version is the warehouse version of the snapshot answered from
 	// — the shard protocol's epoch.
 	Version uint64
@@ -33,14 +35,16 @@ type Partial struct {
 
 // QueryPartial answers the cube query as mergeable partial aggregates
 // instead of a finalised result. It runs the same planner and the same
-// build/probe pipeline as Query, but stops before finalisation: no
-// AVG division, no zero-row injection for global aggregates, no sort.
-// Those happen exactly once, after the merge.
+// build/probe pipeline as Query, but stops before the answer tail: no
+// dice, no AVG division, no zero-row injection for global aggregates,
+// no sort. Those happen exactly once, after the merge.
 //
-// Diamond dicing is refused: a slice's carat sums cells over the whole
-// fact, so the diamond can only be cut after every shard's states are
-// merged, and the gather does not run that step — a diced query is not
-// distributive over fact partitions.
+// A diced query folds with its hidden carat aggregates and ships every
+// cell: merged cells are the cells a single node folds, and the diamond
+// is a function of them, so the gather cuts it after its merge. Only
+// the sign check of a SUM carat runs here, over this node's cells, so a
+// negative or NaN carat value fails the query where it lies, with the
+// single node's error.
 //
 // The materialized-aggregate store is bypassed — partials must be the
 // kernel's own states over base fact rows, not a rewritten form.
@@ -55,22 +59,20 @@ func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial
 	if err != nil {
 		return nil, err
 	}
-	if p.dice != nil {
-		return nil, fmt.Errorf("olap: diamond dice is not distributive over shards; run it on a single node")
-	}
 	snap, err := e.db.Snapshot(p.tables...)
 	if err != nil {
 		return nil, err
 	}
-	agg, err := e.foldOn(ctx, p, snap)
+	agg, aggs, err := e.foldOn(ctx, p, snap)
 	if err != nil {
 		return nil, err
 	}
-	return &Partial{
-		Columns:   p.resultColumns(),
-		GroupCols: len(p.groupBy),
-		Aggs:      p.aggs,
-		Groups:    agg.Partials(),
-		Version:   snap.Version(),
-	}, nil
+	part := &Partial{Columns: p.resultColumns(), GroupCols: len(p.groupBy), Aggs: aggs, Groups: agg.Partials(), Version: snap.Version()}
+	if p.dice != nil {
+		part.Dice = &p.dice.Dice
+		if err := part.Dice.Check(part.Groups); err != nil {
+			return nil, err
+		}
+	}
+	return part, nil
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"quarry/internal/engine"
 	"quarry/internal/expr"
 	"quarry/internal/sqlgen"
 	"quarry/internal/storage"
@@ -46,16 +47,13 @@ type starJoin struct {
 	predKey string
 }
 
-// dicePlan is the resolved diamond dice. The oracle dices its joined
-// detail rows, which caratIdx and colIdx address; the fast path dices
-// the folded cells, whose group values groupPos addresses.
+// dicePlan is the resolved diamond dice: the folded cells' dice, whose
+// Pos are positions in the group-by, and for the oracle, which dices
+// its joined detail rows, the positions caratIdx and colIdx there.
 type dicePlan struct {
-	caratCol   string // "" for COUNT
-	caratIdx   int    // detail row position; -1 for COUNT
-	cols       []string
-	colIdx     []int // detail row positions
-	groupPos   []int // positions in the group-by
-	thresholds []float64
+	engine.Dice
+	caratIdx int   // detail row position; -1 for COUNT
+	colIdx   []int // detail row positions of the diced columns
 }
 
 // planCol locates one column the query reads.
@@ -217,7 +215,7 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		if len(q.Dice.Thresholds) == 0 {
 			return nil, fmt.Errorf("olap: dice needs at least one threshold")
 		}
-		d := &dicePlan{caratCol: q.Dice.Col}
+		d := &dicePlan{Dice: engine.Dice{Carat: q.Dice.Col}}
 		cols := make([]string, 0, len(q.Dice.Thresholds))
 		for c := range q.Dice.Thresholds {
 			cols = append(cols, c)
@@ -228,9 +226,8 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 			if pos < 0 {
 				return nil, fmt.Errorf("olap: dice threshold column %q is not grouped by", c)
 			}
-			d.cols = append(d.cols, c)
-			d.groupPos = append(d.groupPos, pos)
-			d.thresholds = append(d.thresholds, q.Dice.Thresholds[c])
+			d.Pos = append(d.Pos, pos)
+			d.Thresholds = append(d.Thresholds, q.Dice.Thresholds[c])
 		}
 		p.dice = d
 	}
@@ -318,11 +315,11 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 	if d := p.dice; d != nil {
 		// Layout names are unique by construction.
 		d.caratIdx = -1
-		if d.caratCol != "" {
-			d.caratIdx = slices.Index(layout, d.caratCol)
+		if d.Carat != "" {
+			d.caratIdx = slices.Index(layout, d.Carat)
 		}
-		for _, c := range d.cols {
-			d.colIdx = append(d.colIdx, slices.Index(layout, c))
+		for _, pos := range d.Pos {
+			d.colIdx = append(d.colIdx, slices.Index(layout, p.groupBy[pos]))
 		}
 	}
 	// Column types by name, scoped to the tables that physically hold
@@ -355,8 +352,8 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 			return nil, fmt.Errorf("olap: %s over non-numeric column %q (%s)", a.Func, a.Col, colType[a.Col])
 		}
 	}
-	if p.dice != nil && p.dice.caratCol != "" && !numeric(p.dice.caratCol) {
-		return nil, fmt.Errorf("olap: dice SUM carat over non-numeric column %q (%s)", p.dice.caratCol, colType[p.dice.caratCol])
+	if p.dice != nil && p.dice.Carat != "" && !numeric(p.dice.Carat) {
+		return nil, fmt.Errorf("olap: dice SUM carat over non-numeric column %q (%s)", p.dice.Carat, colType[p.dice.Carat])
 	}
 	if p.filter != nil {
 		// Type-check the filter here, before any row is read: the oracle's

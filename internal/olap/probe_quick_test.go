@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"quarry/internal/engine"
 	"quarry/internal/expr"
 	"quarry/internal/olap"
 	"quarry/internal/storage"
@@ -227,26 +226,14 @@ func handQuery(r *rand.Rand) olap.CubeQuery {
 	return q
 }
 
-// assertSameAnswer runs q on the fast path, through QueryPartial →
-// FinalizePartials (the shard and aggregate-refresh route; a dice has
-// none) and on the oracle, and demands the same rows, or the same
-// error.
+// assertSameAnswer runs q on the fast path, through QueryPartial and
+// the gather's frame and merge as a one-shard fleet (the shard route),
+// and on the oracle, and demands the same rows, or the same error.
 func assertSameAnswer(t *testing.T, e *olap.Engine, q olap.CubeQuery) (failed bool) {
 	t.Helper()
 	fast, errF := e.Query(q)
 	oracle, errO := e.QueryStarFlow(q)
-	var partial *olap.Result
-	errP := errF
-	if q.Dice == nil {
-		var part *olap.Partial
-		if part, errP = e.QueryPartial(q); errP == nil {
-			rows, err := engine.FinalizePartials(part.GroupCols, part.Aggs, part.Groups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			partial = &olap.Result{Columns: part.Columns, Rows: rows}
-		}
-	}
+	partial, errP := gatherEngines(t, []*olap.Engine{e}, q)
 	if errF != nil || errO != nil || errP != nil {
 		if errF == nil || errO == nil || errP == nil || !sameQueryError(errF, errO) || errP.Error() != errF.Error() {
 			t.Fatalf("fast err=%v\npartial err=%v\noracle err=%v\n(%s)", errF, errP, errO, queryString(q))
@@ -254,9 +241,7 @@ func assertSameAnswer(t *testing.T, e *olap.Engine, q olap.CubeQuery) (failed bo
 		return true
 	}
 	assertIdentical(t, queryString(q), fast, oracle)
-	if partial != nil {
-		assertIdentical(t, "partial: "+queryString(q), partial, oracle)
-	}
+	assertIdentical(t, "partial: "+queryString(q), partial, oracle)
 	return false
 }
 

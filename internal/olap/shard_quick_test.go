@@ -1,11 +1,14 @@
 package olap_test
 
 import (
-	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"quarry/internal/core"
+	"quarry/internal/expr"
 	"quarry/internal/olap"
 	"quarry/internal/shard"
 	"quarry/internal/storage"
@@ -15,11 +18,11 @@ import (
 
 // Scatter-gather property check: hash-partition the TPC-H fact across
 // 1..8 shard platforms (each loading only its partition via the shard
-// load filter, dimensions replicated), answer random cube queries as
-// partial aggregates, ship them through the JSON wire, merge — and
-// demand byte identity with the single-node star-flow oracle over the
-// full data. Shard count 1 is the degenerate case and must also match
-// the single-node fast path exactly.
+// load filter, dimensions replicated), answer random cube queries —
+// diced ones too — as partial aggregates, ship them through the binary
+// frame, merge — and demand byte identity with the single-node
+// star-flow oracle over the full data. Shard count 1 is the degenerate
+// case and must also match the single-node fast path exactly.
 
 // shardedPlatforms builds one platform per shard, each generating the
 // identical TPC-H source data and loading its own partition.
@@ -63,39 +66,49 @@ func shardedPlatforms(t *testing.T, sf float64, seed int64, count int, reqs ...*
 	return out
 }
 
-// gatherQuery answers q by the full scatter-gather protocol over the
-// shard platforms: per-shard QueryPartial, JSON wire round-trip,
-// merge — returning the finalised result.
-func gatherQuery(t *testing.T, shards []*core.Platform, q olap.CubeQuery) (*olap.Result, error) {
+// gatherEngines answers q by the scatter-gather protocol over the
+// shards' engines, in shard-index order: per shard QueryPartial, the
+// binary frame the HTTP protocol ships (MarshalBinary →
+// UnmarshalBinary), then shard.Merge. The first shard whose partial
+// fails fails the query, as the gather relays the first shard's 4xx.
+func gatherEngines(t testing.TB, shards []*olap.Engine, q olap.CubeQuery) (*olap.Result, error) {
 	t.Helper()
 	resps := make([]*shard.PartialResponse, len(shards))
-	for i, p := range shards {
-		e, err := p.OLAP()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, e := range shards {
 		partial, err := e.QueryPartial(q)
 		if err != nil {
 			return nil, err
 		}
-		spec := p.Shard()
-		wire := shard.EncodePartial(spec.Index, spec.Count, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups)
-		// Through JSON, exactly like the HTTP protocol.
-		b, err := json.Marshal(wire)
+		wire := shard.EncodePartial(i, len(shards), partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups)
+		wire.Dice = partial.Dice
+		frame, err := wire.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back shard.PartialResponse
-		if err := json.Unmarshal(b, &back); err != nil {
+		resps[i] = new(shard.PartialResponse)
+		if err := resps[i].UnmarshalBinary(frame); err != nil {
 			t.Fatal(err)
 		}
-		resps[i] = &back
 	}
 	cols, rows, epoch, err := shard.Merge(resps)
 	if err != nil {
 		return nil, err
 	}
 	return &olap.Result{Columns: cols, Rows: rows, Version: epoch}, nil
+}
+
+// gatherQuery is gatherEngines over the shard platforms' engines.
+func gatherQuery(t *testing.T, shards []*core.Platform, q olap.CubeQuery) (*olap.Result, error) {
+	t.Helper()
+	engines := make([]*olap.Engine, len(shards))
+	for i, p := range shards {
+		e, err := p.OLAP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	return gatherEngines(t, engines, q)
 }
 
 func TestQuickShardedGatherMatchesOracle(t *testing.T) {
@@ -111,9 +124,7 @@ func TestQuickShardedGatherMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(seed * 13))
 	queries := make([]olap.CubeQuery, 0, 18)
 	for len(queries) < cap(queries) {
-		q := randomQuery(r)
-		q.Dice = nil // not distributive; its refusal is pinned below
-		queries = append(queries, q)
+		queries = append(queries, randomQuery(r))
 	}
 	for count := 1; count <= 8; count++ {
 		shards := shardedPlatforms(t, sf, seed, count, tpch.RevenueRequirement())
@@ -152,7 +163,7 @@ func TestQuickShardedGatherMatchesOracle(t *testing.T) {
 		for i, q := range queries {
 			merged, errG := gatherQuery(t, shards, q)
 			oracle, errO := oracleEng.QueryStarFlow(q)
-			if (errG == nil) != (errO == nil) {
+			if (errG == nil) != (errO == nil) || errG != nil && !sameQueryError(errG, errO) {
 				t.Fatalf("count=%d query %d: gather err=%v oracle err=%v (%s)", count, i, errG, errO, queryString(q))
 			}
 			if errG != nil {
@@ -170,21 +181,146 @@ func TestQuickShardedGatherMatchesOracle(t *testing.T) {
 	}
 }
 
-// Diced queries are refused by the partial executor with a clear
-// contract error — never answered wrongly.
-func TestQueryPartialRejectsDice(t *testing.T) {
-	p, _ := platformWith(t, 1, 5, tpch.RevenueRequirement())
-	e, err := p.OLAP()
+// splitStar is one star per shard: every shard holds the dimensions
+// whole and one run of the fact's rows, cut at random points (a run may
+// be empty). The runs keep the rows' order, so a group's first row —
+// which chooses between −0 and +0 for its key — is on the first shard
+// that holds the group, as it is first on the single node.
+func splitStar(t *testing.T, r *rand.Rand, star []handTable, n int) []*olap.Engine {
+	t.Helper()
+	fact := len(star) - 1
+	rows := star[fact].rows
+	cuts := []int{0, len(rows)}
+	for len(cuts) < n+1 {
+		cuts = append(cuts, r.Intn(len(rows)+1))
+	}
+	slices.Sort(cuts)
+	engines := make([]*olap.Engine, n)
+	for i := range engines {
+		part := slices.Clone(star)
+		part[fact].rows = rows[cuts[i]:cuts[i+1]]
+		engines[i] = handEngine(t, storage.NewMemDB(), part)
+	}
+	return engines
+}
+
+// handDice draws a dice over q's group columns: a COUNT carat, or a
+// SUM carat over qty or over amt, with a threshold on one to all of the
+// group columns.
+func handDice(r *rand.Rand, q olap.CubeQuery) *olap.DiceSpec {
+	d := &olap.DiceSpec{Func: "COUNT", Thresholds: map[string]float64{}}
+	scale := 8
+	switch r.Intn(3) {
+	case 1:
+		d.Func, d.Col, scale = "SUM", "qty", 40
+	case 2:
+		d.Func, d.Col, scale = "SUM", "amt", 600
+	}
+	for _, i := range r.Perm(len(q.GroupBy))[:1+r.Intn(len(q.GroupBy))] {
+		d.Thresholds[q.GroupBy[i]] = float64(r.Intn(scale))
+	}
+	return d
+}
+
+// TestQuickShardedDiceOnHandBuiltStars: random queries, nearly all of
+// them diced, over the dirty hand-built stars split over 1–4 shards
+// gather byte-identical to the single node, or fail with its error. The
+// stars' ±0 dimension values (b_w) land on different shards, and a
+// third of the stars carry one negative amt, on one shard only, which
+// must fail every query with a SUM carat over amt.
+func TestQuickShardedDiceOnHandBuiltStars(t *testing.T) {
+	stars := 24
+	if testing.Short() {
+		stars = 4
+	}
+	var pairs, diced, failed int
+	for seed := 0; seed < stars; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		star := handStar(r, 300, []string{"dense", "sparse", "huge"}[seed%3])
+		if seed%3 == 0 {
+			fact := star[len(star)-1].rows
+			at := r.Intn(len(fact))
+			fact[at] = slices.Clone(fact[at])
+			fact[at][6] = expr.Float(-0.5) // amt
+		}
+		single := handEngine(t, storage.NewMemDB(), star)
+		fleets := make([][]*olap.Engine, 4)
+		for n := range fleets {
+			fleets[n] = splitStar(t, r, star, n+1)
+		}
+		for i := 0; i < 25; i++ {
+			q := handQuery(r)
+			if r.Intn(8) != 0 {
+				q.Dice = handDice(r, q)
+			}
+			want, errW := single.Query(q)
+			for _, fleet := range fleets {
+				pairs++
+				got, errG := gatherEngines(t, fleet, q)
+				if errW != nil || errG != nil {
+					if errW == nil || errG == nil || errW.Error() != errG.Error() {
+						t.Fatalf("star %d on %d shards: single node err=%v\ngather err=%v\n(%s)", seed, len(fleet), errW, errG, queryString(q))
+					}
+					failed++
+					continue
+				}
+				if q.Dice != nil {
+					diced++
+				}
+				assertIdentical(t, fmt.Sprintf("star %d on %d shards: %s", seed, len(fleet), queryString(q)), got, want)
+			}
+		}
+	}
+	t.Logf("%d (query, partition) pairs: %d diced answers, %d errors", pairs, diced, failed)
+	if min := 2000 * stars / 24; pairs < min || diced < pairs/2 || failed == 0 {
+		t.Fatalf("generator drifted: %d pairs (want %d), %d diced answers, %d errors", pairs, min, diced, failed)
+	}
+}
+
+// shopFleet is shopStar's fact, one shard per list of rows.
+func shopFleet(t *testing.T, shards ...[]storage.Row) []*olap.Engine {
+	engines := make([]*olap.Engine, len(shards))
+	for i, rows := range shards {
+		engines[i] = shopStar(t, rows...)
+	}
+	return engines
+}
+
+// TestShardedDiceEdges: the fleet's dice at its edges, against the
+// single node holding every row. −0 on one shard and +0 on another are
+// one slice, whose carat only the merge reaches; a negative SUM carat
+// value on one shard fails the query with the single node's error,
+// though the other shard alone would answer.
+func TestShardedDiceEdges(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	zeros := [][]storage.Row{
+		{shopRow("a", negZero, expr.Null()), shopRow("b", 1, expr.Null())},
+		{shopRow("a", 0, expr.Null()), shopRow("b", 2, expr.Null()), shopRow("c", 0, expr.Null())},
+	}
+	q := olap.CubeQuery{Fact: "sales", GroupBy: []string{"amt"}, Measures: []olap.MeasureSpec{{Out: "n", Func: "COUNT"}},
+		Dice: &olap.DiceSpec{Func: "COUNT", Thresholds: map[string]float64{"amt": 2}}}
+	want := bothAnswer(t, shopStar(t, slices.Concat(zeros...)...), q)
+	got, err := gatherEngines(t, shopFleet(t, zeros...), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = e.QueryPartial(olap.CubeQuery{
-		Fact:     "fact_table_revenue",
-		GroupBy:  []string{"p_brand"},
-		Measures: []olap.MeasureSpec{{Out: "n", Func: "COUNT"}},
-		Dice:     &olap.DiceSpec{Func: "COUNT", Thresholds: map[string]float64{"p_brand": 2}},
-	})
-	if err == nil {
-		t.Fatal("QueryPartial accepted a diced query")
+	assertIdentical(t, "±0 across shards", got, want)
+	if len(want.Rows) != 1 || want.Rows[0][1].AsInt() != 3 {
+		t.Fatalf("the ±0 slice of 3 rows: %v, want it alone", want.Rows)
+	}
+
+	negative := [][]storage.Row{
+		{shopRow("a", 1, expr.Null()), shopRow("b", 2, expr.Null())},
+		{shopRow("a", 3, expr.Null()), shopRow("b", -1, expr.Null())},
+	}
+	q = olap.CubeQuery{Fact: "sales", GroupBy: []string{"shop"}, Measures: []olap.MeasureSpec{{Out: "s", Func: "SUM", Col: "amt"}},
+		Dice: &olap.DiceSpec{Func: "SUM", Col: "amt", Thresholds: map[string]float64{"shop": 1}}}
+	const msg = `olap: dice SUM carat over "amt" requires non-negative values`
+	bothFail(t, shopStar(t, slices.Concat(negative...)...), q, msg)
+	if _, err := gatherEngines(t, shopFleet(t, negative[0]), q); err != nil {
+		t.Fatalf("the first shard alone: %v", err)
+	}
+	if _, err := gatherEngines(t, shopFleet(t, negative...), q); err == nil || err.Error() != msg {
+		t.Fatalf("negative carat on the second shard: %v, want %q", err, msg)
 	}
 }

@@ -149,6 +149,19 @@ func addTable(d *xlm.Design, def *sqlgen.TableDef, nodeName string) error {
 	})
 }
 
+// link adds node n to the flow behind the nodes from, in order.
+func link(d *xlm.Design, n *xlm.Node, from ...string) error {
+	if err := d.AddNode(n); err != nil {
+		return err
+	}
+	for _, f := range from {
+		if err := d.AddEdge(f, n.Name); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // buildStarFlow compiles the plan to an xLM star flow: fact scan,
 // one projection+hash-join per dimension (in plan order), the filter,
 // and — when aggregate is true — the cube aggregation, sort and
@@ -171,23 +184,14 @@ func buildStarFlow(p *starPlan, aggregate bool) (*xlm.Design, error) {
 			Name: "PREP_" + sj.def.Name, Type: xlm.OpProjection,
 			Params: map[string]string{"columns": strings.Join(projCols, ",")},
 		}
-		if err := d.AddNode(proj); err != nil {
-			return nil, err
-		}
-		if err := d.AddEdge(nodeName, proj.Name); err != nil {
+		if err := link(d, proj, nodeName); err != nil {
 			return nil, err
 		}
 		join := &xlm.Node{
 			Name: "JOIN_" + sj.def.Name, Type: xlm.OpJoin,
 			Params: map[string]string{"on": sj.fkCol + "=" + sj.keyAlias},
 		}
-		if err := d.AddNode(join); err != nil {
-			return nil, err
-		}
-		if err := d.AddEdge(cur, join.Name); err != nil {
-			return nil, err
-		}
-		if err := d.AddEdge(proj.Name, join.Name); err != nil {
+		if err := link(d, join, cur, proj.Name); err != nil {
 			return nil, err
 		}
 		cur = join.Name
@@ -197,28 +201,21 @@ func buildStarFlow(p *starPlan, aggregate bool) (*xlm.Design, error) {
 			Name: "FILTER", Type: xlm.OpSelection,
 			Params: map[string]string{"predicate": p.filter.String()},
 		}
-		if err := d.AddNode(sel); err != nil {
-			return nil, err
-		}
-		if err := d.AddEdge(cur, sel.Name); err != nil {
+		if err := link(d, sel, cur); err != nil {
 			return nil, err
 		}
 		cur = sel.Name
 	}
-	if !aggregate {
-		out := &xlm.Node{
+	var err error
+	if aggregate {
+		err = addAggregateTail(d, p, cur)
+	} else {
+		err = link(d, &xlm.Node{
 			Name: "DETAIL", Type: xlm.OpLoader, Optype: "TableOutput",
 			Params: map[string]string{"table": detailTable, "mode": "replace"},
-		}
-		if err := d.AddNode(out); err != nil {
-			return nil, err
-		}
-		if err := d.AddEdge(cur, out.Name); err != nil {
-			return nil, err
-		}
-		return d, nil
+		}, cur)
 	}
-	if err := addAggregateTail(d, p, cur); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -248,35 +245,23 @@ func addAggregateTail(d *xlm.Design, p *starPlan, cur string) error {
 	for _, a := range p.aggs {
 		aggs = append(aggs, fmt.Sprintf("%s:%s:%s", a.Out, a.Func, a.Col))
 	}
-	agg := &xlm.Node{
+	if err := link(d, &xlm.Node{
 		Name: "CUBE", Type: xlm.OpAggregation,
 		Params: map[string]string{
 			"group":      strings.Join(p.groupBy, ","),
 			"aggregates": strings.Join(aggs, ";"),
 		},
-	}
-	if err := d.AddNode(agg); err != nil {
+	}, cur); err != nil {
 		return err
 	}
-	if err := d.AddEdge(cur, agg.Name); err != nil {
-		return err
-	}
-	sortNode := &xlm.Node{
+	if err := link(d, &xlm.Node{
 		Name: "ORDER", Type: xlm.OpSort,
 		Params: map[string]string{"by": strings.Join(p.groupBy, ",")},
-	}
-	if err := d.AddNode(sortNode); err != nil {
+	}, "CUBE"); err != nil {
 		return err
 	}
-	if err := d.AddEdge(agg.Name, sortNode.Name); err != nil {
-		return err
-	}
-	out := &xlm.Node{
+	return link(d, &xlm.Node{
 		Name: "ANSWER", Type: xlm.OpLoader, Optype: "TableOutput",
 		Params: map[string]string{"table": answerTable, "mode": "replace"},
-	}
-	if err := d.AddNode(out); err != nil {
-		return err
-	}
-	return d.AddEdge(sortNode.Name, out.Name)
+	}, "ORDER")
 }

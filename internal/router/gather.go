@@ -16,7 +16,10 @@
 // honoring Retry-After) and retries whole up to busyRetries times;
 // when the WHOLE fleet sheds — or the busy budget is spent — the
 // gather fails fast with an aggregated 429, never a 502, so clients
-// and upstream routers see "back off", not "outage".
+// and upstream routers see "back off", not "outage". A query the
+// single node fails fails here alike: a shard's own 4xx is relayed
+// verbatim, and a merged answer that fails (an int SUM that leaves
+// int64 only once the shards' sums add up) is the single node's 422.
 package router
 
 import (
@@ -187,9 +190,10 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 		resps := make([]*shard.PartialResponse, len(results))
 		for i, r := range results {
 			if r.partial == nil {
-				// The shard itself rejected the query (e.g. a dice, which
-				// is not distributive) or ran out of the budget it was
-				// sent; its verdict is deterministic and final.
+				// The shard itself rejected the query (an ill-typed filter,
+				// a negative dice carat on its rows) or ran out of the
+				// budget it was sent; its verdict is deterministic and
+				// final.
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(r.status)
 				_, _ = w.Write(r.body)
@@ -198,6 +202,15 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 			resps[i] = r.partial
 		}
 		columns, rows, epoch, err := shard.Merge(resps)
+		var answerErr shard.AnswerError
+		if errors.As(err, &answerErr) {
+			// The merged answer fails as the single node's does: a 422
+			// with its JSON body.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusUnprocessableEntity)
+			_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+			return
+		}
 		if err != nil {
 			if errors.Is(err, shard.ErrEpochSkew) {
 				// A reload is racing the scatter; a fresh scatter usually

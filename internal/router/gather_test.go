@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -302,25 +303,51 @@ func TestGatherRejectsMiswiredTopology(t *testing.T) {
 	}
 }
 
-// A shard's own 4xx (e.g. a diced query, which is not distributive)
-// is forwarded to the client as-is, not retried.
+// A shard's own 4xx (say, an aggregate the planner does not know) is
+// forwarded to the client as-is, not retried.
 func TestGatherForwardsShardRejection(t *testing.T) {
+	const rejection = `{"error":"olap: unknown aggregate \"MEDIAN\""}`
 	shards := []*fakeShard{newFakeShard(t, 0, 1, 7)}
 	shards[0].serve(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusUnprocessableEntity)
-		fmt.Fprintln(w, `{"error":"olap: diamond dice is not distributive over shards; run it on a single node"}`)
+		fmt.Fprintln(w, rejection)
 	})
 	ts := gatherOver(t, shards, 3, 0)
 	resp, body := postGather(t, ts.URL)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422", resp.StatusCode)
 	}
-	if !strings.Contains(body, "not distributive") {
-		t.Fatalf("shard's rejection body was not forwarded: %s", body)
+	if body != rejection+"\n" {
+		t.Fatalf("shard's rejection body was not forwarded verbatim: %s", body)
 	}
 	if shards[0].hits.Load() != 1 {
 		t.Fatalf("4xx was retried: %d hits", shards[0].hits.Load())
+	}
+}
+
+// An int SUM that leaves int64 only once the shards' sums add up fails
+// the merged answer, which the gather answers as the single node does:
+// 422 and its JSON error body, not a 502 of the merge.
+func TestGatherAnswersTailErrorAsTheSingleNode(t *testing.T) {
+	aggs := []xlm.AggSpec{{Out: "total", Func: "SUM", Col: "units"}}
+	shards := make([]*fakeShard, 2)
+	for i, v := range []int64{math.MaxInt64, 1} {
+		agg, err := engine.NewHashAggregator(nil, aggs, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.Add([][]expr.Value{{expr.Int(v)}}); err != nil {
+			t.Fatal(err)
+		}
+		pr := shard.EncodePartial(i, 2, 7, []string{"total"}, 0, aggs, agg.Partials())
+		shards[i] = newFakeShard(t, i, 2, 7)
+		shards[i].serveBytes(frameOf(t, pr))
+	}
+	resp, body := postGather(t, gatherOver(t, shards, 1, 0).URL)
+	const want = `{"error":"aggregation SUM \"total\" overflows int64"}` + "\n"
+	if resp.StatusCode != http.StatusUnprocessableEntity || body != want || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d %q (%s), want 422 %s", resp.StatusCode, resp.Header.Get("Content-Type"), body, want)
 	}
 }
 

@@ -58,9 +58,9 @@ func classOf(name string) queryClass {
 }
 
 // predictClass classifies an arriving request before execution. An
-// oracle request runs the star-flow executor, a dice buffers detail
-// rows through the fixpoint; everything else is predicted as the
-// base fast path — the conservative choice, since the only cheaper
+// oracle request runs the star-flow executor, a dice runs its fixpoint
+// over the folded cells; everything else is predicted as the base fast
+// path — the conservative choice, since the only cheaper
 // outcome (a materialized-aggregate rewrite) cannot be known until
 // the planner runs, and the EWMA attribution on completion uses the
 // class that actually answered.

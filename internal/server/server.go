@@ -599,7 +599,9 @@ func (s *Server) executePartial(ctx context.Context, oe *olap.Engine, q olap.Cub
 	if !spec.Enabled() {
 		spec = shard.Spec{Index: 0, Count: 1}
 	}
-	frame, err := shard.EncodePartial(spec.Index, spec.Count, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups).MarshalBinary()
+	resp := shard.EncodePartial(spec.Index, spec.Count, partial.Version, partial.Columns, partial.GroupCols, partial.Aggs, partial.Groups)
+	resp.Dice = partial.Dice
+	frame, err := resp.MarshalBinary()
 	if err != nil {
 		return answer{}, statusError{http.StatusInternalServerError, err}
 	}

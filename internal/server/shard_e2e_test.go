@@ -147,33 +147,52 @@ func TestShardGatherE2EByteIdentity(t *testing.T) {
 	}
 }
 
-// A diced query through the gather is refused by the shards (not
-// distributive) and the rejection is forwarded verbatim.
-func TestShardGatherForwardsDiceRejection(t *testing.T) {
-	p := shardedTestPlatform(t, 1, shard.Spec{Index: 0, Count: 1})
-	ts := httptest.NewServer(New(p).Handler())
-	t.Cleanup(ts.Close)
-	g, err := router.NewShardGather([]string{ts.URL}, nil)
+// A diced query through the gather: every shard ships its cells with
+// the hidden carat aggregates, the gather cuts the diamond after its
+// merge, and the body is byte-identical to the single node's — for a
+// COUNT and a SUM carat, on one and two dimensions, and with a shard's
+// "oracle" self-verification of its diced partial.
+func TestShardGatherDiceByteIdentity(t *testing.T) {
+	const sf = 2
+	control := httptest.NewServer(New(deployedTestPlatform(t, sf)).Handler())
+	t.Cleanup(control.Close)
+	urls := make([]string, 2)
+	for i := range urls {
+		ts := httptest.NewServer(New(shardedTestPlatform(t, sf, shard.Spec{Index: i, Count: 2})).Handler())
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
+	}
+	g, err := router.NewShardGather(urls, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gatherTS := httptest.NewServer(g.Handler())
 	t.Cleanup(gatherTS.Close)
 
-	body := `{"fact":"fact_table_revenue","group_by":["n_name"],` +
-		`"measures":[{"out":"n","func":"COUNT"}],` +
-		`"dice":{"func":"COUNT","thresholds":{"n_name":2}}}`
-	resp, err := http.Post(gatherTS.URL+"/api/olap", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d (%s), want 422", resp.StatusCode, b)
-	}
-	if !strings.Contains(string(b), "not distributive") {
-		t.Fatalf("rejection reason missing: %s", b)
+	client := &http.Client{}
+	for _, q := range []string{
+		`{"fact":"fact_table_revenue","group_by":["p_brand"],"measures":[{"out":"n","func":"COUNT"}],"dice":{"func":"COUNT","thresholds":{"p_brand":3}}}`,
+		`{"fact":"fact_table_revenue","group_by":["p_brand","p_type"],"measures":[{"out":"total","func":"SUM","col":"revenue"},{"out":"lo","func":"MIN","col":"p_name"}],` +
+			`"dice":{"func":"SUM","col":"revenue","thresholds":{"p_brand":40000,"p_type":100000}}}`,
+	} {
+		_, want := postOLAP(t, client, control.URL, q)
+		_, got := postOLAP(t, client, gatherTS.URL, q)
+		if got != want {
+			t.Fatalf("gathered diced body differs from the single node's\nquery: %s\n got: %s\nwant: %s", q, got, want)
+		}
+		_, cube := postOLAP(t, client, control.URL, q[:strings.Index(q, `,"dice"`)]+"}")
+		if strings.Count(want, "],[") == strings.Count(cube, "],[") || !strings.Contains(want, "],[") {
+			t.Fatalf("the diamond cuts nothing or keeps one row: %s\ncube: %s", want, cube)
+		}
+		resp, err := client.Post(urls[1]+"/api/olap/partial", "application/json", strings.NewReader(strings.TrimSuffix(q, "}")+`,"oracle":true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shard 1 failed self-verification of a diced partial: %d %s", resp.StatusCode, b)
+		}
 	}
 }
 

@@ -9,11 +9,12 @@
 // The merge algebra is the classical distributive/algebraic
 // decomposition: COUNT and int SUM merge by addition, MIN/MAX by
 // comparison, AVG ships SUM+COUNT and divides once after the merge.
-// Float SUM is the one aggregate that is not distributive under IEEE
-// rounding, so it ships as an exact non-overlapping expansion
+// Float SUM is the one aggregate IEEE rounding would make depend on the
+// partition, so it ships as an exact non-overlapping expansion
 // (engine.FloatSum) and is rounded exactly once, after the merge —
 // making the result a function of the row multiset alone, independent
-// of how rows were partitioned. See docs/ARCHITECTURE.md ("Sharding").
+// of how rows were partitioned. A diamond dice is cut after the merge,
+// over the merged cells. See docs/ARCHITECTURE.md ("Sharding").
 //
 // Epoch protocol: every partial answer carries the shard's warehouse
 // version. Shards load deterministically (same designs, same sources,
@@ -25,6 +26,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"quarry/internal/expr"
 	"quarry/internal/sqlgen"
@@ -104,21 +106,12 @@ func (s Spec) LoadFilter(keys map[string]string) func(table string, cols []strin
 		if key == "" {
 			return nil, nil // dimension: replicate everywhere
 		}
-		pos := -1
-		for i, c := range cols {
-			if c == key {
-				pos = i
-				break
-			}
-		}
+		pos := slices.Index(cols, key)
 		if pos == -1 {
 			// Loading the full fact here would silently double-count
 			// rows across the cluster; refuse instead.
 			return nil, fmt.Errorf("shard: fact table %q lacks its partition key column %q", table, key)
 		}
-		want, cnt := s.Index, uint64(s.Count)
-		return func(row []expr.Value) bool {
-			return int(row[pos].Hash()%cnt) == want
-		}, nil
+		return func(row []expr.Value) bool { return s.Owner(row[pos]) == s.Index }, nil
 	}
 }

@@ -337,7 +337,7 @@ func TestMergeByteIdentity(t *testing.T) {
 // zero groups and the merge must inject the single zero-row exactly
 // once — not once per shard, not zero times. The same holds one level
 // down, where the materialized-aggregate store hands
-// engine.FinalizePartials the groups its filter loop kept: a global
+// engine.MergeCells the groups its filter loop kept: a global
 // aggregate whose every group was filtered out is one empty batch.
 func TestMergeGlobalAggregateZeroRows(t *testing.T) {
 	columns := []string{"n", "total"}
@@ -357,7 +357,11 @@ func TestMergeGlobalAggregateZeroRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filteredOut, err := engine.FinalizePartials(0, aggs, engine.Cells{States: make([]engine.StateCols, len(aggs))})
+	emptyBatch, err := engine.MergeCells(0, aggs, engine.Cells{States: make([]engine.StateCols, len(aggs))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filteredOut, err := emptyBatch.Answer(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +378,8 @@ func TestMergeGlobalAggregateZeroRows(t *testing.T) {
 // TestMergeIntSumOverflow: the gather decides an int SUM's overflow on
 // the merged multiset, through the wire's wrapped partial sums — a
 // shard whose own sum wrapped does not fail a merge whose total fits,
-// and a total that leaves int64 fails the merge instead of wrapping.
+// and a total that leaves int64 fails the merge instead of wrapping,
+// as the answer's error.
 func TestMergeIntSumOverflow(t *testing.T) {
 	aggs := []xlm.AggSpec{{Out: "total", Func: "SUM"}}
 	merge := func(shards ...[]int64) ([][]expr.Value, error) {
@@ -396,8 +401,10 @@ func TestMergeIntSumOverflow(t *testing.T) {
 		_, rows, _, err := Merge(resps)
 		return rows, err
 	}
-	if _, err := merge([]int64{math.MaxInt64}, []int64{1}); err == nil || !strings.Contains(err.Error(), `aggregation SUM "total" overflows int64`) {
-		t.Fatalf("MaxInt64 + 1 across two shards: %v, want the overflow error", err)
+	// The error is the answer's, with the single node's message.
+	var answerErr AnswerError
+	if _, err := merge([]int64{math.MaxInt64}, []int64{1}); !errors.As(err, &answerErr) || err.Error() != `aggregation SUM "total" overflows int64` {
+		t.Fatalf("MaxInt64 + 1 across two shards: %v, want the overflow error as an AnswerError", err)
 	}
 	rows, err := merge([]int64{math.MaxInt64, 1}, []int64{-1})
 	if err != nil || rows[0][0].Kind() != expr.KindInt || rows[0][0].AsInt() != math.MaxInt64 {
@@ -458,6 +465,10 @@ func TestMergeRejectsSkew(t *testing.T) {
 	r = validResps(t, 3, 10)
 	r[1].Aggs[1].Func = "MIN"
 	wantSkew("aggregate mismatch", r)
+
+	r = validResps(t, 3, 10)
+	r[1].Dice = &engine.Dice{Pos: []int{0}, Thresholds: []float64{1}}
+	wantSkew("one shard diced", r)
 
 	if _, _, _, err := Merge(nil); err == nil {
 		t.Fatal("empty merge must fail")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"quarry/internal/engine"
 	"quarry/internal/expr"
@@ -22,6 +23,9 @@ import (
 //	columns (uint32 count, then each a uint32 length and its bytes),
 //	group columns (int32), aggregates (uint32 count, then each its
 //	function and output name as strings)
+//	the dice: its group positions (uint32 count, then each an int32),
+//	thresholds (uint32 count, then each as float64 bits) and SUM carat
+//	column (a string, empty for COUNT); no position for an undiced query
 //	N, the cell count (uint32)
 //	one vector per group column
 //	per aggregate: N raw int64 counts; for SUM and AVG the int sums as
@@ -38,17 +42,23 @@ import (
 // their IEEE-754 bits everywhere, so NaN payloads and −0 survive and
 // the merged answer stays byte-identical.
 //
+// A diced frame's aggregates end in the hidden carat ones
+// (engine.Dice.CaratFuncs), which its columns do not name: the cells
+// carry them so that the gather cuts the diamond after its merge.
+//
 // The decoder trusts nothing. After the magic and the version, the
 // checksum is checked before any field is read. N may not pass a cell
 // per eight frame bytes (every aggregate carries a raw 8-byte count per
 // cell), and the compressed vectors may not decode to more than eight
 // entries per frame byte between them, so every allocation is bounded
-// by the frame's length before it is made. A frame of another version
-// is refused naming both: router and shards ship together, and a retry
-// cannot heal a mixed fleet.
+// by the frame's length before it is made. A dice spec is refused
+// unless its positions are distinct group columns, one threshold each,
+// and the aggregates end in its carat's. A frame of another version is
+// refused naming both: router and shards ship together, and a retry
+// cannot heal a mixed fleet. Version 1 had no dice.
 
 // frameVersion is the layout this build writes and reads.
-const frameVersion = 1
+const frameVersion = 2
 
 var (
 	frameMagic = [4]byte{'Q', 'P', 'R', 'T'}
@@ -79,11 +89,14 @@ type PartialResponse struct {
 	Aggs      []AggWire
 	// Groups is the shard's group states as the kernel exports them.
 	Groups engine.Cells
+	// Dice is the query's dice, which Merge cuts after the merge; nil
+	// when undiced.
+	Dice *engine.Dice
 }
 
 // EncodePartial builds the partial answer from a shard-local partial
 // aggregation (the olap layer's pre-merge states). The cells are
-// shared, not copied.
+// shared, not copied. A diced query's partial sets Dice on the result.
 func EncodePartial(index, count int, epoch uint64, columns []string, groupCols int, aggs []xlm.AggSpec, groups engine.Cells) *PartialResponse {
 	resp := &PartialResponse{ShardIndex: index, ShardCount: count, Epoch: epoch,
 		Columns: append([]string(nil), columns...), GroupCols: groupCols, Groups: groups}
@@ -104,6 +117,31 @@ func (r *PartialResponse) DecodeGroups() (engine.Cells, error) {
 		}
 	}
 	return r.Groups, nil
+}
+
+// checkDice refuses a dice no query has: a position that is not a
+// group column or repeats one, a threshold count other than the
+// positions', aggregates that do not end in the carat's hidden ones. It
+// returns how many hidden aggregates there are.
+func checkDice(d *engine.Dice, groupCols int, aggs []AggWire) (hidden int, err error) {
+	if d == nil {
+		return 0, nil
+	}
+	seen := make(map[int]bool, len(d.Pos))
+	for _, p := range d.Pos {
+		if p < 0 || p >= groupCols || seen[p] {
+			return 0, fmt.Errorf("dice on group positions %v of %d", d.Pos, groupCols)
+		}
+		seen[p] = true
+	}
+	funcs := d.CaratFuncs()
+	if len(d.Pos) == 0 || len(d.Thresholds) != len(d.Pos) {
+		return 0, fmt.Errorf("dice of %d positions and %d thresholds", len(d.Pos), len(d.Thresholds))
+	}
+	if len(aggs) < len(funcs) || !slices.EqualFunc(aggs[len(aggs)-len(funcs):], funcs, func(a AggWire, fn string) bool { return a.Func == fn }) {
+		return 0, fmt.Errorf("dice with carat %q over aggregates %+v, which do not end in %v", d.Carat, aggs, funcs)
+	}
+	return len(funcs), nil
 }
 
 // checkVector checks that every row of v can be read.
@@ -153,6 +191,19 @@ func (r *PartialResponse) MarshalBinary() ([]byte, error) {
 	for _, a := range r.Aggs {
 		b = appendStr(appendStr(b, a.Func), a.Out)
 	}
+	var dice engine.Dice
+	if r.Dice != nil {
+		dice = *r.Dice
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(dice.Pos)))
+	for _, p := range dice.Pos {
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(dice.Thresholds)))
+	for _, t := range dice.Thresholds {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(t))
+	}
+	b = appendStr(b, dice.Carat)
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.N))
 	for _, k := range c.Keys {
 		b = appendVector(b, k)
@@ -296,6 +347,16 @@ func (r *PartialResponse) UnmarshalBinary(frame []byte) error {
 	for i := d.u32(); i > 0 && d.err == nil; i-- {
 		out.Aggs = append(out.Aggs, AggWire{Func: string(d.bytes()), Out: string(d.bytes())})
 	}
+	var dice engine.Dice
+	for i := d.u32(); i > 0 && d.err == nil; i-- {
+		dice.Pos = append(dice.Pos, int(int32(d.u32())))
+	}
+	for i := d.u32(); i > 0 && d.err == nil; i-- {
+		dice.Thresholds = append(dice.Thresholds, math.Float64frombits(d.u64()))
+	}
+	if dice.Carat = string(d.bytes()); len(dice.Pos)+len(dice.Thresholds) > 0 || dice.Carat != "" {
+		out.Dice = &dice
+	}
 	n := d.u32()
 	switch {
 	case d.err != nil:
@@ -303,6 +364,8 @@ func (r *PartialResponse) UnmarshalBinary(frame []byte) error {
 		d.fail("%d group columns", out.GroupCols)
 	case uint64(n) > uint64(len(frame))/8:
 		d.fail("%d bytes declare %d cells", len(frame), n)
+	default:
+		_, d.err = checkDice(out.Dice, out.GroupCols, out.Aggs)
 	}
 	c := &out.Groups
 	c.N = int(n)

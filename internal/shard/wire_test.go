@@ -76,8 +76,8 @@ func reseal(frame []byte) []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, castagnoli))
 }
 
-// headerOffsets are where a frame's group-column count and cell count
-// sit.
+// headerOffsets are where an undiced frame's group-column count and
+// cell count sit.
 func headerOffsets(r *PartialResponse) (groupColsAt, nAt int) {
 	at := len(frameMagic) + 1 + 4 + 4 + 8 + 4
 	for _, c := range r.Columns {
@@ -88,7 +88,7 @@ func headerOffsets(r *PartialResponse) (groupColsAt, nAt int) {
 	for _, a := range r.Aggs {
 		at += 4 + len(a.Func) + 4 + len(a.Out)
 	}
-	return groupColsAt, at
+	return groupColsAt, at + 4 + 4 + 4 // no dice position, threshold or carat
 }
 
 // hostileFrame declares 2³¹ cells of one int key in about a hundred
@@ -104,6 +104,7 @@ func hostileFrame() []byte {
 	b = binary.LittleEndian.AppendUint32(b, 1) // group columns
 	b = binary.LittleEndian.AppendUint32(b, 1) // aggregates
 	b = appendStr(appendStr(b, "SUM"), "s")
+	b = append(b, make([]byte, 12)...) // no dice
 	b = binary.LittleEndian.AppendUint32(b, 1<<31)
 	run := binary.LittleEndian.AppendUint32([]byte{2}, 1<<31) // an RLE chunk: one run of 2³¹ rows
 	run = binary.LittleEndian.AppendUint64(append(run, 1), 7)
@@ -192,6 +193,86 @@ func TestFrameRefusals(t *testing.T) {
 	}
 }
 
+// dicedResp is shard s of count's answer, over every count-th of the
+// test rows grouped by their first column, to a query of one COUNT(*)
+// diced by d: the frame carries the hidden aggregates, hidden, after it.
+func dicedResp(t testing.TB, s, count int, d *engine.Dice, hidden ...string) *PartialResponse {
+	t.Helper()
+	aggs, idx := []xlm.AggSpec{{Out: "n", Func: "COUNT"}}, []int{-1}
+	for _, fn := range hidden {
+		aggs, idx = append(aggs, xlm.AggSpec{Func: fn}), append(idx, 2)
+	}
+	agg, err := engine.NewHashAggregator([]int{0}, aggs, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var part [][]expr.Value
+	for i, row := range testRows(90) {
+		if i%count == s {
+			part = append(part, row)
+		}
+	}
+	if err := agg.Add(part); err != nil {
+		t.Fatal(err)
+	}
+	r := EncodePartial(s, count, 1, []string{"g", "n"}, 1, aggs, agg.Partials())
+	r.Dice = d
+	return r
+}
+
+// TestFrameDice: a diced answer's frame carries the dice, and the merge
+// of two shards' frames cuts the diamond a one-shard fleet cuts; a dice
+// spec no query has is refused by the decoder, naming it.
+func TestFrameDice(t *testing.T) {
+	// 90 rows in 4 groups (NULL the fourth): 23, 23, 22 and 22 rows,
+	// summing 110, 111, 110 and 110 units.
+	for _, c := range []struct {
+		dice   *engine.Dice
+		hidden []string
+	}{
+		{&engine.Dice{Pos: []int{0}, Thresholds: []float64{23}}, []string{"COUNT"}},
+		{&engine.Dice{Pos: []int{0}, Thresholds: []float64{111}, Carat: "units"}, []string{"AVG", "MIN"}},
+	} {
+		_, want, _, err := Merge([]*PartialResponse{wireTrip(t, dicedResp(t, 0, 1, c.dice, c.hidden...))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps := []*PartialResponse{wireTrip(t, dicedResp(t, 0, 2, c.dice, c.hidden...)), wireTrip(t, dicedResp(t, 1, 2, c.dice, c.hidden...))}
+		_, got, _, err := Merge(resps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 || len(got) == 4 {
+			t.Fatalf("carat %q: a diamond of %d of the 4 groups cuts nothing", c.dice.Carat, len(got))
+		}
+		if err := sameRows(got, want); err != nil {
+			t.Fatalf("carat %q: merged diamond differs from the single fold's: %v", c.dice.Carat, err)
+		}
+	}
+	for name, c := range map[string]struct {
+		dice   *engine.Dice
+		hidden []string
+		want   string
+	}{
+		"a position past the group columns": {&engine.Dice{Pos: []int{1}, Thresholds: []float64{1}}, []string{"COUNT"}, "group positions [1] of 1"},
+		"a negative position":               {&engine.Dice{Pos: []int{-1}, Thresholds: []float64{1}}, []string{"COUNT"}, "group positions [-1] of 1"},
+		"a repeated position":               {&engine.Dice{Pos: []int{0, 0}, Thresholds: []float64{1, 1}}, []string{"COUNT"}, "group positions [0 0] of 1"},
+		"a threshold too many":              {&engine.Dice{Pos: []int{0}, Thresholds: []float64{1, 2}}, []string{"COUNT"}, "1 positions and 2 thresholds"},
+		"thresholds and no position":        {&engine.Dice{Thresholds: []float64{1}}, []string{"COUNT"}, "0 positions and 1 thresholds"},
+		"a COUNT carat ending in MIN":       {&engine.Dice{Pos: []int{0}, Thresholds: []float64{1}}, []string{"MIN"}, "do not end in [COUNT]"},
+		"a SUM carat ending in AVG alone":   {&engine.Dice{Pos: []int{0}, Thresholds: []float64{1}, Carat: "units"}, []string{"MIN", "AVG"}, "do not end in [AVG MIN]"},
+		"a SUM carat ending in COUNT":       {&engine.Dice{Pos: []int{0}, Thresholds: []float64{1}, Carat: "units"}, []string{"COUNT"}, "do not end in [AVG MIN]"},
+	} {
+		frame, err := dicedResp(t, 0, 1, c.dice, c.hidden...).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(PartialResponse).UnmarshalBinary(frame); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: %v, want an error saying %q", name, err, c.want)
+		}
+	}
+}
+
 // TestJSONEnvelopeIsTheFrame: MarshalJSON is the frame as one base64
 // string, and UnmarshalJSON reads it back to the same frame.
 func TestJSONEnvelopeIsTheFrame(t *testing.T) {
@@ -225,7 +306,8 @@ func TestJSONEnvelopeIsTheFrame(t *testing.T) {
 // it, so each input is decoded as it is and then once more with its
 // trailer corrected: it is the layout behind the checksum that is
 // fuzzed. Seeds: the shards' answers to the server's end-to-end query
-// mix (testdata/fuzz), validResps and a global aggregate's.
+// mix and to two diced queries (testdata/fuzz), validResps, a global
+// aggregate's and two diced answers (dicedResp).
 func FuzzPartialFrame(f *testing.F) {
 	// A frame declaring 2³¹ cells in a hundred bytes is refused before
 	// it allocates.
@@ -239,7 +321,9 @@ func FuzzPartialFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds := append(validResps(f, 1, 1), validResps(f, 3, 10)...)
-	seeds = append(seeds, EncodePartial(0, 1, 1, []string{"n", "s"}, 0, []xlm.AggSpec{{Out: "n", Func: "COUNT"}, {Out: "s", Func: "SUM"}}, global.Partials()))
+	seeds = append(seeds, EncodePartial(0, 1, 1, []string{"n", "s"}, 0, []xlm.AggSpec{{Out: "n", Func: "COUNT"}, {Out: "s", Func: "SUM"}}, global.Partials()),
+		dicedResp(f, 0, 1, &engine.Dice{Pos: []int{0}, Thresholds: []float64{23}}, "COUNT"),
+		dicedResp(f, 0, 1, &engine.Dice{Pos: []int{0}, Thresholds: []float64{111}, Carat: "units"}, "AVG", "MIN"))
 	for _, r := range seeds {
 		frame, err := r.MarshalBinary()
 		if err != nil {
