@@ -756,16 +756,57 @@ func BenchmarkOLAPQuery_ScanFilter_SF200(b *testing.B) {
 	benchScanQuery(b, q)
 }
 
-// BenchmarkOLAPQuery_Dice_SF200 is adhoc_scan's dice shape: COUNT
-// carats 3 / 3 over the brand × supplier cube of the revenue fact.
-// Gated in CI.
-func BenchmarkOLAPQuery_Dice_SF200(b *testing.B) {
-	benchScanQuery(b, olap.CubeQuery{
+// benchDiceQuery is adhoc_scan's dice shape: COUNT carats 3 / 3 over
+// the brand × supplier cube of the revenue fact.
+func benchDiceQuery() olap.CubeQuery {
+	return olap.CubeQuery{
 		Fact:     "fact_table_revenue",
 		GroupBy:  []string{"p_brand", "s_name"},
 		Measures: []olap.MeasureSpec{{Out: "n", Func: "COUNT"}},
 		Dice:     &olap.DiceSpec{Func: "COUNT", Thresholds: map[string]float64{"p_brand": 3, "s_name": 3}},
+	}
+}
+
+// BenchmarkOLAPQuery_Dice_SF200 is adhoc_scan's dice shape by scan.
+// Gated in CI.
+func BenchmarkOLAPQuery_Dice_SF200(b *testing.B) {
+	benchScanQuery(b, benchDiceQuery())
+}
+
+// BenchmarkOLAPQuery_DiceFromEntry answers Dice_SF200's dice on one
+// SF 200 warehouse twice: from a materialized aggregate of its cube
+// and its hidden COUNT carat (entry: the diamond cut from the entry's
+// cells), and by scan (scan: Dice_SF200's fold). The ratio of the two
+// is the analyst's second look at a diamond against the first. Gated
+// in CI.
+func BenchmarkOLAPQuery_DiceFromEntry(b *testing.B) {
+	p, _ := benchDiskWarehouseAt(b, 200, quarry.CanonicalRequirements()...)
+	q := benchDiceQuery()
+	b.Run("entry", func(b *testing.B) {
+		base, err := p.OLAP()
+		if err != nil {
+			b.Fatal(err)
+		}
+		oe := base.WithMatAgg(olap.NewMatAgg(8))
+		if _, err := oe.Query(q); err != nil { // record the pattern
+			b.Fatal(err)
+		}
+		if _, err := oe.MatAgg().Refresh(oe); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := oe.Query(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if st := oe.MatAgg().Stats(); st.Hits+st.Rewrites == 0 {
+			b.Fatalf("the dice was never answered from an entry: %+v", st)
+		}
 	})
+	b.Run("scan", func(b *testing.B) { benchQueryOn(b, p, q) })
 }
 
 // BenchmarkOLAPQuery_StarWide_SF200 is adhoc_scan's star_wide shape:

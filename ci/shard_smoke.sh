@@ -6,7 +6,9 @@
 # and the control across a query mix covering the whole merge algebra
 # (float SUM/AVG, COUNT, string MIN/MAX, filters, roll-ups) and a
 # diamond dice, which the gather cuts after its merge, through a
-# lockstep republish. Then kill one shard and confirm the
+# lockstep republish, and once more after the shards' aggregate stores
+# have refreshed, answered from their materialized entries (each shard
+# must count a hit or a rewrite). Then kill one shard and confirm the
 # documented failure mode: a whole-query 502 naming the dead shard,
 # never a partial answer.
 #
@@ -147,6 +149,33 @@ E1B="$(epoch_of "$SHARD1_PORT")"
 [ -n "$E0B" ] && [ "$E0B" = "$E1B" ] || die "shard epochs diverge after republish: shard0=$E0B shard1=$E1B"
 [ "$E0B" != "$E0" ] || die "republish did not advance the epoch (still $E0)"
 check_identity "after republish"
+
+# The shards logged the mix's partials as patterns, and the republish
+# refreshes their aggregate stores in the background. Once each store
+# is current, the mix must come back byte-identical again — this time
+# answered from the shards' materialized entries.
+stat_of() { # stat_of PORT KEY -> the numeric value of "KEY" in the node's /api/olap/stats
+    curl -fsS "http://localhost:$1/api/olap/stats" | sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p"
+}
+served_of() { # served_of PORT -> the shard's matagg hits + rewrites
+    echo $(($(stat_of "$1" hits) + $(stat_of "$1" rewrites)))
+}
+for port in "$SHARD0_PORT" "$SHARD1_PORT"; do
+    for _ in $(seq 1 120); do
+        [ "$(stat_of "$port" last_refresh_version)" = "$(stat_of "$port" warehouse_version)" ] && break
+        sleep 0.5
+    done
+    [ "$(stat_of "$port" last_refresh_version)" = "$(stat_of "$port" warehouse_version)" ] ||
+        die "shard on port $port: aggregate store never refreshed to warehouse version $(stat_of "$port" warehouse_version)"
+done
+S0="$(served_of "$SHARD0_PORT")"
+S1="$(served_of "$SHARD1_PORT")"
+check_identity "from the shards' entries"
+S0B="$(served_of "$SHARD0_PORT")"
+S1B="$(served_of "$SHARD1_PORT")"
+[ "$S0B" -gt "$S0" ] && [ "$S1B" -gt "$S1" ] ||
+    die "the shards answered no partial from an entry: hits+rewrites shard0 $S0 -> $S0B, shard1 $S1 -> $S1B"
+log "shards answered partials from their entries: hits+rewrites shard0 $S0 -> $S0B, shard1 $S1 -> $S1B"
 
 log "checking a malformed X-Quarry-Deadline comes back as the shard's own 400"
 code="$(curl -s -o /tmp/deadline_body -w '%{http_code}' -X POST -H 'Content-Type: application/json' \

@@ -430,7 +430,9 @@ func newAggOp(aggs []xlm.AggSpec, gIdx, aIdx []int) *aggregationOp {
 
 // findOrCreate returns the group of these key values, by the grouping
 // rule (valuesIdentical), registering a group first met with a copy of
-// them.
+// them — a zero float as +0, whichever sign the first row's had, so a
+// group's key is a function of its rows, not of the order a fold, a
+// merge or a fleet's partition met them in.
 func (o *aggregationOp) findOrCreate(key []expr.Value) int32 {
 	h := uint64(1469598103934665603)
 	for _, v := range key {
@@ -449,6 +451,11 @@ walk:
 	}
 	g := int32(len(o.hashes))
 	o.keys = push(o.keys, key...)
+	for i, v := range o.keys[int(g)*k:] {
+		if f, _ := v.AsFloat(); f == 0 && v.Kind() == expr.KindFloat {
+			o.keys[int(g)*k+i] = expr.Float(0)
+		}
+	}
 	o.hashes = push(o.hashes, h)
 	o.next = push(o.next, head)
 	o.first[h] = g
@@ -739,9 +746,11 @@ func (o *sortOp) result() [][]expr.Value {
 }
 
 // compare orders two rows by the sort columns: NULLs first, then by
-// Value.Compare. Values Compare cannot order (mixed kinds) tie, as do
-// rows equal on every sort column; the stable sort keeps ties in input
-// order.
+// Value.Compare, with a NaN after every number — Compare ties it with
+// each, which is no order: the rows' sorted order would depend on their
+// input order beyond their ties. Values Compare cannot order (mixed
+// kinds) tie, as do rows equal on every sort column; the stable sort
+// keeps ties in input order.
 func (o *sortOp) compare(ra, rb []expr.Value) int {
 	for _, j := range o.idx {
 		va, vb := ra[j], rb[j]
@@ -754,9 +763,21 @@ func (o *sortOp) compare(ra, rb []expr.Value) int {
 			}
 			return 1
 		}
-		if c, err := va.Compare(vb); err == nil && c != 0 {
+		c, err := va.Compare(vb)
+		if err == nil && c == 0 {
+			c = isNaN(va) - isNaN(vb)
+		}
+		if err == nil && c != 0 {
 			return c
 		}
+	}
+	return 0
+}
+
+// isNaN is 1 for a NaN, 0 for any other value.
+func isNaN(v expr.Value) int {
+	if f, ok := v.AsFloat(); ok && f != f {
+		return 1
 	}
 	return 0
 }

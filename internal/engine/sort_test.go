@@ -11,8 +11,8 @@ import (
 )
 
 // sortReference is the Sort operator as it was written on sort.SliceStable:
-// a "less" over the same rules (NULLs first, then Value.Compare, values it
-// cannot order tying).
+// a "less" over the same rules (NULLs first, then Value.Compare with a
+// NaN after every number, values it cannot order tying).
 func sortReference(rows [][]expr.Value, by []int) {
 	sort.SliceStable(rows, func(a, b int) bool {
 		ra, rb := rows[a], rows[b]
@@ -25,7 +25,15 @@ func sortReference(rows [][]expr.Value, by []int) {
 				return va.IsNull()
 			}
 			c, err := va.Compare(vb)
-			if err != nil || c == 0 {
+			if err != nil {
+				continue
+			}
+			if c == 0 {
+				fa, _ := va.AsFloat()
+				fb, _ := vb.AsFloat()
+				if na, nb := fa != fa, fb != fb; na != nb {
+					return nb
+				}
 				continue
 			}
 			return c < 0

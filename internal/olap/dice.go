@@ -1,11 +1,8 @@
 package olap
 
 import (
-	"slices"
-
 	"quarry/internal/engine"
 	"quarry/internal/expr"
-	"quarry/internal/xlm"
 )
 
 // Diamond dicing (engine.Dice): every diced column is grouped by, so a
@@ -16,21 +13,6 @@ import (
 // recompute-from-scratch loop — two independent implementations of one
 // fixpoint, sharing only the slice identity (engine.SliceOf) and the
 // sign check (engine.Dice.CheckCarat).
-
-// caratAggs is the plan's aggregates followed by the hidden ones the
-// dice reads its cells' carats from (engine.Dice.CaratFuncs), over the
-// SUM carat's column or, for COUNT(*), none.
-func caratAggs(p *starPlan) ([]xlm.AggSpec, []int) {
-	aggs, idx := slices.Clone(p.aggs), slices.Clone(p.aggIdx)
-	col, i := p.dice.Carat, -1
-	if col != "" {
-		i = p.index[col]
-	}
-	for _, fn := range p.dice.CaratFuncs() {
-		aggs, idx = append(aggs, xlm.AggSpec{Func: fn, Col: col}), append(idx, i)
-	}
-	return aggs, idx
-}
 
 // diceReference computes the same diamond over the detail rows with
 // the textbook fixpoint loop: recompute every slice's carat from

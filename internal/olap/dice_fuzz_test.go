@@ -18,7 +18,11 @@ import (
 // the same rows, or the same error, from the fast path and the oracle.
 // Its sharded arm cuts the fact's rows into 1–3 runs, by one more byte,
 // one hand-built engine per run, and gathers their frames through
-// shard.Merge: the single node's rows or its error again.
+// shard.Merge: the single node's rows or its error again. Its entry arm
+// materializes the query's cube grouped by every fact column too, and
+// answers the query, and its partial, from that entry: at the entry's
+// own granularity or merged to a coarser one, the single node's rows
+// or its error once more.
 func FuzzDiceMatchesOracle(f *testing.F) {
 	for _, seed := range [][]byte{
 		{3, 1, 1, 2, 2, 2, 1, 6, 1, 3, 3, 1, 4, 4, 1, 5, 5, 1, 4, 0, 0, 0, 1, 2, 1, 1, 5},
@@ -98,13 +102,30 @@ func FuzzDiceMatchesOracle(f *testing.F) {
 		fast, errF := e.Query(q)
 		oracle, errO := e.QueryStarFlow(q)
 		gathered, errG := gatherEngines(t, shards, q)
-		if errF != nil || errO != nil || errG != nil {
-			if errF == nil || errO == nil || errG == nil || !sameQueryError(errF, errO) || errG.Error() != errF.Error() {
-				t.Fatalf("fast err=%v\noracle err=%v\ngather over %d shards err=%v\n(%s)", errF, errO, len(shards), errG, queryString(q))
+		m := olap.NewMatAgg(1)
+		me := e.WithMatAgg(m)
+		wide := q
+		wide.GroupBy = append(slices.DeleteFunc(slices.Clone(q.GroupBy), func(g string) bool { return g == "g" || g == "n" }), "g", "n")
+		_, _ = me.Query(wide)
+		if _, err := m.Refresh(me); err != nil {
+			t.Fatal(err)
+		}
+		entry, errE := me.Query(q)
+		entryPart, errP := gatherEngines(t, []*olap.Engine{me}, q)
+		if st := m.Stats(); st.Hits+st.Rewrites != 2 {
+			t.Fatalf("the query and its partial were not both served from the entry: %+v (%s)", st, queryString(q))
+		}
+		if errF != nil || errO != nil || errG != nil || errE != nil || errP != nil {
+			if errF == nil || errO == nil || errG == nil || errE == nil || errP == nil || !sameQueryError(errF, errO) ||
+				errG.Error() != errF.Error() || errE.Error() != errF.Error() || errP.Error() != errF.Error() {
+				t.Fatalf("fast err=%v\noracle err=%v\ngather over %d shards err=%v\nfrom an entry err=%v\npartial from an entry err=%v\n(%s)",
+					errF, errO, len(shards), errG, errE, errP, queryString(q))
 			}
 			return
 		}
 		assertIdentical(t, queryString(q), fast, oracle)
 		assertIdentical(t, fmt.Sprintf("gather over %d shards: %s", len(shards), queryString(q)), gathered, oracle)
+		assertIdentical(t, "from an entry: "+queryString(q), entry, oracle)
+		assertIdentical(t, "partial from an entry: "+queryString(q), entryPart, oracle)
 	})
 }

@@ -19,10 +19,10 @@ package olap
 //	       expanded) → filter (engine.VectorFilter) → a starChunk of
 //	       (fact position, dimension row numbers), whose selected
 //	       columns the aggregate fold hands engine.HashAggregator.AddVectors
-//	       (a dimension's group column with its codes). Every query folds
-//	       this way and ends in the answer tail
-//	       (engine.HashAggregator.Answer), which cuts a dice's diamond
-//	       out of the folded cells.
+//	       (a dimension's group column with its codes). Every query no
+//	       materialized aggregate serves folds this way (foldOn), and
+//	       answerPlanned cuts its answer, or its partial, from the
+//	       folded cells.
 
 import (
 	"context"
@@ -30,7 +30,6 @@ import (
 
 	"quarry/internal/engine"
 	"quarry/internal/storage"
-	"quarry/internal/xlm"
 )
 
 // columnsOf resolves column names to a view's physical positions.
@@ -303,26 +302,21 @@ func (c *starChunk) compact(kept []int32) {
 
 // foldOn runs a plan's build and probe phases over a snapshot: each
 // chunk's group and aggregate columns go to the kernel's vector entry.
-// It returns the kernel holding the folded cube and the aggregates it
-// folded — the plan's, and after them a dice's hidden carat aggregates
-// (caratAggs). The fast path answers from it; the shard partial answer
-// and every materialized aggregate export its cells (Partials), so all
-// of them hold the states a single node folding the same rows would
-// finalise.
-func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*engine.HashAggregator, []xlm.AggSpec, error) {
+// It returns the kernel holding the folded cube over the plan's
+// aggregates, a dice's hidden carat ones included. Every answer that no
+// materialized aggregate serves is cut from it (answerPlanned), and
+// every materialized aggregate is its cells (Partials), so all of them
+// hold the states a single node folding the same rows would finalise.
+func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*engine.HashAggregator, error) {
 	sides, err := e.buildDimSides(ctx, p, snap)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	aggs, aggIdx := p.aggs, p.aggIdx
-	if p.dice != nil {
-		aggs, aggIdx = caratAggs(p)
-	}
-	agg, err := engine.NewHashAggregator(p.groupIdx, aggs, aggIdx)
+	agg, err := engine.NewHashAggregator(p.groupIdx, p.aggs, p.aggIdx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	groups, measures := make([]engine.Column, len(p.groupIdx)), make([]engine.Column, len(aggs))
+	groups, measures := make([]engine.Column, len(p.groupIdx)), make([]engine.Column, len(p.aggs))
 	err = e.probeStar(ctx, p, snap, sides, func(c *starChunk) error {
 		for g, ci := range p.groupIdx {
 			groups[g] = c.column(ci)
@@ -330,7 +324,7 @@ func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot
 				groups[g].Group = c.sides[pc.join].GroupCodes(pc.col)
 			}
 		}
-		for i, ci := range aggIdx {
+		for i, ci := range p.aggIdx {
 			if ci >= 0 {
 				measures[i] = c.column(ci)
 			}
@@ -338,29 +332,7 @@ func (e *Engine) foldOn(ctx context.Context, p *starPlan, snap *storage.Snapshot
 		return agg.AddVectors(len(c.pos), groups, measures)
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	return agg, aggs, nil
-}
-
-// execFast runs the plan on the vectorized fast path over a snapshot:
-// build per-dimension sides (buildDimSides), stream the fact through
-// join → filter → aggregation (probeStar), and end in the answer tail
-// (engine.HashAggregator.Answer: a dice's diamond cut out of the folded
-// cells, the survivors' visible aggregates finalised, sorted). Nothing
-// is written to any database.
-func (e *Engine) execFast(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
-	agg, _, err := e.foldOn(ctx, p, snap)
-	if err != nil {
 		return nil, err
 	}
-	class, dice := ClassFast, (*engine.Dice)(nil)
-	if p.dice != nil {
-		class, dice = ClassDice, &p.dice.Dice
-	}
-	rows, err := agg.Answer(dice)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: p.resultColumns(), Rows: rows, Version: snap.Version(), Class: class}, nil
+	return agg, nil
 }

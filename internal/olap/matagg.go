@@ -1,18 +1,20 @@
 package olap
 
 // Materialized aggregates, write side: the query log and Refresh. The
-// read side — answer and serve — is matagg_serve.go.
+// read side — cells and serve — is matagg_serve.go.
 //
 // The store has one admission rule: materialize what was asked,
-// most-asked first. Every planned cube query is logged as its pattern —
-// (fact, group-by set, measure set), the group-by set resolved through
-// the xMD roll-up hierarchies and widened by the filter's identifiers,
-// so a pattern names exactly the granularity that answers the query —
-// and a pattern's weight is how often it was asked. Refresh walks the
-// patterns hottest first and builds entries until topK stand. Nothing
-// is derived, estimated or over-built: a hot query's own pattern, with
-// its own join set, is what gets materialized, which is also what lets
-// the read side demand an equal join set at no cost in served share
+// most-asked first. Every planned cube query, a shard's partial alike,
+// is logged as its pattern — (fact, group-by set, measure set), the
+// group-by set resolved through the xMD roll-up hierarchies and widened
+// by the filter's identifiers, the measure set holding a dice's hidden
+// carat aggregates too, so a pattern names exactly the granularity and
+// the states that answer the query — and a pattern's weight is how
+// often it was asked. Refresh walks the patterns hottest first and
+// builds entries until topK stand. Nothing is derived, estimated or
+// over-built: a hot query's own pattern, with its own join set, is
+// what gets materialized, which is also what lets the read side
+// demand an equal join set at no cost in served share
 // (dash_zipf: 99 % of the result-cache misses served; the hierarchy
 // lattice, the 2× candidate over-build ranked by scan fan-in and the
 // byte-budget knapsack this rule replaced served 91 %, see
@@ -27,13 +29,13 @@ package olap
 // log2(weight)+1 refreshes, which bounds how long stale weights can
 // keep a shifted workload out of a full log.
 //
-// Each entry is built by the same build/probe body as a shard's partial
-// answer (foldOn) over its own storage snapshot, and keeps what that
-// body returns — the aggregation kernel's pre-finalisation group states
-// as columns (engine.Cells), in the order the fold met them — plus the
-// order that sorts them by their keys. No finalised row is kept: every
-// answer is finalised from the cells. Nothing is written to any
-// database. An entry is keyed by its snapshot's DB version; a republish
+// Each entry is built by the build/probe body every query the store
+// does not serve folds with (foldOn), over its own storage snapshot,
+// and keeps what that body returns — the aggregation kernel's
+// pre-finalisation group states as columns (engine.Cells), in the
+// order the fold met them — plus the order that sorts them by their
+// keys. No finalised row is kept: every answer is finalised from the
+// cells. Nothing is written to any database. An entry is keyed by its snapshot's DB version; a republish
 // (every /api/run bumps the version exactly once at PublishAll)
 // therefore invalidates every aggregate implicitly; queries compare
 // versions and fall back to the base-fact path until the next Refresh.
@@ -92,11 +94,10 @@ type matEntry struct {
 	pat *aggPattern
 	// cells are the kernel's pre-finalisation states, one cell per
 	// group (keys in pat.groupBy order, then one state-column set per
-	// pat.measures), in the first-seen order the fold produced: a
-	// rewrite merge keys each group by its first cell (−0 or +0), so
-	// that order is part of the answer. order lists the cells sorted by
-	// their keys, so the entry's own granularity finalises them straight
-	// into sorted order.
+	// pat.measures), in the first-seen order the fold produced, which a
+	// merge of them keeps: a coarser group's first cell is its first
+	// row's. order lists the cells sorted by their keys, so the entry's
+	// own granularity finalises them straight into sorted order.
 	cells   engine.Cells
 	order   []int32
 	version uint64
@@ -204,13 +205,10 @@ func (m *MatAgg) Stats() MatAggStats {
 
 // patternOf canonicalizes a plan into its query-log pattern: the
 // resolved group-by set widened by the filter identifiers, plus the
-// deduplicated measure set. Dice queries have no pattern: an entry
-// holds no hidden carat aggregates (caratAggs), so the store answers
-// undiced queries only.
-func patternOf(p *starPlan) (groupBy []string, measures []aggMeasure, ok bool) {
-	if p.dice != nil {
-		return nil, nil, false
-	}
+// deduplicated set of the aggregates it folds — a dice's hidden carat
+// ones included, so a diced query's pattern is its undiced cube plus
+// the carat measures.
+func patternOf(p *starPlan) (groupBy []string, measures []aggMeasure) {
 	set := map[string]bool{}
 	for _, g := range p.groupBy {
 		set[g] = true
@@ -234,7 +232,7 @@ func patternOf(p *starPlan) (groupBy []string, measures []aggMeasure, ok bool) {
 		measures = append(measures, am)
 	}
 	sort.Slice(measures, func(i, j int) bool { return measures[i].key() < measures[j].key() })
-	return groupBy, measures, true
+	return groupBy, measures
 }
 
 // record logs one planned query. The pattern is canonicalized before
@@ -242,10 +240,7 @@ func patternOf(p *starPlan) (groupBy []string, measures []aggMeasure, ok bool) {
 // contention off the serving hot path. Against a full log a new pattern
 // is counted and dropped; Refresh makes the room (see ageing).
 func (m *MatAgg) record(p *starPlan) {
-	groupBy, measures, ok := patternOf(p)
-	if !ok {
-		return
-	}
+	groupBy, measures := patternOf(p)
 	key := patternKey(p.fact.Name, groupBy, measures)
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -366,7 +361,7 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	agg, _, err := e.foldOn(context.Background(), p, snap)
+	agg, err := e.foldOn(context.Background(), p, snap)
 	if err != nil {
 		return nil, err
 	}

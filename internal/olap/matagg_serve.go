@@ -1,7 +1,7 @@
 package olap
 
-// Materialized aggregates, read side: answer picks the entry, serve
-// makes the rows.
+// Materialized aggregates, read side: cells picks the entry, serve
+// takes the query's cells from it.
 //
 // An entry answers a query only if its plan ran the query's joins —
 // the same dimension tables (the planner joins a table under one key
@@ -10,31 +10,34 @@ package olap
 // less aggregates a different row set wherever a foreign key is NULL,
 // unmatched or matched twice; with equal join sets the entry's groups
 // partition exactly the rows the query would scan. Among such entries
-// answer picks the COARSEST — fewest cells — whose group-by set
-// covers the query's group-by and filter columns and which stores
-// every measure the query asks for. The query's filter reads group
-// keys only, so it commutes with aggregation: engine.VectorFilter
-// keeps the entry's cells that pass it, reading the cells' own key
-// vectors — once per dictionary entry, and Partials gave each distinct
-// key value one. The kept cells, projected onto the query's group-by
-// and measures by picking the entry's columns and read in place
-// (engine.Cells.Pick), end in the one answer tail every source ends in
-// (engine.Cells.Answer / HashAggregator.Answer), with a merge first
-// when the query is coarser: engine.MergeCells absorbs them into a
-// fresh kernel, the merge a shard gather runs. That is byte-identical
-// to one node folding the detail rows for EVERY aggregate function:
-// COUNT and int SUM add, MIN/MAX keep the extreme of a total order,
-// float SUM and AVG merge exact expansions (engine.FloatSum), so no
-// function and no filter-widened pattern is excluded.
+// cells picks the COARSEST — fewest cells — whose group-by set covers
+// the query's group-by and filter columns and which stores every
+// aggregate the query folds, a dice's hidden carat ones included. The
+// query's filter reads group keys only, so it commutes with
+// aggregation: engine.VectorFilter keeps the entry's cells that pass
+// it, reading the cells' own key vectors — once per dictionary entry,
+// and Partials gave each distinct key value one. The kept cells,
+// projected onto the query's group-by and aggregates by picking the
+// entry's columns and read in place (engine.Cells.Pick), are merged
+// into a fresh kernel at the query's grain (engine.MergeCells, the
+// merge a shard gather runs), and the route ends as a fold's does
+// (answerPlanned): the answer tail, whose dice cuts the diamond from
+// the merged cells, or the merged kernel's cells shipped as a partial.
+// That is byte-identical to one node folding the detail rows for EVERY
+// aggregate function: COUNT and int SUM add, MIN/MAX keep the extreme
+// of a total order, float SUM and AVG merge exact expansions
+// (engine.FloatSum), so no function, no dice and no filter-widened
+// pattern is excluded — a carat is an exact state like any other.
 //
 // When the entry's granularity equals the query's, the merge would
-// absorb each kept cell into a group of its own, so that one case
-// skips it: the tail finalises the kept cells in place, read in the
-// order the entry sorted them at build, so its sort finds them sorted
-// (BenchmarkOLAPQuery_Materialized, a 25-group cube on 2 vCPUs:
-// ≈ 16 µs per query against ≈ 53 µs through the merge, outside the CI
-// gate's 25 %). An entry keeps no finalised row: both arms start from
-// its cells.
+// absorb each kept cell into a group of its own, so on the query path
+// that one case skips it: the tail cuts and finalises the kept cells in
+// place (engine.Cells.Answer), read in the order the entry sorted them
+// at build, so its sort finds them sorted (BenchmarkOLAPQuery_Materialized,
+// a 25-group cube on 2 vCPUs: ≈ 16 µs per query against ≈ 53 µs
+// through the merge, outside the CI gate's 25 %). A partial still
+// merges: picked cells have no frame. An entry keeps no finalised row:
+// both arms start from its cells.
 
 import (
 	"quarry/internal/engine"
@@ -42,14 +45,13 @@ import (
 	"quarry/internal/storage"
 )
 
-// answer tries to rewrite the planned query onto the coarsest eligible
+// cells takes the planned query's cells from the coarsest eligible
 // materialized aggregate at the snapshot's version (snap covers
-// p.tables). ok is false when no aggregate covers the query (or
-// versions mismatch) — the caller falls back to the base-fact path.
-func (m *MatAgg) answer(p *starPlan, snap *storage.Snapshot) (*Result, bool, error) {
-	if m == nil || p.dice != nil {
-		return nil, false, nil
-	}
+// p.tables): a kernel they were merged into, or, at the entry's own
+// granularity unless merge is set, the entry's kept cells themselves.
+// ok is false when no aggregate covers the query (or versions
+// mismatch) — the caller folds the base facts.
+func (m *MatAgg) cells(p *starPlan, snap *storage.Snapshot, merge bool) (agg *engine.HashAggregator, picked engine.Cells, ok bool, err error) {
 	// need is what an entry must group by: the query's group columns and
 	// every column its filter reads.
 	need := map[string]bool{}
@@ -105,7 +107,7 @@ entries:
 	if best == nil {
 		m.misses++
 		m.mu.Unlock()
-		return nil, false, nil
+		return nil, picked, false, nil
 	}
 	// The entry groups by everything the query does, so equally many
 	// group columns means the same granularity (column order and
@@ -117,21 +119,18 @@ entries:
 		m.rewrites++
 	}
 	m.mu.Unlock()
-	rows, err := best.serve(p, same)
-	if err != nil {
-		return nil, false, err
-	}
-	return &Result{Columns: p.resultColumns(), Rows: rows}, true, nil
+	agg, picked, err = best.serve(p, same && !merge)
+	return agg, picked, err == nil, err
 }
 
-// serve answers the planned query from the entry. The VectorFilter
-// keeps the cells passing the filter (group-key predicates commute with
-// aggregation); the kept cells, projected onto the query's group-by
-// and measures and read in place through their selection, end in the
-// answer tail — merged first into a fresh kernel unless the query is at
-// the entry's own granularity (same), where every kept cell is a group
-// of its own, read in the entry's sorted order.
-func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
+// serve takes the planned query's cells from the entry. The
+// VectorFilter keeps the cells passing the filter (group-key predicates
+// commute with aggregation); the kept cells, projected onto the query's
+// group-by and aggregates and read in place through their selection,
+// are merged into a fresh kernel — unless same: the query is at the
+// entry's own granularity, every kept cell is a group of its own, and
+// they come back picked, in the entry's sorted order.
+func (en *matEntry) serve(p *starPlan, same bool) (*engine.HashAggregator, engine.Cells, error) {
 	// The projection picks the entry's columns.
 	cells := engine.Cells{N: en.cells.N}
 	for _, g := range p.groupBy {
@@ -154,7 +153,7 @@ func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 		}
 		var err error
 		if kept, err = engine.NewVectorFilter(p.filter, en.gIdx).Apply(en.cells.N, cols, make([]int32, 0, en.cells.N)); err != nil {
-			return nil, err
+			return nil, cells, err
 		}
 		if same {
 			for i, k := range kept {
@@ -166,11 +165,8 @@ func (en *matEntry) serve(p *starPlan, same bool) ([][]expr.Value, error) {
 		cells = cells.Pick(kept)
 	}
 	if same {
-		return cells.Answer(p.aggs, nil)
+		return nil, cells, nil
 	}
-	merged, err := engine.MergeCells(len(p.groupBy), p.aggs, cells)
-	if err != nil {
-		return nil, err
-	}
-	return merged.Answer(nil)
+	agg, err := engine.MergeCells(len(p.groupBy), p.aggs, cells)
+	return agg, cells, err
 }

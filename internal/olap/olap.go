@@ -32,15 +32,17 @@
 // expr.Value.Compare: the xLM validator accepts them like the fast
 // path does, so the oracle can always replay a servable query.
 //
-// A third answer source sits in front of both when enabled: the
-// adaptive materialized-aggregate store (matagg.go) observes the
+// A third answer source sits in front of the fast path when enabled:
+// the adaptive materialized-aggregate store (matagg.go) observes the
 // query log, materializes the hottest granularities as DB-version-keyed
-// partial aggregation states, and rewrites covered queries onto the
-// coarsest usable aggregate — still byte-identical, because a rewrite
-// merges the kernel's own states with the exact algebra the shard
-// gather uses (engine.MergeCells) and ends in the same answer tail
-// (engine.Cells.Answer). Every republish bumps the DB
-// version and thereby invalidates all of it implicitly.
+// partial aggregation states, and serves covered queries — diced ones
+// and shard partials (QueryPartial) alike — from the coarsest usable
+// aggregate. It is still byte-identical, because the store merges the
+// kernel's own states with the exact algebra the shard gather uses
+// (engine.MergeCells), a dice's carats among them, and every planned
+// query takes one route (answerPlanned) to the same answer tail
+// (engine.Cells.Answer) or the same partial. Every republish bumps the
+// DB version and thereby invalidates all of it implicitly.
 //
 // The layer reads the warehouse exclusively through
 // storage.Snapshot/TableView cursors, so it is oblivious to where the
@@ -56,6 +58,7 @@ import (
 	"strings"
 	"time"
 
+	"quarry/internal/engine"
 	"quarry/internal/expr"
 	"quarry/internal/sqlgen"
 	"quarry/internal/storage"
@@ -253,15 +256,12 @@ func (e *Engine) Query(q CubeQuery) (*Result, error) {
 // passes the request context so a disconnected client's query stops
 // burning its concurrency slot.
 func (e *Engine) QueryContext(ctx context.Context, q CubeQuery) (*Result, error) {
-	p, err := e.plan(q)
+	p, snap, err := e.planned(q)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := e.db.Snapshot(p.tables...)
-	if err != nil {
-		return nil, err
-	}
-	return e.answerPlanned(ctx, p, snap)
+	res, _, err := e.answerPlanned(ctx, p, snap, false)
+	return res, err
 }
 
 // QuerySnapshot answers the query on the fast path against an
@@ -274,36 +274,78 @@ func (e *Engine) QuerySnapshot(q CubeQuery, snap *storage.Snapshot) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return e.answerPlanned(context.Background(), p, snap)
+	res, _, err := e.answerPlanned(context.Background(), p, snap, false)
+	return res, err
 }
 
-// answerPlanned records the planned query in the aggregate store's
-// log, serves it from the coarsest eligible materialized aggregate,
-// and otherwise falls back to the base-fact fast path.
-func (e *Engine) answerPlanned(ctx context.Context, p *starPlan, snap *storage.Snapshot) (*Result, error) {
+// planned plans the query and snapshots the tables its plan reads.
+func (e *Engine) planned(q CubeQuery) (*starPlan, *storage.Snapshot, error) {
+	p, err := e.plan(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	snap, err := e.db.Snapshot(p.tables...)
+	return p, snap, err
+}
+
+// answerPlanned is the one route of every planned query, Query and
+// QueryPartial alike. It records the query's pattern in the aggregate
+// store's log and takes the query's cells from the coarsest eligible
+// materialized aggregate, merged to the query's grain, or else from the
+// base-fact fold (foldOn). Then it ends in the answer tail — a dice's
+// diamond cut from the cells, the survivors' visible aggregates
+// finalised, sorted — or, for a partial, ships the cells, which the
+// gather merges with every other shard's and ends in the same tail.
+func (e *Engine) answerPlanned(ctx context.Context, p *starPlan, snap *storage.Snapshot, partial bool) (*Result, *Partial, error) {
+	class, dice := ClassFast, (*engine.Dice)(nil)
+	if p.dice != nil {
+		class, dice = ClassDice, &p.dice.Dice
+	}
+	var (
+		agg    *engine.HashAggregator
+		picked engine.Cells
+		served bool
+		err    error
+	)
 	if e.mat != nil {
 		e.mat.record(p)
-		res, ok, err := e.mat.answer(p, snap)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			res.Version = snap.Version()
-			res.Class = ClassMatAgg
-			return res, nil
+		if agg, picked, served, err = e.mat.cells(p, snap, partial); err != nil {
+			return nil, nil, err
 		}
 	}
-	return e.execFast(ctx, p, snap)
+	if served {
+		class = ClassMatAgg
+	} else if agg, err = e.foldOn(ctx, p, snap); err != nil {
+		return nil, nil, err
+	}
+	if partial {
+		part := &Partial{Columns: p.resultColumns(), GroupCols: len(p.groupBy), Aggs: p.aggs, Groups: agg.Partials(), Dice: dice, Version: snap.Version(), Class: class}
+		if dice != nil {
+			// A SUM carat's sign check runs over this node's cells, so a
+			// negative or NaN value fails the query where it lies.
+			if err := dice.Check(part.Groups); err != nil {
+				return nil, nil, err
+			}
+		}
+		return nil, part, nil
+	}
+	var rows [][]expr.Value
+	if agg != nil {
+		rows, err = agg.Answer(dice)
+	} else {
+		rows, err = picked.Answer(p.aggs, dice)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Result{Columns: p.resultColumns(), Rows: rows, Version: snap.Version(), Class: class}, nil, nil
 }
 
 // Snapshot captures the consistent view the query would read:
 // the fact table plus every dimension table the plan joins.
 func (e *Engine) Snapshot(q CubeQuery) (*storage.Snapshot, error) {
-	p, err := e.plan(q)
-	if err != nil {
-		return nil, err
-	}
-	return e.db.Snapshot(p.tables...)
+	_, snap, err := e.planned(q)
+	return snap, err
 }
 
 // Facts lists the queryable fact tables of the design.

@@ -31,23 +31,29 @@ type Partial struct {
 	// Version is the warehouse version of the snapshot answered from
 	// — the shard protocol's epoch.
 	Version uint64
+	// Class names the answer source (ClassFast, ClassDice or
+	// ClassMatAgg), as Result.Class does.
+	Class string
 }
 
 // QueryPartial answers the cube query as mergeable partial aggregates
-// instead of a finalised result. It runs the same planner and the same
-// build/probe pipeline as Query, but stops before the answer tail: no
+// instead of a finalised result. It takes the route Query takes
+// (answerPlanned) — the pattern recorded, the cells from a materialized
+// aggregate or from the fold — but stops before the answer tail: no
 // dice, no AVG division, no zero-row injection for global aggregates,
 // no sort. Those happen exactly once, after the merge.
 //
-// A diced query folds with its hidden carat aggregates and ships every
-// cell: merged cells are the cells a single node folds, and the diamond
-// is a function of them, so the gather cuts it after its merge. Only
-// the sign check of a SUM carat runs here, over this node's cells, so a
-// negative or NaN carat value fails the query where it lies, with the
-// single node's error.
+// A diced query's cells carry its hidden carat aggregates, and every
+// cell is shipped: merged cells are the cells a single node folds, and
+// the diamond is a function of them, so the gather cuts it after its
+// merge. Only the sign check of a SUM carat runs here, over this node's
+// cells, so a negative or NaN carat value fails the query where it
+// lies, with the single node's error.
 //
-// The materialized-aggregate store is bypassed — partials must be the
-// kernel's own states over base fact rows, not a rewritten form.
+// Cells served from a materialized aggregate are those of a kernel the
+// entry's kept cells were merged into (engine.MergeCells), at the
+// query's grain: the kernel's own states over this node's rows, in the
+// order a scan meets their groups.
 func (e *Engine) QueryPartial(q CubeQuery) (*Partial, error) {
 	return e.QueryPartialContext(context.Background(), q)
 }
@@ -55,24 +61,10 @@ func (e *Engine) QueryPartial(q CubeQuery) (*Partial, error) {
 // QueryPartialContext is QueryPartial under a context (cancellation
 // stops the scan at the next batch boundary).
 func (e *Engine) QueryPartialContext(ctx context.Context, q CubeQuery) (*Partial, error) {
-	p, err := e.plan(q)
+	p, snap, err := e.planned(q)
 	if err != nil {
 		return nil, err
 	}
-	snap, err := e.db.Snapshot(p.tables...)
-	if err != nil {
-		return nil, err
-	}
-	agg, aggs, err := e.foldOn(ctx, p, snap)
-	if err != nil {
-		return nil, err
-	}
-	part := &Partial{Columns: p.resultColumns(), GroupCols: len(p.groupBy), Aggs: aggs, Groups: agg.Partials(), Version: snap.Version()}
-	if p.dice != nil {
-		part.Dice = &p.dice.Dice
-		if err := part.Dice.Check(part.Groups); err != nil {
-			return nil, err
-		}
-	}
-	return part, nil
+	_, part, err := e.answerPlanned(ctx, p, snap, true)
+	return part, err
 }

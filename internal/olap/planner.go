@@ -77,11 +77,15 @@ type starPlan struct {
 	index    map[string]int // name → position in cols
 	groupBy  []string       // resolved group columns (incl. roll-up keys)
 	groupIdx []int
-	aggs     []xlm.AggSpec
-	aggIdx   []int // -1 for COUNT(*)
-	filter   expr.Node
-	dice     *dicePlan
-	tables   []string // fact + joined dimension table names
+	// aggs are the fold's aggregates: the query's measures in output
+	// order, then a dice's hidden carat ones (engine.Dice.CaratFuncs),
+	// over the SUM carat's column or, for a COUNT carat, none.
+	aggs    []xlm.AggSpec
+	aggIdx  []int // -1 for COUNT(*)
+	visible int   // the leading aggs that are the query's measures
+	filter  expr.Node
+	dice    *dicePlan
+	tables  []string // fact + joined dimension table names
 	// factPreds are the filter conjuncts on fact columns, pushed into
 	// the fact scan as zone-map prune predicates. The full filter is
 	// still evaluated after the joins — pushdown only skips pages no
@@ -189,6 +193,7 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 		}
 		p.aggs = append(p.aggs, xlm.AggSpec{Out: m.Out, Func: fn, Col: m.Col})
 	}
+	p.visible = len(p.aggs)
 	if q.Filter != "" {
 		p.filter, err = expr.Parse(q.Filter)
 		if err != nil {
@@ -230,6 +235,9 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 			d.Thresholds = append(d.Thresholds, q.Dice.Thresholds[c])
 		}
 		p.dice = d
+		for _, fn := range d.CaratFuncs() {
+			p.aggs = append(p.aggs, xlm.AggSpec{Func: fn, Col: d.Carat})
+		}
 	}
 	// layout is the oracle's joined row (fact columns, then per join the
 	// key alias and the build columns); the fast path's narrower row
@@ -347,7 +355,7 @@ func (e *Engine) plan(q CubeQuery) (*starPlan, error) {
 	// query whichever rows reach the fold: the fast path folds cells a
 	// dice then prunes, the oracle only the survivors.
 	numeric := func(col string) bool { return colType[col] == "int" || colType[col] == "float" }
-	for _, a := range p.aggs {
+	for _, a := range p.aggs[:p.visible] {
 		if (a.Func == "SUM" || a.Func == "AVG") && !numeric(a.Col) {
 			return nil, fmt.Errorf("olap: %s over non-numeric column %q (%s)", a.Func, a.Col, colType[a.Col])
 		}
@@ -440,7 +448,7 @@ func predFingerprint(preds []storage.PrunePredicate) string {
 // outputs.
 func (p *starPlan) resultColumns() []string {
 	out := append([]string(nil), p.groupBy...)
-	for _, a := range p.aggs {
+	for _, a := range p.aggs[:p.visible] {
 		out = append(out, a.Out)
 	}
 	return out

@@ -13,6 +13,7 @@ package olap_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -302,20 +303,22 @@ func TestQuickProbeMatchesStarFlowOnHandBuiltStars(t *testing.T) {
 // TestQuickMatAggMatchesOracleOnHandBuiltStars replays the hand-built
 // stars through the materialized-aggregate store: NULL, dangling and
 // duplicated keys make a plan that joins one dimension more or less
-// aggregate other rows, and the ±0 measures make a merge order visible,
-// so an entry picked on column coverage alone, or a MIN/MAX fold that
-// keeps the first of two tied values, diverges from the oracle here.
-// Every star trains the store on 40 draws (undiced: a dice never
-// reaches the store), refreshes, and replays them, each of them once
-// more with a group column dropped — coarser than its entry, and on
-// another join set when the column was its dimension's only one — and 40
-// fresh draws; rows and errors must be the oracle's, and a tenth of the
-// replay at least must have been answered from an entry.
+// aggregate other rows, and the ±0 measures and keys make a merge order
+// visible, so an entry picked on column coverage alone, or a MIN/MAX
+// fold that keeps the first of two tied values, diverges from the
+// oracle here. Every star trains the store on 40 draws, a sixth of them
+// diced (a diced query's pattern holds its carat aggregates), refreshes,
+// and replays them, each of them once more with a group column dropped —
+// coarser than its entry, and on another join set when the column was
+// its dimension's only one; a dice that thresholds the dropped column
+// drops that threshold — and 40 fresh undiced draws; rows and errors must be the
+// oracle's, a tenth of the replay at least must have been answered from
+// an entry, and some diced answers among them.
 func TestQuickMatAggMatchesOracleOnHandBuiltStars(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick-check in -short mode: the oracle replay is the cost")
 	}
-	var pairs, served atomic.Int64
+	var pairs, served, dicedServed atomic.Int64
 	t.Run("stars", func(t *testing.T) {
 		for backend, open := range handBackends {
 			for shape := range keyShapes {
@@ -325,15 +328,16 @@ func TestQuickMatAggMatchesOracleOnHandBuiltStars(t *testing.T) {
 						r := rand.New(rand.NewSource(seed*1000 + int64(len(backend)+len(shape))))
 						m := olap.NewMatAgg(8)
 						e := open(t, handStar(r, 300, shape)).WithMatAgg(m)
-						draw := func(n int) []olap.CubeQuery {
+						draw := func(n, diceOneIn int) []olap.CubeQuery {
 							qs := make([]olap.CubeQuery, n)
 							for i := range qs {
-								qs[i] = handQuery(r)
-								qs[i].Dice = nil
+								if qs[i] = handQuery(r); diceOneIn == 0 || r.Intn(diceOneIn) != 0 {
+									qs[i].Dice = nil
+								}
 							}
 							return qs
 						}
-						queries := draw(40)
+						queries := draw(40, 2)
 						for _, q := range queries {
 							_, _ = e.Query(q) // failing queries are replayed too; the log keeps the rest
 						}
@@ -342,13 +346,23 @@ func TestQuickMatAggMatchesOracleOnHandBuiltStars(t *testing.T) {
 						}
 						for _, q := range queries[:40] {
 							if len(q.GroupBy) > 1 {
+								dropped := q.GroupBy[0]
 								q.GroupBy = q.GroupBy[1:]
+								if q.Dice != nil && q.Dice.Thresholds[dropped] != 0 {
+									d := *q.Dice
+									d.Thresholds = maps.Clone(d.Thresholds)
+									delete(d.Thresholds, dropped)
+									if q.Dice = &d; len(d.Thresholds) == 0 {
+										q.Dice = nil
+									}
+								}
 								queries = append(queries, q)
 							}
 						}
 						trained := m.Stats()
-						for _, q := range append(queries, draw(40)...) {
+						for _, q := range append(queries, draw(40, 0)...) {
 							pairs.Add(1)
+							before := m.Stats()
 							fast, errF := e.Query(q)
 							oracle, errO := e.QueryStarFlow(q)
 							if errF != nil || errO != nil {
@@ -358,6 +372,9 @@ func TestQuickMatAggMatchesOracleOnHandBuiltStars(t *testing.T) {
 								continue
 							}
 							assertIdentical(t, queryString(q), fast, oracle)
+							if st := m.Stats(); q.Dice != nil && st.Hits+st.Rewrites > before.Hits+before.Rewrites {
+								dicedServed.Add(1)
+							}
 						}
 						st := m.Stats()
 						served.Add(st.Hits + st.Rewrites - trained.Hits - trained.Rewrites)
@@ -366,9 +383,9 @@ func TestQuickMatAggMatchesOracleOnHandBuiltStars(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("%d (star, query) pairs, %d answered from aggregates", pairs.Load(), served.Load())
-	if !t.Failed() && (pairs.Load() < 2000 || 10*served.Load() < pairs.Load()) {
-		t.Fatalf("generator drifted: %d (star, query) pairs (want 2000), %d of them answered from a materialized aggregate (want a tenth)", pairs.Load(), served.Load())
+	t.Logf("%d (star, query) pairs, %d answered from aggregates, %d of them diced", pairs.Load(), served.Load(), dicedServed.Load())
+	if !t.Failed() && (pairs.Load() < 2000 || 10*served.Load() < pairs.Load() || dicedServed.Load() == 0) {
+		t.Fatalf("generator drifted: %d (star, query) pairs (want 2000), %d of them answered from a materialized aggregate (want a tenth), %d diced answers from one (want some)", pairs.Load(), served.Load(), dicedServed.Load())
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // diced ones too — as partial aggregates, ship them through the binary
 // frame, merge — and demand byte identity with the single-node
 // star-flow oracle over the full data. Shard count 1 is the degenerate
-// case and must also match the single-node fast path exactly.
+// case and must also match the single-node fast path exactly. Every
+// shard has a materialized-aggregate store: the queries run once with
+// it cold, then once more after a refresh, answered from its entries.
 
 // shardedPlatforms builds one platform per shard, each generating the
 // identical TPC-H source data and loading its own partition.
@@ -48,7 +50,7 @@ func shardedPlatforms(t *testing.T, sf float64, seed int64, count int, reqs ...*
 		}
 		p, err := core.New(core.Config{
 			Ontology: o, Mapping: m, Catalog: c, DB: db,
-			Shard: shard.Spec{Index: i, Count: count},
+			Shard: shard.Spec{Index: i, Count: count}, MatAggTopK: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -160,45 +162,85 @@ func TestQuickShardedGatherMatchesOracle(t *testing.T) {
 		if totalRows != sumCounts(wantRows) {
 			t.Fatalf("count=%d: shards hold %d fact rows in total, single node has %d", count, totalRows, sumCounts(wantRows))
 		}
-		for i, q := range queries {
-			merged, errG := gatherQuery(t, shards, q)
-			oracle, errO := oracleEng.QueryStarFlow(q)
-			if (errG == nil) != (errO == nil) || errG != nil && !sameQueryError(errG, errO) {
-				t.Fatalf("count=%d query %d: gather err=%v oracle err=%v (%s)", count, i, errG, errO, queryString(q))
-			}
-			if errG != nil {
-				continue
-			}
-			assertIdentical(t, queryString(q), merged, oracle)
-			if count == 1 {
-				fast, err := oracleEng.Query(q)
-				if err != nil {
-					t.Fatal(err)
+		for _, warm := range []bool{false, true} {
+			for i, q := range queries {
+				merged, errG := gatherQuery(t, shards, q)
+				oracle, errO := oracleEng.QueryStarFlow(q)
+				if (errG == nil) != (errO == nil) || errG != nil && !sameQueryError(errG, errO) {
+					t.Fatalf("count=%d query %d (warm: %v): gather err=%v oracle err=%v (%s)", count, i, warm, errG, errO, queryString(q))
 				}
-				assertIdentical(t, "degenerate 1-shard vs fast path: "+queryString(q), merged, fast)
+				if errG != nil {
+					continue
+				}
+				assertIdentical(t, queryString(q), merged, oracle)
+				if count == 1 {
+					fast, err := oracleEng.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertIdentical(t, "degenerate 1-shard vs fast path: "+queryString(q), merged, fast)
+				}
 			}
+			if !warm {
+				refreshShards(t, shards)
+			}
+		}
+		var served int64
+		for _, p := range shards {
+			st := p.MatAgg().Stats()
+			served += st.Hits + st.Rewrites
+		}
+		if served == 0 {
+			t.Fatalf("count=%d: no partial was served from an entry", count)
+		}
+	}
+}
+
+// refreshShards materializes each shard platform's logged patterns.
+func refreshShards(t *testing.T, shards []*core.Platform) {
+	t.Helper()
+	for _, p := range shards {
+		e, err := p.OLAP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.MatAgg().Refresh(e); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // splitStar is one star per shard: every shard holds the dimensions
-// whole and one run of the fact's rows, cut at random points (a run may
-// be empty). The runs keep the rows' order, so a group's first row —
-// which chooses between −0 and +0 for its key — is on the first shard
-// that holds the group, as it is first on the single node.
-func splitStar(t *testing.T, r *rand.Rand, star []handTable, n int) []*olap.Engine {
+// whole and a part of the fact's rows, in their order. The rows are cut
+// into runs at random points (a run may be empty), which keeps each
+// group's first row on the first shard that holds the group, or dealt:
+// each row goes to a random shard, so a group's first cell at the
+// gather need not stem from its first row, and an answer that depends
+// on cell order (the sign of a ±0 key, say) shows.
+func splitStar(t *testing.T, r *rand.Rand, star []handTable, n int, dealt bool) []*olap.Engine {
 	t.Helper()
 	fact := len(star) - 1
 	rows := star[fact].rows
-	cuts := []int{0, len(rows)}
-	for len(cuts) < n+1 {
-		cuts = append(cuts, r.Intn(len(rows)+1))
+	parts := make([][]storage.Row, n)
+	if dealt {
+		for _, row := range rows {
+			i := r.Intn(n)
+			parts[i] = append(parts[i], row)
+		}
+	} else {
+		cuts := []int{0, len(rows)}
+		for len(cuts) < n+1 {
+			cuts = append(cuts, r.Intn(len(rows)+1))
+		}
+		slices.Sort(cuts)
+		for i := range parts {
+			parts[i] = rows[cuts[i]:cuts[i+1]]
+		}
 	}
-	slices.Sort(cuts)
 	engines := make([]*olap.Engine, n)
 	for i := range engines {
 		part := slices.Clone(star)
-		part[fact].rows = rows[cuts[i]:cuts[i+1]]
+		part[fact].rows = parts[i]
 		engines[i] = handEngine(t, storage.NewMemDB(), part)
 	}
 	return engines
@@ -227,13 +269,15 @@ func handDice(r *rand.Rand, q olap.CubeQuery) *olap.DiceSpec {
 // gather byte-identical to the single node, or fail with its error. The
 // stars' ±0 dimension values (b_w) land on different shards, and a
 // third of the stars carry one negative amt, on one shard only, which
-// must fail every query with a SUM carat over amt.
+// must fail every query with a SUM carat over amt. Every shard has a
+// materialized-aggregate store: the queries run with it cold, then
+// again after a refresh, and some must be served from its entries.
 func TestQuickShardedDiceOnHandBuiltStars(t *testing.T) {
 	stars := 24
 	if testing.Short() {
 		stars = 4
 	}
-	var pairs, diced, failed int
+	var pairs, diced, failed, served int64
 	for seed := 0; seed < stars; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		star := handStar(r, 300, []string{"dense", "sparse", "huge"}[seed%3])
@@ -246,34 +290,54 @@ func TestQuickShardedDiceOnHandBuiltStars(t *testing.T) {
 		single := handEngine(t, storage.NewMemDB(), star)
 		fleets := make([][]*olap.Engine, 4)
 		for n := range fleets {
-			fleets[n] = splitStar(t, r, star, n+1)
-		}
-		for i := 0; i < 25; i++ {
-			q := handQuery(r)
-			if r.Intn(8) != 0 {
-				q.Dice = handDice(r, q)
+			fleets[n] = splitStar(t, r, star, n+1, seed%2 == 1)
+			for i, e := range fleets[n] {
+				fleets[n][i] = e.WithMatAgg(olap.NewMatAgg(8))
 			}
-			want, errW := single.Query(q)
-			for _, fleet := range fleets {
-				pairs++
-				got, errG := gatherEngines(t, fleet, q)
-				if errW != nil || errG != nil {
-					if errW == nil || errG == nil || errW.Error() != errG.Error() {
-						t.Fatalf("star %d on %d shards: single node err=%v\ngather err=%v\n(%s)", seed, len(fleet), errW, errG, queryString(q))
+		}
+		queries := make([]olap.CubeQuery, 25)
+		wants, errs := make([]*olap.Result, len(queries)), make([]error, len(queries))
+		for i := range queries {
+			queries[i] = handQuery(r)
+			if r.Intn(8) != 0 {
+				queries[i].Dice = handDice(r, queries[i])
+			}
+			wants[i], errs[i] = single.Query(queries[i])
+		}
+		for _, warm := range []bool{false, true} {
+			for i, q := range queries {
+				want, errW := wants[i], errs[i]
+				for _, fleet := range fleets {
+					pairs++
+					got, errG := gatherEngines(t, fleet, q)
+					if errW != nil || errG != nil {
+						if errW == nil || errG == nil || errW.Error() != errG.Error() {
+							t.Fatalf("star %d on %d shards (warm: %v): single node err=%v\ngather err=%v\n(%s)", seed, len(fleet), warm, errW, errG, queryString(q))
+						}
+						failed++
+						continue
 					}
-					failed++
-					continue
+					if q.Dice != nil {
+						diced++
+					}
+					assertIdentical(t, fmt.Sprintf("star %d on %d shards (warm: %v): %s", seed, len(fleet), warm, queryString(q)), got, want)
 				}
-				if q.Dice != nil {
-					diced++
+			}
+			for _, fleet := range fleets {
+				for _, e := range fleet {
+					if warm {
+						st := e.MatAgg().Stats()
+						served += st.Hits + st.Rewrites
+					} else if _, err := e.MatAgg().Refresh(e); err != nil {
+						t.Fatal(err)
+					}
 				}
-				assertIdentical(t, fmt.Sprintf("star %d on %d shards: %s", seed, len(fleet), queryString(q)), got, want)
 			}
 		}
 	}
-	t.Logf("%d (query, partition) pairs: %d diced answers, %d errors", pairs, diced, failed)
-	if min := 2000 * stars / 24; pairs < min || diced < pairs/2 || failed == 0 {
-		t.Fatalf("generator drifted: %d pairs (want %d), %d diced answers, %d errors", pairs, min, diced, failed)
+	t.Logf("%d (query, partition) pairs: %d diced answers, %d errors, %d partials from entries", pairs, diced, failed, served)
+	if min := 4000 * int64(stars) / 24; pairs < min || diced < pairs/2 || failed == 0 || 4*served < pairs/2 {
+		t.Fatalf("generator drifted: %d pairs (want %d), %d diced answers, %d errors, %d partials from entries (want a quarter of the warm pairs)", pairs, min, diced, failed, served)
 	}
 }
 

@@ -43,11 +43,7 @@ func (e *Engine) QueryStarFlow(q CubeQuery) (*Result, error) {
 // QueryStarFlowContext is QueryStarFlow under a context: cancellation
 // aborts the scratch engine runs through their first-error path.
 func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result, error) {
-	p, err := e.plan(q)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := e.db.Snapshot(p.tables...)
+	p, snap, err := e.planned(q)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +238,7 @@ func buildAggregateFlow(p *starPlan, detailFields []xlm.Field) (*xlm.Design, err
 // addAggregateTail appends CUBE → ORDER → ANSWER to the flow.
 func addAggregateTail(d *xlm.Design, p *starPlan, cur string) error {
 	var aggs []string
-	for _, a := range p.aggs {
+	for _, a := range p.aggs[:p.visible] {
 		aggs = append(aggs, fmt.Sprintf("%s:%s:%s", a.Out, a.Func, a.Col))
 	}
 	if err := link(d, &xlm.Node{

@@ -590,6 +590,10 @@ func executeOLAP(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle 
 // compares the bytes against its local star-flow reference executor
 // over the same partition; a mismatch — in the fold or in the codec —
 // is a 500, never a wrong partial.
+//
+// The answer's class is the partial's source (fast, dice or matagg),
+// as /api/olap stamps its own, and oracle for a self-verified one,
+// which ran the reference executor too.
 func (s *Server) executePartial(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle bool) (answer, error) {
 	partial, err := oe.QueryPartialContext(ctx, q)
 	if err != nil {
@@ -605,12 +609,14 @@ func (s *Server) executePartial(ctx context.Context, oe *olap.Engine, q olap.Cub
 	if err != nil {
 		return answer{}, statusError{http.StatusInternalServerError, err}
 	}
+	ans := answer{body: frame, version: partial.Version, class: partial.Class}
 	if oracle {
 		if err := selfVerifyPartial(ctx, oe, q, frame); err != nil {
 			return answer{}, statusError{http.StatusInternalServerError, err}
 		}
+		ans.class = olap.ClassOracle
 	}
-	return answer{body: frame, version: partial.Version}, nil
+	return ans, nil
 }
 
 // selfVerifyPartial decodes the shard's own frame, finalises it as a

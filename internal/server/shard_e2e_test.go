@@ -21,7 +21,9 @@ import (
 // over the full data, and a dead shard must fail queries loudly.
 
 // shardedTestPlatform builds one shard's platform (same source data as
-// the control, partition-filtered load).
+// the control, partition-filtered load), with a materialized-aggregate
+// store, as quarryd runs a shard by default; nothing refreshes it until
+// a test does, so its entries start cold.
 func shardedTestPlatform(t *testing.T, sf float64, spec shard.Spec) *core.Platform {
 	t.Helper()
 	o, err := tpch.Ontology()
@@ -40,7 +42,7 @@ func shardedTestPlatform(t *testing.T, sf float64, spec shard.Spec) *core.Platfo
 	if _, err := tpch.Generate(db, sf, 42); err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: db, Shard: spec})
+	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: db, Shard: spec, MatAggTopK: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +73,11 @@ func TestShardGatherE2EByteIdentity(t *testing.T) {
 	t.Cleanup(controlTS.Close)
 
 	shardTS := make([]*httptest.Server, 2)
+	shards := make([]*core.Platform, 2)
 	urls := make([]string, 2)
 	for i := range shardTS {
-		p := shardedTestPlatform(t, sf, shard.Spec{Index: i, Count: 2})
-		shardTS[i] = httptest.NewServer(New(p).Handler())
+		shards[i] = shardedTestPlatform(t, sf, shard.Spec{Index: i, Count: 2})
+		shardTS[i] = httptest.NewServer(New(shards[i]).Handler())
 		t.Cleanup(shardTS[i].Close)
 		urls[i] = shardTS[i].URL
 	}
@@ -85,12 +88,30 @@ func TestShardGatherE2EByteIdentity(t *testing.T) {
 	gatherTS := httptest.NewServer(g.Handler())
 	t.Cleanup(gatherTS.Close)
 
+	// The mix runs twice: with the shards' aggregate stores cold, every
+	// partial folds its rows; then, the stores refreshed from what the
+	// first pass asked, the shards answer from their entries.
 	client := &http.Client{}
-	for i, q := range shardQueryMix {
-		_, want := postOLAP(t, client, controlTS.URL, q)
-		_, got := postOLAP(t, client, gatherTS.URL, q)
-		if got != want {
-			t.Fatalf("query %d: gathered HTTP body differs from single-node control\nquery: %s\n got: %s\nwant: %s", i, q, got, want)
+	for _, warm := range []bool{false, true} {
+		for i, q := range shardQueryMix {
+			_, want := postOLAP(t, client, controlTS.URL, q)
+			_, got := postOLAP(t, client, gatherTS.URL, q)
+			if got != want {
+				t.Fatalf("query %d (warm entries: %v): gathered HTTP body differs from single-node control\nquery: %s\n got: %s\nwant: %s", i, warm, q, got, want)
+			}
+		}
+		for i, p := range shards {
+			st := p.MatAgg().Stats()
+			if served := st.Hits + st.Rewrites; warm != (served > 0) {
+				t.Fatalf("shard %d (warm entries: %v): %d partials served from entries", i, warm, served)
+			}
+			oe, err := p.OLAP()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.MatAgg().Refresh(oe); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -220,5 +241,38 @@ func TestShardGatherRelaysTrailingBytesRejection(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "after top-level value") {
 		t.Fatalf("rejection reason missing: %s", b)
+	}
+}
+
+// A partial carries its class: a shard stamps X-Quarry-Class with the
+// partial's source and settles admission on it, as /api/olap does — the
+// fast path while its aggregate store is cold, matagg once an entry
+// serves the partial.
+func TestPartialFromEntryCarriesItsClass(t *testing.T) {
+	p := shardedTestPlatform(t, 1, shard.Spec{Index: 0, Count: 1})
+	ts := httptest.NewServer(New(p).Handler())
+	t.Cleanup(ts.Close)
+	ask := func(want string) {
+		t.Helper()
+		resp, body := postQuery(t, ts.URL, "/api/olap/partial", shardQueryMix[0], "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("partial = %d: %s", resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Quarry-Class"); got != want {
+			t.Fatalf("X-Quarry-Class %q, want %q", got, want)
+		}
+	}
+	ask("fast")
+	oe, err := p.OLAP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.MatAgg().Refresh(oe); err != nil {
+		t.Fatal(err)
+	}
+	ask("matagg")
+	st := olapStatsOf(t, ts.URL)
+	if st.MatAgg.Hits != 1 || st.Admission.Classes["matagg"].Served != 1 || st.Admission.Classes["fast"].Served != 1 {
+		t.Fatalf("one partial served from an entry, one folded: matagg %+v, admission %+v", *st.MatAgg, st.Admission.Classes)
 	}
 }

@@ -362,8 +362,8 @@ func TestOLAPStaleAggregateNeverServed(t *testing.T) {
 // attached, matagg repeats the same two numbers, and they never go
 // back when a design change rebuilds the engine.
 func TestOLAPStatsDimCacheCounts(t *testing.T) {
-	// A dice is never answered from an aggregate: each one runs the
-	// fast path's build phase.
+	// Nothing refreshes the aggregate store between the asks, so every
+	// dice runs the fast path's build phase.
 	dice := `{"fact":"fact_table_revenue","group_by":["p_brand"],` +
 		`"measures":[{"out":"n","func":"COUNT","col":""}],` +
 		`"dice":{"func":"COUNT","thresholds":{"p_brand":1}}}`
