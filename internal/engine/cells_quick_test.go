@@ -13,18 +13,29 @@ import (
 )
 
 // keyPools are the values a group column draws from: a mixed pool
-// (NULL, NaN, −0 and +0, Int 3 next to Float 3.0, strings and "") and
-// one per kind, so that string, int and float key columns all occur.
-// Early entries are drawn most often.
+// (NULL, NaNs of several payloads, −0 and +0, Int 3 next to Float 3.0,
+// Int 2⁵³+1 next to Float 2⁵³, strings and "") and one per kind, so
+// that string, int and float key columns all occur. Early entries are
+// drawn most often.
 var keyPools = [][]expr.Value{
 	{
 		expr.Null(), expr.Float(math.NaN()), expr.Float(math.Copysign(0, -1)), expr.Float(0), expr.Int(0),
-		expr.Int(3), expr.Float(3), expr.Str("3"), expr.Str("a"), expr.Str(""), expr.Float(2.5), expr.Int(-7),
+		expr.Int(3), expr.Float(3), expr.Int(1<<53 + 1), expr.Float(1 << 53), nanOf(0xfff8000000000000),
+		expr.Str("3"), expr.Str("a"), expr.Str(""), expr.Float(2.5), expr.Int(-7),
 	},
 	{expr.Str("a"), expr.Null(), expr.Str(""), expr.Str("3"), expr.Str("b"), expr.Str("a b"), expr.Str("A")},
-	{expr.Int(3), expr.Null(), expr.Int(0), expr.Int(-7), expr.Int(1 << 53), expr.Int(1<<53 + 1)},
-	{expr.Float(3), expr.Float(math.Copysign(0, -1)), expr.Null(), expr.Float(0), expr.Float(math.NaN()), expr.Float(2.5)},
+	{
+		expr.Int(3), expr.Null(), expr.Int(1 << 53), expr.Int(1<<53 + 1), expr.Int(0), expr.Int(-(1<<53 + 1)),
+		expr.Int(-(1 << 53)), expr.Int(-7), expr.Int(math.MaxInt64), expr.Int(math.MaxInt64 - 1),
+	},
+	{
+		expr.Float(3), nanOf(0x7ff8000000000001), expr.Float(math.Copysign(0, -1)), expr.Null(), expr.Float(0),
+		expr.Float(math.NaN()), nanOf(0xfff8000000000000), expr.Float(1 << 53), expr.Float(2.5),
+	},
 }
+
+// nanOf is the NaN of these bits.
+func nanOf(bits uint64) expr.Value { return expr.Float(math.Float64frombits(bits)) }
 
 // dirtyFold is a fold over dirty keys, with the groups a linear scan by
 // the grouping rule finds in it — which row belongs to which group, and
@@ -61,7 +72,7 @@ func newDirtyFold(t *testing.T, r *rand.Rand) *dirtyFold {
 	scan:
 		for j, key := range d.firsts {
 			for g := range key {
-				if !(key[g].IsNull() && row[g].IsNull() || key[g].Equal(row[g])) {
+				if refOrder(key[g], row[g]) != 0 {
 					continue scan
 				}
 			}
@@ -174,7 +185,8 @@ func TestQuickFinalizeCellsMatchesRefold(t *testing.T) {
 
 // TestQuickPartialsCodeEachValueOnce: the key columns Partials exports
 // hold each group's first-seen key, bit for bit, but for a zero float,
-// which is +0 whatever sign it was first seen with. An int or float column
+// which is +0 whatever sign it was first seen with, and a NaN, which is
+// math.NaN() whatever payload it was first seen with. An int or float column
 // keeps its typed vector; a string column, and the mixed form, has
 // exactly one dictionary entry per distinct non-NULL key value — by
 // the coder's rules: ints by value, floats by bit pattern, strings by
@@ -196,6 +208,8 @@ func TestQuickPartialsCodeEachValueOnce(t *testing.T) {
 				want := key[j]
 				if f, _ := want.AsFloat(); f == 0 && want.Kind() == expr.KindFloat {
 					want = expr.Float(0)
+				} else if f != f {
+					want = expr.Float(math.NaN())
 				}
 				if got := k.Value(g); !identical(got, want) {
 					return fail("cell %d keyed %s, first seen as %s", g, got, key[j])

@@ -155,6 +155,9 @@ func (s *imageSum) add(v int64) {
 	s.hi += uint64(v>>63) + c // v's sign extension, plus the carry
 }
 
+// maxExactInt bounds the integers float64 holds exactly.
+const maxExactInt = 1 << 53
+
 // addInt adds the float64 image of the int v.
 func (s *imageSum) addInt(v int64) {
 	if v >= maxExactInt || v <= -maxExactInt {

@@ -272,7 +272,7 @@ func TestAggregatorDoesNotRetainRows(t *testing.T) {
 	want, got := run(false), run(true)
 	for i := range want {
 		for j := range want[i] {
-			if !valuesIdentical(want[i][j], got[i][j]) || want[i][j].Kind() != got[i][j].Kind() {
+			if !want[i][j].Identical(got[i][j]) || want[i][j].Kind() != got[i][j].Kind() {
 				t.Fatalf("row %d col %d: %s over a reused slab, %s over fresh rows", i, j, got[i][j], want[i][j])
 			}
 		}

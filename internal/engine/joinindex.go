@@ -14,14 +14,14 @@ import (
 // and every dimension of the OLAP fast path (and its cache) build one.
 // It holds the build rows' columns, accumulated batch by batch as
 // vectors (Cols), and an index from key to the rows carrying it, in
-// insertion order. A key matches by Value.Equal — Int 3 meets Float 3.0,
-// −0 meets +0 — except that NULL and NaN match nothing, as in SQL.
+// insertion order. A key matches by Value.Equal — Int 3 meets Float 3.0
+// but Int 2⁵³+1 does not meet Float 2⁵³, −0 meets +0 — and NULL and NaN
+// match nothing, as in SQL.
 //
 // Each key column is numbered by a keyCoder: an int column whose keys
-// lie strictly inside ±2⁵³ and span at most a small multiple of their
-// count is numbered by arithmetic (key − min: the dense index surrogate
-// keys get), any other by a map from the value's code — a numeric key's
-// float64 bits, a string's content, a bool's value. A composite key's
+// span at most a small multiple of their count is numbered by
+// arithmetic (key − min: the dense index surrogate keys get), any other
+// by a map from the value's identity (expr.Key). A composite key's
 // tuple of column numbers is numbered in turn, one column at a time. The
 // numbers are dense, so first, the head of each key's chain of rows, is
 // an array.
@@ -186,28 +186,26 @@ func (x *JoinIndex) enter(r int, t int32) {
 }
 
 // keyCoder numbers the distinct values of one key column of a build
-// side by Value.Equal.
+// side by their identity (expr.Value.Key), under which a non-NULL key
+// is its Equal ones' but for NaN, which equals nothing and gets no
+// number.
 type keyCoder struct {
 	dense bool
 	min   int64
 	span  int // dense: numbers are key − min, in [0, span)
 
-	nums  map[uint64]uint32 // numeric keys by floatCode
-	strs  map[string]uint32
-	bools [2]uint32 // number + 1; 0 for none
-	n     uint32    // numbers handed out, when not dense
+	keys map[expr.Key]uint32 // when not dense
 }
 
 func (c *keyCoder) numbers() int {
 	if c.dense {
 		return c.span
 	}
-	return int(c.n)
+	return len(c.keys)
 }
 
 // sizeDense decides the representation: dense when the column is an
-// int column whose keys lie strictly inside ±2⁵³ and span at most a
-// small multiple of their count.
+// int column whose keys span at most a small multiple of their count.
 func (c *keyCoder) sizeDense(keys []*storage.Vector) {
 	n, lo, hi := 0, int64(0), int64(0)
 	for _, key := range keys {
@@ -227,7 +225,7 @@ func (c *keyCoder) sizeDense(keys []*storage.Vector) {
 			n++
 		}
 	}
-	if n > 0 && lo > -maxExactInt && hi < maxExactInt && uint64(hi-lo) < 8*uint64(n)+1024 {
+	if n > 0 && uint64(hi-lo) < 8*uint64(n)+1024 {
 		c.dense, c.min, c.span = true, lo, int(hi-lo+1)
 	}
 }
@@ -235,37 +233,15 @@ func (c *keyCoder) sizeDense(keys []*storage.Vector) {
 // assign returns the non-NULL key k's number, handing out the next one
 // to a value not seen before (the coder is not dense); NaN gets none.
 func (c *keyCoder) assign(k expr.Value) int32 {
-	if n := c.lookup(k); n >= 0 {
+	if n := c.lookup(k); n >= 0 || !k.Equal(k) {
 		return n
 	}
-	switch k.Kind() {
-	case expr.KindString:
-		if c.strs == nil {
-			c.strs = map[string]uint32{}
-		}
-		c.strs[k.AsString()] = c.n
-	case expr.KindBool:
-		c.bools[boolBit(k)] = c.n + 1
-	default:
-		f, _ := k.AsFloat()
-		code, ok := floatCode(f)
-		if !ok {
-			return -1
-		}
-		if c.nums == nil {
-			c.nums = map[uint64]uint32{}
-		}
-		c.nums[code] = c.n
+	if c.keys == nil {
+		c.keys = map[expr.Key]uint32{}
 	}
-	c.n++
-	return int32(c.n) - 1
-}
-
-func boolBit(v expr.Value) int {
-	if v.AsBool() {
-		return 1
-	}
-	return 0
+	n := uint32(len(c.keys))
+	c.keys[k.Key()] = n
+	return int32(n)
 }
 
 // entryNumbers holds the numbers of a dictionary's entries, each
@@ -298,13 +274,9 @@ func (c *keyCoder) number(key *storage.Vector, out []int32, entries *entryNumber
 		one = c.assign
 	}
 	switch {
-	case key.Kind == expr.KindInt && (c.dense || !assign):
+	case key.Kind == expr.KindInt && c.dense:
 		for r, k := range key.Ints {
 			out[r] = c.int(k)
-		}
-	case key.Kind == expr.KindFloat && !assign:
-		for r, f := range key.Floats {
-			out[r] = c.float(f)
 		}
 	case key.Coded(): // one lookup per dictionary entry a row refers to
 		if !sameDict(key.Dict, entries.dict) {
@@ -319,7 +291,7 @@ func (c *keyCoder) number(key *storage.Vector, out []int32, entries *entryNumber
 			}
 			out[r] = entries.n[e] - 2
 		}
-	default: // the numbers of a build side that is not dense
+	default: // a probe's floats, and the ints of a side that is not dense
 		for r := range out {
 			if !key.IsNull(r) {
 				out[r] = one(key.Value(r))
@@ -333,47 +305,23 @@ func (c *keyCoder) number(key *storage.Vector, out []int32, entries *entryNumber
 	}
 }
 
-// int returns the number of the int key k, or -1.
+// int returns the dense number of the int key k, or -1.
 func (c *keyCoder) int(k int64) int32 {
-	if c.dense {
-		if i := uint64(k - c.min); i < uint64(c.span) {
-			return int32(i)
-		}
-		return -1
-	}
-	return c.float(float64(k))
-}
-
-// float returns the number of the float key f, or -1.
-func (c *keyCoder) float(f float64) int32 {
-	if c.dense {
-		if f > -maxExactInt && f < maxExactInt && f == math.Trunc(f) {
-			return c.int(int64(f))
-		}
-		return -1
-	}
-	if code, ok := floatCode(f); ok {
-		if n, ok := c.nums[code]; ok {
-			return int32(n)
-		}
+	if i := uint64(k - c.min); i < uint64(c.span) {
+		return int32(i)
 	}
 	return -1
 }
 
 // lookup returns the number of the key k, or -1.
 func (c *keyCoder) lookup(k expr.Value) int32 {
-	switch k.Kind() {
-	case expr.KindInt:
-		return c.int(k.AsInt())
-	case expr.KindFloat:
-		f, _ := k.AsFloat()
-		return c.float(f)
-	case expr.KindString:
-		if n, ok := c.strs[k.AsString()]; ok {
+	key := k.Key()
+	if !c.dense {
+		if n, ok := c.keys[key]; ok {
 			return int32(n)
 		}
-	case expr.KindBool:
-		return int32(c.bools[boolBit(k)]) - 1
+	} else if i, ok := key.Int(); ok {
+		return c.int(i)
 	}
 	return -1
 }

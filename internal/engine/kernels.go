@@ -356,8 +356,8 @@ func keysEqual(l, r []expr.Value, lIdx, rIdx []int) bool {
 // index: groups are numbered 0, 1, … in first-seen order, and group g
 // is entry g of every column below — its key values, its hash and each
 // aggregate's states. result and Partials walk the groups in that
-// order, so groups emit in first-seen order (NULLs group together, a
-// NaN key with nothing, itself included).
+// order, so groups emit in first-seen order. Keys group by
+// expr.Value.Identical: NULLs together, every NaN together.
 type aggregationOp struct {
 	aggs []xlm.AggSpec
 	gIdx []int
@@ -429,9 +429,9 @@ func newAggOp(aggs []xlm.AggSpec, gIdx, aIdx []int) *aggregationOp {
 }
 
 // findOrCreate returns the group of these key values, by the grouping
-// rule (valuesIdentical), registering a group first met with a copy of
-// them — a zero float as +0, whichever sign the first row's had, so a
-// group's key is a function of its rows, not of the order a fold, a
+// rule (expr.Value.Identical), registering a group first met with their
+// canonical forms — +0 and the one NaN whatever the first row held — so
+// a group's key is a function of its rows, not of the order a fold, a
 // merge or a fleet's partition met them in.
 func (o *aggregationOp) findOrCreate(key []expr.Value) int32 {
 	h := uint64(1469598103934665603)
@@ -443,7 +443,7 @@ func (o *aggregationOp) findOrCreate(key []expr.Value) int32 {
 walk:
 	for g := head; g >= 0; g = o.next[g] {
 		for j, v := range o.keys[int(g)*k : int(g+1)*k] {
-			if !valuesIdentical(v, key[j]) {
+			if !v.Identical(key[j]) {
 				continue walk
 			}
 		}
@@ -451,10 +451,8 @@ walk:
 	}
 	g := int32(len(o.hashes))
 	o.keys = push(o.keys, key...)
-	for i, v := range o.keys[int(g)*k:] {
-		if f, _ := v.AsFloat(); f == 0 && v.Kind() == expr.KindFloat {
-			o.keys[int(g)*k+i] = expr.Float(0)
-		}
+	for i := int(g) * k; i < len(o.keys); i++ {
+		o.keys[i] = o.keys[i].Canonical()
 	}
 	o.hashes = push(o.hashes, h)
 	o.next = push(o.next, head)
@@ -578,48 +576,27 @@ func (c *StateCols) settle(g int32) *FloatSum {
 // keepExtreme folds the non-NULL v into a running MIN (or MAX). The
 // result must be a function of the multiset folded, not of the order —
 // partial states are merged in whatever order shards or aggregate
-// entries deliver them — so where Compare ties two numbers that differ
-// (−0 and +0, NaN and anything, an int and its float image) extremeTie
-// decides. A value that does not compare with the incumbent leaves it
-// standing.
+// entries deliver them — so values are ranked by expr.Value.TotalOrder,
+// and where it ties two representations of one value (an int and its
+// float, −0 and +0, NaN payloads) extremeTie decides.
 func keepExtreme(cur *expr.Value, v expr.Value, min bool) {
-	if cur.IsNull() {
-		*cur = v
-		return
-	}
-	c, err := v.Compare(*cur)
-	if err != nil {
-		return
-	}
-	if c == 0 && v.IsNumeric() {
+	c := v.TotalOrder(*cur)
+	if c == 0 {
 		c = extremeTie(v, *cur)
 	}
-	if min && c < 0 || !min && c > 0 {
+	if cur.IsNull() || min && c < 0 || !min && c > 0 {
 		*cur = v
 	}
 }
 
-// extremeTie orders two numbers Compare calls equal, so that the
-// numeric kinds are totally ordered: NaN above every number; at one
-// float image ints (by value — beyond 2⁵³ several share an image) below
-// floats; −0 below +0 and NaNs among themselves by their bits.
+// extremeTie orders two identical values by representation: an int
+// below a float, −0 below +0, NaNs by their bits.
 func extremeTie(a, b expr.Value) int {
+	if c := cmp.Compare(a.Kind(), b.Kind()); c != 0 {
+		return c
+	}
 	fa, _ := a.AsFloat()
 	fb, _ := b.AsFloat()
-	if an, bn := math.IsNaN(fa), math.IsNaN(fb); an != bn {
-		if an {
-			return 1
-		}
-		return -1
-	}
-	switch ai, bi := a.Kind() == expr.KindInt, b.Kind() == expr.KindInt; {
-	case ai && bi:
-		return cmp.Compare(a.AsInt(), b.AsInt())
-	case ai:
-		return -1
-	case bi:
-		return 1
-	}
 	return cmp.Compare(floatOrderBits(fa), floatOrderBits(fb))
 }
 
@@ -707,15 +684,6 @@ func (c *StateCols) final(a xlm.AggSpec, g int32) (expr.Value, error) {
 	return expr.Int(c.IntSums[g]), nil
 }
 
-// valuesIdentical groups NULLs together (unlike Value.Equal, which is
-// SQL-style and never matches NULL).
-func valuesIdentical(a, b expr.Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return a.IsNull() && b.IsNull()
-	}
-	return a.Equal(b)
-}
-
 // sortOp buffers its input and emits it stably ordered (NULLs first).
 type sortOp struct {
 	idx  []int
@@ -745,39 +713,15 @@ func (o *sortOp) result() [][]expr.Value {
 	return o.rows
 }
 
-// compare orders two rows by the sort columns: NULLs first, then by
-// Value.Compare, with a NaN after every number — Compare ties it with
-// each, which is no order: the rows' sorted order would depend on their
-// input order beyond their ties. Values Compare cannot order (mixed
-// kinds) tie, as do rows equal on every sort column; the stable sort
-// keeps ties in input order.
+// compare orders two rows by the sort columns, each by
+// expr.Value.TotalOrder: NULLs first, every NaN after every number,
+// mixed kinds apart. Rows identical on every sort column tie, and the
+// stable sort keeps ties in input order.
 func (o *sortOp) compare(ra, rb []expr.Value) int {
 	for _, j := range o.idx {
-		va, vb := ra[j], rb[j]
-		if va.IsNull() || vb.IsNull() {
-			if va.IsNull() && vb.IsNull() {
-				continue
-			}
-			if va.IsNull() {
-				return -1
-			}
-			return 1
-		}
-		c, err := va.Compare(vb)
-		if err == nil && c == 0 {
-			c = isNaN(va) - isNaN(vb)
-		}
-		if err == nil && c != 0 {
+		if c := ra[j].TotalOrder(rb[j]); c != 0 {
 			return c
 		}
-	}
-	return 0
-}
-
-// isNaN is 1 for a NaN, 0 for any other value.
-func isNaN(v expr.Value) int {
-	if f, ok := v.AsFloat(); ok && f != f {
-		return 1
 	}
 	return 0
 }
@@ -844,7 +788,7 @@ func (o *surrogateKeyOp) apply(dst, rows [][]expr.Value) [][]expr.Value {
 		for i, k := range b.keys {
 			same := true
 			for p, j := range o.idx {
-				if !valuesIdentical(k[p], row[j]) {
+				if !k[p].Identical(row[j]) {
 					same = false
 					break
 				}

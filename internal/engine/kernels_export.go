@@ -107,9 +107,10 @@ func columnOfRows(rows [][]expr.Value, c int) *storage.Vector {
 
 // HashAggregator is the incremental grouping/aggregation kernel. Its
 // one order rule: Finalize, Result and Partials list the groups in the
-// order they were first met, through Add, AddVectors or Absorb alike
-// (NULLs group together; a NaN key groups with nothing, so every NaN
-// row is a group of its own, in its place). Float sums
+// order they were first met, through Add, AddVectors or Absorb alike.
+// Keys group by expr.Value.Identical — NULLs together, every NaN
+// together, ints by value — and a group keeps its key's canonical form
+// (expr.Value.Canonical). Float sums
 // fold through an exact expansion (FloatSum), so SUM/AVG bits depend
 // only on the multiset of input values — not arrival order and not
 // how rows were partitioned across aggregators merged via

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"quarry/internal/expr"
 	"quarry/internal/storage"
@@ -331,24 +330,6 @@ func (d *Dice) Check(c Cells) error {
 	return nil
 }
 
-// Slice names the slice of a diced column a value belongs to. Numbers
-// are keyed by their float image with −0 read as +0: the group-by's
-// identity (expr.Value.Equal), so no group spans two slices.
-type Slice struct {
-	kind expr.Kind // KindFloat for every number
-	bits uint64    // a number's float image
-	s    string
-	b    bool
-}
-
-// SliceOf names the slice v belongs to.
-func SliceOf(v expr.Value) Slice {
-	if f, ok := v.AsFloat(); ok {
-		return Slice{kind: expr.KindFloat, bits: math.Float64bits(f + 0)}
-	}
-	return Slice{kind: v.Kind(), s: v.AsString(), b: v.AsBool()}
-}
-
 // cut cuts the diamond d out of the cells c holds — every cell, or the
 // cells Pick picked — and returns the survivors, in that order. The
 // cells hold the query's aggregates followed by the hidden ones
@@ -380,14 +361,14 @@ func (d *Dice) cut(c Cells) ([]int32, error) {
 		carats = c.States[len(c.States)-2].Sums
 	}
 	var all []slice
-	var queue []int               // every slice starts due for a check
-	of := make([]int, len(at)*nd) // cell at[i]'s slice in diced column j is all[of[i*nd+j]]
-	byKey := make([]map[Slice]int, nd)
+	var queue []int                       // every slice starts due for a check
+	of := make([]int, len(at)*nd)         // cell at[i]'s slice in diced column j is all[of[i*nd+j]]
+	byKey := make([]map[expr.Key]int, nd) // a slice is one value of its column: its identity
 	for j := range byKey {
-		byKey[j] = map[Slice]int{}
+		byKey[j] = map[expr.Key]int{}
 	}
 	named := func(j int, v expr.Value) int {
-		k := SliceOf(v)
+		k := v.Key()
 		s, ok := byKey[j][k]
 		if !ok {
 			s = len(all)

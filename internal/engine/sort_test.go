@@ -1,56 +1,72 @@
 package engine
 
 import (
+	"cmp"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"quarry/internal/expr"
 )
 
-// sortReference is the Sort operator as it was written on sort.SliceStable:
-// a "less" over the same rules (NULLs first, then Value.Compare with a
-// NaN after every number, values it cannot order tying).
+// refOrder is the total order values sort and group by, written apart
+// from expr: the kinds apart (NULL, numbers, strings, bools), numbers
+// by their exact values through math/big — −0 as +0, every NaN after
+// every number —, strings by bytes, FALSE before TRUE. 0 means one
+// value.
+func refOrder(a, b expr.Value) int {
+	rank := func(v expr.Value) int {
+		return map[expr.Kind]int{expr.KindNull: 0, expr.KindInt: 1, expr.KindFloat: 1, expr.KindString: 2, expr.KindBool: 3}[v.Kind()]
+	}
+	if ra, rb := rank(a), rank(b); ra != rb || ra != 1 {
+		return cmp.Or(cmp.Compare(ra, rb), strings.Compare(a.AsString(), b.AsString()), cmp.Compare(a.String(), b.String()))
+	}
+	exact := func(v expr.Value) (*big.Float, int) {
+		if v.Kind() == expr.KindInt {
+			return new(big.Float).SetInt64(v.AsInt()), 0
+		}
+		if f, _ := v.AsFloat(); f == f {
+			return big.NewFloat(f), 0
+		}
+		return nil, 1
+	}
+	x, xn := exact(a)
+	y, yn := exact(b)
+	if xn+yn > 0 {
+		return cmp.Compare(xn, yn)
+	}
+	return x.Cmp(y)
+}
+
+// sortReference is the Sort operator on sort.SliceStable over refOrder.
 func sortReference(rows [][]expr.Value, by []int) {
 	sort.SliceStable(rows, func(a, b int) bool {
-		ra, rb := rows[a], rows[b]
 		for _, j := range by {
-			va, vb := ra[j], rb[j]
-			if va.IsNull() || vb.IsNull() {
-				if va.IsNull() && vb.IsNull() {
-					continue
-				}
-				return va.IsNull()
+			if c := refOrder(rows[a][j], rows[b][j]); c != 0 {
+				return c < 0
 			}
-			c, err := va.Compare(vb)
-			if err != nil {
-				continue
-			}
-			if c == 0 {
-				fa, _ := va.AsFloat()
-				fb, _ := vb.AsFloat()
-				if na, nb := fa != fa, fb != fb; na != nb {
-					return nb
-				}
-				continue
-			}
-			return c < 0
 		}
 		return false
 	})
 }
 
 // TestQuickSortMatchesSliceStable: SortRowsBy puts dirty rows — NULLs,
-// NaN, ±0, Int 3 beside Float 3.0, and kinds that do not compare, which
-// make the order non-transitive — in exactly the order the reference
-// does, row for row. Lengths cross the merge sort's block size.
+// NaNs of several payloads, ±0, Int 3 beside Float 3.0, ints around
+// ±2⁵³ beside the float they round to, and mixed kinds — in exactly the
+// order the reference does, row for row. Lengths cross the merge sort's
+// block size.
 func TestQuickSortMatchesSliceStable(t *testing.T) {
 	pool := []expr.Value{
 		expr.Null(), expr.Float(math.NaN()), expr.Float(0), expr.Float(math.Copysign(0, -1)),
 		expr.Int(0), expr.Int(3), expr.Float(3), expr.Int(-7), expr.Float(2.5), expr.Float(math.Inf(1)),
 		expr.Int(math.MaxInt64), expr.Str(""), expr.Str("3"), expr.Str("a"), expr.Bool(false), expr.Bool(true),
+		expr.Int(1<<53 + 1), expr.Float(1 << 53), expr.Int(1 << 53), expr.Int(-(1<<53 + 1)), expr.Float(-(1 << 53)),
+		expr.Float(math.Float64frombits(0x7ff8000000000001)), expr.Float(math.Float64frombits(0xfff8000000000000)),
+		expr.Float(0x1p63), expr.Int(math.MinInt64), expr.Float(-0x1p63),
 	}
 	rng := rand.New(rand.NewSource(30))
 	for iter := 0; iter < 2000; iter++ {

@@ -18,10 +18,11 @@ import (
 // once per build row by the same rules), and a row's group is found
 // from its code tuple (codeIndex), so no group value is hashed or
 // compared per row. findOrCreate, the row fold's lookup, is consulted
-// once per distinct tuple, which keeps every grouping rule (NULLs
-// group together, Int 3 groups with Float 3.0, -0 with +0, a NaN key
-// with nothing) and the numbering of groups in first-seen order exactly
-// where Add has them. Then each aggregate folds its input column into
+// once per distinct tuple, which keeps the grouping rule
+// (expr.Value.Identical: NULLs group together, Int 3 with Float 3.0 but
+// not Int 2⁵³+1 with Float 2⁵³, −0 with +0, every NaN with every NaN)
+// and the numbering of groups in first-seen order exactly where Add has
+// them. Then each aggregate folds its input column into
 // its state columns at the rows' group indexes. Absorb finds the groups
 // of a partial's cells through the same path (groupsOf), its key
 // vectors standing for a batch's group columns; Result and Partials see
@@ -275,16 +276,11 @@ func (o *aggregationOp) groupsOf(n int, groups []Column) []int32 {
 		// A tuple not met before: its values decide the group, by the
 		// rules of the row fold.
 		x.group = x.group[:0]
-		unmatchable := false
 		for _, c := range v.groups {
-			val := c.Dict[c.code(r)]
-			if f, isFloat := val.AsFloat(); isFloat && f != f {
-				unmatchable = true // a NaN key equals nothing, itself included
-			}
-			x.group = append(x.group, val)
+			x.group = append(x.group, c.Dict[c.code(r)])
 		}
 		gs[r] = o.findOrCreate(x.group)
-		if x.wide || unmatchable {
+		if x.wide {
 			continue
 		}
 		for _, c := range v.groups {

@@ -223,12 +223,13 @@ func measuresOf(r *rand.Rand) []expr.Value {
 
 // TestAddVectorsGroupsLikeAdd pins the grouping rules the code index
 // must not change: NULLs group together, -0 with +0 and Int 3 with
-// Float 3.0 under the first value seen, ints that are one float64
-// together, and a NaN key with nothing — itself included.
+// Float 3.0, Int 2⁵³ with Float 2⁵³ but not with Int 2⁵³+1, which
+// shares its float64 image, and every NaN with every NaN.
 func TestAddVectorsGroupsLikeAdd(t *testing.T) {
 	keys := []expr.Value{
 		expr.Float(math.Copysign(0, -1)), expr.Float(0), expr.Null(), expr.Int(3), expr.Float(3), expr.Float(math.NaN()),
-		expr.Int(1 << 53), expr.Int(1<<53 + 1), expr.Null(), expr.Float(math.NaN()), expr.Float(0), expr.Str("3"),
+		expr.Int(1 << 53), expr.Int(1<<53 + 1), expr.Null(), nanOf(0xfff8000000000000), expr.Float(0), expr.Str("3"),
+		expr.Float(1 << 53),
 	}
 	aggs, idx, kinds := allAggs(1)
 	r := rand.New(rand.NewSource(1))
@@ -241,8 +242,8 @@ func TestAddVectorsGroupsLikeAdd(t *testing.T) {
 		tc.batches = append(tc.batches, rows)
 	}
 	tc.check(t)
-	if rows, _ := tc.run(t, true); len(rows) != 5+2*3 {
-		t.Fatalf("%d groups, want 5 (zero, NULL, three, 2^53, the string) and one per NaN row", len(rows))
+	if rows, _ := tc.run(t, true); len(rows) != 7 {
+		t.Fatalf("%d groups, want 7 (zero, NULL, three, 2^53, 2^53+1, NaN, the string)", len(rows))
 	}
 }
 
@@ -433,36 +434,35 @@ func TestFinalizeCellsDropsGroups(t *testing.T) {
 	}
 }
 
-// TestFinalizeCellsWithinAHashChain: NaN keys group with nothing, so
-// each NaN row is a group of its own under the one hash NaN has, and a
-// selection of some of them keeps exactly those.
+// TestFinalizeCellsWithinAHashChain: a number hashes through its float
+// image, so Int 2⁵³ and Int 2⁵³+1 share a hash chain and are two
+// groups; a selection of some groups keeps exactly those, and every
+// NaN, whatever its payload, is one group keyed math.NaN().
 func TestFinalizeCellsWithinAHashChain(t *testing.T) {
 	aggs := []xlm.AggSpec{{Out: "n", Func: "COUNT"}}
 	a, err := NewHashAggregator([]int{0}, aggs, []int{-1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nan := expr.Float(math.NaN())
-	keys := []expr.Value{nan, nan, expr.Float(1), nan, nan}
+	big, next := expr.Int(1<<53), expr.Int(1<<53+1)
+	if big.Hash() != next.Hash() {
+		t.Fatal("2^53 and 2^53+1 no longer share a hash: the test needs another chain")
+	}
+	keys := []expr.Value{big, next, expr.Float(1), next, nanOf(0x7ff8000000000001), nanOf(0xfff8000000000000), big}
 	if err := a.AddVectors(len(keys), []Column{{Vec: storage.VectorOf(keys)}}, []Column{{}}); err != nil {
 		t.Fatal(err)
 	}
-	// Partials order: first seen, so rows 0 to 4.
+	// Partials order: first seen, so 2^53, 2^53+1, 1, NaN.
 	cells := a.Partials()
-	if cells.N != 5 {
-		t.Fatalf("%d groups, want 5", cells.N)
+	if cells.N != 4 {
+		t.Fatalf("%d groups, want 4", cells.N)
 	}
-	rows, err := FinalizeCells(1, aggs, cells.Pick([]int32{1, 2, 4}))
+	rows, err := FinalizeCells(1, aggs, cells.Pick([]int32{1, 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("%d groups finalised, want 3", len(rows))
-	}
-	for i, want := range []float64{math.NaN(), 1, math.NaN()} {
-		f, _ := rows[i][0].AsFloat()
-		if math.IsNaN(want) != math.IsNaN(f) || !math.IsNaN(want) && f != want || rows[i][1].AsInt() != 1 {
-			t.Fatalf("group %d is %s", i, rows[i])
-		}
+	want := [][]expr.Value{{next, expr.Int(2)}, {expr.Float(math.NaN()), expr.Int(2)}}
+	if msg := sameRows(rows, want); msg != "" {
+		t.Fatal(msg)
 	}
 }

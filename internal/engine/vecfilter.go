@@ -28,8 +28,9 @@ import (
 //     lookup per row;
 //   - it compares one int or float column with a numeric literal: a
 //     typed loop ordering each value against the literal with
-//     expr.NumberOrder — the arithmetic of Value.Compare and Value.Equal —
-//     and the verdict of each order read off the evaluator itself;
+//     expr.OrderOf or expr.IntFloatOrder — the arithmetic of
+//     Value.Compare and Value.Equal — and the verdict of each order read
+//     off the evaluator itself;
 //   - anything else (OR, NOT, functions, two columns): expr.Eval over a
 //     scratch row, on the open rows only.
 //
@@ -64,9 +65,9 @@ type conjunct struct {
 	slots []int // the scratch slots of the identifiers it names
 	slot  int   // the one column it reads, or -1
 
-	num    bool     // node is `column ⋈ numeric literal`, either way round
-	lit    float64  // the literal
-	accept [4]uint8 // per expr.Order of a row's value to lit: the verdict
+	num    bool       // node is `column ⋈ numeric literal`, either way round
+	lit    expr.Value // the literal
+	accept [4]uint8   // per expr.Order of a row's value to lit: the verdict
 
 	dict    []expr.Value // the dictionary entries holds verdicts about
 	entries []uint8      // per entry of dict: its verdict, 0 until evaluated
@@ -100,7 +101,7 @@ func NewVectorFilter(pred expr.Node, index map[string]int) *VectorFilter {
 			c.slot = c.slots[0]
 			if _, op, lit, ok := expr.Comparison(node); ok && lit.IsNumeric() {
 				c.accept, c.num = orderVerdicts[op]
-				c.lit, _ = lit.AsFloat()
+				c.lit = lit
 			}
 		}
 		f.conj = append(f.conj, c)
@@ -221,17 +222,29 @@ func (f *VectorFilter) byEntry(c *conjunct, col Column) {
 	}
 }
 
-// compare orders each open row's number against the literal; a NULL
-// row makes the comparison NULL.
+// compare orders each open row's number against the literal, exactly:
+// a typed loop per pair of kinds. A NULL row makes the comparison NULL.
 func (f *VectorFilter) compare(c *conjunct, col Column) {
-	vec := col.Vec
-	if vec.Kind == expr.KindInt {
+	vec, lit := col.Vec, c.lit
+	l, _ := lit.AsFloat()
+	switch {
+	case vec.Kind == expr.KindInt && lit.Kind() == expr.KindInt:
 		for i, j := range f.open {
-			f.verdict[i] = c.accept[expr.NumberOrder(float64(vec.Ints[col.row(int(j))]), c.lit)]
+			f.verdict[i] = c.accept[expr.OrderOf(vec.Ints[col.row(int(j))], lit.AsInt())]
 		}
-	} else {
+	case vec.Kind == expr.KindInt:
 		for i, j := range f.open {
-			f.verdict[i] = c.accept[expr.NumberOrder(vec.Floats[col.row(int(j))], c.lit)]
+			f.verdict[i] = c.accept[expr.IntFloatOrder(vec.Ints[col.row(int(j))], l)]
+		}
+	case lit.Kind() == expr.KindFloat || expr.IntFloatOrder(lit.AsInt(), l) == expr.Same:
+		// The literal is a float, or an int its float64 image holds
+		// exactly: floats order the rows.
+		for i, j := range f.open {
+			f.verdict[i] = c.accept[expr.OrderOf(vec.Floats[col.row(int(j))], l)]
+		}
+	default:
+		for i, j := range f.open {
+			f.verdict[i] = c.accept[expr.IntFloatOrder(lit.AsInt(), vec.Floats[col.row(int(j))]).Reverse()]
 		}
 	}
 	if vec.Nulls != nil {

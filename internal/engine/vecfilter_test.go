@@ -16,13 +16,14 @@ import (
 // The VectorFilter must keep exactly the rows expr.EvalBool accepts, a
 // row at a time, and fail exactly when it fails, with its words. The
 // batches are dirty — NULLs, NaN, −0, Int 3 beside Float 3.0, ints past
-// 2⁵³, mixed-kind and run-length dictionaries, the shared bool
+// 2⁵³ and a column of ints around ±2⁵³ compared with int and float
+// literals, mixed-kind and run-length dictionaries, the shared bool
 // dictionary, selections that repeat rows as a fan-out does — and the
 // predicates mix every kind of conjunct pass in every order.
 
 // filterCols are a filter test batch's columns; nope is named by some
 // predicates and bound by none.
-var filterCols = []string{"quantity", "price", "c_mktsegment", "p_brand", "flag", "mix"}
+var filterCols = []string{"quantity", "price", "c_mktsegment", "p_brand", "flag", "mix", "big"}
 
 const past53 = int64(1) << 53
 
@@ -37,6 +38,8 @@ var (
 		"p_brand":      {expr.Str("Brand#13"), expr.Str("Brand#21"), expr.Str("brand#13"), expr.Null()},
 		"flag":         {expr.Bool(true), expr.Bool(false), expr.Null()},
 		"mix":          {expr.Int(3), expr.Float(3), expr.Str("3"), expr.Bool(true), expr.Int(past53 + 1), nan, expr.Null()},
+		"big": {expr.Int(past53 - 1), expr.Int(past53), expr.Int(past53 + 1), expr.Int(past53 + 2), expr.Int(past53 + 3),
+			expr.Int(-past53), expr.Int(-past53 - 1), expr.Int(-past53 - 2), expr.Null()},
 	}
 )
 
@@ -129,11 +132,13 @@ var (
 		"c_mktsegment = NULL", "LENGTH(c_mktsegment) > 3", "c_mktsegment", "COALESCE(flag, TRUE)", "mix > 2.5"}
 	numericAtoms = []string{"quantity > 20", "20 < quantity", "quantity = 3.0", "quantity <> 3", "quantity <= 9007199254740992",
 		"quantity >= 9007199254740993", "price >= 3", "price <= 2.5", "price = 20", "3 = price", "price <> 0", "price > 0.0",
-		"quantity < 21", "quantity >= 3", "price < 9007199254740993", "quantity = NULL"}
+		"quantity < 21", "quantity >= 3", "price < 9007199254740993", "quantity = NULL", "big = 9007199254740993",
+		"big > 9007199254740992.0", "big <= 9007199254740993.0", "9007199254740994 > big", "big <> -9007199254740993",
+		"big >= -9007199254740993.0", "big < -9007199254740992", "big = 9007199254740996.0"}
 	otherAtoms = []string{"quantity + 1 > 21", "quantity > price", "c_mktsegment = 'BUILDING' OR quantity > 20",
 		"NOT (price > 2.5)", "quantity / (quantity - 3) > 0", "quantity", "price + 1", "quantity > 'a'", "nope = 1", "TRUE",
 		"NULL", "1 = 1", "flag OR price > 3", "NOT quantity > 3", "-price < 0", "quantity % 2 = 0",
-		"(flag AND quantity > 20) OR NOT flag", "ABS(price) >= 2.5"}
+		"(flag AND quantity > 20) OR NOT flag", "ABS(price) >= 2.5", "big = price", "big > quantity"}
 )
 
 // randomPredicate conjoins up to four atoms of any kind, sometimes
@@ -240,6 +245,7 @@ func FuzzVectorFilter(f *testing.F) {
 		"price >= 3 AND mix = 3", "quantity >= 9007199254740993 AND (flag OR price > 3)",
 		"c_mktsegment > 5 AND quantity / (quantity - 3) > 0", "mix < 'a' AND quantity", "NOT flag AND price <> 0",
 		"quantity <= 9007199254740992", "price >= 20.5 AND 3 = quantity",
+		"big = 9007199254740993 AND big > 9007199254740992.0", "big >= -9007199254740993.0 OR big = price",
 	} {
 		f.Add(seed, []byte{12, 1, 0, 7, 3, 250, 9, 4, 4, 2, 0, 1, 200, 33, 5, 6, 7, 8, 9, 10, 11, 12})
 	}
@@ -279,15 +285,17 @@ func BenchmarkVectorFilter(b *testing.B) {
 	for i := range dim {
 		dim[i] = segments[r.Intn(len(segments))]
 	}
-	qty := make([]expr.Value, n)
+	qty, price := make([]expr.Value, n), make([]expr.Value, n)
 	pos, dimRow := make([]int32, n), make([]int32, n)
 	for i := range qty {
 		qty[i], pos[i], dimRow[i] = expr.Int(int64(1+r.Intn(50))), int32(i), int32(r.Intn(len(dim)))
+		price[i] = expr.Float(float64(1 + r.Intn(50)))
 	}
-	cols := []Column{{Vec: storage.VectorOf(qty), Sel: pos}, {Vec: storage.VectorOf(dim), Sel: dimRow}}
-	index := map[string]int{"quantity": 0, "c_mktsegment": 1}
+	cols := []Column{{Vec: storage.VectorOf(qty), Sel: pos}, {Vec: storage.VectorOf(dim), Sel: dimRow}, {Vec: storage.VectorOf(price), Sel: pos}}
+	index := map[string]int{"quantity": 0, "c_mktsegment": 1, "l_quantity": 2}
 	for _, bc := range []struct{ name, pred string }{
 		{"int_range", "quantity > 20"},
+		{"float_range", "l_quantity > 20"}, // a float column against an int literal, as TPC-H's l_quantity
 		{"dict_eq", "c_mktsegment = 'BUILDING'"},
 		{"both", "c_mktsegment = 'BUILDING' AND quantity > 20"},
 		{"fallback", "c_mktsegment = 'BUILDING' OR quantity > 20"},

@@ -24,8 +24,10 @@ import (
 
 // Dirty source columns: t is the probe-side relation, u and w are
 // build sides. Keys are NULL, dangling, duplicated; Int 3 meets Float
-// 3.0 across t.k/u.uf and t.f/u.uk; NaN and ±0 sit in keys and
-// measures. u's two bool and two string columns let a composite key
+// 3.0 across t.k/u.uf and t.f/u.uk, Int 2⁵³ meets Float 2⁵³ but Int
+// 2⁵³+1, one float64 image with it, does not; NaNs of several payloads
+// and ±0 sit in keys and measures, and ints beside ±2⁵³ in keys, groups
+// and filtered columns. u's two bool and two string columns let a composite key
 // pair columns that present one dictionary (every bool vector shares
 // one) or name one column twice.
 var (
@@ -39,15 +41,19 @@ var (
 func dirtyValue(r *rand.Rand, col string) expr.Value {
 	pick := func(vs ...expr.Value) expr.Value { return vs[r.Intn(len(vs))] }
 	nan, negZero := expr.Float(math.NaN()), expr.Float(math.Copysign(0, -1))
+	nan2, nan3 := expr.Float(math.Float64frombits(0x7ff8000000000001)), expr.Float(math.Float64frombits(0xfff8000000000000))
 	null := expr.Null()
 	switch col {
 	case "k":
-		if r.Intn(8) == 0 {
+		switch r.Intn(10) {
+		case 0:
 			return null
+		case 1:
+			return pick(expr.Int(1<<53), expr.Int(1<<53+1), expr.Int(-(1<<53 + 1))) // u holds 2⁵³
 		}
 		return expr.Int(int64(r.Intn(8))) // u holds 0..4: 5..7 dangle
 	case "f":
-		return pick(expr.Float(3), expr.Float(2.5), negZero, expr.Float(0), nan, expr.Float(1), expr.Float(4), null)
+		return pick(expr.Float(3), expr.Float(2.5), negZero, expr.Float(0), nan, expr.Float(1), expr.Float(4), null, nan2, expr.Float(1<<53))
 	case "g", "ug", "ug2", "wg":
 		return pick(expr.Str("a"), expr.Str("b"), expr.Str("c"), expr.Str(""), expr.Str("z"), null)
 	case "b", "ub", "ub2":
@@ -56,16 +62,22 @@ func dirtyValue(r *rand.Rand, col string) expr.Value {
 		if r.Intn(7) == 0 {
 			return null
 		}
+		if r.Intn(9) == 0 {
+			return pick(expr.Int(1<<53), expr.Int(1<<53+1), expr.Int(-(1 << 53)), expr.Int(-(1<<53 + 1)))
+		}
 		return expr.Int(int64(r.Intn(13) - 3))
 	case "y", "wv":
-		return pick(expr.Float(1.5), negZero, expr.Float(0), nan, expr.Float(3), expr.Float(2.25), null, expr.Float(-7.5))
+		return pick(expr.Float(1.5), negZero, expr.Float(0), nan, expr.Float(3), expr.Float(2.25), null, expr.Float(-7.5), nan3)
 	case "uk", "wk":
-		if r.Intn(9) == 0 {
+		switch r.Intn(9) {
+		case 0:
 			return null
+		case 1:
+			return expr.Int(1 << 53)
 		}
 		return expr.Int(int64(r.Intn(5)))
 	case "uf":
-		return pick(expr.Float(3), expr.Float(0), negZero, nan, expr.Float(1), null)
+		return pick(expr.Float(3), expr.Float(0), negZero, nan, expr.Float(1), null, nan2, expr.Float(1<<53))
 	}
 	panic(col)
 }
@@ -199,7 +211,8 @@ func newDirtyDesign(r *rand.Rand) *dirtyDesign {
 		ints := of(cols, "int")
 		var menu []string
 		for _, c := range nums {
-			menu = append(menu, fmt.Sprintf("%s > %d", c.Name, r.Intn(6)-1), fmt.Sprintf("%s = 3", c.Name))
+			menu = append(menu, fmt.Sprintf("%s > %d", c.Name, r.Intn(6)-1), fmt.Sprintf("%s = 3", c.Name),
+				fmt.Sprintf("%s = 9007199254740993", c.Name), fmt.Sprintf("%s > 9007199254740992.0", c.Name))
 		}
 		for _, c := range strs {
 			menu = append(menu, fmt.Sprintf("%s = 'a'", c.Name), fmt.Sprintf("%s <> 'b'", c.Name))

@@ -14,11 +14,6 @@ import (
 // dictionaries differ (dictCoder), and how a build side accumulates the
 // vectors of many batches into one (accumulator).
 
-// maxExactInt bounds the integers float64 holds exactly: strictly
-// inside ±2⁵³ two ints are Value.Equal — which compares numerics as
-// float64s — exactly when they are the same int.
-const maxExactInt = 1 << 53
-
 // Column is one column of a vector batch as a kernel reads it: row r of
 // the batch is row Sel[r] of Vec, or row r when Sel is nil. The ETL
 // executor's batches hold their vectors whole; the fast path's joined
@@ -71,19 +66,6 @@ func Sized[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// floatCode is a numeric key's code under Value.Equal: its float64 bit
-// pattern, −0 folded onto +0; ok is false for NaN, which equals
-// nothing.
-func floatCode(f float64) (code uint64, ok bool) {
-	if f != f {
-		return 0, false
-	}
-	if f == 0 {
-		f = 0
-	}
-	return math.Float64bits(f), true
 }
 
 // dictCoder assigns dense codes to one column's distinct values in

@@ -7,14 +7,6 @@ import (
 	"quarry/internal/xlm"
 )
 
-// DotExporter renders an xLM design as a Graphviz digraph for
-// visual inspection of unified flows — the textual counterpart of the
-// flow graphs in the paper's Figure 3.
-type DotExporter struct{}
-
-// Name implements Exporter.
-func (DotExporter) Name() string { return "dot" }
-
 // dotShape picks a node shape per operation kind.
 func dotShape(op xlm.OpType) string {
 	switch op {
@@ -38,8 +30,10 @@ func dotEscape(s string) string {
 	return strings.ReplaceAll(s, `"`, `\"`)
 }
 
-// Export implements Exporter.
-func (DotExporter) Export(d *xlm.Design) (string, error) {
+// toDot renders an xLM design as a Graphviz digraph for visual
+// inspection of unified flows — the textual counterpart of the flow
+// graphs in the paper's Figure 3.
+func toDot(d *xlm.Design) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digraph %q {\n", d.Name)
 	b.WriteString("  rankdir=LR;\n  node [fontsize=10];\n")
@@ -68,10 +62,4 @@ func (DotExporter) Export(d *xlm.Design) (string, error) {
 	}
 	b.WriteString("}\n")
 	return b.String(), nil
-}
-
-func init() {
-	if err := Register(DotExporter{}); err != nil {
-		panic(err)
-	}
 }

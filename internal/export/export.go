@@ -1,86 +1,39 @@
-// Package export implements the plug-in export side of Quarry's
-// Communication & Metadata layer (§2.5): translating the logical xLM
-// representation of an ETL process into external notations. The paper
-// names SQL and Apache PigLatin (following the engine-independence
-// work of [7]); both are provided here, next to the Pentaho PDI
-// exporter of internal/pdi, behind a registry that external code can
-// extend with further notations.
+// Package export implements the export side of Quarry's Communication
+// & Metadata layer (§2.5): translating the logical xLM representation
+// of an ETL process into external notations. The paper names SQL and
+// Apache PigLatin (following the engine-independence work of [7]);
+// both are provided here, with a Graphviz rendering of the flow, next
+// to the Pentaho PDI exporter of internal/pdi.
 package export
 
 import (
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"quarry/internal/xlm"
 )
 
-// Exporter renders a validated xLM design in an external notation.
-type Exporter interface {
-	// Name is the registry key ("sql", "pig", ...).
-	Name() string
-	// Export renders the design; implementations must not mutate it.
-	Export(d *xlm.Design) (string, error)
+// ErrUnknownNotation is what Export wraps when no notation has the
+// name asked for.
+var ErrUnknownNotation = errors.New("export: no exporter")
+
+// notations renders a validated design, by notation name; a renderer
+// must not mutate the design.
+var notations = map[string]func(*xlm.Design) (string, error){
+	"dot": toDot,
+	"pig": toPig,
+	"sql": toSQL,
 }
 
-// registry of available exporters.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Exporter{}
-)
-
-// Register installs an exporter; it fails on duplicate names.
-func Register(e Exporter) error {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if e == nil || e.Name() == "" {
-		return fmt.Errorf("export: invalid exporter")
-	}
-	if _, dup := registry[e.Name()]; dup {
-		return fmt.Errorf("export: exporter %q already registered", e.Name())
-	}
-	registry[e.Name()] = e
-	return nil
-}
-
-// Lookup returns a registered exporter.
-func Lookup(name string) (Exporter, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	return e, ok
-}
-
-// Names lists registered exporters, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Export renders a design with the named exporter.
+// Export renders a design in the named notation: "dot", "pig" or
+// "sql".
 func Export(name string, d *xlm.Design) (string, error) {
-	e, ok := Lookup(name)
+	render, ok := notations[name]
 	if !ok {
-		return "", fmt.Errorf("export: no exporter %q (have %v)", name, Names())
+		return "", fmt.Errorf("%w %q (have dot, pig, sql)", ErrUnknownNotation, name)
 	}
 	if err := d.Validate(); err != nil {
 		return "", err
 	}
-	return e.Export(d)
-}
-
-func init() {
-	// Built-in notations.
-	if err := Register(SQLExporter{}); err != nil {
-		panic(err)
-	}
-	if err := Register(PigExporter{}); err != nil {
-		panic(err)
-	}
+	return render(d)
 }

@@ -1,6 +1,7 @@
 package export
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -34,27 +35,15 @@ func revenueETL(t *testing.T) *xlm.Design {
 	return pd.ETL
 }
 
-func TestRegistry(t *testing.T) {
-	names := Names()
-	if len(names) < 2 {
-		t.Fatalf("registry = %v", names)
-	}
-	for _, want := range []string{"pig", "sql"} {
-		if _, ok := Lookup(want); !ok {
-			t.Errorf("exporter %q missing", want)
+func TestNotations(t *testing.T) {
+	d := revenueETL(t)
+	for _, name := range []string{"dot", "pig", "sql"} {
+		if _, err := Export(name, d); err != nil {
+			t.Errorf("notation %q: %v", name, err)
 		}
 	}
-	if _, ok := Lookup("ghost"); ok {
-		t.Error("ghost exporter found")
-	}
-	if _, err := Export("ghost", revenueETL(t)); err == nil {
-		t.Error("Export with unknown notation succeeded")
-	}
-	if err := Register(nil); err == nil {
-		t.Error("nil exporter registered")
-	}
-	if err := Register(SQLExporter{}); err == nil {
-		t.Error("duplicate exporter registered")
+	if _, err := Export("ghost", d); !errors.Is(err, ErrUnknownNotation) {
+		t.Errorf("Export with unknown notation: %v, want ErrUnknownNotation", err)
 	}
 }
 

@@ -8,15 +8,6 @@ import (
 	"quarry/internal/xlm"
 )
 
-// PigExporter renders an xLM design as an Apache PigLatin script: one
-// relation (alias) per operation in topological order, ending in one
-// STORE per loader — the second external notation the paper names for
-// the metadata layer's export plug-ins.
-type PigExporter struct{}
-
-// Name implements Exporter.
-func (PigExporter) Name() string { return "pig" }
-
 // pigAlias sanitises a node name into a Pig alias.
 func pigAlias(name string) string {
 	var b strings.Builder
@@ -62,8 +53,11 @@ func pigExpr(src string) (string, error) {
 	return s, nil
 }
 
-// Export implements Exporter.
-func (PigExporter) Export(d *xlm.Design) (string, error) {
+// toPig renders an xLM design as an Apache PigLatin script: one
+// relation (alias) per operation in topological order, ending in one
+// STORE per loader — the second external notation the paper names for
+// the metadata layer's export plug-ins.
+func toPig(d *xlm.Design) (string, error) {
 	order, err := d.TopoSort()
 	if err != nil {
 		return "", err

@@ -8,18 +8,12 @@ import (
 	"quarry/internal/xlm"
 )
 
-// SQLExporter renders an xLM design as one INSERT INTO … SELECT
+// toSQL renders an xLM design as one INSERT INTO … SELECT
 // statement per loader, composing the upstream operations into nested
 // subqueries. The output targets the same PostgreSQL dialect the
 // Design Deployer's DDL uses, so a deployment script plus this export
 // is a complete SQL-only realisation of the ETL process.
-type SQLExporter struct{}
-
-// Name implements Exporter.
-func (SQLExporter) Name() string { return "sql" }
-
-// Export implements Exporter.
-func (SQLExporter) Export(d *xlm.Design) (string, error) {
+func toSQL(d *xlm.Design) (string, error) {
 	g := &sqlGen{d: d}
 	var stmts []string
 	var loaders []*xlm.Node

@@ -12,6 +12,7 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -153,17 +154,23 @@ func (v Value) String() string {
 	}
 }
 
-// Equal reports deep equality between two values. Numeric values of
-// different kinds compare by numeric value (1 == 1.0); NULL equals
-// only NULL.
+// Numbers have one identity and one order, decided here for every
+// layer — the evaluator, the engine's kernels, the zone maps. Ints
+// compare by value, and an int meets a float only when the two are
+// exactly equal: Int 3 meets Float 3.0, but Int 2⁵³+1 does not meet
+// Float 2⁵³, whose float64 image it shares. −0 is +0. In `=` and `<`
+// (Equal, Compare) a NaN stands in no order with any number; for
+// grouping and slicing (Key, Identical, TotalOrder) every NaN is one
+// value, after every number.
+
+// Equal is `=` on two values. Numbers compare by value, exactly (1 ==
+// 1.0, a NaN equals nothing); NULL equals only NULL.
 func (v Value) Equal(o Value) bool {
 	if v.kind == KindNull || o.kind == KindNull {
 		return v.kind == o.kind
 	}
 	if v.IsNumeric() && o.IsNumeric() {
-		a, _ := v.AsFloat()
-		b, _ := o.AsFloat()
-		return NumberOrder(a, b) == Same
+		return v.numberOrder(o) == Same
 	}
 	if v.kind != o.kind {
 		return false
@@ -188,12 +195,11 @@ const (
 	Unordered
 )
 
-// NumberOrder orders two numbers — ints are compared as their float64 —
-// and is the arithmetic of both Equal (Same and nothing else is equal)
-// and Compare (Unordered compares as 0, like Same). Vectorised
-// comparisons call it too, so that they cannot drift from the
-// evaluator.
-func NumberOrder(a, b float64) Order {
+// OrderOf orders two ints, or two floats. With IntFloatOrder it is the
+// arithmetic of Equal (Same and nothing else is equal) and Compare
+// (Unordered compares as 0, like Same); vectorised comparisons call the
+// two too, so that they cannot drift from the evaluator.
+func OrderOf[T int64 | float64](a, b T) Order {
 	switch {
 	case a < b:
 		return Less
@@ -205,17 +211,44 @@ func NumberOrder(a, b float64) Order {
 	return Unordered
 }
 
-// Compare orders two values: -1, 0, +1. Numerics compare numerically,
-// strings lexicographically, bools false<true. Comparing NULL or
-// mismatched kinds yields an error.
+// IntFloatOrder orders an int against a float by their exact values.
+// Rounding to float64 is monotone, so images that differ order the
+// values; equal images make f an integer, which int64 holds exactly but
+// at 2⁶³, above every int.
+func IntFloatOrder(i int64, f float64) Order {
+	if o := OrderOf(float64(i), f); o != Same {
+		return o
+	}
+	if f == 0x1p63 {
+		return Less
+	}
+	return OrderOf(i, int64(f))
+}
+
+// Reverse is how b stands to a when a stands to b in o.
+func (o Order) Reverse() Order { return [...]Order{Greater, Same, Less, Unordered}[o] }
+
+func (v Value) numberOrder(o Value) Order {
+	switch {
+	case v.kind == KindInt && o.kind == KindInt:
+		return OrderOf(v.i, o.i)
+	case v.kind == KindInt:
+		return IntFloatOrder(v.i, o.f)
+	case o.kind == KindInt:
+		return IntFloatOrder(o.i, v.f).Reverse()
+	}
+	return OrderOf(v.f, o.f)
+}
+
+// Compare orders two values: -1, 0, +1. Numerics compare by value,
+// exactly, a NaN as 0 with every number; strings lexicographically,
+// bools false<true. Comparing NULL or mismatched kinds yields an error.
 func (v Value) Compare(o Value) (int, error) {
 	if v.kind == KindNull || o.kind == KindNull {
 		return 0, fmt.Errorf("expr: cannot compare NULL")
 	}
 	if v.IsNumeric() && o.IsNumeric() {
-		a, _ := v.AsFloat()
-		b, _ := o.AsFloat()
-		switch NumberOrder(a, b) {
+		switch v.numberOrder(o) {
 		case Less:
 			return -1, nil
 		case Greater:
@@ -243,9 +276,96 @@ func (v Value) Compare(o Value) (int, error) {
 	return 0, fmt.Errorf("expr: cannot compare %s values", v.kind)
 }
 
+// Key is a value's identity as a comparable Go value: two values are
+// Identical exactly when their Keys are ==, so a Key indexes a map of
+// groups, slices or join keys.
+type Key struct {
+	kind Kind   // KindInt for a float that is an int64 exactly
+	n    uint64 // an int, a float's bits (the one NaN's for every NaN), a bool
+	s    string
+}
+
+// Key returns v's identity.
+func (v Value) Key() Key {
+	switch v.kind {
+	case KindInt:
+		return Key{kind: KindInt, n: uint64(v.i)}
+	case KindFloat:
+		if v.f >= -0x1p63 && v.f < 0x1p63 && v.f == math.Trunc(v.f) {
+			return Key{kind: KindInt, n: uint64(int64(v.f))}
+		}
+		return Key{kind: KindFloat, n: math.Float64bits(v.Canonical().f)}
+	case KindString:
+		return Key{kind: KindString, s: v.s}
+	case KindBool:
+		if v.b {
+			return Key{kind: KindBool, n: 1}
+		}
+	}
+	return Key{kind: v.kind}
+}
+
+// Int returns the int64 a numeric key's value is exactly, if any.
+func (k Key) Int() (int64, bool) { return int64(k.n), k.kind == KindInt }
+
+// Identical reports whether two values are one value for grouping and
+// slicing: Equal, but NULL is identical to NULL and NaN to NaN.
+func (v Value) Identical(o Value) bool { return v.Key() == o.Key() }
+
+// Canonical is the representative of v's identity a group keeps: +0
+// for −0 and one NaN for every NaN, so that a group's key does not
+// depend on which of its rows came first. Any other value is itself.
+func (v Value) Canonical() Value {
+	switch {
+	case v.kind != KindFloat:
+	case v.f == 0:
+		return Float(0)
+	case v.f != v.f:
+		return Float(math.NaN())
+	}
+	return v
+}
+
+// TotalOrder places v against o: -1, 0 or +1, and 0 exactly when they
+// are Identical. It orders every pair of values: the kinds apart, in
+// Kind's order (NULL first, then numbers, strings, bools), numbers by
+// value with every NaN after every number, strings and bools as
+// Compare does.
+func (v Value) TotalOrder(o Value) int {
+	if r, q := v.rank(), o.rank(); r != q {
+		return cmp.Compare(r, q)
+	}
+	if !v.IsNumeric() {
+		c, _ := v.Compare(o) // NULLs tie
+		return c
+	}
+	if c := v.numberOrder(o); c != Unordered {
+		return int(c) - 1 // Less, Same, Greater
+	}
+	return cmp.Compare(v.nan(), o.nan())
+}
+
+// rank is v's kind as TotalOrder sorts the kinds: ints and floats are
+// one.
+func (v Value) rank() Kind {
+	if v.kind == KindFloat {
+		return KindInt
+	}
+	return v.kind
+}
+
+func (v Value) nan() int {
+	if v.kind == KindFloat && v.f != v.f {
+		return 1
+	}
+	return 0
+}
+
 // Hash returns a stable hash of the value, used by hash joins and
-// aggregations in the engine. Numerically equal ints and floats hash
-// identically so join keys of mixed numeric kind still meet.
+// aggregations in the engine and by the shard partition. Identical
+// values hash alike: Int(3) and Float(3.0), −0 and +0, every NaN. A
+// number hashes through its float64 image, so beyond ±2⁵³ distinct ints
+// may share a hash — a collision, not an identity.
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -258,6 +378,9 @@ func (v Value) Hash() uint64 {
 		mix(0)
 	case KindInt, KindFloat:
 		f, _ := v.AsFloat()
+		if f != f {
+			f = math.NaN()
+		}
 		if f == math.Trunc(f) && !math.IsInf(f, 0) {
 			// Integral value: hash the integer representation so
 			// Int(3) and Float(3.0) collide on purpose.

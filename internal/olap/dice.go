@@ -11,7 +11,7 @@ import (
 // over any fold's or merge's cells, a fleet's included); the oracle
 // dices its detail rows (diceReference) with the textbook
 // recompute-from-scratch loop — two independent implementations of one
-// fixpoint, sharing only the slice identity (engine.SliceOf) and the
+// fixpoint, sharing only the slice identity (expr.Value.Key) and the
 // sign check (engine.Dice.CheckCarat).
 
 // diceReference computes the same diamond over the detail rows with
@@ -32,9 +32,9 @@ func diceReference(rows [][]expr.Value, d *dicePlan) ([][]expr.Value, error) {
 	for {
 		removed := false
 		for i, ci := range d.colIdx {
-			carat := map[engine.Slice]*engine.FloatSum{}
+			carat := map[expr.Key]*engine.FloatSum{}
 			for _, row := range cur {
-				k := engine.SliceOf(row[ci])
+				k := row[ci].Key()
 				s := carat[k]
 				if s == nil {
 					s = &engine.FloatSum{}
@@ -48,7 +48,7 @@ func diceReference(rows [][]expr.Value, d *dicePlan) ([][]expr.Value, error) {
 			}
 			var kept [][]expr.Value
 			for _, row := range cur {
-				if carat[engine.SliceOf(row[ci])].Round() >= d.Thresholds[i] {
+				if carat[row[ci].Key()].Round() >= d.Thresholds[i] {
 					kept = append(kept, row)
 				}
 			}

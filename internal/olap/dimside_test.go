@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 
 	"quarry/internal/engine"
@@ -58,23 +59,37 @@ func matches(d *engine.JoinIndex, k expr.Value) []int32 {
 }
 
 // joined is the rule every index stands in for: the rows whose key is
-// Value.Equal to k, in insertion order (NULL joins nothing).
+// equal to k, in insertion order — numbers by their exact values
+// (exactOf), NaN and NULL joining nothing.
 func joined(keys []expr.Value, k expr.Value) []int32 {
 	var want []int32
 	for r, key := range keys {
-		if key.Equal(k) && !key.IsNull() {
+		x, y := exactOf(key), exactOf(k)
+		if x != nil && y != nil && x.Cmp(y) == 0 || !key.IsNumeric() && !key.IsNull() && key.Equal(k) {
 			want = append(want, int32(r))
 		}
 	}
 	return want
 }
 
+// exactOf is a number's exact value, written apart from expr through
+// math/big; nil for NaN and for what is no number.
+func exactOf(v expr.Value) *big.Float {
+	if v.Kind() == expr.KindInt {
+		return new(big.Float).SetInt64(v.AsInt())
+	}
+	if f, ok := v.AsFloat(); ok && f == f {
+		return big.NewFloat(f)
+	}
+	return nil
+}
+
 // TestDimSideIndexKinds holds each key index representation to the one
 // rule both stand in for — a foreign key joins the dimension rows whose
 // key is Value.Equal to it, in insertion order — and pins which
 // representation a key column gets: the dense array for int keys that
-// span little more than their count strictly inside ±2⁵³, the code map
-// for every other key.
+// span little more than their count, wherever they lie (ints beside
+// 2⁵³ are as exact as any), the code map for every other key.
 func TestDimSideIndexKinds(t *testing.T) {
 	ints := func(ks ...int64) []expr.Value {
 		out := make([]expr.Value, len(ks))
@@ -100,8 +115,9 @@ func TestDimSideIndexKinds(t *testing.T) {
 		{"sparse int", "int", ints(5_000_000, 0, 3, 10_000_000, 3), false},
 		{"sparse int with NULL", "int", append(ints(5_000_000, 7), expr.Null()), false},
 		{"float with NULL", "float", []expr.Value{expr.Float(2.5), expr.Null()}, false},
-		{"int at 2^53", "int", ints(1<<53-1, 1<<53, 1<<53+1, 1<<53-2), false},
-		{"int at -2^53", "int", ints(-(1 << 53), -(1<<53 - 1)), false},
+		{"int at 2^53", "int", ints(1<<53-1, 1<<53, 1<<53+1, 1<<53-2), true},
+		{"int at -2^53", "int", ints(-(1 << 53), -(1<<53 - 1), -(1<<53 + 1)), true},
+		{"sparse int at 2^53", "int", ints(1<<53, 1<<53+1, 1<<53+1_000_000), false},
 		{"int extremes", "int", ints(math.MinInt64, math.MaxInt64, 0), false},
 		{"float", "float", []expr.Value{expr.Float(3), expr.Float(2.5), expr.Float(math.NaN()), expr.Float(math.Copysign(0, -1)),
 			expr.Float(3), expr.Float(1 << 53), expr.Null(), expr.Float(math.Inf(1))}, false},

@@ -101,13 +101,12 @@ func intOrNull(r *rand.Rand, n, nullOneIn int) expr.Value {
 }
 
 // keyShapes are the int key domains of dim_a, one per key index the
-// fast path can choose (and the last where int equality stops being
-// float equality): the same function maps the dimension's keys and the
-// fact's foreign keys.
+// fast path can choose (and one where ints share float64 images): the
+// same function maps the dimension's keys and the fact's foreign keys.
 var keyShapes = map[string]func(k int64) int64{
 	"dense":  func(k int64) int64 { return k },
 	"sparse": func(k int64) int64 { return k*1_000_003 - 3_000_000 },
-	"huge":   func(k int64) int64 { return 1<<53 - 3 + k }, // 2⁵³+1 and 2⁵³ are one float64
+	"huge":   func(k int64) int64 { return 1<<53 - 3 + k }, // 2⁵³+1 and 2⁵³ are one float64, and two keys
 }
 
 // pad is a dimension's filler column: wide enough that forty rows span
@@ -119,12 +118,14 @@ func pad(r *rand.Rand) expr.Value {
 
 // handStar generates a four-dimension star. dim_a has an int key of
 // the given shape with duplicates and NULLs; dim_b a float key the
-// fact's int key must meet (3 joins 3.0, nothing joins 2.5), with
-// duplicates; dim_c a string key; dim_e no rows at all. Dimension rows
-// are wide (pad), their attribute values drift from page to page
-// (a_name, b_kind: overlapping but different page dictionaries), b_zone
-// changes once in ten rows (run-length chunks) and a_rank and a_page are
-// narrow int ranges (bit-packed chunks). Fact keys range past the dimensions' (unmatched) and
+// fact's int key must meet (3 joins 3.0, 2⁵³ joins 2⁵³ but not 2⁵³+1,
+// nothing joins 2.5 or NaN), with duplicates; dim_c a string key; dim_e
+// no rows at all. Dimension rows are wide (pad), their attribute values
+// drift from page to page (a_name, b_kind: overlapping but different
+// page dictionaries), b_zone changes once in ten rows (run-length
+// chunks) but for a run of NaNs of three payloads, and a_rank and
+// a_page are narrow int ranges (bit-packed chunks), a_page's across
+// 2⁵³, where 2⁵³ and 2⁵³+1 share a float64 image. Fact keys range past the dimensions' (unmatched) and
 // are sometimes NULL. Fact rows with qty 3 carry a k_c no dim_c row
 // has.
 func handStar(r *rand.Rand, facts int, shape string) []handTable {
@@ -141,7 +142,7 @@ func handStar(r *rand.Rand, facts int, shape string) []handTable {
 		if r.Intn(8) != 0 {
 			id = expr.Int(key(int64(r.Intn(7))))
 		}
-		a.rows = append(a.rows, storage.Row{id, name, expr.Int(int64(100 + i)), expr.Int(int64(i / 10)), pad(r)})
+		a.rows = append(a.rows, storage.Row{id, name, expr.Int(int64(100 + i)), expr.Int(1<<53 - 2 + int64(i/10)), pad(r)})
 	}
 	b := handTable{name: "dim_b", cols: []storage.Column{
 		{Name: "b_id", Type: "float"}, {Name: "b_kind", Type: "string"}, {Name: "b_w", Type: "float"},
@@ -157,7 +158,16 @@ func handStar(r *rand.Rand, facts int, shape string) []handTable {
 		if r.Intn(3) == 0 {
 			w = float64(i) / 4
 		}
-		b.rows = append(b.rows, storage.Row{id, expr.Str(fmt.Sprintf("k%d", i/10+r.Intn(2))), expr.Float(w), expr.Float(float64(i / 10)), pad(r)})
+		zone := expr.Float(float64(i / 10))
+		switch {
+		case i/10 == 1:
+			zone = nanOf([]uint64{0x7ff8000000000001, 0x7ff8000000000002, 0xfff8000000000000}[i%3])
+		case i == 7:
+			id = expr.Float(1 << 53)
+		case i == 8:
+			id = expr.Float(math.NaN())
+		}
+		b.rows = append(b.rows, storage.Row{id, expr.Str(fmt.Sprintf("k%d", i/10+r.Intn(2))), expr.Float(w), zone, pad(r)})
 	}
 	c := handTable{name: "dim_c", cols: []storage.Column{
 		{Name: "c_code", Type: "string"}, {Name: "c_label", Type: "string"}}}
@@ -184,7 +194,11 @@ func handStar(r *rand.Rand, facts int, shape string) []handTable {
 		if r.Intn(12) == 0 {
 			tag = expr.Null()
 		}
-		f.rows = append(f.rows, storage.Row{ka, intOrNull(r, 7, 10), kc, expr.Int(int64(r.Intn(3))),
+		kb := intOrNull(r, 7, 10)
+		if kb.AsInt() == 6 { // 2⁵³ meets dim_b's 2⁵³; 2⁵³+1, one float64 with it, meets nothing
+			kb = expr.Int(1<<53 + int64(i%2))
+		}
+		f.rows = append(f.rows, storage.Row{ka, kb, kc, expr.Int(int64(r.Intn(3))),
 			expr.Int(qty), tag, expr.Float(float64(r.Intn(1000)) / 8)})
 	}
 	return []handTable{a, b, c, e, f}
@@ -200,6 +214,7 @@ var (
 	handFilters = []string{
 		"", "", "qty > 3", "a_rank >= 102 AND amt < 50", "b_w > 1.5 OR tag = 't1'", "c_label != 'L0' AND qty < 7",
 		"a_name = 'a2' AND qty != 4", "tag != 't0'", // a leading conjunct on one dictionary-coded column
+		"a_page = 9007199254740993", "a_page > 9007199254740992.0", // ints beside 2⁵³, against an int and a float
 		"10 / (qty - 3) > 1", // would divide by zero only on rows the dim_c join drops
 		"10 / (qty - 4) > 1", // divides by zero on rows that survive
 		"tag > 5",            // errors on every row

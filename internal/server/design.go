@@ -9,12 +9,14 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 
 	"quarry/internal/core"
+	"quarry/internal/export"
 	"quarry/internal/xlm"
 	"quarry/internal/xmd"
 	"quarry/internal/xrq"
@@ -305,7 +307,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	text, err := s.p.ExportFlow(r.PathValue("notation"))
 	if err != nil {
 		status := http.StatusUnprocessableEntity
-		if strings.Contains(err.Error(), "no exporter") {
+		if errors.Is(err, export.ErrUnknownNotation) {
 			status = http.StatusNotFound
 		}
 		writeErr(w, status, err)

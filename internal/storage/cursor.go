@@ -7,9 +7,10 @@ package storage
 //
 // Pruning is strictly conservative: a page is skipped only when the
 // predicate can match NONE of its rows under the evaluator's own
-// semantics (expr.Value.Compare / Equal — the zone bounds were
-// computed with the same Compare, so float-vs-int coercion agrees),
-// and the uncommitted tail, which has no zone map, is never skipped.
+// semantics (expr.Value.Compare / Equal, which order numbers exactly,
+// an int against a float included — and a zone's bounds are its
+// column's least and greatest values in that order), and the
+// uncommitted tail, which has no zone map, is never skipped.
 // Callers therefore still evaluate the full filter on every returned
 // row; the cursor only removes pages that could not have contributed.
 //

@@ -388,7 +388,11 @@ func zoneFromManifest(mz manifestZone, typ string, rows int) (zone, error) {
 	if cmp, err := z.min.Compare(z.max); err != nil || cmp > 0 {
 		return z, fmt.Errorf("min %s above max %s", z.min, z.max)
 	}
-	z.hasBounds = true
+	// Segments written before ints had an exact order hold int bounds
+	// picked by their float64 image: at or beyond ±2⁵³, where several
+	// ints share one, a bound may be another int than the extreme, so
+	// such bounds prune nothing.
+	z.hasBounds = typ != "int" || z.min.AsInt() > -1<<53 && z.max.AsInt() < 1<<53
 	return z, nil
 }
 

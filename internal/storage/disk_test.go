@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -516,5 +517,84 @@ func TestDiskManifestIsCommitPoint(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, manifestTmp)); !os.IsNotExist(err) {
 		t.Fatalf("manifest.tmp left behind: %v", err)
+	}
+}
+
+// TestFloatImageIntBoundsSkipNoRow: segments written before ints had an
+// exact order hold int zone bounds picked by their float64 image — the
+// first of several ints sharing the least (greatest) image, which need
+// not be the least (greatest) int. Reopened with such bounds, a cursor
+// skips no page holding a row the predicate accepts.
+func TestFloatImageIntBoundsSkipNoRow(t *testing.T) {
+	const two53 = int64(1) << 53
+	// Images -2⁵³, -2⁵³, 2⁵³, 2⁵³, 2⁵³+4, 2⁵³+4: by image the least is
+	// the first, -2⁵³, though -2⁵³-1 is less, and the greatest 2⁵³+3,
+	// though 2⁵³+4 is greater.
+	vals := []int64{-two53, -two53 - 1, two53 + 1, two53, two53 + 3, two53 + 4}
+	lo, hi := -two53, two53+3
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable("t", []Column{{Name: "x", Type: "int"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals {
+		if err := tbl.Insert(Row{expr.Int(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := mf.Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := 0
+	for _, seg := range man.Tables[0].Segments {
+		for _, p := range seg.Pages {
+			p.Zones[0].Min, p.Zones[0].Max = &mf.Value{I: &lo}, &mf.Value{I: &hi}
+			pages++
+		}
+	}
+	if pages != 1 {
+		t.Fatalf("%d pages, want the rows on one", pages)
+	}
+	data, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mf.Commit(dir, data); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := db.Snapshot("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, _ := snap.Table("t")
+	for _, v := range vals {
+		for _, lit := range []expr.Value{expr.Int(v - 1), expr.Int(v), expr.Int(v + 1), expr.Float(float64(v))} {
+			for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
+				pred := expr.MustParse("x " + op + " lit")
+				accepts := func(rows []Row) (n int) {
+					for _, row := range rows {
+						if ok, _ := expr.EvalBool(pred, expr.MapEnv(map[string]expr.Value{"x": row[0], "lit": lit})); ok {
+							n++
+						}
+					}
+					return n
+				}
+				want := accepts(view.Cursor(nil).Next(len(vals)))
+				if got := accepts(view.Cursor([]PrunePredicate{{Col: "x", Op: op, Val: lit}}).Next(len(vals))); got != want {
+					t.Errorf("x %s %s: the pruning cursor yields %d accepted rows, the full scan %d", op, lit, got, want)
+				}
+			}
+		}
 	}
 }

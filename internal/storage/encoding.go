@@ -67,7 +67,8 @@ const zoneMaxStr = 128
 
 // zone is one column's zone-map entry for one page: how many of the
 // page's rows are NULL in this column, and — when hasBounds — the
-// min/max of the non-NULL values under expr.Value.Compare.
+// min/max of the non-NULL values under expr.Value.Compare: an int
+// column's exact least and greatest ints.
 type zone struct {
 	nulls     int
 	hasBounds bool
@@ -174,10 +175,7 @@ func (e *chunkEncoder) buildInts(page []span, ci int) {
 	seen, dict := e.seenInts, e.intDict[:0]
 	codes := slices.Grow(e.intCodes[:0], e.n)
 	e.dictable = true
-	// Zone bounds order ints the way expr.Value.Compare does — through
-	// float64 — so beyond 2^53 the first of several ints that round to
-	// the same float stays the bound. The bit-packing range is exact.
-	var prev, zmin, zmax int64
+	var prev int64
 	prevNull := false
 	for _, s := range page {
 		src := s.c.cols[ci]
@@ -194,15 +192,9 @@ func (e *chunkEncoder) buildInts(page []span, ci int) {
 				e.runBytes += runHeader + 8
 			}
 			if len(v.Ints) == e.nulls { // first present value
-				e.intMin, e.intMax, zmin, zmax = i, i, i, i
+				e.intMin, e.intMax = i, i
 			} else {
 				e.intMin, e.intMax = min(e.intMin, i), max(e.intMax, i)
-				if float64(i) < float64(zmin) {
-					zmin = i
-				}
-				if float64(i) > float64(zmax) {
-					zmax = i
-				}
 			}
 			prev, prevNull = i, false
 			v.Ints = append(v.Ints, i)
@@ -229,7 +221,7 @@ func (e *chunkEncoder) buildInts(page []span, ci int) {
 	e.rawBytes = 8 * present
 	e.ndict, e.dictBytes = len(dict), 8*len(dict)
 	if present > 0 {
-		e.zone = zone{hasBounds: true, min: expr.Int(zmin), max: expr.Int(zmax)}
+		e.zone = zone{hasBounds: true, min: expr.Int(e.intMin), max: expr.Int(e.intMax)}
 	}
 }
 
