@@ -36,6 +36,12 @@ func TestHashPinned(t *testing.T) {
 		{Float(-0x1p63), 0xa8c7783228196045},
 		{Float(math.Inf(1)), 0xaab1293229b9b0f8},
 		{Float(math.Inf(-1)), 0xaab1a93229ba8a78},
+		// Images at or beyond ±2⁶³ hash by their float bits (FNV-1a of
+		// the bits' little-endian bytes), not through int64(f).
+		{Int(math.MaxInt64), 0xaae7f53229e89b0c},
+		{Float(0x1p63), 0xaae7f53229e89b0c},
+		{Float(1e300), 0x8b8f4de62cb5842b},
+		{Float(-1e300), 0x8b8ecde62cb4aaab},
 		{Str(""), 0xaf63bf4c8601bb45},
 		{Str("SPAIN"), 0x1b7e9a01a41c778e},
 		{Bool(false), 0xaf63be4c8601b992},

@@ -365,7 +365,9 @@ func (v Value) nan() int {
 // aggregations in the engine and by the shard partition. Identical
 // values hash alike: Int(3) and Float(3.0), −0 and +0, every NaN. A
 // number hashes through its float64 image, so beyond ±2⁵³ distinct ints
-// may share a hash — a collision, not an identity.
+// may share a hash — a collision, not an identity; an image at or
+// beyond ±2⁶³ (Int(math.MaxInt64) among them) hashes by its float bits,
+// alike on every platform.
 func (v Value) Hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -381,9 +383,11 @@ func (v Value) Hash() uint64 {
 		if f != f {
 			f = math.NaN()
 		}
-		if f == math.Trunc(f) && !math.IsInf(f, 0) {
-			// Integral value: hash the integer representation so
-			// Int(3) and Float(3.0) collide on purpose.
+		if f >= -0x1p63 && f < 0x1p63 && f == math.Trunc(f) {
+			// Integral value in Key's exact-int range: hash the integer
+			// representation so Int(3) and Float(3.0) collide on
+			// purpose. Outside that range int64(f) is the platform's
+			// choice, so those values hash by their float bits.
 			u := uint64(int64(f))
 			for i := 0; i < 8; i++ {
 				mix(byte(u >> (8 * i)))

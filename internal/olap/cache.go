@@ -5,12 +5,15 @@ import (
 	"sync"
 )
 
-// ResultCache is a concurrency-safe LRU cache for query results,
-// used by the serving layer. Keys must embed everything that
-// determines the answer — canonically the serialized query plus the
-// warehouse's storage.DB.Version() (or Snapshot.Version()) — so a
-// reload of the warehouse naturally misses; callers additionally
-// Purge on load to stop stale versions from occupying space.
+// ResultCache is a concurrency-safe LRU cache of encoded answers,
+// used by the serving layer. An entry is keyed by the request's own
+// bytes and holds the answer's body together with the warehouse
+// version (storage.DB.Version() or Snapshot.Version()) it was computed
+// at; a lookup at any other version misses, so a reload of the
+// warehouse naturally misses, and callers additionally Purge on load
+// to stop stale versions from occupying space. Identical bytes always
+// decode to the same query, so a hit answers exactly what executing
+// the request would; a request spelled differently is its own entry.
 type ResultCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -21,13 +24,18 @@ type ResultCache struct {
 }
 
 type cacheEntry struct {
-	key string
-	res *Result
+	req     string
+	version uint64
+	body    []byte
 }
 
-// NewResultCache builds a cache holding up to capacity results;
-// capacity <= 0 disables caching (Get always misses, Put drops).
+// NewResultCache builds a cache holding up to capacity answers;
+// capacity <= 0 disables caching: the cache is nil, and a nil cache
+// is inert (Get misses uncounted, Put drops, Len and Stats are 0).
 func NewResultCache(capacity int) *ResultCache {
+	if capacity <= 0 {
+		return nil
+	}
 	return &ResultCache{
 		cap:     capacity,
 		entries: map[string]*list.Element{},
@@ -35,43 +43,48 @@ func NewResultCache(capacity int) *ResultCache {
 	}
 }
 
-// Get returns the cached result for key, if any. The caller must not
-// mutate the returned result.
-func (c *ResultCache) Get(key string) (*Result, bool) {
-	if c == nil || c.cap <= 0 {
+// Get returns the body cached for the request bytes req at warehouse
+// version, if any. The caller must not mutate the returned bytes.
+func (c *ResultCache) Get(version uint64, req []byte) ([]byte, bool) {
+	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	el, ok := c.entries[string(req)]
+	if !ok || el.Value.(*cacheEntry).version != version {
 		c.misses++
 		return nil, false
 	}
 	c.order.MoveToFront(el)
 	c.hits++
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).body, true
 }
 
-// Put stores a result under key, evicting the least recently used
-// entry when full.
-func (c *ResultCache) Put(key string, res *Result) {
-	if c == nil || c.cap <= 0 || res == nil {
+// Put stores the body answering the request bytes req at warehouse
+// version, evicting the least recently used entry when full. An entry
+// at a newer version is kept: lookups ask at the current version, so
+// an answer that finished late on an older snapshot can only miss.
+func (c *ResultCache) Put(version uint64, req []byte, body []byte) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
+	if el, ok := c.entries[string(req)]; ok {
+		if e := el.Value.(*cacheEntry); e.version <= version {
+			e.version, e.body = version, body
+		}
 		c.order.MoveToFront(el)
 		return
 	}
 	for c.order.Len() >= c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		delete(c.entries, oldest.Value.(*cacheEntry).req)
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res})
+	k := string(req)
+	c.entries[k] = c.order.PushFront(&cacheEntry{req: k, version: version, body: body})
 }
 
 // Purge drops every entry (called when the warehouse is reloaded).
@@ -85,7 +98,7 @@ func (c *ResultCache) Purge() {
 	c.order.Init()
 }
 
-// Len reports the number of cached results.
+// Len reports the number of cached answers.
 func (c *ResultCache) Len() int {
 	if c == nil {
 		return 0

@@ -9,20 +9,20 @@ import (
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := olap.NewResultCache(2)
-	r := func(n int) *olap.Result { return &olap.Result{Columns: []string{fmt.Sprint(n)}} }
-	c.Put("a", r(1))
-	c.Put("b", r(2))
-	if _, ok := c.Get("a"); !ok { // refresh a → b is now LRU
+	body := func(n int) []byte { return []byte(fmt.Sprint(n)) }
+	c.Put(1, []byte("a"), body(1))
+	c.Put(1, []byte("b"), body(2))
+	if _, ok := c.Get(1, []byte("a")); !ok { // refresh a → b is now LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", r(3)) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Put(1, []byte("c"), body(3)) // evicts b
+	if _, ok := c.Get(1, []byte("b")); ok {
 		t.Fatal("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("a evicted despite refresh")
+	if got, ok := c.Get(1, []byte("a")); !ok || string(got) != "1" {
+		t.Fatalf("a = %q, %v after refresh", got, ok)
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(1, []byte("c")); !ok {
 		t.Fatal("c missing")
 	}
 	if c.Len() != 2 {
@@ -32,7 +32,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("len after purge = %d", c.Len())
 	}
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get(1, []byte("a")); ok {
 		t.Fatal("a survived purge")
 	}
 	hits, misses := c.Stats()
@@ -41,22 +41,46 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestResultCacheVersions: an answer is found only at the version it
+// was computed at, and an answer of an older version never replaces a
+// newer one.
+func TestResultCacheVersions(t *testing.T) {
+	c := olap.NewResultCache(4)
+	req := []byte(`{"fact":"f"}`)
+	c.Put(2, req, []byte("v2"))
+	if _, ok := c.Get(1, req); ok {
+		t.Fatal("a version-2 answer was found at version 1")
+	}
+	if _, ok := c.Get(3, req); ok {
+		t.Fatal("a version-2 answer was found at version 3")
+	}
+	c.Put(1, req, []byte("v1")) // finished late, on an older snapshot
+	if got, ok := c.Get(2, req); !ok || string(got) != "v2" {
+		t.Fatalf("at version 2: %q, %v; want the version-2 answer", got, ok)
+	}
+	c.Put(3, req, []byte("v3"))
+	if got, ok := c.Get(3, req); !ok || string(got) != "v3" {
+		t.Fatalf("at version 3: %q, %v; want the version-3 answer", got, ok)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("len = %d, want one entry per request", c.Len())
+	}
+}
+
 func TestResultCacheDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := olap.NewResultCache(capacity)
-		c.Put("k", &olap.Result{})
-		if _, ok := c.Get("k"); ok {
-			t.Fatalf("capacity %d cached a result", capacity)
+		if c != nil {
+			t.Fatalf("capacity %d built a cache", capacity)
 		}
-	}
-	// A nil cache is inert, not a crash.
-	var nilCache *olap.ResultCache
-	nilCache.Put("k", &olap.Result{})
-	nilCache.Purge()
-	if _, ok := nilCache.Get("k"); ok {
-		t.Fatal("nil cache returned a result")
-	}
-	if nilCache.Len() != 0 {
-		t.Fatal("nil cache has length")
+		// A nil cache is inert, not a crash.
+		c.Put(1, []byte("k"), []byte("v"))
+		c.Purge()
+		if _, ok := c.Get(1, []byte("k")); ok {
+			t.Fatalf("capacity %d cached an answer", capacity)
+		}
+		if hits, misses := c.Stats(); c.Len() != 0 || hits != 0 || misses != 0 {
+			t.Fatalf("capacity %d: len %d, %d hits, %d misses", capacity, c.Len(), hits, misses)
+		}
 	}
 }

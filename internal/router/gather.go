@@ -188,6 +188,9 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		resps := make([]*shard.PartialResponse, len(results))
+		// The gathered answer is of the shards' answer-source class
+		// (X-Quarry-Class) when every shard stamped the same one.
+		class := results[0].header.Get("X-Quarry-Class")
 		for i, r := range results {
 			if r.partial == nil {
 				// The shard itself rejected the query (an ill-typed filter,
@@ -200,6 +203,9 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 				return
 			}
 			resps[i] = r.partial
+			if r.header.Get("X-Quarry-Class") != class {
+				class = ""
+			}
 		}
 		columns, rows, epoch, err := shard.Merge(resps)
 		var answerErr shard.AnswerError
@@ -226,9 +232,12 @@ func (g *ShardRouter) handleOLAP(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		w.Header().Set("X-Quarry-Version", fmt.Sprintf("%d", epoch))
+		if class != "" {
+			w.Header().Set("X-Quarry-Class", class)
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
-		_ = json.NewEncoder(w).Encode(olap.RenderBody(columns, rows))
+		_, _ = w.Write(olap.AppendBody(nil, columns, rows))
 		return
 	}
 	http.Error(w, "shard gather: shards keep answering at different warehouse epochs: "+lastSkew.Error(), http.StatusServiceUnavailable)

@@ -167,6 +167,41 @@ func TestGatherMergesAllShards(t *testing.T) {
 	}
 }
 
+// TestGatherStampsOneClass: a gathered answer carries the answer-source
+// class (X-Quarry-Class) its shards stamped when every shard stamped
+// the same one, and none when they differ or one stamped none.
+func TestGatherStampsOneClass(t *testing.T) {
+	for _, tc := range []struct {
+		classes []string
+		want    string
+	}{
+		{[]string{"fast", "fast", "fast"}, "fast"},
+		{[]string{"matagg", "matagg", "matagg"}, "matagg"},
+		{[]string{"dice", "dice", "dice"}, "dice"},
+		{[]string{"matagg", "fast", "matagg"}, ""},
+		{[]string{"fast", "fast", ""}, ""},
+	} {
+		shards := make([]*fakeShard, len(tc.classes))
+		for i, class := range tc.classes {
+			shards[i] = newFakeShard(t, i, len(tc.classes), 7)
+			pr := partialFor(t, i, len(tc.classes), 7)
+			shards[i].serve(func(w http.ResponseWriter, r *http.Request) {
+				if class != "" {
+					w.Header().Set("X-Quarry-Class", class)
+				}
+				writePartial(w, pr)
+			})
+		}
+		resp, body := postGather(t, gatherOver(t, shards, 1, 0).URL)
+		if resp.StatusCode != http.StatusOK || body != oracleBody(t) {
+			t.Fatalf("shard classes %q: status %d: %s", tc.classes, resp.StatusCode, body)
+		}
+		if got, stamped := resp.Header.Get("X-Quarry-Class"), resp.Header.Values("X-Quarry-Class") != nil; got != tc.want || stamped != (tc.want != "") {
+			t.Fatalf("shard classes %q: gathered class %q (stamped %v), want %q", tc.classes, got, stamped, tc.want)
+		}
+	}
+}
+
 // Shard down at query time: after per-shard retries the whole query
 // fails — never a partial answer from the survivors.
 func TestGatherShardDownFailsWholeQuery(t *testing.T) {

@@ -31,7 +31,10 @@ func TestOLAPBodyPreservesApostrophes(t *testing.T) {
 			{expr.Str("'"), expr.Str(""), expr.Int(-1), expr.Float(0)},
 		},
 	}
-	body := olap.RenderBody(res.Columns, res.Rows)
+	var body struct{ Rows [][]string }
+	if err := json.Unmarshal(olap.AppendBody(nil, res.Columns, res.Rows), &body); err != nil {
+		t.Fatal(err)
+	}
 	want := [][]string{
 		{"'80s rock'", "SPAIN", "7", "1.5"},
 		{"'", "", "-1", "0.0"},

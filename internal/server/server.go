@@ -2,12 +2,12 @@
 // APIs, mirroring the paper's service-oriented architecture (§2.6).
 //
 // This file is the serving path. Every query endpoint is one trip
-// through the same pipeline, serveQuery — decode → validate budget →
-// result-cache lookup → predict class → admit → queue for a slot →
-// execute → account → write → settle — and differs from the next only
-// in the endpoint value it hands that pipeline: where its traffic is
-// counted, whether its answers are result-cached, and the executor
-// that runs the query and renders the body. POST /api/olap (finalised
+// through the same pipeline, serveQuery — read → validate budget →
+// result-cache lookup → decode → predict class → admit → queue for a
+// slot → execute → account → write → settle — and differs from the
+// next only in the endpoint value it hands that pipeline: where its
+// traffic is counted, whether its answers are result-cached, and the
+// executor that runs the query and encodes the body. POST /api/olap (finalised
 // rows) and POST /api/olap/partial (a shard's partial aggregates) are
 // two such values; the admission controller (admission.go), the
 // executor pool, the deadline and the accounting are shared by
@@ -77,8 +77,9 @@ type Server struct {
 	pool          chan struct{}
 	readOnly      bool
 	replicaStatus func() replication.Status
-	// cache holds OLAP results keyed by query + warehouse version; it
-	// is purged whenever /api/run reloads the warehouse.
+	// cache holds encoded OLAP answers keyed by the request's bytes at
+	// a warehouse version; it is purged whenever /api/run reloads the
+	// warehouse, and nil when caching is disabled.
 	cache *olap.ResultCache
 	// adm is the SLO-driven admission controller shared by every query
 	// endpoint; always non-nil (shedding disabled when
@@ -146,8 +147,8 @@ func NewWithOptions(p *core.Platform, opts Options) *Server {
 	// The query endpoints: one pipeline (serveQuery), two descriptions.
 	// Both share the admission controller, the executor pool and the
 	// deadline.
-	s.mux.HandleFunc("POST /api/olap", s.serveQuery(&endpoint{traffic: &s.olap, cache: s.cache, execute: executeOLAP}))
-	s.mux.HandleFunc("POST /api/olap/partial", s.serveQuery(&endpoint{execute: s.executePartial}))
+	s.mux.HandleFunc("POST /api/olap", s.serveQuery(&endpoint{traffic: &s.olap, cache: s.cache, ctype: "application/json", execute: executeOLAP}))
+	s.mux.HandleFunc("POST /api/olap/partial", s.serveQuery(&endpoint{ctype: "application/octet-stream", execute: s.executePartial}))
 	s.mux.HandleFunc("GET /api/olap/stats", s.handleOLAPStats)
 	// Replication feed (the primary side of segment shipping): any
 	// disk-backed node serves its committed manifest and immutable
@@ -248,19 +249,22 @@ type endpoint struct {
 	// traffic counts the endpoint's requests; nil leaves them uncounted.
 	traffic *traffic
 	// cache makes the endpoint result-cached: hits are answered before
-	// admission, completed answers are published. nil: never cached.
+	// decoding and admission, completed answers are published. nil:
+	// never cached.
 	cache *olap.ResultCache
+	// ctype is the Content-Type of the endpoint's answers.
+	ctype string
 	// execute runs the decoded query (oracle: the request asked for the
-	// reference executor) and renders the answer's body. It runs holding
+	// reference executor) and encodes the answer's body. It runs holding
 	// an executor slot, under the request's deadline.
 	execute func(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle bool) (answer, error)
 }
 
-// answer is an executed query, rendered.
+// answer is an executed query, encoded.
 type answer struct {
-	// body is written as JSON, or as it is when it is a []byte (a
-	// shard's partial frame).
-	body any
+	// body is the answer's bytes as they are written: the JSON document
+	// of a finalised answer, or a shard's partial frame.
+	body []byte
 	// version is the warehouse version of the snapshot the answer
 	// actually came from (X-Quarry-Version), so clients cross-checking
 	// two answers (e.g. quarrybench's oracle spot checks) can tell
@@ -270,9 +274,6 @@ type answer struct {
 	// (X-Quarry-Class); "" when it stamps none, and the class predicted
 	// at admission stands.
 	class string
-	// result is what a result-cached endpoint publishes; nil for an
-	// answer that is not cacheable.
-	result *olap.Result
 }
 
 // statusError is an execution failure that names its own HTTP status
@@ -284,7 +285,8 @@ type statusError struct {
 
 // reply is what a trip through the query pipeline comes to: where the
 // request is counted and what is written. A nil body writes nothing —
-// the client is gone.
+// the client is gone; a []byte is an answer, written as it is; any
+// other body is encoded as JSON.
 type reply struct {
 	outcome outcome
 	status  int
@@ -379,8 +381,9 @@ func queryFailure(r *http.Request, ctx context.Context, held hold, budget time.D
 
 // serveQuery is the one pipeline every query endpoint runs:
 //
-//	decode → validate budget → result-cache lookup → predict class →
-//	admit → queue for a slot → execute → account → write → settle
+//	read → validate budget → result-cache lookup → decode →
+//	predict class → admit → queue for a slot → execute → account →
+//	write → settle
 //
 // answerQuery walks the stages up to execute and may leave at any of
 // them; wherever it leaves, it leaves with a reply, and the rest
@@ -397,7 +400,7 @@ func (s *Server) serveQuery(ep *endpoint) http.HandlerFunc {
 		// is held for — execution plus serialization — or the backlog
 		// projection promises a drain rate the pool cannot deliver and
 		// admitted requests overshoot the SLO; that is why the ticket is
-		// settled after writeJSON, not after the query. The slot time was
+		// settled after the write, not after the query. The slot time was
 		// burned even if the query failed (or panicked), so it still feeds
 		// the class's service-time estimate; a query that never got a slot
 		// observes nothing.
@@ -421,8 +424,8 @@ func (s *Server) serveQuery(ep *endpoint) http.HandlerFunc {
 		ep.traffic.record(rep.outcome)
 		switch body := rep.body.(type) {
 		case nil:
-		case []byte: // a shard's partial answer: the frame as it is
-			w.Header().Set("Content-Type", "application/octet-stream")
+		case []byte:
+			w.Header().Set("Content-Type", ep.ctype)
 			w.WriteHeader(rep.status)
 			_, _ = w.Write(body)
 		default:
@@ -434,25 +437,21 @@ func (s *Server) serveQuery(ep *endpoint) http.HandlerFunc {
 // decodeObject decodes a request body that must be exactly one JSON
 // object: null, an array or a scalar is refused, and so is anything but
 // white space after the object (json.Unmarshal's rule).
-func decodeObject(r io.Reader, v any) error {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
+func decodeObject(raw []byte, v any) error {
 	if lead := bytes.TrimLeft(raw, " \t\r\n"); len(lead) == 0 || lead[0] != '{' {
 		return errors.New("request body is not a JSON object")
 	}
 	return json.Unmarshal(raw, v)
 }
 
-// answerQuery is serveQuery's stages from decode to execute. It sets
+// answerQuery is serveQuery's stages from read to execute. It sets
 // response headers but writes nothing: status and body travel in the
 // reply, and what the query takes on the way is noted in held.
 func (s *Server) answerQuery(ep *endpoint, w http.ResponseWriter, r *http.Request, held *hold) reply {
 	arrival := time.Now()
 	hdr := w.Header()
-	var body olapRequest
-	if err := decodeObject(http.MaxBytesReader(w, r.Body, 1<<20), &body); err != nil {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		return failure(http.StatusBadRequest, err)
 	}
 	// The budget: header first, server default second, 0 for none. A
@@ -465,29 +464,33 @@ func (s *Server) answerQuery(ep *endpoint, w http.ResponseWriter, r *http.Reques
 	if budget == 0 {
 		budget = s.defaultDeadline
 	}
-	// Cache lookup: canonical request JSON + current warehouse version.
-	// A lookup keyed one version behind is merely a miss; storing is
-	// the dangerous direction, so Put below keys by the version of the
-	// snapshot the query ACTUALLY ran against (ans.version) — reading
-	// the version here and reusing it for the Put would, when an ETL
-	// run commits between the two, file a newer-snapshot result under
-	// the older version's key and serve stale-keyed data forever
-	// after. Hits are answered before touching the query pool — and
-	// before admission control: a cache hit costs microseconds and is
-	// ALWAYS admitted, which is what keeps dashboards alive while the
-	// expensive classes shed.
-	var canonical []byte
+	// Cache lookup: the request's own bytes at the current warehouse
+	// version, before they are decoded. Only completed answers are
+	// published, and identical bytes decode to the same query, so a hit
+	// answers what decoding and executing would; a body refused below
+	// is never in the cache. A lookup one version behind is merely a
+	// miss; storing is the dangerous direction, so Put below files the
+	// answer under the version of the snapshot the query ACTUALLY ran
+	// against (ans.version) — reusing the version read here would, when
+	// an ETL run commits between the two, file a newer-snapshot answer
+	// under the older version and serve stale-keyed data forever after.
+	// Hits are answered before touching the query pool — and before
+	// admission control: a cache hit costs microseconds and is ALWAYS
+	// admitted, which is what keeps dashboards alive while the expensive
+	// classes shed.
 	if db := s.p.DB(); db != nil && ep.cache != nil {
-		if c, err := json.Marshal(body); err == nil {
-			canonical = c
-			if res, ok := ep.cache.Get(cacheKey(db.Version(), c)); ok {
-				s.adm.observe(classCacheHit, time.Since(arrival).Nanoseconds())
-				hdr.Set("X-Quarry-Cache", "hit")
-				hdr.Set("X-Quarry-Class", olap.ClassCacheHit)
-				hdr.Set("X-Quarry-Version", strconv.FormatUint(res.Version, 10))
-				return reply{outcome: answered, status: http.StatusOK, body: olap.RenderBody(res.Columns, res.Rows)}
-			}
+		version := db.Version()
+		if cached, ok := ep.cache.Get(version, raw); ok {
+			s.adm.observe(classCacheHit, time.Since(arrival).Nanoseconds())
+			hdr.Set("X-Quarry-Cache", "hit")
+			hdr.Set("X-Quarry-Class", olap.ClassCacheHit)
+			hdr.Set("X-Quarry-Version", strconv.FormatUint(version, 10))
+			return reply{outcome: answered, status: http.StatusOK, body: cached}
 		}
+	}
+	var body olapRequest
+	if err := decodeObject(raw, &body); err != nil {
+		return failure(http.StatusBadRequest, err)
 	}
 	// The deadline rides the request context end-to-end: queue wait
 	// below, then the executors' batch-boundary checks, so an expired
@@ -542,10 +545,10 @@ func (s *Server) answerQuery(ep *endpoint, w http.ResponseWriter, r *http.Reques
 	if err != nil {
 		return queryFailure(r, ctx, *held, budget, arrival, err)
 	}
-	if canonical != nil {
+	if ep.cache != nil {
 		// An expired or failed query never reaches this Put: only
 		// completed answers are published to the result cache.
-		ep.cache.Put(cacheKey(ans.version, canonical), ans.result)
+		ep.cache.Put(ans.version, raw, ans.body)
 		hdr.Set("X-Quarry-Cache", "miss")
 	}
 	if ans.class != "" {
@@ -554,12 +557,6 @@ func (s *Server) answerQuery(ep *endpoint, w http.ResponseWriter, r *http.Reques
 	}
 	hdr.Set("X-Quarry-Version", strconv.FormatUint(ans.version, 10))
 	return reply{outcome: answered, status: http.StatusOK, body: ans.body}
-}
-
-// cacheKey keys a result by the warehouse version it was computed at
-// and the canonical request JSON.
-func cacheKey(version uint64, canonical []byte) string {
-	return fmt.Sprintf("v%d:%s", version, canonical)
 }
 
 // executeOLAP is POST /api/olap's executor: the cube query answered in
@@ -576,7 +573,7 @@ func executeOLAP(ctx context.Context, oe *olap.Engine, q olap.CubeQuery, oracle 
 	if err != nil {
 		return answer{}, err
 	}
-	return answer{body: olap.RenderBody(res.Columns, res.Rows), version: res.Version, class: res.Class, result: res}, nil
+	return answer{body: olap.AppendBody(nil, res.Columns, res.Rows), version: res.Version, class: res.Class}, nil
 }
 
 // executePartial is POST /api/olap/partial's executor: the cube query
@@ -677,7 +674,7 @@ type olapStatsResponse struct {
 	Shed             int64 `json:"shed"`
 	QueryErrors      int64 `json:"query_errors"`
 	DeadlineExceeded int64 `json:"deadline_exceeded"`
-	// Result cache (query + version keyed LRU).
+	// Result cache (LRU of answers keyed by request bytes + version).
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
