@@ -23,7 +23,6 @@ import (
 	"quarry/internal/ontology"
 	"quarry/internal/pdi"
 	"quarry/internal/quality"
-	"quarry/internal/repo"
 	"quarry/internal/sqlgen"
 	"quarry/internal/storage"
 	"quarry/internal/tpch"
@@ -503,8 +502,8 @@ func BenchmarkAblation_OLAPFromDWvsSources(b *testing.B) {
 }
 
 // BenchmarkAblation_MetadataLayer measures the Communication &
-// Metadata layer: repository save/load of a unified ETL design of
-// realistic size.
+// Metadata layer: the xLM round trip (marshal, then unmarshal) of a
+// unified ETL design of realistic size.
 func BenchmarkAblation_MetadataLayer(b *testing.B) {
 	in, cost := tpchInterp(b, 1)
 	etlInt := etlintegrator.New(cost, true)
@@ -519,16 +518,13 @@ func BenchmarkAblation_MetadataLayer(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("repository_save_load", func(b *testing.B) {
-		designs, err := repo.Open("")
-		if err != nil {
-			b.Fatal(err)
-		}
+	b.Run("xlm_roundtrip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := designs.SaveETL("unified", unified); err != nil {
+			text, err := xlm.Marshal(unified)
+			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := designs.ETL("unified"); err != nil {
+			if _, err := xlm.Unmarshal(text); err != nil {
 				b.Fatal(err)
 			}
 		}

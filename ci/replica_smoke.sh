@@ -16,33 +16,9 @@ REPLICA1_PORT=18081 # shared-dir transport
 REPLICA2_PORT=18082 # HTTP transport
 ROUTER_PORT=18090
 
-BIN="$(mktemp -d)"
-WORK="$(mktemp -d)"
-PIDS=()
-cleanup() {
-    for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-    wait 2>/dev/null || true
-    rm -rf "$BIN" "$WORK"
-}
-trap cleanup EXIT
-
-log() { echo "replica-smoke: $*" >&2; }
-die() {
-    log "FAIL: $*"
-    exit 1
-}
-
-# wait_until DESC URL GREP: poll URL (2s curl timeout) until the body
-# matches GREP, for up to ~60s.
-wait_until() {
-    local desc=$1 url=$2 want=$3 body=""
-    for _ in $(seq 1 120); do
-        body="$(curl -fsS -m 2 "$url" 2>/dev/null || true)"
-        if grep -q "$want" <<<"$body"; then return 0; fi
-        sleep 0.5
-    done
-    die "$desc: $url never matched '$want' (last body: $body)"
-}
+SMOKE=replica-smoke
+# shellcheck source=ci/lib.sh
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 
 log "building binaries (GOFLAGS=${GOFLAGS:-})"
 go build -o "$BIN" ./cmd/quarryd ./cmd/quarryrouter ./cmd/quarry

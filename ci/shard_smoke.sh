@@ -22,32 +22,9 @@ SHARD0_PORT=19081
 SHARD1_PORT=19082
 GATHER_PORT=19090
 
-BIN="$(mktemp -d)"
-PIDS=()
-cleanup() {
-    for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
-    wait 2>/dev/null || true
-    rm -rf "$BIN"
-}
-trap cleanup EXIT
-
-log() { echo "shard-smoke: $*" >&2; }
-die() {
-    log "FAIL: $*"
-    exit 1
-}
-
-# wait_until DESC URL GREP: poll URL (2s curl timeout) until the body
-# matches GREP, for up to ~60s.
-wait_until() {
-    local desc=$1 url=$2 want=$3 body=""
-    for _ in $(seq 1 120); do
-        body="$(curl -fsS -m 2 "$url" 2>/dev/null || true)"
-        if grep -q "$want" <<<"$body"; then return 0; fi
-        sleep 0.5
-    done
-    die "$desc: $url never matched '$want' (last body: $body)"
-}
+SMOKE=shard-smoke
+# shellcheck source=ci/lib.sh
+source "$(dirname "${BASH_SOURCE[0]}")/lib.sh"
 
 log "building binaries (GOFLAGS=${GOFLAGS:-})"
 go build -o "$BIN" ./cmd/quarryd ./cmd/quarryrouter ./cmd/quarry

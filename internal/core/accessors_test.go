@@ -10,7 +10,7 @@ import (
 
 func TestAccessors(t *testing.T) {
 	p := newPlatform(t, 1)
-	if p.Elicitor() == nil || p.DB() == nil || p.Repository() == nil {
+	if p.Elicitor() == nil || p.DB() == nil {
 		t.Fatal("nil component accessor")
 	}
 	// Empty-platform behaviour.

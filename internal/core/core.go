@@ -1,20 +1,24 @@
 // Package core wires Quarry's components into the end-to-end platform
 // of the paper's Figure 1: Requirements Elicitor → Requirements
-// Interpreter → Design Integrator (MD + ETL) → Design Deployer, all
-// communicating through the metadata repository.
+// Interpreter → Design Integrator (MD + ETL) → Design Deployer, over the
+// metadata repository that holds the requirements every design is
+// derived from.
 //
 // The Platform owns the DW design lifecycle: requirements are added,
 // changed or removed; each change re-derives validated partial
 // designs, incrementally integrates them into the unified design
 // solutions, re-checks soundness (MD integrity constraints) and
 // satisfiability (every registered requirement is still answerable),
-// and keeps the repository current. Deployment produces the
+// and writes the requirement list to the repository before the change
+// is applied. Deployment produces the
 // platform-specific artifacts (PostgreSQL DDL, Pentaho PDI .ktr) and
 // can execute the unified ETL natively to populate the deployed DW.
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -49,8 +53,8 @@ type Config struct {
 	// DB is the execution platform holding source data and receiving
 	// the deployed DW tables; optional (required only for Run).
 	DB *storage.DB
-	// StoreDir persists the metadata repository; empty keeps it in
-	// memory.
+	// StoreDir persists the requirement list (internal/repo); empty
+	// keeps it in memory only.
 	StoreDir string
 	// MatAggTopK enables the OLAP materialized-aggregate store (plus
 	// the per-dimension build-side cache), materializing up to K hot
@@ -76,14 +80,16 @@ type Platform struct {
 	interp    *interpreter.Interpreter
 	mdInt     *mdintegrator.Integrator
 	etlInt    *etlintegrator.Integrator
-	repo      *repo.Designs
+	storeDir  string
 	etlCost   quality.ETLCostModel
 	shardSpec shard.Spec
 
-	mu         sync.Mutex
-	order      []string // requirement ids in registration order
-	reqs       map[string]*xrq.Requirement
-	partials   map[string]*interpreter.PartialDesign
+	mu sync.Mutex
+	// lifecycle holds the registered requirements in registration
+	// order, each with its partial design; the unified designs are
+	// integrated from it. A change replaces all three at once, and only
+	// after the new list is written.
+	lifecycle  []registered
 	unifiedMD  *xmd.Schema
 	unifiedETL *xlm.Design
 	// olapEng is the lazily-built OLAP engine over the current unified
@@ -112,10 +118,6 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	designs, err := repo.Open(cfg.StoreDir)
-	if err != nil {
-		return nil, err
-	}
 	etlCost := quality.DefaultETLCost(cfg.Catalog)
 	p := &Platform{
 		onto:      cfg.Ontology,
@@ -126,54 +128,57 @@ func New(cfg Config) (*Platform, error) {
 		interp:    interp,
 		mdInt:     mdintegrator.New(nil, nil),
 		etlInt:    etlintegrator.New(etlCost, true),
-		repo:      designs,
+		storeDir:  cfg.StoreDir,
 		etlCost:   etlCost,
 		shardSpec: cfg.Shard,
-		reqs:      map[string]*xrq.Requirement{},
-		partials:  map[string]*interpreter.PartialDesign{},
 	}
 	if cfg.MatAggTopK > 0 {
 		p.matAgg = olap.NewMatAgg(cfg.MatAggTopK)
 	}
-	// A persistent repository may already hold a lifecycle; restore
-	// it so the platform resumes where the previous session stopped.
-	if cfg.StoreDir != "" {
-		if err := p.restore(); err != nil {
-			return nil, fmt.Errorf("core: restoring lifecycle from %s: %w", cfg.StoreDir, err)
-		}
+	// A store directory may already hold a lifecycle; restore it so the
+	// platform resumes where the previous session stopped.
+	if err := p.restore(); err != nil {
+		return nil, fmt.Errorf("core: restoring lifecycle from %s: %w", cfg.StoreDir, err)
 	}
 	return p, nil
 }
 
-// restore reloads registered requirements from the repository,
-// re-interprets them and re-derives the unified designs.
+// registered is one requirement of the lifecycle with its partial
+// design.
+type registered struct {
+	req *xrq.Requirement
+	pd  *interpreter.PartialDesign
+}
+
+// ErrStore marks a change the platform could not write to its store
+// directory; such a change is not applied.
+var ErrStore = errors.New("core: writing the requirement list failed")
+
+// restore loads the stored requirements, re-interprets them and
+// re-derives the unified designs.
 func (p *Platform) restore() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, id := range p.repo.Requirements() {
-		r, err := p.repo.Requirement(id)
-		if err != nil {
-			return err
-		}
+	reqs, err := repo.Load(p.storeDir)
+	if err != nil {
+		return err
+	}
+	list := make([]registered, 0, len(reqs))
+	for _, r := range reqs {
 		pd, err := p.interp.Interpret(r)
 		if err != nil {
 			return err
 		}
-		p.reqs[id] = r
-		p.partials[id] = pd
-		p.order = append(p.order, id)
+		list = append(list, registered{r, pd})
 	}
-	if len(p.order) == 0 {
-		return nil
+	md, etl, err := p.derive(list)
+	if err != nil {
+		return err
 	}
-	return p.rederiveLocked()
+	p.lifecycle, p.unifiedMD, p.unifiedETL = list, md, etl
+	return nil
 }
 
 // Elicitor exposes the Requirements Elicitor backend.
 func (p *Platform) Elicitor() *elicitor.Elicitor { return p.elic }
-
-// Repository exposes the metadata repository.
-func (p *Platform) Repository() *repo.Designs { return p.repo }
 
 // DB exposes the execution platform.
 func (p *Platform) DB() *storage.DB { return p.db }
@@ -196,7 +201,7 @@ func (p *Platform) AddRequirement(r *xrq.Requirement) (*ChangeReport, error) {
 	if r == nil {
 		return nil, fmt.Errorf("core: nil requirement")
 	}
-	if _, dup := p.reqs[r.ID]; dup {
+	if p.find(r.ID) >= 0 {
 		return nil, fmt.Errorf("core: requirement %q already registered (use ChangeRequirement)", r.ID)
 	}
 	pd, err := p.interp.Interpret(r)
@@ -215,15 +220,8 @@ func (p *Platform) AddRequirement(r *xrq.Requirement) (*ChangeReport, error) {
 	if err := p.checkAllSatisfiedLocked(newMD, r); err != nil {
 		return nil, err
 	}
-	// Commit.
-	p.reqs[r.ID] = r.Clone()
-	p.partials[r.ID] = pd
-	p.order = append(p.order, r.ID)
-	p.unifiedMD = newMD
-	p.unifiedETL = newETL
-	p.olapEng = nil
-	p.matAgg.Invalidate()
-	if err := p.persistLocked(r, pd, true); err != nil {
+	list := append(slices.Clip(p.lifecycle), registered{r.Clone(), pd})
+	if err := p.commitLocked(list, newMD, newETL); err != nil {
 		return nil, err
 	}
 	return &ChangeReport{RequirementID: r.ID, MD: mdRep, ETL: etlRep}, nil
@@ -235,26 +233,11 @@ func (p *Platform) AddRequirement(r *xrq.Requirement) (*ChangeReport, error) {
 func (p *Platform) RemoveRequirement(id string) (*ChangeReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.reqs[id]; !ok {
+	i := p.find(id)
+	if i < 0 {
 		return nil, fmt.Errorf("core: requirement %q not registered", id)
 	}
-	delete(p.reqs, id)
-	delete(p.partials, id)
-	for i, oid := range p.order {
-		if oid == id {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
-	p.repo.DeleteRequirement(id)
-	p.repo.DeleteMD(partialKey(id))
-	p.repo.DeleteETL(partialKey(id))
-	if err := p.rederiveLocked(); err != nil {
-		return nil, err
-	}
-	// Without the flush a restart over the same StoreDir restores the
-	// removed requirement.
-	if err := p.repo.Flush(); err != nil {
+	if err := p.rederiveLocked(slices.Delete(slices.Clone(p.lifecycle), i, i+1)); err != nil {
 		return nil, err
 	}
 	return &ChangeReport{RequirementID: id, Rederived: true}, nil
@@ -268,74 +251,74 @@ func (p *Platform) ChangeRequirement(r *xrq.Requirement) (*ChangeReport, error) 
 	if r == nil {
 		return nil, fmt.Errorf("core: nil requirement")
 	}
-	if _, ok := p.reqs[r.ID]; !ok {
+	i := p.find(r.ID)
+	if i < 0 {
 		return nil, fmt.Errorf("core: requirement %q not registered", r.ID)
 	}
 	pd, err := p.interp.Interpret(r)
 	if err != nil {
 		return nil, err
 	}
-	old := p.reqs[r.ID]
-	oldPD := p.partials[r.ID]
-	p.reqs[r.ID] = r.Clone()
-	p.partials[r.ID] = pd
-	if err := p.rederiveLocked(); err != nil {
-		// Roll back.
-		p.reqs[r.ID] = old
-		p.partials[r.ID] = oldPD
-		_ = p.rederiveLocked()
-		return nil, err
-	}
-	// rederiveLocked has stored the unified designs already.
-	if err := p.persistLocked(r, pd, false); err != nil {
+	list := slices.Clone(p.lifecycle)
+	list[i] = registered{r.Clone(), pd}
+	if err := p.rederiveLocked(list); err != nil {
 		return nil, err
 	}
 	return &ChangeReport{RequirementID: r.ID, Rederived: true}, nil
 }
 
-// rederiveLocked rebuilds the unified designs by re-integrating all
-// registered partial designs in registration order.
-func (p *Platform) rederiveLocked() error {
-	var md *xmd.Schema
-	var etl *xlm.Design
-	for _, id := range p.order {
-		pd := p.partials[id]
-		var err error
-		md, _, err = p.mdInt.Integrate(md, pd.MD)
-		if err != nil {
-			return err
-		}
-		etl, _, err = p.etlInt.Integrate(etl, pd.ETL)
-		if err != nil {
-			return err
-		}
-	}
-	if md != nil {
-		for _, id := range p.order {
-			if err := interpreter.Satisfies(md, p.reqs[id]); err != nil {
-				return fmt.Errorf("core: re-derived design unsatisfiable: %w", err)
-			}
-		}
-	}
-	p.unifiedMD = md
-	p.unifiedETL = etl
-	p.olapEng = nil
-	p.matAgg.Invalidate()
-	return p.saveUnifiedLocked()
+// find returns the position of requirement id in the lifecycle, or -1.
+func (p *Platform) find(id string) int {
+	return slices.IndexFunc(p.lifecycle, func(e registered) bool { return e.req.ID == id })
 }
 
-// saveUnifiedLocked stores the current unified designs.
-func (p *Platform) saveUnifiedLocked() error {
-	if p.unifiedMD != nil {
-		if err := p.repo.SaveMD("unified", p.unifiedMD); err != nil {
-			return err
+// derive integrates the partial designs of list, in order, into unified
+// designs that satisfy every requirement of list (nil designs for an
+// empty list). It reads no platform state.
+func (p *Platform) derive(list []registered) (*xmd.Schema, *xlm.Design, error) {
+	var md *xmd.Schema
+	var etl *xlm.Design
+	for _, e := range list {
+		var err error
+		if md, _, err = p.mdInt.Integrate(md, e.pd.MD); err != nil {
+			return nil, nil, err
+		}
+		if etl, _, err = p.etlInt.Integrate(etl, e.pd.ETL); err != nil {
+			return nil, nil, err
 		}
 	}
-	if p.unifiedETL != nil {
-		if err := p.repo.SaveETL("unified", p.unifiedETL); err != nil {
-			return err
+	for _, e := range list {
+		if err := interpreter.Satisfies(md, e.req); err != nil {
+			return nil, nil, fmt.Errorf("core: re-derived design unsatisfiable: %w", err)
 		}
 	}
+	return md, etl, nil
+}
+
+// rederiveLocked makes list the lifecycle, with unified designs derived
+// from scratch.
+func (p *Platform) rederiveLocked(list []registered) error {
+	md, etl, err := p.derive(list)
+	if err != nil {
+		return err
+	}
+	return p.commitLocked(list, md, etl)
+}
+
+// commitLocked writes list as the stored requirement list and, once the
+// write succeeded, makes it the lifecycle with md and etl its unified
+// designs. A failed write changes nothing.
+func (p *Platform) commitLocked(list []registered, md *xmd.Schema, etl *xlm.Design) error {
+	reqs := make([]*xrq.Requirement, len(list))
+	for i, e := range list {
+		reqs[i] = e.req
+	}
+	if err := repo.Write(p.storeDir, reqs); err != nil {
+		return fmt.Errorf("%w: %w", ErrStore, err)
+	}
+	p.lifecycle, p.unifiedMD, p.unifiedETL = list, md, etl
+	p.olapEng = nil
+	p.matAgg.Invalidate()
 	return nil
 }
 
@@ -345,37 +328,12 @@ func (p *Platform) checkAllSatisfiedLocked(md *xmd.Schema, incoming *xrq.Require
 	if err := interpreter.Satisfies(md, incoming); err != nil {
 		return fmt.Errorf("core: new design does not satisfy %q: %w", incoming.ID, err)
 	}
-	for _, id := range p.order {
-		if err := interpreter.Satisfies(md, p.reqs[id]); err != nil {
-			return fmt.Errorf("core: integration would break requirement %q: %w", id, err)
+	for _, e := range p.lifecycle {
+		if err := interpreter.Satisfies(md, e.req); err != nil {
+			return fmt.Errorf("core: integration would break requirement %q: %w", e.req.ID, err)
 		}
 	}
 	return nil
-}
-
-// partialKey is the repository key of a requirement's partial MD and
-// ETL designs.
-func partialKey(id string) string { return "partial:" + id }
-
-// persistLocked stores a requirement with its partial designs — and the
-// unified designs when the caller has not stored them since they last
-// changed — and flushes the repository.
-func (p *Platform) persistLocked(r *xrq.Requirement, pd *interpreter.PartialDesign, unified bool) error {
-	if err := p.repo.SaveRequirement(r); err != nil {
-		return err
-	}
-	if err := p.repo.SaveMD(partialKey(r.ID), pd.MD); err != nil {
-		return err
-	}
-	if err := p.repo.SaveETL(partialKey(r.ID), pd.ETL); err != nil {
-		return err
-	}
-	if unified {
-		if err := p.saveUnifiedLocked(); err != nil {
-			return err
-		}
-	}
-	return p.repo.Flush()
 }
 
 // Requirements returns the registered requirements in registration
@@ -383,9 +341,9 @@ func (p *Platform) persistLocked(r *xrq.Requirement, pd *interpreter.PartialDesi
 func (p *Platform) Requirements() []*xrq.Requirement {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*xrq.Requirement, 0, len(p.order))
-	for _, id := range p.order {
-		out = append(out, p.reqs[id].Clone())
+	out := make([]*xrq.Requirement, 0, len(p.lifecycle))
+	for _, e := range p.lifecycle {
+		out = append(out, e.req.Clone())
 	}
 	return out
 }
@@ -410,8 +368,11 @@ func (p *Platform) Unified() (*xmd.Schema, *xlm.Design) {
 func (p *Platform) Partial(id string) (*interpreter.PartialDesign, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pd, ok := p.partials[id]
-	return pd, ok
+	i := p.find(id)
+	if i < 0 {
+		return nil, false
+	}
+	return p.lifecycle[i].pd, true
 }
 
 // CheckSatisfiability re-verifies that every registered requirement
@@ -420,13 +381,13 @@ func (p *Platform) CheckSatisfiability() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.unifiedMD == nil {
-		if len(p.order) == 0 {
+		if len(p.lifecycle) == 0 {
 			return nil
 		}
 		return fmt.Errorf("core: no unified design")
 	}
-	for _, id := range p.order {
-		if err := interpreter.Satisfies(p.unifiedMD, p.reqs[id]); err != nil {
+	for _, e := range p.lifecycle {
+		if err := interpreter.Satisfies(p.unifiedMD, e.req); err != nil {
 			return err
 		}
 	}
@@ -596,10 +557,9 @@ func (p *Platform) MatAgg() *olap.MatAgg {
 // against.
 func (p *Platform) RunSeparately() (*engine.Result, error) {
 	p.mu.Lock()
-	order := append([]string(nil), p.order...)
-	flows := make([]*xlm.Design, 0, len(order))
-	for _, id := range order {
-		flows = append(flows, p.partials[id].ETL.Clone())
+	flows := make([]*xlm.Design, 0, len(p.lifecycle))
+	for _, e := range p.lifecycle {
+		flows = append(flows, e.pd.ETL.Clone())
 	}
 	db := p.db
 	p.mu.Unlock()

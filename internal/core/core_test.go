@@ -229,24 +229,28 @@ func TestChangeRequirement(t *testing.T) {
 	}
 }
 
+// TestRepositoryHoldsArtifacts: the requirements are the one artifact
+// the repository holds. After adds, a change and a removal a fresh store
+// directory holds requirements.json only, and a platform restarted over
+// it re-derives byte for byte the live platform's designs.
 func TestRepositoryHoldsArtifacts(t *testing.T) {
-	p := newPlatform(t, 1)
-	if _, err := p.AddRequirement(tpch.RevenueRequirement()); err != nil {
+	dir := t.TempDir()
+	live := newPersistentPlatform(t, dir)
+	for _, r := range tpch.CanonicalRequirements() {
+		if _, err := live.AddRequirement(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changed := tpch.RevenueRequirement()
+	changed.Slicers[0].Value = "FRANCE"
+	if _, err := live.ChangeRequirement(changed); err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Repository().Requirement("IR_revenue")
-	if err != nil || r.ID != "IR_revenue" {
-		t.Errorf("repo requirement = %v, %v", r, err)
+	if _, err := live.RemoveRequirement("IR_netprofit"); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.Repository().MD("partial:IR_revenue"); err != nil {
-		t.Errorf("partial MD missing: %v", err)
-	}
-	if _, err := p.Repository().MD("unified"); err != nil {
-		t.Errorf("unified MD missing: %v", err)
-	}
-	if _, err := p.Repository().ETL("unified"); err != nil {
-		t.Errorf("unified ETL missing: %v", err)
-	}
+	storeHoldsRequirementsOnly(t, dir)
+	sameDesigns(t, "restarted", newPersistentPlatform(t, dir), live)
 }
 
 func TestDeployAndRunRequireDesigns(t *testing.T) {

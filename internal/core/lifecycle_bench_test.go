@@ -10,7 +10,7 @@ import (
 // lifecycle_reload runs: a platform holding the four canonical
 // requirements; one op removes every one of them and adds them back in
 // the same order — interpretation, integration, the satisfiability
-// checks and every repository save and flush those changes make. No
+// checks and the write of the requirement list each change makes. No
 // ETL runs.
 func benchmarkRequirementLifecycle(b *testing.B, storeDir string) {
 	p, err := New(tpchConfig(b, storeDir))
@@ -58,11 +58,11 @@ func tpchConfig(tb testing.TB, storeDir string) Config {
 	return Config{Ontology: onto, Mapping: mapg, Catalog: cat, StoreDir: storeDir}
 }
 
-// BenchmarkRequirementLifecycle_Mem: the repository kept in memory.
+// BenchmarkRequirementLifecycle_Mem: no store directory.
 func BenchmarkRequirementLifecycle_Mem(b *testing.B) { benchmarkRequirementLifecycle(b, "") }
 
-// BenchmarkRequirementLifecycle_Dir: the repository in a directory, so
-// every change also writes the collections it touched.
+// BenchmarkRequirementLifecycle_Dir: a store directory, so every
+// change also writes the requirement list.
 func BenchmarkRequirementLifecycle_Dir(b *testing.B) {
 	benchmarkRequirementLifecycle(b, b.TempDir())
 }

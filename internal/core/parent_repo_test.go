@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -18,7 +19,9 @@ import (
 // the build before the repository stopped storing a JSON projection of
 // every design: IR_revenue and IR_netprofit registered, IR_supplycost
 // added between them and then removed. Each document carries the
-// "json" tree beside its "xml" text.
+// "json" tree beside its "xml" text. Builds of that time also stored
+// every partial and unified design (md_designs.json, etl_designs.json);
+// they are no longer read.
 const parentRepo = "testdata/parent_repo"
 
 var collectionFiles = []string{"requirements.json", "md_designs.json", "etl_designs.json"}
@@ -50,26 +53,17 @@ func copyParentRepo(t *testing.T, edit func(file string, docs []map[string]any) 
 }
 
 // designTexts is everything a platform's lifecycle consists of, as the
-// canonical XML texts: each registered requirement, its stored
-// requirement and partial designs, and the unified designs.
+// canonical XML texts: each registered requirement, its partial
+// designs, and the unified designs.
 func designTexts(t *testing.T, p *Platform) []string {
 	t.Helper()
 	var out []string
 	for _, r := range p.Requirements() {
-		out = append(out, r.ID, mustXML(t, xrq.Marshal, r))
-		stored, err := p.Repository().Requirement(r.ID)
-		if err != nil {
-			t.Fatal(err)
+		pd, ok := p.Partial(r.ID)
+		if !ok {
+			t.Fatalf("no partial design of %s", r.ID)
 		}
-		md, err := p.Repository().MD(partialKey(r.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		etl, err := p.Repository().ETL(partialKey(r.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, mustXML(t, xrq.Marshal, stored), mustXML(t, xmd.Marshal, md), mustXML(t, xlm.Marshal, etl))
+		out = append(out, r.ID, mustXML(t, xrq.Marshal, r), mustXML(t, xmd.Marshal, pd.MD), mustXML(t, xlm.Marshal, pd.ETL))
 	}
 	md, etl := p.Unified()
 	if md == nil || etl == nil {
@@ -94,8 +88,9 @@ func sameDesigns(t *testing.T, what string, got, want *Platform) {
 // TestParentRepositoryRestores: a platform restored from the fixture
 // holds byte for byte the designs a fresh in-memory platform derives
 // from the same two requirements; after one more change the rewritten
-// files carry no "json" key, and a platform reopened over them is the
-// live one.
+// requirement list carries no "json" key, the older design files are
+// as they were, and a platform reopened over the directory is the live
+// one.
 func TestParentRepositoryRestores(t *testing.T) {
 	dir := copyParentRepo(t, nil)
 	restored := newPersistentPlatform(t, dir)
@@ -116,31 +111,42 @@ func TestParentRepositoryRestores(t *testing.T) {
 		}
 	}
 	sameDesigns(t, "after one more change", restored, fresh)
-	for _, name := range collectionFiles {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	data, err := os.ReadFile(filepath.Join(dir, "requirements.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []map[string]any
+	if err := json.Unmarshal(data, &docs); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		keys := make([]string, 0, len(d))
+		for k := range d {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if !slices.Equal(keys, []string{"_id", "format", "xml"}) {
+			t.Errorf("requirements.json: document %v has keys %v, want _id, format, xml", d["_id"], keys)
+		}
+	}
+	for _, name := range []string{"md_designs.json", "etl_designs.json"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var docs []map[string]any
-		if err := json.Unmarshal(data, &docs); err != nil {
+		want, err := os.ReadFile(filepath.Join(parentRepo, name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, d := range docs {
-			keys := make([]string, 0, len(d))
-			for k := range d {
-				keys = append(keys, k)
-			}
-			slices.Sort(keys)
-			if !slices.Equal(keys, []string{"_id", "format", "xml"}) {
-				t.Errorf("%s: document %v has keys %v, want _id, format, xml", name, d["_id"], keys)
-			}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s changed", name)
 		}
 	}
 	sameDesigns(t, "reopened after the change", newPersistentPlatform(t, dir), restored)
 }
 
-// TestParentRepositoryRefusals: a fixture document stripped of its
-// text, or given another document's id, fails the platform's start
+// TestParentRepositoryRefusals: a fixture requirement stripped of its
+// text, or given another requirement's id, fails the platform's start
 // naming the collection and the id.
 func TestParentRepositoryRefusals(t *testing.T) {
 	for _, tc := range []struct {
@@ -150,8 +156,8 @@ func TestParentRepositoryRefusals(t *testing.T) {
 	}{
 		{"no xml", "requirements.json", func(docs []map[string]any) { delete(docs[1], "xml") },
 			"collection requirements: IR_netprofit has no xml"},
-		{"duplicate _id", "etl_designs.json", func(docs []map[string]any) { docs[2]["_id"] = docs[0]["_id"] },
-			`collection etl_designs: duplicate _id "partial:IR_revenue"`},
+		{"duplicate _id", "requirements.json", func(docs []map[string]any) { docs[1]["_id"] = docs[0]["_id"] },
+			`collection requirements: duplicate _id "IR_revenue"`},
 	} {
 		dir := copyParentRepo(t, func(file string, docs []map[string]any) []map[string]any {
 			if file == tc.file {

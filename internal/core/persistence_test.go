@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"quarry/internal/tpch"
 	"quarry/internal/xlm"
 	"quarry/internal/xmd"
+	"quarry/internal/xrq"
 )
 
 // newPersistentPlatform builds a platform over a metadata repository
@@ -93,9 +97,6 @@ func TestRestartAfterRemoval(t *testing.T) {
 	if _, err := p1.RemoveRequirement("IR_netprofit"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p1.Repository().Flush(); err != nil {
-		t.Fatal(err)
-	}
 	p2 := newPersistentPlatform(t, dir)
 	for _, r := range p2.Requirements() {
 		if r.ID == "IR_netprofit" {
@@ -107,10 +108,10 @@ func TestRestartAfterRemoval(t *testing.T) {
 	}
 }
 
-// TestRemoveRequirementSurvivesRestart: a removal is durable by itself
-// — no caller-side flush — and takes the requirement's partial designs
-// with it, so a platform reopened over the same directory is the live
-// one: same requirements, same unified designs.
+// TestRemoveRequirementSurvivesRestart: a removal is durable by itself,
+// and a platform reopened over the same directory is the live one: same
+// requirements, same unified designs, and no file but the requirement
+// list.
 func TestRemoveRequirementSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	live := newPersistentPlatform(t, dir)
@@ -143,11 +144,68 @@ func TestRemoveRequirementSurvivesRestart(t *testing.T) {
 	if got, want := mustXML(t, xlm.Marshal, gotETL), mustXML(t, xlm.Marshal, liveETL); got != want {
 		t.Errorf("restored unified ETL (%d bytes of xLM) differs from the live platform's (%d)", len(got), len(want))
 	}
-	if _, err := reopened.Repository().MD(partialKey("IR_netprofit")); err == nil {
-		t.Error("partial MD design of the removed requirement still stored")
+	storeHoldsRequirementsOnly(t, dir)
+}
+
+// storeHoldsRequirementsOnly fails unless dir holds requirements.json
+// and nothing else.
+func storeHoldsRequirementsOnly(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := reopened.Repository().ETL(partialKey("IR_netprofit")); err == nil {
-		t.Error("partial ETL design of the removed requirement still stored")
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, []string{"requirements.json"}) {
+		t.Errorf("store directory holds %v, want requirements.json only", names)
+	}
+}
+
+// TestFailedWriteIsNotApplied: an add, change or removal whose write
+// fails returns ErrStore and leaves the platform as a restart over the
+// same directory finds it — same requirements, same unified designs —
+// and the same change succeeds once the write can.
+func TestFailedWriteIsNotApplied(t *testing.T) {
+	dir := t.TempDir()
+	p := newPersistentPlatform(t, dir)
+	for _, r := range []*xrq.Requirement{tpch.RevenueRequirement(), tpch.NetProfitRequirement()} {
+		if _, err := p.AddRequirement(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changed := tpch.RevenueRequirement()
+	changed.Slicers[0].Value = "FRANCE"
+	// A directory where the temporary file goes makes every write fail.
+	block := filepath.Join(dir, "requirements.json.tmp")
+	for _, step := range []struct {
+		name string
+		do   func() error
+	}{
+		{"add", func() error { _, err := p.AddRequirement(tpch.SupplyCostRequirement()); return err }},
+		{"change", func() error { _, err := p.ChangeRequirement(changed); return err }},
+		{"remove", func() error { _, err := p.RemoveRequirement("IR_netprofit"); return err }},
+	} {
+		if err := os.Mkdir(block, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := step.do(); !errors.Is(err, ErrStore) {
+			t.Fatalf("%s over a blocked write: error %v, want ErrStore", step.name, err)
+		}
+		sameDesigns(t, step.name+" whose write failed", p, newPersistentPlatform(t, dir))
+		if err := os.Remove(block); err != nil {
+			t.Fatal(err)
+		}
+		if err := step.do(); err != nil {
+			t.Fatalf("%s retried: %v", step.name, err)
+		}
+		sameDesigns(t, step.name+" retried", p, newPersistentPlatform(t, dir))
+	}
+	reqs := p.Requirements()
+	if len(reqs) != 2 || reqs[0].ID != "IR_revenue" || reqs[0].Slicers[0].Value != "FRANCE" || reqs[1].ID != "IR_supplycost" {
+		t.Errorf("after the retries the platform holds %v, want IR_revenue on FRANCE and IR_supplycost", reqs)
 	}
 }
 

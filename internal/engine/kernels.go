@@ -122,17 +122,13 @@ func newDatastoreOp(n *xlm.Node, db *storage.DB, out []xlm.Field) (*datastoreOp,
 // read returns the next rows of cur, at most max, nil at the end.
 func (o *datastoreOp) read(cur *storage.Cursor, max int) [][]expr.Value {
 	rows := cur.Next(max)
-	if rows == nil {
-		return nil
+	if rows == nil || o.idx == nil {
+		return rows
 	}
 	out := make([][]expr.Value, len(rows))
 	slab := rowSlab{width: len(o.idx), rows: len(rows)}
 	for i, r := range rows {
-		if o.idx == nil {
-			out[i] = r
-		} else {
-			out[i] = slab.take(r, o.idx)
-		}
+		out[i] = slab.take(r, o.idx)
 	}
 	return out
 }
@@ -907,7 +903,7 @@ type loaderOp struct {
 	remap    []int          // remap[i] = input position of table column i; nil = positional
 	filter   func(row []expr.Value) bool
 	written  int64
-	batch    []storage.Row     // write's scratch: one batch's row headers
+	batch    [][]expr.Value    // write's scratch: one batch's row headers
 	remapped []expr.Value      // write's scratch: one batch's remapped values
 	cols     []*storage.Vector // writeVectors' scratch: one batch's columns in table order
 	row      []expr.Value      // writeVectors' scratch: the row the load filter sees
@@ -1071,18 +1067,17 @@ func (o *loaderOp) write(rows [][]expr.Value) error {
 		o.remapped = slices.Grow(o.remapped[:0], len(rows)*len(o.remap))
 	}
 	for _, r := range rows {
-		nr := storage.Row(r)
 		if o.remap != nil {
 			at := len(o.remapped)
 			for _, j := range o.remap {
 				o.remapped = append(o.remapped, r[j])
 			}
-			nr = o.remapped[at:]
+			r = o.remapped[at:]
 		}
-		if o.filter != nil && !o.filter(nr) {
+		if o.filter != nil && !o.filter(r) {
 			continue
 		}
-		batch = append(batch, nr)
+		batch = append(batch, r)
 	}
 	o.batch = batch
 	if err := o.t.InsertAll(batch); err != nil {

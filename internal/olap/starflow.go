@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"quarry/internal/engine"
-	"quarry/internal/expr"
 	"quarry/internal/sqlgen"
 	"quarry/internal/storage"
 	"quarry/internal/xlm"
@@ -83,7 +82,7 @@ func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result
 	if !ok {
 		return nil, fmt.Errorf("olap: internal: detail table missing")
 	}
-	survivors, err := diceReference(valueRows(detail.Rows()), p.dice)
+	survivors, err := diceReference(detail.Rows(), p.dice)
 	if err != nil {
 		return nil, err
 	}
@@ -91,11 +90,7 @@ func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result
 	if err != nil {
 		return nil, err
 	}
-	kept := make([]storage.Row, len(survivors))
-	for i, r := range survivors {
-		kept[i] = r
-	}
-	if err := diced.InsertAll(kept); err != nil {
+	if err := diced.InsertAll(survivors); err != nil {
 		return nil, err
 	}
 	fields := make([]xlm.Field, len(detail.Columns))
@@ -120,18 +115,8 @@ func readResult(scratch *storage.DB, p *starPlan, version uint64) (*Result, erro
 		return nil, fmt.Errorf("olap: internal: answer table missing")
 	}
 	res := &Result{Columns: p.resultColumns(), Version: version, Class: ClassOracle}
-	res.Rows = valueRows(answer.Rows())
+	res.Rows = answer.Rows()
 	return res, nil
-}
-
-// valueRows converts storage rows to the engine's row representation
-// (a per-row slice-header copy, no value copies).
-func valueRows(rows []storage.Row) [][]expr.Value {
-	out := make([][]expr.Value, len(rows))
-	for i, r := range rows {
-		out[i] = r
-	}
-	return out
 }
 
 // addTable emits a datastore node scanning a deployed table.

@@ -136,7 +136,7 @@ func (s *Server) handleAddRequirement(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "already registered") {
 			status = http.StatusConflict
 		}
-		writeErr(w, status, err)
+		writeChangeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, changeBody(rep))
@@ -169,7 +169,7 @@ func (s *Server) handleChangeRequirement(w http.ResponseWriter, r *http.Request)
 		if strings.Contains(err.Error(), "not registered") {
 			status = http.StatusNotFound
 		}
-		writeErr(w, status, err)
+		writeChangeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, changeBody(rep))
@@ -178,10 +178,20 @@ func (s *Server) handleChangeRequirement(w http.ResponseWriter, r *http.Request)
 func (s *Server) handleRemoveRequirement(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.p.RemoveRequirement(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeChangeErr(w, http.StatusNotFound, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, changeBody(rep))
+}
+
+// writeChangeErr answers a lifecycle change that failed: with 500 when
+// the platform could not write its requirement list (the change was
+// not applied, and a retry may succeed), else with status.
+func writeChangeErr(w http.ResponseWriter, status int, err error) {
+	if errors.Is(err, core.ErrStore) {
+		status = http.StatusInternalServerError
+	}
+	writeErr(w, status, err)
 }
 
 func (s *Server) unified(w http.ResponseWriter) (*xmd.Schema, *xlm.Design, bool) {

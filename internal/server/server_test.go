@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,6 +16,13 @@ import (
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	return newStoreServer(t, "")
+}
+
+// newStoreServer is newTestServer with its requirement list stored in
+// dir.
+func newStoreServer(t *testing.T, dir string) *httptest.Server {
 	t.Helper()
 	o, err := tpch.Ontology()
 	if err != nil {
@@ -31,7 +40,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	if _, err := tpch.Generate(db, 1, 42); err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: db})
+	p, err := core.New(core.Config{Ontology: o, Mapping: m, Catalog: c, DB: db, StoreDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,5 +411,58 @@ func TestRequirementLifecycleOverHTTP(t *testing.T) {
 	}
 	if len(empty) != 0 {
 		t.Errorf("requirements after delete = %v", empty)
+	}
+}
+
+// TestLifecycleWriteFailureIs500: an add, change or removal the server
+// could not write to its store directory answers 500 and is not applied,
+// so the same request succeeds once the write can.
+func TestLifecycleWriteFailureIs500(t *testing.T) {
+	dir := t.TempDir()
+	ts := newStoreServer(t, dir)
+	xml := func(r *xrq.Requirement) string {
+		text, err := xrq.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	postXML(t, ts, "/api/requirements", xml(tpch.RevenueRequirement()), http.StatusCreated)
+	changed := tpch.RevenueRequirement()
+	changed.Slicers[0].Value = "FRANCE"
+	// A directory where the temporary file goes makes every write fail.
+	block := filepath.Join(dir, "requirements.json.tmp")
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+	}{
+		{http.MethodPost, "/api/requirements", xml(tpch.NetProfitRequirement()), http.StatusCreated},
+		{http.MethodPut, "/api/requirements/IR_revenue", xml(changed), http.StatusOK},
+		{http.MethodDelete, "/api/requirements/IR_netprofit", "", http.StatusOK},
+	} {
+		send := func() int {
+			req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		if err := os.Mkdir(block, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if got := send(); got != http.StatusInternalServerError {
+			t.Errorf("%s %s over a blocked write = %d, want 500", c.method, c.path, got)
+		}
+		if err := os.Remove(block); err != nil {
+			t.Fatal(err)
+		}
+		if got := send(); got != c.status {
+			t.Errorf("%s %s retried = %d, want %d", c.method, c.path, got, c.status)
+		}
 	}
 }

@@ -45,8 +45,9 @@ import (
 // identically, so the two layers share one definition.
 type Column = mf.Column
 
-// Row is one tuple; positions match the table's columns.
-type Row []expr.Value
+// Row is one tuple; positions match the table's columns. It is the
+// engine's row, so rows pass between the two layers as they are.
+type Row = []expr.Value
 
 // Table is a typed relation: committed rows in an immutable pager
 // (swapped copy-on-write at commit points), followed by the rows
