@@ -21,10 +21,10 @@ import (
 // Each key column is numbered by a keyCoder: an int column whose keys
 // span at most a small multiple of their count is numbered by
 // arithmetic (key − min: the dense index surrogate keys get), any other
-// by a map from the value's identity (expr.Key). A composite key's
-// tuple of column numbers is numbered in turn, one column at a time. The
-// numbers are dense, so first, the head of each key's chain of rows, is
-// an array.
+// by identity (expr.Key) through the aggregation's coder (dictCoder).
+// A composite key's tuple of column numbers is numbered in turn, one
+// column at a time. The numbers are dense, so first, the head of each
+// key's chain of rows, is an array.
 //
 // Once Finish has run the index is immutable, and any number of
 // JoinProbes read it at once.
@@ -153,11 +153,13 @@ func (x *JoinIndex) Finish() error {
 }
 
 // GroupCodes returns column c of the finished index numbered for
-// grouping: a code per build row by the aggregation kernel's rules. A
-// probe hands it to AddVectors with the column (Column.Group), so a
-// build column grouped by is coded once per build row rather than once
-// per probe row joined to it. It is made on the first call and shared
-// by every later one, from any goroutine.
+// grouping: a code per build row by identity, by the aggregation
+// kernel's own coder (dictCoder). A probe hands it to AddVectors with
+// the column (Column.Group), so a build column grouped by is coded once
+// per build row rather than once per probe row joined to it, and an
+// aggregator that meets it first takes its codes as they are. It is
+// made on the first call and shared by every later one, from any
+// goroutine.
 func (x *JoinIndex) GroupCodes(c int) *GroupCodes {
 	g := &x.groups[c]
 	g.once.Do(func() {
@@ -188,20 +190,23 @@ func (x *JoinIndex) enter(r int, t int32) {
 // keyCoder numbers the distinct values of one key column of a build
 // side by their identity (expr.Value.Key), under which a non-NULL key
 // is its Equal ones' but for NaN, which equals nothing and gets no
-// number.
+// number. A dense int column is numbered key − min, fixed once the
+// whole build side is seen, so that a probe reads the index array at
+// its key without a lookup; any other is numbered by the grouping's
+// coder, in first-seen order.
 type keyCoder struct {
 	dense bool
 	min   int64
 	span  int // dense: numbers are key − min, in [0, span)
 
-	keys map[expr.Key]uint32 // when not dense
+	keys dictCoder // when not dense
 }
 
 func (c *keyCoder) numbers() int {
 	if c.dense {
 		return c.span
 	}
-	return len(c.keys)
+	return len(c.keys.dict)
 }
 
 // sizeDense decides the representation: dense when the column is an
@@ -225,7 +230,7 @@ func (c *keyCoder) sizeDense(keys []*storage.Vector) {
 			n++
 		}
 	}
-	if n > 0 && uint64(hi-lo) < 8*uint64(n)+1024 {
+	if n > 0 && denseSpan(uint64(hi-lo), n) {
 		c.dense, c.min, c.span = true, lo, int(hi-lo+1)
 	}
 }
@@ -233,15 +238,10 @@ func (c *keyCoder) sizeDense(keys []*storage.Vector) {
 // assign returns the non-NULL key k's number, handing out the next one
 // to a value not seen before (the coder is not dense); NaN gets none.
 func (c *keyCoder) assign(k expr.Value) int32 {
-	if n := c.lookup(k); n >= 0 || !k.Equal(k) {
-		return n
+	if !k.Equal(k) {
+		return -1
 	}
-	if c.keys == nil {
-		c.keys = map[expr.Key]uint32{}
-	}
-	n := uint32(len(c.keys))
-	c.keys[k.Key()] = n
-	return int32(n)
+	return int32(c.keys.value(k))
 }
 
 // entryNumbers holds the numbers of a dictionary's entries, each
@@ -280,7 +280,7 @@ func (c *keyCoder) number(key *storage.Vector, out []int32, entries *entryNumber
 		}
 	case key.Coded(): // one lookup per dictionary entry a row refers to
 		if !sameDict(key.Dict, entries.dict) {
-			entries.dict, entries.n = key.Dict, zeroed(entries.n, len(key.Dict))
+			entries.dict, entries.n = key.Dict, extend(entries.n[:0], len(key.Dict))
 		}
 		for r, e := range key.Codes {
 			if key.IsNull(r) {
@@ -315,12 +315,11 @@ func (c *keyCoder) int(k int64) int32 {
 
 // lookup returns the number of the key k, or -1.
 func (c *keyCoder) lookup(k expr.Value) int32 {
-	key := k.Key()
 	if !c.dense {
-		if n, ok := c.keys[key]; ok {
+		if n, ok := c.keys.find(k); ok {
 			return int32(n)
 		}
-	} else if i, ok := key.Int(); ok {
+	} else if i, ok := k.Key().Int(); ok {
 		return c.int(i)
 	}
 	return -1

@@ -350,23 +350,23 @@ func keysEqual(l, r []expr.Value, lIdx, rIdx []int) bool {
 
 // aggregationOp groups and aggregates incrementally. A group is an
 // index: groups are numbered 0, 1, … in first-seen order, and group g
-// is entry g of every column below — its key values, its hash and each
+// is entry g of every column below — its key's codes and each
 // aggregate's states. result and Partials walk the groups in that
 // order, so groups emit in first-seen order. Keys group by
-// expr.Value.Identical: NULLs together, every NaN together.
+// expr.Value.Identical — NULLs together, every NaN together — because
+// the coders number them by identity (vecagg.go), and a group keeps
+// its first row's key, canonical.
 type aggregationOp struct {
 	aggs []xlm.AggSpec
 	gIdx []int
 	aIdx []int
 
-	keys   []expr.Value     // group g's values: keys[g*k : (g+1)*k], k = len(gIdx)
-	hashes []uint64         // group g's key hash
-	first  map[uint64]int32 // by key hash: the newest group under it, where its chain starts
-	next   []int32          // the group after g in its hash's chain, -1 at the end
-	cols   []StateCols      // per aggregate: its states, one entry per group
-	key    []expr.Value     // add's scratch: a row's group values
+	codes  []uint32           // group g's key: codes[g*k : (g+1)*k], k = len(gIdx), one per coder
+	groups int                // groups so far
+	reps   map[int]expr.Value // at g*k+j: group g's key in column j, where its first row held the other representation of the entry
+	cols   []StateCols        // per aggregate: its states, one entry per group
 
-	vec vecState // the vector entry's (vecagg.go)
+	vec vecState // the grouping's and the vector entry's (vecagg.go)
 }
 
 // StateCols is one aggregate's states, entry g for group g — the
@@ -419,79 +419,57 @@ func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
 // newAggOp is an aggregation with no group yet; it keeps the slices.
 func newAggOp(aggs []xlm.AggSpec, gIdx, aIdx []int) *aggregationOp {
 	k, w := len(gIdx), len(aggs)
-	return &aggregationOp{aggs: aggs, gIdx: gIdx, aIdx: aIdx, first: map[uint64]int32{}, cols: make([]StateCols, w),
-		vec: vecState{byCode: &codeIndex{}, coders: make([]dictCoder, k), coded: make([][]uint32, k), numbering: make([]*GroupCodes, k),
-			groups: make([]groupCol, k), measures: make([]*storage.Vector, w), gathered: make([]*storage.Vector, w)}}
+	return &aggregationOp{aggs: aggs, gIdx: gIdx, aIdx: aIdx, cols: make([]StateCols, w),
+		vec: vecState{coders: make([]dictCoder, k), coded: make([][]uint32, k), groups: make([]groupCol, k),
+			measures: make([]*storage.Vector, w), gathered: make([]*storage.Vector, w)}}
 }
 
-// findOrCreate returns the group of these key values, by the grouping
-// rule (expr.Value.Identical), registering a group first met with their
-// canonical forms — +0 and the one NaN whatever the first row held — so
-// a group's key is a function of its rows, not of the order a fold, a
-// merge or a fleet's partition met them in.
-func (o *aggregationOp) findOrCreate(key []expr.Value) int32 {
-	h := uint64(1469598103934665603)
-	for _, v := range key {
-		h = h*1099511628211 ^ v.Hash()
+// key fills row with group g's key values.
+func (o *aggregationOp) key(row []expr.Value, g int32) {
+	for j := range row {
+		row[j] = o.value(int(g), j)
 	}
-	k := len(key)
-	head := o.chain(h)
-walk:
-	for g := head; g >= 0; g = o.next[g] {
-		for j, v := range o.keys[int(g)*k : int(g+1)*k] {
-			if !v.Identical(key[j]) {
-				continue walk
-			}
-		}
-		return g
-	}
-	g := int32(len(o.hashes))
-	o.keys = push(o.keys, key...)
-	for i := int(g) * k; i < len(o.keys); i++ {
-		o.keys[i] = o.keys[i].Canonical()
-	}
-	o.hashes = push(o.hashes, h)
-	o.next = push(o.next, head)
-	o.first[h] = g
-	for i := range o.cols {
-		o.cols[i].grow(o.aggs[i].Func)
-	}
-	return g
 }
 
-// chain returns the group the chain of hash h starts at, -1 if none.
-func (o *aggregationOp) chain(h uint64) int32 {
-	if g, ok := o.first[h]; ok {
-		return g
+// value is group g's key value in group column j.
+func (o *aggregationOp) value(g, j int) expr.Value {
+	at := g*len(o.gIdx) + j
+	if v, ok := o.reps[at]; ok {
+		return v
 	}
-	return -1
+	return o.vec.coders[j].dict[o.codes[at]]
 }
 
-// grow appends a new group's states: zero counts and sums, NULL
-// extremes.
-func (c *StateCols) grow(fn string) {
-	c.Counts = push(c.Counts, 0)
+// grow gives the groups up to n their states: zero counts and sums,
+// NULL extremes.
+func (c *StateCols) grow(fn string, n int) {
+	at := len(c.Counts)
+	c.Counts = extend(c.Counts, n)
 	switch fn {
 	case "SUM", "AVG":
-		c.IntSums = push(c.IntSums, 0)
-		c.images = push(c.images, imageSum{})
-		c.Sums = push(c.Sums, FloatSum{})
-		c.SumIsInt = push(c.SumIsInt, true)
+		c.IntSums, c.images, c.Sums = extend(c.IntSums, n), extend(c.images, n), extend(c.Sums, n)
+		c.SumIsInt = extend(c.SumIsInt, n)
+		for g := at; g < n; g++ {
+			c.SumIsInt[g] = true
+		}
 	case "MIN":
-		c.Mins = push(c.Mins, expr.Null())
+		c.Mins = extend(c.Mins, n)
 	case "MAX":
-		c.Maxs = push(c.Maxs, expr.Null())
+		c.Maxs = extend(c.Maxs, n)
 	}
 }
 
-// push appends vs to a group column, doubling its capacity when full:
-// append grows a long slice by a quarter, which would copy each entry
-// some four times over.
-func push[T any](s []T, vs ...T) []T {
-	if cap(s)-len(s) < len(vs) {
-		s = slices.Grow(s, max(len(s), 8*len(vs)))
+// extend returns s with length n, its new entries zero, at least
+// doubling its capacity when it grows: append grows a long slice by a
+// quarter, which would copy each entry some four times over.
+func extend[T any](s []T, n int) []T {
+	at := len(s)
+	if cap(s) < n {
+		s = slices.Grow(s, max(n-at, at))
 	}
-	return append(s, vs...)
+	s = s[:n]
+	clear(s[at:])
+	return s
 }
 
 // identity returns s holding 0, 1, …, n-1, reallocated only when it is
@@ -504,14 +482,22 @@ func identity(s []int32, n int) []int32 {
 	return s
 }
 
-// add folds rows into the running group states.
+// add folds rows into the running group states, their group values
+// coded as AddVectors codes a batch's.
 func (o *aggregationOp) add(rows [][]expr.Value) error {
-	for _, row := range rows {
-		o.key = o.key[:0]
-		for _, i := range o.gIdx {
-			o.key = append(o.key, row[i])
+	v := &o.vec
+	for g, i := range o.gIdx {
+		c := &v.coders[g]
+		c.catchUp()
+		coded := Sized(v.coded[g], len(rows))
+		for r, row := range rows {
+			coded[r] = c.value(row[i])
 		}
-		g := o.findOrCreate(o.key)
+		v.coded[g], v.groups[g] = coded, groupCol{coded, nil}
+	}
+	gs := o.lookup(len(rows), func(r, g int) expr.Value { return rows[r][o.gIdx[g]] })
+	for r, row := range rows {
+		g := gs[r]
 		for i, a := range o.aggs {
 			c := &o.cols[i]
 			if o.aIdx[i] == -1 { // COUNT(*)
@@ -559,14 +545,25 @@ func (c *StateCols) addFloat(g int32, f float64) {
 	c.SumIsInt[g] = false
 }
 
-// settle moves group g's 128-bit sum into its expansion and returns the
-// expansion, which then holds the whole exact sum.
-func (c *StateCols) settle(g int32) *FloatSum {
-	if c.images[g] != (imageSum{}) {
-		c.images[g].addTo(&c.Sums[g])
+// settle moves every group's 128-bit sum into its expansion, which
+// then holds the whole exact sum. An expansion made here starts in a
+// slab of three parts per group, which is as many as the move adds.
+func (c *StateCols) settle() {
+	sums := c.Sums
+	var slab []float64
+	for g := range c.images {
+		if c.images[g] == (imageSum{}) {
+			continue
+		}
+		if sums[g].parts == nil {
+			if len(slab) == 0 {
+				slab = make([]float64, 3*(len(sums)-g))
+			}
+			sums[g].parts, slab = slab[:0:3], slab[3:]
+		}
+		c.images[g].addTo(&sums[g])
 		c.images[g] = imageSum{}
 	}
-	return &c.Sums[g]
 }
 
 // keepExtreme folds the non-NULL v into a running MIN (or MAX). The
@@ -618,22 +615,17 @@ func floatOrderBits(f float64) uint64 {
 // 1, −1} sums to MaxInt64 in every order and partition although a
 // prefix overflows.
 func (o *aggregationOp) result() ([][]expr.Value, error) {
-	if len(o.gIdx) == 0 && len(o.hashes) == 0 {
-		o.findOrCreate(nil)
+	if len(o.gIdx) == 0 && o.groups == 0 {
+		o.lookup(1, nil)
 	}
 	o.settle()
-	k := len(o.gIdx)
-	return finalRows(k, o.aggs, o.cols, identity(nil, len(o.hashes)), func(row []expr.Value, g int32) {
-		copy(row, o.keys[int(g)*k:int(g+1)*k])
-	})
+	return finalRows(len(o.gIdx), o.aggs, o.cols, identity(nil, o.groups), o.key)
 }
 
 // settle moves every group's 128-bit sums into their expansions.
 func (o *aggregationOp) settle() {
 	for i := range o.cols {
-		for g := range o.cols[i].images {
-			o.cols[i].settle(int32(g))
-		}
+		o.cols[i].settle()
 	}
 }
 

@@ -61,13 +61,13 @@ func (c Cells) Picked() bool { return c.picked }
 // value's work once.
 func (a *HashAggregator) Partials() Cells {
 	o := a.op
-	n, k := len(o.hashes), len(o.gIdx)
+	n, k := o.groups, len(o.gIdx)
 	o.settle()
 	keys := make([]*storage.Vector, k)
 	vals := make([]expr.Value, n)
 	for j := range keys {
 		for g := range vals {
-			vals[g] = o.keys[g*k+j]
+			vals[g] = o.value(g, j)
 		}
 		keys[j] = keyVector(vals)
 	}
@@ -77,31 +77,39 @@ func (a *HashAggregator) Partials() Cells {
 // keyVector is a group column's key values as a vector: ints, floats
 // and bools typed, as storage.VectorOf makes them; strings, and the
 // mixed form, coded over a dictionary of one entry per distinct
-// non-NULL value, in first-seen order by dictCoder's rules (ints by
-// value, floats by bit pattern, strings by content, each kind apart).
+// non-NULL value, in first-seen order — by representation, not by
+// identity: one column of cells may hold Int 3 in one and Float 3.0 in
+// another. Key values are canonical, so a value's identity and kind
+// name its representation.
 func keyVector(vals []expr.Value) *storage.Vector {
 	kind := storage.KindOf(vals)
 	if kind != expr.KindString && kind != expr.KindNull {
 		return storage.VectorOf(vals)
 	}
-	v := &storage.Vector{Kind: kind, Codes: make([]uint32, len(vals))}
+	type rep struct {
+		key  expr.Key
+		kind expr.Kind
+	}
 	// Sized for every value distinct, as VectorOf sizes its dictionary,
 	// so that neither grows on the way.
-	coder := dictCoder{dict: make([]expr.Value, 0, len(vals))}
-	if kind == expr.KindString {
-		coder.strs = make(map[string]uint32, len(vals))
-	}
+	v := &storage.Vector{Kind: kind, Codes: make([]uint32, len(vals)), Dict: make([]expr.Value, 0, len(vals))}
+	entries := make(map[rep]uint32, len(vals))
 	for g, x := range vals {
-		if !x.IsNull() {
-			v.Codes[g] = coder.value(x)
+		if x.IsNull() {
+			if v.Nulls == nil {
+				v.Nulls = make([]uint64, (len(vals)+63)/64)
+			}
+			v.Nulls[g>>6] |= 1 << (uint(g) & 63)
 			continue
 		}
-		if v.Nulls == nil {
-			v.Nulls = make([]uint64, (len(vals)+63)/64)
+		e, ok := entries[rep{x.Key(), x.Kind()}]
+		if !ok {
+			e = uint32(len(v.Dict))
+			entries[rep{x.Key(), x.Kind()}] = e
+			v.Dict = append(v.Dict, x)
 		}
-		v.Nulls[g>>6] |= 1 << (uint(g) & 63)
+		v.Codes[g] = e
 	}
-	v.Dict = coder.dict
 	return v
 }
 

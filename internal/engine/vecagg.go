@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -11,27 +12,26 @@ import (
 // The aggregation kernel's vector entry: the ETL executor and the OLAP
 // fast path hand HashAggregator.AddVectors a batch column by column,
 // and the kernel folds it into the same state columns Add(rows) folds
-// into. Each group column is numbered by a dictCoder of the
-// aggregator's own — so codes mean the same value on every batch,
-// whatever dictionaries the batches arrive with — unless it comes
-// numbered already (Column.Group: a join index's build column, coded
-// once per build row by the same rules), and a row's group is found
-// from its code tuple (codeIndex), so no group value is hashed or
-// compared per row. findOrCreate, the row fold's lookup, is consulted
-// once per distinct tuple, which keeps the grouping rule
-// (expr.Value.Identical: NULLs group together, Int 3 with Float 3.0 but
-// not Int 2⁵³+1 with Float 2⁵³, −0 with +0, every NaN with every NaN)
-// and the numbering of groups in first-seen order exactly where Add has
-// them. Then each aggregate folds its input column into
-// its state columns at the rows' group indexes. Absorb finds the groups
-// of a partial's cells through the same path (groupsOf), its key
-// vectors standing for a batch's group columns; Result and Partials see
-// no difference.
+// into. A group is its tuple of codes: each group column is numbered
+// by identity (expr.Value.Key) by a dictCoder of the aggregator's own,
+// so a code means one identity on every batch, whatever dictionaries
+// the batches arrive with, and equal tuples are one group — NULLs
+// together, Int 3 with Float 3.0 but not Int 2⁵³+1 with Float 2⁵³, −0
+// with +0, every NaN with every NaN. A column that comes numbered
+// already (Column.Group: a join index's build column, numbered once per
+// build row by the same rules) is read as it is when it is the first
+// numbering the column meets, and translated otherwise. A row's group
+// is found from its tuple (codeIndex), so no group value is hashed or
+// compared per row, and groups are numbered in first-seen order. Then
+// each aggregate folds its input column into its state columns at the
+// rows' group indexes. Add codes its rows' values through the same
+// coders, and Absorb finds the groups of a partial's cells the same
+// way, its key vectors standing for a batch's group columns; Result and
+// Partials see no difference.
 
-// GroupCodes is a group column numbered for the code index: a code per
-// row and the value each code stands for, by dictCoder's bit-exact
-// rules. Across the batches folded into one aggregator Dict may grow,
-// but an entry never changes; equal codes mean the identical value.
+// GroupCodes is a group column numbered for grouping: a code per row
+// and the value each code stands for, by dictCoder's rules — the
+// entries are canonical values of distinct identities.
 type GroupCodes struct {
 	Codes []uint32
 	Dict  []expr.Value
@@ -40,8 +40,8 @@ type GroupCodes struct {
 // groupCol is one group column of a batch as the code index reads it:
 // row r's code is Codes[sel[r]], or Codes[r] when sel is nil.
 type groupCol struct {
-	GroupCodes
-	sel []int32
+	Codes []uint32
+	sel   []int32
 }
 
 func (c *groupCol) code(r int) uint32 {
@@ -51,12 +51,12 @@ func (c *groupCol) code(r int) uint32 {
 	return c.Codes[c.sel[r]]
 }
 
-// vecState is the vector entry's scratch on an aggregationOp.
+// vecState is an aggregationOp's grouping — its coders and code index —
+// and the vector entry's scratch.
 type vecState struct {
-	byCode    *codeIndex // the code-tuple index over groups
+	index     codeIndex
 	coders    []dictCoder
-	coded     [][]uint32    // per group column: its coder's codes for the batch
-	numbering []*GroupCodes // per group column: the Column.Group its codes came from, nil for coders
+	coded     [][]uint32 // per group column: its coder's codes for the batch
 	groups    []groupCol
 	rowGroups []int32           // each batch row's group
 	measures  []*storage.Vector // per aggregate: its input rows
@@ -67,32 +67,32 @@ type vecState struct {
 // flat array (256 KiB of int32s); wider keys go through a map.
 const flatIndexBits = 16
 
-// codeIndex maps a code tuple to its group. The tuple's codes
-// are packed into one integer key, each column in a bit field sized
-// for twice its dictionary; when a dictionary outgrows its field the
-// index is laid out again from the tuples it has registered, so the
-// cost of growth is amortised like a slice's.
+// codeIndex maps a code tuple to its group. The tuple's codes are
+// packed into one integer key, each column in a bit field sized for
+// twice its dictionary; when a dictionary outgrows its field the index
+// is laid out again from the groups' tuples, so the cost of growth is
+// amortised like a slice's. A tuple wider than 62 bits is looked up by
+// its codes' bytes instead.
 type codeIndex struct {
 	width []uint // bits per group column; nil until the first layout
 	shift []uint
-	wide  bool             // the packed key does not fit 62 bits: nothing is indexed
 	flat  []int32          // key → group + 1, when the key space is small
-	table map[uint64]int32 // key → group, otherwise
+	table map[uint64]int32 // key → group, when it is not
+	wide  map[string]int32 // codes' bytes → group, when the key does not fit 62 bits
 
-	tuples []uint32 // registered tuples, one code per group column each
-	states []int32  // the group of each registered tuple
-
-	keys  []uint64     // scratch: each batch row's packed key
-	group []expr.Value // scratch: the values of a tuple met for the first time
+	last      uint64   // the previous row's key, whose group is lastGroup
+	lastGroup int32    // -1 when no row since the last layout
+	keys      []uint64 // scratch: each batch row's packed key
+	tuple     []byte   // scratch: a wide tuple's codes
 }
 
 // fits reports whether every dictionary still fits its bit field.
-func (x *codeIndex) fits(groups []groupCol) bool {
+func (x *codeIndex) fits(coders []dictCoder) bool {
 	if x.width == nil {
 		return false
 	}
-	for g := range groups {
-		if len(groups[g].Dict) > 1<<x.width[g] {
+	for g := range coders {
+		if len(coders[g].dict) > 1<<x.width[g] {
 			return false
 		}
 	}
@@ -100,33 +100,51 @@ func (x *codeIndex) fits(groups []groupCol) bool {
 }
 
 // layout sizes the bit fields for the dictionaries as they are now and
-// re-registers every known tuple under the new keys.
-func (x *codeIndex) layout(groups []groupCol) {
-	x.width = make([]uint, len(groups))
-	x.shift = make([]uint, len(groups))
+// re-registers the tuples of the groups so far, codes holding them.
+func (x *codeIndex) layout(coders []dictCoder, codes []uint32, groups int) {
+	x.width = make([]uint, len(coders))
+	x.shift = make([]uint, len(coders))
 	total := uint(0)
-	for g := range groups {
-		x.width[g] = uint(bits.Len(uint(len(groups[g].Dict)))) + 1
+	for g := range coders {
+		x.width[g] = uint(bits.Len(uint(len(coders[g].dict)))) + 1
 		x.shift[g] = total
 		total += x.width[g]
 	}
-	x.wide, x.flat, x.table = total > 62, nil, nil
-	if x.wide {
+	x.lastGroup = -1
+	if x.wide != nil {
+		return // the codes' bytes do not depend on the fields
+	}
+	x.flat, x.table = nil, nil
+	if total > 62 {
+		x.wide = make(map[string]int32, groups)
+		for g := range groups {
+			x.wide[string(x.tupleOf(func(j int) uint32 { return codes[g*len(coders)+j] }))] = int32(g)
+		}
 		return
 	}
 	if total <= flatIndexBits {
 		x.flat = make([]int32, 1<<total)
 	} else {
-		x.table = make(map[uint64]int32, len(x.states))
+		x.table = make(map[uint64]int32, groups)
 	}
-	k := len(groups)
-	for e, group := range x.states {
+	k := len(coders)
+	for g := range groups {
 		var key uint64
-		for g, code := range x.tuples[e*k : (e+1)*k] {
-			key |= uint64(code) << x.shift[g]
+		for j, code := range codes[g*k : (g+1)*k] {
+			key |= uint64(code) << x.shift[j]
 		}
-		x.set(key, group)
+		x.set(key, int32(g))
 	}
+}
+
+func (x *codeIndex) get(key uint64) int32 {
+	if x.flat != nil {
+		return x.flat[key] - 1
+	}
+	if g, ok := x.table[key]; ok {
+		return g
+	}
+	return -1
 }
 
 func (x *codeIndex) set(key uint64, group int32) {
@@ -137,13 +155,19 @@ func (x *codeIndex) set(key uint64, group int32) {
 	}
 }
 
+// tupleOf returns a tuple's codes as bytes, code(j) being column j's.
+func (x *codeIndex) tupleOf(code func(j int) uint32) []byte {
+	x.tuple = x.tuple[:0]
+	for j := range x.width {
+		x.tuple = binary.LittleEndian.AppendUint32(x.tuple, code(j))
+	}
+	return x.tuple
+}
+
 // pack returns each of the n batch rows' code tuple packed into its
 // key, a group column at a time.
 func (x *codeIndex) pack(n int, groups []groupCol) []uint64 {
-	x.keys = zeroed(x.keys, n)
-	if x.wide {
-		return x.keys
-	}
+	x.keys = extend(x.keys[:0], n)
 	for g := range groups {
 		c, shift := &groups[g], x.shift[g]
 		if c.sel == nil {
@@ -238,58 +262,80 @@ func (o *aggregationOp) addVectors(n int, groups, measures []Column) error {
 func (o *aggregationOp) groupsOf(n int, groups []Column) []int32 {
 	v := &o.vec
 	for g, col := range groups {
-		if col.Group != v.numbering[g] {
-			// Codes of another numbering mean other values: the tuples
-			// indexed so far no longer apply (findOrCreate still finds
-			// their states by value).
-			v.numbering[g], v.byCode = col.Group, &codeIndex{}
-		}
-		if col.Group != nil {
-			v.groups[g] = groupCol{*col.Group, col.Sel}
+		c := &v.coders[g]
+		if col.Group != nil && c.adopt(col.Group) {
+			v.groups[g] = groupCol{col.Group.Codes, col.Sel}
 			continue
 		}
-		v.coded[g] = v.coders[g].code(col, n, v.coded[g][:0])
-		v.groups[g] = groupCol{GroupCodes{v.coded[g], v.coders[g].dict}, nil}
+		v.coded[g] = c.code(col, n, v.coded[g][:0])
+		v.groups[g] = groupCol{v.coded[g], nil}
 	}
-	// Each row's tuple is looked up in the code index; a tuple not met
-	// before registers its group — in first-seen order, through
-	// findOrCreate.
-	gs, x := Sized(v.rowGroups, n), v.byCode
+	return o.lookup(n, func(r, g int) expr.Value { return groups[g].Vec.Value(groups[g].row(r)) })
+}
+
+// lookup returns the group of each of the n rows whose codes v.groups
+// holds, registering a group for a tuple not met before; value(r, g)
+// is row r's value in group column g, which a new group keeps. A row
+// whose tuple is the previous row's takes its group without a lookup:
+// the ETL's input arrives in runs of one key.
+func (o *aggregationOp) lookup(n int, value func(r, g int) expr.Value) []int32 {
+	v := &o.vec
+	x := &v.index
+	gs := Sized(v.rowGroups, n)
 	v.rowGroups = gs
-	if !x.fits(v.groups) {
-		x.layout(v.groups)
+	if !x.fits(v.coders) {
+		x.layout(v.coders, o.codes, o.groups)
 	}
-	for r, key := range x.pack(n, v.groups) {
-		group := int32(-1)
-		switch {
-		case x.flat != nil:
-			group = x.flat[key] - 1
-		case x.table != nil:
-			if e, ok := x.table[key]; ok {
-				group = e
+	switch {
+	case x.wide != nil:
+		for r := range gs {
+			tuple := x.tupleOf(func(j int) uint32 { return v.groups[j].code(r) })
+			group, ok := x.wide[string(tuple)]
+			if !ok {
+				group = o.create(r, value)
+				x.wide[string(tuple)] = group
 			}
-		}
-		if group >= 0 {
 			gs[r] = group
-			continue
 		}
-		// A tuple not met before: its values decide the group, by the
-		// rules of the row fold.
-		x.group = x.group[:0]
-		for _, c := range v.groups {
-			x.group = append(x.group, c.Dict[c.code(r)])
+	default:
+		last, group := x.last, x.lastGroup
+		for r, key := range x.pack(n, v.groups) {
+			if key != last || group < 0 {
+				last, group = key, x.get(key)
+				if group < 0 {
+					group = o.create(r, value)
+					x.set(key, group)
+				}
+			}
+			gs[r] = group
 		}
-		gs[r] = o.findOrCreate(x.group)
-		if x.wide {
-			continue
-		}
-		for _, c := range v.groups {
-			x.tuples = append(x.tuples, c.code(r))
-		}
-		x.states = append(x.states, gs[r])
-		x.set(key, gs[r])
+		x.last, x.lastGroup = last, group
+	}
+	for i := range o.cols {
+		o.cols[i].grow(o.aggs[i].Func, o.groups)
 	}
 	return gs
+}
+
+// create registers row r's tuple as the next group. Its key is read
+// from the coders' dictionaries, but where the row holds another
+// representation of its column's entry (Float 3.0 where the entry is
+// Int 3), the group keeps the row's.
+func (o *aggregationOp) create(r int, value func(r, g int) expr.Value) int32 {
+	group, k := int32(o.groups), len(o.gIdx)
+	o.groups++
+	o.codes = extend(o.codes, o.groups*k)
+	for g := range o.vec.groups {
+		code := o.vec.groups[g].code(r)
+		o.codes[int(group)*k+g] = code
+		if x := value(r, g); x.Kind() != o.vec.coders[g].dict[code].Kind() {
+			if o.reps == nil {
+				o.reps = map[int]expr.Value{}
+			}
+			o.reps[int(group)*k+g] = x.Canonical()
+		}
+	}
+	return group
 }
 
 // checkSummable reports the error the row fold would stop at: the

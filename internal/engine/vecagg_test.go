@@ -250,17 +250,17 @@ func TestAddVectorsGroupsLikeAdd(t *testing.T) {
 // TestAddVectorsMatchesAddRandom runs random batches through every
 // index representation: the flat array (few small dictionaries), the
 // map (the packed key outgrows the array), re-layouts as dictionaries
-// grow between batches, and the unindexed fallback (seven wide
+// grow between batches, and the index by the codes' bytes (seven wide
 // columns: the key does not fit 62 bits).
 func TestAddVectorsMatchesAddRandom(t *testing.T) {
 	shapes := map[string]struct{ groupCols, card int }{
-		"flat": {2, 5}, "map": {3, 300}, "global": {0, 1}, "unindexed": {7, 300},
+		"flat": {2, 5}, "map": {3, 300}, "global": {0, 1}, "wide": {7, 300},
 	}
-	reached := map[string]func(x *codeIndex) bool{
-		"flat":      func(x *codeIndex) bool { return x.flat != nil && len(x.states) > 1 },
-		"map":       func(x *codeIndex) bool { return x.table != nil && len(x.states) > 1 },
-		"global":    func(x *codeIndex) bool { return len(x.flat) == 1 },
-		"unindexed": func(x *codeIndex) bool { return x.wide },
+	reached := map[string]func(x *codeIndex, groups int) bool{
+		"flat":   func(x *codeIndex, groups int) bool { return x.flat != nil && groups > 1 },
+		"map":    func(x *codeIndex, groups int) bool { return x.table != nil && groups > 1 },
+		"global": func(x *codeIndex, groups int) bool { return len(x.flat) == 1 },
+		"wide":   func(x *codeIndex, groups int) bool { return x.wide != nil && groups > 1 },
 	}
 	for name, shape := range shapes {
 		t.Run(name, func(t *testing.T) {
@@ -288,9 +288,9 @@ func TestAddVectorsMatchesAddRandom(t *testing.T) {
 				tc.batches = append(tc.batches, rows)
 			}
 			tc.check(t)
-			if !reached[name](tc.last.op.vec.byCode) {
-				x := tc.last.op.vec.byCode
-				t.Fatalf("the %s index was not the one used: widths %v, flat %d, table %d, wide %v", name, x.width, len(x.flat), len(x.table), x.wide)
+			if !reached[name](&tc.last.op.vec.index, tc.last.op.groups) {
+				x := &tc.last.op.vec.index
+				t.Fatalf("the %s index was not the one used: widths %v, flat %d, table %d, wide %d", name, x.width, len(x.flat), len(x.table), len(x.wide))
 			}
 		})
 	}

@@ -146,7 +146,7 @@ func verdictOf(v expr.Value, err error) uint8 {
 // columns as NewVectorFilter's index numbers them) the predicate
 // accepts.
 func (f *VectorFilter) Apply(n int, cols []Column, kept []int32) ([]int32, error) {
-	f.open, f.null = Sized(f.open, n), zeroed(f.null, n)
+	f.open, f.null = Sized(f.open, n), extend(f.null[:0], n)
 	for j := range f.open {
 		f.open[j] = int32(j)
 	}
@@ -203,7 +203,7 @@ func (f *VectorFilter) eval(c *conjunct, v expr.Value) uint8 {
 func (f *VectorFilter) byEntry(c *conjunct, col Column) {
 	vec := col.Vec
 	if !sameDict(vec.Dict, c.dict) {
-		c.dict, c.entries = vec.Dict, zeroed(c.entries, len(vec.Dict))
+		c.dict, c.entries = vec.Dict, extend(c.entries[:0], len(vec.Dict))
 	}
 	for i, j := range f.open {
 		s := col.row(int(j))

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"slices"
 
 	"quarry/internal/expr"
@@ -10,9 +9,9 @@ import (
 
 // The vector helpers the executor, the join index and the aggregation
 // kernel share with the OLAP fast path: how a batch's column is read
-// (Column), how one column's values are numbered across batches whose
-// dictionaries differ (dictCoder), and how a build side accumulates the
-// vectors of many batches into one (accumulator).
+// (Column), how one column's values are numbered by identity across
+// batches whose dictionaries differ (dictCoder), and how a build side
+// accumulates the vectors of many batches into one (accumulator).
 
 // Column is one column of a vector batch as a kernel reads it: row r of
 // the batch is row Sel[r] of Vec, or row r when Sel is nil. The ETL
@@ -23,7 +22,8 @@ type Column struct {
 	Sel []int32
 	// Group, when set, numbers Vec's rows for grouping
 	// (JoinIndex.GroupCodes): AddVectors reads a group column's codes
-	// from it instead of coding the column's values.
+	// from it instead of coding the column's values, and reads Vec only
+	// for a group's first row.
 	Group *GroupCodes
 }
 
@@ -48,17 +48,6 @@ func sameDict(a, b []expr.Value) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// zeroed returns s with length n and every element zero, reallocated
-// only when it is too small.
-func zeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
 // Sized returns s with length n, reallocated only when it is too small
 // (its contents are about to be overwritten).
 func Sized[T any](s []T, n int) []T {
@@ -68,95 +57,139 @@ func Sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// dictCoder assigns dense codes to one column's distinct values in
-// first-seen order, bit-exactly: ints by value, floats by bit pattern,
-// strings by content, each kind apart from the others. Code c stands for
-// dict[c].
+// dictCoder numbers one column's values by identity
+// (expr.Value.Key), in first-seen order: ints by value, a float that is
+// an int64 exactly as that int, any other float by its canonical bits
+// (one NaN, +0), strings by content, bools and NULL each once. Code c
+// stands for dict[c], the first value met of its identity, canonical
+// (expr.Value.Canonical) — Int 3 or Float 3.0, whichever came first.
+//
+// While a column's ints span a small multiple of their count (denseSpan,
+// the join index's rule too) they are numbered through a window, int k's
+// code + 1 at win[k − lo], which widens like a slice grows, downward or
+// upward; once they span too wide the window's entries move to a map.
 //
 // A coded vector arrives against a dictionary of its own (a page's, a
 // dimension column's, a Function result's): the coder translates that
 // dictionary's entries onto its codes one entry at a time, the first
-// time a row refers to the entry — so translating costs a hash per
+// time a row refers to the entry — so translating costs a lookup per
 // entry *referred to*, not per row and not per entry of a large
-// dictionary few rows touch.
+// dictionary few rows touch. A numbering made by a dictCoder
+// (JoinIndex.GroupCodes) is translated alike, unless it is the first
+// thing the coder meets: then it is adopted (adopt), its codes read as
+// they are.
 type dictCoder struct {
-	dict   []expr.Value
-	strs   map[string]uint32
-	ints   map[int64]uint32
-	floats map[uint64]uint32 // by bit pattern
-	bools  [2]uint32         // code + 1; 0 until coded
-	null   uint32            // NULL's code + 1; 0 until coded
+	dict  []expr.Value
+	known int // dict[:known] are registered in the lookups below (catchUp)
+
+	lo     int64
+	win    []uint32            // int k's code + 1 at win[k−lo], while the ints are dense
+	nints  int                 // ints registered
+	sparse bool                // the ints are not dense: they are in keys
+	keys   map[expr.Key]uint32 // every identity but NULL and the window's ints
+	null   uint32              // NULL's code + 1; 0 until coded
+
+	adopted *GroupCodes
 
 	src   []expr.Value // the source dictionary being translated
 	remap []uint32     // per entry of src: the coder's code + 1, 0 until translated
 }
 
+// denseSpan reports whether n ints spanning span (their largest minus
+// their smallest) are numbered by arithmetic: the window, or an index
+// array, costs a few slots per int.
+func denseSpan(span uint64, n int) bool { return span < 8*uint64(n)+1024 }
+
+// assign gives v's identity, not coded yet, the next code.
 func (c *dictCoder) assign(v expr.Value) uint32 {
-	c.dict = append(c.dict, v)
+	c.dict = extend(c.dict, len(c.dict)+1)
+	c.dict[len(c.dict)-1] = v.Canonical()
+	c.catchUp()
 	return uint32(len(c.dict) - 1)
 }
 
-func (c *dictCoder) int(i int64) uint32 {
-	code, ok := c.ints[i]
-	if !ok {
-		if c.ints == nil {
-			c.ints = map[int64]uint32{}
+// catchUp enters the identities of the entries not registered yet in
+// the lookups: an adopted numbering's wait until a lookup needs them.
+func (c *dictCoder) catchUp() {
+	for ; c.known < len(c.dict); c.known++ {
+		v, code := c.dict[c.known], uint32(c.known)
+		k := v.Key()
+		switch i, isInt := k.Int(); {
+		case isInt && c.widen(i):
+			c.win[i-c.lo] = code + 1
+		case v.IsNull():
+			c.null = code + 1
+		default:
+			c.register(k, code)
 		}
-		code = c.assign(expr.Int(i))
-		c.ints[i] = code
 	}
-	return code
 }
 
-func (c *dictCoder) float(f float64) uint32 {
-	bits := math.Float64bits(f)
-	code, ok := c.floats[bits]
-	if !ok {
-		if c.floats == nil {
-			c.floats = map[uint64]uint32{}
-		}
-		code = c.assign(expr.Float(f))
-		c.floats[bits] = code
+func (c *dictCoder) register(k expr.Key, code uint32) {
+	if c.keys == nil {
+		c.keys = map[expr.Key]uint32{}
 	}
-	return code
+	c.keys[k] = code
+}
+
+// widen makes the window cover the int k, at least doubling it toward
+// k. It reports false, and the window's ints move to keys, once the
+// ints are no longer dense or the window would pass an end of int64.
+func (c *dictCoder) widen(k int64) bool {
+	if c.sparse {
+		return false
+	}
+	c.nints++
+	lo, hi := k, k
+	if len(c.win) > 0 {
+		lo, hi = min(c.lo, k), max(c.lo+int64(len(c.win)-1), k)
+	}
+	if uint64(k-c.lo) < uint64(len(c.win)) {
+		return true
+	}
+	size := int64(min(max(2*uint64(len(c.win)), uint64(hi-lo)+1, 64), 8*uint64(c.nints)+1024))
+	at := lo // the slack goes where k went
+	if k < c.lo {
+		at = hi - (size - 1)
+	}
+	if !denseSpan(uint64(hi-lo), c.nints) || at > lo || at+(size-1) < hi {
+		c.sparse = true
+		for i, e := range c.win {
+			if e != 0 {
+				c.register(expr.Int(c.lo+int64(i)).Key(), e-1)
+			}
+		}
+		c.win = nil
+		return false
+	}
+	win := make([]uint32, size)
+	if len(c.win) > 0 {
+		copy(win[c.lo-at:], c.win)
+	}
+	c.lo, c.win = at, win
+	return true
+}
+
+// find returns the code of v's identity, if it has one.
+func (c *dictCoder) find(v expr.Value) (uint32, bool) {
+	k := v.Key()
+	switch i, isInt := k.Int(); {
+	case isInt && uint64(i-c.lo) < uint64(len(c.win)):
+		code := c.win[i-c.lo]
+		return code - 1, code != 0
+	case v.IsNull():
+		return c.null - 1, c.null != 0
+	}
+	code, ok := c.keys[k]
+	return code, ok
 }
 
 // value codes one value of any kind.
 func (c *dictCoder) value(v expr.Value) uint32 {
-	switch v.Kind() {
-	case expr.KindNull:
-		return c.nullCode()
-	case expr.KindInt:
-		return c.int(v.AsInt())
-	case expr.KindFloat:
-		f, _ := v.AsFloat()
-		return c.float(f)
-	case expr.KindBool:
-		b := 0
-		if v.AsBool() {
-			b = 1
-		}
-		if c.bools[b] == 0 {
-			c.bools[b] = c.assign(v) + 1
-		}
-		return c.bools[b] - 1
+	if code, ok := c.find(v); ok {
+		return code
 	}
-	code, ok := c.strs[v.AsString()]
-	if !ok {
-		if c.strs == nil {
-			c.strs = map[string]uint32{}
-		}
-		code = c.assign(v)
-		c.strs[v.AsString()] = code
-	}
-	return code
-}
-
-func (c *dictCoder) nullCode() uint32 {
-	if c.null == 0 {
-		c.null = c.assign(expr.Value{}) + 1
-	}
-	return c.null - 1
+	return c.assign(v)
 }
 
 // from readies the translation of a source dictionary's codes, keeping
@@ -165,7 +198,7 @@ func (c *dictCoder) from(dict []expr.Value) {
 	if sameDict(dict, c.src) {
 		return
 	}
-	c.src, c.remap = dict, zeroed(c.remap, len(dict))
+	c.src, c.remap = dict, extend(c.remap[:0], len(dict))
 }
 
 // of returns the coder's code of entry e of the source dictionary.
@@ -178,41 +211,41 @@ func (c *dictCoder) of(e uint32) uint32 {
 	return code
 }
 
+// adopt reports whether g's codes are this coder's own: g is the
+// numbering the coder adopted, or the coder has coded nothing yet and
+// adopts it now.
+func (c *dictCoder) adopt(g *GroupCodes) bool {
+	if c.adopted != g && len(c.dict) == 0 {
+		c.dict, c.adopted = slices.Clip(g.Dict), g
+	}
+	return c.adopted == g
+}
+
 // code appends to out the code of each of the n rows of col.
 func (c *dictCoder) code(col Column, n int, out []uint32) []uint32 {
-	vec := col.Vec
-	out = slices.Grow(out, n)
-	switch {
-	case vec.Coded():
+	c.catchUp()
+	vec, codes := col.Vec, col.Vec.Codes
+	if col.Group != nil {
+		codes = col.Group.Codes
+		c.from(col.Group.Dict)
+	} else if vec.Coded() {
 		c.from(vec.Dict)
-		for r := 0; r < n; r++ {
-			if s := col.row(r); vec.IsNull(s) {
-				out = append(out, c.nullCode())
-			} else {
-				out = append(out, c.of(vec.Codes[s]))
+	}
+	out = slices.Grow(out, n)
+	var last uint32 // runs of one int cost one lookup
+	for r := 0; r < n; r++ {
+		switch s := col.row(r); {
+		case vec.IsNull(s):
+			out = append(out, c.value(expr.Value{}))
+		case col.Group != nil || vec.Coded():
+			out = append(out, c.of(codes[s]))
+		case vec.Kind == expr.KindFloat:
+			out = append(out, c.value(expr.Float(vec.Floats[s])))
+		default:
+			if r == 0 || vec.Ints[s] != vec.Ints[col.row(r-1)] || vec.IsNull(col.row(r-1)) {
+				last = c.value(expr.Int(vec.Ints[s]))
 			}
-		}
-	case vec.Kind == expr.KindInt:
-		var last uint32 // runs of one key cost one lookup
-		for r := 0; r < n; r++ {
-			s := col.row(r)
-			switch k := vec.Ints[s]; {
-			case vec.IsNull(s):
-				out = append(out, c.nullCode())
-			case r == 0 || k != vec.Ints[col.row(r-1)] || vec.IsNull(col.row(r-1)):
-				last = c.int(k)
-				fallthrough
-			default:
-				out = append(out, last)
-			}
-		}
-	default:
-		for r := 0; r < n; r++ {
-			if s := col.row(r); vec.IsNull(s) {
-				out = append(out, c.nullCode())
-			} else {
-				out = append(out, c.float(vec.Floats[s]))
-			}
+			out = append(out, last)
 		}
 	}
 	return out

@@ -59,12 +59,15 @@ func (r *Report) ReuseRatio() float64 {
 type Integrator struct {
 	cost    quality.ETLCostModel
 	reorder bool
+	// equivalent is the direct-reuse search: findEquivalent, which a
+	// test holds to the scan it replaced.
+	equivalent func(d *xlm.Design, p *xlm.Node, mappedInputs []string) string
 }
 
 // New creates an integrator. A nil cost model disables cost
 // reporting; reorder enables the equivalence-rule alignment.
 func New(cost quality.ETLCostModel, reorder bool) *Integrator {
-	return &Integrator{cost: cost, reorder: reorder}
+	return &Integrator{cost: cost, reorder: reorder, equivalent: findEquivalent}
 }
 
 // Integrate consolidates the partial flow into the unified one and
@@ -130,7 +133,7 @@ func (it *Integrator) Integrate(unified, partial *xlm.Design) (*xlm.Design, *Rep
 			mappedInputs[i] = mi
 		}
 		// Direct reuse: same signature, same ordered inputs.
-		if u := findEquivalent(out, p, mappedInputs); u != "" {
+		if u := it.equivalent(out, p, mappedInputs); u != "" {
 			rep.Mapping[p.Name] = u
 			rep.Reused++
 			continue
@@ -182,7 +185,11 @@ func (it *Integrator) Integrate(unified, partial *xlm.Design) (*xlm.Design, *Rep
 func findEquivalent(d *xlm.Design, p *xlm.Node, mappedInputs []string) string {
 	sig := p.Signature()
 	for _, u := range d.Nodes() {
-		if u.Signature() != sig {
+		// A signature starts with the node's type, which holds no '|':
+		// a node of another type cannot match, and building its
+		// signature (sorting its parameters, parsing its predicate) is
+		// skipped.
+		if u.Type != p.Type || u.Signature() != sig {
 			continue
 		}
 		ins := d.Inputs(u.Name)
