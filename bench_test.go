@@ -502,8 +502,8 @@ func BenchmarkAblation_OLAPFromDWvsSources(b *testing.B) {
 }
 
 // BenchmarkAblation_MetadataLayer measures the Communication &
-// Metadata layer: the xLM round trip (marshal, then unmarshal) of a
-// unified ETL design of realistic size.
+// Metadata layer: writing the xLM text of a unified ETL design of
+// realistic size, as GET /api/design serves it.
 func BenchmarkAblation_MetadataLayer(b *testing.B) {
 	in, cost := tpchInterp(b, 1)
 	etlInt := etlintegrator.New(cost, true)
@@ -518,13 +518,9 @@ func BenchmarkAblation_MetadataLayer(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("xlm_roundtrip", func(b *testing.B) {
+	b.Run("xlm_marshal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			text, err := xlm.Marshal(unified)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := xlm.Unmarshal(text); err != nil {
+			if _, err := xlm.Marshal(unified); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -739,7 +735,7 @@ func BenchmarkOLAPQuery_ScanGroup_SF200_ColdDims(b *testing.B) {
 // instead of mapped from files, so the two should read alike. Not
 // gated.
 func BenchmarkOLAPQuery_ScanGroup_SF200_Mem(b *testing.B) {
-	p := benchWarehouseIn(b, quarry.NewMemDB(), 200, quarry.CanonicalRequirements()...)
+	p := benchWarehouseIn(b, storage.NewMemDB(), 200, quarry.CanonicalRequirements()...)
 	benchQueryOn(b, p, benchScanGroupQuery())
 }
 
@@ -783,11 +779,12 @@ func BenchmarkOLAPQuery_DiceFromEntry(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		oe := base.WithMatAgg(olap.NewMatAgg(8))
+		mat := olap.NewMatAgg(8)
+		oe := base.WithMatAgg(mat)
 		if _, err := oe.Query(q); err != nil { // record the pattern
 			b.Fatal(err)
 		}
-		if _, err := oe.MatAgg().Refresh(oe); err != nil {
+		if _, err := mat.Refresh(oe); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -798,7 +795,7 @@ func BenchmarkOLAPQuery_DiceFromEntry(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if st := oe.MatAgg().Stats(); st.Hits+st.Rewrites == 0 {
+		if st := mat.Stats(); st.Hits+st.Rewrites == 0 {
 			b.Fatalf("the dice was never answered from an entry: %+v", st)
 		}
 	})
@@ -938,12 +935,13 @@ func BenchmarkOLAPQuery_FastPath_Disk_Filtered(b *testing.B) {
 // table). The acceptance bar is ≥2× over BenchmarkOLAPQuery_FastPath
 // for covered roll-ups.
 func BenchmarkOLAPQuery_Materialized(b *testing.B) {
-	oe := benchOLAPEngine(b).WithMatAgg(olap.NewMatAgg(8))
+	mat := olap.NewMatAgg(8)
+	oe := benchOLAPEngine(b).WithMatAgg(mat)
 	q := benchCubeQuery()
 	if _, err := oe.Query(q); err != nil { // record the pattern
 		b.Fatal(err)
 	}
-	if _, err := oe.MatAgg().Refresh(oe); err != nil {
+	if _, err := mat.Refresh(oe); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -953,7 +951,7 @@ func BenchmarkOLAPQuery_Materialized(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if st := oe.MatAgg().Stats(); st.Hits+st.Rewrites == 0 {
+	if st := mat.Stats(); st.Hits+st.Rewrites == 0 {
 		b.Fatalf("benchmark never hit a materialized aggregate: %+v", st)
 	}
 }
@@ -970,7 +968,8 @@ func BenchmarkOLAPQuery_Rewrite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oe := base.WithMatAgg(olap.NewMatAgg(8))
+	mat := olap.NewMatAgg(8)
+	oe := base.WithMatAgg(mat)
 	q := olap.CubeQuery{
 		Fact:    "fact_table_revenue",
 		GroupBy: []string{"s_name"},
@@ -983,7 +982,7 @@ func BenchmarkOLAPQuery_Rewrite(b *testing.B) {
 	if _, err := oe.Query(q); err != nil { // record the pattern
 		b.Fatal(err)
 	}
-	if _, err := oe.MatAgg().Refresh(oe); err != nil {
+	if _, err := mat.Refresh(oe); err != nil {
 		b.Fatal(err)
 	}
 	if res, err := oe.Query(q); err != nil || len(res.Rows) == 0 {
@@ -997,7 +996,7 @@ func BenchmarkOLAPQuery_Rewrite(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if st := oe.MatAgg().Stats(); st.Rewrites == 0 {
+	if st := mat.Stats(); st.Rewrites == 0 {
 		b.Fatalf("benchmark never rewrote onto a finer aggregate: %+v", st)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"quarry"
 	"quarry/internal/olap"
+	"quarry/internal/storage"
 	"quarry/internal/tpch"
 )
 
@@ -104,7 +105,7 @@ func answers(t *testing.T, p *quarry.Platform, label string) []*olap.Result {
 
 func TestDiskRestartByteIdenticalToMemory(t *testing.T) {
 	// Oracle run: a database without a directory, end to end.
-	memDB := quarry.NewMemDB()
+	memDB := storage.NewMemDB()
 	if _, err := tpch.Generate(memDB, 5, 42); err != nil {
 		t.Fatal(err)
 	}

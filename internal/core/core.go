@@ -216,11 +216,10 @@ func (p *Platform) AddRequirement(r *xrq.Requirement) (*ChangeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Satisfiability of every requirement against the new design.
-	if err := p.checkAllSatisfiedLocked(newMD, r); err != nil {
+	list := append(slices.Clip(p.lifecycle), registered{r.Clone(), pd})
+	if err := check(list, newMD, newETL); err != nil {
 		return nil, err
 	}
-	list := append(slices.Clip(p.lifecycle), registered{r.Clone(), pd})
 	if err := p.commitLocked(list, newMD, newETL); err != nil {
 		return nil, err
 	}
@@ -273,8 +272,8 @@ func (p *Platform) find(id string) int {
 }
 
 // derive integrates the partial designs of list, in order, into unified
-// designs that satisfy every requirement of list (nil designs for an
-// empty list). It reads no platform state.
+// designs that pass check (nil designs for an empty list). It reads no
+// platform state.
 func (p *Platform) derive(list []registered) (*xmd.Schema, *xlm.Design, error) {
 	var md *xmd.Schema
 	var etl *xlm.Design
@@ -287,12 +286,29 @@ func (p *Platform) derive(list []registered) (*xmd.Schema, *xlm.Design, error) {
 			return nil, nil, err
 		}
 	}
-	for _, e := range list {
-		if err := interpreter.Satisfies(md, e.req); err != nil {
-			return nil, nil, fmt.Errorf("core: re-derived design unsatisfiable: %w", err)
-		}
+	if err := check(list, md, etl); err != nil {
+		return nil, nil, err
 	}
 	return md, etl, nil
+}
+
+// check holds candidate unified designs to what every change promises:
+// they satisfy each requirement of list, and the deployer takes them.
+// sqlgen.Tables refuses, among others, two loaders of one table with
+// different schemas, which a run would let overwrite each other.
+func check(list []registered, md *xmd.Schema, etl *xlm.Design) error {
+	for _, e := range list {
+		if err := interpreter.Satisfies(md, e.req); err != nil {
+			return fmt.Errorf("core: the unified design does not satisfy %q: %w", e.req.ID, err)
+		}
+	}
+	if etl == nil {
+		return nil
+	}
+	if _, err := sqlgen.Tables(etl); err != nil {
+		return fmt.Errorf("core: the unified design cannot be deployed: %w", err)
+	}
+	return nil
 }
 
 // rederiveLocked makes list the lifecycle, with unified designs derived
@@ -319,20 +335,6 @@ func (p *Platform) commitLocked(list []registered, md *xmd.Schema, etl *xlm.Desi
 	p.lifecycle, p.unifiedMD, p.unifiedETL = list, md, etl
 	p.olapEng = nil
 	p.matAgg.Invalidate()
-	return nil
-}
-
-// checkAllSatisfiedLocked verifies every registered requirement plus
-// the incoming one against a candidate unified MD schema.
-func (p *Platform) checkAllSatisfiedLocked(md *xmd.Schema, incoming *xrq.Requirement) error {
-	if err := interpreter.Satisfies(md, incoming); err != nil {
-		return fmt.Errorf("core: new design does not satisfy %q: %w", incoming.ID, err)
-	}
-	for _, e := range p.lifecycle {
-		if err := interpreter.Satisfies(md, e.req); err != nil {
-			return fmt.Errorf("core: integration would break requirement %q: %w", e.req.ID, err)
-		}
-	}
 	return nil
 }
 

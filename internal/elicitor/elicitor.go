@@ -213,7 +213,6 @@ func (e *Elicitor) Graph() *Graph {
 type Builder struct {
 	e   *Elicitor
 	req *xrq.Requirement
-	err error
 }
 
 // NewRequirement starts a builder.
@@ -224,9 +223,6 @@ func (e *Elicitor) NewRequirement(id, name string) *Builder {
 // AddMeasure adds a named measure with an expression over qualified
 // attributes.
 func (b *Builder) AddMeasure(id, formula string) *Builder {
-	if b.err != nil {
-		return b
-	}
 	b.req.Measures = append(b.req.Measures, xrq.Measure{ID: id, Function: formula})
 	return b
 }
@@ -234,38 +230,18 @@ func (b *Builder) AddMeasure(id, formula string) *Builder {
 // AddDimension accepts a dimension suggestion (one qualified
 // attribute).
 func (b *Builder) AddDimension(qualified string) *Builder {
-	if b.err != nil {
-		return b
-	}
 	b.req.Dimensions = append(b.req.Dimensions, xrq.Dimension{Concept: qualified})
 	return b
 }
 
 // AddSlicer adds a filter.
 func (b *Builder) AddSlicer(qualified, op, value string) *Builder {
-	if b.err != nil {
-		return b
-	}
 	b.req.Slicers = append(b.req.Slicers, xrq.Slicer{Concept: qualified, Operator: op, Value: value})
-	return b
-}
-
-// Aggregate declares how a measure aggregates along a dimension.
-func (b *Builder) Aggregate(dimension, measure string, fn xrq.AggFunc) *Builder {
-	if b.err != nil {
-		return b
-	}
-	b.req.Aggs = append(b.req.Aggs, xrq.Aggregation{
-		Order: 1, Dimension: dimension, Measure: measure, Function: fn,
-	})
 	return b
 }
 
 // Build validates and returns the assembled requirement.
 func (b *Builder) Build() (*xrq.Requirement, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
 	if err := b.req.Validate(b.e.onto); err != nil {
 		return nil, err
 	}

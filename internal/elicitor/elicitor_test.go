@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"quarry/internal/tpch"
-	"quarry/internal/xrq"
 )
 
 func newElicitor(t *testing.T) *Elicitor {
@@ -155,7 +154,6 @@ func TestGuidedRequirementAssembly(t *testing.T) {
 		AddDimension(partAttr).
 		AddDimension(supAttr).
 		AddSlicer("Nation.n_name", "=", "SPAIN").
-		Aggregate(partAttr, "revenue", xrq.AggAvg).
 		Build()
 	if err != nil {
 		t.Fatal(err)

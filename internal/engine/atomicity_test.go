@@ -86,7 +86,11 @@ func TestAppendModeFailedRunLeavesLiveTableUntouched(t *testing.T) {
 
 			// Recovery: removing the poison, the next run appends its
 			// whole delta atomically with exactly one version bump.
-			src.Truncate()
+			src, err = db.CreateOrReplaceTable("src", []storage.Column{{Name: "a", Type: "int"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			versionBefore = db.Version()
 			if err := src.Insert(storage.Row{expr.Int(5)}); err != nil {
 				t.Fatal(err)
 			}

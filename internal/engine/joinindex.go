@@ -85,9 +85,6 @@ func (x *JoinIndex) Add(n int, cols, keys []*storage.Vector) {
 	x.rows += n
 }
 
-// Dense reports whether the first key column is numbered by arithmetic.
-func (x *JoinIndex) Dense() bool { return x.coders[0].dense }
-
 // FansOut reports whether some key is carried by more than one row.
 func (x *JoinIndex) FansOut() bool { return x.next != nil }
 

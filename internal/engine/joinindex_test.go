@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"quarry/internal/expr"
+	"quarry/internal/storage"
 )
 
 // TestJoinIndexKeysSharingADictionary joins on composite keys whose
@@ -75,4 +77,49 @@ func TestHashJoinBuildAfterProbe(t *testing.T) {
 		}
 	}()
 	j.Build([][]expr.Value{{expr.Int(2)}})
+}
+
+// TestJoinIndexDenseOnlyForNarrowInts pins which representation a key
+// column gets: the dense array for int keys that span little more than
+// their count, wherever they lie (ints beside 2⁵³ are as exact as any),
+// the code map for every other key. olap's TestDimSideIndexKinds holds
+// both to the join rule over the same keys.
+func TestJoinIndexDenseOnlyForNarrowInts(t *testing.T) {
+	ints := func(ks ...int64) []expr.Value {
+		out := make([]expr.Value, len(ks))
+		for i, k := range ks {
+			out[i] = expr.Int(k)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		keys  []expr.Value
+		dense bool
+	}{
+		{"dense int", append(ints(105, 103, 100, 105, 139, 103, 105), expr.Null()), true},
+		{"dense int around zero", ints(-7, 0, 3, 3, -7), true},
+		{"sparse int", ints(5_000_000, 0, 3, 10_000_000, 3), false},
+		{"sparse int with NULL", append(ints(5_000_000, 7), expr.Null()), false},
+		{"float with NULL", []expr.Value{expr.Float(2.5), expr.Null()}, false},
+		{"int at 2^53", ints(1<<53-1, 1<<53, 1<<53+1, 1<<53-2), true},
+		{"int at -2^53", ints(-(1 << 53), -(1<<53 - 1), -(1<<53 + 1)), true},
+		{"sparse int at 2^53", ints(1<<53, 1<<53+1, 1<<53+1_000_000), false},
+		{"int extremes", ints(math.MinInt64, math.MaxInt64, 0), false},
+		{"whole floats", []expr.Value{expr.Float(3), expr.Float(4), expr.Float(5)}, false},
+		{"string", []expr.Value{expr.Str("x"), expr.Str("3"), expr.Null(), expr.Str("x"), expr.Str("")}, false},
+		{"bool", []expr.Value{expr.Bool(true), expr.Bool(false), expr.Bool(true)}, false},
+		{"empty", nil, false},
+	} {
+		x := NewJoinIndex(0, 1, len(tc.keys))
+		if len(tc.keys) > 0 {
+			x.Add(len(tc.keys), nil, []*storage.Vector{storage.VectorOf(tc.keys)})
+		}
+		if err := x.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := x.coders[0].dense; got != tc.dense {
+			t.Errorf("%s: dense index %v, want %v", tc.name, got, tc.dense)
+		}
+	}
 }

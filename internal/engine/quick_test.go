@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -260,9 +261,14 @@ func TestQuickSelectionFunctionCommute(t *testing.T) {
 	}
 }
 
+// columnAt is the position of a table's column, or -1.
+func columnAt(t *storage.Table, name string) int {
+	return slices.IndexFunc(t.Columns, func(c storage.Column) bool { return c.Name == name })
+}
+
 func sumCol(t *storage.Table, col string) float64 {
-	i, ok := t.ColumnIndex(col)
-	if !ok {
+	i := columnAt(t, col)
+	if i < 0 {
 		return -1
 	}
 	var s float64
@@ -287,8 +293,7 @@ func TestQuickSurrogateKeyDense(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gIdx, _ := out.ColumnIndex("g")
-		skIdx, _ := out.ColumnIndex("sk")
+		gIdx, skIdx := columnAt(out, "g"), columnAt(out, "sk")
 		byGroup := map[string]int64{}
 		seen := map[int64]bool{}
 		ok := true

@@ -54,11 +54,7 @@ func toDot(d *xlm.Design) (string, error) {
 		fmt.Fprintf(&b, "  %q [label=\"%s\", shape=%s];\n", n.Name, label, dotShape(n.Type))
 	}
 	for _, e := range d.Edges() {
-		style := ""
-		if !e.Enabled {
-			style = " [style=dashed]"
-		}
-		fmt.Fprintf(&b, "  %q -> %q%s;\n", e.From, e.To, style)
+		fmt.Fprintf(&b, "  %q -> %q;\n", e.From, e.To)
 	}
 	b.WriteString("}\n")
 	return b.String(), nil

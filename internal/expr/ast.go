@@ -128,36 +128,6 @@ func (n *Call) String() string {
 	return n.Name + "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Equal reports structural equality of two expression trees.
-func Equal(a, b Node) bool {
-	switch x := a.(type) {
-	case *Ident:
-		y, ok := b.(*Ident)
-		return ok && x.Name == y.Name
-	case *Literal:
-		y, ok := b.(*Literal)
-		return ok && x.Val.Equal(y.Val) && x.Val.Kind() == y.Val.Kind()
-	case *Unary:
-		y, ok := b.(*Unary)
-		return ok && x.Op == y.Op && Equal(x.X, y.X)
-	case *Binary:
-		y, ok := b.(*Binary)
-		return ok && x.Op == y.Op && Equal(x.L, y.L) && Equal(x.R, y.R)
-	case *Call:
-		y, ok := b.(*Call)
-		if !ok || !strings.EqualFold(x.Name, y.Name) || len(x.Args) != len(y.Args) {
-			return false
-		}
-		for i := range x.Args {
-			if !Equal(x.Args[i], y.Args[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // Idents returns the sorted, de-duplicated set of attribute names the
 // expression references.
 func Idents(n Node) []string {
@@ -220,26 +190,6 @@ func Conjuncts(n Node) []Node {
 		return append(Conjuncts(b.L), Conjuncts(b.R)...)
 	}
 	return []Node{n}
-}
-
-// And combines predicates into a single conjunction. And() of an empty
-// slice returns the TRUE literal; of one element, the element itself.
-func And(preds ...Node) Node {
-	var out Node
-	for _, p := range preds {
-		if p == nil {
-			continue
-		}
-		if out == nil {
-			out = p
-			continue
-		}
-		out = &Binary{Op: tokAnd, L: out, R: p}
-	}
-	if out == nil {
-		return &Literal{Val: Bool(true)}
-	}
-	return out
 }
 
 // Comparison destructures a node of the form `column OP literal` (or

@@ -186,22 +186,3 @@ func extremum(sign int) func([]Value) (Value, error) {
 		return a[1], nil
 	}
 }
-
-// Builtins returns the sorted names of all builtin functions; used by
-// documentation and the REST introspection endpoint.
-func Builtins() []string {
-	out := make([]string, 0, len(builtins))
-	for name := range builtins {
-		out = append(out, name)
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}

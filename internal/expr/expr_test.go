@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -230,17 +231,16 @@ func TestRename(t *testing.T) {
 }
 
 func TestConjunctsAndAnd(t *testing.T) {
-	n := MustParse("a = 1 AND b = 2 AND c = 3")
-	cs := Conjuncts(n)
-	if len(cs) != 3 {
-		t.Fatalf("Conjuncts = %d, want 3", len(cs))
+	n := MustParse("a = 1 AND (b = 2 OR c = 3) AND c = 3")
+	var got []string
+	for _, c := range Conjuncts(n) {
+		got = append(got, c.String())
 	}
-	back := And(cs...)
-	if !Equal(n, back) {
-		t.Errorf("And(Conjuncts(n)) != n: %q vs %q", back.String(), n.String())
+	if want := []string{"a = 1", "b = 2 OR c = 3", "c = 3"}; strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("Conjuncts = %q, want %q", got, want)
 	}
-	if And().String() != "TRUE" {
-		t.Errorf("And() = %q, want TRUE", And().String())
+	if cs := Conjuncts(MustParse("a = 1 OR b = 2")); len(cs) != 1 {
+		t.Errorf("Conjuncts of a disjunction = %d nodes, want 1", len(cs))
 	}
 }
 
@@ -368,18 +368,6 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-func TestBuiltinsListSorted(t *testing.T) {
-	names := Builtins()
-	if len(names) == 0 {
-		t.Fatal("no builtins")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatalf("Builtins() not sorted: %v", names)
-		}
-	}
-}
-
 func TestSliceEnvRebinds(t *testing.T) {
 	e, err := Parse("a + b")
 	if err != nil {
@@ -410,4 +398,42 @@ func TestSliceEnvRebinds(t *testing.T) {
 	if _, err := Eval(MustParse("ghost"), f); err == nil {
 		t.Error("unknown name bound")
 	}
+}
+
+// MapSchema adapts a map to a Schema.
+func MapSchema(m map[string]Kind) Schema {
+	return func(name string) (Kind, bool) {
+		k, ok := m[name]
+		return k, ok
+	}
+}
+
+// Equal reports structural equality of two expression trees.
+func Equal(a, b Node) bool {
+	switch x := a.(type) {
+	case *Ident:
+		y, ok := b.(*Ident)
+		return ok && x.Name == y.Name
+	case *Literal:
+		y, ok := b.(*Literal)
+		return ok && x.Val.Equal(y.Val) && x.Val.Kind() == y.Val.Kind()
+	case *Unary:
+		y, ok := b.(*Unary)
+		return ok && x.Op == y.Op && Equal(x.X, y.X)
+	case *Binary:
+		y, ok := b.(*Binary)
+		return ok && x.Op == y.Op && Equal(x.L, y.L) && Equal(x.R, y.R)
+	case *Call:
+		y, ok := b.(*Call)
+		if !ok || !strings.EqualFold(x.Name, y.Name) || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !Equal(x.Args[i], y.Args[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }

@@ -145,7 +145,17 @@ func TestQuickRenameBijection(t *testing.T) {
 	}
 }
 
-// Property: Conjuncts/And round trip preserves predicate evaluation.
+// conjunction rebuilds a predicate from its conjuncts, left-deep.
+func conjunction(cs []Node) Node {
+	out := cs[0]
+	for _, c := range cs[1:] {
+		out = &Binary{Op: tokAnd, L: out, R: c}
+	}
+	return out
+}
+
+// Property: splitting into conjuncts and rejoining them preserves
+// predicate evaluation.
 func TestQuickConjunctsPreserveSemantics(t *testing.T) {
 	env := MapEnv(map[string]Value{
 		"a": Int(3), "b": Int(-2), "c": Float(1.5),
@@ -155,7 +165,7 @@ func TestQuickConjunctsPreserveSemantics(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := genPredicate(r, 3)
 		v1, err1 := EvalBool(n, env)
-		v2, err2 := EvalBool(And(Conjuncts(n)...), env)
+		v2, err2 := EvalBool(conjunction(Conjuncts(n)), env)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}

@@ -6,14 +6,6 @@ import "fmt"
 // type checking. The boolean reports whether the name is declared.
 type Schema func(name string) (Kind, bool)
 
-// MapSchema adapts a map to a Schema.
-func MapSchema(m map[string]Kind) Schema {
-	return func(name string) (Kind, bool) {
-		k, ok := m[name]
-		return k, ok
-	}
-}
-
 // Infer type-checks the expression against the schema and returns the
 // static result kind. NULL literals type as KindNull, which unifies
 // with everything.

@@ -34,10 +34,6 @@ func (in *Interpreter) dimensionChain(concept string) []closureLevel {
 				mappedPath = false
 				break
 			}
-			if strings.HasPrefix(s.Prop.ID, "subclass:") {
-				mappedPath = false // no physical join backs a taxonomy hop
-				break
-			}
 		}
 		if _, ok := in.mapg.Concept(c); !ok || !mappedPath {
 			continue

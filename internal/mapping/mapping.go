@@ -13,7 +13,6 @@ package mapping
 
 import (
 	"fmt"
-	"sort"
 
 	"quarry/internal/ontology"
 	"quarry/internal/sources"
@@ -108,16 +107,6 @@ func (m *Mapping) Concept(id string) (*ConceptMapping, bool) {
 func (m *Mapping) Property(id string) (*PropertyMapping, bool) {
 	p, ok := m.props[id]
 	return p, ok
-}
-
-// MappedConcepts returns the mapped concept IDs, sorted.
-func (m *Mapping) MappedConcepts() []string {
-	out := make([]string, 0, len(m.concepts))
-	for k := range m.concepts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Column resolves a qualified ontology attribute ("Concept.attr") to

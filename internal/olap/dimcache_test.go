@@ -1,11 +1,13 @@
 package olap_test
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"quarry/internal/olap"
+	"quarry/internal/storage"
 	"quarry/internal/tpch"
 )
 
@@ -81,7 +83,7 @@ func TestDimCache(t *testing.T) {
 	var dim string
 	for _, name := range db.TableNames() {
 		if tbl, ok := db.Table(name); ok && strings.HasPrefix(name, "dim_") {
-			if _, ok := tbl.ColumnIndex("p_brand"); ok {
+			if slices.ContainsFunc(tbl.Columns, func(c storage.Column) bool { return c.Name == "p_brand" }) {
 				dim = name
 			}
 		}

@@ -53,7 +53,6 @@ package olap
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -83,8 +82,8 @@ type CubeQuery struct {
 	Filter string
 	// RollUp maps an xMD dimension name to the hierarchy level to
 	// aggregate at (e.g. {"Supplier": "Nation"}); each named level's
-	// key descriptor joins the group-by columns. Engine.RollUp and
-	// Engine.DrillDown navigate a query along the hierarchy.
+	// key descriptor joins the group-by columns. Engine.RollUp moves a
+	// query one level up the hierarchy.
 	RollUp map[string]string
 	// Dice, when non-nil, applies a diamond dice (Webb, Kaser,
 	// Lemire) to the cube before its measures are finalised: attribute
@@ -239,9 +238,6 @@ func (e *Engine) WithMatAgg(m *MatAgg) *Engine {
 	return &ne
 }
 
-// MatAgg returns the attached materialized-aggregate store, if any.
-func (e *Engine) MatAgg() *MatAgg { return e.mat }
-
 // Query answers the cube query on the vectorized fast path: star join
 // and hash aggregation directly over a storage snapshot, entirely in
 // memory — or, when a materialized aggregate of the right granularity
@@ -261,20 +257,6 @@ func (e *Engine) QueryContext(ctx context.Context, q CubeQuery) (*Result, error)
 		return nil, err
 	}
 	res, _, err := e.answerPlanned(ctx, p, snap, false)
-	return res, err
-}
-
-// QuerySnapshot answers the query on the fast path against an
-// existing snapshot (which must cover the fact and dimension tables
-// the query touches). Callers that answer several queries from one
-// consistent view — or cache results keyed by Snapshot.Version —
-// take their snapshot once and reuse it.
-func (e *Engine) QuerySnapshot(q CubeQuery, snap *storage.Snapshot) (*Result, error) {
-	p, err := e.plan(q)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := e.answerPlanned(context.Background(), p, snap, false)
 	return res, err
 }
 
@@ -341,23 +323,6 @@ func (e *Engine) answerPlanned(ctx context.Context, p *starPlan, snap *storage.S
 	return &Result{Columns: p.resultColumns(), Rows: rows, Version: snap.Version(), Class: class}, nil, nil
 }
 
-// Snapshot captures the consistent view the query would read:
-// the fact table plus every dimension table the plan joins.
-func (e *Engine) Snapshot(q CubeQuery) (*storage.Snapshot, error) {
-	_, snap, err := e.planned(q)
-	return snap, err
-}
-
-// Facts lists the queryable fact tables of the design.
-func (e *Engine) Facts() []string {
-	var out []string
-	for _, f := range e.md.Facts {
-		out = append(out, f.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Levels returns a dimension's hierarchy as level names ordered base
 // → coarsest (breadth-first over the roll-up edges).
 func (e *Engine) Levels(dimension string) ([]string, error) {
@@ -387,46 +352,24 @@ func (e *Engine) Levels(dimension string) ([]string, error) {
 	return out, nil
 }
 
-// currentLevel resolves the level a query aggregates a dimension at:
-// the explicit RollUp entry, or the fact's base level for the
-// dimension.
-func (e *Engine) currentLevel(q CubeQuery, dimension string) (string, *xmd.Dimension, error) {
-	d, ok := e.md.Dimension(dimension)
-	if !ok {
-		return "", nil, fmt.Errorf("olap: unknown dimension %q", dimension)
-	}
-	if lvl, ok := q.RollUp[dimension]; ok {
-		if _, ok := d.Level(lvl); !ok {
-			return "", nil, fmt.Errorf("olap: dimension %q has no level %q", dimension, lvl)
-		}
-		return lvl, d, nil
-	}
-	bases := d.BaseLevels()
-	if len(bases) == 0 {
-		return "", nil, fmt.Errorf("olap: dimension %q has no base level", dimension)
-	}
-	return bases[0].Name, d, nil
-}
-
-// withLevel returns a copy of q aggregating dimension at level.
-func withLevel(q CubeQuery, dimension, level string) CubeQuery {
-	ru := make(map[string]string, len(q.RollUp)+1)
-	for k, v := range q.RollUp {
-		ru[k] = v
-	}
-	ru[dimension] = level
-	q.RollUp = ru
-	return q
-}
-
 // RollUp returns a copy of the query aggregating the dimension one
 // level coarser along the xMD hierarchy (e.g. Supplier → Nation). It
 // fails at the top of the hierarchy or if the roll-up is ambiguous
 // (branching hierarchies need an explicit RollUp entry).
 func (e *Engine) RollUp(q CubeQuery, dimension string) (CubeQuery, error) {
-	cur, d, err := e.currentLevel(q, dimension)
-	if err != nil {
-		return q, err
+	d, ok := e.md.Dimension(dimension)
+	if !ok {
+		return q, fmt.Errorf("olap: unknown dimension %q", dimension)
+	}
+	cur, ok := q.RollUp[dimension]
+	if !ok {
+		bases := d.BaseLevels()
+		if len(bases) == 0 {
+			return q, fmt.Errorf("olap: dimension %q has no base level", dimension)
+		}
+		cur = bases[0].Name
+	} else if _, ok := d.Level(cur); !ok {
+		return q, fmt.Errorf("olap: dimension %q has no level %q", dimension, cur)
 	}
 	var next string
 	for _, r := range d.Rollups {
@@ -441,29 +384,11 @@ func (e *Engine) RollUp(q CubeQuery, dimension string) (CubeQuery, error) {
 	if next == "" {
 		return q, fmt.Errorf("olap: dimension %q is already at its coarsest level %q", dimension, cur)
 	}
-	return withLevel(q, dimension, next), nil
-}
-
-// DrillDown returns a copy of the query aggregating the dimension one
-// level finer (the inverse of RollUp). It fails at the base level or
-// if the drill-down is ambiguous.
-func (e *Engine) DrillDown(q CubeQuery, dimension string) (CubeQuery, error) {
-	cur, d, err := e.currentLevel(q, dimension)
-	if err != nil {
-		return q, err
+	ru := make(map[string]string, len(q.RollUp)+1)
+	for k, v := range q.RollUp {
+		ru[k] = v
 	}
-	var prev string
-	for _, r := range d.Rollups {
-		if r.To != cur {
-			continue
-		}
-		if prev != "" {
-			return q, fmt.Errorf("olap: dimension %q drills down from %q to both %q and %q; set RollUp explicitly", dimension, cur, prev, r.From)
-		}
-		prev = r.From
-	}
-	if prev == "" {
-		return q, fmt.Errorf("olap: dimension %q is already at its base level %q", dimension, cur)
-	}
-	return withLevel(q, dimension, prev), nil
+	ru[dimension] = next
+	q.RollUp = ru
+	return q, nil
 }

@@ -1,6 +1,7 @@
 package olap_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,9 +51,6 @@ func TestStarQueryOverDeployedDW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if facts := e.Facts(); len(facts) != 1 || facts[0] != "fact_table_revenue" {
-		t.Errorf("facts = %v", facts)
-	}
 	// Total revenue per supplier nation (a roll-up via dim_supplier).
 	res, err := e.Query(olap.CubeQuery{
 		Fact:     "fact_table_revenue",
@@ -72,7 +70,7 @@ func TestStarQueryOverDeployedDW(t *testing.T) {
 	}
 	// Cross-check the total against the fact table itself.
 	fact, _ := db.Table("fact_table_revenue")
-	rIdx, _ := fact.ColumnIndex("revenue")
+	rIdx := slices.IndexFunc(fact.Columns, func(c storage.Column) bool { return c.Name == "revenue" })
 	var want float64
 	for _, r := range fact.Rows() {
 		f, _ := r[rIdx].AsFloat()

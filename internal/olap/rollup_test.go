@@ -44,24 +44,6 @@ func TestLevelsAndNavigation(t *testing.T) {
 	if _, err := e.RollUp(q2, "Supplier"); err == nil {
 		t.Fatal("roll-up past the top succeeded")
 	}
-	// And back down.
-	q3, err := e.DrillDown(q2, "Supplier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q3.RollUp["Supplier"] != "Nation" {
-		t.Fatalf("drill-down = %v", q3.RollUp)
-	}
-	q4, err := e.DrillDown(q3, "Supplier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q4.RollUp["Supplier"] != "Supplier" {
-		t.Fatalf("drill-down to base = %v", q4.RollUp)
-	}
-	if _, err := e.DrillDown(q4, "Supplier"); err == nil {
-		t.Fatal("drill-down past the base succeeded")
-	}
 	// Navigation does not mutate the input query.
 	if len(q.RollUp) != 0 {
 		t.Fatalf("input query mutated: %v", q.RollUp)

@@ -3,7 +3,7 @@
 // sources (§2.5 of the paper). An ontology is a labelled graph of
 // concepts (classes) carrying typed datatype properties (attributes),
 // connected by object properties (associations) annotated with
-// multiplicities, plus a subclass taxonomy.
+// multiplicities.
 //
 // The Requirements Elicitor explores this graph to suggest analytical
 // perspectives; the Requirements Interpreter uses to-one paths to
@@ -43,22 +43,6 @@ func (m Multiplicity) String() string {
 		return "many-to-many"
 	default:
 		return fmt.Sprintf("multiplicity(%d)", int(m))
-	}
-}
-
-// ParseMultiplicity parses the dash-separated form.
-func ParseMultiplicity(s string) (Multiplicity, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "one-to-one", "1-1":
-		return OneToOne, nil
-	case "many-to-one", "n-1":
-		return ManyToOne, nil
-	case "one-to-many", "1-n":
-		return OneToMany, nil
-	case "many-to-many", "n-n", "n-m":
-		return ManyToMany, nil
-	default:
-		return 0, fmt.Errorf("ontology: unknown multiplicity %q", s)
 	}
 }
 
@@ -132,7 +116,6 @@ type Ontology struct {
 	opOrder  []string
 	byDomain map[string][]*ObjectProperty
 	byRange  map[string][]*ObjectProperty
-	parent   map[string]string // subclass: child -> parent
 }
 
 // New creates an empty ontology.
@@ -143,7 +126,6 @@ func New(name string) *Ontology {
 		objProps: map[string]*ObjectProperty{},
 		byDomain: map[string][]*ObjectProperty{},
 		byRange:  map[string][]*ObjectProperty{},
-		parent:   map[string]string{},
 	}
 }
 
@@ -204,30 +186,6 @@ func (o *Ontology) AddObjectProperty(id, label, domain, rng string, m Multiplici
 	return nil
 }
 
-// SetSubclass records child ⊑ parent in the taxonomy.
-func (o *Ontology) SetSubclass(child, parent string) error {
-	if _, ok := o.concepts[child]; !ok {
-		return fmt.Errorf("ontology: unknown concept %q", child)
-	}
-	if _, ok := o.concepts[parent]; !ok {
-		return fmt.Errorf("ontology: unknown concept %q", parent)
-	}
-	if child == parent {
-		return fmt.Errorf("ontology: %q cannot subclass itself", child)
-	}
-	o.parent[child] = parent
-	// Reject cycles right away.
-	seen := map[string]bool{child: true}
-	for cur := parent; cur != ""; cur = o.parent[cur] {
-		if seen[cur] {
-			delete(o.parent, child)
-			return fmt.Errorf("ontology: subclass cycle through %q", cur)
-		}
-		seen[cur] = true
-	}
-	return nil
-}
-
 // Concept returns the concept by ID.
 func (o *Ontology) Concept(id string) (*Concept, bool) {
 	c, ok := o.concepts[id]
@@ -256,27 +214,6 @@ func (o *Ontology) ObjectProperties() []*ObjectProperty {
 		out = append(out, o.objProps[id])
 	}
 	return out
-}
-
-// Parent returns the direct superclass of a concept, if any.
-func (o *Ontology) Parent(conceptID string) (string, bool) {
-	p, ok := o.parent[conceptID]
-	return p, ok
-}
-
-// IsSubclassOf reports whether child ⊑ ancestor (reflexive).
-func (o *Ontology) IsSubclassOf(child, ancestor string) bool {
-	for cur := child; cur != ""; {
-		if cur == ancestor {
-			return true
-		}
-		next, ok := o.parent[cur]
-		if !ok {
-			return false
-		}
-		cur = next
-	}
-	return false
 }
 
 // Qualify builds the qualified attribute identifier used across
@@ -313,7 +250,7 @@ func (o *Ontology) ResolveQualified(q string) (*Concept, DatatypeProperty, error
 
 // Validate checks referential integrity of the whole graph. Building
 // through the Add* methods already maintains these invariants; this
-// re-verifies them after external deserialisation.
+// re-verifies them.
 func (o *Ontology) Validate() error {
 	for _, id := range o.order {
 		c := o.concepts[id]
@@ -336,37 +273,7 @@ func (o *Ontology) Validate() error {
 			return fmt.Errorf("ontology: property %q references unknown range %q", p.ID, p.Range)
 		}
 	}
-	for child := range o.parent {
-		seen := map[string]bool{}
-		for cur := child; cur != ""; cur = o.parent[cur] {
-			if seen[cur] {
-				return fmt.Errorf("ontology: subclass cycle through %q", cur)
-			}
-			seen[cur] = true
-		}
-	}
 	return nil
-}
-
-// Stats summarises the ontology size; used by the elicitor benches.
-type Stats struct {
-	Concepts         int
-	DatatypeProps    int
-	ObjectProperties int
-	SubclassEdges    int
-}
-
-// Stats computes size statistics.
-func (o *Ontology) Stats() Stats {
-	s := Stats{
-		Concepts:         len(o.concepts),
-		ObjectProperties: len(o.objProps),
-		SubclassEdges:    len(o.parent),
-	}
-	for _, c := range o.concepts {
-		s.DatatypeProps += len(c.props)
-	}
-	return s
 }
 
 // SearchVocabulary returns concept and property identifiers whose ID

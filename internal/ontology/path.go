@@ -26,18 +26,6 @@ func (s Step) ToOne() bool {
 // Path is a sequence of steps; steps[i].To == steps[i+1].From.
 type Path []Step
 
-// Concepts lists the concept IDs visited, starting with the source.
-func (p Path) Concepts() []string {
-	if len(p) == 0 {
-		return nil
-	}
-	out := []string{p[0].From}
-	for _, s := range p {
-		out = append(out, s.To)
-	}
-	return out
-}
-
 // toOneNeighbors enumerates the functional hops available from a
 // concept, in deterministic order.
 func (o *Ontology) toOneNeighbors(conceptID string) []Step {
@@ -53,15 +41,6 @@ func (o *Ontology) toOneNeighbors(conceptID string) []Step {
 		if s.ToOne() {
 			out = append(out, s)
 		}
-	}
-	// Superclass hop: an instance of a subclass is an instance of its
-	// superclass (trivially functional).
-	if parent, ok := o.parent[conceptID]; ok {
-		out = append(out, Step{
-			Prop: &ObjectProperty{ID: "subclass:" + conceptID, Domain: conceptID, Range: parent, Mult: ManyToOne},
-			From: conceptID,
-			To:   parent,
-		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].To != out[j].To {
@@ -139,49 +118,6 @@ func (o *Ontology) ToOneClosure(from string) map[string]Path {
 			queue = append(queue, qe{concept: s.To, path: np})
 		}
 	}
-	return out
-}
-
-// AllToOnePaths enumerates every simple functional path from→to up to
-// maxLen hops, in deterministic order. The integrators use the
-// alternatives when complementing MD designs.
-func (o *Ontology) AllToOnePaths(from, to string, maxLen int) []Path {
-	var out []Path
-	var dfs func(cur string, visited map[string]bool, path Path)
-	dfs = func(cur string, visited map[string]bool, path Path) {
-		if cur == to && len(path) > 0 {
-			cp := make(Path, len(path))
-			copy(cp, path)
-			out = append(out, cp)
-			return
-		}
-		if len(path) >= maxLen {
-			return
-		}
-		for _, s := range o.toOneNeighbors(cur) {
-			if visited[s.To] {
-				continue
-			}
-			visited[s.To] = true
-			dfs(s.To, visited, append(path, s))
-			delete(visited, s.To)
-		}
-	}
-	if _, ok := o.concepts[from]; !ok {
-		return nil
-	}
-	dfs(from, map[string]bool{from: true}, nil)
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
-		}
-		for k := range out[i] {
-			if out[i][k].Prop.ID != out[j][k].Prop.ID {
-				return out[i][k].Prop.ID < out[j][k].Prop.ID
-			}
-		}
-		return false
-	})
 	return out
 }
 

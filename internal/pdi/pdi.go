@@ -109,11 +109,7 @@ func Write(w io.Writer, d *xlm.Design, database string) error {
 		Conn: ktrConn{Name: "quarry_dw", Server: "localhost", Type: "POSTGRESQL", Database: database},
 	}
 	for _, e := range d.Edges() {
-		enabled := "Y"
-		if !e.Enabled {
-			enabled = "N"
-		}
-		doc.Order.Hops = append(doc.Order.Hops, ktrHop{From: e.From, To: e.To, Enabled: enabled})
+		doc.Order.Hops = append(doc.Order.Hops, ktrHop{From: e.From, To: e.To, Enabled: "Y"})
 	}
 	for _, n := range d.Nodes() {
 		step := ktrStep{Name: n.Name, Type: StepType(n.Type), Copies: 1}

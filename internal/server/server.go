@@ -105,9 +105,6 @@ type Server struct {
 	refreshAgain  bool
 }
 
-// New wires the routes with default options.
-func New(p *core.Platform) *Server { return NewWithOptions(p, Options{}) }
-
 // NewWithOptions wires the routes.
 func NewWithOptions(p *core.Platform, opts Options) *Server {
 	if opts.OLAPConcurrency <= 0 {

@@ -15,6 +15,9 @@ import (
 	"quarry/internal/xrq"
 )
 
+// New wires the routes with default options.
+func New(p *core.Platform) *Server { return NewWithOptions(p, Options{}) }
+
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	return newStoreServer(t, "")
@@ -464,5 +467,44 @@ func TestLifecycleWriteFailureIs500(t *testing.T) {
 		if got := send(); got != c.status {
 			t.Errorf("%s %s retried = %d, want %d", c.method, c.path, got, c.status)
 		}
+	}
+}
+
+// TestUndeployableRequirementIs422: a requirement whose integration the
+// deployer would refuse (IR_gen_004 after IR_gen_000: two loaders of
+// fact_table_revenue with different schemas) is a 422 that stores
+// nothing; the list, the stored file, the run and the OLAP answer stay
+// those of before the request.
+func TestUndeployableRequirementIs422(t *testing.T) {
+	dir := t.TempDir()
+	ts := newStoreServer(t, dir)
+	gen := tpch.GenerateRequirements(8)
+	xml := func(r *xrq.Requirement) string {
+		text, err := xrq.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return text
+	}
+	postXML(t, ts, "/api/requirements", xml(gen[0]), http.StatusCreated)
+	list := get(t, ts, "/api/requirements", http.StatusOK)
+	stored, err := os.ReadFile(filepath.Join(dir, "requirements.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := postXML(t, ts, "/api/requirements", xml(gen[4]), http.StatusUnprocessableEntity)
+	if !strings.Contains(string(body), "loaders disagree on schema") {
+		t.Errorf("refusal body %s does not name the loaders' schemas", body)
+	}
+	if got := get(t, ts, "/api/requirements", http.StatusOK); string(got) != string(list) {
+		t.Errorf("requirements after the refusal = %s, want %s", got, list)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "requirements.json")); string(got) != string(stored) {
+		t.Error("the refusal rewrote the stored list")
+	}
+	postXML(t, ts, "/api/run", "", http.StatusOK)
+	resp, answer := postJSON(t, ts.URL+"/api/olap", `{"fact":"fact_table_revenue","group_by":["p_name"],"measures":[{"out":"t","func":"SUM","col":"revenue"}]}`)
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(answer), `"rows"`) {
+		t.Fatalf("OLAP after the refusal = %d: %s", resp.StatusCode, answer)
 	}
 }

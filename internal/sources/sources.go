@@ -8,7 +8,6 @@ package sources
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Attribute is a typed column of a relation.
@@ -58,15 +57,6 @@ func (r *Relation) Attribute(name string) (Attribute, bool) {
 func (r *Relation) HasAttribute(name string) bool {
 	_, ok := r.byName[name]
 	return ok
-}
-
-// AttributeNames returns column names in declaration order.
-func (r *Relation) AttributeNames() []string {
-	out := make([]string, len(r.Attributes))
-	for i, a := range r.Attributes {
-		out[i] = a.Name
-	}
-	return out
 }
 
 // DistinctValues estimates the number of distinct values in a column:
@@ -213,17 +203,4 @@ func (c *Catalog) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Summary lists "store.relation(rows)" descriptors, sorted; handy in
-// logs and the REST introspection endpoint.
-func (c *Catalog) Summary() []string {
-	var out []string
-	for _, d := range c.Stores() {
-		for _, r := range d.Relations() {
-			out = append(out, fmt.Sprintf("%s.%s(%d)", d.Name, r.Name, r.Stats.Rows))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,6 @@
 package sources
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -62,9 +61,8 @@ func TestCatalogBasics(t *testing.T) {
 	if !r.HasAttribute("n_regionkey") || r.HasAttribute("bogus") {
 		t.Error("HasAttribute wrong")
 	}
-	names := r.AttributeNames()
-	if len(names) != 3 || names[0] != "n_nationkey" {
-		t.Errorf("AttributeNames = %v", names)
+	if len(r.Attributes) != 3 || r.Attributes[0].Name != "n_nationkey" {
+		t.Errorf("Attributes = %v", r.Attributes)
 	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -170,16 +168,5 @@ func TestValidateForeignKeys(t *testing.T) {
 		if err := mk(fk).Validate(); err == nil {
 			t.Errorf("bad FK %d accepted", i)
 		}
-	}
-}
-
-func TestSummary(t *testing.T) {
-	c := demoCatalog(t)
-	s := c.Summary()
-	if len(s) != 2 {
-		t.Fatalf("summary = %v", s)
-	}
-	if !strings.Contains(s[0], "tpch.nation(25)") {
-		t.Errorf("summary = %v", s)
 	}
 }

@@ -333,44 +333,6 @@ func TestDiskSnapshotSurvivesRepublishAndGC(t *testing.T) {
 	}
 }
 
-func TestDiskDropAndTruncatePersist(t *testing.T) {
-	dir := t.TempDir()
-	db := openDisk(t, dir)
-	a, _ := db.CreateTable("a", mixedCols)
-	fillMixed(t, a, 100)
-	b, _ := db.CreateTable("b", mixedCols)
-	fillMixed(t, b, 100)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Drop("a"); err != nil {
-		t.Fatal(err)
-	}
-	b.Truncate()
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	re := openDisk(t, dir)
-	if _, ok := re.Table("a"); ok {
-		t.Fatal("dropped table resurrected")
-	}
-	rb, ok := re.Table("b")
-	if !ok || rb.NumRows() != 0 {
-		t.Fatalf("truncate not persisted: ok=%v rows=%d", ok, rb.NumRows())
-	}
-	// The dropped table's segments must be gone from disk.
-	entries, _ := os.ReadDir(dir)
-	var segs int
-	for _, e := range entries {
-		if _, ok := mf.SegmentID(e.Name()); ok {
-			segs++
-		}
-	}
-	if segs != 0 {
-		t.Fatalf("%d segment files remain after drop+truncate", segs)
-	}
-}
-
 // TestAttachForeignPagerTableIsMaterialized: attaching a frozen view
 // whose pager belongs to ANOTHER store's directory must copy the rows
 // into local segments — a manifest naming foreign files would make

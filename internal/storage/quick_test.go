@@ -40,7 +40,7 @@ func (m model) clone() model {
 // quickOp is one generated operation, as data: each database builds its
 // own table objects from it.
 type quickOp struct {
-	kind    string // create, insert, insertAll, commitRun, attach, drop, truncate, checkpoint
+	kind    string // create, insert, insertAll, commitRun, attach, checkpoint
 	name    string
 	cols    []Column
 	rows    []Row
@@ -107,7 +107,7 @@ func quickRows(rng *rand.Rand, cols []Column, max int) []Row {
 }
 
 // genOp draws an operation valid — or deliberately invalid, for create
-// and drop — against the model.
+// and attach — against the model.
 func genOp(rng *rand.Rand, m model) quickOp {
 	live := make([]string, 0, len(m))
 	for _, name := range quickNames {
@@ -116,9 +116,9 @@ func genOp(rng *rand.Rand, m model) quickOp {
 		}
 	}
 	schema := func() []Column { return quickSchemas[rng.Intn(len(quickSchemas))] }
-	kinds := []string{"create", "attach", "commitRun", "checkpoint", "drop"}
+	kinds := []string{"create", "attach", "commitRun", "checkpoint"}
 	if len(live) > 0 {
-		kinds = append(kinds, "insert", "insertAll", "insertAll", "commitRun", "truncate")
+		kinds = append(kinds, "insert", "insertAll", "insertAll", "commitRun")
 	}
 	op := quickOp{kind: kinds[rng.Intn(len(kinds))], name: quickNames[rng.Intn(len(quickNames))]}
 	if len(live) > 0 && op.kind != "create" && op.kind != "attach" {
@@ -181,15 +181,6 @@ func applyModel(m model, op quickOp) (refused bool) {
 				m[a.name] = mt
 			}
 		}
-	case "drop":
-		if _, ok := m[op.name]; !ok {
-			return true
-		}
-		delete(m, op.name)
-	case "truncate":
-		mt := m[op.name]
-		mt.rows = nil
-		m[op.name] = mt
 	}
 	return false
 }
@@ -256,11 +247,6 @@ func applyDB(t *testing.T, db *DB, op quickOp) error {
 			appends = append(appends, AppendDelta{Target: target, Delta: staging(a.name, a.cols, a.rows)})
 		}
 		return db.CommitRun(tables, appends)
-	case "drop":
-		return db.Drop(op.name)
-	case "truncate":
-		live().Truncate()
-		return nil
 	case "checkpoint":
 		return db.Checkpoint()
 	}

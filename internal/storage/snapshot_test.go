@@ -121,13 +121,6 @@ func TestVersionBumpsOnStructuralChanges(t *testing.T) {
 	if db.Version() == v1 {
 		t.Fatal("replace did not bump version")
 	}
-	v2 := db.Version()
-	if err := db.Drop("a"); err != nil {
-		t.Fatal(err)
-	}
-	if db.Version() == v2 {
-		t.Fatal("drop did not bump version")
-	}
 }
 
 func TestPublishSwapsAtomically(t *testing.T) {

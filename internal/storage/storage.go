@@ -31,7 +31,6 @@ package storage
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -89,12 +88,6 @@ func newTable(name string, cols []Column) (*Table, error) {
 	return t, nil
 }
 
-// ColumnIndex returns the position of a column.
-func (t *Table) ColumnIndex(name string) (int, bool) {
-	i, ok := t.by[name]
-	return i, ok
-}
-
 // capture returns the table's current (pager, tail) pair: a consistent
 // row source, since commits swap both together. The open chunk is
 // sealed first, so the tail is immutable chunks only; the returned
@@ -134,14 +127,6 @@ func (t *Table) Rows() []Row {
 		out = append(out, b...)
 	}
 	return out
-}
-
-// Truncate deletes all rows at once; with a directory, the next commit
-// (Checkpoint or an ETL run) makes that durable.
-func (t *Table) Truncate() {
-	t.mu.Lock()
-	t.pg, t.tail, t.open = nil, nil, nil
-	t.mu.Unlock()
 }
 
 // DB is a named collection of tables over one segment store, with a
@@ -296,33 +281,6 @@ func (db *DB) CreateOrReplaceTable(name string, cols []Column) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// Drop removes a table.
-func (db *DB) Drop(name string) error {
-	st := db.store
-	st.commitMu.Lock()
-	defer st.commitMu.Unlock()
-	db.mu.RLock()
-	_, ok := db.tables[name]
-	order := make([]string, 0, len(db.order))
-	tables := make(map[string]*Table, len(db.tables))
-	for _, n := range db.order {
-		if n == name {
-			continue
-		}
-		order = append(order, n)
-		tables[n] = db.tables[n]
-	}
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: table %q does not exist", name)
-	}
-	return db.commitDisk(db.Version()+1, order, tables, nil, func() {
-		delete(db.tables, name)
-		db.order = slices.DeleteFunc(db.order, func(n string) bool { return n == name })
-		db.version++
-	})
 }
 
 // Table looks a table up by name.

@@ -123,50 +123,6 @@ func TestCreateOrReplace(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	db := NewMemDB()
-	db.CreateTable("a", []Column{{Name: "x", Type: "int"}})
-	db.CreateTable("b", []Column{{Name: "x", Type: "int"}})
-	if err := db.Drop("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := db.Table("a"); ok {
-		t.Error("dropped table still visible")
-	}
-	if err := db.Drop("a"); err == nil {
-		t.Error("double drop succeeded")
-	}
-	names := db.TableNames()
-	if len(names) != 1 || names[0] != "b" {
-		t.Errorf("TableNames = %v", names)
-	}
-}
-
-func TestScanAndTruncate(t *testing.T) {
-	db := NewMemDB()
-	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})
-	for i := 0; i < 10; i++ {
-		tbl.Insert(Row{expr.Int(int64(i))})
-	}
-	var sum int64
-	for _, r := range tbl.Rows() {
-		sum += r[0].AsInt()
-	}
-	if sum != 45 {
-		t.Errorf("scan sum = %d", sum)
-	}
-	tbl.Truncate()
-	if tbl.NumRows() != 0 {
-		t.Error("truncate failed")
-	}
-	if i, ok := tbl.ColumnIndex("a"); !ok || i != 0 {
-		t.Error("ColumnIndex failed")
-	}
-	if _, ok := tbl.ColumnIndex("ghost"); ok {
-		t.Error("ColumnIndex false positive")
-	}
-}
-
 func TestConcurrentInsertAndScan(t *testing.T) {
 	db := NewMemDB()
 	tbl, _ := db.CreateTable("t", []Column{{Name: "a", Type: "int"}})

@@ -73,32 +73,7 @@ func MultiStoreCatalog(sf float64) (*sources.Catalog, error) {
 
 // MultiStoreMapping rebinds the TPC-H ontology to the two stores.
 func MultiStoreMapping() (*mapping.Mapping, error) {
-	single, err := Mapping()
-	if err != nil {
-		return nil, err
-	}
-	m := mapping.New("tpch-multistore")
-	for _, concept := range single.MappedConcepts() {
-		cm, _ := single.Concept(concept)
-		cp := *cm
-		cp.Store = storeOf(cm.Relation)
-		if err := m.MapConcept(cp); err != nil {
-			return nil, err
-		}
-	}
-	for _, prop := range []string{
-		"lineitem_orders", "lineitem_partsupp", "partsupp_part", "partsupp_supplier",
-		"supplier_nation", "customer_nation", "orders_customer", "nation_region",
-	} {
-		pm, ok := single.Property(prop)
-		if !ok {
-			continue
-		}
-		if err := m.MapProperty(*pm); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return mappingOver("tpch-multistore", storeOf)
 }
 
 // GenerateMultiStore populates the database for the multi-store

@@ -240,7 +240,13 @@ func Ontology() (*ontology.Ontology, error) {
 // Mapping builds the source schema mapping binding the TPC-H ontology
 // to the TPC-H catalog.
 func Mapping() (*mapping.Mapping, error) {
-	m := mapping.New("tpch")
+	return mappingOver("tpch", func(string) string { return StoreName })
+}
+
+// mappingOver binds the TPC-H ontology to the TPC-H relations, each in
+// the store that store names.
+func mappingOver(name string, store func(relation string) string) (*mapping.Mapping, error) {
+	m := mapping.New(name)
 	id := func(names ...string) map[string]string {
 		out := map[string]string{}
 		for _, n := range names {
@@ -249,16 +255,17 @@ func Mapping() (*mapping.Mapping, error) {
 		return out
 	}
 	cms := []mapping.ConceptMapping{
-		{Concept: "Region", Store: StoreName, Relation: "region", Attrs: id("r_name"), Key: []string{"r_regionkey"}},
-		{Concept: "Nation", Store: StoreName, Relation: "nation", Attrs: id("n_name"), Key: []string{"n_nationkey"}},
-		{Concept: "Supplier", Store: StoreName, Relation: "supplier", Attrs: id("s_name", "s_acctbal"), Key: []string{"s_suppkey"}},
-		{Concept: "Part", Store: StoreName, Relation: "part", Attrs: id("p_name", "p_brand", "p_type", "p_retailprice"), Key: []string{"p_partkey"}},
-		{Concept: "Partsupp", Store: StoreName, Relation: "partsupp", Attrs: id("ps_availqty", "ps_supplycost"), Key: []string{"ps_partkey", "ps_suppkey"}},
-		{Concept: "Customer", Store: StoreName, Relation: "customer", Attrs: id("c_name", "c_acctbal", "c_mktsegment"), Key: []string{"c_custkey"}},
-		{Concept: "Orders", Store: StoreName, Relation: "orders", Attrs: id("o_orderstatus", "o_totalprice", "o_orderdate", "o_orderpriority"), Key: []string{"o_orderkey"}},
-		{Concept: "Lineitem", Store: StoreName, Relation: "lineitem", Attrs: id("l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_returnflag", "l_shipdate"), Key: []string{"l_orderkey", "l_linenumber"}},
+		{Concept: "Region", Relation: "region", Attrs: id("r_name"), Key: []string{"r_regionkey"}},
+		{Concept: "Nation", Relation: "nation", Attrs: id("n_name"), Key: []string{"n_nationkey"}},
+		{Concept: "Supplier", Relation: "supplier", Attrs: id("s_name", "s_acctbal"), Key: []string{"s_suppkey"}},
+		{Concept: "Part", Relation: "part", Attrs: id("p_name", "p_brand", "p_type", "p_retailprice"), Key: []string{"p_partkey"}},
+		{Concept: "Partsupp", Relation: "partsupp", Attrs: id("ps_availqty", "ps_supplycost"), Key: []string{"ps_partkey", "ps_suppkey"}},
+		{Concept: "Customer", Relation: "customer", Attrs: id("c_name", "c_acctbal", "c_mktsegment"), Key: []string{"c_custkey"}},
+		{Concept: "Orders", Relation: "orders", Attrs: id("o_orderstatus", "o_totalprice", "o_orderdate", "o_orderpriority"), Key: []string{"o_orderkey"}},
+		{Concept: "Lineitem", Relation: "lineitem", Attrs: id("l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_returnflag", "l_shipdate"), Key: []string{"l_orderkey", "l_linenumber"}},
 	}
 	for _, cm := range cms {
+		cm.Store = store(cm.Relation)
 		if err := m.MapConcept(cm); err != nil {
 			return nil, err
 		}

@@ -79,58 +79,6 @@ func keyOf(d *Design, node string) string {
 	panic("no int column")
 }
 
-// Property: generated designs validate, and XML round-trips preserve
-// structure, signatures and schemas.
-func TestQuickDesignXMLRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := genDesign(r)
-		if err := d.Validate(); err != nil {
-			t.Logf("seed %d: generated design invalid: %v", seed, err)
-			return false
-		}
-		text, err := Marshal(d)
-		if err != nil {
-			return false
-		}
-		d2, err := Unmarshal(text)
-		if err != nil {
-			return false
-		}
-		if err := d2.Validate(); err != nil {
-			return false
-		}
-		if len(d2.Nodes()) != len(d.Nodes()) || len(d2.Edges()) != len(d.Edges()) {
-			return false
-		}
-		for _, n := range d.Nodes() {
-			n2, ok := d2.Node(n.Name)
-			if !ok || n2.Signature() != n.Signature() || n2.Type != n.Type {
-				return false
-			}
-			if len(n2.Fields) != len(n.Fields) {
-				return false
-			}
-			for i := range n.Fields {
-				if n.Fields[i] != n2.Fields[i] {
-					return false
-				}
-			}
-		}
-		// Edge order (join input order!) preserved.
-		e1, e2 := d.Edges(), d2.Edges()
-		for i := range e1 {
-			if e1[i] != e2[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: MIN/MAX aggregate over any column type the engine can
 // order — strings (lexicographic) and bools (false<true) included —
 // and infer the column's own type; SUM/AVG stay numeric-only. This
@@ -201,8 +149,10 @@ func TestQuickTopoAndClone(t *testing.T) {
 		for _, n := range c.Nodes() {
 			n.Params["mutated"] = "yes"
 		}
-		c.RemoveNode("LOAD")
-		if _, ok := d.Node("LOAD"); !ok {
+		if err := c.AddNode(&Node{Name: "extra", Type: OpSelection}); err != nil {
+			return false
+		}
+		if _, ok := d.Node("extra"); ok {
 			return false
 		}
 		for _, n := range d.Nodes() {

@@ -297,9 +297,8 @@ func (n *Node) Signature() string {
 
 // Edge is a directed data-flow edge.
 type Edge struct {
-	From    string
-	To      string
-	Enabled bool
+	From string
+	To   string
 }
 
 // Design is an xLM document: a named DAG with metadata.
@@ -351,7 +350,7 @@ func (d *Design) AddEdge(from, to string) error {
 			return fmt.Errorf("xlm: duplicate edge %s→%s", from, to)
 		}
 	}
-	d.edges = append(d.edges, Edge{From: from, To: to, Enabled: true})
+	d.edges = append(d.edges, Edge{From: from, To: to})
 	return nil
 }
 
@@ -364,28 +363,6 @@ func (d *Design) RemoveEdgeBetween(from, to string) {
 			continue
 		}
 		edges = append(edges, e)
-	}
-	d.edges = edges
-}
-
-// RemoveNode deletes a node and every edge touching it.
-func (d *Design) RemoveNode(name string) {
-	if _, ok := d.index[name]; !ok {
-		return
-	}
-	delete(d.index, name)
-	nodes := d.nodes[:0]
-	for _, n := range d.nodes {
-		if n.Name != name {
-			nodes = append(nodes, n)
-		}
-	}
-	d.nodes = nodes
-	edges := d.edges[:0]
-	for _, e := range d.edges {
-		if e.From != name && e.To != name {
-			edges = append(edges, e)
-		}
 	}
 	d.edges = edges
 }
@@ -515,20 +492,4 @@ func (d *Design) Clone() *Design {
 	}
 	cp.edges = append([]Edge(nil), d.edges...)
 	return cp
-}
-
-// Stats summarises design size for cost models and reports.
-type Stats struct {
-	Nodes  int
-	Edges  int
-	ByType map[OpType]int
-}
-
-// Stats computes size statistics.
-func (d *Design) Stats() Stats {
-	s := Stats{Nodes: len(d.nodes), Edges: len(d.edges), ByType: map[OpType]int{}}
-	for _, n := range d.nodes {
-		s.ByType[n.Type]++
-	}
-	return s
 }

@@ -81,11 +81,7 @@ func Write(w io.Writer, d *Design) error {
 		doc.Metadata = append(doc.Metadata, xmlEntry{Key: k, Value: d.Metadata[k]})
 	}
 	for _, e := range d.edges {
-		enabled := "Y"
-		if !e.Enabled {
-			enabled = "N"
-		}
-		doc.Edges = append(doc.Edges, xmlEdge{From: e.From, To: e.To, Enabled: enabled})
+		doc.Edges = append(doc.Edges, xmlEdge{From: e.From, To: e.To, Enabled: "Y"})
 	}
 	for _, n := range d.nodes {
 		xn := xmlNode{Name: n.Name, Type: string(n.Type), Optype: n.Optype}
@@ -120,48 +116,4 @@ func Marshal(d *Design) (string, error) {
 		return "", err
 	}
 	return b.String(), nil
-}
-
-// Read parses an xLM document. Call Design.Validate afterwards to
-// enforce structural integrity and schema consistency.
-func Read(rd io.Reader) (*Design, error) {
-	var doc xmlDesign
-	if err := xml.NewDecoder(rd).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("xlm: decode: %w", err)
-	}
-	d := NewDesign(doc.Name)
-	for _, e := range doc.Metadata {
-		d.Metadata[e.Key] = e.Value
-	}
-	for _, xn := range doc.Nodes {
-		n := &Node{
-			Name:   strings.TrimSpace(xn.Name),
-			Type:   OpType(strings.TrimSpace(xn.Type)),
-			Optype: strings.TrimSpace(xn.Optype),
-			Params: map[string]string{},
-		}
-		for _, f := range xn.Schema {
-			n.Fields = append(n.Fields, Field{Name: f.Name, Type: f.Type})
-		}
-		for _, p := range xn.Params {
-			n.Params[p.Name] = strings.TrimSpace(p.Value)
-		}
-		if err := d.AddNode(n); err != nil {
-			return nil, err
-		}
-	}
-	for _, xe := range doc.Edges {
-		if err := d.AddEdge(strings.TrimSpace(xe.From), strings.TrimSpace(xe.To)); err != nil {
-			return nil, err
-		}
-		if strings.EqualFold(strings.TrimSpace(xe.Enabled), "N") {
-			d.edges[len(d.edges)-1].Enabled = false
-		}
-	}
-	return d, nil
-}
-
-// Unmarshal parses xLM XML text.
-func Unmarshal(src string) (*Design, error) {
-	return Read(strings.NewReader(src))
 }

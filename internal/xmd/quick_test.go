@@ -63,50 +63,6 @@ func genSchema(r *rand.Rand) *Schema {
 	return s
 }
 
-// Property: generated schemas validate, and the XML round trip
-// preserves validation, stats and roll-up reachability.
-func TestQuickSchemaRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		s := genSchema(r)
-		if err := s.Validate(); err != nil {
-			t.Logf("seed %d: generator invalid: %v", seed, err)
-			return false
-		}
-		text, err := Marshal(s)
-		if err != nil {
-			return false
-		}
-		s2, err := Unmarshal(text)
-		if err != nil {
-			return false
-		}
-		if err := s2.Validate(); err != nil {
-			return false
-		}
-		if s.Stats() != s2.Stats() {
-			return false
-		}
-		for _, d := range s.Dimensions {
-			d2, ok := s2.Dimension(d.Name)
-			if !ok {
-				return false
-			}
-			for _, from := range d.Levels {
-				for _, to := range d.Levels {
-					if d.RollsUpTo(from.Name, to.Name) != d2.RollsUpTo(from.Name, to.Name) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Clone never aliases — mutating every clone field leaves
 // the original validating with unchanged stats.
 func TestQuickCloneIndependence(t *testing.T) {

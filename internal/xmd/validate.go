@@ -186,27 +186,3 @@ func (d *Dimension) checkAcyclic() error {
 	}
 	return nil
 }
-
-// CheckAggregation verifies summarizability: that aggregating the
-// measure with the function along the dimension is meaningful given
-// the measure's additivity class [9]. SUM of a stock measure along a
-// temporal dimension, and SUM of a value-per-unit measure along any
-// dimension, are rejected; AVG/MIN/MAX/COUNT are always safe.
-func CheckAggregation(m Measure, fn string, d *Dimension) error {
-	switch fn {
-	case "SUM":
-		switch m.Additivity {
-		case AdditivityUnit:
-			return fmt.Errorf("xmd: SUM of value-per-unit measure %q is not summarizable", m.Name)
-		case AdditivityStock:
-			if d != nil && d.Temporal {
-				return fmt.Errorf("xmd: SUM of stock measure %q along temporal dimension %q is not summarizable", m.Name, d.Name)
-			}
-		}
-		return nil
-	case "AVG", "MIN", "MAX", "COUNT":
-		return nil
-	default:
-		return fmt.Errorf("xmd: unknown aggregation function %q", fn)
-	}
-}

@@ -7,15 +7,13 @@
 //
 // The package also implements the MD integrity constraints the paper
 // requires every design to satisfy (soundness, after [9]): structural
-// well-formedness, hierarchy strictness (acyclic roll-ups), and the
-// summarizability compatibility between measure additivity and
-// aggregation functions.
+// well-formedness, hierarchy strictness (acyclic roll-ups), and
+// numeric measures of a known additivity class. The package writes xMD
+// documents (Write, Marshal) and reads none.
 package xmd
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 )
 
 // Additivity classifies a measure for summarizability checking,
@@ -34,20 +32,6 @@ const (
 	// (e.g. unit price, percentages): never summable.
 	AdditivityUnit Additivity = "value-per-unit"
 )
-
-// ParseAdditivity parses an additivity class name.
-func ParseAdditivity(s string) (Additivity, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "flow", "additive", "":
-		return AdditivityFlow, nil
-	case "stock", "semi-additive":
-		return AdditivityStock, nil
-	case "value-per-unit", "unit", "non-additive":
-		return AdditivityUnit, nil
-	default:
-		return "", fmt.Errorf("xmd: unknown additivity %q", s)
-	}
-}
 
 // Measure is a numeric fact attribute.
 type Measure struct {

@@ -1,7 +1,6 @@
 package xmd
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -143,36 +142,6 @@ func TestSharedDimensions(t *testing.T) {
 	}
 }
 
-func TestCheckAggregation(t *testing.T) {
-	flow := Measure{Name: "revenue", Additivity: AdditivityFlow}
-	stock := Measure{Name: "inventory", Additivity: AdditivityStock}
-	unit := Measure{Name: "unit_price", Additivity: AdditivityUnit}
-	temporal := &Dimension{Name: "Time", Temporal: true}
-	geo := &Dimension{Name: "Region"}
-
-	if err := CheckAggregation(flow, "SUM", temporal); err != nil {
-		t.Errorf("flow SUM temporal: %v", err)
-	}
-	if err := CheckAggregation(stock, "SUM", geo); err != nil {
-		t.Errorf("stock SUM non-temporal: %v", err)
-	}
-	if err := CheckAggregation(stock, "SUM", temporal); err == nil {
-		t.Error("stock SUM along temporal accepted")
-	}
-	if err := CheckAggregation(stock, "AVG", temporal); err != nil {
-		t.Errorf("stock AVG temporal: %v", err)
-	}
-	if err := CheckAggregation(unit, "SUM", geo); err == nil {
-		t.Error("value-per-unit SUM accepted")
-	}
-	if err := CheckAggregation(unit, "MIN", geo); err != nil {
-		t.Errorf("unit MIN: %v", err)
-	}
-	if err := CheckAggregation(flow, "MEDIAN", geo); err == nil {
-		t.Error("unknown function accepted")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	s := revenueStar()
 	c := s.Clone()
@@ -195,76 +164,6 @@ func TestStats(t *testing.T) {
 	want := Stats{Facts: 1, Dimensions: 2, Levels: 4, Descriptors: 4, Rollups: 2, Measures: 1, Uses: 2, SharedDims: 0}
 	if st != want {
 		t.Errorf("Stats = %+v, want %+v", st, want)
-	}
-}
-
-func TestXMLRoundTrip(t *testing.T) {
-	s := revenueStar()
-	s.Dimensions = append(s.Dimensions, &Dimension{
-		Name: "Time", Temporal: true,
-		Levels: []*Level{{Name: "Day", Concept: "Orders", Key: "o_orderdate",
-			Descriptors: []Descriptor{{Name: "o_orderdate", Type: "string", Attr: "Orders.o_orderdate"}}}},
-	})
-	s.Facts[0].Uses = append(s.Facts[0].Uses, DimensionUse{Dimension: "Time", Level: "Day"})
-	text, err := Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"<MDschema", "fact_table_revenue", `additivity="flow"`, `temporal="true"`, `<rollup from="Supplier" to="Nation">`} {
-		if !strings.Contains(text, want) {
-			t.Errorf("xMD output missing %q", want)
-		}
-	}
-	s2, err := Unmarshal(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Validate(); err != nil {
-		t.Fatalf("round-tripped schema invalid: %v", err)
-	}
-	if s.Stats() != s2.Stats() {
-		t.Errorf("stats changed: %+v vs %+v", s.Stats(), s2.Stats())
-	}
-	d2, ok := s2.Dimension("Time")
-	if !ok || !d2.Temporal {
-		t.Error("temporal flag lost")
-	}
-	f2, _ := s2.Fact("fact_table_revenue")
-	if f2.Concept != "Lineitem" {
-		t.Errorf("concept lost: %q", f2.Concept)
-	}
-	m2, ok := f2.Measure("revenue")
-	if !ok || m2.Formula != s.Facts[0].Measures[0].Formula {
-		t.Errorf("formula changed: %q", m2.Formula)
-	}
-}
-
-func TestReadDefaultsAdditivity(t *testing.T) {
-	src := `<MDschema name="x"><facts><fact><name>f</name>
-	  <measures><measure name="m" type="float"/></measures>
-	  <uses><use dimension="D" level="L"/></uses></fact></facts>
-	  <dimensions><dimension name="D"><level name="L"/></dimension></dimensions>
-	</MDschema>`
-	s, err := Unmarshal(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Facts[0].Measures[0].Additivity != AdditivityFlow {
-		t.Errorf("default additivity = %q", s.Facts[0].Measures[0].Additivity)
-	}
-	if err := s.Validate(); err != nil {
-		t.Errorf("minimal schema invalid: %v", err)
-	}
-}
-
-func TestReadErrors(t *testing.T) {
-	for _, src := range []string{
-		"not xml",
-		`<MDschema name="x"><facts><fact><name>f</name><measures><measure name="m" type="float" additivity="bogus"/></measures></fact></facts></MDschema>`,
-	} {
-		if _, err := Unmarshal(src); err == nil {
-			t.Errorf("Unmarshal accepted %q", src)
-		}
 	}
 }
 
@@ -293,23 +192,6 @@ func TestLookups(t *testing.T) {
 	f, _ := s.Fact("fact_table_revenue")
 	if !f.UsesDimension("Part") || f.UsesDimension("Ghost") {
 		t.Error("UsesDimension wrong")
-	}
-}
-
-func TestParseAdditivity(t *testing.T) {
-	for in, want := range map[string]Additivity{
-		"":     AdditivityFlow,
-		"flow": AdditivityFlow, "additive": AdditivityFlow,
-		"stock": AdditivityStock, "semi-additive": AdditivityStock,
-		"value-per-unit": AdditivityUnit, "unit": AdditivityUnit, "non-additive": AdditivityUnit,
-	} {
-		got, err := ParseAdditivity(in)
-		if err != nil || got != want {
-			t.Errorf("ParseAdditivity(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseAdditivity("bogus"); err == nil {
-		t.Error("bogus additivity accepted")
 	}
 }
 

@@ -133,49 +133,3 @@ func Marshal(s *Schema) (string, error) {
 	}
 	return b.String(), nil
 }
-
-// Read parses an xMD document. Call Schema.Validate afterwards to
-// enforce the MD integrity constraints.
-func Read(rd io.Reader) (*Schema, error) {
-	var doc xmlSchema
-	if err := xml.NewDecoder(rd).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("xmd: decode: %w", err)
-	}
-	s := &Schema{Name: doc.Name}
-	for _, xf := range doc.Facts {
-		f := &Fact{Name: strings.TrimSpace(xf.Name), Concept: strings.TrimSpace(xf.Concept)}
-		for _, xm := range xf.Measures {
-			add, err := ParseAdditivity(xm.Additivity)
-			if err != nil {
-				return nil, err
-			}
-			f.Measures = append(f.Measures, Measure{
-				Name: xm.Name, Type: xm.Type, Additivity: add, Formula: strings.TrimSpace(xm.Formula),
-			})
-		}
-		for _, xu := range xf.Uses {
-			f.Uses = append(f.Uses, DimensionUse{Dimension: xu.Dimension, Level: xu.Level})
-		}
-		s.Facts = append(s.Facts, f)
-	}
-	for _, xd := range doc.Dimensions {
-		d := &Dimension{Name: xd.Name, Temporal: xd.Temporal}
-		for _, xl := range xd.Levels {
-			l := &Level{Name: xl.Name, Concept: xl.Concept, Key: xl.Key}
-			for _, xdesc := range xl.Descriptors {
-				l.Descriptors = append(l.Descriptors, Descriptor{Name: xdesc.Name, Type: xdesc.Type, Attr: xdesc.Attr})
-			}
-			d.Levels = append(d.Levels, l)
-		}
-		for _, xr := range xd.Rollups {
-			d.Rollups = append(d.Rollups, Rollup{From: xr.From, To: xr.To})
-		}
-		s.Dimensions = append(s.Dimensions, d)
-	}
-	return s, nil
-}
-
-// Unmarshal parses xMD XML text.
-func Unmarshal(src string) (*Schema, error) {
-	return Read(strings.NewReader(src))
-}

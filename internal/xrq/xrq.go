@@ -9,7 +9,6 @@ package xrq
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"quarry/internal/expr"
@@ -127,77 +126,6 @@ type Requirement struct {
 	Aggs       []Aggregation
 }
 
-// Dimension returns the dimension with the given concept reference.
-func (r *Requirement) Dimension(concept string) (Dimension, bool) {
-	for _, d := range r.Dimensions {
-		if d.Concept == concept {
-			return d, true
-		}
-	}
-	return Dimension{}, false
-}
-
-// Measure returns the measure with the given ID.
-func (r *Requirement) Measure(id string) (Measure, bool) {
-	for _, m := range r.Measures {
-		if m.ID == id {
-			return m, true
-		}
-	}
-	return Measure{}, false
-}
-
-// ReferencedAttributes returns every qualified ontology attribute the
-// requirement mentions (dimensions, measure formulas, slicers),
-// sorted and de-duplicated.
-func (r *Requirement) ReferencedAttributes() ([]string, error) {
-	set := map[string]bool{}
-	for _, d := range r.Dimensions {
-		set[d.Concept] = true
-	}
-	for _, m := range r.Measures {
-		n, err := m.Expr()
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range expr.Idents(n) {
-			set[id] = true
-		}
-	}
-	for _, s := range r.Slicers {
-		set[s.Concept] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// ReferencedConcepts returns the ontology concepts the requirement
-// touches, sorted.
-func (r *Requirement) ReferencedConcepts() ([]string, error) {
-	attrs, err := r.ReferencedAttributes()
-	if err != nil {
-		return nil, err
-	}
-	set := map[string]bool{}
-	for _, a := range attrs {
-		cid, _, err := ontology.SplitQualified(a)
-		if err != nil {
-			return nil, err
-		}
-		set[cid] = true
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // Validate checks the requirement's internal consistency and its
 // well-formedness against the domain ontology:
 //
@@ -273,17 +201,6 @@ func (r *Requirement) Validate(onto *ontology.Ontology) error {
 		}
 	}
 	return nil
-}
-
-// AggregationFor returns the aggregation declared for the
-// (dimension, measure) pair, defaulting to SUM when unspecified.
-func (r *Requirement) AggregationFor(dimension, measure string) AggFunc {
-	for _, a := range r.Aggs {
-		if a.Dimension == dimension && a.Measure == measure {
-			return a.Function
-		}
-	}
-	return AggSum
 }
 
 // ontologySchema adapts ontology attribute types to an expr.Schema

@@ -138,40 +138,6 @@ func TestParseAggFunc(t *testing.T) {
 	}
 }
 
-func TestReferencedAttributesAndConcepts(t *testing.T) {
-	r := revenueIR()
-	attrs, err := r.ReferencedAttributes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{
-		"Lineitem.l_discount", "Lineitem.l_extendedprice",
-		"Nation.n_name", "Part.p_name", "Supplier.s_name",
-	}
-	if strings.Join(attrs, ",") != strings.Join(want, ",") {
-		t.Errorf("attrs = %v, want %v", attrs, want)
-	}
-	concepts, err := r.ReferencedConcepts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantC := []string{"Lineitem", "Nation", "Part", "Supplier"}
-	if strings.Join(concepts, ",") != strings.Join(wantC, ",") {
-		t.Errorf("concepts = %v, want %v", concepts, wantC)
-	}
-}
-
-func TestAggregationFor(t *testing.T) {
-	r := revenueIR()
-	if f := r.AggregationFor("Part.p_name", "revenue"); f != AggAvg {
-		t.Errorf("AggregationFor = %v", f)
-	}
-	// Unspecified pair defaults to SUM.
-	if f := r.AggregationFor("Part.p_name", "other"); f != AggSum {
-		t.Errorf("default = %v", f)
-	}
-}
-
 func TestXMLRoundTrip(t *testing.T) {
 	r := revenueIR()
 	text, err := Marshal(r)
@@ -242,21 +208,5 @@ func TestClone(t *testing.T) {
 	c.Measures[0].ID = "changed"
 	if r.Dimensions[0].Concept == "changed" || r.Measures[0].ID == "changed" {
 		t.Error("Clone shares backing arrays")
-	}
-}
-
-func TestLookups(t *testing.T) {
-	r := revenueIR()
-	if _, ok := r.Dimension("Part.p_name"); !ok {
-		t.Error("Dimension lookup failed")
-	}
-	if _, ok := r.Dimension("nope"); ok {
-		t.Error("Dimension lookup false positive")
-	}
-	if m, ok := r.Measure("revenue"); !ok || m.ID != "revenue" {
-		t.Error("Measure lookup failed")
-	}
-	if _, ok := r.Measure("nope"); ok {
-		t.Error("Measure lookup false positive")
 	}
 }

@@ -26,8 +26,8 @@
 // pool of GOMAXPROCS workers.
 //
 // The execution database is one paged columnar store: committed rows
-// live in segments of compressed, zone-mapped pages. NewMemDB keeps the
-// segments in memory; OpenDB keeps them in files named by a manifest, so tables survive process restarts —
+// live in segments of compressed, zone-mapped pages. NewTPCHPlatform keeps
+// the segments in memory; OpenDB keeps them in files named by a manifest, so tables survive process restarts —
 // every ETL run committed by a single atomic manifest rename, recovery
 // discarding whatever a crashed run left behind. See
 // docs/ARCHITECTURE.md for the storage-format spec.
@@ -95,11 +95,6 @@ type Catalog = sources.Catalog
 // DB is the embedded execution database.
 type DB = storage.DB
 
-// NewMemDB creates an empty in-memory execution database: the same
-// paged store as OpenDB, its segments kept on the heap instead of in a
-// directory, so nothing survives the process.
-func NewMemDB() *DB { return storage.NewMemDB() }
-
 // OpenDB opens (or initialises) a paged, disk-backed execution
 // database rooted at dir. Tables survive process restarts; every ETL
 // run commits atomically (one manifest fsync+rename) and reopening
@@ -142,16 +137,11 @@ type OLAPResult = olap.Result
 // the fast path rewrite covered queries onto the coarsest usable
 // aggregate — byte-identical to the oracle by construction. Enable it
 // per platform with Config.MatAggTopK (Platform.MatAgg exposes the
-// store; call Refresh after warehouse reloads) or attach an own store
-// with OLAPEngine.WithMatAgg.
+// store; call Refresh after warehouse reloads).
 type MatAgg = olap.MatAgg
 
 // MatAggStats is the store's admin/stats view.
 type MatAggStats = olap.MatAggStats
-
-// NewMatAgg builds a materialized-aggregate store keeping up to topK
-// aggregates per refresh.
-func NewMatAgg(topK int) *MatAgg { return olap.NewMatAgg(topK) }
 
 // New builds a Platform for a custom domain.
 func New(cfg Config) (*Platform, error) { return core.New(cfg) }
@@ -199,9 +189,6 @@ func CanonicalRequirements() []*Requirement { return tpch.CanonicalRequirements(
 // GenerateRequirements synthesises n distinct valid TPC-H
 // requirements (for scalability experiments).
 func GenerateRequirements(n int) []*Requirement { return tpch.GenerateRequirements(n) }
-
-// ParseRequirement parses an xRQ document.
-func ParseRequirement(xmlText string) (*Requirement, error) { return xrq.Unmarshal(xmlText) }
 
 // MarshalRequirement renders a requirement as xRQ XML.
 func MarshalRequirement(r *Requirement) (string, error) { return xrq.Marshal(r) }

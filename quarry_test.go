@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"quarry"
+	"quarry/internal/xrq"
 )
 
 // TestPublicQuickstart exercises the README quickstart through the
@@ -42,7 +43,7 @@ func TestPublicRequirementRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := quarry.ParseRequirement(text)
+	back, err := xrq.Unmarshal(text)
 	if err != nil {
 		t.Fatal(err)
 	}
