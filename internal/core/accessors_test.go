@@ -95,9 +95,11 @@ func TestOLAPThroughPlatform(t *testing.T) {
 	if _, err := p.AddRequirement(tpch.RevenueRequirement()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(); err != nil {
+	run, err := p.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
+	loadedHolds(t, run, p.DB())
 	oe, err := p.OLAP()
 	if err != nil {
 		t.Fatal(err)

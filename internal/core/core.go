@@ -217,7 +217,7 @@ func (p *Platform) AddRequirement(r *xrq.Requirement) (*ChangeReport, error) {
 		return nil, err
 	}
 	list := append(slices.Clip(p.lifecycle), registered{r.Clone(), pd})
-	if err := check(list, newMD, newETL); err != nil {
+	if err := check(list, newMD); err != nil {
 		return nil, err
 	}
 	if err := p.commitLocked(list, newMD, newETL); err != nil {
@@ -286,27 +286,22 @@ func (p *Platform) derive(list []registered) (*xmd.Schema, *xlm.Design, error) {
 			return nil, nil, err
 		}
 	}
-	if err := check(list, md, etl); err != nil {
+	if err := check(list, md); err != nil {
 		return nil, nil, err
 	}
 	return md, etl, nil
 }
 
-// check holds candidate unified designs to what every change promises:
-// they satisfy each requirement of list, and the deployer takes them.
-// sqlgen.Tables refuses, among others, two loaders of one table with
-// different schemas, which a run would let overwrite each other.
-func check(list []registered, md *xmd.Schema, etl *xlm.Design) error {
+// check holds a candidate unified MD design to what every change
+// promises: it satisfies each requirement of list. That the deployer
+// takes the unified ETL design is Integrate's to refuse: its Validate
+// refuses, among others, a second loader of one table, which a run
+// would let throw the first loader's rows away.
+func check(list []registered, md *xmd.Schema) error {
 	for _, e := range list {
 		if err := interpreter.Satisfies(md, e.req); err != nil {
 			return fmt.Errorf("core: the unified design does not satisfy %q: %w", e.req.ID, err)
 		}
-	}
-	if etl == nil {
-		return nil
-	}
-	if _, err := sqlgen.Tables(etl); err != nil {
-		return fmt.Errorf("core: the unified design cannot be deployed: %w", err)
 	}
 	return nil
 }

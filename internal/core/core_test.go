@@ -87,6 +87,7 @@ func TestLifecycleAddIntegrateDeployRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	loadedHolds(t, res, p.DB())
 	for _, table := range []string{"fact_table_revenue", "fact_table_netprofit", "dim_part", "dim_supplier"} {
 		if res.Loaded[table] == 0 {
 			t.Errorf("table %s not loaded: %v", table, res.Loaded)

@@ -80,9 +80,11 @@ func TestLifecycleSurvivesRestart(t *testing.T) {
 	if _, err := p2.AddRequirement(tpch.SupplyCostRequirement()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Run(); err != nil {
+	res, err := p2.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
+	loadedHolds(t, res, p2.DB())
 }
 
 // TestRestartAfterRemoval: removals persist too.

@@ -10,30 +10,30 @@ import (
 	"quarry/internal/xlm"
 )
 
-// Crash-injection regression tests for append-mode load atomicity:
-// a run that fails after an append loader has already consumed batches
-// must leave the live target table byte-identical to its pre-run state
-// (appends are staged as detached deltas and merged only at the run's
+// Crash-injection regression tests for load atomicity: a run that
+// fails after a loader has already consumed batches must leave the
+// live target table byte-identical to its pre-run state (the loader
+// streams into a detached staging table published only at the run's
 // commit point), and must not bump the database version.
 
-// poisonedAppendDesign streams src through `10 / a` into an append
-// loader on sink; a row with a = 0 makes the Function operator fail
-// mid-stream, after earlier batches have already reached the loader.
-func poisonedAppendDesign() *xlm.Design {
-	d := xlm.NewDesign("append_crash")
+// poisonedDesign streams src through `10 / a` into a loader of sink; a
+// row with a = 0 makes the Function operator fail mid-stream, after
+// earlier batches have already reached the loader.
+func poisonedDesign() *xlm.Design {
+	d := xlm.NewDesign("load_crash")
 	d.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
 		Fields: []xlm.Field{{Name: "a", Type: "int"}},
 		Params: map[string]string{"table": "src"}})
 	d.AddNode(&xlm.Node{Name: "F", Type: xlm.OpFunction,
 		Params: map[string]string{"name": "f", "expr": "10 / a"}})
 	d.AddNode(&xlm.Node{Name: "LOAD", Type: xlm.OpLoader,
-		Params: map[string]string{"table": "sink", "mode": "append"}})
+		Params: map[string]string{"table": "sink"}})
 	d.AddEdge("DS", "F")
 	d.AddEdge("F", "LOAD")
 	return d
 }
 
-func TestAppendModeFailedRunLeavesLiveTableUntouched(t *testing.T) {
+func TestFailedRunMidStreamLeavesLiveTableUntouched(t *testing.T) {
 	runs := map[string]func(*xlm.Design, *storage.DB) (*Result, error){
 		"materializing": RunMaterializing,
 		"pipelined": func(d *xlm.Design, db *storage.DB) (*Result, error) {
@@ -54,9 +54,7 @@ func TestAppendModeFailedRunLeavesLiveTableUntouched(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// First run succeeds and creates sink (append to a missing
-			// table stages it like a replace).
-			if _, err := run(poisonedAppendDesign(), db); err != nil {
+			if _, err := run(poisonedDesign(), db); err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
 			sink, ok := db.Table("sink")
@@ -73,19 +71,18 @@ func TestAppendModeFailedRunLeavesLiveTableUntouched(t *testing.T) {
 			if err := src.Insert(storage.Row{expr.Int(0)}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := run(poisonedAppendDesign(), db); err == nil {
+			if _, err := run(poisonedDesign(), db); err == nil {
 				t.Fatal("poisoned run succeeded, want division error")
 			}
 			if got := db.Version(); got != versionBefore {
 				t.Errorf("failed run bumped version %d → %d", versionBefore, got)
 			}
-			after := sink.Rows()
-			if !reflect.DeepEqual(before, after) {
-				t.Fatalf("failed append mutated live table:\nbefore: %v\nafter:  %v", before, after)
+			if live, _ := db.Table("sink"); live != sink || !reflect.DeepEqual(before, sink.Rows()) {
+				t.Fatalf("failed run changed the live table:\nbefore: %v\nafter:  %v", before, live.Rows())
 			}
 
-			// Recovery: removing the poison, the next run appends its
-			// whole delta atomically with exactly one version bump.
+			// Recovery: without the poison, the next run replaces sink
+			// with exactly one version bump.
 			src, err = db.CreateOrReplaceTable("src", []storage.Column{{Name: "a", Type: "int"}})
 			if err != nil {
 				t.Fatal(err)
@@ -94,15 +91,13 @@ func TestAppendModeFailedRunLeavesLiveTableUntouched(t *testing.T) {
 			if err := src.Insert(storage.Row{expr.Int(5)}); err != nil {
 				t.Fatal(err)
 			}
-			res, err := run(poisonedAppendDesign(), db)
+			res, err := run(poisonedDesign(), db)
 			if err != nil {
 				t.Fatalf("recovery run: %v", err)
 			}
-			if res.Loaded["sink"] != 1 {
-				t.Errorf("recovery run loaded %d rows, want 1", res.Loaded["sink"])
-			}
-			if got := sink.NumRows(); got != 4 {
-				t.Errorf("sink rows after recovery = %d, want 4", got)
+			sink, _ = db.Table("sink")
+			if res.Loaded["sink"] != 1 || sink.NumRows() != 1 {
+				t.Errorf("recovery run loaded %d rows, sink holds %d, want 1 and 1", res.Loaded["sink"], sink.NumRows())
 			}
 			if got := db.Version(); got != versionBefore+1 {
 				t.Errorf("recovery run version = %d, want %d", got, versionBefore+1)
@@ -135,7 +130,7 @@ func TestDiskRunCrashAtCommitRecoversPreviousVersion(t *testing.T) {
 				}
 			}
 			// Clean run commits version 2 (create + run).
-			if _, err := Run(poisonedAppendDesign(), db); err != nil {
+			if _, err := Run(poisonedDesign(), db); err != nil {
 				t.Fatalf("clean run: %v", err)
 			}
 			sink, _ := db.Table("sink")
@@ -149,7 +144,7 @@ func TestDiskRunCrashAtCommitRecoversPreviousVersion(t *testing.T) {
 				}
 				return nil
 			}
-			_, err = Run(poisonedAppendDesign(), db)
+			_, err = Run(poisonedDesign(), db)
 			storage.TestingCommitFault = nil
 			if err == nil {
 				t.Fatal("crashed run reported success")
@@ -174,7 +169,11 @@ func TestDiskRunCrashAtCommitRecoversPreviousVersion(t *testing.T) {
 				t.Fatal("recovered sink differs from last committed version")
 			}
 			// A post-recovery run succeeds and is durable.
-			if _, err := Run(poisonedAppendDesign(), re); err != nil {
+			reSrc, _ := re.Table("src")
+			if err := reSrc.Insert(storage.Row{expr.Int(10)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(poisonedDesign(), re); err != nil {
 				t.Fatalf("post-recovery run: %v", err)
 			}
 			final, err := storage.Open(dir)
@@ -182,41 +181,9 @@ func TestDiskRunCrashAtCommitRecoversPreviousVersion(t *testing.T) {
 				t.Fatal(err)
 			}
 			fSink, _ := final.Table("sink")
-			if got := fSink.NumRows(); got != int64(2*len(before)) {
-				t.Errorf("post-recovery sink rows = %d, want %d", got, 2*len(before))
+			if got := fSink.NumRows(); got != int64(len(before)+1) {
+				t.Errorf("post-recovery sink rows = %d, want %d", got, len(before)+1)
 			}
 		})
-	}
-}
-
-// TestAppendDeltaInvisibleBeforeCommit pins the snapshot-isolation
-// contract directly at the storage layer: rows staged in a delta are
-// invisible to the live table until CommitRun merges them.
-func TestAppendDeltaInvisibleBeforeCommit(t *testing.T) {
-	db := storage.NewMemDB()
-	live, err := db.CreateTable("t", []storage.Column{{Name: "x", Type: "int"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Insert(storage.Row{expr.Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	delta, err := storage.NewStagingTable("t", []storage.Column{{Name: "x", Type: "int"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := delta.Insert(storage.Row{expr.Int(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if got := live.NumRows(); got != 1 {
-		t.Fatalf("delta visible before commit: %d rows", got)
-	}
-	v := db.Version()
-	db.CommitRun(nil, []storage.AppendDelta{{Target: live, Delta: delta}})
-	if got := live.NumRows(); got != 2 {
-		t.Errorf("rows after commit = %d, want 2", got)
-	}
-	if got := db.Version(); got != v+1 {
-		t.Errorf("commit version = %d, want %d", got, v+1)
 	}
 }

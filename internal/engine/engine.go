@@ -37,15 +37,16 @@
 // error. Row counts and per-operation durations are recorded in either
 // mode.
 //
-// Loads are transactional in both strategies: loaders stream into
-// detached staging tables (replace mode) or delta tables (append
-// mode), and the whole run is published in one storage.DB.CommitRun
-// critical section — concurrent snapshot readers see all of a run or
-// none of it, and a failed run leaves every live table byte-identical
-// to its pre-run state. Against a disk-backed database that same
-// commit is one crash-safe manifest rename, so durability rides on
-// the existing commit point: the engine reads sources through the
-// same storage cursors either way and needs no disk-specific code.
+// A loader replaces its table, and a design has one loader per table
+// (xlm.Design.Validate). Loads are transactional in both strategies:
+// loaders stream into detached staging tables, and the whole run is
+// published in one storage.DB.Publish critical section — concurrent
+// snapshot readers see all of a run or none of it, and a failed run
+// leaves every live table byte-identical to its pre-run state. Against
+// a disk-backed database that same commit is one crash-safe manifest
+// rename, so durability rides on the existing commit point: the engine
+// reads sources through the same storage cursors either way and needs
+// no disk-specific code.
 package engine
 
 import (
@@ -137,7 +138,7 @@ func RunMaterializingContext(ctx context.Context, d *xlm.Design, db *storage.DB)
 	}
 	res := &Result{Loaded: map[string]int64{}}
 	mats := map[string]*mat{}
-	staged := newStagedLoads()
+	staged := &stagedLoads{}
 	start := time.Now()
 	for _, n := range order {
 		if err := ctx.Err(); err != nil {
@@ -173,9 +174,8 @@ func RunMaterializingContext(ctx context.Context, d *xlm.Design, db *storage.DB)
 			}
 		}
 	}
-	// Commit point: publish every staged load — replace tables and
-	// append deltas — in one critical section, mirroring the pipelined
-	// executor.
+	// Commit point: publish every staged load in one critical section,
+	// mirroring the pipelined executor.
 	if err := staged.commit(db); err != nil {
 		return nil, fmt.Errorf("engine: committing run: %w", err)
 	}
@@ -302,7 +302,7 @@ func execNode(ctx context.Context, n *xlm.Node, inputs []*mat, db *storage.DB, s
 		}
 		step = func(dst, part [][]expr.Value) ([][]expr.Value, error) { return op.apply(dst, part), nil }
 	case xlm.OpLoader:
-		op, err := newLoaderOp(n, inputs[0].fields, db, staged)
+		op, err := newLoaderOp(n, inputs[0].fields, staged)
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +310,7 @@ func execNode(ctx context.Context, n *xlm.Node, inputs []*mat, db *storage.DB, s
 			return nil, err
 		}
 		op.finish()
-		res.Loaded[op.table] += op.written
+		res.Loaded[op.table] = op.written
 		return out, nil
 	default:
 		return nil, fmt.Errorf("unsupported operation type %q", n.Type)

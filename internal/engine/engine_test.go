@@ -268,6 +268,10 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
+// TestLoaderAppendMode: a loader replaces its table. Running a design
+// twice leaves its table holding one run's rows, and a loader asking
+// for append mode — or any mode but replace — is refused by either
+// executor before anything is loaded.
 func TestLoaderAppendMode(t *testing.T) {
 	db := storage.NewMemDB()
 	tb, _ := db.CreateTable("t", []storage.Column{{Name: "x", Type: "int"}})
@@ -279,123 +283,25 @@ func TestLoaderAppendMode(t *testing.T) {
 		d.AddEdge("DS", "LOAD")
 		return d
 	}
-	if _, err := Run(mk("append"), db); err != nil {
-		t.Fatal(err)
+	for _, mode := range []string{"", "replace"} {
+		if _, err := Run(mk(mode), db); err != nil {
+			t.Fatal(err)
+		}
+		if sink, _ := db.Table("sink"); sink.NumRows() != 1 {
+			t.Errorf("mode %q: sink holds %d rows, want 1", mode, sink.NumRows())
+		}
 	}
-	if _, err := Run(mk("append"), db); err != nil {
-		t.Fatal(err)
-	}
-	sink, _ := db.Table("sink")
-	if sink.NumRows() != 2 {
-		t.Errorf("append rows = %d", sink.NumRows())
-	}
-	if _, err := Run(mk("replace"), db); err != nil {
-		t.Fatal(err)
-	}
-	sink, _ = db.Table("sink")
-	if sink.NumRows() != 1 {
-		t.Errorf("replace rows = %d", sink.NumRows())
-	}
-	if _, err := Run(mk("bogus"), db); err == nil {
-		t.Error("bogus loader mode accepted")
-	}
-}
-
-// TestLoaderAppendRemapsByName is the regression test for the append
-// loader bug: appending to an existing table whose columns match the
-// flow's by name but in a different order must remap by name, not
-// insert positionally (which silently loaded corrupted data when the
-// swapped columns shared a type).
-func TestLoaderAppendRemapsByName(t *testing.T) {
-	for _, mode := range []string{"materializing", "pipelined"} {
-		t.Run(mode, func(t *testing.T) {
-			db := storage.NewMemDB()
-			sink, _ := db.CreateTable("sink", []storage.Column{
-				{Name: "x", Type: "int"}, {Name: "y", Type: "int"},
-			})
-			sink.Insert(storage.Row{expr.Int(1), expr.Int(100)})
-			// Source schema lists the same columns in the opposite order.
-			src, _ := db.CreateTable("t", []storage.Column{
-				{Name: "y", Type: "int"}, {Name: "x", Type: "int"},
-			})
-			src.Insert(storage.Row{expr.Int(200), expr.Int(2)})
-			d := xlm.NewDesign("append_reorder")
-			d.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
-				Fields: []xlm.Field{{Name: "y", Type: "int"}, {Name: "x", Type: "int"}},
-				Params: map[string]string{"table": "t"}})
-			d.AddNode(&xlm.Node{Name: "LOAD", Type: xlm.OpLoader,
-				Params: map[string]string{"table": "sink", "mode": "append"}})
-			d.AddEdge("DS", "LOAD")
-			var err error
-			if mode == "materializing" {
-				_, err = RunMaterializing(d, db)
-			} else {
-				_, err = Run(d, db)
+	v := db.Version()
+	for _, mode := range []string{"append", "bogus"} {
+		for name, run := range map[string]func(*xlm.Design, *storage.DB) (*Result, error){"pipelined": Run, "materializing": RunMaterializing} {
+			if _, err := run(mk(mode), db); err == nil || !strings.Contains(err.Error(), `has mode "`+mode+`"`) {
+				t.Errorf("%s: loader mode %q: %v, want a refusal", name, mode, err)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows := sink.Rows()
-			if len(rows) != 2 {
-				t.Fatalf("sink rows = %d", len(rows))
-			}
-			if rows[1][0].AsInt() != 2 || rows[1][1].AsInt() != 200 {
-				t.Errorf("appended row = %v, want x=2 y=200 (columns remapped by name)", rows[1])
-			}
-		})
+		}
 	}
-}
-
-func TestLoaderAppendSchemaMismatch(t *testing.T) {
-	mk := func(srcCols []storage.Column, sinkCols []storage.Column, fields []xlm.Field) (*xlm.Design, *storage.DB) {
-		db := storage.NewMemDB()
-		db.CreateTable("t", srcCols)
-		db.CreateTable("sink", sinkCols)
-		d := xlm.NewDesign("append_mismatch")
-		d.AddNode(&xlm.Node{Name: "DS", Type: xlm.OpDatastore,
-			Fields: fields, Params: map[string]string{"table": "t"}})
-		d.AddNode(&xlm.Node{Name: "LOAD", Type: xlm.OpLoader,
-			Params: map[string]string{"table": "sink", "mode": "append"}})
-		d.AddEdge("DS", "LOAD")
-		return d, db
+	if sink, _ := db.Table("sink"); sink.NumRows() != 1 || db.Version() != v {
+		t.Errorf("refused runs changed the database: %d rows, version %d → %d", sink.NumRows(), v, db.Version())
 	}
-	intCol := func(n string) storage.Column { return storage.Column{Name: n, Type: "int"} }
-	cases := []struct {
-		name string
-		src  []storage.Column
-		sink []storage.Column
-		flds []xlm.Field
-	}{
-		{"missing column", []storage.Column{intCol("a"), intCol("c")},
-			[]storage.Column{intCol("a"), intCol("b")},
-			[]xlm.Field{{Name: "a", Type: "int"}, {Name: "c", Type: "int"}}},
-		{"arity", []storage.Column{intCol("a"), intCol("b")},
-			[]storage.Column{intCol("a")},
-			[]xlm.Field{{Name: "a", Type: "int"}, {Name: "b", Type: "int"}}},
-		{"type conflict", []storage.Column{{Name: "a", Type: "string"}},
-			[]storage.Column{intCol("a")},
-			[]xlm.Field{{Name: "a", Type: "string"}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			d, db := mk(tc.src, tc.sink, tc.flds)
-			if _, err := Run(d, db); err == nil {
-				t.Error("pipelined run accepted schema mismatch")
-			}
-			d, db = mk(tc.src, tc.sink, tc.flds)
-			if _, err := RunMaterializing(d, db); err == nil {
-				t.Error("materializing run accepted schema mismatch")
-			}
-		})
-	}
-	// Widening int → float stays legal, as for direct inserts.
-	d, db := mk([]storage.Column{intCol("a")},
-		[]storage.Column{{Name: "a", Type: "float"}},
-		[]xlm.Field{{Name: "a", Type: "int"}})
-	if _, err := Run(d, db); err != nil {
-		t.Errorf("int→float append rejected: %v", err)
-	}
-	_ = db
 }
 
 // TestFailedRunLeavesTargetsUntouched: a run that errors before any
@@ -592,7 +498,7 @@ func BenchmarkJoinAggregate(b *testing.B) {
 }
 
 // TestRunCommitsAtomically: a run with several replace-mode loaders
-// bumps the DB version exactly once (the PublishAll commit point), so
+// bumps the DB version exactly once (the Publish commit point), so
 // a concurrent snapshot can never see a mix of the run's outputs, and
 // every run — even one that reloads identical data — is observable to
 // version-keyed caches.

@@ -55,6 +55,21 @@ func capture(res *Result, db *storage.DB) outcome {
 	return o
 }
 
+// loadedHolds reports a loaded table whose row count differs from what
+// the run says it loaded: a table has one loader, which replaces it.
+func loadedHolds(res *Result, db *storage.DB) error {
+	for table, n := range res.Loaded {
+		t, ok := db.Table(table)
+		if !ok {
+			return fmt.Errorf("loaded table %q is not in the database", table)
+		}
+		if got := t.NumRows(); got != n {
+			return fmt.Errorf("Loaded[%q] = %d, but the table holds %d rows", table, n, got)
+		}
+	}
+	return nil
+}
+
 // assertEngineEquivalence runs the design through the materialising
 // reference, the pipelined executor at Parallelism 1, at Parallelism 4
 // with tiny batches (many batches in flight on every edge at once),
@@ -82,6 +97,9 @@ func assertEngineEquivalence(t *testing.T, mkDB func() *storage.DB, d *xlm.Desig
 		db := mkDB()
 		res, err := m.run(d, db)
 		if err != nil {
+			t.Fatalf("%s: design %q: %v", m.name, d.Name, err)
+		}
+		if err := loadedHolds(res, db); err != nil {
 			t.Fatalf("%s: design %q: %v", m.name, d.Name, err)
 		}
 		got := capture(res, db)
@@ -162,20 +180,13 @@ func TestEquivalenceUnionSortSurrogate(t *testing.T) {
 	assertEngineEquivalence(t, mkDB, d)
 }
 
-// TestEquivalenceSharedTargetLoaders: two loaders writing the same
-// table must not race — they are chained in topological order, so
-// append interleaving and replace-mode outcomes match the
-// materialising reference exactly.
+// TestEquivalenceSharedTargetLoaders: a table has one loader, so a
+// design with two loaders of one table is refused by both executors —
+// whether the loaders replace or ask for append mode — before any
+// table is loaded.
 func TestEquivalenceSharedTargetLoaders(t *testing.T) {
 	for _, mode := range []string{"append", "replace"} {
 		t.Run(mode, func(t *testing.T) {
-			mkDB := func() *storage.DB {
-				db := storage.NewMemDB()
-				r := rand.New(rand.NewSource(11))
-				randTable(r, db, "a", 400)
-				randTable(r, db, "b", 250)
-				return db
-			}
 			fields := []xlm.Field{{Name: "k", Type: "int"}, {Name: "g", Type: "string"}, {Name: "x", Type: "float"}}
 			d := xlm.NewDesign("shared_target_" + mode)
 			d.AddNode(&xlm.Node{Name: "DS_a", Type: xlm.OpDatastore, Fields: fields, Params: map[string]string{"table": "a"}})
@@ -184,7 +195,23 @@ func TestEquivalenceSharedTargetLoaders(t *testing.T) {
 			d.AddNode(&xlm.Node{Name: "L2", Type: xlm.OpLoader, Params: map[string]string{"table": "out", "mode": mode}})
 			d.AddEdge("DS_a", "L1")
 			d.AddEdge("DS_b", "L2")
-			assertEngineEquivalence(t, mkDB, d)
+			want := `loaders "L1" and "L2" both load table "out"`
+			if mode == "append" {
+				want = `loader "L1" has mode "append"`
+			}
+			for name, run := range map[string]func(*xlm.Design, *storage.DB) (*Result, error){"pipelined": Run, "materializing": RunMaterializing} {
+				db := storage.NewMemDB()
+				r := rand.New(rand.NewSource(11))
+				randTable(r, db, "a", 400)
+				randTable(r, db, "b", 250)
+				v := db.Version()
+				if _, err := run(d, db); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: %v, want a refusal containing %s", name, err, want)
+				}
+				if _, ok := db.Table("out"); ok || db.Version() != v {
+					t.Errorf("%s: the refused run loaded a table", name)
+				}
+			}
 		})
 	}
 }

@@ -804,102 +804,47 @@ func (o *surrogateKeyOp) apply(dst, rows [][]expr.Value) [][]expr.Value {
 	return dst
 }
 
-// stagedLoads collects a run's completed loads — replace-mode staging
-// tables and append-mode deltas — so they can all be committed in one
-// critical section at the end of the run (storage.DB.CommitRun):
-// concurrent snapshots see either the whole run or none of it, never a
-// new fact table joined against old dimension tables or a partial
-// append. Later loaders of the same run resolve their targets through
-// it first, so an append after a replace lands in the staged table.
+// stagedLoads collects a run's completed loads — one detached staging
+// table per loaded table — so they are all committed in one critical
+// section at the end of the run (storage.DB.Publish): concurrent
+// snapshots see either the whole run or none of it, never a new fact
+// table joined against old dimension tables.
 type stagedLoads struct {
-	mu      sync.Mutex
-	tables  []*storage.Table
-	byName  map[string]*storage.Table
-	appends []storage.AppendDelta
+	mu     sync.Mutex
+	tables []*storage.Table
 }
 
-func newStagedLoads() *stagedLoads {
-	return &stagedLoads{byName: map[string]*storage.Table{}}
-}
-
-// add registers a completed staging table (last writer wins, matching
-// the old immediate-replace semantics for repeated loaders).
+// add registers a completed staging table.
 func (s *stagedLoads) add(t *storage.Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.byName[t.Name]; dup {
-		for i, old := range s.tables {
-			if old.Name == t.Name {
-				s.tables[i] = t
-				break
-			}
-		}
-	} else {
-		s.tables = append(s.tables, t)
-	}
-	s.byName[t.Name] = t
-}
-
-// lookup resolves a table already staged by this run.
-func (s *stagedLoads) lookup(name string) (*storage.Table, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.byName[name]
-	return t, ok
-}
-
-// addAppend registers a completed append-mode load: a detached delta
-// table merged into its live target at commit. Deltas are merged in
-// registration order, which the per-table loader chain makes the
-// topological order — the same order the rows would have landed in
-// had they been appended live.
-func (s *stagedLoads) addAppend(target, delta *storage.Table) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.appends = append(s.appends, storage.AppendDelta{Target: target, Delta: delta})
+	s.tables = append(s.tables, t)
 }
 
 // commit publishes the run's loads atomically; it is the single
-// version bump every successful run causes (append-only runs included,
-// so version-keyed result caches always observe a load). On a
-// disk-backed database it can fail — the crash-safe manifest commit
-// hit an I/O error — in which case no load of the run is visible and
-// no version was bumped.
+// version bump every successful run causes. On a disk-backed database
+// it can fail — the crash-safe manifest commit hit an I/O error — in
+// which case no load of the run is visible and no version was bumped.
 func (s *stagedLoads) commit(db *storage.DB) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return db.CommitRun(s.tables, s.appends)
+	return db.Publish(s.tables...)
 }
 
-// loaderOp creates-or-replaces (default) or appends to the target
-// table and streams batches into it. Replace-mode loads are staged:
-// batches stream into a detached table registered with the run's
-// stagedLoads on finish() and committed atomically when the whole run
-// succeeds. Append-mode loads onto an existing live table are staged
-// too: batches stream into a detached delta table (with the target's
-// column layout) that is merged into the live table at the run's
-// commit point. Either way, concurrent readers (OLAP queries,
-// snapshots) never observe a half-loaded table or a
-// partially-published run — and a failing run leaves every live table
-// byte-identical to its pre-run state. In append mode the incoming
-// schema is remapped onto the table's column order by name — matching
-// names in a different order load correctly, and a true schema
-// mismatch (missing column, arity or type conflict) is an error
-// instead of silently corrupting data positionally.
+// loaderOp replaces its target table: batches stream into a detached
+// staging table, registered with the run's stagedLoads on finish() and
+// published when the whole run succeeds. Concurrent readers (OLAP
+// queries, snapshots) therefore never observe a half-loaded table or a
+// partially published run, and a failing run leaves every live table
+// byte-identical to its pre-run state.
 type loaderOp struct {
-	table    string
-	t        *storage.Table
-	staged   *stagedLoads
-	publish  bool           // replace mode: t is a staging table, registered by finish
-	appendTo *storage.Table // append mode onto a live table: t is the delta, merged at commit
-	remap    []int          // remap[i] = input position of table column i; nil = positional
-	filter   func(row []expr.Value) bool
-	written  int64
-	batch    [][]expr.Value    // write's scratch: one batch's row headers
-	remapped []expr.Value      // write's scratch: one batch's remapped values
-	cols     []*storage.Vector // writeVectors' scratch: one batch's columns in table order
-	row      []expr.Value      // writeVectors' scratch: the row the load filter sees
-	kept     []int32           // writeVectors' scratch: the rows the load filter keeps
+	table   string
+	t       *storage.Table
+	staged  *stagedLoads
+	filter  func(row []expr.Value) bool
+	written int64
+	row     []expr.Value // writeVectors' scratch: the row the load filter sees
+	kept    []int32      // writeVectors' scratch: the rows the load filter keeps
 }
 
 // bindFilter resolves the run's load filter (Options.LoadFilter)
@@ -921,108 +866,32 @@ func (o *loaderOp) bindFilter(lf func(table string, cols []string) (func(row []e
 	return nil
 }
 
-func newLoaderOp(n *xlm.Node, in []xlm.Field, db *storage.DB, staged *stagedLoads) (*loaderOp, error) {
+func newLoaderOp(n *xlm.Node, in []xlm.Field, staged *stagedLoads) (*loaderOp, error) {
 	table := n.Param("table")
 	cols := make([]storage.Column, len(in))
 	for i, f := range in {
 		cols[i] = storage.Column{Name: f.Name, Type: f.Type}
 	}
-	op := &loaderOp{table: table, staged: staged}
-	var err error
-	switch n.Param("mode") {
-	case "", "replace":
-		op.t, err = storage.NewStagingTable(table, cols)
-		op.publish = true
-	case "append":
-		if t, ok := staged.lookup(table); ok {
-			// Appending after a replace of the same run: the staged
-			// table is detached, so writing into it directly is already
-			// atomic with the run's commit.
-			op.t = t
-			op.remap, err = appendRemap(table, in, t.Columns)
-			break
-		}
-		live, ok := db.Table(table)
-		if !ok {
-			// Append to a missing table creates it — staged like a
-			// replace so the creation also commits atomically.
-			op.t, err = storage.NewStagingTable(table, cols)
-			op.publish = true
-			break
-		}
-		// Stage the delta with the live table's column layout; write()
-		// remaps incoming rows into it, and the run's commit merges it.
-		if op.remap, err = appendRemap(table, in, live.Columns); err != nil {
-			break
-		}
-		op.appendTo = live
-		op.t, err = storage.NewStagingTable(table, live.Columns)
-	default:
-		return nil, fmt.Errorf("loader mode %q unknown", n.Param("mode"))
-	}
+	t, err := storage.NewStagingTable(table, cols)
 	if err != nil {
 		return nil, err
 	}
-	return op, nil
+	return &loaderOp{table: table, t: t, staged: staged}, nil
 }
 
 // finish records the completed load with the run's staged set.
 // Callers invoke it exactly once, after the loader's input is fully
 // consumed and only on success paths; the run publishes the set when
 // every operation has succeeded.
-func (o *loaderOp) finish() {
-	if o.publish {
-		o.staged.add(o.t)
-	} else if o.appendTo != nil {
-		o.staged.addAppend(o.appendTo, o.t)
-	}
-}
-
-// appendRemap maps the incoming fields onto an existing table's column
-// order by name; nil means the orders already coincide.
-func appendRemap(table string, in []xlm.Field, cols []storage.Column) ([]int, error) {
-	if len(in) != len(cols) {
-		return nil, fmt.Errorf("append to table %q: flow has %d columns, table has %d", table, len(in), len(cols))
-	}
-	index := fieldIndex(in)
-	remap := make([]int, len(cols))
-	identity := true
-	for i, c := range cols {
-		j, ok := index[c.Name]
-		if !ok {
-			return nil, fmt.Errorf("append to table %q: flow lacks column %q", table, c.Name)
-		}
-		f := in[j]
-		if f.Type != c.Type && !(f.Type == "int" && c.Type == "float") {
-			return nil, fmt.Errorf("append to table %q: column %q is %s in the flow but %s in the table", table, c.Name, f.Type, c.Type)
-		}
-		remap[i] = j
-		if j != i {
-			identity = false
-		}
-	}
-	if identity {
-		return nil, nil
-	}
-	return remap, nil
-}
+func (o *loaderOp) finish() { o.staged.add(o.t) }
 
 // writeVectors appends one batch of the pipelined executor to the
-// target table, column by column: an append-mode remap picks the
-// batch's vectors in table order, and the table keeps them (or typed
-// copies) as a chunk of its tail. No row is built, but for the bound
-// load filter, which sees each row in a reused scratch row; the batch's
-// rows it rejects are dropped by a gather first.
+// staging table, column by column: the table keeps the batch's vectors
+// (or typed copies) as a chunk of its tail. No row is built, but for
+// the bound load filter, which sees each row in a reused scratch row;
+// the batch's rows it rejects are dropped by a gather first.
 func (o *loaderOp) writeVectors(b *Batch) error {
-	cols := b.Cols
-	if o.remap != nil {
-		o.cols = o.cols[:0]
-		for _, j := range o.remap {
-			o.cols = append(o.cols, b.Cols[j])
-		}
-		cols = o.cols
-	}
-	n := b.N
+	cols, n := b.Cols, b.N
 	if o.filter != nil {
 		o.row = Sized(o.row, len(cols))
 		o.kept = o.kept[:0]
@@ -1049,32 +918,13 @@ func (o *loaderOp) writeVectors(b *Batch) error {
 	return nil
 }
 
-// write appends one batch of rows — the materialising executor's — to
-// the target table, dropping rows the bound load filter rejects. The table copies the rows it keeps
-// (InsertAll), so the row headers — and a remapped batch's values —
-// live in scratch the next batch reuses.
+// write appends one batch of rows — the materialising executor's,
+// which binds no load filter — to the staging table, which copies them
+// (InsertAll).
 func (o *loaderOp) write(rows [][]expr.Value) error {
-	batch := o.batch[:0]
-	if o.remap != nil {
-		o.remapped = slices.Grow(o.remapped[:0], len(rows)*len(o.remap))
-	}
-	for _, r := range rows {
-		if o.remap != nil {
-			at := len(o.remapped)
-			for _, j := range o.remap {
-				o.remapped = append(o.remapped, r[j])
-			}
-			r = o.remapped[at:]
-		}
-		if o.filter != nil && !o.filter(r) {
-			continue
-		}
-		batch = append(batch, r)
-	}
-	o.batch = batch
-	if err := o.t.InsertAll(batch); err != nil {
+	if err := o.t.InsertAll(rows); err != nil {
 		return err
 	}
-	o.written += int64(len(batch))
+	o.written += int64(len(rows))
 	return nil
 }

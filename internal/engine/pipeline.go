@@ -39,9 +39,8 @@ type Options struct {
 	// LoadFilter, when non-nil, is consulted once per loader target
 	// with the table name and its column names (in table layout
 	// order); a non-nil returned predicate is applied to every row at
-	// the load boundary, after remapping to the table layout, and rows
-	// it rejects are dropped before they reach storage. An error from
-	// the hook fails the run. This is the shard partitioning hook: a
+	// the load boundary, and rows it rejects are dropped before they
+	// reach storage. An error from the hook fails the run. This is the shard partitioning hook: a
 	// fact shard loads only the rows its hash partition owns while
 	// every operator upstream of the loader stays byte-identical to
 	// the single-node run.
@@ -193,8 +192,8 @@ type executor struct {
 	loadedMu sync.Mutex
 	loaded   map[string]int64
 
-	// staged collects completed replace-mode loads; the run commits
-	// them all at once on success (storage.DB.PublishAll).
+	// staged collects completed loads; the run commits them all at
+	// once on success (storage.DB.Publish).
 	staged *stagedLoads
 }
 
@@ -217,9 +216,9 @@ func (ex *executor) failed() bool {
 	}
 }
 
-func (ex *executor) addLoaded(table string, n int64) {
+func (ex *executor) setLoaded(table string, n int64) {
 	ex.loadedMu.Lock()
-	ex.loaded[table] += n
+	ex.loaded[table] = n
 	ex.loadedMu.Unlock()
 }
 
@@ -237,25 +236,15 @@ type runner struct {
 	outs  []sink
 	stats *nodeStats
 
-	// Source bindings are resolved at graph construction (before any
+	// Sources and loaders are bound at graph construction (before any
 	// goroutine starts), so a datastore always observes the table
-	// version that existed when the run began, even when a loader
-	// replaces it mid-run — exactly like the materialising executor.
-	// Loader targets, in contrast, are bound lazily (see runLoader):
-	// a run that fails upstream must not have replaced its target
-	// tables with empty ones.
-	ds *vecDatastore
+	// version that existed when the run began, exactly like the
+	// materialising executor. A loader's staging table is detached: a
+	// run that fails leaves its target as it was.
+	ds   *vecDatastore
+	load *loaderOp
 
 	vals []expr.Value // batchOf's scratch
-
-	// Loaders sharing one target table are chained in topological
-	// order — each waits for loadAfter and closes loadDone on success
-	// — reproducing the materialising execution order instead of
-	// racing on the table. (A waiting loader cannot deadlock its
-	// predecessor: the chains feeding two loaders only meet at
-	// fan-out nodes, whose edges never block.)
-	loadAfter <-chan struct{}
-	loadDone  chan struct{}
 }
 
 // work runs fn holding a worker-pool token and charges its wall time
@@ -531,61 +520,23 @@ func (r *runner) runSurrogateKey() error {
 	})
 }
 
-// runLoader streams batches into the target table, vectors and all
-// (loaderOp.writeVectors). The table is bound (staged for replace, or
-// delta-staged and remapped for append) on the first batch — or at a
-// clean end-of-stream for zero-row loads, which still create their
-// target like the materialising path. Replace-mode loads stream into a
-// detached staging table published atomically on success; append-mode
-// loads stream into a detached delta table merged into the live target
-// at the same commit point. Concurrent readers therefore never see a
-// half-loaded table or a partial append, and failed runs leave every
-// live table untouched.
+// runLoader streams batches into the loader's staging table, vectors
+// and all (loaderOp.writeVectors), and registers it with the run's
+// staged set once its input is drained; the run publishes every
+// staged table at once when all operations have succeeded. A zero-row
+// load still replaces its target, like the materialising path.
 func (r *runner) runLoader() error {
-	if r.loadAfter != nil {
-		select {
-		case <-r.loadAfter:
-		case <-r.ex.abort:
-			return errAborted
-		}
-	}
-	var op *loaderOp
-	bind := func() error {
-		if op != nil {
-			return nil
-		}
-		var err error
-		op, err = newLoaderOp(r.node, r.infds[0], r.ex.db, r.ex.staged)
-		if err == nil {
-			err = op.bindFilter(r.ex.opts.LoadFilter)
-		}
-		return err
-	}
+	op := r.load
 	if err := r.drain(0, func(b *Batch) error {
-		return r.work(func() error {
-			if err := bind(); err != nil {
-				return err
-			}
-			return op.writeVectors(b)
-		})
+		return r.work(func() error { return op.writeVectors(b) })
 	}); err != nil {
 		return err
 	}
 	if r.ex.failed() {
 		return errAborted
 	}
-	if err := bind(); err != nil {
-		return err
-	}
-	// Register the completed load with the run's staged set before
-	// successor loaders of the same table are released (they resolve
-	// their target through it); the run publishes everything at once
-	// when all operations have succeeded.
 	op.finish()
-	r.ex.addLoaded(op.table, op.written)
-	// Release the next loader of this table, if any. On failure paths
-	// loadDone stays open and successors unblock through abort.
-	close(r.loadDone)
+	r.ex.setLoaded(op.table, op.written)
 	return nil
 }
 
@@ -706,10 +657,8 @@ func planLayouts(d *xlm.Design, order []*xlm.Node) (map[string][]xlm.Field, erro
 // (backpressure), multi-consumer nodes fan out through per-consumer
 // cursors. On success, results — loaded tables, per-operation row
 // counts, Loaded totals — are byte-identical to RunMaterializing for
-// any Options. Replace-mode loads are staged and published atomically
-// on success, and append-mode loads are staged as deltas merged at the
-// same commit point, so a failed run leaves every live table — replace
-// and append targets alike — in its pre-run state.
+// any Options. Loads are staged and published atomically on success,
+// so a failed run leaves every live table in its pre-run state.
 func RunWithOptions(d *xlm.Design, db *storage.DB, opts Options) (*Result, error) {
 	return RunWithOptionsContext(context.Background(), d, db, opts)
 }
@@ -740,7 +689,7 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 		sem:    make(chan struct{}, opts.Parallelism),
 		abort:  make(chan struct{}),
 		loaded: map[string]int64{},
-		staged: newStagedLoads(),
+		staged: &stagedLoads{},
 	}
 	// One edge object per design edge. A node with several consumers
 	// gets one never-blocking fanEdge cursor per consumer; a node with
@@ -763,13 +712,12 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 			}
 		}
 	}
-	// Build runners in topological order. Datastore bindings happen
-	// here, sequentially and before any goroutine starts, so "table
-	// not found" surfaces without side effects and scans snapshot the
-	// pre-run table versions.
+	// Build runners in topological order. Datastore and loader
+	// bindings happen here, sequentially and before any goroutine
+	// starts, so "table not found" surfaces without side effects and
+	// scans snapshot the pre-run table versions.
 	runners := make([]*runner, 0, len(order))
 	stats := make(map[string]*nodeStats, len(order))
-	loaderChain := map[string]chan struct{}{}
 	for _, n := range order {
 		r := &runner{ex: ex, node: n, outfd: layouts[n.Name], stats: &nodeStats{}}
 		stats[n.Name] = r.stats
@@ -782,14 +730,14 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 		}
 		switch n.Type {
 		case xlm.OpDatastore:
-			if r.ds, err = newVecDatastore(n, db, r.outfd); err != nil {
-				return nil, fmt.Errorf("engine: node %q: %w", n.Name, err)
-			}
+			r.ds, err = newVecDatastore(n, db, r.outfd)
 		case xlm.OpLoader:
-			table := n.Param("table")
-			r.loadAfter = loaderChain[table]
-			r.loadDone = make(chan struct{})
-			loaderChain[table] = r.loadDone
+			if r.load, err = newLoaderOp(n, r.infds[0], ex.staged); err == nil {
+				err = r.load.bindFilter(opts.LoadFilter)
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("engine: node %q: %w", n.Name, err)
 		}
 		runners = append(runners, r)
 	}
@@ -820,9 +768,8 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 	if ex.err != nil {
 		return nil, ex.err
 	}
-	// Commit point: publish every staged load — replace tables and
-	// append deltas — in one critical section, so concurrent snapshots
-	// see the whole run or none of it.
+	// Commit point: publish every staged load in one critical section,
+	// so concurrent snapshots see the whole run or none of it.
 	if err := ex.staged.commit(db); err != nil {
 		return nil, fmt.Errorf("engine: committing run: %w", err)
 	}

@@ -146,20 +146,18 @@ func dirtySources(t *testing.T, r *rand.Rand, disk bool) *storage.DB {
 
 // dirtyDesign grows a random flow over the dirty sources: a chain of
 // operators, a fork into two branches (fan-out), a loader at the end of
-// each — replace, or append onto a table the run finds (appendTo). At
-// most one operator that can fail a run (division by a column; an int
+// each, one of which a LoadFilter may thin. At most one operator that can fail a run (division by a column; an int
 // column carrying floats towards a loader) is placed, after the fork,
 // so that the error a run fails with is one and the same whatever the
 // scheduling.
 type dirtyDesign struct {
 	d         *xlm.Design
-	appendTo  map[string]bool
-	filtered  string // the replace target a LoadFilter thins, or ""
+	filtered  string // the loader target a LoadFilter thins, or ""
 	mixedAggs int    // aggregates over a column mixing ints and floats
 }
 
 func newDirtyDesign(r *rand.Rand) *dirtyDesign {
-	dd := &dirtyDesign{d: xlm.NewDesign(fmt.Sprintf("dirty%d", r.Int63())), appendTo: map[string]bool{}}
+	dd := &dirtyDesign{d: xlm.NewDesign(fmt.Sprintf("dirty%d", r.Int63()))}
 	d := dd.d
 	seq := 0
 	fresh := func(prefix string) string {
@@ -419,22 +417,16 @@ func newDirtyDesign(r *rand.Rand) *dirtyDesign {
 			}
 		}
 		table := fmt.Sprint("out", b)
-		mode := "replace"
-		if r.Intn(3) == 0 {
-			mode = "append"
-			dd.appendTo[table] = true
-		} else if r.Intn(2) == 0 {
+		if r.Intn(3) != 0 && r.Intn(2) == 0 { // a third of the loaders
 			dd.filtered = table
 		}
-		node(xlm.OpLoader, map[string]string{"table": table, "mode": mode}, prev)
+		node(xlm.OpLoader, map[string]string{"table": table}, prev)
 	}
 	return dd
 }
 
-// prepare attaches the sources to a fresh scratch database and creates
-// the append targets — their columns in another order, one row of NULLs
-// already in place.
-func (dd *dirtyDesign) prepare(t *testing.T, src *storage.DB, r *rand.Rand) *storage.DB {
+// prepare attaches the sources to a fresh scratch database.
+func (dd *dirtyDesign) prepare(t *testing.T, src *storage.DB) *storage.DB {
 	t.Helper()
 	db := storage.NewMemDB()
 	snap, err := src.Snapshot("t", "u", "w")
@@ -444,24 +436,6 @@ func (dd *dirtyDesign) prepare(t *testing.T, src *storage.DB, r *rand.Rand) *sto
 	for _, name := range []string{"t", "u", "w"} {
 		view, _ := snap.Table(name)
 		if err := db.Attach(view.Freeze()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range dd.d.Nodes() {
-		table := n.Param("table")
-		if n.Type != xlm.OpLoader || !dd.appendTo[table] {
-			continue
-		}
-		in := dd.d.Inputs(n.Name)[0].Fields
-		cols := make([]storage.Column, len(in))
-		for i, j := range r.Perm(len(in)) {
-			cols[i] = storage.Column{Name: in[j].Name, Type: in[j].Type}
-		}
-		tbl, err := db.CreateTable(table, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tbl.Insert(make(storage.Row, len(cols))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -559,12 +533,13 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 				t.Fatalf("generator made an invalid design: %v", err)
 			}
 			designs++
-			seed := r.Int63()
-			db := dd.prepare(t, src, rand.New(rand.NewSource(seed)))
+			db := dd.prepare(t, src)
 			ref, err := RunMaterializing(dd.d, db)
 			want := dd.outcome(ref, err, db, dd.filtered != "")
 			if err != nil {
 				failed++
+			} else if err := loadedHolds(ref, db); err != nil {
+				t.Fatalf("set %d design %d: reference: %v\n%s", set, i, err, describe(dd.d))
 			}
 			mixedAggs += dd.mixedAggs
 			for m := 0; m < 2; m++ {
@@ -577,8 +552,13 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 						return nil, nil
 					}
 				}
-				db := dd.prepare(t, src, rand.New(rand.NewSource(seed)))
+				db := dd.prepare(t, src)
 				res, err := RunWithOptions(dd.d, db, opts)
+				if err == nil {
+					if err := loadedHolds(res, db); err != nil {
+						t.Fatalf("set %d design %d %+v: %v\n%s", set, i, opts, err, describe(dd.d))
+					}
+				}
 				got := dd.outcome(res, err, db, false)
 				if got.err != want.err {
 					t.Fatalf("set %d design %d %+v: error %q, reference %q\n%s", set, i, opts, got.err, want.err, describe(dd.d))

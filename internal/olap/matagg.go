@@ -36,7 +36,7 @@ package olap
 // order the fold met them — plus the order that sorts them by their
 // keys. No finalised row is kept: every answer is finalised from the
 // cells. Nothing is written to any database. An entry is keyed by its snapshot's DB version; a republish
-// (every /api/run bumps the version exactly once at PublishAll)
+// (every /api/run bumps the version exactly once at Publish)
 // therefore invalidates every aggregate implicitly; queries compare
 // versions and fall back to the base-fact path until the next Refresh.
 

@@ -55,7 +55,7 @@ func (e *Engine) QueryStarFlowContext(ctx context.Context, q CubeQuery) (*Result
 		view, _ := snap.Table(name)
 		views[i] = view.Freeze()
 	}
-	if err := scratch.PublishAll(views); err != nil {
+	if err := scratch.Publish(views...); err != nil {
 		return nil, err
 	}
 	if p.dice == nil {
@@ -193,7 +193,7 @@ func buildStarFlow(p *starPlan, aggregate bool) (*xlm.Design, error) {
 	} else {
 		err = link(d, &xlm.Node{
 			Name: "DETAIL", Type: xlm.OpLoader, Optype: "TableOutput",
-			Params: map[string]string{"table": detailTable, "mode": "replace"},
+			Params: map[string]string{"table": detailTable},
 		}, cur)
 	}
 	if err != nil {
@@ -243,6 +243,6 @@ func addAggregateTail(d *xlm.Design, p *starPlan, cur string) error {
 	}
 	return link(d, &xlm.Node{
 		Name: "ANSWER", Type: xlm.OpLoader, Optype: "TableOutput",
-		Params: map[string]string{"table": answerTable, "mode": "replace"},
+		Params: map[string]string{"table": answerTable},
 	}, "ORDER")
 }

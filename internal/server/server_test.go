@@ -470,15 +470,17 @@ func TestLifecycleWriteFailureIs500(t *testing.T) {
 	}
 }
 
-// TestUndeployableRequirementIs422: a requirement whose integration the
-// deployer would refuse (IR_gen_004 after IR_gen_000: two loaders of
-// fact_table_revenue with different schemas) is a 422 that stores
-// nothing; the list, the stored file, the run and the OLAP answer stay
-// those of before the request.
+// TestUndeployableRequirementIs422: a requirement whose integration
+// would give a table a second loader is a 422 that stores nothing, on
+// add and on change — IR_gen_004 after IR_gen_000 (two loaders of
+// fact_table_revenue with different schemas) and IR_revenue sliced to
+// France after IR_revenue (the same schema). The list, the stored file,
+// the run and the OLAP answer stay those of before the request.
 func TestUndeployableRequirementIs422(t *testing.T) {
-	dir := t.TempDir()
-	ts := newStoreServer(t, dir)
 	gen := tpch.GenerateRequirements(8)
+	fr := tpch.RevenueRequirement()
+	fr.ID = "IR_revenue_fr"
+	fr.Slicers[0].Value = "FRANCE"
 	xml := func(r *xrq.Requirement) string {
 		text, err := xrq.Marshal(r)
 		if err != nil {
@@ -486,25 +488,71 @@ func TestUndeployableRequirementIs422(t *testing.T) {
 		}
 		return text
 	}
-	postXML(t, ts, "/api/requirements", xml(gen[0]), http.StatusCreated)
-	list := get(t, ts, "/api/requirements", http.StatusOK)
-	stored, err := os.ReadFile(filepath.Join(dir, "requirements.json"))
-	if err != nil {
-		t.Fatal(err)
+	const query = `{"fact":"fact_table_revenue","group_by":["p_name"],"measures":[{"out":"t","func":"SUM","col":"revenue"}]}`
+	for _, c := range []struct {
+		name         string
+		first, clash *xrq.Requirement
+	}{
+		{"schemas differ", gen[0], gen[4]},
+		{"same schema", tpch.RevenueRequirement(), fr},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ts := newStoreServer(t, dir)
+			postXML(t, ts, "/api/requirements", xml(c.first), http.StatusCreated)
+			postXML(t, ts, "/api/requirements", xml(tpch.SupplyCostRequirement()), http.StatusCreated)
+			list := get(t, ts, "/api/requirements", http.StatusOK)
+			stored, err := os.ReadFile(filepath.Join(dir, "requirements.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := postXML(t, ts, "/api/run", "", http.StatusOK)
+			_, answer := postJSON(t, ts.URL+"/api/olap", query)
+			changed := c.clash.Clone()
+			changed.ID = tpch.SupplyCostRequirement().ID
+			for _, req := range []struct{ method, path, body string }{
+				{http.MethodPost, "/api/requirements", xml(c.clash)},
+				{http.MethodPut, "/api/requirements/" + changed.ID, xml(changed)},
+			} {
+				r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var body strings.Builder
+				readAll(&body, resp)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(body.String(), `both load table \"fact_table_revenue\"`) {
+					t.Errorf("%s %s = %d %s, want a 422 naming both loaders", req.method, req.path, resp.StatusCode, body.String())
+				}
+				if got := get(t, ts, "/api/requirements", http.StatusOK); string(got) != string(list) {
+					t.Errorf("%s: requirements after the refusal = %s, want %s", req.method, got, list)
+				}
+				if got, _ := os.ReadFile(filepath.Join(dir, "requirements.json")); string(got) != string(stored) {
+					t.Errorf("%s: the refusal rewrote the stored list", req.method)
+				}
+				if got := postXML(t, ts, "/api/run", "", http.StatusOK); loadedOf(t, got) != loadedOf(t, run) {
+					t.Errorf("%s: the run after the refusal loaded %s, want %s", req.method, got, run)
+				}
+				if resp, got := postJSON(t, ts.URL+"/api/olap", query); resp.StatusCode != http.StatusOK || string(got) != string(answer) {
+					t.Errorf("%s: OLAP after the refusal = %d: %s, want %s", req.method, resp.StatusCode, got, answer)
+				}
+			}
+		})
 	}
-	body := postXML(t, ts, "/api/requirements", xml(gen[4]), http.StatusUnprocessableEntity)
-	if !strings.Contains(string(body), "loaders disagree on schema") {
-		t.Errorf("refusal body %s does not name the loaders' schemas", body)
+}
+
+// loadedOf is the "loaded" member of a /api/run answer, as JSON.
+func loadedOf(t *testing.T, run []byte) string {
+	t.Helper()
+	var body struct {
+		Loaded json.RawMessage `json:"loaded"`
 	}
-	if got := get(t, ts, "/api/requirements", http.StatusOK); string(got) != string(list) {
-		t.Errorf("requirements after the refusal = %s, want %s", got, list)
+	if err := json.Unmarshal(run, &body); err != nil || body.Loaded == nil {
+		t.Fatalf("run answer %s: %v", run, err)
 	}
-	if got, _ := os.ReadFile(filepath.Join(dir, "requirements.json")); string(got) != string(stored) {
-		t.Error("the refusal rewrote the stored list")
-	}
-	postXML(t, ts, "/api/run", "", http.StatusOK)
-	resp, answer := postJSON(t, ts.URL+"/api/olap", `{"fact":"fact_table_revenue","group_by":["p_name"],"measures":[{"out":"t","func":"SUM","col":"revenue"}]}`)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(answer), `"rows"`) {
-		t.Fatalf("OLAP after the refusal = %d: %s", resp.StatusCode, answer)
-	}
+	return string(body.Loaded)
 }

@@ -57,26 +57,19 @@ type ForeignKey struct {
 }
 
 // Tables derives the deployable table definitions from a validated
-// design's loaders. Loaders into the same table must agree on their
-// schema (the ETL integrator guarantees this by reusing the load
-// branch).
+// design's loaders, one table per loader (xlm.Design.Validate refuses
+// a second loader of one table).
 func Tables(d *xlm.Design) ([]TableDef, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	byName := map[string]*TableDef{}
-	var order []string
+	var out []TableDef
 	for _, n := range d.Nodes() {
 		if n.Type != xlm.OpLoader {
 			continue
 		}
-		table := n.Param("table")
-		inputs := d.Inputs(n.Name)
-		if len(inputs) != 1 {
-			return nil, fmt.Errorf("sqlgen: loader %q has %d inputs", n.Name, len(inputs))
-		}
-		cols := append([]xlm.Field(nil), inputs[0].Fields...)
-		def := &TableDef{Name: table, Columns: cols}
+		cols := append([]xlm.Field(nil), d.Inputs(n.Name)[0].Fields...)
+		def := TableDef{Name: n.Param("table"), Columns: cols}
 		if keys := strings.TrimSpace(n.Param("keys")); keys != "" {
 			for _, k := range strings.Split(keys, ",") {
 				if k = strings.TrimSpace(k); k != "" {
@@ -103,44 +96,17 @@ func Tables(d *xlm.Design) ([]TableDef, error) {
 				})
 			}
 		}
-		if existing, dup := byName[table]; dup {
-			if !sameColumns(existing.Columns, cols) {
-				return nil, fmt.Errorf("sqlgen: loaders disagree on schema of table %q", table)
-			}
-			continue
-		}
-		byName[table] = def
-		order = append(order, table)
-	}
-	if len(order) == 0 {
-		return nil, fmt.Errorf("sqlgen: design %q has no loaders", d.Name)
+		out = append(out, def)
 	}
 	// Dimensions before facts so FK targets exist (facts carry refs).
-	sort.SliceStable(order, func(i, j int) bool {
-		fi := len(byName[order[i]].ForeignKeys) > 0
-		fj := len(byName[order[j]].ForeignKeys) > 0
+	sort.SliceStable(out, func(i, j int) bool {
+		fi, fj := len(out[i].ForeignKeys) > 0, len(out[j].ForeignKeys) > 0
 		if fi != fj {
 			return !fi
 		}
-		return order[i] < order[j]
+		return out[i].Name < out[j].Name
 	})
-	out := make([]TableDef, 0, len(order))
-	for _, t := range order {
-		out = append(out, *byName[t])
-	}
 	return out, nil
-}
-
-func sameColumns(a, b []xlm.Field) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DDL renders the full PostgreSQL deployment script for a design:

@@ -125,7 +125,7 @@ func TestTablesErrors(t *testing.T) {
 	if _, err := Tables(d); err == nil {
 		t.Error("empty design accepted")
 	}
-	// Conflicting loader schemas into the same table.
+	// Two loaders of one table.
 	d2 := xlm.NewDesign("conflict")
 	d2.AddNode(&xlm.Node{Name: "A", Type: xlm.OpDatastore, Fields: []xlm.Field{{Name: "a", Type: "int"}}, Params: map[string]string{"table": "src_a"}})
 	d2.AddNode(&xlm.Node{Name: "B", Type: xlm.OpDatastore, Fields: []xlm.Field{{Name: "b", Type: "string"}}, Params: map[string]string{"table": "src_b"}})
@@ -134,7 +134,7 @@ func TestTablesErrors(t *testing.T) {
 	d2.AddEdge("A", "L1")
 	d2.AddEdge("B", "L2")
 	if _, err := Tables(d2); err == nil {
-		t.Error("conflicting loader schemas accepted")
+		t.Error("two loaders of one table accepted")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"quarry/internal/tpch"
 )
 
-// stagedRun is what one ETL run hands to CommitRun: the loaded tables'
+// stagedRun is what one ETL run hands to Publish: the loaded tables'
 // schemas and rows.
 type stagedRun struct {
 	names []string
@@ -114,7 +114,7 @@ func BenchmarkCommitRun_SF100(b *testing.B) {
 			encode += storage.EncodeSerial(run.cols[ti], run.rows[ti])
 		}
 		b.StartTimer()
-		if err := db.CommitRun(staged, nil); err != nil {
+		if err := db.Publish(staged...); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -105,7 +105,7 @@ func TestCommitMatchesSerialWriter(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		dir := t.TempDir()
 		db := openDisk(t, dir)
-		if err := db.CommitRun(tenTables(t, 1), nil); err != nil {
+		if err := db.Publish(tenTables(t, 1)...); err != nil {
 			t.Fatal(err)
 		}
 		return dir, db
@@ -191,9 +191,9 @@ func TestFailedSegmentWriteLeavesNothing(t *testing.T) {
 				t.Cleanup(func() { TestingCommitFault = nil })
 				goroutines := runtime.NumGoroutine()
 				fds, _ := openFilesUnder(dir)
-				err := db.CommitRun(staged, nil)
+				err := db.Publish(staged...)
 				if !errors.Is(err, errIO) {
-					t.Fatalf("CommitRun error = %v, want the injected I/O error", err)
+					t.Fatalf("Publish error = %v, want the injected I/O error", err)
 				}
 				if got := settledGoroutines(goroutines); got != goroutines {
 					t.Errorf("%d goroutines after the failed commit, %d before", got, goroutines)
@@ -218,7 +218,7 @@ func TestFailedSegmentWriteLeavesNothing(t *testing.T) {
 				TestingCommitFault = nil
 				assertRecovered(t, dir, rows, v, segs)
 				// And the store is still writable: the same tables commit.
-				if err := db.CommitRun(staged, nil); err != nil {
+				if err := db.Publish(staged...); err != nil {
 					t.Fatalf("commit after the failure: %v", err)
 				}
 			})
@@ -242,8 +242,8 @@ func TestSimulatedCrashClosesFiles(t *testing.T) {
 			if !ok {
 				t.Skip("no /proc/self/fd")
 			}
-			if err := db.CommitRun(staged, nil); !errors.Is(err, errCrash) {
-				t.Fatalf("CommitRun error = %v, want injected crash", err)
+			if err := db.Publish(staged...); !errors.Is(err, errCrash) {
+				t.Fatalf("Publish error = %v, want injected crash", err)
 			}
 			if got, _ := openFilesUnder(dir); !reflect.DeepEqual(got, fds) {
 				t.Fatalf("open files after the simulated crash: %v, before: %v", got, fds)
@@ -259,7 +259,7 @@ func TestSimulatedCrashClosesFiles(t *testing.T) {
 func TestCommitRunUnderConcurrentReaders(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	db := openDisk(t, t.TempDir())
-	if err := db.CommitRun(tenTables(t, 0), nil); err != nil {
+	if err := db.Publish(tenTables(t, 0)...); err != nil {
 		t.Fatal(err)
 	}
 	names := make([]string, 10)
@@ -320,7 +320,7 @@ func TestCommitRunUnderConcurrentReaders(t *testing.T) {
 		}
 	}()
 	for gen := 1; gen <= 4; gen++ {
-		if err := db.CommitRun(tenTables(t, gen), nil); err != nil {
+		if err := db.Publish(tenTables(t, gen)...); err != nil {
 			t.Fatal(err)
 		}
 	}

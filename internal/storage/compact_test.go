@@ -12,23 +12,22 @@ import (
 	"testing"
 )
 
-// appendMixed commits n rows onto the live table via an append delta.
+// appendMixed inserts n rows into the live table and checkpoints them
+// as one new segment.
 func appendMixed(t *testing.T, db *DB, base, n int) {
 	t.Helper()
 	live, ok := db.Table("t")
 	if !ok {
 		t.Fatal("table t missing")
 	}
-	delta, err := NewStagingTable("t", mixedCols)
-	if err != nil {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = mixedRow(base + i)
+	}
+	if err := live.InsertAll(rows); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		if err := delta.Insert(mixedRow(base + i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.CommitRun(nil, []AppendDelta{{Target: live, Delta: delta}}); err != nil {
+	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,10 +177,10 @@ func TestCrashDuringCompaction(t *testing.T) {
 	}
 }
 
-// TestCrashDuringAutoCompactingAppend: an append that trips the
-// auto-compaction threshold and then crashes must leave the
-// pre-append state recoverable (neither the delta nor the merge
-// survives).
+// TestCrashDuringAutoCompactingAppend: a checkpoint of appended rows
+// that trips the auto-compaction threshold and then crashes must leave
+// the pre-append state recoverable (neither the new rows' segment nor
+// the merge survives).
 func TestCrashDuringAutoCompactingAppend(t *testing.T) {
 	for _, stage := range []string{"segments", "rename"} {
 		t.Run(stage, func(t *testing.T) {
@@ -191,20 +190,19 @@ func TestCrashDuringAutoCompactingAppend(t *testing.T) {
 			db := openDisk(t, dir)
 			segs := countSegs(t, dir)
 
+			committed := db.DiskStats()["t"]
 			live, _ := db.Table("t")
-			delta, _ := NewStagingTable("t", mixedCols)
 			for i := 0; i < 50; i++ {
-				if err := delta.Insert(mixedRow(30000 + i)); err != nil {
+				if err := live.Insert(mixedRow(30000 + i)); err != nil {
 					t.Fatal(err)
 				}
 			}
 			crashAt(t, stage)
-			err := db.CommitRun(nil, []AppendDelta{{Target: live, Delta: delta}})
-			if !errors.Is(err, errCrash) {
-				t.Fatalf("CommitRun error = %v, want injected crash", err)
+			if err := db.Checkpoint(); !errors.Is(err, errCrash) {
+				t.Fatalf("Checkpoint error = %v, want injected crash", err)
 			}
-			if live.NumRows() != 300 {
-				t.Fatalf("failed compacting append visible: %d rows", live.NumRows())
+			if st := db.DiskStats()["t"]; st != committed {
+				t.Fatalf("failed compacting checkpoint changed the committed table: %+v, want %+v", st, committed)
 			}
 			TestingCommitFault = nil
 			assertRecovered(t, dir, rows, v, segs)

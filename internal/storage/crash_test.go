@@ -137,37 +137,6 @@ func TestCrashBetweenTmpAndRename(t *testing.T) {
 	assertRecovered(t, dir, rows, v, segs)
 }
 
-// TestCrashDuringAppendCommit proves a crashed append-mode commit
-// leaves the reopened target at its previous length.
-func TestCrashDuringAppendCommit(t *testing.T) {
-	for _, stage := range []string{"segments", "rename"} {
-		t.Run(stage, func(t *testing.T) {
-			dir := t.TempDir()
-			rows, v := seedCommitted(t, dir, 500)
-			segs := countSegs(t, dir)
-
-			db := openDisk(t, dir)
-			live, _ := db.Table("t")
-			delta, _ := NewStagingTable("t", mixedCols)
-			for i := 0; i < 200; i++ {
-				if err := delta.Insert(mixedRow(50000 + i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			crashAt(t, stage)
-			err := db.CommitRun(nil, []AppendDelta{{Target: live, Delta: delta}})
-			if !errors.Is(err, errCrash) {
-				t.Fatalf("CommitRun error = %v, want injected crash", err)
-			}
-			if live.NumRows() != 500 {
-				t.Fatalf("failed append visible in live table: %d rows", live.NumRows())
-			}
-			TestingCommitFault = nil
-			assertRecovered(t, dir, rows, v, segs)
-		})
-	}
-}
-
 // TestCrashRecoveryThenCommit proves the recovered DB is fully
 // writable: after a crash + reopen, a new commit succeeds and the
 // re-reopened state reflects it (orphan GC freed the ids and files a

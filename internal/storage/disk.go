@@ -37,7 +37,7 @@ package storage
 // previous committed version; Open discards orphaned segments and
 // rehydrates that version. A failed commit inside a live process
 // likewise leaves the DB's in-memory state untouched, preserving
-// CommitRun's "failed runs leave live tables byte-identical"
+// Publish's "failed runs leave live tables byte-identical"
 // contract. Snapshots taken before a commit keep reading their old
 // segments even after the files are unlinked: every segment holds its
 // file handle open for the segment object's lifetime.
@@ -740,12 +740,11 @@ func (st *store) gc(referenced map[string]bool) {
 }
 
 // commitDisk commits the tentative catalog (order + tables, which may
-// include tables not yet registered in db.tables) at version v,
-// appending extra[t] (staged append-delta chunks) after t's uncommitted
-// tail. With a directory the catalog is persisted as manifest version
-// v. Once that rename lands (at once without a directory) it takes
-// db.mu just long enough to swap the affected tables' pagers, drop
-// their committed tail prefixes and run the caller's apply step
+// include tables not yet registered in db.tables) at version v. With a
+// directory the catalog is persisted as manifest version v. Once that
+// rename lands (at once without a directory) it takes db.mu just long
+// enough to swap the affected tables' pagers, drop their committed
+// tail prefixes and run the caller's apply step
 // (catalog map/order/version changes); all encoding and I/O happens
 // WITHOUT db.mu, so concurrent snapshots and version reads never wait
 // on a commit's fsyncs. On failure the in-memory DB is untouched, the
@@ -763,7 +762,7 @@ func (st *store) gc(referenced map[string]bool) {
 // before the rename recovers the pre-compaction segment list; the old
 // segments are deleted only after the rename (readers holding
 // pre-compaction snapshots keep their open handles).
-func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, extra map[*Table][]*chunk, apply func()) error {
+func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, apply func()) error {
 	st := db.store
 	type pend struct {
 		name  string
@@ -801,7 +800,6 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, ext
 			chunks = append(pg.chunks(), tail...)
 			pg = nil
 		}
-		chunks = append(chunks, extra[t]...) // tail is capacity-capped: no write reaches t's list
 		if pg != nil && len(pg.segs)+min(len(chunks), 1) > compactSegments {
 			chunks = append(pg.chunks(), chunks...)
 			pg = nil
@@ -924,7 +922,7 @@ func (db *DB) catalogWith(add []*Table) ([]string, map[string]*Table) {
 
 // Checkpoint commits every table's uncommitted tail at the current
 // version (persisting it, with a directory). Rows loaded through an
-// ETL run are committed by the run itself (CommitRun); Checkpoint
+// ETL run are committed by the run itself (Publish); Checkpoint
 // covers rows inserted directly — e.g. a generated source dataset —
 // before any run has happened. A table past compactSegments segments
 // is compacted, at the same version: the content does not change.
@@ -933,7 +931,7 @@ func (db *DB) Checkpoint() error {
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	order, tables := db.catalogWith(nil)
-	return db.commitDisk(db.Version(), order, tables, nil, nil)
+	return db.commitDisk(db.Version(), order, tables, nil)
 }
 
 // TableDiskStats is one table's committed on-disk footprint.

@@ -259,31 +259,28 @@ func TestDiskPageCacheEviction(t *testing.T) {
 	}
 }
 
+// TestDiskCommitRunPublishAndAppend: a run's commit publishes its
+// staged table and persists the rows appended to a live table since
+// the last commit, at one version.
 func TestDiskCommitRunPublishAndAppend(t *testing.T) {
 	dir := t.TempDir()
 	db := openDisk(t, dir)
 	live, _ := db.CreateTable("live", []Column{{Name: "x", Type: "int"}})
-	if err := live.Insert(Row{expr.Int(1)}); err != nil {
-		t.Fatal(err)
+	for _, x := range []int64{1, 2} {
+		if err := live.Insert(Row{expr.Int(x)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-
 	staged, _ := NewStagingTable("fresh", []Column{{Name: "y", Type: "string"}})
 	if err := staged.Insert(Row{expr.Str("a")}); err != nil {
 		t.Fatal(err)
 	}
-	delta, _ := NewStagingTable("live", []Column{{Name: "x", Type: "int"}})
-	if err := delta.Insert(Row{expr.Int(2)}); err != nil {
-		t.Fatal(err)
-	}
 	v := db.Version()
-	if err := db.CommitRun([]*Table{staged}, []AppendDelta{{Target: live, Delta: delta}}); err != nil {
+	if err := db.Publish(staged); err != nil {
 		t.Fatal(err)
 	}
 	if db.Version() != v+1 {
 		t.Fatalf("version %d, want %d", db.Version(), v+1)
-	}
-	if live.NumRows() != 2 {
-		t.Fatalf("append not merged: %d rows", live.NumRows())
 	}
 
 	re := openDisk(t, dir)
@@ -291,6 +288,9 @@ func TestDiskCommitRunPublishAndAppend(t *testing.T) {
 	reFresh, ok := re.Table("fresh")
 	if !ok {
 		t.Fatal("published table lost on reopen")
+	}
+	if reLive.NumRows() != 2 {
+		t.Fatalf("appended rows not persisted: %d rows", reLive.NumRows())
 	}
 	assertTableEqual(t, reLive, live)
 	assertTableEqual(t, reFresh, staged)

@@ -7,9 +7,9 @@ import (
 )
 
 // manifestFixture commits a small warehouse — table t of mixed rows in
-// several pages plus an appended delta segment, table u of one page —
-// to a fresh directory and returns its segment files by name and its
-// manifest bytes. The bytes are the same on every run.
+// several pages plus a second segment of appended rows, table u of one
+// page — to a fresh directory and returns its segment files by name
+// and its manifest bytes. The bytes are the same on every run.
 func manifestFixture(tb testing.TB) (map[string][]byte, []byte) {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -33,10 +33,8 @@ func manifestFixture(tb testing.TB) (map[string][]byte, []byte) {
 	commit(err)
 	commit(tbl.InsertAll(rows(0, 3000)))
 	commit(db.Checkpoint())
-	delta, err := NewStagingTable("t", mixedCols)
-	commit(err)
-	commit(delta.InsertAll(rows(5000, 40)))
-	commit(db.CommitRun(nil, []AppendDelta{{Target: tbl, Delta: delta}}))
+	commit(tbl.InsertAll(rows(5000, 40)))
+	commit(db.Checkpoint())
 	u, err := db.CreateTable("u", []Column{{Name: "s", Type: "string"}, {Name: "f", Type: "float"}})
 	commit(err)
 	commit(u.Insert(Row{mixedRow(1)[2], mixedRow(1)[1]}))

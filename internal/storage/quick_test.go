@@ -40,12 +40,11 @@ func (m model) clone() model {
 // quickOp is one generated operation, as data: each database builds its
 // own table objects from it.
 type quickOp struct {
-	kind    string // create, insert, insertAll, commitRun, attach, checkpoint
+	kind    string // create, insert, insertAll, publish, attach, checkpoint
 	name    string
 	cols    []Column
 	rows    []Row
-	replace []modelTableNamed // commitRun: staged replace tables
-	appends []modelTableNamed // commitRun: deltas, by target name
+	replace []modelTableNamed // publish: staged tables
 	from    string            // attach: "staging", "heap" or "disk" (a frozen view of a database of that kind)
 }
 
@@ -116,9 +115,9 @@ func genOp(rng *rand.Rand, m model) quickOp {
 		}
 	}
 	schema := func() []Column { return quickSchemas[rng.Intn(len(quickSchemas))] }
-	kinds := []string{"create", "attach", "commitRun", "checkpoint"}
+	kinds := []string{"create", "attach", "publish", "checkpoint"}
 	if len(live) > 0 {
-		kinds = append(kinds, "insert", "insertAll", "insertAll", "commitRun")
+		kinds = append(kinds, "insert", "insertAll", "insertAll", "publish")
 	}
 	op := quickOp{kind: kinds[rng.Intn(len(kinds))], name: quickNames[rng.Intn(len(quickNames))]}
 	if len(live) > 0 && op.kind != "create" && op.kind != "attach" {
@@ -135,7 +134,7 @@ func genOp(rng *rand.Rand, m model) quickOp {
 		op.rows = quickRows(rng, m[op.name].cols, 1)
 	case "insertAll":
 		op.rows = quickRows(rng, m[op.name].cols, 300)
-	case "commitRun":
+	case "publish":
 		seen := map[string]bool{}
 		for n := rng.Intn(3); n > 0; n-- {
 			name := quickNames[rng.Intn(len(quickNames))]
@@ -145,11 +144,6 @@ func genOp(rng *rand.Rand, m model) quickOp {
 			seen[name] = true
 			cols := schema()
 			op.replace = append(op.replace, modelTableNamed{name, modelTable{cols, quickRows(rng, cols, 500)}})
-		}
-		// Deltas into live tables — some of which this same run replaces.
-		for n := rng.Intn(3); n > 0 && len(live) > 0; n-- {
-			name := live[rng.Intn(len(live))]
-			op.appends = append(op.appends, modelTableNamed{name, modelTable{m[name].cols, quickRows(rng, m[name].cols, 200)}})
 		}
 	}
 	return op
@@ -168,18 +162,9 @@ func applyModel(m model, op quickOp) (refused bool) {
 		mt := m[op.name]
 		mt.rows = append(slices.Clip(mt.rows), op.rows...)
 		m[op.name] = mt
-	case "commitRun":
-		replaced := map[string]bool{}
+	case "publish":
 		for _, r := range op.replace {
 			m[r.name] = modelTable{cols: r.cols, rows: slices.Clip(r.rows)}
-			replaced[r.name] = true
-		}
-		for _, a := range op.appends {
-			if !replaced[a.name] { // the delta's target is dead
-				mt := m[a.name]
-				mt.rows = append(slices.Clip(mt.rows), a.rows...)
-				m[a.name] = mt
-			}
 		}
 	}
 	return false
@@ -236,17 +221,12 @@ func applyDB(t *testing.T, db *DB, op quickOp) error {
 		return live().Insert(op.rows[0])
 	case "insertAll":
 		return live().InsertAll(op.rows)
-	case "commitRun":
+	case "publish":
 		var tables []*Table
 		for _, r := range op.replace {
 			tables = append(tables, staging(r.name, r.cols, r.rows))
 		}
-		var appends []AppendDelta
-		for _, a := range op.appends {
-			target, _ := db.Table(a.name)
-			appends = append(appends, AppendDelta{Target: target, Delta: staging(a.name, a.cols, a.rows)})
-		}
-		return db.CommitRun(tables, appends)
+		return db.Publish(tables...)
 	case "checkpoint":
 		return db.Checkpoint()
 	}

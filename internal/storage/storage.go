@@ -17,12 +17,11 @@
 // disk.go and docs/ARCHITECTURE.md for the format and the
 // crash-safety protocol.
 //
-// Writers stage and commit: replace-mode loads build detached tables
-// (NewStagingTable) and an ETL run's loads — replace tables and
-// append deltas alike — are published in ONE critical section
-// (CommitRun), which with a directory is also exactly one manifest
-// fsync+rename. Readers take Snapshots: immutable, lock-free views
-// that stay stable across concurrent publishes. A run that fails
+// Writers stage and commit: a loader builds a detached table
+// (NewStagingTable) and an ETL run's loads are published in ONE
+// critical section (Publish), which with a directory is also exactly
+// one manifest fsync+rename. Readers take Snapshots: immutable,
+// lock-free views that stay stable across concurrent publishes. A run that fails
 // before its commit leaves every live table byte-identical to its
 // pre-run state: nothing was merged in memory, and the previous
 // manifest still names the previous segments (recovery at Open
@@ -143,10 +142,10 @@ type DB struct {
 
 // Version reports the structural version: it increases whenever a
 // table is created, replaced, dropped or attached, and once per ETL
-// run commit (CommitRun — which append-only runs also reach), so
-// version-keyed caches observe every load. Direct row appends outside
-// an engine run do not bump it. With a directory the version is
-// committed in the manifest and survives restarts.
+// run commit (Publish), so version-keyed caches observe every load.
+// Direct row appends outside an engine run do not bump it. With a
+// directory the version is committed in the manifest and survives
+// restarts.
 func (db *DB) Version() uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -175,66 +174,30 @@ func (db *DB) CreateTable(name string, cols []Column) (*Table, error) {
 }
 
 // NewStagingTable creates a detached table registered in no database:
-// loaders build replace-mode loads in one, then swap the finished
-// table in atomically with Publish, so concurrent readers never
-// observe a half-loaded table. A staging table holds only a tail;
+// loaders build their loads in one, then swap the finished table in
+// atomically with Publish, so concurrent readers never observe a
+// half-loaded table. A staging table holds only a tail;
 // publishing it encodes its rows into fresh segments at the commit.
 func NewStagingTable(name string, cols []Column) (*Table, error) {
 	return newTable(name, cols)
 }
 
-// Publish atomically registers the table under its name, replacing
-// any previous version. Snapshots and readers holding the previous
-// table object keep their stable view.
-func (db *DB) Publish(t *Table) error { return db.PublishAll([]*Table{t}) }
-
-// PublishAll registers every table in one critical section — the
-// commit point of an ETL run: a concurrent Snapshot sees either none
-// or all of the run's replace-mode loads, never a mix of new facts
-// with old dimensions. The version is bumped once per call, even for
-// an empty table list (append-only runs call it with no tables so
-// version-keyed caches still observe the change).
-func (db *DB) PublishAll(tables []*Table) error { return db.CommitRun(tables, nil) }
-
-// AppendDelta is a staged append-mode load: rows destined for an
-// existing live table, buffered in a detached Delta table (same column
-// layout as Target, rows already validated against it) until the run
-// commits. Staging appends keeps failed runs from leaving a partial
-// append behind in the live table.
-type AppendDelta struct {
-	Target *Table
-	Delta  *Table
-}
-
-// CommitRun is the commit point of an ETL run: it publishes every
-// replace-mode table and merges every staged append delta into its
-// live target in one critical section, then bumps the version once. A
-// concurrent Snapshot therefore sees either none or all of the run's
-// loads — replace and append alike. The same call encodes the staged
-// tables and deltas as new segments and, with a directory, commits
-// them with one manifest fsync+rename; an error (or a crash) anywhere
-// before that rename leaves both the live tables and the on-disk
-// warehouse byte-identical to their pre-run state, with no version
-// bump.
-func (db *DB) CommitRun(tables []*Table, appends []AppendDelta) error {
+// Publish registers every table under its name in one critical
+// section, replacing any previous version, and bumps the version once —
+// the commit point of an ETL run: a concurrent Snapshot sees either
+// none or all of the run's loads, never a mix of new facts with old
+// dimensions, and readers holding a previous table object keep their
+// stable view. The same call encodes the tables' rows as new segments
+// and, with a directory, commits them with one manifest fsync+rename;
+// an error (or a crash) anywhere before that rename leaves both the
+// live tables and the on-disk warehouse byte-identical to their
+// pre-run state, with no version bump.
+func (db *DB) Publish(tables ...*Table) error {
 	st := db.store
 	st.commitMu.Lock()
 	defer st.commitMu.Unlock()
 	order, catalog := db.catalogWith(tables)
-	var extra map[*Table][]*chunk
-	for _, a := range appends {
-		_, chunks := a.Delta.capture()
-		// A target this same run replaces (or one no longer in the
-		// catalog) is dead: its delta has nowhere to land.
-		if len(chunks) == 0 || catalog[a.Target.Name] != a.Target {
-			continue
-		}
-		if extra == nil {
-			extra = map[*Table][]*chunk{}
-		}
-		extra[a.Target] = append(extra[a.Target], chunks...)
-	}
-	return db.commitDisk(db.Version()+1, order, catalog, extra, func() {
+	return db.commitDisk(db.Version()+1, order, catalog, func() {
 		for _, t := range tables {
 			if _, exists := db.tables[t.Name]; !exists {
 				db.order = append(db.order, t.Name)
@@ -263,7 +226,7 @@ func (db *DB) Attach(t *Table) error {
 		return fmt.Errorf("storage: table %q already exists", t.Name)
 	}
 	order, tables := db.catalogWith([]*Table{t})
-	return db.commitDisk(db.Version()+1, order, tables, nil, func() {
+	return db.commitDisk(db.Version()+1, order, tables, func() {
 		db.tables[t.Name] = t
 		db.order = append(db.order, t.Name)
 		db.version++
@@ -271,7 +234,7 @@ func (db *DB) Attach(t *Table) error {
 }
 
 // CreateOrReplaceTable creates the table, dropping any previous
-// version — the loaders' "replace" mode.
+// version.
 func (db *DB) CreateOrReplaceTable(name string, cols []Column) (*Table, error) {
 	t, err := newTable(name, cols)
 	if err != nil {

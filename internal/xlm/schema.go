@@ -300,7 +300,9 @@ func joinTypesCompatible(a, b string) bool {
 // types, unique names, resolvable edges, acyclicity, per-operation
 // arity and parameter well-formedness, and schema propagation
 // consistency. Loader-less or Datastore-less designs are rejected —
-// an ETL flow must move data from sources to targets.
+// an ETL flow must move data from sources to targets — and so is a
+// second loader of one table: a loader replaces its table, so one of
+// the two would silently discard the other's rows.
 func (d *Design) Validate() error {
 	if d.Name == "" {
 		return fmt.Errorf("xlm: design has no name")
@@ -319,16 +321,25 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("xlm: %s node %q has no outputs", n.Type, n.Name)
 		}
 	}
-	hasLoader := false
+	// A loader replaces its table, and a table has one loader.
+	loaderOf := map[string]string{}
 	for _, n := range d.nodes {
-		if n.Type == OpLoader {
-			hasLoader = true
-			if len(d.Outputs(n.Name)) != 0 {
-				return fmt.Errorf("xlm: loader %q has outgoing edges", n.Name)
-			}
+		if n.Type != OpLoader {
+			continue
 		}
+		if len(d.Outputs(n.Name)) != 0 {
+			return fmt.Errorf("xlm: loader %q has outgoing edges", n.Name)
+		}
+		if m := n.Param("mode"); m != "" && m != "replace" {
+			return fmt.Errorf("xlm: loader %q has mode %q; a loader replaces its table", n.Name, m)
+		}
+		table := n.Param("table")
+		if other, dup := loaderOf[table]; dup && table != "" {
+			return fmt.Errorf("xlm: loaders %q and %q both load table %q; a table has one loader", other, n.Name, table)
+		}
+		loaderOf[table] = n.Name
 	}
-	if !hasLoader {
+	if len(loaderOf) == 0 {
 		return fmt.Errorf("xlm: design %q has no loader", d.Name)
 	}
 	// InferSchemas performs topological sorting (cycle detection),

@@ -50,8 +50,8 @@ const (
 	// OpSurrogateKey assigns a dense integer key per distinct natural
 	// key; params: "key" (new column), "on" = "c1,c2".
 	OpSurrogateKey OpType = "SurrogateKey"
-	// OpLoader writes rows to a target table (no outputs); params:
-	// "table", optional "mode" = "replace"|"append".
+	// OpLoader replaces a target table with its rows (no outputs);
+	// params: "table". A design has one loader per table.
 	OpLoader OpType = "Loader"
 )
 

@@ -288,6 +288,34 @@ func TestValidateStructuralErrors(t *testing.T) {
 	}
 }
 
+// TestValidateOneLoaderPerTable: a loader replaces its table, so a
+// second loader of one table is refused naming both loaders, and a
+// loader whose mode is anything but replace is refused naming it.
+func TestValidateOneLoaderPerTable(t *testing.T) {
+	d := revenueFlow(t)
+	d.AddNode(&Node{Name: "LOADER_again", Type: OpLoader, Params: map[string]string{"table": "fact_revenue"}})
+	d.AddEdge("AGG_supplier", "LOADER_again")
+	err := d.Validate()
+	if err == nil || !strings.Contains(err.Error(), `loaders "LOADER_fact" and "LOADER_again" both load table "fact_revenue"`) {
+		t.Errorf("second loader of one table: %v", err)
+	}
+	loader, _ := d.Node("LOADER_again")
+	loader.Params["table"] = "fact_revenue_copy"
+	if err := d.Validate(); err != nil {
+		t.Errorf("loaders of two tables refused: %v", err)
+	}
+	for mode, ok := range map[string]bool{"replace": true, "append": false, "bogus": false} {
+		loader.Params["mode"] = mode
+		err := d.Validate()
+		if ok && err != nil {
+			t.Errorf("mode %q refused: %v", mode, err)
+		}
+		if !ok && (err == nil || !strings.Contains(err.Error(), `loader "LOADER_again" has mode "`+mode+`"`)) {
+			t.Errorf("mode %q: %v, want a refusal naming the loader", mode, err)
+		}
+	}
+}
+
 func TestProjectionAndSortAndSK(t *testing.T) {
 	d := NewDesign("proj")
 	d.AddNode(&Node{Name: "src", Type: OpDatastore, Fields: []Field{
