@@ -615,11 +615,17 @@ func floatOrderBits(f float64) uint64 {
 // 1, −1} sums to MaxInt64 in every order and partition although a
 // prefix overflows.
 func (o *aggregationOp) result() ([][]expr.Value, error) {
+	o.ready()
+	return finalRows(len(o.gIdx), o.aggs, o.cols, identity(nil, o.groups), o.key)
+}
+
+// ready readies the groups for their answers: a global aggregate over
+// zero rows gets its one group, and the sums are settled.
+func (o *aggregationOp) ready() {
 	if len(o.gIdx) == 0 && o.groups == 0 {
 		o.lookup(1, nil)
 	}
 	o.settle()
-	return finalRows(len(o.gIdx), o.aggs, o.cols, identity(nil, o.groups), o.key)
 }
 
 // settle moves every group's 128-bit sums into their expansions.

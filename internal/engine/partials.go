@@ -96,10 +96,7 @@ func keyVector(vals []expr.Value) *storage.Vector {
 	entries := make(map[rep]uint32, len(vals))
 	for g, x := range vals {
 		if x.IsNull() {
-			if v.Nulls == nil {
-				v.Nulls = make([]uint64, (len(vals)+63)/64)
-			}
-			v.Nulls[g>>6] |= 1 << (uint(g) & 63)
+			setNull(v, g, len(vals))
 			continue
 		}
 		e, ok := entries[rep{x.Key(), x.Kind()}]

@@ -274,14 +274,14 @@ func (r *runner) emit(b *Batch) bool {
 	return true
 }
 
-// emitAll transposes a blocking operator's materialised rows into
-// batches and emits them.
-func (r *runner) emitAll(rows [][]expr.Value) error {
+// emitAll emits a blocking operator's n result rows in batches, cut
+// building the batch of rows [lo, hi).
+func (r *runner) emitAll(n int, cut func(lo, hi int) *Batch) error {
 	bs := r.ex.opts.BatchSize
-	for start := 0; start < len(rows); start += bs {
+	for lo := 0; lo < n; lo += bs {
 		var b *Batch
 		if err := r.work(func() error {
-			b, r.vals = batchOf(rows[start:min(start+bs, len(rows))], len(r.outfd), r.vals)
+			b = cut(lo, min(lo+bs, n))
 			return nil
 		}); err != nil {
 			return err
@@ -471,14 +471,14 @@ func (r *runner) runAggregation() error {
 	if r.ex.failed() {
 		return errAborted
 	}
-	var rows [][]expr.Value
+	var n int
 	if err := r.work(func() (err error) {
-		rows, err = op.result()
+		n, err = op.finish()
 		return err
 	}); err != nil {
 		return err
 	}
-	return r.emitAll(rows)
+	return r.emitAll(n, op.batch)
 }
 
 func (r *runner) runSort() error {
@@ -504,7 +504,11 @@ func (r *runner) runSort() error {
 	}); err != nil {
 		return err
 	}
-	return r.emitAll(rows)
+	return r.emitAll(len(rows), func(lo, hi int) *Batch {
+		var b *Batch
+		b, r.vals = batchOf(rows[lo:hi], len(r.outfd), r.vals)
+		return b
+	})
 }
 
 func (r *runner) runSurrogateKey() error {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"quarry/internal/expr"
 	"quarry/internal/storage"
@@ -52,7 +53,7 @@ func (c *groupCol) code(r int) uint32 {
 }
 
 // vecState is an aggregationOp's grouping — its coders and code index —
-// and the vector entry's scratch.
+// and the vector entry's and exit's scratch.
 type vecState struct {
 	index     codeIndex
 	coders    []dictCoder
@@ -61,6 +62,7 @@ type vecState struct {
 	rowGroups []int32           // each batch row's group
 	measures  []*storage.Vector // per aggregate: its input rows
 	gathered  []*storage.Vector // per aggregate: its selected input rows
+	vals      []expr.Value      // the vector exit's: a column's values
 }
 
 // flatIndexBits is the widest packed key the codeIndex serves from a
@@ -408,4 +410,122 @@ func (c *StateCols) foldExtreme(gs []int32, m *storage.Vector, min bool) {
 			keepExtreme(&cur[g], m.Value(r), min)
 		}
 	}
+}
+
+// The vector exit: the executor's Aggregation hands its groups on as
+// batches read from the fold's own columns, with no row between
+// (result's rows stay the answer of Finalize, FinalizeCells and the
+// materialising reference). A group column is read from its coder's
+// dictionary at the groups' codes: ints and floats into typed vectors,
+// strings as the codes themselves over the coder's dictionary, which
+// only grows and which every batch of the column shares, so a loader's
+// commit meets a string once per page, not once per row. A COUNT is
+// its counts. Every other column — bools, a batch's column of several
+// kinds or only NULLs, a key kept in another representation than its
+// entry (reps), the other aggregates' answers — is what
+// storage.VectorOf makes of its values: the batch is, value for value
+// and kind for kind, the one batchOf makes of result's rows.
+
+// finish readies the answer (ready) and returns the group count,
+// failing as result fails: at the first integer SUM, in group then
+// aggregate order, whose true sum left int64.
+func (o *aggregationOp) finish() (int, error) {
+	o.ready()
+	for g := range int32(o.groups) {
+		for i, a := range o.aggs {
+			if a.Func == "SUM" {
+				if _, err := o.cols[i].final(a, g); err != nil {
+					return 0, err
+				}
+			}
+		}
+	}
+	return o.groups, nil
+}
+
+// batch is groups [lo, hi) of a finished aggregation in its output
+// layout: the group columns, then the aggregates.
+func (o *aggregationOp) batch(lo, hi int) *Batch {
+	k := len(o.gIdx)
+	b := &Batch{N: hi - lo, Cols: make([]*storage.Vector, k+len(o.aggs))}
+	for j := range k {
+		b.Cols[j] = o.keyColumn(j, lo, hi)
+	}
+	for i, a := range o.aggs {
+		if a.Func == "COUNT" {
+			b.Cols[k+i] = &storage.Vector{Kind: expr.KindInt, Ints: o.cols[i].Counts[lo:hi:hi]}
+			continue
+		}
+		b.Cols[k+i] = o.column(lo, hi, func(g int) expr.Value {
+			v, _ := o.cols[i].final(a, int32(g)) // finish checked the int sums
+			return v
+		})
+	}
+	return b
+}
+
+// keyColumn is group column j's keys of groups [lo, hi): typed where
+// the batch's keys are of one kind, ints, floats or strings (NULLs
+// aside), and none is kept in another representation (reps).
+func (o *aggregationOp) keyColumn(j, lo, hi int) *storage.Vector {
+	k, dict, n := len(o.gIdx), o.vec.coders[j].dict, hi-lo
+	values := func() *storage.Vector {
+		return o.column(lo, hi, func(g int) expr.Value { return o.value(g, j) })
+	}
+	kind := expr.KindNull
+	for g := lo; g < hi; g++ {
+		if _, kept := o.reps[g*k+j]; kept {
+			return values()
+		}
+		switch x := dict[o.codes[g*k+j]].Kind(); {
+		case x == expr.KindNull:
+		case kind == expr.KindNull:
+			kind = x
+		case x != kind:
+			return values()
+		}
+	}
+	v := &storage.Vector{Kind: kind}
+	switch kind {
+	case expr.KindInt:
+		v.Ints = make([]int64, n)
+	case expr.KindFloat:
+		v.Floats = make([]float64, n)
+	case expr.KindString:
+		v.Codes, v.Dict = make([]uint32, n), slices.Clip(dict)
+	default: // bools, or only NULLs
+		return values()
+	}
+	for i := range n {
+		code := o.codes[(lo+i)*k+j]
+		switch x := &dict[code]; {
+		case x.IsNull():
+			setNull(v, i, n)
+		case kind == expr.KindInt:
+			v.Ints[i] = x.AsInt()
+		case kind == expr.KindFloat:
+			v.Floats[i], _ = x.AsFloat()
+		default:
+			v.Codes[i] = code
+		}
+	}
+	return v
+}
+
+// column is storage.VectorOf of the values of groups [lo, hi).
+func (o *aggregationOp) column(lo, hi int, value func(g int) expr.Value) *storage.Vector {
+	vals := Sized(o.vec.vals, hi-lo)
+	for i := range vals {
+		vals[i] = value(lo + i)
+	}
+	o.vec.vals = vals
+	return storage.VectorOf(vals)
+}
+
+// setNull marks row i of an n-row vector NULL.
+func setNull(v *storage.Vector, i, n int) {
+	if v.Nulls == nil {
+		v.Nulls = make([]uint64, (n+63)/64)
+	}
+	v.Nulls[i>>6] |= 1 << (uint(i) & 63)
 }

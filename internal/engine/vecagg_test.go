@@ -466,3 +466,132 @@ func TestFinalizeCellsWithinAHashChain(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// checkFoldVectors folds rows (the group columns first) and checks the
+// executor's vector exit against the rows the fold answers: each batch
+// of groups [lo, hi), for several batch sizes, must be value for value
+// and kind for kind the batch batchOf makes of result's rows [lo, hi),
+// and finish must fail exactly where result fails.
+func checkFoldVectors(t *testing.T, what string, groupCols int, aggs []xlm.AggSpec, aggIdx []int, rows [][]expr.Value) {
+	t.Helper()
+	fold := func() *aggregationOp {
+		groupIdx := make([]int, groupCols)
+		for i := range groupIdx {
+			groupIdx[i] = i
+		}
+		a, err := NewHashAggregator(groupIdx, aggs, aggIdx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Add(rows); err != nil {
+			t.Fatal(err)
+		}
+		return a.op
+	}
+	want, wantErr := fold().result()
+	var vals []expr.Value
+	for _, size := range []int{1, 2, 3, 1024} {
+		op := fold()
+		n, err := op.finish()
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: finish fails with %v, result with %v", what, err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if n != len(want) {
+			t.Fatalf("%s: %d groups, result has %d rows", what, n, len(want))
+		}
+		for lo := 0; lo < n; lo += size {
+			hi := min(lo+size, n)
+			got := op.batch(lo, hi)
+			var ref *Batch
+			ref, vals = batchOf(want[lo:hi], groupCols+len(aggs), vals)
+			if got.N != ref.N || len(got.Cols) != len(ref.Cols) {
+				t.Fatalf("%s: batch [%d, %d) holds %d rows of %d columns, want %d of %d", what, lo, hi, got.N, len(got.Cols), ref.N, len(ref.Cols))
+			}
+			for c := range ref.Cols {
+				if g, w := got.Cols[c], ref.Cols[c]; g.Kind != w.Kind || g.Len() != w.Len() {
+					t.Fatalf("%s: batch [%d, %d) column %d is %d %s rows, want %d %s", what, lo, hi, c, g.Len(), g.Kind, w.Len(), w.Kind)
+				}
+				for r := range ref.N {
+					if g, w := got.Cols[c].Value(r), ref.Cols[c].Value(r); !identical(g, w) {
+						t.Fatalf("%s: group %d column %d: %s %s, want %s %s", what, lo+r, c, g.Kind(), g, w.Kind(), w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldVectorsMatchRows pins the vector exit to the row answer over
+// what makes a column typed or not: keys kept in another representation
+// than their entry (Int 3 beside Float 3.0), NaN and −0 keys, NULL,
+// bool and mixed keys, SUMs and AVGs of nothing and SUMs whose groups
+// differ in kind, COUNT(*), MIN and MAX over strings, no groups, and
+// the int SUM overflow, which must be the same error.
+func TestFoldVectorsMatchRows(t *testing.T) {
+	I, F, S, B, N := expr.Int, expr.Float, expr.Str, expr.Bool, expr.Null()
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	rowsOf := func(keys [][]expr.Value, r *rand.Rand) [][]expr.Value {
+		rows := make([][]expr.Value, len(keys))
+		for i, k := range keys {
+			rows[i] = append(append([]expr.Value(nil), k...), measuresOf(r)...)
+		}
+		return rows
+	}
+	r := rand.New(rand.NewSource(1))
+	aggs2, idx2, _ := allAggs(2)
+	checkFoldVectors(t, "Int 3 beside Float 3.0", 2, aggs2, idx2, rowsOf([][]expr.Value{
+		{I(3), S("a")}, {F(3), S("b")}, {F(3), S("a")}, {I(4), S("c")}, {F(5.5), S("d")}, {I(3), S("b")}, {F(4), S("e")},
+	}, r))
+	checkFoldVectors(t, "NaN, −0 and NULL keys", 2, aggs2, idx2, rowsOf([][]expr.Value{
+		{F(negZero), S("a")}, {F(0), S("a")}, {F(nan), N}, {F(math.Float64frombits(math.Float64bits(nan) ^ 1)), N},
+		{N, S("b")}, {F(1.5), N}, {F(negZero), S("c")}, {N, N},
+	}, r))
+	checkFoldVectors(t, "bool and mixed keys", 2, aggs2, idx2, rowsOf([][]expr.Value{
+		{B(true), I(1)}, {B(false), S("x")}, {N, I(1)}, {B(true), F(2.5)}, {B(false), N}, {B(true), S("y")},
+	}, r))
+	aggs1, idx1, _ := allAggs(1)
+	var many [][]expr.Value
+	for i := range 40 {
+		many = append(many, []expr.Value{S(fmt.Sprintf("k%d", i%13))})
+	}
+	checkFoldVectors(t, "string keys, MIN and MAX over strings", 1, aggs1, idx1, rowsOf(many, r))
+	aggs0, idx0, _ := allAggs(0)
+	checkFoldVectors(t, "global", 0, aggs0, idx0, rowsOf([][]expr.Value{{}, {}, {}}, r))
+	checkFoldVectors(t, "global over no rows", 0, aggs0, idx0, nil)
+	checkFoldVectors(t, "no groups", 1, aggs1, idx1, nil)
+
+	sums := []xlm.AggSpec{{Func: "SUM", Col: "m", Out: "s"}, {Func: "AVG", Col: "m", Out: "a"}, {Func: "COUNT", Out: "n"}}
+	checkFoldVectors(t, "SUM and AVG of nothing, of ints and of floats", 1, sums, []int{1, 1, -1}, [][]expr.Value{
+		{S("none"), N}, {S("ints"), I(2)}, {S("floats"), F(2.5)}, {S("ints"), I(-7)}, {S("both"), I(1)}, {S("both"), F(0.5)}, {S("none"), N},
+	})
+	checkFoldVectors(t, "only NULLs", 1, sums, []int{1, 1, -1}, [][]expr.Value{{S("a"), N}, {S("b"), N}})
+
+	// The first overflow in group, then aggregate, order: group y's
+	// second SUM, not group z's first.
+	over := []xlm.AggSpec{{Func: "SUM", Col: "a", Out: "first"}, {Func: "SUM", Col: "b", Out: "second"}}
+	checkFoldVectors(t, "int SUM overflow", 1, over, []int{1, 2}, [][]expr.Value{
+		{S("x"), I(1), I(1)}, {S("y"), I(1), I(math.MaxInt64)}, {S("z"), I(math.MaxInt64), I(1)},
+		{S("y"), I(1), I(1)}, {S("z"), I(1), I(1)},
+	})
+	checkFoldVectors(t, "int SUM that returns into int64", 1, over, []int{1, 2}, [][]expr.Value{
+		{S("x"), I(math.MaxInt64), I(math.MinInt64)}, {S("x"), I(1), I(-1)}, {S("x"), I(-1), I(1)},
+	})
+
+	pool := []expr.Value{I(1), I(2), F(2), F(nan), F(negZero), F(0), S("a"), S("b"), B(true), N}
+	for round := range 50 {
+		k := 1 + r.Intn(3)
+		aggs, idx, _ := allAggs(k)
+		var keys [][]expr.Value
+		for range r.Intn(60) {
+			key := make([]expr.Value, k)
+			for j := range key {
+				key[j] = pool[r.Intn(len(pool)-j*3)] // later columns draw from fewer kinds
+			}
+			keys = append(keys, key)
+		}
+		checkFoldVectors(t, fmt.Sprint("random ", round), k, aggs, idx, rowsOf(keys, r))
+	}
+}

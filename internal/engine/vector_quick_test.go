@@ -146,7 +146,9 @@ func dirtySources(t *testing.T, r *rand.Rand, disk bool) *storage.DB {
 
 // dirtyDesign grows a random flow over the dirty sources: a chain of
 // operators, a fork into two branches (fan-out), a loader at the end of
-// each, one of which a LoadFilter may thin. At most one operator that can fail a run (division by a column; an int
+// each, one of which a LoadFilter may thin. A design made with mixed
+// set starts its chain with aggregates over a column mixing ints and
+// floats. At most one operator that can fail a run (division by a column; an int
 // column carrying floats towards a loader) is placed, after the fork,
 // so that the error a run fails with is one and the same whatever the
 // scheduling.
@@ -156,7 +158,7 @@ type dirtyDesign struct {
 	mixedAggs int    // aggregates over a column mixing ints and floats
 }
 
-func newDirtyDesign(r *rand.Rand) *dirtyDesign {
+func newDirtyDesign(r *rand.Rand, mixed bool) *dirtyDesign {
 	dd := &dirtyDesign{d: xlm.NewDesign(fmt.Sprintf("dirty%d", r.Int63()))}
 	d := dd.d
 	seq := 0
@@ -391,6 +393,20 @@ func newDirtyDesign(r *rand.Rand) *dirtyDesign {
 		}
 	}
 	prev, cols := source("t", dirtyT), slices.Clone(dirtyT)
+	if mixed { // x / 2 is an Int on even rows and a Float on odd ones
+		half, n := fresh("half"), fresh("n")
+		prev = node(xlm.OpFunction, map[string]string{"name": half, "expr": "x / 2"}, prev)
+		aggs := []string{n + ":COUNT:"}
+		cols = []xlm.Field{{Name: "g", Type: "string"}, {Name: n, Type: "int"}}
+		for _, fn := range []string{"SUM", "MIN", "MAX"} {
+			name := fresh("a")
+			kindful[name] = true
+			aggs = append(aggs, fmt.Sprintf("%s:%s:%s", name, fn, half))
+			cols = append(cols, xlm.Field{Name: name, Type: "float"})
+			dd.mixedAggs++
+		}
+		prev = node(xlm.OpAggregation, map[string]string{"group": "g", "aggregates": strings.Join(aggs, ";")}, prev)
+	}
 	for i := r.Intn(5); i > 0; i-- {
 		prev, cols = addOp(prev, cols, false)
 	}
@@ -528,7 +544,7 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 		disk := set%2 == 1
 		src := dirtySources(t, r, disk)
 		for i := 0; i < 45; i++ {
-			dd := newDirtyDesign(r)
+			dd := newDirtyDesign(r, designs%10 == 0)
 			if err := dd.d.Validate(); err != nil {
 				t.Fatalf("generator made an invalid design: %v", err)
 			}

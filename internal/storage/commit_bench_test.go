@@ -1,6 +1,8 @@
 package storage_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -87,21 +89,31 @@ func (r stagedRun) stage(tb testing.TB) []*storage.Table {
 // BenchmarkCommitRun_SF100 is the storage half of POST /api/run at the
 // scale lifecycle_reload runs: the ten tables the canonical unified
 // flow loads at SF 100, staged (untimed) and committed to a disk
-// database, each commit replacing the previous one's tables. ms/op is
-// the commit's wall time — page cutting, encoding, segment writes and
-// fsyncs, manifest stage and install, collection of the replaced
-// segments; MB/op the segment bytes it leaves on disk; encode_share the
-// time one goroutine takes to encode the same pages (measured apart,
-// untimed) over the commit's wall time — with -cpu 1 the fraction of
-// the commit that is encoding, above that how much of it the worker
-// group has to hide.
+// database that also holds the generated TPC-H sources, as quarryd's
+// warehouse does, each commit replacing the previous one's tables.
+// ms/op is the commit's wall time — page cutting, encoding, segment
+// writes and fsyncs, manifest stage and install, collection of the
+// replaced segments; MB/op the bytes of every table on disk, the
+// sources' included; manifest_KB the size of the manifest each commit
+// writes, whose page directories are mostly the sources'; encode_share
+// the time one goroutine takes to encode the run's pages (measured
+// apart, untimed) over the commit's wall time — with -cpu 1 the
+// fraction of the commit that is encoding, above that how much of it
+// the worker group has to hide.
 func BenchmarkCommitRun_SF100(b *testing.B) {
 	run := canonicalRun(b, 100)
 	if len(run.names) != 10 {
 		b.Fatalf("canonical flow loaded %d tables, want 10", len(run.names))
 	}
-	db, err := storage.Open(b.TempDir())
+	dir := b.TempDir()
+	db, err := storage.Open(dir)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tpch.Generate(db, 100, 42); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
 	var encode time.Duration
@@ -125,5 +137,10 @@ func BenchmarkCommitRun_SF100(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
 	b.ReportMetric(float64(bytes)/1e6, "MB/op")
+	man, err := os.Stat(filepath.Join(dir, "manifest.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(man.Size())/1e3, "manifest_KB")
 	b.ReportMetric(encode.Seconds()/b.Elapsed().Seconds(), "encode_share")
 }

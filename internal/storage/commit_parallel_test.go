@@ -152,7 +152,7 @@ func TestCommitMatchesSerialWriter(t *testing.T) {
 		if !bytes.Equal([]byte(par[ms.File]), file) {
 			t.Errorf("%s: file bytes differ from the reference pages laid end to end", ms.File)
 		}
-		if !sameDescriptor(ms, manifestSegment{File: ms.File, Rows: len(rows), Format: manifestFormatV2, Pages: dir}) {
+		if !sameEntry(ms, manifestSegment{File: ms.File, Rows: len(rows), Format: manifestFormatV2, Pages: dir}) {
 			t.Errorf("%s: page directory differs from the serial writer's", ms.File)
 		}
 		if ti == 9 && len(dir) < 3 {

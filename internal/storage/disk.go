@@ -52,7 +52,7 @@ package storage
 // the directory scan of the garbage collector.
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -129,6 +129,11 @@ type store struct {
 	commitMu sync.Mutex
 	nextSeg  uint64
 	cache    *pageCache
+	// encoders are the commit workers' scratch, kept from commit to
+	// commit so that their buffers and seen maps, sized by the pages
+	// encoded before, are not grown again by every commit. Guarded by
+	// commitMu.
+	encoders []chunkEncoder
 }
 
 func newStore(dir string) *store {
@@ -148,6 +153,7 @@ type segment struct {
 	rows  int
 	pages []pageMeta
 	data  []byte // the heap bytes or the file's mapping; nil when read by pread
+	entry []byte // its manifest entry, once rendered (manifestEntry)
 }
 
 // pageMeta locates one page inside a segment.
@@ -445,13 +451,13 @@ const syncWorkers = 16
 // (format 2, per-chunk encodings chosen by the stats pass). Page
 // boundaries are cut per segment (cutPages), straight from the tail
 // chunks; then all pages of all segments are encoded by one worker
-// group sized by GOMAXPROCS — a page's bytes depend on nothing but its
-// rows, so who encodes it changes nothing on disk; then each segment's
-// pages are laid out in page order at their now-known offsets — written
-// and fsynced, the segments concurrently, or kept on the heap. It
-// returns once every goroutine it started has finished. On error the
-// files it created may be incomplete: the caller removes them
-// (abandon).
+// group sized by GOMAXPROCS, worker w with the store's encoder w — a
+// page's bytes depend on nothing but its rows, so who encodes it
+// changes nothing on disk; then each segment's pages are laid out in
+// page order at their now-known offsets — written and fsynced, the
+// segments concurrently, or kept on the heap. It returns once every
+// goroutine it started has finished. On error the files it created may
+// be incomplete: the caller removes them (abandon).
 func (st *store) writeSegments(ws []segmentWrite) error {
 	workers := runtime.GOMAXPROCS(0)
 	cuts := make([][][]span, len(ws))
@@ -468,10 +474,12 @@ func (st *store) writeSegments(ws []segmentWrite) error {
 			tasks = append(tasks, pageTask{seg: si, page: pi})
 		}
 	}
-	encoders := make([]chunkEncoder, min(workers, len(tasks)))
+	if n := min(workers, len(tasks)); len(st.encoders) < n {
+		st.encoders = append(st.encoders, make([]chunkEncoder, n-len(st.encoders))...)
+	}
 	_ = parallel(len(tasks), workers, func(w, i int) error {
 		t := tasks[i]
-		pages[t.seg][t.page] = encoders[w].encode(ws[t.seg].seg.cols, cuts[t.seg][t.page])
+		pages[t.seg][t.page] = st.encoders[w].encode(ws[t.seg].seg.cols, cuts[t.seg][t.page])
 		return nil
 	})
 	return parallel(len(ws), syncWorkers, func(_, i int) error {
@@ -577,6 +585,21 @@ func (s *segment) descriptor() manifestSegment {
 	return ms
 }
 
+// manifestEntry is the segment's manifest entry as the manifest renders
+// it (mf.RenderSegment), rendered the first time a commit or a reload
+// asks for it: a segment never changes, and neither does its entry.
+// Callers hold st.commitMu, as every commit and reload does.
+func (s *segment) manifestEntry() ([]byte, error) {
+	if s.entry == nil {
+		e, err := mf.RenderSegment(s.descriptor())
+		if err != nil {
+			return nil, fmt.Errorf("storage: segment %s: %w", s.name, err)
+		}
+		s.entry = e
+	}
+	return s.entry, nil
+}
+
 // openSegment rehydrates a manifest-described segment file, checking
 // its page directory against the file and against what this build
 // writes (pageFromManifest).
@@ -639,7 +662,7 @@ func (st *store) rehydrate(man *manifest, reuse map[string]*segment) (map[string
 		var segs []*segment
 		for _, ms := range mt.Segments {
 			seg := reuse[ms.File]
-			if seg == nil || !columnsEqual(seg.cols, t.Columns) || !sameDescriptor(seg.descriptor(), ms) {
+			if seg == nil || !columnsEqual(seg.cols, t.Columns) || !seg.sameDescriptor(ms) {
 				if seg, err = st.openSegment(ms, t.Columns); err != nil {
 					return nil, nil, nil, fmt.Errorf("table %q: %w", mt.Name, err)
 				}
@@ -689,13 +712,14 @@ func Open(dir string) (*DB, error) {
 	return db, nil
 }
 
-// sameDescriptor compares two segment descriptors structurally (the
-// descriptors are pure data; canonical JSON is the cheapest deep
-// equality that cannot drift from the schema).
-func sameDescriptor(a, b manifestSegment) bool {
-	aj, errA := json.Marshal(a)
-	bj, errB := json.Marshal(b)
-	return errA == nil && errB == nil && string(aj) == string(bj)
+// sameDescriptor reports whether ms describes the segment: whether it
+// renders to the segment's manifest entry. The descriptors are pure
+// data, and their rendering is a deep equality that cannot drift from
+// the schema.
+func (s *segment) sameDescriptor(ms manifestSegment) bool {
+	a, errA := s.manifestEntry()
+	b, errB := mf.RenderSegment(ms)
+	return errA == nil && errB == nil && bytes.Equal(a, b)
 }
 
 func columnsEqual(a, b []Column) bool {
@@ -821,16 +845,22 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, app
 	}
 	if st.dir != "" {
 		man := manifest{Format: manifestFormatV2, Version: v}
-		for _, p := range pends {
-			mt := manifestTable{Name: p.name, Columns: p.t.Columns}
-			if p.newPg != nil {
-				for _, s := range p.newPg.segs {
-					mt.Segments = append(mt.Segments, s.descriptor())
-				}
+		entries := make([][][]byte, len(pends))
+		for i, p := range pends {
+			man.Tables = append(man.Tables, manifestTable{Name: p.name, Columns: p.t.Columns})
+			if p.newPg == nil {
+				continue
 			}
-			man.Tables = append(man.Tables, mt)
+			for _, s := range p.newPg.segs {
+				e, err := s.manifestEntry()
+				if err != nil {
+					abandon(true)
+					return err
+				}
+				entries[i] = append(entries[i], e)
+			}
 		}
-		if crashed, err := st.install(&man, len(writes) > 0); err != nil {
+		if crashed, err := st.install(mf.Render(&man, entries), len(writes) > 0); err != nil {
 			abandon(!crashed)
 			return err
 		}
@@ -859,10 +889,11 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, app
 }
 
 // install makes a commit's new segment files durable as directory
-// entries (when it wrote any), then stages man and renames it into
-// place — the commit point. It reports whether a failure was a crash
-// TestingCommitFault simulated, whose files stay for recovery to find.
-func (st *store) install(man *manifest, wrote bool) (crashed bool, err error) {
+// entries (when it wrote any), then stages the manifest's bytes and
+// renames them into place — the commit point. It reports whether a
+// failure was a crash TestingCommitFault simulated, whose files stay
+// for recovery to find.
+func (st *store) install(data []byte, wrote bool) (crashed bool, err error) {
 	if err := commitFault("segments"); err != nil {
 		return true, err
 	}
@@ -876,10 +907,6 @@ func (st *store) install(man *manifest, wrote bool) (crashed bool, err error) {
 		if err := mf.FsyncDir(st.dir); err != nil {
 			return false, fmt.Errorf("storage: syncing %s: %w", st.dir, err)
 		}
-	}
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return false, err
 	}
 	if err := mf.Stage(st.dir, data); err != nil {
 		return false, fmt.Errorf("storage: %w", err)

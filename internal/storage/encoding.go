@@ -116,8 +116,13 @@ type chunkEncoder struct {
 	intCodes []uint32
 	intDict  []int64
 
-	seenInts map[int64]uint32
-	seenStrs map[string]uint32
+	// seenInts and seenStrs find a value's code in the dictionary
+	// candidate of the column being built: one map per column position,
+	// which its build clears. clear pays for a map's whole grown
+	// capacity, so with one map for every column a column of few values
+	// paid, on every page, for the capacity the widest column had grown.
+	seenInts []map[int64]uint32
+	seenStrs []map[string]uint32
 	// remap translates the codes of the source dictionary being read
 	// into page codes: entry c holds the page code + 1, 0 until the page
 	// first meets c. Entries are cleared after each source dictionary
@@ -168,11 +173,11 @@ func (e *chunkEncoder) null(prevNull bool) {
 
 func (e *chunkEncoder) buildInts(page []span, ci int) {
 	v := &e.vec
-	if e.seenInts == nil {
-		e.seenInts = make(map[int64]uint32)
+	for len(e.seenInts) <= ci {
+		e.seenInts = append(e.seenInts, map[int64]uint32{})
 	}
-	clear(e.seenInts)
-	seen, dict := e.seenInts, e.intDict[:0]
+	seen, dict := e.seenInts[ci], e.intDict[:0]
+	clear(seen)
 	codes := slices.Grow(e.intCodes[:0], e.n)
 	e.dictable = true
 	var prev int64
@@ -275,10 +280,11 @@ func (e *chunkEncoder) buildFloats(page []span, ci int) {
 // and every entry is present, so the zone bounds are the dictionary's.
 func (e *chunkEncoder) buildStrings(page []span, ci int) {
 	v := &e.vec
-	if e.seenStrs == nil {
-		e.seenStrs = make(map[string]uint32)
+	for len(e.seenStrs) <= ci {
+		e.seenStrs = append(e.seenStrs, map[string]uint32{})
 	}
-	clear(e.seenStrs)
+	seen := e.seenStrs[ci]
+	clear(seen)
 	v.Dict = e.dictBuf[:0]
 	e.dictable = true
 	prevNull := false
@@ -303,7 +309,7 @@ func (e *chunkEncoder) buildStrings(page []span, ci int) {
 			e.rawBytes += size
 			last := len(v.Codes) - 1
 			if e.dictable {
-				if code, ok := e.dictCode(src.Codes[r], x, size); ok {
+				if code, ok := e.dictCode(seen, src.Codes[r], x, size); ok {
 					if last < 0 || prevNull || code != v.Codes[last] {
 						e.runBytes += runHeader + size
 					}
@@ -346,11 +352,11 @@ func (e *chunkEncoder) buildStrings(page []span, ci int) {
 // lookup by content and, for a string the page has not met, a new
 // entry. It reports false — ending the page's dictionary candidacy —
 // for a string past dictMaxCard distinct ones.
-func (e *chunkEncoder) dictCode(c uint32, x *expr.Value, size int) (uint32, bool) {
+func (e *chunkEncoder) dictCode(seen map[string]uint32, c uint32, x *expr.Value, size int) (uint32, bool) {
 	if m := e.remap[c]; m != 0 {
 		return m - 1, true
 	}
-	code, ok := e.seenStrs[x.AsString()]
+	code, ok := seen[x.AsString()]
 	if !ok {
 		if len(e.vec.Dict) >= dictMaxCard {
 			e.dictable = false
@@ -358,7 +364,7 @@ func (e *chunkEncoder) dictCode(c uint32, x *expr.Value, size int) (uint32, bool
 		}
 		code = uint32(len(e.vec.Dict))
 		e.vec.Dict = append(e.vec.Dict, *x)
-		e.seenStrs[x.AsString()] = code
+		seen[x.AsString()] = code
 		e.ndict++
 		e.dictBytes += size
 	}

@@ -115,6 +115,77 @@ type Value struct {
 	B *bool    `json:"b,omitempty"`
 }
 
+// segmentIndent is the indentation of a segment entry's lines in a
+// manifest: four levels down — the manifest, its table list, a table,
+// its segment list.
+const segmentIndent = "        "
+
+// RenderSegment renders a segment's entry as json.MarshalIndent(m, "",
+// "  ") renders it inside a manifest m, from its opening brace to its
+// closing one. A segment never changes, so a writer renders its entry
+// once and hands it to Render at every commit that names it.
+func RenderSegment(s Segment) ([]byte, error) {
+	raw, err := json.Marshal(s)
+	if err != nil {
+		return nil, err
+	}
+	var b bytes.Buffer
+	if err := json.Indent(&b, raw, segmentIndent, "  "); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// Render returns the bytes json.MarshalIndent(m, "", "  ") makes of m,
+// except that table t's segments are entries[t], as RenderSegment
+// rendered them (m's own Segments are not read): entries holds one
+// list per table. What is rendered here — the format, the version and
+// each table's name and columns — is small beside the page
+// directories.
+func Render(m *Manifest, entries [][][]byte) []byte {
+	size := 128
+	for _, es := range entries {
+		for _, e := range es {
+			size += len(e) + len(segmentIndent) + 2
+		}
+	}
+	b := bytes.NewBuffer(make([]byte, 0, size))
+	fmt.Fprintf(b, "{\n  \"format\": %d,\n  \"version\": %d,\n  \"tables\": ", m.Format, m.Version)
+	switch {
+	case m.Tables == nil:
+		b.WriteString("null")
+	case len(m.Tables) == 0:
+		b.WriteString("[]")
+	default:
+		b.WriteByte('[')
+		for t, mt := range m.Tables {
+			if t > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString("\n    ")
+			// Names and types are strings: neither step can fail.
+			head, _ := json.Marshal(Table{Name: mt.Name, Columns: mt.Columns})
+			_ = json.Indent(b, head, "    ", "  ")
+			if len(entries[t]) == 0 {
+				continue
+			}
+			b.Truncate(b.Len() - len("\n    }"))
+			b.WriteString(",\n      \"segments\": [")
+			for s, e := range entries[t] {
+				if s > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString("\n" + segmentIndent)
+				b.Write(e)
+			}
+			b.WriteString("\n      ]\n    }")
+		}
+		b.WriteString("\n  ]")
+	}
+	b.WriteString("\n}")
+	return b.Bytes()
+}
+
 // Parse decodes and validates manifest bytes: the manifest and every
 // segment must be format 2, and every segment file name well-formed.
 func Parse(data []byte) (*Manifest, error) {
