@@ -32,3 +32,12 @@ wait_until() {
     done
     die "$desc: $url never matched '$want' (last body: $body)"
 }
+
+# log_memory NAME PID: log the process's peak and current resident set
+# (VmHWM, VmRSS from /proc/PID/status) — a logged line, not a gate.
+# Skipped where there is no /proc.
+log_memory() {
+    local name=$1 pid=$2 status="/proc/$2/status"
+    [ -r "$status" ] || return 0
+    log "$name memory: $(awk '/^Vm(HWM|RSS):/ {out = out sep $1 " " $2 " " $3; sep = ", "} END {print out}' "$status")"
+}

@@ -55,4 +55,5 @@ log "driving load: $QPS qps for $DURATION with reload churn"
     -max-error-rate 0 -min-matagg-hits 10 \
     -out "$OUT" || die "quarrybench gate tripped"
 
+log_memory quarryd "${PIDS[0]}"
 log "PASS (artifact: $OUT)"

@@ -164,6 +164,10 @@ log "checking design/load operations are refused at the gather"
 code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://localhost:$GATHER_PORT/api/run")"
 [ "$code" = "403" ] || die "POST /api/run on the gather = $code, want 403"
 
+log_memory "control quarryd" "${PIDS[0]}"
+log_memory "shard 0 quarryd" "${PIDS[1]}"
+log_memory "shard 1 quarryd" "${PIDS[2]}"
+
 log "killing shard 1; the gather must refuse partial answers"
 kill "${PIDS[2]}" 2>/dev/null || true
 wait "${PIDS[2]}" 2>/dev/null || true

@@ -102,6 +102,9 @@ type Platform struct {
 	// dimCounts counts the dimension-cache lookups of every engine the
 	// platform builds.
 	dimCounts olap.DimCacheCounts
+	// lastRun holds the operation counts of the latest successful Run;
+	// the next run sizes its state from them (engine.Options.Last).
+	lastRun []engine.OpStat
 }
 
 // New builds a Platform from the configuration.
@@ -483,6 +486,9 @@ func (p *Platform) Deploy(database string) (*Deployment, error) {
 // On a sharded platform (Config.Shard enabled) the run loads only
 // this shard's partition of each fact table — dimensions load in
 // full — via the engine's load-filter hook.
+//
+// Each run is handed the operation counts of the run before it, which
+// size its aggregations' and joins' state; they change no result.
 func (p *Platform) Run() (*engine.Result, error) {
 	p.mu.Lock()
 	var etl *xlm.Design
@@ -490,6 +496,7 @@ func (p *Platform) Run() (*engine.Result, error) {
 		etl = p.unifiedETL.Clone()
 	}
 	db := p.db
+	opts := engine.Options{Last: p.lastRun}
 	p.mu.Unlock()
 	if etl == nil {
 		return nil, fmt.Errorf("core: nothing to run; add requirements first")
@@ -497,7 +504,6 @@ func (p *Platform) Run() (*engine.Result, error) {
 	if db == nil {
 		return nil, fmt.Errorf("core: platform has no execution database")
 	}
-	var opts engine.Options
 	if p.shardSpec.Enabled() {
 		defs, err := sqlgen.Tables(etl)
 		if err != nil {
@@ -505,7 +511,14 @@ func (p *Platform) Run() (*engine.Result, error) {
 		}
 		opts.LoadFilter = p.shardSpec.LoadFilter(shard.PartitionKeys(defs))
 	}
-	return engine.RunWithOptions(etl, db, opts)
+	res, err := engine.RunWithOptions(etl, db, opts)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.lastRun = res.Stats
+	p.mu.Unlock()
+	return res, nil
 }
 
 // Shard returns the platform's shard identity (zero value when not

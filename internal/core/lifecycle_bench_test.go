@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"quarry/internal/storage"
 	"quarry/internal/tpch"
 )
 
@@ -65,4 +66,47 @@ func BenchmarkRequirementLifecycle_Mem(b *testing.B) { benchmarkRequirementLifec
 // change also writes the requirement list.
 func BenchmarkRequirementLifecycle_Dir(b *testing.B) {
 	benchmarkRequirementLifecycle(b, b.TempDir())
+}
+
+// BenchmarkPlatformRun_Dir times the ETL half of the loop: a platform
+// holding the four canonical requirements over a disk-backed
+// warehouse at SF 100; one op is one warm Run — the unified flow
+// executed and committed, with the counts of the run before it in
+// hand, as a serving platform's every run after its first.
+func BenchmarkPlatformRun_Dir(b *testing.B) {
+	const sf = 100
+	db, err := storage.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tpch.Generate(db, sf, 42); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	cfg := tpchConfig(b, "")
+	if cfg.Catalog, err = tpch.Catalog(sf); err != nil {
+		b.Fatal(err)
+	}
+	cfg.DB = db
+	p, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range tpch.CanonicalRequirements() {
+		if _, err := p.AddRequirement(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := p.Run(); err != nil { // the cold run
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -10,14 +10,16 @@
 //
 //   - Run / RunWithOptions — the production executor (pipeline.go):
 //     pipelined, DAG-parallel, on typed column vectors. Storage pages
-//     flow as batches of storage.Vector, one vector per column of the
-//     edge's planned layout (planLayouts ships only the columns
-//     something downstream reads); Selection, Projection, Function,
-//     Join and Aggregation run the vector kernels of vkernels.go — the
-//     join index (JoinIndex), the vector filter (VectorFilter) and the
-//     aggregation's vector entry (AddVectors) are the ones the OLAP
-//     fast path runs too. Rows exist only where an operator is defined
-//     on them: the Loader, which hands storage rows, and Sort and
+//     flow as batches of Columns, one per column of the edge's planned
+//     layout (planLayouts ships only the columns something downstream
+//     reads), each a vector read whole or through a selection;
+//     Selection, Projection, Function, Join and Aggregation run the
+//     vector kernels of vkernels.go — the join index (JoinIndex), the
+//     vector filter (VectorFilter) and the aggregation's vector entry
+//     (AddVectors) are the ones the OLAP fast path runs too. A
+//     Selection and a Join pick rows by selection; only the Loader
+//     gathers a selected column into a vector of its own. Rows exist
+//     only where an operator is defined on them: Sort and
 //     SurrogateKey, which transpose a batch to rows and back.
 //     Streaming operators pipeline without buffering, blocking
 //     operators (Join build, Aggregation, Sort) consume their input
@@ -105,7 +107,7 @@ func (r *Result) TotalLoaded() int64 {
 // Run validates and executes the design against the database with the
 // default pipelined executor (see RunWithOptions). Source Datastore
 // nodes read the tables named by their "table" parameter; Loader nodes
-// create-or-replace (default) or append to their target tables.
+// replace their target tables.
 func Run(d *xlm.Design, db *storage.DB) (*Result, error) {
 	return RunWithOptions(d, db, Options{})
 }

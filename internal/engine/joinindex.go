@@ -122,7 +122,7 @@ func (x *JoinIndex) Finish() error {
 		keys := x.coders[0].numbers()
 		for j := 1; j < len(x.coders); j++ {
 			x.coders[j].numberAll(x.keys[j], column)
-			pairs := map[uint64]uint32{}
+			pairs := make(map[uint64]uint32, x.rows) // at most a tuple per row
 			for r, t := range numbers {
 				if t < 0 || column[r] < 0 {
 					numbers[r] = -1
@@ -160,8 +160,8 @@ func (x *JoinIndex) Finish() error {
 func (x *JoinIndex) GroupCodes(c int) *GroupCodes {
 	g := &x.groups[c]
 	g.once.Do(func() {
-		var coder dictCoder
 		col := x.Cols[c]
+		coder := dictCoder{dict: make([]expr.Value, 0, col.Len())} // at most a value per row
 		g.codes = GroupCodes{Codes: coder.code(Column{Vec: col}, col.Len(), nil), Dict: coder.dict}
 	})
 	return &g.codes

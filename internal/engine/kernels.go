@@ -440,6 +440,31 @@ func (o *aggregationOp) value(g, j int) expr.Value {
 	return o.vec.coders[j].dict[o.codes[at]]
 }
 
+// expect sizes the aggregation for the groups a previous run of its
+// node emitted: the groups' code tuples, each aggregate's state
+// columns, the code index's table and, once a coder codes values of
+// its own rather than adopt a numbering (groupsOf), its dictionary (a
+// column holds at most as many values as there are groups). It is a
+// capacity only: more groups grow as they would without it.
+func (o *aggregationOp) expect(groups int) {
+	if groups <= 0 {
+		return
+	}
+	o.codes = make([]uint32, 0, groups*len(o.gIdx))
+	for i := range o.cols {
+		o.cols[i].reserve(o.aggs[i].Func, groups)
+	}
+	o.vec.index.expect = groups
+}
+
+// reserve makes room in the state columns fn keeps for n groups,
+// holding none.
+func (c *StateCols) reserve(fn string, n int) {
+	c.grow(fn, n)
+	c.Counts, c.IntSums, c.images, c.Sums = c.Counts[:0], c.IntSums[:0], c.images[:0], c.Sums[:0]
+	c.SumIsInt, c.Mins, c.Maxs = c.SumIsInt[:0], c.Mins[:0], c.Maxs[:0]
+}
+
 // grow gives the groups up to n their states: zero counts and sums,
 // NULL extremes.
 func (c *StateCols) grow(fn string, n int) {
@@ -893,34 +918,34 @@ func (o *loaderOp) finish() { o.staged.add(o.t) }
 
 // writeVectors appends one batch of the pipelined executor to the
 // staging table, column by column: the table keeps the batch's vectors
-// (or typed copies) as a chunk of its tail. No row is built, but for
-// the bound load filter, which sees each row in a reused scratch row;
-// the batch's rows it rejects are dropped by a gather first.
+// (or typed copies) as a chunk of its tail, so a column that selects
+// its rows is gathered into a vector of its own first. No row is built,
+// but for the bound load filter, which sees each row in a reused
+// scratch row; the batch's rows it rejects are dropped by selection.
 func (o *loaderOp) writeVectors(b *Batch) error {
-	cols, n := b.Cols, b.N
 	if o.filter != nil {
-		o.row = Sized(o.row, len(cols))
+		o.row = Sized(o.row, len(b.Cols))
 		o.kept = o.kept[:0]
 		for r := 0; r < b.N; r++ {
-			for i, v := range cols {
-				o.row[i] = v.Value(r)
+			for i, c := range b.Cols {
+				o.row[i] = c.Vec.Value(c.row(r))
 			}
 			if o.filter(o.row) {
 				o.kept = append(o.kept, int32(r))
 			}
 		}
-		if n = len(o.kept); n < b.N {
-			kept := make([]*storage.Vector, len(cols))
-			for i, v := range cols {
-				kept[i] = gathered(v, o.kept)
-			}
-			cols = kept
+		if len(o.kept) < b.N {
+			b = b.selected(o.kept, 0)
 		}
 	}
-	if err := o.t.AppendVectors(n, cols); err != nil {
+	cols := make([]*storage.Vector, len(b.Cols))
+	for i, c := range b.Cols {
+		cols[i] = c.vector()
+	}
+	if err := o.t.AppendVectors(b.N, cols); err != nil {
 		return err
 	}
-	o.written += int64(n)
+	o.written += int64(b.N)
 	return nil
 }
 

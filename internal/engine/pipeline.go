@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,13 @@ type Options struct {
 	// every operator upstream of the loader stays byte-identical to
 	// the single-node run.
 	LoadFilter func(table string, cols []string) (func(row []expr.Value) bool, error)
+	// Last holds the operation counts of an earlier run of the design
+	// (its Result.Stats), or nil. A run sizes what it grows from them,
+	// by node name: an Aggregation's group state from the groups it
+	// emitted, a Join's build side from the rows its build input
+	// emitted. A count is only a capacity: a wrong one, or none, changes
+	// no result, and a node without one grows as it goes.
+	Last []OpStat
 }
 
 func (o Options) withDefaults() Options {
@@ -195,6 +203,15 @@ type executor struct {
 	// staged collects completed loads; the run commits them all at
 	// once on success (storage.DB.Publish).
 	staged *stagedLoads
+
+	last    map[string]int64 // Options.Last's rows out, by node
+	grouped map[string]bool  // the columns some Aggregation groups by
+}
+
+// expected is the number of rows node emitted in the last run
+// (Options.Last), a capacity: 0 when unknown.
+func (ex *executor) expected(node string) int {
+	return int(min(max(ex.last[node], 0), math.MaxInt32))
 }
 
 func (ex *executor) fail(err error) {
@@ -241,8 +258,9 @@ type runner struct {
 	// version that existed when the run began, exactly like the
 	// materialising executor. A loader's staging table is detached: a
 	// run that fails leaves its target as it was.
-	ds   *vecDatastore
-	load *loaderOp
+	ds    *vecDatastore
+	load  *loaderOp
+	build string // a Join's build input
 
 	vals []expr.Value // batchOf's scratch
 }
@@ -424,7 +442,7 @@ func (r *runner) runFunction() error {
 }
 
 func (r *runner) runJoin() error {
-	op, err := newVecJoin(r.node, r.infds[0], r.infds[1], r.outfd)
+	op, err := newVecJoin(r.node, r.infds[0], r.infds[1], r.outfd, r.ex.expected(r.build), r.ex.grouped)
 	if err != nil {
 		return err
 	}
@@ -452,15 +470,16 @@ func (r *runner) runAggregation() error {
 	if err != nil {
 		return err
 	}
+	op.expect(r.ex.expected(r.node.Name))
 	groups, measures := make([]Column, len(op.gIdx)), make([]Column, len(op.aggs))
 	if err := r.drain(0, func(b *Batch) error {
 		return r.work(func() error {
 			for g, p := range op.gIdx {
-				groups[g] = Column{Vec: b.Cols[p]}
+				groups[g] = b.Cols[p]
 			}
 			for i, p := range op.aIdx {
 				if p >= 0 {
-					measures[i] = Column{Vec: b.Cols[p]}
+					measures[i] = b.Cols[p]
 				}
 			}
 			return op.addVectors(b.N, groups, measures)
@@ -688,12 +707,24 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 	}
 	opts = opts.withDefaults()
 	ex := &executor{
-		opts:   opts,
-		db:     db,
-		sem:    make(chan struct{}, opts.Parallelism),
-		abort:  make(chan struct{}),
-		loaded: map[string]int64{},
-		staged: &stagedLoads{},
+		opts:    opts,
+		db:      db,
+		sem:     make(chan struct{}, opts.Parallelism),
+		abort:   make(chan struct{}),
+		loaded:  map[string]int64{},
+		staged:  &stagedLoads{},
+		last:    make(map[string]int64, len(opts.Last)),
+		grouped: map[string]bool{},
+	}
+	for _, st := range opts.Last {
+		ex.last[st.Node] = st.RowsOut
+	}
+	for _, n := range order {
+		if n.Type == xlm.OpAggregation {
+			for _, g := range n.GroupBy() {
+				ex.grouped[g] = true
+			}
+		}
 	}
 	// One edge object per design edge. A node with several consumers
 	// gets one never-blocking fanEdge cursor per consumer; a node with
@@ -733,6 +764,8 @@ func RunWithOptionsContext(ctx context.Context, d *xlm.Design, db *storage.DB, o
 			r.outs = append(r.outs, edges[edgeKey{n.Name, out.Name}])
 		}
 		switch n.Type {
+		case xlm.OpJoin:
+			r.build = d.Inputs(n.Name)[1].Name
 		case xlm.OpDatastore:
 			r.ds, err = newVecDatastore(n, db, r.outfd)
 		case xlm.OpLoader:

@@ -74,13 +74,15 @@ const flatIndexBits = 16
 // twice its dictionary; when a dictionary outgrows its field the index
 // is laid out again from the groups' tuples, so the cost of growth is
 // amortised like a slice's. A tuple wider than 62 bits is looked up by
-// its codes' bytes instead.
+// its codes' bytes instead. A map is made for the groups expected, and
+// kept, emptied, when the index is laid out again.
 type codeIndex struct {
-	width []uint // bits per group column; nil until the first layout
-	shift []uint
-	flat  []int32          // key → group + 1, when the key space is small
-	table map[uint64]int32 // key → group, when it is not
-	wide  map[string]int32 // codes' bytes → group, when the key does not fit 62 bits
+	width  []uint // bits per group column; nil until the first layout
+	shift  []uint
+	flat   []int32          // key → group + 1, when the key space is small
+	table  map[uint64]int32 // key → group, when it is not
+	wide   map[string]int32 // codes' bytes → group, when the key does not fit 62 bits
+	expect int              // the groups expected (aggregationOp.expect), a capacity
 
 	last      uint64   // the previous row's key, whose group is lastGroup
 	lastGroup int32    // -1 when no row since the last layout
@@ -116,18 +118,22 @@ func (x *codeIndex) layout(coders []dictCoder, codes []uint32, groups int) {
 	if x.wide != nil {
 		return // the codes' bytes do not depend on the fields
 	}
-	x.flat, x.table = nil, nil
+	x.flat = nil
+	room := max(groups, x.expect)
 	if total > 62 {
-		x.wide = make(map[string]int32, groups)
+		x.table, x.wide = nil, make(map[string]int32, room)
 		for g := range groups {
 			x.wide[string(x.tupleOf(func(j int) uint32 { return codes[g*len(coders)+j] }))] = int32(g)
 		}
 		return
 	}
-	if total <= flatIndexBits {
+	switch {
+	case total <= flatIndexBits:
 		x.flat = make([]int32, 1<<total)
-	} else {
-		x.table = make(map[uint64]int32, groups)
+	case x.table == nil:
+		x.table = make(map[uint64]int32, room)
+	default:
+		clear(x.table) // its room stays: the groups are entered again
 	}
 	k := len(coders)
 	for g := range groups {
@@ -268,6 +274,9 @@ func (o *aggregationOp) groupsOf(n int, groups []Column) []int32 {
 		if col.Group != nil && c.adopt(col.Group) {
 			v.groups[g] = groupCol{col.Group.Codes, col.Sel}
 			continue
+		}
+		if c.dict == nil && v.index.expect > 0 { // sized for the groups expected
+			c.dict = make([]expr.Value, 0, v.index.expect)
 		}
 		v.coded[g] = c.code(col, n, v.coded[g][:0])
 		v.groups[g] = groupCol{v.coded[g], nil}
@@ -447,16 +456,16 @@ func (o *aggregationOp) finish() (int, error) {
 // layout: the group columns, then the aggregates.
 func (o *aggregationOp) batch(lo, hi int) *Batch {
 	k := len(o.gIdx)
-	b := &Batch{N: hi - lo, Cols: make([]*storage.Vector, k+len(o.aggs))}
+	b := &Batch{N: hi - lo, Cols: make([]Column, k+len(o.aggs))}
 	for j := range k {
-		b.Cols[j] = o.keyColumn(j, lo, hi)
+		b.Cols[j].Vec = o.keyColumn(j, lo, hi)
 	}
 	for i, a := range o.aggs {
 		if a.Func == "COUNT" {
-			b.Cols[k+i] = &storage.Vector{Kind: expr.KindInt, Ints: o.cols[i].Counts[lo:hi:hi]}
+			b.Cols[k+i].Vec = &storage.Vector{Kind: expr.KindInt, Ints: o.cols[i].Counts[lo:hi:hi]}
 			continue
 		}
-		b.Cols[k+i] = o.column(lo, hi, func(g int) expr.Value {
+		b.Cols[k+i].Vec = o.column(lo, hi, func(g int) expr.Value {
 			v, _ := o.cols[i].final(a, int32(g)) // finish checked the int sums
 			return v
 		})

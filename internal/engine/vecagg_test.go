@@ -511,11 +511,11 @@ func checkFoldVectors(t *testing.T, what string, groupCols int, aggs []xlm.AggSp
 				t.Fatalf("%s: batch [%d, %d) holds %d rows of %d columns, want %d of %d", what, lo, hi, got.N, len(got.Cols), ref.N, len(ref.Cols))
 			}
 			for c := range ref.Cols {
-				if g, w := got.Cols[c], ref.Cols[c]; g.Kind != w.Kind || g.Len() != w.Len() {
+				if g, w := got.Cols[c].Vec, ref.Cols[c].Vec; g.Kind != w.Kind || g.Len() != w.Len() {
 					t.Fatalf("%s: batch [%d, %d) column %d is %d %s rows, want %d %s", what, lo, hi, c, g.Len(), g.Kind, w.Len(), w.Kind)
 				}
 				for r := range ref.N {
-					if g, w := got.Cols[c].Value(r), ref.Cols[c].Value(r); !identical(g, w) {
+					if g, w := got.Cols[c].Vec.Value(r), ref.Cols[c].Vec.Value(r); !identical(g, w) {
 						t.Fatalf("%s: group %d column %d: %s %s, want %s %s", what, lo+r, c, g.Kind(), g, w.Kind(), w)
 					}
 				}

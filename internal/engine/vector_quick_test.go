@@ -148,17 +148,20 @@ func dirtySources(t *testing.T, r *rand.Rand, disk bool) *storage.DB {
 // operators, a fork into two branches (fan-out), a loader at the end of
 // each, one of which a LoadFilter may thin. A design made with mixed
 // set starts its chain with aggregates over a column mixing ints and
-// floats. At most one operator that can fail a run (division by a column; an int
-// column carrying floats towards a loader) is placed, after the fork,
-// so that the error a run fails with is one and the same whatever the
-// scheduling.
+// floats; one made with fanned set starts it with a join whose build
+// side repeats keys, its build columns read by a second join's key, a
+// Selection, a Function and the loaders. At most one operator that can
+// fail a run (division by a column; an int column carrying floats
+// towards a loader) is placed, after the fork, so that the error a run
+// fails with is one and the same whatever the scheduling.
 type dirtyDesign struct {
 	d         *xlm.Design
 	filtered  string // the loader target a LoadFilter thins, or ""
 	mixedAggs int    // aggregates over a column mixing ints and floats
+	fanned    bool   // the chain starts with the fanned-out join
 }
 
-func newDirtyDesign(r *rand.Rand, mixed bool) *dirtyDesign {
+func newDirtyDesign(r *rand.Rand, mixed, fanned bool) *dirtyDesign {
 	dd := &dirtyDesign{d: xlm.NewDesign(fmt.Sprintf("dirty%d", r.Int63()))}
 	d := dd.d
 	seq := 0
@@ -407,6 +410,18 @@ func newDirtyDesign(r *rand.Rand, mixed bool) *dirtyDesign {
 		}
 		prev = node(xlm.OpAggregation, map[string]string{"group": "g", "aggregates": strings.Join(aggs, ";")}, prev)
 	}
+	if fanned && !mixed { // u repeats its keys: a probe row meets several build rows
+		dd.fanned = true
+		prev = node(xlm.OpJoin, map[string]string{"on": "k=uk"}, prev, source("u", dirtyU))
+		prev = node(xlm.OpJoin, map[string]string{"on": "uv=wk"}, prev, source("w", dirtyW))
+		cols = append(slices.Concat(cols, dirtyU), dirtyW...)
+		if p := predicate(of(dirtyU, "string", "bool"), false); p != "" {
+			prev = node(xlm.OpSelection, map[string]string{"predicate": p}, prev)
+		}
+		name := fresh("fn")
+		prev = node(xlm.OpFunction, map[string]string{"name": name, "expr": "uv * 2 + x"}, prev)
+		cols = append(cols, xlm.Field{Name: name, Type: "int"})
+	}
 	for i := r.Intn(5); i > 0; i-- {
 		prev, cols = addOp(prev, cols, false)
 	}
@@ -538,13 +553,14 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 	start := time.Now()
 	modes := []Options{{Parallelism: 1, BatchSize: 1}, {Parallelism: 4, BatchSize: 7}, {Parallelism: 4},
 		{Parallelism: 1}, {Parallelism: 1, BatchSize: 7}, {Parallelism: 4, BatchSize: 1}}
-	designs, failed, mixedAggs := 0, 0, 0
+	designs, failed, mixedAggs, fanned := 0, 0, 0, 0
 	for set := 0; set < 12; set++ {
 		r := rand.New(rand.NewSource(int64(set)))
 		disk := set%2 == 1
 		src := dirtySources(t, r, disk)
+		fans := fansOut(t, src)
 		for i := 0; i < 45; i++ {
-			dd := newDirtyDesign(r, designs%10 == 0)
+			dd := newDirtyDesign(r, designs%10 == 0, designs%5 == 1)
 			if err := dd.d.Validate(); err != nil {
 				t.Fatalf("generator made an invalid design: %v", err)
 			}
@@ -558,8 +574,17 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 				t.Fatalf("set %d design %d: reference: %v\n%s", set, i, err, describe(dd.d))
 			}
 			mixedAggs += dd.mixedAggs
+			if dd.fanned && fans {
+				fanned++
+			}
 			for m := 0; m < 2; m++ {
 				opts := modes[(designs*2+m)%len(modes)]
+				// The reference's counts are a previous run's, as they
+				// were or wrong: a run sizes its state from them, and
+				// they must change nothing.
+				if err == nil {
+					opts.Last = lastCounts(ref.Stats, []int64{-1, 0, 1, 100}[r.Intn(4)])
+				}
 				if dd.filtered != "" {
 					opts.LoadFilter = func(table string, _ []string) (func([]expr.Value) bool, error) {
 						if table == dd.filtered {
@@ -591,10 +616,45 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d designs (%d failing alike, %d aggregates over mixed kinds) in %v", designs, failed, mixedAggs, time.Since(start))
-	if designs < 500 || failed == 0 || failed > designs/3 || mixedAggs < designs/10 {
-		t.Fatalf("generator drifted: %d designs, %d failing", designs, failed)
+	t.Logf("%d designs (%d failing alike, %d aggregates over mixed kinds, %d fanned-out build sides read downstream) in %v",
+		designs, failed, mixedAggs, fanned, time.Since(start))
+	if designs < 500 || failed == 0 || failed > designs/3 || mixedAggs < designs/10 || fanned < designs/20 {
+		t.Fatalf("generator drifted: %d designs, %d failing, %d fanned out", designs, failed, fanned)
 	}
+}
+
+// fansOut reports whether some row of t meets several rows of u on
+// k = uk.
+func fansOut(t *testing.T, src *storage.DB) bool {
+	t.Helper()
+	tt, _ := src.Table("t")
+	u, _ := src.Table("u")
+	build := u.Rows()
+	for _, row := range tt.Rows() {
+		met := 0
+		for _, b := range build {
+			if row[0].Equal(b[0]) && !row[0].IsNull() {
+				met++
+			}
+		}
+		if met > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// lastCounts is a previous run's counts as Options.Last takes them:
+// as they were when times is -1, else every node's rows out times
+// times, at least times.
+func lastCounts(stats []OpStat, times int64) []OpStat {
+	out := slices.Clone(stats)
+	for i := range out {
+		if times >= 0 {
+			out[i].RowsOut = max(out[i].RowsOut*times, times)
+		}
+	}
+	return out
 }
 
 // describe prints a design for a failure message.

@@ -15,8 +15,9 @@ import (
 
 // Column is one column of a vector batch as a kernel reads it: row r of
 // the batch is row Sel[r] of Vec, or row r when Sel is nil. The ETL
-// executor's batches hold their vectors whole; the fast path's joined
-// chunks select fact and dimension rows.
+// executor's batches and the fast path's joined chunks alike select
+// the rows of a join's build columns and of what a filter kept, rather
+// than copying them.
 type Column struct {
 	Vec *storage.Vector
 	Sel []int32
@@ -37,7 +38,12 @@ func (c *Column) row(r int) int {
 // same reports whether d is c — the same vector through the same
 // selection slice — so that what was read from one holds for the other.
 func (c *Column) same(d Column) bool {
-	return c.Vec == d.Vec && len(c.Sel) == len(d.Sel) && (len(c.Sel) == 0 || &c.Sel[0] == &d.Sel[0])
+	return c.Vec == d.Vec && sameSel(c.Sel, d.Sel)
+}
+
+// sameSel reports whether two selections are the same slice.
+func sameSel(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // sameDict reports whether two dictionaries are the same slice — not

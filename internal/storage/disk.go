@@ -57,6 +57,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -870,13 +871,16 @@ func (db *DB) commitDisk(v uint64, order []string, tables map[string]*Table, app
 	}
 	// Committed. Swap pagers, drop committed tails and apply the
 	// caller's catalog changes under db.mu, then collect no-longer-
-	// referenced segments.
+	// referenced segments. A table keeps a fresh copy of the chunks
+	// appended since its capture: a slice of the old array would keep
+	// every committed chunk reachable, and the chunks cannot be cleared
+	// in place because snapshots share that array (capture).
 	referenced := map[string]bool{}
 	db.mu.Lock()
 	for _, p := range pends {
 		p.t.mu.Lock()
 		p.t.pg = p.newPg
-		p.t.tail = p.t.tail[p.tailN:]
+		p.t.tail = slices.Clone(p.t.tail[p.tailN:]) // holds no array when empty
 		p.t.mu.Unlock()
 		p.newPg.referencedFiles(st, referenced)
 	}
