@@ -58,8 +58,9 @@ func checkRows(t *testing.T, what string, got, want [][]expr.Value) {
 // TestGroupKeepsItsRepresentation: column a meets Float 3.0 in group
 // (3, 1) first, then Int 3 in group (3, 2). Each group keeps the
 // representation its own first row held, whichever the column met
-// first — through Add, AddVectors over typed and mixed vectors, the
-// merge of Partials, and a fold dealt to two shards and merged.
+// first — through Add, AddVectors over typed and mixed vectors and
+// over a numbered column, the merge of Partials, and a fold dealt to
+// two shards and merged. A column of one kind keeps none.
 func TestGroupKeepsItsRepresentation(t *testing.T) {
 	rows := [][]expr.Value{
 		{expr.Float(3), expr.Int(1)}, {expr.Int(3), expr.Int(2)},
@@ -100,6 +101,27 @@ func TestGroupKeepsItsRepresentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRows(t, "two shards merged", gathered.Result(), want)
+
+	// Float 3.0 numbered first, as a join index hands a build column on;
+	// then a typed Int batch whose Int 3 is that entry's identity.
+	numbered := newCounter(t, 2)
+	first := Column{Vec: storage.VectorOf(rows[0][:1]), Group: &GroupCodes{Codes: []uint32{0}, Dict: rows[0][:1]}}
+	if err := numbered.AddVectors(1, []Column{first, {Vec: storage.VectorOf(rows[0][1:])}}, []Column{{}}); err != nil {
+		t.Fatal(err)
+	}
+	addColumns(t, numbered, rows[1][:1], rows[1][1:])
+	checkRows(t, "AddVectors, a numbered batch then a typed one",
+		numbered.Result(), [][]expr.Value{counted(1, expr.Float(3), expr.Int(1)), counted(1, expr.Int(3), expr.Int(2))})
+
+	// A column whose coder holds ints alone keeps no row's representation.
+	oneKind := newCounter(t, 2)
+	for _, r := range rows {
+		addColumns(t, oneKind, []expr.Value{expr.Int(3)}, r[1:])
+	}
+	checkRows(t, "AddVectors, ints alone", oneKind.Result(), [][]expr.Value{counted(2, expr.Int(3), expr.Int(1)), counted(2, expr.Int(3), expr.Int(2))})
+	if oneKind.op.reps != nil {
+		t.Errorf("a one-kind column kept representations: %v", oneKind.op.reps)
+	}
 }
 
 // TestDenseWindowWidensThenTurnsSparse: an int column's window widens

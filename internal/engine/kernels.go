@@ -374,8 +374,11 @@ type aggregationOp struct {
 // columns its function reads are allocated: Counts always, Mins for a
 // MIN, Maxs for a MAX, and the sum columns for a SUM or AVG. Its exact
 // sum of the inputs' float images is Sums plus images: inputs with
-// integer images go to the 128-bit imageSum until settle moves them
-// over, fractions and absorbed partials to the expansion.
+// integer images go to the 128-bit imageSum, fractions and absorbed
+// partials to the expansion. Sums exists only once the column meets a
+// float the image sum cannot hold, absorbs a partial, or is exported
+// (Partials); settle then moves the images over. A column of ints alone
+// keeps no expansion: its answers round the image sum.
 type StateCols struct {
 	Counts   []int64 // non-null inputs
 	IntSums  []int64 // the int inputs' sum, wrapping
@@ -421,7 +424,7 @@ func newAggOp(aggs []xlm.AggSpec, gIdx, aIdx []int) *aggregationOp {
 	k, w := len(gIdx), len(aggs)
 	return &aggregationOp{aggs: aggs, gIdx: gIdx, aIdx: aIdx, cols: make([]StateCols, w),
 		vec: vecState{coders: make([]dictCoder, k), coded: make([][]uint32, k), groups: make([]groupCol, k),
-			measures: make([]*storage.Vector, w), gathered: make([]*storage.Vector, w)}}
+			oneKind: make([]bool, k), measures: make([]*storage.Vector, w), gathered: make([]*storage.Vector, w)}}
 }
 
 // key fills row with group g's key values.
@@ -472,8 +475,10 @@ func (c *StateCols) grow(fn string, n int) {
 	c.Counts = extend(c.Counts, n)
 	switch fn {
 	case "SUM", "AVG":
-		c.IntSums, c.images, c.Sums = extend(c.IntSums, n), extend(c.images, n), extend(c.Sums, n)
-		c.SumIsInt = extend(c.SumIsInt, n)
+		c.IntSums, c.images, c.SumIsInt = extend(c.IntSums, n), extend(c.images, n), extend(c.SumIsInt, n)
+		if c.Sums != nil {
+			c.Sums = extend(c.Sums, n)
+		}
 		for g := at; g < n; g++ {
 			c.SumIsInt[g] = true
 		}
@@ -511,6 +516,7 @@ func identity(s []int32, n int) []int32 {
 // coded as AddVectors codes a batch's.
 func (o *aggregationOp) add(rows [][]expr.Value) error {
 	v := &o.vec
+	clear(v.oneKind) // rows hold values of any kind
 	for g, i := range o.gIdx {
 		c := &v.coders[g]
 		c.catchUp()
@@ -565,16 +571,28 @@ func (c *StateCols) addInt(g int32, v int64) {
 // addFloat folds the float f into group g's SUM (or AVG).
 func (c *StateCols) addFloat(g int32, f float64) {
 	if !c.images[g].addFloat(f) {
+		c.expand()
 		c.Sums[g].Add(f)
 	}
 	c.SumIsInt[g] = false
 }
 
+// expand gives the sum column its expansions, if it has none yet.
+func (c *StateCols) expand() {
+	if c.Sums == nil {
+		c.Sums = extend(c.Sums, len(c.Counts))
+	}
+}
+
 // settle moves every group's 128-bit sum into its expansion, which
-// then holds the whole exact sum. An expansion made here starts in a
-// slab of three parts per group, which is as many as the move adds.
+// then holds the whole exact sum; a column without expansions keeps
+// its image sums. An expansion made here starts in a slab of three
+// parts per group, which is as many as the move adds.
 func (c *StateCols) settle() {
 	sums := c.Sums
+	if sums == nil {
+		return
+	}
 	var slab []float64
 	for g := range c.images {
 		if c.images[g] == (imageSum{}) {
@@ -694,13 +712,22 @@ func (c *StateCols) final(a xlm.AggSpec, g int32) (expr.Value, error) {
 	case c.Counts[g] == 0: // SUM and AVG of nothing
 		return expr.Null(), nil
 	case a.Func == "AVG":
-		return expr.Float(c.Sums[g].Round() / float64(c.Counts[g])), nil
+		return expr.Float(c.sum(g) / float64(c.Counts[g])), nil
 	case !c.SumIsInt[g]:
-		return expr.Float(c.Sums[g].Round()), nil
-	case math.Abs(float64(c.IntSums[g])-c.Sums[g].Round()) >= 1<<63:
+		return expr.Float(c.sum(g)), nil
+	case math.Abs(float64(c.IntSums[g])-c.sum(g)) >= 1<<63:
 		return expr.Value{}, fmt.Errorf("aggregation SUM %q overflows int64", a.Out)
 	}
 	return expr.Int(c.IntSums[g]), nil
+}
+
+// sum is group g's settled exact sum, rounded: its expansion's, or its
+// image sum's in a column without expansions.
+func (c *StateCols) sum(g int32) float64 {
+	if c.Sums != nil {
+		return c.Sums[g].Round()
+	}
+	return c.images[g].round()
 }
 
 // sortOp buffers its input and emits it stably ordered (NULLs first).

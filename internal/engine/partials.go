@@ -62,6 +62,11 @@ func (c Cells) Picked() bool { return c.picked }
 func (a *HashAggregator) Partials() Cells {
 	o := a.op
 	n, k := o.groups, len(o.gIdx)
+	for i, spec := range o.aggs {
+		if spec.Func == "SUM" || spec.Func == "AVG" {
+			o.cols[i].expand() // the cells' sums are their expansions
+		}
+	}
 	o.settle()
 	keys := make([]*storage.Vector, k)
 	vals := make([]expr.Value, n)
@@ -146,6 +151,7 @@ func (a *HashAggregator) Absorb(c Cells) error {
 		}
 		switch spec.Func {
 		case "SUM", "AVG":
+			dst.expand()
 			for j, g := range gs {
 				s := at[j]
 				dst.IntSums[g] += src.IntSums[s]

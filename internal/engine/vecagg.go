@@ -59,6 +59,7 @@ type vecState struct {
 	coders    []dictCoder
 	coded     [][]uint32 // per group column: its coder's codes for the batch
 	groups    []groupCol
+	oneKind   []bool            // per group column: its rows are of their entries' kind (dictCoder.holdsOnly)
 	rowGroups []int32           // each batch row's group
 	measures  []*storage.Vector // per aggregate: its input rows
 	gathered  []*storage.Vector // per aggregate: its selected input rows
@@ -271,15 +272,17 @@ func (o *aggregationOp) groupsOf(n int, groups []Column) []int32 {
 	v := &o.vec
 	for g, col := range groups {
 		c := &v.coders[g]
-		if col.Group != nil && c.adopt(col.Group) {
+		switch {
+		case col.Group != nil && c.adopt(col.Group):
 			v.groups[g] = groupCol{col.Group.Codes, col.Sel}
-			continue
+		default:
+			if c.dict == nil && v.index.expect > 0 { // sized for the groups expected
+				c.dict = make([]expr.Value, 0, v.index.expect)
+			}
+			v.coded[g] = c.code(col, n, v.coded[g][:0])
+			v.groups[g] = groupCol{v.coded[g], nil}
 		}
-		if c.dict == nil && v.index.expect > 0 { // sized for the groups expected
-			c.dict = make([]expr.Value, 0, v.index.expect)
-		}
-		v.coded[g] = c.code(col, n, v.coded[g][:0])
-		v.groups[g] = groupCol{v.coded[g], nil}
+		v.oneKind[g] = c.holdsOnly(col.Vec)
 	}
 	return o.lookup(n, func(r, g int) expr.Value { return groups[g].Vec.Value(groups[g].row(r)) })
 }
@@ -331,7 +334,8 @@ func (o *aggregationOp) lookup(n int, value func(r, g int) expr.Value) []int32 {
 // create registers row r's tuple as the next group. Its key is read
 // from the coders' dictionaries, but where the row holds another
 // representation of its column's entry (Float 3.0 where the entry is
-// Int 3), the group keeps the row's.
+// Int 3), the group keeps the row's; a column whose rows are of their
+// entries' kind (oneKind) is not looked at.
 func (o *aggregationOp) create(r int, value func(r, g int) expr.Value) int32 {
 	group, k := int32(o.groups), len(o.gIdx)
 	o.groups++
@@ -339,6 +343,9 @@ func (o *aggregationOp) create(r int, value func(r, g int) expr.Value) int32 {
 	for g := range o.vec.groups {
 		code := o.vec.groups[g].code(r)
 		o.codes[int(group)*k+g] = code
+		if o.vec.oneKind[g] {
+			continue
+		}
 		if x := value(r, g); x.Kind() != o.vec.coders[g].dict[code].Kind() {
 			if o.reps == nil {
 				o.reps = map[int]expr.Value{}

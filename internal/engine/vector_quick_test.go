@@ -150,7 +150,9 @@ func dirtySources(t *testing.T, r *rand.Rand, disk bool) *storage.DB {
 // set starts its chain with aggregates over a column mixing ints and
 // floats; one made with fanned set starts it with a join whose build
 // side repeats keys, its build columns read by a second join's key, a
-// Selection, a Function and the loaders. At most one operator that can
+// Selection, a Function and the loaders; one made with arith set starts
+// it with Functions of -, %, unary minus, a float literal and nested
+// operators over t's columns. At most one operator that can
 // fail a run (division by a column; an int column carrying floats
 // towards a loader) is placed, after the fork, so that the error a run
 // fails with is one and the same whatever the scheduling.
@@ -161,7 +163,7 @@ type dirtyDesign struct {
 	fanned    bool   // the chain starts with the fanned-out join
 }
 
-func newDirtyDesign(r *rand.Rand, mixed, fanned bool) *dirtyDesign {
+func newDirtyDesign(r *rand.Rand, mixed, fanned, arith bool) *dirtyDesign {
 	dd := &dirtyDesign{d: xlm.NewDesign(fmt.Sprintf("dirty%d", r.Int63()))}
 	d := dd.d
 	seq := 0
@@ -422,6 +424,15 @@ func newDirtyDesign(r *rand.Rand, mixed, fanned bool) *dirtyDesign {
 		prev = node(xlm.OpFunction, map[string]string{"name": name, "expr": "uv * 2 + x"}, prev)
 		cols = append(cols, xlm.Field{Name: name, Type: "int"})
 	}
+	if arith && !mixed && !fanned { // the arithmetic a Function's typed program covers
+		for _, fn := range []struct{ expr, typ string }{
+			{"x - k", "int"}, {"x % 3", "int"}, {"-y", "float"}, {"y * 1.5", "float"}, {"(x - y) * f", "float"},
+		} {
+			name := fresh("fn")
+			prev = node(xlm.OpFunction, map[string]string{"name": name, "expr": fn.expr}, prev)
+			cols = append(cols, xlm.Field{Name: name, Type: fn.typ})
+		}
+	}
 	for i := r.Intn(5); i > 0; i-- {
 		prev, cols = addOp(prev, cols, false)
 	}
@@ -553,14 +564,14 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 	start := time.Now()
 	modes := []Options{{Parallelism: 1, BatchSize: 1}, {Parallelism: 4, BatchSize: 7}, {Parallelism: 4},
 		{Parallelism: 1}, {Parallelism: 1, BatchSize: 7}, {Parallelism: 4, BatchSize: 1}}
-	designs, failed, mixedAggs, fanned := 0, 0, 0, 0
+	designs, failed, mixedAggs, fanned, typed := 0, 0, 0, 0, int64(0)
 	for set := 0; set < 12; set++ {
 		r := rand.New(rand.NewSource(int64(set)))
 		disk := set%2 == 1
 		src := dirtySources(t, r, disk)
 		fans := fansOut(t, src)
 		for i := 0; i < 45; i++ {
-			dd := newDirtyDesign(r, designs%10 == 0, designs%5 == 1)
+			dd := newDirtyDesign(r, designs%10 == 0, designs%5 == 1, designs%10 == 5)
 			if err := dd.d.Validate(); err != nil {
 				t.Fatalf("generator made an invalid design: %v", err)
 			}
@@ -585,7 +596,11 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 				if err == nil {
 					opts.Last = lastCounts(ref.Stats, []int64{-1, 0, 1, 100}[r.Intn(4)])
 				}
-				if dd.filtered != "" {
+				// A LoadFilter drops rows before the loader checks them,
+				// so a run the reference fails at a loader may fail at a
+				// later row, or not at all: only a design the reference
+				// completes is thinned, its tables as outcome thins them.
+				if dd.filtered != "" && err == nil {
 					opts.LoadFilter = func(table string, _ []string) (func([]expr.Value) bool, error) {
 						if table == dd.filtered {
 							return keepRow, nil
@@ -594,7 +609,11 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 					}
 				}
 				db := dd.prepare(t, src)
+				before := typedFunctions.Load()
 				res, err := RunWithOptions(dd.d, db, opts)
+				if m == 0 {
+					typed += typedFunctions.Load() - before
+				}
 				if err == nil {
 					if err := loadedHolds(res, db); err != nil {
 						t.Fatalf("set %d design %d %+v: %v\n%s", set, i, opts, err, describe(dd.d))
@@ -616,10 +635,10 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d designs (%d failing alike, %d aggregates over mixed kinds, %d fanned-out build sides read downstream) in %v",
-		designs, failed, mixedAggs, fanned, time.Since(start))
-	if designs < 500 || failed == 0 || failed > designs/3 || mixedAggs < designs/10 || fanned < designs/20 {
-		t.Fatalf("generator drifted: %d designs, %d failing, %d fanned out", designs, failed, fanned)
+	t.Logf("%d designs (%d failing alike, %d aggregates over mixed kinds, %d fanned-out build sides read downstream, %d Functions on typed vectors) in %v",
+		designs, failed, mixedAggs, fanned, typed, time.Since(start))
+	if designs < 500 || failed == 0 || failed > designs/3 || mixedAggs < designs/10 || fanned < designs/20 || typed < int64(designs/10) {
+		t.Fatalf("generator drifted: %d designs, %d failing, %d fanned out, %d Functions typed", designs, failed, fanned, typed)
 	}
 }
 

@@ -84,9 +84,14 @@ func Sized[T any](s []T, n int) []T {
 // (JoinIndex.GroupCodes) is translated alike, unless it is the first
 // thing the coder meets: then it is adopted (adopt), its codes read as
 // they are.
+//
+// The coder keeps the kinds of its non-NULL entries (kinds): where they
+// are all the kind of a typed vector's rows, no row of it holds another
+// representation of its entry than the entry's own.
 type dictCoder struct {
 	dict  []expr.Value
-	known int // dict[:known] are registered in the lookups below (catchUp)
+	known int   // dict[:known] are registered in the lookups below (catchUp)
+	kinds uint8 // a bit per expr.Kind of a non-NULL entry of dict
 
 	lo     int64
 	win    []uint32            // int k's code + 1 at win[k−lo], while the ints are dense
@@ -110,6 +115,7 @@ func denseSpan(span uint64, n int) bool { return span < 8*uint64(n)+1024 }
 func (c *dictCoder) assign(v expr.Value) uint32 {
 	c.dict = extend(c.dict, len(c.dict)+1)
 	c.dict[len(c.dict)-1] = v.Canonical()
+	c.kinds |= kindBit(v)
 	c.catchUp()
 	return uint32(len(c.dict) - 1)
 }
@@ -223,8 +229,26 @@ func (c *dictCoder) of(e uint32) uint32 {
 func (c *dictCoder) adopt(g *GroupCodes) bool {
 	if c.adopted != g && len(c.dict) == 0 {
 		c.dict, c.adopted = slices.Clip(g.Dict), g
+		for _, v := range g.Dict {
+			c.kinds |= kindBit(v)
+		}
 	}
 	return c.adopted == g
+}
+
+// kindBit is v's bit in dictCoder.kinds: none for NULL.
+func kindBit(v expr.Value) uint8 {
+	if v.IsNull() {
+		return 0
+	}
+	return 1 << v.Kind()
+}
+
+// holdsOnly reports whether the rows of vec, a group column's vector,
+// are all of the kind of their entries: vec is typed, and every
+// non-NULL entry is of its kind.
+func (c *dictCoder) holdsOnly(vec *storage.Vector) bool {
+	return !vec.Coded() && c.kinds&^(1<<vec.Kind) == 0
 }
 
 // code appends to out the code of each of the n rows of col.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"quarry/internal/expr"
 	"quarry/internal/storage"
@@ -219,7 +220,8 @@ func pick(b *Batch, idx []int, extra int) *Batch {
 // vecFunction derives one column per batch; like the row kernel's, it
 // is the last column of out in every layout and is evaluated whether or
 // not anything reads it. An expression that only names a column passes
-// that column on, selection and all.
+// that column on, selection and all; arithmetic runs on typed vectors
+// (arithProgram) where it can, and everything else a row at a time.
 type vecFunction struct {
 	e       expr.Node
 	env     *expr.SliceEnv
@@ -227,8 +229,14 @@ type vecFunction struct {
 	in      []int        // input position of each slot
 	cp      []int        // input positions carried over, ahead of the derived column
 	same    int          // the input position the expression merely names, or -1
+	prog    *arithProgram
+	typed   bool // the program has computed a batch
 	vals    []expr.Value
 }
+
+// typedFunctions counts the Functions whose program has computed a
+// batch, so that the property suite can tell it is exercised.
+var typedFunctions atomic.Int64
 
 func newVecFunction(n *xlm.Node, in, out []xlm.Field) (*vecFunction, error) {
 	e, err := expr.Parse(n.Param("expr"))
@@ -255,6 +263,9 @@ func newVecFunction(n *xlm.Node, in, out []xlm.Field) (*vecFunction, error) {
 	o.env = expr.NewSliceEnv(slots)
 	o.scratch = make([]expr.Value, len(o.in))
 	o.env.Bind(o.scratch)
+	if o.same < 0 {
+		o.prog = compileArith(e, slots)
+	}
 	return o, nil
 }
 
@@ -264,6 +275,26 @@ func (o *vecFunction) apply(b *Batch) (*Batch, error) {
 		out.Cols = append(out.Cols, b.Cols[o.same])
 		return out, nil
 	}
+	var v *storage.Vector
+	if o.prog != nil {
+		if v = o.prog.run(b, o.in); v != nil && !o.typed {
+			o.typed = true
+			typedFunctions.Add(1)
+		}
+	}
+	if v == nil {
+		var err error
+		if v, err = o.rows(b); err != nil {
+			return nil, err
+		}
+	}
+	out.Cols = append(out.Cols, Column{Vec: v})
+	return out, nil
+}
+
+// rows evaluates the expression a row at a time: the reference the
+// program stands in for.
+func (o *vecFunction) rows(b *Batch) (*storage.Vector, error) {
 	ev := o.env.Env()
 	o.vals = o.vals[:0]
 	for r := 0; r < b.N; r++ {
@@ -277,8 +308,7 @@ func (o *vecFunction) apply(b *Batch) (*Batch, error) {
 		}
 		o.vals = append(o.vals, v)
 	}
-	out.Cols = append(out.Cols, Column{Vec: storage.VectorOf(o.vals)})
-	return out, nil
+	return storage.VectorOf(o.vals), nil
 }
 
 // vecJoin is the hash join on vectors: the build side (right input)
