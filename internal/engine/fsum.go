@@ -196,33 +196,6 @@ func (s imageSum) addTo(f *FloatSum) {
 	f.Add(float64(s.lo & (1<<32 - 1)))
 }
 
-// round is the sum rounded to the nearest float64, ties to even — the
-// float an expansion holding it rounds to — computed on the integer, so
-// that nothing is allocated: the magnitude's top 64 bits convert with
-// the bits below them folded into the lowest, which breaks a tie the
-// conversion would otherwise see, then scale exactly.
-func (s imageSum) round() float64 {
-	hi, lo := s.hi, s.lo
-	neg := int64(hi) < 0
-	if neg {
-		var borrow uint64
-		lo, borrow = bits.Sub64(0, lo, 0)
-		hi = -hi - borrow
-	}
-	f := float64(lo)
-	if n := bits.Len64(hi); n > 0 {
-		top := hi<<(64-n) | lo>>n
-		if lo<<(64-n) != 0 {
-			top |= 1
-		}
-		f = math.Ldexp(float64(top), n)
-	}
-	if neg {
-		f = -f
-	}
-	return f
-}
-
 // ImportFloatSum rebuilds a sum from its wire representation. It only
 // trusts the values, not the expansion invariant: parts are re-added
 // one by one, so a malformed expansion still yields the exact sum of

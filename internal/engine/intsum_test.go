@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"math/big"
-	"math/rand"
 	"testing"
 
 	"quarry/internal/expr"
@@ -125,41 +124,6 @@ func TestIntSumKeepsNoExpansion(t *testing.T) {
 			if a.op.cols[1].Sums != nil {
 				t.Errorf("%s, way %d: SUM(b), over ints alone, keeps expansions", tc.name, way)
 			}
-		}
-	}
-}
-
-// TestImageSumRound: the image sum's own rounding is the expansion's,
-// over 128-bit sums at and around every tie and at random.
-func TestImageSumRound(t *testing.T) {
-	viaExpansion := func(s imageSum) float64 {
-		var f FloatSum
-		s.addTo(&f)
-		return f.Round()
-	}
-	r := rand.New(rand.NewSource(46))
-	var sums []imageSum
-	for _, v := range []int64{0, 1, -1, 1 << 53, 1<<53 + 1, 1<<53 + 3, 1<<54 + 2, 1<<54 + 6, math.MaxInt64, math.MinInt64} {
-		for _, hi := range []int64{0, -1, 1, 1 << 20, -(1 << 20), 1<<52 - 1, -(1 << 52)} {
-			for _, d := range []int64{-1, 0, 1} {
-				sums = append(sums, imageSum{hi: uint64(hi), lo: uint64(v + d)})
-			}
-		}
-	}
-	for range 100000 {
-		hi := r.Int63n(1<<53) >> r.Intn(54)
-		if r.Intn(2) == 0 {
-			hi = -hi - 1
-		}
-		lo := r.Uint64()
-		if r.Intn(3) == 0 { // a tie below the top bits, or just off one
-			lo = lo&^(1<<(r.Intn(63)+1)-1) | 1<<r.Intn(63)
-		}
-		sums = append(sums, imageSum{hi: uint64(hi), lo: lo})
-	}
-	for _, s := range sums {
-		if got, want := s.round(), viaExpansion(s); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%+v: round %v, expansion %v", s, got, want)
 		}
 	}
 }

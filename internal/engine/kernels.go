@@ -378,7 +378,8 @@ type aggregationOp struct {
 // partials to the expansion. Sums exists only once the column meets a
 // float the image sum cannot hold, absorbs a partial, or is exported
 // (Partials); settle then moves the images over. A column of ints alone
-// keeps no expansion: its answers round the image sum.
+// keeps no expansion per group: its answers round the image sum through
+// scratch, which each group refills.
 type StateCols struct {
 	Counts   []int64 // non-null inputs
 	IntSums  []int64 // the int inputs' sum, wrapping
@@ -387,6 +388,7 @@ type StateCols struct {
 	SumIsInt []bool // no input was a float
 	Mins     []expr.Value
 	Maxs     []expr.Value
+	scratch  FloatSum // sum's expansion, in a column without Sums
 }
 
 func newAggregationOp(n *xlm.Node, in []xlm.Field) (*aggregationOp, error) {
@@ -722,12 +724,15 @@ func (c *StateCols) final(a xlm.AggSpec, g int32) (expr.Value, error) {
 }
 
 // sum is group g's settled exact sum, rounded: its expansion's, or its
-// image sum's in a column without expansions.
+// image sum's in a column without expansions, by way of the column's
+// scratch expansion.
 func (c *StateCols) sum(g int32) float64 {
 	if c.Sums != nil {
 		return c.Sums[g].Round()
 	}
-	return c.images[g].round()
+	c.scratch = FloatSum{parts: c.scratch.parts[:0]}
+	c.images[g].addTo(&c.scratch)
+	return c.scratch.Round()
 }
 
 // sortOp buffers its input and emits it stably ordered (NULLs first).

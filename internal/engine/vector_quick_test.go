@@ -158,9 +158,11 @@ func dirtySources(t *testing.T, r *rand.Rand, disk bool) *storage.DB {
 // fails with is one and the same whatever the scheduling.
 type dirtyDesign struct {
 	d         *xlm.Design
-	filtered  string // the loader target a LoadFilter thins, or ""
-	mixedAggs int    // aggregates over a column mixing ints and floats
-	fanned    bool   // the chain starts with the fanned-out join
+	filtered  string   // the loader target a LoadFilter thins, or ""
+	loader    string   // the node loading filtered
+	arith     []string // the expressions of the Functions arith adds over t
+	mixedAggs int      // aggregates over a column mixing ints and floats
+	fanned    bool     // the chain starts with the fanned-out join
 }
 
 func newDirtyDesign(r *rand.Rand, mixed, fanned, arith bool) *dirtyDesign {
@@ -431,6 +433,7 @@ func newDirtyDesign(r *rand.Rand, mixed, fanned, arith bool) *dirtyDesign {
 			name := fresh("fn")
 			prev = node(xlm.OpFunction, map[string]string{"name": name, "expr": fn.expr}, prev)
 			cols = append(cols, xlm.Field{Name: name, Type: fn.typ})
+			dd.arith = append(dd.arith, fn.expr)
 		}
 	}
 	for i := r.Intn(5); i > 0; i-- {
@@ -459,10 +462,11 @@ func newDirtyDesign(r *rand.Rand, mixed, fanned, arith bool) *dirtyDesign {
 			}
 		}
 		table := fmt.Sprint("out", b)
-		if r.Intn(3) != 0 && r.Intn(2) == 0 { // a third of the loaders
-			dd.filtered = table
+		thinned := r.Intn(3) != 0 && r.Intn(2) == 0 // a third of the loaders
+		loader := node(xlm.OpLoader, map[string]string{"table": table}, prev)
+		if thinned {
+			dd.filtered, dd.loader = table, loader
 		}
-		node(xlm.OpLoader, map[string]string{"table": table}, prev)
 	}
 	return dd
 }
@@ -482,6 +486,12 @@ func (dd *dirtyDesign) prepare(t *testing.T, src *storage.DB) *storage.DB {
 		}
 	}
 	return db
+}
+
+// failsAtLoader reports whether err is the failure of the loader a
+// LoadFilter thins.
+func (dd *dirtyDesign) failsAtLoader(err error) bool {
+	return err != nil && strings.Contains(err.Error(), fmt.Sprintf("node %q:", dd.loader))
 }
 
 // keepRow is the LoadFilter's predicate: it keeps a row by a hash of
@@ -564,12 +574,13 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 	start := time.Now()
 	modes := []Options{{Parallelism: 1, BatchSize: 1}, {Parallelism: 4, BatchSize: 7}, {Parallelism: 4},
 		{Parallelism: 1}, {Parallelism: 1, BatchSize: 7}, {Parallelism: 4, BatchSize: 1}}
-	designs, failed, mixedAggs, fanned, typed := 0, 0, 0, 0, int64(0)
+	designs, failed, unthinned, mixedAggs, fanned, typed := 0, 0, 0, 0, 0, 0
 	for set := 0; set < 12; set++ {
 		r := rand.New(rand.NewSource(int64(set)))
 		disk := set%2 == 1
 		src := dirtySources(t, r, disk)
 		fans := fansOut(t, src)
+		whole := wholeBatch(src, "t", dirtyT)
 		for i := 0; i < 45; i++ {
 			dd := newDirtyDesign(r, designs%10 == 0, designs%5 == 1, designs%10 == 5)
 			if err := dd.d.Validate(); err != nil {
@@ -585,6 +596,10 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 				t.Fatalf("set %d design %d: reference: %v\n%s", set, i, err, describe(dd.d))
 			}
 			mixedAggs += dd.mixedAggs
+			typed += typedFunctions(t, dd.arith, whole)
+			if dd.filtered != "" && dd.failsAtLoader(err) {
+				unthinned++
+			}
 			if dd.fanned && fans {
 				fanned++
 			}
@@ -597,10 +612,11 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 					opts.Last = lastCounts(ref.Stats, []int64{-1, 0, 1, 100}[r.Intn(4)])
 				}
 				// A LoadFilter drops rows before the loader checks them,
-				// so a run the reference fails at a loader may fail at a
-				// later row, or not at all: only a design the reference
-				// completes is thinned, its tables as outcome thins them.
-				if dd.filtered != "" && err == nil {
+				// so a run the reference fails at the thinned table's
+				// loader may fail at a later row, or not at all: that one
+				// design runs unthinned. A failure anywhere else is one
+				// the filter cannot move.
+				if dd.filtered != "" && !dd.failsAtLoader(err) {
 					opts.LoadFilter = func(table string, _ []string) (func([]expr.Value) bool, error) {
 						if table == dd.filtered {
 							return keepRow, nil
@@ -609,11 +625,7 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 					}
 				}
 				db := dd.prepare(t, src)
-				before := typedFunctions.Load()
 				res, err := RunWithOptions(dd.d, db, opts)
-				if m == 0 {
-					typed += typedFunctions.Load() - before
-				}
 				if err == nil {
 					if err := loadedHolds(res, db); err != nil {
 						t.Fatalf("set %d design %d %+v: %v\n%s", set, i, opts, err, describe(dd.d))
@@ -635,11 +647,49 @@ func TestQuickVectorPipelineMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d designs (%d failing alike, %d aggregates over mixed kinds, %d fanned-out build sides read downstream, %d Functions on typed vectors) in %v",
-		designs, failed, mixedAggs, fanned, typed, time.Since(start))
-	if designs < 500 || failed == 0 || failed > designs/3 || mixedAggs < designs/10 || fanned < designs/20 || typed < int64(designs/10) {
+	t.Logf("%d designs (%d failing alike, %d of them at a thinned table's loader, %d aggregates over mixed kinds, %d fanned-out build sides read downstream, %d Functions on typed vectors) in %v",
+		designs, failed, unthinned, mixedAggs, fanned, typed, time.Since(start))
+	if designs < 500 || failed == 0 || failed > designs/3 || mixedAggs < designs/10 || fanned < designs/20 || typed < designs/10 {
 		t.Fatalf("generator drifted: %d designs, %d failing, %d fanned out, %d Functions typed", designs, failed, fanned, typed)
 	}
+}
+
+// wholeBatch is table's columns as one batch, each vector as VectorOf
+// makes it of the column's values.
+func wholeBatch(src *storage.DB, table string, cols []xlm.Field) *Batch {
+	tbl, _ := src.Table(table)
+	rows := tbl.Rows()
+	b := &Batch{N: len(rows), Cols: make([]Column, len(cols))}
+	vals := make([]expr.Value, len(rows))
+	for c := range cols {
+		for i, row := range rows {
+			vals[i] = row[c]
+		}
+		b.Cols[c].Vec = storage.VectorOf(vals)
+	}
+	return b
+}
+
+// typedFunctions counts the Functions of exprs, over t's columns,
+// whose program computes b rather than leave it to the row loop, and
+// holds each to the row loop.
+func typedFunctions(t *testing.T, exprs []string, b *Batch) int {
+	t.Helper()
+	n := 0
+	for _, src := range exprs {
+		node := &xlm.Node{Name: "F", Type: xlm.OpFunction, Params: map[string]string{"name": "fn", "expr": src}}
+		o, err := newVecFunction(node, dirtyT, append(slices.Clone(dirtyT), xlm.Field{Name: "fn"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.prog != nil && o.prog.run(b, o.in) != nil {
+			n++
+		}
+		if d := functionDivergence(o, b); d != "" {
+			t.Fatalf("%s over t: %s", src, d)
+		}
+	}
+	return n
 }
 
 // fansOut reports whether some row of t meets several rows of u on

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"quarry/internal/expr"
 	"quarry/internal/storage"
@@ -230,13 +229,8 @@ type vecFunction struct {
 	cp      []int        // input positions carried over, ahead of the derived column
 	same    int          // the input position the expression merely names, or -1
 	prog    *arithProgram
-	typed   bool // the program has computed a batch
 	vals    []expr.Value
 }
-
-// typedFunctions counts the Functions whose program has computed a
-// batch, so that the property suite can tell it is exercised.
-var typedFunctions atomic.Int64
 
 func newVecFunction(n *xlm.Node, in, out []xlm.Field) (*vecFunction, error) {
 	e, err := expr.Parse(n.Param("expr"))
@@ -277,10 +271,7 @@ func (o *vecFunction) apply(b *Batch) (*Batch, error) {
 	}
 	var v *storage.Vector
 	if o.prog != nil {
-		if v = o.prog.run(b, o.in); v != nil && !o.typed {
-			o.typed = true
-			typedFunctions.Add(1)
-		}
+		v = o.prog.run(b, o.in)
 	}
 	if v == nil {
 		var err error
