@@ -378,8 +378,7 @@ type aggregationOp struct {
 // partials to the expansion. Sums exists only once the column meets a
 // float the image sum cannot hold, absorbs a partial, or is exported
 // (Partials); settle then moves the images over. A column of ints alone
-// keeps no expansion per group: its answers round the image sum through
-// scratch, which each group refills.
+// keeps no expansion per group: its answers round the image sum (sum).
 type StateCols struct {
 	Counts   []int64 // non-null inputs
 	IntSums  []int64 // the int inputs' sum, wrapping
@@ -724,14 +723,19 @@ func (c *StateCols) final(a xlm.AggSpec, g int32) (expr.Value, error) {
 }
 
 // sum is group g's settled exact sum, rounded: its expansion's, or its
-// image sum's in a column without expansions, by way of the column's
-// scratch expansion.
+// image sum's in a column without expansions — converted, correctly
+// rounded, where it fits int64, else by way of the column's scratch
+// expansion.
 func (c *StateCols) sum(g int32) float64 {
 	if c.Sums != nil {
 		return c.Sums[g].Round()
 	}
+	s := c.images[g]
+	if v := int64(s.lo); s.hi == uint64(v>>63) {
+		return float64(v)
+	}
 	c.scratch = FloatSum{parts: c.scratch.parts[:0]}
-	c.images[g].addTo(&c.scratch)
+	s.addTo(&c.scratch)
 	return c.scratch.Round()
 }
 
