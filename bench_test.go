@@ -817,6 +817,21 @@ func BenchmarkOLAPQuery_StarWide_SF200(b *testing.B) {
 	})
 }
 
+// BenchmarkOLAPQuery_StarFilter_SF200 is adhoc_scan's star_filter
+// shape: the revenue fact through the part dimension, one brand's
+// parts by name. Gated in CI.
+func BenchmarkOLAPQuery_StarFilter_SF200(b *testing.B) {
+	benchScanQuery(b, olap.CubeQuery{
+		Fact:    "fact_table_revenue",
+		GroupBy: []string{"p_name"},
+		Filter:  "p_brand = 'Brand#23'",
+		Measures: []olap.MeasureSpec{
+			{Out: "total", Func: "SUM", Col: "revenue"},
+			{Out: "n", Func: "COUNT"},
+		},
+	})
+}
+
 // BenchmarkDiskFootprint_SF5 measures the on-disk size of the
 // complete SF 5 warehouse (sources + deployed star schema) under the
 // format-2 encodings, and reports it against the raw baseline

@@ -275,6 +275,58 @@ func TestAdoptedNumberingThenPlainValues(t *testing.T) {
 	})
 }
 
+// TestAdoptedNumberingOutgrowsItsField: an adopted numbering of three
+// values gets a bit field of two bits, without the room to grow a
+// coder's own dictionary gets; plain values then grow the dictionary
+// past the field, the index is laid out again, and every row keeps its
+// group — the answer is Add's over the same rows.
+func TestAdoptedNumberingOutgrowsItsField(t *testing.T) {
+	ints := func(vals ...int64) []expr.Value {
+		out := make([]expr.Value, len(vals))
+		for i, v := range vals {
+			out[i] = expr.Int(v)
+		}
+		return out
+	}
+	dim := ints(10, 11, 12)
+	x := NewJoinIndex(2, 1, len(dim))
+	kv := storage.VectorOf(ints(0, 1, 2))
+	x.Add(len(dim), []*storage.Vector{kv, storage.VectorOf(dim)}, []*storage.Vector{kv})
+	if err := x.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	a, ref := newCounter(t, 2), newCounter(t, 2)
+	sel := []int32{2, 0, 1, 0}
+	second := ints(7, 7, 8, 8)
+	if err := a.AddVectors(len(sel), []Column{{Vec: x.Cols[1], Sel: sel, Group: x.GroupCodes(1)}, {Vec: storage.VectorOf(second)}}, []Column{{}}); err != nil {
+		t.Fatal(err)
+	}
+	if w := a.op.vec.index.width[0]; w != 2 {
+		t.Fatalf("the adopted column's field is %d bits, want 2", w)
+	}
+	var rows [][]expr.Value
+	for i, s := range sel {
+		rows = append(rows, []expr.Value{dim[s], second[i]})
+	}
+	grown, grownSecond := ints(13, 14, 15, 10, 16, 12), ints(8, 7, 8, 8, 7, 9)
+	addColumns(t, a, grown, grownSecond)
+	for i := range grown {
+		rows = append(rows, []expr.Value{grown[i], grownSecond[i]})
+	}
+	if w := a.op.vec.index.width[0]; w <= 2 {
+		t.Fatalf("the grown column's field is still %d bits", w)
+	}
+	if err := ref.Add(rows); err != nil {
+		t.Fatal(err)
+	}
+	checkRows(t, "groups", a.Result(), ref.Result())
+	got, err := a.Answer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRows(t, "answer", got, SortRowsBy(ref.Result(), Leading(2)))
+}
+
 // TestWideTupleIsIndexed: seven string columns of 600 values each need
 // 11 bits apiece, 77 in all; every tuple is folded twice, a batch
 // apart, and is one group of two rows.

@@ -45,13 +45,13 @@ func groupedSums(t *testing.T, rows [][]expr.Value) (answers [3][][]expr.Value, 
 		}
 		parts = append(parts, part.Partials())
 	}
-	answers[0], errs[0] = byRows.Finalize()
-	answers[1], errs[1] = byVectors.Finalize()
+	answers[0], errs[0] = byRows.op.result()
+	answers[1], errs[1] = byVectors.op.result()
 	merged, err := MergeCells(1, aggs, parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers[2], errs[2] = merged.Finalize()
+	answers[2], errs[2] = merged.op.result()
 	return answers, errs, [2]*HashAggregator{byRows, byVectors}
 }
 

@@ -106,8 +106,8 @@ func columnOfRows(rows [][]expr.Value, c int) *storage.Vector {
 }
 
 // HashAggregator is the incremental grouping/aggregation kernel. Its
-// one order rule: Finalize, Result and Partials list the groups in the
-// order they were first met, through Add, AddVectors or Absorb alike.
+// one order rule: Result and Partials list the groups in the order
+// they were first met, through Add, AddVectors or Absorb alike.
 // Keys group by expr.Value.Identical — NULLs together, every NaN
 // together, ints by value — and a group keeps its key's canonical form
 // (expr.Value.Canonical). Float sums
@@ -146,15 +146,12 @@ func NewHashAggregator(groupIdx []int, aggs []xlm.AggSpec, aggIdx []int) (*HashA
 // (TestAggregatorDoesNotRetainRows).
 func (a *HashAggregator) Add(rows [][]expr.Value) error { return a.op.add(rows) }
 
-// Finalize finalises the aggregation: one row per group (group values
-// then aggregates), groups in first-seen order. It fails when an
-// integer SUM left int64.
-func (a *HashAggregator) Finalize() ([][]expr.Value, error) { return a.op.result() }
-
-// Result is Finalize for callers whose integer SUMs cannot leave int64;
-// it panics if one did.
+// Result finalises the aggregation: one row per group (group values
+// then aggregates), groups in first-seen order. It is for callers whose
+// integer SUMs cannot leave int64, and panics if one did; Answer is the
+// sorted answer, which fails instead.
 func (a *HashAggregator) Result() [][]expr.Value {
-	rows, err := a.Finalize()
+	rows, err := a.op.result()
 	if err != nil {
 		panic(err)
 	}
@@ -163,7 +160,9 @@ func (a *HashAggregator) Result() [][]expr.Value {
 
 // SortRowsBy stably sorts rows in place by the given column positions
 // with the engine's Sort-operator semantics (NULLs first, numerics
-// numerically, strings lexicographically) and returns the slice.
+// numerically, strings lexicographically) and returns the slice. No
+// answer is sorted through it (the answer tail ranks its keys: Order);
+// it is the comparison order the tests hold answers to.
 func SortRowsBy(rows [][]expr.Value, by []int) [][]expr.Value {
 	op := &sortOp{idx: by, rows: rows}
 	return op.result()

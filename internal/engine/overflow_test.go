@@ -75,7 +75,7 @@ func foldOf(t *testing.T, agg xlm.AggSpec, vals []expr.Value, vectors bool, cut 
 	var rows [][]expr.Value
 	var err error
 	if cut < 0 {
-		rows, err = fold(vals).Finalize()
+		rows, err = fold(vals).op.result()
 	} else {
 		var parts []Cells
 		for start, i := 0, 1; i <= len(vals); i++ {

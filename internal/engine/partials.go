@@ -196,7 +196,7 @@ func (c Cells) at() []int32 {
 // per aggregate of aggs. The cells must be distinct groups — a
 // selection of one aggregator's Partials — so nothing is merged; they
 // are read in place, and a cell Pick left out is never finalised, so
-// its int SUM cannot fail. Like Finalize, a global aggregate
+// its int SUM cannot fail. Like Result, a global aggregate
 // (groupCols == 0) over no cells yields its single COUNT 0 / NULL row.
 // The rows are in cell order, not sorted.
 func FinalizeCells(groupCols int, aggs []xlm.AggSpec, c Cells) ([][]expr.Value, error) {
@@ -234,10 +234,11 @@ func MergeCells(groupCols int, aggs []xlm.AggSpec, parts ...Cells) (*HashAggrega
 // Answer is the one tail every answer source ends in — the fast path,
 // both arms of the materialized-aggregate store, the shard gather. A
 // dice d cuts its diamond out of the cells; the cells, every one or the
-// diamond's, are finalised (FinalizeCells) through the first aggregates
-// of aggs, without the hidden carat ones a dice reads, and the rows are
-// sorted by their group columns, as every executor sorts its rows.
-// aggs are the aggregates whose states the cells hold.
+// diamond's, are ordered by their keys (Order) and finalised in that
+// order (FinalizeCells) through the first aggregates of aggs, without
+// the hidden carat ones a dice reads, so the rows are born sorted by
+// their group columns, as every executor sorts its rows. aggs are the
+// aggregates whose states the cells hold.
 func (c Cells) Answer(aggs []xlm.AggSpec, d *Dice) ([][]expr.Value, error) {
 	if d != nil {
 		live, err := d.cut(c)
@@ -246,27 +247,30 @@ func (c Cells) Answer(aggs []xlm.AggSpec, d *Dice) ([][]expr.Value, error) {
 		}
 		c, aggs = c.Pick(live), aggs[:len(aggs)-len(d.CaratFuncs())]
 	}
-	rows, err := FinalizeCells(len(c.Keys), aggs, c)
-	return sorted(len(c.Keys), rows, err)
+	rows, err := FinalizeCells(len(c.Keys), aggs, c.Pick(c.Order()))
+	if err != nil { // the overflow finalising in c's order meets first
+		_, err = FinalizeCells(len(c.Keys), aggs, c)
+	}
+	return rows, err
 }
 
 // Answer is the aggregator's answer: Cells.Answer over its Partials
-// when d dices it. Undiced, it finalises straight from the groups' key
-// rows (Finalize), which costs no key vector, and sorts alike.
+// when d dices it. Undiced, it finalises its groups in the order of
+// their keys, ranked from its coders' dictionaries (order), which costs
+// no key vector. It fails where finalising the groups in first-seen
+// order fails: at the first integer SUM, in group then aggregate order,
+// that overflows.
 func (a *HashAggregator) Answer(d *Dice) ([][]expr.Value, error) {
 	if d != nil {
 		return a.Partials().Answer(a.op.aggs, d)
 	}
-	rows, err := a.Finalize()
-	return sorted(len(a.op.gIdx), rows, err)
-}
-
-// sorted sorts rows by their first k columns.
-func sorted(k int, rows [][]expr.Value, err error) ([][]expr.Value, error) {
+	o := a.op
+	o.ready()
+	rows, err := finalRows(len(o.gIdx), o.aggs, o.cols, o.order(), o.key)
 	if err != nil {
-		return nil, err
+		_, err = o.result()
 	}
-	return SortRowsBy(rows, Leading(k)), nil
+	return rows, err
 }
 
 // Leading returns the positions 0..n-1: the group columns of a result

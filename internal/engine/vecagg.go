@@ -72,11 +72,13 @@ const flatIndexBits = 16
 
 // codeIndex maps a code tuple to its group. The tuple's codes are
 // packed into one integer key, each column in a bit field sized for
-// twice its dictionary; when a dictionary outgrows its field the index
-// is laid out again from the groups' tuples, so the cost of growth is
-// amortised like a slice's. A tuple wider than 62 bits is looked up by
-// its codes' bytes instead. A map is made for the groups expected, and
-// kept, emptied, when the index is laid out again.
+// twice its dictionary, or for the dictionary itself where the coder
+// adopted a finished numbering (GroupCodes) and has not grown it; when
+// a dictionary outgrows its field the index is laid out again from the
+// groups' tuples, so the cost of growth is amortised like a slice's. A
+// tuple wider than 62 bits is looked up by its codes' bytes instead. A
+// map is made for the groups expected, and kept, emptied, when the
+// index is laid out again.
 type codeIndex struct {
 	width  []uint // bits per group column; nil until the first layout
 	shift  []uint
@@ -111,7 +113,10 @@ func (x *codeIndex) layout(coders []dictCoder, codes []uint32, groups int) {
 	x.shift = make([]uint, len(coders))
 	total := uint(0)
 	for g := range coders {
-		x.width[g] = uint(bits.Len(uint(len(coders[g].dict)))) + 1
+		x.width[g] = uint(bits.Len(uint(len(coders[g].dict))))
+		if !coders[g].finished() {
+			x.width[g]++ // room to grow
+		}
 		x.shift[g] = total
 		total += x.width[g]
 	}

@@ -14,7 +14,7 @@ import (
 // vector entry alone, through the exported API: 60 000 rows in
 // 1 024-row batches, grouped by two int columns, with SUM over an int
 // column, SUM over a float column, COUNT(*) and MIN over a string
-// column, then Finalize. etl has the ETL Aggregation's group count
+// column, then finalises. etl has the ETL Aggregation's group count
 // (15 000 groups, about four rows each) in random order; dash folds
 // the same rows into 25. etl_runs is the unified flow's quantity fact
 // as it arrives: its rows come in order-key runs.
@@ -72,7 +72,7 @@ func benchAddVectorsRuns(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		out, err := a.Finalize()
+		out, err := a.op.result()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func benchAddVectors(b *testing.B, groups int) {
 				b.Fatal(err)
 			}
 		}
-		out, err := a.Finalize()
+		out, err := a.op.result()
 		if err != nil {
 			b.Fatal(err)
 		}

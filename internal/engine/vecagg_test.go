@@ -406,7 +406,7 @@ func TestFinalizeCellsDropsGroups(t *testing.T) {
 	if err := a.AddVectors(len(keys), []Column{{Vec: storage.VectorOf(keys)}}, []Column{{Vec: storage.VectorOf(vals)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Finalize(); err == nil {
+	if _, err := a.op.result(); err == nil {
 		t.Fatal("b's SUM left int64 and nothing failed")
 	}
 	cells := a.Partials()

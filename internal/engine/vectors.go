@@ -236,6 +236,14 @@ func (c *dictCoder) adopt(g *GroupCodes) bool {
 	return c.adopted == g
 }
 
+// finished reports whether the coder's dictionary is a numbering it
+// adopted and has not grown since: a join index's build column, whose
+// batches name its entries only. A batch of another numbering may still
+// grow it, and the code index then lays itself out again (fits).
+func (c *dictCoder) finished() bool {
+	return c.adopted != nil && len(c.dict) == len(c.adopted.Dict)
+}
+
 // kindBit is v's bit in dictCoder.kinds: none for NULL.
 func kindBit(v expr.Value) uint8 {
 	if v.IsNull() {

@@ -49,7 +49,6 @@ import (
 
 	"quarry/internal/engine"
 	"quarry/internal/expr"
-	"quarry/internal/storage"
 )
 
 // maxPatterns bounds the query-log pattern map; a full log drops
@@ -96,8 +95,10 @@ type matEntry struct {
 	// group (keys in pat.groupBy order, then one state-column set per
 	// pat.measures), in the first-seen order the fold produced, which a
 	// merge of them keeps: a coarser group's first cell is its first
-	// row's. order lists the cells sorted by their keys, so the entry's
-	// own granularity finalises them straight into sorted order.
+	// row's. order lists the cells sorted by their keys (Cells.Order):
+	// at the entry's own granularity the filter reads the cells in that
+	// order, so the kept cells reach the answer tail sorted, where
+	// ranking them finds them in order.
 	cells   engine.Cells
 	order   []int32
 	version uint64
@@ -369,7 +370,7 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 	en := &matEntry{
 		pat:     pat,
 		cells:   cells,
-		order:   sortOrder(cells.Keys, cells.N),
+		order:   cells.Order(),
 		version: snap.Version(),
 		srcRows: make(map[string]int64, len(p.tables)),
 		gIdx:    make(map[string]int, len(pat.groupBy)),
@@ -389,22 +390,4 @@ func (m *MatAgg) build(e *Engine, pat *aggPattern) (*matEntry, error) {
 		en.mIdx[am.key()] = i
 	}
 	return en, nil
-}
-
-// sortOrder returns the positions of n keys, one value per key vector,
-// in the order engine.SortRowsBy sorts them: each key becomes a row of
-// its position and its values, sorted by the values.
-func sortOrder(keys []*storage.Vector, n int) []int32 {
-	rows := make([][]expr.Value, n)
-	for i := range rows {
-		rows[i] = []expr.Value{expr.Int(int64(i))}
-		for _, v := range keys {
-			rows[i] = append(rows[i], v.Value(i))
-		}
-	}
-	order := make([]int32, n)
-	for i, row := range engine.SortRowsBy(rows, engine.Leading(len(keys) + 1)[1:]) {
-		order[i] = int32(row[0].AsInt())
-	}
-	return order
 }

@@ -33,7 +33,7 @@ package olap
 // absorb each kept cell into a group of its own, so on the query path
 // that one case skips it: the tail cuts and finalises the kept cells in
 // place (engine.Cells.Answer), read in the order the entry sorted them
-// at build, so its sort finds them sorted (BenchmarkOLAPQuery_Materialized,
+// at build, which its ranking finds already sorted (BenchmarkOLAPQuery_Materialized,
 // a 25-group cube on 2 vCPUs: ≈ 16 µs per query against ≈ 53 µs
 // through the merge, outside the CI gate's 25 %). A partial still
 // merges: picked cells have no frame. An entry keeps no finalised row:

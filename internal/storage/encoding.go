@@ -115,6 +115,7 @@ type chunkEncoder struct {
 	// chunk's candidate is vec.Codes and vec.Dict[:ndict] themselves.
 	intCodes []uint32
 	intDict  []int64
+	intWin   []uint32 // buildInts' window over a dense page's values, all zero between pages
 
 	// seenInts and seenStrs find a value's code in the dictionary
 	// candidate of the column being built: one map per column position,
@@ -171,13 +172,42 @@ func (e *chunkEncoder) null(prevNull bool) {
 	}
 }
 
+// buildInts codes the page's ints in first-seen order. A first pass
+// finds the present values' bounds; where they span a small multiple
+// of the page's rows (denseInts), a value finds its code + 1 in the
+// encoder's window at its offset from the least, which the page's
+// dictionary clears after it. A wider page looks its values up in the
+// column's map.
 func (e *chunkEncoder) buildInts(page []span, ci int) {
 	v := &e.vec
-	for len(e.seenInts) <= ci {
-		e.seenInts = append(e.seenInts, map[int64]uint32{})
+	present := false
+	for _, s := range page {
+		src := s.c.cols[ci]
+		for r := s.lo; r < s.hi; r++ {
+			switch {
+			case src.IsNull(r):
+			case !present:
+				e.intMin, e.intMax, present = src.Ints[r], src.Ints[r], true
+			default:
+				e.intMin, e.intMax = min(e.intMin, src.Ints[r]), max(e.intMax, src.Ints[r])
+			}
+		}
 	}
-	seen, dict := e.seenInts[ci], e.intDict[:0]
-	clear(seen)
+	var win []uint32 // value k's code + 1 at win[k − intMin]
+	var seen map[int64]uint32
+	if span := uint64(e.intMax - e.intMin); present && denseInts(span, e.n) {
+		if uint64(cap(e.intWin)) <= span {
+			e.intWin = make([]uint32, span+1)
+		}
+		win = e.intWin[:span+1]
+	} else {
+		for len(e.seenInts) <= ci {
+			e.seenInts = append(e.seenInts, map[int64]uint32{})
+		}
+		seen = e.seenInts[ci]
+		clear(seen)
+	}
+	dict := e.intDict[:0]
 	codes := slices.Grow(e.intCodes[:0], e.n)
 	e.dictable = true
 	var prev int64
@@ -196,11 +226,6 @@ func (e *chunkEncoder) buildInts(page []span, ci int) {
 			if newRun {
 				e.runBytes += runHeader + 8
 			}
-			if len(v.Ints) == e.nulls { // first present value
-				e.intMin, e.intMax = i, i
-			} else {
-				e.intMin, e.intMax = min(e.intMin, i), max(e.intMax, i)
-			}
 			prev, prevNull = i, false
 			v.Ints = append(v.Ints, i)
 			code := uint32(0)
@@ -208,27 +233,44 @@ func (e *chunkEncoder) buildInts(page []span, ci int) {
 				code = codes[len(codes)-1]
 			} else if e.dictable {
 				var ok bool
-				if code, ok = seen[i]; !ok {
-					if len(dict) >= dictMaxCard {
-						e.dictable = false
+				if win != nil {
+					code, ok = win[i-e.intMin]-1, win[i-e.intMin] != 0
+				} else {
+					code, ok = seen[i]
+				}
+				switch {
+				case ok:
+				case len(dict) >= dictMaxCard:
+					e.dictable = false
+				default:
+					code = uint32(len(dict))
+					if win != nil {
+						win[i-e.intMin] = code + 1
 					} else {
-						code = uint32(len(dict))
 						seen[i] = code
-						dict = append(dict, i)
 					}
+					dict = append(dict, i)
 				}
 			}
 			codes = append(codes, code)
 		}
 	}
+	if win != nil {
+		for _, i := range dict { // leave the window all zero
+			win[i-e.intMin] = 0
+		}
+	}
 	e.intCodes, e.intDict = codes, dict
-	present := e.n - e.nulls
-	e.rawBytes = 8 * present
+	e.rawBytes = 8 * (e.n - e.nulls)
 	e.ndict, e.dictBytes = len(dict), 8*len(dict)
-	if present > 0 {
+	if present {
 		e.zone = zone{hasBounds: true, min: expr.Int(e.intMin), max: expr.Int(e.intMax)}
 	}
 }
+
+// denseInts reports whether a page's n rows of ints spanning span code
+// through a window: it costs a few slots per row.
+func denseInts(span uint64, n int) bool { return span < 8*uint64(n)+1024 }
 
 func (e *chunkEncoder) buildFloats(page []span, ci int) {
 	v := &e.vec
